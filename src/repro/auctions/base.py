@@ -203,6 +203,22 @@ class Allocation:
     def provider_total(self, provider_id: str) -> float:
         return sum(a for _, p, a in self.entries if p == provider_id)
 
+    def user_totals(self) -> Dict[str, float]:
+        """``user_total`` of every user with an entry, in one pass."""
+        return self._totals(0)
+
+    def provider_totals(self) -> Dict[str, float]:
+        """``provider_total`` of every provider with an entry, in one pass."""
+        return self._totals(1)
+
+    def _totals(self, column: int) -> Dict[str, float]:
+        # Amounts are grouped first and summed per group, so each total is the
+        # same ``sum`` over the same sequence as the per-id methods: bit-identical.
+        amounts: Dict[str, List[float]] = {}
+        for entry in self.entries:
+            amounts.setdefault(entry[column], []).append(entry[2])
+        return {key: sum(group) for key, group in amounts.items()}
+
     def winners(self) -> List[str]:
         """User ids with a strictly positive allocation."""
         return sorted({u for u, _, a in self.entries if a > EPSILON})
@@ -227,30 +243,38 @@ class Allocation:
                 by at most one provider and either fully or not at all (the standard
                 auction's all-or-nothing constraint).
         """
+        user_ids = set(bids.user_ids)
+        provider_ids = set(bids.provider_ids)
+        served_by: Dict[str, List[str]] = {}
         for user_id, provider_id, amount in self.entries:
             if amount < -EPSILON:
                 raise FeasibilityError(f"negative allocation for {user_id} at {provider_id}")
-            if user_id not in bids.user_ids:
+            if user_id not in user_ids:
                 raise FeasibilityError(f"allocation references unknown user {user_id!r}")
-            if provider_id not in bids.provider_ids:
+            if provider_id not in provider_ids:
                 raise FeasibilityError(
                     f"allocation references unknown provider {provider_id!r}"
                 )
+            if single_provider and amount > EPSILON:
+                served_by.setdefault(user_id, []).append(provider_id)
+        # Ids without an entry total 0, an empty ``sum``, as the messages print it.
+        provider_totals = self.provider_totals()
         for provider in bids.providers:
-            used = self.provider_total(provider.provider_id)
+            used = provider_totals.get(provider.provider_id, 0)
             if used > provider.capacity + EPSILON:
                 raise FeasibilityError(
                     f"provider {provider.provider_id} over capacity: {used} > {provider.capacity}"
                 )
+        user_totals = self.user_totals()
         for user in bids.users:
-            received = self.user_total(user.user_id)
+            received = user_totals.get(user.user_id, 0)
             if received > user.demand + EPSILON:
                 raise FeasibilityError(
                     f"user {user.user_id} allocated more than demanded: "
                     f"{received} > {user.demand}"
                 )
             if single_provider:
-                providers_of_user = [p for u, p, a in self.entries if u == user.user_id and a > EPSILON]
+                providers_of_user = served_by.get(user.user_id, [])
                 if len(providers_of_user) > 1:
                     raise FeasibilityError(
                         f"user {user.user_id} split across providers {providers_of_user}"

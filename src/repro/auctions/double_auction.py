@@ -100,12 +100,14 @@ class DoubleAuction(AllocationAlgorithm):
         if allocation.is_empty():
             return AuctionResult.empty()
 
+        user_totals = allocation.user_totals()
+        provider_totals = allocation.provider_totals()
         user_payments = {
-            user_id: buyer_price * allocation.user_total(user_id)
+            user_id: buyer_price * user_totals[user_id]
             for user_id in allocation.winners()
         }
         provider_revenues = {
-            provider_id: seller_price * allocation.provider_total(provider_id)
+            provider_id: seller_price * provider_totals[provider_id]
             for provider_id in allocation.providers_used()
         }
         return AuctionResult(

@@ -48,6 +48,16 @@ def majority_decision(values: Dict[str, Any]) -> Any:
     """
     if not values:
         raise ValueError("cannot decide over an empty value set")
+    # Unanimity on one shared object (what every provider holds after relaying
+    # a bidder's message) needs no counting.  Identity only: values that are
+    # merely equal are counted below, where unhashable ones are handled.
+    candidates = iter(values.values())
+    first = next(candidates)
+    for value in candidates:
+        if value is not first:
+            break
+    else:
+        return first
 
     def key_of(value: Any) -> Hashable:
         try:

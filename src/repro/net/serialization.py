@@ -12,67 +12,306 @@ The distributed auctioneer needs two serialisation services:
 Only plain data (numbers, strings, bytes, bools, None, tuples/lists, dicts, and
 dataclasses composed of those) is supported; this keeps the encoding portable and
 prevents accidentally shipping live objects between nodes.
+
+Both services dispatch through one *compiled codec*: a ``type -> plan`` table
+filled the first time a payload class is seen.  Exact builtins and their
+subclasses resolve through the category chain once; a dataclass gets a plan
+with everything that does not depend on the instance precomputed (tag prefix,
+encoded field keys in canonical order, frozen flag).  A round ships hundreds
+of thousands of values of a dozen classes, so per-value work is one dict lookup
+instead of an ``isinstance`` chain plus ``dataclasses.fields``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Dict, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Tuple
 
 __all__ = ["canonical_encode", "estimate_size", "UnsupportedPayloadError"]
 
-#: Per-type cache of (field names, frozen?) — ``dataclasses.fields`` is expensive
-#: and payload types are few, while payload *instances* number in the hundreds of
-#: thousands per simulated round.
-_DATACLASS_INFO: Dict[type, Tuple[Tuple[str, ...], bool]] = {}
-
-#: Attribute under which an instance's computed wire size is memoised.
+#: Attributes under which an instance's wire size / canonical bytes are memoised.
 _SIZE_ATTR = "_repro_wire_size"
+_BYTES_ATTR = "_repro_wire_bytes"
 
-
-def _dataclass_info(cls: type) -> Tuple[Tuple[str, ...], bool]:
-    info = _DATACLASS_INFO.get(cls)
-    if info is None:
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        frozen = bool(getattr(cls, "__dataclass_params__").frozen)
-        info = (names, frozen)
-        _DATACLASS_INFO[cls] = info
-    return info
+_pack_double = struct.Struct(">d").pack
+_pack_count = struct.Struct(">I").pack
+_first = itemgetter(0)
 
 
 class UnsupportedPayloadError(TypeError):
     """Raised when a payload contains a type that cannot be canonically encoded."""
 
 
-def _encode_float(value: float) -> bytes:
-    # Canonical IEEE-754 big-endian encoding; avoids repr() instability.
-    return b"f" + struct.pack(">d", float(value))
+class _Plan:
+    """How values of one exact class are encoded and measured.
 
-
-def _encode_number(value) -> bytes:
-    """Encode numbers by numeric value, not representation.
-
-    Payloads are compared structurally with ``==``, under which ``False == 0 ==
-    0.0`` — so numerically equal values must encode to the same bytes or the
-    validation blocks would flag equal payloads as disagreeing.  Bools collapse
-    to ints; ints exactly representable as a double use the float encoding (so
-    ``1 == 1.0`` agrees); ``-0.0`` normalises to ``0.0``.
+    ``encode(value)`` returns the canonical bytes; ``measure(value)`` returns
+    ``(size, deep_immutable)``, the latter gating the instance memos.
+    ``scalar`` marks classes whose values are always deep-immutable leaves.
     """
-    if isinstance(value, bool):
-        value = int(value)
-    if isinstance(value, int):
-        try:
-            as_float = float(value)
-        except OverflowError:
-            as_float = None
-        if as_float is not None and as_float == value:
-            return _encode_float(as_float)
-        data = str(value).encode("ascii")
-        return b"i" + len(data).to_bytes(4, "big") + data
+
+    __slots__ = ("encode", "measure", "scalar")
+
+    def __init__(
+        self,
+        encode: Callable[[Any], bytes],
+        measure: Callable[[Any], Tuple[int, bool]],
+        scalar: bool = False,
+    ) -> None:
+        self.encode = encode
+        self.measure = measure
+        self.scalar = scalar
+
+
+class _PlanTable(dict):
+    """``type -> _Plan``, compiled on first sight of a class."""
+
+    def __missing__(self, cls: type) -> _Plan:
+        plan = self[cls] = _compile(cls)
+        return plan
+
+
+_PLANS = _PlanTable()
+
+
+# -- numbers -------------------------------------------------------------------
+# Numbers encode by numeric value, not representation.  Payloads are compared
+# structurally with ``==``, under which ``False == 0 == 0.0`` — so numerically
+# equal values must encode to the same bytes or the validation blocks would
+# flag equal payloads as disagreeing.  Bools collapse to ints; ints exactly
+# representable as a double use the float encoding (so ``1 == 1.0`` agrees);
+# ``-0.0`` normalises to ``0.0``.  Floats use the canonical IEEE-754 big-endian
+# encoding, which avoids repr() instability.
+_ENCODED_FALSE = b"f" + _pack_double(0.0)
+_ENCODED_TRUE = b"f" + _pack_double(1.0)
+
+
+def _encode_none(value: None) -> bytes:
+    return b"n"
+
+
+def _encode_bool(value: bool) -> bytes:
+    return _ENCODED_TRUE if value else _ENCODED_FALSE
+
+
+def _encode_int(value: int) -> bytes:
+    try:
+        as_float = float(value)
+    except OverflowError:
+        as_float = None
+    if as_float is not None and as_float == value:
+        return b"f" + _pack_double(as_float)
+    data = str(value).encode("ascii")
+    return b"i" + _pack_count(len(data)) + data
+
+
+def _encode_float(value: float) -> bytes:
     if value == 0.0:
         value = 0.0  # collapse -0.0, which compares equal to 0.0
-    return _encode_float(value)
+    return b"f" + _pack_double(value)
+
+
+def _measure_unit(value: Any) -> Tuple[int, bool]:
+    return 1, True
+
+
+def _measure_int(value: int) -> Tuple[int, bool]:
+    return max(1, (value.bit_length() + 7) // 8) + 1, True
+
+
+def _measure_float(value: float) -> Tuple[int, bool]:
+    return 8, True
+
+
+# -- strings and bytes ---------------------------------------------------------
+def _encode_str(value: str) -> bytes:
+    data = value.encode("utf-8")
+    return b"s" + _pack_count(len(data)) + data
+
+
+def _encode_bytes(value) -> bytes:
+    data = bytes(value)
+    return b"y" + _pack_count(len(data)) + data
+
+
+def _measure_str(value: str) -> Tuple[int, bool]:
+    return (len(value) if value.isascii() else len(value.encode("utf-8"))) + 4, True
+
+
+def _measure_bytes(value: bytes) -> Tuple[int, bool]:
+    return len(value) + 4, True
+
+
+def _measure_bytearray(value: bytearray) -> Tuple[int, bool]:
+    return len(value) + 4, False
+
+
+# -- containers ----------------------------------------------------------------
+def _encode_sequence(value) -> bytes:
+    plans = _PLANS
+    parts = [plans[type(item)].encode(item) for item in value]
+    return b"l" + _pack_count(len(parts)) + b"".join(parts)
+
+
+def _encode_set(value) -> bytes:
+    plans = _PLANS
+    parts = sorted(plans[type(item)].encode(item) for item in value)
+    return b"e" + _pack_count(len(parts)) + b"".join(parts)
+
+
+def _encode_dict(value: dict) -> bytes:
+    plans = _PLANS
+    items = [
+        (plans[type(k)].encode(k), plans[type(v)].encode(v)) for k, v in value.items()
+    ]
+    items.sort(key=_first)
+    return b"d" + _pack_count(len(items)) + b"".join([k + v for k, v in items])
+
+
+def _measure_frozen_items(value) -> Tuple[int, bool]:
+    """Tuples and frozensets: immutable exactly when every item is."""
+    plans = _PLANS
+    size = 4
+    immutable = True
+    for item in value:
+        item_size, item_immutable = plans[type(item)].measure(item)
+        size += item_size
+        if not item_immutable:
+            immutable = False
+    return size, immutable
+
+
+def _total_size(items) -> int:
+    """Summed sizes of ``items``; a run of one class shares one plan lookup."""
+    plans = _PLANS
+    total = 0
+    seen = None
+    for item in items:
+        cls = type(item)
+        if cls is not seen:
+            seen = cls
+            measure = plans[cls].measure
+        total += measure(item)[0]
+    return total
+
+
+def _measure_mutable_items(value) -> Tuple[int, bool]:
+    return 4 + _total_size(value), False
+
+
+def _measure_dict(value: dict) -> Tuple[int, bool]:
+    try:
+        # All-``str`` keys, the usual case, are measured in bulk: UTF-8 lengths
+        # add up under concatenation.
+        keys = 4 * len(value) + len("".join(value).encode("utf-8"))
+    except TypeError:
+        keys = _total_size(value)
+    return 4 + keys + _total_size(value.values()), False
+
+
+# -- dataclasses ---------------------------------------------------------------
+def _memoise(value: Any, attr: str, memo: Any) -> None:
+    try:
+        object.__setattr__(value, attr, memo)
+    except (AttributeError, TypeError):
+        pass  # __slots__ without room for the memo
+
+
+def _dataclass_plan(cls: type) -> _Plan:
+    """Compile the plan of a dataclass: a tagged dict of its fields.
+
+    Both memos live on the instance, behind the deep-immutability gate.
+    ``frozen=True`` alone is only shallow, so ``measure`` tracks whether every
+    nested value is itself immutable and memoises the size only then (a frozen
+    dataclass holding a dict that later grows must keep being re-measured).
+    Encoded bytes are memoised on *flat* records only — frozen, every field a
+    scalar, hence deep-immutable by construction: the leaf bids every provider
+    fingerprints are shared objects, while the vectors holding them are rebuilt
+    per provider, where remembered bytes would never be asked for again.
+    """
+    plans = _PLANS
+    frozen = bool(cls.__dataclass_params__.frozen)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    keyed = sorted((_encode_str(name), name) for name in names)
+    prefix = b"c" + _encode_str(cls.__name__) + b"d" + _pack_count(len(keyed))
+
+    def encode(value: Any) -> bytes:
+        if frozen:
+            cached = getattr(value, _BYTES_ATTR, None)
+            if cached is not None:
+                return cached
+        parts = [prefix]
+        flat = frozen
+        for key, name in keyed:
+            item = getattr(value, name)
+            plan = plans[type(item)]
+            parts.append(key)
+            parts.append(plan.encode(item))
+            if not plan.scalar:
+                flat = False
+        data = b"".join(parts)
+        if flat:
+            _memoise(value, _BYTES_ATTR, data)
+        return data
+
+    def measure(value: Any) -> Tuple[int, bool]:
+        if frozen:
+            cached = getattr(value, _SIZE_ATTR, None)
+            if cached is not None:
+                return cached, True
+        size = 4
+        immutable = frozen
+        for name in names:
+            item = getattr(value, name)
+            item_size, item_immutable = plans[type(item)].measure(item)
+            size += item_size
+            if not item_immutable:
+                immutable = False
+        if immutable:
+            _memoise(value, _SIZE_ATTR, size)
+        return size, immutable
+
+    return _Plan(encode, measure)
+
+
+# -- everything else -----------------------------------------------------------
+def _encode_unsupported(value: Any) -> bytes:
+    raise UnsupportedPayloadError(
+        f"cannot canonically encode value of type {type(value).__name__!r}"
+    )
+
+
+def _measure_unsupported(value: Any) -> Tuple[int, bool]:
+    return len(repr(value)), False
+
+
+#: Category chain, in the order subclasses of builtins are matched against it.
+_BUILTIN_PLANS = (
+    (type(None), _Plan(_encode_none, _measure_unit, scalar=True)),
+    (bool, _Plan(_encode_bool, _measure_unit, scalar=True)),
+    (int, _Plan(_encode_int, _measure_int, scalar=True)),
+    (float, _Plan(_encode_float, _measure_float, scalar=True)),
+    (str, _Plan(_encode_str, _measure_str, scalar=True)),
+    (bytearray, _Plan(_encode_bytes, _measure_bytearray)),
+    (bytes, _Plan(_encode_bytes, _measure_bytes, scalar=True)),
+    (tuple, _Plan(_encode_sequence, _measure_frozen_items)),
+    (frozenset, _Plan(_encode_set, _measure_frozen_items)),
+    (list, _Plan(_encode_sequence, _measure_mutable_items)),
+    (set, _Plan(_encode_set, _measure_mutable_items)),
+    (dict, _Plan(_encode_dict, _measure_dict)),
+)
+_UNSUPPORTED_PLAN = _Plan(_encode_unsupported, _measure_unsupported)
+
+
+def _compile(cls: type) -> _Plan:
+    for base, plan in _BUILTIN_PLANS:
+        if issubclass(cls, base):
+            return plan
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_plan(cls)
+    return _UNSUPPORTED_PLAN
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -86,36 +325,7 @@ def canonical_encode(value: Any) -> bytes:
         UnsupportedPayloadError: if the value (or a nested element) has an
             unsupported type.
     """
-    if value is None:
-        return b"n"
-    if isinstance(value, (bool, int, float)):
-        return _encode_number(value)
-    if isinstance(value, str):
-        data = value.encode("utf-8")
-        return b"s" + len(data).to_bytes(4, "big") + data
-    if isinstance(value, (bytes, bytearray)):
-        data = bytes(value)
-        return b"y" + len(data).to_bytes(4, "big") + data
-    if isinstance(value, (list, tuple)):
-        parts = [canonical_encode(item) for item in value]
-        body = b"".join(parts)
-        return b"l" + len(parts).to_bytes(4, "big") + body
-    if isinstance(value, (set, frozenset)):
-        encoded = sorted(canonical_encode(item) for item in value)
-        body = b"".join(encoded)
-        return b"e" + len(encoded).to_bytes(4, "big") + body
-    if isinstance(value, dict):
-        items = [(canonical_encode(k), canonical_encode(v)) for k, v in value.items()]
-        items.sort(key=lambda kv: kv[0])
-        body = b"".join(k + v for k, v in items)
-        return b"d" + len(items).to_bytes(4, "big") + body
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-        return b"c" + canonical_encode(name) + canonical_encode(fields)
-    raise UnsupportedPayloadError(
-        f"cannot canonically encode value of type {type(value).__name__!r}"
-    )
+    return _PLANS[type(value)].encode(value)
 
 
 def estimate_size(value: Any) -> int:
@@ -128,60 +338,6 @@ def estimate_size(value: Any) -> int:
     Sizes of *deep-immutable* frozen dataclass instances are memoised on the
     instance: protocol payloads (bid vectors, allocations, payments) are
     broadcast and echoed many times per round, and re-walking a 100-user vector
-    per message dominated the simulator's wall time.  ``frozen=True`` alone is
-    only shallow, so the recursion tracks whether every nested value is itself
-    immutable and skips the memo otherwise (a frozen dataclass holding a dict
-    that later grows must keep being re-measured).
+    per message dominated the simulator's wall time.
     """
-    return _estimate(value)[0]
-
-
-def _estimate(value: Any) -> Tuple[int, bool]:
-    """Return ``(size, deep_immutable)`` — the latter gates instance memoisation."""
-    # Memoised instances answer before the type dispatch below — payload
-    # dataclasses are by far the hottest case in simulated rounds.
-    cached = getattr(value, _SIZE_ATTR, None)
-    if cached is not None:
-        return cached, True
-    if value is None or isinstance(value, bool):
-        return 1, True
-    if isinstance(value, int):
-        return max(1, (value.bit_length() + 7) // 8) + 1, True
-    if isinstance(value, float):
-        return 8, True
-    if isinstance(value, str):
-        return len(value.encode("utf-8")) + 4, True
-    if isinstance(value, bytearray):
-        return len(value) + 4, False
-    if isinstance(value, bytes):
-        return len(value) + 4, True
-    if isinstance(value, (tuple, frozenset)):
-        size = 4
-        immutable = True
-        for item in value:
-            item_size, item_immutable = _estimate(item)
-            size += item_size
-            immutable = immutable and item_immutable
-        return size, immutable
-    if isinstance(value, (list, set)):
-        return 4 + sum(_estimate(item)[0] for item in value), False
-    if isinstance(value, dict):
-        return (
-            4 + sum(_estimate(k)[0] + _estimate(v)[0] for k, v in value.items()),
-            False,
-        )
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        names, frozen = _dataclass_info(type(value))
-        size = 4
-        immutable = frozen
-        for name in names:
-            field_size, field_immutable = _estimate(getattr(value, name))
-            size += field_size
-            immutable = immutable and field_immutable
-        if immutable:
-            try:
-                object.__setattr__(value, _SIZE_ATTR, size)
-            except (AttributeError, TypeError):
-                pass  # __slots__ without room for the memo
-        return size, immutable
-    return len(repr(value)), False
+    return _PLANS[type(value)].measure(value)[0]

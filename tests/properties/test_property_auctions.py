@@ -11,7 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.auctions.base import BidVector, ProviderAsk, UserBid
+from repro.auctions.base import (
+    EPSILON,
+    Allocation,
+    AuctionResult,
+    BidVector,
+    FeasibilityError,
+    ProviderAsk,
+    UserBid,
+)
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.engine import ENGINES, make_standard_auction
 from repro.auctions.greedy import GreedyStandardAuction
@@ -83,6 +91,176 @@ class TestDoubleAuctionInvariants:
     @settings(max_examples=60, deadline=None)
     def test_determinism(self, bids):
         assert DoubleAuction().run(bids) == DoubleAuction().run(bids)
+
+
+#: Zero values, zero demands, empty pipes, and demands larger than any one
+#: provider's capacity, so allocations split across providers.
+wide_bid_vectors = st.builds(
+    lambda users, providers: BidVector(
+        tuple(UserBid(f"u{i:02d}", value, demand) for i, (value, demand) in enumerate(users)),
+        tuple(ProviderAsk(f"p{j}", cost, capacity) for j, (cost, capacity) in enumerate(providers)),
+    ),
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=6.0)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=2.0),
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+
+
+def _expected_double_auction_payments(bids, allocation):
+    """Uniform prices times the per-id totals, as the mechanism defines them."""
+    trades = DoubleAuction._efficient_trades(
+        DoubleAuction._eligible_buyers(bids), DoubleAuction._eligible_sellers(bids)
+    )
+    buyer_price = bids.user(trades.marginal_user).unit_value
+    seller_price = bids.provider(trades.marginal_provider).unit_cost
+    return (
+        tuple((uid, buyer_price * allocation.user_total(uid)) for uid in allocation.winners()),
+        tuple(
+            (pid, seller_price * allocation.provider_total(pid))
+            for pid in allocation.providers_used()
+        ),
+    )
+
+
+class TestDoubleAuctionPaymentsAreExact:
+    """Payments are pinned bit for bit to ``price * user_total(uid)``."""
+
+    @given(wide_bid_vectors)
+    @settings(max_examples=300, deadline=None)
+    def test_payments_equal_price_times_total(self, bids):
+        result = DoubleAuction().run(bids)
+        if result.allocation.is_empty():
+            assert result == AuctionResult.empty()
+            return
+        paid, received = _expected_double_auction_payments(bids, result.allocation)
+        assert result.payments.user_payments == paid
+        assert result.payments.provider_revenues == received
+
+    def test_split_allocation(self):
+        bids = BidVector(
+            (UserBid("u0", 5.0, 2.5), UserBid("u1", 4.0, 0.7), UserBid("u2", 0.2, 1.0)),
+            (ProviderAsk("p0", 0.1, 1.0), ProviderAsk("p1", 0.3, 1.1), ProviderAsk("p2", 0.4, 1.3)),
+        )
+        result = DoubleAuction().run(bids)
+        assert len([entry for entry in result.allocation.entries if entry[0] == "u0"]) > 1
+        paid, received = _expected_double_auction_payments(bids, result.allocation)
+        assert result.payments.user_payments == paid
+        assert result.payments.provider_revenues == received
+
+
+def _reference_check_feasible(allocation, bids, single_provider):
+    """``Allocation.check_feasible`` as it was: a fresh id list per entry and one
+    scan of all entries per user and per provider.  The oracle for messages and
+    first-failure order."""
+    for user_id, provider_id, amount in allocation.entries:
+        if amount < -EPSILON:
+            raise FeasibilityError(f"negative allocation for {user_id} at {provider_id}")
+        if user_id not in bids.user_ids:
+            raise FeasibilityError(f"allocation references unknown user {user_id!r}")
+        if provider_id not in bids.provider_ids:
+            raise FeasibilityError(f"allocation references unknown provider {provider_id!r}")
+    for provider in bids.providers:
+        used = allocation.provider_total(provider.provider_id)
+        if used > provider.capacity + EPSILON:
+            raise FeasibilityError(
+                f"provider {provider.provider_id} over capacity: {used} > {provider.capacity}"
+            )
+    for user in bids.users:
+        received = allocation.user_total(user.user_id)
+        if received > user.demand + EPSILON:
+            raise FeasibilityError(
+                f"user {user.user_id} allocated more than demanded: "
+                f"{received} > {user.demand}"
+            )
+        if single_provider:
+            providers_of_user = [
+                p for u, p, a in allocation.entries if u == user.user_id and a > EPSILON
+            ]
+            if len(providers_of_user) > 1:
+                raise FeasibilityError(
+                    f"user {user.user_id} split across providers {providers_of_user}"
+                )
+            if providers_of_user and abs(received - user.demand) > 1e-6:
+                raise FeasibilityError(
+                    f"user {user.user_id} partially allocated ({received} of {user.demand})"
+                )
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except FeasibilityError as error:
+        return str(error)
+    return None
+
+
+#: Entries over a small id pool (plus ids no bid vector holds), unsorted and
+#: with repeats, amounts spanning magnitudes so that addition order matters.
+_amounts = st.one_of(
+    st.floats(min_value=-0.5, max_value=3.0),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.1, 0.2, 0.3, 1e16, -1e16, 1.0]),
+)
+_entries = st.lists(
+    st.tuples(
+        st.sampled_from(["u00", "u01", "u02", "u03", "ghost"]),
+        st.sampled_from(["p0", "p1", "p2", "nowhere"]),
+        _amounts,
+    ),
+    max_size=12,
+).map(tuple)
+
+
+class TestSinglePassTotals:
+    @given(_entries)
+    @settings(max_examples=300, deadline=None)
+    def test_totals_equal_the_per_id_sums_bit_for_bit(self, entries):
+        allocation = Allocation(entries)
+        assert allocation.user_totals() == {
+            user: allocation.user_total(user) for user, _, _ in entries
+        }
+        assert allocation.provider_totals() == {
+            provider: allocation.provider_total(provider) for _, provider, _ in entries
+        }
+
+    @given(wide_bid_vectors, _entries, st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_check_feasible_keeps_messages_and_first_failure(self, bids, entries, single):
+        allocation = Allocation(entries)
+        assert _verdict(allocation.check_feasible, bids, single) == _verdict(
+            _reference_check_feasible, allocation, bids, single
+        )
+
+    def test_ids_without_an_entry_total_an_integer_zero(self):
+        # ``sum(())`` is the int 0, and the messages print it as such.
+        bids = BidVector((UserBid("u00", 1.0, -1.0),), (ProviderAsk("p0", 0.0, -1.0),))
+        assert _verdict(Allocation.empty().check_feasible, bids, False) == (
+            "provider p0 over capacity: 0 > -1.0"
+        )
+        roomy = BidVector(bids.users, (ProviderAsk("p0", 0.0, 1.0),))
+        assert _verdict(Allocation.empty().check_feasible, roomy, False) == (
+            "user u00 allocated more than demanded: 0 > -1.0"
+        )
+
+    @given(wide_bid_vectors, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_check_feasible_on_mechanism_output(self, bids, single):
+        allocation = DoubleAuction().run(bids).allocation
+        assert _verdict(allocation.check_feasible, bids, single) == _verdict(
+            _reference_check_feasible, allocation, bids, single
+        )
 
 
 class TestStandardAuctionInvariants:
