@@ -9,11 +9,13 @@ benchmark only tracks wall clock.
 
 The export test writes ``BENCH_resilience.json`` — the game-theory counterpart
 of ``BENCH_sweep.json`` / ``BENCH_net.json``.  CI runs this file in quick mode
-(``--benchmark-disable``) and greps the summary line.  The >=2x speedup
-assertion is gated on host parallelism; on hosts where ``"auto"`` resolves to
-the sequential path no pool is launched at all, so the default configuration
-records a 1.0x speedup by construction instead of a sub-1x pool-overhead
-reading.
+(``--benchmark-disable``) and greps the summary line.  The speedup (target:
+>=2x on >=4 cores) is a ratio of two host wall-clock readings, so it is
+**recorded in the artifact, not asserted** — Tier-1 must give the same verdict
+on a loaded host as on an idle one.  What stays asserted is deterministic: on
+hosts where ``"auto"`` resolves to the sequential path no pool is launched at
+all, so the default configuration records a 1.0x speedup by construction
+instead of a sub-1x pool-overhead reading.
 """
 
 import json
@@ -87,8 +89,7 @@ def test_bench_resilience_artifact():
         assert data["speedup"] == 1.0
         assert data["backend"] == "serial"
         assert data["wall_seconds_parallel"] is None
-    # The 2x target needs real cores; on smaller hosts the artifact still
-    # records the honest measurement next to the resolved worker count.
-    if data["workers_resolved"] >= 4:
-        assert data["speedup"] >= 2.0, data["summary"]
+    # The 2x target needs real cores and an idle host; the artifact records
+    # the honest measurement next to the resolved worker count either way.
+    assert data["speedup"] > 0
     print(data["summary"])

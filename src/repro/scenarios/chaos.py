@@ -14,9 +14,9 @@ resilience layer one-to-one:
 * :class:`ChaosRecord` — the uniform, JSON-round-trippable result of one cell
   ``fault x seed``: the full fault-plane counter set plus one verdict per
   audited invariant;
-* :func:`run_chaos` — the executor: sequential, or parallel over worker
-  processes (``workers=N``) with journaled resume and the crash-tolerant
-  ``failure_mode="quarantine"`` of the sweep engine.
+* :func:`run_chaos` — the audit's declaration (:data:`CHAOS_GRID`) run through
+  the grid engine (:mod:`repro.scenarios.grid`): sequential or ``workers=N``,
+  journaled resume, crash-tolerant ``failure_mode="quarantine"``.
 
 Invariants audited per cell
 ---------------------------
@@ -45,33 +45,25 @@ compares across ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.community.workload import default_provider_ids
-from repro.core.framework import DistributedAuctioneer
 from repro.obs.context import current_observation
 from repro.net.faults import FAULTS, FaultPlan, RecoveryPolicy, make_fault
 from repro.net.network import QuiescenceError
-from repro.scenarios.runner import (
-    RunRecord,
-    build_latency_model,
-    build_mechanism,
-    build_topology,
-    build_workload,
-    record_from_outcome,
-)
+from repro.scenarios.grid import Grid, run_grid
+from repro.scenarios.runner import FlatRecord, RunRecord, SeededContext, record_from_outcome
 from repro.scenarios.spec import (
+    LabelledComponentSpec,
     ScenarioSpec,
     SpecError,
+    canonical_fingerprint,
     spec_from_dict,
     spec_to_dict,
-    spec_with_overrides,
 )
 
 __all__ = [
@@ -85,78 +77,24 @@ __all__ = [
     "chaos_with_overrides",
     "chaos_fingerprint",
     "run_chaos",
-    "execute_cells",
+    "CHAOS_GRID",
 ]
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """One fault model from the ``FAULTS`` registry, referenced by kind.
+class FaultSpec(LabelledComponentSpec):
+    """One fault model, referenced by ``FAULTS`` kind.
 
-    In spec files a fault is either a bare string (``"loss"``, all defaults)
-    or a table whose remaining keys are the model parameters
-    (``{"kind": "loss", "rate": 0.2}``); an optional ``label`` overrides the
-    display label echoed into every record.
+    A bare string (``"loss"``, all defaults) or a table of model parameters
+    with an optional ``label`` (``{"kind": "loss", "rate": 0.2}``).
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    label: Optional[str] = None
-
-    RESERVED_KEYS = frozenset({"kind", "label"})
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or not self.kind:
-            raise SpecError("faults.kind", "fault kind must be a non-empty string")
-        object.__setattr__(self, "params", dict(self.params) if self.params else {})
-        reserved = self.RESERVED_KEYS & set(self.params)
-        if reserved:
-            raise SpecError(
-                "faults",
-                f"fault parameters may not use the reserved keys {sorted(reserved)}",
-            )
-
-    @property
-    def display_label(self) -> str:
-        if self.label is not None:
-            return self.label
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
-        return f"{self.kind}({inner})"
+    NOUN = "fault"
+    FIELD = "faults"
 
     def build(self, path: str):
         """Instantiate the fault model (path-precise ``SpecError`` on failure)."""
         return make_fault(self.kind, dict(self.params), path)
-
-    @staticmethod
-    def from_value(value: Any, path: str) -> "FaultSpec":
-        if isinstance(value, FaultSpec):
-            return value
-        if isinstance(value, str):
-            return FaultSpec(value)
-        if isinstance(value, Mapping):
-            data = dict(value)
-            kind = data.pop("kind", None)
-            if not isinstance(kind, str) or not kind:
-                raise SpecError(path, "expected a 'kind' string in the fault table")
-            label = data.pop("label", None)
-            if label is not None and not isinstance(label, str):
-                raise SpecError(f"{path}.label", "fault label must be a string")
-            try:
-                return FaultSpec(kind, data, label)
-            except SpecError as exc:
-                raise SpecError(path, exc.message) from exc
-        raise SpecError(path, f"expected a string or a table, got {type(value).__name__}")
-
-    def to_value(self) -> Any:
-        if not self.params and self.label is None:
-            return self.kind
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.label is not None:
-            data["label"] = self.label
-        data.update(self.params)
-        return data
 
 
 # ------------------------------------------------------------- recovery policy --
@@ -347,17 +285,16 @@ def chaos_with_overrides(spec: ChaosSpec, overrides: Mapping[str, Any]) -> Chaos
 
 def chaos_fingerprint(spec: ChaosSpec) -> str:
     """A stable digest of the audit's full canonical spec (for journal manifests)."""
-    payload = json.dumps(chaos_to_dict(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_fingerprint(chaos_to_dict(spec))
 
 
 # ---------------------------------------------------------------------- records --
 @dataclass(frozen=True)
-class ChaosRecord:
+class ChaosRecord(FlatRecord):
     """The uniform result of one chaos cell: one fault model x one seed.
 
     All fields are JSON scalars; the :meth:`to_dict` / :meth:`from_dict` round
-    trip is lossless.  With ``measure_compute=false`` every field — the
+    trip (:class:`~repro.scenarios.runner.FlatRecord`) is lossless.  With ``measure_compute=false`` every field — the
     counters, the verdicts and the virtual ``elapsed_seconds`` — is a pure
     function of ``(spec, seed)``; ``fault_digest`` additionally pins the
     injected schedule itself (the determinism lock compares it across
@@ -402,69 +339,6 @@ class ChaosRecord:
             and self.store_repair_ok
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "mechanism": self.mechanism,
-            "fault": self.fault,
-            "label": self.label,
-            "instance": self.instance,
-            "seed": self.seed,
-            "users": self.users,
-            "providers": self.providers,
-            "executors": self.executors,
-            "k": self.k,
-            "recovery_enabled": self.recovery_enabled,
-            "max_retries": self.max_retries,
-            "aborted": self.aborted,
-            "degraded": self.degraded,
-            "terminated": self.terminated,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
-            "messages_lost": self.messages_lost,
-            "faults_injected": self.faults_injected,
-            "retransmissions": self.retransmissions,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "conservation_ok": self.conservation_ok,
-            "replay_ok": self.replay_ok,
-            "store_repair_ok": self.store_repair_ok,
-            "fault_digest": self.fault_digest,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ChaosRecord":
-        return ChaosRecord(
-            name=data["name"],
-            mechanism=data["mechanism"],
-            fault=data["fault"],
-            label=data["label"],
-            instance=data["instance"],
-            seed=data["seed"],
-            users=data["users"],
-            providers=data["providers"],
-            executors=data["executors"],
-            k=data["k"],
-            recovery_enabled=data["recovery_enabled"],
-            max_retries=data["max_retries"],
-            aborted=data["aborted"],
-            degraded=data["degraded"],
-            terminated=data["terminated"],
-            messages_sent=data["messages_sent"],
-            messages_delivered=data["messages_delivered"],
-            messages_dropped=data["messages_dropped"],
-            messages_lost=data["messages_lost"],
-            faults_injected=data["faults_injected"],
-            retransmissions=data["retransmissions"],
-            duplicates_suppressed=data["duplicates_suppressed"],
-            conservation_ok=data["conservation_ok"],
-            replay_ok=data["replay_ok"],
-            store_repair_ok=data["store_repair_ok"],
-            fault_digest=data["fault_digest"],
-            elapsed_seconds=data["elapsed_seconds"],
-        )
-
 
 @dataclass
 class ChaosResult:
@@ -501,64 +375,20 @@ class ChaosResult:
 
 
 # --------------------------------------------------------------------- execution --
-class ChaosContext:
+class ChaosContext(SeededContext):
     """Per-executor state of one audit: components and per-seed workloads.
 
     One instance backs one executor — the sequential loop or one parallel
     worker's chunk.  It memoises the mechanism once per audit and the workload
-    / bids / latency model / provider ids once per seed; the fault plan and
-    the network are deliberately rebuilt per run (a plan is stateful, and the
-    replay invariant *requires* a from-scratch second run).  :meth:`close`
-    releases engine resources (idempotent); always call it — or use the
-    context as a context manager.
+    / bids / latency model / provider ids once per seed
+    (:class:`~repro.scenarios.runner.SeededContext`); the fault plan and the
+    network are deliberately rebuilt per run (a plan is stateful, and the
+    replay invariant *requires* a from-scratch second run).
     """
 
-    def __init__(self, spec: ChaosSpec) -> None:
-        self.spec = spec
-        self._mechanism = None
-        self._per_seed: Dict[int, Dict[str, Any]] = {}
-
-    # -- memoised components ------------------------------------------------------
-    @property
-    def mechanism(self):
-        if self._mechanism is None:
-            self._mechanism = build_mechanism(self.spec.base)
-        return self._mechanism
-
-    def _seed_state(self, instance: int) -> Dict[str, Any]:
-        state = self._per_seed.get(instance)
-        if state is not None:
-            return state
-        seed = self.spec.effective_seeds()[instance]
-        scenario = spec_with_overrides(self.spec.base, {"seed": seed})
-        topology = build_topology(scenario)
-        if topology is not None:
-            provider_ids = list(topology.gateways)
-            if len(provider_ids) != scenario.providers:
-                raise SpecError(
-                    "base.topology",
-                    f"topology produced {len(provider_ids)} gateways "
-                    f"for providers={scenario.providers}",
-                )
-        else:
-            provider_ids = default_provider_ids(scenario.providers)
-        executor_ids = (
-            provider_ids[: scenario.executors]
-            if scenario.executors is not None
-            else provider_ids
-        )
-        workload = build_workload(scenario)
-        bids = workload.generate(
-            scenario.users, scenario.providers, provider_ids=provider_ids, instance=0
-        )
-        state = {
-            "scenario": scenario,
-            "latency": build_latency_model(scenario, topology),
-            "executor_ids": executor_ids,
-            "bids": bids,
-        }
-        self._per_seed[instance] = state
-        return state
+    def group_key(self, point: int, instance: int) -> int:
+        """The seed: one generated workload serves every fault of that seed."""
+        return instance
 
     # -- one perturbed run --------------------------------------------------------
     def _run_once(self, point: int, instance: int) -> Dict[str, Any]:
@@ -569,17 +399,8 @@ class ChaosContext:
         plan = FaultPlan(
             [model], seed=scenario.seed, recovery=self.spec.effective_recovery()
         )
-        auctioneer = DistributedAuctioneer(
-            self.mechanism,
-            providers=state["executor_ids"],
-            config=scenario.config.to_config(),
-            latency_model=state["latency"],
-            seed=scenario.seed,
-            measure_compute=scenario.measure_compute,
-            fault_plan=plan,
-        )
         try:
-            report = auctioneer.run_from_bids(state["bids"])
+            report = self._auctioneer(instance, fault_plan=plan).run_from_bids(state["bids"])
         except QuiescenceError:
             return {"terminated": False, "report": None, "plan": plan}
         return {"terminated": True, "report": report, "plan": plan}
@@ -689,21 +510,6 @@ class ChaosContext:
             elapsed_seconds=elapsed,
         )
 
-    # -- lifecycle ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release engine resources the context created (idempotent)."""
-        mechanism, self._mechanism = self._mechanism, None
-        if mechanism is not None:
-            close = getattr(mechanism, "close", None)
-            if close is not None:
-                close()
-
-    def __enter__(self) -> "ChaosContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def _torn_repair_ok(spec: ChaosSpec, record: RunRecord, drop_bytes: int) -> bool:
     """The ``torn_append`` invariant: a torn journal repairs on resume.
@@ -752,21 +558,14 @@ def _torn_repair_ok(spec: ChaosSpec, record: RunRecord, drop_bytes: int) -> bool
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def execute_cells(
-    spec: ChaosSpec, cells: Sequence[Tuple[int, int]]
-) -> Iterator[Tuple[int, int, ChaosRecord]]:
-    """Run the given ``(point, instance)`` cells through one chaos context.
-
-    Shared by the sequential path and the parallel workers
-    (:func:`repro.scenarios.chaos_parallel.execute_chunk`), so the two cannot
-    drift apart on how components are resolved or seeds memoised.  Cells are
-    executed grouped by seed so each seed's workload is generated exactly
-    once, whatever order the caller passed.
-    """
-    ordered = sorted(cells, key=lambda cell: (cell[1], cell[0]))
-    with ChaosContext(spec) as context:
-        for point, instance in ordered:
-            yield point, instance, context.run_cell(point, instance)
+#: The audit as a grid: a point is one fault model, an instance one seed;
+#: workers amortise by seed (workload generation, latency model, provider ids).
+CHAOS_GRID = Grid(
+    record_type=ChaosRecord,
+    to_dict=chaos_to_dict,
+    from_dict=chaos_from_dict,
+    context=ChaosContext,
+)
 
 
 def run_chaos(
@@ -783,133 +582,45 @@ def run_chaos(
 
     Args:
         spec: the audit specification.
-        workers: run cells in a pool of worker processes (``"auto"`` sizes the
-            pool from the CPUs this process may actually use; see
-            :func:`~repro.scenarios.dispatch.resolve_workers`).  Chunks are
+        workers, backend, store, store_format, resume, failure_mode: the grid
+            engine's, see :func:`~repro.scenarios.grid.run_grid`.  Chunks are
             grouped by seed so workload generation stays amortised; records
             are bit-identical to the sequential path on all deterministic
-            fields, in the same grid order.
-        backend: dispatch parallel chunks through a named
-            :data:`~repro.scenarios.dispatch.EXECUTOR_BACKENDS` entry instead
-            of the default local ``"process"`` pool.
-        store: a results journal — a path or a
-            :class:`~repro.scenarios.store.ResultsStore` — appended to as cells
-            complete; doubles as the audit artifact and the ``resume``
-            checkpoint.
-        store_format: the :data:`~repro.scenarios.store.STORE_BACKENDS` file
-            format for a fresh journal (existing journals are sniffed).
-        resume: with ``store``, skip cells the journal already holds (its
-            manifest must match this audit) and run only the missing ones.
-        failure_mode: ``"raise"`` (default) fails fast on a worker error;
-            ``"quarantine"`` opts into the crash-tolerant executor — bounded
-            chunk retries, worker death survived, and cells that keep failing
-            recorded in :attr:`ChaosResult.quarantined` (and journaled) while
-            the rest of the grid completes.
+            fields, in the same grid order; cells the executor quarantined
+            are listed in :attr:`ChaosResult.quarantined`.
     """
-    from repro.scenarios.dispatch import ChunkQuarantine, resolve_workers
-
-    if failure_mode not in ("raise", "quarantine"):
-        raise SpecError(
-            "failure_mode",
-            f"failure_mode must be 'raise' or 'quarantine', got {failure_mode!r}",
-        )
-    plan = resolve_workers(workers, backend=backend)
     # Resolve every fault model up front (and discard the results): a typo'd
     # fault kind or bad parameter fails with its path-precise SpecError here,
     # before any journal is opened or simulation runs.
     for index, fault in enumerate(spec.faults):
         fault.build(f"faults[{index}]")
-    cells = spec.cells()
-    seeds = spec.effective_seeds()
-
-    journal = _as_store(store, store_format)
-    completed: Dict[Tuple[int, int], ChaosRecord] = {}
-    if journal is not None:
-        completed = journal.begin(
-            spec,
-            total_rounds=len(cells) * len(seeds),
-            resume=resume,
-            fingerprint=chaos_fingerprint(spec),
-        )
-
-    pending = [
-        (point, instance)
-        for point in cells
-        for instance in range(len(seeds))
-        if (point, instance) not in completed
-    ]
-    fresh: Dict[Tuple[int, int], ChaosRecord] = {}
-    quarantined: List[Dict[str, Any]] = []
-    quarantined_keys: set = set()
-    try:
-        if plan.parallel and pending:
-            from repro.scenarios.chaos_parallel import execute_parallel
-
-            stream = execute_parallel(
-                spec, pending, plan.workers, plan.backend, failure_mode
-            )
-        else:
-            stream = execute_cells(spec, pending)
-        try:
-            for item in stream:
-                if isinstance(item, ChunkQuarantine):
-                    for q_point, q_instance in item.items:
-                        quarantined.append(
-                            {"point": q_point, "instance": q_instance, "error": item.error}
-                        )
-                        quarantined_keys.add((q_point, q_instance))
-                        if journal is not None:
-                            journal.append_quarantine(
-                                q_point, q_instance, item.error, item.traceback
-                            )
-                    continue
-                point, instance, record = item
-                fresh[(point, instance)] = record
-                if journal is not None:
-                    journal.append(point, instance, record)
-        finally:
-            stream.close()
-    finally:
-        if journal is not None:
-            journal.close()
-
+    run = run_grid(
+        CHAOS_GRID,
+        spec,
+        workers=workers,
+        backend=backend,
+        store=store,
+        store_format=store_format,
+        resume=resume,
+        failure_mode=failure_mode,
+    )
     result = ChaosResult(
         name=spec.name,
         base=spec_to_dict(spec.base),
-        executed_cells=len(fresh),
-        resumed_cells=len(completed),
-        quarantined=quarantined,
+        records=run.records,
+        executed_cells=len(run.fresh),
+        resumed_cells=len(run.reused),
+        quarantined=run.quarantined,
     )
-    for point in cells:
-        for instance in range(len(seeds)):
-            record = fresh.get((point, instance))
-            if record is None and (point, instance) in quarantined_keys:
-                continue  # the executor gave up on this cell; no record exists
-            if record is None:
-                record = completed[(point, instance)]
-            result.records.append(record)
     # Observability hook (see repro.obs): audit-level counters only — the
     # per-injection instants and network counters are emitted by the fault
     # plane and SimNetwork themselves when cells run in this process.
     obs = current_observation()
     if obs is not None and obs.metrics is not None:
-        obs.metrics.counter("chaos.cells_executed").inc(len(fresh))
-        obs.metrics.counter("chaos.cells_reused").inc(len(completed))
-        obs.metrics.counter("chaos.cells_quarantined").inc(len(quarantined))
+        obs.metrics.counter("chaos.cells_executed").inc(len(run.fresh))
+        obs.metrics.counter("chaos.cells_reused").inc(len(run.reused))
+        obs.metrics.counter("chaos.cells_quarantined").inc(len(run.quarantined))
         obs.metrics.counter("chaos.cells_failed").inc(
             sum(1 for record in result.records if not record.ok)
         )
     return result
-
-
-def _as_store(store, store_format=None):
-    if store is None:
-        return None
-    from repro.scenarios.store import ResultsStore
-
-    if isinstance(store, ResultsStore):
-        store.record_type = ChaosRecord
-        if store_format is not None:
-            store.format = store_format
-        return store
-    return ResultsStore(store, record_type=ChaosRecord, format=store_format)

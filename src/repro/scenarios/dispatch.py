@@ -1,11 +1,11 @@
 """Executor dispatch: worker resolution policy + pluggable chunk backends.
 
-Both parallel executors — the sweep pool (:mod:`repro.scenarios.parallel`) and
-the resilience-audit pool (:mod:`repro.scenarios.resilience_parallel`) — share
-the same execution shape: group work into amortisation-preserving chunks, run
-each chunk through a picklable worker function, stream results back in
-completion order, and let the caller reassemble deterministic grid order and
-journal per chunk.  This module owns that shape once:
+The grid engine (:mod:`repro.scenarios.grid`) — the one executor under the
+sweep, the resilience audit and the chaos audit — groups work into
+amortisation-preserving chunks, runs each chunk through a picklable worker
+function, streams results back in completion order, and reassembles
+deterministic grid order while journaling per chunk.  This module owns what
+sits beneath that loop:
 
 * :func:`resolve_workers` — the worker-count policy.  ``workers="auto"``
   resolves from the CPUs this process may actually use
@@ -16,7 +16,7 @@ journal per chunk.  This module owns that shape once:
 * :class:`ExecutorBackend` — the dispatch interface.  ``"serial"`` and
   ``"process"`` ship built in, registered in :data:`EXECUTOR_BACKENDS` exactly
   like mechanism kinds in ``MECHANISMS``; a future multi-host work-queue
-  backend plugs in here without touching either executor.
+  backend plugs in here without touching the engine.
 
 **The backend contract** (what any new backend must guarantee):
 
@@ -84,8 +84,8 @@ class ChunkExecutionError(Exception):
     """A worker chunk failed partway through; carries what survives the crash.
 
     Raised *inside* a worker (see
-    :func:`repro.scenarios.parallel.execute_chunk`) so the parent loses
-    neither the rounds the chunk completed before the failure
+    :func:`repro.scenarios.grid.run_chunk`) so the parent loses
+    neither the cells the chunk completed before the failure
     (``partial_results``, yielded — and therefore journaled — before any
     retry or re-raise) nor the original traceback (``traceback``, a string,
     because traceback objects do not cross process boundaries).
@@ -132,10 +132,9 @@ class ChunkQuarantine:
     The crash-tolerant executor emits one of these into the result stream
     when an item is still failing after :data:`MAX_CHUNK_RETRIES` attempts.
     ``items`` holds the backend-agnostic work items exactly as the chunker
-    built them (for the sweep executor: ``(grid index, spec payload,
-    instances)`` tuples), so the caller can map them back to grid rounds,
-    journal the failure, and continue — ``--resume`` then re-executes only
-    the quarantined rounds.
+    built them (for the grid engine: ``(point, instance)`` cells), so the
+    caller can journal the failure and continue — ``--resume`` then
+    re-executes only the quarantined cells.
     """
 
     items: Tuple[Any, ...]
@@ -242,15 +241,15 @@ def resolve_workers(
 def split_chunks(chunks: List[List[Any]], target: int) -> List[List[Any]]:
     """Split the largest chunks until there are ``target`` of them (or none splits).
 
-    Shared by both executors' chunkers: work items sharing an amortisation key
+    Used by the grid engine's chunker: work items sharing an amortisation key
     start out in one chunk, then the largest chunks are split toward
     ``workers * CHUNKS_PER_WORKER`` total — a grid with fewer distinct keys
     than workers would otherwise serialise.  Splitting is free in correctness
     terms (chunk determinism, point 1 of the backend contract) and only trades
     some cache sharing for parallelism, load balance and journal-checkpoint
-    granularity.  Indivisible chunks (single items) are never split, so the
-    grouping invariant of each chunker — all rounds of one grid point, all
-    cells of one ``(schedule, seed)`` cell — survives.
+    granularity.  Indivisible chunks (single items) are never split, so an
+    item the chunker must keep whole — all rounds of one sweep point —
+    survives.
     """
     chunks = list(chunks)
     while len(chunks) < target:
@@ -273,6 +272,12 @@ class ExecutorBackend:
     yields individual results in whatever order chunks complete.  The caller
     owns order reassembly and journaling.
     """
+
+    #: "raise" (fail fast, the historical contract) or "quarantine" (crash
+    #: tolerance).  A class default overridden per instance by the grid
+    #: engine, so ``execute``'s signature stays backend-agnostic; a backend
+    #: with no worker boundary to contain a failure (serial) ignores it.
+    failure_mode = "raise"
 
     def execute(
         self,
@@ -326,12 +331,6 @@ class ProcessExecutorBackend(ExecutorBackend):
       keep going.
     """
 
-    #: "raise" (fail fast, the historical contract) or "quarantine" (crash
-    #: tolerance).  A class default overridden per instance by callers that
-    #: opted in — the sweep/chaos engines — so ``execute``'s signature stays
-    #: backend-agnostic.
-    failure_mode = "raise"
-
     def execute(self, chunks, worker, workers: int) -> Iterator[Any]:
         pending: List[Tuple[List[Any], int]] = [
             (list(chunk), 0) for chunk in chunks if chunk
@@ -374,8 +373,8 @@ class ProcessExecutorBackend(ExecutorBackend):
                                 # traceback) rides along as __cause__.
                                 raise exc.cause from exc
                             raise RuntimeError(
-                                "sweep worker raised while executing a chunk "
-                                "(rounds completed before the failure were "
+                                "a worker raised while executing a chunk "
+                                "(cells completed before the failure were "
                                 "journaled); worker traceback:\n"
                                 f"{exc.traceback}"
                             ) from exc
@@ -444,8 +443,8 @@ def _pool_context():
 
 
 #: Executor backends by name, registered exactly like mechanism kinds.  A
-#: multi-host backend registers here and becomes reachable from every sweep
-#: and audit via ``resolve_workers(..., backend="<kind>")``.
+#: multi-host backend registers here and becomes reachable from every grid
+#: (sweep and audits) via ``resolve_workers(..., backend="<kind>")``.
 EXECUTOR_BACKENDS = Registry("executor backend")
 EXECUTOR_BACKENDS.register("serial", SerialExecutorBackend)
 EXECUTOR_BACKENDS.register("process", ProcessExecutorBackend)

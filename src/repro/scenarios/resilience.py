@@ -18,9 +18,9 @@ subsystem mirroring the scenario layer:
   deviation library, the schedules (``SCHEDULERS`` registry) and the seeds;
 * :class:`ResilienceRecord` — the uniform, JSON-round-trippable result of one
   audit cell ``(schedule x coalition x deviation) x seed``;
-* :func:`run_resilience` — the executor: sequential, or parallel over worker
-  processes (``workers=N``) with journaled resume (``store=path``), bit-identical
-  to the sequential path on all deterministic fields.
+* :func:`run_resilience` — the audit's declaration (:data:`RESILIENCE_GRID`)
+  run through the grid engine (:mod:`repro.scenarios.grid`): sequential or
+  ``workers=N``, journaled resume, bit-identical on all deterministic fields.
 
 **Honest-baseline memoisation guarantee**: within one executor (the sequential
 loop or one worker chunk) the honest run is solved exactly once per
@@ -32,31 +32,26 @@ can never change a verdict.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.adversary.coalition import Coalition
-from repro.community.workload import default_provider_ids
 from repro.core.framework import DistributedAuctioneer, SimulationReport
 from repro.gametheory.utility import outcome_provider_utility
 from repro.obs.context import current_observation
+from repro.scenarios.grid import Grid, run_grid
 from repro.scenarios.registry import ADVERSARIES, SCHEDULERS
-from repro.scenarios.runner import (
-    build_latency_model,
-    build_mechanism,
-    build_topology,
-    build_workload,
-)
+from repro.scenarios.runner import FlatRecord, SeededContext
 from repro.scenarios.spec import (
     ComponentSpec,
+    LabelledComponentSpec,
     ScenarioSpec,
     SpecError,
+    canonical_fingerprint,
     spec_from_dict,
     spec_to_dict,
-    spec_with_overrides,
 )
 
 __all__ = [
@@ -70,7 +65,7 @@ __all__ = [
     "resilience_with_overrides",
     "resilience_fingerprint",
     "run_resilience",
-    "execute_cells",
+    "RESILIENCE_GRID",
     "PROFIT_TOLERANCE",
 ]
 
@@ -90,72 +85,18 @@ DEFAULT_ADVERSARIES = (
 
 
 @dataclass(frozen=True)
-class AdversarySpec:
-    """One deviation from the library, referenced by registry kind.
+class AdversarySpec(LabelledComponentSpec):
+    """One deviation from the library, referenced by ``ADVERSARIES`` kind.
 
-    In spec files an adversary is either a bare string (``"equivocate"``) or a
-    table whose remaining keys are the factory parameters
-    (``{"kind": "tamper_output", "bonus": 5.0}``); an optional ``label``
-    overrides the display label echoed into every record.
+    A bare string (``"equivocate"``) or a table of factory parameters with an
+    optional ``label`` (``{"kind": "tamper_output", "bonus": 5.0}``).
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    label: Optional[str] = None
-
-    RESERVED_KEYS = frozenset({"kind", "label"})
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or not self.kind:
-            raise SpecError("adversaries.kind", "adversary kind must be a non-empty string")
-        object.__setattr__(self, "params", dict(self.params) if self.params else {})
-        reserved = self.RESERVED_KEYS & set(self.params)
-        if reserved:
-            raise SpecError(
-                "adversaries",
-                f"adversary parameters may not use the reserved keys {sorted(reserved)}",
-            )
-
-    @property
-    def display_label(self) -> str:
-        if self.label is not None:
-            return self.label
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
-        return f"{self.kind}({inner})"
+    NOUN = "adversary"
+    FIELD = "adversaries"
 
     def component(self) -> ComponentSpec:
         return ComponentSpec(self.kind, self.params)
-
-    @staticmethod
-    def from_value(value: Any, path: str) -> "AdversarySpec":
-        if isinstance(value, AdversarySpec):
-            return value
-        if isinstance(value, str):
-            return AdversarySpec(value)
-        if isinstance(value, Mapping):
-            data = dict(value)
-            kind = data.pop("kind", None)
-            if not isinstance(kind, str) or not kind:
-                raise SpecError(path, "expected a 'kind' string in the adversary table")
-            label = data.pop("label", None)
-            if label is not None and not isinstance(label, str):
-                raise SpecError(f"{path}.label", "adversary label must be a string")
-            try:
-                return AdversarySpec(kind, data, label)
-            except SpecError as exc:
-                raise SpecError(path, exc.message) from exc
-        raise SpecError(path, f"expected a string or a table, got {type(value).__name__}")
-
-    def to_value(self) -> Any:
-        if not self.params and self.label is None:
-            return self.kind
-        data: Dict[str, Any] = {"kind": self.kind}
-        if self.label is not None:
-            data["label"] = self.label
-        data.update(self.params)
-        return data
 
 
 #: One coalition selector: provider ids (strings) and/or executor indices (ints).
@@ -439,13 +380,12 @@ def resilience_with_overrides(
 
 def resilience_fingerprint(spec: ResilienceSpec) -> str:
     """A stable digest of the audit's full canonical spec (for journal manifests)."""
-    payload = json.dumps(resilience_to_dict(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_fingerprint(resilience_to_dict(spec))
 
 
 # ---------------------------------------------------------------------- records --
 @dataclass(frozen=True)
-class ResilienceRecord:
+class ResilienceRecord(FlatRecord):
     """The uniform result of one audit cell: one coalition deviation vs honest.
 
     All fields are JSON scalars or string-keyed mappings of scalars; the
@@ -497,59 +437,10 @@ class ResilienceRecord:
         return not self.profitable and not self.altered_result
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "mechanism": self.mechanism,
-            "schedule": self.schedule,
-            "adversary": self.adversary,
-            "label": self.label,
-            "coalition": list(self.coalition),
-            "users": self.users,
-            "providers": self.providers,
-            "executors": self.executors,
-            "k": self.k,
-            "audit_k": self.audit_k,
-            "instance": self.instance,
-            "seed": self.seed,
-            "honest_aborted": self.honest_aborted,
-            "deviating_aborted": self.deviating_aborted,
-            "altered_result": self.altered_result,
-            "profitable": self.profitable,
-            "max_gain": self.max_gain,
-            "member_gains": dict(self.member_gains),
-            "honest_messages": self.honest_messages,
-            "deviating_messages": self.deviating_messages,
-            "honest_elapsed": self.honest_elapsed,
-            "deviating_elapsed": self.deviating_elapsed,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ResilienceRecord":
-        return ResilienceRecord(
-            name=data["name"],
-            mechanism=data["mechanism"],
-            schedule=data["schedule"],
-            adversary=data["adversary"],
-            label=data["label"],
-            coalition=tuple(data["coalition"]),
-            users=data["users"],
-            providers=data["providers"],
-            executors=data["executors"],
-            k=data["k"],
-            audit_k=data["audit_k"],
-            instance=data["instance"],
-            seed=data["seed"],
-            honest_aborted=data["honest_aborted"],
-            deviating_aborted=data["deviating_aborted"],
-            altered_result=data["altered_result"],
-            profitable=data["profitable"],
-            max_gain=data["max_gain"],
-            member_gains=dict(data["member_gains"]),
-            honest_messages=data["honest_messages"],
-            deviating_messages=data["deviating_messages"],
-            honest_elapsed=data["honest_elapsed"],
-            deviating_elapsed=data["deviating_elapsed"],
-        )
+        data = super().to_dict()
+        data["coalition"] = list(self.coalition)
+        data["member_gains"] = dict(self.member_gains)
+        return data
 
 
 @dataclass
@@ -587,72 +478,37 @@ class ResilienceResult:
 
 
 # --------------------------------------------------------------------- execution --
-class AuditContext:
+class AuditContext(SeededContext):
     """Per-executor state of one audit: components, baselines, coalitions.
 
     One instance backs one executor — the sequential loop or one parallel
     worker's chunk.  It memoises exactly what the honest-baseline guarantee
     promises: the mechanism once per audit, the workload / bids / latency model
-    / provider ids once per seed, the auctioneer (and its scheduler instance)
-    once per ``(schedule, seed)``, and the honest run once per
-    ``(schedule, seed)``.  :meth:`close` releases engine resources (idempotent);
-    always call it — or use the context as a context manager.
+    / provider ids once per seed (:class:`~repro.scenarios.runner.SeededContext`),
+    the auctioneer (and its scheduler instance) once per ``(schedule, seed)``,
+    and the honest run once per ``(schedule, seed)``.
     """
 
     def __init__(self, spec: ResilienceSpec) -> None:
-        self.spec = spec
+        super().__init__(spec)
         self.cells = spec.cells()
         self.adversaries = spec.effective_adversaries()
         self.selectors = spec.coalition_selectors()
-        self._mechanism = None
-        self._per_seed: Dict[int, Dict[str, Any]] = {}
         self._auctioneers: Dict[Tuple[int, int], DistributedAuctioneer] = {}
         self._honest: Dict[Tuple[int, int], SimulationReport] = {}
 
-    # -- memoised components ------------------------------------------------------
-    @property
-    def mechanism(self):
-        if self._mechanism is None:
-            self._mechanism = build_mechanism(self.spec.base)
-        return self._mechanism
+    def group_key(self, point: int, instance: int) -> Tuple[int, int]:
+        """``(schedule, seed)``: one auctioneer and one honest baseline per group."""
+        return (self.cells[point][0], instance)
 
+    # -- memoised components ------------------------------------------------------
     def _seed_state(self, instance: int) -> Dict[str, Any]:
-        state = self._per_seed.get(instance)
-        if state is not None:
-            return state
-        seed = self.spec.effective_seeds()[instance]
-        scenario = spec_with_overrides(self.spec.base, {"seed": seed})
-        topology = build_topology(scenario)
-        if topology is not None:
-            provider_ids = list(topology.gateways)
-            if len(provider_ids) != scenario.providers:
-                raise SpecError(
-                    "base.topology",
-                    f"topology produced {len(provider_ids)} gateways "
-                    f"for providers={scenario.providers}",
-                )
-        else:
-            provider_ids = default_provider_ids(scenario.providers)
-        executor_ids = (
-            provider_ids[: scenario.executors]
-            if scenario.executors is not None
-            else provider_ids
-        )
-        workload = build_workload(scenario)
-        bids = workload.generate(
-            scenario.users, scenario.providers, provider_ids=provider_ids, instance=0
-        )
-        state = {
-            "scenario": scenario,
-            "latency": build_latency_model(scenario, topology),
-            "executor_ids": executor_ids,
-            "bids": bids,
-            "coalitions": [
-                self._resolve_coalition(selectors, executor_ids, index)
+        state = super()._seed_state(instance)
+        if "coalitions" not in state:
+            state["coalitions"] = [
+                self._resolve_coalition(selectors, state["executor_ids"], index)
                 for index, selectors in enumerate(self.selectors)
-            ],
-        }
-        self._per_seed[instance] = state
+            ]
         return state
 
     def _resolve_coalition(
@@ -690,21 +546,10 @@ class AuditContext:
         key = (schedule_index, instance)
         auctioneer = self._auctioneers.get(key)
         if auctioneer is None:
-            state = self._seed_state(instance)
-            scenario: ScenarioSpec = state["scenario"]
             scheduler = SCHEDULERS.create(
                 self.spec.schedules[schedule_index], f"schedules[{schedule_index}]"
             )
-            auctioneer = DistributedAuctioneer(
-                self.mechanism,
-                providers=state["executor_ids"],
-                config=scenario.config.to_config(),
-                latency_model=state["latency"],
-                scheduler=scheduler,
-                seed=scenario.seed,
-                measure_compute=scenario.measure_compute,
-            )
-            self._auctioneers[key] = auctioneer
+            auctioneer = self._auctioneers[key] = self._auctioneer(instance, scheduler=scheduler)
         return auctioneer
 
     def honest(self, schedule_index: int, instance: int) -> SimulationReport:
@@ -773,21 +618,6 @@ class AuditContext:
             deviating_elapsed=deviating.outcome.elapsed_time,
         )
 
-    # -- lifecycle ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release engine resources the context created (idempotent)."""
-        mechanism, self._mechanism = self._mechanism, None
-        if mechanism is not None:
-            close = getattr(mechanism, "close", None)
-            if close is not None:
-                close()
-
-    def __enter__(self) -> "AuditContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def _altered_result(honest: SimulationReport, deviating: SimulationReport) -> bool:
     """Definition 2's influence check: a different *valid* outcome (not just ⊥)."""
@@ -798,22 +628,14 @@ def _altered_result(honest: SimulationReport, deviating: SimulationReport) -> bo
     return deviating.outcome.result != honest.outcome.result
 
 
-def execute_cells(
-    spec: ResilienceSpec, cells: Sequence[Tuple[int, int]]
-) -> Iterator[Tuple[int, int, ResilienceRecord]]:
-    """Run the given ``(point, instance)`` cells through one audit context.
-
-    Shared by the sequential path and the parallel workers
-    (:func:`repro.scenarios.resilience_parallel.execute_chunk`), so the two
-    cannot drift apart on how components are resolved or baselines memoised.
-    Cells are executed grouped by ``(schedule, seed)`` so each group's honest
-    baseline is solved exactly once, whatever order the caller passed.
-    """
-    grid = spec.cells()
-    ordered = sorted(cells, key=lambda cell: (grid[cell[0]][0], cell[1], cell[0]))
-    with AuditContext(spec) as context:
-        for point, instance in ordered:
-            yield point, instance, context.run_cell(point, instance)
+#: The audit as a grid: a point is one ``(schedule, coalition, deviation)``
+#: triple, an instance one seed; workers amortise the honest baseline.
+RESILIENCE_GRID = Grid(
+    record_type=ResilienceRecord,
+    to_dict=resilience_to_dict,
+    from_dict=resilience_from_dict,
+    context=AuditContext,
+)
 
 
 def run_resilience(
@@ -829,33 +651,12 @@ def run_resilience(
 
     Args:
         spec: the audit specification.
-        workers: run cells in a pool of worker processes.  ``"auto"`` sizes
-            the pool from the CPUs this process may actually use; an explicit
-            count larger than that degrades to the available count with a
-            stderr warning; ``None``/``1`` (and any resolution landing on one
-            CPU) is the sequential, in-process path — see
-            :func:`~repro.scenarios.dispatch.resolve_workers`.  Chunks are
-            grouped by ``(schedule, seed)`` so the honest-baseline memoisation
-            survives chunking; verdicts are bit-identical to the sequential
-            path on all deterministic fields, in the same grid order.
-        backend: dispatch parallel chunks through a named
-            :data:`~repro.scenarios.dispatch.EXECUTOR_BACKENDS` entry instead
-            of the default local ``"process"`` pool.
-        store: a results journal — a path (``str``/``PathLike``) or a
-            :class:`~repro.scenarios.store.ResultsStore` — appended to as cells
-            complete.  The journal doubles as the audit artifact and as the
-            checkpoint for ``resume``.
-        store_format: with a path ``store``, which
-            :data:`~repro.scenarios.store.STORE_BACKENDS` file format a fresh
-            journal is written in (``"jsonl"``/``"columnar"``; default jsonl).
-            Existing journals are sniffed — a format contradicting what is on
-            disk is a :class:`SpecError` naming both formats.
-        resume: with ``store``, skip cells the journal already holds (its
-            manifest must match this audit) and run only the missing ones.
+        workers, backend, store, store_format, resume: the grid engine's, see
+            :func:`~repro.scenarios.grid.run_grid`.  Chunks are grouped by
+            ``(schedule, seed)`` so the honest-baseline memoisation survives
+            chunking; verdicts are bit-identical to the sequential path on
+            all deterministic fields, in the same grid order.
     """
-    from repro.scenarios.dispatch import resolve_workers
-
-    plan = resolve_workers(workers, backend=backend)
     # Resolve every registry reference up front (and discard the results): a
     # typo'd adversary kind or bad parameter fails with its path-precise
     # SpecError here, before any journal is opened or simulation runs.
@@ -863,77 +664,30 @@ def run_resilience(
         ADVERSARIES.create(adversary.component(), f"adversaries[{index}]")
     for index, schedule in enumerate(spec.schedules):
         SCHEDULERS.create(schedule, f"schedules[{index}]")
-    cells = spec.cells()
-    seeds = spec.effective_seeds()
-
-    journal = _as_store(store, store_format)
-    completed: Dict[Tuple[int, int], ResilienceRecord] = {}
-    if journal is not None:
-        completed = journal.begin(
-            spec,
-            total_rounds=len(cells) * len(seeds),
-            resume=resume,
-            fingerprint=resilience_fingerprint(spec),
-        )
-
-    pending = [
-        (point, instance)
-        for point in range(len(cells))
-        for instance in range(len(seeds))
-        if (point, instance) not in completed
-    ]
-    fresh: Dict[Tuple[int, int], ResilienceRecord] = {}
-    try:
-        if plan.parallel and pending:
-            from repro.scenarios.resilience_parallel import execute_parallel
-
-            stream = execute_parallel(spec, pending, plan.workers, plan.backend)
-        else:
-            stream = execute_cells(spec, pending)
-        try:
-            for point, instance, record in stream:
-                fresh[(point, instance)] = record
-                if journal is not None:
-                    journal.append(point, instance, record)
-        finally:
-            stream.close()
-    finally:
-        if journal is not None:
-            journal.close()
-
+    run = run_grid(
+        RESILIENCE_GRID,
+        spec,
+        workers=workers,
+        backend=backend,
+        store=store,
+        store_format=store_format,
+        resume=resume,
+    )
     result = ResilienceResult(
         name=spec.name,
         base=spec_to_dict(spec.base),
-        executed_cells=len(fresh),
-        resumed_cells=len(completed),
+        records=run.records,
+        executed_cells=len(run.fresh),
+        resumed_cells=len(run.reused),
     )
-    for point in range(len(cells)):
-        for instance in range(len(seeds)):
-            record = fresh.get((point, instance))
-            if record is None:
-                record = completed[(point, instance)]
-            result.records.append(record)
     # Observability hook (see repro.obs): audit-level counters; the per-round
     # spans and network counters come from the layers below when cells run
     # in this process.
     obs = current_observation()
     if obs is not None and obs.metrics is not None:
-        obs.metrics.counter("resilience.cells_executed").inc(len(fresh))
-        obs.metrics.counter("resilience.cells_reused").inc(len(completed))
+        obs.metrics.counter("resilience.cells_executed").inc(len(run.fresh))
+        obs.metrics.counter("resilience.cells_reused").inc(len(run.reused))
         obs.metrics.counter("resilience.profitable_deviations").inc(
             len(result.profitable_deviations)
         )
     return result
-
-
-def _as_store(store, store_format=None):
-    if store is None:
-        return None
-    from repro.scenarios.store import ResultsStore
-
-    if isinstance(store, ResultsStore):
-        store.record_type = ResilienceRecord
-        if store_format is not None:
-            store.format = store_format
-        return store
-    return ResultsStore(store, record_type=ResilienceRecord, format=store_format)

@@ -13,8 +13,9 @@ report into one :class:`RunRecord` schema.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.auctions.engine import DEFAULT_ENGINE, engine_name, resolve_engine
@@ -32,15 +33,39 @@ from repro.scenarios.registry import (
     TOPOLOGIES,
     WORKLOADS,
 )
-from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError
+from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError, spec_with_overrides
 
 __all__ = [
     "RunRecord",
     "build_mechanism",
     "build_workload",
     "build_latency_model",
+    "resolve_round_inputs",
+    "SeededContext",
     "run_scenario",
 ]
+
+
+class FlatRecord:
+    """``to_dict`` / ``from_dict`` for a flat frozen-dataclass record.
+
+    One key per field, in field order, so the dict form (journal bytes,
+    columnar schemas) cannot drift from the field list; lossless for JSON
+    scalar fields.  ``from_dict`` ignores unknown keys and raises ``KeyError``
+    on a missing one (a corrupt journal row, reported as such by the store).
+    """
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in _field_names(type(self))}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        return cls(**{name: data[name] for name in _field_names(cls)})
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 @dataclass(frozen=True)
@@ -181,6 +206,133 @@ def build_latency_model(spec: ScenarioSpec, topology=None) -> LatencyModel:
     return LATENCIES.create(spec.latency, "latency")
 
 
+def resolve_round_inputs(
+    spec: ScenarioSpec,
+    instance: int = 0,
+    *,
+    workload=None,
+    topology=None,
+    latency_model: Optional[LatencyModel] = None,
+    path: str = "topology",
+) -> Tuple[List[str], List[str], BidVector, Optional[LatencyModel]]:
+    """Resolve ``workload -> topology -> provider ids -> executor ids -> bids -> latency``.
+
+    The one place a spec becomes the inputs of a round — returned as
+    ``(provider_ids, executor_ids, bids, latency_model)``; :func:`run_scenario`
+    and the audit contexts (:class:`SeededContext`) all come through here.
+    Pre-resolved ``workload`` / ``topology`` / ``latency_model`` are used as
+    given (callers that amortise state across rounds).  The centralised
+    baseline never consumes latency, so its model stays unbuilt.  ``path`` is
+    where a topology/provider-count mismatch is reported: ``topology`` for a
+    bare scenario, ``base.topology`` inside an audit spec.
+    """
+    if workload is None:
+        workload = build_workload(spec)
+    if topology is None:
+        topology = build_topology(spec)
+    if topology is not None:
+        provider_ids = list(topology.gateways)
+        if len(provider_ids) != spec.providers:
+            raise SpecError(
+                path,
+                f"topology produced {len(provider_ids)} gateways for providers={spec.providers}",
+            )
+    else:
+        provider_ids = default_provider_ids(spec.providers)
+    executor_ids = (
+        provider_ids[: spec.executors] if spec.executors is not None else provider_ids
+    )
+    bids = workload.generate(
+        spec.users, spec.providers, provider_ids=provider_ids, instance=instance
+    )
+    if latency_model is None and spec.runner != "centralized":
+        latency_model = build_latency_model(spec, topology)
+    return provider_ids, executor_ids, bids, latency_model
+
+
+def build_auctioneer(
+    spec: ScenarioSpec, mechanism, executor_ids, latency_model, **extra: Any
+) -> DistributedAuctioneer:
+    """The spec's distributed auctioneer over already-resolved round inputs."""
+    return DistributedAuctioneer(
+        mechanism,
+        providers=executor_ids,
+        config=spec.config.to_config(),
+        latency_model=latency_model,
+        seed=spec.seed,
+        measure_compute=spec.measure_compute,
+        **extra,
+    )
+
+
+class SeededContext:
+    """Per-executor memo of an audit over one base scenario, reseeded per instance.
+
+    The shared half of :class:`~repro.scenarios.resilience.AuditContext` and
+    :class:`~repro.scenarios.chaos.ChaosContext`: the mechanism built once per
+    audit, the round inputs (bids, latency model, executor ids) once per seed.
+    As a grid context (:mod:`repro.scenarios.grid`) a point indexes
+    ``spec.cells()``, an instance is a seed, and a subclass names what cells
+    share with a sortable ``group_key(point, instance)``.  :meth:`close`
+    releases engine resources (idempotent); always call it — or use the
+    context as a context manager.
+    """
+
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self._mechanism = None
+        self._per_seed: Dict[int, Dict[str, Any]] = {}
+
+    @property
+    def mechanism(self):
+        if self._mechanism is None:
+            self._mechanism = build_mechanism(self.spec.base)
+        return self._mechanism
+
+    def _seed_state(self, instance: int) -> Dict[str, Any]:
+        state = self._per_seed.get(instance)
+        if state is None:
+            seed = self.spec.effective_seeds()[instance]
+            scenario = spec_with_overrides(self.spec.base, {"seed": seed})
+            _provider_ids, executor_ids, bids, latency = resolve_round_inputs(
+                scenario, path="base.topology"
+            )
+            state = self._per_seed[instance] = {
+                "scenario": scenario,
+                "latency": latency,
+                "executor_ids": executor_ids,
+                "bids": bids,
+            }
+        return state
+
+    def _auctioneer(self, instance: int, **extra: Any) -> DistributedAuctioneer:
+        """A fresh auctioneer over this seed's inputs (``extra``: scheduler, fault plan)."""
+        state = self._seed_state(instance)
+        return build_auctioneer(
+            state["scenario"], self.mechanism, state["executor_ids"], state["latency"], **extra
+        )
+
+    def run_order(self) -> List[Tuple[int, int]]:
+        """Every cell, group by group: cells that share setup run back to back."""
+        seeds = range(len(self.spec.effective_seeds()))
+        cells = [(point, seed) for point in range(len(self.spec.cells())) for seed in seeds]
+        return sorted(cells, key=lambda cell: (self.group_key(*cell), cell[0]))
+
+    def close(self) -> None:
+        """Release engine resources the context created (idempotent)."""
+        mechanism, self._mechanism = self._mechanism, None
+        if mechanism is not None:
+            close = getattr(mechanism, "close", None)
+            if close is not None:
+                close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def _bidder_strategies(spec: ScenarioSpec, user_ids) -> Dict[str, Any]:
     strategies: Dict[str, Any] = {}
     for i, bidder in enumerate(spec.bidders):
@@ -230,26 +382,8 @@ def run_scenario(
     """
     if mechanism is None:
         mechanism = build_mechanism(spec)
-    if workload is None:
-        workload = build_workload(spec)
-    if topology is None and spec.topology is not None:
-        topology = build_topology(spec)
-
-    if topology is not None:
-        provider_ids = list(topology.gateways)
-        if len(provider_ids) != spec.providers:
-            raise SpecError(
-                "topology",
-                f"topology produced {len(provider_ids)} gateways for providers={spec.providers}",
-            )
-    else:
-        provider_ids = default_provider_ids(spec.providers)
-
-    bids: BidVector = workload.generate(
-        spec.users, spec.providers, provider_ids=provider_ids, instance=instance
-    )
-    executor_ids = (
-        provider_ids[: spec.executors] if spec.executors is not None else provider_ids
+    provider_ids, executor_ids, bids, latency_model = resolve_round_inputs(
+        spec, instance, workload=workload, topology=topology, latency_model=latency_model
     )
 
     # Observability hooks (see repro.obs): each round opens its own span on a
@@ -281,18 +415,8 @@ def run_scenario(
             # subsetting does not apply, so the record must not claim it did.
             executor_ids = provider_ids
         elif spec.runner == "distributed":
-            if latency_model is None:
-                latency_model = build_latency_model(spec, topology)
-            auctioneer = DistributedAuctioneer(
-                mechanism,
-                providers=executor_ids,
-                config=spec.config.to_config(),
-                latency_model=latency_model,
-                seed=spec.seed,
-                measure_compute=spec.measure_compute,
-            )
-            report = auctioneer.run_from_bids(bids)
-            outcome = report.outcome
+            auctioneer = build_auctioneer(spec, mechanism, executor_ids, latency_model)
+            outcome = auctioneer.run_from_bids(bids).outcome
         else:  # auction_run
             if spec.executors is not None:
                 raise SpecError(
@@ -300,8 +424,6 @@ def run_scenario(
                     "executor subsetting is not supported by the 'auction_run' runner "
                     "(every provider in the workload hosts a node)",
                 )
-            if latency_model is None:
-                latency_model = build_latency_model(spec, topology)
             run = AuctionRun(
                 bids,
                 mechanism,

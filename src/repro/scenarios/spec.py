@@ -21,6 +21,7 @@ the spec is parsed, so user-registered kinds work transparently.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields
@@ -31,6 +32,7 @@ from repro.core.config import FrameworkConfig
 __all__ = [
     "SpecError",
     "ComponentSpec",
+    "LabelledComponentSpec",
     "ConfigSpec",
     "BidderSpec",
     "ScenarioSpec",
@@ -43,6 +45,7 @@ __all__ = [
     "spec_with_overrides",
     "parse_assignments",
     "apply_overrides",
+    "canonical_fingerprint",
 ]
 
 #: The runner kinds a scenario may dispatch to.
@@ -62,6 +65,12 @@ class SpecError(ValueError):
         # the combined one-string message where (path, message) is expected —
         # sweep workers raising SpecError across the process boundary need this.
         return (SpecError, (self.path, self.message))
+
+
+def canonical_fingerprint(data: Mapping[str, Any]) -> str:
+    """A stable digest of a spec's ``*_to_dict`` form (what journal manifests pin)."""
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _freeze_params(params: Optional[Mapping[str, Any]]) -> Mapping[str, Any]:
@@ -106,6 +115,76 @@ class ComponentSpec:
         if "kind" in self.params:
             raise SpecError("params", "component parameters may not shadow 'kind'")
         return {"kind": self.kind, **self.params}
+
+
+@dataclass(frozen=True)
+class LabelledComponentSpec:
+    """A registry reference with a display label: one row of an audit grid.
+
+    In spec files an entry is either a bare string (``"equivocate"``, all
+    defaults) or a table whose remaining keys are the factory parameters
+    (``{"kind": "loss", "rate": 0.2}``); an optional ``label`` overrides the
+    display label echoed into every record.  Subclasses name what they list
+    (:attr:`NOUN`) and the spec field their errors point at (:attr:`FIELD`):
+    ``AdversarySpec`` and ``FaultSpec`` are this class under two names.
+    """
+
+    kind: str
+    params: Mapping[str, Any] = field(default_factory=dict)
+    label: Optional[str] = None
+
+    NOUN = "component"
+    FIELD = "components"
+    RESERVED_KEYS = frozenset({"kind", "label"})
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, str) or not self.kind:
+            raise SpecError(f"{self.FIELD}.kind", f"{self.NOUN} kind must be a non-empty string")
+        object.__setattr__(self, "params", _freeze_params(self.params))
+        reserved = self.RESERVED_KEYS & set(self.params)
+        if reserved:
+            raise SpecError(
+                self.FIELD,
+                f"{self.NOUN} parameters may not use the reserved keys {sorted(reserved)}",
+            )
+
+    @property
+    def display_label(self) -> str:
+        if self.label is not None:
+            return self.label
+        if not self.params:
+            return self.kind
+        inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
+        return f"{self.kind}({inner})"
+
+    @classmethod
+    def from_value(cls, value: Any, path: str):
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, str):
+            return cls(value)
+        if isinstance(value, Mapping):
+            data = dict(value)
+            kind = data.pop("kind", None)
+            if not isinstance(kind, str) or not kind:
+                raise SpecError(path, f"expected a 'kind' string in the {cls.NOUN} table")
+            label = data.pop("label", None)
+            if label is not None and not isinstance(label, str):
+                raise SpecError(f"{path}.label", f"{cls.NOUN} label must be a string")
+            try:
+                return cls(kind, data, label)
+            except SpecError as exc:
+                raise SpecError(path, exc.message) from exc
+        raise SpecError(path, f"expected a string or a table, got {type(value).__name__}")
+
+    def to_value(self) -> Any:
+        if not self.params and self.label is None:
+            return self.kind
+        data: Dict[str, Any] = {"kind": self.kind}
+        if self.label is not None:
+            data["label"] = self.label
+        data.update(self.params)
+        return data
 
 
 @dataclass(frozen=True)

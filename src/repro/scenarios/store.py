@@ -56,7 +56,6 @@ that contradicts the sniffed format is a spec error naming both formats.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -64,7 +63,13 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.scenarios.aggregate import StreamingSummary
 from repro.scenarios.registry import Registry
 from repro.scenarios.runner import RunRecord
-from repro.scenarios.spec import ComponentSpec, SpecError, SweepSpec, sweep_to_dict
+from repro.scenarios.spec import (
+    ComponentSpec,
+    SpecError,
+    SweepSpec,
+    canonical_fingerprint,
+    sweep_to_dict,
+)
 
 __all__ = [
     "ResultsStore",
@@ -98,8 +103,7 @@ STORE_BACKENDS = Registry("store backend")
 
 def sweep_fingerprint(sweep: SweepSpec) -> str:
     """A stable digest of the sweep's full canonical spec (name, base, grid)."""
-    payload = json.dumps(sweep_to_dict(sweep), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_fingerprint(sweep_to_dict(sweep))
 
 
 class StoreBackend:

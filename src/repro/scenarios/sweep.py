@@ -8,16 +8,13 @@ performed, now applied to every sweep automatically.  Components the sweep
 itself created are closed when the sweep finishes, even when a grid point
 raises.
 
-:func:`run_sweep` additionally supports
-
-* **parallel execution** (``workers=N``): grid points are dispatched to a
-  process pool in amortisation-preserving chunks
-  (:mod:`repro.scenarios.parallel`); records come back in deterministic grid
-  order regardless of completion order, bit-identical to a sequential run on
-  every deterministic :class:`RunRecord` field;
-* **a persistent results store** (``store=path``): every record is journaled
-  as it completes (:class:`repro.scenarios.store.ResultsStore`) and
-  ``resume=True`` skips grid rounds the journal already holds.
+:func:`run_sweep` is the sweep's declaration (:data:`SWEEP_GRID`) run through
+the grid engine (:mod:`repro.scenarios.grid`), which supplies **parallel
+execution** (``workers=N``: amortisation-preserving chunks, records in grid
+order whatever the completion order, bit-identical to a sequential run on
+every deterministic :class:`RunRecord` field) and **a persistent results
+store** (``store=path``: every record journaled as it completes;
+``resume=True`` skips grid rounds the journal already holds).
 """
 
 from __future__ import annotations
@@ -25,10 +22,11 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.net.latency import LatencyModel
 from repro.obs.context import current_observation
+from repro.scenarios.grid import Cell, Grid, GridRun, run_grid
 from repro.scenarios.runner import (
     RunRecord,
     build_latency_model,
@@ -37,9 +35,15 @@ from repro.scenarios.runner import (
     build_workload,
     run_scenario,
 )
-from repro.scenarios.spec import ScenarioSpec, SpecError, SweepSpec, spec_to_dict
-
-__all__ = ["ComponentCache", "SweepResult", "run_sweep"]
+from repro.scenarios.spec import (
+    ScenarioSpec,
+    SpecError,
+    SweepSpec,
+    spec_to_dict,
+    sweep_from_dict,
+    sweep_to_dict,
+)
+__all__ = ["ComponentCache", "SweepContext", "SweepResult", "SWEEP_GRID", "run_sweep"]
 
 
 @dataclass
@@ -144,6 +148,73 @@ class ComponentCache:
         self.close()
 
 
+class SweepContext:
+    """Per-executor state of one sweep: the expanded grid and its components.
+
+    One instance backs one executor — the sequential loop or one parallel
+    worker's chunk.  ``scenarios`` holds one fully-validated spec per grid
+    point, in grid order; every round of a point reuses the components its
+    first round resolved through the :class:`ComponentCache`.  :meth:`close`
+    closes the cache (idempotent).
+    """
+
+    def __init__(self, sweep: SweepSpec, latency_model: Optional[LatencyModel] = None) -> None:
+        self.scenarios = sweep.scenarios()
+        self.latency_model = latency_model
+        self.cache = ComponentCache()
+        self._components: Dict[int, Dict[str, Any]] = {}
+
+    def run_order(self) -> List[Cell]:
+        """Grid order: the cache amortises across points wherever they sit."""
+        return [
+            (point, instance)
+            for point, spec in enumerate(self.scenarios)
+            for instance in range(spec.rounds)
+        ]
+
+    def group_key(self, point: int, instance: int) -> Tuple[Any, ...]:
+        """The state-sharing key of one grid point: what a worker can amortise."""
+        spec = self.scenarios[point]
+        return (
+            _mechanism_key(spec),
+            _workload_key(spec),
+            _topology_key(spec) if spec.topology is not None else None,
+        )
+
+    def run_cell(self, point: int, instance: int) -> RunRecord:
+        spec = self.scenarios[point]
+        components = self._components.get(point)
+        if components is None:
+            mechanism = self.cache.mechanism(spec)
+            workload = self.cache.workload(spec)
+            topology = self.cache.topology(spec)
+            model = self.latency_model
+            if model is None and spec.runner != "centralized":
+                # The centralised baseline never consumes latency; keep it unbuilt so
+                # the cached path stays semantically identical to bare run_scenario.
+                model = self.cache.latency(spec, topology)
+            components = self._components[point] = {
+                "mechanism": mechanism,
+                "workload": workload,
+                "latency_model": model,
+                "topology": topology,
+            }
+        return run_scenario(spec, instance, **components)
+
+    def close(self) -> None:
+        self.cache.close()
+
+
+#: The sweep as a grid: a point is one expanded scenario, an instance one of
+#: its rounds; workers amortise by ``(mechanism, workload, topology)``.
+SWEEP_GRID = Grid(
+    record_type=RunRecord,
+    to_dict=sweep_to_dict,
+    from_dict=sweep_from_dict,
+    context=SweepContext,
+)
+
+
 def run_sweep(
     sweep: SweepSpec,
     *,
@@ -163,49 +234,15 @@ def run_sweep(
             ``latency`` reference (used by the figure experiments to honour a
             caller-supplied model object that has no spec representation).
             Raises :class:`SpecError` when the sweep itself varies ``latency``
-            — the override would silently swallow that axis.
-        workers: run grid points in a pool of worker processes.  ``"auto"``
-            sizes the pool from the CPUs this process may actually use;
-            an explicit count larger than that degrades to the available
-            count with a stderr warning; ``None``/``1`` (and any resolution
-            landing on one CPU) is the sequential, in-process path.  See
-            :func:`~repro.scenarios.dispatch.resolve_workers`.  Chunking
-            preserves the per-configuration state amortisation; records are
-            identical to a sequential run on all deterministic fields and
-            come back in the same grid order.
-        backend: dispatch parallel chunks through a named
-            :data:`~repro.scenarios.dispatch.EXECUTOR_BACKENDS` entry instead
-            of the default local ``"process"`` pool.
-        store: a results journal — a path (``str``/``PathLike``) or a
-            :class:`~repro.scenarios.store.ResultsStore` — appended to as
-            records complete.  The journal doubles as the sweep's artifact
-            and as a checkpoint for ``resume``.
-        store_format: with a path ``store``, which
-            :data:`~repro.scenarios.store.STORE_BACKENDS` file format a fresh
-            journal is written in (``"jsonl"``/``"columnar"``; default jsonl).
-            Existing journals are sniffed — a format contradicting what is on
-            disk is a :class:`SpecError` naming both formats.
-        resume: with ``store``, skip grid rounds the journal already holds
-            (the journal's manifest must match this sweep) and re-run only
-            the missing ones.  Journaled records are returned bit-identically
-            regardless of the journal's backend.
-        failure_mode: what a parallel run does when a worker fails.
-            ``"raise"`` (default) fails fast with the worker's traceback
-            after journaling every completed round; ``"quarantine"`` opts
-            into the crash-tolerant executor — bounded chunk retries, worker
-            death survived in a fresh pool, and rounds that keep failing
-            recorded in :attr:`SweepResult.quarantined` (and journaled) while
-            the rest of the grid completes.  The sequential path always
-            fails fast: there is no worker boundary to contain the failure.
+            — the override would silently swallow that axis.  A parallel
+            run ships it to the workers, so it must pickle.
+        workers, backend, store, store_format, resume, failure_mode: the
+            grid engine's, see :func:`~repro.scenarios.grid.run_grid`.
+            Chunking preserves the per-configuration state amortisation
+            (all rounds of a point share one worker and one cache); rounds
+            the executor quarantined are listed in
+            :attr:`SweepResult.quarantined`.
     """
-    from repro.scenarios.dispatch import ChunkQuarantine, resolve_workers
-
-    if failure_mode not in ("raise", "quarantine"):
-        raise SpecError(
-            "failure_mode",
-            f"failure_mode must be 'raise' or 'quarantine', got {failure_mode!r}",
-        )
-    plan = resolve_workers(workers, backend=backend)
     if latency_model is not None:
         conflict = _latency_override_conflict(sweep)
         if conflict is not None:
@@ -216,86 +253,32 @@ def run_sweep(
                 "silently ignore the variation; drop the override or the "
                 "latency override in the sweep grid",
             )
-    scenarios = sweep.scenarios()
-
-    journal = _as_store(store, store_format)
-    completed: Dict[Tuple[int, int], RunRecord] = {}
-    if journal is not None:
-        completed = journal.begin(
-            sweep, total_rounds=sum(spec.rounds for spec in scenarios), resume=resume
-        )
-
-    tasks = [
-        (
-            index,
-            spec,
-            [i for i in range(spec.rounds) if (index, i) not in completed],
-        )
-        for index, spec in enumerate(scenarios)
-    ]
-    fresh: Dict[Tuple[int, int], RunRecord] = {}
-    quarantined: List[Dict[str, Any]] = []
-    quarantined_keys: set = set()
-    try:
-        if plan.parallel and any(t[2] for t in tasks):
-            from repro.scenarios.parallel import execute_parallel
-
-            stream = execute_parallel(
-                tasks, plan.workers, latency_model, plan.backend, failure_mode
-            )
-        else:
-            stream = _execute_serial(tasks, latency_model)
-        try:
-            for item in stream:
-                if isinstance(item, ChunkQuarantine):
-                    for q_index, _payload, q_instances in item.items:
-                        for q_instance in q_instances:
-                            quarantined.append(
-                                {
-                                    "point": q_index,
-                                    "instance": q_instance,
-                                    "error": item.error,
-                                }
-                            )
-                            quarantined_keys.add((q_index, q_instance))
-                            if journal is not None:
-                                journal.append_quarantine(
-                                    q_index, q_instance, item.error, item.traceback
-                                )
-                    continue
-                index, instance, record = item
-                fresh[(index, instance)] = record
-                if journal is not None:
-                    journal.append(index, instance, record)
-        finally:
-            stream.close()
-    finally:
-        if journal is not None:
-            journal.close()
-
-    result = SweepResult(
+    run = run_grid(
+        SWEEP_GRID,
+        sweep,
+        extra=(latency_model,),
+        workers=workers,
+        backend=backend,
+        store=store,
+        store_format=store_format,
+        resume=resume,
+        failure_mode=failure_mode,
+    )
+    _observe_sweep(sweep, run)
+    return SweepResult(
         name=sweep.name,
         base=spec_to_dict(sweep.base),
-        executed_rounds=len(fresh),
-        resumed_rounds=len(completed),
-        quarantined=quarantined,
+        records=run.records,
+        executed_rounds=len(run.fresh),
+        resumed_rounds=len(run.reused),
+        quarantined=run.quarantined,
     )
-    for index, spec in enumerate(scenarios):
-        for instance in range(spec.rounds):
-            record = fresh.get((index, instance))
-            if record is None and (index, instance) in quarantined_keys:
-                continue  # the executor gave up on this round; no record exists
-            if record is None:
-                record = completed[(index, instance)]
-            result.records.append(record)
-    _observe_sweep(sweep, scenarios, fresh, completed, quarantined)
-    return result
 
 
-def _observe_sweep(sweep, scenarios, fresh, completed, quarantined) -> None:
+def _observe_sweep(sweep: SweepSpec, run: GridRun) -> None:
     """Observability hook: per-grid-point executor spans + sweep counters.
 
-    Emitted here — after the grid-order reassembly, on the parent process —
+    Emitted here — from the grid-order reassembly, on the parent process —
     rather than inside the executors, so the trace is identical whether the
     rounds ran serially, in a worker pool, or came out of a resumed journal.
     Executor spans have no sim clock; their timeline is the grid itself
@@ -306,15 +289,18 @@ def _observe_sweep(sweep, scenarios, fresh, completed, quarantined) -> None:
         return
     tracer = obs.tracer
     metrics = obs.metrics
+    scenarios = run.context.scenarios
     if tracer is not None and tracer.active:
+        # [elapsed, executed, reused] per point, from one grid-order walk.
+        tally: List[List[Any]] = [[0, 0, 0] for _spec in scenarios]
+        for point, _instance, record, executed in run.in_grid_order():
+            if executed:
+                tally[point][0] += record.elapsed_seconds
+                tally[point][1] += 1
+            else:
+                tally[point][2] += 1
         for index, spec in enumerate(scenarios):
-            elapsed = sum(
-                record.elapsed_seconds
-                for (point, _instance), record in sorted(fresh.items())
-                if point == index
-            )
-            executed = sum(1 for point, _ in fresh if point == index)
-            reused = sum(1 for point, _ in completed if point == index)
+            elapsed, executed, reused = tally[index]
             tracer.emit(
                 "grid_point",
                 "executor",
@@ -328,68 +314,11 @@ def _observe_sweep(sweep, scenarios, fresh, completed, quarantined) -> None:
             )
     if metrics is not None:
         metrics.counter("sweep.points").inc(len(scenarios))
-        metrics.counter("sweep.rounds_executed").inc(len(fresh))
-        metrics.counter("sweep.rounds_reused").inc(len(completed))
-        metrics.counter("executor.quarantined").inc(len(quarantined))
-        for _key, record in sorted(fresh.items()):
+        metrics.counter("sweep.rounds_executed").inc(len(run.fresh))
+        metrics.counter("sweep.rounds_reused").inc(len(run.reused))
+        metrics.counter("executor.quarantined").inc(len(run.quarantined))
+        for _key, record in sorted(run.fresh.items()):
             metrics.histogram("executor.round_elapsed").observe(record.elapsed_seconds)
-
-
-# ------------------------------------------------------------------- execution --
-def run_point_rounds(
-    cache: ComponentCache,
-    spec: ScenarioSpec,
-    instances,
-    latency_model: Optional[LatencyModel] = None,
-) -> Iterator[Tuple[int, RunRecord]]:
-    """Run the given workload instances of one grid point through the cache.
-
-    Shared by the sequential sweep loop and the parallel workers
-    (:func:`repro.scenarios.parallel.execute_chunk`), so the two paths cannot
-    drift apart on how components are resolved and amortised.
-    """
-    instances = list(instances)
-    if not instances:
-        return
-    mechanism = cache.mechanism(spec)
-    workload = cache.workload(spec)
-    topology = cache.topology(spec)
-    model = latency_model
-    if model is None and spec.runner != "centralized":
-        # The centralised baseline never consumes latency; keep it unbuilt so
-        # the cached path stays semantically identical to bare run_scenario.
-        model = cache.latency(spec, topology)
-    for instance in instances:
-        yield instance, run_scenario(
-            spec,
-            instance,
-            mechanism=mechanism,
-            workload=workload,
-            latency_model=model,
-            topology=topology,
-        )
-
-
-def _execute_serial(tasks, latency_model) -> Iterator[Tuple[int, int, RunRecord]]:
-    cache = ComponentCache()
-    try:
-        for index, spec, instances in tasks:
-            for instance, record in run_point_rounds(cache, spec, instances, latency_model):
-                yield index, instance, record
-    finally:
-        cache.close()
-
-
-def _as_store(store, store_format=None):
-    if store is None:
-        return None
-    from repro.scenarios.store import ResultsStore
-
-    if isinstance(store, ResultsStore):
-        if store_format is not None:
-            store.format = store_format
-        return store
-    return ResultsStore(store, format=store_format)
 
 
 def _latency_override_conflict(sweep: SweepSpec) -> Optional[str]:

@@ -158,7 +158,8 @@ class TestChunkingInvariance:
             assert run_resilience(spec, workers=workers).records == baseline.records
 
     def test_chunks_cover_cells_exactly_once(self):
-        from repro.scenarios.resilience_parallel import chunk_cells
+        from repro.scenarios.grid import chunk_cells
+        from repro.scenarios.resilience import AuditContext
 
         spec = _audit_spec("double")
         seeds = spec.effective_seeds()
@@ -167,7 +168,7 @@ class TestChunkingInvariance:
             for point in range(len(spec.cells()))
             for instance in range(len(seeds))
         ]
-        chunks = chunk_cells(spec, list(cells), workers=3)
+        chunks = chunk_cells(AuditContext(spec), list(cells), workers=3)
         flattened = [cell for chunk in chunks for cell in chunk]
         assert sorted(flattened) == sorted(cells)
         assert len(flattened) == len(set(flattened))

@@ -9,7 +9,10 @@ The contract under test (ISSUE 9, recovery layer):
   death (``BrokenProcessPool``) with a literal retry bound
   (``MAX_CHUNK_RETRIES``); items that keep failing are quarantined —
   journaled, skipped, reported — while the rest of the grid completes;
-* a later ``--resume`` re-executes exactly the quarantined rounds.
+* a later ``--resume`` re-executes exactly the quarantined rounds;
+* every grid — sweep, resilience audit, chaos audit — honours journal-per-chunk
+  through the one worker body: a chunk that fails midway still journals the
+  cells it finished, so a resumed run only repeats what never ran.
 """
 
 import json
@@ -18,13 +21,31 @@ import pickle
 
 import pytest
 
-from repro.scenarios import WORKLOADS, SpecError, SweepSpec, run_sweep, spec_from_dict
+from repro.core.provider_protocol import FrameworkProviderNode
+from repro.net.faults import FAULTS, FaultModel
+from repro.scenarios import (
+    ADVERSARIES,
+    WORKLOADS,
+    ChaosSpec,
+    ResilienceSpec,
+    ResultsStore,
+    SpecError,
+    SweepSpec,
+    run_chaos,
+    run_resilience,
+    run_sweep,
+    spec_from_dict,
+)
+from repro.scenarios.chaos import CHAOS_GRID
 from repro.scenarios.dispatch import (
     MAX_CHUNK_RETRIES,
     ChunkExecutionError,
     ChunkQuarantine,
     ProcessExecutorBackend,
 )
+from repro.scenarios.grid import chunk_cells
+from repro.scenarios.resilience import RESILIENCE_GRID
+from repro.scenarios.sweep import SWEEP_GRID
 from repro.community.workload import DoubleAuctionWorkload
 
 _PARENT_PID = os.getpid()
@@ -264,3 +285,80 @@ class TestSweepQuarantine:
     def test_serial_path_still_fails_fast(self, fragile_workload):
         with pytest.raises(ValueError, match=r"injected poison point"):
             run_sweep(_sweep("fragile"), failure_mode="quarantine")
+
+
+# ------------------------------------------------- every grid, one worker body --
+def _poison_deviation(*args):
+    """A deviating-node constructor that raises while armed, else plays honest."""
+    if _POISON["armed"]:
+        raise RuntimeError("injected poison cell")
+    return FrameworkProviderNode(*args)
+
+
+class _PoisonFault(FaultModel):
+    kind = "poison"
+
+    def on_send(self, message, rng):
+        if _POISON["armed"]:
+            raise RuntimeError("injected poison cell")
+        return None
+
+
+@pytest.fixture
+def poison_kinds(fragile_workload):
+    ADVERSARIES.register("poison", lambda: _poison_deviation)
+    FAULTS.register("poison", lambda **kw: _PoisonFault(**kw))
+    yield
+    ADVERSARIES.unregister("poison")
+    FAULTS.unregister("poison")
+
+
+_AUDIT_BASE = {
+    "mechanism": "double",
+    "latency": "constant",
+    "measure_compute": False,
+    "users": 5,
+    "providers": 4,
+    "config": {"k": 1},
+}
+
+
+def _poisoned_grid(kind):
+    """``(declaration, entry point, spec)``: 16 one-group cells, the last one poisoned."""
+    if kind == "sweep":
+        users = (4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 6)
+        return SWEEP_GRID, run_sweep, SweepSpec(base=_sweep("fragile").base, axes=(("users", users),))
+    if kind == "chaos":
+        losses = [{"kind": "loss", "rate": 0.01 * n, "label": f"loss-{n}"} for n in range(1, 16)]
+        return CHAOS_GRID, run_chaos, ChaosSpec(base=_AUDIT_BASE, faults=losses + ["poison"])
+    crashes = [{"kind": "crash", "max_sends": n} for n in range(1, 16)]
+    spec = ResilienceSpec(base=_AUDIT_BASE, coalitions=((0,),), adversaries=crashes + ["poison"])
+    return RESILIENCE_GRID, run_resilience, spec
+
+
+@pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
+def test_mid_chunk_failure_journals_the_cells_the_chunk_finished(kind, poison_kinds, tmp_path):
+    # The journal-per-chunk contract of dispatch.py, for every grid: the
+    # failing chunk's finished cells reach the journal before the typed
+    # error re-raises, and a resumed run executes only what never ran.
+    grid, run, spec = _poisoned_grid(kind)
+    context = grid.context(spec)
+    cells = context.run_order()
+    poison = cells[-1]
+    (chunk,) = [c for c in chunk_cells(context, cells, workers=2) if poison in c]
+    finished = chunk[: chunk.index(poison)]
+    assert finished  # the poison cell really sits mid-chunk
+
+    path = str(tmp_path / "journal.jsonl")
+    with pytest.raises((RuntimeError, ValueError), match=r"injected poison") as excinfo:
+        run(spec, workers=2, store=path)
+    assert isinstance(excinfo.value.__cause__, ChunkExecutionError)
+    _manifest, journaled = ResultsStore(path, record_type=grid.record_type).read()
+    assert set(finished) <= set(journaled)
+    assert poison not in journaled
+
+    _POISON["armed"] = False  # heal the poison, then resume
+    resumed = run(spec, workers=2, store=path, resume=True)
+    executed = resumed.executed_rounds if kind == "sweep" else resumed.executed_cells
+    assert executed == len(cells) - len(journaled)
+    assert len(resumed.records) == len(cells)

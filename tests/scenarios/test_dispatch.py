@@ -1,15 +1,16 @@
 """Worker resolution policy + the pluggable executor dispatch layer.
 
-The contract under test (DESIGN.md, "Executor dispatch"):
+The contract under test (DESIGN.md, "The grid engine"):
 
 * ``workers="auto"`` sizes the pool from the CPUs this process may actually
   use (affinity-aware), and on a single available CPU resolves to the
   sequential path — pool overhead can never be the default;
 * an explicit count above the available CPUs degrades to the available count
   with a stderr warning instead of oversubscribing;
-* both executors (sweep and resilience audit) dispatch through
-  :data:`EXECUTOR_BACKENDS`, and every backend/worker-count combination is
-  bit-identical to the sequential path;
+* every grid declaration (sweep, resilience audit, chaos audit) dispatches
+  through :data:`EXECUTOR_BACKENDS` via the one grid engine, and serial,
+  ``workers=2``, resumed-from-half-a-journal and jsonl-vs-columnar runs all
+  return identical records;
 * the CLI accepts ``--workers auto`` and surfaces the degrade warning.
 """
 
@@ -18,23 +19,29 @@ import pytest
 from repro.cli import main
 from repro.scenarios import (
     EXECUTOR_BACKENDS,
+    ChaosSpec,
     ExecutorBackend,
+    ResultsStore,
     ScenarioSpec,
     SpecError,
     SweepSpec,
     WorkerPlan,
     resolve_workers,
+    run_chaos,
     run_resilience,
     run_sweep,
     spec_from_dict,
 )
+from repro.scenarios.chaos import CHAOS_GRID
 from repro.scenarios.dispatch import (
     CHUNKS_PER_WORKER,
     SerialExecutorBackend,
     create_backend,
     split_chunks,
 )
-from repro.scenarios.resilience import ResilienceSpec
+from repro.scenarios.resilience import RESILIENCE_GRID, ResilienceSpec
+from repro.scenarios.spec import canonical_fingerprint
+from repro.scenarios.sweep import SWEEP_GRID
 
 
 def _pin_cpus(monkeypatch, count):
@@ -62,6 +69,32 @@ def _audit():
         adversaries=("equivocate",),
         seeds=(0, 1),
     )
+
+
+def _chaos():
+    return ChaosSpec(
+        name="dispatch-chaos",
+        base=_audit().base,
+        faults=("loss", "duplicate", {"kind": "loss", "rate": 0.3, "label": "heavy"}),
+        seeds=(0, 1),
+    )
+
+
+#: The three grid declarations, each with its public entry point and a spec
+#: whose records are fully deterministic (``measure_compute=False``).
+GRIDS = {
+    "sweep": (SWEEP_GRID, run_sweep, _sweep),
+    "resilience": (RESILIENCE_GRID, run_resilience, _audit),
+    "chaos": (CHAOS_GRID, run_chaos, _chaos),
+}
+ALL_GRIDS = pytest.mark.parametrize("kind", sorted(GRIDS))
+
+
+def _counts(result):
+    """``(executed, resumed)`` whatever the result class calls its cells."""
+    if hasattr(result, "executed_rounds"):
+        return result.executed_rounds, result.resumed_rounds
+    return result.executed_cells, result.resumed_cells
 
 
 class TestResolveWorkers:
@@ -203,33 +236,18 @@ class TestSplitChunks:
 
 
 class TestDispatchBitIdentity:
-    def test_sweep_auto_equals_sequential(self, monkeypatch):
-        sweep = _sweep()
-        sequential = run_sweep(sweep)
+    @ALL_GRIDS
+    def test_auto_equals_sequential(self, kind, monkeypatch):
+        _grid, run, make = GRIDS[kind]
+        spec = make()
+        sequential = run(spec)
         _pin_cpus(monkeypatch, 4)
-        assert run_sweep(sweep, workers="auto").records == sequential.records
-
-    def test_sweep_auto_on_one_core_never_launches_a_pool(self, monkeypatch):
-        _pin_cpus(monkeypatch, 1)
-
-        def forbidden(self, chunks, worker, workers):  # pragma: no cover
-            raise AssertionError("process pool launched on a 1-CPU host")
-
-        monkeypatch.setattr(
-            "repro.scenarios.dispatch.ProcessExecutorBackend.execute", forbidden
-        )
-        result = run_sweep(_sweep(), workers="auto")
-        assert len(result.records) == 4
-
-    def test_resilience_auto_equals_sequential(self, monkeypatch):
-        spec = _audit()
-        sequential = run_resilience(spec)
-        _pin_cpus(monkeypatch, 4)
-        parallel = run_resilience(spec, workers="auto")
+        parallel = run(spec, workers="auto")
         assert parallel.records == sequential.records
-        assert parallel.is_resilient() == sequential.is_resilient()
+        assert parallel.to_dict() == sequential.to_dict()  # verdicts included
 
-    def test_resilience_auto_on_one_core_never_launches_a_pool(self, monkeypatch):
+    @ALL_GRIDS
+    def test_auto_on_one_core_never_launches_a_pool(self, kind, monkeypatch):
         _pin_cpus(monkeypatch, 1)
 
         def forbidden(self, chunks, worker, workers):  # pragma: no cover
@@ -238,8 +256,45 @@ class TestDispatchBitIdentity:
         monkeypatch.setattr(
             "repro.scenarios.dispatch.ProcessExecutorBackend.execute", forbidden
         )
-        result = run_resilience(_audit(), workers="auto")
+        _grid, run, make = GRIDS[kind]
+        result = run(make(), workers="auto")
         assert result.records
+
+    @ALL_GRIDS
+    def test_serial_parallel_resumed_and_both_store_formats_agree(
+        self, kind, monkeypatch, tmp_path
+    ):
+        # The engine's record-identity contract, once for every declaration:
+        # serial == workers=2 == resumed from half a journal, on jsonl and on
+        # columnar journals alike, always in grid order.
+        grid, run, make = GRIDS[kind]
+        spec = make()
+        serial = run(spec)
+        cells = sorted(grid.context(spec).run_order())
+        assert len(cells) == len(serial.records) >= 4
+        _pin_cpus(monkeypatch, 4)
+        assert run(spec, workers=2).records == serial.records
+        for fmt, suffix in (("jsonl", ".jsonl"), ("columnar", ".rcol")):
+            full = str(tmp_path / f"full{suffix}")
+            assert run(spec, workers=2, store=full, store_format=fmt).records == serial.records
+            _manifest, journaled = ResultsStore(full, record_type=grid.record_type).read()
+            assert [journaled[cell] for cell in cells] == serial.records
+
+            for workers in (None, 2):
+                # Half a journal, written the way an interrupted run leaves it.
+                half = str(tmp_path / f"half-{workers}{suffix}")
+                store = ResultsStore(half, record_type=grid.record_type, format=fmt)
+                store.begin(spec, total_rounds=len(cells), fingerprint=canonical_fingerprint(grid.to_dict(spec)))
+                for cell, record in list(zip(cells, serial.records))[::2]:
+                    store.append(cell[0], cell[1], record)
+                store.close()
+                held = len(cells[::2])
+                resumed = run(spec, workers=workers, store=half, resume=True)
+                assert resumed.records == serial.records
+                assert _counts(resumed) == (len(cells) - held, held)
+                again = run(spec, workers=workers, store=half, resume=True)
+                assert again.records == serial.records
+                assert _counts(again) == (0, len(cells))
 
     def test_capped_sweep_still_bit_identical(self, monkeypatch, capsys):
         # Degrading 4 -> 2 workers must only change the pool size, never the

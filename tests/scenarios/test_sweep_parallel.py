@@ -1,6 +1,6 @@
 """Parallel sweep executor: differential locks, amortisation and lifecycle.
 
-The contract under test (DESIGN.md, "Parallel sweeps and the results store"):
+The contract under test (DESIGN.md, "The grid engine"):
 
 * ``run_sweep(workers=N)`` is bit-identical to sequential ``run_sweep`` on
   every deterministic :class:`RunRecord` field, in the same grid order —
@@ -11,7 +11,7 @@ The contract under test (DESIGN.md, "Parallel sweeps and the results store"):
 * component caches — including the latency-model cache and the canonical
   parameter keys — never change results, only skip rebuilds;
 * engine resources are released on every path, including worker chunks whose
-  grid point raises.
+  grid point raises — for every grid declaration, not only the sweep's.
 """
 
 import dataclasses
@@ -29,10 +29,17 @@ from repro.scenarios import (
     run_sweep,
     spec_from_dict,
 )
-from repro.scenarios.dispatch import ChunkExecutionError
-from repro.scenarios.parallel import amortisation_key, chunk_tasks, execute_chunk
-from repro.scenarios.spec import ComponentSpec, spec_to_dict
-from repro.scenarios.sweep import _component_key
+from repro.scenarios.chaos import CHAOS_GRID, ChaosContext, ChaosSpec, FaultSpec
+from repro.scenarios.dispatch import CHUNKS_PER_WORKER, ChunkExecutionError
+from repro.scenarios.grid import chunk_cells, run_chunk
+from repro.scenarios.resilience import (
+    RESILIENCE_GRID,
+    AdversarySpec,
+    AuditContext,
+    ResilienceSpec,
+)
+from repro.scenarios.spec import ComponentSpec
+from repro.scenarios.sweep import SWEEP_GRID, SweepContext, _component_key
 
 
 @pytest.fixture(autouse=True)
@@ -141,33 +148,89 @@ class TestParallelDifferential:
         assert str(clone) == str(error)
 
 
+def _sweep_context(points, rounds=1):
+    base = _spec({"users": 4, "providers": 3, "rounds": rounds})
+    return SweepContext(SweepSpec(base=base, points=tuple(points)))
+
+
+def _audit_base():
+    return _spec({"users": 6, "providers": 4, "config": {"k": 1}})
+
+
+def _grid_contexts():
+    """One context per grid declaration, each with a multi-group grid."""
+    return {
+        "sweep": _sweep_context([{"users": 4 + i, "seed": i % 2} for i in range(4)], rounds=3),
+        "resilience": AuditContext(
+            ResilienceSpec(
+                base=_audit_base(), k=1, adversaries=("equivocate", "crash"),
+                schedules=("fair", "round_robin"), seeds=(0, 1, 2),
+            )
+        ),
+        "chaos": ChaosContext(
+            ChaosSpec(base=_audit_base(), faults=("loss", "duplicate", "reorder"), seeds=(0, 1))
+        ),
+    }
+
+
 class TestChunking:
+    """Properties of the one chunker (``repro.scenarios.grid.chunk_cells``)."""
+
     def test_rounds_of_one_point_stay_in_one_chunk(self):
-        specs = [_spec({"users": 4 + i, "providers": 3, "rounds": 3}) for i in range(4)]
-        tasks = [(i, spec, [0, 1, 2]) for i, spec in enumerate(specs)]
-        chunks = chunk_tasks(tasks, workers=8)
-        seen = [index for chunk in chunks for index, _payload, _instances in chunk]
-        assert sorted(seen) == [0, 1, 2, 3]  # each grid point appears exactly once
+        context = _sweep_context([{"users": 4 + i} for i in range(4)], rounds=3)
+        chunks = chunk_cells(context, context.run_order(), workers=8)
+        homes = {}
+        for number, chunk in enumerate(chunks):
+            for point, _instance in chunk:
+                homes.setdefault(point, set()).add(number)
+        assert sorted(homes) == [0, 1, 2, 3]  # each grid point appears
+        assert all(len(numbers) == 1 for numbers in homes.values())  # ...in exactly one chunk
         for chunk in chunks:
-            for _index, _payload, instances in chunk:
-                assert instances == [0, 1, 2]
+            by_point = {}
+            for point, instance in chunk:
+                by_point.setdefault(point, []).append(instance)
+            assert all(instances == [0, 1, 2] for instances in by_point.values())
 
     def test_single_configuration_grid_still_parallelises(self):
         # Figure-4 shape: one mechanism/workload config for the whole grid
         # would be one cache-key chunk — it must split so workers have work.
-        spec = _spec({"users": 6, "providers": 3})
-        tasks = [(i, spec, [0]) for i in range(6)]
-        assert len(chunk_tasks(tasks, workers=3)) >= 3
+        context = _sweep_context([{} for _ in range(6)])
+        assert len(chunk_cells(context, context.run_order(), workers=3)) >= 3
+
+    @pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
+    def test_single_key_grid_splits_toward_the_chunk_target(self, kind):
+        context = _grid_contexts()[kind]
+        first = context.run_order()[0]
+        one_group = [
+            cell for cell in context.run_order()
+            if context.group_key(*cell) == context.group_key(*first)
+        ]
+        units = len({point for point, _instance in one_group})
+        chunks = chunk_cells(context, one_group, workers=2)
+        assert len(chunks) == min(units, 2 * CHUNKS_PER_WORKER)
 
     def test_distinct_configurations_group_by_amortisation_key(self):
-        a = _spec({"users": 6, "providers": 3, "seed": 0})
-        b = _spec({"users": 6, "providers": 3, "seed": 1})
-        assert amortisation_key(a) != amortisation_key(b)
-        assert amortisation_key(a) == amortisation_key(_spec({"users": 6, "providers": 3, "seed": 0}))
+        context = _sweep_context([{"users": 6, "seed": 0}, {"users": 6, "seed": 1}, {"users": 7, "seed": 0}])
+        assert context.group_key(0, 0) != context.group_key(1, 0)
+        assert context.group_key(0, 0) == context.group_key(2, 0)
 
-    def test_fully_journaled_points_produce_no_chunks(self):
-        tasks = [(0, _spec({"users": 4, "providers": 3}), [])]
-        assert chunk_tasks(tasks, workers=4) == []
+    @pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
+    def test_fully_journaled_grids_produce_no_chunks(self, kind):
+        assert chunk_cells(_grid_contexts()[kind], [], workers=4) == []
+
+    @pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
+    @pytest.mark.parametrize("workers", [1, 3, 16])
+    def test_chunks_cover_cells_exactly_once(self, kind, workers):
+        context = _grid_contexts()[kind]
+        cells = context.run_order()
+        chunks = chunk_cells(context, cells, workers=workers)
+        flattened = [cell for chunk in chunks for cell in chunk]
+        assert sorted(flattened) == sorted(cells)
+        assert len(flattened) == len(set(flattened))
+        assert all(chunks)  # no empty chunk is ever dispatched
+        # A chunk never mixes group keys: whatever it amortises, it shares.
+        for chunk in chunks:
+            assert len({context.group_key(*cell) for cell in chunk}) == 1
 
 
 class TestLatencyOverrideConflict:
@@ -338,27 +401,49 @@ class TestResourceLifecycle:
         assert mechanism._executor is None
         cache.close()  # idempotent
 
-    def test_chunk_executor_closes_cache_when_point_raises(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
+    def test_chunk_executor_closes_cache_when_point_raises(self, monkeypatch, kind):
+        # One worker body for every grid: a cell that raises mid-chunk closes
+        # the context and surfaces as ChunkExecutionError — never bare — so
+        # the parent can journal what the chunk had finished.
+        if kind == "sweep":
+            grid, owner, diagnostic = SWEEP_GRID, ComponentCache, "executors"
+            spec = SweepSpec(
+                base=_spec(_VECTORIZED),
+                points=({}, {"users": 4, "runner": "auction_run", "executors": 2}),
+            )
+            extra = (None,)
+        elif kind == "resilience":
+            grid, owner, diagnostic = RESILIENCE_GRID, AuditContext, "no-such-deviation"
+            spec = ResilienceSpec(
+                base=_audit_base(), coalitions=((0,),),
+                adversaries=("equivocate", AdversarySpec("no-such-deviation")),
+            )
+            extra = ()
+        else:
+            grid, owner, diagnostic = CHAOS_GRID, ChaosContext, "rate"
+            spec = ChaosSpec(
+                base=_audit_base(), faults=("loss", FaultSpec("loss", {"rate": 3.0}))
+            )
+            extra = ()
         closed = []
-        original_close = ComponentCache.close
+        original_close = owner.close
 
         def spying_close(self):
             closed.append(self)
             original_close(self)
 
-        monkeypatch.setattr(ComponentCache, "close", spying_close)
-        good = spec_to_dict(_spec(_VECTORIZED))
-        bad = spec_to_dict(
-            _spec({"users": 4, "providers": 3, "runner": "auction_run", "executors": 2})
-        )
+        monkeypatch.setattr(owner, "close", spying_close)
         with pytest.raises(ChunkExecutionError) as excinfo:
-            execute_chunk([(0, good, [0]), (1, bad, [0])])
+            run_chunk(grid, grid.to_dict(spec), extra, [(0, 0), (1, 0)])
         # The failure wrapper preserves the original diagnostics and the
-        # rounds completed before the failure (the parent journals those).
-        assert "executors" in excinfo.value.traceback
-        assert [(i, inst) for i, inst, _ in excinfo.value.partial_results] == [(0, 0)]
-        assert [(i, inst) for i, _p, inst in excinfo.value.remaining_items] == [(1, [0])]
-        # The worker body's finally closed its cache despite the mid-chunk error.
+        # cells completed before the failure (the parent journals those).
+        assert diagnostic in excinfo.value.traceback
+        assert [(p, i) for p, i, _record in excinfo.value.partial_results] == [(0, 0)]
+        assert isinstance(excinfo.value.partial_results[0][2], grid.record_type)
+        assert excinfo.value.remaining_items == [(1, 0)]
+        assert isinstance(excinfo.value.cause, SpecError)  # the typed error rides along
+        # The worker body's finally closed its context despite the mid-chunk error.
         assert len(closed) == 1
 
     def test_sequential_sweep_closes_mechanisms_on_error(self, monkeypatch):
