@@ -6,8 +6,12 @@ Every benchmark reports two times:
   (useful to track the cost of the simulator itself), and
 * the *modelled elapsed time* of the simulated execution (critical-path virtual time),
   stored in ``benchmark.extra_info["model_seconds"]`` — this is the quantity that
-  corresponds to the y-axis of the paper's figures and the one recorded in
-  EXPERIMENTS.md.
+  corresponds to the y-axis of the paper's figures.
+
+Neither is asserted: orderings of measured compute are recorded in
+``extra_info``, and what a test asserts is deterministic (modelled time with
+``measure_compute=false``, message counts, results).  Speed is judged with
+``perf/run.py`` (see ``perf/README.md``), not here.
 """
 
 import pathlib
@@ -31,17 +35,3 @@ def pytest_collection_modifyitems(items):
         if _BENCH_DIR in path.parents:
             item.add_marker(pytest.mark.bench)
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full-figures",
-        action="store_true",
-        default=False,
-        help="run the full-size user sweeps of the paper (slower); default runs a "
-        "reduced but shape-preserving sweep",
-    )
-
-
-@pytest.fixture(scope="session")
-def full_figures(request):
-    return request.config.getoption("--full-figures")

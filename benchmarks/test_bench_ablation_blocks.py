@@ -10,10 +10,10 @@ cost of the three bid-agreement modes.
 import pytest
 
 from repro.auctions.double_auction import DoubleAuction
-from repro.bench.harness import default_latency_model
 from repro.community.workload import DoubleAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
+from repro.scenarios import LATENCIES, ComponentSpec
 
 #: Defense in depth next to the conftest auto-marker: the bench marker
 #: must survive this file being run from outside the benchmarks rootdir.
@@ -30,7 +30,7 @@ def run_round(num_users, agreement_mode="batched", use_common_coin=True, k=1):
         config=FrameworkConfig(
             k=k, agreement_mode=agreement_mode, use_common_coin=use_common_coin
         ),
-        latency_model=default_latency_model(),
+        latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
         seed=1,
         measure_compute=True,
     )

@@ -5,15 +5,20 @@ embarrassingly parallel, so with m = 8 providers the modelled running time shoul
 drop as p grows (p = ⌊m/(k+1)⌋), while the result stays identical.  Also measures the
 price of resilience: for a fixed provider pool, larger k means fewer groups and less
 parallelism.
+
+Both orderings compare *measured* compute (``measure_compute=True`` folds host
+wall-clock into the model), so they are **recorded** in ``benchmark.extra_info``,
+**not asserted**.  What is asserted is deterministic: no abort, the result
+invariance across group counts, and the ⌊m/(k+1)⌋ arithmetic.
 """
 
 import pytest
 
 from repro.auctions.standard_auction import StandardAuction
-from repro.bench.harness import Figure5Experiment, default_latency_model
 from repro.community.workload import StandardAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
+from repro.scenarios import LATENCIES, ComponentSpec
 
 #: Defense in depth next to the conftest auto-marker: the bench marker
 #: must survive this file being run from outside the benchmarks rootdir.
@@ -22,8 +27,6 @@ pytestmark = pytest.mark.bench
 PROVIDERS = [f"p{i:02d}" for i in range(8)]
 NUM_USERS = 60
 EPSILON = 0.25
-
-_experiment = Figure5Experiment(epsilon=EPSILON, seed=11)
 
 
 def run_parallel(num_groups, k):
@@ -34,7 +37,7 @@ def run_parallel(num_groups, k):
         StandardAuction(epsilon=EPSILON),
         providers=PROVIDERS,
         config=FrameworkConfig(k=k, parallel=True, num_groups=num_groups),
-        latency_model=default_latency_model(),
+        latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
         seed=3,
         measure_compute=True,
     )
@@ -55,7 +58,7 @@ class TestParallelismSweep:
                 StandardAuction(epsilon=EPSILON),
                 providers=PROVIDERS,
                 config=config,
-                latency_model=default_latency_model(),
+                latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
                 seed=3,
                 measure_compute=True,
             )
@@ -71,22 +74,38 @@ class TestParallelismSweep:
         benchmark.extra_info["model_seconds"] = report.outcome.elapsed_time
         assert not report.aborted
 
-    def test_more_groups_is_faster_and_result_invariant(self):
-        one = run_parallel(1, 3)
+    def test_more_groups_is_faster_and_result_invariant(self, benchmark):
+        """More groups → less modelled time (recorded); identical result (asserted)."""
+        one = benchmark.pedantic(run_parallel, args=(1, 3), rounds=1, iterations=1)
         two = run_parallel(2, 3)
         four = run_parallel(4, 1)
-        assert four.outcome.elapsed_time < one.outcome.elapsed_time
-        assert two.outcome.elapsed_time < one.outcome.elapsed_time
+        seconds = {
+            "p=1": one.outcome.elapsed_time,
+            "p=2": two.outcome.elapsed_time,
+            "p=4": four.outcome.elapsed_time,
+        }
+        benchmark.extra_info["model_seconds"] = seconds
+        benchmark.extra_info["more_groups_is_faster"] = (
+            seconds["p=4"] < seconds["p=1"] and seconds["p=2"] < seconds["p=1"]
+        )
+        assert not (one.aborted or two.aborted or four.aborted)
         assert one.result == two.result == four.result
 
-    def test_resilience_costs_parallelism(self):
+    def test_resilience_costs_parallelism(self, benchmark):
         """For the same provider pool, tolerating bigger coalitions reduces the
         achievable parallelism and therefore increases modelled running time.
 
-        measure_compute=True folds real wall-clock into the model, and on a
-        busy single-core host the scheduling noise is one-sided (upward), so
-        compare the minimum over a few runs rather than a single sample.
+        The timing half is recorded, not asserted: the minimum over a few runs
+        of p = 4 with k = 1 against p = 2 with k = 3 (scheduling noise on a busy
+        host is one-sided, upward).  The cause is asserted: ⌊m/(k+1)⌋.
         """
-        k1 = min(run_parallel(4, 1).outcome.elapsed_time for _ in range(3))
-        k3 = min(run_parallel(2, 3).outcome.elapsed_time for _ in range(3))
-        assert k1 < k3   # p = 4 with k = 1 beats p = 2 with k = 3
+        k1 = [benchmark.pedantic(run_parallel, args=(4, 1), rounds=1, iterations=1)]
+        k1 += [run_parallel(4, 1) for _ in range(2)]
+        k3 = [run_parallel(2, 3) for _ in range(3)]
+        fastest_k1 = min(report.outcome.elapsed_time for report in k1)
+        fastest_k3 = min(report.outcome.elapsed_time for report in k3)
+        benchmark.extra_info["model_seconds"] = {"k=1 (p=4)": fastest_k1, "k=3 (p=2)": fastest_k3}
+        benchmark.extra_info["resilience_costs_parallelism"] = fastest_k1 < fastest_k3
+        assert not any(report.aborted for report in k1 + k3)
+        assert FrameworkConfig(k=1).max_parallelism(len(PROVIDERS)) == 4
+        assert FrameworkConfig(k=3).max_parallelism(len(PROVIDERS)) == 2

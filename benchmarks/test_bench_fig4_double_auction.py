@@ -12,12 +12,15 @@ The paper's qualitative findings that must hold here:
 * even at n = 1000 the distributed execution stays around/below a second.
 
 Each benchmark measures one full simulated round; the modelled elapsed time (the
-paper's metric) is attached as ``extra_info["model_seconds"]``.
+paper's metric, measured handler compute included) is attached as
+``extra_info["model_seconds"]`` — **recorded, not asserted**.  The findings above
+are about *communication* overhead, so they are asserted on modelled time alone
+(``measure_compute=false``), where they are deterministic.
 """
 
 import pytest
 
-from repro.bench.harness import Figure4Experiment
+from repro.scenarios import figure4_sweep, run_scenario
 
 #: Defense in depth next to the conftest auto-marker: the bench marker
 #: must survive this file being run from outside the benchmarks rootdir.
@@ -26,46 +29,61 @@ pytestmark = pytest.mark.bench
 N_VALUES = (100, 250, 500, 1000)
 K_VALUES = (1, 2, 3)
 
-_experiment = Figure4Experiment(n_values=N_VALUES, k_values=K_VALUES, seed=42)
+_sweep = figure4_sweep(n_values=N_VALUES, k_values=K_VALUES, seed=42)
+
+
+def _points(sweep):
+    """``(users, k)`` -> the grid point's scenario; ``k = 0`` is the centralised one."""
+    return {
+        (spec.users, spec.config.k if spec.runner == "distributed" else 0): spec
+        for spec in sweep.scenarios()
+    }
+
+
+#: The figure's points as the paper measures them (compute charged to the clocks) ...
+_MEASURED = _points(_sweep)
+#: ... and on modelled time alone, where the shape claims are deterministic.
+_MODELLED = _points(_sweep.with_base_overrides({"measure_compute": False}))
 
 
 @pytest.mark.parametrize("num_users", N_VALUES)
 def test_fig4_centralised(benchmark, num_users):
-    point = benchmark.pedantic(
-        _experiment.run_centralized_point, args=(num_users,), rounds=3, iterations=1
+    record = benchmark.pedantic(
+        run_scenario, args=(_MEASURED[num_users, 0],), rounds=3, iterations=1
     )
     benchmark.extra_info["figure"] = "fig4"
-    benchmark.extra_info["series"] = point.series
+    benchmark.extra_info["series"] = record.series
     benchmark.extra_info["users"] = num_users
-    benchmark.extra_info["model_seconds"] = point.elapsed_seconds
-    assert not point.aborted
+    benchmark.extra_info["model_seconds"] = record.elapsed_seconds
+    assert not record.aborted
 
 
 @pytest.mark.parametrize("num_users", N_VALUES)
 @pytest.mark.parametrize("k", K_VALUES)
 def test_fig4_distributed(benchmark, num_users, k):
-    point = benchmark.pedantic(
-        _experiment.run_distributed_point, args=(num_users, k), rounds=1, iterations=1
+    record = benchmark.pedantic(
+        run_scenario, args=(_MEASURED[num_users, k],), rounds=1, iterations=1
     )
     benchmark.extra_info["figure"] = "fig4"
-    benchmark.extra_info["series"] = point.series
+    benchmark.extra_info["series"] = record.series
     benchmark.extra_info["users"] = num_users
-    benchmark.extra_info["model_seconds"] = point.elapsed_seconds
-    benchmark.extra_info["messages"] = point.messages
-    benchmark.extra_info["bytes"] = point.bytes_transferred
-    assert not point.aborted
-    # Shape check vs the paper: the distributed round costs more than the
-    # centralised one, but remains well under a second of modelled time.
-    central = _experiment.run_centralized_point(num_users)
-    assert point.elapsed_seconds > central.elapsed_seconds
-    assert point.elapsed_seconds < 2.0
+    benchmark.extra_info["model_seconds"] = record.elapsed_seconds
+    benchmark.extra_info["messages"] = record.messages
+    benchmark.extra_info["bytes"] = record.bytes_transferred
+    assert not record.aborted
+    # Shape check vs the paper, on modelled time alone: the distributed round
+    # costs more than the centralised one, but remains well under a second.
+    modelled = run_scenario(_MODELLED[num_users, k])
+    central = run_scenario(_MODELLED[num_users, 0])
+    assert modelled.elapsed_seconds > central.elapsed_seconds
+    assert modelled.elapsed_seconds < 2.0
 
 
 def test_fig4_overhead_grows_with_users_and_k():
-    """The two monotonicity claims of §6.2, checked end-to-end in one go."""
-    small_k1 = _experiment.run_distributed_point(100, 1)
-    large_k1 = _experiment.run_distributed_point(1000, 1)
-    large_k3 = _experiment.run_distributed_point(1000, 3)
+    """The two monotonicity claims of §6.2, on modelled time alone."""
+    small_k1 = run_scenario(_MODELLED[100, 1])
+    large_k1 = run_scenario(_MODELLED[1000, 1])
+    large_k3 = run_scenario(_MODELLED[1000, 3])
     assert large_k1.elapsed_seconds > small_k1.elapsed_seconds
     assert large_k3.elapsed_seconds > large_k1.elapsed_seconds
     assert large_k3.messages > large_k1.messages

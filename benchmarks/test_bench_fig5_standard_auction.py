@@ -26,7 +26,7 @@ deterministic checks", not this file.
 import pytest
 
 from repro.auctions.engine import ENGINES, clear_solve_cache
-from repro.bench.harness import Figure5Experiment
+from repro.scenarios import Simulation, figure5_sweep
 
 #: Defense in depth next to the conftest auto-marker: the bench marker
 #: must survive this file being run from outside the benchmarks rootdir.
@@ -35,13 +35,23 @@ pytestmark = pytest.mark.bench
 N_VALUES = (25, 50, 75, 100, 125)
 P_VALUES = (1, 2, 4)
 
-_experiments = {
-    engine: Figure5Experiment(
-        n_values=N_VALUES, p_values=P_VALUES, epsilon=0.25, engine=engine, seed=42
-    )
+#: engine -> ``(users, p)`` -> the grid point's scenario (``p = 1`` is centralised).
+_POINTS = {
+    engine: {
+        (spec.users, spec.config.num_groups or 1): spec
+        for spec in figure5_sweep(
+            n_values=N_VALUES, p_values=P_VALUES, epsilon=0.25, engine=engine, seed=42
+        ).scenarios()
+    }
     for engine in ENGINES
 }
-_experiment = _experiments["reference"]
+_REFERENCE = _POINTS["reference"]
+
+
+def run_point(spec):
+    """One round of a grid point, releasing the engine's pivot pool afterwards."""
+    with Simulation(spec) as simulation:
+        return simulation.run()
 
 
 @pytest.mark.parametrize("num_users", N_VALUES)
@@ -49,30 +59,30 @@ _experiment = _experiments["reference"]
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fig5_running_time(benchmark, engine, num_users, p):
     """Both engines, cold-cache per point, so their mean times compare honestly."""
-    point = benchmark.pedantic(
-        _experiments[engine].run_distributed_point,
-        args=(num_users, p),
+    record = benchmark.pedantic(
+        run_point,
+        args=(_POINTS[engine][num_users, p],),
         setup=clear_solve_cache,
         rounds=1,
         iterations=1,
     )
     benchmark.extra_info["figure"] = "fig5"
-    benchmark.extra_info["series"] = point.series
+    benchmark.extra_info["series"] = record.series
     benchmark.extra_info["engine"] = engine
     benchmark.extra_info["users"] = num_users
-    benchmark.extra_info["model_seconds"] = point.elapsed_seconds
-    benchmark.extra_info["messages"] = point.messages
-    assert not point.aborted
+    benchmark.extra_info["model_seconds"] = record.elapsed_seconds
+    benchmark.extra_info["messages"] = record.messages
+    assert not record.aborted
 
 
 def test_fig5_parallelisation_beats_centralised_at_scale(benchmark):
     """The crossover of Figure 5 (for large enough n, p=4 < p=2 < p=1), recorded."""
     n = 100
     central = benchmark.pedantic(
-        _experiment.run_distributed_point, args=(n, 1), rounds=1, iterations=1
+        run_point, args=(_REFERENCE[n, 1],), rounds=1, iterations=1
     )
-    p2 = _experiment.run_distributed_point(n, 2)
-    p4 = _experiment.run_distributed_point(n, 4)
+    p2 = run_point(_REFERENCE[n, 2])
+    p4 = run_point(_REFERENCE[n, 4])
     benchmark.extra_info["figure"] = "fig5"
     benchmark.extra_info["users"] = n
     benchmark.extra_info["model_seconds"] = {
@@ -91,9 +101,9 @@ def test_fig5_parallelisation_beats_centralised_at_scale(benchmark):
 
 def test_fig5_running_time_grows_quickly_with_n(benchmark):
     """Growth of the centralised running time with n, recorded."""
-    small = _experiment.run_distributed_point(25, 1)
+    small = run_point(_REFERENCE[25, 1])
     large = benchmark.pedantic(
-        _experiment.run_distributed_point, args=(100, 1), rounds=1, iterations=1
+        run_point, args=(_REFERENCE[100, 1],), rounds=1, iterations=1
     )
     benchmark.extra_info["figure"] = "fig5"
     benchmark.extra_info["model_seconds"] = {

@@ -47,8 +47,12 @@ class TestStandardAuctionMicro:
         allocation, welfare = benchmark(mechanism.solve_allocation, bids, 1234)
         assert welfare > 0
 
-    def test_payment_phase_is_the_dominant_cost(self):
-        """The per-user pivots cost far more than the single allocation solve."""
+    def test_payment_phase_is_the_dominant_cost(self, benchmark):
+        """The per-user pivots cost far more than the single allocation solve.
+
+        The wall-clock ratio is recorded, not asserted; its deterministic cause
+        is: the payment phase re-solves the allocation once per winning user.
+        """
         import time
 
         bids = StandardAuctionWorkload(seed=0).generate(40, 8)
@@ -56,10 +60,24 @@ class TestStandardAuctionMicro:
         start = time.perf_counter()
         allocation, welfare = mechanism.solve_allocation(bids, 99)
         alloc_time = time.perf_counter() - start
+
+        solve, re_solves = mechanism.solve_allocation, []
+
+        def counted(reduced, seed):
+            re_solves.append(seed)
+            return solve(reduced, seed)
+
+        mechanism.solve_allocation = counted
         start = time.perf_counter()
-        mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 99)
+        benchmark.pedantic(
+            mechanism.payments_for_users,
+            args=(bids, bids.user_ids, allocation, welfare, 99),
+            rounds=1,
+            iterations=1,
+        )
         payment_time = time.perf_counter() - start
-        assert payment_time > 2 * alloc_time
+        benchmark.extra_info["payment_over_allocation"] = payment_time / alloc_time
+        assert len(re_solves) == len(allocation.winners()) > 1
 
 
 class TestBaselines:

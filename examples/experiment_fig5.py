@@ -1,10 +1,9 @@
 """Regenerate Figure 5 (running time of the standard auction) as a text table.
 
-Equivalent to ``repro-auction fig5`` — and to
-``repro-auction sweep --spec examples/specs/fig5.toml``: the experiment is a
-built-in sweep spec (``figure5_sweep``) executed through the scenario layer's
-sweep engine, so all three entry points share one code path.  Use ``--quick``
-for a reduced sweep.
+Equivalent to ``repro-auction sweep --spec examples/specs/fig5.toml``: the
+experiment is a built-in sweep spec (``figure5_sweep``) executed through the
+scenario layer's sweep engine, so both entry points share one code path.  Use
+``--quick`` for a reduced sweep.
 
 Run with::
 
@@ -13,9 +12,7 @@ Run with::
 
 import argparse
 
-from repro.bench import format_points, format_series
-from repro.bench.harness import record_to_point
-from repro.scenarios import figure5_sweep, run_sweep
+from repro.scenarios import figure5_sweep, render_records, render_series, run_sweep
 
 
 def main() -> None:
@@ -29,13 +26,12 @@ def main() -> None:
         n_values=n_values, p_values=(1, 2, 4), epsilon=args.epsilon, seed=42
     )
     result = run_sweep(sweep)
-    points = [record_to_point("fig5", record) for record in result.records]
 
     print("Figure 5 — standard auction running time (model seconds) vs number of users")
     print("Series: p=1 (centralised), p=2 (k=3), p=4 (k=1), with m=8 providers\n")
-    print(format_series(points))
+    print(render_series(result.records))
     print()
-    print(format_points(points))
+    print(render_records(result.name, result.records))
 
 
 if __name__ == "__main__":

@@ -35,9 +35,6 @@ The package is organised in layers, bottom-up:
 ``repro.community``
     The community-network (Guifi-like) case study: topology and workload generators.
 
-``repro.bench``
-    The benchmark harness used to regenerate Figures 4 and 5 of the paper.
-
 ``repro.scenarios``
     **The front door**: declarative, serializable scenario specs
     (:class:`~repro.scenarios.spec.ScenarioSpec`), component registries, and

@@ -18,7 +18,6 @@ path                      classification
 ``repro/gametheory/``     deterministic
 ``repro/obs/``            deterministic (sim-time-only tracing/metrics)
 ``repro/scenarios/``      deterministic, except ``dispatch.py``
-``repro/bench/``          allowlisted (wall-clock measurement is its job)
 ``benchmarks/``           bench-suite (RPA007 pytestmark contract)
 everything else           contract rules only (RPA003–RPA006, RPA008)
 ========================  =========================================
@@ -35,7 +34,6 @@ from pathlib import PurePosixPath
 from typing import Tuple, Union
 
 __all__ = [
-    "ALLOWLISTED_PACKAGES",
     "DETERMINISTIC_EXEMPT_FILES",
     "DETERMINISTIC_PACKAGES",
     "PathClass",
@@ -50,9 +48,6 @@ DETERMINISTIC_PACKAGES = frozenset(
 #: Files inside deterministic packages that are exempt by design.
 DETERMINISTIC_EXEMPT_FILES = frozenset({("scenarios", "dispatch.py")})
 
-#: Sub-packages of ``repro`` where wall-clock and host entropy are the point.
-ALLOWLISTED_PACKAGES = frozenset({"bench"})
-
 
 @dataclass(frozen=True)
 class PathClass:
@@ -61,7 +56,6 @@ class PathClass:
     display_path: str
     repro_parts: Tuple[str, ...]
     deterministic: bool
-    allowlisted: bool
     benchmarks_test: bool
 
 
@@ -80,16 +74,12 @@ def classify_path(path: Union[str, PurePosixPath]) -> PathClass:
         repro_parts = parts[anchor + 1 :]
 
     deterministic = False
-    allowlisted = False
-    if repro_parts:
-        package = repro_parts[0]
-        allowlisted = package in ALLOWLISTED_PACKAGES
-        if package in DETERMINISTIC_PACKAGES and not allowlisted:
-            exempt = any(
-                repro_parts[0] == head and repro_parts[-1] == tail
-                for head, tail in DETERMINISTIC_EXEMPT_FILES
-            )
-            deterministic = not exempt
+    if repro_parts and repro_parts[0] in DETERMINISTIC_PACKAGES:
+        exempt = any(
+            repro_parts[0] == head and repro_parts[-1] == tail
+            for head, tail in DETERMINISTIC_EXEMPT_FILES
+        )
+        deterministic = not exempt
 
     benchmarks_test = (
         "benchmarks" in parts
@@ -101,6 +91,5 @@ def classify_path(path: Union[str, PurePosixPath]) -> PathClass:
         display_path=display,
         repro_parts=repro_parts,
         deterministic=deterministic,
-        allowlisted=allowlisted,
         benchmarks_test=benchmarks_test,
     )

@@ -19,8 +19,8 @@ The engine contract — same integer seed ⇒ bit-identical allocation, welfare 
 payments as the reference implementation — is locked in by the differential suite
 ``tests/auctions/test_engine_equivalence.py``.  That suite gated the default
 flip: :data:`DEFAULT_ENGINE` is now ``"vectorized"``, so every front door
-(scenario specs, ``AuctionRun``/``BatchAuctionRunner``, the figure sweeps, the
-CLI) runs the fast engine unless a call site opts back out with
+(scenario specs, ``AuctionRun``, the figure sweeps, the CLI) runs the fast
+engine unless a call site opts back out with
 ``engine="reference"`` — results are identical either way, only speed differs.
 """
 

@@ -9,8 +9,8 @@ makes them both embarrassingly parallel and highly cacheable:
   payment task (that is how the framework tolerates coalitions), so a process-wide
   memo keyed on ``(reduced-bid-vector hash, seed)`` collapses the k+1 replicated
   computations into one;
-* across rounds of a batch workload (:class:`repro.runtime.batch.BatchAuctionRunner`)
-  repeated instances hit the same cache.
+* across rounds of a batch workload (``Simulation.run_batch``, or a sweep point
+  with ``rounds > 1``) repeated instances hit the same cache.
 
 :class:`PivotExecutor` submits the cache misses to a ``concurrent.futures`` pool
 ("thread" or "process") or runs them inline ("serial").  Results are merged by

@@ -1,16 +1,16 @@
 """Command-line interface, built on the declarative scenario API.
 
-Eleven sub-commands cover the common workflows::
+Eight sub-commands cover the common workflows::
 
-    repro-auction run   --mechanism double --users 100 --providers 8 --k 1
+    repro-auction run   --set users=100 --set providers=8 --set config.k=1
     repro-auction run   --spec scenario.toml --set users=200 --set config.k=2 --json
-    repro-auction batch --mechanism standard --users 50 --rounds 20
     repro-auction sweep --spec sweep.json --json
     repro-auction sweep --spec sweep.json --workers 4 --output results.jsonl
     repro-auction sweep --spec sweep.json --workers 4 --output results.jsonl --resume
     repro-auction sweep --spec sweep.json --output results.rcol --store-format columnar
-    repro-auction fig4  --users 100 200 400 --k 1 2 3
-    repro-auction fig5  --users 25 50 75 --parallelism 1 2 4 --engine vectorized
+    repro-auction sweep --spec examples/specs/fig4.json --series
+    repro-auction sweep --spec examples/specs/fig5.toml --set engine=reference
+    repro-auction sweep --spec scenario.toml --set rounds=20
     repro-auction resilience --spec resilience.json --workers 4 --output audit.jsonl
     repro-auction chaos --spec chaos.json --workers 4 --output chaos.jsonl
     repro-auction chaos --spec chaos.json --set recovery.max_retries=5 --json
@@ -66,39 +66,33 @@ only when every invariant held in every cell and nothing was quarantined.  It
 shares the grid flags with ``sweep`` and adds ``--quarantine`` (survive
 worker crashes: keep running, journal the poison cells, report them).
 
-``run`` executes one auction round and prints the outcome; ``batch`` runs many
-rounds of one scenario with amortised setup; ``sweep`` runs a grid of scenarios
-from a spec file.  ``fig4`` and ``fig5`` regenerate the corresponding evaluation
-figures of the paper — they are exactly ``sweep`` over the built-in Figure 4 /
-Figure 5 sweep specs, kept as dedicated sub-commands for their historical flags.
+``run`` executes one auction round and prints the outcome; ``sweep`` runs a
+grid of scenarios from a spec file, ``rounds`` workload instances per grid
+point with the engine state amortised across them.  A scenario file is a
+one-point sweep, so ``sweep --spec scenario.toml --set rounds=20`` is the
+batch run, and the paper's evaluation figures are the shipped sweep files
+``examples/specs/fig4.json`` / ``fig5.toml``.
 
-``run``, ``batch`` and ``sweep`` accept ``--spec FILE`` (a JSON or TOML
-scenario/sweep spec) and ``--set key=value`` (dotted-path overrides, e.g.
-``--set config.k=2`` or ``--set mechanism.epsilon=0.5``); every sub-command
-accepts ``--json`` (machine-readable output of the uniform RunRecord schema).
-Flags like ``--users`` keep their historical spellings and are translated into
-spec overrides, so flags and spec files compose: a non-default flag overrides
-the spec file.  The grid commands (``sweep``/``fig4``/``fig5``) additionally
-take ``--workers N`` (run grid points in an N-process pool, chunked to keep
-the engine-state amortisation; records stay in grid order and are identical
-to a sequential run on all deterministic fields), ``--output FILE`` (append
-every record to a results journal as it completes), ``--store-format
-jsonl|columnar`` (the file format a fresh journal is written in — jsonl is
-the greppable interchange default, columnar the typed NumPy format built
-for huge grids; existing journals are sniffed, and a contradicting
-``--store-format`` is a spec error suggesting ``results convert``) and
-``--resume`` (skip rounds the journal already holds — re-running an
-interrupted sweep executes only the missing grid points).  One argparse-rooted caveat: next to ``--spec``, a flag
-explicitly set to its default value (e.g. ``--users 50``) is indistinguishable
-from an omitted flag and is ignored — use ``--set users=50`` to force a value
-that happens to coincide with a flag default.  ``--workers auto`` sizes the
-pool from the CPUs the process may actually use (affinity-aware) and falls
-back to sequential execution on a single CPU; an explicit ``--workers N``
-larger than the available CPUs degrades to the available count with a stderr
-warning instead of oversubscribing.  ``fig4``/``fig5`` take no
-``--spec`` (their grids *are* the shipped ``examples/specs/fig4.json`` /
-``fig5.toml`` files; edit those and use ``sweep`` to vary them beyond the
-historical flags).
+A scenario is defined by ``--spec FILE`` (a JSON or TOML scenario/sweep spec;
+optional on ``run``, which starts from the :class:`ScenarioSpec` defaults) and
+``--set key=value`` (dotted-path overrides, e.g. ``--set config.k=2`` or
+``--set mechanism.epsilon=0.5``), applied in that order; the simulation
+sub-commands accept ``--json`` (machine-readable output of the uniform
+RunRecord schema).  The grid commands (``sweep``/``resilience``/``chaos``)
+additionally take ``--workers N`` (run grid points in an N-process pool,
+chunked to keep the engine-state amortisation; records stay in grid order and
+are identical to a sequential run on all deterministic fields),
+``--output FILE`` (append every record to a results journal as it completes),
+``--store-format jsonl|columnar`` (the file format a fresh journal is written
+in — jsonl is the greppable interchange default, columnar the typed NumPy
+format built for huge grids; existing journals are sniffed, and a
+contradicting ``--store-format`` is a spec error suggesting ``results
+convert``) and ``--resume`` (skip rounds the journal already holds —
+re-running an interrupted sweep executes only the missing grid points).
+``--workers auto`` sizes the pool from the CPUs the process may actually use
+(affinity-aware) and falls back to sequential execution on a single CPU; an
+explicit ``--workers N`` larger than the available CPUs degrades to the
+available count with a stderr warning instead of oversubscribing.
 """
 
 from __future__ import annotations
@@ -108,9 +102,7 @@ import os
 import sys
 from typing import Any, Dict, Optional, Sequence
 
-from repro.auctions.engine import DEFAULT_ENGINE, ENGINES
-from repro.bench.harness import Figure4Experiment, Figure5Experiment, record_to_point
-from repro.bench.reporting import format_points, format_series
+from repro.scenarios.aggregate import render_records, render_series
 from repro.scenarios.chaos import ChaosResult, chaos_with_overrides, run_chaos
 from repro.scenarios.io import load_any, load_chaos, load_resilience
 from repro.scenarios.resilience import ResilienceResult, resilience_with_overrides, run_resilience
@@ -133,22 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distributed auctioneer for resource allocation (ICDCS 2016 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_spec_options(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--spec", metavar="FILE", help="scenario spec file (.json or .toml)"
-        )
-        command.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="dotted-path spec override (e.g. --set config.k=2); repeatable",
-        )
-        command.add_argument(
-            "--json", action="store_true", help="print machine-readable JSON records"
-        )
 
     def add_grid_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
@@ -207,71 +183,22 @@ def build_parser() -> argparse.ArgumentParser:
             "summary on stderr — render with 'repro-auction metrics FILE'",
         )
 
-    def add_scenario_flags(command: argparse.ArgumentParser, name: str) -> None:
-        defaults = _FLAG_DEFAULTS[name]
-        command.add_argument(
-            "--mechanism", choices=["double", "standard"], default=defaults["mechanism"]
-        )
-        command.add_argument("--users", type=int, default=defaults["users"])
-        command.add_argument("--providers", type=int, default=defaults["providers"])
-        command.add_argument(
-            "--k", type=int, default=defaults["k"], help="tolerated coalition size"
-        )
-        command.add_argument(
-            "--parallel", action="store_true", help="use the parallel allocator"
-        )
-        command.add_argument(
-            "--epsilon", type=float, default=defaults["epsilon"],
-            help="standard-auction accuracy knob",
-        )
-        command.add_argument(
-            "--engine",
-            choices=list(ENGINES),
-            default=defaults["engine"],
-            help="execution engine for the standard auction (bit-identical results)",
-        )
-        command.add_argument("--seed", type=int, default=defaults["seed"])
-        if defaults["rounds"] is not None:
-            command.add_argument(
-                "--rounds", type=int, default=defaults["rounds"],
-                help="number of workload instances",
-            )
-
     run = sub.add_parser("run", help="run one distributed auction round")
-    add_scenario_flags(run, "run")
-    add_spec_options(run)
+    run.add_argument(
+        "--spec",
+        metavar="FILE",
+        help="scenario spec file (.json or .toml); default: the ScenarioSpec defaults",
+    )
+    run.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="dotted-path spec override (e.g. --set config.k=2); repeatable",
+    )
+    run.add_argument("--json", action="store_true", help="print machine-readable JSON records")
     add_obs_options(run)
-
-    fig4 = sub.add_parser("fig4", help="regenerate Figure 4 (double auction running time)")
-    fig4.add_argument("--users", type=int, nargs="+", default=[100, 200, 400, 600, 800, 1000])
-    fig4.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
-    fig4.add_argument("--providers", type=int, default=8)
-    fig4.add_argument("--seed", type=int, default=0)
-    fig4.add_argument("--series", action="store_true", help="print per-series summary")
-    fig4.add_argument("--json", action="store_true", help="print machine-readable JSON records")
-    add_grid_options(fig4)
-
-    fig5 = sub.add_parser("fig5", help="regenerate Figure 5 (standard auction running time)")
-    fig5.add_argument("--users", type=int, nargs="+", default=[25, 50, 75, 100, 125])
-    fig5.add_argument("--parallelism", type=int, nargs="+", default=[1, 2, 4])
-    fig5.add_argument("--providers", type=int, default=8)
-    fig5.add_argument("--epsilon", type=float, default=0.25)
-    fig5.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default=DEFAULT_ENGINE,
-        help="execution engine for the standard auction (bit-identical results)",
-    )
-    fig5.add_argument("--seed", type=int, default=0)
-    fig5.add_argument("--series", action="store_true", help="print per-series summary")
-    fig5.add_argument("--json", action="store_true", help="print machine-readable JSON records")
-    add_grid_options(fig5)
-
-    batch = sub.add_parser(
-        "batch", help="run many rounds of one scenario with amortised setup"
-    )
-    add_scenario_flags(batch, "batch")
-    add_spec_options(batch)
 
     sweep = sub.add_parser(
         "sweep", help="run a grid of scenarios from a sweep spec file"
@@ -472,66 +399,15 @@ def _workers_argument(value: str):
 
 
 # -------------------------------------------------------------- spec construction --
-#: The single source of the ``run``/``batch`` flag defaults: ``build_parser``
-#: feeds these into ``add_argument(default=...)`` and ``_flag_overrides`` reads
-#: them back, so the two can never drift apart.  When a spec file is given, a
-#: flag at its default value is NOT treated as an override — argparse cannot
-#: distinguish "--users 50" from an omitted flag, and stomping the spec with
-#: parser defaults would make spec files pointless (use --set in that case).
-_FLAG_DEFAULTS = {
-    "run": {"mechanism": "double", "users": 50, "providers": 8, "k": 1,
-            "epsilon": 0.25, "engine": DEFAULT_ENGINE, "seed": 0, "rounds": None},
-    "batch": {"mechanism": "standard", "users": 50, "providers": 8, "k": 1,
-              "epsilon": 0.25, "engine": DEFAULT_ENGINE, "seed": 0, "rounds": 10},
-}
-
-
-def _flag_overrides(args: argparse.Namespace, command: str, base: ScenarioSpec) -> Dict[str, Any]:
-    """Translate the historical CLI flags into dotted-path spec overrides."""
-    defaults = _FLAG_DEFAULTS[command]
-    spec_given = args.spec is not None
-
-    def explicit(name: str) -> bool:
-        value = getattr(args, name, None)
-        return value is not None and (not spec_given or value != defaults.get(name))
-
-    overrides: Dict[str, Any] = {}
-    if explicit("mechanism"):
-        overrides["mechanism"] = args.mechanism
-    mechanism_kind = overrides.get("mechanism", base.mechanism.kind)
-    if mechanism_kind == "standard" and (not spec_given or explicit("epsilon")):
-        overrides["mechanism.epsilon"] = args.epsilon
-    if explicit("users"):
-        overrides["users"] = args.users
-    if explicit("providers"):
-        overrides["providers"] = args.providers
-    if explicit("k"):
-        overrides["config.k"] = args.k
-    if args.parallel:
-        overrides["config.parallel"] = True
-    if explicit("engine"):
-        overrides["engine"] = args.engine
-    if explicit("seed"):
-        overrides["seed"] = args.seed
-    if command == "batch" and explicit("rounds"):
-        overrides["rounds"] = args.rounds
-    return overrides
-
-
-def _build_scenario(args: argparse.Namespace, command: str) -> ScenarioSpec:
-    """The scenario for ``run``/``batch``: spec file < historical flags < --set."""
+def _build_scenario(args: argparse.Namespace) -> ScenarioSpec:
+    """The scenario ``run`` executes: the spec file (or the defaults), then --set."""
     if args.spec is not None:
         spec = load_any(args.spec)
         if isinstance(spec, SweepSpec):
             raise SpecError(args.spec, "this file holds a sweep spec; use 'repro-auction sweep'")
     else:
-        spec = ScenarioSpec(
-            name=f"cli-{command}",
-            rounds=_FLAG_DEFAULTS[command]["rounds"] or 1,
-        )
-    overrides = _flag_overrides(args, command, spec)
-    overrides.update(parse_assignments(args.overrides))
-    return spec_with_overrides(spec, overrides)
+        spec = ScenarioSpec(name="cli-run")
+    return spec_with_overrides(spec, parse_assignments(args.overrides))
 
 
 # ------------------------------------------------------------------- sub-commands --
@@ -567,7 +443,7 @@ def _observed(args: argparse.Namespace, name: str, body):
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    spec = _build_scenario(args, "run")
+    spec = _build_scenario(args)
 
     def body():
         with Simulation(spec) as simulation:
@@ -594,26 +470,6 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"total paid      : {record.total_paid:.4f}")
         print(f"total received  : {record.total_received:.4f}")
     return 0
-
-
-def _command_batch(args: argparse.Namespace) -> int:
-    spec = _build_scenario(args, "batch")
-    with Simulation(spec) as simulation:
-        summary = simulation.run_batch()
-        mechanism = simulation.mechanism.name
-    if args.json:
-        print(summary.to_json())
-    else:
-        config = spec.config
-        print(f"mechanism       : {mechanism}")
-        print(
-            f"users/providers : {spec.users}/{spec.providers} "
-            f"(k={config.k}, parallel={config.parallel})"
-        )
-        print(f"rounds          : {summary.total_rounds} ({summary.aborted_rounds} aborted)")
-        print(f"total (model)   : {summary.total_elapsed_seconds:.4f} s")
-        print(f"mean (model)    : {summary.mean_elapsed_seconds:.4f} s")
-    return 0 if summary.aborted_rounds == 0 else 1
 
 
 def _grid_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
@@ -659,42 +515,10 @@ def _print_sweep(result: SweepResult, args: argparse.Namespace) -> None:
     _report_store(result, args)
     if args.json:
         print(result.to_json())
-        return
-    points = [record_to_point(result.name, record) for record in result.records]
-    print(format_series(points) if args.series else format_points(points))
-
-
-def _command_figure(experiment, args: argparse.Namespace) -> int:
-    result = experiment.run_sweep_result(**_grid_kwargs(args))
-    _report_store(result, args)
-    if args.json:
-        print(result.to_json())
-        return 0
-    points = experiment.points_from_result(result)
-    print(format_series(points) if args.series else format_points(points))
-    return 0
-
-
-def _command_fig4(args: argparse.Namespace) -> int:
-    experiment = Figure4Experiment(
-        num_providers=args.providers,
-        k_values=args.k,
-        n_values=args.users,
-        seed=args.seed,
-    )
-    return _command_figure(experiment, args)
-
-
-def _command_fig5(args: argparse.Namespace) -> int:
-    experiment = Figure5Experiment(
-        num_providers=args.providers,
-        p_values=args.parallelism,
-        n_values=args.users,
-        epsilon=args.epsilon,
-        engine=args.engine,
-        seed=args.seed,
-    )
-    return _command_figure(experiment, args)
+    elif args.series:
+        print(render_series(result.records))
+    else:
+        print(render_records(result.name, result.records))
 
 
 def _command_resilience(args: argparse.Namespace) -> int:
@@ -830,7 +654,7 @@ def _command_results(args: argparse.Namespace) -> int:
 
 
 def _command_lint(args: argparse.Namespace) -> int:
-    # Imported here, not at module top: lint is developer tooling and the six
+    # Imported here, not at module top: lint is developer tooling and the
     # simulation subcommands should not pay for (or be breakable by) it.
     from repro.analysis import lint_paths, render_json, render_text
 
@@ -888,9 +712,6 @@ def _command_metrics(args: argparse.Namespace) -> int:
 #: The sub-command dispatch table (argparse enforces membership).
 _COMMANDS = {
     "run": _command_run,
-    "fig4": _command_fig4,
-    "fig5": _command_fig5,
-    "batch": _command_batch,
     "sweep": _command_sweep,
     "resilience": _command_resilience,
     "chaos": _command_chaos,

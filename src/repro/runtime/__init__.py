@@ -10,16 +10,12 @@ bidders submit bids, providers simulate the auctioneer, bidders collect results.
 """
 
 from repro.runtime.auction_run import AuctionRun, AuctionRunResult
-from repro.runtime.batch import BatchAuctionRunner, BatchRound, BatchSummary
 from repro.runtime.bidder import BidderNode, BidderStrategy, TruthfulBidder
 from repro.runtime.provider import CollectingProviderNode
 
 __all__ = [
     "AuctionRun",
     "AuctionRunResult",
-    "BatchAuctionRunner",
-    "BatchRound",
-    "BatchSummary",
     "BidderNode",
     "BidderStrategy",
     "CollectingProviderNode",

@@ -22,7 +22,7 @@ registries (:mod:`repro.scenarios.registry`) — a registry entry plus a spec
 file is a complete new scenario.
 """
 
-from repro.scenarios.builtin import BUILTIN_SWEEPS, builtin_sweep, figure4_sweep, figure5_sweep
+from repro.scenarios.builtin import figure4_sweep, figure5_sweep
 from repro.scenarios.dispatch import (
     EXECUTOR_BACKENDS,
     ExecutorBackend,
@@ -89,7 +89,13 @@ from repro.scenarios.spec import (
     sweep_from_dict,
     sweep_to_dict,
 )
-from repro.scenarios.aggregate import MetricAccumulator, StreamingSummary, render_summary
+from repro.scenarios.aggregate import (
+    MetricAccumulator,
+    StreamingSummary,
+    render_records,
+    render_series,
+    render_summary,
+)
 from repro.scenarios.columnar import ColumnarStoreBackend
 from repro.scenarios.store import (
     STORE_BACKENDS,
@@ -106,7 +112,6 @@ __all__ = [
     "ADVERSARIES",
     "AdversarySpec",
     "BIDDER_STRATEGIES",
-    "BUILTIN_SWEEPS",
     "BatchResult",
     "BidderSpec",
     "ChaosRecord",
@@ -141,7 +146,6 @@ __all__ = [
     "TOPOLOGIES",
     "WORKLOADS",
     "WorkerPlan",
-    "builtin_sweep",
     "chaos_fingerprint",
     "chaos_from_dict",
     "chaos_to_dict",
@@ -160,6 +164,8 @@ __all__ = [
     "load_spec",
     "load_sweep",
     "parse_assignments",
+    "render_records",
+    "render_series",
     "render_summary",
     "resilience_fingerprint",
     "resilience_from_dict",

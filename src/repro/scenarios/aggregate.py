@@ -22,19 +22,29 @@ one of :data:`~MetricAccumulator.BINS` bins, linear in
 the spirit of HDR-histogram latency reporters (cf. spirit's
 ``bench-mc-client/src/metrics.rs``).  At the shipped resolution one bin spans
 ~3.1% relative width, and estimates are clamped to the exact ``[min, max]``.
+
+The text renderers of the results plane sit together at the bottom:
+:func:`render_summary` for a streamed summary, and :func:`render_records` /
+:func:`render_series` for the in-memory record list ``repro-auction sweep``
+prints.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.scenarios.runner import RunRecord
 
 __all__ = [
     "MetricAccumulator",
     "StreamingSummary",
     "derived_throughput",
+    "render_records",
+    "render_series",
     "render_summary",
 ]
 
@@ -237,6 +247,58 @@ def render_summary(summary: Mapping[str, Any]) -> str:
 
 def _cell(value: Optional[float]) -> str:
     return f"{value:>12.6g}" if value is not None else f"{'-':>12s}"
+
+
+def render_records(figure: str, records: Iterable["RunRecord"]) -> str:
+    """Fixed-width table of a sweep's records, one row per round.
+
+    What ``repro-auction sweep`` prints: ``figure`` (the sweep's name) labels
+    every row, ``seconds`` is the modelled elapsed time to four decimals.
+    """
+    headers = ("figure", "series", "users", "seconds", "messages", "bytes", "aborted")
+    rows = [
+        [
+            f"{value:.4f}" if isinstance(value, float) else str(value)
+            for value in (
+                figure,
+                record.series,
+                record.users,
+                record.elapsed_seconds,
+                record.messages,
+                record.bytes_transferred,
+                record.aborted,
+            )
+        ]
+        for record in records
+    ]
+    if not rows:
+        return "(no data)"
+    widths = [max(len(header), *(len(row[i]) for row in rows)) for i, header in enumerate(headers)]
+    lines = [
+        "  ".join(header.ljust(width) for header, width in zip(headers, widths)),
+        "  ".join("-" * width for width in widths),
+    ]
+    for row in rows:
+        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def render_series(records: Iterable["RunRecord"]) -> str:
+    """One block per series, ``n=users  seconds`` pairs sorted by user count.
+
+    What ``repro-auction sweep --series`` prints — the grouping of the paper's
+    figures: running time against the number of users, one line per
+    configuration.
+    """
+    series: Dict[str, List[Tuple[int, float]]] = {}
+    for record in records:
+        series.setdefault(record.series, []).append((record.users, record.elapsed_seconds))
+    lines: List[str] = []
+    for name in sorted(series):
+        lines.append(f"{name}:")
+        for users, seconds in sorted(series[name]):
+            lines.append(f"  n={users:>5d}  {seconds:8.3f} s")
+    return "\n".join(lines)
 
 
 def batched(rows: Iterable[Mapping[str, Any]], summary: StreamingSummary) -> None:

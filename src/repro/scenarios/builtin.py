@@ -1,12 +1,11 @@
 """Built-in sweep specs: the paper's Figure 4 and Figure 5 experiments as data.
 
 These builders produce pure-data :class:`~repro.scenarios.spec.SweepSpec`
-objects whose execution through :func:`~repro.scenarios.sweep.run_sweep` is
-exactly what :class:`~repro.bench.harness.Figure4Experiment` and
-:class:`~repro.bench.harness.Figure5Experiment` run — the experiments are thin
-wrappers over these specs, and ``repro-auction fig4`` / ``fig5`` and
-``repro-auction sweep --spec fig4.json`` share one code path (locked by
-``tests/scenarios/test_differential.py``).
+objects; :func:`~repro.scenarios.sweep.run_sweep` executes them like any other
+sweep.  Their defaults are shipped as ``examples/specs/fig4.json`` and
+``examples/specs/fig5.toml`` (equality locked by
+``tests/scenarios/test_differential.py``), so
+``repro-auction sweep --spec examples/specs/fig4.json`` regenerates Figure 4.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.auctions.engine import DEFAULT_ENGINE
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError, SweepSpec
 
-__all__ = ["figure4_sweep", "figure5_sweep", "builtin_sweep", "BUILTIN_SWEEPS"]
+__all__ = ["figure4_sweep", "figure5_sweep"]
 
 
 def figure4_sweep(
@@ -106,21 +105,3 @@ def figure5_sweep(
                     }
                 )
     return SweepSpec(base=base, name="fig5", points=tuple(points))
-
-
-#: Named builders reachable from the CLI (``repro-auction sweep --figure ...``).
-BUILTIN_SWEEPS = {
-    "fig4": figure4_sweep,
-    "fig5": figure5_sweep,
-}
-
-
-def builtin_sweep(name: str, **kwargs) -> SweepSpec:
-    """Build a named built-in sweep, forwarding keyword overrides."""
-    builder = BUILTIN_SWEEPS.get(name)
-    if builder is None:
-        raise SpecError(
-            "figure",
-            f"unknown built-in sweep {name!r}; available: {', '.join(sorted(BUILTIN_SWEEPS))}",
-        )
-    return builder(**kwargs)

@@ -187,9 +187,10 @@ def _register_builtins() -> None:
     LATENCIES.register("constant", ConstantLatencyModel)
     LATENCIES.register("uniform", UniformLatencyModel)
     LATENCIES.register("bandwidth", BandwidthLatencyModel)
-    # The WAN-ish model both figure experiments use.  This registration is the
-    # single source of the calibration constants; bench.harness's
-    # default_latency_model() delegates here.
+    # The WAN-ish model both figure sweeps use, calibrated loosely to the
+    # paper's testbed: a few milliseconds of one-way latency between
+    # community-network sites plus a 100 Mbit/s-class transmission term, which
+    # is what makes the double-auction overhead grow with the number of users.
     LATENCIES.register(
         "wan",
         functools.partial(BandwidthLatencyModel, base=0.003, bandwidth_bytes_per_s=12.5e6, jitter=0.001),

@@ -1,9 +1,9 @@
 """Execute one :class:`~repro.scenarios.spec.ScenarioSpec` and record the result.
 
 :func:`run_scenario` is the single-point executor behind the
-:class:`~repro.scenarios.simulation.Simulation` facade, the sweep engine and
-(indirectly) the figure experiments: it resolves the spec's registry references
-into live components, dispatches to the existing runners
+:class:`~repro.scenarios.simulation.Simulation` facade and the sweep engine
+(and so the Figure 4 / Figure 5 sweeps): it resolves the spec's registry
+references into live components, dispatches to the existing runners
 (:class:`~repro.core.framework.DistributedAuctioneer`,
 :class:`~repro.core.framework.CentralizedAuctioneer`,
 :class:`~repro.runtime.auction_run.AuctionRun`) and normalises whatever they
@@ -74,10 +74,7 @@ class RunRecord:
 
     One record per round, whatever the runner: scenario identity and shape,
     protocol cost (time / messages / bytes) and the economic outcome.
-    :meth:`to_dict` renders the record JSON-ready.  Figure-specific
-    annotations (the executor count of a Figure 4 point, the ``k`` of a
-    Figure 5 point) live on :class:`~repro.bench.harness.ExperimentPoint`,
-    which the harness derives from these records via ``record_to_point``.
+    :meth:`to_dict` renders the record JSON-ready.
     """
 
     name: str
@@ -377,8 +374,8 @@ def run_scenario(
     """Run one round of the scenario and return its :class:`RunRecord`.
 
     The keyword overrides let callers that amortise state across rounds (the
-    facade, the sweep engine, the figure experiments) pass in pre-resolved
-    components; semantics are identical either way.
+    facade, the sweep engine) pass in pre-resolved components; semantics are
+    identical either way.
     """
     if mechanism is None:
         mechanism = build_mechanism(spec)

@@ -8,9 +8,9 @@ One object, three verbs::
     result  = sim.sweep(axes={...})   # a grid around this spec -> SweepResult
 
 All three dispatch to the pre-existing runners (``DistributedAuctioneer``,
-``CentralizedAuctioneer``, ``AuctionRun``, ``BatchAuctionRunner``), which
-remain fully supported as the low-level API; the facade adds the declarative
-layer, state amortisation across rounds, and the uniform record schema.
+``CentralizedAuctioneer``, ``AuctionRun``), which remain fully supported as
+the low-level API; the facade adds the declarative layer, state amortisation
+across rounds, and the uniform record schema.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.runtime.batch import RoundAggregates
 from repro.scenarios.io import load_any, load_spec
 from repro.scenarios.runner import (
     RunRecord,
@@ -42,13 +41,26 @@ __all__ = ["Simulation", "BatchResult"]
 
 
 @dataclass
-class BatchResult(RoundAggregates):
-    """Per-round records of a batch plus the aggregate the CLI prints."""
+class BatchResult:
+    """Per-round records of a batch plus their aggregate."""
 
     records: List[RunRecord] = field(default_factory=list)
 
-    def _round_entries(self) -> List[RunRecord]:
-        return self.records
+    @property
+    def total_rounds(self) -> int:
+        return len(self.records)
+
+    @property
+    def aborted_rounds(self) -> int:
+        return sum(1 for record in self.records if record.aborted)
+
+    @property
+    def total_elapsed_seconds(self) -> float:
+        return sum(record.elapsed_seconds for record in self.records)
+
+    @property
+    def mean_elapsed_seconds(self) -> float:
+        return self.total_elapsed_seconds / len(self.records) if self.records else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {

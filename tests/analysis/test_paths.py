@@ -27,7 +27,7 @@ class TestDeterministicPaths:
         [
             "src/repro/scenarios/dispatch.py",  # the documented exemption
             "src/repro/core/framework.py",
-            "src/repro/runtime/batch.py",
+            "src/repro/runtime/auction_run.py",
             "src/repro/adversary/coalition.py",
             "src/repro/cli.py",
             "tests/net/test_network.py",  # tests are not under repro/
@@ -37,11 +37,7 @@ class TestDeterministicPaths:
         assert not classify_path(path).deterministic
 
 
-class TestAllowlistAndBenchmarks:
-    def test_bench_package_allowlisted(self):
-        klass = classify_path("src/repro/bench/harness.py")
-        assert klass.allowlisted and not klass.deterministic
-
+class TestBenchmarks:
     def test_benchmarks_tests_detected(self):
         assert classify_path("benchmarks/test_bench_mechanisms.py").benchmarks_test
         assert not classify_path("benchmarks/conftest.py").benchmarks_test

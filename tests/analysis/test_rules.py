@@ -24,8 +24,6 @@ from repro.scenarios.spec import SpecError
 DET_PATH = "src/repro/net/fixture.py"
 #: A virtual path outside the deterministic packages.
 CORE_PATH = "src/repro/core/fixture.py"
-#: A virtual path in the wall-clock-allowlisted bench package.
-BENCH_PATH = "src/repro/bench/fixture.py"
 
 
 def codes_at(report):
@@ -73,7 +71,6 @@ class TestDeterminismTaint:
     def test_outside_deterministic_paths_not_flagged(self):
         snippet = "import time\n\nx = time.time()\n"
         assert lint_source(snippet, CORE_PATH, select=["RPA001"]).clean
-        assert lint_source(snippet, BENCH_PATH, select=["RPA001"]).clean
 
     def test_dispatch_py_is_exempt(self):
         snippet = "import time\n\nx = time.time()\n"
@@ -165,7 +162,7 @@ class TestPoolSafeException:
         assert lint_source(snippet, CORE_PATH, select=["RPA003"]).clean
 
     def test_applies_everywhere_not_just_deterministic_paths(self):
-        assert not lint_source(BAD_EXCEPTION, BENCH_PATH, select=["RPA003"]).clean
+        assert not lint_source(BAD_EXCEPTION, CORE_PATH, select=["RPA003"]).clean
 
 
 # ---------------------------------------------------------------------- RPA004 --
@@ -527,7 +524,7 @@ class TestBoundedRetry:
 
     def test_outside_deterministic_paths_not_flagged(self):
         assert lint_source(UNBOUNDED_RETRY, CORE_PATH, select=["RPA009"]).clean
-        assert lint_source(SLEEPING_RETRY, BENCH_PATH, select=["RPA009"]).clean
+        assert lint_source(SLEEPING_RETRY, CORE_PATH, select=["RPA009"]).clean
 
 
 # ---------------------------------------------------------------- suppression --

@@ -203,13 +203,6 @@ class TestDefaultEngineFlip:
         run = AuctionRun(bids, StandardAuction())
         assert isinstance(run.algorithm, VectorizedStandardAuction)
 
-    def test_batch_runner_default_is_vectorized(self):
-        from repro.community.workload import StandardAuctionWorkload
-        from repro.runtime.batch import BatchAuctionRunner
-
-        runner = BatchAuctionRunner(StandardAuction(), StandardAuctionWorkload(seed=0))
-        assert isinstance(runner.algorithm, VectorizedStandardAuction)
-
     def test_standard_subclasses_are_never_swapped(self):
         # A user-registered subclass carries overridden behavior the stock
         # vectorized engine does not have; the default must run it as given.

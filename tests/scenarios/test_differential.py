@@ -1,12 +1,11 @@
 """Differential locks for the scenario front door.
 
-1. ``repro-auction sweep --spec <fig4/fig5 file> --json`` produces records
-   bit-identical to the ``fig4``/``fig5`` sub-commands on every deterministic
-   field.  ``elapsed_seconds`` is excluded *by design*: the figure specs run
-   with ``measure_compute=true``, so elapsed time includes measured handler
-   CPU wall-time and no two executions of *either* entry point are timing-
-   identical — everything the protocol agrees on (messages, bytes, outcome,
-   winners, payments) must match exactly.
+1. The paper's two figures are sweep specs: the shipped
+   ``examples/specs/fig4.json`` / ``fig5.toml`` equal the builders' defaults,
+   the builders' points carry the paper's quorum arithmetic, and the grids
+   run every series.  Comparisons of ``elapsed_seconds`` pin
+   ``measure_compute=false``: the figure specs charge measured handler CPU
+   time to the clocks, so their elapsed time is a host reading.
 2. Spec round-trips: build → dump → load → run yields identical ``RunRecord``s
    seed-for-seed, through both JSON and TOML, including ``elapsed_seconds``
    (with ``measure_compute=false`` the virtual clock is fully deterministic).
@@ -19,6 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.scenarios import (
+    SpecError,
     dump_spec,
     dump_sweep,
     figure4_sweep,
@@ -31,42 +31,8 @@ from repro.scenarios import (
 )
 
 
-def _without_timing(payload):
-    """Drop the wall-clock-dependent field from a sweep-JSON payload."""
-    for record in payload["records"]:
-        record.pop("elapsed_seconds")
-    return payload
-
-
-class TestFigureCliEquivalence:
-    def test_fig4_equals_sweep_spec(self, tmp_path, capsys):
-        sweep = figure4_sweep(n_values=(12,), k_values=(1, 2), seed=3)
-        spec_path = tmp_path / "fig4.json"
-        dump_sweep(sweep, spec_path)
-
-        assert main(["fig4", "--users", "12", "--k", "1", "2", "--seed", "3", "--json"]) == 0
-        via_fig4 = json.loads(capsys.readouterr().out)
-        assert main(["sweep", "--spec", str(spec_path), "--json"]) == 0
-        via_sweep = json.loads(capsys.readouterr().out)
-
-        assert _without_timing(via_fig4) == _without_timing(via_sweep)
-
-    def test_fig5_equals_sweep_spec(self, tmp_path, capsys):
-        sweep = figure5_sweep(n_values=(8,), p_values=(1, 4), epsilon=0.5, seed=3)
-        spec_path = tmp_path / "fig5.toml"
-        dump_sweep(sweep, spec_path)
-
-        assert main(
-            ["fig5", "--users", "8", "--parallelism", "1", "4",
-             "--epsilon", "0.5", "--seed", "3", "--json"]
-        ) == 0
-        via_fig5 = json.loads(capsys.readouterr().out)
-        assert main(["sweep", "--spec", str(spec_path), "--json"]) == 0
-        via_sweep = json.loads(capsys.readouterr().out)
-
-        assert _without_timing(via_fig5) == _without_timing(via_sweep)
-
-    def test_shipped_spec_files_match_builtin_sweeps(self):
+class TestFigureSweeps:
+    def test_shipped_spec_files_match_figure_builders(self):
         import os
 
         specs = os.path.join(
@@ -75,16 +41,43 @@ class TestFigureCliEquivalence:
         assert load_sweep(os.path.join(specs, "fig4.json")) == figure4_sweep()
         assert load_sweep(os.path.join(specs, "fig5.toml")) == figure5_sweep()
 
-    def test_experiment_classes_delegate_to_sweep_engine(self):
-        from repro.bench.harness import Figure4Experiment
+    def test_builders_carry_the_papers_quorum_arithmetic(self):
+        # Figure 4: the minimum 2k+1 of the 8 sellers execute the protocol.
+        fig4 = figure4_sweep(n_values=(10,))
+        assert [point.get("executors") for point in fig4.points] == [None, 3, 5, 7]
+        assert fig4.points[0]["runner"] == "centralized"
+        with pytest.raises(SpecError):
+            figure4_sweep(k_values=(4,))
+        # Figure 5: p = ⌊m/(k+1)⌋ groups, p = 1 is the centralised baseline.
+        fig5 = figure5_sweep(n_values=(10,))
+        assert [point.get("config.k") for point in fig5.points] == [None, 3, 1]
+        assert [point.get("config.num_groups") for point in fig5.points] == [None, 2, 4]
+        assert fig5.points[0]["runner"] == "centralized"
+        with pytest.raises(SpecError):
+            figure5_sweep(p_values=(0,))
 
-        experiment = Figure4Experiment(n_values=(10,), k_values=(1,), seed=1)
-        points = experiment.run()
-        records = run_sweep(figure4_sweep(n_values=(10,), k_values=(1,), seed=1)).records
-        assert [(p.series, p.num_users, p.messages, p.bytes_transferred, p.aborted)
-                for p in points] == \
-               [(r.series, r.users, r.messages, r.bytes_transferred, r.aborted)
-                for r in records]
+    def test_figure_sweeps_run_every_series_without_abort(self):
+        fig4 = run_sweep(figure4_sweep(n_values=(10, 20), k_values=(1,)))
+        assert {name: len(records) for name, records in fig4.series().items()} == {
+            "centralised": 2, "distributed k=1": 2,
+        }
+        fig5 = run_sweep(figure5_sweep(n_values=(8,), p_values=(1, 4), epsilon=0.5))
+        assert [record.series for record in fig5.records] == [
+            "p=1 (centralised)", "p=4 (distributed, k=1)",
+        ]
+        for result in (fig4, fig5):
+            assert not any(record.aborted for record in result.records)
+            for record in result.records:
+                # The trusted auctioneer exchanges no protocol traffic.
+                assert (record.messages == 0) == (record.runner == "centralized")
+
+    def test_fig4_distributed_is_slower_than_centralised(self):
+        # Communication overhead, so it holds on modelled time alone.
+        sweep = figure4_sweep(n_values=(50,), k_values=(1,))
+        central, distributed = run_sweep(
+            sweep.with_base_overrides({"measure_compute": False})
+        ).records
+        assert distributed.elapsed_seconds > central.elapsed_seconds
 
 
 class TestDefaultEngineDifferential:
@@ -138,13 +131,14 @@ class TestDefaultEngineDifferential:
         assert self._protocol_fields(run_sweep(default), drop_timing=True) == \
             self._protocol_fields(run_sweep(reference), drop_timing=True)
 
-    def test_unflagged_fig5_cli_runs_vectorized(self, capsys):
-        # Acceptance criterion: `repro-auction fig5` with no flags runs the
-        # vectorized engine (and says so in the record).
-        assert main(
-            ["fig5", "--users", "8", "--parallelism", "1",
-             "--epsilon", "0.5", "--seed", "3", "--json"]
-        ) == 0
+    def test_unflagged_fig5_cli_runs_vectorized(self, tmp_path, capsys):
+        # Acceptance criterion: the Figure 5 sweep with no engine override
+        # runs the vectorized engine (and says so in the record).
+        spec_path = tmp_path / "fig5.toml"
+        dump_sweep(
+            figure5_sweep(n_values=(8,), p_values=(1,), epsilon=0.5, seed=3), spec_path
+        )
+        assert main(["sweep", "--spec", str(spec_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert {r["engine"] for r in payload["records"]} == {"vectorized"}
         assert all(

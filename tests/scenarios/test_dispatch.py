@@ -332,7 +332,7 @@ class TestCliWorkers:
 
     def test_cli_rejects_garbage_worker_counts(self, capsys):
         with pytest.raises(SystemExit):
-            main(["fig4", "--workers", "sideways"])
+            main(["sweep", "--spec", "unread.json", "--workers", "sideways"])
         assert "expected a positive integer or 'auto'" in capsys.readouterr().err
 
     def test_chunks_per_worker_bounds_checkpoint_loss(self):

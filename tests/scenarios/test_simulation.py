@@ -7,8 +7,12 @@ import pytest
 from repro.scenarios import (
     LATENCIES,
     WORKLOADS,
+    ComponentSpec,
+    RunRecord,
     Simulation,
     SpecError,
+    render_records,
+    render_series,
     run_scenario,
     run_sweep,
     spec_from_dict,
@@ -226,6 +230,11 @@ class TestSweeps:
         assert [(r.users, r.instance) for r in result.records] == [
             (4, 0), (4, 1), (5, 0), (5, 1),
         ]
+        # A scenario is a one-point sweep, so its sweep is its batch run.
+        with Simulation(spec) as simulation:
+            batch = simulation.run_batch(3)
+        as_sweep = SweepSpec(base=spec).with_base_overrides({"rounds": 3})
+        assert run_sweep(as_sweep).records == batch.records
 
     def test_sweep_json_export_shape(self):
         import json
@@ -244,7 +253,56 @@ class TestSweeps:
         assert run_sweep(sweep).records == run_sweep(sweep).records
 
 
+class TestSweepRendering:
+    """The two text views ``repro-auction sweep`` prints."""
+
+    def _records(self):
+        def record(series, users, seconds, messages=0, size=0):
+            return RunRecord(
+                name="fig4", series=series, runner="distributed", mechanism="double",
+                engine=None, users=users, providers=8, executors=3, k=1, parallel=False,
+                instance=0, seed=0, elapsed_seconds=seconds, messages=messages,
+                bytes_transferred=size, aborted=False, winners=0, total_paid=0.0,
+                total_received=0.0,
+            )
+
+        return [
+            record("centralised", 200, 0.02),
+            record("distributed k=1", 100, 0.05, 42, 1000),
+            record("centralised", 100, 0.01),
+        ]
+
+    def test_record_table(self):
+        assert render_records("fig4", self._records()).splitlines() == [
+            "figure  series           users  seconds  messages  bytes  aborted",
+            "------  ---------------  -----  -------  --------  -----  -------",
+            "fig4    centralised      200    0.0200   0         0      False  ",
+            "fig4    distributed k=1  100    0.0500   42        1000   False  ",
+            "fig4    centralised      100    0.0100   0         0      False  ",
+        ]
+        assert render_records("fig4", []) == "(no data)"
+
+    def test_series_listing_groups_and_sorts(self):
+        assert render_series(self._records()).splitlines() == [
+            "centralised:",
+            "  n=  100     0.010 s",
+            "  n=  200     0.020 s",
+            "distributed k=1:",
+            "  n=  100     0.050 s",
+        ]
+
+
 class TestRegistryExtension:
+    def test_wan_latency_entry_is_bandwidth_aware(self):
+        # The model both figure sweeps name: transmission time grows with size,
+        # which is what makes Figure 4's overhead grow with the user count.
+        import random
+
+        model = LATENCIES.create(ComponentSpec("wan"), "latency")
+        small = model.delay("a", "b", 100, random.Random(0))
+        large = model.delay("a", "b", 10**6, random.Random(0))
+        assert large > small
+
     def test_register_create_unregister(self):
         from repro.net.latency import ConstantLatencyModel
 

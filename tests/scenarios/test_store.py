@@ -294,14 +294,18 @@ class TestCliGrid:
         assert "--resume" in capsys.readouterr().err
 
     def test_cli_fig4_workers_and_output(self, tmp_path, capsys):
+        from repro.scenarios import dump_sweep, figure4_sweep
+
+        spec_path = tmp_path / "fig4.json"
+        dump_sweep(figure4_sweep(n_values=(10,), k_values=(1,)), spec_path)
         journal = tmp_path / "fig4.jsonl"
         assert main(
-            ["fig4", "--users", "10", "--k", "1", "--workers", "2",
+            ["sweep", "--spec", str(spec_path), "--workers", "2",
              "--output", str(journal), "--json"]
         ) == 0
         first = capsys.readouterr()
         assert main(
-            ["fig4", "--users", "10", "--k", "1", "--workers", "2",
+            ["sweep", "--spec", str(spec_path), "--workers", "2",
              "--output", str(journal), "--resume", "--json"]
         ) == 0
         second = capsys.readouterr()

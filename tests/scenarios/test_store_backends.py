@@ -87,6 +87,9 @@ class TestRecordEquivalence:
             assert _canonical(record) == _canonical(stores["columnar"][key])
         # Typed equality too — same frozen dataclass values, not just JSON.
         assert stores["jsonl"] == stores["columnar"]
+        # Same content, fewer bytes: typed chunks + interned strings vs text.
+        sizes = {fmt: os.path.getsize(tmp_path / f"sweep.{fmt}") for fmt in FORMATS}
+        assert sizes["jsonl"] >= 1.5 * sizes["columnar"], sizes
 
     def test_parallel_columnar_matches_sequential_jsonl(self, tmp_path):
         sweep = _sweep()

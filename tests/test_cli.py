@@ -1,30 +1,46 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
-from repro.scenarios import dump_spec, dump_sweep, spec_from_dict
+from repro.scenarios import dump_spec, dump_sweep, figure4_sweep, figure5_sweep, spec_from_dict
 from repro.scenarios.spec import SweepSpec
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.command == "run"
-        assert args.mechanism == "double"
-        assert args.users == 50
+        assert args.spec is None
+        assert args.overrides == []
 
-    def test_fig4_defaults(self):
-        args = build_parser().parse_args(["fig4"])
-        assert args.users == [100, 200, 400, 600, 800, 1000]
-        assert args.k == [1, 2, 3]
-
-    def test_fig5_arguments(self):
-        args = build_parser().parse_args(["fig5", "--users", "10", "20", "--parallelism", "4"])
-        assert args.users == [10, 20]
-        assert args.parallelism == [4]
+    def test_the_front_door_is_eight_subcommands(self):
+        commands = _subparsers(build_parser())
+        assert sorted(commands) == [
+            "chaos", "lint", "metrics", "resilience", "results", "run", "sweep", "trace",
+        ]
+        run_options = {
+            option
+            for action in commands["run"]._actions
+            for option in action.option_strings
+        }
+        assert run_options == {
+            "-h", "--help", "--spec", "--set", "--json", "--trace", "--metrics",
+        }
 
     def test_lint_subcommand_present(self):
         # The full lint CLI contract lives in tests/analysis/test_lint_cli.py;
@@ -40,7 +56,9 @@ class TestParser:
 
 class TestCommands:
     def test_run_double(self, capsys):
-        assert main(["run", "--mechanism", "double", "--users", "12", "--providers", "4"]) == 0
+        assert main(
+            ["run", "--set", "mechanism=double", "--set", "users=12", "--set", "providers=4"]
+        ) == 0
         out = capsys.readouterr().out
         assert "outcome" in out
         assert "agreed (x, p)" in out
@@ -49,41 +67,42 @@ class TestCommands:
         code = main(
             [
                 "run",
-                "--mechanism",
-                "standard",
-                "--users",
-                "6",
-                "--providers",
-                "4",
-                "--parallel",
-                "--epsilon",
-                "0.5",
+                "--set", "mechanism=standard",
+                "--set", "users=6",
+                "--set", "providers=4",
+                "--set", "config.parallel=true",
+                "--set", "mechanism.epsilon=0.5",
             ]
         )
         assert code == 0
         assert "winning users" in capsys.readouterr().out
 
-    def test_fig4_small(self, capsys):
-        assert main(["fig4", "--users", "10", "--k", "1", "--series"]) == 0
+    def test_fig4_small(self, tmp_path, capsys):
+        path = tmp_path / "fig4.json"
+        dump_sweep(figure4_sweep(n_values=(10,), k_values=(1,)), path)
+        assert main(["sweep", "--spec", str(path), "--series"]) == 0
         out = capsys.readouterr().out
         assert "centralised" in out
         assert "distributed k=1" in out
 
-    def test_fig5_small(self, capsys):
-        assert main(["fig5", "--users", "6", "--parallelism", "1", "4", "--epsilon", "0.5"]) == 0
+    def test_fig5_small(self, tmp_path, capsys):
+        path = tmp_path / "fig5.toml"
+        dump_sweep(figure5_sweep(n_values=(6,), p_values=(1, 4), epsilon=0.5), path)
+        assert main(["sweep", "--spec", str(path)]) == 0
         out = capsys.readouterr().out
         assert "p=4" in out
 
-    def test_batch_small(self, capsys):
-        assert main(
-            ["batch", "--mechanism", "double", "--users", "8", "--providers", "4",
-             "--rounds", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "rounds          : 2 (0 aborted)" in out
+    def test_batch_small(self, tmp_path, capsys):
+        # A scenario file is a one-point sweep: rounds=N is the batch run.
+        path = tmp_path / "scenario.toml"
+        dump_spec(spec_from_dict({"mechanism": "double", "users": 8, "providers": 4}), path)
+        assert main(["sweep", "--spec", str(path), "--set", "rounds=2"]) == 0
+        header, _rule, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[:3] == ["figure", "series", "users"]
+        assert len(rows) == 2 and all(row.split()[-1] == "False" for row in rows)
 
     def test_run_json_output(self, capsys):
-        assert main(["run", "--users", "8", "--providers", "4", "--json"]) == 0
+        assert main(["run", "--set", "users=8", "--set", "providers=4", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mechanism"] == "double-auction-waterfill"
         assert payload["users"] == 8
@@ -91,18 +110,19 @@ class TestCommands:
 
 
 class TestSpecDrivenCommands:
+    def _spec_dict(self):
+        return {
+            "name": "cli-spec",
+            "mechanism": "double",
+            "users": 8,
+            "providers": 4,
+            "latency": "constant",
+            "measure_compute": False,
+            "seed": 5,
+        }
+
     def _spec(self):
-        return spec_from_dict(
-            {
-                "name": "cli-spec",
-                "mechanism": "double",
-                "users": 8,
-                "providers": 4,
-                "latency": "constant",
-                "measure_compute": False,
-                "seed": 5,
-            }
-        )
+        return spec_from_dict(self._spec_dict())
 
     def test_run_with_spec_file(self, tmp_path, capsys):
         path = tmp_path / "scenario.toml"
@@ -112,31 +132,37 @@ class TestSpecDrivenCommands:
         assert "agreed (x, p)" in out
         assert "users/providers : 8/4" in out
 
-    def test_flags_override_spec_only_when_explicit(self, tmp_path, capsys):
+    def test_set_overrides_the_spec_file(self, tmp_path, capsys):
         path = tmp_path / "scenario.toml"
         dump_spec(self._spec(), path)
-        # Parser defaults (users=50) must not stomp the spec's users=8 ...
         assert main(["run", "--spec", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["users"] == 8
-        # ... but an explicit non-default flag wins over the spec.
-        assert main(["run", "--spec", str(path), "--users", "6", "--json"]) == 0
+        assert main(["run", "--spec", str(path), "--set", "users=6", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["users"] == 6
 
-    def test_set_overrides_beat_flags(self, tmp_path, capsys):
+    def test_later_set_beats_earlier_set(self, tmp_path, capsys):
         path = tmp_path / "scenario.toml"
         dump_spec(self._spec(), path)
         assert main(
-            ["run", "--spec", str(path), "--users", "6", "--set", "users=4", "--json"]
+            ["run", "--spec", str(path), "--set", "users=6", "--set", "users=4", "--json"]
         ) == 0
         assert json.loads(capsys.readouterr().out)["users"] == 4
+
+    def test_set_to_a_default_value_is_not_ignored(self, tmp_path, capsys):
+        # 50 is the ScenarioSpec default (and was the default of the removed
+        # --users flag, which silently lost to the spec file at that value).
+        path = tmp_path / "scenario.toml"
+        dump_spec(spec_from_dict({**self._spec_dict(), "users": 20}), path)
+        assert main(["run", "--spec", str(path), "--set", "users=50", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["users"] == 50
 
     def test_batch_with_spec_file_json(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         dump_spec(self._spec(), path)
-        assert main(["batch", "--spec", str(path), "--set", "rounds=3", "--json"]) == 0
+        assert main(["sweep", "--spec", str(path), "--set", "rounds=3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rounds"] == 3
-        assert len(payload["records"]) == 3
+        assert payload["base"]["rounds"] == 3
+        assert [record["instance"] for record in payload["records"]] == [0, 1, 2]
 
     def test_sweep_command_runs_grid(self, tmp_path, capsys):
         sweep = SweepSpec(base=self._spec(), name="grid", axes=(("users", (4, 6)),))
@@ -170,7 +196,7 @@ class TestObservabilityCommands:
         trace = tmp_path / "run.rcol"
         metrics = tmp_path / "metrics.json"
         code = main(
-            ["run", "--users", "6", "--providers", "3",
+            ["run", "--set", "users=6", "--set", "providers=3",
              "--trace", str(trace), "--metrics", str(metrics), "--json"]
         )
         assert code == 0
@@ -233,22 +259,21 @@ class TestBrokenPipe:
             raise BrokenPipeError
 
         monkeypatch.setitem(cli._COMMANDS, "run", burst)
-        assert main(["run", "--users", "4"]) == 0
+        assert main(["run", "--set", "users=4"]) == 0
         assert len(redirected) == 2  # stdout and stderr both detached
 
     def test_piped_to_head_survives(self, tmp_path):
         # End to end through a real pipe: the reader closes after one line,
         # the writer must exit 0 with nothing on stderr.
-        import os
         import subprocess
         import sys
 
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        src = str(REPO_ROOT / "src")
+        spec = str(REPO_ROOT / "examples" / "specs" / "fig4_quick.json")
         script = (
             "import sys; sys.path.insert(0, %r); "
             "from repro.cli import main; "
-            "sys.exit(main(['batch', '--users', '6', '--providers', '3', "
-            "'--rounds', '2', '--json']))" % src
+            "sys.exit(main(['sweep', '--spec', %r, '--json']))" % (src, spec)
         )
         result = subprocess.run(
             f"{sys.executable} -c \"{script}\" | head -c 32",
@@ -260,3 +285,42 @@ class TestBrokenPipe:
         assert result.returncode == 0
         assert "Traceback" not in result.stderr
         assert "BrokenPipeError" not in result.stderr
+
+
+def _fenced_blocks(text):
+    return "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.S | re.M))
+
+
+def _documented_commands():
+    """Every ``repro-auction ...`` command line the docs show, as argv lists."""
+    sources = {
+        "README.md": _fenced_blocks((REPO_ROOT / "README.md").read_text()),
+        "cli.py docstring": repro.cli.__doc__,
+    }
+    skill = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    if skill.exists():  # not shipped in source distributions
+        sources["verify skill"] = _fenced_blocks(skill.read_text())
+    commands = []
+    for source, text in sources.items():
+        for line in text.replace("\\\n", " ").splitlines():
+            if "repro-auction" not in line:
+                continue
+            tokens = shlex.split(line, comments=True)
+            if "repro-auction" not in tokens:  # prose or a comment, not a command
+                continue
+            argv = tokens[tokens.index("repro-auction") + 1:]
+            for index, token in enumerate(argv):
+                if token.startswith((">", "2>", "|")):
+                    argv = argv[:index]
+                    break
+            commands.append(pytest.param(argv, id=f"{source}: {' '.join(argv)}"))
+    return commands
+
+
+class TestDocumentedCommands:
+    @pytest.mark.parametrize("argv", _documented_commands())
+    def test_every_documented_command_line_parses(self, argv):
+        # parse_args exits (SystemExit) on an unknown sub-command or flag; the
+        # files the commands name are never opened at parse time.
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
