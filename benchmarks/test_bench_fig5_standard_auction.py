@@ -49,7 +49,7 @@ _REFERENCE = _POINTS["reference"]
 
 
 def run_point(spec):
-    """One round of a grid point, releasing the engine's pivot pool afterwards."""
+    """One round of a grid point, closing the facade afterwards."""
     with Simulation(spec) as simulation:
         return simulation.run()
 

@@ -1,15 +1,15 @@
 """Vectorized batch auction engine (see DESIGN.md).
 
 This package provides a drop-in, NumPy-backed implementation of the standard
-auction's allocation rule plus a parallel/memoised executor for the Clarke-pivot
-payment re-solves:
+auction's allocation rule and of the Clarke-pivot payment re-solves:
 
-* :mod:`repro.auctions.engine.kernel` — the batch smoothed-greedy kernel: all
-  randomised restarts of one ``solve_allocation`` call are evaluated as a single
-  NumPy computation instead of a Python loop, with bit-identical results.
-* :mod:`repro.auctions.engine.pivot` — :class:`PivotExecutor`, which runs the
-  per-winner pivot re-solves through a ``concurrent.futures`` thread/process pool
-  and memoises ``solve_allocation`` results by ``(bid-vector hash, seed)``.
+* :mod:`repro.auctions.engine.kernel` — the batch kernel: every ``(problem,
+  restart)`` pair of a task — the base solve, or one re-solve per winner of a
+  payment task — is a row of a single NumPy computation (greedy placement, local
+  search and restart selection) instead of nested Python loops, with
+  bit-identical results.
+* :mod:`repro.auctions.engine.pivot` — the process-wide memo of solves and pivot
+  welfares, keyed on ``(mechanism params, bid-vector hash, seed)``.
 * :mod:`repro.auctions.engine.vectorized` — :class:`VectorizedStandardAuction`,
   a :class:`~repro.auctions.standard_auction.StandardAuction` subclass that plugs
   both into the same :class:`~repro.auctions.decomposable.DecomposableMechanism`
@@ -27,14 +27,13 @@ engine unless a call site opts back out with
 from __future__ import annotations
 
 from repro.auctions.base import AllocationAlgorithm
-from repro.auctions.engine.pivot import PivotExecutor, clear_solve_cache
+from repro.auctions.engine.pivot import clear_solve_cache
 from repro.auctions.engine.vectorized import VectorizedStandardAuction
 from repro.auctions.standard_auction import StandardAuction
 
 __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
-    "PivotExecutor",
     "VectorizedStandardAuction",
     "clear_solve_cache",
     "engine_name",
@@ -55,12 +54,9 @@ def make_standard_auction(engine: str = DEFAULT_ENGINE, **kwargs) -> StandardAuc
     """Build a standard auction for the requested engine.
 
     ``kwargs`` are forwarded to the mechanism constructor (``epsilon``,
-    ``perturbation``, ``local_search_rounds``, ... plus the vectorized engine's
-    ``pivot_mode``/``pivot_workers`` knobs).
+    ``perturbation``, ``local_search_rounds``, ...).
     """
     if engine == "reference":
-        kwargs.pop("pivot_mode", None)
-        kwargs.pop("pivot_workers", None)
         return StandardAuction(**kwargs)
     if engine == "vectorized":
         return VectorizedStandardAuction(**kwargs)

@@ -1,33 +1,41 @@
-"""NumPy kernel for the smoothed-greedy allocation rule.
+"""NumPy kernel for the standard auction's allocation rule, batched over problems.
 
 The reference :meth:`~repro.auctions.standard_auction.StandardAuction.solve_allocation`
-runs ``restarts`` independent perturbed greedy passes in a Python loop; each pass
-draws one noise value per user, sorts users by smoothed value density and place
-users best-fit-decreasing into provider capacities.  This kernel evaluates *all*
-restarts as a batch: noise, densities and greedy orders are ``(restarts, n)``
-arrays and the best-fit placement advances all restarts one user-position at a
-time over a ``(restarts, m)`` matrix of remaining capacities.
+runs ``restarts`` perturbed greedy passes plus a local search in a Python loop, and
+a payment task repeats that whole solve once per winner on the bid vector without
+that winner.  :func:`solve_batch` evaluates every ``(problem, restart)`` pair of
+such a task as one row of a single computation.  A problem is the base solve or
+"the base minus user *e*" over the *same* user axis: the removed user gets density
+−inf and demand +inf, so it sorts last and never fits, and its row's ``n − 1``
+noise draws fill the other columns in bid-vector order.  Greedy placement advances
+all rows one order-position at a time, local search advances them one loser at a
+time, and only each problem's best row is turned back into a dict.
 
-Bit-identical equivalence with the reference is a hard contract (the distributed
-data-transfer block compares results structurally across providers, and the
-differential test suite compares across engines), which pins down three details:
+Bit-identical equivalence with the reference is a hard contract (the data-transfer
+block compares results structurally across providers, the differential suite
+across engines).  What pins it:
 
-* noise is drawn from the same per-restart ``random.Random(stable_hash(seed,
-  "restart", r))`` streams, one draw per user in bid-vector order — exactly the
-  draws the reference makes through its ``sorted(..., key=...)`` call;
-* all float arithmetic replays the reference's operation order (densities,
-  the ``remaining + EPS >= demand`` feasibility test, the per-placement capacity
-  subtraction), so every intermediate value is the same IEEE-754 double;
-* ties are broken like the reference: the greedy order by ``(-density, user_id)``
-  and the best-fit choice by ``(remaining, provider_id)`` — realised here by
-  lexsort with a user-id rank key and by ``argmin`` over a provider axis that is
-  sorted by provider id (first minimum ⇒ smallest id).
+* noise comes from the same ``random.Random(stable_hash(seed, "restart", r))``
+  streams, one draw per user in bid-vector order, and every float operation
+  replays the reference's order (densities, ``remaining + EPS >= demand``, the
+  per-placement subtraction), so every intermediate is the same IEEE-754 double;
+* the greedy orders by ``(-density, user_id)`` and breaks best-fit ties by
+  *sorted* provider id; local search visits losers along ``(-total_value,
+  user_id)`` and breaks direct-placement ties by *bid-vector* provider order —
+  both are a first-minimum ``argmin`` over the matching provider axis;
+* an eviction takes the first match in the assignment dict's insertion order:
+  the ``argmin`` of a per-row insertion key (greedy position, then a running
+  counter for users local search appends);
+* round-1 residuals are the greedy's own (the same subtraction sequence per
+  provider); later rounds recompute them from the capacities in insertion order;
+* welfare is the builtin ``sum`` over values in insertion order — never
+  ``np.sum``/``cumsum``, which associate differently (and 3.12's ``sum`` is
+  compensated).
 """
 
 from __future__ import annotations
 
 import random
-from math import inf as math_inf
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,181 +43,184 @@ import numpy as np
 from repro.auctions.base import UserBid
 from repro.common import stable_hash
 
-__all__ = ["batch_greedy_assignments", "fast_local_search", "assignment_welfare"]
+__all__ = ["MAX_CELLS", "solve_batch"]
 
 #: Same numerical slack as the reference implementation.
 _EPS = 1e-12
 
+#: Callers bound rows × users per :func:`solve_batch` call by this (they chunk
+#: the problems), so a 400-user payment task works on ~1 MB arrays, not ~100 MB.
+MAX_CELLS = 1 << 17
 
-def batch_greedy_assignments(
+#: Insertion key of a user that is not assigned (sorts after every real key).
+_UNASSIGNED = np.iinfo(np.int64).max
+
+
+def solve_batch(
     users: Sequence[UserBid],
     capacities: Mapping[str, float],
-    seed: int,
+    problems: Sequence[Tuple[int, Optional[int]]],
     restarts: int,
     perturbation: float,
-) -> List[Dict[str, str]]:
-    """All restarts of the smoothed best-fit-decreasing greedy, as one batch.
+    rounds: int,
+) -> List[Tuple[Dict[str, str], float]]:
+    """Best ``(assignment, welfare)`` of every problem, all restarts in one batch.
 
     Args:
-        users: valid user bids, in bid-vector order (the reference's filtered list).
+        users: eligible user bids, in bid-vector order (the reference's filtered list).
         capacities: provider id -> capacity, in bid-vector order.
-        seed: the agreed allocation seed.
-        restarts: number of perturbed restarts.
-        perturbation: relative magnitude of the smoothing noise.
+        problems: ``(seed, removed)`` pairs — ``removed`` is the index in ``users``
+            of the user the problem leaves out, ``None`` for the base solve.
+        restarts / perturbation / rounds: the mechanism's parameters.
 
     Returns:
-        One ``{user_id: provider_id}`` assignment per restart.  Dict insertion
-        order matches the reference exactly (users in greedy-order, skipping the
-        ones that did not fit), so downstream float accumulations that iterate the
-        dict reproduce the reference bit for bit.
+        Per problem, what the reference's restart loop ends with: the first
+        restart's assignment whose welfare beats the others by more than EPS and
+        that welfare (``({}, -1.0)`` without restarts), or the reference's early
+        ``({}, 0.0)`` when the problem has no user or no capacity to allocate.
     """
     n = len(users)
-    provider_ids = sorted(capacities)
-    m = len(provider_ids)
-
+    if not n or not capacities:
+        return [({}, 0.0) for _problem in problems]
+    total = len(problems) * restarts
     unit_values = np.array([u.unit_value for u in users], dtype=np.float64)
     demands = np.array([u.demand for u in users], dtype=np.float64)
-    caps = np.array([capacities[pid] for pid in provider_ids], dtype=np.float64)
+    values = [u.total_value for u in users]
+    removed = np.repeat([-1 if e is None else e for _seed, e in problems], restarts)
+    pivot_rows = (removed >= 0).nonzero()[0]
 
-    # Rank of each user's id in sorted-id order: the tie-break key of the greedy sort.
-    id_order = sorted(range(n), key=lambda i: users[i].user_id)
+    # One noise draw per (row, participating user), in bid-vector order — the
+    # stream the reference consumes through its sort key.
+    raw = np.empty((total, n), dtype=np.float64)
+    for index, (seed, excluded) in enumerate(problems):
+        for restart in range(restarts):
+            draw = random.Random(stable_hash(seed, "restart", restart)).random
+            noise = [draw() for _ in range(n - (excluded is not None))]
+            if excluded is not None:
+                noise.insert(excluded, 0.0)
+            raw[index * restarts + restart] = noise
+    densities = unit_values * (1.0 + perturbation * (2.0 * raw - 1.0))
+    densities[pivot_rows, removed[pivot_rows]] = -np.inf
+
+    # Greedy order per row: ascending (-density, user_id).
     uid_rank = np.empty(n, dtype=np.int64)
-    for rank, index in enumerate(id_order):
-        uid_rank[index] = rank
+    uid_rank[sorted(range(n), key=lambda i: users[i].user_id)] = np.arange(n)
+    orders = np.lexsort((np.broadcast_to(uid_rank, (total, n)), -densities), axis=-1)
+    ordered_demands = demands[orders]
+    ordered_demands[orders == removed[:, np.newaxis]] = np.inf
 
-    # One noise draw per (restart, user), in user-list order — the same stream the
-    # reference consumes through its sort key.
-    raw = np.empty((restarts, n), dtype=np.float64)
-    for restart in range(restarts):
-        rng = random.Random(stable_hash(seed, "restart", restart))
-        raw[restart] = [rng.random() for _ in range(n)]
-    densities = unit_values[np.newaxis, :] * (1.0 + perturbation * (2.0 * raw - 1.0))
-
-    # Greedy order per restart: ascending (-density, user_id).
-    orders = np.lexsort(
-        (np.broadcast_to(uid_rank, (restarts, n)), -densities), axis=-1
-    )
-
-    # Best-fit decreasing, advanced one position at a time across all restarts.
-    remaining = np.tile(caps, (restarts, 1))
-    chosen = np.full((restarts, n), -1, dtype=np.int64)
-    rows = np.arange(restarts)
+    # Best-fit decreasing over a provider axis sorted by id (first minimum =
+    # smallest id); ``provider`` holds bid-vector provider indices throughout.
+    provider_ids = list(capacities)
+    caps = np.array(list(capacities.values()), dtype=np.float64)
+    by_id = np.array(sorted(range(len(caps)), key=provider_ids.__getitem__))
+    remaining = np.tile(caps[by_id], (total, 1))
+    provider = np.full((total, n), -1, dtype=np.int64)
+    inserted = np.full((total, n), _UNASSIGNED, dtype=np.int64)
     for position in range(n):
-        user_index = orders[:, position]
-        demand = demands[user_index]
+        demand = ordered_demands[:, position]
         feasible = remaining + _EPS >= demand[:, np.newaxis]
-        fits = feasible.any(axis=1)
-        masked = np.where(feasible, remaining, np.inf)
-        best = np.argmin(masked, axis=1)
-        placed_rows = rows[fits]
-        placed_providers = best[fits]
-        remaining[placed_rows, placed_providers] -= demand[fits]
-        chosen[placed_rows, position] = placed_providers
+        placed = feasible.any(axis=1).nonzero()[0]
+        best = np.where(feasible, remaining, np.inf).argmin(axis=1)[placed]
+        user = orders[placed, position]
+        remaining[placed, best] -= demand[placed]
+        provider[placed, user] = by_id[best]
+        inserted[placed, user] = position
 
-    assignments: List[Dict[str, str]] = []
-    for restart in range(restarts):
-        assignment: Dict[str, str] = {}
-        for position in range(n):
-            provider_index = chosen[restart, position]
-            if provider_index >= 0:
-                user = users[orders[restart, position]]
-                assignment[user.user_id] = provider_ids[provider_index]
-        assignments.append(assignment)
-    return assignments
-
-
-def fast_local_search(
-    users: Sequence[UserBid],
-    capacities: Mapping[str, float],
-    assignment: Dict[str, str],
-    values: Mapping[str, float],
-    demands: Mapping[str, float],
-    rounds: int,
-) -> Dict[str, str]:
-    """Drop-in for :meth:`StandardAuction._local_search` with precomputed lookups.
-
-    Semantics are replayed exactly — the same loser order, the same first-match
-    eviction scan over the assignment's insertion order, the same mutation and
-    float-subtraction sequences — so the resulting dict is identical, including
-    its insertion order.  The speedup comes purely from replacing per-iteration
-    ``UserBid`` attribute/property access with the ``values``/``demands`` tables
-    (the reference keeps its straightforward form as the readable baseline).
-    """
-    assignment = dict(assignment)
-    for _ in range(max(0, rounds)):
-        remaining = dict(capacities)
-        for user_id, provider_id in assignment.items():
-            remaining[provider_id] -= demands[user_id]
-        improved = False
-        losers = [u.user_id for u in users if u.user_id not in assignment]
-        losers.sort(key=lambda uid: (-values[uid], uid))
-        # The eviction scan is a provable no-op for a loser unless some winner has
-        # a strictly lower value, so it can be skipped outright when even the
-        # cheapest winner is at least as valuable — the common case, since losers
-        # are visited in decreasing-value order.  ``min_winner_value`` is kept
-        # current across mutations (evictions may remove the minimum, in which
-        # case it is recomputed).
-        min_winner_value = min(values[uid] for uid in assignment) if assignment else math_inf
-        # A loser can be placed directly iff the roomiest provider fits it, so a
-        # single comparison against the running maximum skips the whole scan.
-        max_remaining = max(remaining.values())
-        winners_by_value: Optional[List[Tuple[float, str]]] = None
-        for loser_id in losers:
-            loser_demand = demands[loser_id]
-            loser_value = values[loser_id]
-            if max_remaining + _EPS >= loser_demand:
-                fits = [pid for pid, cap in remaining.items() if cap + _EPS >= loser_demand]
-                chosen_pid = min(fits, key=lambda pid: remaining[pid])
-                assignment[loser_id] = chosen_pid
-                remaining[chosen_pid] -= loser_demand
-                max_remaining = max(remaining.values())
-                winners_by_value = None  # assignment changed; rebuild lazily
-                if loser_value < min_winner_value:
-                    min_winner_value = loser_value
-                improved = True
-                continue
-            if min_winner_value + _EPS >= loser_value:
-                continue
-            # Existence probe before the exact scan: walk winners in ascending
-            # value order and stop at the threshold.  If none of the (usually
-            # few) cheap-enough winners frees enough capacity, the insertion-
-            # order scan below would be a full-length no-op — skip it.  The
-            # probe mutates nothing, so exactness is untouched: the actual
-            # eviction is still chosen by the reference's first-match rule.
-            if winners_by_value is None:
-                winners_by_value = sorted((values[uid], uid) for uid in assignment)
-            evictable = False
-            for winner_value, winner_id in winners_by_value:
-                if winner_value + _EPS >= loser_value:
-                    break
-                freed = remaining[assignment[winner_id]] + demands[winner_id]
-                if freed + _EPS >= loser_demand:
-                    evictable = True
-                    break
-            if not evictable:
-                continue
-            for winner_id, provider_id in assignment.items():
-                if values[winner_id] + _EPS >= loser_value:
-                    continue
-                freed = remaining[provider_id] + demands[winner_id]
-                if freed + _EPS >= loser_demand:
-                    evicted_value = values[winner_id]
-                    del assignment[winner_id]
-                    assignment[loser_id] = provider_id
-                    remaining[provider_id] = freed - loser_demand
-                    max_remaining = max(remaining.values())
-                    winners_by_value = None  # assignment changed; rebuild lazily
-                    if evicted_value <= min_winner_value:
-                        min_winner_value = min(values[uid] for uid in assignment)
-                    elif loser_value < min_winner_value:
-                        min_winner_value = loser_value
-                    improved = True
-                    break
-        if not improved:
+    # Local search breaks residual ties by bid-vector provider order instead.
+    remaining = remaining[:, np.argsort(by_id)]
+    loser_order = sorted(range(n), key=lambda i: (-values[i], users[i].user_id))
+    padded_values = np.array(values, dtype=np.float64) + _EPS
+    active = np.arange(total)
+    clock = n  # next insertion key: later than every greedy position
+    for round_index in range(max(0, rounds)):
+        if active.size == 0:
             break
-    return assignment
+        if round_index:
+            remaining[active] = _residuals(caps, demands, provider[active], inserted[active])
+        losers = np.zeros((total, n), dtype=bool)
+        losers[active] = provider[active] < 0
+        losers[pivot_rows, removed[pivot_rows]] = False
+        # Users some row hosts at round start: the only columns an eviction scan
+        # needs, since a loser placed this round outvalues every later loser.
+        hosted = (provider[active] >= 0).any(axis=0)
+        improved = np.zeros(total, dtype=bool)
+        for loser in loser_order:
+            todo = losers[:, loser].nonzero()[0]
+            if todo.size == 0:
+                continue
+            clock += 1
+            demand = demands[loser]
+            # Direct placement into the tightest residual that fits.
+            residual = remaining[todo]
+            feasible = residual + _EPS >= demand
+            fits = feasible.any(axis=1)
+            if fits.any():
+                placed = todo[fits]
+                best = np.where(feasible, residual, np.inf).argmin(axis=1)[fits]
+                remaining[placed, best] -= demand
+                provider[placed, loser] = best
+                inserted[placed, loser] = clock
+                improved[placed] = True
+                todo = todo[~fits]
+            # Eviction: only strictly cheaper users can be replaced, so only their
+            # columns are scanned; the earliest-inserted match is the reference's.
+            cheaper = (hosted & (padded_values < values[loser])).nonzero()[0]
+            if todo.size == 0 or cheaper.size == 0:
+                continue
+            at = todo[:, np.newaxis]
+            hosts = provider[at, cheaper]
+            freed = remaining[at, hosts] + demands[cheaper]
+            keys = np.where(
+                (hosts >= 0) & (freed + _EPS >= demand), inserted[at, cheaper], _UNASSIGNED
+            )
+            first = keys.argmin(axis=1)
+            local = (keys[np.arange(todo.size), first] != _UNASSIGNED).nonzero()[0]
+            if local.size == 0:
+                continue
+            swapped, first = todo[local], first[local]
+            host = hosts[local, first]
+            remaining[swapped, host] = freed[local, first] - demand
+            provider[swapped, cheaper[first]] = -1
+            inserted[swapped, cheaper[first]] = _UNASSIGNED
+            provider[swapped, loser] = host
+            inserted[swapped, loser] = clock
+            improved[swapped] = True
+        active = improved.nonzero()[0]
+
+    # Restart selection; the builtin sum walks the bids' own values in insertion order.
+    by_insertion = np.argsort(inserted, axis=1).tolist()
+    counts = (provider >= 0).sum(axis=1).tolist()
+    results: List[Tuple[Dict[str, str], float]] = []
+    for index, (_seed, excluded) in enumerate(problems):
+        if n == (excluded is not None):  # nobody left to allocate to
+            results.append(({}, 0.0))
+            continue
+        best_row, best_welfare = None, -1.0
+        for row in range(index * restarts, (index + 1) * restarts):
+            welfare = sum([values[user] for user in by_insertion[row][: counts[row]]])
+            if welfare > best_welfare + _EPS:
+                best_row, best_welfare = row, welfare
+        assignment: Dict[str, str] = {}
+        if best_row is not None:
+            for user in by_insertion[best_row][: counts[best_row]]:
+                assignment[users[user].user_id] = provider_ids[provider[best_row, user]]
+        results.append((assignment, best_welfare))
+    return results
 
 
-def assignment_welfare(assignment: Dict[str, str], values: Mapping[str, float]) -> float:
-    """Reference ``_assignment_welfare``: same summation order (dict insertion)."""
-    return sum(values[uid] for uid in assignment)
+def _residuals(
+    caps: np.ndarray, demands: np.ndarray, provider: np.ndarray, inserted: np.ndarray
+) -> np.ndarray:
+    """Capacities minus the assigned demands, subtracted in insertion order."""
+    rows = np.arange(len(provider))
+    remaining = np.tile(caps, (len(provider), 1))
+    by_insertion = np.argsort(inserted, axis=1)
+    for position in range(by_insertion.shape[1]):
+        user = by_insertion[:, position]
+        host = provider[rows, user]
+        on = (host >= 0).nonzero()[0]
+        if on.size == 0:
+            break
+        remaining[on, host[on]] -= demands[user[on]]
+    return remaining

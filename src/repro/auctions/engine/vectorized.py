@@ -1,108 +1,59 @@
-"""The vectorized standard auction: batch kernel + memoised parallel pivots.
+"""The vectorized standard auction: one batch kernel call per task, memoised.
 
 :class:`VectorizedStandardAuction` is a :class:`~repro.auctions.standard_auction.
 StandardAuction` whose two expensive pieces are swapped out:
 
-* ``solve_allocation`` evaluates all greedy restarts through the NumPy batch
-  kernel (:func:`repro.auctions.engine.kernel.batch_greedy_assignments`) and
-  memoises the result in the process-wide solve cache — inside a distributed
-  simulation every provider computes the allocation task on identical inputs, so
-  all but the first computation become cache hits;
-* the per-winner Clarke-pivot re-solves go through a shared
-  :class:`~repro.auctions.engine.pivot.PivotExecutor` (thread/process pool plus
-  the same memo), collapsing the k+1-fold replication of each payment task.
+* ``solve_allocation`` evaluates all restarts — greedy placement, local search and
+  restart selection — as one :func:`repro.auctions.engine.kernel.solve_batch`
+  call and memoises the result in the process-wide solve cache: inside a
+  distributed simulation every provider computes the allocation task on identical
+  inputs, so all but the first computation become cache hits;
+* the per-winner Clarke-pivot re-solves of a payment task go through the same
+  memo, and its misses are one batch of the same kernel — every (winner, restart)
+  pair a row — instead of one solve per winner.
 
-The local-search improvement and the restart selection deliberately reuse the
-reference implementation's own methods on the kernel's assignments: dict insertion
-order — and therefore every float accumulation order — matches the reference, so
-results are bit-identical (the contract of DESIGN.md, enforced by
-``tests/auctions/test_engine_equivalence.py``).
+Results are bit-identical to the reference (the contract of DESIGN.md, enforced by
+``tests/auctions/test_engine_equivalence.py``); the kernel's docstring lists what
+pins them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.auctions.base import Allocation, BidVector
-from repro.auctions.engine.kernel import (
-    assignment_welfare,
-    batch_greedy_assignments,
-    fast_local_search,
-)
-from repro.auctions.engine.pivot import (
-    PivotExecutor,
-    bid_vector_fingerprint,
-    shared_solve_cache,
-)
-from repro.auctions.standard_auction import _EPS, StandardAuction
+from repro.auctions.engine import kernel
+from repro.auctions.engine.pivot import bid_vector_fingerprint, shared_solve_cache
+from repro.auctions.standard_auction import StandardAuction
+from repro.common import stable_hash
 from repro.obs.context import current_observation
 
 __all__ = ["VectorizedStandardAuction"]
 
 
 class VectorizedStandardAuction(StandardAuction):
-    """Vectorized engine behind the same mechanism interface and semantics.
-
-    Args:
-        pivot_mode: how pivot re-solves are executed — ``"auto"`` (default),
-            ``"serial"``, ``"thread"`` or ``"process"``; see :class:`PivotExecutor`.
-        pivot_workers: pool size for the thread/process modes.
-        (remaining arguments as in :class:`StandardAuction`)
-    """
+    """Vectorized engine behind the same mechanism interface and semantics."""
 
     name = "standard-auction-smoothed-vcg-vectorized"
     engine = "vectorized"
 
-    def __init__(
-        self,
-        epsilon: float = 0.25,
-        perturbation: float = 0.05,
-        local_search_rounds: int = 1,
-        min_restarts: int = 4,
-        max_restarts: int = 512,
-        pivot_mode: str = "auto",
-        pivot_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(epsilon, perturbation, local_search_rounds, min_restarts, max_restarts)
-        self.pivot_mode = pivot_mode
-        self.pivot_workers = pivot_workers
-        self._executor: Optional[PivotExecutor] = None
-
-    # ------------------------------------------------------------- plumbing --
     def engine_params(self) -> Tuple[int, float, int]:
         """The parameters that determine a solve, used in cache keys."""
         return (self.restarts, self.perturbation, self.local_search_rounds)
-
-    @property
-    def pivot_executor(self) -> PivotExecutor:
-        if self._executor is None:
-            self._executor = PivotExecutor(self.pivot_mode, self.pivot_workers)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the pivot pool (idempotent; a fresh one is created on demand)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __getstate__(self):
-        # Executors do not pickle; workers rebuild their own on demand.
-        state = dict(self.__dict__)
-        state["_executor"] = None
-        return state
 
     # ------------------------------------------- DecomposableMechanism API --
     def solve_allocation(self, bids: BidVector, seed: int) -> Tuple[Allocation, float]:
         """Batch-kernel version of the reference Step 1, memoised process-wide."""
         key = (self.engine_params(), bid_vector_fingerprint(bids), seed)
         cache = shared_solve_cache()
-        hits_before = cache.hits
-        result = self._solve_cached(bids, seed, key)
-        # Observability hook: one "solve" span per top-level allocation solve,
-        # emitted here (the main-thread entry) rather than inside the cached
-        # solver, which pivot executors may call from worker threads.  The
-        # timestamp is the tracer's logical sequence — engine work has no sim
-        # clock (see repro.obs).
+        result = cache.get(key)
+        memo_hit = result is not None
+        if result is None:
+            result = self._solve_uncached(bids, seed)
+            cache.put(key, result)
+        # Observability hook: one "solve" span per top-level allocation solve.
+        # The timestamp is the tracer's logical sequence — engine work has no
+        # sim clock (see repro.obs).
         obs = current_observation()
         if obs is not None and obs.tracer is not None and obs.tracer.active:
             obs.tracer.emit(
@@ -111,48 +62,67 @@ class VectorizedStandardAuction(StandardAuction):
                 ts=obs.tracer.seq(),
                 dur=1.0,
                 users=len(bids.users),
-                memo_hit=cache.hits > hits_before,
+                memo_hit=memo_hit,
             )
-        return result
-
-    def _solve_cached(self, bids: BidVector, seed: int, key) -> Tuple[Allocation, float]:
-        """Solve under an externally derived cache key (the pivot executor's path)."""
-        cache = shared_solve_cache()
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._solve_uncached(bids, seed)
-        cache.put(key, result)
         return result
 
     def _solve_uncached(self, bids: BidVector, seed: int) -> Tuple[Allocation, float]:
         # Filtering and allocation construction are the reference's own helpers,
         # so the two engines cannot drift apart on eligibility rules.
         users = self.eligible_users(bids)
-        capacities = self.eligible_capacities(bids)
-        if not users or not capacities:
-            return Allocation.empty(), 0.0
-
-        assignments = batch_greedy_assignments(
-            users, capacities, seed, self.restarts, self.perturbation
+        ((assignment, welfare),) = kernel.solve_batch(
+            users, self.eligible_capacities(bids), [(seed, None)], *self.engine_params()
         )
-        values = {u.user_id: u.total_value for u in users}
-        demands = {u.user_id: u.demand for u in users}
-        best_assignment: Dict[str, str] = {}
-        best_welfare = -1.0
-        for assignment in assignments:
-            assignment = fast_local_search(
-                users, capacities, assignment, values, demands, self.local_search_rounds
-            )
-            welfare = assignment_welfare(assignment, values)
-            if welfare > best_welfare + _EPS:
-                best_welfare = welfare
-                best_assignment = assignment
-        allocation = self.allocation_from_assignment(users, best_assignment)
-        return allocation, max(best_welfare, 0.0)
+        return self.allocation_from_assignment(users, assignment), max(welfare, 0.0)
 
     def _pivot_welfares(
         self, bids: BidVector, user_ids: Sequence[str], seed: int
     ) -> Dict[str, float]:
-        """Step 2's re-solves, routed through the shared pool + memo."""
-        return self.pivot_executor.pivot_welfares(self, bids, user_ids, seed)
+        """Step 2's re-solves: the memo in front, its misses as one kernel batch."""
+        cache = shared_solve_cache()
+        params = self.engine_params()
+        # A reduced vector is a pure function of (bids, removed user), so its cache
+        # key is derived from the base fingerprint — the base vector is hashed once
+        # and no reduced vector is ever materialised.  Pivot keys hold the welfare
+        # alone: ``solve_allocation`` cannot produce them, so nothing else is read.
+        base_fingerprint = bid_vector_fingerprint(bids)
+        welfares: Dict[str, float] = {}
+        misses = []  # (user id, key, pivot seed)
+        for user_id in user_ids:
+            pivot_seed = self._pivot_seed(seed, user_id)
+            key = (params, stable_hash(base_fingerprint, "without", user_id), pivot_seed)
+            hit = cache.get(key)
+            if hit is not None:
+                welfares[user_id] = hit
+            else:
+                misses.append((user_id, key, pivot_seed))
+
+        # Observability hook: one "pivot_resolve" span per payment task.  Engine
+        # work has no sim clock, so the timestamp is the tracer's logical sequence.
+        obs = current_observation()
+        if obs is not None and obs.tracer is not None and obs.tracer.active:
+            obs.tracer.emit(
+                "pivot_resolve",
+                "engine",
+                ts=obs.tracer.seq(),
+                dur=float(max(len(misses), 1)),
+                users=len(user_ids),
+                resolves=len(misses),
+                memo_hits=len(user_ids) - len(misses),
+            )
+        if not misses:
+            return welfares
+
+        users = self.eligible_users(bids)
+        capacities = self.eligible_capacities(bids)
+        index = {user.user_id: i for i, user in enumerate(users)}
+        # Chunk the problems so rows × users per kernel call stays bounded.
+        step = max(1, kernel.MAX_CELLS // max(1, self.restarts * len(users)))
+        for start in range(0, len(misses), step):
+            chunk = misses[start : start + step]
+            problems = [(pivot_seed, index.get(user_id)) for user_id, _key, pivot_seed in chunk]
+            batch = kernel.solve_batch(users, capacities, problems, *params)
+            for (user_id, key, _seed), (_assignment, welfare) in zip(chunk, batch):
+                welfares[user_id] = max(welfare, 0.0)
+                cache.put(key, welfares[user_id])
+        return welfares

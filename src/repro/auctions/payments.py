@@ -8,21 +8,36 @@ minus the welfare the others obtain in the chosen allocation.  Losers pay nothin
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.auctions.base import Allocation, BidVector
 
 __all__ = ["clarke_pivot_payment", "clarke_pivot_payments", "others_welfare"]
 
 
+def _declared_values(bids: BidVector, allocation: Allocation) -> List[Tuple[str, float]]:
+    """``(user id, unit_value * allocated total)`` of every user, in bid-vector order.
+
+    Computed once per payment task: ``Allocation.user_total`` scans every entry,
+    so asking it per user per winner is quadratic.  A user without an entry
+    contributes ``unit_value * 0``, the product the per-user spelling forms.
+    """
+    totals = allocation.user_totals()
+    return [(u.user_id, u.unit_value * totals.get(u.user_id, 0)) for u in bids.users]
+
+
+def _others_total(declared: List[Tuple[str, float]], excluded_user: str) -> float:
+    """Sum of the declared values in bid-vector order, skipping ``excluded_user``."""
+    total = 0.0
+    for user_id, value in declared:
+        if user_id != excluded_user:
+            total += value
+    return total
+
+
 def others_welfare(bids: BidVector, allocation: Allocation, excluded_user: str) -> float:
     """Declared welfare of every user except ``excluded_user`` under ``allocation``."""
-    total = 0.0
-    for user in bids.users:
-        if user.user_id == excluded_user:
-            continue
-        total += user.unit_value * allocation.user_total(user.user_id)
-    return total
+    return _others_total(_declared_values(bids, allocation), excluded_user)
 
 
 def clarke_pivot_payment(
@@ -46,8 +61,7 @@ def clarke_pivot_payment(
         The ``max`` guards against a (slightly) sub-optimal approximate allocation
         rule producing negative payments; with an exact rule the clamp never binds.
     """
-    welfare_others_now = others_welfare(bids, allocation, user_id)
-    return max(0.0, welfare_without_user - welfare_others_now)
+    return max(0.0, welfare_without_user - others_welfare(bids, allocation, user_id))
 
 
 def clarke_pivot_payments(
@@ -65,11 +79,12 @@ def clarke_pivot_payments(
     """
     payments: Dict[str, float] = {}
     winners = set(allocation.winners())
+    declared = _declared_values(bids, allocation)
     for user_id in user_ids:
         if user_id not in winners:
             payments[user_id] = 0.0
             continue
-        payments[user_id] = clarke_pivot_payment(
-            bids, allocation, user_id, welfare_without(user_id)
+        payments[user_id] = max(
+            0.0, welfare_without(user_id) - _others_total(declared, user_id)
         )
     return payments

@@ -22,8 +22,8 @@ def available_cpus() -> int:
     what a containerized or affinity-restricted process can use — a CI runner
     pinned to one core of a 64-core host would size pools 64 wide.  Prefer the
     scheduling affinity mask where the platform exposes it; every pool-sizing
-    decision in this package (pivot executors, sweep/audit worker resolution)
-    goes through this helper.
+    decision in this package (sweep/audit worker resolution) goes through this
+    helper.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

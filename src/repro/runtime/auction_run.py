@@ -78,8 +78,8 @@ class AuctionRun:
         self.bids = bids
         self.engine = engine
         self.algorithm = resolve_engine(algorithm, engine) if engine is not None else algorithm
-        # If resolving created a fresh mechanism, this run owns its resources
-        # (the vectorized engine's pivot pool) and shuts them down after execute().
+        # If resolving created a fresh mechanism, this run owns whatever resources
+        # it holds and releases them after execute().
         self._owns_algorithm = self.algorithm is not algorithm
         self.config = config if config is not None else FrameworkConfig()
         self.config.check_quorum(len(bids.providers))
@@ -96,8 +96,8 @@ class AuctionRun:
         try:
             return self._execute(max_steps)
         finally:
-            # Engine pools are created lazily, so closing here is safe even if
-            # the run is executed again; pre-resolved mechanisms stay open.
+            # Duck-typed: no stock engine owns resources today.  Pre-resolved
+            # mechanisms stay open — their creator closes them.
             if self._owns_algorithm:
                 close = getattr(self.algorithm, "close", None)
                 if close is not None:

@@ -254,8 +254,8 @@ def run_chunk(
 ) -> List[Tuple[int, int, Any]]:
     """Worker body: run one chunk of cells through a fresh context.
 
-    The context is closed in a ``finally`` so worker-side engine pools are
-    shut down even when a cell raises mid-chunk.  A failure partway through
+    The context is closed in a ``finally`` so worker-side mechanism resources
+    are released even when a cell raises mid-chunk.  A failure partway through
     raises :class:`~repro.scenarios.dispatch.ChunkExecutionError` carrying
     the cells completed so far (the parent journals them before retrying or
     re-raising), the worker traceback as a string (traceback objects do not

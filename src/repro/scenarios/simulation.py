@@ -79,7 +79,7 @@ class Simulation:
     """Run a declarative scenario: one round, many rounds, or a sweep.
 
     The facade resolves the spec's registry references lazily and caches them,
-    so repeated rounds share the mechanism (and its pivot pool / solve memo),
+    so repeated rounds share the mechanism (and the solve memo it fills),
     the workload generator and the generated topology.  Use it as a context
     manager (or call :meth:`close`) to release engine resources.
     """

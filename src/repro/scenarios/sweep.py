@@ -2,7 +2,7 @@
 
 Mechanisms, workloads, topologies and latency models are resolved once per
 distinct configuration (:class:`ComponentCache`) and shared across grid
-points, so the vectorized engine's pivot pool and solve memo survive the
+points, so a mechanism (and the solve memo it fills) survives the
 whole sweep — the same amortisation the hand-written figure experiments
 performed, now applied to every sweep automatically.  Components the sweep
 itself created are closed when the sweep finishes, even when a grid point
@@ -97,16 +97,16 @@ class ComponentCache:
     One instance backs one executor — the sequential sweep loop, a parallel
     worker's chunk, or any caller that runs many related scenarios.  Each
     component family is built once per distinct canonical configuration key
-    and shared by every round that hashes to it, so the vectorized engine's
-    pivot pool and solve memo are amortised across the whole grid.  Sharing
+    and shared by every round that hashes to it, so mechanism construction
+    and the solves it memoises are amortised across the whole grid.  Sharing
     is bit-exact: workloads and latency models are pure functions of their
     construction parameters (every ``generate``/``delay`` call derives its
     randomness from explicit seeds), and mechanism caches only memoise pure
     solves.
 
     :meth:`close` shuts down every mechanism the cache created (idempotent);
-    always call it — or use the cache as a context manager — so worker-side
-    pivot pools do not outlive the sweep, even when a grid point raises.
+    always call it — or use the cache as a context manager — so a mechanism
+    that owns resources does not outlive the sweep, even when a grid point raises.
     """
 
     def __init__(self) -> None:

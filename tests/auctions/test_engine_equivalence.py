@@ -8,9 +8,12 @@ pieces of the mechanism and the data-transfer block aborts on any disagreement, 
 a single differing ulp would turn into spurious ⊥ outcomes in mixed deployments.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
 from repro.auctions.engine import (
@@ -18,25 +21,26 @@ from repro.auctions.engine import (
     VectorizedStandardAuction,
     clear_solve_cache,
     engine_name,
+    kernel,
     make_standard_auction,
     resolve_engine,
 )
-from repro.auctions.engine.pivot import PivotExecutor, shared_solve_cache
+from repro.auctions.engine.pivot import shared_solve_cache
 from repro.auctions.standard_auction import StandardAuction
 from repro.community.workload import StandardAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
+from repro.obs import observe
 
 SEEDS = (0, 1, 2, 3, 4)
 SIZES = ((5, 2), (12, 4), (30, 8), (60, 8))
 
 
-def _pair(epsilon=0.25, local_search_rounds=1):
-    reference = StandardAuction(epsilon=epsilon, local_search_rounds=local_search_rounds)
-    vectorized = VectorizedStandardAuction(
-        epsilon=epsilon, local_search_rounds=local_search_rounds, pivot_mode="serial"
+def _pair(epsilon=0.25, local_search_rounds=1, perturbation=0.05):
+    kwargs = dict(
+        epsilon=epsilon, local_search_rounds=local_search_rounds, perturbation=perturbation
     )
-    return reference, vectorized
+    return StandardAuction(**kwargs), VectorizedStandardAuction(**kwargs)
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +68,34 @@ class TestSolveAllocationEquivalence:
         bids = StandardAuctionWorkload(seed=9).generate(25, 6)
         reference, vectorized = _pair(epsilon=epsilon, local_search_rounds=rounds)
         assert vectorized.solve_allocation(bids, 5) == reference.solve_allocation(bids, 5)
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    @pytest.mark.parametrize(
+        "size,workload_seed", [((25, 6), 0), ((25, 6), 7), ((60, 4), 3), ((40, 3), 19)]
+    )
+    def test_identical_where_later_rounds_change_the_result(self, size, workload_seed, rounds):
+        # On these instances local-search round 2 or 3 still improves a best
+        # restart: residuals recomputed from the capacities decide placements, and
+        # on the last one a user placed in round 1 is evicted in round 2.
+        bids = StandardAuctionWorkload(seed=workload_seed).generate(*size)
+        one_round, _ = _pair(epsilon=0.5, local_search_rounds=1)
+        three_rounds, _ = _pair(epsilon=0.5, local_search_rounds=3)
+        assert one_round.run(bids, random.Random(5)) != three_rounds.run(bids, random.Random(5))
+        reference, vectorized = _pair(epsilon=0.5, local_search_rounds=rounds)
+        assert vectorized.solve_allocation(bids, 5) == reference.solve_allocation(bids, 5)
+        assert vectorized.run(bids, random.Random(5)) == reference.run(bids, random.Random(5))
+
+    def test_tied_losers_are_visited_in_user_id_order(self):
+        # u9 wins the greedy; either 2.0-valued loser could evict it, and the
+        # reference tries them by user id, not by position in the bid vector.
+        bids = BidVector(
+            (UserBid("u9", 4.0, 0.25), UserBid("u2", 2.0, 1.0), UserBid("u1", 2.0, 1.0)),
+            (ProviderAsk("p0", 0.0, 1.0),),
+        )
+        reference, vectorized = _pair()
+        allocation, welfare = reference.solve_allocation(bids, 1)
+        assert allocation.winners() == ["u1"]
+        assert vectorized.solve_allocation(bids, 1) == (allocation, welfare)
 
     def test_degenerate_instances(self):
         reference, vectorized = _pair()
@@ -112,27 +144,172 @@ class TestFullRunEquivalence:
         assert vec_payments == ref_payments
 
 
-class TestPivotExecutorModes:
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_pool_modes_match_reference(self, mode):
-        bids = StandardAuctionWorkload(seed=2).generate(15, 4)
-        reference = StandardAuction(epsilon=0.5)
-        vectorized = VectorizedStandardAuction(
-            epsilon=0.5, pivot_mode=mode, pivot_workers=2
+# -- generated differential: the kernel against the reference ---------------------------
+# Small value sets and tight capacities force what a workload generator almost
+# never produces: tied unit values / demands / total values (ints included — the
+# reference sums the bids' own values; decimals too, whose residuals tie only up to
+# an ulp), evictions, zero and invalid bids, demands no provider can host, and
+# provider ids whose bid-vector order is not sorted.
+_UNIT_VALUES = st.sampled_from([0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 2]) | st.floats(0.05, 4.0)
+_DEMANDS = st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 2.0, 1, 50.0]) | st.floats(0.05, 2.5)
+_CAPACITIES = st.sampled_from([0.0, 0.6, 1.0, 1.1, 2.0, 2]) | st.floats(0.1, 2.5)
+_INELIGIBLE = st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, -0.5)])
+
+
+@st.composite
+def _tied_bid_vectors(draw):
+    user_ids = draw(st.permutations([f"u{i:02d}" for i in range(draw(st.integers(1, 16)))]))
+    provider_ids = draw(st.permutations([f"p{j}" for j in range(draw(st.integers(1, 4)))]))
+    users = []
+    for user_id in user_ids:
+        if draw(st.integers(0, 7)):
+            users.append(UserBid(user_id, draw(_UNIT_VALUES), draw(_DEMANDS)))
+        else:
+            users.append(UserBid(user_id, *draw(_INELIGIBLE)))
+    providers = [ProviderAsk(pid, 0.0, draw(_CAPACITIES)) for pid in provider_ids]
+    return BidVector(tuple(users), tuple(providers))
+
+
+_GENERATED = dict(
+    bids=_tied_bid_vectors(),
+    seed=st.integers(min_value=0, max_value=2**62),
+    epsilon=st.sampled_from([0.5, 0.35, 0.25]),
+    rounds=st.sampled_from([0, 1, 2, 3]),
+    # Without noise, equal unit values tie in the greedy order (broken by user id).
+    perturbation=st.sampled_from([0.05, 0.0]),
+)
+_SETTINGS = dict(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestKernelDifferential:
+    @given(**_GENERATED)
+    @settings(**_SETTINGS)
+    def test_solve_allocation_identical(self, bids, seed, epsilon, rounds, perturbation):
+        reference, vectorized = _pair(epsilon, rounds, perturbation)
+        clear_solve_cache()
+        ref_allocation, ref_welfare = reference.solve_allocation(bids, seed)
+        vec_allocation, vec_welfare = vectorized.solve_allocation(bids, seed)
+        assert vec_allocation == ref_allocation
+        assert repr(vec_welfare) == repr(ref_welfare)
+
+    @given(subset=st.data(), **_GENERATED)
+    @settings(**_SETTINGS)
+    def test_run_and_payment_subsets_identical(
+        self, bids, seed, epsilon, rounds, perturbation, subset
+    ):
+        reference, vectorized = _pair(epsilon, rounds, perturbation)
+        clear_solve_cache()
+        assert vectorized.run(bids, random.Random(seed)) == reference.run(
+            bids, random.Random(seed)
         )
-        try:
-            assert vectorized.run(bids, random.Random(3)) == reference.run(
-                bids, random.Random(3)
+        user_ids = subset.draw(st.lists(st.sampled_from(bids.user_ids), unique=True))
+        allocation, welfare = reference.solve_allocation(bids, seed)
+        clear_solve_cache()
+        ref_payments = reference.payments_for_users(bids, user_ids, allocation, welfare, seed)
+        vec_payments = vectorized.payments_for_users(bids, user_ids, allocation, welfare, seed)
+        assert list(map(repr, vec_payments.items())) == list(map(repr, ref_payments.items()))
+
+    @given(**_GENERATED)
+    @settings(**_SETTINGS)
+    def test_rows_are_independent(self, bids, seed, epsilon, rounds, perturbation):
+        """A batch of P problems equals P batches of one."""
+        _reference, mechanism = _pair(epsilon, rounds, perturbation)
+        users = mechanism.eligible_users(bids)
+        capacities = mechanism.eligible_capacities(bids)
+        problems = [(seed, None)] + [(seed + 1 + e, e) for e in range(len(users))]
+        params = mechanism.engine_params()
+        together = kernel.solve_batch(users, capacities, problems, *params)
+        apart = [kernel.solve_batch(users, capacities, [p], *params)[0] for p in problems]
+        assert list(map(repr, together)) == list(map(repr, apart))  # dict order included
+
+    @given(**_GENERATED)
+    @settings(**_SETTINGS)
+    def test_chunking_does_not_change_payments(
+        self, monkeypatch, bids, seed, epsilon, rounds, perturbation
+    ):
+        _reference, vectorized = _pair(epsilon, rounds, perturbation)
+        allocation, welfare = vectorized.solve_allocation(bids, seed)
+        clear_solve_cache()
+        whole = vectorized.payments_for_users(bids, bids.user_ids, allocation, welfare, seed)
+        clear_solve_cache()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "MAX_CELLS", 1)  # one problem per kernel call
+            chunked = vectorized.payments_for_users(
+                bids, bids.user_ids, allocation, welfare, seed
             )
-        finally:
-            vectorized.close()
+        assert list(map(repr, chunked.items())) == list(map(repr, whole.items()))
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PivotExecutor(mode="fleet")
 
-    def test_auto_mode_resolves(self):
-        assert PivotExecutor(mode="auto").mode in ("serial", "thread")
+class TestPivotBatching:
+    """One payment task is one kernel call — asserted on counts, not clocks."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Problems per ``kernel.solve_batch`` call, in call order."""
+        seen = []
+        solve_batch = kernel.solve_batch
+
+        def counting(users, capacities, problems, *params):
+            seen.append(len(problems))
+            return solve_batch(users, capacities, problems, *params)
+
+        monkeypatch.setattr(kernel, "solve_batch", counting)
+        return seen
+
+    @staticmethod
+    def _task():
+        bids = StandardAuctionWorkload(seed=3).generate(30, 5)
+        mechanism = VectorizedStandardAuction(epsilon=0.5)
+        allocation, welfare = mechanism.solve_allocation(bids, 99)
+        winners = allocation.winners()
+        assert len(winners) > 3
+        return mechanism, bids, allocation, welfare, winners
+
+    def test_cold_task_is_one_call_and_warm_task_is_none(self, calls):
+        mechanism, bids, allocation, welfare, winners = self._task()
+        cache = shared_solve_cache()
+        del calls[:]
+        hits, misses = cache.hits, cache.misses
+        cold = mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 99)
+        assert calls == [len(winners)]
+        # Each pivot key is looked up once: one miss per winner, nothing else.
+        assert (cache.hits - hits, cache.misses - misses) == (0, len(winners))
+        warm = mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 99)
+        assert calls == [len(winners)]
+        assert (cache.hits - hits, cache.misses - misses) == (len(winners), len(winners))
+        assert warm == cold
+
+    def test_chunked_task_calls_once_per_chunk(self, calls, monkeypatch):
+        mechanism, bids, allocation, welfare, winners = self._task()
+        per_problem = mechanism.restarts * len(mechanism.eligible_users(bids))
+        monkeypatch.setattr(kernel, "MAX_CELLS", 3 * per_problem)
+        del calls[:]
+        mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 99)
+        assert len(calls) == math.ceil(len(winners) / 3)
+        assert sum(calls) == len(winners) and max(calls) == 3
+
+    def test_pivot_keys_memoise_the_welfare_alone(self):
+        mechanism, bids, allocation, welfare, winners = self._task()
+        before = set(shared_solve_cache()._entries)
+        mechanism.payments_for_users(bids, winners, allocation, welfare, 99)
+        entries = shared_solve_cache()._entries
+        added = [entries[key] for key in entries if key not in before]
+        assert len(added) == len(winners)
+        assert all(isinstance(value, float) for value in added)
+
+    def test_pivot_resolve_span_counts_resolves_and_memo_hits(self):
+        mechanism, bids, allocation, welfare, winners = self._task()
+        with observe() as observation:
+            mechanism.payments_for_users(bids, winners[:2], allocation, welfare, 99)
+            mechanism.payments_for_users(bids, winners, allocation, welfare, 99)
+        details = [
+            (span.detail["users"], span.detail["resolves"], span.detail["memo_hits"])
+            for span in observation.tracer.spans
+            if span.name == "pivot_resolve"
+        ]
+        assert details == [(2, 2, 0), (len(winners), len(winners) - 2, 2)]
 
 
 class TestEngineSwitch:

@@ -307,8 +307,7 @@ class TestStandardAuctionEngineInvariants:
 
     @staticmethod
     def _mechanism(engine):
-        kwargs = {"pivot_mode": "serial"} if engine == "vectorized" else {}
-        return make_standard_auction(engine, epsilon=0.6, **kwargs)
+        return make_standard_auction(engine, epsilon=0.6)
 
     @given(bids=bid_vectors, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
