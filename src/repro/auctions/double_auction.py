@@ -25,43 +25,39 @@ The algorithm is a couple of sorts plus a linear scan, which is why the paper us
 to measure the *communication* overhead of the distributed simulation (Figure 4): the
 computation itself is negligible, so any slowdown of the distributed version is pure
 coordination cost.
+
+``run`` is written to match: one eligibility filter and one sort per side, the trade
+walk over indices, a ration-and-match loop that appends the allocation entries
+directly, and one walk of those entries for the per-id totals and payments — each bid
+is touched a constant number of times.  Every float comes from the same operations in
+the same order as the validate / walk-into-dicts / re-filter / ration-into-a-dict /
+re-aggregate pipeline it replaced, which lives on as the oracle in
+``tests/auctions/double_auction_reference.py`` (results must match by ``repr``; builtin
+``sum`` only, never NumPy, because 3.12's ``sum`` is compensated).  Measured (CHANGES.md,
+PR 19): a cold ``run`` on 300 users / 8 providers 0.75 -> 0.45 ms, 1000 users
+2.9 -> 1.9 ms; on the ``fig4_sweep`` workload (16 clearings of 300 users per op) the
+traced ``auctions.solve_ms`` 0.92 -> 0.59 and, with the shared agreement batches of
+the same change, ``rounds_per_s`` 74.2 -> 108.7.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.auctions.base import (
+    EPSILON,
     Allocation,
     AllocationAlgorithm,
     AuctionResult,
     BidVector,
     Payments,
-    ProviderAsk,
-    UserBid,
 )
-from repro.auctions.validation import is_valid_provider_ask, is_valid_user_bid
+from repro.auctions.validation import eligible_user_bids, is_valid_provider_ask
 
 __all__ = ["DoubleAuction"]
 
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class _TradeSet:
-    """Outcome of the efficient water-filling pass."""
-
-    traded_quantity: float
-    #: per-user traded amount in the efficient (pre-reduction) solution
-    user_amounts: Dict[str, float]
-    #: per-provider traded amount in the efficient (pre-reduction) solution
-    provider_amounts: Dict[str, float]
-    #: id of the marginal (lowest-value) trading user, if any
-    marginal_user: Optional[str]
-    #: id of the marginal (highest-cost) trading provider, if any
-    marginal_provider: Optional[str]
 
 
 class DoubleAuction(AllocationAlgorithm):
@@ -72,146 +68,95 @@ class DoubleAuction(AllocationAlgorithm):
     single_provider_allocation = False
 
     def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:
-        buyers = self._eligible_buyers(bids)
-        sellers = self._eligible_sellers(bids)
+        # Decreasing value, increasing cost; deterministic tie-breaks on the ids.
+        buyers = sorted(eligible_user_bids(bids), key=lambda b: (-b.unit_value, b.user_id))
+        sellers = sorted(
+            [
+                ask for ask in bids.providers
+                if is_valid_provider_ask(ask) and ask.capacity > _EPS
+            ],
+            key=lambda s: (s.unit_cost, s.provider_id),
+        )
         if not buyers or not sellers:
             return AuctionResult.empty()
 
-        trades = self._efficient_trades(buyers, sellers)
-        if trades.traded_quantity <= _EPS or trades.marginal_user is None:
-            return AuctionResult.empty()
-
-        buyer_price = bids.user(trades.marginal_user).unit_value
-        seller_price = bids.provider(trades.marginal_provider).unit_cost
-
-        winning_buyers = [
-            b for b in buyers
-            if b.user_id in trades.user_amounts and b.user_id != trades.marginal_user
-        ]
-        winning_sellers = [
-            s for s in sellers
-            if s.provider_id in trades.provider_amounts
-            and s.provider_id != trades.marginal_provider
-        ]
-        if not winning_buyers or not winning_sellers:
-            return AuctionResult.empty()
-
-        allocation = self._ration_and_match(winning_buyers, winning_sellers)
-        if allocation.is_empty():
-            return AuctionResult.empty()
-
-        user_totals = allocation.user_totals()
-        provider_totals = allocation.provider_totals()
-        user_payments = {
-            user_id: buyer_price * user_totals[user_id]
-            for user_id in allocation.winners()
-        }
-        provider_revenues = {
-            provider_id: seller_price * provider_totals[provider_id]
-            for provider_id in allocation.providers_used()
-        }
-        return AuctionResult(
-            allocation, Payments.from_dicts(user_payments, provider_revenues)
-        )
-
-    # -- pieces ---------------------------------------------------------------
-    @staticmethod
-    def _eligible_buyers(bids: BidVector) -> List[UserBid]:
-        buyers = [
-            bid for bid in bids.users
-            if is_valid_user_bid(bid) and bid.unit_value > 0 and bid.demand > _EPS
-        ]
-        # Decreasing value; deterministic tie-break on the id.
-        return sorted(buyers, key=lambda b: (-b.unit_value, b.user_id))
-
-    @staticmethod
-    def _eligible_sellers(bids: BidVector) -> List[ProviderAsk]:
-        sellers = [
-            ask for ask in bids.providers
-            if is_valid_provider_ask(ask) and ask.capacity > _EPS
-        ]
-        # Increasing cost; deterministic tie-break on the id.
-        return sorted(sellers, key=lambda s: (s.unit_cost, s.provider_id))
-
-    @staticmethod
-    def _efficient_trades(buyers: List[UserBid], sellers: List[ProviderAsk]) -> _TradeSet:
-        """Walk the demand and supply curves simultaneously.
-
-        Quantity is traded as long as the current buyer's unit value strictly exceeds
-        the current seller's unit cost; the last buyer and seller that trade any
-        quantity are the marginal participants excluded by the trade reduction.
-        """
-        user_amounts: Dict[str, float] = {}
-        provider_amounts: Dict[str, float] = {}
-        traded = 0.0
+        # Walk the demand and supply curves simultaneously: quantity is traded as
+        # long as the current buyer's unit value strictly exceeds the current
+        # seller's unit cost.  Eligible demands and capacities exceed _EPS and a
+        # side is advanced as soon as what it has left does not, so every pair the
+        # walk visits trades: the traders are the buyers up to ``last_buyer`` and
+        # the sellers up to ``last_seller``, the last pair being the marginal one.
+        num_buyers, num_sellers = len(buyers), len(sellers)
+        last_buyer = last_seller = -1
         i = j = 0
-        remaining_demand = buyers[0].demand if buyers else 0.0
-        remaining_capacity = sellers[0].capacity if sellers else 0.0
-        marginal_user: Optional[str] = None
-        marginal_provider: Optional[str] = None
-
-        while i < len(buyers) and j < len(sellers):
-            buyer, seller = buyers[i], sellers[j]
-            if buyer.unit_value <= seller.unit_cost:
+        remaining_demand = buyers[0].demand
+        remaining_capacity = sellers[0].capacity
+        while i < num_buyers and j < num_sellers:
+            if buyers[i].unit_value <= sellers[j].unit_cost:
                 break
+            last_buyer, last_seller = i, j
             quantity = min(remaining_demand, remaining_capacity)
-            if quantity > _EPS:
-                traded += quantity
-                user_amounts[buyer.user_id] = user_amounts.get(buyer.user_id, 0.0) + quantity
-                provider_amounts[seller.provider_id] = (
-                    provider_amounts.get(seller.provider_id, 0.0) + quantity
-                )
-                marginal_user = buyer.user_id
-                marginal_provider = seller.provider_id
             remaining_demand -= quantity
             remaining_capacity -= quantity
             if remaining_demand <= _EPS:
                 i += 1
-                remaining_demand = buyers[i].demand if i < len(buyers) else 0.0
+                remaining_demand = buyers[i].demand if i < num_buyers else 0.0
             if remaining_capacity <= _EPS:
                 j += 1
-                remaining_capacity = sellers[j].capacity if j < len(sellers) else 0.0
+                remaining_capacity = sellers[j].capacity if j < num_sellers else 0.0
 
-        return _TradeSet(traded, user_amounts, provider_amounts, marginal_user, marginal_provider)
+        # Trade reduction: the marginal buyer and seller are excluded from the
+        # trade and their declared value / cost become the uniform unit prices.
+        if last_buyer < 1 or last_seller < 1:
+            return AuctionResult.empty()
+        buyer_price = buyers[last_buyer].unit_value
+        seller_price = sellers[last_seller].unit_cost
+        winning_buyers, winning_sellers = buyers[:last_buyer], sellers[:last_seller]
 
-    @staticmethod
-    def _ration_and_match(buyers: List[UserBid], sellers: List[ProviderAsk]) -> Allocation:
-        """Ration the reduced trade among winners and match it by water-filling.
-
-        The traded quantity after the trade reduction is
-        ``Q' = min(total winner demand, total winning-seller capacity)``.  If one side
-        is short, the other side is rationed *proportionally* (to demand on the buyer
-        side, to capacity on the seller side) — a bid-independent rule, so no winner
-        can increase the quantity it trades by exaggerating its bid.  The resulting
-        per-buyer quantities are then placed onto the per-seller quantities with the
-        water-filling method of §5.2.1 (the matching itself does not affect prices or
-        quantities, only which pipe the bandwidth flows through).
-        """
-        total_demand = sum(b.demand for b in buyers)
-        total_capacity = sum(s.capacity for s in sellers)
+        # Ration the reduced trade ``Q' = min(winner demand, winning capacity)``:
+        # if one side is short the other is rationed *proportionally* (to demand
+        # on the buyer side, to capacity on the seller side) — a bid-independent
+        # rule, so no winner can increase the quantity it trades by exaggerating
+        # its bid.  The per-buyer quotas are then placed onto the per-seller
+        # quotas with the water-filling method of §5.2.1 (the matching does not
+        # affect prices or quantities, only which pipe the bandwidth flows through).
+        total_demand = sum([b.demand for b in winning_buyers])
+        total_capacity = sum([s.capacity for s in winning_sellers])
         traded = min(total_demand, total_capacity)
-        if traded <= _EPS:
-            return Allocation.empty()
         buyer_share = traded / total_demand
         seller_share = traded / total_capacity
-        buyer_quota = {b.user_id: b.demand * buyer_share for b in buyers}
-        seller_quota = {s.provider_id: s.capacity * seller_share for s in sellers}
-
-        amounts: Dict[Tuple[str, str], float] = {}
-        seller_order = [s.provider_id for s in sellers]
+        seller_quota = [s.capacity * seller_share for s in winning_sellers]
+        entries: List[Tuple[str, str, float]] = []
         cursor = 0
-        for buyer in buyers:
-            remaining = buyer_quota[buyer.user_id]
-            while remaining > _EPS and cursor < len(seller_order):
-                provider_id = seller_order[cursor]
-                available = seller_quota[provider_id]
+        for buyer in winning_buyers:
+            remaining = buyer.demand * buyer_share
+            while remaining > _EPS and cursor < len(seller_quota):
+                available = seller_quota[cursor]
                 if available <= _EPS:
                     cursor += 1
                     continue
                 take = min(remaining, available)
-                amounts[(buyer.user_id, provider_id)] = (
-                    amounts.get((buyer.user_id, provider_id), 0.0) + take
-                )
-                seller_quota[provider_id] -= take
+                if take > EPSILON:
+                    entries.append(
+                        (buyer.user_id, winning_sellers[cursor].provider_id, float(take))
+                    )
+                seller_quota[cursor] = available - take
                 remaining -= take
-        return Allocation.from_dict(amounts)
+        if not entries:
+            return AuctionResult.empty()
+        entries.sort()
+
+        # Amounts are grouped per id in entry order and summed per group — the
+        # same ``sum`` over the same sequence as ``Allocation.user_total``.
+        by_user: Dict[str, List[float]] = {}
+        by_provider: Dict[str, List[float]] = {}
+        for user_id, provider_id, amount in entries:
+            by_user.setdefault(user_id, []).append(amount)
+            by_provider.setdefault(provider_id, []).append(amount)
+        return AuctionResult(
+            Allocation(tuple(entries)),
+            Payments.from_dicts(
+                {uid: buyer_price * sum(group) for uid, group in by_user.items()},
+                {pid: seller_price * sum(group) for pid, group in by_provider.items()},
+            ),
+        )

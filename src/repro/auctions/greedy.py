@@ -19,7 +19,7 @@ from repro.auctions.base import (
     BidVector,
     Payments,
 )
-from repro.auctions.validation import is_valid_user_bid
+from repro.auctions.validation import eligible_user_bids
 
 __all__ = ["GreedyStandardAuction"]
 
@@ -34,13 +34,7 @@ class GreedyStandardAuction(AllocationAlgorithm):
     single_provider_allocation = True
 
     def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:
-        users = sorted(
-            (
-                bid for bid in bids.users
-                if is_valid_user_bid(bid) and bid.unit_value > 0 and bid.demand > _EPS
-            ),
-            key=lambda u: (-u.unit_value, u.user_id),
-        )
+        users = sorted(eligible_user_bids(bids), key=lambda u: (-u.unit_value, u.user_id))
         remaining = {p.provider_id: p.capacity for p in bids.providers if p.capacity > _EPS}
         order = sorted(remaining)
         amounts: Dict[tuple, float] = {}

@@ -43,7 +43,7 @@ from repro.auctions.base import (
 )
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.payments import clarke_pivot_payments
-from repro.auctions.validation import is_valid_user_bid
+from repro.auctions.validation import eligible_user_bids
 
 __all__ = ["StandardAuction"]
 
@@ -105,10 +105,7 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         Shared by both engines: the vectorized kernel must filter identically or
         the engines' results (and the providers recomputing them) diverge.
         """
-        return [
-            bid for bid in bids.users
-            if is_valid_user_bid(bid) and bid.unit_value > 0 and bid.demand > _EPS
-        ]
+        return eligible_user_bids(bids)
 
     @staticmethod
     def eligible_capacities(bids: BidVector) -> Dict[str, float]:

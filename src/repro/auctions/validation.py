@@ -11,7 +11,7 @@ neutral substitutes.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, List
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
 
@@ -19,6 +19,7 @@ __all__ = [
     "InvalidBidError",
     "is_valid_user_bid",
     "is_valid_provider_ask",
+    "eligible_user_bids",
     "neutral_user_bid",
     "neutral_provider_ask",
     "coerce_user_bid",
@@ -30,10 +31,24 @@ class InvalidBidError(ValueError):
     """Raised when a bid cannot be interpreted at all (wrong type or structure)."""
 
 
-def _is_finite_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+#: A demand at or below this is too small to take part in an allocation (the
+#: mechanisms' ``_EPS``).
+_NEGLIGIBLE_DEMAND = 1e-12
+_INF = math.inf
 
 
+def _is_number(value: Any) -> bool:
+    """An ``int`` or ``float`` (or a subclass of one) other than ``bool``."""
+    return type(value) is float or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+    )
+
+
+# Both validators bound their fields with one comparison chain, whatever the
+# numeric type: NaN fails every comparison, -inf the lower bounds and an int
+# beyond float range the upper ones (int/float comparison is exact, where
+# ``math.isfinite(10**400)`` raises) — which leaves +inf to rule out, for
+# callers whose bound is itself infinite.
 def is_valid_user_bid(
     bid: Any,
     max_unit_value: float = 1e9,
@@ -42,13 +57,15 @@ def is_valid_user_bid(
     """A user bid is valid if its numeric fields are finite, positive and bounded."""
     if not isinstance(bid, UserBid):
         return False
-    if not _is_finite_number(bid.unit_value) or not _is_finite_number(bid.demand):
-        return False
-    if bid.unit_value < 0 or bid.unit_value > max_unit_value:
-        return False
-    if bid.demand <= 0 or bid.demand > max_demand:
-        return False
-    return True
+    unit_value, demand = bid.unit_value, bid.demand
+    return (
+        _is_number(unit_value)
+        and _is_number(demand)
+        and 0 <= unit_value <= max_unit_value
+        and 0 < demand <= max_demand
+        and unit_value != _INF
+        and demand != _INF
+    )
 
 
 def is_valid_provider_ask(
@@ -59,13 +76,27 @@ def is_valid_provider_ask(
     """A provider ask is valid if cost and capacity are finite and non-negative."""
     if not isinstance(ask, ProviderAsk):
         return False
-    if not _is_finite_number(ask.unit_cost) or not _is_finite_number(ask.capacity):
-        return False
-    if ask.unit_cost < 0 or ask.unit_cost > max_unit_cost:
-        return False
-    if ask.capacity < 0 or ask.capacity > max_capacity:
-        return False
-    return True
+    unit_cost, capacity = ask.unit_cost, ask.capacity
+    return (
+        _is_number(unit_cost)
+        and _is_number(capacity)
+        and 0 <= unit_cost <= max_unit_cost
+        and 0 <= capacity <= max_capacity
+        and unit_cost != _INF
+        and capacity != _INF
+    )
+
+
+def eligible_user_bids(bids: BidVector) -> List[UserBid]:
+    """The user bids that can take part in an allocation, in bid-vector order.
+
+    One definition for every mechanism: providers recomputing each other's
+    results — and the two standard-auction engines — must filter identically.
+    """
+    return [
+        bid for bid in bids.users
+        if is_valid_user_bid(bid) and bid.unit_value > 0 and bid.demand > _NEGLIGIBLE_DEMAND
+    ]
 
 
 def neutral_user_bid(user_id: str) -> UserBid:

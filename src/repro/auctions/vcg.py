@@ -25,7 +25,7 @@ from repro.auctions.base import (
 )
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.payments import clarke_pivot_payments
-from repro.auctions.validation import is_valid_user_bid
+from repro.auctions.validation import eligible_user_bids
 
 __all__ = ["ExactVCGAuction"]
 
@@ -51,10 +51,7 @@ class ExactVCGAuction(AllocationAlgorithm, DecomposableMechanism):
 
     # ------------------------------------------- DecomposableMechanism API --
     def solve_allocation(self, bids: BidVector, seed: int) -> Tuple[Allocation, float]:
-        users = [
-            bid for bid in bids.users
-            if is_valid_user_bid(bid) and bid.unit_value > 0 and bid.demand > _EPS
-        ]
+        users = eligible_user_bids(bids)
         if len(users) > self.max_users:
             raise ValueError(
                 f"ExactVCGAuction is exponential; refusing {len(users)} users "

@@ -12,17 +12,35 @@ broadcast/echo/decide structure as the single-instance block, but over a labelle
 dictionary of inputs.  Per-label decisions use the same majority rule, so the batched
 and per-instance modes agree on the output whenever both terminate (a property checked
 by the test suite).
+
+Batches are :class:`~repro.net.serialization.FrozenMap` values shared by reference: a
+provider freezes its inputs once, every receiver keeps that same object, and an echo
+is a frozen map of those objects.  Comparing two honest echoes is then ``m`` identity
+hits and sizing one ``m`` memo reads, where copying each batch on receipt and on echo
+made both a walk over ``m·n`` entries.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from operator import is_
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.common import ABORT
 from repro.consensus.rational_consensus import majority_decision
 from repro.net.protocol import BlockContext, ProtocolBlock
+from repro.net.serialization import FrozenMap
 
 __all__ = ["BatchedConsensusBlock"]
+
+
+def _frozen(mapping: Mapping[Any, Any]) -> FrozenMap:
+    """``mapping`` itself if nobody can change it, else a frozen copy.
+
+    Exact type only: what a deviant sends — a plain dict, or a subclass that
+    hands the mutators back — is copied, so a sender cannot change what a
+    receiver holds.
+    """
+    return mapping if type(mapping) is FrozenMap else FrozenMap(mapping)
 
 
 class BatchedConsensusBlock(ProtocolBlock):
@@ -58,21 +76,32 @@ class BatchedConsensusBlock(ProtocolBlock):
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
-        self.my_inputs = dict(my_inputs)
+        self.my_inputs = _frozen(my_inputs)
         self.labels = sorted(my_inputs.keys()) if labels is None else sorted(labels)
+        self._label_set = frozenset(self.labels)
         self.validator = validator
         self.round_timeout = round_timeout
         #: True when a round closed by timeout with a partial quorum.
         self.degraded = False
-        self._batches: Dict[str, Dict[str, Any]] = {}
-        self._echoes: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        self._batches: Dict[str, FrozenMap] = {}
+        self._echoes: Dict[str, Mapping[str, Any]] = {}
         self._echo_sent = False
 
     # -- helpers -----------------------------------------------------------------
+    def _covers_labels(self, batch: Any) -> bool:
+        """True if ``batch`` is a mapping over exactly the label set.
+
+        Compared as sets, never sorted: the keys of a deviant's batch need not
+        order.  A label list with duplicates matches no batch (the length differs).
+        """
+        return (
+            isinstance(batch, dict)
+            and len(batch) == len(self.labels)
+            and batch.keys() == self._label_set
+        )
+
     def _valid_batch(self, batch: Any) -> bool:
-        if not isinstance(batch, dict):
-            return False
-        if sorted(batch.keys()) != self.labels:
+        if not self._covers_labels(batch):
             return False
         if self.validator is not None:
             return all(self.validator(value) for value in batch.values())
@@ -83,8 +112,8 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not self._valid_batch(self.my_inputs):
             self.complete(ABORT)
             return
-        self._batches[ctx.node_id] = dict(self.my_inputs)
-        ctx.broadcast(dict(self.my_inputs), subtag=self.VALUE)
+        self._batches[ctx.node_id] = self.my_inputs
+        ctx.broadcast(self.my_inputs, subtag=self.VALUE)
         if self.round_timeout is not None:
             ctx.set_timer(self.round_timeout, self.TIMER_VALUE)
         self._maybe_echo(ctx)
@@ -105,7 +134,7 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not self._valid_batch(payload):
             self.complete(ABORT)
             return
-        self._batches[sender] = dict(payload)
+        self._batches[sender] = _frozen(payload)
         self._maybe_echo(ctx)
 
     def _maybe_echo(self, ctx: BlockContext, force: bool = False) -> None:
@@ -114,7 +143,7 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not force and set(self._batches) != set(ctx.participants):
             return
         self._echo_sent = True
-        snapshot = {provider: dict(batch) for provider, batch in self._batches.items()}
+        snapshot = FrozenMap(self._batches)
         ctx.broadcast(snapshot, subtag=self.ECHO)
         self._echoes[ctx.node_id] = snapshot
         if self.round_timeout is not None:
@@ -160,31 +189,28 @@ class BatchedConsensusBlock(ProtocolBlock):
             return
         reference = self._echoes[ctx.node_id]
         for echo in self._echoes.values():
+            # Honest echoes hold the very objects ``reference`` holds, so this
+            # is an identity hit per provider; contents are compared only
+            # where the objects differ.
             if echo != reference:
                 # Two providers hold different views of the first round: someone
                 # equivocated, so the correct output is ⊥.
                 self.complete(ABORT)
                 return
-        decisions: Dict[str, Any] = {}
-        for label in self.labels:
-            per_provider = {
-                provider: batch[label] for provider, batch in reference.items()
-            }
-            decisions[label] = majority_decision(per_provider)
-        self.complete(decisions)
+        self._decide(reference)
 
     def _decide_merged(self, ctx: BlockContext) -> None:
         """Decide from the union of the received echo views (timeout mode only)."""
-        merged: Dict[str, Dict[str, Any]] = {}
+        merged: Dict[str, FrozenMap] = {}
         for echo in self._echoes.values():
             for provider, batch in echo.items():
-                if not isinstance(batch, dict) or sorted(batch.keys()) != self.labels:
-                    self.complete(ABORT)  # malformed view: observable deviation
-                    return
                 known = merged.get(provider)
                 if known is None:
-                    merged[provider] = dict(batch)
-                elif known != batch:
+                    if not self._covers_labels(batch):
+                        self.complete(ABORT)  # malformed view: observable deviation
+                        return
+                    merged[provider] = _frozen(batch)
+                elif known is not batch and known != batch:
                     # Two views disagree about the same provider's first-round
                     # batch: someone equivocated, the correct output is ⊥.
                     self.complete(ABORT)
@@ -194,8 +220,33 @@ class BatchedConsensusBlock(ProtocolBlock):
             return
         if set(merged) != set(ctx.participants):
             self.degraded = True  # deciding without some provider's batch
-        decisions: Dict[str, Any] = {}
-        for label in self.labels:
-            per_provider = {provider: batch[label] for provider, batch in merged.items()}
-            decisions[label] = majority_decision(per_provider)
-        self.complete(decisions)
+        self._decide(merged)
+
+    def _decide(self, batches: Mapping[str, FrozenMap]) -> None:
+        """Complete with the per-label majority over ``batches`` (provider -> batch).
+
+        Every batch covers exactly the label set.  When the providers relayed
+        the same objects — each label unanimous *by identity*, the case
+        ``majority_decision`` answers without counting — the first batch is
+        the decision; otherwise the majority rule runs label by label.
+        """
+        views = iter(batches.values())
+        first = next(views)
+        values = list(first.values())
+        for batch in views:
+            if not all(map(is_, values, map(batch.__getitem__, first))):
+                break
+        else:
+            self.complete(first)
+            return
+        self.complete(
+            FrozenMap(
+                (
+                    label,
+                    majority_decision(
+                        {provider: batch[label] for provider, batch in batches.items()}
+                    ),
+                )
+                for label in self.labels
+            )
+        )

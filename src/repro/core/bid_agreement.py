@@ -142,7 +142,7 @@ class BidAgreementBlock(ProtocolBlock):
         if is_abort(block.result):
             self.complete(ABORT)
             return
-        self._decisions = dict(block.result)
+        self._decisions = block.result
         self._assemble()
 
     # -- per-label mode -----------------------------------------------------------------

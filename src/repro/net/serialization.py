@@ -20,6 +20,11 @@ with everything that does not depend on the instance precomputed (tag prefix,
 encoded field keys in canonical order, frozen flag).  A round ships hundreds
 of thousands of values of a dozen classes, so per-value work is one dict lookup
 instead of an ``isinstance`` chain plus ``dataclasses.fields``.
+
+:class:`FrozenMap` is the one payload type defined here: a mapping that cannot
+change after construction, so that protocol blocks can keep, forward and echo a
+received batch *by reference* instead of copying it, and so that its wire size
+is measured once however many messages carry it.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from __future__ import annotations
 import dataclasses
 import struct
 from operator import itemgetter
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, NoReturn, Tuple
 
-__all__ = ["canonical_encode", "estimate_size", "UnsupportedPayloadError"]
+__all__ = ["canonical_encode", "estimate_size", "FrozenMap", "UnsupportedPayloadError"]
 
 #: Attributes under which an instance's wire size / canonical bytes are memoised.
 _SIZE_ATTR = "_repro_wire_size"
@@ -42,6 +47,42 @@ _first = itemgetter(0)
 
 class UnsupportedPayloadError(TypeError):
     """Raised when a payload contains a type that cannot be canonically encoded."""
+
+
+class FrozenMap(dict):
+    """A ``dict`` whose every mutator raises: a mapping payload shared by reference.
+
+    On the wire it *is* the dict it was built from — same canonical bytes, same
+    size, ``==`` to it both ways — so swapping one for the other moves no
+    commitment and no traffic statistic.  What it adds is that holders need no
+    defensive copy, and that the codec may memoise its size on the instance
+    (only when every key and value is deep-immutable; a frozen map holding a
+    list is re-measured like any dict).  Like ``frozen=True`` on a dataclass it
+    guards against mutation through the object's own interface, not against
+    ``dict.__setitem__(m, ...)``.
+    """
+
+    __slots__ = (_SIZE_ATTR,)
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "FrozenMap":
+        # Filled here, like a tuple or frozenset, so that calling ``__init__``
+        # again cannot change it.
+        self = dict.__new__(cls)
+        dict.__init__(self, *args, **kwargs)
+        return self
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("FrozenMap does not support mutation")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    update = pop = popitem = setdefault = clear = _immutable
+
+    def __reduce__(self):
+        # The default dict-subclass protocol rebuilds through ``__setitem__``.
+        return (FrozenMap, (dict(self),))
 
 
 class _Plan:
@@ -201,14 +242,33 @@ def _measure_mutable_items(value) -> Tuple[int, bool]:
     return 4 + _total_size(value), False
 
 
-def _measure_dict(value: dict) -> Tuple[int, bool]:
+def _measure_keys(value: dict) -> Tuple[int, bool]:
+    """Summed sizes of a dict's keys, and whether every key is deep-immutable."""
     try:
         # All-``str`` keys, the usual case, are measured in bulk: UTF-8 lengths
         # add up under concatenation.
-        keys = 4 * len(value) + len("".join(value).encode("utf-8"))
+        return 4 * len(value) + len("".join(value).encode("utf-8")), True
     except TypeError:
-        keys = _total_size(value)
-    return 4 + keys + _total_size(value.values()), False
+        size, immutable = _measure_frozen_items(value)
+        return size - 4, immutable
+
+
+def _measure_dict(value: dict) -> Tuple[int, bool]:
+    return 4 + _measure_keys(value)[0] + _total_size(value.values()), False
+
+
+def _measure_frozen_map(value: FrozenMap) -> Tuple[int, bool]:
+    """A dict's size, remembered once every key and value is deep-immutable."""
+    cached = getattr(value, _SIZE_ATTR, None)
+    if cached is not None:
+        return cached, True
+    keys, keys_immutable = _measure_keys(value)
+    values, values_immutable = _measure_frozen_items(value.values())
+    size = keys + values
+    immutable = keys_immutable and values_immutable
+    if immutable:
+        _memoise(value, _SIZE_ATTR, size)
+    return size, immutable
 
 
 # -- dataclasses ---------------------------------------------------------------
@@ -303,6 +363,9 @@ _BUILTIN_PLANS = (
     (dict, _Plan(_encode_dict, _measure_dict)),
 )
 _UNSUPPORTED_PLAN = _Plan(_encode_unsupported, _measure_unsupported)
+# The exact class only: a subclass may hand the mutators back, so it compiles
+# to the plain dict plan like any other dict subclass.
+_PLANS[FrozenMap] = _Plan(_encode_dict, _measure_frozen_map)
 
 
 def _compile(cls: type) -> _Plan:
@@ -335,9 +398,10 @@ def estimate_size(value: Any) -> int:
     fall back to the length of their ``repr``.  It is intentionally cheap and
     approximate — it is only used for latency modelling and traffic statistics.
 
-    Sizes of *deep-immutable* frozen dataclass instances are memoised on the
-    instance: protocol payloads (bid vectors, allocations, payments) are
-    broadcast and echoed many times per round, and re-walking a 100-user vector
-    per message dominated the simulator's wall time.
+    Sizes of *deep-immutable* frozen dataclass instances and :class:`FrozenMap`
+    values are memoised on the instance: protocol payloads (bid vectors,
+    agreement batches, allocations, payments) are broadcast and echoed many
+    times per round, and re-walking a 100-user vector per message dominated the
+    simulator's wall time.
     """
     return _PLANS[type(value)].measure(value)[0]

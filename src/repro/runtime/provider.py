@@ -64,6 +64,8 @@ class CollectingProviderNode(Node):
         self.config = config
         self.expected_users = sorted(expected_users)
         self.providers = sorted(providers)
+        self._expected_user_set = frozenset(self.expected_users)
+        self._provider_set = frozenset(self.providers)
         self.deadline = deadline
         self.announce_result = announce_result
         self._received_bids: Dict[str, Any] = {}
@@ -102,13 +104,13 @@ class CollectingProviderNode(Node):
             # Late or duplicate bids are ignored; the agreed vector will carry a
             # neutral bid if nothing usable arrived in time.
             return
-        if message.sender not in self.expected_users:
+        if message.sender not in self._expected_user_set:
             return
         self._received_bids[message.sender] = message.payload
         self._maybe_start_early(ctx)
 
     def _on_ask(self, ctx: NodeContext, message: Message) -> None:
-        if message.sender not in self.providers or self._protocol_started:
+        if message.sender not in self._provider_set or self._protocol_started:
             return
         self._received_asks.setdefault(message.sender, message.payload)
         self._maybe_start_early(ctx)
@@ -117,9 +119,13 @@ class CollectingProviderNode(Node):
         """Start as soon as every expected bid and ask has arrived (before the deadline)."""
         if self._protocol_started:
             return
-        if set(self._received_bids) == set(self.expected_users) and set(
-            self._received_asks
-        ) == set(self.providers):
+        # Bids are only ever stored from expected users, so equal counts is
+        # equal sets — checked on every bid and ask, where building both sets
+        # was quadratic in the number of bidders.
+        if (
+            len(self._received_bids) == len(self._expected_user_set)
+            and self._received_asks.keys() == self._provider_set
+        ):
             self._start_protocol(ctx)
 
     # -- the framework ------------------------------------------------------------------

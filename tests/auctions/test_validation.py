@@ -2,9 +2,12 @@
 
 import math
 
+import pytest
+
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
 from repro.auctions.validation import (
     coerce_user_bid,
+    eligible_user_bids,
     is_valid_provider_ask,
     is_valid_user_bid,
     neutral_provider_ask,
@@ -37,7 +40,71 @@ class TestUserBidValidation:
         assert not is_valid_user_bid(UserBid("u", 1.0, 1e12))
 
 
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)])
+    def test_int_beyond_float_range_is_invalid_not_an_error(self, huge):
+        """``math.isfinite(10**400)`` raises; a Byzantine bidder must not crash a provider."""
+        assert not is_valid_user_bid(UserBid("evil", huge, 1.0))
+        assert not is_valid_user_bid(UserBid("evil", 1.0, huge))
+        assert coerce_user_bid("evil", UserBid("evil", huge, 1.0)) == neutral_user_bid("evil")
+
+    def test_float_subclass_is_judged_like_the_float(self):
+        """One predicate for every numeric type: the bounds, NaN and ±inf included."""
+
+        class Money(float):
+            pass
+
+        fields = [
+            0.0, -0.0, 1e-13, 0.5, 1e9, 1e9 + 1, 1e12, 1e12 + 1, -1.0,
+            math.nan, math.inf, -math.inf,
+        ]  # fmt: skip
+        for value in fields:
+            for other in fields:
+                valid = 0 <= value <= 1e9 and 0 < other <= 1e9
+                assert is_valid_user_bid(UserBid("u", value, other)) is valid
+                assert is_valid_user_bid(UserBid("u", Money(value), Money(other))) is valid
+                valid = 0 <= value <= 1e9 and 0 <= other <= 1e12
+                assert is_valid_provider_ask(ProviderAsk("p", value, other)) is valid
+                assert is_valid_provider_ask(ProviderAsk("p", Money(value), Money(other))) is valid
+        # An infinite bound admits every finite value but never infinity itself.
+        assert is_valid_user_bid(UserBid("u", 1e300, 1e300), math.inf, math.inf)
+        assert not is_valid_user_bid(UserBid("u", math.inf, 1.0), math.inf, math.inf)
+        assert not is_valid_user_bid(UserBid("u", 1.0, math.inf), math.inf, math.inf)
+        assert not is_valid_provider_ask(ProviderAsk("p", math.inf, 1.0), math.inf, math.inf)
+        assert not is_valid_provider_ask(ProviderAsk("p", 1.0, math.inf), math.inf, math.inf)
+
+    def test_non_float_numbers(self):
+        assert is_valid_user_bid(UserBid("u", 1, 2))
+        assert not is_valid_user_bid(UserBid("u", True, 1.0))
+        assert not is_valid_user_bid(UserBid("u", 1.0, "1.0"))
+        assert not is_valid_user_bid(UserBid("u", None, 1.0))
+
+
+class TestEligibleUserBids:
+    def test_keeps_bid_vector_order_and_drops_what_cannot_trade(self):
+        keep_a, keep_b = UserBid("b", 0.5, 1.0), UserBid("a", 2, 1e-11)
+        bids = BidVector(
+            (
+                keep_a,
+                UserBid("zero-value", 0.0, 1.0),
+                UserBid("dust", 1.0, 1e-12),
+                UserBid("nan", math.nan, 1.0),
+                UserBid("huge", 10**400, 1.0),
+                keep_b,
+                neutral_user_bid("neutral"),
+            ),
+            (),
+        )
+        eligible = eligible_user_bids(bids)
+        assert [bid.user_id for bid in eligible] == ["b", "a"]
+        assert eligible[0] is keep_a and eligible[1] is keep_b
+
+
 class TestProviderAskValidation:
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)])
+    def test_int_beyond_float_range_is_invalid_not_an_error(self, huge):
+        assert not is_valid_provider_ask(ProviderAsk("evil", huge, 1.0))
+        assert not is_valid_provider_ask(ProviderAsk("evil", 1.0, huge))
+
     def test_valid_ask(self):
         assert is_valid_provider_ask(ProviderAsk("p", 0.5, 10.0))
         assert is_valid_provider_ask(ProviderAsk("p", 0.0, 0.0))

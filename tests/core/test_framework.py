@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.auctions.base import AuctionResult, UserBid
+from repro.auctions.base import AuctionResult, BidVector, UserBid
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
@@ -140,6 +140,21 @@ class TestInputHandling:
         inputs["p00"].received_user_bids[victim] = bids.users[0].with_unit_value(0.01)
         report = auctioneer.run(inputs, expected_users=[u.user_id for u in bids.users])
         assert not report.aborted
+
+    @pytest.mark.parametrize("field", ["unit_value", "demand"])
+    def test_bid_beyond_float_range_is_neutralised_not_a_crash(self, field):
+        """A Byzantine bidder submits an int no float can hold (``math.isfinite``
+        raises on it): the §4.1 validity rule applies, no provider crashes."""
+        honest = double_bids()
+        evil = UserBid("evil", **{"unit_value": 1.0, "demand": 1.0, field: 10**400})
+        auctioneer = DistributedAuctioneer(
+            DoubleAuction(), providers=PROVIDERS, config=FrameworkConfig(k=1)
+        )
+        report = auctioneer.run_from_bids(BidVector(honest.users + (evil,), honest.providers))
+        assert not report.aborted
+        assert "evil" not in report.result.allocation.winners()
+        assert report.result == auctioneer.run_from_bids(honest).result
+        assert not report.result.allocation.is_empty()
 
     def test_empty_providers_rejected(self):
         with pytest.raises(ValueError):

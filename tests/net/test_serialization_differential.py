@@ -6,7 +6,9 @@ payload tree — commitments, ``bytes_transferred`` and every journal digest res
 on that — and its instance memos must never answer for a value that changed.
 """
 
+import copy
 import enum
+import pickle
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 from unittest import mock
@@ -18,7 +20,12 @@ from hypothesis import strategies as st
 from tests.net import serialization_reference as reference
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
-from repro.net.serialization import UnsupportedPayloadError, canonical_encode, estimate_size
+from repro.net.serialization import (
+    FrozenMap,
+    UnsupportedPayloadError,
+    canonical_encode,
+    estimate_size,
+)
 
 SIZE_MEMO = "_repro_wire_size"
 BYTES_MEMO = "_repro_wire_bytes"
@@ -319,3 +326,125 @@ class TestMemoSafety:
     @settings(max_examples=100, deadline=None)
     def test_estimate_size_never_raises(self, value):
         assert estimate_size([Opaque(), value, object]) > 0
+
+
+class TestFrozenMap:
+    """On the wire a frozen map is the dict it was built from."""
+
+    @given(st.one_of(st.dictionaries(hashables, payloads, max_size=4), st.dictionaries(text, payloads)))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_and_size_of_the_dict_it_replaces(self, mapping):
+        frozen = FrozenMap(mapping)
+        assert frozen == mapping and mapping == frozen
+        for value in (frozen, (frozen, "tag"), Frozen(zeta=frozen, a=(frozen,))):
+            assert_matches_reference(value)
+        for _ in range(2):  # the second round answers from the memo, if one was kept
+            assert estimate_size(frozen) == reference.estimate_size(mapping)
+            assert encoded(canonical_encode, frozen) == encoded(reference.canonical_encode, mapping)
+
+    def test_size_is_memoised_behind_the_immutability_gate(self):
+        sealed = FrozenMap({"bid": UserBid("u1", 1.0, 2.0), "none": None, "nested": FrozenMap(a=1)})
+        assert estimate_size(sealed) == reference.estimate_size(dict(sealed))
+        assert getattr(sealed, SIZE_MEMO) == estimate_size(sealed)
+        holder = Frozen(zeta=sealed, a=1)
+        estimate_size(holder)
+        assert SIZE_MEMO in vars(holder)  # a sealed map is a deep-immutable field
+
+    def test_frozen_map_holding_a_list_is_measured_again(self):
+        grows = [1]
+        for leaky in (FrozenMap({"k": grows}), FrozenMap({"k": (FrozenMap({"deep": grows}),)})):
+            size = estimate_size(leaky)
+            grows.append(2**80)
+            assert estimate_size(leaky) > size
+            assert_matches_reference(leaky)
+            assert not hasattr(leaky, SIZE_MEMO)
+            holder = Frozen(zeta=leaky, a=1)
+            estimate_size(holder)
+            assert SIZE_MEMO not in vars(holder)
+
+    def test_mutable_key_object_is_not_memoised(self):
+        leaky = FrozenMap({Opaque(): 1})  # hashable by identity, sized by its repr
+        assert_matches_reference(leaky)
+        assert not hasattr(leaky, SIZE_MEMO)
+
+    def test_subclass_is_measured_as_a_plain_dict(self):
+        class Thawed(FrozenMap):
+            __setitem__ = dict.__setitem__
+
+        thawed = Thawed({"a": 1})
+        size = estimate_size(thawed)
+        thawed["b"] = 2
+        assert estimate_size(thawed) > size
+        assert_matches_reference(thawed)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m.__setitem__("a", 2),
+            lambda m: m.__delitem__("a"),
+            lambda m: m.update({"b": 1}),
+            lambda m: m.update(b=1),
+            lambda m: m.__ior__({"b": 1}),
+            lambda m: m.pop("a"),
+            lambda m: m.pop("missing", None),
+            lambda m: m.popitem(),
+            lambda m: m.setdefault("a", 3),
+            lambda m: m.setdefault("b"),
+            lambda m: m.clear(),
+        ],
+    )
+    def test_every_mutator_raises(self, mutate):
+        frozen = FrozenMap({"a": 1})
+        with pytest.raises(TypeError, match="FrozenMap"):
+            mutate(frozen)
+        assert frozen == {"a": 1}
+
+    @pytest.mark.parametrize(
+        "reinit",
+        [lambda m: m.__init__({"b": 2}), lambda m: m.__init__(b=2), lambda m: m.__init__([("a", 3)])],
+    )
+    @pytest.mark.parametrize("contents", [{"a": 1}, {}])
+    def test_a_second_init_changes_nothing(self, contents, reinit):
+        """Built in ``__new__`` like a tuple: re-initialising cannot refill it."""
+        frozen = FrozenMap(contents)
+        size = estimate_size(frozen)
+        reinit(frozen)
+        assert frozen == contents
+        assert estimate_size(frozen) == size == reference.estimate_size(contents)
+
+    def test_in_place_operators_raise(self):
+        frozen = alias = FrozenMap({"a": 1})
+        with pytest.raises(TypeError):
+            frozen |= {"b": 2}
+        with pytest.raises(TypeError):
+            frozen["b"] = 2
+        with pytest.raises(TypeError):
+            del frozen["a"]
+        assert alias == {"a": 1}
+        assert frozen | {"b": 2} == {"a": 1, "b": 2}  # a new plain dict, not a mutation
+
+    def test_equal_to_a_plain_dict_both_ways(self):
+        frozen, plain = FrozenMap({"a": (1, 2), "b": None}), {"b": None, "a": (1, 2)}
+        assert frozen == plain and plain == frozen
+        assert not frozen != plain and not plain != frozen
+        assert frozen != {"a": (1, 2)} and {"a": (1, 2)} != frozen
+        assert FrozenMap(plain) == frozen
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy]
+        + [
+            lambda value, protocol=protocol: pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+    )
+    def test_copies_and_pickles_to_an_equal_frozen_map(self, roundtrip):
+        """The default protocol of a dict subclass rebuilds through ``__setitem__``."""
+        frozen = FrozenMap({"batch": FrozenMap({"user:u1": UserBid("u1", 1.0, 2.0)}), "k": [1]})
+        estimate_size(frozen["batch"])  # a memo must not travel, or block the trip
+        clone = roundtrip(frozen)
+        assert type(clone) is FrozenMap and type(clone["batch"]) is FrozenMap
+        assert clone == frozen and clone is not frozen
+        assert estimate_size(clone) == estimate_size(frozen)
+        with pytest.raises(TypeError):
+            clone["x"] = 1

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tests.auctions.double_auction_reference import ReferenceDoubleAuction
+
 from repro.auctions.base import (
     EPSILON,
     Allocation,
@@ -121,8 +123,9 @@ wide_bid_vectors = st.builds(
 
 def _expected_double_auction_payments(bids, allocation):
     """Uniform prices times the per-id totals, as the mechanism defines them."""
-    trades = DoubleAuction._efficient_trades(
-        DoubleAuction._eligible_buyers(bids), DoubleAuction._eligible_sellers(bids)
+    trades = ReferenceDoubleAuction._efficient_trades(
+        ReferenceDoubleAuction._eligible_buyers(bids),
+        ReferenceDoubleAuction._eligible_sellers(bids),
     )
     buyer_price = bids.user(trades.marginal_user).unit_value
     seller_price = bids.provider(trades.marginal_provider).unit_cost

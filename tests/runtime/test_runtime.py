@@ -10,8 +10,10 @@ from repro.common import is_abort
 from repro.community.workload import DoubleAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.net.latency import ConstantLatencyModel
+from repro.net.network import SimNetwork
 from repro.runtime.auction_run import AuctionRun
 from repro.runtime.bidder import BidderNode, TruthfulBidder
+from repro.runtime.provider import CollectingProviderNode
 
 PROVIDERS = [f"p{i}" for i in range(3)]
 
@@ -135,3 +137,43 @@ class TestAuctionRunMisbehavingBidders:
         result = run.execute()
         assert not result.aborted
         assert "honest" in result.outcome.auction_result.allocation.winners()
+
+
+class TestEarlyStart:
+    """Providers start once every expected bid and ask is in, else at the deadline."""
+
+    DEADLINE = 0.5
+
+    def elapsed(self, silent=(), strangers=()):
+        bids = small_bids()
+        network = SimNetwork(latency_model=ConstantLatencyModel(0.005))
+        for ask in bids.providers:
+            network.add_node(
+                CollectingProviderNode(
+                    ask.provider_id,
+                    ask,
+                    DoubleAuction(),
+                    FrameworkConfig(k=1),
+                    expected_users=bids.user_ids,
+                    providers=PROVIDERS,
+                    deadline=self.DEADLINE,
+                    announce_result=False,
+                )
+            )
+        for user in bids.users + tuple(UserBid(uid, 9.0, 1.0) for uid in strangers):
+            strategy = SilentBidder() if user.user_id in silent else None
+            network.add_node(BidderNode(user, PROVIDERS, strategy, wait_for_result=False))
+        stats = network.run()
+        outputs = [network.node(pid).output for pid in PROVIDERS]
+        assert all(isinstance(output, AuctionResult) for output in outputs)
+        assert not any(uid in outputs[0].allocation.winners() for uid in strangers)
+        return stats.elapsed_time
+
+    def test_starts_before_the_deadline_when_everything_arrived(self):
+        assert self.elapsed() < self.DEADLINE
+        assert self.elapsed(strangers=["zz-stranger"]) < self.DEADLINE
+
+    def test_an_unexpected_bid_does_not_stand_in_for_a_missing_one(self):
+        missing = small_bids().users[0].user_id
+        assert self.elapsed(silent=[missing]) >= self.DEADLINE
+        assert self.elapsed(silent=[missing], strangers=["zz-stranger"]) >= self.DEADLINE
