@@ -16,7 +16,7 @@ Two execution backends share the same :class:`~repro.net.node.Node` interface:
   transport with real queues, used to exercise the protocols under real concurrency.
 """
 
-from repro.net.channel import Channel, ReliableChannel
+from repro.net.channel import ReliableChannel
 from repro.net.clock import VirtualClock
 from repro.net.latency import (
     BandwidthLatencyModel,
@@ -45,7 +45,6 @@ __all__ = [
     "BandwidthLatencyModel",
     "BlockContext",
     "BlockHost",
-    "Channel",
     "ConstantLatencyModel",
     "FairScheduler",
     "LanWanLatencyModel",

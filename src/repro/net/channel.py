@@ -1,93 +1,36 @@
-"""Point-to-point channels.
+"""Per-link recovery state: what makes a lossy link reliable again.
 
 The paper assumes *reliable* channels: every message sent is eventually delivered,
-unmodified, exactly once.  :class:`ReliableChannel` implements that contract for the
-discrete-event simulator.  The class is small but explicit so that tests (and
-adversarial schedulers) can inspect in-flight traffic.  Under an armed
-:class:`~repro.net.faults.FaultPlan` the channel additionally carries the
-recovery layer's per-link state: retransmission attempt counts and duplicate
-suppression by logical origin — both untouched (and unallocated) on fault-free
-runs, so the reliable contract's memory profile is unchanged.
+unmodified, exactly once.  On a fault-free run the simulator keeps that contract
+by construction — :class:`~repro.net.network.SimNetwork` holds every in-flight
+message in one dict and delivers each exactly once — so a link needs no object
+and no per-link state exists.  Under an armed
+:class:`~repro.net.faults.FaultPlan` messages are lost and duplicated, and the
+recovery layer restores the contract per ``(sender, recipient)`` link with the
+record below: retransmission attempt counts (at-least-once delivery) and
+duplicate suppression by logical origin (exactly-once processing).
+
+The explicit FIFO channel of the seed core (``push`` / ``pop`` / ``pending``)
+lives on beside its last caller, the differential oracle
+``tests/net/seed_reference.py``.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Set
 
-from repro.net.message import Message
-
-__all__ = ["Channel", "ReliableChannel"]
+__all__ = ["ReliableChannel"]
 
 
-class Channel(abc.ABC):
-    """A unidirectional channel between two nodes."""
+class ReliableChannel:
+    """Recovery record of one directed link, created on first use by an armed run."""
 
-    @abc.abstractmethod
-    def push(self, message: Message) -> None:
-        """Enqueue a message for delivery."""
+    __slots__ = ("_attempts", "_delivered_origins")
 
-    @abc.abstractmethod
-    def pop(self, msg_id: int) -> Message:
-        """Remove and return the in-flight message with the given id."""
+    def __init__(self) -> None:
+        self._attempts: Dict[int, int] = {}
+        self._delivered_origins: Set[int] = set()
 
-    @abc.abstractmethod
-    def pending(self) -> List[Message]:
-        """Messages sent but not yet delivered."""
-
-    def __len__(self) -> int:
-        return len(self.pending())
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self.pending())
-
-
-@dataclass
-class ReliableChannel(Channel):
-    """FIFO-ordered reliable channel.
-
-    Delivery order between two given endpoints is FIFO by send time (the simulator's
-    schedulers may interleave messages from *different* senders arbitrarily, which is
-    where the asynchrony of the model lives), and no message is ever lost.
-    """
-
-    sender: str
-    recipient: str
-    # Keyed by msg_id (insertion-ordered, so FIFO semantics are preserved):
-    # the simulator pops one message per delivery, and a linear scan here was
-    # O(queue) with a full dataclass comparison per probe.
-    _in_flight: Dict[int, Message] = field(default_factory=dict)
-    delivered_count: int = 0
-    delivered_bytes: int = 0
-    # Recovery-layer state, touched only when a FaultPlan is armed (unarmed
-    # runs never allocate into these): retransmission attempt counts and the
-    # set of logical origins already processed by the recipient.
-    _attempts: Dict[int, int] = field(default_factory=dict)
-    _delivered_origins: Set[int] = field(default_factory=set)
-
-    def push(self, message: Message) -> None:
-        if message.sender != self.sender or message.recipient != self.recipient:
-            raise ValueError(
-                f"message {message!r} does not belong to channel "
-                f"{self.sender}->{self.recipient}"
-            )
-        self._in_flight[message.msg_id] = message
-
-    def pop(self, msg_id: int) -> Message:
-        message = self._in_flight.pop(msg_id, None)
-        if message is None:
-            raise KeyError(
-                f"message id {msg_id} not in flight on {self.sender}->{self.recipient}"
-            )
-        self.delivered_count += 1
-        self.delivered_bytes += message.size_bytes
-        return message
-
-    def pending(self) -> List[Message]:
-        return list(self._in_flight.values())
-
-    # -- recovery layer (see repro.net.faults) ------------------------------
     def next_attempt(self, origin: int) -> int:
         """Claim the next retransmission attempt number for ``origin`` (1-based).
 
@@ -110,9 +53,3 @@ class ReliableChannel(Channel):
             return True
         self._delivered_origins.add(origin)
         return False
-
-    def earliest_undelivered(self) -> Message | None:
-        """The in-flight message with the smallest send time (FIFO head), if any."""
-        if not self._in_flight:
-            return None
-        return min(self._in_flight.values(), key=lambda m: (m.send_time, m.msg_id))

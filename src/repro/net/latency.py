@@ -116,7 +116,11 @@ class LanWanLatencyModel(LatencyModel):
     )
 
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
-        sender_site = self.site_of.get(sender, f"__solo__{sender}")
-        recipient_site = self.site_of.get(recipient, f"__solo__{recipient}")
+        # The solo-site labels are only built for nodes missing from the map.
+        site_of = self.site_of
+        sender_site = site_of[sender] if sender in site_of else f"__solo__{sender}"
+        recipient_site = (
+            site_of[recipient] if recipient in site_of else f"__solo__{recipient}"
+        )
         model = self.lan if sender_site == recipient_site else self.wan
         return model.delay(sender, recipient, size_bytes, rng)

@@ -6,9 +6,12 @@ The ``tag`` field is a routing string used by layered protocols (for instance
 ``"ba/consensus/u3/bit07/echo"``) so that a single node can multiplex many concurrent
 protocol blocks over one channel.
 
-Distributed runs create hundreds of thousands of messages, so the dataclass is
-``slots=True``: no per-instance ``__dict__``, faster field access on the
-simulator's hot path, roughly half the memory per instance.
+Distributed runs create hundreds of thousands of messages, so the record is a
+named tuple: one allocation per message, built by ``tuple.__new__`` without a
+Python-level ``__init__`` (a frozen dataclass pays one ``object.__setattr__``
+per field), no per-instance ``__dict__``, and it pickles and deep-copies on
+every supported interpreter without a hand-written state protocol.  Fields
+cannot be assigned; a changed copy is ``message._replace(field=value)``.
 
 Message ids
 -----------
@@ -24,16 +27,26 @@ keeps ids unique and monotone per process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.net.serialization import estimate_size
 
 _MESSAGE_COUNTER = itertools.count()
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class _MessageFields(NamedTuple):
+    sender: str
+    recipient: str
+    payload: Any
+    tag: str
+    send_time: float
+    arrival_time: float
+    size_bytes: int
+    msg_id: int
+    origin: Optional[int]
+
+
+class Message(_MessageFields):
     """A single message in transit between two nodes.
 
     Attributes:
@@ -53,17 +66,33 @@ class Message:
             :mod:`repro.net.faults`); ``None`` for ordinary first sends.  The
             recipient-side duplicate suppression keys on the origin, so a
             payload is processed exactly once however many copies arrive.
+
+    The keyword constructor below serves hand-built messages; a caller that
+    has all nine fields in order (the network, once per send) builds the
+    record with ``tuple.__new__(Message, fields)``, which is what
+    ``_make`` / ``_replace`` do as well.
     """
 
-    sender: str
-    recipient: str
-    payload: Any
-    tag: str = ""
-    send_time: float = 0.0
-    arrival_time: float = 0.0
-    size_bytes: int = 0
-    msg_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
-    origin: Optional[int] = None
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sender: str,
+        recipient: str,
+        payload: Any,
+        tag: str = "",
+        send_time: float = 0.0,
+        arrival_time: float = 0.0,
+        size_bytes: int = 0,
+        msg_id: Optional[int] = None,
+        origin: Optional[int] = None,
+    ) -> "Message":
+        if msg_id is None:
+            msg_id = next(_MESSAGE_COUNTER)
+        return tuple.__new__(
+            cls,
+            (sender, recipient, payload, tag, send_time, arrival_time, size_bytes, msg_id, origin),
+        )
 
     @staticmethod
     def create(
@@ -80,31 +109,20 @@ class Message:
         ``msg_id=None`` (the default) draws from the process-global counter;
         networks pass their own per-network ids explicitly.
         """
-        if msg_id is None:
-            msg_id = next(_MESSAGE_COUNTER)
         return Message(
-            sender=sender,
-            recipient=recipient,
-            payload=payload,
-            tag=tag,
-            send_time=send_time,
-            arrival_time=arrival_time,
-            size_bytes=estimate_size((tag, payload)),
-            msg_id=msg_id,
+            sender,
+            recipient,
+            payload,
+            tag,
+            send_time,
+            arrival_time,
+            estimate_size((tag, payload)),
+            msg_id,
         )
 
     def is_timer(self) -> bool:
         """True if this is a self-addressed timer event (see NodeContext.set_timer)."""
         return self.sender == self.recipient and self.tag.startswith("__timer__")
-
-    # Frozen slots dataclasses only pickle out of the box from Python 3.11 on;
-    # spell the state protocol out so 3.10 round-trips too.
-    def __getstate__(self):
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def __setstate__(self, state) -> None:
-        for f, value in zip(fields(self), state):
-            object.__setattr__(self, f.name, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

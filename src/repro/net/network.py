@@ -15,8 +15,10 @@ Delivery runs through the scheduler's queue protocol
 :meth:`~repro.net.scheduler.Scheduler.retire_recipient`): every delivered
 message costs O(log M) in the number of in-flight messages, where the seed core
 paid O(M) three times over (deliverable-list rebuild, ``min`` scan, ``list.remove``).
-The network keeps the authoritative in-flight set as an insertion-ordered dict;
-traffic addressed to finished recipients stays in it (lazily skipped by the
+The network keeps the authoritative in-flight set as an insertion-ordered dict —
+the one membership structure: a message is one tuple, one entry in that dict
+and one entry in the scheduler's queue, and nothing else records it.  Traffic
+addressed to finished recipients stays in the dict (lazily skipped by the
 queues) until quiescence, at which point it is drained and counted as dropped —
 exactly the seed semantics, including the final :class:`NetworkStats`.
 Schedules are bit-identical to the seed implementation; the differential test
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common import stable_hash
 from repro.net.channel import ReliableChannel
@@ -71,10 +73,14 @@ class NetworkStats:
     bytes_delivered: int = 0
     messages_dropped: int = 0
     # Fault-plane counters (see repro.net.faults).  On a fault-free run only
-    # messages_sent moves.  The conservation invariant
-    # ``messages_sent == messages_delivered + messages_dropped + messages_lost``
-    # holds at the end of every ``run()``: quiescent runs drain stale traffic
-    # in ``step()``, and armed runs additionally settle copies still in flight
+    # messages_sent moves.  The conservation invariant that holds at the end
+    # of every ``run()`` is ``messages_sent == messages_delivered +
+    # messages_dropped + messages_lost + SimNetwork.in_flight_count``: a
+    # fault-free run that ends because every node finished leaves its
+    # leftovers in flight by design (a provider's unexpired bid-deadline
+    # timer, say).  The in-flight term is zero — the three-term special case —
+    # whenever the run drained: quiescent runs drain stale traffic in
+    # ``step()``, and armed runs additionally settle copies still in flight
     # when every node finished (a retransmission racing its original).
     messages_sent: int = 0
     messages_lost: int = 0
@@ -92,6 +98,22 @@ class NetworkStats:
         # which lets the benchmark harness attribute overhead to individual blocks.
         path = message.tag.split("|", 1)[0] if message.tag else ""
         self.messages_by_tag[path] = self.messages_by_tag.get(path, 0) + 1
+
+
+def _charged(clock: VirtualClock, handler: Callable[..., None]) -> Callable[..., None]:
+    """``handler``, with the wall-clock duration of every call charged to ``clock``.
+
+    Opt-in wall-clock timing field: measure_compute deliberately charges
+    *real* handler time to the model clock, so elapsed results are
+    nondeterministic by construction when it is on.
+    """
+
+    def timed(*args) -> None:
+        start = time.perf_counter()  # repro: noqa[RPA001] measure_compute timing field
+        handler(*args)
+        clock.charge(time.perf_counter() - start)  # repro: noqa[RPA001] measure_compute timing field
+
+    return timed
 
 
 class _SimContext(NodeContext):
@@ -117,13 +139,22 @@ class _SimContext(NodeContext):
 
     @property
     def rng(self) -> random.Random:
-        return self._network._node_rngs[self._node_id]
+        # Built on first use: node seeds are independent of one another, so
+        # the stream is the same whenever it starts, and most nodes of a round
+        # (every bidder) never draw.
+        rngs = self._network._node_rngs
+        rng = rngs.get(self._node_id)
+        if rng is None:
+            rng = rngs[self._node_id] = random.Random(
+                stable_hash(self._network._seed, self._node_id)
+            )
+        return rng
 
     def now(self) -> float:
         return self._network.clock_of(self._node_id).now
 
     def send(self, recipient: str, payload: Any, tag: str = "") -> None:
-        self._network._enqueue(self._node_id, recipient, payload, tag)
+        self._network._enqueue(self._node_id, (recipient,), payload, tag, True)
 
     def broadcast(
         self,
@@ -133,10 +164,8 @@ class _SimContext(NodeContext):
         include_self: bool = False,
     ) -> None:
         # Same observable behaviour as the default per-recipient send loop, but
-        # the payload's wire size is measured once for the whole fan-out — the
-        # object cannot be mutated between the sends, so the per-send estimates
-        # were always identical.
-        self._network._enqueue_many(self._node_id, recipients, payload, tag, include_self)
+        # the payload's wire size is measured once for the whole fan-out.
+        self._network._enqueue(self._node_id, recipients, payload, tag, include_self)
 
     def set_timer(self, delay: float, tag: str) -> None:
         if delay < 0:
@@ -159,7 +188,8 @@ class SimNetwork:
             for deriving per-node RNGs.
         measure_compute: if True, the wall-clock duration of every handler invocation
             is charged to the node's virtual clock in addition to explicit
-            ``ctx.charge`` calls.  Leave False for deterministic tests.
+            ``ctx.charge`` calls.  Leave False for deterministic tests.  Read when a
+            node is added: that is where its handlers get wrapped, or not.
         compute_scale: multiplier applied to charged compute time (see VirtualClock).
         fault_plan: optional :class:`~repro.net.faults.FaultPlan` injecting
             seeded failures on the enqueue/pop path (and driving the bounded
@@ -190,11 +220,20 @@ class SimNetwork:
         self._clocks: Dict[str, VirtualClock] = {}
         self._node_rngs: Dict[str, random.Random] = {}
         self._contexts: Dict[str, _SimContext] = {}
-        self._channels: Dict[tuple, ReliableChannel] = {}
+        # Each node's two entry points as the network calls them: the bound
+        # methods themselves, or their timed wrappers under measure_compute —
+        # decided once per node, so a delivery is a plain call.
+        self._on_start: Dict[str, Callable[..., None]] = {}
+        self._on_message: Dict[str, Callable[..., None]] = {}
+        # Recovery records per (sender, recipient) link; armed runs only.
+        self._channels: Dict[Tuple[str, str], ReliableChannel] = {}
         # Authoritative in-flight set, keyed by msg_id and insertion-ordered —
         # the scheduler queues hold the *delivery order*, this dict holds the
-        # *membership* (and the drain order at quiescence).
+        # *membership*.
         self._in_flight: Dict[int, Message] = {}
+        # Block path of every tag delivered so far (a run has a few dozen
+        # distinct tags), so the per-path count costs no split per delivery.
+        self._tag_paths: Dict[str, str] = {}
         # msg_ids are allocated per network so schedules never depend on how
         # many networks ran earlier in the process.
         self._next_msg_id = 0
@@ -231,12 +270,15 @@ class SimNetwork:
             raise RuntimeError("cannot add nodes after the network has started")
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
-        self._nodes[node.node_id] = node
-        self._clocks[node.node_id] = VirtualClock(compute_scale=self._compute_scale)
-        self._node_rngs[node.node_id] = random.Random(
-            stable_hash(self._seed, node.node_id)
-        )
-        self._contexts[node.node_id] = _SimContext(self, node.node_id)
+        node_id = node.node_id
+        self._nodes[node_id] = node
+        self._clocks[node_id] = clock = VirtualClock(compute_scale=self._compute_scale)
+        self._contexts[node_id] = _SimContext(self, node_id)
+        on_start, on_message = node.on_start, node.on_message
+        if self.measure_compute:
+            on_start, on_message = _charged(clock, on_start), _charged(clock, on_message)
+        self._on_start[node_id] = on_start
+        self._on_message[node_id] = on_message
 
     def add_nodes(self, nodes: Sequence[Node]) -> None:
         for node in nodes:
@@ -261,74 +303,67 @@ class SimNetwork:
         key = (sender, recipient)
         channel = self._channels.get(key)
         if channel is None:
-            channel = ReliableChannel(sender=sender, recipient=recipient)
-            self._channels[key] = channel
+            channel = self._channels[key] = ReliableChannel()
         return channel
 
-    def _enqueue(self, sender: str, recipient: str, payload: Any, tag: str) -> None:
-        self._enqueue_sized(sender, recipient, payload, tag, estimate_size((tag, payload)))
-
-    def _enqueue_many(
-        self, sender: str, recipients, payload: Any, tag: str, include_self: bool
+    def _enqueue(
+        self, sender: str, recipients: Iterable[str], payload: Any, tag: str, include_self: bool
     ) -> None:
+        """Send ``payload`` to each of ``recipients``: one message per recipient.
+
+        The wire size is measured once for the whole fan-out (the object cannot
+        change between the sends); the per-message work is the recipient check,
+        the latency draws, the record, and one slot each in the in-flight dict
+        and the scheduler's queue.
+        """
+        nodes = self._nodes
+        latency = self.latency_model
+        rng = self._rng
+        stats = self.stats
+        plan = self._fault_plan
+        send_time = self._clocks[sender].now
         size = None
         for recipient in recipients:
             if recipient == sender and not include_self:
                 continue
             if size is None:
                 size = estimate_size((tag, payload))
-            self._enqueue_sized(sender, recipient, payload, tag, size)
-
-    def _enqueue_sized(
-        self, sender: str, recipient: str, payload: Any, tag: str, size: int
-    ) -> None:
-        if recipient not in self._nodes:
-            raise KeyError(f"unknown recipient {recipient!r}")
-        send_time = self._clocks[sender].now
-        if sender != recipient:
-            # Historical draw order: the seed core asked the latency model
-            # twice (a size-0 probe, then the real call).  The probe's value
-            # was always discarded, but jittered models consume RNG in it —
-            # keep the call so every schedule stays bit-identical to the seed.
-            self.latency_model.delay(sender, recipient, 0, self._rng)
-            delay = self.latency_model.delay(sender, recipient, size, self._rng)
-        else:
-            delay = self.latency_model.local_delay()
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            payload=payload,
-            tag=tag,
-            send_time=send_time,
-            arrival_time=send_time + delay,
-            size_bytes=size,
-            msg_id=self._next_msg_id,
-        )
-        self._next_msg_id += 1
-        self.stats.messages_sent += 1
-        if self._fault_plan is not None and sender != recipient:
-            self._send_through_faults(message)
-            return
-        self._push_message(message)
+            if recipient not in nodes:
+                raise KeyError(f"unknown recipient {recipient!r}")
+            if sender != recipient:
+                # Historical draw order: the seed core asked the latency model
+                # twice (a size-0 probe, then the real call).  The probe's value
+                # was always discarded, but jittered models consume RNG in it —
+                # keep the call so every schedule stays bit-identical to the seed.
+                latency.delay(sender, recipient, 0, rng)
+                delay = latency.delay(sender, recipient, size, rng)
+            else:
+                delay = latency.local_delay()
+            msg_id = self._next_msg_id
+            self._next_msg_id = msg_id + 1
+            stats.messages_sent += 1
+            # All nine fields in order: skip the keyword constructor (see Message).
+            message = tuple.__new__(
+                Message,
+                (sender, recipient, payload, tag, send_time, send_time + delay, size, msg_id, None),
+            )
+            if plan is not None and sender != recipient:
+                self._send_through_faults(message)
+            else:  # _push_message, without the call
+                self._in_flight[msg_id] = message
+                self.scheduler.push(message)
 
     def _enqueue_timer(self, node_id: str, delay: float, tag: str) -> None:
         now = self._clocks[node_id].now
-        message = Message(
-            sender=node_id,
-            recipient=node_id,
-            payload=None,
-            tag=f"__timer__/{tag}",
-            send_time=now,
-            arrival_time=now + delay,
-            size_bytes=0,
-            msg_id=self._next_msg_id,
+        self._push_message(
+            Message(
+                node_id, node_id, None, f"__timer__/{tag}", now, now + delay, 0, self._next_msg_id
+            )
         )
         self._next_msg_id += 1
         self.stats.messages_sent += 1
-        self._push_message(message)
 
     def _push_message(self, message: Message) -> None:
-        self._channel(message.sender, message.recipient).push(message)
         self._in_flight[message.msg_id] = message
         self.scheduler.push(message)
 
@@ -350,13 +385,13 @@ class SimNetwork:
             self._maybe_retransmit(message)
             return
         if effect.extra_delay:
-            message = replace(
-                message, arrival_time=message.arrival_time + effect.extra_delay
+            message = message._replace(
+                arrival_time=message.arrival_time + effect.extra_delay
             )
         self._push_message(message)
         origin = message.origin if message.origin is not None else message.msg_id
         for _ in range(effect.duplicates):
-            duplicate = replace(message, msg_id=self._next_msg_id, origin=origin)
+            duplicate = message._replace(msg_id=self._next_msg_id, origin=origin)
             self._next_msg_id += 1
             stats.messages_sent += 1
             self._push_message(duplicate)
@@ -384,8 +419,7 @@ class SimNetwork:
                 attempts=policy.max_retries,
             )
             return
-        retry = replace(
-            lost,
+        retry = lost._replace(
             msg_id=self._next_msg_id,
             origin=origin,
             arrival_time=lost.arrival_time + policy.backoff(attempt),
@@ -405,30 +439,19 @@ class SimNetwork:
         )
         self._send_through_faults(retry)
 
-    def _restart_node(self, node: Node) -> None:
-        """Re-run ``on_start`` after an injected crash: full state loss.
+    def _start_node(self, node: Node) -> None:
+        """Run ``on_start``: once at ``start()``, and again after an injected crash.
 
-        Protocol nodes rebuild a fresh block host in ``on_start``, so every
-        in-progress round is forgotten — exactly the crash-with-state-loss
-        semantics the ``crash`` fault models.
+        The re-run is a restart with full state loss: protocol nodes rebuild a
+        fresh block host in ``on_start``, so every in-progress round is
+        forgotten — exactly the semantics the ``crash`` fault models.
         """
-        self._dispatch(node, node.on_start, self._contexts[node.node_id])
+        node_id = node.node_id
+        self._on_start[node_id](self._contexts[node_id])
         if node.finished:
-            self._note_finished(node.node_id)
+            self._note_finished(node_id)
 
     # -- execution -------------------------------------------------------------
-    def _dispatch(self, node: Node, handler, *args) -> None:
-        clock = self._clocks[node.node_id]
-        if self.measure_compute:
-            # Opt-in wall-clock timing field: measure_compute deliberately
-            # charges *real* handler time to the model clock, so elapsed
-            # results are nondeterministic by construction when it is on.
-            start = time.perf_counter()  # repro: noqa[RPA001] measure_compute timing field
-            handler(*args)
-            clock.charge(time.perf_counter() - start)  # repro: noqa[RPA001] measure_compute timing field
-        else:
-            handler(*args)
-
     def _note_finished(self, node_id: str) -> None:
         """Record a node's termination once: finish time, count, retirement."""
         if node_id in self._finished_nodes:
@@ -436,30 +459,6 @@ class SimNetwork:
         self._finished_nodes.add(node_id)
         self.stats.node_finish_time[node_id] = self._clocks[node_id].now
         self.scheduler.retire_recipient(node_id)
-
-    def _deliver(self, message: Message, node: Node) -> None:
-        del self._in_flight[message.msg_id]
-        channel = self._channel(message.sender, message.recipient)
-        channel.pop(message.msg_id)
-        clock = self._clocks[message.recipient]
-        clock.advance_to(message.arrival_time)
-        if self._fault_plan is not None and message.sender != message.recipient:
-            origin = message.origin if message.origin is not None else message.msg_id
-            if channel.suppress_duplicate(origin):
-                # A copy of an already-processed send (injected duplicate or a
-                # retransmission racing its original): count the delivery,
-                # skip the handler — exactly-once processing.
-                self.stats.duplicates_suppressed += 1
-                self.stats.record_delivery(message)
-                if self._obs is not None:
-                    self._observe_delivery(message, suppressed=True)
-                return
-        self._dispatch(node, node.on_message, self._contexts[message.recipient], message)
-        self.stats.record_delivery(message)
-        if self._obs is not None:
-            self._observe_delivery(message, suppressed=False)
-        if node.finished:
-            self._note_finished(node.node_id)
 
     # -- observability hooks ---------------------------------------------------------
     def _observe_delivery(self, message: Message, suppressed: bool) -> None:
@@ -504,25 +503,23 @@ class SimNetwork:
             raise RuntimeError("network already started")
         self._started = True
         self.scheduler.begin_run()
-        for node_id, node in self._nodes.items():
-            self._dispatch(node, node.on_start, self._contexts[node_id])
-            if node.finished:
-                self._note_finished(node_id)
+        for node in self._nodes.values():
+            self._start_node(node)
 
     def step(self) -> bool:
         """Deliver one message.  Returns False if nothing is deliverable."""
+        plan = self._fault_plan
+        stats = self.stats
+        # -- choose: the scheduler's next message whose recipient can take it ----
         while True:
             message = self.scheduler.pop(self._rng)
             if message is None:
                 # Quiescence: everything still in flight is addressed to
                 # finished nodes — drain it so the run can end.
-                if self._in_flight:
-                    for stale in self._in_flight.values():
-                        self._channel(stale.sender, stale.recipient).pop(stale.msg_id)
-                        self.stats.messages_dropped += 1
-                    self._in_flight.clear()
+                self._drop_in_flight()
                 return False
-            node = self._nodes[message.recipient]
+            sender, recipient, _, tag, _, arrival_time, size, msg_id, origin = message
+            node = self._nodes[recipient]
             if node.finished:
                 # The node was finished from *outside* a handler (finish() is
                 # public), so the queue could not have retired it yet; do so
@@ -534,13 +531,14 @@ class SimNetwork:
                 # the bit-identity guarantee covers nodes that finish inside
                 # their own handlers, which is the only way the runtime itself
                 # ever finishes them.
-                self._note_finished(message.recipient)
+                self._note_finished(recipient)
                 continue
-            if self._fault_plan is not None and message.sender != message.recipient:
-                lost, restart = self._fault_plan.apply_deliver(message)
+            armed = plan is not None and sender != recipient
+            if armed:
+                lost, restart = plan.apply_deliver(message)
                 if restart:
-                    self.stats.faults_injected += 1
-                    self._restart_node(node)
+                    stats.faults_injected += 1
+                    self._start_node(node)
                     if node.finished:
                         # Restart finished the node immediately; the message is
                         # undeliverable and drains at quiescence.
@@ -549,16 +547,46 @@ class SimNetwork:
                     # The recipient is down (crash window): the delivery never
                     # happens.  The recovery layer may schedule a backed-off
                     # retransmission that lands after the restart.
-                    self.stats.faults_injected += 1
-                    self.stats.messages_lost += 1
-                    del self._in_flight[message.msg_id]
-                    self._channel(message.sender, message.recipient).pop(message.msg_id)
+                    stats.faults_injected += 1
+                    stats.messages_lost += 1
+                    del self._in_flight[msg_id]
                     self._maybe_retransmit(message)
                     continue
             break
-        self._deliver(message, node)
-        self.stats.steps += 1
+        # -- deliver: out of flight, clock forward, handler, counters -------------
+        del self._in_flight[msg_id]
+        clock = self._clocks[recipient]
+        if arrival_time > clock.now:
+            clock.now = arrival_time
+        # A copy of an already-processed send (injected duplicate or a
+        # retransmission racing its original) is counted as a delivery but
+        # skips the handler — exactly-once processing.
+        suppressed = armed and self._channel(sender, recipient).suppress_duplicate(
+            origin if origin is not None else msg_id
+        )
+        if suppressed:
+            stats.duplicates_suppressed += 1
+        else:
+            self._on_message[recipient](self._contexts[recipient], message)
+        # NetworkStats.record_delivery, without the call and the tag split.
+        stats.messages_delivered += 1
+        stats.bytes_delivered += size
+        path = self._tag_paths.get(tag)
+        if path is None:
+            path = self._tag_paths[tag] = tag.split("|", 1)[0]
+        by_tag = stats.messages_by_tag
+        by_tag[path] = by_tag.get(path, 0) + 1
+        if self._obs is not None:
+            self._observe_delivery(message, suppressed)
+        if node.finished:
+            self._note_finished(recipient)
+        stats.steps += 1
         return True
+
+    def _drop_in_flight(self) -> None:
+        """Count everything still in flight as dropped and forget it."""
+        self.stats.messages_dropped += len(self._in_flight)
+        self._in_flight.clear()
 
     def run(self, max_steps: int = 2_000_000) -> NetworkStats:
         """Run until quiescence (no deliverable messages) or all nodes finished.
@@ -582,16 +610,13 @@ class SimNetwork:
                 raise QuiescenceError(
                     f"network did not quiesce within {max_steps} deliveries"
                 )
-        if self._fault_plan is not None and self._in_flight:
+        if self._fault_plan is not None:
             # Armed runs settle the books: copies still in flight when every
             # node finished (e.g. a retransmission racing its original) are
-            # drained as dropped, so the conservation invariant
-            # sent == delivered + dropped + lost holds at run end.  Fault-free
+            # drained as dropped, so the conservation invariant holds in its
+            # three-term form, sent == delivered + dropped + lost.  Fault-free
             # runs keep the historical behaviour (leftovers stay in flight).
-            for stale in self._in_flight.values():
-                self._channel(stale.sender, stale.recipient).pop(stale.msg_id)
-                self.stats.messages_dropped += 1
-            self._in_flight.clear()
+            self._drop_in_flight()
         self.stats.elapsed_time = max(
             (clock.now for clock in self._clocks.values()), default=0.0
         )

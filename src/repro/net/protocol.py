@@ -50,6 +50,8 @@ class ProtocolBlock(abc.ABC):
     def __init__(self, name: str) -> None:
         self.name = name
         self._result: Any = _UNSET
+        #: The host that activated this block (set by :meth:`BlockHost.activate`).
+        self._host: Optional["BlockHost"] = None
 
     # -- to be implemented by subclasses -------------------------------------
     @abc.abstractmethod
@@ -72,6 +74,8 @@ class ProtocolBlock(abc.ABC):
         """Record the block's output.  Subsequent calls are ignored (first wins)."""
         if self._result is _UNSET:
             self._result = value
+            if self._host is not None:
+                self._host._completions = True
 
     @property
     def done(self) -> bool:
@@ -186,6 +190,9 @@ class BlockHost:
         self._blocks: Dict[str, Tuple[ProtocolBlock, BlockContext, Callable[[ProtocolBlock], None]]] = {}
         self._completed_paths: set = set()
         self._buffered: Dict[str, List[Tuple[str, str, Any]]] = defaultdict(list)
+        # True from a block's ``complete`` until the sweep that finalises it:
+        # a handler that completes nothing costs the host no pass over its blocks.
+        self._completions = False
 
     # -- activation ----------------------------------------------------------------
     def activate(
@@ -205,6 +212,9 @@ class BlockHost:
             participants if participants is not None else self._default_participants,
         )
         self._blocks[path] = (block, ctx, on_done)
+        block._host = self
+        if block.done:  # completed before activation: nobody was there to tell
+            self._completions = True
         block.on_start(ctx)
         self._sweep()
         if path in self._blocks:
@@ -264,10 +274,12 @@ class BlockHost:
         A block may complete not only while handling its own traffic but also inside
         the ``on_done`` callback of one of its children (that is how composite blocks
         such as the bid agreement chain their sub-protocols), so a single pass is not
-        enough — keep sweeping until no active block is done.
+        enough — keep sweeping until no active block is done.  Blocks are visited
+        in activation order, which is the order their ``on_done`` callbacks fire in.
         """
-        changed = True
+        changed = self._completions
         while changed:
+            self._completions = False
             changed = False
             for path in list(self._blocks.keys()):
                 entry = self._blocks.get(path)

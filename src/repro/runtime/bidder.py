@@ -65,6 +65,7 @@ class BidderNode(Node):
         super().__init__(true_bid.user_id)
         self.true_bid = true_bid
         self.providers = sorted(providers)
+        self._provider_set = frozenset(self.providers)
         self.strategy = strategy if strategy is not None else TruthfulBidder()
         self.wait_for_result = wait_for_result
         self._announcements: Dict[str, Any] = {}
@@ -79,10 +80,12 @@ class BidderNode(Node):
             self.finish(None)
 
     def on_message(self, ctx: NodeContext, message: Message) -> None:
-        if message.tag != RESULT_TAG or message.sender not in self.providers:
+        if message.tag != RESULT_TAG or message.sender not in self._provider_set:
             return
         self._announcements[message.sender] = message.payload
-        if set(self._announcements) == set(self.providers):
+        # Announcements are only stored from providers, and the keys view
+        # compares as a set: no two sets built per announcement.
+        if self._announcements.keys() == self._provider_set:
             self.finish(combine_outputs(self._announcements))
 
     # -- observations ---------------------------------------------------------------

@@ -17,22 +17,94 @@ changed the contract on purpose:
 * ``SeedRoundRobinScheduler`` discovers recipients in first-occurrence order of
   the deliverable list instead of iterating a ``set`` — the seed's rotation
   depended on ``PYTHONHASHSEED``, which is the bug, not the contract.
+
+The seed's explicit per-link channel (:class:`Channel` / :class:`ReliableChannel`:
+``push`` / ``pop`` / ``pending`` / ``earliest_undelivered`` and the delivered
+counters) lives here too: this core is its last caller — production keeps one
+in-flight dict and no per-link object on the delivery path.
 """
 
 from __future__ import annotations
 
+import abc
 import random
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.common import stable_hash
-from repro.net.channel import ReliableChannel
 from repro.net.clock import VirtualClock
 from repro.net.latency import LatencyModel, ZeroLatencyModel
 from repro.net.message import Message
 from repro.net.network import NetworkStats
 from repro.net.node import Node, NodeContext
 from repro.net.serialization import estimate_size
+
+
+class Channel(abc.ABC):
+    """A unidirectional channel between two nodes."""
+
+    @abc.abstractmethod
+    def push(self, message: Message) -> None:
+        """Enqueue a message for delivery."""
+
+    @abc.abstractmethod
+    def pop(self, msg_id: int) -> Message:
+        """Remove and return the in-flight message with the given id."""
+
+    @abc.abstractmethod
+    def pending(self) -> List[Message]:
+        """Messages sent but not yet delivered."""
+
+    def __len__(self) -> int:
+        return len(self.pending())
+
+    def __iter__(self) -> Iterator[Message]:
+        return iter(self.pending())
+
+
+@dataclass
+class ReliableChannel(Channel):
+    """FIFO-ordered reliable channel.
+
+    Delivery order between two given endpoints is FIFO by send time (the simulator's
+    schedulers may interleave messages from *different* senders arbitrarily, which is
+    where the asynchrony of the model lives), and no message is ever lost.
+    """
+
+    sender: str
+    recipient: str
+    # Keyed by msg_id (insertion-ordered, so FIFO semantics are preserved).
+    _in_flight: Dict[int, Message] = field(default_factory=dict)
+    delivered_count: int = 0
+    delivered_bytes: int = 0
+
+    def push(self, message: Message) -> None:
+        if message.sender != self.sender or message.recipient != self.recipient:
+            raise ValueError(
+                f"message {message!r} does not belong to channel "
+                f"{self.sender}->{self.recipient}"
+            )
+        self._in_flight[message.msg_id] = message
+
+    def pop(self, msg_id: int) -> Message:
+        message = self._in_flight.pop(msg_id, None)
+        if message is None:
+            raise KeyError(
+                f"message id {msg_id} not in flight on {self.sender}->{self.recipient}"
+            )
+        self.delivered_count += 1
+        self.delivered_bytes += message.size_bytes
+        return message
+
+    def pending(self) -> List[Message]:
+        return list(self._in_flight.values())
+
+    def earliest_undelivered(self) -> Message | None:
+        """The in-flight message with the smallest send time (FIFO head), if any."""
+        if not self._in_flight:
+            return None
+        return min(self._in_flight.values(), key=lambda m: (m.send_time, m.msg_id))
 
 
 class SeedFairScheduler:

@@ -1,10 +1,14 @@
 """Tests for virtual clocks, messages and reliable channels."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.net.channel import ReliableChannel
 from repro.net.clock import VirtualClock
 from repro.net.message import Message
+
+from tests.net.seed_reference import ReliableChannel
 
 
 class TestVirtualClock:
@@ -54,6 +58,65 @@ class TestMessage:
         regular = Message.create("a", "b", None, tag="x")
         assert timer.is_timer()
         assert not regular.is_timer()
+
+    FIELDS = dict(
+        sender="a",
+        recipient="b",
+        payload=("bid", 1.5),
+        tag="blk|x",
+        send_time=0.5,
+        arrival_time=0.75,
+        size_bytes=12,
+        msg_id=7,
+        origin=3,
+    )
+
+    def test_fields_are_todays_in_todays_order(self):
+        assert Message._fields == tuple(self.FIELDS)
+        message = Message(**self.FIELDS)
+        assert message == Message(*self.FIELDS.values())
+        assert [getattr(message, name) for name in Message._fields] == list(
+            self.FIELDS.values()
+        )
+
+    def test_no_field_can_be_assigned(self):
+        message = Message(**self.FIELDS)
+        for name in Message._fields:
+            with pytest.raises(AttributeError):
+                setattr(message, name, "changed")
+        with pytest.raises(AttributeError):
+            message.extra = 1  # no instance dict either
+        assert message == Message(**self.FIELDS)
+
+    def test_equal_fields_compare_and_hash_equal(self):
+        message = Message(**self.FIELDS)
+        twin = Message(**self.FIELDS)
+        assert message is not twin
+        assert message == twin and hash(message) == hash(twin)
+        assert len({message, twin}) == 1
+        for name in Message._fields:
+            assert message._replace(**{name: "changed"}) != message
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        message = Message(**self.FIELDS)
+        clones = [copy.deepcopy(message), copy.copy(message)] + [
+            pickle.loads(pickle.dumps(message, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert type(clone) is Message
+            assert clone == message
+            assert clone.is_timer() is False
+
+    def test_default_msg_id_draws_from_the_process_global_counter(self):
+        first = Message("a", "b", 1)
+        second = Message.create("a", "b", 2)
+        third = Message(sender="a", recipient="b", payload=3, tag="t")
+        assert (second.msg_id, third.msg_id) == (first.msg_id + 1, first.msg_id + 2)
+        assert first.origin is None and first.tag == "" and first.size_bytes == 0
+        # An explicit id — what a network passes — leaves the counter alone.
+        assert Message("a", "b", 4, msg_id=0).msg_id == 0
+        assert Message("a", "b", 5).msg_id == first.msg_id + 3
 
 
 class TestReliableChannel:

@@ -4,6 +4,7 @@ import pytest
 
 from tests.conftest import run_block_network
 
+from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.protocol import BlockContext, BlockHost, ProtocolBlock, ProtocolNode
 from repro.net.scheduler import RandomScheduler
@@ -146,3 +147,140 @@ class TestProtocolNode:
         net.run()
         assert received == ["hello"]
         assert net.node("obs").output == "observed"
+
+
+class ScriptedBlock(ProtocolBlock):
+    """Does what the test tells it to: ``script(block, ctx, event)`` runs on every
+    handler call, where ``event`` is ``("start",)``, ``("message", sender,
+    subtag, payload)`` or ``("timer", subtag)``.  Every event is logged."""
+
+    def __init__(self, name, script=None):
+        super().__init__(name)
+        self.script = script or (lambda block, ctx, event: None)
+        self.events = []
+
+    def _handle(self, ctx, event):
+        self.events.append(event)
+        self.script(self, ctx, event)
+
+    def on_start(self, ctx):
+        self._handle(ctx, ("start",))
+
+    def on_message(self, ctx, sender, subtag, payload):
+        self._handle(ctx, ("message", sender, subtag, payload))
+
+    def on_timer(self, ctx, subtag):
+        self._handle(ctx, ("timer", subtag))
+
+
+def complete_with_payload(block, ctx, event):
+    """Script: the first message completes the block with its payload."""
+    if event[0] == "message":
+        block.complete(event[3])
+
+
+def block_message(path, subtag="m", payload=None, sender="peer"):
+    return Message(sender, "me", payload, tag=f"{path}|{subtag}")
+
+
+def timer_message(path, subtag="tick"):
+    return Message("me", "me", None, tag=f"__timer__/{path}|{subtag}")
+
+
+class TestBlockHostFinalisation:
+    """Order and counts of ``on_done`` — the host is driven by hand, no network."""
+
+    def setup_method(self):
+        self.host = BlockHost(lambda: None, ["me", "peer"])
+        self.finalised = []
+
+    def _on_done(self, block):
+        self.finalised.append(block.name)
+
+    def test_siblings_completing_in_one_handler_fire_in_activation_order(self):
+        first, second = ScriptedBlock("first"), ScriptedBlock("second")
+
+        def finish_both(block, ctx, event):
+            if event[0] == "start":
+                ctx.spawn("first", first, self._on_done)
+                ctx.spawn("second", second, self._on_done)
+            else:  # completion order is the reverse of activation order
+                second.complete(2)
+                first.complete(1)
+
+        self.host.activate("root", ScriptedBlock("root", finish_both), self._on_done)
+        assert self.host.dispatch(None, block_message("root"))
+        assert self.finalised == ["first", "second"]
+        assert self.host.active_paths == ["root"]
+
+    def test_parent_completing_in_its_childs_on_done_is_finalised_in_the_same_dispatch(self):
+        root = ScriptedBlock("root")
+
+        def child_done(block):
+            self._on_done(block)
+            root.complete(("root saw", block.result))
+
+        def spawn_child(block, ctx, event):
+            if event[0] == "start":
+                ctx.spawn("child", ScriptedBlock("child", complete_with_payload), child_done)
+
+        root.script = spawn_child
+        self.host.activate("root", root, self._on_done)
+        assert self.host.dispatch(None, block_message("root/child", payload=7))
+        assert self.finalised == ["child", "root"]
+        assert root.result == ("root saw", 7)
+        assert self.host.active_paths == []
+
+    @pytest.mark.parametrize("completes", ["before activation", "in on_start"])
+    def test_activate_finalises_a_block_that_is_complete_by_the_end_of_on_start(self, completes):
+        def complete_in_on_start(block, ctx, event):
+            block.complete("late")
+
+        if completes == "in on_start":
+            block = ScriptedBlock("x", complete_in_on_start)
+        else:
+            block = ScriptedBlock("x")
+            block.complete("early")
+        assert self.host.dispatch(None, block_message("x"))  # buffered: not active yet
+        self.host.activate("x", block, self._on_done)
+        assert self.finalised == ["x"]
+        assert not self.host.is_active("x")
+        assert block.events == [("start",)]  # the buffered message was dropped, not replayed
+
+    def test_traffic_and_timers_for_a_completed_path_are_swallowed(self):
+        block = ScriptedBlock("x", complete_with_payload)
+        self.host.activate("x", block, self._on_done)
+        assert self.host.dispatch(None, block_message("x", payload="first"))
+        assert self.finalised == ["x"]
+        seen = list(block.events)
+        assert self.host.dispatch(None, block_message("x", payload="straggler"))
+        assert self.host.dispatch(None, timer_message("x"))
+        assert block.events == seen
+        assert self.finalised == ["x"]
+        with pytest.raises(ValueError):  # and the path stays taken
+            self.host.activate("x", ScriptedBlock("x"), self._on_done)
+
+    def test_a_dispatch_that_completes_nothing_reads_done_on_no_block(self):
+        reads = []
+
+        class CountingBlock(ScriptedBlock):
+            @property
+            def done(self):
+                reads.append(self.name)
+                return super().done
+
+        def finish_on_request(block, ctx, event):
+            if event[0] == "message" and event[3] == "finish":
+                block.complete("finished")
+
+        for name in ("a", "b", "c"):
+            self.host.activate(name, CountingBlock(name, finish_on_request), self._on_done)
+        del reads[:]  # activation may look; a quiet dispatch may not
+        assert self.host.dispatch(None, block_message("b", payload="carry on"))
+        assert self.host.dispatch(None, timer_message("c"))
+        assert self.host.dispatch(None, block_message("not-yet-active"))
+        assert reads == [] and self.finalised == []
+        # ...and a completion is still found: the sweep runs when told to.
+        assert self.host.dispatch(None, block_message("b", payload="finish"))
+        assert self.finalised == ["b"] and reads
+        assert self.host.active_paths == ["a", "c"]
