@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.common import memoise
+
 __all__ = [
     "UserBid",
     "ProviderAsk",
@@ -31,6 +33,8 @@ __all__ = [
 
 #: Numerical slack used by feasibility checks.
 EPSILON = 1e-9
+#: Where a bid vector keeps the id indexes behind ``user()`` / ``provider()``.
+_INDEX_ATTR = "_repro_by_id"
 
 
 class FeasibilityError(ValueError):
@@ -103,6 +107,12 @@ class BidVector:
         if len(set(provider_ids)) != len(provider_ids):
             raise ValueError("duplicate provider ids in bid vector")
 
+    def __getstate__(self) -> Dict[str, Tuple]:
+        # A copy or pickle is made of the fields alone.  The memos kept on the
+        # instance (``repro.common.memoise``) include results computed with a
+        # live mechanism; those stay with this object.
+        return {"users": self.users, "providers": self.providers}
+
     # -- constructors -----------------------------------------------------------
     @staticmethod
     def of(users: Iterable[UserBid], providers: Iterable[ProviderAsk]) -> "BidVector":
@@ -117,17 +127,31 @@ class BidVector:
     def provider_ids(self) -> List[str]:
         return [p.provider_id for p in self.providers]
 
+    def _by_id(self) -> Tuple[Dict[str, UserBid], Dict[str, ProviderAsk]]:
+        """``(user id -> bid, provider id -> ask)``, built on first use and kept."""
+        index = getattr(self, _INDEX_ATTR, None)
+        if index is None:
+            index = memoise(
+                self,
+                _INDEX_ATTR,
+                (
+                    {u.user_id: u for u in self.users},
+                    {p.provider_id: p for p in self.providers},
+                ),
+            )
+        return index
+
     def user(self, user_id: str) -> UserBid:
-        for bid in self.users:
-            if bid.user_id == user_id:
-                return bid
-        raise KeyError(f"unknown user {user_id!r}")
+        try:
+            return self._by_id()[0][user_id]
+        except (KeyError, TypeError):  # TypeError: an id that does not hash
+            raise KeyError(f"unknown user {user_id!r}") from None
 
     def provider(self, provider_id: str) -> ProviderAsk:
-        for ask in self.providers:
-            if ask.provider_id == provider_id:
-                return ask
-        raise KeyError(f"unknown provider {provider_id!r}")
+        try:
+            return self._by_id()[1][provider_id]
+        except (KeyError, TypeError):
+            raise KeyError(f"unknown provider {provider_id!r}") from None
 
     # -- aggregates -------------------------------------------------------------
     @property

@@ -12,6 +12,12 @@ highly cacheable:
 * across rounds of a batch workload (``Simulation.run_batch``, or a sweep point
   with ``rounds > 1``) repeated instances hit the same cache.
 
+The key is by content, so that equal vectors of different rounds meet (the p=2 and
+p=4 series of one Figure-5 point); the hash behind it is taken once per vector
+*object* (:func:`bid_vector_fingerprint`), and the honest providers of a round hold
+one agreed vector object (:meth:`BidAgreementBlock._assemble
+<repro.core.bid_agreement.BidAgreementBlock._assemble>`).
+
 The misses of one payment task are computed together, as one batch of
 :func:`repro.auctions.engine.kernel.solve_batch`
 (:meth:`VectorizedStandardAuction._pivot_welfares`).
@@ -24,7 +30,7 @@ from collections import OrderedDict
 from typing import Optional, Tuple, Union
 
 from repro.auctions.base import Allocation, BidVector
-from repro.common import stable_hash
+from repro.common import memoise, stable_hash
 
 __all__ = ["SolveCache", "bid_vector_fingerprint", "clear_solve_cache", "shared_solve_cache"]
 
@@ -79,6 +85,9 @@ class SolveCache:
             return len(self._entries)
 
 
+#: Where a bid vector remembers its :func:`bid_vector_fingerprint`.
+_FINGERPRINT_ATTR = "_repro_fingerprint"
+
 #: Process-wide cache shared by every vectorized mechanism instance.
 _SHARED_CACHE = SolveCache()
 
@@ -94,8 +103,20 @@ def clear_solve_cache() -> None:
 
 
 def bid_vector_fingerprint(bids: BidVector) -> int:
-    """Deterministic hash of a bid vector (exact: built from float ``repr``s)."""
-    return stable_hash(
-        tuple((u.user_id, u.unit_value, u.demand) for u in bids.users),
-        tuple((p.provider_id, p.unit_cost, p.capacity) for p in bids.providers),
-    )
+    """Deterministic hash of a bid vector (exact: built from float ``repr``s).
+
+    Hashed once per vector object and remembered on it; the value depends on
+    the contents alone, so equal vectors of different rounds still meet in the
+    cache.
+    """
+    fingerprint = getattr(bids, _FINGERPRINT_ATTR, None)
+    if fingerprint is None:
+        fingerprint = memoise(
+            bids,
+            _FINGERPRINT_ATTR,
+            stable_hash(
+                tuple((u.user_id, u.unit_value, u.demand) for u in bids.users),
+                tuple((p.provider_id, p.unit_cost, p.capacity) for p in bids.providers),
+            ),
+        )
+    return fingerprint

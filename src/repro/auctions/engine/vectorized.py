@@ -25,6 +25,7 @@ from repro.auctions.base import Allocation, BidVector
 from repro.auctions.engine import kernel
 from repro.auctions.engine.pivot import bid_vector_fingerprint, shared_solve_cache
 from repro.auctions.standard_auction import StandardAuction
+from repro.auctions.validation import eligible_user_bids
 from repro.common import stable_hash
 from repro.obs.context import current_observation
 
@@ -67,9 +68,9 @@ class VectorizedStandardAuction(StandardAuction):
         return result
 
     def _solve_uncached(self, bids: BidVector, seed: int) -> Tuple[Allocation, float]:
-        # Filtering and allocation construction are the reference's own helpers,
-        # so the two engines cannot drift apart on eligibility rules.
-        users = self.eligible_users(bids)
+        # Filtering is the one ``eligible_user_bids`` and allocation construction
+        # the reference's own helper, so the two engines cannot drift apart.
+        users = eligible_user_bids(bids)
         ((assignment, welfare),) = kernel.solve_batch(
             users, self.eligible_capacities(bids), [(seed, None)], *self.engine_params()
         )
@@ -113,7 +114,7 @@ class VectorizedStandardAuction(StandardAuction):
         if not misses:
             return welfares
 
-        users = self.eligible_users(bids)
+        users = eligible_user_bids(bids)
         capacities = self.eligible_capacities(bids)
         index = {user.user_id: i for i, user in enumerate(users)}
         # Chunk the problems so rows × users per kernel call stays bounded.

@@ -99,15 +99,6 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
 
     # ------------------------------------------- DecomposableMechanism API --
     @staticmethod
-    def eligible_users(bids: BidVector) -> List[UserBid]:
-        """The users that can participate in the allocation, in bid-vector order.
-
-        Shared by both engines: the vectorized kernel must filter identically or
-        the engines' results (and the providers recomputing them) diverge.
-        """
-        return eligible_user_bids(bids)
-
-    @staticmethod
     def eligible_capacities(bids: BidVector) -> Dict[str, float]:
         """Provider capacities that can host anything, in bid-vector order (shared)."""
         return {p.provider_id: p.capacity for p in bids.providers if p.capacity > _EPS}
@@ -128,7 +119,7 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
 
     def solve_allocation(self, bids: BidVector, seed: int) -> Tuple[Allocation, float]:
         """Step 1: randomised smoothed greedy + local search over the full bid vector."""
-        users = self.eligible_users(bids)
+        users = eligible_user_bids(bids)
         capacities = self.eligible_capacities(bids)
         if not users or not capacities:
             return Allocation.empty(), 0.0
@@ -180,11 +171,12 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
             return self._pivot_welfares(bids, [user_id], seed)[user_id]
 
         payments = clarke_pivot_payments(bids, allocation, user_ids, welfare_without)
-        clamped: Dict[str, float] = {}
-        for user_id, payment in payments.items():
-            allocated_value = bids.user(user_id).unit_value * allocation.user_total(user_id)
-            clamped[user_id] = min(payment, allocated_value)
-        return clamped
+        # Ids without an entry total 0, an empty ``sum``, as ``user_total`` gives.
+        allocated = allocation.user_totals()
+        return {
+            user_id: min(payment, bids.user(user_id).unit_value * allocated.get(user_id, 0))
+            for user_id, payment in payments.items()
+        }
 
     def _pivot_welfares(
         self, bids: BidVector, user_ids: Sequence[str], seed: int

@@ -12,7 +12,14 @@ import hashlib
 import os
 from typing import Any
 
-__all__ = ["ABORT", "AbortType", "available_cpus", "is_abort", "stable_hash"]
+__all__ = [
+    "ABORT",
+    "AbortType",
+    "available_cpus",
+    "is_abort",
+    "memoise",
+    "stable_hash",
+]
 
 
 def available_cpus() -> int:
@@ -41,6 +48,30 @@ def stable_hash(*parts: Any) -> int:
     """
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
+
+
+def memoise(instance: Any, attr: str, memo: Any) -> Any:
+    """Remember ``memo`` on ``instance`` under ``attr`` and return it.
+
+    The one way this package caches what it derives from an immutable value:
+    *on the value*, read back with ``getattr(instance, attr, None)``, so the
+    memo is keyed on the object itself, shared by whoever shares the object
+    and gone when the object is — no table to size, clear or switch off.  An
+    instance without room for the memo (``__slots__``, a builtin) is simply
+    asked again next time.  Writers may race: every memo is a pure function
+    of its instance, so the loser overwrites an equal value.
+
+    A memo kept in an instance ``__dict__`` travels with ``pickle`` and
+    ``copy`` unless the class says otherwise, so it must be derived from the
+    contents alone and stay true of the copy (a wire size).  A class whose
+    memos refer to other live objects ships its fields only
+    (:class:`~repro.auctions.base.BidVector`, ``FrozenMap``).
+    """
+    try:
+        object.__setattr__(instance, attr, memo)
+    except (AttributeError, TypeError):
+        pass  # no room for the memo
+    return memo
 
 
 class AbortType:

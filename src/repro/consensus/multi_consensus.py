@@ -227,14 +227,18 @@ class BatchedConsensusBlock(ProtocolBlock):
 
         Every batch covers exactly the label set.  When the providers relayed
         the same objects — each label unanimous *by identity*, the case
-        ``majority_decision`` answers without counting — the first batch is
-        the decision; otherwise the majority rule runs label by label.
+        ``majority_decision`` answers without counting — the batch of the
+        lowest provider id is the decision, so that providers with the same
+        view decide the same *object* and share what they derive from it;
+        otherwise the majority rule runs label by label.
         """
-        views = iter(batches.values())
-        first = next(views)
+        # Ordered as strings: the keys of a deviant's echo need not order.
+        first = batches[min(batches, key=str)]
         values = list(first.values())
-        for batch in views:
-            if not all(map(is_, values, map(batch.__getitem__, first))):
+        for batch in batches.values():
+            if batch is not first and not all(
+                map(is_, values, map(batch.__getitem__, first))
+            ):
                 break
         else:
             self.complete(first)

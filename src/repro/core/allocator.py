@@ -25,15 +25,20 @@ import random
 from typing import Any, Dict, List, Optional, Set
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
-from repro.common import ABORT, is_abort
+from repro.common import ABORT, is_abort, memoise
 from repro.core.common_coin import CommonCoinBlock
 from repro.core.data_transfer import DataTransferBlock
 from repro.core.distributions import SeedDistribution
 from repro.core.input_validation import InputValidationBlock
 from repro.core.task_graph import TaskGraph
 from repro.net.protocol import BlockContext, ProtocolBlock
+from repro.obs.context import current_observation
 
 __all__ = ["SequentialAllocatorBlock", "ParallelAllocatorBlock"]
+
+#: Where a bid vector keeps the results of the mechanisms run on it by
+#: :class:`SequentialAllocatorBlock`: ``(mechanism, seed) -> result``.
+_RESULTS_ATTR = "_repro_results"
 
 
 class SequentialAllocatorBlock(ProtocolBlock):
@@ -107,7 +112,29 @@ class SequentialAllocatorBlock(ProtocolBlock):
         self._execute(seed=int(block.result))
 
     def _execute(self, seed: int) -> None:
-        result = self.algorithm.run(self.bids, random.Random(seed))
+        """Complete with ``A(bids, seed)``, computed by the first provider to ask.
+
+        ``A`` is a deterministic function of the agreed vector and the agreed
+        seed, so providers holding the same vector *object* and running the same
+        mechanism *object* read one execution.  The memo sits here, on the
+        vector, and not in ``run``: whoever calls the mechanism directly — the
+        trusted-auctioneer baseline a round is checked against — computes.
+        """
+        results = getattr(self.bids, _RESULTS_ATTR, None)
+        if results is None:
+            results = memoise(self.bids, _RESULTS_ATTR, {})
+        key = (self.algorithm, seed)
+        result = results.get(key)
+        shared = result is not None
+        if not shared:
+            # Executions racing on one table (ThreadedNetwork) adopt the first's result.
+            result = results.setdefault(
+                key, self.algorithm.run(self.bids, random.Random(seed))
+            )
+        obs = current_observation()
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.counter("core.executions").inc()
+            obs.metrics.counter("core.executions_shared").inc(shared)
         self.complete(result)
 
 
@@ -145,6 +172,9 @@ class ParallelAllocatorBlock(ProtocolBlock):
         self._values: Dict[str, Any] = {}
         self._computed: Set[str] = set()
         self._dt_spawned: Set[str] = set()
+        # The graph is fixed once execution begins; both are taken once, there.
+        self._order: List[str] = []
+        self._receivers: Dict[str, List[str]] = {}
 
     # -- graph helpers ----------------------------------------------------------------
     def _receivers_of(self, task_name: str) -> List[str]:
@@ -157,9 +187,6 @@ class ParallelAllocatorBlock(ProtocolBlock):
 
     def _i_execute(self, task_name: str, node_id: str) -> bool:
         return node_id in self.graph.task(task_name).executors
-
-    def _i_need(self, task_name: str, node_id: str) -> bool:
-        return node_id in self._receivers_of(task_name)
 
     # -- protocol -----------------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:
@@ -206,14 +233,16 @@ class ParallelAllocatorBlock(ProtocolBlock):
         # internal seed from an RNG seeded with the coin value, so the sequential and
         # parallel allocators produce bit-identical results for the same coin.
         self._seed = random.Random(seed).getrandbits(63)
+        self._order = self.graph.topological_order()
+        self._receivers = {name: self._receivers_of(name) for name in self._order}
         me = self._ctx.node_id
         # Register (as a receiver) for the transfers of every task whose result this
         # provider needs but does not compute.  Activating early is safe: traffic that
         # arrives before the senders are ready is buffered by the block host.
-        for task_name in self.graph.topological_order():
+        for task_name in self._order:
             if self.done:
                 return
-            if self._i_need(task_name, me):
+            if me in self._receivers[task_name]:
                 self._spawn_data_transfer(task_name, as_sender=False)
         self._run_ready_tasks()
 
@@ -221,7 +250,7 @@ class ParallelAllocatorBlock(ProtocolBlock):
         assert self._ctx is not None
         if task_name in self._dt_spawned or self.done:
             return
-        receivers = self._receivers_of(task_name)
+        receivers = self._receivers[task_name]
         if not receivers:
             return
         senders = list(self.graph.task(task_name).executors)
@@ -261,7 +290,7 @@ class ParallelAllocatorBlock(ProtocolBlock):
         progressed = True
         while progressed and not self.done:
             progressed = False
-            for task_name in self.graph.topological_order():
+            for task_name in self._order:
                 if task_name in self._computed or not self._i_execute(task_name, me):
                     continue
                 task = self.graph.task(task_name)

@@ -36,11 +36,13 @@ from repro.auctions.validation import (
     neutral_provider_ask,
     neutral_user_bid,
 )
-from repro.common import ABORT, is_abort
+from repro.common import ABORT, is_abort, memoise
 from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bid
 from repro.consensus.multi_consensus import BatchedConsensusBlock
 from repro.consensus.rational_consensus import BinaryConsensusBlock, RationalConsensusBlock
 from repro.net.protocol import BlockContext, ProtocolBlock
+from repro.net.serialization import DERIVED_ATTR
+from repro.obs.context import current_observation
 
 __all__ = ["BidAgreementBlock", "AGREEMENT_MODES"]
 
@@ -216,9 +218,34 @@ class BidAgreementBlock(ProtocolBlock):
 
     # -- assembly ---------------------------------------------------------------------
     def _assemble(self) -> None:
-        """Apply the validity rule and build the agreed bid vector."""
+        """Complete with the agreed bid vector of the decided values.
+
+        The vector is a pure function of the decisions and the expected ids, so
+        it is built once per decided *object*: honest providers of a batched
+        round hold the same :class:`~repro.net.serialization.FrozenMap` and
+        complete with the same vector.  Any other view — a majority decision,
+        a deviant's own container, the per-label modes' plain dict — is
+        another object and builds its own.
+        """
         if self.done:
             return
+        vectors = getattr(self._decisions, DERIVED_ATTR, None)
+        if vectors is None:
+            vectors = memoise(self._decisions, DERIVED_ATTR, {})
+        key = (tuple(self.expected_users), tuple(self.expected_providers))
+        bids = vectors.get(key)
+        shared = bids is not None
+        if not shared:
+            # Builders racing on one table (ThreadedNetwork) adopt the first's vector.
+            bids = vectors.setdefault(key, self._build_vector())
+        obs = current_observation()
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.counter("core.assemblies").inc()
+            obs.metrics.counter("core.assemblies_shared").inc(shared)
+        self.complete(bids)
+
+    def _build_vector(self) -> BidVector:
+        """Apply the validity rule of §4.1 to every decided value."""
         users = []
         for uid in self.expected_users:
             decided = self._decisions.get(f"{_USER_PREFIX}{uid}")
@@ -230,4 +257,4 @@ class BidAgreementBlock(ProtocolBlock):
                 providers.append(decided)
             else:
                 providers.append(neutral_provider_ask(pid))
-        self.complete(BidVector(tuple(users), tuple(providers)))
+        return BidVector(tuple(users), tuple(providers))

@@ -27,6 +27,7 @@ from repro.auctions.engine import (
 )
 from repro.auctions.engine.pivot import shared_solve_cache
 from repro.auctions.standard_auction import StandardAuction
+from repro.auctions.validation import eligible_user_bids
 from repro.community.workload import StandardAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
@@ -216,7 +217,7 @@ class TestKernelDifferential:
     def test_rows_are_independent(self, bids, seed, epsilon, rounds, perturbation):
         """A batch of P problems equals P batches of one."""
         _reference, mechanism = _pair(epsilon, rounds, perturbation)
-        users = mechanism.eligible_users(bids)
+        users = eligible_user_bids(bids)
         capacities = mechanism.eligible_capacities(bids)
         problems = [(seed, None)] + [(seed + 1 + e, e) for e in range(len(users))]
         params = mechanism.engine_params()
@@ -283,7 +284,7 @@ class TestPivotBatching:
 
     def test_chunked_task_calls_once_per_chunk(self, calls, monkeypatch):
         mechanism, bids, allocation, welfare, winners = self._task()
-        per_problem = mechanism.restarts * len(mechanism.eligible_users(bids))
+        per_problem = mechanism.restarts * len(eligible_user_bids(bids))
         monkeypatch.setattr(kernel, "MAX_CELLS", 3 * per_problem)
         del calls[:]
         mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 99)

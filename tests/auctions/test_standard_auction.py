@@ -1,10 +1,12 @@
 """Tests for the (1-eps)-style standard auction with VCG payments (§5.2.2)."""
 
 import random
+from unittest import mock
 
 import pytest
 
-from repro.auctions.base import BidVector, ProviderAsk, UserBid
+from repro.auctions.base import Allocation, BidVector, ProviderAsk, UserBid
+from repro.auctions.payments import clarke_pivot_payments
 from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.vcg import ExactVCGAuction
 from repro.auctions.welfare import social_welfare, user_utility
@@ -106,6 +108,27 @@ class TestPayments:
             bids = random_instance(seed)
             result = mechanism.run(bids, random.Random(seed))
             assert result.payments.total_paid == pytest.approx(result.payments.total_received)
+
+    def test_clamp_equals_the_per_user_spelling_in_linear_time(self, mechanism):
+        """One ``user_totals`` and an indexed ``user()``, bit for bit the per-user scans."""
+        for seed in range(4):
+            bids = random_instance(seed, num_users=14)
+            allocation, welfare = mechanism.solve_allocation(bids, seed)
+            pivots = mechanism._pivot_welfares(bids, allocation.winners(), seed)
+            raw = clarke_pivot_payments(bids, allocation, bids.user_ids, pivots.__getitem__)
+            assert any(raw.values())
+            users = {u.user_id: u for u in bids.users}
+            expected = {
+                uid: min(payment, users[uid].unit_value * allocation.user_total(uid))
+                for uid, payment in raw.items()
+            }
+            with mock.patch.object(
+                Allocation, "user_total", side_effect=AssertionError("per-user scan")
+            ):
+                clamped = mechanism.payments_for_users(
+                    bids, bids.user_ids, allocation, welfare, seed
+                )
+            assert repr(clamped) == repr(expected)
 
     def test_scarcity_creates_positive_payments(self):
         """With contention, at least some winner pays a positive VCG price."""

@@ -1,6 +1,7 @@
 """Tests for the sequential and parallel allocator blocks (Property 2)."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.auctions.standard_auction import StandardAuction
 from repro.common import is_abort
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.core.allocator import ParallelAllocatorBlock, SequentialAllocatorBlock
-from repro.core.task_graph import build_standard_auction_graph
+from repro.core.task_graph import TaskGraph, build_standard_auction_graph
 from repro.net.scheduler import RandomScheduler
 
 PROVIDERS = ["p0", "p1", "p2", "p3"]
@@ -142,6 +143,25 @@ class TestParallelAllocator:
             )
             assert all(v == outputs["p0"] for v in outputs.values())
             assert not is_abort(outputs["p0"])
+
+    def test_task_order_and_receivers_are_taken_once_per_block(self):
+        """The graph is fixed once execution begins: no re-sort per fix-point pass."""
+        bids = standard_bids()
+        _mechanism, graph = self._graph(bids)
+        with mock.patch.object(
+            TaskGraph, "topological_order", autospec=True, side_effect=TaskGraph.topological_order
+        ) as order, mock.patch.object(
+            ParallelAllocatorBlock,
+            "_receivers_of",
+            autospec=True,
+            side_effect=ParallelAllocatorBlock._receivers_of,
+        ) as receivers:
+            outputs = run_block_network(
+                PROVIDERS, lambda nid: ParallelAllocatorBlock("alloc", bids, graph)
+            )
+        assert not is_abort(outputs["p0"])
+        assert order.call_count == len(PROVIDERS)
+        assert receivers.call_count == len(PROVIDERS) * len(graph.tasks)
 
     def test_differing_inputs_abort(self):
         good = standard_bids()
