@@ -55,7 +55,7 @@ from repro.core.framework import DistributedAuctioneer, FrameworkConfig
 from repro.core.outcome import ABORT, Outcome
 
 #: Scenario-layer names re-exported lazily (PEP 562): resolving them imports
-#: repro.scenarios (and with it numpy/networkx) on first use, so a plain
+#: repro.scenarios (specs, runner, grid, stores, workloads) on first use, so a plain
 #: ``import repro`` for the low-level API stays as cheap as before the
 #: scenario layer existed.
 _SCENARIO_EXPORTS = frozenset(

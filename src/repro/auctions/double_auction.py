@@ -53,7 +53,7 @@ from repro.auctions.base import (
     BidVector,
     Payments,
 )
-from repro.auctions.validation import eligible_user_bids, is_valid_provider_ask
+from repro.auctions.validation import eligible_provider_asks, eligible_user_bids
 
 __all__ = ["DoubleAuction"]
 
@@ -71,11 +71,7 @@ class DoubleAuction(AllocationAlgorithm):
         # Decreasing value, increasing cost; deterministic tie-breaks on the ids.
         buyers = sorted(eligible_user_bids(bids), key=lambda b: (-b.unit_value, b.user_id))
         sellers = sorted(
-            [
-                ask for ask in bids.providers
-                if is_valid_provider_ask(ask) and ask.capacity > _EPS
-            ],
-            key=lambda s: (s.unit_cost, s.provider_id),
+            eligible_provider_asks(bids), key=lambda s: (s.unit_cost, s.provider_id)
         )
         if not buyers or not sellers:
             return AuctionResult.empty()

@@ -19,9 +19,9 @@ pins them.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.auctions.base import Allocation, BidVector
+from repro.auctions.base import Allocation, BidVector, UserBid
 from repro.auctions.engine import kernel
 from repro.auctions.engine.pivot import bid_vector_fingerprint, shared_solve_cache
 from repro.auctions.standard_auction import StandardAuction
@@ -56,6 +56,8 @@ class VectorizedStandardAuction(StandardAuction):
         # The timestamp is the tracer's logical sequence — engine work has no
         # sim clock (see repro.obs).
         obs = current_observation()
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.counter("engine.solves").inc()  # logical: before the memo
         if obs is not None and obs.tracer is not None and obs.tracer.active:
             obs.tracer.emit(
                 "solve",
@@ -71,10 +73,29 @@ class VectorizedStandardAuction(StandardAuction):
         # Filtering is the one ``eligible_user_bids`` and allocation construction
         # the reference's own helper, so the two engines cannot drift apart.
         users = eligible_user_bids(bids)
-        ((assignment, welfare),) = kernel.solve_batch(
-            users, self.eligible_capacities(bids), [(seed, None)], *self.engine_params()
+        ((assignment, welfare),) = self._kernel(
+            users, self.eligible_capacities(bids), [(seed, None)]
         )
         return self.allocation_from_assignment(users, assignment), max(welfare, 0.0)
+
+    def _kernel(
+        self,
+        users: List[UserBid],
+        capacities: Dict[str, float],
+        problems: List[Tuple[int, Optional[int]]],
+    ) -> List[Tuple[Dict[str, str], float]]:
+        """One ``solve_batch`` call, its size counted on the observed path.
+
+        Rows and cells (rows x eligible users) are functions of the arguments
+        alone, counted here so that nothing inside the kernel can move them.
+        """
+        obs = current_observation()
+        if obs is not None and obs.metrics is not None:
+            rows = len(problems) * self.restarts
+            obs.metrics.counter("engine.kernel_calls").inc()
+            obs.metrics.counter("engine.kernel_rows").inc(rows)
+            obs.metrics.counter("engine.kernel_cells").inc(rows * len(users))
+        return kernel.solve_batch(users, capacities, problems, *self.engine_params())
 
     def _pivot_welfares(
         self, bids: BidVector, user_ids: Sequence[str], seed: int
@@ -101,6 +122,8 @@ class VectorizedStandardAuction(StandardAuction):
         # Observability hook: one "pivot_resolve" span per payment task.  Engine
         # work has no sim clock, so the timestamp is the tracer's logical sequence.
         obs = current_observation()
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.counter("engine.resolves").inc(len(user_ids))  # before the memo
         if obs is not None and obs.tracer is not None and obs.tracer.active:
             obs.tracer.emit(
                 "pivot_resolve",
@@ -122,7 +145,7 @@ class VectorizedStandardAuction(StandardAuction):
         for start in range(0, len(misses), step):
             chunk = misses[start : start + step]
             problems = [(pivot_seed, index.get(user_id)) for user_id, _key, pivot_seed in chunk]
-            batch = kernel.solve_batch(users, capacities, problems, *params)
+            batch = self._kernel(users, capacities, problems)
             for (user_id, key, _seed), (_assignment, welfare) in zip(chunk, batch):
                 welfares[user_id] = max(welfare, 0.0)
                 cache.put(key, welfares[user_id])

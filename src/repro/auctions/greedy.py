@@ -19,7 +19,7 @@ from repro.auctions.base import (
     BidVector,
     Payments,
 )
-from repro.auctions.validation import eligible_user_bids
+from repro.auctions.validation import eligible_provider_asks, eligible_user_bids
 
 __all__ = ["GreedyStandardAuction"]
 
@@ -35,7 +35,7 @@ class GreedyStandardAuction(AllocationAlgorithm):
 
     def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:
         users = sorted(eligible_user_bids(bids), key=lambda u: (-u.unit_value, u.user_id))
-        remaining = {p.provider_id: p.capacity for p in bids.providers if p.capacity > _EPS}
+        remaining = {p.provider_id: p.capacity for p in eligible_provider_asks(bids)}
         order = sorted(remaining)
         amounts: Dict[tuple, float] = {}
         payments: Dict[str, float] = {}

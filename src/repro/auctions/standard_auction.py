@@ -43,7 +43,7 @@ from repro.auctions.base import (
 )
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.payments import clarke_pivot_payments
-from repro.auctions.validation import eligible_user_bids
+from repro.auctions.validation import eligible_provider_asks, eligible_user_bids
 
 __all__ = ["StandardAuction"]
 
@@ -101,7 +101,7 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
     @staticmethod
     def eligible_capacities(bids: BidVector) -> Dict[str, float]:
         """Provider capacities that can host anything, in bid-vector order (shared)."""
-        return {p.provider_id: p.capacity for p in bids.providers if p.capacity > _EPS}
+        return {p.provider_id: p.capacity for p in eligible_provider_asks(bids)}
 
     @staticmethod
     def allocation_from_assignment(

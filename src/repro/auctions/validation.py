@@ -20,6 +20,7 @@ __all__ = [
     "is_valid_user_bid",
     "is_valid_provider_ask",
     "eligible_user_bids",
+    "eligible_provider_asks",
     "neutral_user_bid",
     "neutral_provider_ask",
     "coerce_user_bid",
@@ -31,9 +32,9 @@ class InvalidBidError(ValueError):
     """Raised when a bid cannot be interpreted at all (wrong type or structure)."""
 
 
-#: A demand at or below this is too small to take part in an allocation (the
-#: mechanisms' ``_EPS``).
-_NEGLIGIBLE_DEMAND = 1e-12
+#: A demand or capacity at or below this is too small to take part in an
+#: allocation (the mechanisms' ``_EPS``).
+_NEGLIGIBLE = 1e-12
 _INF = math.inf
 
 
@@ -95,7 +96,20 @@ def eligible_user_bids(bids: BidVector) -> List[UserBid]:
     """
     return [
         bid for bid in bids.users
-        if is_valid_user_bid(bid) and bid.unit_value > 0 and bid.demand > _NEGLIGIBLE_DEMAND
+        if is_valid_user_bid(bid) and bid.unit_value > 0 and bid.demand > _NEGLIGIBLE
+    ]
+
+
+def eligible_provider_asks(bids: BidVector) -> List[ProviderAsk]:
+    """The provider asks that can host anything, in bid-vector order.
+
+    The same single definition as :func:`eligible_user_bids`, for the other
+    side: a mechanism called on a vector nobody sanitised must not meet an
+    infinite, NaN or non-numeric capacity the protocol would have neutralised.
+    """
+    return [
+        ask for ask in bids.providers
+        if is_valid_provider_ask(ask) and ask.capacity > _NEGLIGIBLE
     ]
 
 

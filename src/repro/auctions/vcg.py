@@ -25,7 +25,7 @@ from repro.auctions.base import (
 )
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.payments import clarke_pivot_payments
-from repro.auctions.validation import eligible_user_bids
+from repro.auctions.validation import eligible_provider_asks, eligible_user_bids
 
 __all__ = ["ExactVCGAuction"]
 
@@ -57,7 +57,7 @@ class ExactVCGAuction(AllocationAlgorithm, DecomposableMechanism):
                 f"ExactVCGAuction is exponential; refusing {len(users)} users "
                 f"(max_users={self.max_users})"
             )
-        providers = [p for p in bids.providers if p.capacity > _EPS]
+        providers = eligible_provider_asks(bids)
         if not users or not providers:
             return Allocation.empty(), 0.0
         # Sort by decreasing total value so good solutions are found early and the

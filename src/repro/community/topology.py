@@ -15,11 +15,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.net.latency import LanWanLatencyModel
+
+# networkx is imported where a topology is built or walked: every run imports
+# this package for its workloads, and most never generate a mesh.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["CommunityNetwork", "generate_community_network"]
 
@@ -51,6 +54,8 @@ class CommunityNetwork:
 
     def hop_distance(self, a: str, b: str) -> int:
         """Number of mesh hops between two nodes (∞-safe: raises if disconnected)."""
+        import networkx as nx
+
         return nx.shortest_path_length(self.graph, a, b)
 
     def gateway_degrees(self) -> Dict[str, int]:
@@ -73,6 +78,8 @@ def generate_community_network(
         radius: connection radius of the random geometric graph.
         seed: generation seed.
     """
+    import networkx as nx
+
     if num_gateways >= num_nodes:
         raise ValueError("need more nodes than gateways")
     if num_sites < 1:

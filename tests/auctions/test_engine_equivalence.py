@@ -11,6 +11,7 @@ a single differing ulp would turn into spurious ⊥ outcomes in mixed deployment
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,20 @@ class TestFullRunEquivalence:
         assert second == ref_result
         assert shared_solve_cache().hits > 0
 
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("num_users", [25, 75, 125])
+    def test_identical_at_the_paper_sizes(self, num_users, rounds):
+        # Figure 5's range: local search is the phase whose share grows with n.
+        bids = StandardAuctionWorkload(seed=num_users).generate(num_users, 8)
+        reference, vectorized = _pair(local_search_rounds=rounds)
+        seed = 31_000 + num_users
+        allocation, welfare = reference.solve_allocation(bids, seed)
+        assert vectorized.solve_allocation(bids, seed) == (allocation, welfare)
+        task = allocation.winners()[:6] + bids.user_ids[:3]
+        ref_payments = reference.payments_for_users(bids, task, allocation, welfare, seed)
+        vec_payments = vectorized.payments_for_users(bids, task, allocation, welfare, seed)
+        assert list(map(repr, vec_payments.items())) == list(map(repr, ref_payments.items()))
+
     def test_payments_for_users_subset_identical(self):
         bids = StandardAuctionWorkload(seed=6).generate(18, 5)
         reference, vectorized = _pair()
@@ -154,20 +169,50 @@ class TestFullRunEquivalence:
 _UNIT_VALUES = st.sampled_from([0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 2]) | st.floats(0.05, 4.0)
 _DEMANDS = st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 2.0, 1, 50.0]) | st.floats(0.05, 2.5)
 _CAPACITIES = st.sampled_from([0.0, 0.6, 1.0, 1.1, 2.0, 2]) | st.floats(0.1, 2.5)
+# Large enough that a residual's ulp dwarfs EPS, and one no mechanism may use.
+_HUGE_CAPACITIES = st.sampled_from([1e6, 1e9, 1e12, math.inf])
 _INELIGIBLE = st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, -0.5)])
+
+
+def _boundary_demands(largest):
+    """Demands around the largest capacity, where "never fits" is decided."""
+    return st.sampled_from(
+        [
+            largest,
+            largest + 1e-12,
+            largest - 1e-12,
+            largest * (1 + 1e-9),
+            largest * (1 - 1e-9),
+            largest + 1e-6,
+            largest - 1e-6,
+            largest * (1 + 1e-9) + 1e-9,
+            largest * 3,
+        ]
+    ).filter(lambda demand: demand > 0)
 
 
 @st.composite
 def _tied_bid_vectors(draw):
     user_ids = draw(st.permutations([f"u{i:02d}" for i in range(draw(st.integers(1, 16)))]))
     provider_ids = draw(st.permutations([f"p{j}" for j in range(draw(st.integers(1, 4)))]))
+    providers = [
+        ProviderAsk(pid, 0.0, draw(_CAPACITIES if draw(st.integers(0, 7)) else _HUGE_CAPACITIES))
+        for pid in provider_ids
+    ]
+    largest = max((ask.capacity for ask in providers if 0 < ask.capacity <= 1e12), default=1.0)
+    boundary = _boundary_demands(largest)
+    # Mostly mixed vectors; sometimes no user fits anywhere, or exactly one does
+    # (the removed user of one pivot problem, the only placeable one of the rest).
+    fits = draw(st.sampled_from(["some"] * 6 + ["nobody", "one"]))
     users = []
-    for user_id in user_ids:
-        if draw(st.integers(0, 7)):
-            users.append(UserBid(user_id, draw(_UNIT_VALUES), draw(_DEMANDS)))
+    for index, user_id in enumerate(user_ids):
+        if fits == "nobody" or (fits == "one" and index):
+            users.append(UserBid(user_id, draw(_UNIT_VALUES), largest * draw(st.floats(1.5, 4.0))))
+        elif draw(st.integers(0, 7)):
+            demands = _DEMANDS if draw(st.integers(0, 4)) else boundary
+            users.append(UserBid(user_id, draw(_UNIT_VALUES), draw(demands)))
         else:
             users.append(UserBid(user_id, *draw(_INELIGIBLE)))
-    providers = [ProviderAsk(pid, 0.0, draw(_CAPACITIES)) for pid in provider_ids]
     return BidVector(tuple(users), tuple(providers))
 
 
@@ -243,6 +288,116 @@ class TestKernelDifferential:
         assert list(map(repr, chunked.items())) == list(map(repr, whole.items()))
 
 
+# -- local search marks: exact, and the only pairs visited ------------------------------
+_EPS = 1e-12
+# Total values a hair apart: within EPS nobody is "strictly cheaper", beyond it one is.
+_TOTAL_VALUES = st.sampled_from([0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 1.5, 2, 3.0]) | st.floats(
+    0.05, 4.0
+)
+_RESIDUALS = st.sampled_from([-1e-12, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0]) | st.floats(0.0, 2.5)
+
+
+@st.composite
+def _search_states(draw):
+    """Rows in the middle of a local search: any hosts, any residuals, any losers."""
+    n, m, k = draw(st.integers(1, 9)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    values = draw(st.lists(_TOTAL_VALUES, min_size=n, max_size=n))
+    demands = draw(st.lists(_DEMANDS, min_size=n, max_size=n))
+    remaining = [draw(st.lists(_RESIDUALS, min_size=m, max_size=m)) for _row in range(k)]
+    provider, losers = [], []
+    for _row in range(k):
+        # Everyone hosted, nobody hosted, or a mix; a user that is neither hosted
+        # nor a loser is the removed column, or one evicted earlier this round.
+        hosted = draw(st.sampled_from(["all", "none", "mix", "mix"]))
+        hosts = [
+            -1 if hosted == "none" or (hosted == "mix" and draw(st.booleans()))
+            else draw(st.integers(0, m - 1))
+            for _user in range(n)
+        ]
+        waiting = draw(st.sampled_from(["all", "mix", "mix"]))
+        provider.append(hosts)
+        losers.append([host < 0 and (waiting == "all" or draw(st.booleans())) for host in hosts])
+    rows = draw(st.lists(st.integers(0, k - 1), unique=True))
+    return values, demands, remaining, provider, losers, rows
+
+
+def _scan_moves(values, demands, residuals, hosts, loser):
+    """The reference's visit of one loser, pair by pair: would it move?"""
+    if any(residual + _EPS >= demands[loser] for residual in residuals):
+        return True
+    for winner, host in enumerate(hosts):
+        if host < 0 or values[winner] + _EPS >= values[loser]:
+            continue
+        if residuals[host] + demands[winner] + _EPS >= demands[loser]:
+            return True
+    return False
+
+
+class TestLocalSearchMarks:
+    @given(state=_search_states())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_marks_equal_the_pairwise_scan(self, state):
+        values, demands, remaining, provider, losers, rows = state
+        marks = kernel._marks(
+            np.array(rows, dtype=np.int64),
+            np.array(remaining, dtype=np.float64),
+            np.array(provider, dtype=np.int64),
+            np.array(losers, dtype=bool),
+            np.array(demands, dtype=np.float64),
+            *kernel._by_value(values),
+        )
+        scanned = [
+            [
+                losers[row][user]
+                and _scan_moves(values, demands, remaining[row], provider[row], user)
+                for user in range(len(values))
+            ]
+            for row in rows
+        ]
+        assert marks.tolist() == scanned
+
+    def test_every_visited_pair_moves_on_a_figure5_instance(self, monkeypatch):
+        """Counted by wrapping the helper: visits == moves < rows x losers."""
+        batches = []  # per solve_batch call, its _marks calls: (rows, hosts, marks)
+        solve_batch, compute_marks = kernel.solve_batch, kernel._marks
+
+        def batch(*args):
+            batches.append([])
+            return solve_batch(*args)
+
+        def recording(rows, remaining, provider, losers, *rest):
+            marks = compute_marks(rows, remaining, provider, losers, *rest)
+            batches[-1].append((rows.copy(), provider[rows], losers[rows].sum(), marks))
+            return marks
+
+        monkeypatch.setattr(kernel, "solve_batch", batch)
+        monkeypatch.setattr(kernel, "_marks", recording)
+        bids = StandardAuctionWorkload(seed=1).generate(50, 8)
+        mechanism = VectorizedStandardAuction(epsilon=0.25)  # 16 restarts, one round
+        allocation, welfare = mechanism.solve_allocation(bids, 5)
+        mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 5)
+        assert [len(calls[0][0]) for calls in batches] == [16, 16 * len(allocation.winners())]
+
+        for (all_rows, hosts, pairs, marks), *visits in batches:
+            # The first call marks every row at round start; each later one
+            # re-marks the rows a visit just handled.
+            state = dict(zip(all_rows.tolist(), zip(hosts, marks)))
+            visited = moved = 0
+            for rows, hosts, _pairs, marks in visits:
+                gained = {
+                    tuple(((after >= 0) & (state[row][0] < 0)).nonzero()[0])
+                    for row, after in zip(rows.tolist(), hosts)
+                }
+                assert len(gained) == 1  # every handled row now hosts the same one loser
+                ((loser,),) = gained
+                due = [row for row, (_hosts, marked) in state.items() if marked[loser]]
+                assert rows.tolist() == due  # ...and they are exactly the rows marking it
+                visited += len(due)
+                moved += len(rows)
+                state.update(zip(rows.tolist(), zip(hosts, marks)))
+            assert 0 < visited == moved < pairs
+
+
 class TestPivotBatching:
     """One payment task is one kernel call — asserted on counts, not clocks."""
 
@@ -311,6 +466,40 @@ class TestPivotBatching:
             if span.name == "pivot_resolve"
         ]
         assert details == [(2, 2, 0), (len(winners), len(winners) - 2, 2)]
+
+
+    def test_work_units_are_counted_before_the_memo_and_repeat_exactly(self):
+        def engine_counters(observation):
+            instruments = observation.metrics.snapshot()["instruments"]
+            return {
+                name: instrument["value"]
+                for name, instrument in instruments.items()
+                if name.startswith("engine.")
+            }
+
+        def counted_run():
+            clear_solve_cache()
+            with observe() as observation:
+                mechanism, bids, allocation, welfare, winners = self._task()
+                mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 99)
+                cold = engine_counters(observation)
+                mechanism.solve_allocation(bids, 99)
+                mechanism.payments_for_users(bids, winners[:3], allocation, welfare, 99)
+            warm = engine_counters(observation)
+            return len(winners), len(eligible_user_bids(bids)), mechanism.restarts, cold, warm
+
+        won, eligible, restarts, cold, warm = counted_run()
+        rows = restarts * (1 + won)  # the base solve, then one problem per winner
+        assert cold == {
+            "engine.solves": 1,
+            "engine.resolves": won,
+            "engine.kernel_calls": 2,
+            "engine.kernel_rows": rows,
+            "engine.kernel_cells": rows * eligible,
+        }
+        # Memo hits are logical work too, and none of them reaches the kernel.
+        assert warm == {**cold, "engine.solves": 2, "engine.resolves": won + 3}
+        assert counted_run() == (won, eligible, restarts, cold, warm)
 
 
 class TestEngineSwitch:

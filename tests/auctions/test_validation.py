@@ -1,12 +1,17 @@
 """Tests for bid validation and neutral substitution."""
 
 import math
+import random
 
 import pytest
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
+from repro.auctions.engine import VectorizedStandardAuction, clear_solve_cache
+from repro.auctions.greedy import GreedyStandardAuction
+from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.validation import (
     coerce_user_bid,
+    eligible_provider_asks,
     eligible_user_bids,
     is_valid_provider_ask,
     is_valid_user_bid,
@@ -14,6 +19,7 @@ from repro.auctions.validation import (
     neutral_user_bid,
     sanitize_bid_vector,
 )
+from repro.auctions.vcg import ExactVCGAuction
 
 
 class TestUserBidValidation:
@@ -114,6 +120,67 @@ class TestProviderAskValidation:
         assert not is_valid_provider_ask(ProviderAsk("p", -0.1, 1.0))
         assert not is_valid_provider_ask(ProviderAsk("p", math.nan, 1.0))
         assert not is_valid_provider_ask(ProviderAsk("p", 0.1, -1.0))
+
+
+#: Asks the protocol neutralises before ``A`` runs; a mechanism called directly on
+#: a vector nobody sanitised must leave them out too, without raising.
+_UNUSABLE_ASKS = [
+    ProviderAsk("bad", 0.0, math.inf),
+    ProviderAsk("bad", 0.0, math.nan),
+    ProviderAsk("bad", 0.0, 2e12),
+    ProviderAsk("bad", 0.0, "lots"),
+    ProviderAsk("bad", 0.0, True),
+    ProviderAsk("bad", -0.5, 1.0),
+]
+
+
+class TestEligibleProviderAsks:
+    def test_keeps_bid_vector_order_and_drops_what_cannot_host(self):
+        keep_a, keep_b = ProviderAsk("z", 0.5, 1.0), ProviderAsk("a", 0, 1e12)
+        asks = (
+            keep_a,
+            neutral_provider_ask("neutral"),
+            ProviderAsk("dust", 0.0, 1e-12),
+            *(
+                ProviderAsk(f"bad{i}", ask.unit_cost, ask.capacity)
+                for i, ask in enumerate(_UNUSABLE_ASKS)
+            ),
+            keep_b,
+        )
+        eligible = eligible_provider_asks(BidVector((), asks))
+        assert [ask.provider_id for ask in eligible] == ["z", "a"]
+        assert eligible[0] is keep_a and eligible[1] is keep_b
+
+    @pytest.mark.parametrize("bad", _UNUSABLE_ASKS, ids=lambda ask: repr(ask.capacity))
+    def test_every_mechanism_ignores_an_unusable_ask(self, bad):
+        users = tuple(UserBid(f"u{i}", 1.0 + i / 8, 0.5) for i in range(4))
+        good = ProviderAsk("good", 0.25, 1.1)
+        without = BidVector(users, (good,))
+        for asks in ((bad, good), (good, bad)):
+            bids = BidVector(users, asks)
+            for mechanism in (
+                StandardAuction(epsilon=0.5),
+                VectorizedStandardAuction(epsilon=0.5),
+                GreedyStandardAuction(),
+                ExactVCGAuction(),
+            ):
+                clear_solve_cache()
+                result = mechanism.run(bids, random.Random(7))
+                assert result.allocation.winners(), type(mechanism).__name__
+                assert result == mechanism.run(without, random.Random(7))
+
+    def test_engines_agree_next_to_an_infinite_capacity(self):
+        # Best-fit cannot tell a feasible infinite residual from the kernel's
+        # "infeasible" sentinel: the vectorized engine once put all four users
+        # on p0 (2.0 on a capacity of 0.1) where the reference chose p1.
+        bids = BidVector(
+            tuple(UserBid(f"u{i}", 1.0, 0.5) for i in range(4)),
+            (ProviderAsk("p0", 0.0, 0.1), ProviderAsk("p1", 0.0, math.inf)),
+        )
+        clear_solve_cache()
+        reference = StandardAuction(epsilon=0.5).solve_allocation(bids, 7)
+        assert VectorizedStandardAuction(epsilon=0.5).solve_allocation(bids, 7) == reference
+        assert reference[0].winners() == []  # 0.1 hosts nobody; inf is no capacity
 
 
 class TestNeutralSubstitution:
