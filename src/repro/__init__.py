@@ -66,7 +66,6 @@ _SCENARIO_EXPORTS = frozenset(
         "SpecError",
         "SweepSpec",
         "load_spec",
-        "load_sweep",
         "run_sweep",
     }
 )
@@ -103,7 +102,6 @@ __all__ = [
     "SweepSpec",
     "UserBid",
     "load_spec",
-    "load_sweep",
     "run_sweep",
     "__version__",
 ]

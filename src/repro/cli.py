@@ -98,14 +98,16 @@ available count with a stderr warning instead of oversubscribing.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from typing import Any, Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.scenarios.aggregate import render_records, render_series
-from repro.scenarios.chaos import ChaosResult, chaos_with_overrides, run_chaos
-from repro.scenarios.io import load_any, load_chaos, load_resilience
-from repro.scenarios.resilience import ResilienceResult, resilience_with_overrides, run_resilience
+from repro.scenarios.chaos import ChaosResult, ChaosSpec, run_chaos
+from repro.scenarios.io import load_any, load_spec
+from repro.scenarios.resilience import ResilienceResult, ResilienceSpec, run_resilience
 from repro.scenarios.simulation import Simulation
 from repro.scenarios.spec import (
     ScenarioSpec,
@@ -200,85 +202,33 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true", help="print machine-readable JSON records")
     add_obs_options(run)
 
-    sweep = sub.add_parser(
-        "sweep", help="run a grid of scenarios from a sweep spec file"
-    )
-    sweep.add_argument(
-        "--spec", metavar="FILE", required=True, help="sweep/scenario spec file (.json or .toml)"
-    )
-    sweep.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted-path override applied to the sweep's base spec; repeatable",
-    )
-    sweep.add_argument("--series", action="store_true", help="print per-series summary")
-    sweep.add_argument("--json", action="store_true", help="print machine-readable JSON records")
-    add_grid_options(sweep)
-    add_obs_options(sweep)
-
-    resilience = sub.add_parser(
-        "resilience",
-        help="audit the k-resilience claim: coalition deviations vs the honest run",
-    )
-    resilience.add_argument(
-        "--spec",
-        metavar="FILE",
-        required=True,
-        help="resilience spec file (.json or .toml): a 'base' scenario plus "
-        "k/coalitions/adversaries/schedules/seeds",
-    )
-    resilience.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted-path override applied to the audit spec (e.g. --set k=2 "
-        "or --set base.users=30); repeatable",
-    )
-    resilience.add_argument(
-        "--json", action="store_true", help="print machine-readable JSON records"
-    )
-    add_grid_options(resilience)
-    add_obs_options(resilience)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="audit the protocol under injected faults: conservation, "
-        "termination, replay and journal-repair invariants per cell",
-    )
-    chaos.add_argument(
-        "--spec",
-        metavar="FILE",
-        required=True,
-        help="chaos spec file (.json or .toml): a 'base' scenario plus "
-        "faults/recovery/seeds",
-    )
-    chaos.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted-path override applied to the audit spec (e.g. --set "
-        "recovery.max_retries=5 or --set base.users=30); repeatable",
-    )
-    chaos.add_argument(
-        "--json", action="store_true", help="print machine-readable JSON records"
-    )
-    chaos.add_argument(
-        "--quarantine",
-        action="store_true",
-        help="crash tolerance: survive worker failures under --workers by "
-        "retrying with a literal bound, then quarantine cells that keep "
-        "failing (journaled with --output, so --resume re-runs exactly "
-        "those) and keep executing the rest of the grid",
-    )
-    add_grid_options(chaos)
-    add_obs_options(chaos)
+    for name, kind in _GRID_COMMANDS.items():
+        command = sub.add_parser(name, help=kind.help)
+        command.add_argument("--spec", metavar="FILE", required=True, help=kind.spec_help)
+        command.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help=kind.set_help,
+        )
+        if kind.series:
+            command.add_argument("--series", action="store_true", help="print per-series summary")
+        command.add_argument(
+            "--json", action="store_true", help="print machine-readable JSON records"
+        )
+        if kind.quarantine:
+            command.add_argument(
+                "--quarantine",
+                action="store_true",
+                help="crash tolerance: survive worker failures under --workers by "
+                "retrying with a literal bound, then quarantine cells that keep "
+                "failing (journaled with --output, so --resume re-runs exactly "
+                "those) and keep executing the rest of the grid",
+            )
+        add_grid_options(command)
+        add_obs_options(command)
 
     results = sub.add_parser(
         "results",
@@ -472,8 +422,10 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
-    """The run_sweep kwargs of the shared --workers/--output/--store-format/--resume flags."""
+def _command_grid(args: argparse.Namespace) -> int:
+    """``sweep`` / ``resilience`` / ``chaos``: one path, read off the kind's declaration."""
+    kind = _GRID_COMMANDS[args.command]
+    spec = kind.load(args.spec, parse_assignments(args.overrides))
     if args.resume and not args.output:
         raise SpecError("--resume", "resuming requires --output FILE (the journal to continue)")
     if args.store_format and not args.output:
@@ -481,28 +433,35 @@ def _grid_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
             "--store-format",
             "choosing a store format requires --output FILE (the journal to write)",
         )
-    return {
+    options: Dict[str, Any] = {
         "workers": args.workers,
         "store": args.output,
         "store_format": args.store_format,
         "resume": args.resume,
     }
+    if kind.quarantine:
+        options["failure_mode"] = "quarantine" if args.quarantine else "raise"
+    result = _observed(args, spec.name, lambda: kind.run(spec, **options))
+    _report_store(kind, result, args)
+    if args.json:
+        print(result.to_json())
+    else:
+        kind.render(result, args)
+    return 0 if kind.passed(result) else 1
 
 
-def _report_store(result: SweepResult, args: argparse.Namespace) -> None:
-    """One stderr line about the journal, greppable by CI resume assertions."""
+def _report_store(kind: "_GridCommand", result, args: argparse.Namespace) -> None:
+    """The stderr lines about the journal and quarantined work, greppable by CI."""
+    quarantined = result.quarantined if kind.quarantine else ()
     if args.output:
-        print(
-            f"store {args.output}: reused {result.resumed_rounds} journaled rounds, "
-            f"executed {result.executed_rounds} new rounds",
-            file=sys.stderr,
+        unit = kind.unit  # also the suffix of the result's two counters
+        line = (
+            f"store {args.output}: reused {getattr(result, 'resumed_' + unit)} journaled "
+            f"{unit}, executed {getattr(result, 'executed_' + unit)} new {unit}"
         )
-    _report_quarantine(result)
-
-
-def _report_quarantine(result) -> None:
-    """One stderr line per run about quarantined work, greppable by CI."""
-    quarantined = getattr(result, "quarantined", None)
+        if kind.quarantine:
+            line += f", quarantined {len(quarantined)} {unit}"
+        print(line, file=sys.stderr)
     if quarantined:
         cells = ", ".join(
             f"({entry['point']},{entry['instance']}): {entry['error']}"
@@ -512,59 +471,13 @@ def _report_quarantine(result) -> None:
 
 
 def _print_sweep(result: SweepResult, args: argparse.Namespace) -> None:
-    _report_store(result, args)
-    if args.json:
-        print(result.to_json())
-    elif args.series:
+    if args.series:
         print(render_series(result.records))
     else:
         print(render_records(result.name, result.records))
 
 
-def _command_resilience(args: argparse.Namespace) -> int:
-    spec = load_resilience(args.spec)
-    spec = resilience_with_overrides(spec, parse_assignments(args.overrides))
-    result = _observed(
-        args, spec.name, lambda: run_resilience(spec, **_grid_kwargs(args))
-    )
-    if args.output:
-        print(
-            f"store {args.output}: reused {result.resumed_cells} journaled cells, "
-            f"executed {result.executed_cells} new cells",
-            file=sys.stderr,
-        )
-    if args.json:
-        print(result.to_json())
-    else:
-        _print_resilience(result)
-    return 0 if result.is_resilient() else 1
-
-
-def _command_chaos(args: argparse.Namespace) -> int:
-    spec = load_chaos(args.spec)
-    spec = chaos_with_overrides(spec, parse_assignments(args.overrides))
-    failure_mode = "quarantine" if args.quarantine else "raise"
-    result = _observed(
-        args,
-        spec.name,
-        lambda: run_chaos(spec, failure_mode=failure_mode, **_grid_kwargs(args)),
-    )
-    if args.output:
-        print(
-            f"store {args.output}: reused {result.resumed_cells} journaled cells, "
-            f"executed {result.executed_cells} new cells, "
-            f"quarantined {len(result.quarantined)} cells",
-            file=sys.stderr,
-        )
-    _report_quarantine(result)
-    if args.json:
-        print(result.to_json())
-    else:
-        _print_chaos(result)
-    return 0 if result.is_clean() else 1
-
-
-def _print_chaos(result: ChaosResult) -> None:
+def _print_chaos(result: ChaosResult, args: argparse.Namespace) -> None:
     header = (
         f"{'fault':<28s} {'seed':>6s} {'sent':>6s} {'lost':>6s} {'retx':>6s} "
         f"{'term':<5s} {'consv':<6s} {'replay':<7s} {'store':<6s} {'verdict':<8s}"
@@ -601,7 +514,7 @@ def _print_chaos(result: ChaosResult) -> None:
         )
 
 
-def _print_resilience(result: ResilienceResult) -> None:
+def _print_resilience(result: ResilienceResult, args: argparse.Namespace) -> None:
     header = (
         f"{'deviation':<28s} {'coalition':<20s} {'schedule':<12s} "
         f"{'seed':>6s} {'outcome':<8s} {'max gain':>12s}"
@@ -670,16 +583,6 @@ def _command_lint(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    loaded = load_any(args.spec)
-    if isinstance(loaded, ScenarioSpec):
-        loaded = SweepSpec(base=loaded, name=loaded.name)
-    sweep = loaded.with_base_overrides(parse_assignments(args.overrides))
-    result = _observed(args, sweep.name, lambda: run_sweep(sweep, **_grid_kwargs(args)))
-    _print_sweep(result, args)
-    return 0
-
-
 def _command_trace(args: argparse.Namespace) -> int:
     # Imported here, not at module top: export is an offline tool and the
     # simulation subcommands should not pay for it.
@@ -709,12 +612,78 @@ def _command_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_spec(path: str, overrides: Mapping[str, Any]) -> SweepSpec:
+    """A scenario file is a one-point sweep; --set addresses the scenario, not the grid."""
+    loaded = load_any(path)
+    if isinstance(loaded, ScenarioSpec):
+        loaded = SweepSpec(base=loaded, name=loaded.name)
+    return loaded.with_base_overrides(overrides)
+
+
+def _audit_spec(spec_type: type, path: str, overrides: Mapping[str, Any]):
+    return spec_with_overrides(load_spec(path, spec_type), overrides)
+
+
+@dataclass(frozen=True)
+class _GridCommand:
+    """What one grid sub-command declares; :func:`_command_grid` is the only handler."""
+
+    help: str
+    spec_help: str
+    set_help: str
+    load: Callable[[str, Mapping[str, Any]], Any]  # spec file, then --set
+    run: Callable[..., Any]
+    unit: str  # what the store line counts
+    render: Callable[[Any, argparse.Namespace], None]  # the report printed without --json
+    passed: Callable[[Any], bool]  # the verdict behind exit status 0 / 1
+    series: bool = False  # takes --series
+    quarantine: bool = False  # takes --quarantine; the store line counts quarantined cells
+
+
+_GRID_COMMANDS = {
+    "sweep": _GridCommand(
+        help="run a grid of scenarios from a sweep spec file",
+        spec_help="sweep/scenario spec file (.json or .toml)",
+        set_help="dotted-path override applied to the sweep's base spec; repeatable",
+        load=_sweep_spec,
+        run=run_sweep,
+        unit="rounds",
+        render=_print_sweep,
+        passed=lambda result: True,
+        series=True,
+    ),
+    "resilience": _GridCommand(
+        help="audit the k-resilience claim: coalition deviations vs the honest run",
+        spec_help="resilience spec file (.json or .toml): a 'base' scenario plus "
+        "k/coalitions/adversaries/schedules/seeds",
+        set_help="dotted-path override applied to the audit spec (e.g. --set k=2 "
+        "or --set base.users=30); repeatable",
+        load=functools.partial(_audit_spec, ResilienceSpec),
+        run=run_resilience,
+        unit="cells",
+        render=_print_resilience,
+        passed=ResilienceResult.is_resilient,
+    ),
+    "chaos": _GridCommand(
+        help="audit the protocol under injected faults: conservation, "
+        "termination, replay and journal-repair invariants per cell",
+        spec_help="chaos spec file (.json or .toml): a 'base' scenario plus "
+        "faults/recovery/seeds",
+        set_help="dotted-path override applied to the audit spec (e.g. --set "
+        "recovery.max_retries=5 or --set base.users=30); repeatable",
+        load=functools.partial(_audit_spec, ChaosSpec),
+        run=run_chaos,
+        unit="cells",
+        render=_print_chaos,
+        passed=ChaosResult.is_clean,
+        quarantine=True,
+    ),
+}
+
 #: The sub-command dispatch table (argparse enforces membership).
 _COMMANDS = {
     "run": _command_run,
-    "sweep": _command_sweep,
-    "resilience": _command_resilience,
-    "chaos": _command_chaos,
+    **dict.fromkeys(_GRID_COMMANDS, _command_grid),
     "results": _command_results,
     "trace": _command_trace,
     "metrics": _command_metrics,

@@ -17,8 +17,6 @@ This package provides:
   building block) and for values from any finite domain.
 * :mod:`repro.consensus.multi_consensus` — a batched variant running many labelled
   instances over shared messages, used by the bid agreement in its efficient mode.
-* :mod:`repro.consensus.leader_election` — commit/reveal leader election in the style
-  of Abraham, Dolev and Halpern (DISC 2013).
 """
 
 from repro.consensus.bit_encoding import (
@@ -28,7 +26,6 @@ from repro.consensus.bit_encoding import (
     value_to_bits,
 )
 from repro.consensus.commitment import Commitment, CommitmentScheme
-from repro.consensus.leader_election import LeaderElectionBlock
 from repro.consensus.multi_consensus import BatchedConsensusBlock
 from repro.consensus.rational_consensus import BinaryConsensusBlock, RationalConsensusBlock
 
@@ -37,7 +34,6 @@ __all__ = [
     "BinaryConsensusBlock",
     "Commitment",
     "CommitmentScheme",
-    "LeaderElectionBlock",
     "RationalConsensusBlock",
     "bid_to_bits",
     "bits_to_bid",

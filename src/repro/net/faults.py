@@ -98,6 +98,9 @@ class RecoveryPolicy:
     base_backoff: float = 0.05
     backoff_factor: float = 2.0
 
+    #: What a spec file calls this table (``unknown recovery key``).
+    NOUN = "recovery"
+
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")

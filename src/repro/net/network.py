@@ -50,7 +50,7 @@ from repro.net.clock import VirtualClock
 from repro.net.latency import LatencyModel, ZeroLatencyModel
 from repro.net.message import Message
 from repro.net.node import Node, NodeContext
-from repro.net.scheduler import FairScheduler, LegacySchedulerAdapter, Scheduler
+from repro.net.scheduler import FairScheduler, Scheduler
 from repro.net.serialization import estimate_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> scenarios)
@@ -182,8 +182,9 @@ class SimNetwork:
     Args:
         latency_model: one-way delay model; defaults to zero latency.
         scheduler: delivery-order strategy; defaults to earliest-arrival-first.
-            Objects that only duck-type the legacy ``select``/``reset`` protocol
-            are wrapped in :class:`~repro.net.scheduler.LegacySchedulerAdapter`.
+            Anything implementing the queue protocol of
+            :class:`~repro.net.scheduler.Scheduler`; an object without ``pop``
+            is a ``TypeError`` here, not a failure mid-run.
         seed: seed for the network-level RNG (latency jitter, random scheduler) and
             for deriving per-node RNGs.
         measure_compute: if True, the wall-clock duration of every handler invocation
@@ -211,7 +212,11 @@ class SimNetwork:
         if scheduler is None:
             scheduler = FairScheduler()
         elif not hasattr(scheduler, "pop"):
-            scheduler = LegacySchedulerAdapter(scheduler)
+            raise TypeError(
+                f"{type(scheduler).__name__} does not implement the scheduler queue "
+                "protocol (push / pop / retire_recipient / reset) of "
+                "repro.net.scheduler.Scheduler"
+            )
         self.scheduler = scheduler
         self.measure_compute = measure_compute
         self._rng = random.Random(seed)
@@ -502,7 +507,7 @@ class SimNetwork:
         if self._started:
             raise RuntimeError("network already started")
         self._started = True
-        self.scheduler.begin_run()
+        self.scheduler.reset()
         for node in self._nodes.values():
             self._start_node(node)
 

@@ -22,28 +22,24 @@ them, which is what keeps every operation O(log M) instead of the former O(M)
 rebuild-filter-scan per delivered message.  ``pop`` returning ``None`` means no
 deliverable message remains (the network then drains and drops the rest).
 
-Every queue implementation is **bit-identical** to the historical
-``select(in_flight, rng)`` semantics: same delivered message per step, same RNG
-consumption, same tie-breaks.  The differential test
-(``tests/net/test_event_queue_differential.py``) locks the full delivery trace
-against a faithful port of the seed list-based core.
+Every queue implementation is **bit-identical** to the seed core's
+``select(in_flight, rng)`` over a flat list: same delivered message per step,
+same RNG consumption, same tie-breaks.  That list-based core and its four
+schedulers live on as the test oracle (``tests/net/seed_reference.py``), and the
+differential test (``tests/net/test_event_queue_differential.py``) locks the
+full delivery trace against it.
 
-Backwards compatibility: third-party schedulers that only implement ``select``
-keep working — the base class provides push/pop/retire implementations that
-replay the legacy algorithm (build the deliverable list, call ``select``,
-remove the choice).  Objects that merely duck-type the old protocol (``select``
-+ ``reset`` without subclassing) are wrapped by the network in
-:class:`LegacySchedulerAdapter`.  A scheduler instance serves one network run
-at a time (sequential reuse across runs is fine; ``begin_run`` clears state).
+A scheduler instance serves one network run at a time (sequential reuse across
+runs is fine: the network calls ``reset`` before the first push of each run).
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.net.message import Message
 
@@ -53,100 +49,28 @@ __all__ = [
     "RoundRobinScheduler",
     "RandomScheduler",
     "AdversarialScheduler",
-    "LegacySchedulerAdapter",
 ]
 
 
-def _arrival_key(message: Message) -> Tuple[float, int]:
-    return (message.arrival_time, message.msg_id)
-
-
 class Scheduler(abc.ABC):
-    """Queue strategy that decides the next in-flight message to deliver.
+    """The queue protocol that decides the next in-flight message to deliver."""
 
-    Subclasses either override the queue protocol (``push`` / ``pop`` /
-    ``retire_recipient`` / ``reset``) or just implement the legacy ``select``
-    hook, in which case the default implementations below replay the historical
-    list-based algorithm on their behalf.
-    """
-
-    # -- queue-strategy protocol ---------------------------------------------
+    @abc.abstractmethod
     def push(self, message: Message) -> None:
         """Enqueue a freshly sent message."""
-        pending, _retired = self._legacy_state()
-        pending.append(message)
 
+    @abc.abstractmethod
     def pop(self, rng: random.Random) -> Optional[Message]:
         """Remove and return the next deliverable message, or ``None`` if there
         is none (every queued message is addressed to a retired recipient)."""
-        pending, retired = self._legacy_state()
-        deliverable = [m for m in pending if m.recipient not in retired]
-        if not deliverable:
-            # Whatever is left can never be delivered (retirement is permanent
-            # within a run) — forget it, mirroring the seed core's drain.
-            pending.clear()
-            return None
-        chosen = self.select(deliverable, rng)
-        pending.remove(chosen)
-        return chosen
 
+    @abc.abstractmethod
     def retire_recipient(self, node_id: str) -> None:
         """The recipient finished: its queued messages are no longer deliverable."""
-        self._legacy_state()[1].add(node_id)
 
-    def begin_run(self) -> None:
-        """Called by the network once per run, before any message is pushed.
-
-        Clears the adapter state of legacy schedulers and then invokes the
-        subclass :meth:`reset` hook.  Not meant to be overridden.
-        """
-        state = self.__dict__.get("_select_adapter_state")
-        if state is not None:
-            state[0].clear()
-            state[1].clear()
-        self.reset()
-
-    def reset(self) -> None:  # pragma: no cover - default no-op
-        """Clear any internal state before a new run."""
-
-    # -- legacy API -----------------------------------------------------------
-    def select(self, in_flight: Sequence[Message], rng: random.Random) -> Message:
-        """Choose one message from the non-empty ``in_flight`` sequence.
-
-        Historical protocol, kept as the extension point for simple schedulers
-        (and for tests that drive a scheduler by hand over an external pool).
-        Queue-native schedulers may leave it unimplemented.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} implements the queue protocol only"
-        )
-
-    def _legacy_state(self) -> Tuple[List[Message], Set[str]]:
-        # Lazily initialised so select-only subclasses that never call
-        # super().__init__() still work.
-        state = self.__dict__.get("_select_adapter_state")
-        if state is None:
-            state = self.__dict__["_select_adapter_state"] = ([], set())
-        return state
-
-
-class LegacySchedulerAdapter(Scheduler):
-    """Wrap an object that duck-types the old protocol (``select``/``reset``).
-
-    The network applies this automatically, so pre-queue scheduler objects that
-    never subclassed :class:`Scheduler` keep working unchanged.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    def select(self, in_flight: Sequence[Message], rng: random.Random) -> Message:
-        return self.inner.select(in_flight, rng)
-
+    @abc.abstractmethod
     def reset(self) -> None:
-        reset = getattr(self.inner, "reset", None)
-        if reset is not None:
-            reset()
+        """Clear all per-run state; the network calls this once before each run."""
 
 
 class FairScheduler(Scheduler):
@@ -187,9 +111,6 @@ class FairScheduler(Scheduler):
     def reset(self) -> None:
         self._heap.clear()
         self._retired.clear()
-
-    def select(self, in_flight: Sequence[Message], rng: random.Random) -> Message:
-        return min(in_flight, key=_arrival_key)
 
 
 class RoundRobinScheduler(Scheduler):
@@ -259,24 +180,6 @@ class RoundRobinScheduler(Scheduler):
         self._undiscovered.clear()
         self._known = set(self._order)
         self._retired.clear()
-
-    def select(self, in_flight: Sequence[Message], rng: random.Random) -> Message:
-        # Legacy path (shares _order/_cursor with the queue path; drive a given
-        # instance through one protocol only).  Discovery uses first-occurrence
-        # order, not set iteration order — see the class docstring.
-        for known in dict.fromkeys(m.recipient for m in in_flight):
-            if known not in self._order:
-                self._order.append(known)
-                self._known.add(known)
-        for _ in range(len(self._order)):
-            candidate = self._order[self._cursor % len(self._order)]
-            self._cursor += 1
-            pending = [m for m in in_flight if m.recipient == candidate]
-            if pending:
-                return min(pending, key=_arrival_key)
-        # All pending recipients are unknown (cannot happen after the loop above,
-        # kept as a safe fallback).
-        return min(in_flight, key=_arrival_key)
 
 
 class _IndexedLiveList:
@@ -416,9 +319,6 @@ class RandomScheduler(Scheduler):
         self._queue.clear()
         self._retired.clear()
 
-    def select(self, in_flight: Sequence[Message], rng: random.Random) -> Message:
-        return in_flight[rng.randrange(len(in_flight))]
-
 
 @dataclass
 class AdversarialScheduler(Scheduler):
@@ -441,13 +341,11 @@ class AdversarialScheduler(Scheduler):
 
     targets: frozenset = frozenset()
     max_deferrals: int = 16
-    # Legacy ``select`` state only; the queue path tracks deferrals via eras.
-    _deferrals: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._clear_queue_state()
+        self.reset()
 
-    def _clear_queue_state(self) -> None:
+    def reset(self) -> None:
         self._targeted: List[Tuple[float, int, Message]] = []
         self._clean: List[Tuple[float, int, Message]] = []
         self._forced: List[Tuple[float, int, Message]] = []
@@ -464,7 +362,6 @@ class AdversarialScheduler(Scheduler):
     def _is_targeted(self, message: Message) -> bool:
         return message.sender in self.targets or message.recipient in self.targets
 
-    # -- queue protocol -------------------------------------------------------
     def push(self, message: Message) -> None:
         if message.recipient in self._retired:
             return
@@ -527,24 +424,3 @@ class AdversarialScheduler(Scheduler):
 
     def retire_recipient(self, node_id: str) -> None:
         self._retired.add(node_id)
-
-    def reset(self) -> None:
-        self._deferrals.clear()
-        self._clear_queue_state()
-
-    # -- legacy path ----------------------------------------------------------
-    def select(self, in_flight: Sequence[Message], rng: random.Random) -> Message:
-        ordered = sorted(in_flight, key=_arrival_key)
-        # Forced deliveries first: messages that exhausted their deferral budget.
-        for message in ordered:
-            if self._deferrals.get(message.msg_id, 0) >= self.max_deferrals:
-                return message
-        # Prefer non-targeted traffic; defer targeted traffic.
-        for message in ordered:
-            if not self._is_targeted(message):
-                for other in ordered:
-                    if self._is_targeted(other):
-                        self._deferrals[other.msg_id] = self._deferrals.get(other.msg_id, 0) + 1
-                return message
-        # Only targeted traffic left — fairness forces a delivery.
-        return ordered[0]

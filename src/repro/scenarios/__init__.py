@@ -13,8 +13,10 @@ through the existing runners, returning uniform
     with Simulation.from_file("scenario.toml") as sim:
         print(sim.run().to_dict())
 
-Specs round-trip losslessly through JSON and TOML files
-(:mod:`repro.scenarios.io`), sweeps express grids over any spec field
+Every spec class — scenario, sweep, audit — round-trips losslessly through
+JSON and TOML files by one walker over its dataclass fields
+(:func:`~repro.scenarios.spec.spec_from_dict` / ``spec_to_dict``,
+:mod:`repro.scenarios.io`), sweeps express grids over any spec field
 (:mod:`repro.scenarios.sweep`), and the paper's Figure 4 / Figure 5
 experiments ship as built-in sweep specs (:mod:`repro.scenarios.builtin`).
 New mechanisms/workloads/latency models/adversaries plug in through the
@@ -34,24 +36,9 @@ from repro.scenarios.chaos import (
     ChaosResult,
     ChaosSpec,
     FaultSpec,
-    chaos_fingerprint,
-    chaos_from_dict,
-    chaos_to_dict,
-    chaos_with_overrides,
     run_chaos,
 )
-from repro.scenarios.io import (
-    dump_chaos,
-    dump_resilience,
-    dump_spec,
-    dump_sweep,
-    dumps_toml,
-    load_any,
-    load_chaos,
-    load_resilience,
-    load_spec,
-    load_sweep,
-)
+from repro.scenarios.io import dump_spec, dumps_toml, load_any, load_spec
 from repro.scenarios.registry import (
     ADVERSARIES,
     BIDDER_STRATEGIES,
@@ -67,10 +54,6 @@ from repro.scenarios.resilience import (
     ResilienceRecord,
     ResilienceResult,
     ResilienceSpec,
-    resilience_fingerprint,
-    resilience_from_dict,
-    resilience_to_dict,
-    resilience_with_overrides,
     run_resilience,
 )
 from repro.scenarios.runner import RunRecord, run_scenario
@@ -83,11 +66,10 @@ from repro.scenarios.spec import (
     SpecError,
     SweepSpec,
     parse_assignments,
+    spec_fingerprint,
     spec_from_dict,
     spec_to_dict,
     spec_with_overrides,
-    sweep_from_dict,
-    sweep_to_dict,
 )
 from repro.scenarios.aggregate import (
     MetricAccumulator,
@@ -104,7 +86,6 @@ from repro.scenarios.store import (
     StoreBackend,
     convert_journal,
     sniff_format,
-    sweep_fingerprint,
 )
 from repro.scenarios.sweep import ComponentCache, SweepResult, run_sweep
 
@@ -146,31 +127,17 @@ __all__ = [
     "TOPOLOGIES",
     "WORKLOADS",
     "WorkerPlan",
-    "chaos_fingerprint",
-    "chaos_from_dict",
-    "chaos_to_dict",
-    "chaos_with_overrides",
     "convert_journal",
-    "dump_chaos",
-    "dump_resilience",
     "dump_spec",
-    "dump_sweep",
     "dumps_toml",
     "figure4_sweep",
     "figure5_sweep",
     "load_any",
-    "load_chaos",
-    "load_resilience",
     "load_spec",
-    "load_sweep",
     "parse_assignments",
     "render_records",
     "render_series",
     "render_summary",
-    "resilience_fingerprint",
-    "resilience_from_dict",
-    "resilience_to_dict",
-    "resilience_with_overrides",
     "resolve_workers",
     "run_chaos",
     "run_file",
@@ -178,10 +145,8 @@ __all__ = [
     "run_scenario",
     "run_sweep",
     "sniff_format",
+    "spec_fingerprint",
     "spec_from_dict",
     "spec_to_dict",
     "spec_with_overrides",
-    "sweep_fingerprint",
-    "sweep_from_dict",
-    "sweep_to_dict",
 ]

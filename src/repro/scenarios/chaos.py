@@ -50,7 +50,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.context import current_observation
 from repro.net.faults import FAULTS, FaultPlan, RecoveryPolicy, make_fault
@@ -61,8 +61,8 @@ from repro.scenarios.spec import (
     LabelledComponentSpec,
     ScenarioSpec,
     SpecError,
-    canonical_fingerprint,
-    spec_from_dict,
+    check_fields,
+    spec_fingerprint,
     spec_to_dict,
 )
 
@@ -72,10 +72,6 @@ __all__ = [
     "ChaosRecord",
     "ChaosResult",
     "ChaosContext",
-    "chaos_from_dict",
-    "chaos_to_dict",
-    "chaos_with_overrides",
-    "chaos_fingerprint",
     "run_chaos",
     "CHAOS_GRID",
 ]
@@ -95,53 +91,6 @@ class FaultSpec(LabelledComponentSpec):
     def build(self, path: str):
         """Instantiate the fault model (path-precise ``SpecError`` on failure)."""
         return make_fault(self.kind, dict(self.params), path)
-
-
-# ------------------------------------------------------------- recovery policy --
-_RECOVERY_KEYS = ("enabled", "max_retries", "base_backoff", "backoff_factor")
-
-
-def _recovery_from_value(value: Any, path: str = "recovery") -> RecoveryPolicy:
-    """Parse a recovery table into a :class:`~repro.net.faults.RecoveryPolicy`."""
-    if isinstance(value, RecoveryPolicy):
-        return value
-    if not isinstance(value, Mapping):
-        raise SpecError(path, f"expected a table, got {type(value).__name__}")
-    unknown = set(value) - set(_RECOVERY_KEYS)
-    if unknown:
-        raise SpecError(
-            f"{path}.{sorted(unknown)[0]}",
-            f"unknown recovery key; expected one of {', '.join(_RECOVERY_KEYS)}",
-        )
-    kwargs: Dict[str, Any] = {}
-    if "enabled" in value:
-        if not isinstance(value["enabled"], bool):
-            raise SpecError(f"{path}.enabled", "expected a boolean")
-        kwargs["enabled"] = value["enabled"]
-    if "max_retries" in value:
-        retries = value["max_retries"]
-        if isinstance(retries, bool) or not isinstance(retries, int):
-            raise SpecError(f"{path}.max_retries", "expected an integer")
-        kwargs["max_retries"] = retries
-    for key in ("base_backoff", "backoff_factor"):
-        if key in value:
-            number = value[key]
-            if isinstance(number, bool) or not isinstance(number, (int, float)):
-                raise SpecError(f"{path}.{key}", "expected a number")
-            kwargs[key] = float(number)
-    try:
-        return RecoveryPolicy(**kwargs)
-    except ValueError as exc:
-        raise SpecError(path, str(exc)) from exc
-
-
-def _recovery_to_value(policy: RecoveryPolicy) -> Dict[str, Any]:
-    return {
-        "enabled": policy.enabled,
-        "max_retries": policy.max_retries,
-        "base_backoff": policy.base_backoff,
-        "backoff_factor": policy.backoff_factor,
-    }
 
 
 @dataclass(frozen=True)
@@ -169,32 +118,22 @@ class ChaosSpec:
     recovery: Optional[RecoveryPolicy] = None
     seeds: Tuple[int, ...] = ()
 
+    NOUN = "chaos"
+
     def __post_init__(self) -> None:
-        if isinstance(self.base, Mapping):
-            object.__setattr__(self, "base", spec_from_dict(self.base))
+        check_fields(self)
         if self.base.runner != "distributed":
             raise SpecError(
                 "base.runner",
                 "chaos audits inject faults into the provider protocol's network, "
                 f"which only the 'distributed' runner hosts (got runner={self.base.runner!r})",
             )
-        object.__setattr__(
-            self,
-            "faults",
-            tuple(
-                FaultSpec.from_value(fault, f"faults[{i}]")
-                for i, fault in enumerate(self.faults)
-            ),
-        )
         if not self.faults:
             raise SpecError(
                 "faults",
                 "a chaos audit needs at least one fault model; registered kinds: "
                 + ", ".join(FAULTS.available()),
             )
-        if self.recovery is not None and not isinstance(self.recovery, RecoveryPolicy):
-            object.__setattr__(self, "recovery", _recovery_from_value(self.recovery))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def effective_seeds(self) -> Tuple[int, ...]:
         return self.seeds if self.seeds else (self.base.seed,)
@@ -205,87 +144,6 @@ class ChaosSpec:
     def cells(self) -> List[int]:
         """The ordered fault grid: one point per fault (seeds are instances)."""
         return list(range(len(self.faults)))
-
-
-# ---------------------------------------------------------------------- parsing --
-_CHAOS_KEYS = {"name", "base", "faults", "recovery", "seeds"}
-
-
-def chaos_from_dict(data: Mapping[str, Any]) -> ChaosSpec:
-    """Parse a chaos spec from a plain (JSON/TOML-shaped) mapping.
-
-    Raises :class:`SpecError` with a dotted path to the offending key on any
-    unknown key, wrong type, or invalid value.
-    """
-    if not isinstance(data, Mapping):
-        raise SpecError("", f"expected a table at the top level, got {type(data).__name__}")
-    unknown = set(data) - _CHAOS_KEYS
-    if unknown:
-        raise SpecError(
-            sorted(unknown)[0],
-            f"unknown chaos key; expected one of {', '.join(sorted(_CHAOS_KEYS))}",
-        )
-    kwargs: Dict[str, Any] = {}
-    if "name" in data:
-        name = data["name"]
-        if not isinstance(name, str):
-            raise SpecError("name", f"expected a string, got {type(name).__name__}")
-        kwargs["name"] = name
-    if "base" in data:
-        base = data["base"]
-        if not isinstance(base, Mapping):
-            raise SpecError("base", f"expected a table, got {type(base).__name__}")
-        try:
-            kwargs["base"] = spec_from_dict(base)
-        except SpecError as exc:
-            raise SpecError(f"base.{exc.path}" if exc.path else "base", exc.message) from exc
-    if "faults" in data:
-        entries = data["faults"]
-        if not isinstance(entries, (list, tuple)):
-            raise SpecError("faults", f"expected a list, got {type(entries).__name__}")
-        kwargs["faults"] = tuple(
-            FaultSpec.from_value(entry, f"faults[{i}]") for i, entry in enumerate(entries)
-        )
-    if "recovery" in data and data["recovery"] is not None:
-        kwargs["recovery"] = _recovery_from_value(data["recovery"])
-    if "seeds" in data:
-        entries = data["seeds"]
-        if not isinstance(entries, (list, tuple)) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in entries
-        ):
-            raise SpecError("seeds", "expected a list of integers")
-        kwargs["seeds"] = tuple(entries)
-    return ChaosSpec(**kwargs)
-
-
-def chaos_to_dict(spec: ChaosSpec) -> Dict[str, Any]:
-    """Serialize a chaos spec to a plain mapping (no ``None``, TOML-safe)."""
-    data: Dict[str, Any] = {"name": spec.name, "base": spec_to_dict(spec.base)}
-    data["faults"] = [fault.to_value() for fault in spec.faults]
-    if spec.recovery is not None:
-        data["recovery"] = _recovery_to_value(spec.recovery)
-    if spec.seeds:
-        data["seeds"] = list(spec.seeds)
-    return data
-
-
-def chaos_with_overrides(spec: ChaosSpec, overrides: Mapping[str, Any]) -> ChaosSpec:
-    """A copy of ``spec`` with dotted-path overrides applied (re-validated).
-
-    Shares the override grammar of the scenario layer: ``base.users=30`` digs
-    into the base scenario, ``recovery.max_retries=5`` / ``seeds=[0,1]``
-    replace audit fields.
-    """
-    from repro.scenarios.spec import apply_overrides
-
-    if not overrides:
-        return spec
-    return chaos_from_dict(apply_overrides(chaos_to_dict(spec), overrides))
-
-
-def chaos_fingerprint(spec: ChaosSpec) -> str:
-    """A stable digest of the audit's full canonical spec (for journal manifests)."""
-    return canonical_fingerprint(chaos_to_dict(spec))
 
 
 # ---------------------------------------------------------------------- records --
@@ -523,7 +381,7 @@ def _torn_repair_ok(spec: ChaosSpec, record: RunRecord, drop_bytes: int) -> bool
     """
     from repro.scenarios.store import JsonlStoreBackend
 
-    fingerprint = chaos_fingerprint(spec) + ":torn"
+    fingerprint = spec_fingerprint(spec) + ":torn"
     records = {(0, 0): record, (0, 1): record}
     workdir = tempfile.mkdtemp(prefix="repro-chaos-torn-")
     try:
@@ -562,8 +420,7 @@ def _torn_repair_ok(spec: ChaosSpec, record: RunRecord, drop_bytes: int) -> bool
 #: workers amortise by seed (workload generation, latency model, provider ids).
 CHAOS_GRID = Grid(
     record_type=ChaosRecord,
-    to_dict=chaos_to_dict,
-    from_dict=chaos_from_dict,
+    spec_type=ChaosSpec,
     context=ChaosContext,
 )
 

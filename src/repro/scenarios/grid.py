@@ -7,10 +7,11 @@ functions of ``(spec, cell)``; :func:`run_grid` is the only place that turns
 such a grid into records (DESIGN.md, "The grid engine", is the long form).
 
 **What an audit kind declares** — one module-level :class:`Grid`: the record
-type, the spec's ``to_dict`` / ``from_dict`` pair (all that crosses a process
-boundary, besides picklable ``extra`` arguments; its canonical digest is the
-journal fingerprint) and a context factory ``context(spec, *extra)``.  A
-context is one executor's state; it builds nothing until a cell runs:
+type, the spec class (its file form — :func:`~repro.scenarios.spec.spec_to_dict`
+— is all that crosses a process boundary, besides picklable ``extra``
+arguments, and its canonical digest is the journal fingerprint) and a context
+factory ``context(spec, *extra)``.  A context is one executor's state; it
+builds nothing until a cell runs:
 
 * ``run_order()`` — every cell of the grid, in the order one executor should
   take them (cells that share setup back to back);
@@ -34,7 +35,7 @@ import functools
 import pickle
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.scenarios.dispatch import (
     CHUNKS_PER_WORKER,
@@ -45,7 +46,7 @@ from repro.scenarios.dispatch import (
     resolve_workers,
     split_chunks,
 )
-from repro.scenarios.spec import SpecError, canonical_fingerprint
+from repro.scenarios.spec import SpecError, spec_fingerprint, spec_from_dict, spec_to_dict
 from repro.scenarios.store import ResultsStore
 
 __all__ = ["Cell", "Grid", "GridRun", "chunk_cells", "run_chunk", "run_grid"]
@@ -63,8 +64,7 @@ class Grid:
     """
 
     record_type: type
-    to_dict: Callable[[Any], Dict[str, Any]]
-    from_dict: Callable[[Mapping[str, Any]], Any]
+    spec_type: type
     context: Callable[..., Any]
 
 
@@ -166,7 +166,7 @@ def run_grid(
                 spec,
                 total_rounds=len(order),
                 resume=resume,
-                fingerprint=canonical_fingerprint(grid.to_dict(spec)),
+                fingerprint=spec_fingerprint(spec),
             )
         pending = [cell for cell in order if cell not in run.reused]
         stream = _stream(grid, spec, extra, context, pending, plan, failure_mode)
@@ -221,7 +221,7 @@ def _stream(grid, spec, extra, context, pending, plan, failure_mode) -> Iterator
             f"{exc}; run with workers=1 or express it in the spec",
         ) from exc
     chunks = chunk_cells(context, pending, plan.workers)
-    worker = functools.partial(run_chunk, grid, grid.to_dict(spec), tuple(extra))
+    worker = functools.partial(run_chunk, grid, spec_to_dict(spec), tuple(extra))
     executor = create_backend(plan.backend)
     executor.failure_mode = failure_mode
     yield from executor.execute(chunks, worker, plan.workers)
@@ -264,7 +264,7 @@ def run_chunk(
     survives pickling, so fail-fast callers see the typed error.
     """
     results: List[Tuple[int, int, Any]] = []
-    context = grid.context(grid.from_dict(payload), *extra)
+    context = grid.context(spec_from_dict(payload, grid.spec_type), *extra)
     try:
         for position, (point, instance) in enumerate(cells):
             try:

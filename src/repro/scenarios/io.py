@@ -1,8 +1,8 @@
-"""Loading and dumping scenario / sweep specs as JSON or TOML files.
+"""Loading and dumping specs — scenario, sweep or audit — as JSON or TOML files.
 
 The on-disk shape is exactly what :func:`~repro.scenarios.spec.spec_to_dict`
-and :func:`~repro.scenarios.spec.sweep_to_dict` produce: plain tables of
-scalars, lists and sub-tables, with no ``None`` values (TOML has no null).
+produces: plain tables of scalars, lists and sub-tables, with no ``None``
+values (TOML has no null).
 The format is chosen by file extension (``.json`` / ``.toml``).
 
 TOML reading uses the standard library's :mod:`tomllib`; writing uses a small
@@ -27,28 +27,9 @@ except ModuleNotFoundError:  # Python 3.10: stdlib tomllib arrived in 3.11
 
 _TOML_DECODE_ERROR = tomllib.TOMLDecodeError if tomllib is not None else ()
 
-from repro.scenarios.spec import (
-    ScenarioSpec,
-    SpecError,
-    SweepSpec,
-    spec_from_dict,
-    spec_to_dict,
-    sweep_from_dict,
-    sweep_to_dict,
-)
+from repro.scenarios.spec import ScenarioSpec, SpecError, SweepSpec, spec_from_dict, spec_to_dict
 
-__all__ = [
-    "load_spec",
-    "load_sweep",
-    "load_resilience",
-    "load_chaos",
-    "load_any",
-    "dump_spec",
-    "dump_sweep",
-    "dump_resilience",
-    "dump_chaos",
-    "dumps_toml",
-]
+__all__ = ["load_spec", "load_any", "dump_spec", "dumps_toml"]
 
 _FORMATS = (".json", ".toml")
 
@@ -92,93 +73,33 @@ def _read_table(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     return dict(data)
 
 
-def load_spec(path: Union[str, os.PathLike]) -> ScenarioSpec:
-    """Load a :class:`ScenarioSpec` from a ``.json`` or ``.toml`` file."""
-    data = _read_table(path)
-    try:
-        return spec_from_dict(data)
-    except SpecError as exc:
-        raise SpecError(str(path), exc.args[0]) from exc
-
-
-def load_sweep(path: Union[str, os.PathLike]) -> SweepSpec:
-    """Load a :class:`SweepSpec` from a ``.json`` or ``.toml`` file."""
-    data = _read_table(path)
-    try:
-        return sweep_from_dict(data)
-    except SpecError as exc:
-        raise SpecError(str(path), exc.args[0]) from exc
-
-
-def load_resilience(path: Union[str, os.PathLike]):
-    """Load a :class:`~repro.scenarios.resilience.ResilienceSpec` from a file.
-
-    A resilience spec file is a ``base`` scenario table plus the audit fields
-    (``k`` / ``coalitions`` / ``adversaries`` / ``schedules`` / ``seeds``);
-    it is loaded only by the ``resilience`` entry points, so ``load_any``'s
-    sweep detection is unaffected.
-    """
-    from repro.scenarios.resilience import resilience_from_dict
-
-    data = _read_table(path)
-    try:
-        return resilience_from_dict(data)
-    except SpecError as exc:
-        raise SpecError(str(path), exc.args[0]) from exc
-
-
-def load_chaos(path: Union[str, os.PathLike]):
-    """Load a :class:`~repro.scenarios.chaos.ChaosSpec` from a file.
-
-    A chaos spec file is a ``base`` scenario table plus the audit fields
-    (``faults`` / ``recovery`` / ``seeds``); it is loaded only by the
-    ``chaos`` entry points, so ``load_any``'s sweep detection is unaffected.
-    """
-    from repro.scenarios.chaos import chaos_from_dict
-
-    data = _read_table(path)
-    try:
-        return chaos_from_dict(data)
-    except SpecError as exc:
-        raise SpecError(str(path), exc.args[0]) from exc
+def load_spec(path: Union[str, os.PathLike], kind: type = ScenarioSpec) -> Any:
+    """Load a spec of class ``kind`` from a ``.json`` or ``.toml`` file."""
+    return _parse(_read_table(path), kind, path)
 
 
 def load_any(path: Union[str, os.PathLike]) -> Union[ScenarioSpec, SweepSpec]:
     """Load whichever spec the file holds.
 
     A table with a ``base``, ``points`` or ``axes`` key is a sweep; anything
-    else is a single scenario.
+    else is a single scenario.  (Audit files also have a ``base``: they are
+    loaded by naming their class to :func:`load_spec`, never sniffed.)
     """
     data = _read_table(path)
     is_sweep = any(key in data for key in ("base", "points", "axes"))
+    return _parse(data, SweepSpec if is_sweep else ScenarioSpec, path)
+
+
+def _parse(data: Dict[str, Any], kind: type, path: Union[str, os.PathLike]) -> Any:
     try:
-        return sweep_from_dict(data) if is_sweep else spec_from_dict(data)
+        return spec_from_dict(data, kind)
     except SpecError as exc:
         raise SpecError(str(path), exc.args[0]) from exc
 
 
-def dump_spec(spec: ScenarioSpec, path: Union[str, os.PathLike]) -> None:
-    """Write the spec to ``path`` as JSON or TOML (by extension)."""
+def dump_spec(spec: Any, path: Union[str, os.PathLike]) -> None:
+    """Write any spec to ``path`` as JSON or TOML (by extension)."""
     _write_table(spec_to_dict(spec), path)
-
-
-def dump_sweep(sweep: SweepSpec, path: Union[str, os.PathLike]) -> None:
-    """Write the sweep spec to ``path`` as JSON or TOML (by extension)."""
-    _write_table(sweep_to_dict(sweep), path)
-
-
-def dump_resilience(spec, path: Union[str, os.PathLike]) -> None:
-    """Write a resilience spec to ``path`` as JSON or TOML (by extension)."""
-    from repro.scenarios.resilience import resilience_to_dict
-
-    _write_table(resilience_to_dict(spec), path)
-
-
-def dump_chaos(spec, path: Union[str, os.PathLike]) -> None:
-    """Write a chaos spec to ``path`` as JSON or TOML (by extension)."""
-    from repro.scenarios.chaos import chaos_to_dict
-
-    _write_table(chaos_to_dict(spec), path)
 
 
 def _write_table(data: Dict[str, Any], path: Union[str, os.PathLike]) -> None:

@@ -130,8 +130,8 @@ TOPOLOGIES = Registry("topology")
 ADVERSARIES = Registry("adversary")
 
 #: Message schedules for resilience audits.  A factory returns a fresh
-#: :class:`repro.net.scheduler.Scheduler`; instances reset between runs via
-#: ``begin_run``, so one instance may be shared across the runs of one audit.
+#: :class:`repro.net.scheduler.Scheduler`; the network resets an instance
+#: before each run, so one may be shared across the runs of one audit.
 SCHEDULERS = Registry("schedule")
 
 

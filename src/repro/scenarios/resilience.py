@@ -49,8 +49,8 @@ from repro.scenarios.spec import (
     LabelledComponentSpec,
     ScenarioSpec,
     SpecError,
-    canonical_fingerprint,
-    spec_from_dict,
+    check_fields,
+    read_list,
     spec_to_dict,
 )
 
@@ -60,10 +60,6 @@ __all__ = [
     "ResilienceRecord",
     "ResilienceResult",
     "AuditContext",
-    "resilience_from_dict",
-    "resilience_to_dict",
-    "resilience_with_overrides",
-    "resilience_fingerprint",
     "run_resilience",
     "RESILIENCE_GRID",
     "PROFIT_TOLERANCE",
@@ -107,6 +103,33 @@ CoalitionSelector = Tuple[Union[str, int], ...]
 Cell = Tuple[int, int, int]
 
 
+def _coalition_selector(selectors: Any, path: str) -> CoalitionSelector:
+    if isinstance(selectors, (str, int)):
+        selectors = (selectors,)
+    if not isinstance(selectors, (list, tuple)) or not selectors:
+        raise SpecError(
+            path, "a coalition must be a non-empty list of provider ids or executor indices"
+        )
+    members: List[Union[str, int]] = []
+    for j, member in enumerate(selectors):
+        if isinstance(member, bool) or not isinstance(member, (str, int)):
+            raise SpecError(
+                f"{path}[{j}]",
+                f"coalition members are provider-id strings or executor indices, "
+                f"got {type(member).__name__}",
+            )
+        if isinstance(member, int) and member < 0:
+            raise SpecError(f"{path}[{j}]", "executor indices must be non-negative")
+        members.append(member)
+    if len(set(members)) != len(members):
+        raise SpecError(path, "coalition members must be distinct")
+    return tuple(members)
+
+
+def _write_coalitions(coalitions: Tuple[CoalitionSelector, ...]) -> List[List[Union[str, int]]]:
+    return [list(selectors) for selectors in coalitions]
+
+
 @dataclass(frozen=True)
 class ResilienceSpec:
     """A complete, serializable description of one resilience audit.
@@ -136,44 +159,26 @@ class ResilienceSpec:
     name: str = "resilience"
     base: ScenarioSpec = field(default_factory=ScenarioSpec)
     k: Optional[int] = None
-    coalitions: Tuple[CoalitionSelector, ...] = ()
+    coalitions: Tuple[CoalitionSelector, ...] = field(
+        default=(), metadata={"spec": (read_list(_coalition_selector), _write_coalitions)}
+    )
     max_coalitions: Optional[int] = None
     adversaries: Tuple[AdversarySpec, ...] = ()
     schedules: Tuple[ComponentSpec, ...] = (ComponentSpec("fair"),)
     seeds: Tuple[int, ...] = ()
 
+    NOUN = "resilience"
+
     def __post_init__(self) -> None:
-        if isinstance(self.base, Mapping):
-            object.__setattr__(self, "base", spec_from_dict(self.base))
+        check_fields(self)
         if self.base.runner != "distributed":
             raise SpecError(
                 "base.runner",
                 "resilience audits simulate deviating *providers*, which only the "
                 f"'distributed' runner hosts (got runner={self.base.runner!r})",
             )
-        object.__setattr__(
-            self,
-            "adversaries",
-            tuple(
-                AdversarySpec.from_value(adversary, f"adversaries[{i}]")
-                for i, adversary in enumerate(self.adversaries)
-            ),
-        )
-        object.__setattr__(
-            self,
-            "schedules",
-            tuple(
-                ComponentSpec.from_value(schedule, f"schedules[{i}]")
-                for i, schedule in enumerate(self.schedules)
-            ),
-        )
         if not self.schedules:
             raise SpecError("schedules", "need at least one schedule")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        coalitions = []
-        for i, selectors in enumerate(self.coalitions):
-            coalitions.append(_coalition_selector(selectors, f"coalitions[{i}]"))
-        object.__setattr__(self, "coalitions", tuple(coalitions))
         executors = self.executor_count()
         if self.k is not None:
             if self.k < 1:
@@ -241,146 +246,6 @@ class ResilienceSpec:
             for ci in range(len(self.coalition_selectors()))
             for ai in range(len(self.effective_adversaries()))
         ]
-
-
-def _coalition_selector(selectors: Any, path: str) -> CoalitionSelector:
-    if isinstance(selectors, (str, int)):
-        selectors = (selectors,)
-    if not isinstance(selectors, (list, tuple)) or not selectors:
-        raise SpecError(
-            path, "a coalition must be a non-empty list of provider ids or executor indices"
-        )
-    members: List[Union[str, int]] = []
-    for j, member in enumerate(selectors):
-        if isinstance(member, bool) or not isinstance(member, (str, int)):
-            raise SpecError(
-                f"{path}[{j}]",
-                f"coalition members are provider-id strings or executor indices, "
-                f"got {type(member).__name__}",
-            )
-        if isinstance(member, int) and member < 0:
-            raise SpecError(f"{path}[{j}]", "executor indices must be non-negative")
-        members.append(member)
-    if len(set(members)) != len(members):
-        raise SpecError(path, "coalition members must be distinct")
-    return tuple(members)
-
-
-# ---------------------------------------------------------------------- parsing --
-_RESILIENCE_KEYS = {
-    "name",
-    "base",
-    "k",
-    "coalitions",
-    "max_coalitions",
-    "adversaries",
-    "schedules",
-    "seeds",
-}
-
-
-def resilience_from_dict(data: Mapping[str, Any]) -> ResilienceSpec:
-    """Parse a resilience spec from a plain (JSON/TOML-shaped) mapping.
-
-    Raises :class:`SpecError` with a dotted path to the offending key on any
-    unknown key, wrong type, or invalid value.
-    """
-    if not isinstance(data, Mapping):
-        raise SpecError("", f"expected a table at the top level, got {type(data).__name__}")
-    unknown = set(data) - _RESILIENCE_KEYS
-    if unknown:
-        raise SpecError(
-            sorted(unknown)[0],
-            f"unknown resilience key; expected one of {', '.join(sorted(_RESILIENCE_KEYS))}",
-        )
-    kwargs: Dict[str, Any] = {}
-    if "name" in data:
-        name = data["name"]
-        if not isinstance(name, str):
-            raise SpecError("name", f"expected a string, got {type(name).__name__}")
-        kwargs["name"] = name
-    if "base" in data:
-        base = data["base"]
-        if not isinstance(base, Mapping):
-            raise SpecError("base", f"expected a table, got {type(base).__name__}")
-        try:
-            kwargs["base"] = spec_from_dict(base)
-        except SpecError as exc:
-            raise SpecError(f"base.{exc.path}" if exc.path else "base", exc.message) from exc
-    for key in ("k", "max_coalitions"):
-        if key in data and data[key] is not None:
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError(key, f"expected an integer, got {type(value).__name__}")
-            kwargs[key] = value
-    if "coalitions" in data:
-        entries = data["coalitions"]
-        if not isinstance(entries, (list, tuple)):
-            raise SpecError("coalitions", f"expected a list, got {type(entries).__name__}")
-        kwargs["coalitions"] = tuple(
-            _coalition_selector(entry, f"coalitions[{i}]") for i, entry in enumerate(entries)
-        )
-    if "adversaries" in data:
-        entries = data["adversaries"]
-        if not isinstance(entries, (list, tuple)):
-            raise SpecError("adversaries", f"expected a list, got {type(entries).__name__}")
-        kwargs["adversaries"] = tuple(
-            AdversarySpec.from_value(entry, f"adversaries[{i}]")
-            for i, entry in enumerate(entries)
-        )
-    if "schedules" in data:
-        entries = data["schedules"]
-        if not isinstance(entries, (list, tuple)):
-            raise SpecError("schedules", f"expected a list, got {type(entries).__name__}")
-        kwargs["schedules"] = tuple(
-            ComponentSpec.from_value(entry, f"schedules[{i}]")
-            for i, entry in enumerate(entries)
-        )
-    if "seeds" in data:
-        entries = data["seeds"]
-        if not isinstance(entries, (list, tuple)) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in entries
-        ):
-            raise SpecError("seeds", "expected a list of integers")
-        kwargs["seeds"] = tuple(entries)
-    return ResilienceSpec(**kwargs)
-
-
-def resilience_to_dict(spec: ResilienceSpec) -> Dict[str, Any]:
-    """Serialize a resilience spec to a plain mapping (no ``None``, TOML-safe)."""
-    data: Dict[str, Any] = {"name": spec.name, "base": spec_to_dict(spec.base)}
-    if spec.k is not None:
-        data["k"] = spec.k
-    if spec.coalitions:
-        data["coalitions"] = [list(selectors) for selectors in spec.coalitions]
-    if spec.max_coalitions is not None:
-        data["max_coalitions"] = spec.max_coalitions
-    if spec.adversaries:
-        data["adversaries"] = [adversary.to_value() for adversary in spec.adversaries]
-    data["schedules"] = [schedule.to_value() for schedule in spec.schedules]
-    if spec.seeds:
-        data["seeds"] = list(spec.seeds)
-    return data
-
-
-def resilience_with_overrides(
-    spec: ResilienceSpec, overrides: Mapping[str, Any]
-) -> ResilienceSpec:
-    """A copy of ``spec`` with dotted-path overrides applied (re-validated).
-
-    Shares the override grammar of the scenario layer: ``base.users=30`` digs
-    into the base scenario, ``k=2`` / ``seeds=[0,1]`` replace audit fields.
-    """
-    from repro.scenarios.spec import apply_overrides
-
-    if not overrides:
-        return spec
-    return resilience_from_dict(apply_overrides(resilience_to_dict(spec), overrides))
-
-
-def resilience_fingerprint(spec: ResilienceSpec) -> str:
-    """A stable digest of the audit's full canonical spec (for journal manifests)."""
-    return canonical_fingerprint(resilience_to_dict(spec))
 
 
 # ---------------------------------------------------------------------- records --
@@ -632,8 +497,7 @@ def _altered_result(honest: SimulationReport, deviating: SimulationReport) -> bo
 #: triple, an instance one seed; workers amortise the honest baseline.
 RESILIENCE_GRID = Grid(
     record_type=ResilienceRecord,
-    to_dict=resilience_to_dict,
-    from_dict=resilience_from_dict,
+    spec_type=ResilienceSpec,
     context=AuditContext,
 )
 

@@ -21,11 +21,16 @@ the spec is parsed, so user-registered kinds work transparently.
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+import operator
+import typing
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.config import FrameworkConfig
 
@@ -40,9 +45,10 @@ __all__ = [
     "RUNNERS",
     "spec_from_dict",
     "spec_to_dict",
-    "sweep_from_dict",
-    "sweep_to_dict",
     "spec_with_overrides",
+    "spec_fingerprint",
+    "check_fields",
+    "read_list",
     "parse_assignments",
     "apply_overrides",
     "canonical_fingerprint",
@@ -68,7 +74,7 @@ class SpecError(ValueError):
 
 
 def canonical_fingerprint(data: Mapping[str, Any]) -> str:
-    """A stable digest of a spec's ``*_to_dict`` form (what journal manifests pin)."""
+    """A stable digest of a plain mapping; keys are sorted, so emitted order is free."""
     payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -199,9 +205,10 @@ class ConfigSpec:
     require_quorum: bool = True
     round_timeout: Optional[float] = None
 
+    NOUN = "configuration"
+
     def __post_init__(self) -> None:
-        if self.round_timeout is not None:
-            object.__setattr__(self, "round_timeout", float(self.round_timeout))
+        check_fields(self)
         self.to_config()  # validate eagerly: a frozen spec is always runnable
 
     def to_config(self) -> FrameworkConfig:
@@ -217,7 +224,7 @@ class ConfigSpec:
                 round_timeout=self.round_timeout,
             )
         except ValueError as exc:
-            raise SpecError("config", str(exc)) from exc
+            raise SpecError("", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -362,25 +369,10 @@ class ScenarioSpec:
     measure_compute: bool = True
     series: Optional[str] = None
 
+    NOUN = "scenario"
+
     def __post_init__(self) -> None:
-        # Coerce convenience forms so ScenarioSpec(mechanism="standard", ...)
-        # works directly, not only via spec_from_dict.
-        for name in ("mechanism", "latency"):
-            object.__setattr__(self, name, ComponentSpec.from_value(getattr(self, name), name))
-        for name in ("workload", "topology"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, ComponentSpec.from_value(value, name))
-        if isinstance(self.config, Mapping):
-            object.__setattr__(self, "config", _config_from_dict(self.config, "config"))
-        object.__setattr__(
-            self,
-            "bidders",
-            tuple(
-                BidderSpec.from_value(bidder, f"bidders[{i}]")
-                for i, bidder in enumerate(self.bidders)
-            ),
-        )
+        check_fields(self)
         if self.users < 1:
             raise SpecError("users", "need at least one user")
         if self.providers < 1:
@@ -444,128 +436,153 @@ class ScenarioSpec:
         return f"{prefix} k={config.k}"
 
 
-# ---------------------------------------------------------------------- parsing --
-_SCENARIO_FIELDS = {f.name for f in fields(ScenarioSpec)}
-_CONFIG_FIELDS = {f.name for f in fields(ConfigSpec)}
+# ------------------------------------------------------------------- the walker --
+#: How one field travels: ``read(value, path)`` types a file / ``--set`` /
+#: keyword value (raising a path-precise :class:`SpecError`), ``write(value)``
+#: renders the typed value back to its plain file form.
+Codec = Tuple[Callable[[Any, str], Any], Callable[[Any], Any]]
+
+_SCALARS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a boolean"),
+}
 
 
-def _require(value: Any, types, path: str, label: str) -> Any:
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise SpecError(path, f"expected {label}, got a boolean")
-    if not isinstance(value, types):
-        raise SpecError(path, f"expected {label}, got {type(value).__name__}")
-    return value
+def _join(prefix: str, path: str) -> str:
+    """``path`` seen from the spec enclosing it: the one place a prefix is added."""
+    if not prefix or not path:
+        return prefix or path
+    return prefix + path if path.startswith("[") else f"{prefix}.{path}"
 
 
-def _config_from_dict(data: Any, path: str) -> ConfigSpec:
-    if isinstance(data, ConfigSpec):
+def _got(value: Any) -> str:
+    return "a boolean" if isinstance(value, bool) else type(value).__name__
+
+
+def _scalar(kind: type) -> Codec:
+    types, label = _SCALARS[kind]
+
+    def read(value: Any, path: str) -> Any:
+        # bool is a subclass of int: a flag is never a count, a seed or a number.
+        if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+            raise SpecError(path, f"expected {label}, got {_got(value)}")
+        return float(value) if kind is float else value
+
+    return read, lambda value: value
+
+
+def _read_free_table(value: Any, path: str) -> Dict[str, Any]:
+    if not isinstance(value, Mapping):
+        raise SpecError(path, f"expected a table, got {_got(value)}")
+    return dict(value)
+
+
+def read_list(read_item: Callable[[Any, str], Any]) -> Callable[[Any, str], Tuple[Any, ...]]:
+    """A reader of lists whose entries ``read_item`` types at ``path[i]``."""
+
+    def read(value: Any, path: str) -> Tuple[Any, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise SpecError(path, f"expected a list, got {_got(value)}")
+        return tuple(read_item(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+    return read
+
+
+def _codec(annotation: Any) -> Codec:
+    """What a field's annotation means on the way in and on the way out."""
+    if annotation in _SCALARS:
+        return _scalar(annotation)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Union and len(args) == 2 and type(None) in args:  # Optional[X]
+        read, write = _codec(args[0] if args[1] is type(None) else args[1])
+        return (lambda value, path: None if value is None else read(value, path)), write
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:  # Tuple[X, ...]
+        read, write = _codec(args[0])
+        return read_list(read), (lambda value: [write(item) for item in value])
+    if origin is collections.abc.Mapping:  # Mapping[str, Any]: a free-form table
+        return _read_free_table, dict
+    if hasattr(annotation, "from_value"):  # shorthand-or-table components
+        return annotation.from_value, operator.methodcaller("to_value")
+    if dataclasses.is_dataclass(annotation):  # a nested table
+        return (lambda value, path: spec_from_dict(value, annotation, path)), spec_to_dict
+    raise TypeError(f"no spec-file form for a field annotated {annotation!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _codecs(kind: type) -> Dict[str, Codec]:
+    """The field table of a spec class, resolved once per class.
+
+    A field whose file form its annotation cannot express carries its own
+    codec in ``field(metadata={"spec": (read, write)})``.
+    """
+    hints = typing.get_type_hints(kind)
+    return {
+        f.name: f.metadata.get("spec") or _codec(hints[f.name])
+        for f in dataclasses.fields(kind)
+    }
+
+
+def check_fields(spec: Any) -> None:
+    """Type every field of a frozen spec in place; each ``__post_init__`` runs it first.
+
+    This and :func:`spec_from_dict` share the readers, so a value is held to
+    its annotation wherever it comes from — and the convenience forms a file
+    accepts (``mechanism="standard"``, ``config={"k": 2}``, lists for tuples)
+    work as keyword arguments too.  Paths are relative to ``spec`` itself.
+    """
+    for name, (read, _write) in _codecs(type(spec)).items():
+        object.__setattr__(spec, name, read(getattr(spec, name), name))
+
+
+def spec_from_dict(data: Any, kind: type = ScenarioSpec, path: str = "") -> Any:
+    """Parse a spec of class ``kind`` from a plain (JSON/TOML-shaped) mapping.
+
+    Raises :class:`SpecError` with the dotted path to the offending key on any
+    unknown key, wrong type, or invalid value, at any nesting depth; ``path``
+    is where ``data`` sits inside an enclosing spec (empty at the top level).
+    """
+    if isinstance(data, kind):
         return data
     if not isinstance(data, Mapping):
-        raise SpecError(path, f"expected a table, got {type(data).__name__}")
-    unknown = set(data) - _CONFIG_FIELDS
+        where = "" if path else " at the top level"
+        raise SpecError(path, f"expected a table{where}, got {_got(data)}")
+    codecs = _codecs(kind)
+    unknown = set(data) - set(codecs)
     if unknown:
+        noun = getattr(kind, "NOUN", kind.__name__)
         raise SpecError(
-            f"{path}.{sorted(unknown)[0]}",
-            f"unknown configuration key; expected one of {', '.join(sorted(_CONFIG_FIELDS))}",
+            _join(path, sorted(unknown)[0]),
+            f"unknown {noun} key; expected one of {', '.join(sorted(codecs))}",
         )
+    kwargs = {name: codecs[name][0](value, _join(path, name)) for name, value in data.items()}
     try:
-        return ConfigSpec(**data)
-    except SpecError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return kind(**kwargs)
+    except SpecError as exc:
+        # The constructor's own checks name paths relative to the new object.
+        raise SpecError(_join(path, exc.path), exc.message) from exc
+    except ValueError as exc:
         raise SpecError(path, str(exc)) from exc
 
 
-def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
-    """Parse a scenario spec from a plain (JSON/TOML-shaped) mapping.
+def spec_to_dict(spec: Any) -> Dict[str, Any]:
+    """Serialize any spec to a plain mapping, keys in field order.
 
-    Raises :class:`SpecError` with a dotted path to the offending key on any
-    unknown key, wrong type, or invalid value.
+    ``None`` and ``()`` are omitted (TOML has no null, and a spec written
+    before a field existed keeps its fingerprint), so the form is TOML-safe.
     """
-    if not isinstance(data, Mapping):
-        raise SpecError("", f"expected a table at the top level, got {type(data).__name__}")
-    data = dict(data)
-    unknown = set(data) - _SCENARIO_FIELDS
-    if unknown:
-        raise SpecError(
-            sorted(unknown)[0],
-            f"unknown scenario key; expected one of {', '.join(sorted(_SCENARIO_FIELDS))}",
-        )
-    kwargs: Dict[str, Any] = {}
-    if "name" in data:
-        kwargs["name"] = _require(data["name"], str, "name", "a string")
-    if "mechanism" in data:
-        kwargs["mechanism"] = ComponentSpec.from_value(data["mechanism"], "mechanism")
-    if "engine" in data and data["engine"] is not None:
-        kwargs["engine"] = _require(data["engine"], str, "engine", "a string")
-    if "workload" in data and data["workload"] is not None:
-        kwargs["workload"] = ComponentSpec.from_value(data["workload"], "workload")
-    for key in ("users", "providers", "executors", "rounds", "seed"):
-        if key in data and data[key] is not None:
-            kwargs[key] = _require(data[key], int, key, "an integer")
-    if "runner" in data:
-        kwargs["runner"] = _require(data["runner"], str, "runner", "a string")
-    if "config" in data:
-        kwargs["config"] = _config_from_dict(data["config"], "config")
-    if "latency" in data:
-        kwargs["latency"] = ComponentSpec.from_value(data["latency"], "latency")
-    if "topology" in data and data["topology"] is not None:
-        kwargs["topology"] = ComponentSpec.from_value(data["topology"], "topology")
-    if "bidders" in data:
-        entries = _require(data["bidders"], (list, tuple), "bidders", "a list")
-        kwargs["bidders"] = tuple(
-            BidderSpec.from_value(entry, f"bidders[{i}]") for i, entry in enumerate(entries)
-        )
-    if "deadline" in data:
-        kwargs["deadline"] = float(_require(data["deadline"], (int, float), "deadline", "a number"))
-    if "measure_compute" in data:
-        kwargs["measure_compute"] = _require(
-            data["measure_compute"], bool, "measure_compute", "a boolean"
-        )
-    if "series" in data and data["series"] is not None:
-        kwargs["series"] = _require(data["series"], str, "series", "a string")
-    return ScenarioSpec(**kwargs)
-
-
-def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
-    """Serialize a spec to a plain mapping (no ``None`` values, TOML-safe)."""
-    data: Dict[str, Any] = {
-        "name": spec.name,
-        "mechanism": spec.mechanism.to_value(),
-    }
-    if spec.engine is not None:
-        data["engine"] = spec.engine
-    if spec.workload is not None:
-        data["workload"] = spec.workload.to_value()
-    data["users"] = spec.users
-    data["providers"] = spec.providers
-    if spec.executors is not None:
-        data["executors"] = spec.executors
-    data["runner"] = spec.runner
-    config: Dict[str, Any] = {
-        "k": spec.config.k,
-        "parallel": spec.config.parallel,
-        "agreement_mode": spec.config.agreement_mode,
-        "use_common_coin": spec.config.use_common_coin,
-        "require_quorum": spec.config.require_quorum,
-    }
-    if spec.config.num_groups is not None:
-        config["num_groups"] = spec.config.num_groups
-    if spec.config.round_timeout is not None:
-        config["round_timeout"] = spec.config.round_timeout
-    data["config"] = config
-    data["latency"] = spec.latency.to_value()
-    if spec.topology is not None:
-        data["topology"] = spec.topology.to_value()
-    if spec.bidders:
-        data["bidders"] = [bidder.to_value() for bidder in spec.bidders]
-    data["rounds"] = spec.rounds
-    data["seed"] = spec.seed
-    data["deadline"] = spec.deadline
-    data["measure_compute"] = spec.measure_compute
-    if spec.series is not None:
-        data["series"] = spec.series
+    data: Dict[str, Any] = {}
+    for name, (_read, write) in _codecs(type(spec)).items():
+        value = getattr(spec, name)
+        if value is not None and value != ():
+            data[name] = write(value)
     return data
+
+
+def spec_fingerprint(spec: Any) -> str:
+    """A stable digest of a spec's full canonical form (what journal manifests pin)."""
+    return canonical_fingerprint(spec_to_dict(spec))
 
 
 # --------------------------------------------------------------------- overrides --
@@ -618,14 +635,36 @@ def apply_overrides(data: Dict[str, Any], overrides: Mapping[str, Any]) -> Dict[
     return result
 
 
-def spec_with_overrides(spec: ScenarioSpec, overrides: Mapping[str, Any]) -> ScenarioSpec:
-    """A copy of ``spec`` with dotted-path overrides applied (re-validated)."""
+def spec_with_overrides(spec: Any, overrides: Mapping[str, Any]) -> Any:
+    """A copy of any spec with dotted-path overrides applied (re-validated).
+
+    One grammar for every kind: ``config.k=2`` on a scenario, ``base.users=30``
+    / ``k=2`` / ``recovery.max_retries=5`` on an audit.
+    """
     if not overrides:
         return spec
-    return spec_from_dict(apply_overrides(spec_to_dict(spec), overrides))
+    return spec_from_dict(apply_overrides(spec_to_dict(spec), overrides), type(spec))
 
 
 # ------------------------------------------------------------------------- sweeps --
+def _read_axes(value: Any, path: str) -> Tuple[Tuple[str, Tuple[Any, ...]], ...]:
+    """Axes are a table of value lists in a file, ordered pairs in memory."""
+    if not isinstance(value, (Mapping, tuple)):
+        raise SpecError(path, f"expected a table, got {_got(value)}")
+    axes = []
+    for key, values in value.items() if isinstance(value, Mapping) else value:
+        if not isinstance(values, (list, tuple)):
+            raise SpecError(f"{path}.{key}", f"expected a list of values, got {_got(values)}")
+        if not values:
+            raise SpecError(f"{path}.{key}", "axis value list may not be empty")
+        axes.append((str(key), tuple(values)))
+    return tuple(axes)
+
+
+def _write_axes(axes: Tuple[Tuple[str, Tuple[Any, ...]], ...]) -> Dict[str, List[Any]]:
+    return {key: list(values) for key, values in axes}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of scenarios: one base spec plus per-point overrides.
@@ -640,13 +679,14 @@ class SweepSpec:
     base: ScenarioSpec = field(default_factory=ScenarioSpec)
     name: str = "sweep"
     points: Tuple[Mapping[str, Any], ...] = ()
-    axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
+    axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = field(
+        default=(), metadata={"spec": (_read_axes, _write_axes)}
+    )
+
+    NOUN = "sweep"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(dict(p) for p in self.points))
-        object.__setattr__(
-            self, "axes", tuple((str(k), tuple(v)) for k, v in self.axes)
-        )
+        check_fields(self)
         if self.points and self.axes:
             raise SpecError("points", "a sweep may define 'points' or 'axes', not both")
 
@@ -666,53 +706,4 @@ class SweepSpec:
 
     def with_base_overrides(self, overrides: Mapping[str, Any]) -> "SweepSpec":
         """This sweep with dotted-path overrides applied to its base spec."""
-        if not overrides:
-            return self
-        return SweepSpec(
-            base=spec_with_overrides(self.base, overrides),
-            name=self.name,
-            points=self.points,
-            axes=self.axes,
-        )
-
-
-_SWEEP_KEYS = {"name", "base", "points", "axes"}
-
-
-def sweep_from_dict(data: Mapping[str, Any]) -> SweepSpec:
-    """Parse a sweep spec from a plain mapping (see :func:`spec_from_dict`)."""
-    if not isinstance(data, Mapping):
-        raise SpecError("", f"expected a table at the top level, got {type(data).__name__}")
-    unknown = set(data) - _SWEEP_KEYS
-    if unknown:
-        raise SpecError(
-            sorted(unknown)[0],
-            f"unknown sweep key; expected one of {', '.join(sorted(_SWEEP_KEYS))}",
-        )
-    name = _require(data.get("name", "sweep"), str, "name", "a string")
-    base = spec_from_dict(_require(data.get("base", {}), Mapping, "base", "a table"))
-    points_raw = _require(data.get("points", []), (list, tuple), "points", "a list")
-    points = []
-    for i, point in enumerate(points_raw):
-        points.append(dict(_require(point, Mapping, f"points[{i}]", "a table")))
-    axes_raw = _require(data.get("axes", {}), Mapping, "axes", "a table")
-    axes = []
-    for key, values in axes_raw.items():
-        values = _require(values, (list, tuple), f"axes.{key}", "a list of values")
-        if not values:
-            raise SpecError(f"axes.{key}", "axis value list may not be empty")
-        axes.append((key, tuple(values)))
-    try:
-        return SweepSpec(base=base, name=name, points=tuple(points), axes=tuple(axes))
-    except SpecError:
-        raise
-
-
-def sweep_to_dict(sweep: SweepSpec) -> Dict[str, Any]:
-    """Serialize a sweep spec to a plain mapping."""
-    data: Dict[str, Any] = {"name": sweep.name, "base": spec_to_dict(sweep.base)}
-    if sweep.points:
-        data["points"] = [dict(point) for point in sweep.points]
-    if sweep.axes:
-        data["axes"] = {key: list(values) for key, values in sweep.axes}
-    return data
+        return dataclasses.replace(self, base=spec_with_overrides(self.base, overrides))

@@ -63,13 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.scenarios.aggregate import StreamingSummary
 from repro.scenarios.registry import Registry
 from repro.scenarios.runner import RunRecord
-from repro.scenarios.spec import (
-    ComponentSpec,
-    SpecError,
-    SweepSpec,
-    canonical_fingerprint,
-    sweep_to_dict,
-)
+from repro.scenarios.spec import ComponentSpec, SpecError, spec_fingerprint
 
 __all__ = [
     "ResultsStore",
@@ -77,7 +71,6 @@ __all__ = [
     "JsonlStoreBackend",
     "STORE_BACKENDS",
     "DEFAULT_STORE_FORMAT",
-    "sweep_fingerprint",
     "sniff_format",
     "make_backend",
     "convert_journal",
@@ -99,11 +92,6 @@ COLUMNAR_MAGIC = b"RPACOL1\n"
 #: Store backends: journal file formats.  Factories are the backend classes,
 #: invoked as ``cls(path=..., record_type=...)``.
 STORE_BACKENDS = Registry("store backend")
-
-
-def sweep_fingerprint(sweep: SweepSpec) -> str:
-    """A stable digest of the sweep's full canonical spec (name, base, grid)."""
-    return canonical_fingerprint(sweep_to_dict(sweep))
 
 
 class StoreBackend:
@@ -142,12 +130,12 @@ class StoreBackend:
         A fresh path gets a manifest; an existing journal requires
         ``resume=True`` (guarding against accidentally mixing two runs into
         one artifact) and a manifest matching the run about to start.
-        ``sweep`` is the manifest owner — a :class:`SweepSpec` by default, or
-        any named spec when ``fingerprint`` is supplied by the caller (the
-        resilience executor passes its own audit fingerprint).
+        ``sweep`` is the manifest owner: any named spec — a sweep or an audit;
+        ``fingerprint`` defaults to its
+        :func:`~repro.scenarios.spec.spec_fingerprint`.
         """
         if fingerprint is None:
-            fingerprint = sweep_fingerprint(sweep)
+            fingerprint = spec_fingerprint(sweep)
         if os.path.exists(self.path):
             if not resume:
                 raise SpecError(

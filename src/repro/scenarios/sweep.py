@@ -35,14 +35,7 @@ from repro.scenarios.runner import (
     build_workload,
     run_scenario,
 )
-from repro.scenarios.spec import (
-    ScenarioSpec,
-    SpecError,
-    SweepSpec,
-    spec_to_dict,
-    sweep_from_dict,
-    sweep_to_dict,
-)
+from repro.scenarios.spec import ScenarioSpec, SpecError, SweepSpec, spec_to_dict
 __all__ = ["ComponentCache", "SweepContext", "SweepResult", "SWEEP_GRID", "run_sweep"]
 
 
@@ -209,8 +202,7 @@ class SweepContext:
 #: its rounds; workers amortise by ``(mechanism, workload, topology)``.
 SWEEP_GRID = Grid(
     record_type=RunRecord,
-    to_dict=sweep_to_dict,
-    from_dict=sweep_from_dict,
+    spec_type=SweepSpec,
     context=SweepContext,
 )
 

@@ -35,7 +35,6 @@ from repro.net.scheduler import (
     FairScheduler,
     RandomScheduler,
     RoundRobinScheduler,
-    Scheduler,
 )
 
 from tests.net.seed_reference import (
@@ -195,39 +194,3 @@ def test_workload_exercises_the_interesting_paths():
     assert stats.messages_dropped > 0  # traffic to finished nodes got drained
     assert result["unfinished"]  # some nodes never finish
     assert result["outputs"]["n0"] == "n0:instant"  # retired before any traffic
-
-
-class _SendTimeScheduler(Scheduler):
-    """Third-party style scheduler: only implements the legacy ``select``."""
-
-    def select(self, in_flight, rng):
-        return min(in_flight, key=lambda m: (m.send_time, m.msg_id))
-
-
-class _DuckSendTimeScheduler:
-    """Pre-queue duck-typed scheduler: not even a Scheduler subclass."""
-
-    def select(self, in_flight, rng):
-        return min(in_flight, key=lambda m: (m.send_time, m.msg_id))
-
-    def reset(self):
-        pass
-
-
-@pytest.mark.parametrize("factory", [_SendTimeScheduler, _DuckSendTimeScheduler])
-def test_legacy_select_schedulers_still_work_through_the_adapter(factory):
-    """select()-only schedulers (subclassed or duck-typed) replay seed semantics."""
-    new_result = _run(
-        SimNetwork(
-            latency_model=ConstantLatencyModel(0.002), scheduler=factory(), seed=5
-        )
-    )
-    seed_result = _run(
-        SeedSimNetwork(
-            latency_model=ConstantLatencyModel(0.002),
-            scheduler=_DuckSendTimeScheduler(),
-            seed=5,
-        )
-    )
-    assert new_result["trace"] == seed_result["trace"]
-    assert new_result["stats"] == seed_result["stats"]

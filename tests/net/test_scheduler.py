@@ -1,8 +1,8 @@
 """Tests for message schedulers (fairness and ordering).
 
-The ``select()`` tests drive the legacy flat-sequence protocol, which remains
-supported; the ``TestQueueProtocol*`` classes cover the push/pop/retire queue
-protocol the simulator itself uses.
+Every case drives a scheduler by hand through the push/pop/retire queue
+protocol the simulator itself uses; the list-based ``select`` schedulers of
+the seed core survive only as the oracle in ``tests/net/seed_reference.py``.
 """
 
 import os
@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
+from repro.net.latency import ZeroLatencyModel
 from repro.net.message import Message
+from repro.net.network import SimNetwork
 from repro.net.scheduler import (
     AdversarialScheduler,
     FairScheduler,
@@ -21,6 +23,7 @@ from repro.net.scheduler import (
     Scheduler,
     _IndexedLiveList,
 )
+from tests.net.seed_reference import SeedRandomScheduler
 
 
 def make_messages():
@@ -36,78 +39,6 @@ def rng():
     return random.Random(0)
 
 
-class TestFairScheduler:
-    def test_selects_earliest_arrival(self, rng):
-        messages = make_messages()
-        selected = FairScheduler().select(messages, rng)
-        assert selected.payload == 2
-
-    def test_ties_broken_by_message_id(self, rng):
-        first = Message.create("a", "b", "x", arrival_time=0.5)
-        second = Message.create("a", "c", "y", arrival_time=0.5)
-        assert FairScheduler().select([second, first], rng) is first
-
-
-class TestRoundRobinScheduler:
-    def test_rotates_over_recipients(self, rng):
-        scheduler = RoundRobinScheduler(order=["a", "b", "c"])
-        messages = make_messages()
-        picks = []
-        pool = list(messages)
-        while pool:
-            chosen = scheduler.select(pool, rng)
-            picks.append(chosen.recipient)
-            pool.remove(chosen)
-        assert set(picks) == {"a", "b", "c"}
-
-    def test_skips_recipients_without_traffic(self, rng):
-        scheduler = RoundRobinScheduler(order=["z", "b"])
-        messages = [Message.create("a", "b", 1, arrival_time=0.1)]
-        assert scheduler.select(messages, rng).recipient == "b"
-
-
-class TestRandomScheduler:
-    def test_all_messages_eventually_selected(self, rng):
-        scheduler = RandomScheduler()
-        pool = make_messages()
-        seen = set()
-        while pool:
-            chosen = scheduler.select(pool, rng)
-            seen.add(chosen.msg_id)
-            pool.remove(chosen)
-        assert len(seen) == 3
-
-
-class TestAdversarialScheduler:
-    def test_defers_targeted_traffic(self, rng):
-        scheduler = AdversarialScheduler(targets=frozenset({"a"}))
-        targeted = Message.create("a", "b", "t", arrival_time=0.0)
-        clean = Message.create("b", "c", "c", arrival_time=1.0)
-        # Even though the targeted message arrives first, the clean one is delivered.
-        assert scheduler.select([targeted, clean], rng) is clean
-
-    def test_fairness_budget_forces_delivery(self, rng):
-        scheduler = AdversarialScheduler(targets=frozenset({"a"}), max_deferrals=3)
-        targeted = Message.create("a", "b", "t", arrival_time=0.0)
-        clean_pool = [
-            Message.create("b", "c", i, arrival_time=1.0 + i) for i in range(10)
-        ]
-        deliveries = []
-        pool = [targeted] + clean_pool
-        while pool:
-            chosen = scheduler.select(pool, rng)
-            deliveries.append(chosen)
-            pool.remove(chosen)
-        # The targeted message is not starved forever: it appears within the first
-        # max_deferrals+1 deliveries.
-        assert targeted in deliveries[: scheduler.max_deferrals + 1]
-
-    def test_only_targeted_traffic_left_is_delivered(self, rng):
-        scheduler = AdversarialScheduler(targets=frozenset({"a"}))
-        targeted = Message.create("a", "b", "t", arrival_time=0.0)
-        assert scheduler.select([targeted], rng) is targeted
-
-
 def drain_queue(scheduler, rng):
     delivered = []
     while True:
@@ -117,13 +48,21 @@ def drain_queue(scheduler, rng):
         delivered.append(message)
 
 
+def filled(scheduler, messages):
+    for message in messages:
+        scheduler.push(message)
+    return scheduler
+
+
 class TestQueueProtocolFair:
     def test_pops_in_arrival_order(self, rng):
-        scheduler = FairScheduler()
-        messages = make_messages()
-        for message in messages:
-            scheduler.push(message)
+        scheduler = filled(FairScheduler(), make_messages())
         assert [m.payload for m in drain_queue(scheduler, rng)] == [2, 3, 1]
+
+    def test_ties_broken_by_message_id(self, rng):
+        first = Message.create("a", "b", "x", arrival_time=0.5)
+        second = Message.create("a", "c", "y", arrival_time=0.5)
+        assert filled(FairScheduler(), [second, first]).pop(rng) is first
 
     def test_retired_recipients_are_lazily_skipped(self, rng):
         scheduler = FairScheduler()
@@ -146,6 +85,11 @@ class TestQueueProtocolRoundRobin:
             scheduler.push(message)
         assert [m.recipient for m in drain_queue(scheduler, rng)] == ["a", "b", "c"]
 
+    def test_skips_recipients_without_traffic(self, rng):
+        scheduler = RoundRobinScheduler(order=["z", "b"])
+        scheduler.push(Message.create("a", "b", 1, arrival_time=0.1))
+        assert scheduler.pop(rng).recipient == "b"
+
     def test_discovery_follows_first_message_order(self, rng):
         scheduler = RoundRobinScheduler()
         scheduler.push(Message.create("x", "b", 1, arrival_time=0.9))
@@ -165,8 +109,12 @@ class TestQueueProtocolRoundRobin:
 
 
 class TestQueueProtocolRandom:
-    def test_matches_legacy_select_draw_for_draw(self):
-        """The queue path consumes the RNG exactly like the legacy list path."""
+    def test_all_messages_eventually_delivered(self, rng):
+        delivered = drain_queue(filled(RandomScheduler(), make_messages()), rng)
+        assert len({m.msg_id for m in delivered}) == 3
+
+    def test_matches_the_oracle_select_draw_for_draw(self):
+        """The queue consumes the RNG exactly like the seed core's list path."""
         def batch(i):
             return [
                 Message.create("s", f"r{j}", (i, j), arrival_time=0.1 * j, msg_id=i * 10 + j)
@@ -174,7 +122,7 @@ class TestQueueProtocolRandom:
             ]
 
         queue_rng, legacy_rng = random.Random(7), random.Random(7)
-        scheduler = RandomScheduler()
+        scheduler, oracle = RandomScheduler(), SeedRandomScheduler()
         pool = []
         queue_picks, legacy_picks = [], []
         for i in range(6):
@@ -183,7 +131,7 @@ class TestQueueProtocolRandom:
             pool.extend(batch(i))
             for _ in range(3):
                 queue_picks.append(scheduler.pop(queue_rng).payload)
-                chosen = pool[legacy_rng.randrange(len(pool))]
+                chosen = oracle.select(pool, legacy_rng)
                 legacy_picks.append(chosen.payload)
                 pool.remove(chosen)
         assert queue_picks == legacy_picks
@@ -217,6 +165,12 @@ class TestQueueProtocolAdversarial:
         delivered = drain_queue(scheduler, rng)
         assert targeted in delivered[: scheduler.max_deferrals + 1]
 
+    def test_only_targeted_traffic_left_is_delivered(self, rng):
+        scheduler = AdversarialScheduler(targets=frozenset({"a"}))
+        targeted = Message.create("a", "b", "t", arrival_time=0.0)
+        scheduler.push(targeted)
+        assert scheduler.pop(rng) is targeted
+
     def test_zero_budget_degenerates_to_earliest_first(self, rng):
         scheduler = AdversarialScheduler(targets=frozenset({"a"}), max_deferrals=0)
         targeted = Message.create("a", "b", "t", arrival_time=0.0)
@@ -235,39 +189,25 @@ class TestQueueProtocolAdversarial:
         assert [m.payload for m in drain_queue(scheduler, rng)] == [1, 2]
 
 
-class TestLegacyAdapter:
-    class SendTimeScheduler(Scheduler):
-        """select()-only scheduler: exercises the base-class queue adapter."""
+class TestQueueProtocolIsRequired:
+    def test_base_class_is_abstract(self):
+        class PushOnly(Scheduler):
+            def push(self, message):
+                pass
 
-        def select(self, in_flight, rng):
-            return min(in_flight, key=lambda m: (m.send_time, m.msg_id))
+        with pytest.raises(TypeError, match=r"abstract"):
+            PushOnly()
 
-    def test_queue_protocol_backed_by_select(self, rng):
-        scheduler = self.SendTimeScheduler()
-        first = Message.create("a", "b", 1, send_time=0.5)
-        second = Message.create("a", "c", 2, send_time=0.1)
-        scheduler.push(first)
-        scheduler.push(second)
-        assert scheduler.pop(rng) is second
-        assert scheduler.pop(rng) is first
-        assert scheduler.pop(rng) is None
+    def test_select_only_object_is_rejected_at_construction(self):
+        class SelectOnly:
+            def select(self, in_flight, rng):
+                return in_flight[0]
 
-    def test_retire_hides_messages_from_select(self, rng):
-        scheduler = self.SendTimeScheduler()
-        scheduler.push(Message.create("a", "b", "dead", send_time=0.0))
-        scheduler.push(Message.create("a", "c", "live", send_time=1.0))
-        scheduler.retire_recipient("b")
-        assert scheduler.pop(rng).payload == "live"
-        assert scheduler.pop(rng) is None
+            def reset(self):
+                pass
 
-    def test_begin_run_clears_adapter_state(self, rng):
-        scheduler = self.SendTimeScheduler()
-        scheduler.push(Message.create("a", "b", "stale"))
-        scheduler.retire_recipient("c")
-        scheduler.begin_run()
-        assert scheduler.pop(rng) is None
-        scheduler.push(Message.create("a", "c", "fresh"))
-        assert scheduler.pop(rng).payload == "fresh"
+        with pytest.raises(TypeError, match=r"SelectOnly .*push / pop / retire_recipient / reset"):
+            SimNetwork(latency_model=ZeroLatencyModel(), scheduler=SelectOnly())
 
 
 class TestIndexedLiveList:

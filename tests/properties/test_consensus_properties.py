@@ -1,6 +1,6 @@
 """Property tests for the consensus layer (previously example-based only).
 
-Three families, Hypothesis-driven with >=100 generated cases each:
+Two families, Hypothesis-driven with >=100 generated cases each:
 
 * **bit-encoding round trips** (§4.1: "a stream of bits uniquely determined
   from the bid") — ``value_to_bits``/``bits_to_value`` reassemble the exact
@@ -10,12 +10,7 @@ Three families, Hypothesis-driven with >=100 generated cases each:
   encode to equal bit streams;
 * **majority decision against plain counting** — ``majority_decision`` answers
   unanimity on one shared object without counting; it must return the very
-  object the ``Counter`` rule returns on every provider->value map;
-* **leader-election determinism** — the commit/reveal election is a pure
-  function of ``(participants, seed)``: replaying a network with the same
-  seed elects the identical leader (the reproducibility contract every
-  resilience verdict rests on), and the leader is always a participant agreed
-  on by everyone.
+  object the ``Counter`` rule returns on every provider->value map.
 """
 
 import math
@@ -24,8 +19,6 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import run_block_network
-
 from repro.consensus.bit_encoding import (
     BID_BIT_LENGTH,
     bid_to_bits,
@@ -33,7 +26,6 @@ from repro.consensus.bit_encoding import (
     bits_to_value,
     value_to_bits,
 )
-from repro.consensus.leader_election import LeaderElectionBlock
 from repro.consensus.rational_consensus import majority_decision
 from repro.net.serialization import canonical_encode
 
@@ -156,26 +148,3 @@ class TestMajorityDecisionAgainstCounting:
         proposal = [1, 2]
         assert majority_decision({"p0": proposal}) is proposal
         assert majority_decision({"p1": proposal, "p0": proposal}) is proposal
-
-
-class TestLeaderElectionDeterminism:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        num_providers=st.integers(min_value=2, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_same_seed_elects_same_leader(self, num_providers, seed):
-        providers = [f"p{i}" for i in range(num_providers)]
-
-        def elect():
-            return run_block_network(
-                providers, lambda nid: LeaderElectionBlock("le"), seed=seed
-            )
-
-        first = elect()
-        second = elect()
-        # All participants agree, the leader is a participant, and replaying
-        # the same (participants, seed) network reproduces it exactly.
-        assert len(set(first.values())) == 1
-        assert first["p0"] in providers
-        assert first == second

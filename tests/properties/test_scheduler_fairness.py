@@ -14,20 +14,15 @@ through each scheduler's queue and checks conservation:
 * with a loss fault armed, the books still balance — every send (including
   recovery retransmissions) is delivered exactly once, dropped at quiescence
   or lost to the fault: ``delivered + dropped + lost == sent`` — for every
-  scheduler *and* for duck-typed pre-queue schedulers behind
-  ``LegacySchedulerAdapter``.
+  scheduler.
 """
 
 from __future__ import annotations
-
-import random
-from typing import Sequence
 
 import pytest
 
 from repro.net.faults import FaultPlan, LossFault, RecoveryPolicy
 from repro.net.latency import UniformLatencyModel
-from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.node import Node, NodeContext
 from repro.net.scheduler import (
@@ -120,24 +115,6 @@ def test_conservation_with_finishing_nodes(name, seed):
     assert net.in_flight_count == 0
 
 
-class _LegacyEarliest:
-    """Pre-queue duck-typed scheduler: ``select``/``reset`` only, no base class.
-
-    ``SimNetwork`` must wrap it in ``LegacySchedulerAdapter`` automatically, so
-    this fixture exercises the adapter path under injected loss.
-    """
-
-    def select(self, in_flight: Sequence[Message], rng: random.Random) -> Message:
-        return min(in_flight, key=lambda m: (m.arrival_time, m.msg_id))
-
-    def reset(self) -> None:
-        pass
-
-
-#: All four queue schedulers plus the legacy-adapter path.
-LOSSY_SCHEDULERS = dict(SCHEDULERS, legacy=_LegacyEarliest)
-
-
 def _run_lossy(scheduler_factory, seed: int):
     ledger = {"sent": 0, "delivered_ids": set()}
     net = SimNetwork(
@@ -158,13 +135,13 @@ def _run_lossy(scheduler_factory, seed: int):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("name", sorted(LOSSY_SCHEDULERS))
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_conservation_under_injected_loss(name, seed):
     """Armed loss fault + bounded retransmission: the runtime-level books
     balance exactly — ``sent == delivered + dropped + lost`` — where ``sent``
     includes the recovery layer's retransmissions, and nothing is delivered
     twice."""
-    ledger, stats, net = _run_lossy(LOSSY_SCHEDULERS[name], seed)
+    ledger, stats, net = _run_lossy(SCHEDULERS[name], seed)
     assert stats.messages_lost > 0  # the fault really fired
     assert stats.retransmissions > 0  # and the recovery layer answered
     assert stats.messages_sent >= ledger["sent"]  # retransmits are extra sends

@@ -36,14 +36,13 @@ from repro.scenarios import (
     ScenarioSpec,
     Simulation,
     SpecError,
-    chaos_fingerprint,
-    chaos_from_dict,
-    chaos_to_dict,
-    chaos_with_overrides,
-    dump_chaos,
-    load_chaos,
+    dump_spec,
+    load_spec,
     run_chaos,
+    spec_fingerprint,
     spec_from_dict,
+    spec_to_dict,
+    spec_with_overrides,
 )
 from repro.scenarios.runner import (
     build_latency_model,
@@ -125,51 +124,51 @@ class TestFaultSpec:
 
 class TestChaosSpecParsing:
     def test_round_trip(self):
-        spec = chaos_from_dict(_chaos_table(recovery={"max_retries": 5}))
-        assert chaos_from_dict(chaos_to_dict(spec)) == spec
+        spec = spec_from_dict(_chaos_table(recovery={"max_retries": 5}), ChaosSpec)
+        assert spec_from_dict(spec_to_dict(spec), ChaosSpec) == spec
         assert spec.recovery.max_retries == 5
         assert spec.effective_seeds() == (0, 1)
 
     def test_file_round_trip_json_and_toml(self, tmp_path):
-        spec = chaos_from_dict(_chaos_table(recovery={"enabled": False}))
+        spec = spec_from_dict(_chaos_table(recovery={"enabled": False}), ChaosSpec)
         for name in ("audit.json", "audit.toml"):
             path = tmp_path / name
-            dump_chaos(spec, path)
-            assert load_chaos(path) == spec
+            dump_spec(spec, path)
+            assert load_spec(path, ChaosSpec) == spec
 
     def test_unknown_key_is_rejected(self):
         with pytest.raises(SpecError, match=r"fautls"):
-            chaos_from_dict(_chaos_table(fautls=["loss"]))
+            spec_from_dict(_chaos_table(fautls=["loss"]), ChaosSpec)
 
     def test_non_distributed_runner_is_rejected(self):
         table = _chaos_table(base=_base_table(runner="centralized"))
         with pytest.raises(SpecError, match=r"base\.runner"):
-            chaos_from_dict(table)
+            spec_from_dict(table, ChaosSpec)
 
     def test_empty_fault_grid_is_rejected(self):
         with pytest.raises(SpecError, match=r"faults.*at least one"):
-            chaos_from_dict(_chaos_table(faults=[]))
+            spec_from_dict(_chaos_table(faults=[]), ChaosSpec)
 
     def test_recovery_unknown_key_is_path_precise(self):
         with pytest.raises(SpecError, match=r"recovery\.retries"):
-            chaos_from_dict(_chaos_table(recovery={"retries": 3}))
+            spec_from_dict(_chaos_table(recovery={"retries": 3}), ChaosSpec)
 
     def test_recovery_invalid_value_is_wrapped(self):
         with pytest.raises(SpecError, match=r"recovery"):
-            chaos_from_dict(_chaos_table(recovery={"max_retries": -1}))
+            spec_from_dict(_chaos_table(recovery={"max_retries": -1}), ChaosSpec)
 
     def test_seeds_must_be_integers(self):
         with pytest.raises(SpecError, match=r"seeds"):
-            chaos_from_dict(_chaos_table(seeds=[0, "one"]))
+            spec_from_dict(_chaos_table(seeds=[0, "one"]), ChaosSpec)
 
     def test_defaults_fall_back_to_base_seed_and_policy(self):
-        spec = chaos_from_dict(_chaos_table(seeds=[], base=_base_table(seed=7)))
+        spec = spec_from_dict(_chaos_table(seeds=[], base=_base_table(seed=7)), ChaosSpec)
         assert spec.effective_seeds() == (7,)
         assert spec.effective_recovery() == RecoveryPolicy()
 
     def test_overrides_compose(self):
-        spec = chaos_from_dict(_chaos_table(recovery={"max_retries": 3}))
-        altered = chaos_with_overrides(
+        spec = spec_from_dict(_chaos_table(recovery={"max_retries": 3}), ChaosSpec)
+        altered = spec_with_overrides(
             spec, {"base.users": 9, "recovery.max_retries": 6}
         )
         assert altered.base.users == 9
@@ -177,17 +176,17 @@ class TestChaosSpecParsing:
         assert spec.base.users == 6  # the original is untouched
 
     def test_fingerprint_tracks_the_grid(self):
-        spec = chaos_from_dict(_chaos_table())
-        same = chaos_from_dict(_chaos_table())
-        other = chaos_from_dict(_chaos_table(faults=["duplicate"]))
-        assert chaos_fingerprint(spec) == chaos_fingerprint(same)
-        assert chaos_fingerprint(spec) != chaos_fingerprint(other)
+        spec = spec_from_dict(_chaos_table(), ChaosSpec)
+        same = spec_from_dict(_chaos_table(), ChaosSpec)
+        other = spec_from_dict(_chaos_table(faults=["duplicate"]), ChaosSpec)
+        assert spec_fingerprint(spec) == spec_fingerprint(same)
+        assert spec_fingerprint(spec) != spec_fingerprint(other)
 
 
 # ------------------------------------------------------------------ invariants --
 class TestChaosInvariants:
     def test_fault_library_is_clean_under_recovery(self):
-        spec = chaos_from_dict(
+        spec = spec_from_dict(
             _chaos_table(
                 faults=[
                     "loss",
@@ -199,7 +198,8 @@ class TestChaosInvariants:
                     {"kind": "crash", "node": "p01", "at": 0.001, "duration": 0.002},
                     "torn_append",
                 ]
-            )
+            ),
+            ChaosSpec,
         )
         result = run_chaos(spec)
         assert len(result.records) == 12
@@ -216,12 +216,12 @@ class TestChaosInvariants:
         assert all(len(r.fault_digest) == 64 for r in result.records)
 
     def test_record_round_trips_losslessly(self):
-        spec = chaos_from_dict(_chaos_table(seeds=[0]))
+        spec = spec_from_dict(_chaos_table(seeds=[0]), ChaosSpec)
         record = run_chaos(spec).records[0]
         assert ChaosRecord.from_dict(record.to_dict()) == record
 
     def test_result_payload_shape(self):
-        result = run_chaos(chaos_from_dict(_chaos_table(seeds=[0])))
+        result = run_chaos(spec_from_dict(_chaos_table(seeds=[0]), ChaosSpec))
         payload = result.to_dict()
         assert payload["chaos"] == "test-audit"
         assert payload["clean"] is True
@@ -229,7 +229,7 @@ class TestChaosInvariants:
         assert len(payload["records"]) == 2
 
     def test_two_in_process_runs_are_identical(self):
-        spec = chaos_from_dict(_chaos_table())
+        spec = spec_from_dict(_chaos_table(), ChaosSpec)
         first = run_chaos(spec)
         second = run_chaos(spec)
         assert [r.to_dict() for r in first.records] == [
@@ -278,7 +278,7 @@ class TestDifferentialLock:
         with Simulation(base) as sim:
             baseline = sim.run().to_dict()
         record = run_chaos(
-            chaos_from_dict(_chaos_table(faults=["torn_append"], seeds=[0]))
+            spec_from_dict(_chaos_table(faults=["torn_append"], seeds=[0]), ChaosSpec)
         ).records[0]
         assert record.faults_injected == 0 and record.retransmissions == 0
         assert record.messages_delivered == baseline["messages"]
@@ -288,7 +288,7 @@ class TestDifferentialLock:
 # ------------------------------------------------------------------- parallel --
 class TestChaosParallel:
     def test_parallel_is_bit_identical_to_sequential(self):
-        spec = chaos_from_dict(_chaos_table(faults=["loss", "duplicate", "reorder"]))
+        spec = spec_from_dict(_chaos_table(faults=["loss", "duplicate", "reorder"]), ChaosSpec)
         sequential = run_chaos(spec)
         parallel = run_chaos(spec, workers=2)
         assert [r.to_dict() for r in sequential.records] == [
@@ -296,7 +296,7 @@ class TestChaosParallel:
         ]
 
     def test_journal_resume_executes_zero_new_cells(self, tmp_path):
-        spec = chaos_from_dict(_chaos_table())
+        spec = spec_from_dict(_chaos_table(), ChaosSpec)
         path = str(tmp_path / "chaos.jsonl")
         first = run_chaos(spec, workers=2, store=path)
         assert first.executed_cells == 4 and first.resumed_cells == 0
@@ -308,10 +308,10 @@ class TestChaosParallel:
 
     def test_resume_rejects_a_different_audit(self, tmp_path):
         path = str(tmp_path / "chaos.jsonl")
-        run_chaos(chaos_from_dict(_chaos_table()), store=path)
+        run_chaos(spec_from_dict(_chaos_table(), ChaosSpec), store=path)
         with pytest.raises(SpecError, match=r"manifest does not match"):
             run_chaos(
-                chaos_from_dict(_chaos_table(faults=["duplicate"])),
+                spec_from_dict(_chaos_table(faults=["duplicate"]), ChaosSpec),
                 store=path,
                 resume=True,
             )
@@ -343,7 +343,7 @@ def poison_fault():
 class TestQuarantine:
     def test_failure_mode_is_validated(self):
         with pytest.raises(SpecError, match=r"failure_mode"):
-            run_chaos(chaos_from_dict(_chaos_table()), failure_mode="retry-forever")
+            run_chaos(spec_from_dict(_chaos_table(), ChaosSpec), failure_mode="retry-forever")
 
     def test_poison_cells_quarantine_and_resume_reexecutes_them(
         self, poison_fault, tmp_path
@@ -351,7 +351,7 @@ class TestQuarantine:
         # The recovery lock, on the chaos path: a fault that crashes its
         # worker quarantines with a journaled error record, the rest of the
         # grid completes, and --resume re-executes exactly the poison cells.
-        spec = chaos_from_dict(_chaos_table(faults=["loss", "poison", "duplicate"]))
+        spec = spec_from_dict(_chaos_table(faults=["loss", "poison", "duplicate"]), ChaosSpec)
         path = str(tmp_path / "chaos.jsonl")
         first = run_chaos(spec, workers=2, store=path, failure_mode="quarantine")
         assert len(first.records) == 4  # loss and duplicate cells survived
@@ -389,9 +389,9 @@ class TestQuarantine:
 _LOCK_SCRIPT = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from repro.scenarios import chaos_from_dict, run_chaos
+from repro.scenarios import ChaosSpec, run_chaos, spec_from_dict
 
-spec = chaos_from_dict({
+spec = spec_from_dict({
     "name": "lock",
     "base": {
         "mechanism": "double", "users": 6, "providers": 3,
@@ -404,7 +404,7 @@ spec = chaos_from_dict({
     ],
     "recovery": {"max_retries": 4},
     "seeds": [0, 1],
-})
+}, ChaosSpec)
 records = [r.to_dict() for r in run_chaos(spec).records]
 print(json.dumps(records, sort_keys=True))
 """
@@ -434,7 +434,7 @@ class TestDeterminismLock:
 # ------------------------------------------------------------------------ CLI --
 def _spec_file(tmp_path, **overrides):
     path = tmp_path / "chaos.json"
-    dump_chaos(chaos_from_dict(_chaos_table(**overrides)), path)
+    dump_spec(spec_from_dict(_chaos_table(**overrides), ChaosSpec), path)
     return str(path)
 
 
@@ -490,8 +490,8 @@ class TestCli:
 
     def test_quarantine_flag_reports_and_exits_1(self, poison_fault, tmp_path, capsys):
         path = tmp_path / "chaos.json"
-        dump_chaos(
-            chaos_from_dict(_chaos_table(faults=["loss", "poison"], seeds=[0])), path
+        dump_spec(
+            spec_from_dict(_chaos_table(faults=["loss", "poison"], seeds=[0]), ChaosSpec), path
         )
         out = str(tmp_path / "journal.jsonl")
         code = main(

@@ -19,12 +19,11 @@ import pytest
 from repro.cli import main
 from repro.scenarios import (
     SpecError,
+    SweepSpec,
     dump_spec,
-    dump_sweep,
     figure4_sweep,
     figure5_sweep,
     load_spec,
-    load_sweep,
     run_scenario,
     run_sweep,
     spec_from_dict,
@@ -38,8 +37,8 @@ class TestFigureSweeps:
         specs = os.path.join(
             os.path.dirname(__file__), os.pardir, os.pardir, "examples", "specs"
         )
-        assert load_sweep(os.path.join(specs, "fig4.json")) == figure4_sweep()
-        assert load_sweep(os.path.join(specs, "fig5.toml")) == figure5_sweep()
+        assert load_spec(os.path.join(specs, "fig4.json"), SweepSpec) == figure4_sweep()
+        assert load_spec(os.path.join(specs, "fig5.toml"), SweepSpec) == figure5_sweep()
 
     def test_builders_carry_the_papers_quorum_arithmetic(self):
         # Figure 4: the minimum 2k+1 of the 8 sellers execute the protocol.
@@ -135,7 +134,7 @@ class TestDefaultEngineDifferential:
         # Acceptance criterion: the Figure 5 sweep with no engine override
         # runs the vectorized engine (and says so in the record).
         spec_path = tmp_path / "fig5.toml"
-        dump_sweep(
+        dump_spec(
             figure5_sweep(n_values=(8,), p_values=(1,), epsilon=0.5, seed=3), spec_path
         )
         assert main(["sweep", "--spec", str(spec_path), "--json"]) == 0

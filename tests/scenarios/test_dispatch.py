@@ -40,7 +40,7 @@ from repro.scenarios.dispatch import (
     split_chunks,
 )
 from repro.scenarios.resilience import RESILIENCE_GRID, ResilienceSpec
-from repro.scenarios.spec import canonical_fingerprint
+from repro.scenarios.spec import spec_fingerprint
 from repro.scenarios.sweep import SWEEP_GRID
 
 
@@ -284,7 +284,7 @@ class TestDispatchBitIdentity:
                 # Half a journal, written the way an interrupted run leaves it.
                 half = str(tmp_path / f"half-{workers}{suffix}")
                 store = ResultsStore(half, record_type=grid.record_type, format=fmt)
-                store.begin(spec, total_rounds=len(cells), fingerprint=canonical_fingerprint(grid.to_dict(spec)))
+                store.begin(spec, total_rounds=len(cells), fingerprint=spec_fingerprint(spec))
                 for cell, record in list(zip(cells, serial.records))[::2]:
                     store.append(cell[0], cell[1], record)
                 store.close()
@@ -310,10 +310,10 @@ class TestDispatchBitIdentity:
 class TestCliWorkers:
     def test_cli_accepts_auto(self, tmp_path, capsys, monkeypatch):
         _pin_cpus(monkeypatch, 2)
-        from repro.scenarios import dump_sweep
+        from repro.scenarios import dump_spec
 
         spec_path = tmp_path / "sweep.json"
-        dump_sweep(_sweep(), spec_path)
+        dump_spec(_sweep(), spec_path)
         journal = tmp_path / "out.jsonl"
         assert main(
             ["sweep", "--spec", str(spec_path), "--workers", "auto",
@@ -323,10 +323,10 @@ class TestCliWorkers:
 
     def test_cli_oversubscription_warning(self, tmp_path, capsys, monkeypatch):
         _pin_cpus(monkeypatch, 1)
-        from repro.scenarios import dump_sweep
+        from repro.scenarios import dump_spec
 
         spec_path = tmp_path / "sweep.json"
-        dump_sweep(_sweep(), spec_path)
+        dump_spec(_sweep(), spec_path)
         assert main(["sweep", "--spec", str(spec_path), "--workers", "64"]) == 0
         assert "requested 64 workers" in capsys.readouterr().err
 

@@ -4,11 +4,9 @@ import pytest
 
 from repro.scenarios.io import (
     dump_spec,
-    dump_sweep,
     dumps_toml,
     load_any,
     load_spec,
-    load_sweep,
 )
 from repro.scenarios.spec import ScenarioSpec, SpecError, SweepSpec, spec_from_dict
 
@@ -48,15 +46,15 @@ class TestFileRoundTrips:
             points=({"users": 6, "series": "small"}, {"users": 12, "config.k": 2}),
         )
         path = tmp_path / f"sweep.{extension}"
-        dump_sweep(sweep, path)
-        assert load_sweep(path) == sweep
+        dump_spec(sweep, path)
+        assert load_spec(path, SweepSpec) == sweep
 
     @pytest.mark.parametrize("extension", ["json", "toml"])
     def test_load_any_distinguishes_shapes(self, tmp_path, extension):
         spec_path = tmp_path / f"spec.{extension}"
         sweep_path = tmp_path / f"sweep.{extension}"
         dump_spec(_rich_spec(), spec_path)
-        dump_sweep(SweepSpec(base=ScenarioSpec(), axes=(("users", (2, 3)),)), sweep_path)
+        dump_spec(SweepSpec(base=ScenarioSpec(), axes=(("users", (2, 3)),)), sweep_path)
         assert isinstance(load_any(spec_path), ScenarioSpec)
         assert isinstance(load_any(sweep_path), SweepSpec)
 

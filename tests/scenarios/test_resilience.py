@@ -13,13 +13,13 @@ from repro.scenarios import (
     ResilienceSpec,
     ScenarioSpec,
     SpecError,
-    dump_resilience,
-    load_resilience,
-    resilience_fingerprint,
-    resilience_from_dict,
-    resilience_to_dict,
-    resilience_with_overrides,
+    dump_spec,
+    load_spec,
     run_resilience,
+    spec_fingerprint,
+    spec_from_dict,
+    spec_to_dict,
+    spec_with_overrides,
 )
 from repro.scenarios.resilience import DEFAULT_ADVERSARIES
 from repro.scenarios.store import ResultsStore
@@ -42,7 +42,7 @@ def _spec(**overrides):
         "seeds": [0],
     }
     data.update(overrides)
-    return resilience_from_dict(data)
+    return spec_from_dict(data, ResilienceSpec)
 
 
 class TestRegistries:
@@ -73,14 +73,14 @@ class TestRegistries:
 class TestSpecParsing:
     def test_round_trip_is_lossless(self):
         spec = _spec()
-        assert resilience_from_dict(resilience_to_dict(spec)) == spec
+        assert spec_from_dict(spec_to_dict(spec), ResilienceSpec) == spec
 
     def test_file_round_trip_json_and_toml(self, tmp_path):
         spec = _spec(coalitions=[[0], ["p01", "p02"]])
         for name in ("audit.json", "audit.toml"):
             path = tmp_path / name
-            dump_resilience(spec, path)
-            assert load_resilience(path) == spec
+            dump_spec(spec, path)
+            assert load_spec(path, ResilienceSpec) == spec
 
     def test_unknown_key_is_path_precise(self):
         with pytest.raises(SpecError) as excinfo:
@@ -89,7 +89,7 @@ class TestSpecParsing:
 
     def test_unknown_base_key_names_base_path(self):
         with pytest.raises(SpecError) as excinfo:
-            resilience_from_dict({"base": {"userz": 5}})
+            spec_from_dict({"base": {"userz": 5}}, ResilienceSpec)
         assert excinfo.value.path.startswith("base.")
 
     def test_adversary_entry_errors_carry_index(self):
@@ -153,7 +153,7 @@ class TestSpecParsing:
 
     def test_overrides_dig_into_base_and_audit_fields(self):
         spec = _spec()
-        updated = resilience_with_overrides(spec, {"base.users": 30, "k": 2, "seeds": [1, 2]})
+        updated = spec_with_overrides(spec, {"base.users": 30, "k": 2, "seeds": [1, 2]})
         assert updated.base.users == 30
         assert updated.k == 2
         assert updated.seeds == (1, 2)
@@ -161,8 +161,8 @@ class TestSpecParsing:
 
     def test_fingerprint_tracks_spec_identity(self):
         spec = _spec()
-        assert resilience_fingerprint(spec) == resilience_fingerprint(_spec())
-        assert resilience_fingerprint(spec) != resilience_fingerprint(_spec(k=None))
+        assert spec_fingerprint(spec) == spec_fingerprint(_spec())
+        assert spec_fingerprint(spec) != spec_fingerprint(_spec(k=None))
 
 
 class TestAdversarySpec:
@@ -248,7 +248,7 @@ class TestStoreIntegration:
         result = run_resilience(spec, store=path)
         store = ResultsStore(path, record_type=RecordType)
         _manifest, completed = store.read(
-            expected_fingerprint=resilience_fingerprint(spec)
+            expected_fingerprint=spec_fingerprint(spec)
         )
         assert len(completed) == len(result.records)
         assert all(isinstance(record, RecordType) for record in completed.values())

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.scenarios import dump_resilience, resilience_from_dict
+from repro.scenarios import ResilienceSpec, dump_spec, spec_from_dict
 
 
 def _spec_file(tmp_path, **overrides):
@@ -32,7 +32,7 @@ def _spec_file(tmp_path, **overrides):
     }
     data.update(overrides)
     path = tmp_path / "audit.json"
-    dump_resilience(resilience_from_dict(data), path)
+    dump_spec(spec_from_dict(data, ResilienceSpec), path)
     return str(path)
 
 

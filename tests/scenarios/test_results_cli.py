@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.scenarios import SweepSpec, dump_sweep, sniff_format, spec_from_dict
+from repro.scenarios import SweepSpec, dump_spec, sniff_format, spec_from_dict
 
 
 @pytest.fixture(autouse=True)
@@ -26,7 +26,7 @@ def _sweep_file(tmp_path):
     )
     sweep = SweepSpec(base=base, name="cli-results", axes=(("users", (4, 5)), ("seed", (0, 1))))
     path = tmp_path / "sweep.json"
-    dump_sweep(sweep, path)
+    dump_spec(sweep, path)
     return path
 
 

@@ -14,8 +14,6 @@ from repro.scenarios.spec import (
     spec_from_dict,
     spec_to_dict,
     spec_with_overrides,
-    sweep_from_dict,
-    sweep_to_dict,
 )
 
 
@@ -262,14 +260,14 @@ class TestSweepSpec:
             name="grid",
             axes=(("users", (3, 6)), ("seed", (0, 1))),
         )
-        assert sweep_from_dict(sweep_to_dict(sweep)) == sweep
+        assert spec_from_dict(spec_to_dict(sweep), SweepSpec) == sweep
         pointy = SweepSpec(base=ScenarioSpec(), points=({"users": 4, "series": "a"},))
-        assert sweep_from_dict(sweep_to_dict(pointy)) == pointy
+        assert spec_from_dict(spec_to_dict(pointy), SweepSpec) == pointy
 
     def test_sweep_unknown_key_is_named(self):
         with pytest.raises(SpecError, match=r"grid: unknown sweep key"):
-            sweep_from_dict({"grid": {}})
+            spec_from_dict({"grid": {}}, SweepSpec)
 
     def test_sweep_empty_axis_rejected(self):
         with pytest.raises(SpecError, match=r"axes\.users"):
-            sweep_from_dict({"axes": {"users": []}})
+            spec_from_dict({"axes": {"users": []}}, SweepSpec)

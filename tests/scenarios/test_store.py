@@ -12,7 +12,7 @@ from repro.scenarios import (
     SweepSpec,
     run_sweep,
     spec_from_dict,
-    sweep_fingerprint,
+    spec_fingerprint,
 )
 
 
@@ -44,7 +44,7 @@ class TestJournalFormat:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines[0]["kind"] == "manifest"
         assert lines[0]["sweep"] == "store-test"
-        assert lines[0]["fingerprint"] == sweep_fingerprint(_sweep())
+        assert lines[0]["fingerprint"] == spec_fingerprint(_sweep())
         assert lines[0]["total_rounds"] == len(result.records) == 8
         records = [line for line in lines[1:] if line["kind"] == "record"]
         assert len(records) == 8
@@ -64,7 +64,7 @@ class TestJournalFormat:
         sweep = _sweep()
         run_sweep(sweep, store=ResultsStore(path))
         manifest, completed = ResultsStore(path).read(
-            expected_fingerprint=sweep_fingerprint(sweep)
+            expected_fingerprint=spec_fingerprint(sweep)
         )
         assert manifest["sweep"] == "store-test"
         assert len(completed) == 8
@@ -264,10 +264,10 @@ class TestCorruption:
 
 class TestCliGrid:
     def _dump_quick_sweep(self, tmp_path):
-        from repro.scenarios import dump_sweep
+        from repro.scenarios import dump_spec
 
         path = tmp_path / "sweep.json"
-        dump_sweep(_sweep(rounds=1), path)
+        dump_spec(_sweep(rounds=1), path)
         return path
 
     def test_cli_workers_output_then_resume_runs_nothing(self, tmp_path, capsys):
@@ -294,10 +294,10 @@ class TestCliGrid:
         assert "--resume" in capsys.readouterr().err
 
     def test_cli_fig4_workers_and_output(self, tmp_path, capsys):
-        from repro.scenarios import dump_sweep, figure4_sweep
+        from repro.scenarios import dump_spec, figure4_sweep
 
         spec_path = tmp_path / "fig4.json"
-        dump_sweep(figure4_sweep(n_values=(10,), k_values=(1,)), spec_path)
+        dump_spec(figure4_sweep(n_values=(10,), k_values=(1,)), spec_path)
         journal = tmp_path / "fig4.jsonl"
         assert main(
             ["sweep", "--spec", str(spec_path), "--workers", "2",

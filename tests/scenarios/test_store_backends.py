@@ -26,14 +26,10 @@ from repro.scenarios import (
     convert_journal,
     run_sweep,
     sniff_format,
+    spec_fingerprint,
     spec_from_dict,
 )
-from repro.scenarios.resilience import (
-    ResilienceRecord,
-    ResilienceSpec,
-    resilience_fingerprint,
-    run_resilience,
-)
+from repro.scenarios.resilience import ResilienceRecord, ResilienceSpec, run_resilience
 
 FORMATS = ("jsonl", "columnar")
 
@@ -114,7 +110,7 @@ class TestRecordEquivalence:
             run_resilience(audit, store=path, store_format=fmt)
             store = ResultsStore(path, record_type=ResilienceRecord)
             _manifest, cells = store.read(
-                expected_fingerprint=resilience_fingerprint(audit)
+                expected_fingerprint=spec_fingerprint(audit)
             )
             completed[fmt] = cells
         assert completed["jsonl"].keys() == completed["columnar"].keys()

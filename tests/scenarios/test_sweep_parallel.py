@@ -30,6 +30,7 @@ from repro.scenarios import (
     WORKLOADS,
     run_sweep,
     spec_from_dict,
+    spec_to_dict,
 )
 from repro.scenarios.chaos import CHAOS_GRID, ChaosContext, ChaosSpec, FaultSpec
 from repro.scenarios.dispatch import CHUNKS_PER_WORKER, ChunkExecutionError
@@ -435,7 +436,7 @@ class TestResourceLifecycle:
 
         monkeypatch.setattr(owner, "close", spying_close)
         with pytest.raises(ChunkExecutionError) as excinfo:
-            run_chunk(grid, grid.to_dict(spec), extra, [(0, 0), (1, 0)])
+            run_chunk(grid, spec_to_dict(spec), extra, [(0, 0), (1, 0)])
         # The failure wrapper preserves the original diagnostics and the
         # cells completed before the failure (the parent journals those).
         assert diagnostic in excinfo.value.traceback

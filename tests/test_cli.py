@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import repro.cli
 from repro.cli import build_parser, main
-from repro.scenarios import dump_spec, dump_sweep, figure4_sweep, figure5_sweep, spec_from_dict
+from repro.scenarios import dump_spec, figure4_sweep, figure5_sweep, spec_from_dict
 from repro.scenarios.spec import SweepSpec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -79,7 +80,7 @@ class TestCommands:
 
     def test_fig4_small(self, tmp_path, capsys):
         path = tmp_path / "fig4.json"
-        dump_sweep(figure4_sweep(n_values=(10,), k_values=(1,)), path)
+        dump_spec(figure4_sweep(n_values=(10,), k_values=(1,)), path)
         assert main(["sweep", "--spec", str(path), "--series"]) == 0
         out = capsys.readouterr().out
         assert "centralised" in out
@@ -87,7 +88,7 @@ class TestCommands:
 
     def test_fig5_small(self, tmp_path, capsys):
         path = tmp_path / "fig5.toml"
-        dump_sweep(figure5_sweep(n_values=(6,), p_values=(1, 4), epsilon=0.5), path)
+        dump_spec(figure5_sweep(n_values=(6,), p_values=(1, 4), epsilon=0.5), path)
         assert main(["sweep", "--spec", str(path)]) == 0
         out = capsys.readouterr().out
         assert "p=4" in out
@@ -167,7 +168,7 @@ class TestSpecDrivenCommands:
     def test_sweep_command_runs_grid(self, tmp_path, capsys):
         sweep = SweepSpec(base=self._spec(), name="grid", axes=(("users", (4, 6)),))
         path = tmp_path / "sweep.toml"
-        dump_sweep(sweep, path)
+        dump_spec(sweep, path)
         assert main(["sweep", "--spec", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["sweep"] == "grid"
@@ -179,7 +180,7 @@ class TestSpecDrivenCommands:
 
     def test_run_given_sweep_file_errors(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
-        dump_sweep(SweepSpec(base=self._spec()), path)
+        dump_spec(SweepSpec(base=self._spec()), path)
         assert main(["run", "--spec", str(path)]) == 2
         assert "use 'repro-auction sweep'" in capsys.readouterr().err
 
@@ -189,6 +190,75 @@ class TestSpecDrivenCommands:
         assert main(["run", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert "users: expected an integer" in err
+
+
+#: One tiny spec per grid sub-command, the unit of its store line, and a
+#: record edit that fails its verdict (a sweep has no verdict to fail).
+_GRID_BASE = {
+    "mechanism": "double",
+    "users": 6,
+    "providers": 3,
+    "config": {"k": 1},
+    "latency": "constant",
+    "measure_compute": False,
+}
+_GRID_CASES = {
+    "sweep": ({"base": _GRID_BASE, "axes": {"users": [4, 6]}}, "rounds", None),
+    "resilience": (
+        {"base": _GRID_BASE, "adversaries": ["equivocate"], "coalitions": [[0], [1]]},
+        "cells",
+        {"profitable": True},
+    ),
+    "chaos": ({"base": _GRID_BASE, "faults": ["loss", "duplicate"]}, "cells", {"replay_ok": False}),
+}
+
+
+class TestGridCommandsShareOneHandler:
+    """The strings CI greps, produced by one function for all three kinds."""
+
+    def _spec_file(self, tmp_path, command):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(_GRID_CASES[command][0]))
+        return str(path)
+
+    @pytest.mark.parametrize("command", sorted(_GRID_CASES))
+    def test_store_line_wording(self, command, tmp_path, capsys):
+        unit = _GRID_CASES[command][1]
+        tail = ", quarantined 0 cells" if command == "chaos" else ""
+        argv = [command, "--spec", self._spec_file(tmp_path, command)]
+        argv += ["--output", str(tmp_path / "journal.jsonl")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"store {argv[-1]}: reused 0 journaled {unit}, executed 2 new {unit}{tail}"
+        ]
+        assert main(argv + ["--resume"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"store {argv[-1]}: reused 2 journaled {unit}, executed 0 new {unit}{tail}"
+        ]
+
+    @pytest.mark.parametrize("command", sorted(_GRID_CASES))
+    def test_resume_without_output_exits_2(self, command, tmp_path, capsys):
+        assert main([command, "--spec", self._spec_file(tmp_path, command), "--resume"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --resume: resuming requires --output FILE (the journal to continue)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["chaos", "resilience"])
+    def test_failing_verdict_exits_1(self, command, tmp_path, capsys, monkeypatch):
+        kind = repro.cli._GRID_COMMANDS[command]
+
+        def run_then_fail_one_cell(spec, **options):
+            result = kind.run(spec, **options)
+            result.records[0] = dataclasses.replace(result.records[0], **_GRID_CASES[command][2])
+            return result
+
+        monkeypatch.setitem(
+            repro.cli._GRID_COMMANDS, command, dataclasses.replace(kind, run=run_then_fail_one_cell)
+        )
+        assert main([command, "--spec", self._spec_file(tmp_path, command)]) == 1
+        assert "VERDICT: NOT " in capsys.readouterr().out
 
 
 class TestObservabilityCommands:
