@@ -1,10 +1,10 @@
 """The results plane: columnar journals, streaming summaries, format conversion.
 
 A results journal is both the sweep's durable artifact and its checkpoint.
-Since the columnar-results-plane refactor the *file format* is a pluggable
-backend (``STORE_BACKENDS``): ``jsonl`` is the greppable interchange format,
-``columnar`` stores typed NumPy chunks that are memory-mapped on read — built
-for sweeps big enough that parsing JSON per record dominates analysis time.
+It comes in two *file formats*: ``jsonl`` is the greppable interchange format
+and the default; ``columnar`` stores typed NumPy chunks that are memory-mapped
+on read — built for sweeps big enough that parsing JSON per record dominates
+analysis time.
 
 This example runs one grid four ways over the results plane:
 

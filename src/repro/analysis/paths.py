@@ -18,8 +18,7 @@ path                      classification
 ``repro/gametheory/``     deterministic
 ``repro/obs/``            deterministic (sim-time-only tracing/metrics)
 ``repro/scenarios/``      deterministic, except ``dispatch.py``
-``benchmarks/``           bench-suite (RPA007 pytestmark contract)
-everything else           contract rules only (RPA003–RPA006, RPA008)
+everything else           contract rules only (RPA003–RPA005)
 ========================  =========================================
 
 ``scenarios/dispatch.py`` is exempt because worker resolution *must* inspect
@@ -56,7 +55,6 @@ class PathClass:
     display_path: str
     repro_parts: Tuple[str, ...]
     deterministic: bool
-    benchmarks_test: bool
 
 
 def _normalize(path: Union[str, "PurePosixPath"]) -> Tuple[str, ...]:
@@ -81,15 +79,6 @@ def classify_path(path: Union[str, PurePosixPath]) -> PathClass:
         )
         deterministic = not exempt
 
-    benchmarks_test = (
-        "benchmarks" in parts
-        and parts[-1].startswith("test_")
-        and parts[-1].endswith(".py")
-    )
-
     return PathClass(
-        display_path=display,
-        repro_parts=repro_parts,
-        deterministic=deterministic,
-        benchmarks_test=benchmarks_test,
+        display_path=display, repro_parts=repro_parts, deterministic=deterministic
     )

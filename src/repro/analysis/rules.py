@@ -1,7 +1,7 @@
 """The RPA rule set: determinism & contract rules over Python ASTs.
 
 Rules are registered in :data:`RULES` — the same :class:`Registry` that backs
-``MECHANISMS`` and ``EXECUTOR_BACKENDS`` — keyed by their stable code, so the
+``MECHANISMS`` and ``FAULTS`` — keyed by their stable code, so the
 extension contract is identical: register a factory under a code and it is
 reachable from the engine, ``--select``, the self-check test and CI with no
 new plumbing.  A rule is a callable object with ``code``/``name``/``summary``
@@ -22,13 +22,6 @@ RPA004      lambda / nested function handed to an executor ``submit``/``map``/
             ``execute`` — unpicklable under the spawn start method
 RPA005      ``*Spec`` class that is not a frozen dataclass with typed fields —
             the registry/spec-file contract
-RPA006      registry ``register()`` call whose kind is not a string literal —
-            dynamic kinds escape spec-file validation
-RPA007      ``benchmarks/`` test module without the ``bench`` pytestmark —
-            the PR 6 meta-test, generalised to a lint rule
-RPA008      ``StoreBackend`` subclass without a non-empty literal ``kind``, or
-            registered under a different kind than it declares — RPA006
-            generalised to the results-plane store contract
 RPA009      retry loop in a deterministic path without a literal attempt
             bound, or ``time.sleep`` between attempts — the recovery layer's
             reproducibility contract (backoff must live in sim time)
@@ -39,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.paths import PathClass
@@ -493,207 +486,6 @@ class FrozenSpecRule(Rule):
         return None
 
 
-# ------------------------------------------------------------------- RPA006 --
-class RegistryLiteralKindRule(Rule):
-    """RPA006: registry registrations use non-empty string-literal kinds.
-
-    Receivers are recognised by the repo convention that registries are
-    module-level ALL_CAPS constants (``MECHANISMS``, ``EXECUTOR_BACKENDS``,
-    ``RULES`` …).  A dynamic kind cannot be cross-checked against spec files
-    or listed in ``available()`` docs, and an empty kind is unreachable.
-    """
-
-    code = "RPA006"
-    name = "registry-literal-kind"
-    summary = "registry register() calls must pass a non-empty string-literal kind"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "register"):
-                continue
-            receiver = _dotted_name(func.value)
-            if receiver is None or not receiver[-1].isupper():
-                continue
-            registry = ".".join(receiver)
-            if not node.args:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{registry}.register() without a kind argument; pass the "
-                    f"kind as a string literal",
-                )
-                continue
-            kind = node.args[0]
-            if not (isinstance(kind, ast.Constant) and isinstance(kind.value, str)):
-                yield self.finding(
-                    module,
-                    kind,
-                    f"{registry}.register() kind must be a string literal so "
-                    f"spec files and docs can reference it; got a dynamic "
-                    f"expression",
-                )
-            elif not kind.value:
-                yield self.finding(
-                    module, kind, f"{registry}.register() kind must be non-empty"
-                )
-
-
-# ------------------------------------------------------------------- RPA007 --
-class BenchPytestmarkRule(Rule):
-    """RPA007: every ``benchmarks/test_*.py`` declares the ``bench`` pytestmark."""
-
-    code = "RPA007"
-    name = "bench-pytestmark"
-    summary = "benchmark test modules must carry pytestmark = pytest.mark.bench"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.path_class.benchmarks_test:
-            return
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "pytestmark"
-                for target in node.targets
-            ):
-                if any(
-                    isinstance(item, ast.Attribute) and item.attr == "bench"
-                    for item in ast.walk(node.value)
-                ):
-                    return
-                yield self.finding(
-                    module,
-                    node,
-                    "pytestmark assignment does not include pytest.mark.bench; "
-                    "benchmark modules must opt out of the fast dev loop "
-                    "(pytest -m 'not bench')",
-                )
-                return
-        yield self.finding(
-            module,
-            module.tree,
-            "benchmark test module has no module-level pytestmark = "
-            "pytest.mark.bench; the conftest auto-marker is a fallback, not "
-            "the contract",
-        )
-
-
-# ------------------------------------------------------------------- RPA008 --
-class StoreBackendKindRule(Rule):
-    """RPA008: store backends pin their kind as a non-empty string literal.
-
-    The results-plane contract (``STORE_BACKENDS``) hangs everything on the
-    ``kind`` string: format sniffing maps bytes on disk to a kind, ``--resume``
-    mismatch errors name it, and ``results convert`` takes it as ``--to``.  A
-    subclass of ``StoreBackend`` (recognised by a base name ending in
-    ``StoreBackend``) must therefore declare ``kind`` as a non-empty string
-    literal, and when the module registers the class, the registered kind must
-    be the same literal — a drifting pair would sniff as one format and error
-    as another.
-    """
-
-    code = "RPA008"
-    name = "store-backend-kind"
-    summary = "StoreBackend subclasses must declare a non-empty literal kind"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        declared: Dict[str, Optional[str]] = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and self._is_store_backend(node):
-                declared[node.name] = yield from self._check_class(module, node)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_registration(module, node, declared)
-
-    @staticmethod
-    def _is_store_backend(node: ast.ClassDef) -> bool:
-        for base in node.bases:
-            parts = _dotted_name(base)
-            if parts is not None and parts[-1].endswith("StoreBackend"):
-                return True
-        return False
-
-    def _check_class(
-        self, module: SourceModule, node: ast.ClassDef
-    ) -> Generator[Finding, None, Optional[str]]:
-        kind = self._kind_assignment(node)
-        if kind is None:
-            yield self.finding(
-                module,
-                node,
-                f"store backend {node.name!r} does not declare a class-level "
-                f"kind; the STORE_BACKENDS contract (sniffing, --store-format "
-                f"mismatch errors, results convert) keys on it",
-            )
-            return None
-        value = kind.value
-        if not (isinstance(value, ast.Constant) and isinstance(value.value, str)):
-            yield self.finding(
-                module,
-                kind,
-                f"store backend {node.name!r} computes its kind dynamically; "
-                f"declare it as a string literal so spec files, --store-format "
-                f"and results convert can reference it",
-            )
-            return None
-        if not value.value:
-            yield self.finding(
-                module,
-                kind,
-                f"store backend {node.name!r} declares an empty kind; an empty "
-                f"kind is unreachable from --store-format and sniffing",
-            )
-            return None
-        return value.value
-
-    @staticmethod
-    def _kind_assignment(node: ast.ClassDef) -> Optional[ast.AST]:
-        """The class-body statement assigning ``kind``, or None."""
-        for item in node.body:
-            if isinstance(item, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "kind"
-                for target in item.targets
-            ):
-                return item
-            if (
-                isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-                and item.target.id == "kind"
-                and item.value is not None
-            ):
-                return item
-        return None
-
-    def _check_registration(
-        self, module: SourceModule, call: ast.Call, declared: Dict[str, Optional[str]]
-    ) -> Iterator[Finding]:
-        func = call.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "register"):
-            return
-        receiver = _dotted_name(func.value)
-        if receiver is None or receiver[-1] != "STORE_BACKENDS":
-            return
-        if len(call.args) < 2 or not isinstance(call.args[1], ast.Name):
-            return
-        backend = call.args[1].id
-        if backend not in declared or declared[backend] is None:
-            return  # not a local backend class, or already flagged above
-        kind = call.args[0]
-        if (
-            isinstance(kind, ast.Constant)
-            and isinstance(kind.value, str)
-            and kind.value != declared[backend]
-        ):
-            yield self.finding(
-                module,
-                kind,
-                f"STORE_BACKENDS.register({kind.value!r}, {backend}) disagrees "
-                f"with {backend}.kind = {declared[backend]!r}; the registered "
-                f"kind and the class attribute must be the same literal",
-            )
-
-
 # ------------------------------------------------------------------- RPA009 --
 _LOOP_NODES = (ast.While, ast.For, ast.AsyncFor)
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
@@ -856,9 +648,6 @@ RULES.register("RPA002", UnorderedIterationRule)
 RULES.register("RPA003", PoolSafeExceptionRule)
 RULES.register("RPA004", PicklableSubmissionRule)
 RULES.register("RPA005", FrozenSpecRule)
-RULES.register("RPA006", RegistryLiteralKindRule)
-RULES.register("RPA007", BenchPytestmarkRule)
-RULES.register("RPA008", StoreBackendKindRule)
 RULES.register("RPA009", BoundedRetryRule)
 
 

@@ -37,7 +37,7 @@ sniffed, never declared): ``summarize`` streams a journal through the
 constant-memory aggregation layer (:mod:`repro.scenarios.aggregate`) and
 prints per-column count/mean/min/max/percentiles plus throughput totals
 without ever materialising the record list; ``convert`` rewrites a journal
-in the other :data:`~repro.scenarios.store.STORE_BACKENDS` format
+in the other :func:`~repro.scenarios.store.store_backends` format
 (jsonl <-> columnar), preserving the manifest fingerprint so ``--resume``
 continues a converted journal exactly where the original stopped.
 
@@ -45,7 +45,7 @@ continues a converted journal exactly where the original stopped.
 the given paths (default ``src`` and ``benchmarks`` where they exist): the RPA
 rule set that statically pins the repo's bit-identity guarantee — wall-clock/
 RNG taint, unordered iteration, pool-unsafe exceptions and submissions, frozen
-``*Spec`` dataclasses, literal registry kinds, benchmark pytestmarks.  Exit
+``*Spec`` dataclasses, literally bounded retry loops.  Exit
 status is part of the contract: 0 when clean, 1 when there are findings, 2
 when the lint run itself failed (unknown ``--select`` code, missing path,
 unparseable file).  Line-scoped ``# repro: noqa[RPAxxx]`` comments suppress
@@ -325,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _store_format_choices():
-    """The registered store-backend kinds (the --store-format/--to choices)."""
-    from repro.scenarios.store import STORE_BACKENDS
+    """The two store-backend kinds (the --store-format/--to choices)."""
+    from repro.scenarios.store import store_backends
 
-    return STORE_BACKENDS.available()
+    return list(store_backends())
 
 
 def _workers_argument(value: str):

@@ -22,7 +22,7 @@ The registry
 ------------
 
 ``FAULTS`` is the same :class:`~repro.scenarios.registry.Registry` that backs
-``MECHANISMS`` and ``STORE_BACKENDS``: a fault model is reachable from spec
+``MECHANISMS`` and ``WORKLOADS``: a fault model is reachable from spec
 files by string kind with no new plumbing.  Shipped kinds:
 
 ==============  ==============================================================

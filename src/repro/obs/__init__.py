@@ -1,6 +1,6 @@
 """repro.obs — the deterministic observability plane.
 
-Sim-time tracing (:mod:`repro.obs.trace`), the METRICS instrument registry
+Sim-time tracing (:mod:`repro.obs.trace`), the metrics hub and its instruments
 (:mod:`repro.obs.metrics`), Chrome-trace export (:mod:`repro.obs.export`)
 and the ambient installation context (:mod:`repro.obs.context`).  See
 DESIGN.md, "The observability plane".
@@ -21,7 +21,6 @@ from typing import Optional
 from repro.obs.context import Observation, current_observation, swap_observation
 
 __all__ = [
-    "METRICS",
     "MetricsHub",
     "Observation",
     "SpanRecord",
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "METRICS": ("repro.obs.metrics", "METRICS"),
     "MetricsHub": ("repro.obs.metrics", "MetricsHub"),
     "render_metrics": ("repro.obs.metrics", "render_metrics"),
     "SpanRecord": ("repro.obs.trace", "SpanRecord"),

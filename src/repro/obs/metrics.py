@@ -1,8 +1,6 @@
-"""The METRICS registry: deterministic counters, gauges and histograms.
+"""Deterministic counters, gauges and histograms behind one metrics hub.
 
-Three instrument kinds, registered in the same :class:`Registry` class that
-serves ``MECHANISMS`` and ``FAULTS``, so spec files and extensions name them
-by string literal and get path-precise errors for typos:
+Three instrument classes, each carrying its ``kind`` in every snapshot:
 
 ``counter``
     A monotonically increasing integer (messages sent, faults injected,
@@ -37,21 +35,15 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.scenarios.aggregate import MetricAccumulator
-from repro.scenarios.registry import Registry
-from repro.scenarios.spec import ComponentSpec, SpecError
+from repro.scenarios.spec import SpecError
 
 __all__ = [
-    "METRICS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsHub",
     "render_metrics",
 ]
-
-#: Registry of instrument kinds; extensions register their own with
-#: ``@METRICS.register("my-kind")``.
-METRICS = Registry("metric instrument")
 
 
 class Counter:
@@ -128,16 +120,11 @@ class Histogram:
         return snapshot
 
 
-METRICS.register("counter", Counter)
-METRICS.register("gauge", Gauge)
-METRICS.register("histogram", Histogram)
-
-
 class MetricsHub:
     """A named-instrument namespace with a deterministic snapshot.
 
-    Instruments are created through :data:`METRICS` on first use and cached
-    by name; asking for an existing name as a different kind is a
+    Instruments are created on first use and cached by name; asking for an
+    existing name as a different kind is a
     name-precise :class:`SpecError` (two subsystems silently sharing
     ``"latency"`` as a counter *and* a histogram is a bug, not a merge).
     """
@@ -147,27 +134,26 @@ class MetricsHub:
     def __init__(self) -> None:
         self._instruments: Dict[str, Any] = {}
 
-    def _instrument(self, name: str, kind: str) -> Any:
+    def _instrument(self, name: str, cls: type) -> Any:
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = METRICS.create(ComponentSpec(kind), f"metrics[{name}]")
-            self._instruments[name] = instrument
-        elif instrument.kind != kind:
+            instrument = self._instruments[name] = cls()
+        elif instrument.kind != cls.kind:
             raise SpecError(
                 f"metrics[{name}]",
                 f"instrument already exists as a {instrument.kind}, "
-                f"requested as a {kind}",
+                f"requested as a {cls.kind}",
             )
         return instrument
 
     def counter(self, name: str) -> Counter:
-        return self._instrument(name, "counter")
+        return self._instrument(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._instrument(name, "gauge")
+        return self._instrument(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
-        return self._instrument(name, "histogram")
+        return self._instrument(name, Histogram)
 
     def __len__(self) -> int:
         return len(self._instruments)

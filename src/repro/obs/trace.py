@@ -3,7 +3,7 @@
 A :class:`Tracer` records :class:`SpanRecord` rows — auction solves, pivot
 re-solves, message deliveries, grid-point executions, fault injections —
 into the same append-only journal formats as sweep results (jsonl or
-columnar, through :data:`~repro.scenarios.store.STORE_BACKENDS`), so the
+columnar, through :class:`~repro.scenarios.store.ResultsStore`), so the
 trace artifact inherits the store plane's whole toolbox: sniffed formats,
 O(1) appends, torn-tail repair, ``results convert``.
 

@@ -25,12 +25,7 @@ file is a complete new scenario.
 """
 
 from repro.scenarios.builtin import figure4_sweep, figure5_sweep
-from repro.scenarios.dispatch import (
-    EXECUTOR_BACKENDS,
-    ExecutorBackend,
-    WorkerPlan,
-    resolve_workers,
-)
+from repro.scenarios.dispatch import WorkerPlan, resolve_workers
 from repro.scenarios.chaos import (
     ChaosRecord,
     ChaosResult,
@@ -57,7 +52,7 @@ from repro.scenarios.resilience import (
     run_resilience,
 )
 from repro.scenarios.runner import RunRecord, run_scenario
-from repro.scenarios.simulation import BatchResult, Simulation, run_file
+from repro.scenarios.simulation import BatchResult, Simulation
 from repro.scenarios.spec import (
     BidderSpec,
     ComponentSpec,
@@ -80,7 +75,6 @@ from repro.scenarios.aggregate import (
 )
 from repro.scenarios.columnar import ColumnarStoreBackend
 from repro.scenarios.store import (
-    STORE_BACKENDS,
     JsonlStoreBackend,
     ResultsStore,
     StoreBackend,
@@ -102,8 +96,6 @@ __all__ = [
     "ComponentCache",
     "ComponentSpec",
     "ConfigSpec",
-    "EXECUTOR_BACKENDS",
-    "ExecutorBackend",
     "FaultSpec",
     "JsonlStoreBackend",
     "LATENCIES",
@@ -116,7 +108,6 @@ __all__ = [
     "ResultsStore",
     "RunRecord",
     "SCHEDULERS",
-    "STORE_BACKENDS",
     "ScenarioSpec",
     "Simulation",
     "SpecError",
@@ -140,7 +131,6 @@ __all__ = [
     "render_summary",
     "resolve_workers",
     "run_chaos",
-    "run_file",
     "run_resilience",
     "run_scenario",
     "run_sweep",

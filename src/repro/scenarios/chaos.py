@@ -50,7 +50,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.context import current_observation
 from repro.net.faults import FAULTS, FaultPlan, RecoveryPolicy, make_fault
@@ -425,22 +425,14 @@ CHAOS_GRID = Grid(
 )
 
 
-def run_chaos(
-    spec: ChaosSpec,
-    *,
-    workers: Union[None, int, str] = None,
-    backend: Optional[str] = None,
-    store=None,
-    store_format: Optional[str] = None,
-    resume: bool = False,
-    failure_mode: str = "raise",
-) -> ChaosResult:
+def run_chaos(spec: ChaosSpec, **engine: Any) -> ChaosResult:
     """Run the full fault grid and collect the records in grid order.
 
     Args:
         spec: the audit specification.
-        workers, backend, store, store_format, resume, failure_mode: the grid
-            engine's, see :func:`~repro.scenarios.grid.run_grid`.  Chunks are
+        engine: the grid engine's options (``workers``, ``store``,
+            ``store_format``, ``resume``, ``failure_mode``), see
+            :func:`~repro.scenarios.grid.run_grid`.  Chunks are
             grouped by seed so workload generation stays amortised; records
             are bit-identical to the sequential path on all deterministic
             fields, in the same grid order; cells the executor quarantined
@@ -451,16 +443,7 @@ def run_chaos(
     # before any journal is opened or simulation runs.
     for index, fault in enumerate(spec.faults):
         fault.build(f"faults[{index}]")
-    run = run_grid(
-        CHAOS_GRID,
-        spec,
-        workers=workers,
-        backend=backend,
-        store=store,
-        store_format=store_format,
-        resume=resume,
-        failure_mode=failure_mode,
-    )
+    run = run_grid(CHAOS_GRID, spec, **engine)
     result = ChaosResult(
         name=spec.name,
         base=spec_to_dict(spec.base),

@@ -64,12 +64,7 @@ import numpy as np
 from repro.scenarios.aggregate import StreamingSummary
 from repro.scenarios.runner import RunRecord
 from repro.scenarios.spec import SpecError
-from repro.scenarios.store import (
-    COLUMNAR_MAGIC,
-    STORE_BACKENDS,
-    RawRow,
-    StoreBackend,
-)
+from repro.scenarios.store import COLUMNAR_MAGIC, RawRow, StoreBackend
 
 __all__ = ["ColumnarStoreBackend"]
 
@@ -443,6 +438,3 @@ def _chunk_dtype(schema: Tuple[Column, ...]) -> np.dtype:
         if column_kind != "json":
             fields.append((f"c{index}", _SCALAR_DTYPES[column_kind]))
     return np.dtype(fields)
-
-
-STORE_BACKENDS.register("columnar", ColumnarStoreBackend)

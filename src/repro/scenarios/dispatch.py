@@ -1,4 +1,4 @@
-"""Executor dispatch: worker resolution policy + pluggable chunk backends.
+"""Executor dispatch: worker resolution policy + the process-pool chunk runner.
 
 The grid engine (:mod:`repro.scenarios.grid`) — the one executor under the
 sweep, the resilience audit and the chaos audit — groups work into
@@ -13,24 +13,22 @@ sits beneath that loop:
   larger than that degrades to the available count with a stderr warning
   instead of oversubscribing; a single available CPU resolves to the
   sequential path, where a pool only adds overhead.
-* :class:`ExecutorBackend` — the dispatch interface.  ``"serial"`` and
-  ``"process"`` ship built in, registered in :data:`EXECUTOR_BACKENDS` exactly
-  like mechanism kinds in ``MECHANISMS``; a future multi-host work-queue
-  backend plugs in here without touching the engine.
+* :func:`execute_chunks` — runs chunks in a local process pool.  The
+  sequential path needs no counterpart here: the engine runs it inline.
 
-**The backend contract** (what any new backend must guarantee):
+**The chunk contract** (what the engine and :func:`execute_chunks` rely on):
 
 1. *Chunk determinism* — a chunk is a pure function of its payload: the worker
    rehydrates components from spec dicts and every component is bit-identical
    however often it is rebuilt, so running a chunk anywhere (in-process, a
-   local worker, another host) yields identical records.
+   local worker) yields identical records.
 2. *Journal-per-chunk* — results are yielded chunk by chunk as they complete;
    the caller appends them to the results journal immediately, so a crash
    loses at most the in-flight chunks.
-3. *Fingerprint-guarded resume* — backends only ever receive the *pending*
-   work items; the caller computed those against a journal whose manifest
-   fingerprint matched the spec.  A backend must neither reorder fields nor
-   rewrite records, or resumed runs would stop being bit-identical.
+3. *Fingerprint-guarded resume* — the executor only ever receives the
+   *pending* work items; the caller computed those against a journal whose
+   manifest fingerprint matched the spec.  It neither reorders fields nor
+   rewrites records, or resumed runs would stop being bit-identical.
 """
 
 from __future__ import annotations
@@ -43,20 +41,15 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.common import available_cpus
-from repro.scenarios.registry import Registry
-from repro.scenarios.spec import ComponentSpec, SpecError
+from repro.scenarios.spec import SpecError
 
 __all__ = [
     "CHUNKS_PER_WORKER",
     "MAX_CHUNK_RETRIES",
     "ChunkExecutionError",
     "ChunkQuarantine",
-    "EXECUTOR_BACKENDS",
-    "ExecutorBackend",
-    "ProcessExecutorBackend",
-    "SerialExecutorBackend",
     "WorkerPlan",
-    "create_backend",
+    "execute_chunks",
     "reset_oversubscription_warnings",
     "resolve_workers",
     "split_chunks",
@@ -131,7 +124,7 @@ class ChunkQuarantine:
 
     The crash-tolerant executor emits one of these into the result stream
     when an item is still failing after :data:`MAX_CHUNK_RETRIES` attempts.
-    ``items`` holds the backend-agnostic work items exactly as the chunker
+    ``items`` holds the work items exactly as the chunker
     built them (for the grid engine: ``(point, instance)`` cells), so the
     caller can journal the failure and continue — ``--resume`` then
     re-executes only the quarantined cells.
@@ -162,27 +155,20 @@ class WorkerPlan:
     """The resolved execution plan for one sweep/audit invocation.
 
     ``workers`` is the resolved process count (1 for the sequential path);
-    ``backend`` names the :data:`EXECUTOR_BACKENDS` entry to dispatch through;
     ``requested`` preserves what the caller asked for (``None``, an int, or
     ``"auto"``) so artifacts can record both sides of the resolution.
     """
 
     requested: WorkerSpec
     workers: int
-    backend: str
     capped: bool = False
 
     @property
     def parallel(self) -> bool:
-        return self.backend != "serial" and self.workers > 1
+        return self.workers > 1
 
 
-def resolve_workers(
-    workers: WorkerSpec,
-    *,
-    backend: Optional[str] = None,
-    path: str = "workers",
-) -> WorkerPlan:
+def resolve_workers(workers: WorkerSpec, *, path: str = "workers") -> WorkerPlan:
     """Resolve a requested worker count into a :class:`WorkerPlan`.
 
     Policy:
@@ -197,9 +183,6 @@ def resolve_workers(
       per process, not once per call — one invocation resolves the same
       request repeatedly (harness plan + executor re-resolution).
     * anything else (0, negatives, other strings) — :class:`SpecError`.
-
-    ``backend`` overrides the dispatch target for parallel plans (default
-    ``"process"``); the sequential fallback always plans ``"serial"``.
     """
     cpus = available_cpus()
     capped = False
@@ -230,11 +213,7 @@ def resolve_workers(
                     f"{count} to avoid oversubscription",
                     file=sys.stderr,
                 )
-    if count <= 1:
-        return WorkerPlan(requested=workers, workers=1, backend="serial", capped=capped)
-    return WorkerPlan(
-        requested=workers, workers=count, backend=backend or "process", capped=capped
-    )
+    return WorkerPlan(requested=workers, workers=max(count, 1), capped=capped)
 
 
 # ----------------------------------------------------------------- chunking --
@@ -245,7 +224,7 @@ def split_chunks(chunks: List[List[Any]], target: int) -> List[List[Any]]:
     start out in one chunk, then the largest chunks are split toward
     ``workers * CHUNKS_PER_WORKER`` total — a grid with fewer distinct keys
     than workers would otherwise serialise.  Splitting is free in correctness
-    terms (chunk determinism, point 1 of the backend contract) and only trades
+    terms (chunk determinism, point 1 of the chunk contract) and only trades
     some cache sharing for parallelism, load balance and journal-checkpoint
     granularity.  Indivisible chunks (single items) are never split, so an
     item the chunker must keep whole — all rounds of one sweep point —
@@ -263,51 +242,25 @@ def split_chunks(chunks: List[List[Any]], target: int) -> List[List[Any]]:
     return chunks
 
 
-# ----------------------------------------------------------------- backends --
-class ExecutorBackend:
-    """Runs worker chunks and streams back their results (see module docstring).
-
-    ``execute`` receives the pre-built chunks, a picklable ``worker`` callable
-    (``worker(chunk) -> list of results``) and the resolved worker count; it
-    yields individual results in whatever order chunks complete.  The caller
-    owns order reassembly and journaling.
-    """
-
-    #: "raise" (fail fast, the historical contract) or "quarantine" (crash
-    #: tolerance).  A class default overridden per instance by the grid
-    #: engine, so ``execute``'s signature stays backend-agnostic; a backend
-    #: with no worker boundary to contain a failure (serial) ignores it.
-    failure_mode = "raise"
-
-    def execute(
-        self,
-        chunks: List[List[Any]],
-        worker: Callable[[List[Any]], List[Any]],
-        workers: int,
-    ) -> Iterator[Any]:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - stateless built-ins
-        """Release backend resources (idempotent); built-ins hold none."""
-
-
-class SerialExecutorBackend(ExecutorBackend):
-    """Run every chunk inline, in order — the degenerate one-worker backend."""
-
-    def execute(self, chunks, worker, workers: int = 1) -> Iterator[Any]:
-        for chunk in chunks:
-            yield from worker(chunk)
-
-
-class ProcessExecutorBackend(ExecutorBackend):
+# ----------------------------------------------------------------- executor --
+def execute_chunks(
+    chunks: List[List[Any]],
+    worker: Callable[[List[Any]], List[Any]],
+    workers: int,
+    failure_mode: str = "raise",
+) -> Iterator[Any]:
     """Run chunks in a local ``ProcessPoolExecutor``, streaming completion order.
+
+    ``worker`` is a picklable callable (``worker(chunk) -> list of results``);
+    individual results are yielded in whatever order chunks complete, and the
+    caller owns order reassembly and journaling.
 
     The pool prefers the ``fork`` start method where available, so workers
     inherit runtime registrations (mechanism/workload kinds a calling program
     registered after import).  On spawn-only platforms, custom kinds must be
     registered at import time of a module the workers also import.
 
-    Failure handling is governed by :attr:`failure_mode`:
+    Failure handling is governed by ``failure_mode``:
 
     * ``"raise"`` (the default) — a worker exception cancels the
       not-yet-started chunks and re-raises in the parent carrying the
@@ -330,109 +283,113 @@ class ProcessExecutorBackend(ExecutorBackend):
       instead of its results, so the caller can journal the failure and
       keep going.
     """
-
-    def execute(self, chunks, worker, workers: int) -> Iterator[Any]:
-        pending: List[Tuple[List[Any], int]] = [
-            (list(chunk), 0) for chunk in chunks if chunk
-        ]
-        # Chunks suspected of killing their worker; each replays alone in a
-        # single-chunk pool so the next death is attributable.
-        suspects: List[Tuple[List[Any], int]] = []
-        # Each iteration runs one batch in one fresh pool (mandatory after a
-        # worker death broke the previous one).  Bounded: every isolated
-        # failure either bisects a chunk or raises its failure count toward
-        # MAX_CHUNK_RETRIES, and un-charged shared-pool breaks only move
-        # chunks into isolation.
-        while pending or suspects:
-            if pending:
-                batch, pending = pending, []
-                yield from self._run_batch(batch, pending, suspects, worker, workers)
-            else:
-                batch = [suspects.pop(0)]
-                yield from self._run_batch(batch, pending, suspects, worker, 1)
-
-    def _run_batch(self, batch, pending, suspects, worker, workers: int) -> Iterator[Any]:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(batch)), mp_context=_pool_context()
-        ) as pool:
-            futures = {
-                pool.submit(worker, items): (items, failures)
-                for items, failures in batch
-            }
-            try:
-                for future in as_completed(futures):
-                    items, failures = futures[future]
-                    try:
-                        yield from future.result()
-                    except ChunkExecutionError as exc:
-                        yield from exc.partial_results
-                        if self.failure_mode != "quarantine":
-                            if exc.cause is not None:
-                                # Re-raise the original, typed error; the
-                                # chunk context (partials journaled, worker
-                                # traceback) rides along as __cause__.
-                                raise exc.cause from exc
-                            raise RuntimeError(
-                                "a worker raised while executing a chunk "
-                                "(cells completed before the failure were "
-                                "journaled); worker traceback:\n"
-                                f"{exc.traceback}"
-                            ) from exc
-                        yield from self._after_worker_error(pending, exc, failures)
-                    except BrokenProcessPool:
-                        if self.failure_mode != "quarantine":
-                            raise
-                        yield from self._after_worker_death(
-                            suspects, items, failures, alone=len(batch) == 1
-                        )
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-
-    def _after_worker_error(self, pending, exc: ChunkExecutionError, failures: int):
-        """Requeue after an in-worker exception: the poison item is known."""
-        if not exc.remaining_items:  # defensive: nothing left to run
-            return
-        poison, rest = exc.remaining_items[0], list(exc.remaining_items[1:])
-        if rest:
-            # The items after the poison one never ran; they are not suspects.
-            pending.append((rest, 0))
-        failures += 1
-        if failures >= MAX_CHUNK_RETRIES:
-            yield ChunkQuarantine(
-                items=(poison,), error=exc.error, traceback=exc.traceback
-            )
+    quarantine = failure_mode == "quarantine"
+    pending: List[Tuple[List[Any], int]] = [
+        (list(chunk), 0) for chunk in chunks if chunk
+    ]
+    # Chunks suspected of killing their worker; each replays alone in a
+    # single-chunk pool so the next death is attributable.
+    suspects: List[Tuple[List[Any], int]] = []
+    # Each iteration runs one batch in one fresh pool (mandatory after a
+    # worker death broke the previous one).  Bounded: every isolated
+    # failure either bisects a chunk or raises its failure count toward
+    # MAX_CHUNK_RETRIES, and un-charged shared-pool breaks only move
+    # chunks into isolation.
+    while pending or suspects:
+        if pending:
+            batch, pending = pending, []
+            yield from _run_batch(batch, pending, suspects, worker, workers, quarantine)
         else:
-            pending.append(([poison], failures))
+            batch = [suspects.pop(0)]
+            yield from _run_batch(batch, pending, suspects, worker, 1, quarantine)
 
-    def _after_worker_death(self, suspects, items: List[Any], failures: int, alone: bool):
-        """Requeue after ``BrokenProcessPool``.
 
-        A break in a *shared* pool is unattributable — one dead worker fails
-        every in-flight future — so the chunk is not charged, only moved to
-        the isolation queue.  A break while running *alone* is attributable:
-        charge the chunk, bisect multi-item chunks to corner the poison
-        item, quarantine a single item that exhausted its retries.
-        """
-        if not alone:
-            suspects.append((items, failures))
-            return
-        failures += 1
-        if len(items) > 1:
-            # Bisect: the poison item is cornered in log2(n) replays, and
-            # its chunk-mates escape the quarantine with their results.
-            middle = (len(items) + 1) // 2
-            suspects.append((items[:middle], failures))
-            suspects.append((items[middle:], failures))
-        elif failures >= MAX_CHUNK_RETRIES:
-            yield ChunkQuarantine(
-                items=tuple(items),
-                error="worker process died while executing this item "
-                "(BrokenProcessPool)",
-            )
-        else:
-            suspects.append((items, failures))
+def _run_batch(
+    batch, pending, suspects, worker, workers: int, quarantine: bool
+) -> Iterator[Any]:
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(batch)), mp_context=_pool_context()
+    ) as pool:
+        futures = {
+            pool.submit(worker, items): (items, failures)
+            for items, failures in batch
+        }
+        try:
+            for future in as_completed(futures):
+                items, failures = futures[future]
+                try:
+                    yield from future.result()
+                except ChunkExecutionError as exc:
+                    yield from exc.partial_results
+                    if not quarantine:
+                        if exc.cause is not None:
+                            # Re-raise the original, typed error; the
+                            # chunk context (partials journaled, worker
+                            # traceback) rides along as __cause__.
+                            raise exc.cause from exc
+                        raise RuntimeError(
+                            "a worker raised while executing a chunk "
+                            "(cells completed before the failure were "
+                            "journaled); worker traceback:\n"
+                            f"{exc.traceback}"
+                        ) from exc
+                    yield from _after_worker_error(pending, exc, failures)
+                except BrokenProcessPool:
+                    if not quarantine:
+                        raise
+                    yield from _after_worker_death(
+                        suspects, items, failures, alone=len(batch) == 1
+                    )
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+
+
+def _after_worker_error(pending, exc: ChunkExecutionError, failures: int):
+    """Requeue after an in-worker exception: the poison item is known."""
+    if not exc.remaining_items:  # defensive: nothing left to run
+        return
+    poison, rest = exc.remaining_items[0], list(exc.remaining_items[1:])
+    if rest:
+        # The items after the poison one never ran; they are not suspects.
+        pending.append((rest, 0))
+    failures += 1
+    if failures >= MAX_CHUNK_RETRIES:
+        yield ChunkQuarantine(
+            items=(poison,), error=exc.error, traceback=exc.traceback
+        )
+    else:
+        pending.append(([poison], failures))
+
+
+def _after_worker_death(suspects, items: List[Any], failures: int, alone: bool):
+    """Requeue after ``BrokenProcessPool``.
+
+    A break in a *shared* pool is unattributable — one dead worker fails
+    every in-flight future — so the chunk is not charged, only moved to
+    the isolation queue.  A break while running *alone* is attributable:
+    charge the chunk, bisect multi-item chunks to corner the poison
+    item, quarantine a single item that exhausted its retries.
+    """
+    if not alone:
+        suspects.append((items, failures))
+        return
+    failures += 1
+    if len(items) > 1:
+        # Bisect: the poison item is cornered in log2(n) replays, and
+        # its chunk-mates escape the quarantine with their results.
+        middle = (len(items) + 1) // 2
+        suspects.append((items[:middle], failures))
+        suspects.append((items[middle:], failures))
+    elif failures >= MAX_CHUNK_RETRIES:
+        yield ChunkQuarantine(
+            items=tuple(items),
+            error="worker process died while executing this item "
+            "(BrokenProcessPool)",
+        )
+    else:
+        suspects.append((items, failures))
 
 
 def _pool_context():
@@ -440,16 +397,3 @@ def _pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork (Windows, some macOS configs)
         return None
-
-
-#: Executor backends by name, registered exactly like mechanism kinds.  A
-#: multi-host backend registers here and becomes reachable from every grid
-#: (sweep and audits) via ``resolve_workers(..., backend="<kind>")``.
-EXECUTOR_BACKENDS = Registry("executor backend")
-EXECUTOR_BACKENDS.register("serial", SerialExecutorBackend)
-EXECUTOR_BACKENDS.register("process", ProcessExecutorBackend)
-
-
-def create_backend(kind: str, path: str = "workers.backend") -> ExecutorBackend:
-    """Build the named backend, with a path-precise error for unknown kinds."""
-    return EXECUTOR_BACKENDS.create(ComponentSpec(kind), path)

@@ -32,6 +32,7 @@ and the journal append.
 from __future__ import annotations
 
 import functools
+import inspect
 import pickle
 import traceback
 from dataclasses import dataclass, field
@@ -42,14 +43,14 @@ from repro.scenarios.dispatch import (
     ChunkExecutionError,
     ChunkQuarantine,
     WorkerSpec,
-    create_backend,
+    execute_chunks,
     resolve_workers,
     split_chunks,
 )
 from repro.scenarios.spec import SpecError, spec_fingerprint, spec_from_dict, spec_to_dict
 from repro.scenarios.store import ResultsStore
 
-__all__ = ["Cell", "Grid", "GridRun", "chunk_cells", "run_chunk", "run_grid"]
+__all__ = ["Cell", "ENGINE_KEYWORDS", "Grid", "GridRun", "chunk_cells", "run_chunk", "run_grid"]
 
 #: One unit of work and of journaling: (grid point index, instance index).
 Cell = Tuple[int, int]
@@ -102,10 +103,9 @@ class GridRun:
 def run_grid(
     grid: Grid,
     spec: Any,
-    *,
     extra: Tuple[Any, ...] = (),
+    *,
     workers: WorkerSpec = None,
-    backend: Optional[str] = None,
     store=None,
     store_format: Optional[str] = None,
     resume: bool = False,
@@ -124,18 +124,15 @@ def run_grid(
             :func:`~repro.scenarios.dispatch.resolve_workers`; ``None``/``1``
             (and any resolution landing on one CPU) is the sequential,
             in-process path.
-        backend: dispatch parallel chunks through a named
-            :data:`~repro.scenarios.dispatch.EXECUTOR_BACKENDS` entry instead
-            of the default local ``"process"`` pool.
         store: a results journal — a path (``str``/``PathLike``) or a
             :class:`~repro.scenarios.store.ResultsStore` — appended to as
             cells complete.  The journal doubles as the run's artifact and
             as the checkpoint for ``resume``.
-        store_format: with a path ``store``, which
-            :data:`~repro.scenarios.store.STORE_BACKENDS` format a fresh
-            journal is written in (``"jsonl"``, the default, or ``"columnar"``).
-            Existing journals are sniffed — a format contradicting what is on
-            disk is a :class:`SpecError` naming both formats.
+        store_format: which format a fresh journal is written in
+            (``"jsonl"``, the default, or ``"columnar"``).  Existing journals
+            are sniffed — a format contradicting what is on disk, or what an
+            already-open ``ResultsStore`` decided, is a :class:`SpecError`
+            naming both formats.
         resume: with ``store``, skip cells the journal already holds (its
             manifest must match this spec) and run only the missing ones.
             Journaled records are returned bit-identically regardless of the
@@ -154,7 +151,7 @@ def run_grid(
             "failure_mode",
             f"failure_mode must be 'raise' or 'quarantine', got {failure_mode!r}",
         )
-    plan = resolve_workers(workers, backend=backend)
+    plan = resolve_workers(workers)
     context = grid.context(spec, *extra)
     run = GridRun(context)
     journal = _as_store(store, store_format, grid.record_type)
@@ -195,12 +192,30 @@ def run_grid(
     return run
 
 
+#: The engine's options — :func:`run_grid`'s keyword-only parameters, read off
+#: its signature so the list exists once.  ``run_sweep`` / ``run_resilience`` /
+#: ``run_chaos`` forward ``**engine`` to :func:`run_grid` untouched (a keyword
+#: it does not declare is its ``TypeError``), and the ``Simulation`` facade
+#: splits these names from a spec's fields.
+ENGINE_KEYWORDS: Tuple[str, ...] = tuple(inspect.getfullargspec(run_grid).kwonlyargs)
+
+
 def _as_store(store, store_format, record_type):
     if store is None:
         return None
     if isinstance(store, ResultsStore):
         store.record_type = record_type
         if store_format is not None:
+            # ``store.format`` is what the instance was given or has already
+            # resolved to; overwriting it would be silently ignored once the
+            # backend exists, so a contradiction is the same error as a path's.
+            if store.format not in (None, store_format):
+                raise SpecError(
+                    store.path,
+                    f"this journal is already open as {store.format!r} but "
+                    f"store_format requested {store_format!r}; drop store_format "
+                    f"to use the store as it is",
+                )
             store.format = store_format
         return store
     return ResultsStore(store, record_type=record_type, format=store_format)
@@ -222,9 +237,7 @@ def _stream(grid, spec, extra, context, pending, plan, failure_mode) -> Iterator
         ) from exc
     chunks = chunk_cells(context, pending, plan.workers)
     worker = functools.partial(run_chunk, grid, spec_to_dict(spec), tuple(extra))
-    executor = create_backend(plan.backend)
-    executor.failure_mode = failure_mode
-    yield from executor.execute(chunks, worker, plan.workers)
+    yield from execute_chunks(chunks, worker, plan.workers, failure_mode)
 
 
 def chunk_cells(context, cells: List[Cell], workers: int) -> List[List[Cell]]:

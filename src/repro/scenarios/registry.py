@@ -45,8 +45,11 @@ class Registry:
 
         Re-registering an existing kind raises — shadowing a built-in would
         silently change what every existing spec file means.  Use
-        :meth:`unregister` first if replacement is really intended.
+        :meth:`unregister` first if replacement is really intended.  So does
+        a kind no spec file could name (not a string, or empty).
         """
+        if not isinstance(kind, str) or not kind:
+            raise ValueError(f"{self.label} kind must be a non-empty string, got {kind!r}")
 
         def _register(func: Callable[..., Any]) -> Callable[..., Any]:
             if kind in self._factories:

@@ -317,6 +317,7 @@ class ResilienceResult:
     records: List[ResilienceRecord] = field(default_factory=list)
     executed_cells: int = 0
     resumed_cells: int = 0
+    quarantined: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def profitable_deviations(self) -> List[ResilienceRecord]:
@@ -327,16 +328,22 @@ class ResilienceResult:
         return [r for r in self.records if r.altered_result]
 
     def is_resilient(self) -> bool:
-        """True if no cell found a profitable or outcome-steering deviation."""
-        return all(record.resilient for record in self.records)
+        """True if no cell found a profitable or outcome-steering deviation.
+
+        A quarantined cell has no verdict, so an audit with one is not resilient.
+        """
+        return all(record.resilient for record in self.records) and not self.quarantined
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        data: Dict[str, Any] = {
             "audit": self.name,
             "base": self.base,
             "resilient": self.is_resilient(),
             "records": [record.to_dict() for record in self.records],
         }
+        if self.quarantined:
+            data["quarantined"] = [dict(entry) for entry in self.quarantined]
+        return data
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -502,24 +509,19 @@ RESILIENCE_GRID = Grid(
 )
 
 
-def run_resilience(
-    spec: ResilienceSpec,
-    *,
-    workers: Union[None, int, str] = None,
-    backend: Optional[str] = None,
-    store=None,
-    store_format: Optional[str] = None,
-    resume: bool = False,
-) -> ResilienceResult:
+def run_resilience(spec: ResilienceSpec, **engine: Any) -> ResilienceResult:
     """Run the full audit grid and collect the records in grid order.
 
     Args:
         spec: the audit specification.
-        workers, backend, store, store_format, resume: the grid engine's, see
+        engine: the grid engine's options (``workers``, ``store``,
+            ``store_format``, ``resume``, ``failure_mode``), see
             :func:`~repro.scenarios.grid.run_grid`.  Chunks are grouped by
             ``(schedule, seed)`` so the honest-baseline memoisation survives
             chunking; verdicts are bit-identical to the sequential path on
-            all deterministic fields, in the same grid order.
+            all deterministic fields, in the same grid order; cells the
+            executor quarantined are listed in
+            :attr:`ResilienceResult.quarantined`.
     """
     # Resolve every registry reference up front (and discard the results): a
     # typo'd adversary kind or bad parameter fails with its path-precise
@@ -528,21 +530,14 @@ def run_resilience(
         ADVERSARIES.create(adversary.component(), f"adversaries[{index}]")
     for index, schedule in enumerate(spec.schedules):
         SCHEDULERS.create(schedule, f"schedules[{index}]")
-    run = run_grid(
-        RESILIENCE_GRID,
-        spec,
-        workers=workers,
-        backend=backend,
-        store=store,
-        store_format=store_format,
-        resume=resume,
-    )
+    run = run_grid(RESILIENCE_GRID, spec, **engine)
     result = ResilienceResult(
         name=spec.name,
         base=spec_to_dict(spec.base),
         records=run.records,
         executed_cells=len(run.fresh),
         resumed_cells=len(run.reused),
+        quarantined=run.quarantined,
     )
     # Observability hook (see repro.obs): audit-level counters; the per-round
     # spans and network counters come from the layers below when cells run

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
@@ -51,30 +51,50 @@ class FlatRecord:
 
     One key per field, in field order, so the dict form (journal bytes,
     columnar schemas) cannot drift from the field list; lossless for JSON
-    scalar fields.  ``from_dict`` ignores unknown keys and raises ``KeyError``
-    on a missing one (a corrupt journal row, reported as such by the store).
+    scalar fields (``json`` round-trips floats exactly).  Two irregularities
+    are declared on the field, not coded: ``field(metadata={"key": ...})``
+    writes the field under another key, and a field *with a default* is
+    written only when it differs from it and read back as the default when
+    absent — how a field is added without changing the bytes of records that
+    do not use it.  ``from_dict`` ignores unknown keys and raises ``KeyError``
+    on a missing required one (a corrupt journal row, reported as such by the
+    store).
     """
 
     def to_dict(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in _field_names(type(self))}
+        data: Dict[str, Any] = {}
+        for name, key, default in _flat_fields(type(self)):
+            value = getattr(self, name)
+            if default is MISSING or value != default:
+                data[key] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
-        return cls(**{name: data[name] for name in _field_names(cls)})
+        return cls(
+            **{
+                name: data[key] if default is MISSING else data.get(key, default)
+                for name, key, default in _flat_fields(cls)
+            }
+        )
 
 
 @functools.lru_cache(maxsize=None)
-def _field_names(cls: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
+def _flat_fields(cls: type) -> Tuple[Tuple[str, str, Any], ...]:
+    """``(field name, dict key, default or MISSING)`` per dataclass field."""
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), f.default) for f in dataclasses.fields(cls)
+    )
 
 
 @dataclass(frozen=True)
-class RunRecord:
+class RunRecord(FlatRecord):
     """The uniform result schema of every scenario execution.
 
     One record per round, whatever the runner: scenario identity and shape,
     protocol cost (time / messages / bytes) and the economic outcome.
-    :meth:`to_dict` renders the record JSON-ready.
+    :meth:`to_dict` renders the record JSON-ready; :meth:`from_dict`
+    rehydrates it losslessly (results journals).
     """
 
     name: str
@@ -91,7 +111,7 @@ class RunRecord:
     seed: int
     elapsed_seconds: float
     messages: int
-    bytes_transferred: int
+    bytes_transferred: int = field(metadata={"key": "bytes"})
     aborted: bool
     winners: int
     total_paid: float
@@ -101,62 +121,6 @@ class RunRecord:
     # of ordinary runs — and their fingerprints — are byte-identical to
     # records written before the field existed.
     degraded: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "series": self.series,
-            "runner": self.runner,
-            "mechanism": self.mechanism,
-            "engine": self.engine,
-            "users": self.users,
-            "providers": self.providers,
-            "executors": self.executors,
-            "k": self.k,
-            "parallel": self.parallel,
-            "instance": self.instance,
-            "seed": self.seed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "messages": self.messages,
-            "bytes": self.bytes_transferred,
-            "aborted": self.aborted,
-            "winners": self.winners,
-            "total_paid": self.total_paid,
-            "total_received": self.total_received,
-        }
-        if self.degraded:
-            data["degraded"] = True
-        return data
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "RunRecord":
-        """Rehydrate a record from its :meth:`to_dict` form (results journals).
-
-        The round trip is lossless: every field is a JSON scalar and ``json``
-        round-trips floats exactly, so ``from_dict(to_dict(r)) == r``.
-        """
-        return RunRecord(
-            name=data["name"],
-            series=data["series"],
-            runner=data["runner"],
-            mechanism=data["mechanism"],
-            engine=data["engine"],
-            users=data["users"],
-            providers=data["providers"],
-            executors=data["executors"],
-            k=data["k"],
-            parallel=data["parallel"],
-            instance=data["instance"],
-            seed=data["seed"],
-            elapsed_seconds=data["elapsed_seconds"],
-            messages=data["messages"],
-            bytes_transferred=data["bytes"],
-            aborted=data["aborted"],
-            winners=data["winners"],
-            total_paid=data["total_paid"],
-            total_received=data["total_received"],
-            degraded=data.get("degraded", False),
-        )
 
 
 # ------------------------------------------------------------------- components --

@@ -19,7 +19,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.scenarios.io import load_any, load_spec
+from repro.scenarios.chaos import ChaosResult, ChaosSpec, run_chaos
+from repro.scenarios.grid import ENGINE_KEYWORDS
+from repro.scenarios.io import load_spec
+from repro.scenarios.resilience import ResilienceResult, ResilienceSpec, run_resilience
 from repro.scenarios.runner import (
     RunRecord,
     build_latency_model,
@@ -182,144 +185,46 @@ class Simulation:
             result.records.append(self.run(instance))
         return result
 
-    def sweep(
-        self,
-        axes: Optional[Mapping[str, Iterable[Any]]] = None,
-        points: Optional[Iterable[Mapping[str, Any]]] = None,
-        name: Optional[str] = None,
-        *,
-        workers: Union[None, int, str] = None,
-        store=None,
-        store_format: Optional[str] = None,
-        resume: bool = False,
-    ) -> SweepResult:
-        """Run a grid of variations around this scenario (see :class:`SweepSpec`).
+    def _grid(self, spec_type, run, suffix: str, fields: Dict[str, Any]):
+        """Build ``spec_type(base=self.spec, **fields)`` and run it.
 
-        ``workers=N`` (or ``"auto"``, sized from the CPUs this process may
-        use) dispatches grid points to a worker-process pool (records stay
-        in grid order, identical to a sequential run on all deterministic
-        fields); ``store`` journals records to an append-only results journal
-        as they complete (``store_format`` picks the
-        :data:`~repro.scenarios.store.STORE_BACKENDS` file format for a fresh
-        path — jsonl by default, columnar for large grids), and
-        ``resume=True`` skips rounds that journal already holds.  See
-        :func:`repro.scenarios.sweep.run_sweep` and
-        :func:`repro.scenarios.dispatch.resolve_workers`.
+        ``fields`` mixes the spec's own fields — in keyword or file form, the
+        constructors accept both — with the grid engine's options
+        (:data:`~repro.scenarios.grid.ENGINE_KEYWORDS`: ``workers``, ``store``,
+        ``store_format``, ``resume``, ``failure_mode``), which go to ``run``.
         """
-        sweep_spec = SweepSpec(
-            base=self.spec,
-            name=name if name is not None else f"{self.spec.name}-sweep",
-            points=tuple(dict(point) for point in points) if points else (),
-            axes=tuple((key, tuple(values)) for key, values in (axes or {}).items()),
-        )
-        return run_sweep(
-            sweep_spec,
-            workers=workers,
-            store=store,
-            store_format=store_format,
-            resume=resume,
-        )
+        engine = {key: fields.pop(key) for key in ENGINE_KEYWORDS if key in fields}
+        fields.setdefault("name", f"{self.spec.name}-{suffix}")
+        return run(spec_type(base=self.spec, **fields), **engine)
 
-    def audit_resilience(
-        self,
-        adversaries: Optional[Iterable[Any]] = None,
-        coalitions: Optional[Iterable[Any]] = None,
-        k: Optional[int] = None,
-        schedules: Iterable[Any] = ("fair",),
-        seeds: Optional[Iterable[int]] = None,
-        max_coalitions: Optional[int] = None,
-        name: Optional[str] = None,
-        *,
-        workers: Union[None, int, str] = None,
-        store=None,
-        store_format: Optional[str] = None,
-        resume: bool = False,
-    ):
+    def sweep(self, **fields: Any) -> SweepResult:
+        """Run a grid of variations around this scenario.
+
+        ``fields`` are :class:`SweepSpec`'s (``axes={"users": [30, 60]}``,
+        ``points=[...]``, ``name``) plus the grid engine's options, see
+        :func:`repro.scenarios.sweep.run_sweep`.
+        """
+        return self._grid(SweepSpec, run_sweep, "sweep", fields)
+
+    def audit_resilience(self, **fields: Any) -> ResilienceResult:
         """Audit the paper's k-resilience claim around this scenario.
 
-        Builds a :class:`~repro.scenarios.resilience.ResilienceSpec` with this
-        scenario as the honest baseline and runs the full
-        ``(schedule x coalition x deviation) x seed`` grid through
-        :func:`~repro.scenarios.resilience.run_resilience` — sequentially, or
-        in a ``workers``-process pool with journaled resume, bit-identical to
-        the sequential path on all deterministic fields.  With no arguments it
-        audits every coalition up to the scenario's configured ``k`` against
+        ``fields`` are :class:`~repro.scenarios.resilience.ResilienceSpec`'s
+        (``k``, ``coalitions``, ``adversaries``, ``schedules``, ``seeds`` …)
+        plus the grid engine's options, see
+        :func:`~repro.scenarios.resilience.run_resilience`.  With no arguments
+        it audits every coalition up to the scenario's configured ``k`` against
         the built-in deviation library under the fair schedule.
         """
-        from repro.scenarios.resilience import ResilienceSpec, run_resilience
+        return self._grid(ResilienceSpec, run_resilience, "resilience", fields)
 
-        spec = ResilienceSpec(
-            name=name if name is not None else f"{self.spec.name}-resilience",
-            base=self.spec,
-            k=k,
-            coalitions=tuple(coalitions) if coalitions else (),
-            max_coalitions=max_coalitions,
-            adversaries=tuple(adversaries) if adversaries else (),
-            schedules=tuple(schedules),
-            seeds=tuple(seeds) if seeds else (),
-        )
-        return run_resilience(
-            spec,
-            workers=workers,
-            store=store,
-            store_format=store_format,
-            resume=resume,
-        )
-
-    def run_chaos(
-        self,
-        faults: Iterable[Any],
-        recovery: Optional[Any] = None,
-        seeds: Optional[Iterable[int]] = None,
-        name: Optional[str] = None,
-        *,
-        workers: Union[None, int, str] = None,
-        store=None,
-        store_format: Optional[str] = None,
-        resume: bool = False,
-        failure_mode: str = "raise",
-    ):
+    def run_chaos(self, faults: Iterable[Any], **fields: Any) -> ChaosResult:
         """Chaos-audit this scenario under injected faults.
 
-        Builds a :class:`~repro.scenarios.chaos.ChaosSpec` with this scenario
-        as the base and runs the full ``fault x seed`` grid through
-        :func:`~repro.scenarios.chaos.run_chaos` — sequentially, or in a
-        ``workers``-process pool with journaled resume.  Every cell checks
-        delivery conservation, termination, bit-identical replay and (for
-        ``torn_append`` faults) journal repair-on-resume; ``faults`` entries
-        are fault kinds (``"loss"``) or parameter tables
-        (``{"kind": "loss", "rate": 0.2}``), ``recovery`` an optional
-        retransmission-policy table.
+        ``faults`` entries are fault kinds (``"loss"``) or parameter tables
+        (``{"kind": "loss", "rate": 0.2}``); ``fields`` are the rest of
+        :class:`~repro.scenarios.chaos.ChaosSpec`'s (``recovery``, ``seeds``,
+        ``name``) plus the grid engine's options, see
+        :func:`~repro.scenarios.chaos.run_chaos`.
         """
-        from repro.scenarios.chaos import ChaosSpec, run_chaos
-
-        spec = ChaosSpec(
-            name=name if name is not None else f"{self.spec.name}-chaos",
-            base=self.spec,
-            faults=tuple(faults),
-            recovery=recovery,
-            seeds=tuple(seeds) if seeds else (),
-        )
-        return run_chaos(
-            spec,
-            workers=workers,
-            store=store,
-            store_format=store_format,
-            resume=resume,
-            failure_mode=failure_mode,
-        )
-
-
-def run_file(path, overrides: Optional[Mapping[str, Any]] = None):
-    """Run whatever spec the file holds: a scenario (one round) or a sweep.
-
-    Returns a :class:`RunRecord` for scenario files and a :class:`SweepResult`
-    for sweep files.
-    """
-    loaded = load_any(path)
-    if isinstance(loaded, SweepSpec):
-        return run_sweep(loaded.with_base_overrides(overrides or {}))
-    if overrides:
-        loaded = spec_with_overrides(loaded, overrides)
-    with Simulation(loaded) as simulation:
-        return simulation.run()
+        return self._grid(ChaosSpec, run_chaos, "chaos", dict(fields, faults=faults))

@@ -1,4 +1,4 @@
-"""Persistent sweep results behind pluggable store backends.
+"""Persistent sweep results: one journal contract, two file formats.
 
 One :class:`ResultsStore` file is both the sweep's durable artifact and its
 checkpoint.  The same machinery journals resilience audits
@@ -7,10 +7,9 @@ type (any class with a lossless ``to_dict``/``from_dict`` pair — default
 :class:`~repro.scenarios.runner.RunRecord`) and by the manifest fingerprint,
 which sweeps derive from the sweep spec and audits from the resilience spec.
 
-Since the columnar-results-plane refactor the *file format* is a pluggable
-backend behind the :data:`STORE_BACKENDS` registry (the same
-:class:`~repro.scenarios.registry.Registry` contract the mechanism and
-executor layers use — see DESIGN.md, "The results plane"):
+The *file format* is one of two :class:`StoreBackend` classes, selected by
+the class's own ``kind`` (:func:`store_backends`; DESIGN.md, "The results
+plane"):
 
 * ``jsonl`` — the interchange format and the default.  One JSON object per
   line: line 1 the manifest, every further line one completed round.
@@ -61,17 +60,16 @@ import os
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.scenarios.aggregate import StreamingSummary
-from repro.scenarios.registry import Registry
 from repro.scenarios.runner import RunRecord
-from repro.scenarios.spec import ComponentSpec, SpecError, spec_fingerprint
+from repro.scenarios.spec import SpecError, spec_fingerprint
 
 __all__ = [
     "ResultsStore",
     "StoreBackend",
     "JsonlStoreBackend",
-    "STORE_BACKENDS",
     "DEFAULT_STORE_FORMAT",
     "sniff_format",
+    "store_backends",
     "make_backend",
     "convert_journal",
 ]
@@ -89,10 +87,6 @@ DEFAULT_STORE_FORMAT = "jsonl"
 #: of the columnar module; :mod:`repro.scenarios.columnar` re-uses it).
 COLUMNAR_MAGIC = b"RPACOL1\n"
 
-#: Store backends: journal file formats.  Factories are the backend classes,
-#: invoked as ``cls(path=..., record_type=...)``.
-STORE_BACKENDS = Registry("store backend")
-
 
 class StoreBackend:
     """The backend-agnostic results-journal contract.
@@ -106,8 +100,8 @@ class StoreBackend:
     work on any journal without knowing its record class.
     """
 
-    #: Registry kind; subclasses must override with a non-empty literal
-    #: (enforced by lint rule RPA008).
+    #: The format's name — what :func:`store_backends` keys the class by,
+    #: :func:`sniff_format` returns and ``--store-format`` / ``--to`` accept.
     kind = ""
 
     VERSION = 1
@@ -487,21 +481,38 @@ def sniff_format(path: Union[str, os.PathLike]) -> Optional[str]:
     return "columnar" if head == COLUMNAR_MAGIC else "jsonl"
 
 
+def store_backends() -> Dict[str, type]:
+    """The journal formats: each backend class under its own ``kind``, sorted.
+
+    A function because :mod:`repro.scenarios.columnar` imports this module
+    for the contract it implements; nothing is registered on import.
+    """
+    from repro.scenarios.columnar import ColumnarStoreBackend
+
+    return {cls.kind: cls for cls in (ColumnarStoreBackend, JsonlStoreBackend)}
+
+
+def _backend_class(kind: str, path: str) -> type:
+    """The backend class named ``kind``; unknown kinds are a ``SpecError`` at ``path``."""
+    backends = store_backends()
+    if kind not in backends:
+        raise SpecError(
+            path,
+            f"unknown store backend kind {kind!r}; available: {', '.join(backends)}",
+        )
+    return backends[kind]
+
+
 def make_backend(
     kind: str, path: Union[str, os.PathLike], record_type=RunRecord
 ) -> StoreBackend:
-    """Instantiate the registered backend ``kind`` for ``path``.
-
-    Unknown kinds become a path-precise :class:`SpecError` listing what is
-    registered — the same contract every other registry in the library has.
-    """
+    """Instantiate the backend ``kind`` for ``path`` (path-precise on an unknown kind)."""
     path = os.fspath(path)
-    spec = ComponentSpec(kind, {"path": path, "record_type": record_type})
-    return STORE_BACKENDS.create(spec, path)
+    return _backend_class(kind, path)(path, record_type=record_type)
 
 
 class ResultsStore:
-    """A results journal with a pluggable file format.
+    """A results journal in either file format.
 
     The store facade every engine writes through.  ``format`` picks the
     backend for a *fresh* path (default ``jsonl``); existing files are
@@ -539,8 +550,9 @@ class ResultsStore:
                     f"'repro-auction results convert {self.path} NEW_PATH "
                     f"--to {self.format}'",
                 )
-            kind = on_disk or self.format or DEFAULT_STORE_FORMAT
-            self._backend = make_backend(kind, self.path, record_type=self.record_type)
+            # From here on the format is decided: ``format`` says so.
+            self.format = on_disk or self.format or DEFAULT_STORE_FORMAT
+            self._backend = make_backend(self.format, self.path, record_type=self.record_type)
         self._backend.record_type = self.record_type  # honour late reassignment
         return self._backend
 
@@ -610,12 +622,8 @@ def convert_journal(
     source_kind = sniff_format(source)
     if source_kind is None:
         raise SpecError(source, "results journal not found")
-    if to is not None and to not in STORE_BACKENDS:
-        raise SpecError(
-            "--to",
-            f"unknown store backend kind {to!r}; "
-            f"available: {', '.join(STORE_BACKENDS.available())}",
-        )
+    if to is not None:
+        _backend_class(to, "--to")  # an unknown kind is reported at the flag
     target_kind = to or ("columnar" if source_kind == "jsonl" else "jsonl")
     if target_kind == source_kind:
         raise SpecError(
@@ -645,14 +653,3 @@ def convert_journal(
         "to": target_kind,
         "records": len(rows),
     }
-
-
-STORE_BACKENDS.register("jsonl", JsonlStoreBackend)
-
-# The columnar backend registers itself on import; importing it last keeps the
-# cycle harmless (columnar.py imports the contract from this module, which is
-# fully defined by here).  The guard covers the reverse entry order — someone
-# importing repro.scenarios.columnar directly — where that module is already
-# mid-initialisation and will finish registering itself.
-if "columnar" not in STORE_BACKENDS:
-    import repro.scenarios.columnar  # noqa: E402,F401  (registration import)

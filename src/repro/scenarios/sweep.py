@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.net.latency import LatencyModel
 from repro.obs.context import current_observation
@@ -208,15 +208,7 @@ SWEEP_GRID = Grid(
 
 
 def run_sweep(
-    sweep: SweepSpec,
-    *,
-    latency_model: Optional[LatencyModel] = None,
-    workers: Union[None, int, str] = None,
-    backend: Optional[str] = None,
-    store=None,
-    store_format: Optional[str] = None,
-    resume: bool = False,
-    failure_mode: str = "raise",
+    sweep: SweepSpec, *, latency_model: Optional[LatencyModel] = None, **engine: Any
 ) -> SweepResult:
     """Run every grid point of the sweep and collect the records in grid order.
 
@@ -228,8 +220,9 @@ def run_sweep(
             Raises :class:`SpecError` when the sweep itself varies ``latency``
             — the override would silently swallow that axis.  A parallel
             run ships it to the workers, so it must pickle.
-        workers, backend, store, store_format, resume, failure_mode: the
-            grid engine's, see :func:`~repro.scenarios.grid.run_grid`.
+        engine: the grid engine's options (``workers``, ``store``,
+            ``store_format``, ``resume``, ``failure_mode``), see
+            :func:`~repro.scenarios.grid.run_grid`.
             Chunking preserves the per-configuration state amortisation
             (all rounds of a point share one worker and one cache); rounds
             the executor quarantined are listed in
@@ -245,17 +238,7 @@ def run_sweep(
                 "silently ignore the variation; drop the override or the "
                 "latency override in the sweep grid",
             )
-    run = run_grid(
-        SWEEP_GRID,
-        sweep,
-        extra=(latency_model,),
-        workers=workers,
-        backend=backend,
-        store=store,
-        store_format=store_format,
-        resume=resume,
-        failure_mode=failure_mode,
-    )
+    run = run_grid(SWEEP_GRID, sweep, (latency_model,), **engine)
     _observe_sweep(sweep, run)
     return SweepResult(
         name=sweep.name,

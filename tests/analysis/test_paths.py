@@ -38,10 +38,5 @@ class TestDeterministicPaths:
 
 
 class TestBenchmarks:
-    def test_benchmarks_tests_detected(self):
-        assert classify_path("benchmarks/test_bench_mechanisms.py").benchmarks_test
-        assert not classify_path("benchmarks/conftest.py").benchmarks_test
-        assert not classify_path("tests/net/test_network.py").benchmarks_test
-
     def test_display_path_is_posix(self):
         assert classify_path("src\\repro\\net\\x.py").display_path == "src/repro/net/x.py"

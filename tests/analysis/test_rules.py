@@ -252,143 +252,6 @@ class TestFrozenSpec:
         assert lint_source(snippet, CORE_PATH, select=["RPA005"]).clean
 
 
-# ---------------------------------------------------------------------- RPA006 --
-class TestRegistryLiteralKind:
-    def test_dynamic_kind_fires(self):
-        snippet = (
-            "from repro.scenarios.registry import MECHANISMS\n"
-            "name = 'stand' + 'ard2'\n"
-            "MECHANISMS.register(name, object)\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA006"])
-        assert codes_at(report) == [("RPA006", 3)]
-
-    def test_empty_kind_fires(self):
-        snippet = "MECHANISMS.register('', object)\n"
-        report = lint_source(snippet, CORE_PATH, select=["RPA006"])
-        assert codes_at(report) == [("RPA006", 1)]
-
-    def test_missing_kind_fires(self):
-        snippet = "MECHANISMS.register()\n"
-        report = lint_source(snippet, CORE_PATH, select=["RPA006"])
-        assert codes_at(report) == [("RPA006", 1)]
-
-    def test_literal_kind_is_clean(self):
-        snippet = "MECHANISMS.register('standard2', object)\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA006"]).clean
-
-    def test_lowercase_receivers_ignored(self):
-        # atexit.register and friends are not registries
-        snippet = "import atexit\n\n\ndef f():\n    pass\n\n\natexit.register(f)\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA006"]).clean
-
-
-# ---------------------------------------------------------------------- RPA007 --
-class TestBenchPytestmark:
-    BENCHMARK_PATH = "benchmarks/test_bench_fixture.py"
-
-    def test_missing_pytestmark_fires(self):
-        snippet = "def test_speed(benchmark):\n    pass\n"
-        report = lint_source(snippet, self.BENCHMARK_PATH, select=["RPA007"])
-        assert codes_at(report) == [("RPA007", 1)]
-
-    def test_pytestmark_without_bench_fires(self):
-        snippet = (
-            "import pytest\n\npytestmark = pytest.mark.slow\n\n\n"
-            "def test_speed(benchmark):\n    pass\n"
-        )
-        report = lint_source(snippet, self.BENCHMARK_PATH, select=["RPA007"])
-        assert codes_at(report) == [("RPA007", 3)]
-
-    def test_bench_pytestmark_is_clean(self):
-        snippet = (
-            "import pytest\n\npytestmark = pytest.mark.bench\n\n\n"
-            "def test_speed(benchmark):\n    pass\n"
-        )
-        assert lint_source(snippet, self.BENCHMARK_PATH, select=["RPA007"]).clean
-
-    def test_list_pytestmark_is_clean(self):
-        snippet = (
-            "import pytest\n\npytestmark = [pytest.mark.bench, pytest.mark.slow]\n"
-        )
-        assert lint_source(snippet, self.BENCHMARK_PATH, select=["RPA007"]).clean
-
-    def test_non_benchmark_files_untouched(self):
-        assert lint_source("x = 1\n", DET_PATH, select=["RPA007"]).clean
-        assert lint_source("x = 1\n", "benchmarks/conftest.py", select=["RPA007"]).clean
-
-
-# ---------------------------------------------------------------------- RPA008 --
-class TestStoreBackendKind:
-    def test_missing_kind_fires(self):
-        snippet = (
-            "from repro.scenarios.store import StoreBackend\n\n\n"
-            "class ParquetStoreBackend(StoreBackend):\n"
-            "    pass\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA008"])
-        assert codes_at(report) == [("RPA008", 4)]
-
-    def test_dynamic_kind_fires(self):
-        snippet = (
-            "from repro.scenarios.store import StoreBackend\n\n"
-            "FORMAT = 'parquet'\n\n\n"
-            "class ParquetStoreBackend(StoreBackend):\n"
-            "    kind = FORMAT\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA008"])
-        assert codes_at(report) == [("RPA008", 7)]
-
-    def test_empty_kind_fires(self):
-        snippet = (
-            "from repro.scenarios.store import StoreBackend\n\n\n"
-            "class ParquetStoreBackend(StoreBackend):\n"
-            "    kind = ''\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA008"])
-        assert codes_at(report) == [("RPA008", 5)]
-
-    def test_registration_kind_drift_fires(self):
-        snippet = (
-            "from repro.scenarios.store import STORE_BACKENDS, StoreBackend\n\n\n"
-            "class ParquetStoreBackend(StoreBackend):\n"
-            "    kind = 'parquet'\n\n\n"
-            "STORE_BACKENDS.register('arrow', ParquetStoreBackend)\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA008"])
-        assert codes_at(report) == [("RPA008", 8)]
-
-    def test_literal_kind_with_matching_registration_is_clean(self):
-        snippet = (
-            "from repro.scenarios.store import STORE_BACKENDS, StoreBackend\n\n\n"
-            "class ParquetStoreBackend(StoreBackend):\n"
-            "    kind = 'parquet'\n\n\n"
-            "STORE_BACKENDS.register('parquet', ParquetStoreBackend)\n"
-        )
-        assert lint_source(snippet, CORE_PATH, select=["RPA008"]).clean
-
-    def test_annotated_kind_is_clean(self):
-        snippet = (
-            "from repro.scenarios.store import StoreBackend\n\n\n"
-            "class ParquetStoreBackend(StoreBackend):\n"
-            "    kind: str = 'parquet'\n"
-        )
-        assert lint_source(snippet, CORE_PATH, select=["RPA008"]).clean
-
-    def test_subclass_of_concrete_backend_needs_own_kind(self):
-        snippet = (
-            "from repro.scenarios.columnar import ColumnarStoreBackend\n\n\n"
-            "class TunedColumnar(ColumnarStoreBackend):\n"
-            "    pass\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA008"])
-        assert codes_at(report) == [("RPA008", 4)]
-
-    def test_unrelated_classes_untouched(self):
-        snippet = "class Store:\n    kind = compute()\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA008"]).clean
-
-
 # ---------------------------------------------------------------------- RPA009 --
 UNBOUNDED_RETRY = """\
 def fetch(op):

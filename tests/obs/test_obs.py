@@ -1,4 +1,4 @@
-"""The observability plane: tracer semantics, the METRICS hub, export, hooks.
+"""The observability plane: tracer semantics, the metrics hub, export, hooks.
 
 The contract under test (DESIGN.md, "The observability plane"):
 
@@ -7,9 +7,9 @@ The contract under test (DESIGN.md, "The observability plane"):
   allocates a fresh timeline lane that children inherit;
 * the trace journal rides the results-store plane — jsonl and columnar
   round-trip the same spans, guarded by the trace fingerprint;
-* :class:`MetricsHub` creates instruments through the :data:`METRICS`
-  registry, refuses kind collisions with a name-precise error, and snapshots
-  in sorted-name order with the store plane's pinned empty-histogram shape;
+* :class:`MetricsHub` creates instruments on first use, refuses kind
+  collisions with a name-precise error, and snapshots in sorted-name order
+  with the store plane's pinned empty-histogram shape;
 * the Chrome export maps tracks to ``pid``/categories to named ``tid`` rows,
   scales sim seconds to microseconds, and is canonical JSON;
 * ``observe()`` installs the ambient observation, restores the previous one
@@ -23,7 +23,6 @@ import json
 import pytest
 
 from repro.obs import (
-    METRICS,
     MetricsHub,
     Observation,
     SpanRecord,
@@ -169,12 +168,6 @@ class TestMetrics:
         hub.counter("latency")
         with pytest.raises(SpecError, match=r"metrics\[latency\]"):
             hub.histogram("latency")
-
-    def test_unknown_kind_lists_available(self):
-        from repro.scenarios.spec import ComponentSpec
-
-        with pytest.raises(SpecError, match="counter"):
-            METRICS.create(ComponentSpec("speedometer"), "metrics[x]")
 
     def test_snapshot_json_is_canonical_and_name_sorted(self):
         hub = MetricsHub()

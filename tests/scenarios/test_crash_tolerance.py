@@ -9,7 +9,8 @@ The contract under test (ISSUE 9, recovery layer):
   death (``BrokenProcessPool``) with a literal retry bound
   (``MAX_CHUNK_RETRIES``); items that keep failing are quarantined —
   journaled, skipped, reported — while the rest of the grid completes;
-* a later ``--resume`` re-executes exactly the quarantined rounds;
+* a later ``--resume`` re-executes exactly the quarantined rounds — for every
+  grid declaration, since ``failure_mode`` is the engine's option;
 * every grid — sweep, resilience audit, chaos audit — honours journal-per-chunk
   through the one worker body: a chunk that fails midway still journals the
   cells it finished, so a resumed run only repeats what never ran.
@@ -41,7 +42,7 @@ from repro.scenarios.dispatch import (
     MAX_CHUNK_RETRIES,
     ChunkExecutionError,
     ChunkQuarantine,
-    ProcessExecutorBackend,
+    execute_chunks,
 )
 from repro.scenarios.grid import chunk_cells
 from repro.scenarios.resilience import RESILIENCE_GRID
@@ -121,10 +122,8 @@ class TestChunkExecutionError:
 
 class TestProcessBackendQuarantine:
     def _run(self, chunks, worker, workers=2, mode="quarantine"):
-        backend = ProcessExecutorBackend()
-        backend.failure_mode = mode
         results, quarantined = [], []
-        for item in backend.execute(chunks, worker, workers):
+        for item in execute_chunks(chunks, worker, workers, mode):
             (quarantined if isinstance(item, ChunkQuarantine) else results).append(item)
         return results, quarantined
 
@@ -160,16 +159,14 @@ class TestProcessBackendQuarantine:
         assert MAX_CHUNK_RETRIES >= 2  # the retry that saved the round exists
 
     def test_raise_mode_reraises_the_typed_cause(self):
-        backend = ProcessExecutorBackend()
         with pytest.raises(SpecError, match=r"config\.k"):
-            list(backend.execute([["x"]], _typed_error_worker, 2))
+            list(execute_chunks([["x"]], _typed_error_worker, 2))
 
     def test_raise_mode_death_propagates(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        backend = ProcessExecutorBackend()
         with pytest.raises(BrokenProcessPool):
-            list(backend.execute([["die"]], _lethal_worker, 2))
+            list(execute_chunks([["die"]], _lethal_worker, 2))
 
 
 # --------------------------------------------------------------- sweep layer --
@@ -362,3 +359,34 @@ def test_mid_chunk_failure_journals_the_cells_the_chunk_finished(kind, poison_ki
     executed = resumed.executed_rounds if kind == "sweep" else resumed.executed_cells
     assert executed == len(cells) - len(journaled)
     assert len(resumed.records) == len(cells)
+
+
+@pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
+def test_quarantine_reaches_every_declaration(kind, poison_kinds, tmp_path):
+    # failure_mode is the engine's option, so each entry point gets it: the
+    # poison cell is reported and journaled, every other cell has a record,
+    # the verdict is withheld, and a healed resume runs exactly that cell.
+    grid, run, spec = _poisoned_grid(kind)
+    cells = grid.context(spec).run_order()
+    poison = cells[-1]
+    path = str(tmp_path / "journal.jsonl")
+
+    result = run(spec, workers=2, store=path, failure_mode="quarantine")
+    assert [(q["point"], q["instance"]) for q in result.quarantined] == [poison]
+    assert "injected poison" in result.quarantined[0]["error"]
+    assert len(result.records) == len(cells) - 1
+    assert result.to_dict()["quarantined"] == result.quarantined
+    if kind == "resilience":
+        assert not result.is_resilient()
+    elif kind == "chaos":
+        assert not result.is_clean()
+    _manifest, journaled = ResultsStore(path, record_type=grid.record_type).read()
+    assert set(journaled) == set(cells) - {poison}
+
+    _POISON["armed"] = False  # heal the poison, then resume
+    resumed = run(spec, workers=2, store=path, resume=True, failure_mode="quarantine")
+    executed = resumed.executed_rounds if kind == "sweep" else resumed.executed_cells
+    assert executed == 1
+    assert len(resumed.records) == len(cells)
+    assert resumed.quarantined == []
+    assert "quarantined" not in resumed.to_dict()

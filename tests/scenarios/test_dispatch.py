@@ -1,4 +1,4 @@
-"""Worker resolution policy + the pluggable executor dispatch layer.
+"""Worker resolution policy + the executor dispatch layer.
 
 The contract under test (DESIGN.md, "The grid engine"):
 
@@ -8,9 +8,12 @@ The contract under test (DESIGN.md, "The grid engine"):
 * an explicit count above the available CPUs degrades to the available count
   with a stderr warning instead of oversubscribing;
 * every grid declaration (sweep, resilience audit, chaos audit) dispatches
-  through :data:`EXECUTOR_BACKENDS` via the one grid engine, and serial,
-  ``workers=2``, resumed-from-half-a-journal and jsonl-vs-columnar runs all
-  return identical records;
+  through the one grid engine, and serial, ``workers=2``,
+  resumed-from-half-a-journal and jsonl-vs-columnar runs all return
+  identical records;
+* the engine's keywords are declared once, on ``run_grid``: the three entry
+  points forward them, the ``Simulation`` methods split them from the spec's
+  fields, and anything else is a ``TypeError`` naming the keyword;
 * the CLI accepts ``--workers auto`` and surfaces the degrade warning.
 """
 
@@ -18,11 +21,10 @@ import pytest
 
 from repro.cli import main
 from repro.scenarios import (
-    EXECUTOR_BACKENDS,
     ChaosSpec,
-    ExecutorBackend,
     ResultsStore,
     ScenarioSpec,
+    Simulation,
     SpecError,
     SweepSpec,
     WorkerPlan,
@@ -33,12 +35,7 @@ from repro.scenarios import (
     spec_from_dict,
 )
 from repro.scenarios.chaos import CHAOS_GRID
-from repro.scenarios.dispatch import (
-    CHUNKS_PER_WORKER,
-    SerialExecutorBackend,
-    create_backend,
-    split_chunks,
-)
+from repro.scenarios.dispatch import CHUNKS_PER_WORKER, split_chunks
 from repro.scenarios.resilience import RESILIENCE_GRID, ResilienceSpec
 from repro.scenarios.spec import spec_fingerprint
 from repro.scenarios.sweep import SWEEP_GRID
@@ -100,14 +97,13 @@ def _counts(result):
 class TestResolveWorkers:
     def test_none_is_sequential(self):
         assert resolve_workers(None) == WorkerPlan(
-            requested=None, workers=1, backend="serial", capped=False
+            requested=None, workers=1, capped=False
         )
 
     def test_auto_sizes_from_available_cpus(self, monkeypatch):
         _pin_cpus(monkeypatch, 6)
         plan = resolve_workers("auto")
         assert plan.workers == 6
-        assert plan.backend == "process"
         assert plan.requested == "auto"
         assert not plan.capped
         assert plan.parallel
@@ -117,9 +113,7 @@ class TestResolveWorkers:
         # overhead — one available CPU means the sequential path, silently.
         _pin_cpus(monkeypatch, 1)
         plan = resolve_workers("auto")
-        assert plan == WorkerPlan(
-            requested="auto", workers=1, backend="serial", capped=False
-        )
+        assert plan == WorkerPlan(requested="auto", workers=1, capped=False)
         assert not plan.parallel
         assert capsys.readouterr().err == ""
 
@@ -127,7 +121,7 @@ class TestResolveWorkers:
         _pin_cpus(monkeypatch, 2)
         plan = resolve_workers(4)
         assert plan.workers == 2
-        assert plan.backend == "process"
+        assert plan.parallel
         assert plan.capped
         err = capsys.readouterr().err
         assert "requested 4 workers" in err
@@ -161,20 +155,21 @@ class TestResolveWorkers:
     def test_explicit_count_within_budget_is_silent(self, monkeypatch, capsys):
         _pin_cpus(monkeypatch, 8)
         plan = resolve_workers(3)
-        assert plan == WorkerPlan(requested=3, workers=3, backend="process")
+        assert plan == WorkerPlan(requested=3, workers=3)
+        assert plan.parallel
         assert capsys.readouterr().err == ""
 
     def test_explicit_count_on_one_core_degrades_to_serial(self, monkeypatch, capsys):
         _pin_cpus(monkeypatch, 1)
         plan = resolve_workers(4)
-        assert plan.backend == "serial"
+        assert not plan.parallel
         assert plan.workers == 1
         assert plan.capped
         assert "only 1 CPU is available" in capsys.readouterr().err
 
     def test_workers_one_is_sequential_without_warning(self, monkeypatch, capsys):
         _pin_cpus(monkeypatch, 8)
-        assert resolve_workers(1).backend == "serial"
+        assert not resolve_workers(1).parallel
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("bad", [0, -2, "fast", "", 2.5, True])
@@ -185,41 +180,6 @@ class TestResolveWorkers:
     def test_error_path_is_customisable(self):
         with pytest.raises(SpecError, match=r"audit\.workers"):
             resolve_workers("sideways", path="audit.workers")
-
-    def test_backend_override_applies_to_parallel_plans_only(self, monkeypatch):
-        _pin_cpus(monkeypatch, 4)
-        assert resolve_workers(2, backend="custom").backend == "custom"
-        assert resolve_workers(None, backend="custom").backend == "serial"
-
-
-class TestBackendRegistry:
-    def test_builtin_backends_are_registered(self):
-        assert set(EXECUTOR_BACKENDS.available()) >= {"serial", "process"}
-
-    def test_unknown_backend_is_a_spec_error(self):
-        with pytest.raises(SpecError, match=r"workers\.backend"):
-            create_backend("multihost")
-
-    def test_custom_backend_plugs_into_run_sweep(self, monkeypatch):
-        # The extension seam: registering a backend kind makes it reachable
-        # from run_sweep without touching the executor, like MECHANISMS.
-        _pin_cpus(monkeypatch, 8)
-        used = []
-
-        class TracingBackend(SerialExecutorBackend):
-            def execute(self, chunks, worker, workers):
-                used.append((len(chunks), workers))
-                return super().execute(chunks, worker, workers)
-
-        EXECUTOR_BACKENDS.register("tracing", TracingBackend)
-        try:
-            sweep = _sweep()
-            baseline = run_sweep(sweep)
-            traced = run_sweep(sweep, workers=2, backend="tracing")
-            assert traced.records == baseline.records
-            assert used and used[0][1] == 2
-        finally:
-            EXECUTOR_BACKENDS.unregister("tracing")
 
 
 class TestSplitChunks:
@@ -250,12 +210,10 @@ class TestDispatchBitIdentity:
     def test_auto_on_one_core_never_launches_a_pool(self, kind, monkeypatch):
         _pin_cpus(monkeypatch, 1)
 
-        def forbidden(self, chunks, worker, workers):  # pragma: no cover
+        def forbidden(chunks, worker, workers, failure_mode):  # pragma: no cover
             raise AssertionError("process pool launched on a 1-CPU host")
 
-        monkeypatch.setattr(
-            "repro.scenarios.dispatch.ProcessExecutorBackend.execute", forbidden
-        )
+        monkeypatch.setattr("repro.scenarios.grid.execute_chunks", forbidden)
         _grid, run, make = GRIDS[kind]
         result = run(make(), workers="auto")
         assert result.records
@@ -305,6 +263,31 @@ class TestDispatchBitIdentity:
         capped = run_sweep(sweep, workers=4)
         assert capped.records == sequential.records
         assert "requested 4 workers" in capsys.readouterr().err
+
+
+class TestOneKeywordList:
+    @ALL_GRIDS
+    @pytest.mark.parametrize("keyword", [{"bogus": 1}, {"backend": "process"}])
+    def test_unknown_and_removed_engine_keywords_are_type_errors(self, kind, keyword):
+        _grid, run, make = GRIDS[kind]
+        with pytest.raises(TypeError, match=next(iter(keyword))):
+            run(make(), **keyword)
+
+    def test_simulation_methods_split_engine_keywords_from_spec_fields(self):
+        # The facade forwards what it is given: the same spec, built from the
+        # same fields, run with the same engine options.
+        base = _audit().base
+        simulation = Simulation(base)
+        axes = {"users": [4, 5], "seed": [0, 1]}
+        assert simulation.sweep(workers=1, axes=axes).to_dict() == run_sweep(
+            SweepSpec(base=base, name=f"{base.name}-sweep", axes=axes), workers=1
+        ).to_dict()
+        assert simulation.audit_resilience(workers=1, k=1).to_dict() == run_resilience(
+            ResilienceSpec(base=base, name=f"{base.name}-resilience", k=1), workers=1
+        ).to_dict()
+        assert simulation.run_chaos(["loss"], workers=1).to_dict() == run_chaos(
+            ChaosSpec(base=base, name=f"{base.name}-chaos", faults=["loss"]), workers=1
+        ).to_dict()
 
 
 class TestCliWorkers:

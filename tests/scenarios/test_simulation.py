@@ -326,6 +326,12 @@ class TestRegistryExtension:
         with pytest.raises(ValueError, match=r"already registered"):
             WORKLOADS.register("double", lambda **kw: None)
 
+    @pytest.mark.parametrize("kind", ["", None, 7])
+    def test_a_kind_no_spec_file_could_name_is_rejected_at_registration(self, kind):
+        with pytest.raises(ValueError, match=r"non-empty string"):
+            WORKLOADS.register(kind, lambda **kw: None)
+        assert kind not in WORKLOADS.available()
+
     def test_custom_workload_reachable_from_spec_file(self, tmp_path):
         from repro.community.workload import DoubleAuctionWorkload
 

@@ -11,6 +11,7 @@ from repro.scenarios import (
     SpecError,
     SweepSpec,
     run_sweep,
+    sniff_format,
     spec_from_dict,
     spec_fingerprint,
 )
@@ -179,6 +180,25 @@ class TestFormatMismatch:
         with pytest.raises(SpecError) as excinfo:
             run_sweep(sweep, store=path, store_format="jsonl", resume=True)
         self._assert_mismatch(excinfo, path, "columnar", "jsonl")
+
+    @pytest.mark.parametrize("decided_by", ["resolved backend", "constructor"])
+    def test_open_store_with_contradicting_format_is_refused(self, tmp_path, decided_by):
+        # The same contradiction given as an instance: the store's format is
+        # decided (it resolved its backend, or was told one), so a different
+        # store_format cannot be honoured and must not be silently dropped.
+        path = tmp_path / "run.out"
+        if decided_by == "constructor":
+            store = ResultsStore(path, format="jsonl")
+        else:
+            store = ResultsStore(path)
+            assert store.backend_kind == "jsonl"
+        with pytest.raises(SpecError) as excinfo:
+            run_sweep(_sweep(), store=store, store_format="columnar")
+        assert excinfo.value.path == str(path)
+        assert "'jsonl'" in str(excinfo.value) and "'columnar'" in str(excinfo.value)
+        assert not path.exists()  # refused before anything was written
+        run_sweep(_sweep(), store=store, store_format="jsonl")  # agreeing is fine
+        assert sniff_format(path) == "jsonl"
 
     def test_matching_explicit_format_resumes_normally(self, tmp_path):
         path = tmp_path / "run.rcol"
