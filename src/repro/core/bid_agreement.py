@@ -41,7 +41,7 @@ from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bi
 from repro.consensus.multi_consensus import BatchedConsensusBlock
 from repro.consensus.rational_consensus import BinaryConsensusBlock, RationalConsensusBlock
 from repro.net.protocol import BlockContext, ProtocolBlock
-from repro.net.serialization import DERIVED_ATTR
+from repro.net.serialization import DERIVED_ATTR, FrozenMap
 from repro.obs.context import current_observation
 
 __all__ = ["BidAgreementBlock", "AGREEMENT_MODES"]
@@ -50,6 +50,16 @@ AGREEMENT_MODES = ("batched", "per_label", "per_bit")
 
 _USER_PREFIX = "user:"
 _ASK_PREFIX = "ask:"
+
+
+def _kept_or_copied(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``mapping`` itself if nobody can change it, else a copy of one's own.
+
+    Exact type only, as for the batched block's received batches: the honest
+    maps of ``DistributedAuctioneer.run_from_bids`` are shared by reference,
+    anything else — a caller's dict, a deviant's forged view — is copied.
+    """
+    return mapping if type(mapping) is FrozenMap else dict(mapping)
 
 
 class BidAgreementBlock(ProtocolBlock):
@@ -88,8 +98,8 @@ class BidAgreementBlock(ProtocolBlock):
         self.degraded = False
         self.expected_users = sorted(expected_users)
         self.expected_providers = sorted(expected_providers)
-        self.received_user_bids = dict(received_user_bids)
-        self.received_provider_asks = dict(received_provider_asks)
+        self.received_user_bids = _kept_or_copied(received_user_bids)
+        self.received_provider_asks = _kept_or_copied(received_provider_asks)
         self._decisions: Dict[str, Any] = {}
         self._pending = 0
 
@@ -99,13 +109,30 @@ class BidAgreementBlock(ProtocolBlock):
             f"{_ASK_PREFIX}{pid}" for pid in self.expected_providers
         ]
 
-    def _my_inputs(self) -> Dict[str, Any]:
-        inputs: Dict[str, Any] = {}
+    def _my_inputs(self) -> FrozenMap:
+        """This provider's label-keyed batch: its input to the consensus.
+
+        The batch is a pure function of the two received maps and the expected
+        ids, so it is built once per bids map *object*: honest providers of one
+        ``run_from_bids`` round hold the same two maps and broadcast one
+        batch, frozen and sized once.  The memo is one slot on the bids map
+        naming the asks map and the ids it was built for; a provider holding
+        maps of its own (a forged copy, on-line collection) builds its own.
+        """
+        bids, asks = self.received_user_bids, self.received_provider_asks
+        ids = (self.expected_users, self.expected_providers)
+        memo = getattr(bids, DERIVED_ATTR, None)
+        if memo is None or memo[0] is not asks or memo[1] != ids:
+            memo = memoise(bids, DERIVED_ATTR, (asks, ids, self._build_batch()))
+        return memo[2]
+
+    def _build_batch(self) -> FrozenMap:
+        batch: Dict[str, Any] = {}
         for uid in self.expected_users:
-            inputs[f"{_USER_PREFIX}{uid}"] = self.received_user_bids.get(uid)
+            batch[f"{_USER_PREFIX}{uid}"] = self.received_user_bids.get(uid)
         for pid in self.expected_providers:
-            inputs[f"{_ASK_PREFIX}{pid}"] = self.received_provider_asks.get(pid)
-        return inputs
+            batch[f"{_ASK_PREFIX}{pid}"] = self.received_provider_asks.get(pid)
+        return FrozenMap(batch)
 
     # -- protocol -------------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:

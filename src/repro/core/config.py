@@ -69,7 +69,7 @@ class FrameworkConfig:
         if num_providers <= 2 * self.k:
             raise ValueError(
                 f"the rational-consensus building block requires m > 2k; "
-                f"got m={num_providers}, k={self.k}"
+                f"got m={num_providers} executing providers, k={self.k}"
             )
 
     def max_parallelism(self, num_providers: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.auctions.base import AllocationAlgorithm, AuctionResult, BidVector, ProviderAsk, UserBid
 from repro.common import stable_hash
@@ -29,6 +29,7 @@ from repro.core.provider_protocol import FrameworkProviderNode, ProviderInput
 from repro.net.latency import LatencyModel
 from repro.net.network import NetworkStats, SimNetwork
 from repro.net.scheduler import Scheduler
+from repro.net.serialization import FrozenMap
 
 __all__ = ["DistributedAuctioneer", "CentralizedAuctioneer", "SimulationReport"]
 
@@ -102,26 +103,21 @@ class DistributedAuctioneer:
     ) -> Dict[str, ProviderInput]:
         """Provider inputs for the honest case: every bidder sent the same bid everywhere.
 
+        Every provider gets maps of its own, so a caller may perturb one
+        provider's view without touching the others' (how the tests stage a
+        bidder that lied to one provider).
+
         Args:
             bids: the bid vector as submitted by the users; its provider entries are
                 used as the asks unless ``asks`` overrides them.
             asks: optional per-provider asks (e.g. capacities for the standard
                 auction) if they are not already part of ``bids``.
         """
-        ask_map: Dict[str, ProviderAsk] = {p.provider_id: p for p in bids.providers}
-        if asks is not None:
-            ask_map.update(asks)
-        inputs: Dict[str, ProviderInput] = {}
-        for provider_id in self.providers:
-            inputs[provider_id] = ProviderInput(
-                provider_id=provider_id,
-                received_user_bids={bid.user_id: bid for bid in bids.users},
-                # Asks for *all* sellers, which may be a superset of the providers
-                # executing the protocol (the paper runs the protocol on the minimum
-                # 2k+1 providers out of the m sellers in Figure 4).
-                received_provider_asks=dict(ask_map),
-            )
-        return inputs
+        user_bids, ask_map = _received_maps(bids, asks)
+        return {
+            provider_id: ProviderInput(provider_id, dict(user_bids), dict(ask_map))
+            for provider_id in self.providers
+        }
 
     # -- execution ------------------------------------------------------------------
     def run(
@@ -194,13 +190,39 @@ class DistributedAuctioneer:
         asks: Optional[Mapping[str, ProviderAsk]] = None,
         max_steps: int = 2_000_000,
     ) -> SimulationReport:
-        """Convenience wrapper: simulate the honest case directly from a bid vector."""
-        inputs = self.consistent_inputs(bids, asks)
+        """Simulate the honest case directly from a bid vector.
+
+        Every provider received the same bids, so all of them hold the same
+        two :class:`~repro.net.serialization.FrozenMap` objects — and so build
+        one agreement batch between them (see
+        :meth:`~repro.core.bid_agreement.BidAgreementBlock._my_inputs`).  The
+        outcome is that of ``run(consistent_inputs(bids, asks))``.
+        """
+        user_bids, ask_map = (FrozenMap(m) for m in _received_maps(bids, asks))
+        inputs = {
+            provider_id: ProviderInput(provider_id, user_bids, ask_map)
+            for provider_id in self.providers
+        }
         return self.run(inputs, expected_users=[u.user_id for u in bids.users], max_steps=max_steps)
 
     @staticmethod
     def _default_node(provider_input, algorithm, config, expected_users, providers):
         return FrameworkProviderNode(provider_input, algorithm, config, expected_users, providers)
+
+
+def _received_maps(
+    bids: BidVector, asks: Optional[Mapping[str, ProviderAsk]]
+) -> Tuple[Dict[str, UserBid], Dict[str, ProviderAsk]]:
+    """What every provider receives in the honest case: ``(user bids, asks)``.
+
+    The asks cover *all* sellers, which may be a superset of the providers
+    executing the protocol (the paper runs the protocol on the minimum 2k+1
+    providers out of the m sellers in Figure 4).
+    """
+    ask_map: Dict[str, ProviderAsk] = {p.provider_id: p for p in bids.providers}
+    if asks is not None:
+        ask_map.update(asks)
+    return {bid.user_id: bid for bid in bids.users}, ask_map
 
 
 class CentralizedAuctioneer:

@@ -56,7 +56,7 @@ from repro.obs.context import current_observation
 from repro.net.faults import FAULTS, FaultPlan, RecoveryPolicy, make_fault
 from repro.net.network import QuiescenceError
 from repro.scenarios.grid import Grid, run_grid
-from repro.scenarios.runner import FlatRecord, RunRecord, SeededContext, record_from_outcome
+from repro.scenarios.runner import FlatRecord, RunRecord, record_from_outcome
 from repro.scenarios.spec import (
     LabelledComponentSpec,
     ScenarioSpec,
@@ -65,6 +65,7 @@ from repro.scenarios.spec import (
     spec_fingerprint,
     spec_to_dict,
 )
+from repro.scenarios.sweep import SeededContext
 
 __all__ = [
     "FaultSpec",
@@ -239,7 +240,7 @@ class ChaosContext(SeededContext):
     One instance backs one executor — the sequential loop or one parallel
     worker's chunk.  It memoises the mechanism once per audit and the workload
     / bids / latency model / provider ids once per seed
-    (:class:`~repro.scenarios.runner.SeededContext`); the fault plan and the
+    (:class:`~repro.scenarios.sweep.SeededContext`); the fault plan and the
     network are deliberately rebuilt per run (a plan is stateful, and the
     replay invariant *requires* a from-scratch second run).
     """

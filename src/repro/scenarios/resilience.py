@@ -43,7 +43,7 @@ from repro.gametheory.utility import outcome_provider_utility
 from repro.obs.context import current_observation
 from repro.scenarios.grid import Grid, run_grid
 from repro.scenarios.registry import ADVERSARIES, SCHEDULERS
-from repro.scenarios.runner import FlatRecord, SeededContext
+from repro.scenarios.runner import FlatRecord
 from repro.scenarios.spec import (
     ComponentSpec,
     LabelledComponentSpec,
@@ -53,6 +53,7 @@ from repro.scenarios.spec import (
     read_list,
     spec_to_dict,
 )
+from repro.scenarios.sweep import SeededContext
 
 __all__ = [
     "AdversarySpec",
@@ -356,7 +357,7 @@ class AuditContext(SeededContext):
     One instance backs one executor — the sequential loop or one parallel
     worker's chunk.  It memoises exactly what the honest-baseline guarantee
     promises: the mechanism once per audit, the workload / bids / latency model
-    / provider ids once per seed (:class:`~repro.scenarios.runner.SeededContext`),
+    / provider ids once per seed (:class:`~repro.scenarios.sweep.SeededContext`),
     the auctioneer (and its scheduler instance) once per ``(schedule, seed)``,
     and the honest run once per ``(schedule, seed)``.
     """

@@ -21,6 +21,7 @@ from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.auctions.engine import DEFAULT_ENGINE, engine_name, resolve_engine
 from repro.auctions.engine.pivot import shared_solve_cache
 from repro.community.workload import default_provider_ids
+from repro.core.config import FrameworkConfig
 from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer
 from repro.core.outcome import Outcome
 from repro.net.latency import LatencyModel
@@ -33,15 +34,15 @@ from repro.scenarios.registry import (
     TOPOLOGIES,
     WORKLOADS,
 )
-from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError, spec_with_overrides
+from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError
 
 __all__ = [
     "RunRecord",
     "build_mechanism",
     "build_workload",
     "build_latency_model",
+    "resolve_provider_ids",
     "resolve_round_inputs",
-    "SeededContext",
     "run_scenario",
 ]
 
@@ -167,6 +168,23 @@ def build_latency_model(spec: ScenarioSpec, topology=None) -> LatencyModel:
     return LATENCIES.create(spec.latency, "latency")
 
 
+def resolve_provider_ids(spec: ScenarioSpec, topology=None, path: str = "topology") -> List[str]:
+    """The ids of the spec's providers: the topology's gateways, else the defaults.
+
+    ``path`` is where a topology/provider-count mismatch is reported:
+    ``topology`` for a bare scenario, ``base.topology`` inside an audit spec.
+    """
+    if topology is None:
+        return default_provider_ids(spec.providers)
+    provider_ids = list(topology.gateways)
+    if len(provider_ids) != spec.providers:
+        raise SpecError(
+            path,
+            f"topology produced {len(provider_ids)} gateways for providers={spec.providers}",
+        )
+    return provider_ids
+
+
 def resolve_round_inputs(
     spec: ScenarioSpec,
     instance: int = 0,
@@ -174,124 +192,77 @@ def resolve_round_inputs(
     workload=None,
     topology=None,
     latency_model: Optional[LatencyModel] = None,
+    bids: Optional[BidVector] = None,
     path: str = "topology",
 ) -> Tuple[List[str], List[str], BidVector, Optional[LatencyModel]]:
     """Resolve ``workload -> topology -> provider ids -> executor ids -> bids -> latency``.
 
     The one place a spec becomes the inputs of a round — returned as
     ``(provider_ids, executor_ids, bids, latency_model)``; :func:`run_scenario`
-    and the audit contexts (:class:`SeededContext`) all come through here.
-    Pre-resolved ``workload`` / ``topology`` / ``latency_model`` are used as
-    given (callers that amortise state across rounds).  The centralised
-    baseline never consumes latency, so its model stays unbuilt.  ``path`` is
-    where a topology/provider-count mismatch is reported: ``topology`` for a
-    bare scenario, ``base.topology`` inside an audit spec.
+    and the audit contexts all come through here.  Pre-resolved ``workload``
+    / ``topology`` / ``latency_model`` / ``bids`` are used as given (callers
+    that amortise state across rounds; ``bids`` must be the workload's
+    ``generate`` of this spec and instance).  The centralised
+    baseline never consumes latency, so its model stays unbuilt.  ``path``:
+    see :func:`resolve_provider_ids`.
     """
-    if workload is None:
+    if workload is None and bids is None:
         workload = build_workload(spec)
     if topology is None:
         topology = build_topology(spec)
-    if topology is not None:
-        provider_ids = list(topology.gateways)
-        if len(provider_ids) != spec.providers:
-            raise SpecError(
-                path,
-                f"topology produced {len(provider_ids)} gateways for providers={spec.providers}",
-            )
-    else:
-        provider_ids = default_provider_ids(spec.providers)
+    provider_ids = resolve_provider_ids(spec, topology, path)
     executor_ids = (
         provider_ids[: spec.executors] if spec.executors is not None else provider_ids
     )
-    bids = workload.generate(
-        spec.users, spec.providers, provider_ids=provider_ids, instance=instance
-    )
+    if bids is None:
+        bids = workload.generate(
+            spec.users, spec.providers, provider_ids=provider_ids, instance=instance
+        )
     if latency_model is None and spec.runner != "centralized":
         latency_model = build_latency_model(spec, topology)
     return provider_ids, executor_ids, bids, latency_model
 
 
+def _framework_config(
+    spec: ScenarioSpec, executors: int, path: str = "config.k"
+) -> FrameworkConfig:
+    """The spec's framework configuration, if ``executors`` providers can run it.
+
+    ``FrameworkConfig.check_quorum``'s ``m > 2k`` as a :class:`SpecError` at
+    ``path`` (``config.k``, or ``base.config.k`` inside an audit spec): the
+    executor count is known only once the round's inputs are resolved, so a
+    spec that loads cleanly can still ask for a protocol it cannot run.
+    """
+    config = spec.config.to_config()
+    try:
+        config.check_quorum(executors)
+    except ValueError as exc:
+        raise SpecError(path, str(exc)) from exc
+    return config
+
+
 def build_auctioneer(
-    spec: ScenarioSpec, mechanism, executor_ids, latency_model, **extra: Any
+    spec: ScenarioSpec,
+    mechanism,
+    executor_ids,
+    latency_model,
+    *,
+    path: str = "config.k",
+    **extra: Any,
 ) -> DistributedAuctioneer:
-    """The spec's distributed auctioneer over already-resolved round inputs."""
+    """The spec's distributed auctioneer over already-resolved round inputs.
+
+    ``path`` is where too few executors for ``k`` is reported.
+    """
     return DistributedAuctioneer(
         mechanism,
         providers=executor_ids,
-        config=spec.config.to_config(),
+        config=_framework_config(spec, len(executor_ids), path),
         latency_model=latency_model,
         seed=spec.seed,
         measure_compute=spec.measure_compute,
         **extra,
     )
-
-
-class SeededContext:
-    """Per-executor memo of an audit over one base scenario, reseeded per instance.
-
-    The shared half of :class:`~repro.scenarios.resilience.AuditContext` and
-    :class:`~repro.scenarios.chaos.ChaosContext`: the mechanism built once per
-    audit, the round inputs (bids, latency model, executor ids) once per seed.
-    As a grid context (:mod:`repro.scenarios.grid`) a point indexes
-    ``spec.cells()``, an instance is a seed, and a subclass names what cells
-    share with a sortable ``group_key(point, instance)``.  :meth:`close`
-    releases engine resources (idempotent); always call it — or use the
-    context as a context manager.
-    """
-
-    def __init__(self, spec) -> None:
-        self.spec = spec
-        self._mechanism = None
-        self._per_seed: Dict[int, Dict[str, Any]] = {}
-
-    @property
-    def mechanism(self):
-        if self._mechanism is None:
-            self._mechanism = build_mechanism(self.spec.base)
-        return self._mechanism
-
-    def _seed_state(self, instance: int) -> Dict[str, Any]:
-        state = self._per_seed.get(instance)
-        if state is None:
-            seed = self.spec.effective_seeds()[instance]
-            scenario = spec_with_overrides(self.spec.base, {"seed": seed})
-            _provider_ids, executor_ids, bids, latency = resolve_round_inputs(
-                scenario, path="base.topology"
-            )
-            state = self._per_seed[instance] = {
-                "scenario": scenario,
-                "latency": latency,
-                "executor_ids": executor_ids,
-                "bids": bids,
-            }
-        return state
-
-    def _auctioneer(self, instance: int, **extra: Any) -> DistributedAuctioneer:
-        """A fresh auctioneer over this seed's inputs (``extra``: scheduler, fault plan)."""
-        state = self._seed_state(instance)
-        return build_auctioneer(
-            state["scenario"], self.mechanism, state["executor_ids"], state["latency"], **extra
-        )
-
-    def run_order(self) -> List[Tuple[int, int]]:
-        """Every cell, group by group: cells that share setup run back to back."""
-        seeds = range(len(self.spec.effective_seeds()))
-        cells = [(point, seed) for point in range(len(self.spec.cells())) for seed in seeds]
-        return sorted(cells, key=lambda cell: (self.group_key(*cell), cell[0]))
-
-    def close(self) -> None:
-        """Release engine resources the context created (idempotent)."""
-        mechanism, self._mechanism = self._mechanism, None
-        if mechanism is not None:
-            close = getattr(mechanism, "close", None)
-            if close is not None:
-                close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _bidder_strategies(spec: ScenarioSpec, user_ids) -> Dict[str, Any]:
@@ -334,6 +305,7 @@ def run_scenario(
     workload=None,
     latency_model: Optional[LatencyModel] = None,
     topology=None,
+    bids: Optional[BidVector] = None,
 ) -> RunRecord:
     """Run one round of the scenario and return its :class:`RunRecord`.
 
@@ -344,7 +316,12 @@ def run_scenario(
     if mechanism is None:
         mechanism = build_mechanism(spec)
     provider_ids, executor_ids, bids, latency_model = resolve_round_inputs(
-        spec, instance, workload=workload, topology=topology, latency_model=latency_model
+        spec,
+        instance,
+        workload=workload,
+        topology=topology,
+        latency_model=latency_model,
+        bids=bids,
     )
 
     # Observability hooks (see repro.obs): each round opens its own span on a
@@ -388,7 +365,7 @@ def run_scenario(
             run = AuctionRun(
                 bids,
                 mechanism,
-                config=spec.config.to_config(),
+                config=_framework_config(spec, len(provider_ids)),
                 bidder_strategies=_bidder_strategies(spec, list(bids.user_ids)),
                 deadline=spec.deadline,
                 latency_model=latency_model,

@@ -6,7 +6,8 @@ points, so a mechanism (and the solve memo it fills) survives the
 whole sweep — the same amortisation the hand-written figure experiments
 performed, now applied to every sweep automatically.  Components the sweep
 itself created are closed when the sweep finishes, even when a grid point
-raises.
+raises.  The audits' :class:`SeededContext` resolves its mechanism and bids
+through the same cache.
 
 :func:`run_sweep` is the sweep's declaration (:data:`SWEEP_GRID`) run through
 the grid engine (:mod:`repro.scenarios.grid`), which supplies **parallel
@@ -24,19 +25,38 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.auctions.base import BidVector
+from repro.core.framework import DistributedAuctioneer
 from repro.net.latency import LatencyModel
 from repro.obs.context import current_observation
 from repro.scenarios.grid import Cell, Grid, GridRun, run_grid
 from repro.scenarios.runner import (
     RunRecord,
+    build_auctioneer,
     build_latency_model,
     build_mechanism,
     build_topology,
     build_workload,
+    resolve_provider_ids,
+    resolve_round_inputs,
     run_scenario,
 )
-from repro.scenarios.spec import ScenarioSpec, SpecError, SweepSpec, spec_to_dict
-__all__ = ["ComponentCache", "SweepContext", "SweepResult", "SWEEP_GRID", "run_sweep"]
+from repro.scenarios.spec import (
+    ScenarioSpec,
+    SpecError,
+    SweepSpec,
+    spec_to_dict,
+    spec_with_overrides,
+)
+
+__all__ = [
+    "ComponentCache",
+    "SeededContext",
+    "SweepContext",
+    "SweepResult",
+    "SWEEP_GRID",
+    "run_sweep",
+]
 
 
 @dataclass
@@ -97,6 +117,10 @@ class ComponentCache:
     randomness from explicit seeds), and mechanism caches only memoise pure
     solves.
 
+    Generated bid vectors are kept too (:meth:`bids`), so cells that read the
+    same instance — the centralised baseline and k = 1, 2, 3 of one Figure 4
+    point — share one vector, until the caller says a read is the last.
+
     :meth:`close` shuts down every mechanism the cache created (idempotent);
     always call it — or use the cache as a context manager — so a mechanism
     that owns resources does not outlive the sweep, even when a grid point raises.
@@ -107,6 +131,7 @@ class ComponentCache:
         self._workloads: Dict[Tuple[Any, ...], Any] = {}
         self._topologies: Dict[Tuple[Any, ...], Any] = {}
         self._latencies: Dict[Tuple[Any, ...], Any] = {}
+        self._bids: Dict[Tuple[Any, ...], BidVector] = {}
 
     def mechanism(self, spec: ScenarioSpec):
         return _cached(self._mechanisms, _mechanism_key(spec), build_mechanism, spec)
@@ -124,6 +149,33 @@ class ComponentCache:
         if key not in self._latencies:
             self._latencies[key] = build_latency_model(spec, topology)
         return self._latencies[key]
+
+    def bids(
+        self,
+        spec: ScenarioSpec,
+        instance: int,
+        topology=None,
+        path: str = "topology",
+        last: bool = False,
+    ) -> BidVector:
+        """Workload instance ``instance`` of the spec, generated once per cache.
+
+        Keyed by everything a generated vector depends on: the workload and
+        its seed, the user and provider counts, the provider ids and the
+        instance (``topology`` and ``path`` as for
+        :func:`~repro.scenarios.runner.resolve_provider_ids`).  ``last``: no
+        later call asks for this instance, so the cache lets go of it.
+        """
+        provider_ids = resolve_provider_ids(spec, topology, path)
+        key = (_workload_key(spec), spec.users, spec.providers, tuple(provider_ids), instance)
+        bids = self._bids.pop(key, None) if last else self._bids.get(key)
+        if bids is None:
+            bids = self.workload(spec).generate(
+                spec.users, spec.providers, provider_ids=provider_ids, instance=instance
+            )
+            if not last:
+                self._bids[key] = bids
+        return bids
 
     def close(self) -> None:
         """Release engine resources held by cached mechanisms (idempotent)."""
@@ -147,8 +199,10 @@ class SweepContext:
     One instance backs one executor — the sequential loop or one parallel
     worker's chunk.  ``scenarios`` holds one fully-validated spec per grid
     point, in grid order; every round of a point reuses the components its
-    first round resolved through the :class:`ComponentCache`.  :meth:`close`
-    closes the cache (idempotent).
+    first round resolved through the :class:`ComponentCache`, and every cell
+    reads its bids from the cache, so points that differ only in how they
+    run an instance (runner, ``k``, executors) share its vector.
+    :meth:`close` closes the cache (idempotent).
     """
 
     def __init__(self, sweep: SweepSpec, latency_model: Optional[LatencyModel] = None) -> None:
@@ -156,6 +210,15 @@ class SweepContext:
         self.latency_model = latency_model
         self.cache = ComponentCache()
         self._components: Dict[int, Dict[str, Any]] = {}
+        # The cell, in grid order, that last reads each generated instance:
+        # its read releases the vector, so the cache holds only instances a
+        # later cell still reads (a batch sweep's single point holds none).
+        last: Dict[Tuple[Any, ...], Cell] = {}
+        for point, spec in enumerate(self.scenarios):
+            reads = _reads_key(spec)
+            for instance in range(spec.rounds):
+                last[reads + (instance,)] = (point, instance)
+        self._last_reads = set(last.values())
 
     def run_order(self) -> List[Cell]:
         """Grid order: the cache amortises across points wherever they sit."""
@@ -179,7 +242,6 @@ class SweepContext:
         components = self._components.get(point)
         if components is None:
             mechanism = self.cache.mechanism(spec)
-            workload = self.cache.workload(spec)
             topology = self.cache.topology(spec)
             model = self.latency_model
             if model is None and spec.runner != "centralized":
@@ -188,14 +250,91 @@ class SweepContext:
                 model = self.cache.latency(spec, topology)
             components = self._components[point] = {
                 "mechanism": mechanism,
-                "workload": workload,
                 "latency_model": model,
                 "topology": topology,
             }
-        return run_scenario(spec, instance, **components)
+        bids = self.cache.bids(
+            spec,
+            instance,
+            components["topology"],
+            last=(point, instance) in self._last_reads,
+        )
+        return run_scenario(spec, instance, bids=bids, **components)
 
     def close(self) -> None:
         self.cache.close()
+
+
+class SeededContext:
+    """Per-executor memo of an audit over one base scenario, reseeded per instance.
+
+    The shared half of :class:`~repro.scenarios.resilience.AuditContext` and
+    :class:`~repro.scenarios.chaos.ChaosContext`: the mechanism and the bids
+    resolved through a :class:`ComponentCache` (as a sweep's are), the rest
+    of the round inputs (latency model, executor ids) once per seed.
+    As a grid context (:mod:`repro.scenarios.grid`) a point indexes
+    ``spec.cells()``, an instance is a seed, and a subclass names what cells
+    share with a sortable ``group_key(point, instance)``.  :meth:`close`
+    releases engine resources (idempotent); always call it — or use the
+    context as a context manager.
+    """
+
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self.cache = ComponentCache()
+        self._per_seed: Dict[int, Dict[str, Any]] = {}
+
+    @property
+    def mechanism(self):
+        return self.cache.mechanism(self.spec.base)
+
+    def _seed_state(self, instance: int) -> Dict[str, Any]:
+        state = self._per_seed.get(instance)
+        if state is None:
+            seed = self.spec.effective_seeds()[instance]
+            scenario = spec_with_overrides(self.spec.base, {"seed": seed})
+            topology = self.cache.topology(scenario)
+            _provider_ids, executor_ids, bids, latency = resolve_round_inputs(
+                scenario,
+                topology=topology,
+                bids=self.cache.bids(scenario, 0, topology, "base.topology", last=True),
+                path="base.topology",
+            )
+            state = self._per_seed[instance] = {
+                "scenario": scenario,
+                "latency": latency,
+                "executor_ids": executor_ids,
+                "bids": bids,
+            }
+        return state
+
+    def _auctioneer(self, instance: int, **extra: Any) -> DistributedAuctioneer:
+        """A fresh auctioneer over this seed's inputs (``extra``: scheduler, fault plan)."""
+        state = self._seed_state(instance)
+        return build_auctioneer(
+            state["scenario"],
+            self.mechanism,
+            state["executor_ids"],
+            state["latency"],
+            path="base.config.k",
+            **extra,
+        )
+
+    def run_order(self) -> List[Tuple[int, int]]:
+        """Every cell, group by group: cells that share setup run back to back."""
+        seeds = range(len(self.spec.effective_seeds()))
+        cells = [(point, seed) for point in range(len(self.spec.cells())) for seed in seeds]
+        return sorted(cells, key=lambda cell: (self.group_key(*cell), cell[0]))
+
+    def close(self) -> None:
+        """Release engine resources the context created (idempotent)."""
+        self.cache.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 #: The sweep as a grid: a point is one expanded scenario, an instance one of
@@ -361,6 +500,12 @@ def _workload_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
 
 def _topology_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
     return (_component_key(spec.topology), spec.seed, spec.providers, spec.users)
+
+
+def _reads_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
+    """Which generated vectors a point reads: equal keys, equal ``ComponentCache.bids``."""
+    topology = _topology_key(spec) if spec.topology is not None else None
+    return (_workload_key(spec), spec.users, spec.providers, topology)
 
 
 def _latency_key(spec: ScenarioSpec) -> Tuple[Any, ...]:

@@ -38,7 +38,7 @@ from repro.core import allocator, bid_agreement
 from repro.core.allocator import SequentialAllocatorBlock
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
-from repro.core.provider_protocol import FrameworkProviderNode
+from repro.core.provider_protocol import FrameworkProviderNode, ProviderInput
 from repro.net.faults import FaultPlan, RecoveryPolicy, make_fault
 from repro.net.latency import UniformLatencyModel
 from repro.net.serialization import DERIVED_ATTR, FrozenMap, canonical_encode, estimate_size
@@ -515,12 +515,20 @@ class TestMemoHygiene:
                 lookup(missing)
             assert str(error.value) == text
 
-    def test_threads_racing_on_one_vector_agree(self):
+    @pytest.mark.parametrize("maps", ["per-provider", "one-frozen-pair"])
+    def test_threads_racing_on_one_vector_agree(self, maps):
         providers = providers_named(5)
         bids = double_bids(40, providers, seed=12)
         config = FrameworkConfig(k=2)
         auctioneer = DistributedAuctioneer(DoubleAuction(), providers=providers, config=config)
         inputs = auctioneer.consistent_inputs(bids)
+        if maps == "one-frozen-pair":
+            # What run_from_bids hands out: the threads also race on one batch.
+            pair = (
+                FrozenMap(inputs[providers[0]].received_user_bids),
+                FrozenMap(inputs[providers[0]].received_provider_asks),
+            )
+            inputs = {pid: ProviderInput(pid, *pair) for pid in providers}
         users = [u.user_id for u in bids.users]
         simulated = auctioneer.run(inputs, expected_users=users)
         mechanism = DoubleAuction()
@@ -538,6 +546,131 @@ class TestMemoHygiene:
                 assert all(output == simulated.result for output in outputs.values())
         finally:
             sys.setswitchinterval(interval)
+
+
+# -- (e) input link 0: one frozen input batch per honest round ---------------------------
+@contextmanager
+def recorded_batches():
+    """The ``BidAgreementBlock`` of every label-keyed batch built."""
+    built = []
+    original = bid_agreement.BidAgreementBlock._build_batch
+
+    def spy(block):
+        built.append(block)
+        return original(block)
+
+    with mock.patch.object(bid_agreement.BidAgreementBlock, "_build_batch", spy):
+        yield built
+
+
+_HONEST_MECHANISMS = {
+    "double": (CountingDoubleAuction, double_bids),
+    "standard": (
+        functools.partial(StandardAuction, epsilon=0.5),
+        lambda users, providers, seed=0: StandardAuctionWorkload(seed=seed).generate(
+            users, len(providers), provider_ids=providers
+        ),
+    ),
+}
+
+
+def _duplicate_and_loss():
+    plan = FaultPlan(
+        [make_fault("duplicate", {}), make_fault("loss", {"rate": 0.2})],
+        seed=11,
+        recovery=RecoveryPolicy(),
+    )
+    plan.reset()
+    return plan
+
+
+_HONEST_CASES = {
+    "plain": lambda: {"config": FrameworkConfig(k=2)},
+    "round-timeout": lambda: {
+        "config": FrameworkConfig(k=2, round_timeout=5.0),
+        "latency_model": UniformLatencyModel(0.001, 0.01),
+    },
+    "duplicate-and-loss": lambda: {
+        "config": FrameworkConfig(k=2),
+        "latency_model": UniformLatencyModel(0.001, 0.01),
+        "fault_plan": _duplicate_and_loss(),
+    },
+}
+
+
+class TestInputLinkZero:
+    PROVIDERS = providers_named(5)
+
+    def _from_bids(self, mechanism, case):
+        factory, make_bids = _HONEST_MECHANISMS[mechanism]
+        auctioneer = DistributedAuctioneer(
+            factory(), providers=self.PROVIDERS, seed=4, **_HONEST_CASES[case]()
+        )
+        with recorded_batches() as built, recorded_executions() as executions:
+            report = auctioneer.run_from_bids(make_bids(30, self.PROVIDERS, seed=8))
+        return Round(report, executions, auctioneer.algorithm), built
+
+    @pytest.mark.parametrize("case", sorted(_HONEST_CASES))
+    @pytest.mark.parametrize("mechanism", sorted(_HONEST_MECHANISMS))
+    def test_shared_batch_equals_one_batch_per_provider(self, mechanism, case):
+        shared, shared_built = self._from_bids(mechanism, case)
+        with unshared():
+            separate, separate_built = self._from_bids(mechanism, case)
+        assert not shared.report.aborted
+        assert (shared.report.stats.faults_injected > 0) == (case == "duplicate-and-loss")
+        assert shared.observable() == separate.observable()
+        assert len(shared_built) == 1
+        assert len(separate_built) == len(self.PROVIDERS)
+
+    def test_every_provider_holds_the_same_frozen_maps(self):
+        bids = double_bids(12, self.PROVIDERS)
+        auctioneer = DistributedAuctioneer(
+            DoubleAuction(), providers=self.PROVIDERS, config=FrameworkConfig(k=2)
+        )
+        with recorded_batches() as built:
+            assert not auctioneer.run_from_bids(bids).aborted
+        (block,) = built
+        assert type(block.received_user_bids) is FrozenMap
+        assert type(block.received_provider_asks) is FrozenMap
+        assert block.received_user_bids == {bid.user_id: bid for bid in bids.users}
+
+    def test_a_plain_dict_input_is_copied(self):
+        user_bids = {"u0": UserBid("u0", 1.0, 0.5)}
+        asks = FrozenMap({"p0": ProviderAsk("p0", 0.1, 1.0)})
+        block = bid_agreement.BidAgreementBlock("ba", ["u0"], ["p0"], user_bids, asks)
+        assert block.received_user_bids is not user_bids
+        assert block.received_user_bids == user_bids
+        assert block.received_provider_asks is asks
+        user_bids["u0"] = None
+        assert block._my_inputs()["user:u0"] == UserBid("u0", 1.0, 0.5)
+
+    def test_another_asks_map_builds_another_batch(self):
+        user_bids = FrozenMap({"u0": UserBid("u0", 1.0, 0.5)})
+
+        def batch(asks):
+            return bid_agreement.BidAgreementBlock(
+                "ba", ["u0"], ["p0"], user_bids, asks
+            )._my_inputs()
+
+        asks = FrozenMap({"p0": ProviderAsk("p0", 0.1, 1.0)})
+        first = batch(asks)
+        assert batch(asks) is first
+        other = batch(FrozenMap({"p0": ProviderAsk("p0", 0.2, 1.0)}))
+        assert other is not first and other["ask:p0"].unit_cost == 0.2
+
+    def test_consistent_inputs_stay_one_mutable_pair_per_provider(self):
+        bids = double_bids(6, self.PROVIDERS)
+        auctioneer = DistributedAuctioneer(
+            DoubleAuction(), providers=self.PROVIDERS, config=FrameworkConfig(k=2)
+        )
+        inputs = auctioneer.consistent_inputs(bids)
+        victim = bids.users[0]
+        inputs["p0"].received_user_bids[victim.user_id] = None
+        del inputs["p0"].received_provider_asks["p1"]
+        for provider in self.PROVIDERS[1:]:
+            assert type(inputs[provider].received_user_bids) is dict
+            assert inputs[provider].received_user_bids[victim.user_id] is victim
+            assert "p1" in inputs[provider].received_provider_asks
 
 
 # -- the replicated path stays audited --------------------------------------------------

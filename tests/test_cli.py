@@ -191,6 +191,24 @@ class TestSpecDrivenCommands:
         err = capsys.readouterr().err
         assert "users: expected an integer" in err
 
+    @pytest.mark.parametrize(
+        "overrides, m, k",
+        [
+            (["providers=2"], 2, 1),
+            (["providers=5", "config.k=2", "executors=3"], 3, 2),
+        ],
+        ids=["default-k", "executor-subset"],
+    )
+    def test_quorum_violation_is_a_spec_error(self, overrides, m, k, capsys):
+        argv = ["run"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: config.k: the rational-consensus building block requires m > 2k; "
+            f"got m={m} executing providers, k={k}\n"
+        )
+
 
 #: One tiny spec per grid sub-command, the unit of its store line, and a
 #: record edit that fails its verdict (a sweep has no verdict to fail).
