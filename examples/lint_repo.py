@@ -4,9 +4,9 @@ Part 1 — lint source snippets in memory: the same engine behind ``repro-auctio
 lint``, pointed at fixture strings under virtual paths, showing a finding from
 each determinism rule and the line-scoped ``# repro: noqa[RPAxxx]`` override.
 
-Part 2 — the registry extension contract: add a project-local rule to ``RULES``
-(the same ``Registry`` class that backs ``MECHANISMS``) and watch it run with
-no further plumbing, then unregister it.
+Part 2 — the extension contract: add a project-local rule class to the
+``RULES`` mapping under its code and watch it run with no further plumbing,
+then remove it.
 
 Part 3 — lint the repo itself, exactly like the CI ``lint`` job and the
 self-check test: zero unsuppressed findings is the contract.
@@ -61,13 +61,13 @@ def part_two_custom_rule() -> None:
                         code=self.code, message="FIXME marker left in source",
                     )
 
-    RULES.register("RPA900", TodoBanRule)
+    RULES[TodoBanRule.code] = TodoBanRule
     try:
         report = lint_source("x = 1  # FIXME tune\n", select=["RPA900"])
-        print("\ncustom rule, registered like a mechanism kind:")
+        print("\ncustom rule, added to RULES under its code:")
         print(render_text(report))
     finally:
-        RULES.unregister("RPA900")
+        del RULES[TodoBanRule.code]
 
 
 def part_three_lint_the_repo() -> None:

@@ -5,8 +5,8 @@ The package is organised in layers, bottom-up:
 
 ``repro.net``
     A simulated asynchronous message-passing runtime (turn-based, fair schedules,
-    reliable channels) plus a threaded in-process transport.  This is the substrate
-    on which all distributed protocols run.
+    reliable channels).  This is the substrate on which all distributed protocols
+    run.
 
 ``repro.consensus``
     Rational-agent consensus building blocks: hash commitments, bid/bit-stream

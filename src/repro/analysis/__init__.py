@@ -8,7 +8,7 @@ run (an unpicklable exception reaches a process pool only on the error path;
 set-iteration order only diverges under another hash seed).
 
 Layout: :mod:`~repro.analysis.rules` holds the RPA rule set and the
-``RULES`` registry (same extension contract as ``MECHANISMS``);
+``RULES`` mapping of code to rule class;
 :mod:`~repro.analysis.paths` the taint-path policy;
 :mod:`~repro.analysis.engine` discovery/dispatch/suppression;
 :mod:`~repro.analysis.reporting` the text/JSON rendering;
@@ -32,7 +32,7 @@ from repro.analysis.reporting import (
     render_text,
     report_to_dict,
 )
-from repro.analysis.rules import RULES, Rule, SourceModule, all_rule_codes
+from repro.analysis.rules import RULES, Rule, SourceModule
 
 __all__ = [
     "Finding",
@@ -42,7 +42,6 @@ __all__ = [
     "RULES",
     "Rule",
     "SourceModule",
-    "all_rule_codes",
     "classify_path",
     "lint_paths",
     "lint_source",

@@ -32,7 +32,7 @@ from repro.analysis.findings import (
 )
 from repro.analysis.paths import classify_path
 from repro.analysis.rules import RULES, Rule, SourceModule
-from repro.scenarios.spec import ComponentSpec, SpecError
+from repro.scenarios.spec import SpecError
 
 __all__ = ["LintError", "LintReport", "lint_paths", "lint_source", "select_rules"]
 
@@ -61,13 +61,13 @@ class LintReport:
 def select_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
     """Instantiate the selected rules (all of them by default).
 
-    ``select`` entries may be comma-separated (``--select RPA001,RPA004`` and
+    ``select`` entries may be comma-separated (``--select RPA001,RPA002`` and
     repeated ``--select`` flags compose).  Unknown codes raise a path-precise
     :class:`SpecError` naming the offending position, exactly like an unknown
     mechanism kind in a spec file.
     """
     if not select:
-        codes = list(RULES.available())
+        codes = sorted(RULES)
     else:
         codes = []
         for position, chunk in enumerate(select):
@@ -79,14 +79,14 @@ def select_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
                     raise SpecError(
                         f"--select[{position}]",
                         f"unknown rule code {raw.strip()!r}; "
-                        f"available: {', '.join(RULES.available())}",
+                        f"available: {', '.join(sorted(RULES))}",
                     )
                 if code not in codes:
                     codes.append(code)
         if not codes:
             raise SpecError("--select", "no rule codes given")
         codes.sort()
-    return [RULES.create(ComponentSpec(code), f"rules[{code}]") for code in codes]
+    return [RULES[code]() for code in codes]
 
 
 def _parse_module(display_path: str, source: str) -> SourceModule:

@@ -25,7 +25,7 @@ from typing import Any, Dict, FrozenSet, Mapping, Tuple
 
 __all__ = ["Finding", "scan_suppressions", "is_suppressed", "sort_findings"]
 
-#: ``# repro: noqa[RPA001]`` or ``# repro: noqa[RPA001, RPA004] justification``.
+#: ``# repro: noqa[RPA001]`` or ``# repro: noqa[RPA001, RPA002] justification``.
 _NOQA_PATTERN = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s]+)\]")
 
 

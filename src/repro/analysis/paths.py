@@ -15,10 +15,14 @@ path                      classification
 ``repro/auctions/``       deterministic
 ``repro/net/``            deterministic
 ``repro/consensus/``      deterministic
+``repro/core/``           deterministic (the protocol's building blocks)
+``repro/runtime/``        deterministic
+``repro/community/``      deterministic
+``repro/adversary/``      deterministic
 ``repro/gametheory/``     deterministic
 ``repro/obs/``            deterministic (sim-time-only tracing/metrics)
 ``repro/scenarios/``      deterministic, except ``dispatch.py``
-everything else           contract rules only (RPA003–RPA005)
+everything else           contract rules only (RPA003, RPA005)
 ========================  =========================================
 
 ``scenarios/dispatch.py`` is exempt because worker resolution *must* inspect
@@ -41,7 +45,18 @@ __all__ = [
 
 #: Sub-packages of ``repro`` whose behaviour is pinned bit-identical.
 DETERMINISTIC_PACKAGES = frozenset(
-    {"auctions", "net", "consensus", "gametheory", "obs", "scenarios"}
+    {
+        "adversary",
+        "auctions",
+        "community",
+        "consensus",
+        "core",
+        "gametheory",
+        "net",
+        "obs",
+        "runtime",
+        "scenarios",
+    }
 )
 
 #: Files inside deterministic packages that are exempt by design.

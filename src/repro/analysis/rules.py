@@ -1,10 +1,8 @@
 """The RPA rule set: determinism & contract rules over Python ASTs.
 
-Rules are registered in :data:`RULES` — the same :class:`Registry` that backs
-``MECHANISMS`` and ``FAULTS`` — keyed by their stable code, so the
-extension contract is identical: register a factory under a code and it is
-reachable from the engine, ``--select``, the self-check test and CI with no
-new plumbing.  A rule is a callable object with ``code``/``name``/``summary``
+Rules are listed in :data:`RULES`, a plain ``{code: rule class}`` mapping: a
+class added there is reachable from the engine, ``--select``, the self-check
+test and CI with no new plumbing.  A rule has ``code``/``name``/``summary``
 attributes and a ``check(module)`` method yielding :class:`Finding`\\ s.
 
 The shipped rules, and the runtime bug class each one pins down statically:
@@ -18,13 +16,8 @@ RPA002      iteration over an unordered collection in a deterministic path —
             the PR 4 ``RoundRobinScheduler`` PYTHONHASHSEED bug class
 RPA003      exception class whose constructor breaks ``BaseException`` pickling
             — the PR 3 ``SpecError``-across-the-process-pool bug class
-RPA004      lambda / nested function handed to an executor ``submit``/``map``/
-            ``execute`` — unpicklable under the spawn start method
 RPA005      ``*Spec`` class that is not a frozen dataclass with typed fields —
             the registry/spec-file contract
-RPA009      retry loop in a deterministic path without a literal attempt
-            bound, or ``time.sleep`` between attempts — the recovery layer's
-            reproducibility contract (backoff must live in sim time)
 ==========  ====================================================================
 """
 
@@ -32,13 +25,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.analysis.findings import Finding
 from repro.analysis.paths import PathClass
-from repro.scenarios.registry import Registry
 
-__all__ = ["RULES", "Rule", "SourceModule", "all_rule_codes"]
+__all__ = ["RULES", "Rule", "SourceModule"]
 
 
 @dataclass(frozen=True)
@@ -363,65 +355,6 @@ class PoolSafeExceptionRule(Rule):
         return True
 
 
-# ------------------------------------------------------------------- RPA004 --
-_SUBMIT_METHODS = {"submit": 0, "map": 0, "execute": 1}
-
-
-class PicklableSubmissionRule(Rule):
-    """RPA004: only module-level callables may be handed to an executor."""
-
-    code = "RPA004"
-    name = "unpicklable-submission"
-    summary = "executor submit/map/execute callables must be module-level (picklable)"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        yield from self._visit(module, module.tree, nested_defs=frozenset())
-
-    def _visit(self, module, node, nested_defs) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = frozenset(
-                    item.name
-                    for item in ast.walk(child)
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item is not child
-                )
-                yield from self._visit(module, child, nested_defs | inner)
-                continue
-            if isinstance(child, ast.Call):
-                yield from self._check_call(module, child, nested_defs)
-            yield from self._visit(module, child, nested_defs)
-
-    def _check_call(self, module, call: ast.Call, nested_defs) -> Iterator[Finding]:
-        func = call.func
-        if not isinstance(func, ast.Attribute) or func.attr not in _SUBMIT_METHODS:
-            return
-        index = _SUBMIT_METHODS[func.attr]
-        if len(call.args) <= index:
-            return
-        target = call.args[index]
-        problem = self._unpicklable_label(target, nested_defs)
-        if problem is not None:
-            yield self.finding(
-                module,
-                target,
-                f"{problem} passed to .{func.attr}() cannot be pickled to a "
-                f"worker process under the spawn start method; submit a "
-                f"module-level callable (functools.partial over one is fine)",
-            )
-
-    def _unpicklable_label(self, node: ast.AST, nested_defs) -> Optional[str]:
-        if isinstance(node, ast.Lambda):
-            return "a lambda"
-        if isinstance(node, ast.Name) and node.id in nested_defs:
-            return f"the nested function {node.id!r}"
-        if isinstance(node, ast.Call):
-            parts = _dotted_name(node.func)
-            if parts is not None and parts[-1] == "partial" and node.args:
-                return self._unpicklable_label(node.args[0], nested_defs)
-        return None
-
-
 # ------------------------------------------------------------------- RPA005 --
 class FrozenSpecRule(Rule):
     """RPA005: every ``*Spec`` class is a ``frozen=True`` dataclass, fields typed."""
@@ -486,170 +419,14 @@ class FrozenSpecRule(Rule):
         return None
 
 
-# ------------------------------------------------------------------- RPA009 --
-_LOOP_NODES = (ast.While, ast.For, ast.AsyncFor)
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-
-
-def _shallow_body(loop: ast.AST) -> Iterator[ast.AST]:
-    """The loop's own statements: stops at nested loops and new scopes."""
-    stack: List[ast.AST] = list(getattr(loop, "body", [])) + list(
-        getattr(loop, "orelse", [])
+# --------------------------------------------------------------------- rules --
+#: Rule classes by stable code: the code list ``--select`` checks against.
+RULES: Dict[str, Type[Rule]] = {
+    rule.code: rule
+    for rule in (
+        DeterminismTaintRule,
+        UnorderedIterationRule,
+        PoolSafeExceptionRule,
+        FrozenSpecRule,
     )
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, _LOOP_NODES + _SCOPE_NODES):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _handler_resumes(handler: ast.ExceptHandler) -> bool:
-    """True when the except body lets the loop take another iteration."""
-    last = handler.body[-1]
-    return not isinstance(last, (ast.Raise, ast.Break, ast.Return))
-
-
-def _module_int_constants(tree: ast.Module) -> Dict[str, int]:
-    """Module-level ``ALL_CAPS = <int literal>`` bindings — literal by convention."""
-    constants: Dict[str, int] = {}
-    for node in tree.body:
-        targets: List[ast.AST] = []
-        value: Optional[ast.AST] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not (
-            isinstance(value, ast.Constant)
-            and isinstance(value.value, int)
-            and not isinstance(value.value, bool)
-        ):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id.isupper():
-                constants[target.id] = value.value
-    return constants
-
-
-class BoundedRetryRule(Rule):
-    """RPA009: retry loops in deterministic paths are literally bounded, sleep-free.
-
-    The recovery layer retries by scheduling backed-off retransmissions in
-    *sim time*, so a run with a persistent fault still terminates at the same
-    step count on every host.  A retry loop that spins ``while True`` until an
-    exception stops happening has no such guarantee — under an injected
-    persistent fault it livelocks — and one that sleeps on the wall clock
-    between attempts couples the schedule to host load.  Two shapes are
-    flagged: an except-and-retry loop whose bound is not a literal (an int
-    literal in ``range()``, or a module-level ALL_CAPS int constant, which is
-    the repo's named-literal idiom), and ``time.sleep`` anywhere inside a loop.
-    ``while`` loops with a dynamic exit condition (``while not done``) are a
-    protocol's own progress argument, not a retry bound, and stay out of
-    scope.
-    """
-
-    code = "RPA009"
-    name = "unbounded-retry"
-    summary = (
-        "retry loops in deterministic paths need a literal bound and no time.sleep"
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.path_class.deterministic:
-            return
-        imports = _import_map(module.tree)
-        constants = _module_int_constants(module.tree)
-        yield from self._visit(module, module.tree, imports, constants, in_loop=False)
-
-    def _visit(
-        self, module, node, imports, constants, in_loop
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _LOOP_NODES):
-                yield from self._check_loop(module, child, constants)
-            if in_loop and isinstance(child, ast.Call):
-                if _resolve_call_origin(child.func, imports) == "time.sleep":
-                    yield self.finding(
-                        module,
-                        child,
-                        "time.sleep() inside a loop blocks on the wall clock "
-                        "between attempts; model backoff in sim time "
-                        "(set_timer / scheduled retransmission) so the retry "
-                        "schedule replays bit-identically",
-                    )
-            if isinstance(child, _SCOPE_NODES):
-                yield from self._visit(module, child, imports, constants, False)
-            else:
-                yield from self._visit(
-                    module,
-                    child,
-                    imports,
-                    constants,
-                    in_loop or isinstance(child, _LOOP_NODES),
-                )
-
-    def _check_loop(self, module, loop, constants) -> Iterator[Finding]:
-        if not any(
-            _handler_resumes(handler)
-            for node in _shallow_body(loop)
-            if isinstance(node, ast.Try)
-            for handler in node.handlers
-        ):
-            return
-        if isinstance(loop, ast.While):
-            test = loop.test
-            if isinstance(test, ast.Constant) and test.value:
-                yield self.finding(
-                    module,
-                    loop,
-                    "unbounded retry loop: `while True` with an except handler "
-                    "that retries never terminates under a persistent fault; "
-                    "bound the attempts with a literal "
-                    "(for attempt in range(N))",
-                )
-            return
-        stop = self._range_stop(loop.iter)
-        if stop is None:
-            return  # not a counted retry loop (iterating real items is fine)
-        if isinstance(stop, ast.Constant):
-            if isinstance(stop.value, int) and not isinstance(stop.value, bool):
-                return
-        elif isinstance(stop, ast.Name) and stop.id in constants:
-            return
-        yield self.finding(
-            module,
-            loop,
-            "retry loop bound is not a literal; use an int literal or a "
-            "module-level ALL_CAPS int constant in range() so the worst-case "
-            "attempt count is auditable from the source",
-        )
-
-    @staticmethod
-    def _range_stop(iterable: ast.AST) -> Optional[ast.AST]:
-        """The stop expression of a ``range(...)`` call, else None."""
-        if not (
-            isinstance(iterable, ast.Call)
-            and isinstance(iterable.func, ast.Name)
-            and iterable.func.id == "range"
-            and 1 <= len(iterable.args) <= 3
-            and not iterable.keywords
-        ):
-            return None
-        return iterable.args[0] if len(iterable.args) == 1 else iterable.args[1]
-
-
-# ------------------------------------------------------------------ registry --
-#: Rule factories by stable code — registered exactly like mechanism kinds, so
-#: ``RULES.create(ComponentSpec("RPA001"), path)`` builds a rule instance and
-#: ``RULES.available()`` is the authoritative code list for ``--select``.
-RULES = Registry("lint rule")
-RULES.register("RPA001", DeterminismTaintRule)
-RULES.register("RPA002", UnorderedIterationRule)
-RULES.register("RPA003", PoolSafeExceptionRule)
-RULES.register("RPA004", PicklableSubmissionRule)
-RULES.register("RPA005", FrozenSpecRule)
-RULES.register("RPA009", BoundedRetryRule)
-
-
-def all_rule_codes() -> Tuple[str, ...]:
-    return tuple(RULES.available())
+}

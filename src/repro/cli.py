@@ -20,7 +20,7 @@ Eight sub-commands cover the common workflows::
     repro-auction trace trace.jsonl --format chrome > trace_chrome.json
     repro-auction metrics metrics.json
     repro-auction lint
-    repro-auction lint src benchmarks --format json --select RPA001,RPA004
+    repro-auction lint src benchmarks --format json --select RPA001,RPA002
 
 ``run``, ``sweep``, ``resilience`` and ``chaos`` accept ``--trace FILE``
 (journal sim-time spans to FILE as the run executes; ``.rcol`` picks the
@@ -44,8 +44,8 @@ continues a converted journal exactly where the original stopped.
 ``lint`` runs the determinism & contract linter (:mod:`repro.analysis`) over
 the given paths (default ``src`` and ``benchmarks`` where they exist): the RPA
 rule set that statically pins the repo's bit-identity guarantee — wall-clock/
-RNG taint, unordered iteration, pool-unsafe exceptions and submissions, frozen
-``*Spec`` dataclasses, literally bounded retry loops.  Exit
+RNG taint, unordered iteration, pool-unsafe exceptions and frozen ``*Spec``
+dataclasses.  Exit
 status is part of the contract: 0 when clean, 1 when there are findings, 2
 when the lint run itself failed (unknown ``--select`` code, missing path,
 unparseable file).  Line-scoped ``# repro: noqa[RPAxxx]`` comments suppress

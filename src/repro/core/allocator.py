@@ -127,7 +127,8 @@ class SequentialAllocatorBlock(ProtocolBlock):
         result = results.get(key)
         shared = result is not None
         if not shared:
-            # Executions racing on one table (ThreadedNetwork) adopt the first's result.
+            # Executions racing on one table adopt the first's result (the barrier
+            # test in tests/core/test_shared_agreement.py races them).
             result = results.setdefault(
                 key, self.algorithm.run(self.bids, random.Random(seed))
             )

@@ -263,7 +263,8 @@ class BidAgreementBlock(ProtocolBlock):
         bids = vectors.get(key)
         shared = bids is not None
         if not shared:
-            # Builders racing on one table (ThreadedNetwork) adopt the first's vector.
+            # Builders racing on one table adopt the first's vector (the barrier
+            # test in tests/core/test_shared_agreement.py races them).
             bids = vectors.setdefault(key, self._build_vector())
         obs = current_observation()
         if obs is not None and obs.metrics is not None:

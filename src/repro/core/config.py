@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.auctions.decomposable import DecomposableMechanism
 from repro.core.bid_agreement import AGREEMENT_MODES
 
 __all__ = ["FrameworkConfig"]
@@ -70,6 +71,21 @@ class FrameworkConfig:
             raise ValueError(
                 f"the rational-consensus building block requires m > 2k; "
                 f"got m={num_providers} executing providers, k={self.k}"
+            )
+
+    def runs_task_graph(self, algorithm: object) -> bool:
+        """True when providers run ``algorithm`` as a task graph (parallel allocator)."""
+        return self.parallel and isinstance(algorithm, DecomposableMechanism)
+
+    def check_groups(self, num_providers: int, algorithm: object) -> None:
+        """Raise if the parallel allocator would read a ``num_groups`` it cannot form."""
+        if self.num_groups is None or not self.runs_task_graph(algorithm):
+            return
+        most = num_providers // (self.k + 1)
+        if self.num_groups > most:
+            raise ValueError(
+                f"num_groups must be at most ⌊m/(k+1)⌋ = {most}; got "
+                f"{self.num_groups} with m={num_providers} executing providers, k={self.k}"
             )
 
     def max_parallelism(self, num_providers: int) -> int:

@@ -13,10 +13,9 @@ and deadlines).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.auctions.base import AllocationAlgorithm, BidVector, ProviderAsk
-from repro.auctions.decomposable import DecomposableMechanism
+from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.common import ABORT, is_abort
 from repro.core.allocator import ParallelAllocatorBlock, SequentialAllocatorBlock
 from repro.core.bid_agreement import BidAgreementBlock
@@ -43,11 +42,6 @@ class ProviderInput:
     provider_id: str
     received_user_bids: Dict[str, Any] = field(default_factory=dict)
     received_provider_asks: Dict[str, Any] = field(default_factory=dict)
-
-    def with_own_ask(self, ask: ProviderAsk) -> "ProviderInput":
-        asks = dict(self.received_provider_asks)
-        asks[self.provider_id] = ask
-        return ProviderInput(self.provider_id, dict(self.received_user_bids), asks)
 
 
 class FrameworkBlock(ProtocolBlock):
@@ -108,7 +102,7 @@ class FrameworkBlock(ProtocolBlock):
             return
         bids: BidVector = block.result
         assert self._ctx is not None
-        if self.config.parallel and isinstance(self.algorithm, DecomposableMechanism):
+        if self.config.runs_task_graph(self.algorithm):
             graph = build_standard_auction_graph(
                 self.algorithm,
                 bids,

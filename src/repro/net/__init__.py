@@ -6,14 +6,11 @@ receives messages previously sent to it, performs some computation, and sends
 messages.  Channels are reliable and schedules are *fair* (every node moves
 infinitely often), which the simulator enforces by construction.
 
-Two execution backends share the same :class:`~repro.net.node.Node` interface:
-
-* :class:`~repro.net.network.SimNetwork` — deterministic discrete-event simulation
-  with pluggable :class:`~repro.net.scheduler.Scheduler` and
-  :class:`~repro.net.latency.LatencyModel`; tracks per-node virtual clocks so the
-  benchmark harness can report critical-path elapsed time.
-* :class:`~repro.net.transport.ThreadedNetwork` — a thread-per-node in-process
-  transport with real queues, used to exercise the protocols under real concurrency.
+Nodes (:class:`~repro.net.node.Node`) run on
+:class:`~repro.net.network.SimNetwork`, a deterministic discrete-event simulation
+with pluggable :class:`~repro.net.scheduler.Scheduler` and
+:class:`~repro.net.latency.LatencyModel`; it tracks per-node virtual clocks so the
+benchmark harness can report critical-path elapsed time.
 """
 
 from repro.net.channel import ReliableChannel
@@ -38,7 +35,6 @@ from repro.net.scheduler import (
     Scheduler,
 )
 from repro.net.serialization import canonical_encode, estimate_size
-from repro.net.transport import ThreadedNetwork
 
 __all__ = [
     "AdversarialScheduler",
@@ -60,7 +56,6 @@ __all__ = [
     "RoundRobinScheduler",
     "Scheduler",
     "SimNetwork",
-    "ThreadedNetwork",
     "UniformLatencyModel",
     "VirtualClock",
     "ZeroLatencyModel",

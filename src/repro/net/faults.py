@@ -87,10 +87,9 @@ _CLEAN_SEND = SendEffect()
 class RecoveryPolicy:
     """Bounded retransmission with deterministic sim-clock exponential backoff.
 
-    ``max_retries`` is a *literal* bound (the RPA009 contract: retry loops in
-    deterministic paths terminate by construction), and backoff is computed
-    from virtual time — never ``time.sleep`` — so recovery is as reproducible
-    as the faults it answers.
+    ``max_retries`` is a *literal* bound (retransmission terminates by
+    construction), and backoff is computed from virtual time — never
+    ``time.sleep`` — so recovery is as reproducible as the faults it answers.
     """
 
     enabled: bool = True

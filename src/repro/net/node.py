@@ -5,15 +5,14 @@ A :class:`Node` is a deterministic event-driven state machine: the runtime calls
 interaction with the outside world goes through the :class:`NodeContext` passed to the
 handlers — sending messages, setting timers, reading the local virtual clock and
 drawing local randomness.  Keeping the context explicit (rather than ambient) makes
-protocol code trivially testable and keeps the two backends (discrete-event simulator
-and threaded transport) interchangeable.
+protocol code trivially testable.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.net.message import Message
 
@@ -40,7 +39,7 @@ class NodeContext(abc.ABC):
 
     @abc.abstractmethod
     def now(self) -> float:
-        """Current local (virtual or wall-clock) time in seconds."""
+        """Current local virtual time in seconds."""
 
     @abc.abstractmethod
     def send(self, recipient: str, payload: Any, tag: str = "") -> None:
@@ -112,25 +111,3 @@ class Node(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self._finished else "running"
         return f"{type(self).__name__}({self.node_id!r}, {state})"
-
-
-class FunctionNode(Node):
-    """Small adapter turning a pair of callables into a Node (handy in tests)."""
-
-    def __init__(self, node_id: str, on_start=None, on_message=None) -> None:
-        super().__init__(node_id)
-        self._on_start = on_start
-        self._on_message = on_message
-
-    def on_start(self, ctx: NodeContext) -> None:
-        if self._on_start is not None:
-            self._on_start(self, ctx)
-
-    def on_message(self, ctx: NodeContext, message: Message) -> None:
-        if self._on_message is not None:
-            self._on_message(self, ctx, message)
-
-
-def node_ids(nodes: Iterable[Node]) -> list[str]:
-    """Convenience: the ids of an iterable of nodes, in order."""
-    return [node.node_id for node in nodes]

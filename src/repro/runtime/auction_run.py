@@ -83,6 +83,7 @@ class AuctionRun:
         self._owns_algorithm = self.algorithm is not algorithm
         self.config = config if config is not None else FrameworkConfig()
         self.config.check_quorum(len(bids.providers))
+        self.config.check_groups(len(bids.providers), self.algorithm)
         self.bidder_strategies = dict(bidder_strategies or {})
         self.deadline = deadline
         self.latency_model = latency_model

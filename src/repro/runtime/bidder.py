@@ -87,9 +87,3 @@ class BidderNode(Node):
         # compares as a set: no two sets built per announcement.
         if self._announcements.keys() == self._provider_set:
             self.finish(combine_outputs(self._announcements))
-
-    # -- observations ---------------------------------------------------------------
-    @property
-    def observed_outcome(self) -> Any:
-        """What the bidder concluded (the agreed result, ⊥, or None if unfinished)."""
-        return self.output if self.finished else None

@@ -67,8 +67,7 @@ CHUNKS_PER_WORKER = 4
 
 #: Literal retry bound for the crash-tolerant executor path: an item whose
 #: chunk has failed this many times is quarantined instead of retried again.
-#: A literal (not configuration) so the retry loop is provably bounded — the
-#: same contract lint rule RPA009 enforces on deterministic code.
+#: A literal (not configuration) so the retry loop is provably bounded.
 MAX_CHUNK_RETRIES = 2
 
 

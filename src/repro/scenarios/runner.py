@@ -224,20 +224,25 @@ def resolve_round_inputs(
 
 
 def _framework_config(
-    spec: ScenarioSpec, executors: int, path: str = "config.k"
+    spec: ScenarioSpec, executors: int, mechanism, path: str = "config"
 ) -> FrameworkConfig:
     """The spec's framework configuration, if ``executors`` providers can run it.
 
-    ``FrameworkConfig.check_quorum``'s ``m > 2k`` as a :class:`SpecError` at
-    ``path`` (``config.k``, or ``base.config.k`` inside an audit spec): the
-    executor count is known only once the round's inputs are resolved, so a
-    spec that loads cleanly can still ask for a protocol it cannot run.
+    ``FrameworkConfig.check_quorum``'s ``m > 2k`` and ``check_groups``'
+    ``num_groups <= ⌊m/(k+1)⌋`` as :class:`SpecError`\\ s at ``path.k`` and
+    ``path.num_groups`` (``path`` is ``base.config`` inside an audit spec):
+    the executor count is known only once the round's inputs are resolved, so
+    a spec that loads cleanly can still ask for a protocol it cannot run.
     """
     config = spec.config.to_config()
     try:
         config.check_quorum(executors)
     except ValueError as exc:
-        raise SpecError(path, str(exc)) from exc
+        raise SpecError(f"{path}.k", str(exc)) from exc
+    try:
+        config.check_groups(executors, mechanism)
+    except ValueError as exc:
+        raise SpecError(f"{path}.num_groups", str(exc)) from exc
     return config
 
 
@@ -247,17 +252,18 @@ def build_auctioneer(
     executor_ids,
     latency_model,
     *,
-    path: str = "config.k",
+    path: str = "config",
     **extra: Any,
 ) -> DistributedAuctioneer:
     """The spec's distributed auctioneer over already-resolved round inputs.
 
-    ``path`` is where too few executors for ``k`` is reported.
+    ``path`` is the spec path of the framework configuration, where too few
+    executors for ``k`` or ``num_groups`` is reported.
     """
     return DistributedAuctioneer(
         mechanism,
         providers=executor_ids,
-        config=_framework_config(spec, len(executor_ids), path),
+        config=_framework_config(spec, len(executor_ids), mechanism, path),
         latency_model=latency_model,
         seed=spec.seed,
         measure_compute=spec.measure_compute,
@@ -365,7 +371,7 @@ def run_scenario(
             run = AuctionRun(
                 bids,
                 mechanism,
-                config=_framework_config(spec, len(provider_ids)),
+                config=_framework_config(spec, len(provider_ids), mechanism),
                 bidder_strategies=_bidder_strategies(spec, list(bids.user_ids)),
                 deadline=spec.deadline,
                 latency_model=latency_model,

@@ -110,10 +110,6 @@ class Simulation:
             spec = spec_with_overrides(spec, overrides)
         return cls(spec)
 
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "Simulation":
-        """A new facade around this spec with dotted-path overrides applied."""
-        return Simulation(spec_with_overrides(self.spec, overrides))
-
     # -- cached components ---------------------------------------------------------
     @property
     def mechanism(self):

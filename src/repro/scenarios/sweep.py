@@ -316,7 +316,7 @@ class SeededContext:
             self.mechanism,
             state["executor_ids"],
             state["latency"],
-            path="base.config.k",
+            path="base.config",
             **extra,
         )
 

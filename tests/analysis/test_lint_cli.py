@@ -61,11 +61,13 @@ class TestExitContract:
         out = capsys.readouterr().out
         assert "RPA001" in out and "fixture.py:3" in out
 
-    def test_unknown_select_code_exits_2_with_path(self, det_tree, capsys):
+    # RPA004 and RPA009 are deleted rules: their ids must not resolve either.
+    @pytest.mark.parametrize("code", ["RPA999", "RPA004", "RPA009"])
+    def test_unknown_select_code_exits_2_with_path(self, det_tree, capsys, code):
         det_tree(CLEAN)
-        assert main(["lint", "--select", "RPA001,RPA999"]) == 2
+        assert main(["lint", "--select", f"RPA001,{code}"]) == 2
         err = capsys.readouterr().err
-        assert "--select[0]" in err and "RPA999" in err and "available" in err
+        assert "--select[0]" in err and code in err and "available" in err
 
     def test_missing_path_exits_2(self, det_tree, capsys):
         det_tree(CLEAN)

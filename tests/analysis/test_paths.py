@@ -17,6 +17,14 @@ class TestDeterministicPaths:
             "src/repro/obs/trace.py",  # sim-time-only tracing is on the surface
             "src/repro/auctions/engine/kernel.py",  # nested packages inherit
             "/abs/checkout/src/repro/net/network.py",  # absolute paths classify too
+            "src/repro/core/framework.py",  # the protocol's building blocks
+            "src/repro/core/bid_agreement.py",
+            "src/repro/core/allocator.py",
+            "src/repro/core/common_coin.py",
+            "src/repro/core/task_graph.py",
+            "src/repro/runtime/auction_run.py",
+            "src/repro/community/workload.py",
+            "src/repro/adversary/coalition.py",
         ],
     )
     def test_deterministic(self, path):
@@ -26,9 +34,7 @@ class TestDeterministicPaths:
         "path",
         [
             "src/repro/scenarios/dispatch.py",  # the documented exemption
-            "src/repro/core/framework.py",
-            "src/repro/runtime/auction_run.py",
-            "src/repro/adversary/coalition.py",
+            "src/repro/analysis/rules.py",
             "src/repro/cli.py",
             "tests/net/test_network.py",  # tests are not under repro/
         ],

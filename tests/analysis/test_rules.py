@@ -23,7 +23,14 @@ from repro.scenarios.spec import SpecError
 #: A virtual path inside a deterministic package (RPA001/RPA002 apply here).
 DET_PATH = "src/repro/net/fixture.py"
 #: A virtual path outside the deterministic packages.
-CORE_PATH = "src/repro/core/fixture.py"
+NON_DET_PATH = "src/repro/analysis/fixture.py"
+#: One module in each package that holds the protocol itself; RPA001/RPA002 read them.
+PROTOCOL_PATHS = [
+    "src/repro/core/bid_agreement.py",
+    "src/repro/runtime/auction_run.py",
+    "src/repro/community/workload.py",
+    "src/repro/adversary/coalition.py",
+]
 
 
 def codes_at(report):
@@ -70,7 +77,13 @@ class TestDeterminismTaint:
 
     def test_outside_deterministic_paths_not_flagged(self):
         snippet = "import time\n\nx = time.time()\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA001"]).clean
+        assert lint_source(snippet, NON_DET_PATH, select=["RPA001"]).clean
+
+    @pytest.mark.parametrize("path", PROTOCOL_PATHS)
+    def test_protocol_packages_are_read(self, path):
+        snippet = "import time\n\nx = time.perf_counter()\n"
+        report = lint_source(snippet, path, select=["RPA001"])
+        assert codes_at(report) == [("RPA001", 3)]
 
     def test_dispatch_py_is_exempt(self):
         snippet = "import time\n\nx = time.time()\n"
@@ -115,7 +128,13 @@ class TestUnorderedIteration:
 
     def test_outside_deterministic_paths_not_flagged(self):
         snippet = "for x in {1, 2}:\n    print(x)\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA002"]).clean
+        assert lint_source(snippet, NON_DET_PATH, select=["RPA002"]).clean
+
+    @pytest.mark.parametrize("path", PROTOCOL_PATHS)
+    def test_protocol_packages_are_read(self, path):
+        snippet = "for x in {1, 2}:\n    print(x)\n"
+        report = lint_source(snippet, path, select=["RPA002"])
+        assert codes_at(report) == [("RPA002", 1)]
 
 
 # ---------------------------------------------------------------------- RPA003 --
@@ -148,64 +167,21 @@ class TestPoolSafeException:
     def test_pre_pr3_specerror_shape_fires(self):
         # The exact PR 3 bug class: args holds one formatted string, __init__
         # expects two parameters — unpickling in the pool explodes.
-        report = lint_source(BAD_EXCEPTION, CORE_PATH, select=["RPA003"])
+        report = lint_source(BAD_EXCEPTION, NON_DET_PATH, select=["RPA003"])
         assert codes_at(report) == [("RPA003", 2)]
 
     def test_reduce_makes_it_safe(self):
-        assert lint_source(GOOD_EXCEPTION_REDUCE, CORE_PATH, select=["RPA003"]).clean
+        assert lint_source(GOOD_EXCEPTION_REDUCE, NON_DET_PATH, select=["RPA003"]).clean
 
     def test_parameter_mirroring_super_call_is_safe(self):
-        assert lint_source(GOOD_EXCEPTION_MIRROR, CORE_PATH, select=["RPA003"]).clean
+        assert lint_source(GOOD_EXCEPTION_MIRROR, NON_DET_PATH, select=["RPA003"]).clean
 
     def test_trivial_exception_is_safe(self):
         snippet = "class QuietError(RuntimeError):\n    pass\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA003"]).clean
+        assert lint_source(snippet, NON_DET_PATH, select=["RPA003"]).clean
 
     def test_applies_everywhere_not_just_deterministic_paths(self):
-        assert not lint_source(BAD_EXCEPTION, CORE_PATH, select=["RPA003"]).clean
-
-
-# ---------------------------------------------------------------------- RPA004 --
-class TestPicklableSubmission:
-    def test_lambda_submission_fires(self):
-        snippet = "def run(pool, data):\n    return pool.submit(lambda: data)\n"
-        report = lint_source(snippet, CORE_PATH, select=["RPA004"])
-        assert codes_at(report) == [("RPA004", 2)]
-
-    def test_nested_def_submission_fires(self):
-        snippet = (
-            "def run(pool, data):\n"
-            "    def work():\n"
-            "        return data\n"
-            "    return pool.submit(work)\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA004"])
-        assert codes_at(report) == [("RPA004", 4)]
-
-    def test_lambda_inside_partial_fires(self):
-        snippet = (
-            "import functools\n"
-            "def run(backend, chunks, n):\n"
-            "    worker = None\n"
-            "    return backend.execute(chunks, functools.partial(lambda c: c), n)\n"
-        )
-        report = lint_source(snippet, CORE_PATH, select=["RPA004"])
-        assert codes_at(report) == [("RPA004", 4)]
-
-    def test_module_level_callable_is_clean(self):
-        snippet = (
-            "import functools\n"
-            "def work(chunk):\n"
-            "    return chunk\n"
-            "def run(pool, backend, chunks, n):\n"
-            "    pool.submit(work, chunks[0])\n"
-            "    return backend.execute(chunks, functools.partial(work), n)\n"
-        )
-        assert lint_source(snippet, CORE_PATH, select=["RPA004"]).clean
-
-    def test_unrelated_execute_is_clean(self):
-        snippet = "def q(cursor):\n    cursor.execute('SELECT 1', ())\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA004"]).clean
+        assert not lint_source(BAD_EXCEPTION, NON_DET_PATH, select=["RPA003"]).clean
 
 
 # ---------------------------------------------------------------------- RPA005 --
@@ -217,12 +193,12 @@ class TestFrozenSpec:
             "class ShardSpec:\n"
             "    shards: int = 1\n"
         )
-        report = lint_source(snippet, CORE_PATH, select=["RPA005"])
+        report = lint_source(snippet, NON_DET_PATH, select=["RPA005"])
         assert codes_at(report) == [("RPA005", 5)]
 
     def test_non_dataclass_spec_fires(self):
         snippet = "class ShardSpec:\n    shards = 1\n"
-        report = lint_source(snippet, CORE_PATH, select=["RPA005"])
+        report = lint_source(snippet, NON_DET_PATH, select=["RPA005"])
         assert ("RPA005", 1) in codes_at(report)
 
     def test_untyped_field_fires(self):
@@ -233,7 +209,7 @@ class TestFrozenSpec:
             "    shards: int = 1\n"
             "    replicas = 2\n"
         )
-        report = lint_source(snippet, CORE_PATH, select=["RPA005"])
+        report = lint_source(snippet, NON_DET_PATH, select=["RPA005"])
         assert codes_at(report) == [("RPA005", 7)]
 
     def test_frozen_typed_spec_is_clean(self):
@@ -245,149 +221,11 @@ class TestFrozenSpec:
             "    KINDS: ClassVar[tuple] = ('a',)\n"
             "    shards: int = 1\n"
         )
-        assert lint_source(snippet, CORE_PATH, select=["RPA005"]).clean
+        assert lint_source(snippet, NON_DET_PATH, select=["RPA005"]).clean
 
     def test_non_spec_class_untouched(self):
         snippet = "class Mutable:\n    pass\n"
-        assert lint_source(snippet, CORE_PATH, select=["RPA005"]).clean
-
-
-# ---------------------------------------------------------------------- RPA009 --
-UNBOUNDED_RETRY = """\
-def fetch(op):
-    while True:
-        try:
-            return op()
-        except OSError:
-            continue
-"""
-
-SLEEPING_RETRY = """\
-import time
-
-
-def fetch(op):
-    for attempt in range(3):
-        try:
-            return op()
-        except OSError:
-            time.sleep(0.1 * attempt)
-"""
-
-DYNAMIC_BOUND_RETRY = """\
-def fetch(op, attempts):
-    for attempt in range(attempts):
-        try:
-            return op()
-        except OSError:
-            continue
-"""
-
-LITERAL_BOUND_RETRY = """\
-def fetch(op):
-    for attempt in range(3):
-        try:
-            return op()
-        except OSError:
-            continue
-    raise TimeoutError
-"""
-
-CONSTANT_BOUND_RETRY = """\
-MAX_RETRIES = 4
-
-
-def fetch(op):
-    for attempt in range(MAX_RETRIES):
-        try:
-            return op()
-        except OSError:
-            continue
-    raise TimeoutError
-"""
-
-
-class TestBoundedRetry:
-    def test_while_true_retry_fires(self):
-        report = lint_source(UNBOUNDED_RETRY, DET_PATH, select=["RPA009"])
-        assert codes_at(report) == [("RPA009", 2)]
-
-    def test_sleep_inside_loop_fires(self):
-        report = lint_source(SLEEPING_RETRY, DET_PATH, select=["RPA009"])
-        assert codes_at(report) == [("RPA009", 9)]
-
-    def test_dynamic_bound_fires(self):
-        report = lint_source(DYNAMIC_BOUND_RETRY, DET_PATH, select=["RPA009"])
-        assert codes_at(report) == [("RPA009", 2)]
-
-    def test_literal_bound_is_clean(self):
-        assert lint_source(LITERAL_BOUND_RETRY, DET_PATH, select=["RPA009"]).clean
-
-    def test_module_constant_bound_is_clean(self):
-        assert lint_source(CONSTANT_BOUND_RETRY, DET_PATH, select=["RPA009"]).clean
-
-    def test_dynamic_exit_condition_is_out_of_scope(self):
-        # `while not done` is the protocol's own progress argument, not a
-        # retry bound — the transport's poll loop must stay clean.
-        snippet = (
-            "def drain(mailbox, node):\n"
-            "    while not node.finished:\n"
-            "        try:\n"
-            "            node.on_message(mailbox.get())\n"
-            "        except KeyError:\n"
-            "            continue\n"
-        )
-        assert lint_source(snippet, DET_PATH, select=["RPA009"]).clean
-
-    def test_handler_that_raises_is_not_a_retry(self):
-        snippet = (
-            "def run_all(cells, op):\n"
-            "    while True:\n"
-            "        try:\n"
-            "            return op(cells)\n"
-            "        except OSError as exc:\n"
-            "            raise RuntimeError('fatal') from exc\n"
-        )
-        assert lint_source(snippet, DET_PATH, select=["RPA009"]).clean
-
-    def test_iterating_real_items_is_clean(self):
-        snippet = (
-            "def parse(lines):\n"
-            "    out = []\n"
-            "    for line in lines:\n"
-            "        try:\n"
-            "            out.append(int(line))\n"
-            "        except ValueError:\n"
-            "            continue\n"
-            "    return out\n"
-        )
-        assert lint_source(snippet, DET_PATH, select=["RPA009"]).clean
-
-    def test_nested_bounded_loop_does_not_taint_outer(self):
-        # the try lives in the (bounded) inner loop; the outer `while True`
-        # has no retry handler of its own.
-        snippet = (
-            "def pump(queue, op):\n"
-            "    while True:\n"
-            "        item = queue.pop()\n"
-            "        if item is None:\n"
-            "            break\n"
-            "        for attempt in range(2):\n"
-            "            try:\n"
-            "                op(item)\n"
-            "                break\n"
-            "            except OSError:\n"
-            "                continue\n"
-        )
-        assert lint_source(snippet, DET_PATH, select=["RPA009"]).clean
-
-    def test_sleep_outside_loops_is_out_of_scope(self):
-        snippet = "import time\n\n\ndef nap():\n    time.sleep(1.0)\n"
-        assert lint_source(snippet, DET_PATH, select=["RPA009"]).clean
-
-    def test_outside_deterministic_paths_not_flagged(self):
-        assert lint_source(UNBOUNDED_RETRY, CORE_PATH, select=["RPA009"]).clean
-        assert lint_source(SLEEPING_RETRY, CORE_PATH, select=["RPA009"]).clean
+        assert lint_source(snippet, NON_DET_PATH, select=["RPA005"]).clean
 
 
 # ---------------------------------------------------------------- suppression --
@@ -436,7 +274,7 @@ class TestJsonReportSchema:
         # stable envelope
         assert document["version"] == REPORT_VERSION
         assert document["tool"] == "repro-lint"
-        assert document["rules"] == list(RULES.available())
+        assert document["rules"] == sorted(RULES)
         assert document["files_checked"] == 1
         assert document["suppressed"] == 1
         assert isinstance(document["summary"], str)
@@ -455,22 +293,23 @@ class TestJsonReportSchema:
 
 # ------------------------------------------------------------------ selection --
 class TestSelection:
-    def test_unknown_code_is_path_precise(self):
+    # RPA004 and RPA009 are deleted rules: their ids must not resolve either.
+    @pytest.mark.parametrize("code", ["RPA999", "RPA004", "RPA009"])
+    def test_unknown_code_is_path_precise(self, code):
         with pytest.raises(SpecError) as excinfo:
-            select_rules(["RPA001", "RPA999"])
+            select_rules(["RPA001", code])
         assert excinfo.value.path == "--select[1]"
-        assert "RPA999" in str(excinfo.value)
+        assert code in str(excinfo.value)
         assert "available" in str(excinfo.value)
 
     def test_comma_separated_and_case_insensitive(self):
-        rules = select_rules(["rpa001,RPA004"])
-        assert [rule.code for rule in rules] == ["RPA001", "RPA004"]
+        rules = select_rules(["rpa005,RPA001"])
+        assert [rule.code for rule in rules] == ["RPA001", "RPA005"]
 
     def test_empty_selection_rejected(self):
         with pytest.raises(SpecError):
             select_rules([","])
 
-    def test_registry_shape(self):
-        # RULES is a scenario-style registry: stable sorted codes, membership.
-        assert RULES.available() == sorted(RULES.available())
+    def test_rules_are_keyed_by_their_code(self):
+        assert all(rule.code == code for code, rule in RULES.items())
         assert "RPA001" in RULES and "RPA999" not in RULES

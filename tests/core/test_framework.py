@@ -13,6 +13,7 @@ from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer
 from repro.core.provider_protocol import ProviderInput
 from repro.net.latency import ConstantLatencyModel
 from repro.net.scheduler import RandomScheduler
+from repro.runtime.auction_run import AuctionRun
 
 PROVIDERS = [f"p{i:02d}" for i in range(4)]
 
@@ -127,6 +128,39 @@ class TestInputHandling:
             DistributedAuctioneer(
                 DoubleAuction(), providers=PROVIDERS[:2], config=FrameworkConfig(k=1)
             )
+
+    def test_too_many_groups_rejected_at_construction(self):
+        too_many = FrameworkConfig(k=1, parallel=True, num_groups=len(PROVIDERS) // 2 + 1)
+        with pytest.raises(ValueError, match=r"num_groups must be at most"):
+            DistributedAuctioneer(
+                StandardAuction(epsilon=0.5), providers=PROVIDERS, config=too_many
+            )
+        with pytest.raises(ValueError, match=r"num_groups must be at most"):
+            AuctionRun(standard_bids(seed=1), StandardAuction(epsilon=0.5), config=too_many)
+        # Where no task graph reads it, the value is ignored as before.
+        DistributedAuctioneer(DoubleAuction(), providers=PROVIDERS, config=too_many)
+
+    def test_sequential_allocator_ignores_num_groups(self):
+        unread = FrameworkConfig(k=1, parallel=False, num_groups=len(PROVIDERS) // 2 + 1)
+        bids = standard_bids(seed=4)
+        report = DistributedAuctioneer(
+            StandardAuction(epsilon=0.5), providers=PROVIDERS, config=unread
+        ).run_from_bids(bids)
+        assert not report.aborted
+
+    @pytest.mark.parametrize("num_groups", [1, len(PROVIDERS) // 2])
+    def test_every_formable_group_count_runs(self, num_groups):
+        """Up to ⌊m/(k+1)⌋ inclusive, the parallel allocator agrees with the sequential one."""
+        bids = standard_bids(seed=3)
+        parallel = FrameworkConfig(k=1, parallel=True, num_groups=num_groups)
+        report = DistributedAuctioneer(
+            StandardAuction(epsilon=0.5), providers=PROVIDERS, config=parallel
+        ).run_from_bids(bids)
+        assert not report.aborted
+        sequential = DistributedAuctioneer(
+            StandardAuction(epsilon=0.5), providers=PROVIDERS, config=FrameworkConfig(k=1)
+        ).run_from_bids(bids)
+        assert report.result == sequential.result
 
     def test_inconsistent_received_bids_still_agree(self):
         """Providers received different bids from an equivocating user; the outcome is

@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import pickle
 import random
-import sys
+import threading
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
@@ -38,11 +38,10 @@ from repro.core import allocator, bid_agreement
 from repro.core.allocator import SequentialAllocatorBlock
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
-from repro.core.provider_protocol import FrameworkProviderNode, ProviderInput
+from repro.core.provider_protocol import FrameworkProviderNode
 from repro.net.faults import FaultPlan, RecoveryPolicy, make_fault
 from repro.net.latency import UniformLatencyModel
 from repro.net.serialization import DERIVED_ATTR, FrozenMap, canonical_encode, estimate_size
-from repro.net.transport import ThreadedNetwork
 from repro.obs import observe
 from repro.scenarios.registry import SCHEDULERS
 from repro.scenarios.spec import ComponentSpec
@@ -515,37 +514,86 @@ class TestMemoHygiene:
                 lookup(missing)
             assert str(error.value) == text
 
-    @pytest.mark.parametrize("maps", ["per-provider", "one-frozen-pair"])
-    def test_threads_racing_on_one_vector_agree(self, maps):
-        providers = providers_named(5)
-        bids = double_bids(40, providers, seed=12)
-        config = FrameworkConfig(k=2)
-        auctioneer = DistributedAuctioneer(DoubleAuction(), providers=providers, config=config)
-        inputs = auctioneer.consistent_inputs(bids)
-        if maps == "one-frozen-pair":
-            # What run_from_bids hands out: the threads also race on one batch.
-            pair = (
-                FrozenMap(inputs[providers[0]].received_user_bids),
-                FrozenMap(inputs[providers[0]].received_provider_asks),
-            )
-            inputs = {pid: ProviderInput(pid, *pair) for pid in providers}
-        users = [u.user_id for u in bids.users]
-        simulated = auctioneer.run(inputs, expected_users=users)
-        mechanism = DoubleAuction()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+
+# -- threads racing to publish one memo all read the first value published ---------------
+#: Only stops a broken race from hanging the suite; no assertion reads a clock.
+HANG_GUARD_S = 60.0
+
+
+def race(entries, target, attribute):
+    """Call each of ``entries`` on a thread of its own, parked inside ``target.attribute``.
+
+    A thread parks on a barrier once ``attribute`` has returned its value, and
+    so before the caller publishes it.  Threads start one at a time, each once
+    the previous one is parked, so every thread has found the shared table and
+    missed the value in it; the barrier then lets all of them publish at once.
+    The race therefore happens on every run, not when the OS allows it.
+    """
+    barrier = threading.Barrier(len(entries), timeout=HANG_GUARD_S)
+    parked = threading.Semaphore(0)
+    original = getattr(target, attribute)
+    failures = []
+
+    def park(*args):
+        value = original(*args)
+        parked.release()
+        barrier.wait()
+        return value
+
+    def body(entry):
         try:
-            for _ in range(3):
-                threaded = ThreadedNetwork()
-                for pid in providers:
-                    threaded.add_node(
-                        FrameworkProviderNode(inputs[pid], mechanism, config, users, providers)
-                    )
-                outputs = threaded.run(timeout=30.0)
-                assert set(outputs) == set(providers)
-                assert all(output == simulated.result for output in outputs.values())
-        finally:
-            sys.setswitchinterval(interval)
+            entry()
+        except BaseException as exc:  # re-raised on the test's thread below
+            failures.append(exc)
+            barrier.abort()
+            parked.release()
+
+    threads = [threading.Thread(target=body, args=(entry,)) for entry in entries]
+    with mock.patch.object(target, attribute, park):
+        for thread in threads:
+            thread.start()
+            # A thread that never parks leaves the barrier short: it breaks below.
+            parked.acquire(timeout=HANG_GUARD_S)
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+
+
+class TestRacingThreads:
+    """One thread per block, all of them racing into the same memo table."""
+
+    THREADS = 5
+
+    def test_assemblies_adopt_the_first_vector(self):
+        bids = double_bids(40, providers_named(5), seed=12)
+        decided = FrozenMap(
+            {f"user:{bid.user_id}": bid for bid in bids.users}
+            | {f"ask:{ask.provider_id}": ask for ask in bids.providers}
+        )
+        blocks = []
+        for _ in range(self.THREADS):
+            block = bid_agreement.BidAgreementBlock(
+                "ba", bids.user_ids, bids.provider_ids, {}, {}
+            )
+            block._decisions = decided
+            blocks.append(block)
+        race([block._assemble for block in blocks], bid_agreement.BidAgreementBlock, "_build_vector")
+        vectors = [block.result for block in blocks]
+        assert len(distinct(vectors)) == 1
+        assert vectors[0] == bids
+
+    def test_executions_adopt_the_first_result(self):
+        bids = double_bids(40, providers_named(5), seed=12)
+        mechanism = CountingDoubleAuction()
+        blocks = [
+            SequentialAllocatorBlock("alloc", bids, mechanism) for _ in range(self.THREADS)
+        ]
+        race([functools.partial(block._execute, 7) for block in blocks], mechanism, "run")
+        results = [block.result for block in blocks]
+        assert mechanism.runs == self.THREADS  # every thread computed before any published
+        assert len(distinct(results)) == 1
+        assert results[0] == DoubleAuction().run(bids, random.Random(7))
 
 
 # -- (e) input link 0: one frozen input batch per honest round ---------------------------

@@ -1,5 +1,5 @@
 """Integration tests: the full stack on both mechanisms, both execution modes,
-the threaded transport, and the community-network scenario."""
+and the community-network scenario."""
 
 import pytest
 
@@ -10,9 +10,7 @@ from repro.community.scenario import BandwidthReservationScenario
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer
-from repro.core.provider_protocol import FrameworkProviderNode
 from repro.net.scheduler import AdversarialScheduler
-from repro.net.transport import ThreadedNetwork
 
 
 class TestFullStackDoubleAuction:
@@ -74,35 +72,6 @@ class TestFullStackStandardAuction:
             payment = result.payments.user_payment(user.user_id)
             assert payment >= -1e-9
             assert payment <= user.total_value + 1e-6
-
-
-class TestThreadedTransportIntegration:
-    def test_framework_runs_identically_on_real_threads(self):
-        """The same provider protocol code runs on the threaded backend and produces
-        the same agreed pair as the discrete-event simulation."""
-        providers = [f"p{i}" for i in range(3)]
-        bids = DoubleAuctionWorkload(seed=8).generate(6, 3, provider_ids=providers)
-        config = FrameworkConfig(k=1)
-        auctioneer = DistributedAuctioneer(
-            DoubleAuction(), providers=providers, config=config
-        )
-        inputs = auctioneer.consistent_inputs(bids)
-        expected_users = [u.user_id for u in bids.users]
-
-        simulated = auctioneer.run(inputs, expected_users=expected_users)
-
-        threaded = ThreadedNetwork()
-        for pid in providers:
-            threaded.add_node(
-                FrameworkProviderNode(
-                    inputs[pid], DoubleAuction(), config, expected_users, providers
-                )
-            )
-        outputs = threaded.run(timeout=30.0)
-        assert set(outputs) == set(providers)
-        values = list(outputs.values())
-        assert all(v == values[0] for v in values)
-        assert values[0] == simulated.result
 
 
 class TestCommunityScenarioIntegration:

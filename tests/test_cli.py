@@ -209,6 +209,28 @@ class TestSpecDrivenCommands:
             f"got m={m} executing providers, k={k}\n"
         )
 
+    @pytest.mark.parametrize("num_groups", [5, 50])
+    def test_too_many_groups_is_a_spec_error(self, num_groups, capsys):
+        argv = ["run", "--set", "mechanism=standard", "--set", "workload=standard"]
+        argv += ["--set", "config.parallel=true", "--set", f"config.num_groups={num_groups}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: config.num_groups: num_groups must be at most ⌊m/(k+1)⌋ = 4; "
+            f"got {num_groups} with m=8 executing providers, k=1\n"
+        )
+
+    def test_largest_group_count_runs(self, capsys):
+        argv = ["run", "--set", "mechanism=standard", "--set", "workload=standard"]
+        argv += ["--set", "config.parallel=true", "--set", "config.num_groups=4"]
+        assert main(argv) == 0
+        assert "outcome         : agreed (x, p)" in capsys.readouterr().out
+
+    def test_unread_num_groups_keeps_running(self, capsys):
+        argv = ["run", "--set", "users=6", "--set", "providers=3"]
+        argv += ["--set", "config.parallel=true", "--set", "config.num_groups=50"]
+        assert main(argv) == 0  # the double auction never forms task groups
+        assert "winning users" in capsys.readouterr().out
+
 
 #: One tiny spec per grid sub-command, the unit of its store line, and a
 #: record edit that fails its verdict (a sweep has no verdict to fail).
