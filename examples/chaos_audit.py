@@ -61,7 +61,7 @@ def main() -> None:
         )
     else:
         print("WARNING: invariant violations:")
-        for record in result.failing_cells:
+        for record in result.failing:
             print(f"  - {record.label} seed {record.seed}")
 
 

@@ -38,21 +38,21 @@ sweep = SweepSpec(base=base, name="parallel-demo", axes=(("users", (16, 24)), ("
 
 sequential = run_sweep(sweep)
 print(f"sequential     : {len(sequential.records)} records, "
-      f"{sequential.executed_rounds} executed")
+      f"{sequential.executed} executed")
 
 journal = os.path.join(tempfile.mkdtemp(prefix="repro-sweep-"), "results.jsonl")
 parallel = run_sweep(sweep, workers=2, store=journal)
 print(f"workers=2      : {len(parallel.records)} records, "
-      f"{parallel.executed_rounds} executed -> journal {journal}")
+      f"{parallel.executed} executed -> journal {journal}")
 
 # The differential guarantee: bit-identical records, in the same grid order.
 assert parallel.records == sequential.records, "parallel must match sequential exactly"
 print("differential   : parallel == sequential (bit-identical, grid order)")
 
 resumed = run_sweep(sweep, store=journal, resume=True)
-print(f"resume         : {resumed.executed_rounds} executed, "
-      f"{resumed.resumed_rounds} reused from the journal")
-assert resumed.executed_rounds == 0
+print(f"resume         : {resumed.executed} executed, "
+      f"{resumed.resumed} reused from the journal")
+assert resumed.executed == 0
 assert resumed.records == sequential.records
 
 # The journal is plain JSONL: a manifest line plus one line per round.

@@ -49,14 +49,14 @@ def main() -> None:
         )
 
     print()
-    if result.is_resilient():
+    if result.is_clean():
         print(
             f"resilient: no coalition of size <= 2 profited or altered the valid "
             f"outcome across {len(result.records)} cells — consistent with Theorem 1"
         )
     else:
         print("WARNING: violations found:")
-        for record in result.profitable_deviations + result.influence_violations:
+        for record in result.failing:
             print(f"  - {record.label} by {','.join(record.coalition)}")
 
 

@@ -77,9 +77,9 @@ print(f"convert        : {conversion['records']} records, "
 # 4. Resume both formats: zero new rounds, bit-identical records.
 for path in (columnar, jsonl):
     resumed = run_sweep(sweep, store=path, resume=True)
-    assert resumed.executed_rounds == 0, "the journal already holds the grid"
+    assert resumed.executed == 0, "the journal already holds the grid"
     assert resumed.records == first.records, "rehydration must be bit-identical"
     print(f"resume         : {sniff_format(path)!r} journal reused "
-          f"{resumed.resumed_rounds} rounds, executed 0 — records identical")
+          f"{resumed.resumed} rounds, executed 0 — records identical")
 
 print("differential   : columnar == jsonl == in-memory (bit-identical records)")

@@ -4,7 +4,8 @@ Everything in this example is driven by declarative specs — no mechanism,
 workload or adversary is constructed by hand:
 
 1. load ``examples/specs/vr_sessions.toml`` (bursty VR-session demand) and run
-   a 5-round batch through the ``Simulation`` facade;
+   its 5 rounds through the ``Simulation`` facade — a batch is a one-point
+   sweep;
 2. tweak the same spec in-flight with dotted-path overrides (the CLI's
    ``--set`` mechanism);
 3. run a *full round with adversarial bidders* — a silent user and an
@@ -28,10 +29,12 @@ def batch_from_file() -> None:
         spec = sim.spec
         print(f"spec '{spec.name}': {spec.users} users, {spec.providers} providers, "
               f"workload {spec.workload.kind}, mechanism {spec.mechanism.kind}")
-        batch = sim.run_batch()
-    print(f"rounds          : {batch.total_rounds} ({batch.aborted_rounds} aborted)")
-    print(f"mean time       : {batch.mean_elapsed_seconds:.4f} s (model)")
-    winners = [record.winners for record in batch.records]
+        records = sim.sweep().records
+    aborted = sum(1 for record in records if record.aborted)
+    mean = sum(record.elapsed_seconds for record in records) / len(records)
+    print(f"rounds          : {len(records)} ({aborted} aborted)")
+    print(f"mean time       : {mean:.4f} s (model)")
+    winners = [record.winners for record in records]
     print(f"winners / round : {winners}  (bursty demand -> scarce capacity)")
 
 

@@ -9,8 +9,8 @@ highly cacheable:
   payment task (that is how the framework tolerates coalitions), so a process-wide
   memo keyed on ``(bid-vector hash, seed)`` collapses the k+1 replicated
   computations into one;
-* across rounds of a batch workload (``Simulation.run_batch``, or a sweep point
-  with ``rounds > 1``) repeated instances hit the same cache.
+* across rounds of a batch workload (a sweep point with ``rounds > 1``)
+  repeated instances hit the same cache.
 
 The key is by content, so that equal vectors of different rounds meet (the p=2 and
 p=4 series of one Figure-5 point); the hash behind it is taken once per vector

@@ -78,10 +78,13 @@ optional on ``run``, which starts from the :class:`ScenarioSpec` defaults) and
 ``--set key=value`` (dotted-path overrides, e.g. ``--set config.k=2`` or
 ``--set mechanism.epsilon=0.5``), applied in that order; the simulation
 sub-commands accept ``--json`` (machine-readable output of the uniform
-RunRecord schema).  The grid commands (``sweep``/``resilience``/``chaos``)
-additionally take ``--workers N`` (run grid points in an N-process pool,
-chunked to keep the engine-state amortisation; records stay in grid order and
-are identical to a sequential run on all deterministic fields),
+RunRecord schema).  The three grid commands print one ``--json`` shape,
+the grid engine's result: ``{"kind", "name", "base", "clean", "records"}``
+plus ``"quarantined"`` when a cell was given up on; ``clean`` is the exit
+status (0 when true).  They additionally take ``--workers N`` (run grid
+points in an N-process pool, chunked to keep the engine-state amortisation;
+records stay in grid order and are identical to a sequential run on all
+deterministic fields),
 ``--output FILE`` (append every record to a results journal as it completes),
 ``--store-format jsonl|columnar`` (the file format a fresh journal is written
 in — jsonl is the greppable interchange default, columnar the typed NumPy
@@ -105,9 +108,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.scenarios.aggregate import render_records, render_series
-from repro.scenarios.chaos import ChaosResult, ChaosSpec, run_chaos
+from repro.scenarios.chaos import ChaosSpec, run_chaos
+from repro.scenarios.grid import GridResult
 from repro.scenarios.io import load_any, load_spec
-from repro.scenarios.resilience import ResilienceResult, ResilienceSpec, run_resilience
+from repro.scenarios.resilience import ResilienceSpec, run_resilience
 from repro.scenarios.simulation import Simulation
 from repro.scenarios.spec import (
     ScenarioSpec,
@@ -116,7 +120,7 @@ from repro.scenarios.spec import (
     parse_assignments,
     spec_with_overrides,
 )
-from repro.scenarios.sweep import SweepResult, run_sweep
+from repro.scenarios.sweep import run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -442,26 +446,24 @@ def _command_grid(args: argparse.Namespace) -> int:
     if kind.quarantine:
         options["failure_mode"] = "quarantine" if args.quarantine else "raise"
     result = _observed(args, spec.name, lambda: kind.run(spec, **options))
-    _report_store(kind, result, args)
+    _report_store(result, args)
     if args.json:
         print(result.to_json())
     else:
         kind.render(result, args)
-    return 0 if kind.passed(result) else 1
+    return 0 if result.is_clean() else 1
 
 
-def _report_store(kind: "_GridCommand", result, args: argparse.Namespace) -> None:
+def _report_store(result: GridResult, args: argparse.Namespace) -> None:
     """The stderr lines about the journal and quarantined work, greppable by CI."""
-    quarantined = result.quarantined if kind.quarantine else ()
+    quarantined = result.quarantined
     if args.output:
-        unit = kind.unit  # also the suffix of the result's two counters
-        line = (
-            f"store {args.output}: reused {getattr(result, 'resumed_' + unit)} journaled "
-            f"{unit}, executed {getattr(result, 'executed_' + unit)} new {unit}"
+        unit = result.grid.unit
+        print(
+            f"store {args.output}: reused {result.resumed} journaled {unit}, "
+            f"executed {result.executed} new {unit}, quarantined {len(quarantined)} {unit}",
+            file=sys.stderr,
         )
-        if kind.quarantine:
-            line += f", quarantined {len(quarantined)} {unit}"
-        print(line, file=sys.stderr)
     if quarantined:
         cells = ", ".join(
             f"({entry['point']},{entry['instance']}): {entry['error']}"
@@ -470,14 +472,14 @@ def _report_store(kind: "_GridCommand", result, args: argparse.Namespace) -> Non
         print(f"quarantined {len(quarantined)}: {cells}", file=sys.stderr)
 
 
-def _print_sweep(result: SweepResult, args: argparse.Namespace) -> None:
+def _print_sweep(result: GridResult, args: argparse.Namespace) -> None:
     if args.series:
         print(render_series(result.records))
     else:
         print(render_records(result.name, result.records))
 
 
-def _print_chaos(result: ChaosResult, args: argparse.Namespace) -> None:
+def _print_chaos(result: GridResult, args: argparse.Namespace) -> None:
     header = (
         f"{'fault':<28s} {'seed':>6s} {'sent':>6s} {'lost':>6s} {'retx':>6s} "
         f"{'term':<5s} {'consv':<6s} {'replay':<7s} {'store':<6s} {'verdict':<8s}"
@@ -496,7 +498,7 @@ def _print_chaos(result: ChaosResult, args: argparse.Namespace) -> None:
             f"{'ok' if record.ok else 'FAILED':<8s}"
         )
     print()
-    failing = result.failing_cells
+    failing = result.failing
     if result.is_clean():
         print(
             f"VERDICT: clean — every invariant held across "
@@ -514,7 +516,7 @@ def _print_chaos(result: ChaosResult, args: argparse.Namespace) -> None:
         )
 
 
-def _print_resilience(result: ResilienceResult, args: argparse.Namespace) -> None:
+def _print_resilience(result: GridResult, args: argparse.Namespace) -> None:
     header = (
         f"{'deviation':<28s} {'coalition':<20s} {'schedule':<12s} "
         f"{'seed':>6s} {'outcome':<8s} {'max gain':>12s}"
@@ -530,17 +532,19 @@ def _print_resilience(result: ResilienceResult, args: argparse.Namespace) -> Non
             f"{record.seed:>6d} {outcome:<8s} {record.max_gain:>12.6f}"
         )
     print()
-    if result.is_resilient():
+    if result.is_clean():
         print(
             f"VERDICT: resilient — no profitable or outcome-altering deviation "
             f"across {len(result.records)} cells"
         )
     else:
         print("VERDICT: NOT resilient")
-        for record in result.profitable_deviations:
-            print(f"  profitable: {record.label} by {','.join(record.coalition)}")
-        for record in result.influence_violations:
-            print(f"  altered outcome: {record.label} by {','.join(record.coalition)}")
+        for record in result.failing:
+            coalition = ",".join(record.coalition)
+            if record.profitable:
+                print(f"  profitable: {record.label} by {coalition}")
+            if record.altered_result:
+                print(f"  altered outcome: {record.label} by {coalition}")
 
 
 def _command_results(args: argparse.Namespace) -> int:
@@ -632,12 +636,10 @@ class _GridCommand:
     spec_help: str
     set_help: str
     load: Callable[[str, Mapping[str, Any]], Any]  # spec file, then --set
-    run: Callable[..., Any]
-    unit: str  # what the store line counts
-    render: Callable[[Any, argparse.Namespace], None]  # the report printed without --json
-    passed: Callable[[Any], bool]  # the verdict behind exit status 0 / 1
+    run: Callable[..., GridResult]  # exit status 0 when its result is_clean()
+    render: Callable[[GridResult, argparse.Namespace], None]  # printed without --json
     series: bool = False  # takes --series
-    quarantine: bool = False  # takes --quarantine; the store line counts quarantined cells
+    quarantine: bool = False  # takes --quarantine
 
 
 _GRID_COMMANDS = {
@@ -647,9 +649,7 @@ _GRID_COMMANDS = {
         set_help="dotted-path override applied to the sweep's base spec; repeatable",
         load=_sweep_spec,
         run=run_sweep,
-        unit="rounds",
         render=_print_sweep,
-        passed=lambda result: True,
         series=True,
     ),
     "resilience": _GridCommand(
@@ -660,9 +660,7 @@ _GRID_COMMANDS = {
         "or --set base.users=30); repeatable",
         load=functools.partial(_audit_spec, ResilienceSpec),
         run=run_resilience,
-        unit="cells",
         render=_print_resilience,
-        passed=ResilienceResult.is_resilient,
     ),
     "chaos": _GridCommand(
         help="audit the protocol under injected faults: conservation, "
@@ -673,9 +671,7 @@ _GRID_COMMANDS = {
         "recovery.max_retries=5 or --set base.users=30); repeatable",
         load=functools.partial(_audit_spec, ChaosSpec),
         run=run_chaos,
-        unit="cells",
         render=_print_chaos,
-        passed=ChaosResult.is_clean,
         quarantine=True,
     ),
 }

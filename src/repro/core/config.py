@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,8 +61,8 @@ class FrameworkConfig:
             )
         if self.num_groups is not None and self.num_groups < 1:
             raise ValueError("num_groups must be positive when given")
-        if self.round_timeout is not None and self.round_timeout <= 0:
-            raise ValueError("round_timeout must be positive when given")
+        if self.round_timeout is not None and not 0 < self.round_timeout < math.inf:
+            raise ValueError("round_timeout must be a finite positive number when given")
 
     def check_quorum(self, num_providers: int) -> None:
         """Raise if the provider count is too small for the configured ``k``."""

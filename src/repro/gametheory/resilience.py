@@ -26,16 +26,15 @@ verdicts are pinned to this function, float for float, by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.adversary.coalition import Coalition
 from repro.auctions.base import BidVector
-from repro.common import is_abort
 from repro.core.framework import DistributedAuctioneer, SimulationReport
 from repro.core.outcome import Outcome
 from repro.gametheory.utility import outcome_provider_utility
 
-__all__ = ["DeviationOutcome", "ResilienceReport", "check_k_resilience"]
+__all__ = ["DeviationOutcome", "ResilienceReport", "check_k_resilience", "score_deviation"]
 
 
 @dataclass
@@ -81,6 +80,27 @@ class ResilienceReport:
         return not self.profitable_deviations and not self.influence_violations
 
 
+def score_deviation(
+    coalition: Coalition,
+    label: str,
+    valuation: BidVector,
+    honest: Outcome,
+    deviating: Outcome,
+) -> DeviationOutcome:
+    """Score one coalition deviation against the honest run: each member's gain.
+
+    The one place a deviation is scored — :func:`check_k_resilience` and the
+    declarative audit (:class:`~repro.scenarios.resilience.AuditContext`)
+    both call it, so their gains and verdicts agree float for float.
+    """
+    gains: Dict[str, float] = {}
+    for member in coalition.members:
+        gains[member] = outcome_provider_utility(
+            valuation, deviating, member
+        ) - outcome_provider_utility(valuation, honest, member)
+    return DeviationOutcome(coalition, label, honest, deviating, gains)
+
+
 def check_k_resilience(
     auctioneer: DistributedAuctioneer,
     bids: BidVector,
@@ -108,22 +128,9 @@ def check_k_resilience(
             expected_users=expected_users,
             node_factory=coalition.factory(),
         )
-        gains: Dict[str, float] = {}
-        for member in coalition.members:
-            honest_utility = outcome_provider_utility(
-                valuation, honest_report.outcome, member
-            )
-            deviating_utility = outcome_provider_utility(
-                valuation, deviating.outcome, member
-            )
-            gains[member] = deviating_utility - honest_utility
         report.outcomes.append(
-            DeviationOutcome(
-                coalition=coalition,
-                label=label,
-                honest_outcome=honest_report.outcome,
-                deviating_outcome=deviating.outcome,
-                member_gains=gains,
+            score_deviation(
+                coalition, label, valuation, honest_report.outcome, deviating.outcome
             )
         )
     return report

@@ -17,7 +17,7 @@ reported by the benchmark harness as "running time".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["VirtualClock"]
 
@@ -29,15 +29,10 @@ class VirtualClock:
     Attributes:
         now: current virtual time in seconds.
         busy: total compute time charged so far (excludes waiting).
-        compute_scale: multiplier applied to charged compute time.  The paper's
-            prototype ran under PyPy on Xeon-class machines; a scale < 1 can be used
-            to approximate a faster interpreter, and 1.0 (default) reports raw
-            CPython time.
     """
 
     now: float = 0.0
     busy: float = 0.0
-    compute_scale: float = 1.0
 
     def advance_to(self, timestamp: float) -> None:
         """Move the clock forward to ``timestamp`` (no-op if already past it)."""
@@ -48,9 +43,8 @@ class VirtualClock:
         """Charge ``seconds`` of compute time to this node."""
         if seconds < 0:
             raise ValueError("cannot charge negative compute time")
-        scaled = seconds * self.compute_scale
-        self.now += scaled
-        self.busy += scaled
+        self.now += seconds
+        self.busy += seconds
 
     def copy(self) -> "VirtualClock":
-        return VirtualClock(now=self.now, busy=self.busy, compute_scale=self.compute_scale)
+        return VirtualClock(now=self.now, busy=self.busy)

@@ -1,4 +1,4 @@
-"""Deterministic fault injection: the ``FAULTS`` registry and :class:`FaultPlan`.
+"""Deterministic fault injection: the fault models and :class:`FaultPlan`.
 
 The paper's model assumes a perfectly reliable substrate — channels never lose,
 duplicate or reorder, and nodes never crash.  This module supplies the *other*
@@ -21,8 +21,8 @@ canonical encoding, which is what the chaos audit compares across
 The registry
 ------------
 
-``FAULTS`` is the same :class:`~repro.scenarios.registry.Registry` that backs
-``MECHANISMS`` and ``WORKLOADS``: a fault model is reachable from spec
+The models are registered in ``FAULTS`` (:mod:`repro.scenarios.registry`),
+beside ``MECHANISMS`` and ``WORKLOADS``: a fault model is reachable from spec
 files by string kind with no new plumbing.  Shipped kinds:
 
 ==============  ==============================================================
@@ -49,8 +49,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import stable_hash
@@ -58,7 +59,6 @@ from repro.net.message import Message
 from repro.obs.context import current_observation
 
 __all__ = [
-    "FAULTS",
     "FaultModel",
     "FaultPlan",
     "RecoveryPolicy",
@@ -103,14 +103,24 @@ class RecoveryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.base_backoff < 0:
-            raise ValueError("base_backoff must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        if not 0 <= self.base_backoff < math.inf:
+            raise ValueError("base_backoff must be a finite number >= 0")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError("backoff_factor must be a finite number >= 1")
 
     def backoff(self, attempt: int) -> float:
         """Virtual-time delay before retransmission ``attempt`` (1-based)."""
         return self.base_backoff * self.backoff_factor ** (attempt - 1)
+
+
+def _window(kind: str, at: float, duration: float) -> Tuple[float, float]:
+    """A fault's ``[at, at + duration)`` window of virtual time: finite, non-empty."""
+    at, duration = float(at), float(duration)
+    if not math.isfinite(at):
+        raise ValueError(f"{kind} at must be a finite number")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"{kind} duration must be a finite number > 0")
+    return at, duration
 
 
 class FaultModel:
@@ -200,8 +210,8 @@ class ReorderFault(FaultModel):
         magnitude = float(magnitude)
         if not 0.0 <= rate <= 1.0:
             raise ValueError("reorder rate must be in [0, 1]")
-        if magnitude <= 0:
-            raise ValueError("reorder magnitude must be > 0")
+        if not 0 < magnitude < math.inf:
+            raise ValueError("reorder magnitude must be a finite number > 0")
         self.rate = rate
         self.magnitude = magnitude
 
@@ -220,13 +230,10 @@ class LatencySpikeFault(FaultModel):
     kind = "latency_spike"
 
     def __init__(self, at: float = 0.0, duration: float = 0.1, extra: float = 0.1) -> None:
-        self.at = float(at)
-        self.duration = float(duration)
+        self.at, self.duration = _window(self.kind, at, duration)
         self.extra = float(extra)
-        if self.duration <= 0:
-            raise ValueError("latency_spike duration must be > 0")
-        if self.extra <= 0:
-            raise ValueError("latency_spike extra must be > 0")
+        if not 0 < self.extra < math.inf:
+            raise ValueError("latency_spike extra must be a finite number > 0")
 
     def on_send(self, message, rng):
         if self.at <= message.send_time < self.at + self.duration:
@@ -250,12 +257,9 @@ class PartitionFault(FaultModel):
         if isinstance(nodes, str):
             nodes = (nodes,)
         self.nodes = frozenset(nodes)
-        self.at = float(at)
-        self.duration = float(duration)
         if not self.nodes:
             raise ValueError("partition needs a non-empty 'nodes' side")
-        if self.duration <= 0:
-            raise ValueError("partition duration must be > 0")
+        self.at, self.duration = _window(self.kind, at, duration)
 
     def on_send(self, message, rng):
         crosses = (message.sender in self.nodes) != (message.recipient in self.nodes)
@@ -280,10 +284,7 @@ class CrashFault(FaultModel):
         if not node:
             raise ValueError("crash needs a target 'node'")
         self.node = node
-        self.at = float(at)
-        self.duration = float(duration)
-        if self.duration <= 0:
-            raise ValueError("crash duration must be > 0")
+        self.at, self.duration = _window(self.kind, at, duration)
         self._restarted = False
 
     def on_deliver(self, message, rng):
@@ -459,45 +460,9 @@ class FaultPlan:
         return [m for m in self.models if isinstance(m, TornAppendFault)]
 
 
-# ------------------------------------------------------------------ registry --
-#: Fault-model factories by kind — the extension contract for new failure
-#: modes: register a factory and it is reachable from every chaos spec.
-#: Materialised lazily (PEP 562 module ``__getattr__``): building the registry
-#: imports ``repro.scenarios.registry``, whose package ``__init__`` imports the
-#: chaos module, which imports back into this module — constructing it at
-#: import time would make ``import repro.net.faults`` order-dependent.
-_FAULTS = None
-
-
-def _registry():
-    global _FAULTS
-    if _FAULTS is None:
-        from repro.scenarios.registry import Registry
-
-        # The import above can re-enter this function (scenarios.__init__ ->
-        # chaos -> FAULTS); if that inner call already built the singleton,
-        # keep it rather than shadowing it with a second instance.
-        if _FAULTS is None:
-            registry = Registry("fault model")
-            registry.register("loss", LossFault)
-            registry.register("duplicate", DuplicateFault)
-            registry.register("reorder", ReorderFault)
-            registry.register("latency_spike", LatencySpikeFault)
-            registry.register("partition", PartitionFault)
-            registry.register("crash", CrashFault)
-            registry.register("torn_append", TornAppendFault)
-            _FAULTS = registry
-    return _FAULTS
-
-
-def __getattr__(name: str) -> Any:
-    if name == "FAULTS":
-        return _registry()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def make_fault(kind: str, params: Optional[Dict[str, Any]] = None, path: str = "faults") -> FaultModel:
-    """Build one fault model from ``(kind, params)`` with path-precise errors."""
+    """Build one fault model from the ``FAULTS`` registry with path-precise errors."""
+    from repro.scenarios.registry import FAULTS
     from repro.scenarios.spec import ComponentSpec
 
-    return _registry().create(ComponentSpec(kind, dict(params or {})), path)
+    return FAULTS.create(ComponentSpec(kind, dict(params or {})), path)

@@ -11,6 +11,7 @@ sites and sub-millisecond latency inside a site.
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -51,6 +52,10 @@ class ConstantLatencyModel(LatencyModel):
 
     seconds: float = 0.001
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.seconds < math.inf:
+            raise ValueError("require a finite seconds >= 0")
+
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
         return self.seconds
 
@@ -63,8 +68,8 @@ class UniformLatencyModel(LatencyModel):
     high: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise ValueError("require 0 <= low <= high")
+        if not 0 <= self.low <= self.high < math.inf:
+            raise ValueError("require 0 <= low <= high, both finite")
 
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
@@ -86,7 +91,11 @@ class BandwidthLatencyModel(LatencyModel):
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.bandwidth_bytes_per_s <= 0 or self.jitter < 0:
+        if not (
+            0 <= self.base < math.inf
+            and 0 < self.bandwidth_bytes_per_s < math.inf
+            and 0 <= self.jitter < math.inf
+        ):
             raise ValueError("invalid bandwidth latency parameters")
 
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:

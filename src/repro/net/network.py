@@ -191,7 +191,6 @@ class SimNetwork:
             is charged to the node's virtual clock in addition to explicit
             ``ctx.charge`` calls.  Leave False for deterministic tests.  Read when a
             node is added: that is where its handlers get wrapped, or not.
-        compute_scale: multiplier applied to charged compute time (see VirtualClock).
         fault_plan: optional :class:`~repro.net.faults.FaultPlan` injecting
             seeded failures on the enqueue/pop path (and driving the bounded
             retransmission recovery).  ``None`` — or a plan with no
@@ -205,7 +204,6 @@ class SimNetwork:
         scheduler: Optional[Scheduler] = None,
         seed: int = 0,
         measure_compute: bool = False,
-        compute_scale: float = 1.0,
         fault_plan: Optional["FaultPlan"] = None,
     ) -> None:
         self.latency_model = latency_model if latency_model is not None else ZeroLatencyModel()
@@ -245,7 +243,6 @@ class SimNetwork:
         # Finished nodes are tracked incrementally (and retired from the
         # scheduler queues) instead of scanning every node per run() iteration.
         self._finished_nodes: Set[str] = set()
-        self._compute_scale = compute_scale
         self.stats = NetworkStats()
         self._started = False
         # The public attribute keeps the whole plan (chaos audits read its
@@ -277,7 +274,7 @@ class SimNetwork:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         node_id = node.node_id
         self._nodes[node_id] = node
-        self._clocks[node_id] = clock = VirtualClock(compute_scale=self._compute_scale)
+        self._clocks[node_id] = clock = VirtualClock()
         self._contexts[node_id] = _SimContext(self, node_id)
         on_start, on_message = node.on_start, node.on_message
         if self.measure_compute:

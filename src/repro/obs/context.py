@@ -11,8 +11,7 @@ through.
 This module is deliberately import-light — pure stdlib, no ``repro``
 imports — because the deepest layers of the repo (``repro.net``,
 ``repro.auctions.engine``) import it at module scope.  Anything heavier
-would recreate the import cycle the lazy ``FAULTS`` registry exists to
-avoid (net -> obs -> scenarios -> core -> net).  The heavyweight pieces
+would create an import cycle (net -> obs -> scenarios -> core -> net).  The heavyweight pieces
 (the tracer's journal, the metrics accumulators) live in sibling modules
 that only the *installer* side (:func:`repro.obs.observe`, the CLI)
 imports.

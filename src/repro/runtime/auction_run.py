@@ -11,7 +11,7 @@ and what each bidder observed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.auctions.engine import DEFAULT_ENGINE, resolve_engine
@@ -73,7 +73,6 @@ class AuctionRun:
         scheduler: Optional[Scheduler] = None,
         seed: int = 0,
         measure_compute: bool = False,
-        wait_for_results: bool = True,
     ) -> None:
         self.bids = bids
         self.engine = engine
@@ -90,7 +89,6 @@ class AuctionRun:
         self.scheduler = scheduler
         self.seed = seed
         self.measure_compute = measure_compute
-        self.wait_for_results = wait_for_results
 
     def execute(self, max_steps: int = 2_000_000) -> AuctionRunResult:
         """Run the round and return the combined outcome plus per-bidder observations."""
@@ -123,7 +121,6 @@ class AuctionRun:
                     expected_users=user_ids,
                     providers=provider_ids,
                     deadline=self.deadline,
-                    announce_result=self.wait_for_results,
                 )
             )
         for user in self.bids.users:
@@ -132,7 +129,6 @@ class AuctionRun:
                     true_bid=user,
                     providers=provider_ids,
                     strategy=self.bidder_strategies.get(user.user_id),
-                    wait_for_result=self.wait_for_results,
                 )
             )
         stats = network.run(max_steps=max_steps)

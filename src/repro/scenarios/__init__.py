@@ -5,7 +5,8 @@ This package is the front door of the library.  A scenario is *data* — a
 latency model / topology, adversary strategies and framework configuration via
 string kinds — and :class:`~repro.scenarios.simulation.Simulation` executes it
 through the existing runners, returning uniform
-:class:`~repro.scenarios.runner.RunRecord` rows::
+:class:`~repro.scenarios.runner.RunRecord` rows — one per round, and a
+:class:`~repro.scenarios.grid.GridResult` of them per sweep or audit::
 
     from repro.scenarios import ScenarioSpec, Simulation
 
@@ -26,17 +27,13 @@ file is a complete new scenario.
 
 from repro.scenarios.builtin import figure4_sweep, figure5_sweep
 from repro.scenarios.dispatch import WorkerPlan, resolve_workers
-from repro.scenarios.chaos import (
-    ChaosRecord,
-    ChaosResult,
-    ChaosSpec,
-    FaultSpec,
-    run_chaos,
-)
+from repro.scenarios.chaos import ChaosRecord, ChaosSpec, FaultSpec, run_chaos
+from repro.scenarios.grid import GridResult
 from repro.scenarios.io import dump_spec, dumps_toml, load_any, load_spec
 from repro.scenarios.registry import (
     ADVERSARIES,
     BIDDER_STRATEGIES,
+    FAULTS,
     LATENCIES,
     MECHANISMS,
     SCHEDULERS,
@@ -47,12 +44,11 @@ from repro.scenarios.registry import (
 from repro.scenarios.resilience import (
     AdversarySpec,
     ResilienceRecord,
-    ResilienceResult,
     ResilienceSpec,
     run_resilience,
 )
 from repro.scenarios.runner import RunRecord, run_scenario
-from repro.scenarios.simulation import BatchResult, Simulation
+from repro.scenarios.simulation import Simulation
 from repro.scenarios.spec import (
     BidderSpec,
     ComponentSpec,
@@ -81,29 +77,28 @@ from repro.scenarios.store import (
     convert_journal,
     sniff_format,
 )
-from repro.scenarios.sweep import ComponentCache, SweepResult, run_sweep
+from repro.scenarios.sweep import ComponentCache, run_sweep
 
 __all__ = [
     "ADVERSARIES",
     "AdversarySpec",
     "BIDDER_STRATEGIES",
-    "BatchResult",
     "BidderSpec",
     "ChaosRecord",
-    "ChaosResult",
     "ChaosSpec",
     "ColumnarStoreBackend",
     "ComponentCache",
     "ComponentSpec",
     "ConfigSpec",
+    "FAULTS",
     "FaultSpec",
+    "GridResult",
     "JsonlStoreBackend",
     "LATENCIES",
     "MECHANISMS",
     "MetricAccumulator",
     "Registry",
     "ResilienceRecord",
-    "ResilienceResult",
     "ResilienceSpec",
     "ResultsStore",
     "RunRecord",
@@ -113,7 +108,6 @@ __all__ = [
     "SpecError",
     "StoreBackend",
     "StreamingSummary",
-    "SweepResult",
     "SweepSpec",
     "TOPOLOGIES",
     "WORKLOADS",

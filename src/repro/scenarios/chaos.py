@@ -4,7 +4,7 @@ The fault plane (:mod:`repro.net.faults`) can perturb any simulated run; this
 module makes those perturbations *first-class and sweepable*, mirroring the
 resilience layer one-to-one:
 
-* :class:`FaultSpec` — one fault model from the :data:`~repro.net.faults.FAULTS`
+* :class:`FaultSpec` — one fault model from the :data:`~repro.scenarios.registry.FAULTS`
   registry, referenced by string kind (``loss``, ``duplicate``, ``reorder``,
   ``latency_spike``, ``partition``, ``crash``, ``torn_append``, plus anything
   user-registered);
@@ -45,17 +45,16 @@ compares across ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.context import current_observation
-from repro.net.faults import FAULTS, FaultPlan, RecoveryPolicy, make_fault
+from repro.net.faults import FaultPlan, RecoveryPolicy, make_fault
 from repro.net.network import QuiescenceError
-from repro.scenarios.grid import Grid, run_grid
+from repro.scenarios.grid import Grid, GridResult, run_grid
+from repro.scenarios.registry import FAULTS
 from repro.scenarios.runner import FlatRecord, RunRecord, record_from_outcome
 from repro.scenarios.spec import (
     LabelledComponentSpec,
@@ -63,7 +62,6 @@ from repro.scenarios.spec import (
     SpecError,
     check_fields,
     spec_fingerprint,
-    spec_to_dict,
 )
 from repro.scenarios.sweep import SeededContext
 
@@ -71,7 +69,6 @@ __all__ = [
     "FaultSpec",
     "ChaosSpec",
     "ChaosRecord",
-    "ChaosResult",
     "ChaosContext",
     "run_chaos",
     "CHAOS_GRID",
@@ -197,40 +194,6 @@ class ChaosRecord(FlatRecord):
             and self.replay_ok
             and self.store_repair_ok
         )
-
-
-@dataclass
-class ChaosResult:
-    """All records of one audit, in grid order, plus the aggregate verdict."""
-
-    name: str
-    base: Dict[str, Any]
-    records: List[ChaosRecord] = field(default_factory=list)
-    executed_cells: int = 0
-    resumed_cells: int = 0
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def failing_cells(self) -> List[ChaosRecord]:
-        return [record for record in self.records if not record.ok]
-
-    def is_clean(self) -> bool:
-        """True when every cell held every invariant and nothing was quarantined."""
-        return not self.failing_cells and not self.quarantined
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "chaos": self.name,
-            "base": self.base,
-            "clean": self.is_clean(),
-            "records": [record.to_dict() for record in self.records],
-        }
-        if self.quarantined:
-            data["quarantined"] = [dict(entry) for entry in self.quarantined]
-        return data
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 # --------------------------------------------------------------------- execution --
@@ -420,14 +383,20 @@ def _torn_repair_ok(spec: ChaosSpec, record: RunRecord, drop_bytes: int) -> bool
 #: The audit as a grid: a point is one fault model, an instance one seed;
 #: workers amortise by seed (workload generation, latency model, provider ids).
 CHAOS_GRID = Grid(
+    kind="chaos",
+    unit="cells",
+    verdict="ok",
     record_type=ChaosRecord,
     spec_type=ChaosSpec,
     context=ChaosContext,
 )
 
 
-def run_chaos(spec: ChaosSpec, **engine: Any) -> ChaosResult:
+def run_chaos(spec: ChaosSpec, **engine: Any) -> GridResult:
     """Run the full fault grid and collect the records in grid order.
+
+    The result is clean when every cell held every invariant
+    (:attr:`ChaosRecord.ok`) and none was quarantined.
 
     Args:
         spec: the audit specification.
@@ -436,32 +405,11 @@ def run_chaos(spec: ChaosSpec, **engine: Any) -> ChaosResult:
             :func:`~repro.scenarios.grid.run_grid`.  Chunks are
             grouped by seed so workload generation stays amortised; records
             are bit-identical to the sequential path on all deterministic
-            fields, in the same grid order; cells the executor quarantined
-            are listed in :attr:`ChaosResult.quarantined`.
+            fields, in the same grid order.
     """
     # Resolve every fault model up front (and discard the results): a typo'd
     # fault kind or bad parameter fails with its path-precise SpecError here,
     # before any journal is opened or simulation runs.
     for index, fault in enumerate(spec.faults):
         fault.build(f"faults[{index}]")
-    run = run_grid(CHAOS_GRID, spec, **engine)
-    result = ChaosResult(
-        name=spec.name,
-        base=spec_to_dict(spec.base),
-        records=run.records,
-        executed_cells=len(run.fresh),
-        resumed_cells=len(run.reused),
-        quarantined=run.quarantined,
-    )
-    # Observability hook (see repro.obs): audit-level counters only — the
-    # per-injection instants and network counters are emitted by the fault
-    # plane and SimNetwork themselves when cells run in this process.
-    obs = current_observation()
-    if obs is not None and obs.metrics is not None:
-        obs.metrics.counter("chaos.cells_executed").inc(len(run.fresh))
-        obs.metrics.counter("chaos.cells_reused").inc(len(run.reused))
-        obs.metrics.counter("chaos.cells_quarantined").inc(len(run.quarantined))
-        obs.metrics.counter("chaos.cells_failed").inc(
-            sum(1 for record in result.records if not record.ok)
-        )
-    return result
+    return run_grid(CHAOS_GRID, spec, **engine)

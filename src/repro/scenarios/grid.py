@@ -6,38 +6,45 @@ Each is a set of *cells* ``(point, instance)`` whose records are pure
 functions of ``(spec, cell)``; :func:`run_grid` is the only place that turns
 such a grid into records (DESIGN.md, "The grid engine", is the long form).
 
-**What an audit kind declares** — one module-level :class:`Grid`: the record
-type, the spec class (its file form — :func:`~repro.scenarios.spec.spec_to_dict`
-— is all that crosses a process boundary, besides picklable ``extra``
-arguments, and its canonical digest is the journal fingerprint) and a context
-factory ``context(spec, *extra)``.  A context is one executor's state; it
-builds nothing until a cell runs:
+**What a grid kind declares** — one module-level :class:`Grid`: its name
+(the ``kind`` of its JSON payload and the prefix of its counters), the unit
+its cells are counted in, the per-record verdict, the record type, the spec
+class (its file form — :func:`~repro.scenarios.spec.spec_to_dict` — is all
+that crosses a process boundary, besides picklable ``extra`` arguments, and
+its canonical digest is the journal fingerprint) and a context factory
+``context(spec, *extra)``.  A context is one executor's state; it builds
+nothing until a cell runs:
 
 * ``run_order()`` — every cell of the grid, in the order one executor should
   take them (cells that share setup back to back);
 * ``group_key(point, instance)`` — what a worker can amortise across cells;
 * ``run_cell(point, instance) -> record``;
-* ``close()`` — release engine resources (idempotent).
+* ``close()`` — release engine resources (idempotent);
+* ``observe(walk)`` — the kind's own observability, called once on the
+  parent with ``(cell, record, executed now?)`` per record in grid order.
 
 **What the engine guarantees**, for every declaration: records in grid order
 (sorted by ``(point, instance)``, never the completion order of a dict);
 parallel records bit-identical to serial ones (:func:`run_chunk`); chunks
 that follow the group key (:func:`chunk_cells`); journal-per-chunk,
-fingerprint-guarded resume and cell-granular quarantine (:func:`run_grid`).
-The serial path is one in-process context fed the pending cells in run
-order: no chunking, no dict round trip, no work per cell beyond ``run_cell``
-and the journal append.
+fingerprint-guarded resume and cell-granular quarantine (:func:`run_grid`);
+one :class:`GridResult` and one counter family for every kind.  The serial
+path is one in-process context fed the pending cells in run order: no
+chunking, no dict round trip, no work per cell beyond ``run_cell`` and the
+journal append.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import json
 import pickle
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
+from repro.obs.context import current_observation
 from repro.scenarios.dispatch import (
     CHUNKS_PER_WORKER,
     ChunkExecutionError,
@@ -50,7 +57,15 @@ from repro.scenarios.dispatch import (
 from repro.scenarios.spec import SpecError, spec_fingerprint, spec_from_dict, spec_to_dict
 from repro.scenarios.store import ResultsStore
 
-__all__ = ["Cell", "ENGINE_KEYWORDS", "Grid", "GridRun", "chunk_cells", "run_chunk", "run_grid"]
+__all__ = [
+    "Cell",
+    "ENGINE_KEYWORDS",
+    "Grid",
+    "GridResult",
+    "chunk_cells",
+    "run_chunk",
+    "run_grid",
+]
 
 #: One unit of work and of journaling: (grid point index, instance index).
 Cell = Tuple[int, int]
@@ -58,46 +73,72 @@ Cell = Tuple[int, int]
 
 @dataclass(frozen=True)
 class Grid:
-    """What one audit kind declares (see the module docstring).
+    """What one grid kind declares (see the module docstring).
 
-    Every field is a module-level callable or class, so a declaration pickles
-    by reference into worker processes.
+    ``kind`` names the payload and the counter family
+    (``<kind>.<unit>_executed`` …); ``unit`` is what a cell is called in
+    both and on the CLI's store line; ``verdict`` names the record's boolean
+    property a clean grid needs on every record (``None``: no per-record
+    verdict).  Every field is a string or a module-level callable or class,
+    so a declaration pickles by reference into worker processes.
     """
 
+    kind: str
+    unit: str
+    verdict: Optional[str]
     record_type: type
     spec_type: type
     context: Callable[..., Any]
 
 
 @dataclass
-class GridRun:
-    """What :func:`run_grid` hands back to the public entry point wrapping it.
+class GridResult:
+    """All records of one grid, in grid order — what every grid kind returns.
 
-    ``context`` is the parent-side context (closed); ``cells`` the whole grid
-    in grid order; ``fresh`` the cells this invocation executed, ``reused``
-    those the journal held; ``quarantined`` one ``{"point", "instance",
-    "error"}`` dict per cell the executor gave up on, in completion order.
+    ``executed`` counts the cells this invocation ran, ``resumed`` those a
+    results journal held (``resume=True``).  ``quarantined`` lists the cells
+    the crash-tolerant executor gave up on (``failure_mode="quarantine"``):
+    one ``{"point", "instance", "error"}`` dict each, in completion order;
+    they have no record, and a later resume re-executes exactly them.
     """
 
-    context: Any
-    cells: List[Cell] = field(default_factory=list)
-    fresh: Dict[Cell, Any] = field(default_factory=dict)
-    reused: Dict[Cell, Any] = field(default_factory=dict)
+    grid: Grid
+    name: str
+    base: Dict[str, Any]
+    records: List[Any] = field(default_factory=list)
+    executed: int = 0
+    resumed: int = 0
     quarantined: List[Dict[str, Any]] = field(default_factory=list)
 
-    def in_grid_order(self) -> Iterator[Tuple[int, int, Any, bool]]:
-        """``(point, instance, record, executed now?)`` per cell that has a record."""
-        given_up = {(entry["point"], entry["instance"]) for entry in self.quarantined}
-        for cell in self.cells:
-            record = self.fresh.get(cell)
-            if record is not None:
-                yield cell[0], cell[1], record, True
-            elif cell not in given_up:
-                yield cell[0], cell[1], self.reused[cell], False
-
     @property
-    def records(self) -> List[Any]:
-        return [record for _point, _instance, record, _fresh in self.in_grid_order()]
+    def failing(self) -> List[Any]:
+        """The records whose verdict failed (none for a kind without one)."""
+        verdict = self.grid.verdict
+        if verdict is None:
+            return []
+        return [record for record in self.records if not getattr(record, verdict)]
+
+    def is_clean(self) -> bool:
+        """True when every record passed and no cell was quarantined.
+
+        A quarantined cell has no verdict, so a grid with one is not clean.
+        """
+        return not self.failing and not self.quarantined
+
+    def to_dict(self) -> Dict[str, Any]:
+        data: Dict[str, Any] = {
+            "kind": self.grid.kind,
+            "name": self.name,
+            "base": self.base,
+            "clean": self.is_clean(),
+            "records": [record.to_dict() for record in self.records],
+        }
+        if self.quarantined:
+            data["quarantined"] = [dict(entry) for entry in self.quarantined]
+        return data
+
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
 
 
 def run_grid(
@@ -110,11 +151,11 @@ def run_grid(
     store_format: Optional[str] = None,
     resume: bool = False,
     failure_mode: str = "raise",
-) -> GridRun:
+) -> GridResult:
     """Run every cell of ``spec``'s grid that ``store`` does not already hold.
 
     Args:
-        grid: the audit kind's declaration.
+        grid: the grid kind's declaration.
         spec: the sweep / audit specification (names the journal manifest).
         extra: further positional arguments of ``grid.context``; they ride to
             the workers, so a parallel run requires them to pickle (the
@@ -142,7 +183,7 @@ def run_grid(
             after journaling every completed cell; ``"quarantine"`` opts
             into the crash-tolerant executor — bounded chunk retries, worker
             death survived in a fresh pool, and cells that keep failing
-            recorded in :attr:`GridRun.quarantined` (and journaled) while
+            recorded in :attr:`GridResult.quarantined` (and journaled) while
             the rest of the grid completes.  The sequential path always
             fails fast: there is no worker boundary to contain the failure.
     """
@@ -153,25 +194,26 @@ def run_grid(
         )
     plan = resolve_workers(workers)
     context = grid.context(spec, *extra)
-    run = GridRun(context)
     journal = _as_store(store, store_format, grid.record_type)
+    fresh: Dict[Cell, Any] = {}
+    reused: Dict[Cell, Any] = {}
+    quarantined: List[Dict[str, Any]] = []
     try:
         order = context.run_order()
-        run.cells = sorted(order)
         if journal is not None:
-            run.reused = journal.begin(
+            reused = journal.begin(
                 spec,
                 total_rounds=len(order),
                 resume=resume,
                 fingerprint=spec_fingerprint(spec),
             )
-        pending = [cell for cell in order if cell not in run.reused]
+        pending = [cell for cell in order if cell not in reused]
         stream = _stream(grid, spec, extra, context, pending, plan, failure_mode)
         try:
             for item in stream:
                 if isinstance(item, ChunkQuarantine):
                     for point, instance in item.items:
-                        run.quarantined.append(
+                        quarantined.append(
                             {"point": point, "instance": instance, "error": item.error}
                         )
                         if journal is not None:
@@ -180,7 +222,7 @@ def run_grid(
                             )
                     continue
                 point, instance, record = item
-                run.fresh[(point, instance)] = record
+                fresh[(point, instance)] = record
                 if journal is not None:
                     journal.append(point, instance, record)
         finally:
@@ -189,7 +231,36 @@ def run_grid(
         context.close()
         if journal is not None:
             journal.close()
-    return run
+    # ``(cell, record, executed now?)`` per cell with a record, in grid order.
+    walk = [
+        (cell, fresh[cell], True) if cell in fresh else (cell, reused[cell], False)
+        for cell in sorted(order)
+        if cell in fresh or cell in reused
+    ]
+    result = GridResult(
+        grid,
+        name=spec.name,
+        base=spec_to_dict(spec.base),
+        records=[record for _cell, record, _executed in walk],
+        executed=len(fresh),
+        resumed=len(reused),
+        quarantined=quarantined,
+    )
+    # Observability hook (see repro.obs), on the parent: emitted from the
+    # grid-order walk, so the counters are the same whether the cells ran
+    # serially, in a worker pool or came out of a resumed journal.
+    context.observe(walk)
+    obs = current_observation()
+    if obs is not None and obs.metrics is not None:
+        prefix = f"{grid.kind}.{grid.unit}_"
+        for what, count in (
+            ("executed", result.executed),
+            ("reused", result.resumed),
+            ("quarantined", len(quarantined)),
+            ("failed", len(result.failing)),
+        ):
+            obs.metrics.counter(prefix + what).inc(count)
+    return result
 
 
 #: The engine's options — :func:`run_grid`'s keyword-only parameters, read off

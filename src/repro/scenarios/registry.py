@@ -1,10 +1,11 @@
 """Registries mapping spec *kinds* to component factories.
 
 This is the extension contract of the scenario layer: adding a new mechanism,
-workload, latency model, bidder strategy or topology to the library means
-registering a factory under a string kind — after which it is reachable from
-every spec file, every CLI invocation and every sweep, with no new constructor
-plumbing anywhere (see DESIGN.md, "The scenario registry contract").
+workload, latency model, bidder strategy, topology, adversary, schedule or
+fault model to the library means registering a factory under a string kind —
+after which it is reachable from every spec file, every CLI invocation and
+every sweep, with no new constructor plumbing anywhere (see DESIGN.md, "The
+scenario registry contract").
 
 Factories are plain callables invoked with the spec's keyword parameters.
 ``TypeError``/``ValueError`` raised by a factory is converted into a
@@ -29,6 +30,7 @@ __all__ = [
     "TOPOLOGIES",
     "ADVERSARIES",
     "SCHEDULERS",
+    "FAULTS",
 ]
 
 
@@ -137,6 +139,10 @@ ADVERSARIES = Registry("adversary")
 #: before each run, so one may be shared across the runs of one audit.
 SCHEDULERS = Registry("schedule")
 
+#: Fault models for chaos audits (:mod:`repro.net.faults`): a factory takes
+#: the fault's spec parameters and returns a fresh ``FaultModel``.
+FAULTS = Registry("fault model")
+
 
 # ---------------------------------------------------------------- built-in kinds --
 def _register_builtins() -> None:
@@ -164,6 +170,15 @@ def _register_builtins() -> None:
         OutputTamperingProviderNode,
     )
     from repro.core.provider_protocol import ProviderInput
+    from repro.net.faults import (
+        CrashFault,
+        DuplicateFault,
+        LatencySpikeFault,
+        LossFault,
+        PartitionFault,
+        ReorderFault,
+        TornAppendFault,
+    )
     from repro.net.latency import (
         BandwidthLatencyModel,
         ConstantLatencyModel,
@@ -264,6 +279,14 @@ def _register_builtins() -> None:
     SCHEDULERS.register("round_robin", RoundRobinScheduler)
     SCHEDULERS.register("random", RandomScheduler)
     SCHEDULERS.register("adversarial", _adversarial_schedule)
+
+    FAULTS.register("loss", LossFault)
+    FAULTS.register("duplicate", DuplicateFault)
+    FAULTS.register("reorder", ReorderFault)
+    FAULTS.register("latency_spike", LatencySpikeFault)
+    FAULTS.register("partition", PartitionFault)
+    FAULTS.register("crash", CrashFault)
+    FAULTS.register("torn_append", TornAppendFault)
 
 
 def _community_latency_placeholder(**kwargs: Any):

@@ -33,15 +33,13 @@ can never change a verdict.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.adversary.coalition import Coalition
 from repro.core.framework import DistributedAuctioneer, SimulationReport
-from repro.gametheory.utility import outcome_provider_utility
-from repro.obs.context import current_observation
-from repro.scenarios.grid import Grid, run_grid
+from repro.gametheory.resilience import score_deviation
+from repro.scenarios.grid import Grid, GridResult, run_grid
 from repro.scenarios.registry import ADVERSARIES, SCHEDULERS
 from repro.scenarios.runner import FlatRecord
 from repro.scenarios.spec import (
@@ -51,7 +49,6 @@ from repro.scenarios.spec import (
     SpecError,
     check_fields,
     read_list,
-    spec_to_dict,
 )
 from repro.scenarios.sweep import SeededContext
 
@@ -59,16 +56,10 @@ __all__ = [
     "AdversarySpec",
     "ResilienceSpec",
     "ResilienceRecord",
-    "ResilienceResult",
     "AuditContext",
     "run_resilience",
     "RESILIENCE_GRID",
-    "PROFIT_TOLERANCE",
 ]
-
-#: Gains below this are treated as zero (same tolerance as
-#: :class:`repro.gametheory.resilience.DeviationOutcome`).
-PROFIT_TOLERANCE = 1e-9
 
 #: The default deviation library of :meth:`ResilienceSpec.effective_adversaries`:
 #: one representative of every deviation family in
@@ -309,47 +300,6 @@ class ResilienceRecord(FlatRecord):
         return data
 
 
-@dataclass
-class ResilienceResult:
-    """All records of one audit, in grid order, plus the aggregate verdict."""
-
-    name: str
-    base: Dict[str, Any]
-    records: List[ResilienceRecord] = field(default_factory=list)
-    executed_cells: int = 0
-    resumed_cells: int = 0
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def profitable_deviations(self) -> List[ResilienceRecord]:
-        return [r for r in self.records if r.profitable]
-
-    @property
-    def influence_violations(self) -> List[ResilienceRecord]:
-        return [r for r in self.records if r.altered_result]
-
-    def is_resilient(self) -> bool:
-        """True if no cell found a profitable or outcome-steering deviation.
-
-        A quarantined cell has no verdict, so an audit with one is not resilient.
-        """
-        return all(record.resilient for record in self.records) and not self.quarantined
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "audit": self.name,
-            "base": self.base,
-            "resilient": self.is_resilient(),
-            "records": [record.to_dict() for record in self.records],
-        }
-        if self.quarantined:
-            data["quarantined"] = [dict(entry) for entry in self.quarantined]
-        return data
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-
 # --------------------------------------------------------------------- execution --
 class AuditContext(SeededContext):
     """Per-executor state of one audit: components, baselines, coalitions.
@@ -457,13 +407,9 @@ class AuditContext(SeededContext):
             node_factory=coalition.factory(),
         )
 
-        gains: Dict[str, float] = {}
-        for member in members:
-            honest_utility = outcome_provider_utility(bids, honest.outcome, member)
-            deviating_utility = outcome_provider_utility(bids, deviating.outcome, member)
-            gains[member] = deviating_utility - honest_utility
-        max_gain = max(gains.values())
-        altered = _altered_result(honest, deviating)
+        score = score_deviation(
+            coalition, adversary.display_label, bids, honest.outcome, deviating.outcome
+        )
 
         return ResilienceRecord(
             name=self.spec.name,
@@ -481,10 +427,10 @@ class AuditContext(SeededContext):
             seed=scenario.seed,
             honest_aborted=honest.outcome.aborted,
             deviating_aborted=deviating.outcome.aborted,
-            altered_result=altered,
-            profitable=any(gain > PROFIT_TOLERANCE for gain in gains.values()),
-            max_gain=max_gain,
-            member_gains=gains,
+            altered_result=score.altered_result,
+            profitable=score.profitable,
+            max_gain=max(score.member_gains.values()),
+            member_gains=score.member_gains,
             honest_messages=honest.outcome.messages,
             deviating_messages=deviating.outcome.messages,
             honest_elapsed=honest.outcome.elapsed_time,
@@ -492,26 +438,23 @@ class AuditContext(SeededContext):
         )
 
 
-def _altered_result(honest: SimulationReport, deviating: SimulationReport) -> bool:
-    """Definition 2's influence check: a different *valid* outcome (not just ⊥)."""
-    if deviating.outcome.aborted:
-        return False
-    if honest.outcome.aborted:
-        return True
-    return deviating.outcome.result != honest.outcome.result
-
-
 #: The audit as a grid: a point is one ``(schedule, coalition, deviation)``
 #: triple, an instance one seed; workers amortise the honest baseline.
 RESILIENCE_GRID = Grid(
+    kind="resilience",
+    unit="cells",
+    verdict="resilient",
     record_type=ResilienceRecord,
     spec_type=ResilienceSpec,
     context=AuditContext,
 )
 
 
-def run_resilience(spec: ResilienceSpec, **engine: Any) -> ResilienceResult:
+def run_resilience(spec: ResilienceSpec, **engine: Any) -> GridResult:
     """Run the full audit grid and collect the records in grid order.
+
+    The result is clean when no cell found a profitable or outcome-steering
+    deviation (:attr:`ResilienceRecord.resilient`) and none was quarantined.
 
     Args:
         spec: the audit specification.
@@ -520,9 +463,7 @@ def run_resilience(spec: ResilienceSpec, **engine: Any) -> ResilienceResult:
             :func:`~repro.scenarios.grid.run_grid`.  Chunks are grouped by
             ``(schedule, seed)`` so the honest-baseline memoisation survives
             chunking; verdicts are bit-identical to the sequential path on
-            all deterministic fields, in the same grid order; cells the
-            executor quarantined are listed in
-            :attr:`ResilienceResult.quarantined`.
+            all deterministic fields, in the same grid order.
     """
     # Resolve every registry reference up front (and discard the results): a
     # typo'd adversary kind or bad parameter fails with its path-precise
@@ -531,23 +472,4 @@ def run_resilience(spec: ResilienceSpec, **engine: Any) -> ResilienceResult:
         ADVERSARIES.create(adversary.component(), f"adversaries[{index}]")
     for index, schedule in enumerate(spec.schedules):
         SCHEDULERS.create(schedule, f"schedules[{index}]")
-    run = run_grid(RESILIENCE_GRID, spec, **engine)
-    result = ResilienceResult(
-        name=spec.name,
-        base=spec_to_dict(spec.base),
-        records=run.records,
-        executed_cells=len(run.fresh),
-        resumed_cells=len(run.reused),
-        quarantined=run.quarantined,
-    )
-    # Observability hook (see repro.obs): audit-level counters; the per-round
-    # spans and network counters come from the layers below when cells run
-    # in this process.
-    obs = current_observation()
-    if obs is not None and obs.metrics is not None:
-        obs.metrics.counter("resilience.cells_executed").inc(len(run.fresh))
-        obs.metrics.counter("resilience.cells_reused").inc(len(run.reused))
-        obs.metrics.counter("resilience.profitable_deviations").inc(
-            len(result.profitable_deviations)
-        )
-    return result
+    return run_grid(RESILIENCE_GRID, spec, **engine)

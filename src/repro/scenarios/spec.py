@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import operator
+import sys
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -341,7 +342,7 @@ class ScenarioSpec:
         topology: optional community-topology reference; when set, providers
             are the topology's gateways.
         bidders: adversarial bidder strategies (``auction_run`` runner only).
-        rounds: default round count for :meth:`Simulation.run_batch`.
+        rounds: workload instances run per sweep point (a scenario's batch).
         seed: master seed (workload, network jitter, mechanism randomness).
         deadline: bid-collection deadline for ``auction_run``.
         measure_compute: charge measured handler CPU time to the providers'
@@ -468,7 +469,14 @@ def _scalar(kind: type) -> Codec:
         # bool is a subclass of int: a flag is never a count, a seed or a number.
         if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
             raise SpecError(path, f"expected {label}, got {_got(value)}")
-        return float(value) if kind is float else value
+        if kind is not float:
+            return value
+        # Every float of a spec is a time or a factor: NaN would pass each
+        # ``x <= 0`` bound downstream, and an infinity is no time at all.  (The
+        # comparison, unlike ``math.isfinite``, also holds an int past float range.)
+        if not abs(value) <= sys.float_info.max:
+            raise SpecError(path, f"expected a finite number, got {value!r}")
+        return float(value)
 
     return read, lambda value: value
 

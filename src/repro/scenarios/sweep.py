@@ -20,16 +20,14 @@ store** (``store=path``: every record journaled as it completes;
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.auctions.base import BidVector
 from repro.core.framework import DistributedAuctioneer
 from repro.net.latency import LatencyModel
 from repro.obs.context import current_observation
-from repro.scenarios.grid import Cell, Grid, GridRun, run_grid
+from repro.scenarios.grid import Cell, Grid, GridResult, run_grid
 from repro.scenarios.runner import (
     RunRecord,
     build_auctioneer,
@@ -41,67 +39,15 @@ from repro.scenarios.runner import (
     resolve_round_inputs,
     run_scenario,
 )
-from repro.scenarios.spec import (
-    ScenarioSpec,
-    SpecError,
-    SweepSpec,
-    spec_to_dict,
-    spec_with_overrides,
-)
+from repro.scenarios.spec import ScenarioSpec, SpecError, SweepSpec, spec_with_overrides
 
 __all__ = [
     "ComponentCache",
     "SeededContext",
     "SweepContext",
-    "SweepResult",
     "SWEEP_GRID",
     "run_sweep",
 ]
-
-
-@dataclass
-class SweepResult:
-    """All records of one sweep, in grid order, with JSON export.
-
-    ``executed_rounds`` counts the rounds this invocation actually ran;
-    ``resumed_rounds`` counts the rounds served from a results journal
-    (``run_sweep(..., store=..., resume=True)``).  For a store-less sweep
-    ``executed_rounds == len(records)`` and ``resumed_rounds == 0``.
-
-    ``quarantined`` lists the rounds the crash-tolerant executor gave up on
-    (``run_sweep(..., failure_mode="quarantine")``): one ``{"point",
-    "instance", "error"}`` dict per skipped round, in completion order.
-    Those rounds have no :class:`RunRecord` in ``records``; with a store
-    they are journaled as ``quarantine`` entries and a later ``--resume``
-    re-executes exactly them.
-    """
-
-    name: str
-    base: Dict[str, Any]
-    records: List[RunRecord] = field(default_factory=list)
-    executed_rounds: int = 0
-    resumed_rounds: int = 0
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "sweep": self.name,
-            "base": self.base,
-            "records": [record.to_dict() for record in self.records],
-        }
-        if self.quarantined:
-            data["quarantined"] = [dict(entry) for entry in self.quarantined]
-        return data
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def series(self) -> Dict[str, List[RunRecord]]:
-        """Records grouped by series label, preserving grid order."""
-        groups: Dict[str, List[RunRecord]] = {}
-        for record in self.records:
-            groups.setdefault(record.series, []).append(record)
-        return groups
 
 
 class ComponentCache:
@@ -206,6 +152,7 @@ class SweepContext:
     """
 
     def __init__(self, sweep: SweepSpec, latency_model: Optional[LatencyModel] = None) -> None:
+        self.name = sweep.name
         self.scenarios = sweep.scenarios()
         self.latency_model = latency_model
         self.cache = ComponentCache()
@@ -263,6 +210,46 @@ class SweepContext:
 
     def close(self) -> None:
         self.cache.close()
+
+    def observe(self, walk: List[Tuple[Cell, RunRecord, bool]]) -> None:
+        """Per-grid-point executor spans, the point count and executed rounds' elapsed.
+
+        Executor spans have no sim clock; their timeline is the grid itself
+        (``ts`` = grid index, ``dur`` = the point's total modelled elapsed).
+        """
+        obs = current_observation()
+        if obs is None:
+            return
+        tracer = obs.tracer
+        if tracer is not None and tracer.active:
+            # [elapsed, executed, reused] per point.
+            tally: List[List[Any]] = [[0, 0, 0] for _spec in self.scenarios]
+            for (point, _instance), record, executed in walk:
+                if executed:
+                    tally[point][0] += record.elapsed_seconds
+                    tally[point][1] += 1
+                else:
+                    tally[point][2] += 1
+            for index, spec in enumerate(self.scenarios):
+                elapsed, executed, reused = tally[index]
+                tracer.emit(
+                    "grid_point",
+                    "executor",
+                    ts=float(index),
+                    dur=float(max(elapsed, 0.0)),
+                    sweep=self.name,
+                    point=index,
+                    scenario=spec.name,
+                    executed=executed,
+                    reused=reused,
+                )
+        if obs.metrics is not None:
+            obs.metrics.counter("sweep.points").inc(len(self.scenarios))
+            for _cell, record, executed in walk:
+                if executed:
+                    obs.metrics.histogram("executor.round_elapsed").observe(
+                        record.elapsed_seconds
+                    )
 
 
 class SeededContext:
@@ -330,6 +317,9 @@ class SeededContext:
         """Release engine resources the context created (idempotent)."""
         self.cache.close()
 
+    def observe(self, walk) -> None:
+        """An audit emits nothing beyond the grid engine's counters."""
+
     def __enter__(self):
         return self
 
@@ -340,6 +330,9 @@ class SeededContext:
 #: The sweep as a grid: a point is one expanded scenario, an instance one of
 #: its rounds; workers amortise by ``(mechanism, workload, topology)``.
 SWEEP_GRID = Grid(
+    kind="sweep",
+    unit="rounds",
+    verdict=None,
     record_type=RunRecord,
     spec_type=SweepSpec,
     context=SweepContext,
@@ -348,7 +341,7 @@ SWEEP_GRID = Grid(
 
 def run_sweep(
     sweep: SweepSpec, *, latency_model: Optional[LatencyModel] = None, **engine: Any
-) -> SweepResult:
+) -> GridResult:
     """Run every grid point of the sweep and collect the records in grid order.
 
     Args:
@@ -363,9 +356,7 @@ def run_sweep(
             ``store_format``, ``resume``, ``failure_mode``), see
             :func:`~repro.scenarios.grid.run_grid`.
             Chunking preserves the per-configuration state amortisation
-            (all rounds of a point share one worker and one cache); rounds
-            the executor quarantined are listed in
-            :attr:`SweepResult.quarantined`.
+            (all rounds of a point share one worker and one cache).
     """
     if latency_model is not None:
         conflict = _latency_override_conflict(sweep)
@@ -377,62 +368,7 @@ def run_sweep(
                 "silently ignore the variation; drop the override or the "
                 "latency override in the sweep grid",
             )
-    run = run_grid(SWEEP_GRID, sweep, (latency_model,), **engine)
-    _observe_sweep(sweep, run)
-    return SweepResult(
-        name=sweep.name,
-        base=spec_to_dict(sweep.base),
-        records=run.records,
-        executed_rounds=len(run.fresh),
-        resumed_rounds=len(run.reused),
-        quarantined=run.quarantined,
-    )
-
-
-def _observe_sweep(sweep: SweepSpec, run: GridRun) -> None:
-    """Observability hook: per-grid-point executor spans + sweep counters.
-
-    Emitted here — from the grid-order reassembly, on the parent process —
-    rather than inside the executors, so the trace is identical whether the
-    rounds ran serially, in a worker pool, or came out of a resumed journal.
-    Executor spans have no sim clock; their timeline is the grid itself
-    (``ts`` = grid index, ``dur`` = the point's total modelled elapsed).
-    """
-    obs = current_observation()
-    if obs is None:
-        return
-    tracer = obs.tracer
-    metrics = obs.metrics
-    scenarios = run.context.scenarios
-    if tracer is not None and tracer.active:
-        # [elapsed, executed, reused] per point, from one grid-order walk.
-        tally: List[List[Any]] = [[0, 0, 0] for _spec in scenarios]
-        for point, _instance, record, executed in run.in_grid_order():
-            if executed:
-                tally[point][0] += record.elapsed_seconds
-                tally[point][1] += 1
-            else:
-                tally[point][2] += 1
-        for index, spec in enumerate(scenarios):
-            elapsed, executed, reused = tally[index]
-            tracer.emit(
-                "grid_point",
-                "executor",
-                ts=float(index),
-                dur=float(max(elapsed, 0.0)),
-                sweep=sweep.name,
-                point=index,
-                scenario=spec.name,
-                executed=executed,
-                reused=reused,
-            )
-    if metrics is not None:
-        metrics.counter("sweep.points").inc(len(scenarios))
-        metrics.counter("sweep.rounds_executed").inc(len(run.fresh))
-        metrics.counter("sweep.rounds_reused").inc(len(run.reused))
-        metrics.counter("executor.quarantined").inc(len(run.quarantined))
-        for _key, record in sorted(run.fresh.items()):
-            metrics.histogram("executor.round_elapsed").observe(record.elapsed_seconds)
+    return run_grid(SWEEP_GRID, sweep, (latency_model,), **engine)
 
 
 def _latency_override_conflict(sweep: SweepSpec) -> Optional[str]:

@@ -57,6 +57,9 @@ class TestConfig:
             FrameworkConfig(round_timeout=0.0)
         with pytest.raises(ValueError):
             FrameworkConfig(round_timeout=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FrameworkConfig(round_timeout=value)
         assert FrameworkConfig(round_timeout=0.5).round_timeout == 0.5
         assert FrameworkConfig().round_timeout is None
 

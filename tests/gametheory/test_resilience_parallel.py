@@ -143,7 +143,7 @@ class TestAuditMatchesCheckKResilience:
         parallel = run_resilience(spec, workers=2)
         # measure_compute=false: full record equality, elapsed fields included.
         assert parallel.records == sequential.records
-        assert parallel.executed_cells == sequential.executed_cells
+        assert parallel.executed == sequential.executed
         assert [r.to_dict() for r in parallel.records] == [
             r.to_dict() for r in sequential.records
         ]

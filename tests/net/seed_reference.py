@@ -216,7 +216,6 @@ class SeedSimNetwork:
         scheduler=None,
         seed: int = 0,
         measure_compute: bool = False,
-        compute_scale: float = 1.0,
     ) -> None:
         self.latency_model = latency_model if latency_model is not None else ZeroLatencyModel()
         self.scheduler = scheduler if scheduler is not None else SeedFairScheduler()
@@ -229,7 +228,6 @@ class SeedSimNetwork:
         self._channels: Dict[tuple, ReliableChannel] = {}
         self._in_flight: List[Message] = []
         self._next_msg_id = 0
-        self._compute_scale = compute_scale
         self.stats = NetworkStats()
         self._started = False
 
@@ -239,7 +237,7 @@ class SeedSimNetwork:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
-        self._clocks[node.node_id] = VirtualClock(compute_scale=self._compute_scale)
+        self._clocks[node.node_id] = VirtualClock()
         self._node_rngs[node.node_id] = random.Random(
             stable_hash(self._seed, node.node_id)
         )

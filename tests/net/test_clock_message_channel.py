@@ -29,11 +29,6 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             VirtualClock().charge(-0.1)
 
-    def test_compute_scale_applies_to_charges(self):
-        clock = VirtualClock(compute_scale=0.5)
-        clock.charge(1.0)
-        assert clock.now == pytest.approx(0.5)
-
     def test_copy_is_independent(self):
         clock = VirtualClock()
         clock.charge(1.0)

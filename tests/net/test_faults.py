@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.net.faults import (
-    FAULTS,
     CrashFault,
     DuplicateFault,
     FaultPlan,
@@ -29,6 +28,7 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.node import Node, NodeContext
+from repro.scenarios.registry import FAULTS
 
 
 def msg(sender="a", recipient="b", tag="t", send_time=0.0, arrival_time=0.01, msg_id=0):
@@ -157,6 +157,11 @@ class TestRecoveryPolicy:
             RecoveryPolicy(base_backoff=-0.1)
         with pytest.raises(ValueError):
             RecoveryPolicy(backoff_factor=0.5)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="base_backoff"):
+                RecoveryPolicy(base_backoff=value)
+            with pytest.raises(ValueError, match="backoff_factor"):
+                RecoveryPolicy(backoff_factor=value)
 
 
 # ----------------------------------------------------------------- the plan --

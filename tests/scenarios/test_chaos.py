@@ -28,7 +28,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.community.workload import default_provider_ids
 from repro.core.framework import DistributedAuctioneer
-from repro.net.faults import FAULTS, FaultModel, FaultPlan, RecoveryPolicy
+from repro.net.faults import FaultModel, FaultPlan, RecoveryPolicy
+from repro.scenarios.registry import FAULTS
 from repro.scenarios import (
     ChaosRecord,
     ChaosSpec,
@@ -203,7 +204,7 @@ class TestChaosInvariants:
         )
         result = run_chaos(spec)
         assert len(result.records) == 12
-        assert result.is_clean(), [r.label for r in result.failing_cells]
+        assert result.is_clean(), [r.label for r in result.failing]
         lossy = [r for r in result.records if r.fault == "loss"]
         assert all(r.messages_lost > 0 and r.retransmissions > 0 for r in lossy)
         crashy = [r for r in result.records if r.fault == "crash"]
@@ -223,7 +224,7 @@ class TestChaosInvariants:
     def test_result_payload_shape(self):
         result = run_chaos(spec_from_dict(_chaos_table(seeds=[0]), ChaosSpec))
         payload = result.to_dict()
-        assert payload["chaos"] == "test-audit"
+        assert (payload["kind"], payload["name"]) == ("chaos", "test-audit")
         assert payload["clean"] is True
         assert "quarantined" not in payload
         assert len(payload["records"]) == 2
@@ -299,9 +300,9 @@ class TestChaosParallel:
         spec = spec_from_dict(_chaos_table(), ChaosSpec)
         path = str(tmp_path / "chaos.jsonl")
         first = run_chaos(spec, workers=2, store=path)
-        assert first.executed_cells == 4 and first.resumed_cells == 0
+        assert first.executed == 4 and first.resumed == 0
         resumed = run_chaos(spec, workers=2, store=path, resume=True)
-        assert resumed.executed_cells == 0 and resumed.resumed_cells == 4
+        assert resumed.executed == 0 and resumed.resumed == 4
         assert [r.to_dict() for r in resumed.records] == [
             r.to_dict() for r in first.records
         ]
@@ -374,13 +375,13 @@ class TestQuarantine:
         resumed = run_chaos(
             spec, workers=2, store=path, resume=True, failure_mode="quarantine"
         )
-        assert resumed.executed_cells == 2  # only the quarantined cells re-ran
-        assert resumed.resumed_cells == 4
+        assert resumed.executed == 2  # only the quarantined cells re-ran
+        assert resumed.resumed == 4
         assert len(resumed.records) == 6
         assert resumed.quarantined == [] and resumed.is_clean()
 
         again = run_chaos(spec, workers=2, store=path, resume=True)
-        assert again.executed_cells == 0 and again.resumed_cells == 6
+        assert again.executed == 0 and again.resumed == 6
 
 
 # ----------------------------------------------------------- determinism lock --

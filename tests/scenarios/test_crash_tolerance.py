@@ -23,9 +23,10 @@ import pickle
 import pytest
 
 from repro.core.provider_protocol import FrameworkProviderNode
-from repro.net.faults import FAULTS, FaultModel
+from repro.net.faults import FaultModel
 from repro.scenarios import (
     ADVERSARIES,
+    FAULTS,
     WORKLOADS,
     ChaosSpec,
     ResilienceSpec,
@@ -271,13 +272,13 @@ class TestSweepQuarantine:
         resumed = run_sweep(
             sweep, workers=2, store=path, resume=True, failure_mode="quarantine"
         )
-        assert resumed.executed_rounds == 1  # only the quarantined round re-ran
-        assert resumed.resumed_rounds == 3
+        assert resumed.executed == 1  # only the quarantined round re-ran
+        assert resumed.resumed == 3
         assert len(resumed.records) == 4
         assert resumed.quarantined == []
 
         again = run_sweep(sweep, workers=2, store=path, resume=True)
-        assert again.executed_rounds == 0 and again.resumed_rounds == 4
+        assert again.executed == 0 and again.resumed == 4
 
     def test_serial_path_still_fails_fast(self, fragile_workload):
         with pytest.raises(ValueError, match=r"injected poison point"):
@@ -356,8 +357,7 @@ def test_mid_chunk_failure_journals_the_cells_the_chunk_finished(kind, poison_ki
 
     _POISON["armed"] = False  # heal the poison, then resume
     resumed = run(spec, workers=2, store=path, resume=True)
-    executed = resumed.executed_rounds if kind == "sweep" else resumed.executed_cells
-    assert executed == len(cells) - len(journaled)
+    assert resumed.executed == len(cells) - len(journaled)
     assert len(resumed.records) == len(cells)
 
 
@@ -376,17 +376,13 @@ def test_quarantine_reaches_every_declaration(kind, poison_kinds, tmp_path):
     assert "injected poison" in result.quarantined[0]["error"]
     assert len(result.records) == len(cells) - 1
     assert result.to_dict()["quarantined"] == result.quarantined
-    if kind == "resilience":
-        assert not result.is_resilient()
-    elif kind == "chaos":
-        assert not result.is_clean()
+    assert not result.is_clean()
     _manifest, journaled = ResultsStore(path, record_type=grid.record_type).read()
     assert set(journaled) == set(cells) - {poison}
 
     _POISON["armed"] = False  # heal the poison, then resume
     resumed = run(spec, workers=2, store=path, resume=True, failure_mode="quarantine")
-    executed = resumed.executed_rounds if kind == "sweep" else resumed.executed_cells
-    assert executed == 1
+    assert resumed.executed == 1
     assert len(resumed.records) == len(cells)
     assert resumed.quarantined == []
     assert "quarantined" not in resumed.to_dict()

@@ -87,13 +87,6 @@ GRIDS = {
 ALL_GRIDS = pytest.mark.parametrize("kind", sorted(GRIDS))
 
 
-def _counts(result):
-    """``(executed, resumed)`` whatever the result class calls its cells."""
-    if hasattr(result, "executed_rounds"):
-        return result.executed_rounds, result.resumed_rounds
-    return result.executed_cells, result.resumed_cells
-
-
 class TestResolveWorkers:
     def test_none_is_sequential(self):
         assert resolve_workers(None) == WorkerPlan(
@@ -219,6 +212,27 @@ class TestDispatchBitIdentity:
         assert result.records
 
     @ALL_GRIDS
+    def test_one_result_and_one_counter_family(self, kind):
+        # Every kind returns run_grid's GridResult: one payload shape, one
+        # verdict, and the four <kind>.<unit>_* counters emitted by the engine.
+        from repro.obs import observe
+
+        grid, run, make = GRIDS[kind]
+        with observe() as observation:
+            result = run(make())
+        assert result.grid is grid and result.is_clean() and not result.failing
+        assert list(result.to_dict()) == ["kind", "name", "base", "clean", "records"]
+        assert result.to_dict()["kind"] == kind
+        instruments = observation.metrics.snapshot()["instruments"]
+        counts = {
+            what: instruments[f"{kind}.{grid.unit}_{what}"]["value"]
+            for what in ("executed", "reused", "quarantined", "failed")
+        }
+        assert counts == {
+            "executed": len(result.records), "reused": 0, "quarantined": 0, "failed": 0
+        }
+
+    @ALL_GRIDS
     def test_serial_parallel_resumed_and_both_store_formats_agree(
         self, kind, monkeypatch, tmp_path
     ):
@@ -249,10 +263,10 @@ class TestDispatchBitIdentity:
                 held = len(cells[::2])
                 resumed = run(spec, workers=workers, store=half, resume=True)
                 assert resumed.records == serial.records
-                assert _counts(resumed) == (len(cells) - held, held)
+                assert (resumed.executed, resumed.resumed) == (len(cells) - held, held)
                 again = run(spec, workers=workers, store=half, resume=True)
                 assert again.records == serial.records
-                assert _counts(again) == (0, len(cells))
+                assert (again.executed, again.resumed) == (0, len(cells))
 
     def test_capped_sweep_still_bit_identical(self, monkeypatch, capsys):
         # Degrading 4 -> 2 workers must only change the pool size, never the

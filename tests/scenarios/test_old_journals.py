@@ -83,7 +83,7 @@ def test_a_journal_written_by_the_parent_commit_resumes(tmp_path):
 
     sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
     result = run_sweep(sweep, store=str(journal), resume=True)
-    assert result.executed_rounds == 0
-    assert result.resumed_rounds == 4
+    assert result.executed == 0
+    assert result.resumed == 4
     assert result.records == journaled
     assert journal.read_bytes() == JOURNAL.read_bytes()  # nothing appended

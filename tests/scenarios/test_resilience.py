@@ -228,10 +228,10 @@ class TestStoreIntegration:
         spec = _spec()
         path = tmp_path / "audit.jsonl"
         first = run_resilience(spec, store=path)
-        assert first.executed_cells == len(first.records)
+        assert first.executed == len(first.records)
         resumed = run_resilience(spec, store=path, resume=True)
-        assert resumed.executed_cells == 0
-        assert resumed.resumed_cells == len(first.records)
+        assert resumed.executed == 0
+        assert resumed.resumed == len(first.records)
         assert resumed.records == first.records
 
     def test_journal_rejects_a_different_audit(self, tmp_path):

@@ -61,8 +61,8 @@ class TestSpecPath:
     def test_spec_round_trip_json_output(self, tmp_path, capsys):
         assert main(["resilience", "--spec", _spec_file(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["audit"] == "cli-audit"
-        assert payload["resilient"] is True
+        assert (payload["kind"], payload["name"]) == ("resilience", "cli-audit")
+        assert payload["clean"] is True
         # 4 coalitions x 1 adversary x 1 schedule x 1 seed.
         assert len(payload["records"]) == 4
         assert {r["adversary"] for r in payload["records"]} == {"equivocate"}

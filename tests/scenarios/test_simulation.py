@@ -208,11 +208,10 @@ class TestDeterminism:
             {"mechanism": "double", "users": 8, "providers": 4, "rounds": 3, "seed": 2}
         )
         with Simulation(spec) as sim:
-            batch = sim.run_batch()
+            batch = sim.sweep()
         singles = [run_scenario(spec, instance) for instance in range(3)]
         assert batch.records == singles
-        assert batch.total_rounds == 3
-        assert batch.aborted_rounds == 0
+        assert not any(record.aborted for record in batch.records)
 
 
 class TestSweeps:
@@ -232,9 +231,10 @@ class TestSweeps:
         ]
         # A scenario is a one-point sweep, so its sweep is its batch run.
         with Simulation(spec) as simulation:
-            batch = simulation.run_batch(3)
+            batch = [simulation.run(instance) for instance in range(3)]
+            assert simulation.sweep(points=[{"rounds": 3}]).records == batch
         as_sweep = SweepSpec(base=spec).with_base_overrides({"rounds": 3})
-        assert run_sweep(as_sweep).records == batch.records
+        assert run_sweep(as_sweep).records == batch
 
     def test_sweep_json_export_shape(self):
         import json
@@ -242,7 +242,7 @@ class TestSweeps:
         spec = _deterministic({"mechanism": "double", "users": 4, "providers": 3})
         result = Simulation(spec).sweep(points=[{"series": "only"}], name="tiny")
         data = json.loads(result.to_json())
-        assert data["sweep"] == "tiny"
+        assert (data["kind"], data["name"], data["clean"]) == ("sweep", "tiny", True)
         assert len(data["records"]) == 1
         assert data["records"][0]["series"] == "only"
         assert data["base"]["users"] == 4

@@ -9,6 +9,7 @@ added tomorrow is covered without a new test.
 
 import dataclasses
 import json
+import re
 import string
 import tomllib
 import typing
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.net.faults import RecoveryPolicy
 from repro.scenarios import (
+    FAULTS,
+    LATENCIES,
     AdversarySpec,
     BidderSpec,
     ChaosSpec,
@@ -42,6 +45,12 @@ _kinds = st.sampled_from(["double", "standard", "wan", "constant", "loss", "cras
 _ints = st.integers(min_value=0, max_value=2**31)
 _scalars = st.one_of(
     _ints, st.booleans(), _names, st.floats(allow_nan=False, allow_infinity=False, width=32)
+)
+#: No float of any spec may hold these: every one is a time or a factor, and
+#: each has a lower bound of at least zero.
+_bad_floats = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False),
 )
 _param_keys = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6).filter(
     lambda key: key not in {"kind", "label", "users", "indices"}
@@ -242,6 +251,66 @@ def test_wrong_type_in_a_constructor_names_the_field(cls, name, wrong):
     assert info.value.path == name
 
 
+_FLOAT_FIELDS = [
+    pytest.param(case.values[0], case.values[1], id=case.id.split("=")[0])
+    for case in _CASES
+    if case.values[2] == "x"  # one case per float field
+]
+
+
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS)
+def test_a_float_out_of_bounds_is_rejected_not_run(cls, name):
+    # NaN passes every ``x <= 0`` bound: unchecked, ``round_timeout=NaN`` runs
+    # an untimed round as degraded and ``deadline=NaN`` runs a different round.
+    host, wrap, prefix = _HOSTS[cls]
+    valid = spec_from_dict(wrap({}), host)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(value=_bad_floats)
+    def check(value):
+        with pytest.raises(SpecError, match=name):
+            spec_from_dict(wrap({name: value}), host)
+        with pytest.raises(SpecError, match=name):
+            spec_with_overrides(valid, {prefix + name: value})
+
+    check()
+
+
+_NEEDS = {"crash": {"node": "p00"}, "partition": {"nodes": ["p00"]}}
+_TIME_PARAMETERS = [
+    (LATENCIES, "constant", "seconds"),
+    (LATENCIES, "uniform", "low"),
+    (LATENCIES, "uniform", "high"),
+    (LATENCIES, "bandwidth", "base"),
+    (LATENCIES, "bandwidth", "bandwidth_bytes_per_s"),
+    (LATENCIES, "bandwidth", "jitter"),
+    (FAULTS, "reorder", "magnitude"),
+    (FAULTS, "latency_spike", "at"),
+    (FAULTS, "latency_spike", "duration"),
+    (FAULTS, "latency_spike", "extra"),
+    (FAULTS, "partition", "at"),
+    (FAULTS, "partition", "duration"),
+    (FAULTS, "crash", "at"),
+    (FAULTS, "crash", "duration"),
+]
+
+
+@pytest.mark.parametrize(
+    "registry, kind, name, value",
+    [
+        pytest.param(registry, kind, name, value, id=f"{kind}.{name}={value}")
+        for registry, kind, name in _TIME_PARAMETERS
+        for value in (float("nan"), float("inf"), float("-inf"), -1.0)
+        if not (value == -1.0 and name == "at")  # a window may start before zero
+    ],
+)
+def test_a_time_parameter_out_of_bounds_is_a_spec_error(registry, kind, name, value):
+    params = {**_NEEDS.get(kind, {}), name: value}
+    path = "latency" if registry is LATENCIES else "faults[0]"
+    with pytest.raises(SpecError, match=rf"^{re.escape(path)}: invalid parameters for .* {kind!r}"):
+        registry.create(ComponentSpec(kind, params), path)
+
+
 # ---------------------------------------------------------------- the closed holes --
 class TestConfigIsTypedLikeEveryOtherTable:
     """``--set config.parallel=no`` used to run the parallel allocator."""
@@ -253,6 +322,9 @@ class TestConfigIsTypedLikeEveryOtherTable:
             ("config.k=true", "config.k: expected an integer, got a boolean"),
             ("config.num_groups=2.5", "config.num_groups: expected an integer, got float"),
             ("config.use_common_coin=0", "config.use_common_coin: expected a boolean, got int"),
+            ("config.round_timeout=NaN", "config.round_timeout: expected a finite number, got nan"),
+            ("deadline=NaN", "deadline: expected a finite number, got nan"),
+            ("deadline=-Infinity", "deadline: expected a finite number, got -inf"),
         ],
     )
     def test_cli_exits_2_naming_the_field(self, assignment, message, capsys):

@@ -77,8 +77,8 @@ class TestResume:
         sweep = _sweep()
         first = run_sweep(sweep, workers=2, store=path)
         resumed = run_sweep(sweep, store=path, resume=True)
-        assert resumed.executed_rounds == 0
-        assert resumed.resumed_rounds == 8
+        assert resumed.executed == 0
+        assert resumed.resumed == 8
         # Journaled records rehydrate bit-identically — elapsed included.
         assert resumed.records == first.records
 
@@ -105,8 +105,8 @@ class TestResume:
         monkeypatch.setattr(sweep_module, "run_scenario", counting)
         resumed = run_sweep(sweep, store=path, resume=True)
         assert len(executed) == 5  # 8 rounds total, 3 were journaled
-        assert resumed.executed_rounds == 5
-        assert resumed.resumed_rounds == 3
+        assert resumed.executed == 5
+        assert resumed.resumed == 3
         assert resumed.records == full.records  # grid order restored exactly
 
     def test_resume_with_parallel_workers(self, tmp_path):
@@ -116,13 +116,13 @@ class TestResume:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3]) + "\n")
         resumed = run_sweep(sweep, workers=3, store=path, resume=True)
-        assert resumed.executed_rounds == 6
+        assert resumed.executed == 6
         assert resumed.records == full.records
 
     def test_resume_on_missing_file_runs_fresh(self, tmp_path):
         path = tmp_path / "fresh.jsonl"
         result = run_sweep(_sweep(), store=path, resume=True)
-        assert result.executed_rounds == 8
+        assert result.executed == 8
         assert path.exists()
 
     def test_existing_journal_without_resume_is_refused(self, tmp_path):
@@ -205,7 +205,7 @@ class TestFormatMismatch:
         sweep = _sweep()
         run_sweep(sweep, store=path, store_format="columnar")
         resumed = run_sweep(sweep, store=path, store_format="columnar", resume=True)
-        assert resumed.executed_rounds == 0
+        assert resumed.executed == 0
 
     def test_unknown_format_lists_available_backends(self, tmp_path):
         with pytest.raises(SpecError) as excinfo:
@@ -223,7 +223,7 @@ class TestCorruption:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "record", "point": 3, "ins')  # crash mid-append
         resumed = run_sweep(sweep, store=path, resume=True)
-        assert resumed.executed_rounds == 0
+        assert resumed.executed == 0
         assert len(resumed.records) == 8
 
     def test_torn_tail_is_repaired_before_appending(self, tmp_path):
@@ -237,14 +237,14 @@ class TestCorruption:
         # Keep manifest + 2 records, then a torn partial of the third.
         path.write_text("\n".join(lines[:3]) + "\n" + lines[3][:17])
         resumed = run_sweep(sweep, store=path, resume=True)
-        assert resumed.executed_rounds == 6  # the torn round re-ran too
+        assert resumed.executed == 6  # the torn round re-ran too
         assert resumed.records == full.records
         # The journal is fully healthy afterwards: every line parses and a
         # further resume finds the complete grid.
         for line in path.read_text().splitlines():
             json.loads(line)
         again = run_sweep(sweep, store=path, resume=True)
-        assert again.executed_rounds == 0
+        assert again.executed == 0
         assert again.records == full.records
 
     def test_missing_final_newline_is_repaired(self, tmp_path):
@@ -255,7 +255,7 @@ class TestCorruption:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:4]))  # 3 intact records, no final \n
         resumed = run_sweep(sweep, store=path, resume=True)
-        assert resumed.executed_rounds == 5
+        assert resumed.executed == 5
         assert resumed.records == full.records
         for line in path.read_text().splitlines():
             json.loads(line)

@@ -123,8 +123,8 @@ class TestRecordEquivalence:
         path = tmp_path / "audit.rcol"
         first = run_resilience(audit, store=path, store_format="columnar")
         again = run_resilience(audit, store=path, resume=True)
-        assert again.executed_cells == 0
-        assert again.resumed_cells == len(first.records)
+        assert again.executed == 0
+        assert again.resumed == len(first.records)
         assert again.records == first.records
 
 
@@ -163,8 +163,8 @@ class TestConvert:
         converted = tmp_path / "partial.rcol"
         assert convert_journal(partial, converted)["records"] == 3
         resumed = run_sweep(sweep, store=converted, resume=True)
-        assert resumed.resumed_rounds == 3
-        assert resumed.executed_rounds == 5
+        assert resumed.resumed == 3
+        assert resumed.executed == 5
         assert resumed.records == full.records
 
     def test_same_format_destination_is_refused(self, tmp_path):
@@ -224,7 +224,7 @@ class TestColumnarFailureModes:
         healthy = path.read_bytes()
         path.write_bytes(healthy + b"CHNK\x07garbage")
         resumed = run_sweep(sweep, store=path, resume=True)
-        assert resumed.executed_rounds == 0
+        assert resumed.executed == 0
         assert resumed.records == full.records
         assert path.read_bytes() == healthy  # truncated back to the sealed extent
         # The journal stays healthy through a further resume cycle.

@@ -75,7 +75,7 @@ class TestParallelDifferential:
         parallel = run_sweep(sweep, workers=4)
         assert parallel.records == sequential.records
         assert len(parallel.records) == 8
-        assert parallel.executed_rounds == 8
+        assert parallel.executed == 8
 
     def test_parallel_matches_on_deterministic_fields_with_measured_compute(self):
         # measure_compute=true: wall-clock CPU time is charged to the virtual

@@ -171,7 +171,7 @@ class TestSpecDrivenCommands:
         dump_spec(sweep, path)
         assert main(["sweep", "--spec", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["sweep"] == "grid"
+        assert (payload["kind"], payload["name"]) == ("sweep", "grid")
         assert [record["users"] for record in payload["records"]] == [4, 6]
 
     def test_sweep_requires_spec(self):
@@ -264,7 +264,7 @@ class TestGridCommandsShareOneHandler:
     @pytest.mark.parametrize("command", sorted(_GRID_CASES))
     def test_store_line_wording(self, command, tmp_path, capsys):
         unit = _GRID_CASES[command][1]
-        tail = ", quarantined 0 cells" if command == "chaos" else ""
+        tail = f", quarantined 0 {unit}"
         argv = [command, "--spec", self._spec_file(tmp_path, command)]
         argv += ["--output", str(tmp_path / "journal.jsonl")]
         assert main(argv) == 0
