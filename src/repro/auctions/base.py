@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.common import memoise
+from repro.common import FrozenMap, memoise
 
 __all__ = [
     "UserBid",
@@ -127,29 +127,33 @@ class BidVector:
     def provider_ids(self) -> List[str]:
         return [p.provider_id for p in self.providers]
 
-    def _by_id(self) -> Tuple[Dict[str, UserBid], Dict[str, ProviderAsk]]:
-        """``(user id -> bid, provider id -> ask)``, built on first use and kept."""
+    def by_id(self) -> Tuple[FrozenMap, FrozenMap]:
+        """``(user id -> bid, provider id -> ask)``, built on first use and kept.
+
+        Frozen, so every holder may share them: the honest providers of a
+        distributed round receive exactly these two maps.
+        """
         index = getattr(self, _INDEX_ATTR, None)
         if index is None:
             index = memoise(
                 self,
                 _INDEX_ATTR,
                 (
-                    {u.user_id: u for u in self.users},
-                    {p.provider_id: p for p in self.providers},
+                    FrozenMap({u.user_id: u for u in self.users}),
+                    FrozenMap({p.provider_id: p for p in self.providers}),
                 ),
             )
         return index
 
     def user(self, user_id: str) -> UserBid:
         try:
-            return self._by_id()[0][user_id]
+            return self.by_id()[0][user_id]
         except (KeyError, TypeError):  # TypeError: an id that does not hash
             raise KeyError(f"unknown user {user_id!r}") from None
 
     def provider(self, provider_id: str) -> ProviderAsk:
         try:
-            return self._by_id()[1][provider_id]
+            return self.by_id()[1][provider_id]
         except (KeyError, TypeError):
             raise KeyError(f"unknown provider {provider_id!r}") from None
 

@@ -4,22 +4,32 @@ The special value ⊥ ("abort") appears at every level of the framework: a build
 block outputs ⊥ when it detects an inconsistency, and the outcome of the whole
 simulation is ⊥ if any provider outputs ⊥ (Definition 1 of the paper).  Defining the
 sentinel here — below every other package — keeps the dependency graph acyclic.
+:class:`FrozenMap` lives here for the same reason: the data model keeps its id
+indexes in one and the codec ships one by reference.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any
+from typing import Any, NoReturn
 
 __all__ = [
     "ABORT",
     "AbortType",
+    "DERIVED_ATTR",
+    "FrozenMap",
+    "WIRE_SIZE_ATTR",
     "available_cpus",
     "is_abort",
     "memoise",
     "stable_hash",
 ]
+
+#: Where the codec memoises a deep-immutable value's wire size.
+WIRE_SIZE_ATTR = "_repro_wire_size"
+#: The :class:`FrozenMap` slot for what a holder derives from the contents.
+DERIVED_ATTR = "_repro_derived"
 
 
 def available_cpus() -> int:
@@ -72,6 +82,46 @@ def memoise(instance: Any, attr: str, memo: Any) -> Any:
     except (AttributeError, TypeError):
         pass  # no room for the memo
     return memo
+
+
+class FrozenMap(dict):
+    """A ``dict`` whose every mutator raises: a mapping payload shared by reference.
+
+    On the wire it *is* the dict it was built from — same canonical bytes, same
+    size, ``==`` to it both ways — so swapping one for the other moves no
+    commitment and no traffic statistic.  What it adds is that holders need no
+    defensive copy, and that the codec may memoise its size on the instance
+    (only when every key and value is deep-immutable; a frozen map holding a
+    list is re-measured like any dict).  Holders sharing one may likewise keep
+    what they derive from its contents in the ``DERIVED_ATTR`` slot (the bid
+    agreement keeps the assembled vector there); neither slot is compared,
+    encoded or pickled.  Like ``frozen=True`` on a dataclass it guards against
+    mutation through the object's own interface, not against
+    ``dict.__setitem__(m, ...)`` — which is also all that a memo shared through
+    it can promise.
+    """
+
+    __slots__ = (WIRE_SIZE_ATTR, DERIVED_ATTR)
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "FrozenMap":
+        # Filled here, like a tuple or frozenset, so that calling ``__init__``
+        # again cannot change it.
+        self = dict.__new__(cls)
+        dict.__init__(self, *args, **kwargs)
+        return self
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("FrozenMap does not support mutation")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    update = pop = popitem = setdefault = clear = _immutable
+
+    def __reduce__(self):
+        # The default dict-subclass protocol rebuilds through ``__setitem__``.
+        return (FrozenMap, (dict(self),))
 
 
 class AbortType:

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence
 
-from repro.auctions.base import AllocationAlgorithm, AuctionResult, BidVector, ProviderAsk, UserBid
-from repro.common import stable_hash
+from repro.auctions.base import AllocationAlgorithm, AuctionResult, BidVector
+from repro.common import FrozenMap, stable_hash
 from repro.core.config import FrameworkConfig
 from repro.core.outcome import Outcome
 from repro.core.provider_protocol import FrameworkProviderNode, ProviderInput
 from repro.net.latency import LatencyModel
 from repro.net.network import NetworkStats, SimNetwork
 from repro.net.scheduler import Scheduler
-from repro.net.serialization import FrozenMap
 
 __all__ = ["DistributedAuctioneer", "CentralizedAuctioneer", "SimulationReport"]
 
@@ -97,11 +96,7 @@ class DistributedAuctioneer:
         self.fault_plan = fault_plan
 
     # -- input construction -------------------------------------------------------
-    def consistent_inputs(
-        self,
-        bids: BidVector,
-        asks: Optional[Mapping[str, ProviderAsk]] = None,
-    ) -> Dict[str, ProviderInput]:
+    def consistent_inputs(self, bids: BidVector) -> Dict[str, ProviderInput]:
         """Provider inputs for the honest case: every bidder sent the same bid everywhere.
 
         Every provider gets maps of its own, so a caller may perturb one
@@ -109,12 +104,13 @@ class DistributedAuctioneer:
         bidder that lied to one provider).
 
         Args:
-            bids: the bid vector as submitted by the users; its provider entries are
-                used as the asks unless ``asks`` overrides them.
-            asks: optional per-provider asks (e.g. capacities for the standard
-                auction) if they are not already part of ``bids``.
+            bids: the bid vector as submitted by the users and the providers.
+                The asks cover *all* its sellers, which may be a superset of
+                the providers executing the protocol (the paper runs the
+                protocol on the minimum 2k+1 providers out of the m sellers in
+                Figure 4).
         """
-        user_bids, ask_map = _received_maps(bids, asks)
+        user_bids, ask_map = bids.by_id()
         return {
             provider_id: ProviderInput(provider_id, dict(user_bids), dict(ask_map))
             for provider_id in self.providers
@@ -185,21 +181,24 @@ class DistributedAuctioneer:
         )
         return SimulationReport(outcome=outcome, stats=stats)
 
-    def run_from_bids(
-        self,
-        bids: BidVector,
-        asks: Optional[Mapping[str, ProviderAsk]] = None,
-        max_steps: int = 2_000_000,
-    ) -> SimulationReport:
+    def run_from_bids(self, bids: BidVector, max_steps: int = 2_000_000) -> SimulationReport:
         """Simulate the honest case directly from a bid vector.
 
         Every provider received the same bids, so all of them hold the same
-        two :class:`~repro.net.serialization.FrozenMap` objects — and so build
-        one agreement batch between them (see
-        :meth:`~repro.core.bid_agreement.BidAgreementBlock._my_inputs`).  The
-        outcome is that of ``run(consistent_inputs(bids, asks))``.
+        two :class:`~repro.common.FrozenMap` objects — and so build one
+        agreement batch between them (see
+        :meth:`~repro.core.bid_agreement.BidAgreementBlock._my_inputs`).  Under
+        modelled time the maps are the vector's own index
+        (:meth:`~repro.auctions.base.BidVector.by_id`), so every round run from
+        the same vector *object* shares the batch, the agreed vector, its
+        digest and ``A``'s results as well.  Under ``measure_compute`` a memo
+        read would be charged where a build was, so each round gets maps of
+        its own and pays for its own.  The outcome is that of
+        ``run(consistent_inputs(bids))``.
         """
-        user_bids, ask_map = (FrozenMap(m) for m in _received_maps(bids, asks))
+        user_bids, ask_map = bids.by_id()
+        if self.measure_compute:
+            user_bids, ask_map = FrozenMap(user_bids), FrozenMap(ask_map)
         inputs = {
             provider_id: ProviderInput(provider_id, user_bids, ask_map)
             for provider_id in self.providers
@@ -209,21 +208,6 @@ class DistributedAuctioneer:
     @staticmethod
     def _default_node(provider_input, algorithm, config, expected_users, providers):
         return FrameworkProviderNode(provider_input, algorithm, config, expected_users, providers)
-
-
-def _received_maps(
-    bids: BidVector, asks: Optional[Mapping[str, ProviderAsk]]
-) -> Tuple[Dict[str, UserBid], Dict[str, ProviderAsk]]:
-    """What every provider receives in the honest case: ``(user bids, asks)``.
-
-    The asks cover *all* sellers, which may be a superset of the providers
-    executing the protocol (the paper runs the protocol on the minimum 2k+1
-    providers out of the m sellers in Figure 4).
-    """
-    ask_map: Dict[str, ProviderAsk] = {p.provider_id: p for p in bids.providers}
-    if asks is not None:
-        ask_map.update(asks)
-    return {bid.user_id: bid for bid in bids.users}, ask_map
 
 
 class CentralizedAuctioneer:

@@ -16,11 +16,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.common import ABORT
+from repro.common import ABORT, memoise
 from repro.consensus.commitment import CommitmentScheme
 from repro.net.protocol import BlockContext, ProtocolBlock
+from repro.net.serialization import deep_immutable
+from repro.obs.context import current_observation
 
 __all__ = ["InputValidationBlock"]
+
+#: Where a deep-immutable input keeps its validation digest (64 hex characters).
+_DIGEST_ATTR = "_repro_validation_digest"
 
 
 class InputValidationBlock(ProtocolBlock):
@@ -59,9 +64,28 @@ class InputValidationBlock(ProtocolBlock):
 
     # -- helpers ------------------------------------------------------------------
     def _fingerprint(self, value: Any) -> Any:
+        """The announcement: ``value`` itself, or its digest.
+
+        The digest depends on the contents alone, so a deep-immutable value
+        keeps it (:func:`~repro.net.serialization.deep_immutable`, the gate of
+        the codec's size memo): the honest providers of a round — and the
+        rounds of one instance — hold one agreed vector and digest it once.
+        Any other object, a forged or copied view included, digests its own.
+        """
         if self.full_broadcast:
             return value
-        return CommitmentScheme.digest_of(value, self._FIXED_NONCE)
+        kept = deep_immutable(value)
+        digest = getattr(value, _DIGEST_ATTR, None) if kept else None
+        shared = digest is not None
+        if not shared:
+            digest = CommitmentScheme.digest_of(value, self._FIXED_NONCE)
+            if kept:
+                memoise(value, _DIGEST_ATTR, digest)
+        obs = current_observation()
+        if obs is not None and obs.metrics is not None:
+            obs.metrics.counter("core.validations").inc()
+            obs.metrics.counter("core.validations_shared").inc(shared)
+        return digest
 
     # -- protocol -----------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:

@@ -21,10 +21,11 @@ encoded field keys in canonical order, frozen flag).  A round ships hundreds
 of thousands of values of a dozen classes, so per-value work is one dict lookup
 instead of an ``isinstance`` chain plus ``dataclasses.fields``.
 
-:class:`FrozenMap` is the one payload type defined here: a mapping that cannot
-change after construction, so that protocol blocks can keep, forward and echo a
-received batch *by reference* instead of copying it, and so that its wire size
-is measured once however many messages carry it.
+:class:`~repro.common.FrozenMap` (re-exported here) is the one payload type of
+the codec's own: a mapping that cannot change after construction, so that
+protocol blocks can keep, forward and echo a received batch *by reference*
+instead of copying it, and so that its wire size is measured once however many
+messages carry it.
 """
 
 from __future__ import annotations
@@ -32,23 +33,22 @@ from __future__ import annotations
 import dataclasses
 import struct
 from operator import itemgetter
-from typing import Any, Callable, NoReturn, Tuple
+from typing import Any, Callable, Tuple
 
-from repro.common import memoise
+from repro.common import DERIVED_ATTR, WIRE_SIZE_ATTR, FrozenMap, memoise
 
 __all__ = [
     "DERIVED_ATTR",
     "FrozenMap",
     "UnsupportedPayloadError",
     "canonical_encode",
+    "deep_immutable",
     "estimate_size",
 ]
 
-#: Attributes under which an instance's wire size / canonical bytes are memoised.
-_SIZE_ATTR = "_repro_wire_size"
+#: Attribute under which an instance's canonical bytes are memoised (its wire
+#: size goes under ``WIRE_SIZE_ATTR``).
 _BYTES_ATTR = "_repro_wire_bytes"
-#: The :class:`FrozenMap` slot for what a holder derives from the contents.
-DERIVED_ATTR = "_repro_derived"
 
 _pack_double = struct.Struct(">d").pack
 _pack_count = struct.Struct(">I").pack
@@ -57,46 +57,6 @@ _first = itemgetter(0)
 
 class UnsupportedPayloadError(TypeError):
     """Raised when a payload contains a type that cannot be canonically encoded."""
-
-
-class FrozenMap(dict):
-    """A ``dict`` whose every mutator raises: a mapping payload shared by reference.
-
-    On the wire it *is* the dict it was built from — same canonical bytes, same
-    size, ``==`` to it both ways — so swapping one for the other moves no
-    commitment and no traffic statistic.  What it adds is that holders need no
-    defensive copy, and that the codec may memoise its size on the instance
-    (only when every key and value is deep-immutable; a frozen map holding a
-    list is re-measured like any dict).  Holders sharing one may likewise keep
-    what they derive from its contents in the ``DERIVED_ATTR`` slot (the bid
-    agreement keeps the assembled vector there); neither slot is compared,
-    encoded or pickled.  Like ``frozen=True`` on a dataclass it guards against
-    mutation through the object's own interface, not against
-    ``dict.__setitem__(m, ...)`` — which is also all that a memo shared through
-    it can promise.
-    """
-
-    __slots__ = (_SIZE_ATTR, DERIVED_ATTR)
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "FrozenMap":
-        # Filled here, like a tuple or frozenset, so that calling ``__init__``
-        # again cannot change it.
-        self = dict.__new__(cls)
-        dict.__init__(self, *args, **kwargs)
-        return self
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
-        raise TypeError("FrozenMap does not support mutation")
-
-    __setitem__ = __delitem__ = __ior__ = _immutable
-    update = pop = popitem = setdefault = clear = _immutable
-
-    def __reduce__(self):
-        # The default dict-subclass protocol rebuilds through ``__setitem__``.
-        return (FrozenMap, (dict(self),))
 
 
 class _Plan:
@@ -273,7 +233,7 @@ def _measure_dict(value: dict) -> Tuple[int, bool]:
 
 def _measure_frozen_map(value: FrozenMap) -> Tuple[int, bool]:
     """A dict's size, remembered once every key and value is deep-immutable."""
-    cached = getattr(value, _SIZE_ATTR, None)
+    cached = getattr(value, WIRE_SIZE_ATTR, None)
     if cached is not None:
         return cached, True
     keys, keys_immutable = _measure_keys(value)
@@ -281,7 +241,7 @@ def _measure_frozen_map(value: FrozenMap) -> Tuple[int, bool]:
     size = keys + values
     immutable = keys_immutable and values_immutable
     if immutable:
-        memoise(value, _SIZE_ATTR, size)
+        memoise(value, WIRE_SIZE_ATTR, size)
     return size, immutable
 
 
@@ -326,7 +286,7 @@ def _dataclass_plan(cls: type) -> _Plan:
 
     def measure(value: Any) -> Tuple[int, bool]:
         if frozen:
-            cached = getattr(value, _SIZE_ATTR, None)
+            cached = getattr(value, WIRE_SIZE_ATTR, None)
             if cached is not None:
                 return cached, True
         size = 4
@@ -338,7 +298,7 @@ def _dataclass_plan(cls: type) -> _Plan:
             if not item_immutable:
                 immutable = False
         if immutable:
-            memoise(value, _SIZE_ATTR, size)
+            memoise(value, WIRE_SIZE_ATTR, size)
         return size, immutable
 
     return _Plan(encode, measure)
@@ -413,3 +373,12 @@ def estimate_size(value: Any) -> int:
     simulator's wall time.
     """
     return _PLANS[type(value)].measure(value)[0]
+
+
+def deep_immutable(value: Any) -> bool:
+    """True if no part of ``value`` can change: the gate of the codec's size memo.
+
+    What is derived from such a value's contents may be remembered on it; a
+    second call on a value whose size is already memoised is one attribute read.
+    """
+    return _PLANS[type(value)].measure(value)[1]

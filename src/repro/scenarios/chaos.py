@@ -203,9 +203,17 @@ class ChaosContext(SeededContext):
     One instance backs one executor — the sequential loop or one parallel
     worker's chunk.  It memoises the mechanism once per audit and the workload
     / bids / latency model / provider ids once per seed
-    (:class:`~repro.scenarios.sweep.SeededContext`); the fault plan and the
-    network are deliberately rebuilt per run (a plan is stateful, and the
-    replay invariant *requires* a from-scratch second run).
+    (:class:`~repro.scenarios.sweep.SeededContext`).  Only the fault plan and
+    the network are rebuilt per run (a plan is stateful).  Under modelled time
+    every run of a seed reads what the first honest round derived from the
+    seed's vector — the received maps, the agreement batch, the agreed vector,
+    its digest and ``A``'s results (see
+    :meth:`~repro.core.framework.DistributedAuctioneer.run_from_bids`) — so
+    the replay invariant re-checks the plan and the network, not the
+    determinism of that input path.  ``TestInputLinkZero``'s
+    ``test_rounds_of_one_vector_share_every_link``
+    (``tests/core/test_shared_agreement.py``) checks that path instead: shared
+    rounds must observe what rounds with every memo forgotten observe.
     """
 
     def group_key(self, point: int, instance: int) -> int:

@@ -34,21 +34,29 @@ from repro.auctions.engine.pivot import bid_vector_fingerprint
 from repro.auctions.standard_auction import StandardAuction
 from repro.common import is_abort
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
-from repro.core import allocator, bid_agreement
+from repro.consensus.commitment import CommitmentScheme
+from repro.core import allocator, bid_agreement, input_validation
 from repro.core.allocator import SequentialAllocatorBlock
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
 from repro.core.provider_protocol import FrameworkProviderNode
 from repro.net.faults import FaultPlan, RecoveryPolicy, make_fault
 from repro.net.latency import UniformLatencyModel
-from repro.net.serialization import DERIVED_ATTR, FrozenMap, canonical_encode, estimate_size
+from repro.net.serialization import (
+    DERIVED_ATTR,
+    FrozenMap,
+    UnsupportedPayloadError,
+    canonical_encode,
+    estimate_size,
+)
 from repro.obs import observe
 from repro.scenarios.registry import SCHEDULERS
 from repro.scenarios.spec import ComponentSpec
 
 #: Every module that keeps a memo of the agreement path on an instance.
-MEMO_USERS = (bid_agreement, allocator, pivot, auction_base)
+MEMO_USERS = (bid_agreement, input_validation, allocator, pivot, auction_base)
 RESULTS_ATTR = allocator._RESULTS_ATTR
+DIGEST_ATTR = input_validation._DIGEST_ATTR
 
 
 @contextmanager
@@ -83,6 +91,31 @@ def recorded_executions():
 
     with mock.patch.object(SequentialAllocatorBlock, "_execute", spy):
         yield calls
+
+
+@contextmanager
+def recorded_digests():
+    """The value of every input-validation digest computed (a memo read is not)."""
+    digested = []
+    original = CommitmentScheme.digest_of
+
+    def spy(value, nonce):
+        if nonce == input_validation.InputValidationBlock._FIXED_NONCE:
+            digested.append(value)
+        return original(value, nonce)
+
+    with mock.patch.object(CommitmentScheme, "digest_of", staticmethod(spy)):
+        yield digested
+
+
+@dataclasses.dataclass
+class _Mutable:
+    ids: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class _Frozen:
+    ids: tuple
 
 
 def distinct(objects):
@@ -163,12 +196,13 @@ class TestHonestRoundShares:
         bids = double_bids(300, providers)
         with mock.patch.object(
             bid_agreement, "coerce_user_bid", wraps=bid_agreement.coerce_user_bid
-        ) as validity_rule:
+        ) as validity_rule, recorded_digests() as digested:
             shared = run_round(bids=bids, providers=providers, config=FrameworkConfig(k=3))
         assert not shared.report.aborted
         assert len(shared.vectors) == 7
         assert len(distinct(shared.vectors)) == 1
         assert validity_rule.call_count == 300
+        assert digested == [shared.vectors[0]]
         assert shared.runs == 1
         outputs = list(shared.report.outcome.provider_outputs.values())
         assert len(distinct(outputs)) == 1
@@ -184,10 +218,11 @@ class TestHonestRoundShares:
         bids = double_bids(300, providers)
         with unshared(), mock.patch.object(
             bid_agreement, "coerce_user_bid", wraps=bid_agreement.coerce_user_bid
-        ) as validity_rule:
+        ) as validity_rule, recorded_digests() as digested:
             separate = run_round(bids=bids, providers=providers, config=FrameworkConfig(k=3))
         assert len(distinct(separate.vectors)) == 7
         assert validity_rule.call_count == 7 * 300
+        assert len(distinct(digested)) == 7
         assert separate.runs == 7
 
     def test_the_fingerprint_is_hashed_once_per_vector(self):
@@ -222,6 +257,31 @@ class TestHonestRoundShares:
         assert execute(first, 8) is not result
         assert first.runs == 2
         assert execute(first, 7) is result
+
+    def test_an_equal_vector_digests_its_own(self, small_double_bids):
+        copied = BidVector(small_double_bids.users, small_double_bids.providers)
+        with recorded_digests() as digested:
+            first = _digest(small_double_bids)
+            assert _digest(small_double_bids) == first
+            assert _digest(copied) == first
+        assert distinct(digested) == [small_double_bids, copied]
+
+    @pytest.mark.parametrize(
+        "value",
+        [_Mutable(("u0",)), _Frozen(("u0", ["u1"])), FrozenMap({"u0": ["u1"]})],
+        ids=["non-frozen", "frozen-holding-a-list", "frozen-map-holding-a-list"],
+    )
+    def test_only_a_deep_immutable_value_keeps_its_digest(self, value):
+        with recorded_digests() as digested:
+            first = _digest(value)
+            assert _digest(value) == first
+        assert len(digested) == 2
+        assert getattr(value, DIGEST_ATTR, None) is None
+
+    def test_a_proxy_cannot_pose_as_a_kept_digest(self):
+        """A ``Mock`` answers any attribute; the gate is asked before the memo."""
+        with pytest.raises(UnsupportedPayloadError):
+            _digest(mock.Mock())
 
     def test_a_direct_run_always_computes(self, small_double_bids):
         mechanism = CountingDoubleAuction()
@@ -424,7 +484,8 @@ class TestDoctoredResults:
 
 # -- (d) hygiene: what a copy carries ---------------------------------------------------
 def _cleared_vector():
-    """An agreed vector that has been assembled, sized, fingerprinted, indexed and cleared."""
+    """An agreed vector that has been assembled, validated, sized, fingerprinted,
+    indexed (the maps a next round run from it is handed) and cleared."""
     providers = providers_named(3)
     shared = run_round(
         bids=double_bids(10, providers, seed=9), providers=providers, config=FrameworkConfig(k=1)
@@ -434,7 +495,12 @@ def _cleared_vector():
     bid_vector_fingerprint(vector)
     vector.user(vector.users[0].user_id)
     assert getattr(vector, RESULTS_ATTR)
+    assert len(getattr(vector, DIGEST_ATTR)) == 64
     return vector
+
+
+def _digest(vector):
+    return input_validation.InputValidationBlock("iv", vector)._fingerprint(vector)
 
 
 COPIES = {
@@ -450,7 +516,13 @@ class TestMemoHygiene:
     def test_copies_carry_no_mechanism_no_result_and_nothing_stale(self, how):
         vector = _cleared_vector()
         memos = set(vars(vector)) - {"users", "providers"}
-        assert memos == {RESULTS_ATTR, "_repro_wire_size", "_repro_fingerprint", "_repro_by_id"}
+        assert memos == {
+            RESULTS_ATTR,
+            DIGEST_ATTR,
+            "_repro_wire_size",
+            "_repro_fingerprint",
+            "_repro_by_id",
+        }
         clone = COPIES[how](vector)
         assert clone is not vector and clone == vector
         # A copy is made of the fields: no mechanism, no result, no memo at all.
@@ -460,6 +532,10 @@ class TestMemoHygiene:
         fresh = BidVector(clone.users, clone.providers)
         assert estimate_size(clone) == estimate_size(fresh)
         assert bid_vector_fingerprint(clone) == bid_vector_fingerprint(fresh)
+        assert _digest(clone) == _digest(fresh) == getattr(vector, DIGEST_ATTR)
+        received, kept = clone.by_id(), vector.by_id()
+        assert received == fresh.by_id() == kept
+        assert all(mine is not theirs for mine, theirs in zip(received, kept))
         for bid in clone.users:
             assert clone.user(bid.user_id) is bid
         for ask in clone.providers:
@@ -595,6 +671,18 @@ class TestRacingThreads:
         assert len(distinct(results)) == 1
         assert results[0] == DoubleAuction().run(bids, random.Random(7))
 
+    def test_validations_keep_one_digest(self):
+        bids = double_bids(40, providers_named(5), seed=12)
+        digests = []
+
+        def validate():
+            digests.append(_digest(bids))
+
+        race([validate] * self.THREADS, CommitmentScheme, "digest_of")
+        assert len(digests) == self.THREADS  # every thread computed before any published
+        assert set(digests) == {getattr(bids, DIGEST_ATTR)}
+        assert getattr(bids, DIGEST_ATTR) == _digest(BidVector(bids.users, bids.providers))
+
 
 # -- (e) input link 0: one frozen input batch per honest round ---------------------------
 @contextmanager
@@ -670,6 +758,39 @@ class TestInputLinkZero:
         assert len(shared_built) == 1
         assert len(separate_built) == len(self.PROVIDERS)
 
+    def _rounds_of_one_vector(self):
+        """k = 1 on three of the five sellers, then k = 2 on all five, from one vector."""
+        bids = double_bids(30, self.PROVIDERS, seed=8)
+        mechanism = CountingDoubleAuction()
+        reports = []
+        with ExitStack() as stack:
+            built = stack.enter_context(recorded_batches())
+            executions = stack.enter_context(recorded_executions())
+            digested = stack.enter_context(recorded_digests())
+            for k, providers in ((1, self.PROVIDERS[:3]), (2, self.PROVIDERS)):
+                auctioneer = DistributedAuctioneer(
+                    mechanism, providers=providers, config=FrameworkConfig(k=k), seed=4
+                )
+                reports.append(auctioneer.run_from_bids(bids))
+        observables = [Round(report, [], mechanism).observable() for report in reports]
+        assert not any(report.aborted for report in reports)
+        counts = {
+            "batches": len(built),
+            "vectors": len(distinct(vector for vector, _seed in executions)),
+            "digests": len(digested),
+            "runs": mechanism.runs,
+        }
+        return observables, counts, {seed for _vector, seed in executions}
+
+    def test_rounds_of_one_vector_share_every_link(self):
+        shared, counts, seeds = self._rounds_of_one_vector()
+        with unshared():
+            separate, separate_counts, _seeds = self._rounds_of_one_vector()
+        assert shared == separate
+        # A runs once per coin seed the two rounds drew, on the one agreed vector.
+        assert counts == {"batches": 1, "vectors": 1, "digests": 1, "runs": len(seeds)}
+        assert separate_counts == {"batches": 8, "vectors": 8, "digests": 8, "runs": 8}
+
     def test_every_provider_holds_the_same_frozen_maps(self):
         bids = double_bids(12, self.PROVIDERS)
         auctioneer = DistributedAuctioneer(
@@ -719,6 +840,9 @@ class TestInputLinkZero:
             assert type(inputs[provider].received_user_bids) is dict
             assert inputs[provider].received_user_bids[victim.user_id] is victim
             assert "p1" in inputs[provider].received_provider_asks
+        # Nor does a perturbed copy reach the maps a later honest round is handed.
+        user_bids, asks = bids.by_id()
+        assert user_bids[victim.user_id] is victim and "p1" in asks
 
 
 # -- the replicated path stays audited --------------------------------------------------
@@ -820,6 +944,8 @@ class TestSharingIsCounted:
             "assemblies_shared": 4,
             "executions": 5,
             "executions_shared": 4,
+            "validations": 5,
+            "validations_shared": 4,
         }
 
     def test_an_equivocating_bidder_shows_as_m_times_the_work(self):
@@ -838,6 +964,8 @@ class TestSharingIsCounted:
             "assemblies_shared": 0,
             "executions": 5,
             "executions_shared": 0,
+            "validations": 5,
+            "validations_shared": 0,
         }
 
     def test_nothing_is_counted_without_an_observation(self):

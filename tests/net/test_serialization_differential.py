@@ -24,6 +24,7 @@ from repro.net.serialization import (
     FrozenMap,
     UnsupportedPayloadError,
     canonical_encode,
+    deep_immutable,
     estimate_size,
 )
 
@@ -188,6 +189,13 @@ class TestAgainstRecursiveWalkers:
     @settings(max_examples=400, deadline=None)
     def test_generated_payload_trees(self, value):
         assert_matches_reference(value)
+
+    @given(payloads)
+    @settings(max_examples=200, deadline=None)
+    def test_deep_immutable_is_the_walkers_gate(self, value):
+        # Twice: the second answer may come from a size memo the first one kept.
+        for _ in range(2):
+            assert deep_immutable(value) is reference._estimate(value)[1]
 
     @given(payloads)
     @settings(max_examples=100, deadline=None)

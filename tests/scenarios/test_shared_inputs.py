@@ -1,20 +1,36 @@
 """A sweep instance's bids are generated once for every cell that reads them.
 
 The centralised baseline and k = 1, 2, 3 of one Figure 4 point run the same
-workload instance; the sweep's component cache hands them one vector, and the
-providers of each distributed round build one agreement batch from it.  Counted,
-never timed: a counting workload, a spy on the batch builder, and records that
-must equal those of a per-cell ``run_scenario`` loop.
+workload instance; the sweep's component cache hands them one vector, and every
+distributed round run from it builds no agreement batch, agreed vector or
+input-validation digest of its own: the first round builds one of each, the
+rest read them.  The chaos audit's fault cells share a seed's vector the same
+way.  Under ``measure_compute`` every round builds its own, so that no round's
+measured clock is charged a memo read where another round's is charged the work.  Counted, never timed: a counting workload, spies on the builders, and
+records that must equal those of a per-cell ``run_scenario`` loop or of the
+same grid with the instance memos forgotten.
 """
 
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
 
 from repro.community.workload import DoubleAuctionWorkload
-from repro.core import bid_agreement
-from repro.scenarios import WORKLOADS, SweepSpec, figure4_sweep, run_scenario, run_sweep
+from repro.consensus.commitment import CommitmentScheme
+from repro.auctions import base as auction_base
+from repro.core import allocator, bid_agreement, input_validation
+from repro.scenarios import (
+    WORKLOADS,
+    ChaosSpec,
+    SweepSpec,
+    figure4_sweep,
+    run_chaos,
+    run_scenario,
+    run_sweep,
+    spec_from_dict,
+)
 from repro.scenarios.sweep import SweepContext
 
 _GENERATED = []
@@ -34,30 +50,51 @@ def generated():
     WORKLOADS.unregister("counting")
 
 
-@contextmanager
-def counted_batches(forget=False):
-    """Counts label-keyed batch builds; ``forget`` switches the batch memo off."""
-    calls = []
-    original = bid_agreement.BidAgreementBlock._build_batch
+#: Every module that keeps a memo of a round's path on an instance.
+_MEMO_USERS = (auction_base, bid_agreement, input_validation, allocator)
 
-    def spy(block):
-        calls.append(block)
-        return original(block)
+
+@contextmanager
+def counted_builds(forget=False):
+    """Counts batch builds, vector assemblies and validation digests computed.
+
+    ``forget`` switches every instance memo of the round's path off.
+    """
+    counts = Counter()
+    agreement = bid_agreement.BidAgreementBlock
+    digest_of = CommitmentScheme.digest_of
+
+    def counting(name, original):
+        def spy(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return spy
+
+    def digest_spy(value, nonce):
+        if nonce == input_validation.InputValidationBlock._FIXED_NONCE:  # not a coin commitment
+            counts["digests"] += 1
+        return digest_of(value, nonce)
 
     with ExitStack() as stack:
+        for name, method in (("batches", "_build_batch"), ("vectors", "_build_vector")):
+            stack.enter_context(
+                mock.patch.object(agreement, method, counting(name, getattr(agreement, method)))
+            )
         stack.enter_context(
-            mock.patch.object(bid_agreement.BidAgreementBlock, "_build_batch", spy)
+            mock.patch.object(CommitmentScheme, "digest_of", staticmethod(digest_spy))
         )
         if forget:
-            stack.enter_context(
-                mock.patch.object(bid_agreement, "memoise", lambda instance, attr, memo: memo)
-            )
-        yield calls
+            for module in _MEMO_USERS:
+                stack.enter_context(
+                    mock.patch.object(module, "memoise", lambda instance, attr, memo: memo)
+                )
+        yield counts
 
 
-def _fig4(n_values, rounds):
+def _fig4(n_values, rounds, measure_compute=False):
     return figure4_sweep(n_values=n_values, seed=5).with_base_overrides(
-        {"workload": "counting", "measure_compute": False, "rounds": rounds}
+        {"workload": "counting", "measure_compute": measure_compute, "rounds": rounds}
     )
 
 
@@ -112,15 +149,66 @@ class TestFigure4OpCounts:
     """One ``fig4_sweep``-shaped op: one size, one round, centralised + k = 1, 2, 3."""
 
     def test_shared(self, generated):
-        with counted_batches() as batches:
+        with counted_builds() as built:
             records = run_sweep(_fig4((20,), rounds=1)).records
         assert len(records) == 4
         assert len(generated) == 1
-        assert len(batches) == 3  # one per distributed round
+        # One of each for the instance: k = 2 and k = 3 read what k = 1 built.
+        assert built == {"batches": 1, "vectors": 1, "digests": 1}
 
     def test_unshared(self, generated):
-        with counted_batches(forget=True) as batches:
+        with counted_builds(forget=True) as built:
             records = _per_cell(_fig4((20,), rounds=1))
         assert len(records) == 4
         assert len(generated) == 4
-        assert len(batches) == 3 + 5 + 7  # one per executing provider
+        # One of each per executing provider.
+        assert built == {"batches": 3 + 5 + 7, "vectors": 3 + 5 + 7, "digests": 3 + 5 + 7}
+
+    def test_measured_rounds_pay_for_their_own(self, generated):
+        """Under the measured clock k = 1, 2, 3 are each charged one build of each."""
+        with counted_builds() as built:
+            records = run_sweep(_fig4((20,), rounds=1, measure_compute=True)).records
+        assert len(records) == 4
+        assert len(generated) == 1
+        assert built == {"batches": 3, "vectors": 3, "digests": 3}
+
+
+class TestChaosOpCounts:
+    """One ``chaos_grid``-shaped op: six fault cells of one seed, each run twice."""
+
+    FAULTS = (
+        {"kind": "loss", "rate": 0.05},
+        {"kind": "loss", "rate": 0.2, "label": "heavy-loss"},
+        "duplicate",
+        "reorder",
+        {"kind": "latency_spike", "at": 0.001, "duration": 0.004, "extra": 0.05},
+        {"kind": "crash", "node": "p01", "at": 0.001, "duration": 0.002},
+    )
+
+    def _spec(self):
+        base = {
+            "name": "chaos-op",
+            "mechanism": "double",
+            "users": 20,
+            "providers": 5,
+            "runner": "distributed",
+            "latency": "constant",
+            "seed": 3,
+            "measure_compute": False,
+            "config": {"k": 2},
+        }
+        table = {"name": "chaos-op", "base": base, "faults": list(self.FAULTS), "seeds": [3]}
+        return spec_from_dict(table, ChaosSpec)
+
+    def test_one_build_of_each_for_the_seed(self):
+        with counted_builds() as built:
+            shared = run_chaos(self._spec())
+        with counted_builds(forget=True) as separate_built:
+            separate = run_chaos(self._spec())
+        assert shared.is_clean()
+        assert shared.records == separate.records
+        assert built == {"batches": 1, "vectors": 1, "digests": 1}
+        # One of each per provider per run, and the crashed provider builds its
+        # batch again when it restarts, once in each of the crash cell's two runs.
+        builds = 5 * 2 * len(self.FAULTS)
+        assert separate_built == {"batches": builds + 2, "vectors": builds, "digests": builds}
