@@ -216,9 +216,6 @@ class Allocation:
         return Allocation(())
 
     # -- views -------------------------------------------------------------------
-    def as_dict(self) -> Dict[Tuple[str, str], float]:
-        return {(user, provider): amount for user, provider, amount in self.entries}
-
     def amount(self, user_id: str, provider_id: str) -> float:
         for user, provider, amount in self.entries:
             if user == user_id and provider == provider_id:

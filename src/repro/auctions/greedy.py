@@ -2,7 +2,7 @@
 
 A fast, deterministic, *non-truthful* baseline: users are considered in decreasing
 unit-value order and placed first-fit into providers; winners pay their own bid.  It
-exists to (a) give the benchmarks a cheap comparator for allocation quality, and
+exists to (a) give the tests a cheap comparator for allocation quality, and
 (b) give the game-theory test-suite a mechanism that is *expected to fail* the
 truthfulness checks, demonstrating that those checks have teeth.
 """

@@ -20,7 +20,7 @@ Eight sub-commands cover the common workflows::
     repro-auction trace trace.jsonl --format chrome > trace_chrome.json
     repro-auction metrics metrics.json
     repro-auction lint
-    repro-auction lint src benchmarks --format json --select RPA001,RPA002
+    repro-auction lint src --format json --select RPA001,RPA002
 
 ``run``, ``sweep``, ``resilience`` and ``chaos`` accept ``--trace FILE``
 (journal sim-time spans to FILE as the run executes; ``.rcol`` picks the
@@ -42,13 +42,12 @@ in the other :func:`~repro.scenarios.store.store_backends` format
 continues a converted journal exactly where the original stopped.
 
 ``lint`` runs the determinism & contract linter (:mod:`repro.analysis`) over
-the given paths (default ``src`` and ``benchmarks`` where they exist): the RPA
-rule set that statically pins the repo's bit-identity guarantee — wall-clock/
-RNG taint, unordered iteration, pool-unsafe exceptions and frozen ``*Spec``
-dataclasses.  Exit
-status is part of the contract: 0 when clean, 1 when there are findings, 2
-when the lint run itself failed (unknown ``--select`` code, missing path,
-unparseable file).  Line-scoped ``# repro: noqa[RPAxxx]`` comments suppress
+the given paths (default ``src``): the RPA rule set that statically pins the
+repo's bit-identity guarantee — wall-clock/RNG taint, unordered iteration,
+pool-unsafe exceptions and frozen ``*Spec`` dataclasses.  Exit status is part
+of the contract: 0 when clean, 1 when there are findings, 2 when the lint run
+itself failed (unknown ``--select`` code, missing path, unparseable file).
+Line-scoped ``# repro: noqa[RPAxxx]`` comments suppress
 individual findings; suppressions are counted in the report.
 
 ``resilience`` audits the paper's headline claim (Definition 2, k-resilient
@@ -306,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         metavar="PATH",
-        help="files or directories to lint (default: src and benchmarks, "
-        "whichever exist under the current directory)",
+        help="files or directories to lint (default: src under the current directory)",
     )
     lint.add_argument(
         "--format",
@@ -577,11 +575,9 @@ def _command_lint(args: argparse.Namespace) -> int:
 
     paths = list(args.paths)
     if not paths:
-        paths = [path for path in ("src", "benchmarks") if os.path.exists(path)]
-        if not paths:
-            raise SpecError(
-                "paths", "no src/ or benchmarks/ directory here; name paths to lint"
-            )
+        if not os.path.exists("src"):
+            raise SpecError("paths", "no src/ directory here; name paths to lint")
+        paths = ["src"]
     report = lint_paths(paths, select=args.select or None)
     print(render_json(report) if args.format == "json" else render_text(report))
     return 0 if report.clean else 1

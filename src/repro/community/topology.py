@@ -58,9 +58,6 @@ class CommunityNetwork:
 
         return nx.shortest_path_length(self.graph, a, b)
 
-    def gateway_degrees(self) -> Dict[str, int]:
-        return {g: self.graph.degree[g] for g in self.gateways}
-
 
 def generate_community_network(
     num_nodes: int = 40,

@@ -16,11 +16,13 @@ Two implementations are provided, matching the two regimes the paper evaluates:
   executed by every provider assembles the output pair (x, p).  This is what makes
   the expensive standard auction of §5.2.2 scale (Figure 5).
 
-Both blocks output either an :class:`~repro.auctions.base.AuctionResult` or ⊥.
+Both blocks share :class:`SeededAllocatorBlock`'s validate-then-seed prefix and
+output either an :class:`~repro.auctions.base.AuctionResult` or ⊥.
 """
 
 from __future__ import annotations
 
+import abc
 import random
 from typing import Any, Dict, List, Optional, Set
 
@@ -41,13 +43,12 @@ __all__ = ["SequentialAllocatorBlock", "ParallelAllocatorBlock"]
 _RESULTS_ATTR = "_repro_results"
 
 
-class SequentialAllocatorBlock(ProtocolBlock):
-    """Validate inputs, agree on a seed, then run ``A`` locally at every provider.
+class SeededAllocatorBlock(ProtocolBlock):
+    """Validate the agreed vector, agree on a seed, then run :meth:`_execute` on it.
 
     Args:
         name: block name.
         bids: the agreed bid vector (output of the bid agreement).
-        algorithm: the allocation algorithm ``A``.
         use_common_coin: if True (default), agree on the seed through the common
             coin; if False, use a fixed seed of 0 (only sensible for deterministic
             algorithms — still correct, but skips one round of messages).
@@ -60,18 +61,20 @@ class SequentialAllocatorBlock(ProtocolBlock):
         self,
         name: str,
         bids: BidVector,
-        algorithm: AllocationAlgorithm,
         use_common_coin: bool = True,
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
         self.bids = bids
-        self.algorithm = algorithm
         self.use_common_coin = use_common_coin
         self.round_timeout = round_timeout
         #: True when a child block closed a round on a timeout quorum.
         self.degraded = False
         self._ctx: Optional[BlockContext] = None
+
+    @abc.abstractmethod
+    def _execute(self, seed: int) -> None:
+        """Run ``A`` on the agreed vector and seed, and complete with its output."""
 
     def on_start(self, ctx: BlockContext) -> None:
         self._ctx = ctx
@@ -111,6 +114,28 @@ class SequentialAllocatorBlock(ProtocolBlock):
             return
         self._execute(seed=int(block.result))
 
+
+class SequentialAllocatorBlock(SeededAllocatorBlock):
+    """Validate inputs, agree on a seed, then run ``A`` locally at every provider.
+
+    Args:
+        name: block name.
+        bids: the agreed bid vector (output of the bid agreement).
+        algorithm: the allocation algorithm ``A``.
+        use_common_coin / round_timeout: see :class:`SeededAllocatorBlock`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        bids: BidVector,
+        algorithm: AllocationAlgorithm,
+        use_common_coin: bool = True,
+        round_timeout: Optional[float] = None,
+    ) -> None:
+        super().__init__(name, bids, use_common_coin, round_timeout)
+        self.algorithm = algorithm
+
     def _execute(self, seed: int) -> None:
         """Complete with ``A(bids, seed)``, computed by the first provider to ask.
 
@@ -139,7 +164,7 @@ class SequentialAllocatorBlock(ProtocolBlock):
         self.complete(result)
 
 
-class ParallelAllocatorBlock(ProtocolBlock):
+class ParallelAllocatorBlock(SeededAllocatorBlock):
     """Execute ``A`` as a task graph distributed over provider groups (Figure 3).
 
     Args:
@@ -147,10 +172,8 @@ class ParallelAllocatorBlock(ProtocolBlock):
         bids: the agreed bid vector.
         graph: the task decomposition of ``A`` (see
             :func:`repro.core.task_graph.build_standard_auction_graph`).
-        use_common_coin: if True (default), one common-coin invocation fixes the seed
-            every task derives its randomness from.
-        round_timeout: per-round virtual-time budget forwarded to the child
-            blocks; ``None`` waits forever.
+        use_common_coin / round_timeout: see :class:`SeededAllocatorBlock`; every
+            task derives its randomness from the one agreed seed.
     """
 
     def __init__(
@@ -161,14 +184,8 @@ class ParallelAllocatorBlock(ProtocolBlock):
         use_common_coin: bool = True,
         round_timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(name)
-        self.bids = bids
+        super().__init__(name, bids, use_common_coin, round_timeout)
         self.graph = graph
-        self.use_common_coin = use_common_coin
-        self.round_timeout = round_timeout
-        #: True when a child block closed a round on a timeout quorum.
-        self.degraded = False
-        self._ctx: Optional[BlockContext] = None
         self._seed: int = 0
         self._values: Dict[str, Any] = {}
         self._computed: Set[str] = set()
@@ -189,46 +206,8 @@ class ParallelAllocatorBlock(ProtocolBlock):
     def _i_execute(self, task_name: str, node_id: str) -> bool:
         return node_id in self.graph.task(task_name).executors
 
-    # -- protocol -----------------------------------------------------------------------
-    def on_start(self, ctx: BlockContext) -> None:
-        self._ctx = ctx
-        ctx.spawn(
-            "iv",
-            InputValidationBlock("iv", self.bids, round_timeout=self.round_timeout),
-            self._on_iv_done,
-        )
-
-    def on_message(self, ctx: BlockContext, sender: str, subtag: str, payload: Any) -> None:
-        return None  # all traffic flows through the child blocks
-
-    def _on_iv_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
-        if is_abort(block.result):
-            self.complete(ABORT)
-            return
-        assert self._ctx is not None
-        if self.use_common_coin:
-            self._ctx.spawn(
-                "coin",
-                CommonCoinBlock(
-                    "coin", SeedDistribution(), round_timeout=self.round_timeout
-                ),
-                self._on_coin_done,
-            )
-        else:
-            self._begin_execution(seed=0)
-
-    def _on_coin_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
-        if is_abort(block.result):
-            self.complete(ABORT)
-            return
-        self._begin_execution(seed=int(block.result))
-
     # -- task-graph execution -------------------------------------------------------------
-    def _begin_execution(self, seed: int) -> None:
+    def _execute(self, seed: int) -> None:
         assert self._ctx is not None
         # Derive the task seed the same way AllocationAlgorithm.run derives its
         # internal seed from an RNG seeded with the coin value, so the sequential and

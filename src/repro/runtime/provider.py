@@ -23,7 +23,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.provider_protocol import FrameworkBlock, ProviderInput
 from repro.net.message import Message
 from repro.net.node import Node, NodeContext
-from repro.net.protocol import TAG_SEPARATOR, BlockHost, ProtocolBlock
+from repro.net.protocol import BlockHost, ProtocolBlock
 from repro.runtime.bidder import BID_TAG, RESULT_TAG
 
 __all__ = ["CollectingProviderNode", "ASK_TAG"]
@@ -73,11 +73,16 @@ class CollectingProviderNode(Node):
         self._host: Optional[BlockHost] = None
         self._current_ctx: Optional[NodeContext] = None
         self._protocol_started = False
-        self._early_protocol_traffic: list = []
+        #: True when the framework block closed a round by timeout quorum.
+        self.degraded = False
 
     # -- Node interface -------------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> None:
         self._current_ctx = ctx
+        self.degraded = False  # a (re)start begins a fresh, fully-quorate run
+        # The host routes from the first delivery on: protocol traffic from a peer
+        # that started first is buffered until ``framework`` activates here.
+        self._host = BlockHost(lambda: self._current_ctx, self.providers)
         ctx.broadcast(self.providers, self.own_ask, tag=ASK_TAG)
         ctx.set_timer(self.deadline, "bid_deadline")
 
@@ -85,21 +90,15 @@ class CollectingProviderNode(Node):
         self._current_ctx = ctx
         if self._host is not None and self._host.dispatch(ctx, message):
             return
-        if self._host is None and TAG_SEPARATOR in message.tag:
-            # Protocol traffic from a peer that started before this provider did;
-            # keep it until the local protocol starts (reliable channels must not
-            # lose messages).
-            self._early_protocol_traffic.append(message)
-            return
         if message.tag == BID_TAG:
-            self._on_bid(ctx, message)
+            self._on_bid(message)
         elif message.tag == ASK_TAG:
-            self._on_ask(ctx, message)
+            self._on_ask(message)
         elif message.is_timer() and message.tag.endswith("bid_deadline"):
-            self._start_protocol(ctx)
+            self._start_protocol()
 
     # -- collection -------------------------------------------------------------------
-    def _on_bid(self, ctx: NodeContext, message: Message) -> None:
+    def _on_bid(self, message: Message) -> None:
         if message.sender in self._received_bids or self._protocol_started:
             # Late or duplicate bids are ignored; the agreed vector will carry a
             # neutral bid if nothing usable arrived in time.
@@ -107,15 +106,15 @@ class CollectingProviderNode(Node):
         if message.sender not in self._expected_user_set:
             return
         self._received_bids[message.sender] = message.payload
-        self._maybe_start_early(ctx)
+        self._maybe_start_early()
 
-    def _on_ask(self, ctx: NodeContext, message: Message) -> None:
+    def _on_ask(self, message: Message) -> None:
         if message.sender not in self._provider_set or self._protocol_started:
             return
         self._received_asks.setdefault(message.sender, message.payload)
-        self._maybe_start_early(ctx)
+        self._maybe_start_early()
 
-    def _maybe_start_early(self, ctx: NodeContext) -> None:
+    def _maybe_start_early(self) -> None:
         """Start as soon as every expected bid and ask has arrived (before the deadline)."""
         if self._protocol_started:
             return
@@ -126,10 +125,10 @@ class CollectingProviderNode(Node):
             len(self._received_bids) == len(self._expected_user_set)
             and self._received_asks.keys() == self._provider_set
         ):
-            self._start_protocol(ctx)
+            self._start_protocol()
 
     # -- the framework ------------------------------------------------------------------
-    def _start_protocol(self, ctx: NodeContext) -> None:
+    def _start_protocol(self) -> None:
         if self._protocol_started:
             return
         self._protocol_started = True
@@ -140,11 +139,7 @@ class CollectingProviderNode(Node):
             },
             received_provider_asks=dict(self._received_asks),
         )
-        self._host = BlockHost(lambda: self._current_ctx, self.providers)
-        # Replay protocol traffic that arrived before the local protocol started.
-        for early in self._early_protocol_traffic:
-            self._host.dispatch(ctx, early)
-        self._early_protocol_traffic.clear()
+        assert self._host is not None
         self._host.activate(
             "framework",
             FrameworkBlock(
@@ -159,6 +154,8 @@ class CollectingProviderNode(Node):
         )
 
     def _on_framework_done(self, block: ProtocolBlock) -> None:
+        if getattr(block, "degraded", False):
+            self.degraded = True
         if self.announce_result and self._current_ctx is not None:
             # One broadcast (rather than a send loop) so the simulator measures
             # the result payload's wire size once for all users.

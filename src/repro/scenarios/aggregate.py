@@ -299,10 +299,3 @@ def render_series(records: Iterable["RunRecord"]) -> str:
         for users, seconds in sorted(series[name]):
             lines.append(f"  n={users:>5d}  {seconds:8.3f} s")
     return "\n".join(lines)
-
-
-def batched(rows: Iterable[Mapping[str, Any]], summary: StreamingSummary) -> None:
-    """Feed every row of ``rows`` into ``summary`` (convenience for backends)."""
-    for row in rows:
-        summary.add_row(row)
-    summary.flush()

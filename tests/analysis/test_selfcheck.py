@@ -31,12 +31,6 @@ class TestRepoLintsClean:
         )
         assert report.files_checked > 50
 
-    def test_benchmarks_have_zero_unsuppressed_findings(self):
-        report = lint_paths([_tree("benchmarks")])
-        assert report.findings == (), "\n".join(
-            finding.render() for finding in report.findings
-        )
-
     def test_full_rule_set_ran(self):
         report = lint_paths([_tree("src")])
         assert list(report.codes) == sorted(RULES)

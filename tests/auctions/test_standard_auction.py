@@ -158,6 +158,17 @@ class TestDecomposableInterface:
         assembled = mechanism.assemble(bids, allocation, payments)
         assert assembled == full
 
+    def test_payments_re_solve_once_per_winner(self, mechanism):
+        """The payment phase's cost, counted: one pivot re-solve per winning user."""
+        bids = StandardAuctionWorkload(seed=0).generate(40, 8)
+        allocation, welfare = mechanism.solve_allocation(bids, 99)
+        assert welfare > 0
+        with mock.patch.object(
+            mechanism, "solve_allocation", wraps=mechanism.solve_allocation
+        ) as solve:
+            mechanism.payments_for_users(bids, bids.user_ids, allocation, welfare, 99)
+        assert solve.call_count == len(allocation.winners()) > 1
+
     def test_payment_fragments_are_independent(self, mechanism):
         """Computing payments per user-chunk gives the same result as all at once."""
         bids = random_instance(5)

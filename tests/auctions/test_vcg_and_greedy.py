@@ -76,6 +76,7 @@ class TestGreedyBaseline:
             bids = random_instance(seed, num_users=30)
             result = GreedyStandardAuction().run(bids)
             result.allocation.check_feasible(bids, single_provider=True)
+            assert not result.allocation.is_empty()
 
     def test_pay_your_bid(self):
         bids = BidVector(

@@ -15,7 +15,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
 from repro.net.faults import FaultPlan, RecoveryPolicy, make_fault
 from repro.net.latency import UniformLatencyModel
-from repro.scenarios.runner import RunRecord
+from repro.scenarios.runner import RunRecord, run_scenario
 from repro.scenarios.spec import ConfigSpec, ScenarioSpec, SpecError, spec_from_dict, spec_to_dict
 
 PROVIDERS = default_provider_ids(3)
@@ -142,6 +142,27 @@ class TestDegradedRuns:
             stats.messages_sent
             == stats.messages_delivered + stats.messages_dropped + stats.messages_lost
         )
+
+
+class TestRunnersReportDegraded:
+    @pytest.mark.parametrize("runner", ["distributed", "auction_run"])
+    def test_a_wan_round_under_a_tight_timeout_is_degraded(self, runner):
+        # 4 ms is about one WAN hop (3 ms base, jitter, transfer): rounds close
+        # on a partial view and the round aborts.  Both runners flag it.
+        spec = spec_from_dict(
+            {
+                "runner": runner,
+                "users": 10,
+                "providers": 5,
+                "latency": "wan",
+                "config": {"k": 1, "round_timeout": 0.004},
+                "measure_compute": False,
+                "seed": 1,
+            }
+        )
+        record = run_scenario(spec)
+        assert record.aborted
+        assert record.degraded
 
 
 class TestRunRecordDegraded:
