@@ -9,35 +9,54 @@ simulation of the auctioneer still terminates with a single agreed outcome, the
 misbehaving users are excluded or resolved consistently, and the honest users are
 unaffected.
 
+The round is built from its pieces: the generated topology, the §6.2 workload over
+its gateways, and an :class:`~repro.runtime.AuctionRun` on the topology's LAN/WAN
+latency model.  The same round without the example's misbehaving bidders is one
+spec away::
+
+    repro-auction run --set topology=community --set latency=community --set runner=auction_run --set users=16 --set providers=6 --set config.k=2 --set seed=3
+
+(``bidders=`` in a spec file adds the silent and equivocating users).
+
 Run with::
 
     python examples/community_bandwidth_reservation.py
 """
 
 from repro.adversary import InconsistentBidder, SilentBidder
-from repro.community import BandwidthReservationScenario
+from repro.auctions import DoubleAuction
+from repro.community import DoubleAuctionWorkload, generate_community_network
 from repro.core import FrameworkConfig
+from repro.runtime import AuctionRun
+
+USERS, GATEWAYS, SEED = 16, 6, 3
 
 
 def main() -> None:
-    scenario = BandwidthReservationScenario.double_auction(
-        num_users=16, num_gateways=6, seed=3
+    # Every non-gateway node is a member that bids.
+    network = generate_community_network(
+        num_nodes=USERS + GATEWAYS, num_gateways=GATEWAYS, seed=SEED
     )
-    network = scenario.network
+    bids = DoubleAuctionWorkload(seed=SEED).generate(
+        USERS, GATEWAYS, provider_ids=network.gateways
+    )
     print(f"community network: {network.num_nodes} nodes, "
           f"{len(network.gateways)} gateways, "
           f"{network.graph.number_of_edges()} mesh links")
     print(f"gateways (providers): {', '.join(network.gateways)}")
 
     # Two misbehaving users: one silent, one equivocating.
-    user_ids = scenario.bids.user_ids
+    user_ids = bids.user_ids
     strategies = {
         user_ids[0]: SilentBidder(),
         user_ids[1]: InconsistentBidder(),
     }
-    run = scenario.auction_run(
+    run = AuctionRun(
+        bids,
+        DoubleAuction(),
         config=FrameworkConfig(k=2),
         bidder_strategies=strategies,
+        latency_model=network.latency_model(),
         measure_compute=True,
     )
     result = run.execute()
@@ -56,7 +75,7 @@ def main() -> None:
     print("\nper-gateway utilisation:")
     for gateway in network.gateways:
         used = auction.allocation.provider_total(gateway)
-        capacity = scenario.bids.provider(gateway).capacity
+        capacity = bids.provider(gateway).capacity
         revenue = auction.payments.provider_revenue(gateway)
         print(f"  {gateway}: {used:.2f} / {capacity:.2f} units sold, revenue {revenue:.3f}")
 

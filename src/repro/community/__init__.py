@@ -11,11 +11,12 @@ scenarios:
 * :mod:`repro.community.workload` — the exact bid/demand/capacity distributions the
   evaluation section specifies (§6.2 for the double auction, §6.3 for the standard
   auction).
-* :mod:`repro.community.scenario` — bundles a topology, a workload and a mechanism
-  into a ready-to-run scenario.
+
+A scenario spec runs the case-study round: ``topology="community"`` generates the
+network with the spec's providers as its gateways, and ``latency="community"``
+takes the LAN/WAN model from it (:mod:`repro.scenarios`).
 """
 
-from repro.community.scenario import BandwidthReservationScenario
 from repro.community.topology import CommunityNetwork, generate_community_network
 from repro.community.workload import (
     DoubleAuctionWorkload,
@@ -25,7 +26,6 @@ from repro.community.workload import (
 )
 
 __all__ = [
-    "BandwidthReservationScenario",
     "CommunityNetwork",
     "DoubleAuctionWorkload",
     "StandardAuctionWorkload",

@@ -81,8 +81,6 @@ class BatchedConsensusBlock(ProtocolBlock):
         self._label_set = frozenset(self.labels)
         self.validator = validator
         self.round_timeout = round_timeout
-        #: True when a round closed by timeout with a partial quorum.
-        self.degraded = False
         self._batches: Dict[str, FrozenMap] = {}
         self._echoes: Dict[str, Mapping[str, Any]] = {}
         self._echo_sent = False

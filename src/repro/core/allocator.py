@@ -68,8 +68,6 @@ class SeededAllocatorBlock(ProtocolBlock):
         self.bids = bids
         self.use_common_coin = use_common_coin
         self.round_timeout = round_timeout
-        #: True when a child block closed a round on a timeout quorum.
-        self.degraded = False
         self._ctx: Optional[BlockContext] = None
 
     @abc.abstractmethod
@@ -89,8 +87,6 @@ class SeededAllocatorBlock(ProtocolBlock):
 
     # -- chaining ------------------------------------------------------------------
     def _on_iv_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
         if is_abort(block.result):
             self.complete(ABORT)
             return
@@ -107,8 +103,6 @@ class SeededAllocatorBlock(ProtocolBlock):
             self._execute(seed=0)
 
     def _on_coin_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
         if is_abort(block.result):
             self.complete(ABORT)
             return
@@ -252,8 +246,6 @@ class ParallelAllocatorBlock(SeededAllocatorBlock):
         def callback(block: ProtocolBlock) -> None:
             if self.done:
                 return
-            if getattr(block, "degraded", False):
-                self.degraded = True
             if is_abort(block.result):
                 self.complete(ABORT)
                 return

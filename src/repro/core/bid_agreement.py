@@ -94,8 +94,6 @@ class BidAgreementBlock(ProtocolBlock):
             raise ValueError(f"unknown agreement mode {mode!r}; choose from {AGREEMENT_MODES}")
         self.mode = mode
         self.round_timeout = round_timeout
-        #: True when the underlying consensus closed a round on a partial quorum.
-        self.degraded = False
         self.expected_users = sorted(expected_users)
         self.expected_providers = sorted(expected_providers)
         self.received_user_bids = _kept_or_copied(received_user_bids)
@@ -166,8 +164,6 @@ class BidAgreementBlock(ProtocolBlock):
 
     # -- batched mode -----------------------------------------------------------------
     def _on_batch_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
         if is_abort(block.result):
             self.complete(ABORT)
             return

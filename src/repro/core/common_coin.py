@@ -55,8 +55,6 @@ class CommonCoinBlock(ProtocolBlock):
         super().__init__(name)
         self.distribution = distribution if distribution is not None else UniformDistribution()
         self.round_timeout = round_timeout
-        #: True when a round closed by timeout (the coin then outputs ⊥).
-        self.degraded = False
         self._my_value: float = 0.0
         self._my_nonce: bytes = b""
         self._commitments: Dict[str, Commitment] = {}

@@ -55,8 +55,6 @@ class DataTransferBlock(ProtocolBlock):
         if not self.senders:
             raise ValueError("data transfer needs at least one sender")
         self.round_timeout = round_timeout
-        #: True when the transfer closed by timeout with partial confirmations.
-        self.degraded = False
         self._my_value = my_value
         self._received: Dict[str, Any] = {}
 

@@ -10,8 +10,7 @@ per-provider outputs into the outcome of Definition 1, and reports timing and tr
 statistics.
 
 :class:`CentralizedAuctioneer` is the baseline of the paper's evaluation: a single
-trusted entity that simply runs the algorithm, with (optionally) a modelled round-trip
-to the clients added to its elapsed time.
+trusted entity that simply runs the algorithm, timed by a stopwatch.
 """
 
 from __future__ import annotations
@@ -163,23 +162,7 @@ class DistributedAuctioneer:
             )
             network.add_node(node)
         stats = network.run(max_steps=max_steps)
-        outputs = {
-            provider_id: network.node(provider_id).output
-            if network.node(provider_id).finished
-            else None
-            for provider_id in self.providers
-        }
-        outcome = Outcome.from_provider_outputs(
-            outputs,
-            elapsed_time=stats.elapsed_time,
-            messages=stats.messages_delivered,
-            bytes_transferred=stats.bytes_delivered,
-            degraded=any(
-                getattr(network.node(provider_id), "degraded", False)
-                for provider_id in self.providers
-            ),
-        )
-        return SimulationReport(outcome=outcome, stats=stats)
+        return SimulationReport(Outcome.from_network(network, self.providers), stats)
 
     def run_from_bids(self, bids: BidVector, max_steps: int = 2_000_000) -> SimulationReport:
         """Simulate the honest case directly from a bid vector.
@@ -215,21 +198,11 @@ class CentralizedAuctioneer:
 
     Args:
         algorithm: the allocation algorithm.
-        base_latency: modelled client↔auctioneer round-trip added to the elapsed
-            time (0 by default).  The paper's centralised measurements include the
-            time for the client to ship the bids and read back the result; set this
-            to the corresponding round-trip to mirror that accounting.
         seed: seed for the algorithm's internal randomness.
     """
 
-    def __init__(
-        self,
-        algorithm: AllocationAlgorithm,
-        base_latency: float = 0.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, algorithm: AllocationAlgorithm, seed: int = 0) -> None:
         self.algorithm = algorithm
-        self.base_latency = base_latency
         self.seed = seed
 
     def run(self, bids: BidVector) -> SimulationReport:
@@ -239,7 +212,7 @@ class CentralizedAuctioneer:
         # modelled compute replaces both (ROADMAP item 1).
         start = time.perf_counter()  # repro: noqa[RPA001] centralised stopwatch
         result = self.algorithm.run(bids, rng)
-        elapsed = time.perf_counter() - start + self.base_latency  # repro: noqa[RPA001] centralised stopwatch
+        elapsed = time.perf_counter() - start  # repro: noqa[RPA001] centralised stopwatch
         outcome = Outcome(
             result=result,
             provider_outputs={"auctioneer": result},

@@ -58,8 +58,6 @@ class InputValidationBlock(ProtocolBlock):
         self.my_input = my_input
         self.full_broadcast = full_broadcast
         self.round_timeout = round_timeout
-        #: True when the announce round closed by timeout with a partial view.
-        self.degraded = False
         self._received: Dict[str, Any] = {}
 
     # -- helpers ------------------------------------------------------------------

@@ -10,7 +10,7 @@ protocol could not terminate) as having output ⊥.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.auctions.base import AuctionResult
 from repro.common import ABORT, AbortType, is_abort
@@ -89,4 +89,24 @@ class Outcome:
             messages=messages,
             bytes_transferred=bytes_transferred,
             degraded=degraded,
+        )
+
+    @staticmethod
+    def from_network(network, provider_ids: Sequence[str]) -> "Outcome":
+        """The outcome of a finished round: what each provider output, off ``network``.
+
+        The one outcome step of both ways to run a round
+        (``DistributedAuctioneer.run`` and ``AuctionRun``).  A provider that
+        never finished output nothing (⊥); the round is degraded when any
+        provider's ``degraded`` reads true; time and traffic are the
+        network's statistics.
+        """
+        nodes = {pid: network.node(pid) for pid in provider_ids}
+        stats = network.stats
+        return Outcome.from_provider_outputs(
+            {pid: node.output if node.finished else None for pid, node in nodes.items()},
+            elapsed_time=stats.elapsed_time,
+            messages=stats.messages_delivered,
+            bytes_transferred=stats.bytes_delivered,
+            degraded=any(getattr(node, "degraded", False) for node in nodes.values()),
         )

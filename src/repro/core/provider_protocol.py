@@ -62,8 +62,6 @@ class FrameworkBlock(ProtocolBlock):
         self.config = config
         self.expected_users = sorted(expected_users)
         self.providers = sorted(providers)
-        #: True when the bid agreement closed a round on a timeout quorum.
-        self.degraded = False
         self._ctx: Optional[BlockContext] = None
 
     # -- protocol -------------------------------------------------------------------
@@ -95,8 +93,6 @@ class FrameworkBlock(ProtocolBlock):
 
     # -- chaining -------------------------------------------------------------------
     def _on_agreement_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
         if is_abort(block.result):
             self.complete(ABORT)
             return
@@ -128,8 +124,6 @@ class FrameworkBlock(ProtocolBlock):
         self._ctx.spawn("alloc", allocator, self._on_allocator_done)
 
     def _on_allocator_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
         self.complete(block.result)
 
 

@@ -15,7 +15,7 @@ and to multiplex many concurrent blocks over a single node's channel:
   block by tag prefix, buffering traffic that arrives before the local node has
   activated the corresponding block (this is where the model's asynchrony shows up).
 * :class:`ProtocolNode` — a :class:`~repro.net.node.Node` that runs one root block and
-  finishes with its result.
+  finishes with its result; it reads ``degraded`` off that root.
 
 Tag format: ``"<block-path>|<subtag>"`` where the block path is ``/``-joined from the
 root (for example ``"ba/u3|echo"``).
@@ -45,6 +45,12 @@ class ProtocolBlock(abc.ABC):
     special ⊥ value is expressed by completing with :data:`repro.core.outcome.ABORT`
     (any sentinel chosen by the caller works; the base class does not interpret the
     value).
+
+    Besides its output a block carries one bit, :attr:`degraded`: a leaf block
+    sets it when a timer closed one of its rounds on a timeout quorum
+    (``FrameworkConfig.round_timeout``), and the host ORs every finished
+    child's flag into the block that spawned it — so a block reads its whole
+    subtree's flag, and no block carries it by hand.
     """
 
     def __init__(self, name: str) -> None:
@@ -52,6 +58,11 @@ class ProtocolBlock(abc.ABC):
         self._result: Any = _UNSET
         #: The host that activated this block (set by :meth:`BlockHost.activate`).
         self._host: Optional["BlockHost"] = None
+        #: The block that spawned this one (set by :meth:`BlockContext.spawn`).
+        self._spawner: Optional["ProtocolBlock"] = None
+        #: True when this block or a finished descendant closed a round by
+        #: timeout quorum instead of a full view.
+        self.degraded = False
 
     # -- to be implemented by subclasses -------------------------------------
     @abc.abstractmethod
@@ -106,11 +117,13 @@ class BlockContext:
         node_ctx: NodeContext,
         path: str,
         participants: Sequence[str],
+        block: ProtocolBlock,
     ) -> None:
         self._host = host
         self._node_ctx = node_ctx
         self.path = path
         self.participants = list(participants)
+        self._block = block
 
     # -- identity and environment -----------------------------------------------
     @property
@@ -166,9 +179,13 @@ class BlockContext:
     ) -> ProtocolBlock:
         """Activate a child block under ``<this path>/<name>``.
 
-        The child is started immediately; ``on_done`` fires (once) when it completes.
+        The child is started immediately; ``on_done`` fires (once) when it
+        completes, after the host has ORed the child's :attr:`~ProtocolBlock.degraded`
+        into this block's.  The spawner is recorded here rather than read off
+        the path: a child name may itself hold a ``/`` (``user:u0001/bit003``).
         """
         child_path = f"{self.path}/{name}"
+        block._spawner = self._block
         return self._host.activate(
             child_path,
             block,
@@ -210,6 +227,7 @@ class BlockHost:
             node_ctx,
             path,
             participants if participants is not None else self._default_participants,
+            block,
         )
         self._blocks[path] = (block, ctx, on_done)
         block._host = self
@@ -276,6 +294,8 @@ class BlockHost:
         such as the bid agreement chain their sub-protocols), so a single pass is not
         enough — keep sweeping until no active block is done.  Blocks are visited
         in activation order, which is the order their ``on_done`` callbacks fire in.
+        A finalised block's :attr:`~ProtocolBlock.degraded` is ORed into its
+        spawner before its ``on_done`` runs — the only place the flag moves.
         """
         changed = self._completions
         while changed:
@@ -290,6 +310,8 @@ class BlockHost:
                     del self._blocks[path]
                     self._completed_paths.add(path)
                     self._buffered.pop(path, None)
+                    if block.degraded and block._spawner is not None:
+                        block._spawner.degraded = True
                     on_done(block)
                     changed = True
 
@@ -308,6 +330,12 @@ class ProtocolNode(Node):
     Subclasses (or callers) provide a factory for the root block; the node finishes
     with the root block's result.  Messages that are not block traffic are passed to
     :meth:`on_other_message`, which defaults to ignoring them.
+
+    :meth:`on_start` is :meth:`_start_host` then :meth:`_activate_root`; a node
+    that must first gather its root's input (the bid-collecting provider)
+    starts the host and activates the root later.  The host routes from the
+    first delivery on, so protocol traffic from a peer whose root is already
+    running is buffered until the root activates here.
     """
 
     def __init__(
@@ -323,16 +351,34 @@ class ProtocolNode(Node):
         self._root_factory = root_factory
         self._host: Optional[BlockHost] = None
         self._current_ctx: Optional[NodeContext] = None
-        #: True when the root block closed a round by timeout quorum instead of
-        #: a full view (see FrameworkConfig.round_timeout).
-        self.degraded = False
+        #: This incarnation's root block, ``None`` until it activates.
+        self._root: Optional[ProtocolBlock] = None
+
+    @property
+    def degraded(self) -> bool:
+        """True when the root block closed a round by timeout quorum instead of
+        a full view (see ``FrameworkConfig.round_timeout``).
+
+        Read off the root, so a crash restart — which builds a fresh root —
+        reads ``False`` until the new root degrades.
+        """
+        return self._root is not None and self._root.degraded
 
     # -- Node interface ---------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> None:
+        self._start_host(ctx)
+        self._activate_root()
+
+    def _start_host(self, ctx: NodeContext) -> None:
+        """Begin a fresh incarnation: a new block host and no root yet."""
         self._current_ctx = ctx
-        self.degraded = False  # a (re)start begins a fresh, fully-quorate run
+        self._root = None
         self._host = BlockHost(lambda: self._current_ctx, self.participants)
-        self._host.activate(self._root_name, self._root_factory(), self._on_root_done)
+
+    def _activate_root(self) -> None:
+        assert self._host is not None
+        self._root = self._root_factory()
+        self._host.activate(self._root_name, self._root, self._on_root_done)
 
     def on_message(self, ctx: NodeContext, message: Message) -> None:
         self._current_ctx = ctx
@@ -345,6 +391,4 @@ class ProtocolNode(Node):
 
     # -- completion ----------------------------------------------------------------
     def _on_root_done(self, block: ProtocolBlock) -> None:
-        if getattr(block, "degraded", False):
-            self.degraded = True
         self.finish(block.result)

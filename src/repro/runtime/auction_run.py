@@ -132,21 +132,10 @@ class AuctionRun:
                 )
             )
         stats = network.run(max_steps=max_steps)
-        provider_outputs = {
-            pid: network.node(pid).output if network.node(pid).finished else None
-            for pid in provider_ids
-        }
-        outcome = Outcome.from_provider_outputs(
-            provider_outputs,
-            elapsed_time=stats.elapsed_time,
-            messages=stats.messages_delivered,
-            bytes_transferred=stats.bytes_delivered,
-            degraded=any(
-                getattr(network.node(pid), "degraded", False) for pid in provider_ids
-            ),
-        )
         observations = {
             uid: network.node(uid).output if network.node(uid).finished else None
             for uid in user_ids
         }
-        return AuctionRunResult(outcome=outcome, bidder_observations=observations, stats=stats)
+        return AuctionRunResult(
+            Outcome.from_network(network, provider_ids), observations, stats
+        )

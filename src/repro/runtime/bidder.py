@@ -51,8 +51,6 @@ class BidderNode(Node):
         true_bid: the bidder's true valuation/demand.
         providers: ids of the provider nodes.
         strategy: submission behaviour (defaults to truthful).
-        wait_for_result: if False, the bidder finishes right after submitting
-            (useful when a scenario only cares about the providers' outputs).
     """
 
     def __init__(
@@ -60,14 +58,12 @@ class BidderNode(Node):
         true_bid: UserBid,
         providers: Sequence[str],
         strategy: Optional[BidderStrategy] = None,
-        wait_for_result: bool = True,
     ) -> None:
         super().__init__(true_bid.user_id)
         self.true_bid = true_bid
         self.providers = sorted(providers)
         self._provider_set = frozenset(self.providers)
         self.strategy = strategy if strategy is not None else TruthfulBidder()
-        self.wait_for_result = wait_for_result
         self._announcements: Dict[str, Any] = {}
 
     # -- Node interface ---------------------------------------------------------
@@ -76,8 +72,6 @@ class BidderNode(Node):
             payload = self.strategy.bid_for_provider(self.true_bid, provider_id)
             if payload is not None:
                 ctx.send(provider_id, payload, tag=BID_TAG)
-        if not self.wait_for_result:
-            self.finish(None)
 
     def on_message(self, ctx: NodeContext, message: Message) -> None:
         if message.tag != RESULT_TAG or message.sender not in self._provider_set:

@@ -10,9 +10,8 @@ such a grid into records (DESIGN.md, "The grid engine", is the long form).
 (the ``kind`` of its JSON payload and the prefix of its counters), the unit
 its cells are counted in, the per-record verdict, the record type, the spec
 class (its file form — :func:`~repro.scenarios.spec.spec_to_dict` — is all
-that crosses a process boundary, besides picklable ``extra`` arguments, and
-its canonical digest is the journal fingerprint) and a context factory
-``context(spec, *extra)``.  A context is one executor's state; it builds
+that crosses a process boundary, and its canonical digest is the journal
+fingerprint) and a context factory ``context(spec)``.  A context is one executor's state; it builds
 nothing until a cell runs:
 
 * ``run_order()`` — every cell of the grid, in the order one executor should
@@ -144,7 +143,6 @@ class GridResult:
 def run_grid(
     grid: Grid,
     spec: Any,
-    extra: Tuple[Any, ...] = (),
     *,
     workers: WorkerSpec = None,
     store=None,
@@ -157,9 +155,6 @@ def run_grid(
     Args:
         grid: the grid kind's declaration.
         spec: the sweep / audit specification (names the journal manifest).
-        extra: further positional arguments of ``grid.context``; they ride to
-            the workers, so a parallel run requires them to pickle (the
-            sweep's latency-model override is the one user).
         workers: run cells in a pool of worker processes — a count or
             ``"auto"``, resolved by
             :func:`~repro.scenarios.dispatch.resolve_workers`; ``None``/``1``
@@ -193,7 +188,7 @@ def run_grid(
             f"failure_mode must be 'raise' or 'quarantine', got {failure_mode!r}",
         )
     plan = resolve_workers(workers)
-    context = grid.context(spec, *extra)
+    context = grid.context(spec)
     journal = _as_store(store, store_format, grid.record_type)
     fresh: Dict[Cell, Any] = {}
     reused: Dict[Cell, Any] = {}
@@ -208,7 +203,7 @@ def run_grid(
                 fingerprint=spec_fingerprint(spec),
             )
         pending = [cell for cell in order if cell not in reused]
-        stream = _stream(grid, spec, extra, context, pending, plan, failure_mode)
+        stream = _stream(grid, spec, context, pending, plan, failure_mode)
         try:
             for item in stream:
                 if isinstance(item, ChunkQuarantine):
@@ -292,22 +287,14 @@ def _as_store(store, store_format, record_type):
     return ResultsStore(store, record_type=record_type, format=store_format)
 
 
-def _stream(grid, spec, extra, context, pending, plan, failure_mode) -> Iterator[Any]:
+def _stream(grid, spec, context, pending, plan, failure_mode) -> Iterator[Any]:
     """Yield ``(point, instance, record)`` — or quarantine sentinels — as cells land."""
     if not (plan.parallel and pending):
         for point, instance in pending:
             yield point, instance, context.run_cell(point, instance)
         return
-    try:
-        pickle.dumps(extra)
-    except Exception as exc:
-        raise SpecError(
-            "workers",
-            f"{extra!r} cannot be shipped to worker processes (not picklable): "
-            f"{exc}; run with workers=1 or express it in the spec",
-        ) from exc
     chunks = chunk_cells(context, pending, plan.workers)
-    worker = functools.partial(run_chunk, grid, spec_to_dict(spec), tuple(extra))
+    worker = functools.partial(run_chunk, grid, spec_to_dict(spec))
     yield from execute_chunks(chunks, worker, plan.workers, failure_mode)
 
 
@@ -334,7 +321,7 @@ def chunk_cells(context, cells: List[Cell], workers: int) -> List[List[Cell]]:
 
 
 def run_chunk(
-    grid: Grid, payload: Dict[str, Any], extra: Tuple[Any, ...], cells: List[Cell]
+    grid: Grid, payload: Dict[str, Any], cells: List[Cell]
 ) -> List[Tuple[int, int, Any]]:
     """Worker body: run one chunk of cells through a fresh context.
 
@@ -348,7 +335,7 @@ def run_chunk(
     survives pickling, so fail-fast callers see the typed error.
     """
     results: List[Tuple[int, int, Any]] = []
-    context = grid.context(spec_from_dict(payload, grid.spec_type), *extra)
+    context = grid.context(spec_from_dict(payload, grid.spec_type))
     try:
         for position, (point, instance) in enumerate(cells):
             try:

@@ -21,7 +21,7 @@ store** (``store=path``: every record journaled as it completes;
 from __future__ import annotations
 
 import numbers
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.auctions.base import BidVector
 from repro.core.framework import DistributedAuctioneer
@@ -39,7 +39,7 @@ from repro.scenarios.runner import (
     resolve_round_inputs,
     run_scenario,
 )
-from repro.scenarios.spec import ScenarioSpec, SpecError, SweepSpec, spec_with_overrides
+from repro.scenarios.spec import ScenarioSpec, SweepSpec, spec_with_overrides
 
 __all__ = [
     "ComponentCache",
@@ -151,10 +151,9 @@ class SweepContext:
     :meth:`close` closes the cache (idempotent).
     """
 
-    def __init__(self, sweep: SweepSpec, latency_model: Optional[LatencyModel] = None) -> None:
+    def __init__(self, sweep: SweepSpec) -> None:
         self.name = sweep.name
         self.scenarios = sweep.scenarios()
-        self.latency_model = latency_model
         self.cache = ComponentCache()
         self._components: Dict[int, Dict[str, Any]] = {}
         # The cell, in grid order, that last reads each generated instance:
@@ -190,14 +189,13 @@ class SweepContext:
         if components is None:
             mechanism = self.cache.mechanism(spec)
             topology = self.cache.topology(spec)
-            model = self.latency_model
-            if model is None and spec.runner != "centralized":
-                # The centralised baseline never consumes latency; keep it unbuilt so
-                # the cached path stays semantically identical to bare run_scenario.
-                model = self.cache.latency(spec, topology)
+            # The centralised baseline never consumes latency; keep it unbuilt so
+            # the cached path stays semantically identical to bare run_scenario.
             components = self._components[point] = {
                 "mechanism": mechanism,
-                "latency_model": model,
+                "latency_model": (
+                    self.cache.latency(spec, topology) if spec.runner != "centralized" else None
+                ),
                 "topology": topology,
             }
         bids = self.cache.bids(
@@ -339,48 +337,21 @@ SWEEP_GRID = Grid(
 )
 
 
-def run_sweep(
-    sweep: SweepSpec, *, latency_model: Optional[LatencyModel] = None, **engine: Any
-) -> GridResult:
+def run_sweep(sweep: SweepSpec, **engine: Any) -> GridResult:
     """Run every grid point of the sweep and collect the records in grid order.
+
+    Every point's latency model comes from its spec; a model object no spec
+    can express runs one round at a time through ``run_scenario(latency_model=)``.
 
     Args:
         sweep: the sweep specification.
-        latency_model: optional pre-built model overriding every point's
-            ``latency`` reference (used by the figure experiments to honour a
-            caller-supplied model object that has no spec representation).
-            Raises :class:`SpecError` when the sweep itself varies ``latency``
-            — the override would silently swallow that axis.  A parallel
-            run ships it to the workers, so it must pickle.
         engine: the grid engine's options (``workers``, ``store``,
             ``store_format``, ``resume``, ``failure_mode``), see
             :func:`~repro.scenarios.grid.run_grid`.
             Chunking preserves the per-configuration state amortisation
             (all rounds of a point share one worker and one cache).
     """
-    if latency_model is not None:
-        conflict = _latency_override_conflict(sweep)
-        if conflict is not None:
-            raise SpecError(
-                conflict,
-                "this sweep varies the latency model, but the caller-supplied "
-                "latency_model override applies to every grid point and would "
-                "silently ignore the variation; drop the override or the "
-                "latency override in the sweep grid",
-            )
-    return run_grid(SWEEP_GRID, sweep, (latency_model,), **engine)
-
-
-def _latency_override_conflict(sweep: SweepSpec) -> Optional[str]:
-    """The spec path of a latency variation in the grid, or ``None``."""
-    for i, point in enumerate(sweep.points):
-        for key in point:
-            if key == "latency" or key.startswith("latency."):
-                return f"points[{i}].{key}"
-    for key, _values in sweep.axes:
-        if key == "latency" or key.startswith("latency."):
-            return f"axes.{key}"
-    return None
+    return run_grid(SWEEP_GRID, sweep, **engine)
 
 
 # ----------------------------------------------------------------- cache keys --

@@ -1,11 +1,10 @@
-"""Tests for the community-network topology, workloads and scenarios."""
+"""Tests for the community-network topology, workloads and the case-study round."""
 
 import networkx as nx
 import pytest
 
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
-from repro.community.scenario import BandwidthReservationScenario
 from repro.community.topology import generate_community_network
 from repro.community.workload import (
     DoubleAuctionWorkload,
@@ -14,7 +13,17 @@ from repro.community.workload import (
     WorkloadParameters,
 )
 from repro.core.config import FrameworkConfig
+from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer
 from repro.net.latency import LanWanLatencyModel
+from repro.scenarios import Simulation, run_scenario, spec_from_dict
+from repro.scenarios.runner import build_mechanism, build_topology, resolve_round_inputs
+
+
+def community_spec(**fields):
+    """A case-study scenario: the generated topology's gateways are the providers."""
+    data = {"topology": "community", "latency": "community", "measure_compute": False}
+    data.update(fields)
+    return spec_from_dict(data)
 
 
 class TestTopology:
@@ -148,41 +157,37 @@ class TestVRSessionWorkload:
 
 
 class TestScenario:
+    """The case-study round on the spec path (``topology="community"``)."""
+
     def test_double_auction_scenario_runs_end_to_end(self):
-        scenario = BandwidthReservationScenario.double_auction(
-            num_users=8, num_gateways=4, seed=1
-        )
-        assert isinstance(scenario.mechanism, DoubleAuction)
-        assert len(scenario.providers) == 4
-        report = scenario.distributed(FrameworkConfig(k=1)).run_from_bids(scenario.bids)
+        spec = community_spec(users=8, providers=4, seed=1)
+        provider_ids, _executors, bids, latency = resolve_round_inputs(spec)
+        mechanism = build_mechanism(spec)
+        assert isinstance(mechanism, DoubleAuction)
+        assert provider_ids == build_topology(spec).gateways
+        assert len(provider_ids) == 4
+        report = DistributedAuctioneer(
+            mechanism, provider_ids, FrameworkConfig(k=1), latency_model=latency
+        ).run_from_bids(bids)
         assert not report.aborted
-        central = scenario.centralized().run(scenario.bids)
+        central = CentralizedAuctioneer(mechanism).run(bids)
         assert report.result == central.result
+        record = run_scenario(spec)
+        assert not record.aborted
+        assert record.winners == len(report.result.allocation.winners())
 
     def test_standard_auction_scenario_runs_end_to_end(self):
-        scenario = BandwidthReservationScenario.standard_auction(
-            num_users=6, num_gateways=4, epsilon=0.5, seed=2
+        spec = community_spec(
+            mechanism={"kind": "standard", "epsilon": 0.5},
+            users=6,
+            providers=4,
+            config={"k": 1, "parallel": True},
+            seed=2,
         )
-        assert isinstance(scenario.mechanism, StandardAuction)
-        report = scenario.distributed(FrameworkConfig(k=1, parallel=True)).run_from_bids(
-            scenario.bids
-        )
-        assert not report.aborted
+        with Simulation(spec) as sim:
+            assert isinstance(sim.mechanism, StandardAuction)
+            assert not sim.run().aborted
 
     def test_scenario_auction_run(self):
-        scenario = BandwidthReservationScenario.double_auction(
-            num_users=5, num_gateways=3, seed=3
-        )
-        result = scenario.auction_run(FrameworkConfig(k=1)).execute()
-        assert not result.aborted
-
-    def test_centralized_forwards_seed(self):
-        scenario = BandwidthReservationScenario.standard_auction(
-            num_users=6, num_gateways=3, epsilon=0.5, seed=4
-        )
-        auctioneer = scenario.centralized(seed=17)
-        assert auctioneer.seed == 17
-        # Matching seeds give matching mechanism randomness (and thus results).
-        a = scenario.centralized(seed=17).run(scenario.bids)
-        b = scenario.centralized(seed=17).run(scenario.bids)
-        assert a.result == b.result
+        spec = community_spec(users=5, providers=3, runner="auction_run", seed=3)
+        assert not run_scenario(spec).aborted

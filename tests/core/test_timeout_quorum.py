@@ -9,14 +9,29 @@ behaviour is byte-identical to the historical reliable-substrate protocol.
 
 import pytest
 
+from repro.adversary.provider_behaviors import OutputTamperingProviderNode
+from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
-from repro.community.workload import StandardAuctionWorkload, default_provider_ids
+from repro.community.workload import (
+    DoubleAuctionWorkload,
+    StandardAuctionWorkload,
+    default_provider_ids,
+)
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
+from repro.core.provider_protocol import FrameworkProviderNode
 from repro.net.faults import FaultPlan, RecoveryPolicy, make_fault
 from repro.net.latency import UniformLatencyModel
+from repro.scenarios.registry import LATENCIES
 from repro.scenarios.runner import RunRecord, run_scenario
-from repro.scenarios.spec import ConfigSpec, ScenarioSpec, SpecError, spec_from_dict, spec_to_dict
+from repro.scenarios.spec import (
+    ComponentSpec,
+    ConfigSpec,
+    ScenarioSpec,
+    SpecError,
+    spec_from_dict,
+    spec_to_dict,
+)
 
 PROVIDERS = default_provider_ids(3)
 
@@ -163,6 +178,48 @@ class TestRunnersReportDegraded:
         record = run_scenario(spec)
         assert record.aborted
         assert record.degraded
+
+
+class TestDeviantProvidersReportDegraded:
+    """A provider's flag is its root block's: no subclass can drop it."""
+
+    def wan_round(self, deviant=None):
+        """The degraded WAN round of ``TestRunnersReportDegraded``, with ``p00``
+        built by ``deviant`` (honest when ``None``); returns ``p00`` and the report."""
+        providers = default_provider_ids(5)
+        bids = DoubleAuctionWorkload(seed=1).generate(10, 5, provider_ids=providers)
+        nodes = {}
+
+        def factory(provider_input, *args):
+            build = FrameworkProviderNode
+            if provider_input.provider_id == "p00" and deviant is not None:
+                build = deviant
+            node = nodes[provider_input.provider_id] = build(provider_input, *args)
+            return node
+
+        auctioneer = DistributedAuctioneer(
+            DoubleAuction(),
+            providers,
+            FrameworkConfig(k=1, round_timeout=0.004),
+            latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
+            seed=1,
+        )
+        report = auctioneer.run(
+            auctioneer.consistent_inputs(bids),
+            expected_users=bids.user_ids,
+            node_factory=factory,
+        )
+        return nodes["p00"], report
+
+    def test_an_output_tampering_provider_still_reports_a_degraded_round(self):
+        honest, honest_report = self.wan_round()
+        tampering, tampered_report = self.wan_round(
+            lambda *args: OutputTamperingProviderNode(*args, bonus=5.0)
+        )
+        assert honest.degraded
+        assert tampered_report.stats.messages_delivered == honest_report.stats.messages_delivered
+        assert tampered_report.stats.bytes_delivered == honest_report.stats.bytes_delivered
+        assert tampering.degraded
 
 
 class TestRunRecordDegraded:

@@ -6,11 +6,12 @@ import pytest
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.welfare import budget_surplus
-from repro.community.scenario import BandwidthReservationScenario
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer
 from repro.net.scheduler import AdversarialScheduler
+from repro.scenarios import spec_from_dict
+from repro.scenarios.runner import build_auctioneer, build_mechanism, resolve_round_inputs
 
 
 class TestFullStackDoubleAuction:
@@ -76,15 +77,23 @@ class TestFullStackStandardAuction:
 
 class TestCommunityScenarioIntegration:
     def test_gateway_auction_over_generated_topology(self):
-        scenario = BandwidthReservationScenario.double_auction(
-            num_users=12, num_gateways=5, seed=4
+        spec = spec_from_dict(
+            {
+                "topology": "community",
+                "latency": "community",
+                "users": 12,
+                "providers": 5,
+                "config": {"k": 2},
+                "seed": 4,
+                "measure_compute": True,
+            }
         )
-        report = scenario.distributed(FrameworkConfig(k=2), measure_compute=True).run_from_bids(
-            scenario.bids
-        )
+        provider_ids, executor_ids, bids, latency = resolve_round_inputs(spec)
+        auctioneer = build_auctioneer(spec, build_mechanism(spec), executor_ids, latency)
+        report = auctioneer.run_from_bids(bids)
         assert not report.aborted
         assert report.outcome.elapsed_time > 0
         # Every winner is a member (not a gateway) and every used provider a gateway.
         winners = report.result.allocation.winners()
         assert all(w.startswith("u") for w in winners)
-        assert set(report.result.allocation.providers_used()) <= set(scenario.providers)
+        assert set(report.result.allocation.providers_used()) <= set(provider_ids)

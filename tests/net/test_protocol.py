@@ -284,3 +284,83 @@ class TestBlockHostFinalisation:
         assert self.host.dispatch(None, block_message("b", payload="finish"))
         assert self.finalised == ["b"] and reads
         assert self.host.active_paths == ["a", "c"]
+
+
+def degrade_on_timer(block, ctx, event):
+    """Script: a timer closes a round on a partial view; a message completes the block."""
+    if event[0] == "timer":
+        block.degraded = True
+    complete_with_payload(block, ctx, event)
+
+
+class TestDegradedFlag:
+    """The host ORs a finished child's ``degraded`` into the block that spawned it."""
+
+    def setup_method(self):
+        self.host = BlockHost(lambda: None, ["me", "peer"])
+
+    def test_a_childs_flag_reaches_its_spawner_before_on_done(self):
+        root = ScriptedBlock("root")
+        at_on_done = []
+
+        def spawn_child(block, ctx, event):
+            if event[0] == "start":
+                ctx.spawn(
+                    "child",
+                    ScriptedBlock("child", degrade_on_timer),
+                    lambda child: at_on_done.append(root.degraded),
+                )
+
+        root.script = spawn_child
+        self.host.activate("root", root, lambda block: None)
+        assert self.host.dispatch(None, timer_message("root/child"))
+        assert not root.degraded  # the child is still running
+        assert self.host.dispatch(None, block_message("root/child", payload="done"))
+        assert at_on_done == [True]
+        assert root.degraded
+
+    def test_a_slashed_child_name_reaches_its_spawner_and_never_a_sibling(self):
+        # Per-bit agreement names a child ``user:u0001/bit003``: its path reads
+        # like a grandchild of a ``user:u0001`` block that does not exist.
+        root, agreement = ScriptedBlock("root"), ScriptedBlock("ba")
+        bits = {
+            name: ScriptedBlock(name, degrade_on_timer)
+            for name in ("user:u0001/bit003", "user:u0001/bit004")
+        }
+
+        def spawn_agreement(block, ctx, event):
+            if event[0] == "start":
+                ctx.spawn("ba", agreement, lambda block: None)
+
+        def spawn_bits(block, ctx, event):
+            if event[0] == "start":
+                for name, bit in bits.items():
+                    ctx.spawn(name, bit, bit_done)
+
+        def bit_done(bit):
+            if all(b.done for b in bits.values()):
+                agreement.complete("agreed")
+
+        root.script, agreement.script = spawn_agreement, spawn_bits
+        self.host.activate("root", root, lambda block: None)
+        assert self.host.dispatch(None, timer_message("root/ba/user:u0001/bit003"))
+        assert self.host.dispatch(None, block_message("root/ba/user:u0001/bit003", payload=1))
+        assert agreement.degraded
+        assert not bits["user:u0001/bit004"].degraded
+        assert not root.degraded  # the agreement has not finished yet
+        assert self.host.dispatch(None, block_message("root/ba/user:u0001/bit004", payload=0))
+        assert not bits["user:u0001/bit004"].degraded
+        assert root.degraded
+
+    def test_a_restarted_protocol_node_reads_false_until_its_new_root_degrades(self):
+        node = ProtocolNode(
+            "me", ["me", "peer"], "root", lambda: ScriptedBlock("root", degrade_on_timer)
+        )
+        node.on_start(None)
+        assert not node.degraded
+        node.on_message(None, timer_message("root"))
+        assert node.degraded
+        node.on_start(None)  # a crash restart: fresh host, fresh root
+        assert not node.degraded
+        node.on_message(None, timer_message("root"))
+        assert node.degraded

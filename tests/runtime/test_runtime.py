@@ -157,12 +157,11 @@ class TestEarlyStart:
                     expected_users=bids.user_ids,
                     providers=PROVIDERS,
                     deadline=self.DEADLINE,
-                    announce_result=False,
                 )
             )
         for user in bids.users + tuple(UserBid(uid, 9.0, 1.0) for uid in strangers):
             strategy = SilentBidder() if user.user_id in silent else None
-            network.add_node(BidderNode(user, PROVIDERS, strategy, wait_for_result=False))
+            network.add_node(BidderNode(user, PROVIDERS, strategy))
         stats = network.run()
         outputs = [network.node(pid).output for pid in PROVIDERS]
         assert all(isinstance(output, AuctionResult) for output in outputs)

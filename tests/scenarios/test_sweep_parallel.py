@@ -236,37 +236,6 @@ class TestChunking:
             assert len({context.group_key(*cell) for cell in chunk}) == 1
 
 
-class TestLatencyOverrideConflict:
-    def test_latency_axis_with_override_raises(self):
-        from repro.net.latency import ConstantLatencyModel
-
-        sweep = SweepSpec(
-            base=_spec({"users": 4, "providers": 3}),
-            axes=(("latency.seconds", (0.001, 0.002)),),
-        )
-        with pytest.raises(SpecError, match=r"axes\.latency\.seconds"):
-            run_sweep(sweep, latency_model=ConstantLatencyModel(0.005))
-
-    def test_latency_point_with_override_raises(self):
-        from repro.net.latency import ConstantLatencyModel
-
-        sweep = SweepSpec(
-            base=_spec({"users": 4, "providers": 3}),
-            points=({}, {"latency": "zero"}),
-        )
-        with pytest.raises(SpecError, match=r"points\[1\]\.latency"):
-            run_sweep(sweep, latency_model=ConstantLatencyModel(0.005))
-
-    def test_override_without_latency_variation_is_honoured(self):
-        from repro.net.latency import ConstantLatencyModel
-
-        sweep = SweepSpec(base=_spec({"users": 4, "providers": 3}), axes=(("seed", (0, 1)),))
-        slow = run_sweep(sweep, latency_model=ConstantLatencyModel(0.5))
-        fast = run_sweep(sweep, latency_model=ConstantLatencyModel(0.0001))
-        assert all(s.elapsed_seconds > f.elapsed_seconds
-                   for s, f in zip(slow.records, fast.records))
-
-
 class TestLatencyCache:
     def test_latency_model_built_once_for_all_rounds(self, monkeypatch):
         import repro.scenarios.sweep as sweep_module
@@ -413,20 +382,17 @@ class TestResourceLifecycle:
                 base=_spec(_VECTORIZED),
                 points=({}, {"users": 4, "runner": "auction_run", "executors": 2}),
             )
-            extra = (None,)
         elif kind == "resilience":
             grid, owner, diagnostic = RESILIENCE_GRID, AuditContext, "no-such-deviation"
             spec = ResilienceSpec(
                 base=_audit_base(), coalitions=((0,),),
                 adversaries=("equivocate", AdversarySpec("no-such-deviation")),
             )
-            extra = ()
         else:
             grid, owner, diagnostic = CHAOS_GRID, ChaosContext, "rate"
             spec = ChaosSpec(
                 base=_audit_base(), faults=("loss", FaultSpec("loss", {"rate": 3.0}))
             )
-            extra = ()
         closed = []
         original_close = owner.close
 
@@ -436,7 +402,7 @@ class TestResourceLifecycle:
 
         monkeypatch.setattr(owner, "close", spying_close)
         with pytest.raises(ChunkExecutionError) as excinfo:
-            run_chunk(grid, spec_to_dict(spec), extra, [(0, 0), (1, 0)])
+            run_chunk(grid, spec_to_dict(spec), [(0, 0), (1, 0)])
         # The failure wrapper preserves the original diagnostics and the
         # cells completed before the failure (the parent journals those).
         assert diagnostic in excinfo.value.traceback
