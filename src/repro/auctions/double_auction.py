@@ -65,6 +65,7 @@ class DoubleAuction(AllocationAlgorithm):
 
     name = "double-auction-waterfill"
     requires_provider_bids = True
+    randomized = False
     single_provider_allocation = False
 
     def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:

@@ -31,6 +31,7 @@ class GreedyStandardAuction(AllocationAlgorithm):
 
     name = "greedy-pay-your-bid"
     requires_provider_bids = False
+    randomized = False
     single_provider_allocation = True
 
     def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:

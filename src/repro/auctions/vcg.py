@@ -37,6 +37,7 @@ class ExactVCGAuction(AllocationAlgorithm, DecomposableMechanism):
 
     name = "exact-vcg"
     requires_provider_bids = False
+    randomized = False
     single_provider_allocation = True
 
     def __init__(self, max_users: int = 16) -> None:

@@ -608,6 +608,17 @@ def _command_metrics(args: argparse.Namespace) -> int:
         raise SpecError(args.snapshot, f"cannot read metrics snapshot: {exc}")
     except ValueError as exc:
         raise SpecError(args.snapshot, f"not a metrics snapshot JSON document: {exc}")
+    instruments = snapshot.get("instruments") if isinstance(snapshot, dict) else None
+    if (
+        not isinstance(instruments, dict)
+        or snapshot.get("kind") != "metrics-snapshot"
+        or not all(isinstance(entry, dict) for entry in instruments.values())
+    ):
+        raise SpecError(
+            args.snapshot,
+            'not a metrics snapshot: expected kind "metrics-snapshot" and an '
+            "instruments table of tables",
+        )
     print(json.dumps(snapshot, indent=2) if args.json else render_metrics(snapshot))
     return 0
 

@@ -39,7 +39,8 @@ from repro.obs.context import current_observation
 __all__ = ["SequentialAllocatorBlock", "ParallelAllocatorBlock"]
 
 #: Where a bid vector keeps the results of the mechanisms run on it by
-#: :class:`SequentialAllocatorBlock`: ``(mechanism, seed) -> result``.
+#: :class:`SequentialAllocatorBlock`: ``(mechanism, seed) -> result``, the seed
+#: ``None`` for a mechanism that never draws from its RNG.
 _RESULTS_ATTR = "_repro_results"
 
 
@@ -135,14 +136,17 @@ class SequentialAllocatorBlock(SeededAllocatorBlock):
 
         ``A`` is a deterministic function of the agreed vector and the agreed
         seed, so providers holding the same vector *object* and running the same
-        mechanism *object* read one execution.  The memo sits here, on the
-        vector, and not in ``run``: whoever calls the mechanism directly — the
-        trusted-auctioneer baseline a round is checked against — computes.
+        mechanism *object* read one execution.  A mechanism that declares
+        ``randomized = False`` ignores the seed, so it is left out of the key:
+        rounds that share the vector but drew different coins read one
+        execution too.  The memo sits here, on the vector, and not in ``run``:
+        whoever calls the mechanism directly — the trusted-auctioneer baseline a
+        round is checked against — computes.
         """
         results = getattr(self.bids, _RESULTS_ATTR, None)
         if results is None:
             results = memoise(self.bids, _RESULTS_ATTR, {})
-        key = (self.algorithm, seed)
+        key = (self.algorithm, seed if self.algorithm.randomized else None)
         result = results.get(key)
         shared = result is not None
         if not shared:

@@ -206,7 +206,7 @@ def render_metrics(snapshot: Dict[str, Any]) -> str:
 
     for name in sorted(instruments):
         data = instruments[name]
-        kind = data.get("kind", "?")
+        kind = str(data.get("kind", "?"))
         if kind == "histogram":
             detail = " ".join(
                 f"{field}={_cell(data.get(field))}"

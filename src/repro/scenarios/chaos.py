@@ -307,7 +307,8 @@ class ChaosContext(SeededContext):
         torn = [m for m in first["plan"].torn_appends()]
         if torn and record is not None:
             store_repair_ok = all(
-                _torn_repair_ok(self.spec, record, model.drop_bytes) for model in torn
+                _torn_repair_ok(self.spec, record, model.drop_bytes, f"faults[{point}]")
+                for model in torn
             )
 
         return ChaosRecord(
@@ -341,15 +342,18 @@ class ChaosContext(SeededContext):
         )
 
 
-def _torn_repair_ok(spec: ChaosSpec, record: RunRecord, drop_bytes: int) -> bool:
+def _torn_repair_ok(
+    spec: ChaosSpec, record: RunRecord, drop_bytes: int, fault_path: str
+) -> bool:
     """The ``torn_append`` invariant: a torn journal repairs on resume.
 
     Journals two copies of the cell's record, tears ``drop_bytes`` off the
     file tail (the crash-mid-append signature), then resumes: the repaired
     journal must return a bit-identical prefix of what was appended, and
     re-appending the missing rounds must complete it to the full record set.
-    The journal lives in a throwaway directory; nothing about the cell's
-    verdict depends on the path.
+    A tear into the manifest is no append's signature: it is a
+    :class:`SpecError` at ``fault_path``.  The journal lives in a throwaway
+    directory; nothing about the cell's verdict depends on the path.
     """
     from repro.scenarios.store import JsonlStoreBackend
 
@@ -360,13 +364,21 @@ def _torn_repair_ok(spec: ChaosSpec, record: RunRecord, drop_bytes: int) -> bool
         path = os.path.join(workdir, "journal.jsonl")
         backend = JsonlStoreBackend(path, record_type=RunRecord)
         backend.begin(spec.base, total_rounds=2, fingerprint=fingerprint)
+        backend.flush()
+        manifest_bytes = os.path.getsize(path)
         for (point, instance), row in sorted(records.items()):
             backend.append(point, instance, row)
         backend.close()
 
         size = os.path.getsize(path)
+        if drop_bytes > size - manifest_bytes:
+            raise SpecError(
+                f"{fault_path}.drop_bytes",
+                f"tears {drop_bytes} bytes, but the cell journal holds "
+                f"{size - manifest_bytes} record bytes",
+            )
         with open(path, "r+b") as handle:
-            handle.truncate(max(0, size - drop_bytes))
+            handle.truncate(size - drop_bytes)
 
         backend = JsonlStoreBackend(path, record_type=RunRecord)
         completed = backend.begin(

@@ -79,6 +79,16 @@ class CountingDoubleAuction(DoubleAuction):
         return super().run(bids, rng)
 
 
+class CountingSeededAuction(CountingDoubleAuction):
+    """Draws from its RNG, so the allocator may not share it across seeds."""
+
+    randomized = True
+
+    def run(self, bids, rng=None):
+        rng.getrandbits(63)
+        return super().run(bids, rng)
+
+
 @contextmanager
 def recorded_executions():
     """``(block.bids, seed)`` of every ``SequentialAllocatorBlock._execute`` call."""
@@ -243,12 +253,14 @@ class TestHonestRoundShares:
             assert hashed.call_count == 3  # two vectors nobody had hashed
 
     def test_two_mechanisms_or_two_seeds_never_share_a_result(self, small_double_bids):
+        """Two seeds share only a mechanism that declares it never draws."""
+
         def execute(mechanism, seed):
             block = SequentialAllocatorBlock("a", small_double_bids, mechanism)
             block._execute(seed)
             return block.result
 
-        first, second = CountingDoubleAuction(), CountingDoubleAuction()
+        first, second = CountingSeededAuction(), CountingSeededAuction()
         result = execute(first, 7)
         assert execute(first, 7) is result
         assert first.runs == 1
@@ -257,6 +269,14 @@ class TestHonestRoundShares:
         assert execute(first, 8) is not result
         assert first.runs == 2
         assert execute(first, 7) is result
+
+        seed_free, other = CountingDoubleAuction(), CountingDoubleAuction()
+        assert not seed_free.randomized
+        result = execute(seed_free, 7)
+        assert execute(seed_free, 8) is result
+        assert seed_free.runs == 1
+        assert execute(other, 8) is not result
+        assert (seed_free.runs, other.runs) == (1, 1)
 
     def test_an_equal_vector_digests_its_own(self, small_double_bids):
         copied = BidVector(small_double_bids.users, small_double_bids.providers)
@@ -758,10 +778,10 @@ class TestInputLinkZero:
         assert len(shared_built) == 1
         assert len(separate_built) == len(self.PROVIDERS)
 
-    def _rounds_of_one_vector(self):
+    def _rounds_of_one_vector(self, mechanism_factory):
         """k = 1 on three of the five sellers, then k = 2 on all five, from one vector."""
         bids = double_bids(30, self.PROVIDERS, seed=8)
-        mechanism = CountingDoubleAuction()
+        mechanism = mechanism_factory()
         reports = []
         with ExitStack() as stack:
             built = stack.enter_context(recorded_batches())
@@ -782,13 +802,21 @@ class TestInputLinkZero:
         }
         return observables, counts, {seed for _vector, seed in executions}
 
-    def test_rounds_of_one_vector_share_every_link(self):
-        shared, counts, seeds = self._rounds_of_one_vector()
+    @pytest.mark.parametrize(
+        "mechanism_factory",
+        [CountingDoubleAuction, CountingSeededAuction],
+        ids=["seed-free", "seeded"],
+    )
+    def test_rounds_of_one_vector_share_every_link(self, mechanism_factory):
+        shared, counts, seeds = self._rounds_of_one_vector(mechanism_factory)
         with unshared():
-            separate, separate_counts, _seeds = self._rounds_of_one_vector()
+            separate, separate_counts, _seeds = self._rounds_of_one_vector(mechanism_factory)
         assert shared == separate
-        # A runs once per coin seed the two rounds drew, on the one agreed vector.
-        assert counts == {"batches": 1, "vectors": 1, "digests": 1, "runs": len(seeds)}
+        assert len(seeds) == 2
+        # A seeded A runs once per coin seed the two rounds drew, on the one
+        # agreed vector; a seed-free A once for both coins.
+        runs = len(seeds) if mechanism_factory.randomized else 1
+        assert counts == {"batches": 1, "vectors": 1, "digests": 1, "runs": runs}
         assert separate_counts == {"batches": 8, "vectors": 8, "digests": 8, "runs": 8}
 
     def test_every_provider_holds_the_same_frozen_maps(self):

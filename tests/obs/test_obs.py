@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import (
     MetricsHub,
     Observation,
@@ -191,6 +192,43 @@ class TestMetrics:
 
     def test_render_metrics_empty(self):
         assert render_metrics(MetricsHub().snapshot()) == "metrics snapshot: 0 instruments"
+
+
+class TestMetricsCommand:
+    """``repro-auction metrics`` reads only a snapshot; anything else is exit 2."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [1, 2],
+            "metrics",
+            {"kind": "metrics-snapshot"},
+            {"kind": "metrics-snapshot", "instruments": [1]},
+            {"kind": "metrics-snapshot", "instruments": {"a": 5}},
+            {"kind": "trace", "instruments": {}},
+            {"instruments": {"a": {"kind": "counter", "value": 1}}},
+        ],
+        ids=["list", "string", "no-table", "list-table", "int-entry", "other-kind", "no-kind"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+    def test_a_document_that_is_not_a_snapshot_is_a_spec_error(
+        self, tmp_path, capsys, document, as_json
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        assert main(["metrics", str(path)] + ["--json"] * as_json) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not a metrics snapshot")
+
+    def test_an_entry_of_any_kind_renders(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        document = {"kind": "metrics-snapshot", "instruments": {"a": {"kind": 5}, "b": {}}}
+        path.write_text(json.dumps(document))
+        assert main(["metrics", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("metrics snapshot: 2 instruments")
+        assert "a  5" in out and "b  ?" in out
 
 
 class TestChromeExport:

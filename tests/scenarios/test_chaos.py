@@ -480,6 +480,20 @@ class TestCli:
         assert main(["chaos", "--spec", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_a_tear_into_the_manifest_is_a_spec_error(self, tmp_path, capsys):
+        def audit(drop_bytes):
+            path = tmp_path / "torn.json"
+            faults = [{"kind": "torn_append", "drop_bytes": drop_bytes}]
+            path.write_text(json.dumps(_chaos_table(faults=faults)))
+            return main(["chaos", "--spec", str(path)]), capsys.readouterr()
+
+        code, captured = audit(7)
+        assert code == 0 and "VERDICT: clean" in captured.out
+        code, captured = audit(100000)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: faults[0].drop_bytes: tears 100000 bytes, ")
+        assert "record bytes" in captured.err
+
     def test_store_and_resume_report(self, tmp_path, capsys):
         spec = _spec_file(tmp_path)
         out = str(tmp_path / "journal.jsonl")

@@ -4,8 +4,9 @@ The centralised baseline and k = 1, 2, 3 of one Figure 4 point run the same
 workload instance; the sweep's component cache hands them one vector, and every
 distributed round run from it builds no agreement batch, agreed vector or
 input-validation digest of its own: the first round builds one of each, the
-rest read them.  The chaos audit's fault cells share a seed's vector the same
-way.  Under ``measure_compute`` every round builds its own, so that no round's
+rest read them.  The double auction never draws from the coin, so the rounds
+also read one execution of it whatever seed each drew.  The chaos audit's
+fault cells share a seed's vector the same way.  Under ``measure_compute`` every round builds its own, so that no round's
 measured clock is charged a memo read where another round's is charged the work.  Counted, never timed: a counting workload, spies on the builders, and
 records that must equal those of a per-cell ``run_scenario`` loop or of the
 same grid with the instance memos forgotten.
@@ -17,6 +18,7 @@ from unittest import mock
 
 import pytest
 
+from repro.auctions.double_auction import DoubleAuction
 from repro.community.workload import DoubleAuctionWorkload
 from repro.consensus.commitment import CommitmentScheme
 from repro.auctions import base as auction_base
@@ -56,13 +58,27 @@ _MEMO_USERS = (auction_base, bid_agreement, input_validation, allocator)
 
 @contextmanager
 def counted_builds(forget=False):
-    """Counts batch builds, vector assemblies and validation digests computed.
+    """Counts batch builds, vector assemblies and validation digests computed,
+    and the executions of ``A`` inside a ``SequentialAllocatorBlock``.
 
     ``forget`` switches every instance memo of the round's path off.
     """
     counts = Counter()
     agreement = bid_agreement.BidAgreementBlock
     digest_of = CommitmentScheme.digest_of
+    execute, clear = allocator.SequentialAllocatorBlock._execute, DoubleAuction.run
+    executing = []
+
+    def execute_spy(block, seed):
+        executing.append(block)
+        try:
+            return execute(block, seed)
+        finally:
+            executing.pop()
+
+    def clear_spy(mechanism, bids, rng=None):
+        counts["executions"] += bool(executing)  # the trusted baseline is not counted
+        return clear(mechanism, bids, rng)
 
     def counting(name, original):
         def spy(*args):
@@ -84,6 +100,10 @@ def counted_builds(forget=False):
         stack.enter_context(
             mock.patch.object(CommitmentScheme, "digest_of", staticmethod(digest_spy))
         )
+        stack.enter_context(
+            mock.patch.object(allocator.SequentialAllocatorBlock, "_execute", execute_spy)
+        )
+        stack.enter_context(mock.patch.object(DoubleAuction, "run", clear_spy))
         if forget:
             for module in _MEMO_USERS:
                 stack.enter_context(
@@ -145,6 +165,13 @@ class TestOneVectorPerInstance:
             context.close()
 
 
+def _same_outcome(records):
+    """The centralised record clears what each distributed record clears."""
+    outcomes = {(r.winners, r.total_paid, r.total_received) for r in records}
+    assert [r.runner for r in records].count("centralized") == 1
+    assert len(outcomes) == 1
+
+
 class TestFigure4OpCounts:
     """One ``fig4_sweep``-shaped op: one size, one round, centralised + k = 1, 2, 3."""
 
@@ -153,16 +180,24 @@ class TestFigure4OpCounts:
             records = run_sweep(_fig4((20,), rounds=1)).records
         assert len(records) == 4
         assert len(generated) == 1
-        # One of each for the instance: k = 2 and k = 3 read what k = 1 built.
-        assert built == {"batches": 1, "vectors": 1, "digests": 1}
+        _same_outcome(records)
+        # One of each for the instance: k = 2 and k = 3 read what k = 1 built,
+        # and the double auction ignores the coin, so one clearing serves all three.
+        assert built == {"batches": 1, "vectors": 1, "digests": 1, "executions": 1}
 
     def test_unshared(self, generated):
         with counted_builds(forget=True) as built:
             records = _per_cell(_fig4((20,), rounds=1))
         assert len(records) == 4
         assert len(generated) == 4
+        _same_outcome(records)
         # One of each per executing provider.
-        assert built == {"batches": 3 + 5 + 7, "vectors": 3 + 5 + 7, "digests": 3 + 5 + 7}
+        assert built == {
+            "batches": 3 + 5 + 7,
+            "vectors": 3 + 5 + 7,
+            "digests": 3 + 5 + 7,
+            "executions": 3 + 5 + 7,
+        }
 
     def test_measured_rounds_pay_for_their_own(self, generated):
         """Under the measured clock k = 1, 2, 3 are each charged one build of each."""
@@ -170,7 +205,8 @@ class TestFigure4OpCounts:
             records = run_sweep(_fig4((20,), rounds=1, measure_compute=True)).records
         assert len(records) == 4
         assert len(generated) == 1
-        assert built == {"batches": 3, "vectors": 3, "digests": 3}
+        _same_outcome(records)
+        assert built == {"batches": 3, "vectors": 3, "digests": 3, "executions": 3}
 
 
 class TestChaosOpCounts:
@@ -207,8 +243,13 @@ class TestChaosOpCounts:
             separate = run_chaos(self._spec())
         assert shared.is_clean()
         assert shared.records == separate.records
-        assert built == {"batches": 1, "vectors": 1, "digests": 1}
+        assert built == {"batches": 1, "vectors": 1, "digests": 1, "executions": 1}
         # One of each per provider per run, and the crashed provider builds its
         # batch again when it restarts, once in each of the crash cell's two runs.
         builds = 5 * 2 * len(self.FAULTS)
-        assert separate_built == {"batches": builds + 2, "vectors": builds, "digests": builds}
+        assert separate_built == {
+            "batches": builds + 2,
+            "vectors": builds,
+            "digests": builds,
+            "executions": builds,
+        }
