@@ -392,6 +392,8 @@ class AllocationAlgorithm(abc.ABC):
     randomized: bool = True
     #: True if users must be served entirely by one provider or not at all.
     single_provider_allocation: bool = False
+    #: Most users ``run`` accepts (None: unbounded); a spec asking for more is refused.
+    max_users: Optional[int] = None
 
     @abc.abstractmethod
     def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:

@@ -82,6 +82,8 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
             raise ValueError("epsilon must be positive")
         if not 0 <= perturbation < 1:
             raise ValueError("perturbation must be in [0, 1)")
+        if not (1 <= min_restarts <= max_restarts and local_search_rounds >= 0):
+            raise ValueError("require 1 <= min_restarts <= max_restarts, local_search_rounds >= 0")
         self.epsilon = epsilon
         self.perturbation = perturbation
         self.local_search_rounds = local_search_rounds
@@ -155,7 +157,7 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         negligible cost in truthfulness.
 
         The re-solves themselves go through :meth:`_pivot_welfares`, the hook the
-        vectorized engine overrides to run them through a pool with memoisation.
+        vectorized engine overrides: its memo misses are one ``solve_batch`` call.
         """
         winners = set(allocation.winners())
         pivot_welfares = self._pivot_welfares(
@@ -250,7 +252,7 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         """Try to place losers into residual capacity, possibly evicting cheaper winners."""
         assignment = dict(assignment)
         users_by_id = {u.user_id: u for u in users}
-        for _ in range(max(0, self.local_search_rounds)):
+        for _ in range(self.local_search_rounds):
             remaining = dict(capacities)
             for user_id, provider_id in assignment.items():
                 remaining[provider_id] -= users_by_id[user_id].demand

@@ -29,9 +29,18 @@ __all__ = [
 class LatencyModel(abc.ABC):
     """Strategy interface: one-way message delay between two nodes."""
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "delay" in vars(cls) and "probe" not in vars(cls):  # never inherit a stale probe
+            cls.probe = LatencyModel.probe
+
     @abc.abstractmethod
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
         """Return the delay in seconds for a message of ``size_bytes`` bytes."""
+
+    def probe(self, sender: str, recipient: str, rng: random.Random) -> None:
+        """Draw exactly what a discarded ``delay(sender, recipient, 0, rng)`` would."""
+        self.delay(sender, recipient, 0, rng)
 
     def local_delay(self) -> float:
         """Delay for self-addressed messages (timers, loopback); zero by default."""
@@ -44,6 +53,9 @@ class ZeroLatencyModel(LatencyModel):
 
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
         return 0.0
+
+    def probe(self, sender: str, recipient: str, rng: random.Random) -> None:
+        pass
 
 
 @dataclass
@@ -59,6 +71,9 @@ class ConstantLatencyModel(LatencyModel):
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
         return self.seconds
 
+    def probe(self, sender: str, recipient: str, rng: random.Random) -> None:
+        pass
+
 
 @dataclass
 class UniformLatencyModel(LatencyModel):
@@ -72,7 +87,11 @@ class UniformLatencyModel(LatencyModel):
             raise ValueError("require 0 <= low <= high, both finite")
 
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        # ``rng.uniform(low, high)``'s own formula, without its call frame.
+        return self.low + (self.high - self.low) * rng.random()
+
+    def probe(self, sender: str, recipient: str, rng: random.Random) -> None:
+        rng.random()
 
 
 @dataclass
@@ -100,8 +119,13 @@ class BandwidthLatencyModel(LatencyModel):
 
     def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
         transmission = size_bytes / self.bandwidth_bytes_per_s
-        noise = rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
+        # ``rng.uniform(0.0, jitter)``'s own formula (adding 0.0 changes nothing).
+        noise = self.jitter * rng.random() if self.jitter > 0 else 0.0
         return self.base + transmission + noise
+
+    def probe(self, sender: str, recipient: str, rng: random.Random) -> None:
+        if self.jitter > 0:
+            rng.random()
 
 
 @dataclass
@@ -124,12 +148,17 @@ class LanWanLatencyModel(LatencyModel):
         default_factory=lambda: BandwidthLatencyModel(base=0.004, bandwidth_bytes_per_s=6.25e6)
     )
 
-    def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
+    def _tier(self, sender: str, recipient: str) -> LatencyModel:
         # The solo-site labels are only built for nodes missing from the map.
         site_of = self.site_of
         sender_site = site_of[sender] if sender in site_of else f"__solo__{sender}"
         recipient_site = (
             site_of[recipient] if recipient in site_of else f"__solo__{recipient}"
         )
-        model = self.lan if sender_site == recipient_site else self.wan
-        return model.delay(sender, recipient, size_bytes, rng)
+        return self.lan if sender_site == recipient_site else self.wan
+
+    def delay(self, sender: str, recipient: str, size_bytes: int, rng: random.Random) -> float:
+        return self._tier(sender, recipient).delay(sender, recipient, size_bytes, rng)
+
+    def probe(self, sender: str, recipient: str, rng: random.Random) -> None:
+        self._tier(sender, recipient).probe(sender, recipient, rng)

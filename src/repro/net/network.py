@@ -336,8 +336,8 @@ class SimNetwork:
                 # Historical draw order: the seed core asked the latency model
                 # twice (a size-0 probe, then the real call).  The probe's value
                 # was always discarded, but jittered models consume RNG in it —
-                # keep the call so every schedule stays bit-identical to the seed.
-                latency.delay(sender, recipient, 0, rng)
+                # keep its draws so every schedule stays bit-identical to the seed.
+                latency.probe(sender, recipient, rng)
                 delay = latency.delay(sender, recipient, size, rng)
             else:
                 delay = latency.local_delay()

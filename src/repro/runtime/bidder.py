@@ -13,7 +13,7 @@ the same pair, and ⊥ otherwise — mirroring Definition 1 from the bidder's vi
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.auctions.base import UserBid
 from repro.common import ABORT, is_abort
@@ -68,10 +68,21 @@ class BidderNode(Node):
 
     # -- Node interface ---------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> None:
+        # Consecutive sends of one object are one fan-out: the same messages in
+        # the same order, with the wire size measured once (truthful: one call).
+        payload: Any = None
+        recipients: List[str] = []
         for provider_id in self.providers:
-            payload = self.strategy.bid_for_provider(self.true_bid, provider_id)
-            if payload is not None:
-                ctx.send(provider_id, payload, tag=BID_TAG)
+            bid = self.strategy.bid_for_provider(self.true_bid, provider_id)
+            if bid is None:
+                continue
+            if bid is not payload and recipients:
+                ctx.broadcast(recipients, payload, tag=BID_TAG, include_self=True)
+                recipients = []
+            payload = bid
+            recipients.append(provider_id)
+        if recipients:
+            ctx.broadcast(recipients, payload, tag=BID_TAG, include_self=True)
 
     def on_message(self, ctx: NodeContext, message: Message) -> None:
         if message.tag != RESULT_TAG or message.sender not in self._provider_set:

@@ -39,6 +39,7 @@ from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError
 __all__ = [
     "RunRecord",
     "build_mechanism",
+    "check_users",
     "build_workload",
     "build_latency_model",
     "resolve_provider_ids",
@@ -137,6 +138,16 @@ def build_mechanism(spec: ScenarioSpec) -> AllocationAlgorithm:
     """
     mechanism = MECHANISMS.create(spec.mechanism, "mechanism")
     return resolve_engine(mechanism, spec.engine or DEFAULT_ENGINE)
+
+
+def check_users(spec: ScenarioSpec, mechanism, path: str = "users") -> None:
+    """A :class:`SpecError` at ``path`` if ``mechanism`` refuses ``spec.users`` users.
+
+    Called wherever a round pairs its mechanism with a spec (cached or not).
+    """
+    limit = mechanism.max_users
+    if limit is not None and spec.users > limit:
+        raise SpecError(path, f"at most max_users={limit} for {mechanism.name!r}, got {spec.users}")
 
 
 def build_workload(spec: ScenarioSpec):
@@ -321,6 +332,7 @@ def run_scenario(
     """
     if mechanism is None:
         mechanism = build_mechanism(spec)
+    check_users(spec, mechanism)
     provider_ids, executor_ids, bids, latency_model = resolve_round_inputs(
         spec,
         instance,

@@ -35,6 +35,7 @@ from repro.scenarios.runner import (
     build_mechanism,
     build_topology,
     build_workload,
+    check_users,
     resolve_provider_ids,
     resolve_round_inputs,
     run_scenario,
@@ -278,6 +279,7 @@ class SeededContext:
         if state is None:
             seed = self.spec.effective_seeds()[instance]
             scenario = spec_with_overrides(self.spec.base, {"seed": seed})
+            check_users(scenario, self.mechanism, "base.users")
             topology = self.cache.topology(scenario)
             _provider_ids, executor_ids, bids, latency = resolve_round_inputs(
                 scenario,

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from repro.auctions.base import Allocation, BidVector, ProviderAsk, UserBid
+from repro.auctions.engine import VectorizedStandardAuction
 from repro.auctions.payments import clarke_pivot_payments
 from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.vcg import ExactVCGAuction
@@ -32,6 +33,27 @@ class TestConfiguration:
             StandardAuction(epsilon=0.0)
         with pytest.raises(ValueError):
             StandardAuction(perturbation=1.5)
+
+    @pytest.mark.parametrize("cls", [StandardAuction, VectorizedStandardAuction])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"min_restarts": 0, "max_restarts": 0},  # a mechanism that allocates nothing
+            {"min_restarts": 0},
+            {"min_restarts": 8, "max_restarts": 4},  # once silently ignored the maximum
+            {"local_search_rounds": -1},  # once silently ran 0 rounds
+        ],
+    )
+    def test_effort_parameters_out_of_range_rejected(self, cls, params):
+        with pytest.raises(ValueError, match="min_restarts <= max_restarts"):
+            cls(**params)
+
+    def test_effort_parameters_at_their_bounds_accepted(self):
+        mechanism = StandardAuction(
+            epsilon=0.05, min_restarts=1, max_restarts=1, local_search_rounds=0
+        )
+        assert (mechanism.restarts, mechanism.local_search_rounds) == (1, 0)
+        assert StandardAuction(epsilon=0.9, min_restarts=6, max_restarts=6).restarts == 6
 
 
 class TestAllocation:

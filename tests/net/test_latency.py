@@ -1,13 +1,17 @@
 """Tests for latency models."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.latency import (
     BandwidthLatencyModel,
     ConstantLatencyModel,
     LanWanLatencyModel,
+    LatencyModel,
     UniformLatencyModel,
     ZeroLatencyModel,
 )
@@ -110,3 +114,112 @@ class TestLanWanModel:
             assert delay == self._eager_delay(model, sender, recipient, size, eager_rng)
             assert (delay < 0.001) == (tier == "lan")
         assert lazy_rng.getstate() == eager_rng.getstate()
+
+
+@dataclass
+class DelayOnlyModel(LatencyModel):
+    """A model that defines ``delay`` alone: ``probe`` falls back to a size-0 call."""
+
+    seconds: float = 0.001
+
+    def delay(self, sender, recipient, size_bytes, rng):
+        return self.seconds + rng.random() * 1e-3 + size_bytes * 1e-9
+
+
+def _reference_delay(model, sender, recipient, size_bytes, rng):
+    """Every built-in model's delay as written with ``rng.uniform`` before the inlining."""
+    if isinstance(model, LanWanLatencyModel):
+        sender_site = model.site_of.get(sender, f"__solo__{sender}")
+        recipient_site = model.site_of.get(recipient, f"__solo__{recipient}")
+        tier = model.lan if sender_site == recipient_site else model.wan
+        return _reference_delay(tier, sender, recipient, size_bytes, rng)
+    if isinstance(model, UniformLatencyModel):
+        return rng.uniform(model.low, model.high)
+    if isinstance(model, BandwidthLatencyModel):
+        noise = rng.uniform(0.0, model.jitter) if model.jitter > 0 else 0.0
+        return model.base + size_bytes / model.bandwidth_bytes_per_s + noise
+    # Zero, Constant and the delay-only subclass: the model's own method.
+    return model.delay(sender, recipient, size_bytes, rng)
+
+
+_seconds = st.floats(0.0, 0.05, allow_nan=False)
+
+
+@st.composite
+def _uniform(draw):
+    low, high = sorted((draw(_seconds), draw(_seconds)))
+    return UniformLatencyModel(low=low, high=high)
+
+
+def _bandwidth(jitter):
+    return st.builds(
+        BandwidthLatencyModel,
+        base=_seconds,
+        bandwidth_bytes_per_s=st.floats(1e3, 1e9),
+        jitter=jitter,
+    )
+
+
+_tiers = st.one_of(
+    st.builds(ZeroLatencyModel),
+    st.builds(ConstantLatencyModel, seconds=_seconds),
+    st.builds(DelayOnlyModel, seconds=_seconds),
+    _uniform(),
+    _bandwidth(st.just(0.0)),
+    _bandwidth(st.floats(1e-6, 0.01)),
+)
+# "a" and "b" share a site, "c" is on another and "x" is on its own (solo) site.
+_models = st.one_of(
+    _tiers,
+    st.builds(
+        LanWanLatencyModel,
+        site_of=st.just({"a": "s1", "b": "s1", "c": "s2"}),
+        lan=_tiers,
+        wan=_tiers,
+    ),
+)
+_nodes = st.sampled_from(["a", "b", "c", "x"])
+
+
+class TestProbe:
+    """``probe`` draws what the discarded size-0 ``delay`` drew, and ``delay`` is unchanged."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(model=_models, sender=_nodes, recipient=_nodes, seed=st.integers(0, 2**32))
+    def test_probe_draws_what_a_size_zero_delay_draws(self, model, sender, recipient, seed):
+        probed, delayed = random.Random(seed), random.Random(seed)
+        assert model.probe(sender, recipient, probed) is None
+        model.delay(sender, recipient, 0, delayed)
+        assert probed.getstate() == delayed.getstate()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        model=_models,
+        sender=_nodes,
+        recipient=_nodes,
+        size=st.integers(0, 10**7),
+        seed=st.integers(0, 2**32),
+    )
+    def test_delay_is_the_rng_uniform_formula_to_the_bit(
+        self, model, sender, recipient, size, seed
+    ):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for size_bytes in (0, size):  # the probe's size, then the sized call
+            delay = model.delay(sender, recipient, size_bytes, rng)
+            reference = _reference_delay(model, sender, recipient, size_bytes, reference_rng)
+            assert delay.hex() == float(reference).hex()
+        assert rng.getstate() == reference_rng.getstate()
+
+    def test_a_subclass_that_redefines_delay_probes_with_it(self):
+        calls = []
+
+        # A subclass of a built-in that draws nothing in its own probe.
+        class Recording(ConstantLatencyModel):
+            def delay(self, sender, recipient, size_bytes, rng):
+                calls.append((sender, recipient, size_bytes))
+                return rng.random()
+
+        rng = random.Random(0)
+        Recording().probe("a", "b", rng)
+        assert calls == [("a", "b", 0)]
+        assert rng.getstate() != random.Random(0).getstate()

@@ -2,17 +2,24 @@
 
 import pytest
 
-from repro.adversary.bidder_behaviors import InconsistentBidder, InvalidBidder, SilentBidder
+from repro.adversary.bidder_behaviors import (
+    InconsistentBidder,
+    InvalidBidder,
+    ScalingBidder,
+    SilentBidder,
+)
 from repro.auctions.base import AuctionResult, BidVector, ProviderAsk, UserBid
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.common import is_abort
 from repro.community.workload import DoubleAuctionWorkload
 from repro.core.config import FrameworkConfig
-from repro.net.latency import ConstantLatencyModel
+from repro.net.latency import BandwidthLatencyModel, ConstantLatencyModel
 from repro.net.network import SimNetwork
+from repro.net.scheduler import FairScheduler, RandomScheduler
+from repro.runtime import auction_run
 from repro.runtime.auction_run import AuctionRun
-from repro.runtime.bidder import BidderNode, TruthfulBidder
+from repro.runtime.bidder import BID_TAG, BidderNode, TruthfulBidder
 from repro.runtime.provider import CollectingProviderNode
 
 PROVIDERS = [f"p{i}" for i in range(3)]
@@ -176,3 +183,120 @@ class TestEarlyStart:
         missing = small_bids().users[0].user_id
         assert self.elapsed(silent=[missing]) >= self.DEADLINE
         assert self.elapsed(silent=[missing], strangers=["zz-stranger"]) >= self.DEADLINE
+
+
+class PerProviderSendBidder(BidderNode):
+    """The bidder before its submissions became fan-outs: one ``send`` per provider.
+
+    Kept as the reference the fan-out must match message for message.
+    """
+
+    def on_start(self, ctx):
+        for provider_id in self.providers:
+            payload = self.strategy.bid_for_provider(self.true_bid, provider_id)
+            if payload is not None:
+                ctx.send(provider_id, payload, tag=BID_TAG)
+
+
+class WithholdingBidder(TruthfulBidder):
+    """Truthful, except that one provider in the middle of the order gets nothing."""
+
+    def __init__(self, withheld):
+        self.withheld = withheld
+
+    def bid_for_provider(self, true_bid, provider_id):
+        return None if provider_id == self.withheld else true_bid
+
+
+def _recording(scheduler_class):
+    """``scheduler_class`` that also records every message it hands out."""
+
+    class Recording(scheduler_class):
+        def __init__(self):
+            super().__init__()
+            self.trace = []
+
+        def pop(self, rng):
+            message = super().pop(rng)
+            if message is not None:
+                self.trace.append(
+                    (
+                        message.msg_id,
+                        message.sender,
+                        message.recipient,
+                        message.tag,
+                        message.payload,
+                        message.send_time,
+                        message.arrival_time,
+                        message.size_bytes,
+                    )
+                )
+            return message
+
+    return Recording()
+
+
+class TestOneFanOutPerBidder:
+    """A bidder's fan-out is the per-provider send loop, to the message."""
+
+    PROVIDERS = [f"p{i}" for i in range(5)]
+    STRATEGIES = {
+        "truthful": lambda: None,
+        "scaling": lambda: ScalingBidder(1.5),
+        "inconsistent": lambda: InconsistentBidder(),
+        "invalid": lambda: InvalidBidder(),
+        "silent": lambda: SilentBidder(),
+        "withholding": lambda: WithholdingBidder("p2"),
+    }
+
+    def round(self, monkeypatch, bidder_class, strategy, scheduler_class):
+        monkeypatch.setattr(auction_run, "BidderNode", bidder_class)
+        bids = DoubleAuctionWorkload(seed=6).generate(
+            8, len(self.PROVIDERS), provider_ids=self.PROVIDERS
+        )
+        users = bids.user_ids
+        scheduler = _recording(scheduler_class)
+        result = AuctionRun(
+            bids,
+            DoubleAuction(),
+            config=FrameworkConfig(k=2),
+            # Two users carry the strategy, so their payloads interleave.
+            bidder_strategies={uid: self.STRATEGIES[strategy]() for uid in (users[1], users[5])},
+            deadline=0.2,
+            latency_model=BandwidthLatencyModel(
+                base=0.003, bandwidth_bytes_per_s=12.5e6, jitter=0.001
+            ),
+            scheduler=scheduler,
+            seed=4,
+        ).execute()
+        return scheduler.trace, result.outcome, result.bidder_observations, result.stats
+
+    @pytest.mark.parametrize("scheduler_class", [FairScheduler, RandomScheduler])
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_same_trace_and_record_as_one_send_per_provider(
+        self, monkeypatch, strategy, scheduler_class
+    ):
+        fan_out = self.round(monkeypatch, BidderNode, strategy, scheduler_class)
+        reference = self.round(monkeypatch, PerProviderSendBidder, strategy, scheduler_class)
+        trace, outcome, observations, stats = fan_out
+        assert trace == reference[0]
+        assert any(entry[3] == BID_TAG for entry in trace)  # the bids are in the trace
+        assert (outcome, observations, stats) == reference[1:]
+
+    def test_a_truthful_bidder_enqueues_its_submission_once(self, monkeypatch):
+        submissions = []
+        enqueue = SimNetwork._enqueue
+
+        def counting(network, sender, recipients, payload, tag, include_self):
+            if tag == BID_TAG:
+                submissions.append(sender)
+            return enqueue(network, sender, recipients, payload, tag, include_self)
+
+        monkeypatch.setattr(SimNetwork, "_enqueue", counting)
+        providers = [f"p{i}" for i in range(8)]
+        bids = DoubleAuctionWorkload(seed=1).generate(40, 8, provider_ids=providers)
+        result = AuctionRun(bids, DoubleAuction(), config=FrameworkConfig(k=2)).execute()
+        assert not result.aborted
+        assert result.stats.messages_by_tag[BID_TAG] == 40 * 8
+        assert len(submissions) == 40  # one per bidder, not one per (bidder, provider)
+        assert sorted(submissions) == sorted(bids.user_ids)

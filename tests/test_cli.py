@@ -231,6 +231,65 @@ class TestSpecDrivenCommands:
         assert main(argv) == 0  # the double auction never forms task groups
         assert "winning users" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("runner", ["distributed", "auction_run", "centralized"])
+    def test_more_users_than_the_mechanism_takes_is_a_spec_error(self, runner, capsys):
+        argv = ["run", "--set", "mechanism=vcg", "--set", "users=17", "--set", f"runner={runner}"]
+        assert main(argv + ["--set", "measure_compute=false"]) == 2
+        assert capsys.readouterr().err == (
+            "error: users: at most max_users=16 for 'exact-vcg', got 17\n"
+        )
+
+    @pytest.mark.parametrize(
+        "overrides", [["users=16"], ["users=17", "mechanism.max_users=40"]], ids=["16", "raised"]
+    )
+    def test_users_within_the_mechanism_bound_run(self, overrides, capsys):
+        argv = ["run", "--set", "mechanism=vcg", "--set", "measure_compute=false"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 0
+        assert "outcome         : agreed (x, p)" in capsys.readouterr().out
+
+    def test_a_sweep_checks_every_cell_against_its_cached_mechanism(self, tmp_path, capsys):
+        # The first point runs; the second reuses the cached mechanism with 17 users.
+        sweep = SweepSpec(
+            base=spec_from_dict({**self._spec_dict(), "mechanism": "vcg", "users": 4}),
+            name="vcg",
+            axes=(("users", (4, 17)),),
+        )
+        path = tmp_path / "sweep.json"
+        dump_spec(sweep, path)
+        assert main(["sweep", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: users: at most max_users=16 for 'exact-vcg', got 17\n"
+        )
+
+    def test_an_audit_checks_its_base_users(self, capsys):
+        argv = ["resilience", "--spec", "examples/specs/resilience.json"]
+        argv += ["--set", "base.mechanism=vcg", "--set", "base.users=17"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: base.users: at most max_users=16 for 'exact-vcg', got 17\n"
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"min_restarts": 0, "max_restarts": 0},
+            {"min_restarts": 8, "max_restarts": 4},
+            {"local_search_rounds": -1},
+        ],
+        ids=["zero-restarts", "min-above-max", "negative-rounds"],
+    )
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_standard_auction_effort_out_of_range_is_a_spec_error(self, params, engine, capsys):
+        argv = ["run", "--set", "mechanism=standard", "--set", f"engine={engine}"]
+        for key, value in params.items():
+            argv += ["--set", f"mechanism.{key}={value}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: mechanism: invalid parameters for mechanism 'standard': "
+        )
+
 
 #: One tiny spec per grid sub-command, the unit of its store line, and a
 #: record edit that fails its verdict (a sweep has no verdict to fail).
