@@ -19,9 +19,11 @@ block compares results structurally across providers, the differential suite
 across engines).  What pins it:
 
 * noise comes from the same ``random.Random(stable_hash(seed, "restart", r))``
-  streams, one draw per user in bid-vector order, and every float operation
-  replays the reference's order (densities, ``remaining + EPS >= demand``, the
-  per-placement subtraction), so every intermediate is the same IEEE-754 double;
+  streams, one draw per user in bid-vector order, taken as one ``getrandbits``
+  call per row whose words :func:`_noise` turns into ``random()``'s exact
+  doubles; every float operation replays the reference's order (densities,
+  ``remaining + EPS >= demand``, the per-placement subtraction), so every
+  intermediate is the same IEEE-754 double;
 * the greedy orders by ``(-density, user_id)`` and breaks best-fit ties by
   *sorted* provider id; local search visits losers along ``(-total_value,
   user_id)`` and breaks direct-placement ties by *bid-vector* provider order —
@@ -65,8 +67,9 @@ __all__ = ["MAX_CELLS", "solve_batch"]
 #: Same numerical slack as the reference implementation.
 _EPS = 1e-12
 
-#: Callers bound rows × users per :func:`solve_batch` call by this (they chunk
-#: the problems), so a 400-user payment task works on ~1 MB arrays, not ~100 MB.
+#: A payment task's callers bound rows × users per :func:`solve_batch` call by
+#: this (they chunk its problems), so a 400-user task works on ~1 MB arrays, not
+#: ~100 MB.  A base solve is one problem of ``restarts`` rows and is not chunked.
 MAX_CELLS = 1 << 17
 
 #: Insertion key of a user that is not assigned (sorts after every real key).
@@ -104,16 +107,8 @@ def solve_batch(
         return [({}, 0.0) for _problem in problems]
     total = len(problems) * restarts
 
-    # One noise draw per (row, participating user), in bid-vector order — the
-    # stream the reference consumes through its sort key.
-    raw = np.empty((total, everyone), dtype=np.float64)
-    for index, (seed, excluded) in enumerate(problems):
-        for restart in range(restarts):
-            draw = random.Random(stable_hash(seed, "restart", restart)).random
-            noise = [draw() for _ in range(everyone - (excluded is not None))]
-            if excluded is not None:
-                noise.insert(excluded, 0.0)
-            raw[index * restarts + restart] = noise
+    rows = [(stable_hash(seed, "restart", r), e) for seed, e in problems for r in range(restarts)]
+    raw = _noise(rows, everyone)
 
     # The user axis shrinks to the users some provider could ever host (the module
     # docstring has the margin's argument), keeping a column so that no array is
@@ -235,6 +230,28 @@ def solve_batch(
                 assignment[users[user].user_id] = provider_ids[provider[best_row, user]]
         results.append((assignment, best_welfare))
     return results
+
+
+def _noise(rows: Sequence[Tuple[int, Optional[int]]], width: int) -> np.ndarray:
+    """Per ``(seed, excluded)`` row, ``random.Random(seed).random()`` for every column.
+
+    The ``excluded`` column (if any) draws nothing and stays 0.0.  ``getrandbits``
+    emits the generator's 32-bit words least significant first: the words
+    ``random()`` reads two per draw, and its formula on them is exact in float64.
+    """
+    rng = random.Random(0)  # reseeded per row: ``seed(s)`` is the state ``Random(s)`` starts in
+    words = []
+    keep = np.ones((len(rows), width), dtype=bool)
+    for index, (seed, excluded) in enumerate(rows):
+        draws = width - (excluded is not None)
+        rng.seed(seed)
+        words.append(rng.getrandbits(64 * draws).to_bytes(8 * draws, "little"))
+        if excluded is not None:
+            keep[index, excluded] = False
+    high, low = np.frombuffer(b"".join(words), "<u4").reshape(-1, 2).T
+    noise = np.zeros((len(rows), width), dtype=np.float64)
+    noise[keep] = ((high >> 5) * 67108864.0 + (low >> 6)) / 9007199254740992.0
+    return noise
 
 
 def _by_value(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:

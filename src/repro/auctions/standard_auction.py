@@ -29,6 +29,8 @@ the parallel allocator can split the payment phase across provider groups.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +80,17 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         min_restarts: int = 4,
         max_restarts: int = 512,
     ) -> None:
+        for name, value, kind in (
+            ("epsilon", epsilon, numbers.Real),
+            ("perturbation", perturbation, numbers.Real),
+            ("local_search_rounds", local_search_rounds, numbers.Integral),
+            ("min_restarts", min_restarts, numbers.Integral),
+            ("max_restarts", max_restarts, numbers.Integral),
+        ):
+            if isinstance(value, bool) or not (isinstance(value, kind) and abs(value) < math.inf):
+                raise TypeError(
+                    f"{name} must be a finite {kind.__name__.lower()} number, got {value!r}"
+                )
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0 <= perturbation < 1:
@@ -87,7 +100,9 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         self.epsilon = epsilon
         self.perturbation = perturbation
         self.local_search_rounds = local_search_rounds
-        self.restarts = max(min_restarts, min(max_restarts, int(round(1.0 / epsilon**2))))
+        # A tiny epsilon squares to 0.0 or divides to inf: it asks for every restart.
+        wanted = 1.0 / epsilon**2 if epsilon**2 else math.inf
+        self.restarts = max(min_restarts, int(round(min(max_restarts, wanted))))
 
     # ------------------------------------------------------------------ run --
     def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:

@@ -24,24 +24,52 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
+from repro.auctions.decomposable import DecomposableMechanism
 from repro.common import ABORT, is_abort, memoise
 from repro.core.common_coin import CommonCoinBlock
 from repro.core.data_transfer import DataTransferBlock
 from repro.core.distributions import SeedDistribution
 from repro.core.input_validation import InputValidationBlock
-from repro.core.task_graph import TaskGraph
+from repro.core.task_graph import TaskGraph, build_standard_auction_graph
 from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.obs.context import current_observation
 
-__all__ = ["SequentialAllocatorBlock", "ParallelAllocatorBlock"]
+__all__ = ["SequentialAllocatorBlock", "ParallelAllocatorBlock", "task_graph_for"]
 
 #: Where a bid vector keeps the results of the mechanisms run on it by
 #: :class:`SequentialAllocatorBlock`: ``(mechanism, seed) -> result``, the seed
 #: ``None`` for a mechanism that never draws from its RNG.
 _RESULTS_ATTR = "_repro_results"
+#: Where a bid vector keeps the task graphs built on it:
+#: ``(mechanism, providers, k, num_groups) -> graph``.
+_GRAPHS_ATTR = "_repro_graphs"
+
+
+def task_graph_for(
+    mechanism: DecomposableMechanism,
+    bids: BidVector,
+    providers: Sequence[str],
+    k: int,
+    num_groups: Optional[int],
+) -> TaskGraph:
+    """Algorithm 1's graph for ``bids``, built by the first provider to ask.
+
+    :class:`ParallelAllocatorBlock` only reads a graph, so the holders of one agreed
+    vector share it: bookkeeping, not ``A``'s work, which every executor still runs.
+    """
+    graphs = getattr(bids, _GRAPHS_ATTR, None)
+    if graphs is None:
+        graphs = memoise(bids, _GRAPHS_ATTR, {})
+    key = (mechanism, tuple(sorted(providers)), k, num_groups)
+    graph = graphs.get(key)
+    if graph is None:
+        graph = graphs.setdefault(
+            key, build_standard_auction_graph(mechanism, bids, providers, k, num_groups)
+        )
+    return graph
 
 
 class SeededAllocatorBlock(ProtocolBlock):

@@ -17,10 +17,9 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.common import ABORT, is_abort
-from repro.core.allocator import ParallelAllocatorBlock, SequentialAllocatorBlock
+from repro.core.allocator import ParallelAllocatorBlock, SequentialAllocatorBlock, task_graph_for
 from repro.core.bid_agreement import BidAgreementBlock
 from repro.core.config import FrameworkConfig
-from repro.core.task_graph import build_standard_auction_graph
 from repro.net.protocol import BlockContext, ProtocolBlock, ProtocolNode
 
 __all__ = ["ProviderInput", "FrameworkBlock", "FrameworkProviderNode"]
@@ -99,7 +98,7 @@ class FrameworkBlock(ProtocolBlock):
         bids: BidVector = block.result
         assert self._ctx is not None
         if self.config.runs_task_graph(self.algorithm):
-            graph = build_standard_auction_graph(
+            graph = task_graph_for(
                 self.algorithm,
                 bids,
                 self.providers,

@@ -288,6 +288,58 @@ class TestKernelDifferential:
         assert list(map(repr, chunked.items())) == list(map(repr, whole.items()))
 
 
+# -- the noise draw: one getrandbits per row, exactly random()'s doubles -----------------
+_ROW_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1]) | st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def _noise_rows(draw):
+    """``(rows, width)``: a row skips no column, or its first, a middle or its last."""
+    width = draw(st.integers(0, 64))
+    places = ["absent"] + (["first", "middle", "last"] if width else [])
+    column = {"absent": None, "first": 0, "middle": width // 2, "last": width - 1}
+    drawn = draw(st.lists(st.tuples(_ROW_SEEDS, st.sampled_from(places)), min_size=1, max_size=4))
+    return [(seed, column[place]) for seed, place in drawn], width
+
+
+class TestNoiseDraw:
+    @given(case=_noise_rows())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rows_equal_per_draw_random(self, case):
+        rows, width = case
+        noise = kernel._noise(rows, width)
+        assert noise.shape == (len(rows), width)
+        for drawn, (seed, excluded) in zip(noise, rows):
+            stream = random.Random(seed)
+            expected = [stream.random() for _ in range(width - (excluded is not None))]
+            if excluded is not None:
+                expected.insert(excluded, 0.0)
+            assert drawn.view(np.uint64).tolist() == (
+                np.array(expected, dtype=np.float64).view(np.uint64).tolist()
+            )
+
+    def test_one_generator_per_call_and_no_draw_in_python(self, monkeypatch):
+        built, drawn = [], []
+
+        class Counting(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+            def random(self):
+                drawn.append(None)
+                return super().random()
+
+        bids = StandardAuctionWorkload(seed=1).generate(12, 4)
+        users = eligible_user_bids(bids)
+        capacities = StandardAuction.eligible_capacities(bids)
+        problems = [(5, None), (6, 0), (7, len(users) - 1)]
+        expected = kernel.solve_batch(users, capacities, problems, 16, 0.05, 1)
+        monkeypatch.setattr(random, "Random", Counting)
+        assert kernel.solve_batch(users, capacities, problems, 16, 0.05, 1) == expected
+        assert (len(built), len(drawn)) == (1, 0)
+
+
 # -- local search marks: exact, and the only pairs visited ------------------------------
 _EPS = 1e-12
 # Total values a hair apart: within EPS nobody is "strictly cheaper", beyond it one is.

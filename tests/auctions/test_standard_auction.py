@@ -1,5 +1,6 @@
 """Tests for the (1-eps)-style standard auction with VCG payments (§5.2.2)."""
 
+import math
 import random
 from unittest import mock
 
@@ -54,6 +55,33 @@ class TestConfiguration:
         )
         assert (mechanism.restarts, mechanism.local_search_rounds) == (1, 0)
         assert StandardAuction(epsilon=0.9, min_restarts=6, max_restarts=6).restarts == 6
+
+    @pytest.mark.parametrize("cls", [StandardAuction, VectorizedStandardAuction])
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"local_search_rounds": 1.5}, "local_search_rounds"),  # once a TypeError traceback
+            ({"epsilon": 1, "min_restarts": 2.5}, "min_restarts"),
+            ({"max_restarts": 512.0}, "max_restarts"),
+            ({"local_search_rounds": True}, "local_search_rounds"),
+            ({"epsilon": True}, "epsilon"),  # once ran 4 restarts
+            ({"perturbation": False}, "perturbation"),
+            ({"epsilon": math.nan}, "epsilon"),
+            ({"epsilon": math.inf}, "epsilon"),
+            ({"epsilon": "0.5"}, "epsilon"),
+            ({"perturbation": math.nan}, "perturbation"),
+        ],
+    )
+    def test_effort_parameters_of_the_wrong_type_rejected(self, cls, params, named):
+        with pytest.raises((TypeError, ValueError), match=rf"^{named} must be "):
+            cls(**params)
+
+    def test_a_vanishing_epsilon_asks_for_every_restart(self):
+        # 1e-200 squares to 0.0 and once divided by zero.
+        assert StandardAuction(epsilon=1e-200).restarts == 512
+        assert StandardAuction(epsilon=1e-160, max_restarts=7).restarts == 7
+        assert StandardAuction(epsilon=0.0441).restarts == 512  # 514.2 wanted
+        assert StandardAuction(epsilon=0.05).restarts == 400
 
 
 class TestAllocation:

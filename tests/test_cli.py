@@ -290,6 +290,47 @@ class TestSpecDrivenCommands:
             "error: mechanism: invalid parameters for mechanism 'standard': "
         )
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["run", "--set", "mechanism.local_search_rounds=1.5"], "local_search_rounds"),
+            (
+                ["run", "--set", "mechanism.epsilon=1", "--set", "mechanism.min_restarts=2.5"],
+                "min_restarts",
+            ),
+            (["run", "--set", "mechanism.epsilon=true"], "epsilon"),
+            (
+                ["sweep", "--spec", "examples/specs/fig5.toml"]
+                + ["--set", "mechanism.local_search_rounds=1.5"],
+                "local_search_rounds",
+            ),
+        ],
+        ids=["fractional-rounds", "fractional-restarts", "boolean-epsilon", "fig5-sweep"],
+    )
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_standard_auction_effort_of_the_wrong_type_is_a_spec_error(
+        self, argv, named, engine, capsys
+    ):
+        if argv[0] == "run":
+            argv = ["run", "--set", "mechanism=standard"] + argv[1:]
+        argv = argv + ["--set", f"engine={engine}", "--set", "measure_compute=false"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: mechanism: invalid parameters for mechanism 'standard': {named} must be "
+        )
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), "0.5"], ids=["nan", "string"])
+    def test_a_json_spec_epsilon_that_is_no_finite_number_is_a_spec_error(
+        self, epsilon, tmp_path, capsys
+    ):
+        spec = dict(self._spec_dict(), mechanism={"kind": "standard", "epsilon": epsilon})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))  # NaN is written as the bare token NaN
+        assert main(["run", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: mechanism: invalid parameters for mechanism 'standard': epsilon must be "
+        )
+
 
 #: One tiny spec per grid sub-command, the unit of its store line, and a
 #: record edit that fails its verdict (a sweep has no verdict to fail).
