@@ -17,20 +17,35 @@ Batches are :class:`~repro.net.serialization.FrozenMap` values shared by referen
 provider freezes its inputs once, every receiver keeps that same object, and an echo
 is a frozen map of those objects.  Comparing two honest echoes is then ``m`` identity
 hits and sizing one ``m`` memo reads, where copying each batch on receipt and on echo
-made both a walk over ``m·n`` entries.
+made both a walk over ``m·n`` entries.  Honest providers of a round also share
+the :class:`LabelSet` their batch is checked against, and a relayed batch that *is*
+the receiver's own input — validated when the block started — is accepted by
+identity; any other object, however equal, gets the full label and validator check.
 """
 
 from __future__ import annotations
 
 from operator import is_
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from repro.common import ABORT
 from repro.consensus.rational_consensus import majority_decision
 from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.net.serialization import FrozenMap
 
-__all__ = ["BatchedConsensusBlock"]
+__all__ = ["BatchedConsensusBlock", "LabelSet", "label_set"]
+
+
+class LabelSet(NamedTuple):
+    """The labels a batch must cover: sorted with duplicates kept, and as a set."""
+
+    ordered: Tuple[str, ...]
+    members: FrozenSet[str]
+
+
+def label_set(labels: Iterable[str]) -> LabelSet:
+    ordered = tuple(sorted(labels))
+    return LabelSet(ordered, frozenset(ordered))
 
 
 def _frozen(mapping: Mapping[Any, Any]) -> FrozenMap:
@@ -49,8 +64,9 @@ class BatchedConsensusBlock(ProtocolBlock):
     Args:
         name: block name.
         my_inputs: mapping label -> this provider's input for that label.
-        labels: the full set of labels every provider must cover; a received batch
-            with a different label set is an observable deviation (⊥).
+        labels: the full set of labels every provider must cover, or a prebuilt
+            :class:`LabelSet` shared with other blocks; a received batch with a
+            different label set is an observable deviation (⊥).
         validator: optional per-value predicate applied to every received value.
         round_timeout: virtual-time budget per round (``None`` waits forever,
             the reliable-substrate default).  With a timeout, a round that does
@@ -71,14 +87,15 @@ class BatchedConsensusBlock(ProtocolBlock):
         self,
         name: str,
         my_inputs: Dict[str, Any],
-        labels: Optional[list] = None,
+        labels: Optional[Iterable[str]] = None,
         validator: Optional[Callable[[Any], bool]] = None,
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
         self.my_inputs = _frozen(my_inputs)
-        self.labels = sorted(my_inputs.keys()) if labels is None else sorted(labels)
-        self._label_set = frozenset(self.labels)
+        if not isinstance(labels, LabelSet):
+            labels = label_set(my_inputs.keys() if labels is None else labels)
+        self.labels, self._label_set = labels
         self.validator = validator
         self.round_timeout = round_timeout
         self._batches: Dict[str, FrozenMap] = {}
@@ -129,7 +146,9 @@ class BatchedConsensusBlock(ProtocolBlock):
             if self._batches[sender] != payload:
                 self.complete(ABORT)
             return
-        if not self._valid_batch(payload):
+        # Our own input passed on_start's check.  Identity only: equality
+        # walks the batch too, and a deviant's object defines its own __eq__.
+        if payload is not self.my_inputs and not self._valid_batch(payload):
             self.complete(ABORT)
             return
         self._batches[sender] = _frozen(payload)

@@ -27,7 +27,7 @@ travel through the same agreement under ``ask:`` labels.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
 from repro.auctions.validation import (
@@ -38,13 +38,13 @@ from repro.auctions.validation import (
 )
 from repro.common import ABORT, is_abort, memoise
 from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bid
-from repro.consensus.multi_consensus import BatchedConsensusBlock
+from repro.consensus.multi_consensus import BatchedConsensusBlock, LabelSet, label_set
 from repro.consensus.rational_consensus import BinaryConsensusBlock, RationalConsensusBlock
 from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.net.serialization import DERIVED_ATTR, FrozenMap
 from repro.obs.context import current_observation
 
-__all__ = ["BidAgreementBlock", "AGREEMENT_MODES"]
+__all__ = ["BidAgreementBlock", "AGREEMENT_MODES", "agreement_messages"]
 
 AGREEMENT_MODES = ("batched", "per_label", "per_bit")
 
@@ -60,6 +60,11 @@ def _kept_or_copied(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
     anything else — a caller's dict, a deviant's forged view — is copied.
     """
     return mapping if type(mapping) is FrozenMap else dict(mapping)
+
+
+def agreement_messages(m: int) -> int:
+    """Messages of an honest batched agreement of ``m`` providers (§4.1): value + echo."""
+    return 2 * m * (m - 1)
 
 
 class BidAgreementBlock(ProtocolBlock):
@@ -108,20 +113,26 @@ class BidAgreementBlock(ProtocolBlock):
         ]
 
     def _my_inputs(self) -> FrozenMap:
-        """This provider's label-keyed batch: its input to the consensus.
+        """This provider's label-keyed batch: its input to the consensus."""
+        return self._shared_input()[0]
 
-        The batch is a pure function of the two received maps and the expected
-        ids, so it is built once per bids map *object*: honest providers of one
+    def _shared_input(self) -> Tuple[FrozenMap, LabelSet]:
+        """The batch and the label set it is checked against.
+
+        Both are pure functions of the two received maps and the expected ids,
+        so they are built once per bids map *object*: honest providers of one
         ``run_from_bids`` round hold the same two maps and broadcast one
-        batch, frozen and sized once.  The memo is one slot on the bids map
-        naming the asks map and the ids it was built for; a provider holding
-        maps of its own (a forged copy, on-line collection) builds its own.
+        batch, frozen and sized once, checked against one label set.  The memo
+        is one slot on the bids map naming the asks map and the ids it was
+        built for; a provider holding maps of its own (a forged copy, on-line
+        collection) builds its own.
         """
         bids, asks = self.received_user_bids, self.received_provider_asks
         ids = (self.expected_users, self.expected_providers)
         memo = getattr(bids, DERIVED_ATTR, None)
         if memo is None or memo[0] is not asks or memo[1] != ids:
-            memo = memoise(bids, DERIVED_ATTR, (asks, ids, self._build_batch()))
+            built = (self._build_batch(), label_set(self._labels()))
+            memo = memoise(bids, DERIVED_ATTR, (asks, ids, built))
         return memo[2]
 
     def _build_batch(self) -> FrozenMap:
@@ -135,13 +146,11 @@ class BidAgreementBlock(ProtocolBlock):
     # -- protocol -------------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:
         if self.mode == "batched":
+            batch, labels = self._shared_input()
             ctx.spawn(
                 "batch",
                 BatchedConsensusBlock(
-                    "batch",
-                    self._my_inputs(),
-                    labels=self._labels(),
-                    round_timeout=self.round_timeout,
+                    "batch", batch, labels=labels, round_timeout=self.round_timeout
                 ),
                 self._on_batch_done,
             )

@@ -27,7 +27,12 @@ from repro.consensus.commitment import Commitment, CommitmentScheme
 from repro.core.distributions import Distribution, UniformDistribution
 from repro.net.protocol import BlockContext, ProtocolBlock
 
-__all__ = ["CommonCoinBlock"]
+__all__ = ["CommonCoinBlock", "coin_messages"]
+
+
+def coin_messages(m: int) -> int:
+    """Messages of an honest coin of ``m`` providers (Property 4): commit + reveal."""
+    return 2 * m * (m - 1)
 
 
 class CommonCoinBlock(ProtocolBlock):

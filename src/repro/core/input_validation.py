@@ -22,10 +22,15 @@ from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.net.serialization import deep_immutable
 from repro.obs.context import current_observation
 
-__all__ = ["InputValidationBlock"]
+__all__ = ["InputValidationBlock", "validation_messages"]
 
 #: Where a deep-immutable input keeps its validation digest (64 hex characters).
 _DIGEST_ATTR = "_repro_validation_digest"
+
+
+def validation_messages(m: int) -> int:
+    """Messages of an honest validation of ``m`` providers (Property 3): one digest each."""
+    return m * (m - 1)
 
 
 class InputValidationBlock(ProtocolBlock):

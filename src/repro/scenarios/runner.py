@@ -196,6 +196,11 @@ def resolve_provider_ids(spec: ScenarioSpec, topology=None, path: str = "topolog
     return provider_ids
 
 
+def executors_of(spec: ScenarioSpec, provider_ids: List[str]) -> List[str]:
+    """The providers that run the protocol: the first ``spec.executors``, else all."""
+    return provider_ids[: spec.executors] if spec.executors is not None else provider_ids
+
+
 def resolve_round_inputs(
     spec: ScenarioSpec,
     instance: int = 0,
@@ -222,9 +227,7 @@ def resolve_round_inputs(
     if topology is None:
         topology = build_topology(spec)
     provider_ids = resolve_provider_ids(spec, topology, path)
-    executor_ids = (
-        provider_ids[: spec.executors] if spec.executors is not None else provider_ids
-    )
+    executor_ids = executors_of(spec, provider_ids)
     if bids is None:
         bids = workload.generate(
             spec.users, spec.providers, provider_ids=provider_ids, instance=instance

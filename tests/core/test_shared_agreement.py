@@ -35,11 +35,12 @@ from repro.auctions.standard_auction import StandardAuction
 from repro.common import is_abort
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.consensus.commitment import CommitmentScheme
+from repro.consensus import multi_consensus
 from repro.core import allocator, bid_agreement, input_validation
 from repro.core.allocator import SequentialAllocatorBlock
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
-from repro.core.provider_protocol import FrameworkProviderNode
+from repro.core.provider_protocol import FrameworkProviderNode, ProviderInput
 from repro.net.faults import FaultPlan, RecoveryPolicy, make_fault
 from repro.net.latency import UniformLatencyModel
 from repro.net.serialization import (
@@ -871,6 +872,153 @@ class TestInputLinkZero:
         # Nor does a perturbed copy reach the maps a later honest round is handed.
         user_bids, asks = bids.by_id()
         assert user_bids[victim.user_id] is victim and "p1" in asks
+
+
+# -- (f) one label set per shared batch; a relayed own batch is accepted by identity ----
+@contextmanager
+def recorded_label_sets():
+    """The ``BidAgreementBlock`` of every label set built."""
+    built = []
+    original = bid_agreement.BidAgreementBlock._labels
+
+    def spy(block):
+        built.append(block)
+        return original(block)
+
+    with mock.patch.object(bid_agreement.BidAgreementBlock, "_labels", spy):
+        yield built
+
+
+@contextmanager
+def recorded_batch_checks():
+    """``(block, batch)`` of every label and validator check of a batch."""
+    checked = []
+    original = multi_consensus.BatchedConsensusBlock._valid_batch
+
+    def spy(block, batch):
+        checked.append((block, batch))
+        return original(block, batch)
+
+    with mock.patch.object(multi_consensus.BatchedConsensusBlock, "_valid_batch", spy):
+        yield checked
+
+
+class Relabelling(DeviantProviderNode):
+    """Relays its first-round batch as ``relabel(batch)``, one copy per recipient."""
+
+    def __init__(self, *args, relabel, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.relabel = relabel
+
+    def transform_send(self, recipient, payload, tag):
+        if tag.endswith("/batch|value"):
+            return self.relabel(payload), tag
+        return payload, tag
+
+
+def _missing_one_label(batch):
+    return FrozenMap(list(batch.items())[1:])
+
+
+def _one_extra_label(batch):
+    return FrozenMap({**batch, "user:zz": None})
+
+
+class TestOneLabelSet:
+    SELLERS = providers_named(8)
+
+    def _figure4_point(self):
+        """k = 1, 2, 3 on 3, 5 and 7 of eight sellers, all from one bid vector."""
+        bids = double_bids(30, self.SELLERS, seed=8)
+        mechanism = CountingDoubleAuction()
+        with recorded_label_sets() as built:
+            reports = [
+                DistributedAuctioneer(
+                    mechanism,
+                    providers=self.SELLERS[: 2 * k + 1],
+                    config=FrameworkConfig(k=k),
+                    seed=4,
+                ).run_from_bids(bids)
+                for k in (1, 2, 3)
+            ]
+        assert not any(report.aborted for report in reports)
+        return [Round(report, [], mechanism).observable() for report in reports], built
+
+    def test_a_figure4_point_builds_one_label_set(self):
+        shared, shared_built = self._figure4_point()
+        with unshared():
+            separate, separate_built = self._figure4_point()
+        assert shared == separate
+        assert len(shared_built) == 1
+        # One per agreement block, 3 + 5 + 7, and never two for one block.
+        assert len(separate_built) == len(distinct(separate_built)) == 15
+
+    def test_maps_of_ones_own_build_one_label_set_per_block(self):
+        providers = providers_named(5)
+        with recorded_label_sets() as built:
+            shared = both_ways(
+                bids=double_bids(12, providers, seed=3),
+                providers=providers,
+                config=FrameworkConfig(k=2),
+            )
+        assert not shared.report.aborted
+        assert len(built) == len(distinct(built)) == 2 * len(providers)
+
+    def test_every_honest_block_checks_the_one_label_set(self):
+        providers = providers_named(5)
+        bids = double_bids(12, providers, seed=3)
+        with recorded_batch_checks() as checked:
+            report = DistributedAuctioneer(
+                DoubleAuction(), providers=providers, config=FrameworkConfig(k=2)
+            ).run_from_bids(bids)
+        assert not report.aborted
+        blocks = [block for block, _batch in checked]
+        # One check per block, of its own input, in on_start; the peers' relays
+        # of that very object are accepted by identity.
+        assert len(blocks) == len(distinct(blocks)) == len(providers)
+        assert len(distinct(batch for _block, batch in checked)) == 1
+        assert len(distinct(block.labels for block in blocks)) == 1
+        assert len(distinct(block._label_set for block in blocks)) == 1
+
+    def _relabelled_round(self, relabel):
+        """p3 relays its batch as ``relabel(batch)``; every provider shares the maps."""
+        providers = providers_named(5)
+        bids = double_bids(12, providers, seed=2)
+        user_bids, asks = bids.by_id()
+        inputs = {p: ProviderInput(p, user_bids, asks) for p in providers}
+        deviant = Coalition.of(["p3"], functools.partial(Relabelling, relabel=relabel))
+        run = functools.partial(
+            run_round,
+            bids=bids,
+            providers=providers,
+            config=FrameworkConfig(k=2),
+            inputs=inputs,
+            node_factory=deviant.factory(),
+        )
+        with recorded_batch_checks() as checked:
+            shared = run()
+        with unshared():
+            separate = run()
+        assert shared.observable() == separate.observable()
+        relayed = [batch for block, batch in checked if batch is not block.my_inputs]
+        return shared, relayed
+
+    def test_a_content_equal_dict_is_checked_in_full(self):
+        shared, relayed = self._relabelled_round(dict)
+        assert not shared.report.aborted
+        # Each of the four receivers checked its own copy of p3's batch.
+        assert len(relayed) == len(distinct(relayed)) == 4
+        assert all(type(batch) is dict for batch in relayed)
+
+    @pytest.mark.parametrize(
+        "relabel", [_missing_one_label, _one_extra_label], ids=["missing", "extra"]
+    )
+    def test_a_frozen_copy_with_another_label_set_is_bottom(self, relabel):
+        shared, relayed = self._relabelled_round(relabel)
+        assert shared.report.aborted
+        outputs = shared.report.outcome.provider_outputs
+        assert all(is_abort(outputs[p]) for p in ("p0", "p1", "p2", "p4"))
+        assert relayed and all(type(batch) is FrozenMap for batch in relayed)
 
 
 # -- the replicated path stays audited --------------------------------------------------

@@ -48,8 +48,10 @@ from repro.scenarios import (
 from repro.scenarios.runner import (
     build_latency_model,
     build_mechanism,
+    build_topology,
     build_workload,
     record_from_outcome,
+    resolve_provider_ids,
 )
 
 _PARENT_PID = os.getpid()
@@ -182,6 +184,68 @@ class TestChaosSpecParsing:
         other = spec_from_dict(_chaos_table(faults=["duplicate"]), ChaosSpec)
         assert spec_fingerprint(spec) == spec_fingerprint(same)
         assert spec_fingerprint(spec) != spec_fingerprint(other)
+
+
+class TestFaultTargets:
+    """A crash or partition names executing providers, or the audit is refused.
+
+    A fault aimed at a node that is not in the round injects nothing, and the
+    audit would report clean over cells that perturbed nothing.
+    """
+
+    CRASH = {"kind": "crash", "node": "p01", "at": 0.001, "duration": 0.002}
+    PARTITION = {"kind": "partition", "nodes": ["p01"], "at": 0.001, "duration": 0.01}
+
+    def _audit(self, fault, **base):
+        return spec_from_dict(
+            _chaos_table(faults=["loss", fault], base=_base_table(**base)), ChaosSpec
+        )
+
+    @pytest.mark.parametrize(
+        "fault, path, named",
+        [
+            (dict(CRASH, node="p05"), r"faults\[1\]\.node", "p05"),
+            (dict(PARTITION, nodes=["p01", "zz"]), r"faults\[1\]\.nodes", "zz"),
+            (dict(PARTITION, nodes="zz"), r"faults\[1\]\.nodes", "zz"),
+        ],
+        ids=["crash", "partition", "partition-of-one"],
+    )
+    def test_an_unknown_node_is_a_spec_error_before_the_journal(
+        self, fault, path, named, tmp_path
+    ):
+        journal = tmp_path / "journal.jsonl"
+        message = rf"{path}: unknown provider id '{named}'; executing providers: p00, p01, p02$"
+        with pytest.raises(SpecError, match=message):
+            run_chaos(self._audit(fault), store=str(journal))
+        assert not journal.exists()
+
+    def test_a_provider_that_does_not_execute_is_unknown(self):
+        spec = self._audit(dict(self.CRASH, node="p02"), executors=2)
+        with pytest.raises(SpecError, match=r"'p02'; executing providers: p00, p01$"):
+            run_chaos(spec)
+
+    def test_every_seed_resolves_its_own_gateways(self):
+        base = {"topology": "community", "latency": "community"}
+        scenario = ScenarioSpec(mechanism="double", users=6, providers=3, **base)
+        gateways = [
+            resolve_provider_ids(seeded, build_topology(seeded))
+            for seeded in (spec_with_overrides(scenario, {"seed": seed}) for seed in (0, 1))
+        ]
+        node = sorted(set(gateways[0]) - set(gateways[1]))[0]
+        spec = self._audit(dict(self.CRASH, node=node), **base)
+        with pytest.raises(SpecError, match=rf"'{node}'; executing providers: "):
+            run_chaos(spec)
+        assert run_chaos(spec_with_overrides(spec, {"seeds": [0]})).is_clean()
+
+    @pytest.mark.parametrize("fault", [CRASH, PARTITION], ids=["crash", "partition"])
+    def test_an_executing_provider_is_perturbed(self, fault):
+        result = run_chaos(self._audit(fault))
+        assert result.is_clean()
+        assert all(record.faults_injected > 0 for record in result.records[2:])
+
+    def test_the_benchmark_crash_among_five_providers_runs(self):
+        result = run_chaos(self._audit(self.CRASH, providers=5, config={"k": 2}))
+        assert result.is_clean() and result.records[-1].faults_injected > 0
 
 
 # ------------------------------------------------------------------ invariants --

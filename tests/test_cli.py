@@ -401,6 +401,35 @@ class TestGridCommandsShareOneHandler:
         assert "VERDICT: NOT " in capsys.readouterr().out
 
 
+class TestChaosFaultTargets:
+    """A fault aimed at no executing provider exits 2 before any journal opens."""
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            (
+                '{"kind":"crash","node":"p05","at":0.001,"duration":0.002}',
+                "error: faults[0].node: unknown provider id 'p05'; "
+                "executing providers: p00, p01, p02\n",
+            ),
+            (
+                '{"kind":"partition","nodes":["p01","zz"],"at":0.001,"duration":0.01}',
+                "error: faults[0].nodes: unknown provider id 'zz'; "
+                "executing providers: p00, p01, p02\n",
+            ),
+        ],
+        ids=["crash", "partition"],
+    )
+    def test_unknown_node_exits_2(self, fault, error, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        argv = ["chaos", "--spec", str(REPO_ROOT / "examples" / "specs" / "chaos.toml")]
+        argv += ["--set", f"faults=[{fault}]", "--output", str(journal)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == error
+        assert not journal.exists()
+
+
 class TestObservabilityCommands:
     def _run_observed(self, tmp_path, capsys):
         trace = tmp_path / "run.rcol"
