@@ -15,6 +15,7 @@ Delivery runs through the scheduler's queue protocol
 :meth:`~repro.net.scheduler.Scheduler.retire_recipient`): every delivered
 message costs O(log M) in the number of in-flight messages, where the seed core
 paid O(M) three times over (deliverable-list rebuild, ``min`` scan, ``list.remove``).
+:meth:`SimNetwork.run` is the delivery loop, with what it reads bound once per run.
 The network keeps the authoritative in-flight set as an insertion-ordered dict —
 the one membership structure: a message is one tuple, one entry in that dict
 and one entry in the scheduler's queue, and nothing else records it.  Traffic
@@ -38,6 +39,7 @@ the critical path of the distributed execution.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -80,7 +82,7 @@ class NetworkStats:
     # leftovers in flight by design (a provider's unexpired bid-deadline
     # timer, say).  The in-flight term is zero — the three-term special case —
     # whenever the run drained: quiescent runs drain stale traffic in
-    # ``step()``, and armed runs additionally settle copies still in flight
+    # ``run()``, and armed runs additionally settle copies still in flight
     # when every node finished (a retransmission racing its original).
     messages_sent: int = 0
     messages_lost: int = 0
@@ -168,8 +170,9 @@ class _SimContext(NodeContext):
         self._network._enqueue(self._node_id, recipients, payload, tag, include_self)
 
     def set_timer(self, delay: float, tag: str) -> None:
-        if delay < 0:
-            raise ValueError("timer delay must be non-negative")
+        # The latency models' rule: a NaN arrival breaks the earliest-first order.
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"timer delay must be finite and non-negative, got {delay!r}")
         self._network._enqueue_timer(self._node_id, delay, tag)
 
     def charge(self, seconds: float) -> None:
@@ -234,9 +237,6 @@ class SimNetwork:
         # the scheduler queues hold the *delivery order*, this dict holds the
         # *membership*.
         self._in_flight: Dict[int, Message] = {}
-        # Block path of every tag delivered so far (a run has a few dozen
-        # distinct tags), so the per-path count costs no split per delivery.
-        self._tag_paths: Dict[str, str] = {}
         # msg_ids are allocated per network so schedules never depend on how
         # many networks ran earlier in the process.
         self._next_msg_id = 0
@@ -320,6 +320,9 @@ class SimNetwork:
         """
         nodes = self._nodes
         latency = self.latency_model
+        probe, draw = latency.probe, latency.delay
+        push = self.scheduler.push
+        in_flight = self._in_flight
         rng = self._rng
         stats = self.stats
         plan = self._fault_plan
@@ -337,8 +340,8 @@ class SimNetwork:
                 # twice (a size-0 probe, then the real call).  The probe's value
                 # was always discarded, but jittered models consume RNG in it —
                 # keep its draws so every schedule stays bit-identical to the seed.
-                latency.probe(sender, recipient, rng)
-                delay = latency.delay(sender, recipient, size, rng)
+                probe(sender, recipient, rng)
+                delay = draw(sender, recipient, size, rng)
             else:
                 delay = latency.local_delay()
             msg_id = self._next_msg_id
@@ -352,8 +355,8 @@ class SimNetwork:
             if plan is not None and sender != recipient:
                 self._send_through_faults(message)
             else:  # _push_message, without the call
-                self._in_flight[msg_id] = message
-                self.scheduler.push(message)
+                in_flight[msg_id] = message
+                push(message)
 
     def _enqueue_timer(self, node_id: str, delay: float, tag: str) -> None:
         now = self._clocks[node_id].now
@@ -508,83 +511,6 @@ class SimNetwork:
         for node in self._nodes.values():
             self._start_node(node)
 
-    def step(self) -> bool:
-        """Deliver one message.  Returns False if nothing is deliverable."""
-        plan = self._fault_plan
-        stats = self.stats
-        # -- choose: the scheduler's next message whose recipient can take it ----
-        while True:
-            message = self.scheduler.pop(self._rng)
-            if message is None:
-                # Quiescence: everything still in flight is addressed to
-                # finished nodes — drain it so the run can end.
-                self._drop_in_flight()
-                return False
-            sender, recipient, _, tag, _, arrival_time, size, msg_id, origin = message
-            node = self._nodes[recipient]
-            if node.finished:
-                # The node was finished from *outside* a handler (finish() is
-                # public), so the queue could not have retired it yet; do so
-                # now.  The message stays in flight and is dropped at
-                # quiescence.  Note: in this exotic case the seed core stopped
-                # scheduling the node one step earlier than the lazy retire
-                # does, so stateful schedulers (random / round-robin /
-                # adversarial) may order the remaining traffic differently —
-                # the bit-identity guarantee covers nodes that finish inside
-                # their own handlers, which is the only way the runtime itself
-                # ever finishes them.
-                self._note_finished(recipient)
-                continue
-            armed = plan is not None and sender != recipient
-            if armed:
-                lost, restart = plan.apply_deliver(message)
-                if restart:
-                    stats.faults_injected += 1
-                    self._start_node(node)
-                    if node.finished:
-                        # Restart finished the node immediately; the message is
-                        # undeliverable and drains at quiescence.
-                        continue
-                if lost:
-                    # The recipient is down (crash window): the delivery never
-                    # happens.  The recovery layer may schedule a backed-off
-                    # retransmission that lands after the restart.
-                    stats.faults_injected += 1
-                    stats.messages_lost += 1
-                    del self._in_flight[msg_id]
-                    self._maybe_retransmit(message)
-                    continue
-            break
-        # -- deliver: out of flight, clock forward, handler, counters -------------
-        del self._in_flight[msg_id]
-        clock = self._clocks[recipient]
-        if arrival_time > clock.now:
-            clock.now = arrival_time
-        # A copy of an already-processed send (injected duplicate or a
-        # retransmission racing its original) is counted as a delivery but
-        # skips the handler — exactly-once processing.
-        suppressed = armed and self._channel(sender, recipient).suppress_duplicate(
-            origin if origin is not None else msg_id
-        )
-        if suppressed:
-            stats.duplicates_suppressed += 1
-        else:
-            self._on_message[recipient](self._contexts[recipient], message)
-        # NetworkStats.record_delivery, without the call and the tag split.
-        stats.messages_delivered += 1
-        stats.bytes_delivered += size
-        path = self._tag_paths.get(tag)
-        if path is None:
-            path = self._tag_paths[tag] = tag.split("|", 1)[0]
-        by_tag = stats.messages_by_tag
-        by_tag[path] = by_tag.get(path, 0) + 1
-        if self._obs is not None:
-            self._observe_delivery(message, suppressed)
-        if node.finished:
-            self._note_finished(recipient)
-        stats.steps += 1
-        return True
-
     def _drop_in_flight(self) -> None:
         """Count everything still in flight as dropped and forget it."""
         self.stats.messages_dropped += len(self._in_flight)
@@ -593,39 +519,110 @@ class SimNetwork:
     def run(self, max_steps: int = 2_000_000) -> NetworkStats:
         """Run until quiescence (no deliverable messages) or all nodes finished.
 
+        The delivery loop: what a delivery reads is bound once per run, and
+        its counters live in locals that ``finally`` writes back to ``stats``.
+
         Raises:
             QuiescenceError: if ``max_steps`` deliveries happen without quiescence,
                 which almost always indicates a protocol that livelocks.
         """
         if not self._started:
             self.start()
-        steps = 0
-        total = len(self._nodes)
-        while True:
-            if len(self._finished_nodes) >= total:
-                break
-            progressed = self.step()
-            if not progressed:
-                break
-            steps += 1
-            if steps > max_steps:
-                raise QuiescenceError(
-                    f"network did not quiesce within {max_steps} deliveries"
+        pop, rng, stats = self.scheduler.pop, self._rng, self.stats
+        nodes, clocks, in_flight = self._nodes, self._clocks, self._in_flight
+        handlers, contexts = self._on_message, self._contexts
+        finished_nodes, plan, obs = self._finished_nodes, self._fault_plan, self._obs
+        total = len(nodes)
+        steps = delivered_bytes = 0  # steps == this run's messages_delivered
+        tag_counts: Dict[str, int] = {}
+        # Re-tested after a delivery only: a skipped message is followed by the
+        # next pop, even when the skip finished the last node.
+        done = len(finished_nodes) >= total
+        try:
+            while not done:
+                # -- choose: the scheduler's next message its recipient can take --
+                message = pop(rng)
+                if message is None:
+                    # Quiescence: everything still in flight is addressed to
+                    # finished nodes — drain it so the run can end.
+                    self._drop_in_flight()
+                    break
+                sender, recipient, _, tag, _, arrival_time, size, msg_id, origin = message
+                node = nodes[recipient]
+                if node.finished:
+                    # Finished from outside a handler (finish() is public):
+                    # retire it now; the message drops at quiescence.  The seed
+                    # core retired it a step earlier, so stateful schedulers may
+                    # order the rest differently (the runtime never does this).
+                    self._note_finished(recipient)
+                    continue
+                armed = plan is not None and sender != recipient
+                if armed:
+                    lost, restart = plan.apply_deliver(message)
+                    if restart:
+                        stats.faults_injected += 1
+                        self._start_node(node)
+                        if node.finished:
+                            # Restart finished the node immediately; the message
+                            # is undeliverable and drains at quiescence.
+                            continue
+                    if lost:
+                        # The recipient is down (crash window).  Recovery may
+                        # retransmit, backed off to land after the restart.
+                        stats.faults_injected += 1
+                        stats.messages_lost += 1
+                        del in_flight[msg_id]
+                        self._maybe_retransmit(message)
+                        continue
+                # -- deliver: out of flight, clock forward, handler, counters -----
+                del in_flight[msg_id]
+                clock = clocks[recipient]
+                if arrival_time > clock.now:
+                    clock.now = arrival_time
+                # A copy of an already-processed send (injected duplicate or a
+                # retransmission racing its original) is counted as a delivery
+                # but skips the handler — exactly-once processing.
+                suppressed = armed and self._channel(sender, recipient).suppress_duplicate(
+                    origin if origin is not None else msg_id
                 )
-        if self._fault_plan is not None:
+                if suppressed:
+                    stats.duplicates_suppressed += 1
+                else:
+                    handlers[recipient](contexts[recipient], message)
+                steps += 1
+                delivered_bytes += size
+                tag_counts[tag] = tag_counts.get(tag, 0) + 1
+                if obs is not None:
+                    self._observe_delivery(message, suppressed)
+                if node.finished:
+                    self._note_finished(recipient)
+                if steps > max_steps:
+                    raise QuiescenceError(
+                        f"network did not quiesce within {max_steps} deliveries"
+                    )
+                done = len(finished_nodes) >= total
+        finally:
+            stats.steps += steps
+            stats.messages_delivered += steps
+            stats.bytes_delivered += delivered_bytes
+            # Traffic by protocol block path (the part of the tag before "|"),
+            # folded in first-seen order so the dict keeps delivery order.
+            by_tag = stats.messages_by_tag
+            for tag, count in tag_counts.items():
+                path = tag.split("|", 1)[0]
+                by_tag[path] = by_tag.get(path, 0) + count
+        if plan is not None:
             # Armed runs settle the books: copies still in flight when every
             # node finished (e.g. a retransmission racing its original) are
             # drained as dropped, so the conservation invariant holds in its
             # three-term form, sent == delivered + dropped + lost.  Fault-free
             # runs keep the historical behaviour (leftovers stay in flight).
             self._drop_in_flight()
-        self.stats.elapsed_time = max(
-            (clock.now for clock in self._clocks.values()), default=0.0
-        )
-        self.stats.node_busy = {nid: clock.busy for nid, clock in self._clocks.items()}
-        if self._obs is not None:
+        stats.elapsed_time = max((clock.now for clock in clocks.values()), default=0.0)
+        stats.node_busy = {nid: clock.busy for nid, clock in clocks.items()}
+        if obs is not None:
             self._observe_run_end()
-        return self.stats
+        return stats
 
     # -- introspection -----------------------------------------------------------
     @property

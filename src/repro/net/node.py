@@ -79,12 +79,15 @@ class Node(abc.ABC):
     calling :meth:`finish`, after which the runtime stops delivering messages to them
     (remaining traffic is drained silently, matching the "protocol module" notion of
     the paper where each block has a definite output).
+
+    ``finished`` and ``output`` are plain attributes (read twice per delivery,
+    so no property call): treat them as read-only; only :meth:`finish` sets them.
     """
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
-        self._output: Any = None
-        self._finished = False
+        self.output: Any = None
+        self.finished = False
 
     # -- lifecycle ---------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> None:  # pragma: no cover - default no-op
@@ -97,17 +100,9 @@ class Node(abc.ABC):
     # -- termination and output --------------------------------------------
     def finish(self, output: Any = None) -> None:
         """Mark the node as finished with the given output value."""
-        self._output = output
-        self._finished = True
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
-    @property
-    def output(self) -> Any:
-        return self._output
+        self.output = output
+        self.finished = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "finished" if self._finished else "running"
+        state = "finished" if self.finished else "running"
         return f"{type(self).__name__}({self.node_id!r}, {state})"

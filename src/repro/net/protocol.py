@@ -251,7 +251,7 @@ class BlockHost:
     def dispatch(self, node_ctx: NodeContext, message: Message) -> bool:
         """Route ``message`` to its block.  Returns True if it was consumed."""
         tag = message.tag
-        if message.is_timer():
+        if tag.startswith("__timer__") and message.sender == message.recipient:
             return self._dispatch_timer(tag[len("__timer__/") :])
         if TAG_SEPARATOR not in tag:
             return False
@@ -264,7 +264,8 @@ class BlockHost:
             return True
         block, ctx, _ = entry
         block.on_message(ctx, message.sender, subtag, message.payload)
-        self._sweep()
+        if self._completions:
+            self._sweep()
         return True
 
     def _dispatch_timer(self, tag: str) -> bool:
@@ -283,7 +284,8 @@ class BlockHost:
             return True
         block, ctx, _ = entry
         block.on_timer(ctx, subtag)
-        self._sweep()
+        if self._completions:
+            self._sweep()
         return True
 
     def _sweep(self) -> None:

@@ -21,12 +21,25 @@ from repro.core.outcome import combine_outputs
 from repro.net.message import Message
 from repro.net.node import Node, NodeContext
 
-__all__ = ["BidderStrategy", "TruthfulBidder", "BidderNode", "BID_TAG", "RESULT_TAG"]
+__all__ = [
+    "BidderStrategy", "TruthfulBidder", "BidderNode",
+    "BID_TAG", "RESULT_TAG", "bid_messages", "result_messages",
+]
 
 #: Tag used for bid submissions from bidders to providers.
 BID_TAG = "submit_bid"
 #: Tag used by providers to announce their output back to the bidders.
 RESULT_TAG = "announce_result"
+
+
+def bid_messages(n: int, m: int) -> int:
+    """Bids of an honest round (§3.2): each of ``n`` bidders to all ``m`` providers."""
+    return n * m
+
+
+def result_messages(n: int, m: int) -> int:
+    """Announcements of an honest round (Definition 1): each provider to every bidder."""
+    return m * n
 
 
 class BidderStrategy(abc.ABC):
@@ -88,7 +101,7 @@ class BidderNode(Node):
         if message.tag != RESULT_TAG or message.sender not in self._provider_set:
             return
         self._announcements[message.sender] = message.payload
-        # Announcements are only stored from providers, and the keys view
-        # compares as a set: no two sets built per announcement.
-        if self._announcements.keys() == self._provider_set:
+        # Announcements are only stored from providers, so equal counts mean
+        # equal sets (as in the providers' _maybe_start_early).
+        if len(self._announcements) == len(self._provider_set):
             self.finish(combine_outputs(self._announcements))

@@ -26,10 +26,15 @@ from repro.net.node import NodeContext
 from repro.net.protocol import ProtocolBlock, ProtocolNode
 from repro.runtime.bidder import BID_TAG, RESULT_TAG
 
-__all__ = ["CollectingProviderNode", "ASK_TAG"]
+__all__ = ["CollectingProviderNode", "ASK_TAG", "ask_messages"]
 
 #: Tag used by providers to distribute their own asks to their peers.
 ASK_TAG = "announce_ask"
+
+
+def ask_messages(m: int) -> int:
+    """Asks of an honest round (§3.1): each of ``m`` providers to its peers."""
+    return m * (m - 1)
 
 
 class CollectingProviderNode(ProtocolNode):

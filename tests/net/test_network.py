@@ -1,6 +1,8 @@
 """Tests for the discrete-event network simulator."""
 
+import collections
 import random
+import sys
 
 import pytest
 
@@ -493,3 +495,188 @@ class TestLazyNodeGenerators:
         network, _result, bids = auction_round(monkeypatch)
         assert len(network.node_ids) == 48
         assert sorted(network._node_rngs) == sorted(bids.provider_ids)
+
+
+class Burst(Node):
+    """Sends ``count`` messages to ``sink`` and sets a timer of ``timer_delay``
+    right after the ``timer_after``-th send."""
+
+    def __init__(self, node_id, count=30, timer_after=8, timer_delay=0.0):
+        super().__init__(node_id)
+        self.count, self.timer_after, self.timer_delay = count, timer_after, timer_delay
+
+    def on_start(self, ctx):
+        for i in range(self.count):
+            ctx.send("sink", i, tag="burst|x")
+            if i + 1 == self.timer_after:
+                ctx.set_timer(self.timer_delay, "t")
+
+    def on_message(self, ctx, message):
+        if message.is_timer():
+            self.finish(ctx.now())
+
+
+class ArrivalLog(Node):
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.arrivals = []
+
+    def on_message(self, ctx, message):
+        self.arrivals.append(message.arrival_time)
+
+
+def burst_network(timer_delay):
+    network = SimNetwork(latency_model=UniformLatencyModel(0.001, 0.01), seed=3)
+    network.add_nodes([Burst("src", timer_delay=timer_delay), ArrivalLog("sink")])
+    return network
+
+
+class TestTimerDelay:
+    """A timer's delay obeys the latency models' rule: finite and non-negative.
+    A NaN arrival time compares false both ways, so it would silently break
+    the earliest-arrival order of every message queued behind it."""
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5])
+    def test_a_nan_infinite_or_negative_delay_raises(self, delay):
+        network = burst_network(delay)
+        with pytest.raises(ValueError, match="timer delay"):
+            network.run()
+
+    def test_a_zero_delay_fires_at_once_and_keeps_the_order(self):
+        network = burst_network(0.0)
+        stats = network.run()
+        assert network.node("src").output == 0.0
+        arrivals = network.node("sink").arrivals
+        assert len(arrivals) == 30 and arrivals == sorted(arrivals)
+        assert stats.messages_delivered == 31
+
+
+class Countdown(Node):
+    """Passes a counter back and forth until it reaches 1: ``start`` deliveries
+    in all, after which the run ends by quiescence."""
+
+    def __init__(self, node_id, peer, start=0):
+        super().__init__(node_id)
+        self.peer, self.start = peer, start
+
+    def on_start(self, ctx):
+        if self.start:
+            ctx.send(self.peer, self.start, tag=f"count/{self.node_id}|n")
+
+    def on_message(self, ctx, message):
+        if message.payload > 1:
+            ctx.send(message.sender, message.payload - 1, tag=f"count/{self.node_id}|n")
+
+
+def countdown(start):
+    network = SimNetwork(latency_model=ConstantLatencyModel(0.001))
+    network.add_nodes([Countdown("a", "b", start), Countdown("b", "a")])
+    return network
+
+
+def delivered_by_tag(stats):
+    return sum(stats.messages_by_tag.values())
+
+
+class TestDeliveryLoopEdges:
+    """The loop's edges: the step budget, a raising handler, and a node
+    finished from outside its handlers."""
+
+    def test_a_run_of_exactly_max_steps_deliveries_completes(self):
+        network = countdown(12)
+        stats = network.run(max_steps=12)
+        assert stats.messages_delivered == stats.steps == delivered_by_tag(stats) == 12
+        assert stats.messages_by_tag == {"count/a": 6, "count/b": 6}
+        assert stats.messages_sent == accounted(network)
+
+    def test_one_delivery_over_the_budget_raises_with_exact_stats(self):
+        network = countdown(13)
+        with pytest.raises(QuiescenceError):
+            network.run(max_steps=12)
+        stats = network.stats
+        assert stats.messages_delivered == stats.steps == delivered_by_tag(stats) == 13
+        assert stats.bytes_delivered > 0
+        assert stats.messages_sent == accounted(network)
+
+    def test_a_raising_handler_leaves_exact_stats(self):
+        class Fragile(Countdown):
+            def on_message(self, ctx, message):
+                if message.payload == 5:
+                    raise RuntimeError("boom")
+                super().on_message(ctx, message)
+
+        network = SimNetwork(latency_model=ConstantLatencyModel(0.001))
+        network.add_nodes([Countdown("a", "b", 9), Fragile("b", "a")])
+        with pytest.raises(RuntimeError, match="boom"):
+            network.run()
+        stats = network.stats
+        # Deliveries 9, 8, 7 and 6 were handled; the raising fifth is out of
+        # flight but not counted as delivered.
+        assert stats.messages_delivered == stats.steps == delivered_by_tag(stats) == 4
+        assert stats.messages_sent == 5 and network.in_flight_count == 0
+
+    def test_a_node_finished_from_outside_drops_its_queued_message(self):
+        network = SimNetwork(latency_model=ConstantLatencyModel(0.01))
+        network.add_nodes([OneShot("src"), Sink("sink")])
+        network.start()
+        network.node("sink").finish("outside")
+        stats = network.run()
+        assert network.node("sink").output == "outside"  # the handler never ran
+        assert (stats.messages_delivered, stats.messages_dropped) == (0, 1)
+        assert network.in_flight_count == 0
+        assert stats.messages_sent == accounted(network)
+        assert network.unfinished_nodes() == ["src"]
+
+    def test_retiring_the_last_node_outside_its_handlers_still_drains(self):
+        class FireAndFinish(OneShot):
+            def on_start(self, ctx):
+                super().on_start(ctx)
+                self.finish("sent")
+
+        network = SimNetwork(latency_model=ConstantLatencyModel(0.01))
+        network.add_nodes([FireAndFinish("src"), Sink("sink")])
+        network.start()
+        network.node("sink").finish("outside")
+        stats = network.run()
+        # Skipping the message finished the last node; the loop still pops
+        # once more, finds nothing live and drains.
+        assert (stats.messages_delivered, stats.messages_dropped) == (0, 1)
+        assert network.in_flight_count == 0
+        assert sorted(stats.node_finish_time) == ["sink", "src"]
+
+
+class TestDeliveryLoopStructure:
+    """A lock on the loop's shape: a round's calls into the functions of
+    ``net/network.py`` are bounded by its fan-outs plus its nodes, so the
+    bound does not grow with the deliveries (it sits below their count, and
+    one call per delivery would break it)."""
+
+    @pytest.mark.parametrize("users", [10, 40])
+    def test_network_calls_do_not_scale_with_deliveries(self, users):
+        source = SimNetwork.run.__code__.co_filename
+        calls = collections.Counter()
+
+        def count(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename == source:
+                calls[frame.f_code.co_name] += 1
+
+        bids = DoubleAuctionWorkload(seed=1).generate(users, 8)
+        run = AuctionRun(
+            bids,
+            DoubleAuction(),
+            config=FrameworkConfig(k=2),
+            latency_model=BandwidthLatencyModel(
+                base=0.003, bandwidth_bytes_per_s=12.5e6, jitter=0.001
+            ),
+            seed=1,
+        )
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = run.execute()
+        finally:
+            sys.setprofile(previous)
+        assert not result.aborted
+        fan_outs = calls["_enqueue"] + calls["_enqueue_timer"]
+        bound = 5 * (fan_outs + len(bids.user_ids) + len(bids.provider_ids))
+        assert sum(calls.values()) <= bound < result.stats.messages_delivered
