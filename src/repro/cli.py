@@ -61,9 +61,8 @@ every fault model of the spec runs against every seed, and every cell checks
 delivery conservation (``sent == delivered + dropped + lost``), termination,
 bit-identical replay at the fixed seed and — for ``torn_append`` faults —
 that a results journal torn mid-append repairs on resume.  Exit status is 0
-only when every invariant held in every cell and nothing was quarantined.  It
-shares the grid flags with ``sweep`` and adds ``--quarantine`` (survive
-worker crashes: keep running, journal the poison cells, report them).
+only when every invariant held in every cell.  It shares the grid flags with
+``sweep``.
 
 ``run`` executes one auction round and prints the outcome; ``sweep`` runs a
 grid of scenarios from a spec file, ``rounds`` workload instances per grid
@@ -78,10 +77,10 @@ optional on ``run``, which starts from the :class:`ScenarioSpec` defaults) and
 ``--set mechanism.epsilon=0.5``), applied in that order; the simulation
 sub-commands accept ``--json`` (machine-readable output of the uniform
 RunRecord schema).  The three grid commands print one ``--json`` shape,
-the grid engine's result: ``{"kind", "name", "base", "clean", "records"}``
-plus ``"quarantined"`` when a cell was given up on; ``clean`` is the exit
-status (0 when true).  They additionally take ``--workers N`` (run grid
-points in an N-process pool, chunked to keep the engine-state amortisation;
+the grid engine's result: ``{"kind", "name", "base", "clean", "records"}``;
+``clean`` is the exit status (0 when true).  They additionally take
+``--workers N`` (run grid points in an N-process pool, chunked to keep the
+engine-state amortisation;
 records stay in grid order and are identical to a sequential run on all
 deterministic fields),
 ``--output FILE`` (append every record to a results journal as it completes),
@@ -221,15 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--json", action="store_true", help="print machine-readable JSON records"
         )
-        if kind.quarantine:
-            command.add_argument(
-                "--quarantine",
-                action="store_true",
-                help="crash tolerance: survive worker failures under --workers by "
-                "retrying with a literal bound, then quarantine cells that keep "
-                "failing (journaled with --output, so --resume re-runs exactly "
-                "those) and keep executing the rest of the grid",
-            )
         add_grid_options(command)
         add_obs_options(command)
 
@@ -441,8 +431,6 @@ def _command_grid(args: argparse.Namespace) -> int:
         "store_format": args.store_format,
         "resume": args.resume,
     }
-    if kind.quarantine:
-        options["failure_mode"] = "quarantine" if args.quarantine else "raise"
     result = _observed(args, spec.name, lambda: kind.run(spec, **options))
     _report_store(result, args)
     if args.json:
@@ -453,21 +441,14 @@ def _command_grid(args: argparse.Namespace) -> int:
 
 
 def _report_store(result: GridResult, args: argparse.Namespace) -> None:
-    """The stderr lines about the journal and quarantined work, greppable by CI."""
-    quarantined = result.quarantined
+    """The stderr line about the journal, greppable by CI."""
     if args.output:
         unit = result.grid.unit
         print(
             f"store {args.output}: reused {result.resumed} journaled {unit}, "
-            f"executed {result.executed} new {unit}, quarantined {len(quarantined)} {unit}",
+            f"executed {result.executed} new {unit}",
             file=sys.stderr,
         )
-    if quarantined:
-        cells = ", ".join(
-            f"({entry['point']},{entry['instance']}): {entry['error']}"
-            for entry in quarantined
-        )
-        print(f"quarantined {len(quarantined)}: {cells}", file=sys.stderr)
 
 
 def _print_sweep(result: GridResult, args: argparse.Namespace) -> None:
@@ -496,21 +477,15 @@ def _print_chaos(result: GridResult, args: argparse.Namespace) -> None:
             f"{'ok' if record.ok else 'FAILED':<8s}"
         )
     print()
-    failing = result.failing
     if result.is_clean():
         print(
             f"VERDICT: clean — every invariant held across "
             f"{len(result.records)} cells"
         )
-    elif failing:
-        print(
-            f"VERDICT: NOT CLEAN — {len(failing)} of {len(result.records)} "
-            f"cells violated an invariant"
-        )
     else:
         print(
-            f"VERDICT: NOT CLEAN — {len(result.quarantined)} cells were "
-            f"quarantined (no record produced)"
+            f"VERDICT: NOT CLEAN — {len(result.failing)} of {len(result.records)} "
+            f"cells violated an invariant"
         )
 
 
@@ -646,7 +621,6 @@ class _GridCommand:
     run: Callable[..., GridResult]  # exit status 0 when its result is_clean()
     render: Callable[[GridResult, argparse.Namespace], None]  # printed without --json
     series: bool = False  # takes --series
-    quarantine: bool = False  # takes --quarantine
 
 
 _GRID_COMMANDS = {
@@ -679,7 +653,6 @@ _GRID_COMMANDS = {
         load=functools.partial(_audit_spec, ChaosSpec),
         run=run_chaos,
         render=_print_chaos,
-        quarantine=True,
     ),
 }
 

@@ -16,7 +16,7 @@ resilience layer one-to-one:
   audited invariant;
 * :func:`run_chaos` — the audit's declaration (:data:`CHAOS_GRID`) run through
   the grid engine (:mod:`repro.scenarios.grid`): sequential or ``workers=N``,
-  journaled resume, crash-tolerant ``failure_mode="quarantine"``.
+  journaled, fail-fast, resumable.
 
 Invariants audited per cell
 ---------------------------
@@ -424,12 +424,12 @@ def run_chaos(spec: ChaosSpec, **engine: Any) -> GridResult:
     """Run the full fault grid and collect the records in grid order.
 
     The result is clean when every cell held every invariant
-    (:attr:`ChaosRecord.ok`) and none was quarantined.
+    (:attr:`ChaosRecord.ok`).
 
     Args:
         spec: the audit specification.
         engine: the grid engine's options (``workers``, ``store``,
-            ``store_format``, ``resume``, ``failure_mode``), see
+            ``store_format``, ``resume``), see
             :func:`~repro.scenarios.grid.run_grid`.  Chunks are
             grouped by seed so workload generation stays amortised; records
             are bit-identical to the sequential path on all deterministic

@@ -36,18 +36,15 @@ from __future__ import annotations
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Union
 
 from repro.common import available_cpus
 from repro.scenarios.spec import SpecError
 
 __all__ = [
     "CHUNKS_PER_WORKER",
-    "MAX_CHUNK_RETRIES",
     "ChunkExecutionError",
-    "ChunkQuarantine",
     "WorkerPlan",
     "execute_chunks",
     "reset_oversubscription_warnings",
@@ -65,11 +62,6 @@ WorkerSpec = Union[None, int, str]
 #: lose between journal appends under parallel execution.
 CHUNKS_PER_WORKER = 4
 
-#: Literal retry bound for the crash-tolerant executor path: an item whose
-#: chunk has failed this many times is quarantined instead of retried again.
-#: A literal (not configuration) so the retry loop is provably bounded.
-MAX_CHUNK_RETRIES = 2
-
 
 # ------------------------------------------------------------- failure model --
 class ChunkExecutionError(Exception):
@@ -78,13 +70,11 @@ class ChunkExecutionError(Exception):
     Raised *inside* a worker (see
     :func:`repro.scenarios.grid.run_chunk`) so the parent loses
     neither the cells the chunk completed before the failure
-    (``partial_results``, yielded — and therefore journaled — before any
-    retry or re-raise) nor the original traceback (``traceback``, a string,
+    (``partial_results``, yielded — and therefore journaled — before the
+    re-raise) nor the original traceback (``traceback``, a string,
     because traceback objects do not cross process boundaries).
-    ``remaining_items`` lists the work items that still need running: the
-    item that raised first, then every item the chunk never reached.
     ``cause`` is the original exception object when it pickles losslessly
-    (``SpecError`` does), so fail-fast callers re-raise the path-precise
+    (``SpecError`` does), so the parent re-raises the path-precise
     typed error instead of a stringly wrapper; ``None`` otherwise.
     """
 
@@ -92,12 +82,10 @@ class ChunkExecutionError(Exception):
         self,
         partial_results: List[Any],
         traceback_str: str,
-        remaining_items: List[Any],
         cause: Optional[BaseException] = None,
     ) -> None:
         self.partial_results = list(partial_results)
         self.traceback = str(traceback_str)
-        self.remaining_items = list(remaining_items)
         self.cause = cause
         super().__init__(self.error)
 
@@ -111,27 +99,7 @@ class ChunkExecutionError(Exception):
         # Exceptions with a multi-argument __init__ do not survive pickling by
         # default (unpickling re-invokes the class with ``self.args``); being
         # shipped across the process boundary is this class's whole purpose.
-        return (
-            ChunkExecutionError,
-            (self.partial_results, self.traceback, self.remaining_items, self.cause),
-        )
-
-
-@dataclass(frozen=True)
-class ChunkQuarantine:
-    """Sentinel yielded in place of results for items given up on.
-
-    The crash-tolerant executor emits one of these into the result stream
-    when an item is still failing after :data:`MAX_CHUNK_RETRIES` attempts.
-    ``items`` holds the work items exactly as the chunker
-    built them (for the grid engine: ``(point, instance)`` cells), so the
-    caller can journal the failure and continue — ``--resume`` then
-    re-executes only the quarantined cells.
-    """
-
-    items: Tuple[Any, ...]
-    error: str
-    traceback: str = ""
+        return (ChunkExecutionError, (self.partial_results, self.traceback, self.cause))
 
 
 # ------------------------------------------------------------- worker policy --
@@ -246,7 +214,6 @@ def execute_chunks(
     chunks: List[List[Any]],
     worker: Callable[[List[Any]], List[Any]],
     workers: int,
-    failure_mode: str = "raise",
 ) -> Iterator[Any]:
     """Run chunks in a local ``ProcessPoolExecutor``, streaming completion order.
 
@@ -259,136 +226,35 @@ def execute_chunks(
     registered after import).  On spawn-only platforms, custom kinds must be
     registered at import time of a module the workers also import.
 
-    Failure handling is governed by ``failure_mode``:
-
-    * ``"raise"`` (the default) — a worker exception cancels the
-      not-yet-started chunks and re-raises in the parent carrying the
-      worker's traceback.  Results of chunks that already completed have been
-      yielded (and journaled) by then, and the partial results of the
-      *failing* chunk are yielded before the raise, so a resumed run only
-      repeats the rounds that never ran.
-    * ``"quarantine"`` — crash tolerance: a failing chunk is retried with a
-      literal bound (:data:`MAX_CHUNK_RETRIES`).  A worker exception
-      (:class:`ChunkExecutionError`) names the poison item, which retries
-      alone while its untried chunk-mates requeue with a clean slate.  A dead
-      worker process (``BrokenProcessPool``) breaks the *whole pool*, so the
-      shared-pool failure cannot be attributed: every unfinished chunk of the
-      broken pool replays in **isolation** — its own single-chunk pool —
-      where a repeat death is unambiguous evidence.  Isolated deaths charge
-      the chunk's failure count and bisect multi-item chunks until the
-      poison item is cornered; innocent chunk-mates complete on their
-      isolated replay without being charged.  An item still failing after
-      the bounded retries is yielded as a :class:`ChunkQuarantine` sentinel
-      instead of its results, so the caller can journal the failure and
-      keep going.
+    Failures are fail-fast.  A worker exception yields the failing chunk's
+    partial results, then re-raises the typed ``cause`` — or, when it did not
+    pickle, a ``RuntimeError`` carrying the worker traceback.  A dead worker
+    process propagates as ``BrokenProcessPool``.  Either way the chunks that
+    have not started are cancelled, and everything yielded before the raise
+    has been journaled by the caller, so ``--resume`` repeats only the cells
+    that never finished.
     """
-    quarantine = failure_mode == "quarantine"
-    pending: List[Tuple[List[Any], int]] = [
-        (list(chunk), 0) for chunk in chunks if chunk
-    ]
-    # Chunks suspected of killing their worker; each replays alone in a
-    # single-chunk pool so the next death is attributable.
-    suspects: List[Tuple[List[Any], int]] = []
-    # Each iteration runs one batch in one fresh pool (mandatory after a
-    # worker death broke the previous one).  Bounded: every isolated
-    # failure either bisects a chunk or raises its failure count toward
-    # MAX_CHUNK_RETRIES, and un-charged shared-pool breaks only move
-    # chunks into isolation.
-    while pending or suspects:
-        if pending:
-            batch, pending = pending, []
-            yield from _run_batch(batch, pending, suspects, worker, workers, quarantine)
-        else:
-            batch = [suspects.pop(0)]
-            yield from _run_batch(batch, pending, suspects, worker, 1, quarantine)
-
-
-def _run_batch(
-    batch, pending, suspects, worker, workers: int, quarantine: bool
-) -> Iterator[Any]:
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(batch)), mp_context=_pool_context()
-    ) as pool:
-        futures = {
-            pool.submit(worker, items): (items, failures)
-            for items, failures in batch
-        }
-        try:
-            for future in as_completed(futures):
-                items, failures = futures[future]
-                try:
-                    yield from future.result()
-                except ChunkExecutionError as exc:
-                    yield from exc.partial_results
-                    if not quarantine:
-                        if exc.cause is not None:
-                            # Re-raise the original, typed error; the
-                            # chunk context (partials journaled, worker
-                            # traceback) rides along as __cause__.
-                            raise exc.cause from exc
-                        raise RuntimeError(
-                            "a worker raised while executing a chunk "
-                            "(cells completed before the failure were "
-                            "journaled); worker traceback:\n"
-                            f"{exc.traceback}"
-                        ) from exc
-                    yield from _after_worker_error(pending, exc, failures)
-                except BrokenProcessPool:
-                    if not quarantine:
-                        raise
-                    yield from _after_worker_death(
-                        suspects, items, failures, alone=len(batch) == 1
-                    )
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-
-
-def _after_worker_error(pending, exc: ChunkExecutionError, failures: int):
-    """Requeue after an in-worker exception: the poison item is known."""
-    if not exc.remaining_items:  # defensive: nothing left to run
-        return
-    poison, rest = exc.remaining_items[0], list(exc.remaining_items[1:])
-    if rest:
-        # The items after the poison one never ran; they are not suspects.
-        pending.append((rest, 0))
-    failures += 1
-    if failures >= MAX_CHUNK_RETRIES:
-        yield ChunkQuarantine(
-            items=(poison,), error=exc.error, traceback=exc.traceback
-        )
-    else:
-        pending.append(([poison], failures))
-
-
-def _after_worker_death(suspects, items: List[Any], failures: int, alone: bool):
-    """Requeue after ``BrokenProcessPool``.
-
-    A break in a *shared* pool is unattributable — one dead worker fails
-    every in-flight future — so the chunk is not charged, only moved to
-    the isolation queue.  A break while running *alone* is attributable:
-    charge the chunk, bisect multi-item chunks to corner the poison
-    item, quarantine a single item that exhausted its retries.
-    """
-    if not alone:
-        suspects.append((items, failures))
-        return
-    failures += 1
-    if len(items) > 1:
-        # Bisect: the poison item is cornered in log2(n) replays, and
-        # its chunk-mates escape the quarantine with their results.
-        middle = (len(items) + 1) // 2
-        suspects.append((items[:middle], failures))
-        suspects.append((items[middle:], failures))
-    elif failures >= MAX_CHUNK_RETRIES:
-        yield ChunkQuarantine(
-            items=tuple(items),
-            error="worker process died while executing this item "
-            "(BrokenProcessPool)",
-        )
-    else:
-        suspects.append((items, failures))
+    pool = ProcessPoolExecutor(
+        max_workers=max(1, min(workers, len(chunks))), mp_context=_pool_context()
+    )
+    try:
+        for future in as_completed([pool.submit(worker, chunk) for chunk in chunks]):
+            try:
+                yield from future.result()
+            except ChunkExecutionError as exc:
+                yield from exc.partial_results
+                if exc.cause is not None:
+                    # Re-raise the original, typed error; the chunk context
+                    # (partials journaled, worker traceback) rides along as
+                    # __cause__.
+                    raise exc.cause from exc
+                raise RuntimeError(
+                    "a worker raised while executing a chunk (cells completed "
+                    "before the failure were journaled); worker traceback:\n"
+                    f"{exc.traceback}"
+                ) from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _pool_context():

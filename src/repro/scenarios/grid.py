@@ -25,12 +25,11 @@ nothing until a cell runs:
 **What the engine guarantees**, for every declaration: records in grid order
 (sorted by ``(point, instance)``, never the completion order of a dict);
 parallel records bit-identical to serial ones (:func:`run_chunk`); chunks
-that follow the group key (:func:`chunk_cells`); journal-per-chunk,
-fingerprint-guarded resume and cell-granular quarantine (:func:`run_grid`);
-one :class:`GridResult` and one counter family for every kind.  The serial
-path is one in-process context fed the pending cells in run order: no
-chunking, no dict round trip, no work per cell beyond ``run_cell`` and the
-journal append.
+that follow the group key (:func:`chunk_cells`); journal-per-chunk and
+fingerprint-guarded resume (:func:`run_grid`); one :class:`GridResult` and
+one counter family for every kind.  The serial path is one in-process
+context fed the pending cells in run order: no chunking, no dict round trip,
+no work per cell beyond ``run_cell`` and the journal append.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.obs.context import current_observation
 from repro.scenarios.dispatch import (
     CHUNKS_PER_WORKER,
     ChunkExecutionError,
-    ChunkQuarantine,
     WorkerSpec,
     execute_chunks,
     resolve_workers,
@@ -95,10 +93,7 @@ class GridResult:
     """All records of one grid, in grid order — what every grid kind returns.
 
     ``executed`` counts the cells this invocation ran, ``resumed`` those a
-    results journal held (``resume=True``).  ``quarantined`` lists the cells
-    the crash-tolerant executor gave up on (``failure_mode="quarantine"``):
-    one ``{"point", "instance", "error"}`` dict each, in completion order;
-    they have no record, and a later resume re-executes exactly them.
+    results journal held (``resume=True``).
     """
 
     grid: Grid
@@ -107,7 +102,6 @@ class GridResult:
     records: List[Any] = field(default_factory=list)
     executed: int = 0
     resumed: int = 0
-    quarantined: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def failing(self) -> List[Any]:
@@ -118,23 +112,17 @@ class GridResult:
         return [record for record in self.records if not getattr(record, verdict)]
 
     def is_clean(self) -> bool:
-        """True when every record passed and no cell was quarantined.
-
-        A quarantined cell has no verdict, so a grid with one is not clean.
-        """
-        return not self.failing and not self.quarantined
+        """True when every record passed."""
+        return not self.failing
 
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
+        return {
             "kind": self.grid.kind,
             "name": self.name,
             "base": self.base,
             "clean": self.is_clean(),
             "records": [record.to_dict() for record in self.records],
         }
-        if self.quarantined:
-            data["quarantined"] = [dict(entry) for entry in self.quarantined]
-        return data
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -148,7 +136,6 @@ def run_grid(
     store=None,
     store_format: Optional[str] = None,
     resume: bool = False,
-    failure_mode: str = "raise",
 ) -> GridResult:
     """Run every cell of ``spec``'s grid that ``store`` does not already hold.
 
@@ -173,26 +160,17 @@ def run_grid(
             manifest must match this spec) and run only the missing ones.
             Journaled records are returned bit-identically regardless of the
             journal's backend.
-        failure_mode: what a parallel run does when a worker fails.
-            ``"raise"`` (default) fails fast with the worker's typed error
-            after journaling every completed cell; ``"quarantine"`` opts
-            into the crash-tolerant executor — bounded chunk retries, worker
-            death survived in a fresh pool, and cells that keep failing
-            recorded in :attr:`GridResult.quarantined` (and journaled) while
-            the rest of the grid completes.  The sequential path always
-            fails fast: there is no worker boundary to contain the failure.
+
+    A failing cell fails the run fast — with the worker's typed error, or
+    ``BrokenProcessPool`` when a worker process died — after every finished
+    cell has been journaled, so a ``resume=True`` re-run executes only the
+    cells that are missing.
     """
-    if failure_mode not in ("raise", "quarantine"):
-        raise SpecError(
-            "failure_mode",
-            f"failure_mode must be 'raise' or 'quarantine', got {failure_mode!r}",
-        )
     plan = resolve_workers(workers)
     context = grid.context(spec)
     journal = _as_store(store, store_format, grid.record_type)
     fresh: Dict[Cell, Any] = {}
     reused: Dict[Cell, Any] = {}
-    quarantined: List[Dict[str, Any]] = []
     try:
         order = context.run_order()
         if journal is not None:
@@ -203,20 +181,9 @@ def run_grid(
                 fingerprint=spec_fingerprint(spec),
             )
         pending = [cell for cell in order if cell not in reused]
-        stream = _stream(grid, spec, context, pending, plan, failure_mode)
+        stream = _stream(grid, spec, context, pending, plan)
         try:
-            for item in stream:
-                if isinstance(item, ChunkQuarantine):
-                    for point, instance in item.items:
-                        quarantined.append(
-                            {"point": point, "instance": instance, "error": item.error}
-                        )
-                        if journal is not None:
-                            journal.append_quarantine(
-                                point, instance, item.error, item.traceback
-                            )
-                    continue
-                point, instance, record = item
+            for point, instance, record in stream:
                 fresh[(point, instance)] = record
                 if journal is not None:
                     journal.append(point, instance, record)
@@ -226,11 +193,10 @@ def run_grid(
         context.close()
         if journal is not None:
             journal.close()
-    # ``(cell, record, executed now?)`` per cell with a record, in grid order.
+    # ``(cell, record, executed now?)`` per cell, in grid order.
     walk = [
         (cell, fresh[cell], True) if cell in fresh else (cell, reused[cell], False)
         for cell in sorted(order)
-        if cell in fresh or cell in reused
     ]
     result = GridResult(
         grid,
@@ -239,7 +205,6 @@ def run_grid(
         records=[record for _cell, record, _executed in walk],
         executed=len(fresh),
         resumed=len(reused),
-        quarantined=quarantined,
     )
     # Observability hook (see repro.obs), on the parent: emitted from the
     # grid-order walk, so the counters are the same whether the cells ran
@@ -251,7 +216,6 @@ def run_grid(
         for what, count in (
             ("executed", result.executed),
             ("reused", result.resumed),
-            ("quarantined", len(quarantined)),
             ("failed", len(result.failing)),
         ):
             obs.metrics.counter(prefix + what).inc(count)
@@ -287,15 +251,15 @@ def _as_store(store, store_format, record_type):
     return ResultsStore(store, record_type=record_type, format=store_format)
 
 
-def _stream(grid, spec, context, pending, plan, failure_mode) -> Iterator[Any]:
-    """Yield ``(point, instance, record)`` — or quarantine sentinels — as cells land."""
+def _stream(grid, spec, context, pending, plan) -> Iterator[Any]:
+    """Yield ``(point, instance, record)`` as cells land."""
     if not (plan.parallel and pending):
         for point, instance in pending:
             yield point, instance, context.run_cell(point, instance)
         return
     chunks = chunk_cells(context, pending, plan.workers)
     worker = functools.partial(run_chunk, grid, spec_to_dict(spec))
-    yield from execute_chunks(chunks, worker, plan.workers, failure_mode)
+    yield from execute_chunks(chunks, worker, plan.workers)
 
 
 def chunk_cells(context, cells: List[Cell], workers: int) -> List[List[Cell]]:
@@ -328,16 +292,15 @@ def run_chunk(
     The context is closed in a ``finally`` so worker-side mechanism resources
     are released even when a cell raises mid-chunk.  A failure partway through
     raises :class:`~repro.scenarios.dispatch.ChunkExecutionError` carrying
-    the cells completed so far (the parent journals them before retrying or
-    re-raising), the worker traceback as a string (traceback objects do not
-    pickle), the cells still pending — the one that raised first, then
-    everything the chunk never reached — and the original exception when it
-    survives pickling, so fail-fast callers see the typed error.
+    the cells completed so far (the parent journals them before re-raising),
+    the worker traceback as a string (traceback objects do not pickle) and
+    the original exception when it survives pickling, so callers see the
+    typed error.
     """
     results: List[Tuple[int, int, Any]] = []
     context = grid.context(spec_from_dict(payload, grid.spec_type))
     try:
-        for position, (point, instance) in enumerate(cells):
+        for point, instance in cells:
             try:
                 results.append((point, instance, context.run_cell(point, instance)))
             except Exception as exc:
@@ -345,9 +308,7 @@ def run_chunk(
                     cause = pickle.loads(pickle.dumps(exc))
                 except Exception:
                     cause = None
-                raise ChunkExecutionError(
-                    results, traceback.format_exc(), list(cells[position:]), cause
-                ) from None
+                raise ChunkExecutionError(results, traceback.format_exc(), cause) from None
     finally:
         context.close()
     return results

@@ -454,12 +454,12 @@ def run_resilience(spec: ResilienceSpec, **engine: Any) -> GridResult:
     """Run the full audit grid and collect the records in grid order.
 
     The result is clean when no cell found a profitable or outcome-steering
-    deviation (:attr:`ResilienceRecord.resilient`) and none was quarantined.
+    deviation (:attr:`ResilienceRecord.resilient`).
 
     Args:
         spec: the audit specification.
         engine: the grid engine's options (``workers``, ``store``,
-            ``store_format``, ``resume``, ``failure_mode``), see
+            ``store_format``, ``resume``), see
             :func:`~repro.scenarios.grid.run_grid`.  Chunks are grouped by
             ``(schedule, seed)`` so the honest-baseline memoisation survives
             chunking; verdicts are bit-identical to the sequential path on

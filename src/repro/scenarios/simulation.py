@@ -107,7 +107,7 @@ class Simulation:
         ``fields`` mixes the spec's own fields — in keyword or file form, the
         constructors accept both — with the grid engine's options
         (:data:`~repro.scenarios.grid.ENGINE_KEYWORDS`: ``workers``, ``store``,
-        ``store_format``, ``resume``, ``failure_mode``), which go to ``run``.
+        ``store_format``, ``resume``), which go to ``run``.
         """
         engine = {key: fields.pop(key) for key in ENGINE_KEYWORDS if key in fields}
         fields.setdefault("name", f"{self.spec.name}-{suffix}")

@@ -166,18 +166,6 @@ class StoreBackend:
         """Journal one completed round (durable by the next flush point)."""
         self.append_raw(point, instance, record.to_dict())
 
-    def append_quarantine(
-        self, point: int, instance: int, error: str, traceback: str = ""
-    ) -> None:
-        """Journal a round the crash-tolerant executor gave up on.
-
-        Quarantine entries are diagnostics, not results: readers skip them
-        (they are *not* part of the completed set), which is exactly what
-        makes ``--resume`` re-execute quarantined rounds.  The default is a
-        no-op so backends without a free-form line format (columnar) stay
-        correct — the round is simply absent, which resumes identically.
-        """
-
     def read(
         self, expected_fingerprint: Optional[str] = None
     ) -> Tuple[Dict[str, Any], Dict[RoundKey, Any]]:
@@ -318,28 +306,6 @@ class JsonlStoreBackend(StoreBackend):
             {"kind": "record", "point": int(point), "instance": int(instance), "record": row}
         )
 
-    def append_quarantine(
-        self, point: int, instance: int, error: str, traceback: str = ""
-    ) -> None:
-        """Journal the failure record of a quarantined round.
-
-        ``_interpret`` skips non-``record`` kinds, so quarantine lines never
-        enter the completed set — a later ``--resume`` re-executes the round
-        — but the error and worker traceback survive in the artifact for
-        forensics (``grep '"kind":"quarantine"' journal.jsonl``).
-        """
-        if self._handle is None:
-            raise SpecError(self.path, "results journal is not open; call begin() first")
-        entry: Dict[str, Any] = {
-            "kind": "quarantine",
-            "point": int(point),
-            "instance": int(instance),
-            "error": str(error),
-        }
-        if traceback:
-            entry["traceback"] = str(traceback)
-        self._write(entry)
-
     def read_raw(
         self, expected_fingerprint: Optional[str] = None
     ) -> Tuple[Dict[str, Any], List[RawRow]]:
@@ -382,9 +348,7 @@ class JsonlStoreBackend(StoreBackend):
                     manifest = self._validate_manifest(entry, None)
                     continue
                 if isinstance(entry, dict) and entry.get("kind") == "record":
-                    row = entry.get("record")
-                    if isinstance(row, dict):
-                        summary.add_row(row)
+                    summary.add_row(self._record_row(number, entry)[2])
         if manifest is None:
             raise SpecError(
                 self.path, "not a results journal (first line must be the manifest)"
@@ -401,12 +365,13 @@ class JsonlStoreBackend(StoreBackend):
             self._handle = None
 
     # -- plumbing --------------------------------------------------------------------
-    def _load(self) -> Tuple[List[Any], int, bool]:
+    def _load(self) -> Tuple[List[Tuple[int, Any]], int, bool]:
         """Single-pass parse: (entries, valid byte extent, missing final newline).
 
-        ``valid_end`` is the byte offset up to which the file parses cleanly;
-        a torn final line (crash mid-append) lies beyond it and is simply not
-        part of the journal.  Corruption on any non-final line is an error.
+        ``entries`` pairs each parsed line with its line number.  ``valid_end``
+        is the byte offset up to which the file parses cleanly; a torn final
+        line (crash mid-append) lies beyond it and is simply not part of the
+        journal.  Corruption on any non-final line is an error.
         """
         try:
             with open(self.path, "rb") as handle:
@@ -417,7 +382,7 @@ class JsonlStoreBackend(StoreBackend):
             raise SpecError(self.path, f"cannot read results journal: {exc}") from exc
 
         segments = data.splitlines(keepends=True)
-        entries: List[Any] = []
+        entries: List[Tuple[int, Any]] = []
         valid_end = 0
         torn = False
         for number, segment in enumerate(segments, start=1):
@@ -426,7 +391,7 @@ class JsonlStoreBackend(StoreBackend):
                 valid_end += len(segment)
                 continue
             try:
-                entries.append(json.loads(stripped.decode("utf-8")))
+                entries.append((number, json.loads(stripped.decode("utf-8"))))
             except (UnicodeDecodeError, ValueError):
                 if number == len(segments):
                     torn = True  # torn final line: crash mid-append; the rest is intact
@@ -439,24 +404,35 @@ class JsonlStoreBackend(StoreBackend):
         return entries, valid_end, needs_newline
 
     def _interpret(
-        self, entries: List[Any], expected_fingerprint: Optional[str]
+        self, entries: List[Tuple[int, Any]], expected_fingerprint: Optional[str]
     ) -> Tuple[Dict[str, Any], List[RawRow]]:
         if not entries:
             raise SpecError(
                 self.path, "not a results journal (first line must be the manifest)"
             )
-        manifest = self._validate_manifest(entries[0], expected_fingerprint)
+        manifest = self._validate_manifest(entries[0][1], expected_fingerprint)
         rows: List[RawRow] = []
-        for entry in entries[1:]:
+        for number, entry in entries[1:]:
             if not isinstance(entry, dict) or entry.get("kind") != "record":
-                continue  # unknown line kinds: written by a newer build, skip
-            try:
-                rows.append((int(entry["point"]), int(entry["instance"]), entry["record"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpecError(
-                    self.path, f"corrupt results journal: malformed record line ({exc})"
-                ) from exc
+                continue  # other kinds (older builds' diagnostics, newer builds' lines): skip
+            rows.append(self._record_row(number, entry))
         return manifest, rows
+
+    def _record_row(self, number: int, entry: Dict[str, Any]) -> RawRow:
+        """The ``(point, instance, record)`` of record line ``number``, shape-checked.
+
+        ``read``, ``--resume`` and ``summary`` all go through here, so a line
+        one of them rejects is rejected by the others too.
+        """
+        point, instance, row = entry.get("point"), entry.get("instance"), entry.get("record")
+        indices = type(point) is int and type(instance) is int  # a bool is no index
+        if not (indices and isinstance(row, dict)):
+            raise SpecError(
+                self.path,
+                f"corrupt results journal: malformed record line {number} (needs "
+                f"integer point and instance and a table record)",
+            )
+        return point, instance, row
 
     def _write(self, entry: Dict[str, Any]) -> None:
         self._handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
@@ -575,11 +551,6 @@ class ResultsStore:
 
     def append(self, point: int, instance: int, record) -> None:
         self.backend.append(point, instance, record)
-
-    def append_quarantine(
-        self, point: int, instance: int, error: str, traceback: str = ""
-    ) -> None:
-        self.backend.append_quarantine(point, instance, error, traceback)
 
     def read(
         self, expected_fingerprint: Optional[str] = None

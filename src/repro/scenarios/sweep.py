@@ -348,7 +348,7 @@ def run_sweep(sweep: SweepSpec, **engine: Any) -> GridResult:
     Args:
         sweep: the sweep specification.
         engine: the grid engine's options (``workers``, ``store``,
-            ``store_format``, ``resume``, ``failure_mode``), see
+            ``store_format``, ``resume``), see
             :func:`~repro.scenarios.grid.run_grid`.
             Chunking preserves the per-configuration state amortisation
             (all rounds of a point share one worker and one cache).

@@ -1,4 +1,4 @@
-"""The chaos audit surface: spec tree, invariants, locks, quarantine, CLI.
+"""The chaos audit surface: spec tree, invariants, locks, CLI.
 
 The contracts under test (ISSUE 9, audit surface):
 
@@ -14,8 +14,8 @@ The contracts under test (ISSUE 9, audit surface):
   retransmission counters included — replays bit-identically across
   interpreter invocations with different ``PYTHONHASHSEED`` values;
 * parallel execution is bit-identical to sequential, journals resume with 0
-  new cells, and ``--quarantine`` survives a poison fault, journals the
-  failed cells and lets ``--resume`` re-execute exactly those.
+  new cells, and a poison fault fails the audit fast after journaling the
+  cells that finished, so ``--resume`` re-executes exactly the missing ones.
 """
 
 import json
@@ -34,6 +34,7 @@ from repro.scenarios import (
     ChaosRecord,
     ChaosSpec,
     FaultSpec,
+    ResultsStore,
     ScenarioSpec,
     Simulation,
     SpecError,
@@ -290,7 +291,7 @@ class TestChaosInvariants:
         payload = result.to_dict()
         assert (payload["kind"], payload["name"]) == ("chaos", "test-audit")
         assert payload["clean"] is True
-        assert "quarantined" not in payload
+        assert set(payload) == {"kind", "name", "base", "clean", "records"}
         assert len(payload["records"]) == 2
 
     def test_two_in_process_runs_are_identical(self):
@@ -382,7 +383,7 @@ class TestChaosParallel:
             )
 
 
-# ----------------------------------------------------------------- quarantine --
+# ------------------------------------------------------------------ fail-fast --
 _POISON = {"armed": True}
 
 
@@ -405,44 +406,24 @@ def poison_fault():
     FAULTS.unregister("poison")
 
 
-class TestQuarantine:
-    def test_failure_mode_is_validated(self):
-        with pytest.raises(SpecError, match=r"failure_mode"):
-            run_chaos(spec_from_dict(_chaos_table(), ChaosSpec), failure_mode="retry-forever")
-
-    def test_poison_cells_quarantine_and_resume_reexecutes_them(
-        self, poison_fault, tmp_path
-    ):
+class TestFailFast:
+    def test_poison_fault_fails_fast_and_resume_reexecutes_it(self, poison_fault, tmp_path):
         # The recovery lock, on the chaos path: a fault that crashes its
-        # worker quarantines with a journaled error record, the rest of the
-        # grid completes, and --resume re-executes exactly the poison cells.
+        # worker fails the audit with its own error, the poison cells never
+        # reach the journal, and a healed --resume executes exactly the cells
+        # the journal lacks.
         spec = spec_from_dict(_chaos_table(faults=["loss", "poison", "duplicate"]), ChaosSpec)
         path = str(tmp_path / "chaos.jsonl")
-        first = run_chaos(spec, workers=2, store=path, failure_mode="quarantine")
-        assert len(first.records) == 4  # loss and duplicate cells survived
-        assert sorted((q["point"], q["instance"]) for q in first.quarantined) == [
-            (1, 0),
-            (1, 1),
-        ]
-        assert all("poison" in q["error"] for q in first.quarantined)
-        assert not first.is_clean()
-
-        with open(path, encoding="utf-8") as handle:
-            lines = [json.loads(line) for line in handle]
-        quarantine_lines = [l for l in lines if l.get("kind") == "quarantine"]
-        assert sorted((l["point"], l["instance"]) for l in quarantine_lines) == [
-            (1, 0),
-            (1, 1),
-        ]
+        with pytest.raises(RuntimeError, match=r"injected poison fault"):
+            run_chaos(spec, workers=2, store=path)
+        _manifest, journaled = ResultsStore(path, record_type=ChaosRecord).read()
+        assert not {(1, 0), (1, 1)} & set(journaled)
 
         _POISON["armed"] = False  # heal the fault, then resume
-        resumed = run_chaos(
-            spec, workers=2, store=path, resume=True, failure_mode="quarantine"
-        )
-        assert resumed.executed == 2  # only the quarantined cells re-ran
-        assert resumed.resumed == 4
-        assert len(resumed.records) == 6
-        assert resumed.quarantined == [] and resumed.is_clean()
+        resumed = run_chaos(spec, workers=2, store=path, resume=True)
+        assert resumed.executed == 6 - len(journaled)
+        assert resumed.resumed == len(journaled)
+        assert len(resumed.records) == 6 and resumed.is_clean()
 
         again = run_chaos(spec, workers=2, store=path, resume=True)
         assert again.executed == 0 and again.resumed == 6
@@ -514,7 +495,12 @@ class TestCli:
         )
         assert args.command == "chaos"
         assert args.workers == 2 and args.output == "o.jsonl"
-        assert args.resume is False and args.quarantine is False
+        assert args.resume is False
+
+    def test_quarantine_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["chaos", "--spec", "a.json", "--quarantine"])
+        assert excinfo.value.code == 2
 
     def test_spec_round_trip_text_output(self, tmp_path, capsys):
         assert main(["chaos", "--spec", _spec_file(tmp_path)]) == 0
@@ -567,25 +553,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "reused 4 journaled cells, executed 0 new cells" in err
 
-    def test_quarantine_flag_reports_and_exits_1(self, poison_fault, tmp_path, capsys):
-        path = tmp_path / "chaos.json"
-        dump_spec(
-            spec_from_dict(_chaos_table(faults=["loss", "poison"], seeds=[0]), ChaosSpec), path
-        )
+    def test_poison_fault_propagates_and_resume_completes(self, poison_fault, tmp_path, capsys):
+        # Serially the grid runs in order, so the loss cell is journaled
+        # before the poison cell raises out of the command.
+        spec = _spec_file(tmp_path, faults=["loss", "poison"], seeds=[0])
         out = str(tmp_path / "journal.jsonl")
-        code = main(
-            [
-                "chaos",
-                "--spec",
-                str(path),
-                "--workers",
-                "2",
-                "--output",
-                out,
-                "--quarantine",
-            ]
-        )
-        assert code == 1
+        with pytest.raises(RuntimeError, match=r"injected poison fault"):
+            main(["chaos", "--spec", spec, "--output", out])
+        capsys.readouterr()
+
+        _POISON["armed"] = False  # heal the fault, then resume
+        assert main(["chaos", "--spec", spec, "--output", out, "--resume"]) == 0
         captured = capsys.readouterr()
-        assert "quarantined 1" in captured.err
-        assert "NOT CLEAN" in captured.out
+        assert "reused 1 journaled cells, executed 1 new cells" in captured.err
+        assert "VERDICT: clean" in captured.out

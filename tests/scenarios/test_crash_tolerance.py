@@ -1,24 +1,23 @@
-"""Crash-tolerant executor: bounded retries, poison quarantine, resume.
+"""Fail-fast grid execution: worker errors surface, ``--resume`` recovers.
 
-The contract under test (ISSUE 9, recovery layer):
+The contract under test:
 
-* a worker exception carries the chunk's partial results and original
-  traceback across the process boundary (``ChunkExecutionError``), so
-  fail-fast callers lose nothing and crash-tolerant callers can retry;
-* ``failure_mode="quarantine"`` survives per-chunk exceptions *and* worker
-  death (``BrokenProcessPool``) with a literal retry bound
-  (``MAX_CHUNK_RETRIES``); items that keep failing are quarantined —
-  journaled, skipped, reported — while the rest of the grid completes;
-* a later ``--resume`` re-executes exactly the quarantined rounds — for every
-  grid declaration, since ``failure_mode`` is the engine's option;
+* a worker exception carries the chunk's partial results, the original
+  traceback and the typed cause across the process boundary
+  (``ChunkExecutionError``), so the parent journals what finished and then
+  re-raises the typed error;
+* a dead worker process surfaces as ``BrokenProcessPool`` after the cells
+  that finished were journaled, and a healed ``resume=True`` run executes
+  only the cells the journal lacks;
 * every grid — sweep, resilience audit, chaos audit — honours journal-per-chunk
   through the one worker body: a chunk that fails midway still journals the
   cells it finished, so a resumed run only repeats what never ran.
 """
 
-import json
 import os
 import pickle
+from types import SimpleNamespace
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -37,15 +36,11 @@ from repro.scenarios import (
     run_resilience,
     run_sweep,
     spec_from_dict,
+    spec_to_dict,
 )
 from repro.scenarios.chaos import CHAOS_GRID
-from repro.scenarios.dispatch import (
-    MAX_CHUNK_RETRIES,
-    ChunkExecutionError,
-    ChunkQuarantine,
-    execute_chunks,
-)
-from repro.scenarios.grid import chunk_cells
+from repro.scenarios.dispatch import ChunkExecutionError, execute_chunks
+from repro.scenarios.grid import GridResult, chunk_cells, run_chunk
 from repro.scenarios.resilience import RESILIENCE_GRID
 from repro.scenarios.sweep import SWEEP_GRID
 from repro.community.workload import DoubleAuctionWorkload
@@ -61,44 +56,35 @@ def _many_cpus(monkeypatch):
 
 # --------------------------------------------------------- worker functions --
 # Module-level so the fork-based pool pickles them by reference.
-def _flaky_worker(items):
-    """Raise at the 'poison' item, every time; return item*2 otherwise."""
-    results = []
-    for position, item in enumerate(items):
-        if item == "poison":
-            raise ChunkExecutionError(
-                results, "Traceback (most recent call last):\nValueError: poison",
-                items[position:],
-            )
-        results.append(item * 2)
-    return results
-
-
 def _lethal_worker(items):
     """Kill the worker process at the 'die' item; return item*2 otherwise."""
     results = []
-    for position, item in enumerate(items):
+    for item in items:
         if item == "die" and os.getpid() != _PARENT_PID:
             os._exit(17)
         results.append(item * 2)
     return results
 
 
-def _second_time_lucky_worker(items):
-    """Fail while the marker file is absent, creating it; succeed after."""
-    marker = items[0]
-    if not os.path.exists(marker):
-        open(marker, "w").close()
-        raise ChunkExecutionError(
-            [], "Traceback (most recent call last):\nRuntimeError: transient", items
-        )
-    return ["recovered"]
-
-
 def _typed_error_worker(items):
     raise ChunkExecutionError(
         [], "Traceback (most recent call last):\nSpecError: config.k: bad",
-        items, SpecError("config.k", "bad"),
+        SpecError("config.k", "bad"),
+    )
+
+
+def _partial_then_typed_worker(items):
+    """Finish the items before 'bad', then fail with a typed cause."""
+    finished = [item * 2 for item in items[: items.index("bad")]]
+    raise ChunkExecutionError(
+        finished, "Traceback (most recent call last):\nSpecError: config.k: bad",
+        SpecError("config.k", "bad"),
+    )
+
+
+def _opaque_error_worker(items):
+    raise ChunkExecutionError(
+        [], "Traceback (most recent call last):\n  File \"cell.py\"\nOpaqueError: lost"
     )
 
 
@@ -106,68 +92,50 @@ def _typed_error_worker(items):
 class TestChunkExecutionError:
     def test_pickles_losslessly(self):
         error = ChunkExecutionError(
-            [(0, 0, "r")], "tb text\nValueError: boom", [(1, {}, [0])],
-            ValueError("boom"),
+            [(0, 0, "r")], "tb text\nValueError: boom", ValueError("boom")
         )
         clone = pickle.loads(pickle.dumps(error))
         assert clone.partial_results == [(0, 0, "r")]
         assert clone.traceback == "tb text\nValueError: boom"
-        assert clone.remaining_items == [(1, {}, [0])]
         assert isinstance(clone.cause, ValueError)
 
+    def test_pickles_without_a_cause(self):
+        clone = pickle.loads(pickle.dumps(ChunkExecutionError([1], "tb\nOpaqueError: x")))
+        assert clone.partial_results == [1] and clone.cause is None
+        assert clone.error == "OpaqueError: x"
+
     def test_error_is_the_final_traceback_line(self):
-        error = ChunkExecutionError([], "Traceback:\n  ...\nValueError: boom\n", [])
+        error = ChunkExecutionError([], "Traceback:\n  ...\nValueError: boom\n")
         assert error.error == "ValueError: boom"
-        assert ChunkExecutionError([], "", []).error == "worker chunk failed"
+        assert ChunkExecutionError([], "").error == "worker chunk failed"
 
 
-class TestProcessBackendQuarantine:
-    def _run(self, chunks, worker, workers=2, mode="quarantine"):
-        results, quarantined = [], []
-        for item in execute_chunks(chunks, worker, workers, mode):
-            (quarantined if isinstance(item, ChunkQuarantine) else results).append(item)
-        return results, quarantined
-
-    def test_poison_item_is_quarantined_and_chunkmates_survive(self):
-        results, quarantined = self._run(
-            [["a", "poison", "b"], ["c"]], _flaky_worker
-        )
-        assert sorted(results) == ["aa", "bb", "cc"]
-        assert len(quarantined) == 1
-        assert quarantined[0].items == ("poison",)
-        assert quarantined[0].error == "ValueError: poison"
-        assert "ValueError" in quarantined[0].traceback
-
-    def test_worker_death_is_quarantined_and_chunkmates_survive(self):
-        results, quarantined = self._run(
-            [["a"], ["die"], ["b"], ["c"]], _lethal_worker
-        )
-        assert sorted(results) == ["aa", "bb", "cc"]
-        assert len(quarantined) == 1
-        assert quarantined[0].items == ("die",)
-        assert "BrokenProcessPool" in quarantined[0].error
-
-    def test_worker_death_in_multi_item_chunk_is_bisected_out(self):
-        results, quarantined = self._run([["a", "b", "die", "c"]], _lethal_worker)
-        assert sorted(results) == ["aa", "bb", "cc"]
-        assert [q.items for q in quarantined] == [("die",)]
-
-    def test_transient_failure_is_retried_within_the_bound(self, tmp_path):
-        marker = str(tmp_path / "marker")
-        results, quarantined = self._run([[marker]], _second_time_lucky_worker)
-        assert results == ["recovered"]
-        assert quarantined == []
-        assert MAX_CHUNK_RETRIES >= 2  # the retry that saved the round exists
-
+class TestExecuteChunks:
     def test_raise_mode_reraises_the_typed_cause(self):
         with pytest.raises(SpecError, match=r"config\.k"):
             list(execute_chunks([["x"]], _typed_error_worker, 2))
 
     def test_raise_mode_death_propagates(self):
-        from concurrent.futures.process import BrokenProcessPool
-
         with pytest.raises(BrokenProcessPool):
             list(execute_chunks([["die"]], _lethal_worker, 2))
+
+    def test_every_result_arrives_once(self):
+        results = execute_chunks([[1, 2], [3], [4, 5, 6]], _lethal_worker, 2)
+        assert sorted(results) == [2, 4, 6, 8, 10, 12]
+
+    def test_partial_results_are_yielded_before_the_typed_cause(self):
+        # The caller journals what it is yielded, so the cells the failing
+        # chunk finished must come out before the error does.
+        stream = execute_chunks([[1, 2, "bad", 3]], _partial_then_typed_worker, 2)
+        assert [next(stream), next(stream)] == [2, 4]
+        with pytest.raises(SpecError, match=r"config\.k"):
+            next(stream)
+
+    def test_a_cause_that_did_not_pickle_is_a_runtime_error_with_the_traceback(self):
+        with pytest.raises(RuntimeError, match=r"OpaqueError: lost") as excinfo:
+            list(execute_chunks([["x"]], _opaque_error_worker, 2))
+        assert 'File "cell.py"' in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, ChunkExecutionError)
 
 
 # --------------------------------------------------------------- sweep layer --
@@ -181,9 +149,22 @@ class _FragileWorkload(DoubleAuctionWorkload):
         return super().generate(num_users, num_providers, provider_ids, instance)
 
 
+class _OpaqueError(Exception):
+    pass
+
+
+class _OpaqueWorkload(DoubleAuctionWorkload):
+    def generate(self, num_users, num_providers, provider_ids=None, instance=0):
+        if num_users == 6:
+            error = _OpaqueError("injected opaque point")
+            error.hook = lambda: None  # an attribute that cannot pickle
+            raise error
+        return super().generate(num_users, num_providers, provider_ids, instance)
+
+
 class _LethalWorkload(DoubleAuctionWorkload):
     def generate(self, num_users, num_providers, provider_ids=None, instance=0):
-        if num_users == 6 and os.getpid() != _PARENT_PID:
+        if _POISON["armed"] and num_users == 6 and os.getpid() != _PARENT_PID:
             os._exit(17)
         return super().generate(num_users, num_providers, provider_ids, instance)
 
@@ -197,7 +178,15 @@ def fragile_workload():
 
 
 @pytest.fixture
+def opaque_workload():
+    WORKLOADS.register("opaque", lambda **kw: _OpaqueWorkload(**kw))
+    yield
+    WORKLOADS.unregister("opaque")
+
+
+@pytest.fixture
 def lethal_workload():
+    _POISON["armed"] = True
     WORKLOADS.register("lethal", lambda **kw: _LethalWorkload(**kw))
     yield
     WORKLOADS.unregister("lethal")
@@ -219,31 +208,31 @@ def _sweep(workload):
     )
 
 
-class TestSweepQuarantine:
-    def test_failure_mode_is_validated(self):
-        with pytest.raises(SpecError, match=r"failure_mode"):
-            run_sweep(_sweep("double"), failure_mode="retry-forever")
+class TestRunChunk:
+    def test_a_mid_chunk_failure_carries_the_finished_cells_and_the_typed_cause(
+        self, fragile_workload
+    ):
+        sweep = _sweep("fragile")
+        cells = SWEEP_GRID.context(sweep).run_order()  # users 4, 5, 6, 7
+        with pytest.raises(ChunkExecutionError) as excinfo:
+            run_chunk(SWEEP_GRID, spec_to_dict(sweep), cells)
+        error = excinfo.value
+        assert [(point, instance) for point, instance, _r in error.partial_results] == cells[:2]
+        assert [record.users for _p, _i, record in error.partial_results] == [4, 5]
+        assert isinstance(error.cause, ValueError)
+        assert error.error == "ValueError: injected poison point"
 
-    def test_quarantine_completes_the_rest_of_the_grid(self, fragile_workload):
-        result = run_sweep(_sweep("fragile"), workers=2, failure_mode="quarantine")
-        assert len(result.records) == 3
-        assert result.quarantined == [
-            {"point": 2, "instance": 0, "error": "ValueError: injected poison point"}
-        ]
-        assert result.to_dict()["quarantined"] == result.quarantined
-        assert sorted(r.users for r in result.records) == [4, 5, 7]
+    def test_an_error_that_does_not_pickle_leaves_no_cause(self, opaque_workload):
+        sweep = _sweep("opaque")
+        cells = SWEEP_GRID.context(sweep).run_order()
+        with pytest.raises(ChunkExecutionError) as excinfo:
+            run_chunk(SWEEP_GRID, spec_to_dict(sweep), cells)
+        assert excinfo.value.cause is None
+        assert "injected opaque point" in excinfo.value.traceback
+        assert len(excinfo.value.partial_results) == 2
 
-    def test_clean_sweep_omits_quarantined_from_payload(self):
-        result = run_sweep(_sweep("double"), workers=2, failure_mode="quarantine")
-        assert result.quarantined == []
-        assert "quarantined" not in result.to_dict()
 
-    def test_worker_death_quarantines_only_the_poison_point(self, lethal_workload):
-        result = run_sweep(_sweep("lethal"), workers=2, failure_mode="quarantine")
-        assert len(result.records) == 3
-        assert [(q["point"], q["instance"]) for q in result.quarantined] == [(2, 0)]
-        assert "BrokenProcessPool" in result.quarantined[0]["error"]
-
+class TestSweepFailFast:
     def test_raise_mode_propagates_with_worker_traceback(self, fragile_workload):
         with pytest.raises(ValueError, match=r"injected poison point") as excinfo:
             run_sweep(_sweep("fragile"), workers=2)
@@ -251,38 +240,70 @@ class TestSweepQuarantine:
         assert isinstance(excinfo.value.__cause__, ChunkExecutionError)
         assert "injected poison point" in excinfo.value.__cause__.traceback
 
-    def test_recovery_lock_resume_reexecutes_only_the_quarantined_point(
-        self, fragile_workload, tmp_path
-    ):
-        # The ISSUE's recovery lock: crash -> quarantine with a journaled
-        # error record -> --resume re-executes exactly the poison point.
+    def test_resume_recovers_a_worker_death(self, lethal_workload, tmp_path):
+        # A dead worker fails the run fast; the cells that finished first are
+        # journaled (which ones depends on scheduling, so the asserts read the
+        # journal), and a healed resume runs exactly the missing cells.
         path = str(tmp_path / "journal.jsonl")
-        sweep = _sweep("fragile")
-        first = run_sweep(sweep, workers=2, store=path, failure_mode="quarantine")
-        assert len(first.records) == 3 and len(first.quarantined) == 1
-
-        with open(path, encoding="utf-8") as handle:
-            lines = [json.loads(line) for line in handle]
-        quarantine_lines = [l for l in lines if l.get("kind") == "quarantine"]
-        assert [(l["point"], l["instance"]) for l in quarantine_lines] == [(2, 0)]
-        assert quarantine_lines[0]["error"] == "ValueError: injected poison point"
-        assert "injected poison point" in quarantine_lines[0]["traceback"]
+        sweep = _sweep("lethal")
+        cells = SWEEP_GRID.context(sweep).run_order()
+        poison = (2, 0)  # users=6
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(sweep, workers=2, store=path)
+        _manifest, journaled = ResultsStore(path, record_type=SWEEP_GRID.record_type).read()
+        assert poison not in journaled
 
         _POISON["armed"] = False  # heal the poison, then resume
-        resumed = run_sweep(
-            sweep, workers=2, store=path, resume=True, failure_mode="quarantine"
-        )
-        assert resumed.executed == 1  # only the quarantined round re-ran
-        assert resumed.resumed == 3
-        assert len(resumed.records) == 4
-        assert resumed.quarantined == []
+        resumed = run_sweep(sweep, workers=2, store=path, resume=True)
+        assert resumed.executed == len(cells) - len(journaled)
+        assert resumed.resumed == len(journaled)
+        assert [r.users for r in resumed.records] == [4, 5, 6, 7]
 
         again = run_sweep(sweep, workers=2, store=path, resume=True)
-        assert again.executed == 0 and again.resumed == 4
+        assert again.executed == 0 and again.resumed == len(cells)
 
     def test_serial_path_still_fails_fast(self, fragile_workload):
         with pytest.raises(ValueError, match=r"injected poison point"):
-            run_sweep(_sweep("fragile"), failure_mode="quarantine")
+            run_sweep(_sweep("fragile"))
+
+    def test_serial_failure_journals_the_cells_before_it(self, fragile_workload, tmp_path):
+        # Serially the cells run in grid order, so the journal holds exactly
+        # the points ahead of the poison, and a resume runs the rest.
+        path = str(tmp_path / "journal.jsonl")
+        sweep = _sweep("fragile")
+        with pytest.raises(ValueError, match=r"injected poison point"):
+            run_sweep(sweep, store=path)
+        _manifest, journaled = ResultsStore(path, record_type=SWEEP_GRID.record_type).read()
+        assert sorted(journaled) == [(0, 0), (1, 0)]
+
+        _POISON["armed"] = False  # heal the poison, then resume
+        resumed = run_sweep(sweep, store=path, resume=True)
+        assert (resumed.executed, resumed.resumed) == (2, 2)
+        assert [r.users for r in resumed.records] == [4, 5, 6, 7]
+
+    def test_an_unpicklable_worker_error_surfaces_as_a_runtime_error(self, opaque_workload):
+        with pytest.raises(RuntimeError, match=r"injected opaque point") as excinfo:
+            run_sweep(_sweep("opaque"), workers=2)
+        assert isinstance(excinfo.value.__cause__, ChunkExecutionError)
+
+    def test_failure_mode_is_not_an_engine_keyword(self, fragile_workload):
+        with pytest.raises(TypeError, match=r"failure_mode"):
+            run_sweep(_sweep("fragile"), workers=2, failure_mode="quarantine")
+
+    def test_a_clean_payload_has_exactly_the_shared_keys(self):
+        result = run_sweep(_sweep("double"))
+        assert result.is_clean()
+        assert set(result.to_dict()) == {"kind", "name", "base", "clean", "records"}
+
+
+def test_is_clean_means_no_failing_record():
+    verdict = CHAOS_GRID.verdict
+    passed, failed = SimpleNamespace(**{verdict: True}), SimpleNamespace(**{verdict: False})
+    dirty = GridResult(CHAOS_GRID, "audit", {}, records=[passed, failed])
+    assert dirty.failing == [failed] and not dirty.is_clean()
+    assert GridResult(CHAOS_GRID, "audit", {}, records=[passed]).is_clean()
+    # A kind without a verdict has nothing that can fail.
+    assert GridResult(SWEEP_GRID, "sweep", {}, records=[failed]).is_clean()
 
 
 # ------------------------------------------------- every grid, one worker body --
@@ -362,27 +383,20 @@ def test_mid_chunk_failure_journals_the_cells_the_chunk_finished(kind, poison_ki
 
 
 @pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
-def test_quarantine_reaches_every_declaration(kind, poison_kinds, tmp_path):
-    # failure_mode is the engine's option, so each entry point gets it: the
-    # poison cell is reported and journaled, every other cell has a record,
-    # the verdict is withheld, and a healed resume runs exactly that cell.
+def test_serial_failure_journals_every_cell_before_the_poison(kind, poison_kinds, tmp_path):
+    # Fail-fast without a pool, for every grid: the cells ahead of the poison
+    # are all journaled, the typed error surfaces unwrapped, and a healed
+    # resume executes the poison cell alone.
     grid, run, spec = _poisoned_grid(kind)
     cells = grid.context(spec).run_order()
-    poison = cells[-1]
     path = str(tmp_path / "journal.jsonl")
-
-    result = run(spec, workers=2, store=path, failure_mode="quarantine")
-    assert [(q["point"], q["instance"]) for q in result.quarantined] == [poison]
-    assert "injected poison" in result.quarantined[0]["error"]
-    assert len(result.records) == len(cells) - 1
-    assert result.to_dict()["quarantined"] == result.quarantined
-    assert not result.is_clean()
+    with pytest.raises((RuntimeError, ValueError), match=r"injected poison") as excinfo:
+        run(spec, store=path)
+    assert not isinstance(excinfo.value.__cause__, ChunkExecutionError)
     _manifest, journaled = ResultsStore(path, record_type=grid.record_type).read()
-    assert set(journaled) == set(cells) - {poison}
+    assert sorted(journaled) == sorted(cells[:-1])
 
     _POISON["armed"] = False  # heal the poison, then resume
-    resumed = run(spec, workers=2, store=path, resume=True, failure_mode="quarantine")
-    assert resumed.executed == 1
-    assert len(resumed.records) == len(cells)
-    assert resumed.quarantined == []
-    assert "quarantined" not in resumed.to_dict()
+    resumed = run(spec, store=path, resume=True)
+    assert (resumed.executed, resumed.resumed) == (1, len(cells) - 1)
+    assert len(resumed.records) == len(cells) and resumed.is_clean()

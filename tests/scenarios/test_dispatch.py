@@ -203,7 +203,7 @@ class TestDispatchBitIdentity:
     def test_auto_on_one_core_never_launches_a_pool(self, kind, monkeypatch):
         _pin_cpus(monkeypatch, 1)
 
-        def forbidden(chunks, worker, workers, failure_mode):  # pragma: no cover
+        def forbidden(chunks, worker, workers):  # pragma: no cover
             raise AssertionError("process pool launched on a 1-CPU host")
 
         monkeypatch.setattr("repro.scenarios.grid.execute_chunks", forbidden)
@@ -214,7 +214,7 @@ class TestDispatchBitIdentity:
     @ALL_GRIDS
     def test_one_result_and_one_counter_family(self, kind):
         # Every kind returns run_grid's GridResult: one payload shape, one
-        # verdict, and the four <kind>.<unit>_* counters emitted by the engine.
+        # verdict, and the three <kind>.<unit>_* counters emitted by the engine.
         from repro.obs import observe
 
         grid, run, make = GRIDS[kind]
@@ -226,11 +226,9 @@ class TestDispatchBitIdentity:
         instruments = observation.metrics.snapshot()["instruments"]
         counts = {
             what: instruments[f"{kind}.{grid.unit}_{what}"]["value"]
-            for what in ("executed", "reused", "quarantined", "failed")
+            for what in ("executed", "reused", "failed")
         }
-        assert counts == {
-            "executed": len(result.records), "reused": 0, "quarantined": 0, "failed": 0
-        }
+        assert counts == {"executed": len(result.records), "reused": 0, "failed": 0}
 
     @ALL_GRIDS
     def test_serial_parallel_resumed_and_both_store_formats_agree(

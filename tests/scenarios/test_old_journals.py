@@ -11,6 +11,10 @@ hand-written ``*_to_dict`` functions:
 * ``data/fig4_quick_parent.jsonl`` — the journal that commit's
   ``repro-auction sweep --spec examples/specs/fig4_quick.json --output …``
   wrote — which must resume with nothing left to execute.
+
+A third lock covers the line kinds a journal may hold: one that ends in a
+``quarantine`` line (what a crash-tolerant executor, since removed, wrote for
+a cell it gave up on) must still read, and resume that cell.
 """
 
 import json
@@ -22,6 +26,7 @@ import pytest
 from repro.scenarios import (
     ChaosSpec,
     ResilienceSpec,
+    ResultsStore,
     RunRecord,
     SweepSpec,
     figure4_sweep,
@@ -87,3 +92,42 @@ def test_a_journal_written_by_the_parent_commit_resumes(tmp_path):
     assert result.resumed == 4
     assert result.records == journaled
     assert journal.read_bytes() == JOURNAL.read_bytes()  # nothing appended
+
+
+def test_a_journal_holding_a_quarantine_line_still_reads_and_resumes(tmp_path):
+    # Older builds could give up on a cell and journal it as a quarantine
+    # line: that cell's record is absent and the line below, written exactly
+    # as those builds wrote it, follows the records.  Readers skip the line
+    # kind, so the journal reads, and a resume runs exactly that cell.
+    lines = JOURNAL.read_text().splitlines()
+    quarantined = json.loads(lines[2])
+    assert (quarantined["point"], quarantined["instance"]) == (1, 0)
+    quarantine_line = json.dumps(
+        {
+            "kind": "quarantine",
+            "point": 1,
+            "instance": 0,
+            "error": "ValueError: injected poison point",
+            "traceback": "Traceback (most recent call last):\n"
+            "ValueError: injected poison point\n",
+        },
+        separators=(",", ":"),
+    )
+    journal = tmp_path / "fig4_quick.jsonl"
+    journal.write_text("\n".join(lines[:2] + lines[3:] + [quarantine_line]) + "\n")
+    expected = {
+        (line["point"], line["instance"]): RunRecord.from_dict(line["record"])
+        for line in map(json.loads, lines[1:])
+    }
+
+    _manifest, journaled = ResultsStore(str(journal)).read()
+    assert journaled == {cell: r for cell, r in expected.items() if cell != (1, 0)}
+
+    sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
+    result = run_sweep(sweep, store=str(journal), resume=True)
+    assert result.executed == 1
+    assert result.resumed == 3
+    timeless = [dict(r.to_dict(), elapsed_seconds=None) for r in result.records]
+    assert timeless == [
+        dict(r.to_dict(), elapsed_seconds=None) for _cell, r in sorted(expected.items())
+    ]

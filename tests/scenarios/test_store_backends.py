@@ -287,6 +287,28 @@ class TestStreamingSummary:
                 assert stats[field] == other[field], (name, field)
             assert stats["mean"] == pytest.approx(other["mean"], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("record", [1, 2]), ("point", "x"), ("instance", None)],
+        ids=["record", "point", "instance"],
+    )
+    def test_summary_rejects_a_malformed_record_line_like_resume(self, tmp_path, key, value):
+        # ``results summarize`` and ``--resume`` read a jsonl journal through
+        # one record-line shape check: a line one rejects, the other rejects,
+        # with the same error naming the line.
+        path = tmp_path / "run.jsonl"
+        run_sweep(_sweep(), store=path)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry[key] = value
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        message = r"corrupt results journal: malformed record line 2 "
+        with pytest.raises(SpecError, match=message):
+            ResultsStore(path).summary()
+        with pytest.raises(SpecError, match=message):
+            run_sweep(_sweep(), store=path, resume=True)
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_summary_never_rehydrates_a_record(self, tmp_path, monkeypatch, fmt):
         path = tmp_path / f"run.{fmt}"

@@ -408,7 +408,6 @@ class TestResourceLifecycle:
         assert diagnostic in excinfo.value.traceback
         assert [(p, i) for p, i, _record in excinfo.value.partial_results] == [(0, 0)]
         assert isinstance(excinfo.value.partial_results[0][2], grid.record_type)
-        assert excinfo.value.remaining_items == [(1, 0)]
         assert isinstance(excinfo.value.cause, SpecError)  # the typed error rides along
         # The worker body's finally closed its context despite the mid-chunk error.
         assert len(closed) == 1

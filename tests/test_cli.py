@@ -364,18 +364,17 @@ class TestGridCommandsShareOneHandler:
     @pytest.mark.parametrize("command", sorted(_GRID_CASES))
     def test_store_line_wording(self, command, tmp_path, capsys):
         unit = _GRID_CASES[command][1]
-        tail = f", quarantined 0 {unit}"
         argv = [command, "--spec", self._spec_file(tmp_path, command)]
         argv += ["--output", str(tmp_path / "journal.jsonl")]
         assert main(argv) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines == [
-            f"store {argv[-1]}: reused 0 journaled {unit}, executed 2 new {unit}{tail}"
+            f"store {argv[-1]}: reused 0 journaled {unit}, executed 2 new {unit}"
         ]
         assert main(argv + ["--resume"]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert lines == [
-            f"store {argv[-1]}: reused 2 journaled {unit}, executed 0 new {unit}{tail}"
+            f"store {argv[-1]}: reused 2 journaled {unit}, executed 0 new {unit}"
         ]
 
     @pytest.mark.parametrize("command", sorted(_GRID_CASES))
