@@ -41,9 +41,15 @@ structured arrays so that scanning is a buffer cast, not a parse:
   the torn tail — exactly the jsonl torn-line semantics, per chunk.
 
 * **read** — the file is memory-mapped; each chunk's scalar columns are
-  ``np.frombuffer`` views into the map.  ``summary()`` reduces those views
-  column-at-a-time into :class:`~repro.scenarios.aggregate.StreamingSummary`
-  and never materialises a row, a record, or the record list.
+  ``np.frombuffer`` views into the map.  ``summary()`` copies a chunk's int
+  and float columns into one (columns × rows) float64 matrix and folds it
+  into :class:`~repro.scenarios.aggregate.StreamingSummary` in one kernel
+  pass (bool columns become flag counts); it never materialises a row, a
+  record, or the record list.
+
+* **range** — an int column is int64: a record int outside it is a spec
+  error naming the field when its chunk is sealed, as a type change is (use
+  the jsonl backend for such integers).
 
 Round-trip guarantee: rehydrated records are byte-equal to the jsonl
 backend's on canonical JSON — int64/float64 store Python ints and floats
@@ -74,6 +80,9 @@ _LENGTH = struct.Struct("<I")
 
 #: NumPy dtype per scalar schema kind (str columns hold dictionary indices).
 _SCALAR_DTYPES = {"int": "<i8", "float": "<f8", "bool": "|b1", "str": "<i4"}
+
+#: The range an int column stores (little-endian int64).
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 #: One column of the inferred schema: (record-dict key, kind).
 Column = Tuple[str, str]
@@ -148,9 +157,9 @@ class ColumnarStoreBackend(StoreBackend):
         return manifest, rows
 
     def summary(self) -> Dict[str, Any]:
-        """Reduce the memory-mapped chunks column-at-a-time (no rows built)."""
+        """Reduce each memory-mapped chunk's numeric columns in one pass (no rows built)."""
         self.flush()
-        summary = StreamingSummary()
+        summary = StreamingSummary(self.path)
         data = self._map()
         try:
             manifest, chunks, _valid_end = self._scan(data)
@@ -172,12 +181,26 @@ class ColumnarStoreBackend(StoreBackend):
         array = np.frombuffer(
             data, dtype=_chunk_dtype(schema), count=rows, offset=payload_start
         )
+        numeric = [
+            (name, f"c{index}")
+            for index, (name, column_kind) in enumerate(schema)
+            if column_kind in ("int", "float")
+        ]
+        matrix = np.empty((len(numeric), rows), dtype=np.float64)
+        for row, (_name, field) in enumerate(numeric):
+            matrix[row] = array[field]
+        flags = [
+            (name, array[f"c{index}"].astype(np.uint8))
+            for index, (name, column_kind) in enumerate(schema)
+            if column_kind == "bool"
+        ]
+        # Copies only from here on: a fold that raises keeps this frame alive
+        # in its traceback, and it must not pin the map.
+        del array
         summary.add_records(rows)
-        for index, (name, column_kind) in enumerate(schema):
-            if column_kind in ("int", "float"):
-                summary.add_column(name, array[f"c{index}"].astype(np.float64))
-            elif column_kind == "bool":
-                summary.add_flags(name, np.asarray(array[f"c{index}"], dtype=np.uint8))
+        summary.add_columns([name for name, _field in numeric], matrix)
+        for name, values in flags:
+            summary.add_flags(name, values)
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -185,9 +208,11 @@ class ColumnarStoreBackend(StoreBackend):
 
     def close(self) -> None:
         if self._handle is not None:
-            self._seal()
-            self._handle.close()
-            self._handle = None
+            try:
+                self._seal()  # a record it refuses must not leak the handle
+            finally:
+                self._handle.close()
+                self._handle = None
 
     # -- write path ------------------------------------------------------------------
     def _infer_schema(self, row: Dict[str, Any]) -> Tuple[Column, ...]:
@@ -258,7 +283,14 @@ class ColumnarStoreBackend(StoreBackend):
                 return value
         elif column_kind == "int":
             if isinstance(value, int) and not isinstance(value, bool):
-                return value
+                if _INT64_MIN <= value <= _INT64_MAX:
+                    return value
+                raise SpecError(
+                    self.path,
+                    f"record field {name!r} holds an integer outside int64, which a "
+                    f"columnar int column cannot store — use the jsonl backend for "
+                    f"integers this large",
+                )
         elif column_kind == "float":
             if isinstance(value, float):
                 return value

@@ -313,14 +313,14 @@ class JsonlStoreBackend(StoreBackend):
         return self._interpret(entries, expected_fingerprint)
 
     def summary(self) -> Dict[str, Any]:
-        """Stream the journal line-by-line into constant-size accumulators.
+        """Stream the journal line-by-line into bounded accumulators.
 
         Rows are parsed, folded into :class:`StreamingSummary` and dropped;
         neither the record list nor any record object is ever built.  A torn
         final line is tolerated exactly as in ``read``.
         """
         self.flush()
-        summary = StreamingSummary()
+        summary = StreamingSummary(self.path)
         manifest: Optional[Dict[str, Any]] = None
         pending_error: Optional[int] = None
         try:
@@ -348,7 +348,7 @@ class JsonlStoreBackend(StoreBackend):
                     manifest = self._validate_manifest(entry, None)
                     continue
                 if isinstance(entry, dict) and entry.get("kind") == "record":
-                    summary.add_row(self._record_row(number, entry)[2])
+                    summary.add_row(self._record_row(number, entry)[2], number)
         if manifest is None:
             raise SpecError(
                 self.path, "not a results journal (first line must be the manifest)"

@@ -12,12 +12,16 @@ aggregation never materialises a record.
 
 import builtins
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.scenarios import (
     ResultsStore,
     RunRecord,
@@ -32,6 +36,7 @@ from repro.scenarios import (
 from repro.scenarios.resilience import ResilienceRecord, ResilienceSpec, run_resilience
 
 FORMATS = ("jsonl", "columnar")
+SPECS = pathlib.Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 
 @pytest.fixture(autouse=True)
@@ -365,6 +370,108 @@ class TestStreamingSummary:
         throughput = ResultsStore(path).summary()["throughput"]
         assert throughput["rounds_per_second"] > 0
         assert throughput["messages_per_second"] > 0
+
+
+def _edit_record(path, line, **fields):
+    """Rewrite record line ``line`` (1-based) of a jsonl journal with ``fields``."""
+    lines = path.read_text().splitlines()
+    entry = json.loads(lines[line - 1])
+    entry["record"].update(fields)
+    lines[line - 1] = json.dumps(entry)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestNonFiniteValues:
+    """An infinity ranks at its end of the histogram; a NaN is refused."""
+
+    def test_positive_infinities_are_the_top_quantiles(self):
+        from repro.scenarios.aggregate import MetricAccumulator
+
+        accumulator = MetricAccumulator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "invalid value encountered in cast"
+            accumulator.update([1.0, 2.0, math.inf, math.inf, math.inf])
+        stats = accumulator.to_dict()
+        assert (stats["min"], stats["max"]) == (1.0, math.inf)
+        assert stats["p50"] == stats["p90"] == stats["p99"] == math.inf
+
+    def test_negative_infinities_are_the_bottom_quantiles(self):
+        from repro.scenarios.aggregate import MetricAccumulator
+
+        accumulator = MetricAccumulator()
+        accumulator.update([-math.inf, -math.inf, -math.inf, 1.0, 2.0])
+        stats = accumulator.to_dict()
+        assert (stats["min"], stats["max"]) == (-math.inf, 2.0)
+        assert stats["p50"] == -math.inf
+        assert stats["p99"] == 2.0
+
+    def test_a_nan_is_refused_before_any_state_changes(self):
+        from repro.scenarios.aggregate import MetricAccumulator, UnrankableValue
+
+        accumulator = MetricAccumulator()
+        accumulator.update([1.0, 2.0])
+        before = accumulator.to_dict()
+        with pytest.raises(UnrankableValue):
+            accumulator.update([1.0, 2.0, math.nan, math.nan, math.nan])
+        assert accumulator.to_dict() == before
+
+    def test_an_infinite_elapsed_time_reads_inf_at_p99(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        run_sweep(_sweep(), store=path)
+        _edit_record(path, 3, elapsed_seconds=math.inf)  # json writes Infinity
+        assert main(["results", "summarize", str(path), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["columns"]["elapsed_seconds"]
+        assert stats["max"] == stats["p99"] == math.inf
+        assert math.isfinite(stats["p50"])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_nan_in_a_journal_is_a_spec_error_naming_the_column(self, tmp_path, capsys, fmt):
+        source = tmp_path / "run.jsonl"
+        run_sweep(_sweep(), store=source)
+        _edit_record(source, 3, elapsed_seconds=math.nan)  # json writes NaN
+        path = source
+        if fmt == "columnar":
+            path = tmp_path / "run.rcol"
+            convert_journal(source, path)
+        assert main(["results", "summarize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: column 'elapsed_seconds' holds a NaN" in err
+
+
+class TestIntegersBeyondTheStore:
+    """An int a backend cannot hold is an exit-2 verdict, not a traceback."""
+
+    def test_a_columnar_sweep_with_a_seed_beyond_int64_exits_2(self, tmp_path, capsys):
+        journal = tmp_path / "s.rcol"
+        status = main(
+            ["sweep", "--spec", str(SPECS / "fig4_quick.json"),
+             "--set", "seed=99999999999999999999", "--output", str(journal),
+             "--store-format", "columnar"]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "record field 'seed' holds an integer outside int64" in err
+        assert "use the jsonl backend" in err
+
+    def test_a_jsonl_summary_names_the_column_and_line_of_an_int_beyond_float64(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "run.jsonl"
+        run_sweep(_sweep(), store=path)
+        _edit_record(path, 3, messages=10**400)
+        assert main(["results", "summarize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 3: column 'messages' holds an integer beyond" in err
+
+    def test_converting_an_int_beyond_int64_to_columnar_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "run.jsonl"
+        run_sweep(_sweep(), store=source)
+        _edit_record(source, 3, messages=10**400)
+        status = main(
+            ["results", "convert", str(source), str(tmp_path / "run.rcol"), "--to", "columnar"]
+        )
+        assert status == 2
+        assert "record field 'messages' holds an integer outside int64" in capsys.readouterr().err
 
 
 class TestHashSeedStability:
