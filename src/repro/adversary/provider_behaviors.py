@@ -84,11 +84,26 @@ class DeviantProviderNode(FrameworkProviderNode):
     the protocol intended).
     """
 
+    #: The filter around the network's context, built once per context.  The
+    #: node's blocks keep it and it keeps the node, so :meth:`close` cuts it.
+    _tampering: Optional[_TamperingContext] = None
+
+    def _filtered(self, ctx: NodeContext) -> _TamperingContext:
+        tampering = self._tampering
+        if tampering is None or tampering._inner is not ctx:
+            tampering = self._tampering = _TamperingContext(ctx, self)
+        return tampering
+
     def on_start(self, ctx: NodeContext) -> None:
-        super().on_start(_TamperingContext(ctx, self))
+        super().on_start(self._filtered(ctx))
 
     def on_message(self, ctx: NodeContext, message: Message) -> None:
-        super().on_message(_TamperingContext(ctx, self), message)
+        super().on_message(self._filtered(ctx), message)
+
+    def close(self) -> None:
+        super().close()
+        if self._tampering is not None:
+            self._tampering._owner = None
 
     def transform_send(self, recipient: str, payload: Any, tag: str):
         """Default: behave honestly."""

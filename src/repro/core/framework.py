@@ -152,17 +152,22 @@ class DistributedAuctioneer:
             fault_plan=self.fault_plan,
         )
         factory = node_factory if node_factory is not None else self._default_node
-        for provider_id in self.providers:
-            node = factory(
-                provider_inputs[provider_id],
-                self.algorithm,
-                self.config,
-                expected_users,
-                self.providers,
-            )
-            network.add_node(node)
-        stats = network.run(max_steps=max_steps)
-        return SimulationReport(Outcome.from_network(network, self.providers), stats)
+        try:
+            for provider_id in self.providers:
+                node = factory(
+                    provider_inputs[provider_id],
+                    self.algorithm,
+                    self.config,
+                    expected_users,
+                    self.providers,
+                )
+                network.add_node(node)
+            stats = network.run(max_steps=max_steps)
+            return SimulationReport(Outcome.from_network(network, self.providers), stats)
+        finally:
+            # The round ends here, whether it quiesced or raised: nothing of it
+            # is left for the cyclic collector (see SimNetwork.close).
+            network.close()
 
     def run_from_bids(self, bids: BidVector, max_steps: int = 2_000_000) -> SimulationReport:
         """Simulate the honest case directly from a bid vector.

@@ -25,6 +25,17 @@ exactly the seed semantics, including the final :class:`NetworkStats`.
 Schedules are bit-identical to the seed implementation; the differential test
 ``tests/net/test_event_queue_differential.py`` locks the full delivery trace.
 
+A round's lifetime
+------------------
+
+The owner of a round calls :meth:`SimNetwork.close` once it has read what it
+needs (``DistributedAuctioneer.run`` and ``AuctionRun`` do, in a ``finally``).
+The cached contexts lose their network, the handler tables are cleared and
+every node's :meth:`~repro.net.node.Node.close` hook runs, so nothing in the
+round's object graph points back into it: reference counting frees the whole
+round, and the cyclic collector finds nothing.  ``stats``, the nodes, the
+clocks and the in-flight set stay readable.
+
 Time accounting
 ---------------
 
@@ -92,14 +103,6 @@ class NetworkStats:
     node_busy: Dict[str, float] = field(default_factory=dict)
     node_finish_time: Dict[str, float] = field(default_factory=dict)
     messages_by_tag: Dict[str, int] = field(default_factory=dict)
-
-    def record_delivery(self, message: Message) -> None:
-        self.messages_delivered += 1
-        self.bytes_delivered += message.size_bytes
-        # Group traffic by protocol block path (the part of the tag before "|"),
-        # which lets the benchmark harness attribute overhead to individual blocks.
-        path = message.tag.split("|", 1)[0] if message.tag else ""
-        self.messages_by_tag[path] = self.messages_by_tag.get(path, 0) + 1
 
 
 def _charged(clock: VirtualClock, handler: Callable[..., None]) -> Callable[..., None]:
@@ -245,6 +248,7 @@ class SimNetwork:
         self._finished_nodes: Set[str] = set()
         self.stats = NetworkStats()
         self._started = False
+        self._closed = False
         # The public attribute keeps the whole plan (chaos audits read its
         # journal); the private one is None unless the plan is *armed*, so an
         # empty plan takes the exact fault-free code path.
@@ -526,6 +530,8 @@ class SimNetwork:
             QuiescenceError: if ``max_steps`` deliveries happen without quiescence,
                 which almost always indicates a protocol that livelocks.
         """
+        if self._closed:
+            raise RuntimeError("network is closed")
         if not self._started:
             self.start()
         pop, rng, stats = self.scheduler.pop, self._rng, self.stats
@@ -623,6 +629,25 @@ class SimNetwork:
         if obs is not None:
             self._observe_run_end()
         return stats
+
+    def close(self) -> None:
+        """End the round: drop every reference that points back into the network.
+
+        The cached contexts lose their network, the handler tables are
+        cleared and every node runs its :meth:`~repro.net.node.Node.close`
+        hook, so the round's object graph holds no cycle and reference
+        counting frees it when its owner lets go.  The results stay readable:
+        :attr:`stats`, the nodes and their outputs, the clocks and the
+        in-flight set.  :meth:`run` on a closed network raises.
+        """
+        self._closed = True
+        for context in self._contexts.values():
+            context._network = None
+        self._contexts.clear()
+        self._on_start.clear()
+        self._on_message.clear()
+        for node in self._nodes.values():
+            node.close()
 
     # -- introspection -----------------------------------------------------------
     @property

@@ -103,6 +103,15 @@ class Node(abc.ABC):
         self.output = output
         self.finished = True
 
+    def close(self) -> None:
+        """Release what the node holds for its run; called by the network's ``close``.
+
+        A node must keep ``finished`` and ``output`` (and whatever else the
+        round's owner reads after the round) but drop every reference back
+        into the run, so nothing of the round is left for the cyclic
+        collector.  The default holds nothing of the kind.
+        """
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
         return f"{type(self).__name__}({self.node_id!r}, {state})"

@@ -19,6 +19,12 @@ and to multiplex many concurrent blocks over a single node's channel:
 
 Tag format: ``"<block-path>|<subtag>"`` where the block path is ``/``-joined from the
 root (for example ``"ba/u3|echo"``).
+
+A round ends with :meth:`ProtocolNode.close` (called by the network's ``close``):
+the host forgets its active blocks, its buffered traffic and its context
+provider, and the node drops its context and root factory, keeping the root
+and its output.  A :class:`BlockContext` holds no reference to its block, so the
+block tree left behind is acyclic and reference counting frees it.
 """
 
 from __future__ import annotations
@@ -117,13 +123,11 @@ class BlockContext:
         node_ctx: NodeContext,
         path: str,
         participants: Sequence[str],
-        block: ProtocolBlock,
     ) -> None:
         self._host = host
         self._node_ctx = node_ctx
         self.path = path
         self.participants = list(participants)
-        self._block = block
 
     # -- identity and environment -----------------------------------------------
     @property
@@ -183,9 +187,15 @@ class BlockContext:
         completes, after the host has ORed the child's :attr:`~ProtocolBlock.degraded`
         into this block's.  The spawner is recorded here rather than read off
         the path: a child name may itself hold a ``/`` (``user:u0001/bit003``).
+        It is the host's active entry for this path, which exists exactly as
+        long as the spawning block is active, so the context holds no
+        reference to its block and the two form no cycle.  A block that
+        spawns after it was finalised records no spawner: its own flag has
+        already been read.
         """
         child_path = f"{self.path}/{name}"
-        block._spawner = self._block
+        entry = self._host._blocks.get(self.path)
+        block._spawner = entry[0] if entry is not None else None
         return self._host.activate(
             child_path,
             block,
@@ -227,7 +237,6 @@ class BlockHost:
             node_ctx,
             path,
             participants if participants is not None else self._default_participants,
-            block,
         )
         self._blocks[path] = (block, ctx, on_done)
         block._host = self
@@ -317,6 +326,16 @@ class BlockHost:
                     on_done(block)
                     changed = True
 
+    def close(self) -> None:
+        """Forget the active blocks, the buffered traffic and the context provider.
+
+        What stays is what a finished round is read by: the completed paths
+        and the blocks' own results (the root's output and ``degraded``).
+        """
+        self._blocks.clear()
+        self._buffered.clear()
+        self._node_ctx_provider = None
+
     # -- introspection ------------------------------------------------------------------
     @property
     def active_paths(self) -> List[str]:
@@ -372,7 +391,13 @@ class ProtocolNode(Node):
         self._activate_root()
 
     def _start_host(self, ctx: NodeContext) -> None:
-        """Begin a fresh incarnation: a new block host and no root yet."""
+        """Begin a fresh incarnation: a new block host and no root yet.
+
+        A crash restart closes the previous incarnation's host first, which
+        still holds whatever blocks were active when the node went down.
+        """
+        if self._host is not None:
+            self._host.close()
         self._current_ctx = ctx
         self._root = None
         self._host = BlockHost(lambda: self._current_ctx, self.participants)
@@ -390,6 +415,18 @@ class ProtocolNode(Node):
 
     def on_other_message(self, ctx: NodeContext, message: Message) -> None:
         """Hook for non-block traffic (e.g. bid submissions); default: ignore."""
+
+    def close(self) -> None:
+        """Close the block host and drop the context and the root factory.
+
+        The root block and the output stay, so :attr:`degraded` and
+        ``output`` read as before.  The factory goes because it may be a
+        bound method of this node (the bid-collecting provider's).
+        """
+        if self._host is not None:
+            self._host.close()
+        self._current_ctx = None
+        self._root_factory = None
 
     # -- completion ----------------------------------------------------------------
     def _on_root_done(self, block: ProtocolBlock) -> None:

@@ -111,31 +111,36 @@ class AuctionRun:
             seed=self.seed,
             measure_compute=self.measure_compute,
         )
-        for ask in self.bids.providers:
-            network.add_node(
-                CollectingProviderNode(
-                    provider_id=ask.provider_id,
-                    own_ask=ask,
-                    algorithm=self.algorithm,
-                    config=self.config,
-                    expected_users=user_ids,
-                    providers=provider_ids,
-                    deadline=self.deadline,
+        try:
+            for ask in self.bids.providers:
+                network.add_node(
+                    CollectingProviderNode(
+                        provider_id=ask.provider_id,
+                        own_ask=ask,
+                        algorithm=self.algorithm,
+                        config=self.config,
+                        expected_users=user_ids,
+                        providers=provider_ids,
+                        deadline=self.deadline,
+                    )
                 )
-            )
-        for user in self.bids.users:
-            network.add_node(
-                BidderNode(
-                    true_bid=user,
-                    providers=provider_ids,
-                    strategy=self.bidder_strategies.get(user.user_id),
+            for user in self.bids.users:
+                network.add_node(
+                    BidderNode(
+                        true_bid=user,
+                        providers=provider_ids,
+                        strategy=self.bidder_strategies.get(user.user_id),
+                    )
                 )
+            stats = network.run(max_steps=max_steps)
+            observations = {
+                uid: network.node(uid).output if network.node(uid).finished else None
+                for uid in user_ids
+            }
+            return AuctionRunResult(
+                Outcome.from_network(network, provider_ids), observations, stats
             )
-        stats = network.run(max_steps=max_steps)
-        observations = {
-            uid: network.node(uid).output if network.node(uid).finished else None
-            for uid in user_ids
-        }
-        return AuctionRunResult(
-            Outcome.from_network(network, provider_ids), observations, stats
-        )
+        finally:
+            # The round ends here, whether it quiesced or raised (see
+            # SimNetwork.close).
+            network.close()

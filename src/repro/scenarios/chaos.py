@@ -230,7 +230,11 @@ class ChaosContext(SeededContext):
 
     # -- one perturbed run --------------------------------------------------------
     def _run_once(self, point: int, instance: int) -> Dict[str, Any]:
-        """One from-scratch run of the cell: fresh plan, fresh network."""
+        """One from-scratch run of the cell: fresh plan, fresh network.
+
+        The plan's journal is hashed here, once per run, for both the replay
+        payload and the record's ``fault_digest``.
+        """
         state = self._seed_state(instance)
         scenario: ScenarioSpec = state["scenario"]
         model = self.spec.faults[point].build(f"faults[{point}]")
@@ -240,18 +244,23 @@ class ChaosContext(SeededContext):
         try:
             report = self._auctioneer(instance, fault_plan=plan).run_from_bids(state["bids"])
         except QuiescenceError:
-            return {"terminated": False, "report": None, "plan": plan}
-        return {"terminated": True, "report": report, "plan": plan}
+            report = None
+        return {
+            "terminated": report is not None,
+            "report": report,
+            "plan": plan,
+            "digest": plan.digest(),
+        }
 
     @staticmethod
     def _replay_payload(run: Dict[str, Any], measure_compute: bool) -> Tuple[Any, ...]:
         """Everything the replay invariant compares between the two runs."""
         if not run["terminated"]:
-            return ("hung", run["plan"].digest())
+            return ("hung", run["digest"])
         report = run["report"]
         stats = report.stats
         payload: Tuple[Any, ...] = (
-            run["plan"].digest(),
+            run["digest"],
             report.outcome.aborted,
             report.outcome.degraded,
             stats.messages_sent,
@@ -345,7 +354,7 @@ class ChaosContext(SeededContext):
             conservation_ok=conservation_ok,
             replay_ok=replay_ok,
             store_repair_ok=store_repair_ok,
-            fault_digest=first["plan"].digest(),
+            fault_digest=first["digest"],
             elapsed_seconds=elapsed,
         )
 

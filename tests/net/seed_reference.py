@@ -329,7 +329,12 @@ class SeedSimNetwork:
         clock.advance_to(message.arrival_time)
         ctx = _SeedContext(self, message.recipient)
         self._dispatch(node, node.on_message, ctx, message)
-        self.stats.record_delivery(message)
+        stats = self.stats
+        stats.messages_delivered += 1
+        stats.bytes_delivered += message.size_bytes
+        # Group traffic by protocol block path (the part of the tag before "|").
+        path = message.tag.split("|", 1)[0] if message.tag else ""
+        stats.messages_by_tag[path] = stats.messages_by_tag.get(path, 0) + 1
         if node.finished:
             self.stats.node_finish_time[node.node_id] = clock.now
 

@@ -281,6 +281,22 @@ class TestChaosInvariants:
         )
         assert all(len(r.fault_digest) == 64 for r in result.records)
 
+    def test_each_run_hashes_its_journal_once(self, monkeypatch):
+        plans = []
+        digest = FaultPlan.digest
+
+        def counted(plan):
+            plans.append(plan)
+            return digest(plan)
+
+        monkeypatch.setattr(FaultPlan, "digest", counted)
+        result = run_chaos(spec_from_dict(_chaos_table(), ChaosSpec))
+        # 2 faults x 2 seeds = 4 cells, each simulated twice: 8 plans, 8 digests.
+        assert len(plans) == 8 and len({id(plan) for plan in plans}) == 8
+        # A cell's two runs are adjacent; its record carries the first's digest.
+        firsts = sorted(digest(plan) for plan in plans[::2])
+        assert sorted(r.fault_digest for r in result.records) == firsts
+
     def test_record_round_trips_losslessly(self):
         spec = spec_from_dict(_chaos_table(seeds=[0]), ChaosSpec)
         record = run_chaos(spec).records[0]
