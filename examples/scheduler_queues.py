@@ -6,7 +6,9 @@ custom one written against the queue protocol (``push`` / ``pop`` /
 
 * protocol outputs are schedule-independent (the paper's "ex post" notion);
 * every scheduler is fair — all traffic to live nodes is delivered;
-* the simulator core's throughput, since delivery is O(log M) per message.
+* the simulator core's throughput: a delivery is O(log M) under the fair heap
+  and O(M) under the round-robin, random and adversarial lists, which no
+  benchmark workload runs.
 
 Run:  PYTHONPATH=src python examples/scheduler_queues.py
 """
@@ -88,10 +90,13 @@ def run_under(name: str, scheduler: Scheduler) -> None:
         scheduler=scheduler,
         seed=7,
     )
-    net.add_nodes([GossipNode(f"n{i}") for i in range(NUM_NODES)])
-    start = time.perf_counter()
-    stats = net.run()
-    wall = time.perf_counter() - start
+    try:
+        net.add_nodes([GossipNode(f"n{i}") for i in range(NUM_NODES)])
+        start = time.perf_counter()
+        stats = net.run()
+        wall = time.perf_counter() - start
+    finally:
+        net.close()  # the round is over: release it (see SimNetwork.close)
     rate = stats.messages_delivered / wall if wall > 0 else float("inf")
     print(
         f"{name:<22} delivered={stats.messages_delivered:>4}  "

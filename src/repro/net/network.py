@@ -12,9 +12,9 @@ The event-queue core
 Delivery runs through the scheduler's queue protocol
 (:meth:`~repro.net.scheduler.Scheduler.push` /
 :meth:`~repro.net.scheduler.Scheduler.pop` /
-:meth:`~repro.net.scheduler.Scheduler.retire_recipient`): every delivered
-message costs O(log M) in the number of in-flight messages, where the seed core
-paid O(M) three times over (deliverable-list rebuild, ``min`` scan, ``list.remove``).
+:meth:`~repro.net.scheduler.Scheduler.retire_recipient`): on the default fair
+queue a delivered message costs O(log M) in the number of in-flight messages, where
+the seed core paid O(M) three times over (deliverable-list rebuild, ``min`` scan, ``list.remove``).
 :meth:`SimNetwork.run` is the delivery loop, with what it reads bound once per run.
 The network keeps the authoritative in-flight set as an insertion-ordered dict —
 the one membership structure: a message is one tuple, one entry in that dict

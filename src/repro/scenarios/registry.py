@@ -271,9 +271,7 @@ def _register_builtins() -> None:
     def _adversarial_schedule(targets=(), max_deferrals: int = 16):
         if isinstance(targets, str):
             targets = (targets,)
-        return AdversarialScheduler(
-            targets=frozenset(targets), max_deferrals=int(max_deferrals)
-        )
+        return AdversarialScheduler(targets=frozenset(targets), max_deferrals=max_deferrals)
 
     SCHEDULERS.register("fair", FairScheduler)
     SCHEDULERS.register("round_robin", RoundRobinScheduler)

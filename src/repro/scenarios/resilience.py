@@ -94,6 +94,9 @@ CoalitionSelector = Tuple[Union[str, int], ...]
 #: ``schedules`` / expanded coalition list / effective adversary list.
 Cell = Tuple[int, int, int]
 
+#: The schedule parameter that names network nodes, per built-in schedule kind.
+_SCHEDULE_NODE_FIELDS = {"adversarial": "targets", "round_robin": "order"}
+
 
 def _coalition_selector(selectors: Any, path: str) -> CoalitionSelector:
     if isinstance(selectors, (str, int)):
@@ -328,11 +331,27 @@ class AuditContext(SeededContext):
     def _seed_state(self, instance: int) -> Dict[str, Any]:
         state = super()._seed_state(instance)
         if "coalitions" not in state:
+            self._check_schedule_nodes(state["executor_ids"])
             state["coalitions"] = [
                 self._resolve_coalition(selectors, state["executor_ids"], index)
                 for index, selectors in enumerate(self.selectors)
             ]
         return state
+
+    def _check_schedule_nodes(self, executor_ids: Sequence[str]) -> None:
+        """Refuse a schedule parameter that names a node which does not execute:
+        the name schedules nothing, so the audit would silently run another
+        schedule than its spec reads (no targets at all is earliest-first)."""
+        for index, schedule in enumerate(self.spec.schedules):
+            field = _SCHEDULE_NODE_FIELDS.get(schedule.kind)
+            named = schedule.params.get(field, ()) if field else ()
+            for node in (named,) if isinstance(named, str) else named:
+                if node not in executor_ids:
+                    raise SpecError(
+                        f"schedules[{index}].{field}",
+                        f"unknown provider id {node!r}; executing providers: "
+                        f"{', '.join(executor_ids)}",
+                    )
 
     def _resolve_coalition(
         self, selectors: CoalitionSelector, executor_ids: Sequence[str], index: int

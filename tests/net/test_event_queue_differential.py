@@ -134,6 +134,11 @@ SCHEDULERS = {
         lambda: AdversarialScheduler(targets=frozenset({"n2", "n7"}), max_deferrals=1),
         lambda: SeedAdversarialScheduler(targets=frozenset({"n2", "n7"}), max_deferrals=1),
     ),
+    # A spent-from-the-start budget: earliest-arrival-first over everything.
+    "adversarial_zero": (
+        lambda: AdversarialScheduler(targets=frozenset({"n1", "n4"}), max_deferrals=0),
+        lambda: SeedAdversarialScheduler(targets=frozenset({"n1", "n4"}), max_deferrals=0),
+    ),
 }
 
 LATENCIES = {

@@ -21,7 +21,6 @@ from repro.net.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
     Scheduler,
-    _IndexedLiveList,
 )
 from tests.net.seed_reference import SeedRandomScheduler
 
@@ -208,35 +207,6 @@ class TestQueueProtocolIsRequired:
 
         with pytest.raises(TypeError, match=r"SelectOnly .*push / pop / retire_recipient / reset"):
             SimNetwork(latency_model=ZeroLatencyModel(), scheduler=SelectOnly())
-
-
-class TestIndexedLiveList:
-    """The order-statistics structure behind RandomScheduler."""
-
-    def test_matches_naive_list_through_churn_and_compaction(self):
-        rng = random.Random(13)
-        live = _IndexedLiveList(capacity=8)  # tiny capacity: forces rebuilds
-        naive = []
-        counter = 0
-        for _ in range(2000):
-            action = rng.random()
-            if action < 0.55 or not naive:
-                message = Message.create(
-                    "s", f"r{rng.randrange(5)}", counter, msg_id=counter
-                )
-                counter += 1
-                live.append(message)
-                naive.append(message)
-            elif action < 0.9:
-                k = rng.randrange(len(naive))
-                assert live.pop_kth(k) is naive.pop(k)
-            else:
-                key = f"r{rng.randrange(5)}"
-                live.kill_key(key)
-                naive = [m for m in naive if m.recipient != key]
-            assert len(live) == len(naive)
-        while naive:
-            assert live.pop_kth(0) is naive.pop(0)
 
 
 class TestRoundRobinHashSeedRegression:

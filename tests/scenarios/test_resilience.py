@@ -165,6 +165,62 @@ class TestSpecParsing:
         assert spec_fingerprint(spec) != spec_fingerprint(_spec(k=None))
 
 
+class TestScheduleParameters:
+    """A schedule's parameters are checked, never coerced into another schedule."""
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            (
+                {"kind": "round_robin", "order": "p01"},
+                "order must be a list of node ids, got the string 'p01'",
+            ),
+            (
+                {"kind": "adversarial", "targets": ["p00"], "max_deferrals": 2.7},
+                "max_deferrals must be an integer, got 2.7",
+            ),
+            (
+                {"kind": "adversarial", "targets": ["p00"], "max_deferrals": True},
+                "max_deferrals must be an integer, got True",
+            ),
+        ],
+        ids=["order-string", "deferrals-float", "deferrals-bool"],
+    )
+    def test_a_bad_parameter_fails_before_the_journal(self, schedule, message, tmp_path):
+        journal = tmp_path / "audit.jsonl"
+        with pytest.raises(SpecError) as excinfo:
+            run_resilience(_spec(schedules=["fair", schedule]), store=journal)
+        assert excinfo.value.path == "schedules[1]"
+        assert excinfo.value.message.endswith(message)
+        assert not journal.exists()
+
+    @pytest.mark.parametrize(
+        "schedule, path, named",
+        [
+            ({"kind": "adversarial", "targets": ["p01", "p09"]}, "schedules[1].targets", "p09"),
+            ({"kind": "adversarial", "targets": "p09"}, "schedules[1].targets", "p09"),
+            ({"kind": "round_robin", "order": ["p02", "zz"]}, "schedules[1].order", "zz"),
+        ],
+        ids=["targets", "target-of-one", "order"],
+    )
+    def test_a_node_that_does_not_execute_is_refused(self, schedule, path, named):
+        with pytest.raises(SpecError) as excinfo:
+            run_resilience(_spec(schedules=["fair", schedule]))
+        assert excinfo.value.path == path
+        assert excinfo.value.message == (
+            f"unknown provider id {named!r}; executing providers: p00, p01, p02, p03"
+        )
+
+    def test_schedules_that_name_executors_run(self):
+        schedules = [
+            {"kind": "adversarial", "targets": ["p01"], "max_deferrals": 2},
+            {"kind": "round_robin", "order": ["p02", "p00"]},
+        ]
+        result = run_resilience(_spec(schedules=schedules))
+        assert result.is_clean()
+        assert {record.schedule for record in result.records} == {"adversarial", "round_robin"}
+
+
 class TestAdversarySpec:
     def test_display_label(self):
         assert AdversarySpec("crash").display_label == "crash"

@@ -429,6 +429,43 @@ class TestChaosFaultTargets:
         assert not journal.exists()
 
 
+class TestAuditScheduleParameters:
+    """A schedule parameter that is malformed or names no executor exits 2."""
+
+    @pytest.mark.parametrize(
+        "schedule, error",
+        [
+            (
+                '{"kind":"round_robin","order":"p01"}',
+                "error: schedules[1]: invalid parameters for schedule 'round_robin': "
+                "order must be a list of node ids, got the string 'p01'\n",
+            ),
+            (
+                '{"kind":"adversarial","targets":["p00"],"max_deferrals":2.7}',
+                "error: schedules[1]: invalid parameters for schedule 'adversarial': "
+                "max_deferrals must be an integer, got 2.7\n",
+            ),
+            (
+                '{"kind":"adversarial","targets":["p00"],"max_deferrals":true}',
+                "error: schedules[1]: invalid parameters for schedule 'adversarial': "
+                "max_deferrals must be an integer, got True\n",
+            ),
+            (
+                '{"kind":"adversarial","targets":["p05"]}',
+                "error: schedules[1].targets: unknown provider id 'p05'; "
+                "executing providers: p00, p01, p02, p03, p04\n",
+            ),
+        ],
+        ids=["order-string", "deferrals-float", "deferrals-bool", "unknown-target"],
+    )
+    def test_exits_2(self, schedule, error, capsys):
+        argv = ["resilience", "--spec", str(REPO_ROOT / "examples" / "specs" / "resilience.json")]
+        argv += ["--set", f'schedules=["fair",{schedule}]']
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == error
+
+
 class TestObservabilityCommands:
     def _run_observed(self, tmp_path, capsys):
         trace = tmp_path / "run.rcol"
