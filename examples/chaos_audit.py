@@ -6,7 +6,7 @@ mid-round — is drawn from a seeded plan RNG and journaled, so a chaos run
 replays bit-identically and a failure always ships with the seed that
 reproduces it.  This example audits the distributed double auction under four
 fault models x two seeds via
-:meth:`~repro.scenarios.simulation.Simulation.run_chaos`; every cell runs
+:func:`~repro.scenarios.chaos.run_chaos`; every cell runs
 twice and must pass four invariants (termination, delivery conservation,
 byte-identical replay, store torn-tail repair).  The same audit is reachable
 from the CLI::
@@ -18,7 +18,7 @@ Run with::
     python examples/chaos_audit.py
 """
 
-from repro.scenarios import ScenarioSpec, Simulation
+from repro.scenarios import ChaosSpec, ScenarioSpec, run_chaos
 
 
 def main() -> None:
@@ -32,17 +32,18 @@ def main() -> None:
         seed=7,
         measure_compute=False,
     )
-    with Simulation(spec) as sim:
-        result = sim.run_chaos(
-            faults=(
-                "loss",
-                {"kind": "loss", "rate": 0.3, "label": "heavy-loss"},
-                "duplicate",
-                {"kind": "crash", "node": "p01", "at": 0.001, "duration": 0.002},
-            ),
-            recovery={"max_retries": 3},
-            seeds=(0, 1),
-        )
+    audit = ChaosSpec(
+        base=spec,
+        faults=(
+            "loss",
+            {"kind": "loss", "rate": 0.3, "label": "heavy-loss"},
+            "duplicate",
+            {"kind": "crash", "node": "p01", "at": 0.001, "duration": 0.002},
+        ),
+        recovery={"max_retries": 3},
+        seeds=(0, 1),
+    )
+    result = run_chaos(audit)
 
     for record in result.records:
         print(

@@ -17,7 +17,7 @@ Run with::
     python examples/parallel_standard_auction.py
 """
 
-from repro.scenarios import Simulation, spec_from_dict
+from repro.scenarios import SweepSpec, run_sweep, spec_from_dict
 
 NUM_USERS = 60
 NUM_PROVIDERS = 8
@@ -39,7 +39,7 @@ def main() -> None:
         {"config.k": 3, "config.parallel": True, "config.num_groups": 2},
         {"config.k": 1, "config.parallel": True, "config.num_groups": 4},
     ]
-    result = Simulation(base).sweep(points=points)
+    result = run_sweep(SweepSpec(base=base, points=points))
     rows = result.records
 
     print(f"{NUM_USERS} users, {NUM_PROVIDERS} providers, mechanism {rows[0].mechanism}")

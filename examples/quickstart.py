@@ -1,13 +1,13 @@
 """Quickstart: the declarative front door, then the low-level API beneath it.
 
-Part 1 — the one-object API: describe a scenario as data (a ``ScenarioSpec``),
-hand it to ``Simulation``, read back a uniform ``RunRecord``.  The same spec
+Part 1 — the declarative API: describe a scenario as data (a ``ScenarioSpec``),
+hand it to ``run_scenario``, read back a uniform ``RunRecord``.  The same spec
 round-trips through JSON/TOML files (``repro-auction run --spec file.toml``).
 
-Part 2 — the delegation layer: every pre-existing constructor
-(``DistributedAuctioneer`` & co.) still works and is what the facade drives
-under the hood; drop down to it when you need hand-authored bids or custom
-objects a spec cannot express.
+Part 2 — the runners: every pre-existing constructor
+(``DistributedAuctioneer`` & co.) still works and is what ``run_scenario``
+drives under the hood; drop down to it when you need hand-authored bids or
+custom objects a spec cannot express.
 
 Run with::
 
@@ -16,7 +16,7 @@ Run with::
 
 from repro.auctions import BidVector, DoubleAuction, ProviderAsk, UserBid
 from repro.core import DistributedAuctioneer, FrameworkConfig
-from repro.scenarios import Simulation, spec_from_dict
+from repro.scenarios import run_scenario, spec_from_dict
 
 
 def part_one_declarative() -> None:
@@ -32,8 +32,7 @@ def part_one_declarative() -> None:
             "seed": 7,
         }
     )
-    with Simulation(spec) as sim:
-        record = sim.run()
+    record = run_scenario(spec)
 
     print("— declarative API —")
     print(f"outcome      : {'ABORT' if record.aborted else 'agreed (x, p)'}")

@@ -6,7 +6,7 @@ API, this example drives the same claim (Definition 2: k-resilient ex-post
 equilibrium) through the declarative audit subsystem: a
 :class:`~repro.scenarios.resilience.ResilienceSpec` enumerates every coalition
 of size <= k, crosses it with the deviation library and the schedules, and
-:meth:`~repro.scenarios.simulation.Simulation.audit_resilience` runs the grid —
+:func:`~repro.scenarios.resilience.run_resilience` runs the grid —
 here in a 2-process pool, with the honest baseline solved once per
 (schedule, seed) group.  The same audit is reachable from the CLI::
 
@@ -17,7 +17,7 @@ Run with::
     python examples/resilience_audit.py
 """
 
-from repro.scenarios import ScenarioSpec, Simulation
+from repro.scenarios import ResilienceSpec, ScenarioSpec, run_resilience
 
 
 def main() -> None:
@@ -30,12 +30,12 @@ def main() -> None:
         seed=9,
         measure_compute=False,
     )
-    with Simulation(spec) as sim:
-        result = sim.audit_resilience(
-            adversaries=("equivocate", {"kind": "tamper_output", "bonus": 5.0}),
-            schedules=("fair", "round_robin"),
-            workers=2,
-        )
+    audit = ResilienceSpec(
+        base=spec,
+        adversaries=("equivocate", {"kind": "tamper_output", "bonus": 5.0}),
+        schedules=("fair", "round_robin"),
+    )
+    result = run_resilience(audit, workers=2)
 
     by_schedule = {}
     for record in result.records:

@@ -4,8 +4,7 @@ Everything in this example is driven by declarative specs — no mechanism,
 workload or adversary is constructed by hand:
 
 1. load ``examples/specs/vr_sessions.toml`` (bursty VR-session demand) and run
-   its 5 rounds through the ``Simulation`` facade — a batch is a one-point
-   sweep;
+   its 5 rounds with ``run_sweep`` — a batch is a one-point sweep;
 2. tweak the same spec in-flight with dotted-path overrides (the CLI's
    ``--set`` mechanism);
 3. run a *full round with adversarial bidders* — a silent user and an
@@ -19,17 +18,24 @@ Run with::
 
 import os
 
-from repro.scenarios import Simulation, spec_from_dict
+from repro.scenarios import (
+    SweepSpec,
+    load_spec,
+    run_scenario,
+    run_sweep,
+    spec_from_dict,
+    spec_with_overrides,
+)
+from repro.scenarios.runner import build_topology
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "specs")
 
 
 def batch_from_file() -> None:
-    with Simulation.from_file(os.path.join(SPEC_DIR, "vr_sessions.toml")) as sim:
-        spec = sim.spec
-        print(f"spec '{spec.name}': {spec.users} users, {spec.providers} providers, "
-              f"workload {spec.workload.kind}, mechanism {spec.mechanism.kind}")
-        records = sim.sweep().records
+    spec = load_spec(os.path.join(SPEC_DIR, "vr_sessions.toml"))
+    print(f"spec '{spec.name}': {spec.users} users, {spec.providers} providers, "
+          f"workload {spec.workload.kind}, mechanism {spec.mechanism.kind}")
+    records = run_sweep(SweepSpec(base=spec)).records
     aborted = sum(1 for record in records if record.aborted)
     mean = sum(record.elapsed_seconds for record in records) / len(records)
     print(f"rounds          : {len(records)} ({aborted} aborted)")
@@ -39,11 +45,11 @@ def batch_from_file() -> None:
 
 
 def override_in_flight() -> None:
-    with Simulation.from_file(
-        os.path.join(SPEC_DIR, "vr_sessions.toml"),
-        overrides={"users": 30, "workload.session_fraction": 0.7, "rounds": 1},
-    ) as sim:
-        record = sim.run()
+    spec = spec_with_overrides(
+        load_spec(os.path.join(SPEC_DIR, "vr_sessions.toml")),
+        {"users": 30, "workload.session_fraction": 0.7, "rounds": 1},
+    )
+    record = run_scenario(spec)
     print(f"\n70% of 30 users in-session: {record.winners} winners, "
           f"revenue {record.total_received:.3f}")
 
@@ -66,11 +72,10 @@ def adversaries_from_data() -> None:
             "seed": 3,
         }
     )
-    with Simulation(spec) as sim:
-        network = sim.topology
-        print(f"\ncommunity network: {network.num_nodes} nodes, "
-              f"{len(network.gateways)} gateways; one silent + one equivocating bidder")
-        record = sim.run()
+    network = build_topology(spec)
+    print(f"\ncommunity network: {network.num_nodes} nodes, "
+          f"{len(network.gateways)} gateways; one silent + one equivocating bidder")
+    record = run_scenario(spec)
     print(f"outcome          : {'ABORT' if record.aborted else 'agreed (x, p)'}")
     print(f"messages / bytes : {record.messages} / {record.bytes_transferred}")
     print(f"winning users    : {record.winners} of {record.users} "

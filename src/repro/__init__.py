@@ -38,9 +38,10 @@ The package is organised in layers, bottom-up:
 ``repro.scenarios``
     **The front door**: declarative, serializable scenario specs
     (:class:`~repro.scenarios.spec.ScenarioSpec`), component registries, and
-    the :class:`~repro.scenarios.simulation.Simulation` facade that runs any
-    spec through the runners above.  Start here; drop to the lower layers when
-    you need custom objects a spec cannot express.
+    the functions that run a spec through the runners above —
+    :func:`~repro.scenarios.runner.run_scenario` for one round,
+    :func:`~repro.scenarios.sweep.run_sweep` for a grid.  Start here; drop to
+    the lower layers when you need custom objects a spec cannot express.
 """
 
 from repro.auctions.base import (
@@ -62,7 +63,6 @@ _SCENARIO_EXPORTS = frozenset(
     {
         "RunRecord",
         "ScenarioSpec",
-        "Simulation",
         "SpecError",
         "SweepSpec",
         "load_spec",
@@ -97,7 +97,6 @@ __all__ = [
     "ProviderAsk",
     "RunRecord",
     "ScenarioSpec",
-    "Simulation",
     "SpecError",
     "SweepSpec",
     "UserBid",

@@ -110,7 +110,7 @@ from repro.scenarios.chaos import ChaosSpec, run_chaos
 from repro.scenarios.grid import GridResult
 from repro.scenarios.io import load_any, load_spec
 from repro.scenarios.resilience import ResilienceSpec, run_resilience
-from repro.scenarios.simulation import Simulation
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import (
     ScenarioSpec,
     SpecError,
@@ -387,11 +387,7 @@ def _observed(args: argparse.Namespace, name: str, body):
 def _command_run(args: argparse.Namespace) -> int:
     spec = _build_scenario(args)
 
-    def body():
-        with Simulation(spec) as simulation:
-            return simulation.run()
-
-    record = _observed(args, spec.name, body)
+    record = _observed(args, spec.name, lambda: run_scenario(spec))
     if args.json:
         import json
 

@@ -215,11 +215,19 @@ def load_trace(path: str) -> Tuple[Dict[str, Any], List[SpanRecord]]:
     """Read a trace journal back: ``(manifest, spans in span-id order)``.
 
     The format is sniffed by the store plane, so this reads jsonl and
-    columnar trace journals alike (and journals converted between them).
+    columnar trace journals alike (and journals converted between them).  A
+    manifest whose fingerprint is not its name's :func:`trace_fingerprint`
+    (a sweep's or an audit's results) is a :class:`SpecError`.
     """
+    from repro.scenarios.spec import SpecError
     from repro.scenarios.store import ResultsStore
 
     with ResultsStore(path, record_type=SpanRecord) as store:
-        manifest, completed = store.read()
+        manifest, rows = store.backend.read_raw()
+        if manifest.get("fingerprint") != trace_fingerprint(manifest.get("sweep")):
+            raise SpecError(
+                path, "not a trace journal; read results with 'repro-auction results summarize'"
+            )
+        completed = store.backend._rehydrate(rows)
     spans = [completed[key] for key in sorted(completed)]
     return manifest, spans

@@ -1,18 +1,16 @@
-"""Declarative scenarios: one spec, one facade, every runner.
+"""Declarative scenarios: one spec, four functions, every runner.
 
 This package is the front door of the library.  A scenario is *data* — a
 :class:`~repro.scenarios.spec.ScenarioSpec` naming a mechanism, workload,
 latency model / topology, adversary strategies and framework configuration via
-string kinds — and :class:`~repro.scenarios.simulation.Simulation` executes it
-through the existing runners, returning uniform
-:class:`~repro.scenarios.runner.RunRecord` rows — one per round, and a
-:class:`~repro.scenarios.grid.GridResult` of them per sweep or audit::
+string kinds.  :func:`run_scenario` runs one round of it through the existing
+runners and returns a uniform :class:`~repro.scenarios.runner.RunRecord`;
+:func:`run_sweep`, :func:`run_resilience` and :func:`run_chaos` run a grid
+around it and return a :class:`~repro.scenarios.grid.GridResult` of records::
 
-    from repro.scenarios import ScenarioSpec, Simulation
-
-    spec = ScenarioSpec(mechanism="standard", users=50, seed=7)
-    with Simulation.from_file("scenario.toml") as sim:
-        print(sim.run().to_dict())
+    spec = load_spec("scenario.toml")
+    print(run_scenario(spec).to_dict())
+    batch = run_sweep(SweepSpec(base=spec))   # spec.rounds rounds
 
 Every spec class — scenario, sweep, audit — round-trips losslessly through
 JSON and TOML files by one walker over its dataclass fields
@@ -48,7 +46,6 @@ from repro.scenarios.resilience import (
     run_resilience,
 )
 from repro.scenarios.runner import RunRecord, run_scenario
-from repro.scenarios.simulation import Simulation
 from repro.scenarios.spec import (
     BidderSpec,
     ComponentSpec,
@@ -104,7 +101,6 @@ __all__ = [
     "RunRecord",
     "SCHEDULERS",
     "ScenarioSpec",
-    "Simulation",
     "SpecError",
     "StoreBackend",
     "StreamingSummary",

@@ -55,21 +55,13 @@ from repro.net.faults import CrashFault, FaultPlan, PartitionFault, RecoveryPoli
 from repro.net.network import QuiescenceError
 from repro.scenarios.grid import Grid, GridResult, run_grid
 from repro.scenarios.registry import FAULTS
-from repro.scenarios.runner import (
-    FlatRecord,
-    RunRecord,
-    build_topology,
-    executors_of,
-    record_from_outcome,
-    resolve_provider_ids,
-)
+from repro.scenarios.runner import FlatRecord, RunRecord, check_node, record_from_outcome
 from repro.scenarios.spec import (
     LabelledComponentSpec,
     ScenarioSpec,
     SpecError,
     check_fields,
     spec_fingerprint,
-    spec_with_overrides,
 )
 from repro.scenarios.sweep import SeededContext
 
@@ -223,6 +215,22 @@ class ChaosContext(SeededContext):
     (``tests/core/test_shared_agreement.py``) checks that path instead: shared
     rounds must observe what rounds with every memo forgotten observe.
     """
+
+    def _check_spec(self) -> None:
+        """Build every fault model (and discard it); refuse a crash / partition
+        aimed at a node that does not execute: it would inject nothing."""
+        spec = self.spec
+        targets = []
+        for index, fault in enumerate(spec.faults):
+            model = fault.build(f"faults[{index}]")
+            if isinstance(model, CrashFault):
+                targets.append((f"faults[{index}].node", model.node))
+            elif isinstance(model, PartitionFault):
+                targets.extend((f"faults[{index}].nodes", node) for node in sorted(model.nodes))
+        for instance in range(len(spec.effective_seeds())) if targets else ():
+            executor_ids = self._executor_ids(instance)
+            for path, node in targets:
+                check_node(path, node, executor_ids)
 
     def group_key(self, point: int, instance: int) -> int:
         """The seed: one generated workload serves every fault of that seed."""
@@ -444,26 +452,4 @@ def run_chaos(spec: ChaosSpec, **engine: Any) -> GridResult:
             are bit-identical to the sequential path on all deterministic
             fields, in the same grid order.
     """
-    # Resolve every fault model up front (and discard the results): a typo'd
-    # fault kind or bad parameter, or a crash / partition aimed at a node that
-    # does not execute (it would inject nothing), fails with its path-precise
-    # SpecError here, before any journal is opened or simulation runs.
-    targets = []
-    for index, fault in enumerate(spec.faults):
-        model = fault.build(f"faults[{index}]")
-        if isinstance(model, CrashFault):
-            targets.append((f"faults[{index}].node", model.node))
-        elif isinstance(model, PartitionFault):
-            targets.extend((f"faults[{index}].nodes", node) for node in sorted(model.nodes))
-    for seed in spec.effective_seeds() if targets else ():
-        scenario = spec_with_overrides(spec.base, {"seed": seed})
-        provider_ids = resolve_provider_ids(scenario, build_topology(scenario), "base.topology")
-        executor_ids = executors_of(scenario, provider_ids)
-        for path, node in targets:
-            if node not in executor_ids:
-                raise SpecError(
-                    path,
-                    f"unknown provider id {node!r}; executing providers: "
-                    f"{', '.join(executor_ids)}",
-                )
     return run_grid(CHAOS_GRID, spec, **engine)

@@ -11,8 +11,11 @@ such a grid into records (DESIGN.md, "The grid engine", is the long form).
 its cells are counted in, the per-record verdict, the record type, the spec
 class (its file form — :func:`~repro.scenarios.spec.spec_to_dict` — is all
 that crosses a process boundary, and its canonical digest is the journal
-fingerprint) and a context factory ``context(spec)``.  A context is one executor's state; it builds
-nothing until a cell runs:
+fingerprint) and a context factory ``context(spec)``.  A context is one
+executor's state.  Its constructor runs every check the spec and its cached
+mechanism allow — :func:`run_grid` builds it before the journal opens, so a
+spec that fails one leaves no journal — and it builds nothing else until a
+cell runs:
 
 * ``run_order()`` — every cell of the grid, in the order one executor should
   take them (cells that share setup back to back);
@@ -35,7 +38,6 @@ no work per cell beyond ``run_cell`` and the journal append.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import pickle
 import traceback
@@ -56,7 +58,6 @@ from repro.scenarios.store import ResultsStore
 
 __all__ = [
     "Cell",
-    "ENGINE_KEYWORDS",
     "Grid",
     "GridResult",
     "chunk_cells",
@@ -220,14 +221,6 @@ def run_grid(
         ):
             obs.metrics.counter(prefix + what).inc(count)
     return result
-
-
-#: The engine's options — :func:`run_grid`'s keyword-only parameters, read off
-#: its signature so the list exists once.  ``run_sweep`` / ``run_resilience`` /
-#: ``run_chaos`` forward ``**engine`` to :func:`run_grid` untouched (a keyword
-#: it does not declare is its ``TypeError``), and the ``Simulation`` facade
-#: splits these names from a spec's fields.
-ENGINE_KEYWORDS: Tuple[str, ...] = tuple(inspect.getfullargspec(run_grid).kwonlyargs)
 
 
 def _as_store(store, store_format, record_type):

@@ -41,7 +41,7 @@ from repro.core.framework import DistributedAuctioneer, SimulationReport
 from repro.gametheory.resilience import score_deviation
 from repro.scenarios.grid import Grid, GridResult, run_grid
 from repro.scenarios.registry import ADVERSARIES, SCHEDULERS
-from repro.scenarios.runner import FlatRecord
+from repro.scenarios.runner import FlatRecord, check_node
 from repro.scenarios.spec import (
     ComponentSpec,
     LabelledComponentSpec,
@@ -316,27 +316,36 @@ class AuditContext(SeededContext):
     """
 
     def __init__(self, spec: ResilienceSpec) -> None:
-        super().__init__(spec)
         self.cells = spec.cells()
         self.adversaries = spec.effective_adversaries()
         self.selectors = spec.coalition_selectors()
         self._auctioneers: Dict[Tuple[int, int], DistributedAuctioneer] = {}
         self._honest: Dict[Tuple[int, int], SimulationReport] = {}
+        # Per seed, the executing provider ids of each coalition.
+        self._coalitions: List[List[Tuple[str, ...]]] = []
+        super().__init__(spec)
 
     def group_key(self, point: int, instance: int) -> Tuple[int, int]:
         """``(schedule, seed)``: one auctioneer and one honest baseline per group."""
         return (self.cells[point][0], instance)
 
-    # -- memoised components ------------------------------------------------------
-    def _seed_state(self, instance: int) -> Dict[str, Any]:
-        state = super()._seed_state(instance)
-        if "coalitions" not in state:
-            self._check_schedule_nodes(state["executor_ids"])
-            state["coalitions"] = [
-                self._resolve_coalition(selectors, state["executor_ids"], index)
-                for index, selectors in enumerate(self.selectors)
-            ]
-        return state
+    # -- spec checks -------------------------------------------------------------
+    def _check_spec(self) -> None:
+        """Build every deviation and schedule (and discard them); resolve every
+        seed's coalitions."""
+        for index, adversary in enumerate(self.adversaries):
+            ADVERSARIES.create(adversary.component(), f"adversaries[{index}]")
+        for index, schedule in enumerate(self.spec.schedules):
+            SCHEDULERS.create(schedule, f"schedules[{index}]")
+        for instance in range(len(self.spec.effective_seeds())):
+            executor_ids = self._executor_ids(instance)
+            self._check_schedule_nodes(executor_ids)
+            self._coalitions.append(
+                [
+                    self._resolve_coalition(selectors, executor_ids, index)
+                    for index, selectors in enumerate(self.selectors)
+                ]
+            )
 
     def _check_schedule_nodes(self, executor_ids: Sequence[str]) -> None:
         """Refuse a schedule parameter that names a node which does not execute:
@@ -346,18 +355,12 @@ class AuditContext(SeededContext):
             field = _SCHEDULE_NODE_FIELDS.get(schedule.kind)
             named = schedule.params.get(field, ()) if field else ()
             for node in (named,) if isinstance(named, str) else named:
-                if node not in executor_ids:
-                    raise SpecError(
-                        f"schedules[{index}].{field}",
-                        f"unknown provider id {node!r}; executing providers: "
-                        f"{', '.join(executor_ids)}",
-                    )
+                check_node(f"schedules[{index}].{field}", node, executor_ids)
 
     def _resolve_coalition(
         self, selectors: CoalitionSelector, executor_ids: Sequence[str], index: int
     ) -> Tuple[str, ...]:
         members: List[str] = []
-        known = set(executor_ids)
         for j, member in enumerate(selectors):
             path = f"coalitions[{index}][{j}]"
             if isinstance(member, int):
@@ -368,12 +371,8 @@ class AuditContext(SeededContext):
                         f"{len(executor_ids)} executors",
                     )
                 member = executor_ids[member]
-            elif member not in known:
-                raise SpecError(
-                    path,
-                    f"unknown provider id {member!r}; executing providers: "
-                    f"{', '.join(executor_ids)}",
-                )
+            else:
+                check_node(path, member, executor_ids)
             if member in members:
                 raise SpecError(path, f"provider {member!r} selected twice in one coalition")
             members.append(member)
@@ -384,6 +383,7 @@ class AuditContext(SeededContext):
             )
         return tuple(members)
 
+    # -- memoised components ------------------------------------------------------
     def auctioneer(self, schedule_index: int, instance: int) -> DistributedAuctioneer:
         key = (schedule_index, instance)
         auctioneer = self._auctioneers.get(key)
@@ -411,7 +411,7 @@ class AuditContext(SeededContext):
         state = self._seed_state(instance)
         scenario: ScenarioSpec = state["scenario"]
         bids = state["bids"]
-        members: Tuple[str, ...] = state["coalitions"][coalition_index]
+        members: Tuple[str, ...] = self._coalitions[instance][coalition_index]
         adversary = self.adversaries[adversary_index]
         deviant_factory = ADVERSARIES.create(
             adversary.component(), f"adversaries[{adversary_index}]"
@@ -484,11 +484,4 @@ def run_resilience(spec: ResilienceSpec, **engine: Any) -> GridResult:
             chunking; verdicts are bit-identical to the sequential path on
             all deterministic fields, in the same grid order.
     """
-    # Resolve every registry reference up front (and discard the results): a
-    # typo'd adversary kind or bad parameter fails with its path-precise
-    # SpecError here, before any journal is opened or simulation runs.
-    for index, adversary in enumerate(spec.effective_adversaries()):
-        ADVERSARIES.create(adversary.component(), f"adversaries[{index}]")
-    for index, schedule in enumerate(spec.schedules):
-        SCHEDULERS.create(schedule, f"schedules[{index}]")
     return run_grid(RESILIENCE_GRID, spec, **engine)

@@ -1,9 +1,8 @@
 """Execute one :class:`~repro.scenarios.spec.ScenarioSpec` and record the result.
 
-:func:`run_scenario` is the single-point executor behind the
-:class:`~repro.scenarios.simulation.Simulation` facade and the sweep engine
-(and so the Figure 4 / Figure 5 sweeps): it resolves the spec's registry
-references into live components, dispatches to the existing runners
+:func:`run_scenario` runs one round of a spec — the ``run`` command and every
+cell of a sweep (so the Figure 4 / Figure 5 sweeps): it resolves the spec's
+registry references into live components, dispatches to the existing runners
 (:class:`~repro.core.framework.DistributedAuctioneer`,
 :class:`~repro.core.framework.CentralizedAuctioneer`,
 :class:`~repro.runtime.auction_run.AuctionRun`) and normalises whatever they
@@ -15,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import MISSING, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.auctions.engine import DEFAULT_ENGINE, engine_name, resolve_engine
@@ -39,7 +38,8 @@ from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError
 __all__ = [
     "RunRecord",
     "build_mechanism",
-    "check_users",
+    "check_node",
+    "check_round",
     "build_workload",
     "build_latency_model",
     "resolve_provider_ids",
@@ -140,16 +140,6 @@ def build_mechanism(spec: ScenarioSpec) -> AllocationAlgorithm:
     return resolve_engine(mechanism, spec.engine or DEFAULT_ENGINE)
 
 
-def check_users(spec: ScenarioSpec, mechanism, path: str = "users") -> None:
-    """A :class:`SpecError` at ``path`` if ``mechanism`` refuses ``spec.users`` users.
-
-    Called wherever a round pairs its mechanism with a spec (cached or not).
-    """
-    limit = mechanism.max_users
-    if limit is not None and spec.users > limit:
-        raise SpecError(path, f"at most max_users={limit} for {mechanism.name!r}, got {spec.users}")
-
-
 def build_workload(spec: ScenarioSpec):
     """The spec's workload generator, seeded with the scenario seed."""
     return WORKLOADS.create(spec.effective_workload(), "workload", seed=spec.seed)
@@ -199,6 +189,14 @@ def resolve_provider_ids(spec: ScenarioSpec, topology=None, path: str = "topolog
 def executors_of(spec: ScenarioSpec, provider_ids: List[str]) -> List[str]:
     """The providers that run the protocol: the first ``spec.executors``, else all."""
     return provider_ids[: spec.executors] if spec.executors is not None else provider_ids
+
+
+def check_node(path: str, node: Any, executor_ids: Sequence[str]) -> None:
+    """A :class:`SpecError` at ``path`` unless ``node`` is an executing provider."""
+    if node not in executor_ids:
+        raise SpecError(
+            path, f"unknown provider id {node!r}; executing providers: {', '.join(executor_ids)}"
+        )
 
 
 def resolve_round_inputs(
@@ -258,6 +256,28 @@ def _framework_config(
     except ValueError as exc:
         raise SpecError(f"{path}.num_groups", str(exc)) from exc
     return config
+
+
+def check_round(spec: ScenarioSpec, mechanism, prefix: str = "") -> None:
+    """The checks of a round that need only its spec and its mechanism.
+
+    ``users <= mechanism.max_users`` and — for a runner that hosts the
+    protocol — :func:`_framework_config`'s, with ``m`` = ``executors`` or
+    ``providers`` (the gateway count, see :func:`resolve_provider_ids`).
+    ``prefix`` is ``base.`` inside an audit spec.
+    """
+    limit = mechanism.max_users
+    if limit is not None and spec.users > limit:
+        raise SpecError(
+            f"{prefix}users", f"at most max_users={limit} for {mechanism.name!r}, got {spec.users}"
+        )
+    if spec.runner == "distributed":
+        executors = spec.executors or spec.providers
+    elif spec.runner == "auction_run":
+        executors = spec.providers  # every provider hosts a node
+    else:
+        return
+    _framework_config(spec, executors, mechanism, f"{prefix}config")
 
 
 def build_auctioneer(
@@ -330,12 +350,12 @@ def run_scenario(
     """Run one round of the scenario and return its :class:`RunRecord`.
 
     The keyword overrides let callers that amortise state across rounds (the
-    facade, the sweep engine) pass in pre-resolved components; semantics are
+    sweep and audit contexts) pass in pre-resolved components; semantics are
     identical either way.
     """
     if mechanism is None:
         mechanism = build_mechanism(spec)
-    check_users(spec, mechanism)
+    check_round(spec, mechanism)
     provider_ids, executor_ids, bids, latency_model = resolve_round_inputs(
         spec,
         instance,

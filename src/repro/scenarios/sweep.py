@@ -35,7 +35,8 @@ from repro.scenarios.runner import (
     build_mechanism,
     build_topology,
     build_workload,
-    check_users,
+    check_round,
+    executors_of,
     resolve_provider_ids,
     resolve_round_inputs,
     run_scenario,
@@ -148,14 +149,21 @@ class SweepContext:
     point, in grid order; every round of a point reuses the components its
     first round resolved through the :class:`ComponentCache`, and every cell
     reads its bids from the cache, so points that differ only in how they
-    run an instance (runner, ``k``, executors) share its vector.
-    :meth:`close` closes the cache (idempotent).
+    run an instance (runner, ``k``, executors) share its vector.  Every point
+    passes :func:`~repro.scenarios.runner.check_round` here, before a journal
+    opens.  :meth:`close` closes the cache (idempotent).
     """
 
     def __init__(self, sweep: SweepSpec) -> None:
         self.name = sweep.name
         self.scenarios = sweep.scenarios()
         self.cache = ComponentCache()
+        try:
+            for spec in self.scenarios:
+                check_round(spec, self.cache.mechanism(spec))
+        except BaseException:
+            self.cache.close()
+            raise
         self._components: Dict[int, Dict[str, Any]] = {}
         # The cell, in grid order, that last reads each generated instance:
         # its read releases the vector, so the cache holds only instances a
@@ -260,26 +268,44 @@ class SeededContext:
     of the round inputs (latency model, executor ids) once per seed.
     As a grid context (:mod:`repro.scenarios.grid`) a point indexes
     ``spec.cells()``, an instance is a seed, and a subclass names what cells
-    share with a sortable ``group_key(point, instance)``.  :meth:`close`
-    releases engine resources (idempotent); always call it — or use the
-    context as a context manager.
+    share with a sortable ``group_key(point, instance)``.  The constructor
+    runs the subclass's :meth:`_check_spec`, then
+    :func:`~repro.scenarios.runner.check_round` on the base scenario, so a
+    journal opens only after both.  :meth:`close` releases engine resources
+    (idempotent); always call it — or use the context as a context manager.
     """
 
     def __init__(self, spec) -> None:
         self.spec = spec
         self.cache = ComponentCache()
         self._per_seed: Dict[int, Dict[str, Any]] = {}
+        try:
+            self._check_spec()
+            check_round(spec.base, self.mechanism, "base.")
+        except BaseException:
+            self.cache.close()
+            raise
+
+    def _check_spec(self) -> None:
+        """The audit kind's own checks: what a spec names beyond its base scenario."""
 
     @property
     def mechanism(self):
         return self.cache.mechanism(self.spec.base)
 
+    def _scenario(self, instance: int) -> ScenarioSpec:
+        return spec_with_overrides(self.spec.base, {"seed": self.spec.effective_seeds()[instance]})
+
+    def _executor_ids(self, instance: int) -> List[str]:
+        """The executing providers of seed ``instance`` (a topology's gateways differ by seed)."""
+        scenario = self._scenario(instance)
+        topology = self.cache.topology(scenario)
+        return executors_of(scenario, resolve_provider_ids(scenario, topology, "base.topology"))
+
     def _seed_state(self, instance: int) -> Dict[str, Any]:
         state = self._per_seed.get(instance)
         if state is None:
-            seed = self.spec.effective_seeds()[instance]
-            scenario = spec_with_overrides(self.spec.base, {"seed": seed})
-            check_users(scenario, self.mechanism, "base.users")
+            scenario = self._scenario(instance)
             topology = self.cache.topology(scenario)
             _provider_ids, executor_ids, bids, latency = resolve_round_inputs(
                 scenario,

@@ -647,15 +647,11 @@ class TestDefaultEngineFlip:
         assert engine_name(DoubleAuction()) == "reference"
 
     def test_default_flip_records_resolved_engine(self):
-        from repro.scenarios import ScenarioSpec, Simulation
+        from repro.scenarios import ScenarioSpec, run_scenario
 
-        with Simulation(ScenarioSpec(mechanism="standard", users=6)) as sim:
-            record = sim.run()
+        record = run_scenario(ScenarioSpec(mechanism="standard", users=6))
         assert record.engine == "vectorized"
-        with Simulation(
-            ScenarioSpec(mechanism="standard", users=6, engine="reference")
-        ) as sim:
-            record = sim.run()
+        record = run_scenario(ScenarioSpec(mechanism="standard", users=6, engine="reference"))
         assert record.engine == "reference"
 
 

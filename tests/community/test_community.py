@@ -15,7 +15,7 @@ from repro.community.workload import (
 from repro.core.config import FrameworkConfig
 from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer
 from repro.net.latency import LanWanLatencyModel
-from repro.scenarios import Simulation, run_scenario, spec_from_dict
+from repro.scenarios import run_scenario, spec_from_dict
 from repro.scenarios.runner import build_mechanism, build_topology, resolve_round_inputs
 
 
@@ -184,9 +184,8 @@ class TestScenario:
             config={"k": 1, "parallel": True},
             seed=2,
         )
-        with Simulation(spec) as sim:
-            assert isinstance(sim.mechanism, StandardAuction)
-            assert not sim.run().aborted
+        assert isinstance(build_mechanism(spec), StandardAuction)
+        assert not run_scenario(spec).aborted
 
     def test_scenario_auction_run(self):
         spec = community_spec(users=5, providers=3, runner="auction_run", seed=3)

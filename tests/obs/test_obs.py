@@ -37,7 +37,7 @@ from repro.obs import (
     render_text,
 )
 from repro.obs.trace import trace_fingerprint
-from repro.scenarios import ScenarioSpec, Simulation, SpecError
+from repro.scenarios import ScenarioSpec, SpecError, run_scenario
 
 
 def _spec(**overrides):
@@ -310,8 +310,7 @@ class TestObserve:
 
 class TestScenarioHooks:
     def _run(self):
-        with Simulation(_spec()) as sim:
-            return sim.run()
+        return run_scenario(_spec())
 
     def test_no_observation_means_no_spans(self):
         self._run()  # must not blow up or leak state
@@ -341,8 +340,7 @@ class TestScenarioHooks:
         # on the calling thread only, so the trace is pool-independent.
         spec = _spec(mechanism={"kind": "standard", "epsilon": 0.5}, users=5)
         with observe() as observation:
-            with Simulation(spec) as sim:
-                sim.run()
+            run_scenario(spec)
         names = [span.name for span in observation.tracer.spans]
         assert "solve" in names
         assert "pivot_resolve" in names

@@ -36,7 +36,6 @@ from repro.scenarios import (
     FaultSpec,
     ResultsStore,
     ScenarioSpec,
-    Simulation,
     SpecError,
     dump_spec,
     load_spec,
@@ -53,6 +52,7 @@ from repro.scenarios.runner import (
     build_workload,
     record_from_outcome,
     resolve_provider_ids,
+    run_scenario,
 )
 
 _PARENT_PID = os.getpid()
@@ -318,10 +318,17 @@ class TestChaosInvariants:
             r.to_dict() for r in second.records
         ]
 
-    def test_simulation_facade(self):
+    def test_fields_in_keyword_form(self):
         base = spec_from_dict(_base_table())
-        with Simulation(base) as sim:
-            result = sim.run_chaos(["loss"], recovery={"max_retries": 5}, seeds=[0, 1])
+        result = run_chaos(
+            ChaosSpec(
+                name="scenario-chaos",
+                base=base,
+                faults=["loss"],
+                recovery={"max_retries": 5},
+                seeds=[0, 1],
+            )
+        )
         assert result.name == "scenario-chaos"
         assert len(result.records) == 2 and result.is_clean()
         assert all(r.max_retries == 5 for r in result.records)
@@ -357,8 +364,7 @@ class TestDifferentialLock:
     def test_unarmed_plan_counters_match_the_fault_free_run(self):
         # torn_append is store-level: the network must not see it at all.
         base = spec_from_dict(_base_table())
-        with Simulation(base) as sim:
-            baseline = sim.run().to_dict()
+        baseline = run_scenario(base).to_dict()
         record = run_chaos(
             spec_from_dict(_chaos_table(faults=["torn_append"], seeds=[0]), ChaosSpec)
         ).records[0]

@@ -12,8 +12,8 @@ The contract under test (DESIGN.md, "The grid engine"):
   resumed-from-half-a-journal and jsonl-vs-columnar runs all return
   identical records;
 * the engine's keywords are declared once, on ``run_grid``: the three entry
-  points forward them, the ``Simulation`` methods split them from the spec's
-  fields, and anything else is a ``TypeError`` naming the keyword;
+  points forward them, and anything else is a ``TypeError`` naming the
+  keyword;
 * the CLI accepts ``--workers auto`` and surfaces the degrade warning.
 """
 
@@ -24,7 +24,6 @@ from repro.scenarios import (
     ChaosSpec,
     ResultsStore,
     ScenarioSpec,
-    Simulation,
     SpecError,
     SweepSpec,
     WorkerPlan,
@@ -284,22 +283,6 @@ class TestOneKeywordList:
         _grid, run, make = GRIDS[kind]
         with pytest.raises(TypeError, match=next(iter(keyword))):
             run(make(), **keyword)
-
-    def test_simulation_methods_split_engine_keywords_from_spec_fields(self):
-        # The facade forwards what it is given: the same spec, built from the
-        # same fields, run with the same engine options.
-        base = _audit().base
-        simulation = Simulation(base)
-        axes = {"users": [4, 5], "seed": [0, 1]}
-        assert simulation.sweep(workers=1, axes=axes).to_dict() == run_sweep(
-            SweepSpec(base=base, name=f"{base.name}-sweep", axes=axes), workers=1
-        ).to_dict()
-        assert simulation.audit_resilience(workers=1, k=1).to_dict() == run_resilience(
-            ResilienceSpec(base=base, name=f"{base.name}-resilience", k=1), workers=1
-        ).to_dict()
-        assert simulation.run_chaos(["loss"], workers=1).to_dict() == run_chaos(
-            ChaosSpec(base=base, name=f"{base.name}-chaos", faults=["loss"]), workers=1
-        ).to_dict()
 
 
 class TestCliWorkers:

@@ -11,7 +11,6 @@ from repro.scenarios import (
     AdversarySpec,
     ResilienceRecord,
     ResilienceSpec,
-    ScenarioSpec,
     SpecError,
     dump_spec,
     load_spec,
@@ -308,19 +307,3 @@ class TestStoreIntegration:
         )
         assert len(completed) == len(result.records)
         assert all(isinstance(record, RecordType) for record in completed.values())
-
-
-class TestSimulationFacade:
-    def test_audit_resilience_defaults(self):
-        spec = ScenarioSpec(
-            mechanism="double", users=8, providers=4, config={"k": 1},
-            latency="constant", measure_compute=False,
-        )
-        from repro.scenarios import Simulation
-
-        with Simulation(spec) as sim:
-            result = sim.audit_resilience(adversaries=("equivocate",))
-        # k defaults to the config's k=1: one cell per executor.
-        assert len(result.records) == 4
-        assert result.name == "scenario-resilience"
-        assert {r.adversary for r in result.records} == {"equivocate"}

@@ -25,15 +25,14 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 _SCRIPT = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from repro.scenarios import ScenarioSpec, Simulation
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.scenarios.resilience import ResilienceSpec, run_resilience
 
 spec = ScenarioSpec(
     name="stability", mechanism="double", users=8, providers=4,
     config={"k": 1}, latency="constant", seed=3, measure_compute=False,
 )
-with Simulation(spec) as sim:
-    run_payload = sim.run().to_dict()
+run_payload = run_scenario(spec).to_dict()
 
 audit = ResilienceSpec(
     name="stability-audit", base=spec, k=1,
@@ -52,7 +51,7 @@ _OBS_SCRIPT = """\
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
 from repro.obs import observe, render_chrome
-from repro.scenarios import ScenarioSpec, Simulation
+from repro.scenarios import ScenarioSpec, run_scenario
 
 spec = ScenarioSpec(
     name="obs-stability", mechanism="double", users=8, providers=4,
@@ -60,8 +59,7 @@ spec = ScenarioSpec(
 )
 trace_path = sys.argv[2]
 with observe(trace=trace_path, name="obs-stability") as observation:
-    with Simulation(spec) as sim:
-        sim.run()
+    run_scenario(spec)
 with open(trace_path, "rb") as handle:
     journal = hashlib.sha256(handle.read()).hexdigest()
 print(json.dumps({
@@ -89,7 +87,7 @@ def _run_in_subprocess(hash_seed: str, script: str = _SCRIPT, *argv: str) -> str
 
 class TestSeedStability:
     def test_records_identical_across_in_process_runs(self):
-        from repro.scenarios import ScenarioSpec, Simulation
+        from repro.scenarios import ScenarioSpec, run_scenario
         from repro.scenarios.resilience import ResilienceSpec, run_resilience
 
         spec = ScenarioSpec(
@@ -104,8 +102,7 @@ class TestSeedStability:
         )
 
         def run_once():
-            with Simulation(spec) as sim:
-                record = sim.run()
+            record = run_scenario(spec)
             audit = ResilienceSpec(
                 name="stability-audit",
                 base=spec,
@@ -150,7 +147,7 @@ class TestTraceStability:
     def _observed_run(self, trace_path):
         from repro.auctions.engine.pivot import clear_solve_cache
         from repro.obs import observe, render_chrome
-        from repro.scenarios import ScenarioSpec, Simulation
+        from repro.scenarios import ScenarioSpec, run_scenario
 
         clear_solve_cache()  # the process-wide memo must not leak across runs
         spec = ScenarioSpec(
@@ -164,8 +161,7 @@ class TestTraceStability:
             measure_compute=False,
         )
         with observe(trace=str(trace_path), name="obs-stability") as observation:
-            with Simulation(spec) as sim:
-                sim.run()
+            run_scenario(spec)
         with open(trace_path, "rb") as handle:
             journal = handle.read()
         return (

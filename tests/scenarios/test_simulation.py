@@ -1,4 +1,4 @@
-"""Tests for the Simulation facade, the scenario runner and the registries."""
+"""Tests for the scenario runner, sweeps over a scenario and the registries."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ from repro.scenarios import (
     WORKLOADS,
     ComponentSpec,
     RunRecord,
-    Simulation,
     SpecError,
     render_records,
     render_series,
@@ -17,7 +16,7 @@ from repro.scenarios import (
     run_sweep,
     spec_from_dict,
 )
-from repro.scenarios.io import dump_spec
+from repro.scenarios.io import dump_spec, load_spec
 from repro.scenarios.spec import SweepSpec
 
 
@@ -183,11 +182,6 @@ class TestDeterminism:
         assert first == second  # including elapsed_seconds
         assert first.elapsed_seconds == 0.0
 
-    def test_facade_equals_free_function(self):
-        spec = _deterministic({"mechanism": "double", "users": 9, "providers": 4, "seed": 1})
-        with Simulation(spec) as sim:
-            assert sim.run() == run_scenario(spec)
-
     def test_engines_bit_identical_through_specs(self):
         base = {
             "mechanism": {"kind": "standard", "epsilon": 0.5},
@@ -207,17 +201,16 @@ class TestDeterminism:
         spec = _deterministic(
             {"mechanism": "double", "users": 8, "providers": 4, "rounds": 3, "seed": 2}
         )
-        with Simulation(spec) as sim:
-            batch = sim.sweep()
+        batch = run_sweep(SweepSpec(base=spec))
         singles = [run_scenario(spec, instance) for instance in range(3)]
         assert batch.records == singles
         assert not any(record.aborted for record in batch.records)
 
 
 class TestSweeps:
-    def test_facade_sweep_axes(self):
+    def test_sweep_axes(self):
         spec = _deterministic({"mechanism": "double", "users": 6, "providers": 4})
-        result = Simulation(spec).sweep(axes={"users": [4, 6], "seed": [0, 1]})
+        result = run_sweep(SweepSpec(base=spec, axes={"users": [4, 6], "seed": [0, 1]}))
         assert [record.users for record in result.records] == [4, 4, 6, 6]
         assert [record.seed for record in result.records] == [0, 1, 0, 1]
 
@@ -230,9 +223,8 @@ class TestSweeps:
             (4, 0), (4, 1), (5, 0), (5, 1),
         ]
         # A scenario is a one-point sweep, so its sweep is its batch run.
-        with Simulation(spec) as simulation:
-            batch = [simulation.run(instance) for instance in range(3)]
-            assert simulation.sweep(points=[{"rounds": 3}]).records == batch
+        batch = [run_scenario(spec, instance) for instance in range(3)]
+        assert run_sweep(SweepSpec(base=spec, points=[{"rounds": 3}])).records == batch
         as_sweep = SweepSpec(base=spec).with_base_overrides({"rounds": 3})
         assert run_sweep(as_sweep).records == batch
 
@@ -240,7 +232,7 @@ class TestSweeps:
         import json
 
         spec = _deterministic({"mechanism": "double", "users": 4, "providers": 3})
-        result = Simulation(spec).sweep(points=[{"series": "only"}], name="tiny")
+        result = run_sweep(SweepSpec(base=spec, points=[{"series": "only"}], name="tiny"))
         data = json.loads(result.to_json())
         assert (data["kind"], data["name"], data["clean"]) == ("sweep", "tiny", True)
         assert len(data["records"]) == 1
@@ -344,7 +336,6 @@ class TestRegistryExtension:
             )
             path = tmp_path / "custom.toml"
             dump_spec(spec, path)
-            with Simulation.from_file(path) as sim:
-                assert sim.run() == run_scenario(spec)
+            assert run_scenario(load_spec(path)) == run_scenario(spec)
         finally:
             WORKLOADS.unregister("halved")

@@ -24,7 +24,6 @@ from repro.scenarios import (
     MECHANISMS,
     ComponentCache,
     ScenarioSpec,
-    Simulation,
     SpecError,
     SweepSpec,
     WORKLOADS,
@@ -32,12 +31,11 @@ from repro.scenarios import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.scenarios.chaos import CHAOS_GRID, ChaosContext, ChaosSpec, FaultSpec
+from repro.scenarios.chaos import CHAOS_GRID, ChaosContext, ChaosSpec
 from repro.scenarios.dispatch import CHUNKS_PER_WORKER, ChunkExecutionError
 from repro.scenarios.grid import chunk_cells, run_chunk
 from repro.scenarios.resilience import (
     RESILIENCE_GRID,
-    AdversarySpec,
     AuditContext,
     ResilienceSpec,
 )
@@ -348,7 +346,7 @@ _VECTORIZED = {
 
 class TestResourceLifecycle:
     def test_close_releases_a_registered_mechanism_that_owns_resources(self):
-        # No stock mechanism owns resources, but the facades still close any
+        # No stock mechanism owns resources, but a sweep still closes any
         # registered one that says it does (duck-typed ``close``).
         closed = []
 
@@ -359,15 +357,13 @@ class TestResourceLifecycle:
         MECHANISMS.register("pooled", PooledAuction)
         try:
             spec = _spec({"mechanism": "pooled", "workload": "double", "users": 4, "providers": 3})
-            with Simulation(spec) as sim:
-                assert not sim.run().aborted
-                mechanism = sim.mechanism
-            assert closed == [mechanism]
+            assert not run_sweep(SweepSpec(base=spec)).records[0].aborted
+            assert len(closed) == 1
             cache = ComponentCache()
             cached = cache.mechanism(spec)
             cache.close()
             cache.close()  # idempotent: the cache forgets what it closed
-            assert closed == [mechanism, cached]
+            assert closed[1:] == [cached]
         finally:
             MECHANISMS.unregister("pooled")
 
@@ -382,17 +378,26 @@ class TestResourceLifecycle:
                 base=_spec(_VECTORIZED),
                 points=({}, {"users": 4, "runner": "auction_run", "executors": 2}),
             )
-        elif kind == "resilience":
-            grid, owner, diagnostic = RESILIENCE_GRID, AuditContext, "no-such-deviation"
-            spec = ResilienceSpec(
-                base=_audit_base(), coalitions=((0,),),
-                adversaries=("equivocate", AdversarySpec("no-such-deviation")),
-            )
         else:
-            grid, owner, diagnostic = CHAOS_GRID, ChaosContext, "rate"
-            spec = ChaosSpec(
-                base=_audit_base(), faults=("loss", FaultSpec("loss", {"rate": 3.0}))
-            )
+            # An audit's constructor runs every check its spec allows, so no
+            # audit spec fails mid-chunk: its second cell raises by hand.
+            if kind == "resilience":
+                grid, owner = RESILIENCE_GRID, AuditContext
+                spec = ResilienceSpec(
+                    base=_audit_base(), coalitions=((0,),), adversaries=("equivocate", "crash")
+                )
+            else:
+                grid, owner = CHAOS_GRID, ChaosContext
+                spec = ChaosSpec(base=_audit_base(), faults=("loss", "duplicate"))
+            diagnostic = "injected failure"
+            run_cell = owner.run_cell
+
+            def failing_run_cell(self, point, instance):
+                if point == 1:
+                    raise SpecError(f"cells[{point}]", diagnostic)
+                return run_cell(self, point, instance)
+
+            monkeypatch.setattr(owner, "run_cell", failing_run_cell)
         closed = []
         original_close = owner.close
 
@@ -410,6 +415,27 @@ class TestResourceLifecycle:
         assert isinstance(excinfo.value.partial_results[0][2], grid.record_type)
         assert isinstance(excinfo.value.cause, SpecError)  # the typed error rides along
         # The worker body's finally closed its context despite the mid-chunk error.
+        assert len(closed) == 1
+
+    @pytest.mark.parametrize("kind", ["sweep", "resilience", "chaos"])
+    def test_a_context_whose_spec_fails_a_check_closes_its_cache(self, monkeypatch, kind):
+        closed = []
+        original_close = ComponentCache.close
+
+        def spying_close(self):
+            closed.append(self)
+            original_close(self)
+
+        monkeypatch.setattr(ComponentCache, "close", spying_close)
+        base = _spec({"users": 4, "providers": 3, "config": {"k": 2}})
+        if kind == "sweep":
+            make, spec = SweepContext, SweepSpec(base=base)
+        elif kind == "resilience":
+            make, spec = AuditContext, ResilienceSpec(base=base, coalitions=((0,),))
+        else:
+            make, spec = ChaosContext, ChaosSpec(base=base, faults=("loss",))
+        with pytest.raises(SpecError, match=r"config\.k: .*m=3 executing providers, k=2"):
+            make(spec)
         assert len(closed) == 1
 
     def test_sequential_sweep_closes_mechanisms_on_error(self, monkeypatch):

@@ -165,6 +165,18 @@ class TestSpecDrivenCommands:
         assert payload["base"]["rounds"] == 3
         assert [record["instance"] for record in payload["records"]] == [0, 1, 2]
 
+    def test_run_prints_the_record_of_a_one_round_sweep(self, tmp_path, capsys):
+        # The CLI's two ways to run one round: ``run`` and a scenario file as a
+        # one-point sweep.  Under modelled time they print one record.
+        path = tmp_path / "scenario.toml"
+        dump_spec(self._spec(), path)
+        assert main(["run", "--spec", str(path), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert main(["sweep", "--spec", str(path), "--json"]) == 0
+        (swept,) = json.loads(capsys.readouterr().out)["records"]
+        assert list(record) == list(swept)
+        assert record == swept
+
     def test_sweep_command_runs_grid(self, tmp_path, capsys):
         sweep = SweepSpec(base=self._spec(), name="grid", axes=(("users", (4, 6)),))
         path = tmp_path / "sweep.toml"
@@ -429,6 +441,52 @@ class TestChaosFaultTargets:
         assert not journal.exists()
 
 
+class TestSpecErrorsLeaveNoJournal:
+    """A spec the grid context refuses exits 2 before ``--output`` exists, so
+    the corrected spec can write the same path."""
+
+    @staticmethod
+    def _k3_on_five_providers(tmp_path):
+        base = spec_from_dict(
+            {"mechanism": "double", "users": 6, "providers": 5, "latency": "constant",
+             "measure_compute": False}
+        )
+        sweep = SweepSpec(base=base, name="k3", points=({}, {"config.k": 3}))
+        path = tmp_path / "sweep.json"
+        dump_spec(sweep, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["resilience", "--spec", "examples/specs/resilience.json",
+                 "--set", 'coalitions=[["p09"]]'],
+                "error: coalitions[0][0]: unknown provider id 'p09'; "
+                "executing providers: p00, p01, p02, p03, p04\n",
+            ),
+            (
+                ["sweep", "--spec", "examples/specs/fig4_quick.json", "--set", "mechanism=vcg"],
+                "error: users: at most max_users=16 for 'exact-vcg', got 20\n",
+            ),
+            (
+                None,
+                "error: config.k: the rational-consensus building block requires m > 2k; "
+                "got m=5 executing providers, k=3\n",
+            ),
+        ],
+        ids=["resilience-coalition", "sweep-max-users", "sweep-second-point-k"],
+    )
+    def test_exits_2_without_a_journal(self, argv, error, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        if argv is None:
+            argv = ["sweep", "--spec", str(self._k3_on_five_providers(tmp_path))]
+        journal = tmp_path / "journal.jsonl"
+        assert main(argv + ["--output", str(journal)]) == 2
+        assert capsys.readouterr().err == error
+        assert not journal.exists()
+
+
 class TestAuditScheduleParameters:
     """A schedule parameter that is malformed or names no executor exits 2."""
 
@@ -501,6 +559,18 @@ class TestObservabilityCommands:
     def test_trace_missing_journal_is_a_spec_error(self, capsys):
         assert main(["trace", "does-not-exist.rcol"]) == 2
         assert "trace journal not found" in capsys.readouterr().err
+
+    def test_trace_of_a_results_journal_is_a_spec_error(self, tmp_path, capsys):
+        journal = tmp_path / "results.jsonl"
+        argv = ["sweep", "--spec", str(REPO_ROOT / "examples" / "specs" / "fig4_quick.json")]
+        argv += ["--set", "measure_compute=false", "--output", str(journal)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["trace", str(journal)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {journal}: not a trace journal; "
+            "read results with 'repro-auction results summarize'\n"
+        )
 
     def test_metrics_subcommand_renders_table_and_json(self, tmp_path, capsys):
         _trace, metrics, _ = self._run_observed(tmp_path, capsys)
