@@ -44,6 +44,7 @@ The package is organised in layers, bottom-up:
     the lower layers when you need custom objects a spec cannot express.
 """
 
+from repro.common import lazy_exports
 from repro.auctions.base import (
     Allocation,
     AuctionResult,
@@ -57,31 +58,16 @@ from repro.core.outcome import ABORT, Outcome
 
 #: Scenario-layer names re-exported lazily (PEP 562): resolving them imports
 #: repro.scenarios (specs, runner, grid, stores, workloads) on first use, so a plain
-#: ``import repro`` for the low-level API stays as cheap as before the
-#: scenario layer existed.
-_SCENARIO_EXPORTS = frozenset(
-    {
-        "RunRecord",
-        "ScenarioSpec",
-        "SpecError",
-        "SweepSpec",
-        "load_spec",
-        "run_sweep",
-    }
+#: ``import repro`` for the low-level API loads neither the scenario layer nor
+#: NumPy (``tests/test_import_footprint.py``).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    dict.fromkeys(
+        ("RunRecord", "ScenarioSpec", "SpecError", "SweepSpec", "load_spec", "run_sweep"),
+        "repro.scenarios",
+    ),
 )
-
-
-def __getattr__(name):
-    if name in _SCENARIO_EXPORTS:
-        import repro.scenarios as _scenarios
-
-        return getattr(_scenarios, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _SCENARIO_EXPORTS)
-
 
 __version__ = "1.1.0"
 

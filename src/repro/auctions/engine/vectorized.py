@@ -15,6 +15,10 @@ StandardAuction` whose two expensive pieces are swapped out:
 Results are bit-identical to the reference (the contract of DESIGN.md, enforced by
 ``tests/auctions/test_engine_equivalence.py``); the kernel's docstring lists what
 pins them.
+
+The kernel (and NumPy) is imported at the first kernel call, not with this module,
+so a double-auction process never loads it (``tests/test_import_footprint.py``);
+a test may still patch the kernel's attributes, which are looked up per call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.auctions.base import Allocation, BidVector, UserBid
-from repro.auctions.engine import kernel
 from repro.auctions.engine.pivot import bid_vector_fingerprint, shared_solve_cache
 from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.validation import eligible_user_bids
@@ -95,6 +98,8 @@ class VectorizedStandardAuction(StandardAuction):
             obs.metrics.counter("engine.kernel_calls").inc()
             obs.metrics.counter("engine.kernel_rows").inc(rows)
             obs.metrics.counter("engine.kernel_cells").inc(rows * len(users))
+        from repro.auctions.engine import kernel
+
         return kernel.solve_batch(users, capacities, problems, *self.engine_params())
 
     def _pivot_welfares(
@@ -136,6 +141,8 @@ class VectorizedStandardAuction(StandardAuction):
             )
         if not misses:
             return welfares
+
+        from repro.auctions.engine import kernel
 
         users = eligible_user_bids(bids)
         capacities = self.eligible_capacities(bids)

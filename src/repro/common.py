@@ -11,8 +11,9 @@ indexes in one and the codec ships one by reference.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
-from typing import Any, NoReturn
+from typing import Any, Callable, Dict, List, Mapping, NoReturn, Tuple
 
 __all__ = [
     "ABORT",
@@ -22,6 +23,7 @@ __all__ = [
     "WIRE_SIZE_ATTR",
     "available_cpus",
     "is_abort",
+    "lazy_exports",
     "memoise",
     "stable_hash",
 ]
@@ -58,6 +60,27 @@ def stable_hash(*parts: Any) -> int:
     """
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
+
+
+def lazy_exports(
+    package: str, namespace: Dict[str, Any], table: Mapping[str, str]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """A package's PEP 562 ``(__getattr__, __dir__)`` pair.
+
+    ``table`` maps each lazily exported name to the module defining it, which
+    is imported on the name's first access; ``dir()`` lists the package's own
+    ``namespace`` (its ``globals()``) and every lazy name.
+    """
+
+    def __getattr__(name: str) -> Any:
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(table[name]), name)
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
 
 
 def memoise(instance: Any, attr: str, memo: Any) -> Any:

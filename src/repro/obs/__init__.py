@@ -7,9 +7,10 @@ DESIGN.md, "The observability plane".
 
 This ``__init__`` is deliberately lazy (PEP 562): ``repro.net.network``
 imports ``repro.obs.context`` at module scope, which executes this file —
-eagerly importing the tracer here would drag the store plane (and numpy)
-into every network import and recreate the import cycle the context
-module exists to break.  ``observe`` is the one front-door helper worth
+eagerly importing the tracer here would drag the store plane into every
+network import and recreate the import cycle the context module exists to
+break.  NumPy loads only when a metrics hub builds its first histogram
+(:mod:`repro.obs.metrics`).  ``observe`` is the one front-door helper worth
 defining here, and it imports its machinery inside the function body.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
+from repro.common import lazy_exports
 from repro.obs.context import Observation, current_observation, swap_observation
 
 __all__ = [
@@ -35,26 +37,20 @@ __all__ = [
     "swap_observation",
 ]
 
-_LAZY = {
-    "MetricsHub": ("repro.obs.metrics", "MetricsHub"),
-    "render_metrics": ("repro.obs.metrics", "render_metrics"),
-    "SpanRecord": ("repro.obs.trace", "SpanRecord"),
-    "Tracer": ("repro.obs.trace", "Tracer"),
-    "load_trace": ("repro.obs.trace", "load_trace"),
-    "chrome_trace": ("repro.obs.export", "chrome_trace"),
-    "render_chrome": ("repro.obs.export", "render_chrome"),
-    "render_text": ("repro.obs.export", "render_text"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "MetricsHub": "repro.obs.metrics",
+        "render_metrics": "repro.obs.metrics",
+        "SpanRecord": "repro.obs.trace",
+        "Tracer": "repro.obs.trace",
+        "load_trace": "repro.obs.trace",
+        "chrome_trace": "repro.obs.export",
+        "render_chrome": "repro.obs.export",
+        "render_text": "repro.obs.export",
+    },
+)
 
 
 @contextmanager

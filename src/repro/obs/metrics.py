@@ -18,6 +18,8 @@ Three instrument classes, each carrying its ``kind`` in every snapshot:
     ``count``/``mean``/``min``/``max``/``p50``/``p90``/``p99`` dict — and
     therefore exactly the *empty snapshot* contract the store plane pins
     (``count=0``, everything else ``None``) when nothing was observed.
+    The accumulator's module (and with it NumPy) is imported when the
+    first histogram is built, so counters and gauges alone never load it.
 
 A :class:`MetricsHub` is a named-instrument namespace: ``hub.counter("x")``
 creates on first use and returns the same instrument afterwards.  The
@@ -34,7 +36,6 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.scenarios.aggregate import MetricAccumulator
 from repro.scenarios.spec import SpecError
 
 __all__ = [
@@ -96,6 +97,8 @@ class Histogram:
     __slots__ = ("_accumulator", "_pending")
 
     def __init__(self) -> None:
+        from repro.scenarios.aggregate import MetricAccumulator
+
         self._accumulator = MetricAccumulator()
         self._pending: List[float] = []
 

@@ -23,6 +23,7 @@ registries (:mod:`repro.scenarios.registry`) — a registry entry plus a spec
 file is a complete new scenario.
 """
 
+from repro.common import lazy_exports
 from repro.scenarios.builtin import figure4_sweep, figure5_sweep
 from repro.scenarios.dispatch import WorkerPlan, resolve_workers
 from repro.scenarios.chaos import ChaosRecord, ChaosSpec, FaultSpec, run_chaos
@@ -59,14 +60,6 @@ from repro.scenarios.spec import (
     spec_to_dict,
     spec_with_overrides,
 )
-from repro.scenarios.aggregate import (
-    MetricAccumulator,
-    StreamingSummary,
-    render_records,
-    render_series,
-    render_summary,
-)
-from repro.scenarios.columnar import ColumnarStoreBackend
 from repro.scenarios.store import (
     JsonlStoreBackend,
     ResultsStore,
@@ -75,6 +68,22 @@ from repro.scenarios.store import (
     sniff_format,
 )
 from repro.scenarios.sweep import ComponentCache, run_sweep
+
+#: The NumPy-backed exports resolve on first use (PEP 562), so that
+#: ``import repro.scenarios`` and a round that neither summarises nor writes a
+#: columnar journal never import NumPy (``tests/test_import_footprint.py``).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "MetricAccumulator": "repro.scenarios.aggregate",
+        "StreamingSummary": "repro.scenarios.aggregate",
+        "render_records": "repro.scenarios.aggregate",
+        "render_series": "repro.scenarios.aggregate",
+        "render_summary": "repro.scenarios.aggregate",
+        "ColumnarStoreBackend": "repro.scenarios.columnar",
+    },
+)
 
 __all__ = [
     "ADVERSARIES",

@@ -45,8 +45,8 @@ Every backend honours one contract (:class:`StoreBackend`):
   why ``convert_journal`` (fingerprint-preserving) lets ``--resume``
   continue a run across formats.
 
-* **summary**: streaming aggregation (:mod:`repro.scenarios.aggregate`)
-  over the journal without materialising the record list.
+* **summary**: streaming aggregation (:mod:`repro.scenarios.aggregate`, and
+  NumPy, imported by ``summary``) without materialising the record list.
 
 The file's format is *sniffed* from its first bytes, so readers never need
 to be told which backend wrote a journal; an explicit ``--store-format``
@@ -57,11 +57,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
-from repro.scenarios.aggregate import StreamingSummary
 from repro.scenarios.runner import RunRecord
 from repro.scenarios.spec import SpecError, spec_fingerprint
+
+if TYPE_CHECKING:
+    from repro.scenarios.aggregate import StreamingSummary
 
 __all__ = [
     "ResultsStore",
@@ -319,6 +321,8 @@ class JsonlStoreBackend(StoreBackend):
         neither the record list nor any record object is ever built.  A torn
         final line is tolerated exactly as in ``read``.
         """
+        from repro.scenarios.aggregate import StreamingSummary
+
         self.flush()
         summary = StreamingSummary(self.path)
         manifest: Optional[Dict[str, Any]] = None
@@ -470,6 +474,8 @@ def store_backends() -> Dict[str, type]:
 
 def _backend_class(kind: str, path: str) -> type:
     """The backend class named ``kind``; unknown kinds are a ``SpecError`` at ``path``."""
+    if kind == JsonlStoreBackend.kind:
+        return JsonlStoreBackend  # without importing the columnar module (and NumPy)
     backends = store_backends()
     if kind not in backends:
         raise SpecError(
