@@ -1,6 +1,6 @@
 """Command-line interface, built on the declarative scenario API.
 
-Eight sub-commands cover the common workflows::
+Seven sub-commands cover the common workflows::
 
     repro-auction run   --set users=100 --set providers=8 --set config.k=1
     repro-auction run   --spec scenario.toml --set users=200 --set config.k=2 --json
@@ -19,8 +19,6 @@ Eight sub-commands cover the common workflows::
     repro-auction sweep --spec sweep.json --trace trace.jsonl --metrics metrics.json
     repro-auction trace trace.jsonl --format chrome > trace_chrome.json
     repro-auction metrics metrics.json
-    repro-auction lint
-    repro-auction lint src --format json --select RPA001,RPA002
 
 ``run``, ``sweep``, ``resilience`` and ``chaos`` accept ``--trace FILE``
 (journal sim-time spans to FILE as the run executes; ``.rcol`` picks the
@@ -40,15 +38,6 @@ without ever materialising the record list; ``convert`` rewrites a journal
 in the other :func:`~repro.scenarios.store.store_backends` format
 (jsonl <-> columnar), preserving the manifest fingerprint so ``--resume``
 continues a converted journal exactly where the original stopped.
-
-``lint`` runs the determinism & contract linter (:mod:`repro.analysis`) over
-the given paths (default ``src``): the RPA rule set that statically pins the
-repo's bit-identity guarantee — wall-clock/RNG taint, unordered iteration,
-pool-unsafe exceptions and frozen ``*Spec`` dataclasses.  Exit status is part
-of the contract: 0 when clean, 1 when there are findings, 2 when the lint run
-itself failed (unknown ``--select`` code, missing path, unparseable file).
-Line-scoped ``# repro: noqa[RPAxxx]`` comments suppress
-individual findings; suppressions are counted in the report.
 
 ``resilience`` audits the paper's headline claim (Definition 2, k-resilient
 ex-post equilibrium): every coalition up to ``k`` runs every deviation of the
@@ -287,32 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="re-print the snapshot as indented JSON"
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="run the determinism & contract linter (RPA rule set) over source trees",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files or directories to lint (default: src under the current directory)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format: human-readable text (default) or the versioned "
-        "JSON document CI archives",
-    )
-    lint.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="RPAxxx[,RPAxxx...]",
-        help="run only these rule codes (repeatable, comma-separable); "
-        "unknown codes are a path-precise error",
-    )
-
     return parser
 
 
@@ -539,21 +502,6 @@ def _command_results(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    # Imported here, not at module top: lint is developer tooling and the
-    # simulation subcommands should not pay for (or be breakable by) it.
-    from repro.analysis import lint_paths, render_json, render_text
-
-    paths = list(args.paths)
-    if not paths:
-        if not os.path.exists("src"):
-            raise SpecError("paths", "no src/ directory here; name paths to lint")
-        paths = ["src"]
-    report = lint_paths(paths, select=args.select or None)
-    print(render_json(report) if args.format == "json" else render_text(report))
-    return 0 if report.clean else 1
-
-
 def _command_trace(args: argparse.Namespace) -> int:
     # Imported here, not at module top: export is an offline tool and the
     # simulation subcommands should not pay for it.
@@ -659,7 +607,6 @@ _COMMANDS = {
     "results": _command_results,
     "trace": _command_trace,
     "metrics": _command_metrics,
-    "lint": _command_lint,
 }
 
 

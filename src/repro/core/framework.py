@@ -214,10 +214,11 @@ class CentralizedAuctioneer:
         """Execute the auction centrally, reporting measured compute time."""
         rng = random.Random(stable_hash(self.seed, "centralized"))
         # The centralised counterpart of measure_compute: a real stopwatch until
-        # modelled compute replaces both (ROADMAP item 1).
-        start = time.perf_counter()  # repro: noqa[RPA001] centralised stopwatch
+        # modelled compute replaces both (ROADMAP item 1).  Both reads are
+        # allowlisted in tests/test_determinism_lint.py.
+        start = time.perf_counter()
         result = self.algorithm.run(bids, rng)
-        elapsed = time.perf_counter() - start  # repro: noqa[RPA001] centralised stopwatch
+        elapsed = time.perf_counter() - start
         outcome = Outcome(
             result=result,
             provider_outputs={"auctioneer": result},

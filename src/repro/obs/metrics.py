@@ -26,8 +26,8 @@ creates on first use and returns the same instrument afterwards.  The
 snapshot is sorted by name and built from each instrument's ``to_dict``,
 so its canonical JSON is byte-identical across reruns and
 ``PYTHONHASHSEED`` values — the hub is part of the repo's bit-identity
-surface, which is why this module lives in the linter's deterministic
-``obs`` package (no wall clock, no unordered iteration).
+surface, which is why this module lives in the deterministic ``obs``
+package (no wall clock, no unordered iteration).
 """
 
 from __future__ import annotations

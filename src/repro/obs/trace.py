@@ -9,9 +9,9 @@ O(1) appends, torn-tail repair, ``results convert``.
 
 **The sim-time-only rule.**  Every timestamp in a span is *modelled* time:
 ``SimNetwork``'s virtual clock for network spans, grid/sequence indices
-for executor and engine spans.  The wall clock never appears (this package
-is in the linter's deterministic set, so ``time.perf_counter`` and friends
-are RPA001 findings by construction), which is what makes a trace
+for executor and engine spans.  The wall clock never appears (``obs`` is a
+deterministic package, so ``tests/test_determinism_lint.py`` fails on a
+``time.perf_counter`` here), which is what makes a trace
 byte-identical across reruns, hosts and ``PYTHONHASHSEED`` values — a
 trace diff is therefore a *behaviour* diff, never noise.
 

@@ -179,12 +179,12 @@ class TestOnePassClearingAgainstOracle:
     """``repr`` equality: ``-0.0`` vs ``0.0``, ``1`` vs ``1.0`` and entry order all count."""
 
     @given(clearing_instances())
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     def test_generated_instances(self, bids):
         assert repr(DoubleAuction().run(bids)) == repr(ReferenceDoubleAuction().run(bids))
 
     @given(clearing_instances(min_users=25, min_providers=4))
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
     def test_generated_markets_large_enough_to_clear(self, bids):
         assert repr(DoubleAuction().run(bids)) == repr(ReferenceDoubleAuction().run(bids))
 

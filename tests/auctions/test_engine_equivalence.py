@@ -225,7 +225,7 @@ _GENERATED = dict(
     perturbation=st.sampled_from([0.05, 0.0]),
 )
 _SETTINGS = dict(
-    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
 
@@ -304,7 +304,7 @@ def _noise_rows(draw):
 
 class TestNoiseDraw:
     @given(case=_noise_rows())
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, derandomize=True)
     def test_rows_equal_per_draw_random(self, case):
         rows, width = case
         noise = kernel._noise(rows, width)
@@ -387,7 +387,7 @@ def _scan_moves(values, demands, residuals, hosts, loser):
 
 class TestLocalSearchMarks:
     @given(state=_search_states())
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300, derandomize=True)
     def test_marks_equal_the_pairwise_scan(self, state):
         values, demands, remaining, provider, losers, rows = state
         marks = kernel._marks(

@@ -82,7 +82,7 @@ def test_which_mechanisms_declare_themselves_seed_free():
 
 
 @pytest.mark.parametrize("kind", sorted(_MECHANISMS))
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50, derandomize=True)
 @given(bids=small_vectors())
 def test_declaration_matches_the_draws(kind, bids):
     mechanism = _MECHANISMS[kind]()

@@ -6,11 +6,17 @@ import random
 from typing import Callable, Dict, Optional, Sequence
 
 import pytest
+from hypothesis import settings
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
 from repro.net.network import SimNetwork
 from repro.net.protocol import ProtocolBlock, ProtocolNode
 from repro.net.scheduler import Scheduler
+
+# Every property test runs without Hypothesis's wall-clock deadline: an
+# example that is slow on a loaded host is not a failure.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 def run_block_network(

@@ -1105,7 +1105,7 @@ class TestOneTaskGraph:
 class TestReplicatedPathStaysAudited:
     """Definition 1 is still *checked* once one computation serves m providers."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, derandomize=True)
     @given(
         bids=_bid_vectors(),
         mechanism=st.sampled_from(sorted(_MECHANISMS)),

@@ -184,7 +184,7 @@ _nodes = st.sampled_from(["a", "b", "c", "x"])
 class TestProbe:
     """``probe`` draws what the discarded size-0 ``delay`` drew, and ``delay`` is unchanged."""
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=150)
     @given(model=_models, sender=_nodes, recipient=_nodes, seed=st.integers(0, 2**32))
     def test_probe_draws_what_a_size_zero_delay_draws(self, model, sender, recipient, seed):
         probed, delayed = random.Random(seed), random.Random(seed)
@@ -192,7 +192,7 @@ class TestProbe:
         model.delay(sender, recipient, 0, delayed)
         assert probed.getstate() == delayed.getstate()
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=150)
     @given(
         model=_models,
         sender=_nodes,

@@ -186,19 +186,19 @@ def assert_matches_reference(value) -> None:
 
 class TestAgainstRecursiveWalkers:
     @given(payloads)
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_generated_payload_trees(self, value):
         assert_matches_reference(value)
 
     @given(payloads)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_deep_immutable_is_the_walkers_gate(self, value):
         # Twice: the second answer may come from a size memo the first one kept.
         for _ in range(2):
             assert deep_immutable(value) is reference._estimate(value)[1]
 
     @given(payloads)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_encode_before_size(self, value):
         first = encoded(canonical_encode, value)
         assert first == encoded(reference.canonical_encode, value)
@@ -331,7 +331,7 @@ class TestMemoSafety:
             canonical_encode({"k": (1, Opaque())})
 
     @given(payloads)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_estimate_size_never_raises(self, value):
         assert estimate_size([Opaque(), value, object]) > 0
 
@@ -340,7 +340,7 @@ class TestFrozenMap:
     """On the wire a frozen map is the dict it was built from."""
 
     @given(st.one_of(st.dictionaries(hashables, payloads, max_size=4), st.dictionaries(text, payloads)))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_bytes_and_size_of_the_dict_it_replaces(self, mapping):
         frozen = FrozenMap(mapping)
         assert frozen == mapping and mapping == frozen

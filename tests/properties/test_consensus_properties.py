@@ -53,7 +53,7 @@ _payloads = st.recursive(
 
 
 class TestBitEncodingRoundTrip:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(payload=_payloads)
     def test_value_bits_reassemble_canonical_bytes(self, payload):
         bits = value_to_bits(payload)
@@ -61,14 +61,14 @@ class TestBitEncodingRoundTrip:
         assert len(bits) % 8 == 0
         assert bits_to_value(bits) == canonical_encode(payload)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(payload=_payloads)
     def test_equal_values_encode_to_equal_bits(self, payload):
         # The per-bit agreement mode relies on the encoding being a function
         # of the *value*: re-encoding the same payload must be bit-identical.
         assert value_to_bits(payload) == value_to_bits(payload)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         unit_value=st.floats(allow_nan=False, allow_infinity=False),
         demand=st.floats(allow_nan=False, allow_infinity=False),
@@ -120,12 +120,12 @@ _providers = st.integers(min_value=0, max_value=12).map(lambda i: f"p{i:02d}")
 
 
 class TestMajorityDecisionAgainstCounting:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(values=st.dictionaries(_providers, _proposals, min_size=1, max_size=7))
     def test_matches_counting_on_mixed_maps(self, values):
         assert majority_decision(values) is _counted_majority(values)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         providers=st.lists(_providers, min_size=1, max_size=7, unique=True),
         shared=_proposals,

@@ -63,19 +63,19 @@ bid_vectors = st.builds(
 
 class TestDoubleAuctionInvariants:
     @given(bid_vectors)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_feasibility(self, bids):
         result = DoubleAuction().run(bids)
         result.allocation.check_feasible(bids)
 
     @given(bid_vectors)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_budget_balance(self, bids):
         result = DoubleAuction().run(bids)
         assert budget_surplus(result.payments) >= -1e-9
 
     @given(bid_vectors)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_individual_rationality(self, bids):
         result = DoubleAuction().run(bids)
         for user_id in result.allocation.winners():
@@ -84,13 +84,13 @@ class TestDoubleAuctionInvariants:
             assert provider_utility(bids, result, provider_id) >= -1e-9
 
     @given(bid_vectors)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_welfare_is_nonnegative(self, bids):
         result = DoubleAuction().run(bids)
         assert social_welfare(bids, result.allocation) >= -1e-9
 
     @given(bid_vectors)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_determinism(self, bids):
         assert DoubleAuction().run(bids) == DoubleAuction().run(bids)
 
@@ -142,7 +142,7 @@ class TestDoubleAuctionPaymentsAreExact:
     """Payments are pinned bit for bit to ``price * user_total(uid)``."""
 
     @given(wide_bid_vectors)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_payments_equal_price_times_total(self, bids):
         result = DoubleAuction().run(bids)
         if result.allocation.is_empty():
@@ -228,7 +228,7 @@ _entries = st.lists(
 
 class TestSinglePassTotals:
     @given(_entries)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_totals_equal_the_per_id_sums_bit_for_bit(self, entries):
         allocation = Allocation(entries)
         assert allocation.user_totals() == {
@@ -239,7 +239,7 @@ class TestSinglePassTotals:
         }
 
     @given(wide_bid_vectors, _entries, st.booleans())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_check_feasible_keeps_messages_and_first_failure(self, bids, entries, single):
         allocation = Allocation(entries)
         assert _verdict(allocation.check_feasible, bids, single) == _verdict(
@@ -258,7 +258,7 @@ class TestSinglePassTotals:
         )
 
     @given(wide_bid_vectors, st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_check_feasible_on_mechanism_output(self, bids, single):
         allocation = DoubleAuction().run(bids).allocation
         assert _verdict(allocation.check_feasible, bids, single) == _verdict(
@@ -268,13 +268,13 @@ class TestSinglePassTotals:
 
 class TestStandardAuctionInvariants:
     @given(bid_vectors, st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_single_provider_feasibility(self, bids, seed):
         result = StandardAuction(epsilon=0.6).run(bids, random.Random(seed))
         result.allocation.check_feasible(bids, single_provider=True)
 
     @given(bid_vectors, st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_losers_pay_nothing_and_winners_are_rational(self, bids, seed):
         result = StandardAuction(epsilon=0.6).run(bids, random.Random(seed))
         winners = set(result.allocation.winners())
@@ -286,7 +286,7 @@ class TestStandardAuctionInvariants:
                 assert payment <= user.total_value + 1e-6
 
     @given(bid_vectors)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_greedy_baseline_feasible(self, bids):
         GreedyStandardAuction().run(bids).allocation.check_feasible(
             bids, single_provider=True
@@ -313,13 +313,13 @@ class TestStandardAuctionEngineInvariants:
         return make_standard_auction(engine, epsilon=0.6)
 
     @given(bids=bid_vectors, seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_no_capacity_violation(self, engine, bids, seed):
         result = self._mechanism(engine).run(bids, random.Random(seed))
         result.allocation.check_feasible(bids, single_provider=True)
 
     @given(bids=bid_vectors, seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_individual_rationality(self, engine, bids, seed):
         """Payment never exceeds the declared value of the allocated bundle."""
         result = self._mechanism(engine).run(bids, random.Random(seed))
@@ -330,7 +330,7 @@ class TestStandardAuctionEngineInvariants:
             assert payment >= 0.0
 
     @given(bids=bid_vectors, seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_losers_pay_nothing(self, engine, bids, seed):
         result = self._mechanism(engine).run(bids, random.Random(seed))
         winners = set(result.allocation.winners())

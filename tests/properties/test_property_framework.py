@@ -25,7 +25,7 @@ class TestCorrectSimulationProperty:
         network_seed=st.integers(min_value=0, max_value=10_000),
         use_random_schedule=st.booleans(),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_honest_simulation_matches_trusted_auctioneer(
         self, num_users, workload_seed, network_seed, use_random_schedule
     ):
@@ -51,7 +51,7 @@ class TestCorrectSimulationProperty:
         workload_seed=st.integers(min_value=0, max_value=10_000),
         inconsistent_value=st.floats(min_value=0.01, max_value=5.0),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_equivocating_bidder_never_causes_disagreement(
         self, workload_seed, inconsistent_value
     ):

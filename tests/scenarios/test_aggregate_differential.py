@@ -46,7 +46,7 @@ def _batches(values, cuts):
 
 
 class TestSparseAgainstDense:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, derandomize=True)
     @given(
         values=st.lists(VALUES, max_size=60),
         cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
@@ -65,7 +65,7 @@ class TestSparseAgainstDense:
         # Another batching: everything the histogram and min/max decide.
         assert _histogram_view(rebatched.to_dict()) == _histogram_view(expected)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, derandomize=True)
     @given(
         rows=st.integers(min_value=1, max_value=6),
         widths=st.lists(st.integers(min_value=0, max_value=25), min_size=1, max_size=3),

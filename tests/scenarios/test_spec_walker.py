@@ -178,7 +178,7 @@ def _holds_none(value) -> bool:
     "strategy", [scenarios(), sweeps, resiliences, chaoses], ids=["scenario", "sweep", "resilience", "chaos"]
 )
 def test_every_kind_round_trips_through_json_and_toml(strategy):
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, derandomize=True)
     @given(spec=strategy)
     def check(spec):
         _round_trips(spec)
@@ -265,7 +265,7 @@ def test_a_float_out_of_bounds_is_rejected_not_run(cls, name):
     host, wrap, prefix = _HOSTS[cls]
     valid = spec_from_dict(wrap({}), host)
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20, derandomize=True)
     @given(value=_bad_floats)
     def check(value):
         with pytest.raises(SpecError, match=name):
@@ -392,3 +392,65 @@ class TestConstructorsAreHeldToTheSameTypes:
             AdversarySpec("crash", {"label": "x"})
         with pytest.raises(SpecError, match=r"^points: a sweep may define 'points' or 'axes'"):
             spec_from_dict({"points": [{"users": 1}], "axes": {"users": [1]}}, SweepSpec)
+
+
+# ------------------------------------------------------------ the spec contract --
+def _walked_specs():
+    """Every ``*Spec`` class the walker reaches from the four spec kinds, bases included."""
+    seen, todo = set(), [ScenarioSpec, SweepSpec, ResilienceSpec, ChaosSpec]
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        todo.extend(base for base in cls.__mro__[1:] if base.__name__.endswith("Spec"))
+        if dataclasses.is_dataclass(cls):
+            hints = typing.get_type_hints(cls)
+            annotations = [hints[f.name] for f in dataclasses.fields(cls)]
+            while annotations:
+                annotation = annotations.pop()
+                annotations.extend(typing.get_args(annotation))
+                if isinstance(annotation, type) and annotation.__name__.endswith("Spec"):
+                    todo.append(annotation)
+    return seen
+
+
+def _contract_breaches(cls):
+    """How ``cls`` is not pure data: a frozen dataclass whose public,
+    non-constant class attributes are all fields (an untyped assignment is
+    silently not a field, so it never reaches a file, a fingerprint or a journal)."""
+    breaches = []
+    if not dataclasses.is_dataclass(cls) or not cls.__dataclass_params__.frozen:
+        breaches.append("not a frozen dataclass")
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    breaches.extend(
+        f"class attribute {name!r} is not a field"
+        for name, value in vars(cls).items()
+        if not (name.startswith("_") or name.isupper() or name in fields
+                or callable(value) or isinstance(value, (classmethod, property)))
+    )
+    return breaches
+
+
+def test_every_walked_spec_is_a_frozen_dataclass_of_fields():
+    specs = {cls.__name__: _contract_breaches(cls) for cls in _walked_specs()}
+    assert sorted(specs) == [
+        "AdversarySpec", "BidderSpec", "ChaosSpec", "ComponentSpec", "ConfigSpec", "FaultSpec",
+        "LabelledComponentSpec", "ResilienceSpec", "ScenarioSpec", "SweepSpec",
+    ]
+    assert specs == dict.fromkeys(specs, [])
+
+
+def test_the_contract_rejects_a_mutable_or_an_untyped_spec():
+    @dataclasses.dataclass
+    class MutableSpec:
+        shards: int = 1
+
+    @dataclasses.dataclass(frozen=True)
+    class UntypedSpec:
+        KINDS: typing.ClassVar[tuple] = ("a",)
+        shards: int = 1
+        replicas = 2
+
+    assert _contract_breaches(MutableSpec) == ["not a frozen dataclass"]
+    assert _contract_breaches(UntypedSpec) == ["class attribute 'replicas' is not a field"]

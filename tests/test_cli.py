@@ -29,10 +29,10 @@ class TestParser:
         assert args.spec is None
         assert args.overrides == []
 
-    def test_the_front_door_is_eight_subcommands(self):
+    def test_the_front_door_is_seven_subcommands(self):
         commands = _subparsers(build_parser())
         assert sorted(commands) == [
-            "chaos", "lint", "metrics", "resilience", "results", "run", "sweep", "trace",
+            "chaos", "metrics", "resilience", "results", "run", "sweep", "trace",
         ]
         run_options = {
             option
@@ -43,12 +43,12 @@ class TestParser:
             "-h", "--help", "--spec", "--set", "--json", "--trace", "--metrics",
         }
 
-    def test_lint_subcommand_present(self):
-        # The full lint CLI contract lives in tests/analysis/test_lint_cli.py;
-        # this only pins that the subcommand stays wired into the front door.
-        args = build_parser().parse_args(["lint", "--select", "RPA001"])
-        assert args.command == "lint"
-        assert args.select == ["RPA001"]
+    def test_lint_is_not_a_subcommand(self, capsys):
+        # The determinism checks are a test (tests/test_determinism_lint.py).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
