@@ -452,5 +452,11 @@ def test_the_contract_rejects_a_mutable_or_an_untyped_spec():
         shards: int = 1
         replicas = 2
 
+    class PlainSpec:
+        shards = 1
+
     assert _contract_breaches(MutableSpec) == ["not a frozen dataclass"]
     assert _contract_breaches(UntypedSpec) == ["class attribute 'replicas' is not a field"]
+    assert _contract_breaches(PlainSpec) == [
+        "not a frozen dataclass", "class attribute 'shards' is not a field",
+    ]

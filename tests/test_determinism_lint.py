@@ -175,16 +175,21 @@ def _pool_unsafe(cls: ast.ClassDef) -> bool:
     return False  # BaseException.__new__ keeps the constructor arguments as args
 
 
+def deterministic(path: str) -> bool:
+    """Whether RPA001/RPA002 read ``path``, a file under ``src/repro``."""
+    return path.split("/")[0] in DETERMINISTIC_PACKAGES and path not in EXEMPT_FILES
+
+
 def lint(source: str, path: str) -> List[Finding]:
     """Every finding in ``source``, read as the file ``path`` under ``src/repro``."""
     tree = ast.parse(source)
-    deterministic = path.split("/")[0] in DETERMINISTIC_PACKAGES and path not in EXEMPT_FILES
+    checked = deterministic(path)
     imports = _imports(tree)
     found = []
     for node, scope in _scoped(tree):
         if isinstance(node, ast.ClassDef) and _pool_unsafe(node):
             found.append(Finding(path, node.lineno, scope, "RPA003", node.name))
-        if not deterministic:
+        if not checked:
             continue
         if isinstance(node, ast.Call):
             head, dot, tail = (_dotted(node.func) or "").partition(".")
@@ -228,6 +233,14 @@ def _lint_src(**planted: str) -> List[Finding]:
 
 
 # ------------------------------------------------------------------- the repo --
+def test_the_package_table_matches_src():
+    # A new sub-package left out of the table would go unread.
+    packages = {path.name for path in SRC.iterdir()
+                if path.is_dir() and (path / "__init__.py").exists()}
+    assert packages == DETERMINISTIC_PACKAGES
+    assert all(path in _sources() for path in EXEMPT_FILES)
+
+
 def test_src_has_no_unexplained_finding():
     assert len(_sources()) > 50
     rest, allowed = unexplained(_lint_src())
@@ -237,6 +250,8 @@ def test_src_has_no_unexplained_finding():
 
 
 FUTURE = "from __future__ import annotations\n"
+CENTRAL_RUN = "        result = self.algorithm.run(bids, rng)\n"
+CENTRAL_INIT = "    def __init__(self, algorithm: AllocationAlgorithm, seed: int = 0) -> None:\n"
 
 
 def _plant(path: str, anchor: str, line: str) -> str:
@@ -250,6 +265,9 @@ def _plant(path: str, anchor: str, line: str) -> str:
     [
         ("net/network.py", "        handler(*args)\n", "        time.perf_counter()\n"),
         ("net/network.py", "        handler(*args)\n", "        time.time()\n"),
+        ("core/framework.py", CENTRAL_RUN, "        time.perf_counter()\n"),
+        ("core/framework.py", CENTRAL_INIT, "        time.perf_counter()\n"),
+        ("net/channel.py", FUTURE, "import time\nSTAMP = time.perf_counter()\n"),
         ("net/channel.py", FUTURE, "import time\nSTAMP = time.time()\n"),
         ("net/channel.py", FUTURE, "import random\nRNG = random.Random()\n"),
         ("net/channel.py", FUTURE, "import random\nDRAW = random.random()\n"),
@@ -294,6 +312,15 @@ FIRES = [
     ("import uuid\n\nx = uuid.uuid4()\n", DET, ("RPA001", 3)),
     ("import secrets\n\nx = secrets.token_bytes(8)\n", DET, ("RPA001", 3)),
     ("from datetime import datetime\n\nx = datetime.now()\n", DET, ("RPA001", 3)),
+    ("import time\n\nx = time.monotonic()\n", DET, ("RPA001", 3)),
+    ("import time as clock\n\nx = clock.time_ns()\n", DET, ("RPA001", 3)),
+    ("from time import perf_counter as tick\n\nx = tick()\n", DET, ("RPA001", 3)),
+    ("import datetime\n\nx = datetime.date.today()\n", DET, ("RPA001", 3)),
+    ("import uuid\n\nx = uuid.uuid1()\n", DET, ("RPA001", 3)),
+    ("import os\n\nx = os.getrandom(8)\n", DET, ("RPA001", 3)),
+    ("import random\n\nrng = random.SystemRandom(7)\n", DET, ("RPA001", 3)),
+    ("import random\n\nrandom.shuffle(items)\n", DET, ("RPA001", 3)),
+    ("import numpy\n\nseq = numpy.random.SeedSequence()\n", DET, ("RPA001", 3)),
     ("import time\n\nx = time.time()\n", "scenarios/sweep.py", ("RPA001", 3)),
     *[("import time\n\nx = time.perf_counter()\n", path, ("RPA001", 3)) for path in PROTOCOL_PATHS],
     ("for x in {1, 2, 3}:\n    print(x)\n", DET, ("RPA002", 1)),
@@ -307,9 +334,23 @@ FIRES = [
     ("def f(a, b):\n    return tuple(a & frozenset(b))\n", DET, ("RPA002", 2)),
     ("def f(a, b, c):\n    for x in set(a) ^ b ^ c:\n        yield x\n", DET, ("RPA002", 2)),
     ("def f(d, b):\n    for x in d.keys() - b:\n        yield x\n", DET, ("RPA002", 2)),
+    ("def f(d, b):\n    return [k for k in d.items() ^ b]\n", DET, ("RPA002", 2)),
+    ("def f(a, b):\n    return list(a.union(b))\n", DET, ("RPA002", 2)),
+    ("def f(a, b):\n    for x in a.difference(b):\n        yield x\n", DET, ("RPA002", 2)),
+    ("def f(a, b):\n    return {k: 1 for k in a.symmetric_difference(b)}\n", DET, ("RPA002", 2)),
+    ("total = tuple(x for x in {1, 2})\n", DET, ("RPA002", 1)),
+    ("async def f(a):\n    async for x in set(a):\n        yield x\n", DET, ("RPA002", 2)),
     *[("for x in {1, 2}:\n    print(x)\n", path, ("RPA002", 1)) for path in PROTOCOL_PATHS],
     (PRE_PR3_SPEC_ERROR, NON_DET, ("RPA003", 1)),
     (PRE_PR3_SPEC_ERROR, DET, ("RPA003", 1)),
+    ("class E(Exception):\n    def __init__(self, *, code):\n        super().__init__(code)\n",
+     NON_DET, ("RPA003", 1)),
+    ("class E(RuntimeError):\n    def __init__(self, code):\n        super().__init__(code, hint=1)\n",
+     NON_DET, ("RPA003", 1)),
+    ("class E(ValueError):\n    def __init__(self, a, b):\n        super().__init__(b, a)\n",
+     NON_DET, ("RPA003", 1)),
+    ("class W(UserWarning):\n    def __init__(self, a):\n        super().__init__(f'{a}')\n",
+     NON_DET, ("RPA003", 1)),
 ]
 
 CLEAN = [
@@ -330,6 +371,14 @@ CLEAN = [
     "    def __init__(self, path, message):\n"
     "        super().__init__(path, message)\n",
     "class QuietError(RuntimeError):\n    pass\n",
+    "import numpy as np\n\nseq = np.random.SeedSequence(5)\n",
+    "import random\n\nrng = random.Random(x=3)\n",
+    "import time\n\n\ndef f(t: time.struct_time) -> None:\n    pass\n",
+    "def f(a):\n    return len(set(a))\n",
+    "def f(a, b):\n    return sorted(a.union(b))\n",
+    "class E(ValueError):\n    def __init__(self, a, *rest):\n        super().__init__(a, *rest)\n",
+    "class E(ValueError):\n    def __init__(self, a, b):\n        self.a = a\n",
+    "class Box(Base):\n    def __init__(self, a, b):\n        super().__init__(f'{a}{b}')\n",
 ]
 
 
@@ -347,3 +396,17 @@ def test_a_clean_idiom_passes(source):
 def test_outside_the_deterministic_packages_only_rpa003_reads(path):
     source = "import time\n\nx = time.time()\nfor y in {1, 2}:\n    print(y)\n"
     assert lint(source, path) == []
+
+
+#: Real files of each kind: nested packages inherit, and ``obs`` traces sim time only.
+READ = ["auctions/base.py", "auctions/engine/kernel.py", "net/scheduler.py", "net/network.py",
+        "consensus/commitment.py", "gametheory/resilience.py", "scenarios/sweep.py", "obs/trace.py",
+        "core/framework.py", "core/allocator.py", "core/common_coin.py", "core/task_graph.py",
+        *PROTOCOL_PATHS]
+NOT_READ = [*EXEMPT_FILES, NON_DET, "common.py", "__init__.py"]
+
+
+@pytest.mark.parametrize("path", READ + NOT_READ)
+def test_which_files_the_determinism_checks_read(path):
+    assert path in _sources()
+    assert deterministic(path) is (path in READ)
