@@ -10,8 +10,8 @@ The package is organised in layers, bottom-up:
 
 ``repro.consensus``
     Rational-agent consensus building blocks: hash commitments, bid/bit-stream
-    encoding, binary rational consensus with equivocation detection, and a
-    multi-instance wrapper used by the bid agreement.
+    encoding, and the one rational consensus with equivocation detection, over
+    a labelled batch of instances, that every bid-agreement mode runs on.
 
 ``repro.auctions``
     The auction mechanisms the paper evaluates: a truthful budget-balanced double

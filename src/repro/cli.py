@@ -94,7 +94,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
-from repro.scenarios.aggregate import render_records, render_series
 from repro.scenarios.chaos import ChaosSpec, run_chaos
 from repro.scenarios.grid import GridResult
 from repro.scenarios.io import load_any, load_spec
@@ -107,6 +106,7 @@ from repro.scenarios.spec import (
     parse_assignments,
     spec_with_overrides,
 )
+from repro.scenarios.store import STORE_FORMATS
 from repro.scenarios.sweep import run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--store-format",
-            choices=_store_format_choices(),
+            choices=STORE_FORMATS,
             default=None,
             help="file format for a fresh --output journal: 'jsonl' (the "
             "greppable interchange default) or 'columnar' (typed NumPy "
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     convert.add_argument(
         "--to",
-        choices=_store_format_choices(),
+        choices=STORE_FORMATS,
         default=None,
         help="target format (default: the other one of jsonl/columnar)",
     )
@@ -277,13 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _store_format_choices():
-    """The two store-backend kinds (the --store-format/--to choices)."""
-    from repro.scenarios.store import store_backends
-
-    return list(store_backends())
 
 
 def _workers_argument(value: str):
@@ -411,6 +404,10 @@ def _report_store(result: GridResult, args: argparse.Namespace) -> None:
 
 
 def _print_sweep(result: GridResult, args: argparse.Namespace) -> None:
+    # Imported here: the aggregation layer loads NumPy, which a double-auction
+    # run or audit never needs.
+    from repro.scenarios.aggregate import render_records, render_series
+
     if args.series:
         print(render_series(result.records))
     else:

@@ -8,35 +8,25 @@ provider, and any detectable deviation leads the correct providers to output ⊥
 This package provides:
 
 * :mod:`repro.consensus.commitment` — hash-based commit/reveal commitments, used by
-  the common coin and by the committed variants of consensus.
+  the common coin.
 * :mod:`repro.consensus.bit_encoding` — the bid ⇄ bit-stream encoding described in
   Section 4.1 of the paper (each bid is turned into a fixed-length stream of bits and
   each bit is agreed on by one binary consensus instance).
-* :mod:`repro.consensus.rational_consensus` — a full-information broadcast/echo
-  consensus block with equivocation detection; works for binary inputs (the paper's
-  building block) and for values from any finite domain.
-* :mod:`repro.consensus.multi_consensus` — a batched variant running many labelled
-  instances over shared messages, used by the bid agreement in its efficient mode.
+* :mod:`repro.consensus.multi_consensus` — the one consensus protocol: a
+  full-information broadcast/echo block with equivocation detection over a
+  labelled batch of instances.  Every bid-agreement mode runs on it; the modes
+  differ only in how many labels one block carries (all of them, one label, or
+  one bid bit).
 """
 
-from repro.consensus.bit_encoding import (
-    bits_to_bid,
-    bits_to_value,
-    bid_to_bits,
-    value_to_bits,
-)
+from repro.consensus.bit_encoding import bits_to_bid, bid_to_bits
 from repro.consensus.commitment import Commitment, CommitmentScheme
 from repro.consensus.multi_consensus import BatchedConsensusBlock
-from repro.consensus.rational_consensus import BinaryConsensusBlock, RationalConsensusBlock
 
 __all__ = [
     "BatchedConsensusBlock",
-    "BinaryConsensusBlock",
     "Commitment",
     "CommitmentScheme",
-    "RationalConsensusBlock",
     "bid_to_bits",
     "bits_to_bid",
-    "bits_to_value",
-    "value_to_bits",
 ]

@@ -2,29 +2,18 @@
 
 Section 4.1 of the paper implements bid agreement by having each provider generate,
 for every bidder, "a stream of bits uniquely determined from the bid" and running one
-binary rational-consensus instance per bit.  This module provides that encoding:
-
-* a *generic* encoding of any canonically-encodable value into bits (length-prefixed
-  canonical bytes), and
-* a *fixed-width* encoding specialised for bandwidth-auction user bids (unit value and
-  demand as 64-bit IEEE-754 doubles), which is what the per-bit bid-agreement mode
-  uses because every provider must a-priori know how many consensus instances to run.
+binary rational-consensus instance per bit.  This module provides that encoding for
+bandwidth-auction user bids: a *fixed-width* stream (unit value and demand as 64-bit
+IEEE-754 doubles), which is what the per-bit bid-agreement mode uses because every
+provider must a-priori know how many consensus instances to run.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Sequence
+from typing import List, Sequence
 
-from repro.net.serialization import canonical_encode
-
-__all__ = [
-    "value_to_bits",
-    "bits_to_value",
-    "bid_to_bits",
-    "bits_to_bid",
-    "BID_BIT_LENGTH",
-]
+__all__ = ["bid_to_bits", "bits_to_bid", "BID_BIT_LENGTH"]
 
 #: Number of bits in the fixed-width encoding of a user bid (two float64 fields).
 BID_BIT_LENGTH = 128
@@ -39,8 +28,7 @@ def _bytes_to_bits(data: bytes) -> List[int]:
 
 
 def _bits_to_bytes(bits: Sequence[int]) -> bytes:
-    if len(bits) % 8 != 0:
-        raise ValueError("bit stream length must be a multiple of 8")
+    """Pack a bit stream whose length is a multiple of 8 (the caller checks it)."""
     out = bytearray()
     for index in range(0, len(bits), 8):
         byte = 0
@@ -50,21 +38,6 @@ def _bits_to_bytes(bits: Sequence[int]) -> bytes:
             byte = (byte << 1) | bit
         out.append(byte)
     return bytes(out)
-
-
-def value_to_bits(value: Any) -> List[int]:
-    """Encode an arbitrary canonically-encodable value as a list of bits."""
-    return _bytes_to_bits(canonical_encode(value))
-
-
-def bits_to_value(bits: Sequence[int]) -> bytes:
-    """Inverse of :func:`value_to_bits` up to the byte level.
-
-    Canonical encoding is not meant to be decoded back into Python objects in
-    general; for the protocols we only ever need byte-level equality, so this
-    returns the reassembled bytes.
-    """
-    return _bits_to_bytes(bits)
 
 
 def bid_to_bits(unit_value: float, demand: float) -> List[int]:

@@ -1,17 +1,32 @@
-"""Batched consensus: many labelled instances over shared messages.
+"""Rational consensus (Afek et al., PODC 2014) over labelled batches of values.
 
-Running one :class:`~repro.consensus.rational_consensus.RationalConsensusBlock` per
-bidder (or per bit) is faithful to the paper's description but wasteful on the wire:
-with ``n`` bidders and ``m`` providers it sends ``O(n·m²)`` small messages.  A real
-deployment (and the paper's prototype, which finishes 1000-user auctions in under a
-second over a WAN) batches the instances: each provider sends *one* message per peer
-per round carrying the values for every label.
+The framework's bid agreement builds on the rational consensus abstraction: a
+protocol among ``m`` providers with the guarantees
 
-:class:`BatchedConsensusBlock` implements exactly the same two-round
-broadcast/echo/decide structure as the single-instance block, but over a labelled
-dictionary of inputs.  Per-label decisions use the same majority rule, so the batched
-and per-instance modes agree on the output whenever both terminate (a property checked
-by the test suite).
+1. if all providers follow the protocol, then they all eventually output the same
+   value, and that value was the *input of some provider*; and
+2. the protocol is a k-resilient equilibrium under *solution preference* (providers
+   prefer any agreed valid outcome over ⊥) and ``m > 2k``.
+
+:class:`BatchedConsensusBlock` is the full-information variant, run over a
+labelled dictionary of inputs — one consensus instance per label, all sharing
+two broadcast rounds:
+
+* **value round** — every provider broadcasts its batch (label -> input);
+* **echo round** — once a provider holds a batch from every participant it
+  broadcasts the collected batches;
+* **decision** — when all echoes have arrived the provider checks that every peer
+  reported the *same* batches (any mismatch means some provider equivocated, and
+  the correct response under solution preference is ⊥); if consistent, each label
+  decides its :func:`majority_decision` input.
+
+The decision rule makes each output the input of some provider and is a symmetric
+function of the agreed batches, so all correct providers decide identically.  The
+bid agreement chooses how many instances share one block: all labels (its
+``batched`` mode, one message per peer per round), one label per block
+(``per_label``) or one bid bit per block (``per_bit``, the paper's binary
+instances); ``tests/consensus/rational_consensus.py`` keeps an independent
+single-value implementation the suite compares this block against.
 
 Batches are :class:`~repro.net.serialization.FrozenMap` values shared by reference: a
 provider freezes its inputs once, every receiver keeps that same object, and an echo
@@ -25,15 +40,26 @@ identity; any other object, however equal, gets the full label and validator che
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import is_
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.common import ABORT
-from repro.consensus.rational_consensus import majority_decision
 from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.net.serialization import FrozenMap
 
-__all__ = ["BatchedConsensusBlock", "LabelSet", "label_set"]
+__all__ = ["BatchedConsensusBlock", "LabelSet", "label_set", "majority_decision"]
 
 
 class LabelSet(NamedTuple):
@@ -46,6 +72,43 @@ class LabelSet(NamedTuple):
 def label_set(labels: Iterable[str]) -> LabelSet:
     ordered = tuple(sorted(labels))
     return LabelSet(ordered, frozenset(ordered))
+
+
+def majority_decision(values: Dict[str, Any]) -> Any:
+    """Deterministic symmetric decision rule over a provider->value mapping.
+
+    Returns the most frequent value; ties are broken in favour of the value proposed
+    by the smallest provider id among the tied values.  Unhashable values are
+    compared by repr for counting purposes (protocol payloads are plain data, so this
+    is only a defensive fallback).
+    """
+    if not values:
+        raise ValueError("cannot decide over an empty value set")
+    # Unanimity on one shared object (what every provider holds after relaying
+    # a bidder's message) needs no counting.  Identity only: values that are
+    # merely equal are counted below, where unhashable ones are handled.
+    candidates = iter(values.values())
+    first = next(candidates)
+    for value in candidates:
+        if value is not first:
+            break
+    else:
+        return first
+
+    def key_of(value: Any) -> Hashable:
+        try:
+            hash(value)
+            return value
+        except TypeError:
+            return repr(value)
+
+    counts: Counter = Counter(key_of(v) for v in values.values())
+    best_count = max(counts.values())
+    tied_keys = {key for key, count in counts.items() if count == best_count}
+    for provider_id in sorted(values):
+        if key_of(values[provider_id]) in tied_keys:
+            return values[provider_id]
+    raise AssertionError("unreachable: some provider must hold a tied value")
 
 
 def _frozen(mapping: Mapping[Any, Any]) -> FrozenMap:

@@ -22,13 +22,7 @@ from repro.core.bid_agreement import BidAgreementBlock
 from repro.core.common_coin import CommonCoinBlock
 from repro.core.config import FrameworkConfig
 from repro.core.data_transfer import DataTransferBlock
-from repro.core.distributions import (
-    DiscreteDistribution,
-    Distribution,
-    ExponentialDistribution,
-    SeedDistribution,
-    UniformDistribution,
-)
+from repro.core.distributions import Distribution, SeedDistribution, UniformDistribution
 from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer, SimulationReport
 from repro.core.input_validation import InputValidationBlock
 from repro.core.outcome import ABORT, Outcome
@@ -41,10 +35,8 @@ __all__ = [
     "CentralizedAuctioneer",
     "CommonCoinBlock",
     "DataTransferBlock",
-    "DiscreteDistribution",
     "DistributedAuctioneer",
     "Distribution",
-    "ExponentialDistribution",
     "FrameworkBlock",
     "FrameworkConfig",
     "InputValidationBlock",

@@ -10,12 +10,19 @@ providers must therefore agree on a single vector of bids such that
   bid in the agreed vector.
 
 The paper implements this on top of the rational consensus of Afek et al., one binary
-consensus instance per bit of a per-bidder bit stream.  This block supports that
-faithful mode (``per_bit``), a per-bidder mode (one consensus instance per bidder,
-``per_label``), and a batched mode (``batched``, the default) in which all instances
-share two broadcast/echo rounds — the message pattern a real deployment uses, and the
-one the benchmark harness exercises.  All three modes produce identical outputs when
-they terminate.
+consensus instance per bit of a per-bidder bit stream.  Every mode runs the one
+consensus block, :class:`~repro.consensus.multi_consensus.BatchedConsensusBlock`; a
+mode only decides how the label batch is split into blocks:
+
+* ``batched`` (the default) — one block over every label, so all instances share two
+  broadcast/echo rounds: the message pattern a real deployment uses, and the one the
+  benchmark harness exercises;
+* ``per_label`` — one single-label block per bidder (and per ask);
+* ``per_bit`` — the paper's faithful mode: one single-label block per bit of each
+  user bid, its values checked to be bits, plus one per ask.
+
+All three modes produce identical outputs when they terminate, and all three honour
+``round_timeout``.
 
 Whatever a bidder's misbehaviour, the agreed value for it is post-processed by the
 validity rule of §4.1: an invalid or missing bid is replaced by a pre-determined
@@ -27,19 +34,17 @@ travel through the same agreement under ``ask:`` labels.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.auctions.base import BidVector, ProviderAsk, UserBid
+from repro.auctions.base import BidVector, UserBid
 from repro.auctions.validation import (
     coerce_user_bid,
     is_valid_provider_ask,
     neutral_provider_ask,
-    neutral_user_bid,
 )
 from repro.common import ABORT, is_abort, memoise
 from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bid
 from repro.consensus.multi_consensus import BatchedConsensusBlock, LabelSet, label_set
-from repro.consensus.rational_consensus import BinaryConsensusBlock, RationalConsensusBlock
 from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.net.serialization import DERIVED_ATTR, FrozenMap
 from repro.obs.context import current_observation
@@ -62,6 +67,11 @@ def _kept_or_copied(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
     return mapping if type(mapping) is FrozenMap else dict(mapping)
 
 
+def _is_bit(value: Any) -> bool:
+    """The per-bit mode's validator: a decided value is a bit (§4.1)."""
+    return value in (0, 1)
+
+
 def agreement_messages(m: int) -> int:
     """Messages of an honest batched agreement of ``m`` providers (§4.1): value + echo."""
     return 2 * m * (m - 1)
@@ -79,9 +89,8 @@ class BidAgreementBlock(ProtocolBlock):
         received_provider_asks: mapping provider id -> the ask this provider received
             (its own ask included).
         mode: ``"batched"`` (default), ``"per_label"`` or ``"per_bit"``.
-        round_timeout: per-round virtual-time budget for the batched mode (see
-            :class:`~repro.consensus.multi_consensus.BatchedConsensusBlock`);
-            ignored by the faithful per-label/per-bit modes.
+        round_timeout: per-round virtual-time budget of every consensus block
+            (see :class:`~repro.consensus.multi_consensus.BatchedConsensusBlock`).
     """
 
     def __init__(
@@ -145,108 +154,92 @@ class BidAgreementBlock(ProtocolBlock):
 
     # -- protocol -------------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:
-        if self.mode == "batched":
-            batch, labels = self._shared_input()
+        instances = self._instances()
+        # Set the pending counter *before* spawning: a child block can complete
+        # synchronously during activation (its peers' traffic may already be
+        # buffered), and its callback decrements the counter.
+        self._pending = len(instances)
+        for name, inputs, labels, validator in instances:
+            if self.done:
+                return
             ctx.spawn(
-                "batch",
+                name,
                 BatchedConsensusBlock(
-                    "batch", batch, labels=labels, round_timeout=self.round_timeout
+                    name,
+                    inputs,
+                    labels=labels,
+                    validator=validator,
+                    round_timeout=self.round_timeout,
                 ),
-                self._on_batch_done,
+                self._on_decided,
             )
-        elif self.mode == "per_label":
-            inputs = self._my_inputs()
-            self._pending = len(inputs)
-            for label, value in sorted(inputs.items()):
-                ctx.spawn(
-                    label,
-                    RationalConsensusBlock(label, value),
-                    self._make_label_callback(label),
-                )
-        else:  # per_bit
-            self._start_per_bit(ctx)
 
     def on_message(self, ctx: BlockContext, sender: str, subtag: str, payload: Any) -> None:
         # All traffic flows through child blocks; nothing is addressed to this block
         # directly.
         return None
 
-    # -- batched mode -----------------------------------------------------------------
-    def _on_batch_done(self, block: ProtocolBlock) -> None:
+    def _instances(
+        self,
+    ) -> List[Tuple[str, FrozenMap, Optional[LabelSet], Optional[Callable[[Any], bool]]]]:
+        """The consensus blocks of this mode: ``(name, inputs, labels, validator)``.
+
+        ``batched`` is one block named ``batch`` over the shared batch and label
+        set.  The faithful modes run one single-label block per instance, named
+        by its label: ``per_label`` one per label, ``per_bit`` one per bit of each
+        user bid (labels ``user:<id>/bitNNN``, values checked to be bits, §4.1)
+        and one per ask — the bit-stream construction targets the (user)
+        bidders, whose bids are the adversarial input, while the ask of a
+        provider is that provider's own protocol input.
+        """
+        batch, labels = self._shared_input()
+        if self.mode == "batched":
+            return [("batch", batch, labels, None)]
+        if self.mode == "per_label":
+            return [
+                (label, FrozenMap({label: value}), None, None)
+                for label, value in sorted(batch.items())
+            ]
+        instances = []
+        for uid in self.expected_users:
+            bid = coerce_user_bid(uid, self.received_user_bids.get(uid))
+            for position, bit in enumerate(bid_to_bits(bid.unit_value, bid.demand)):
+                label = f"{_USER_PREFIX}{uid}/bit{position:03d}"
+                instances.append((label, FrozenMap({label: bit}), None, _is_bit))
+        for pid in self.expected_providers:
+            label = f"{_ASK_PREFIX}{pid}"
+            instances.append((label, FrozenMap({label: batch[label]}), None, None))
+        return instances
+
+    def _on_decided(self, block: ProtocolBlock) -> None:
+        """One consensus block decided; the last one assembles the vector.
+
+        The batched block's decision is adopted as it is — honest providers
+        decide one object and share what ``_assemble`` derives from it.  The
+        faithful modes merge their single-label decisions into a ``dict`` of
+        their own, and ``per_bit`` decodes each user's decided bits into a bid.
+        """
+        if self.done:
+            return
         if is_abort(block.result):
             self.complete(ABORT)
             return
-        self._decisions = block.result
+        if self.mode == "batched":
+            self._decisions = block.result
+        else:
+            self._decisions.update(block.result)
+        self._pending -= 1
+        if self._pending:
+            return
+        if self.mode == "per_bit":
+            for uid in self.expected_users:
+                label = f"{_USER_PREFIX}{uid}"
+                bits = [
+                    self._decisions.pop(f"{label}/bit{position:03d}")
+                    for position in range(BID_BIT_LENGTH)
+                ]
+                self._decisions[label] = UserBid(uid, *bits_to_bid(bits))
         self._assemble()
-
-    # -- per-label mode -----------------------------------------------------------------
-    def _make_label_callback(self, label: str):
-        def callback(block: ProtocolBlock) -> None:
-            if self.done:
-                return
-            if is_abort(block.result):
-                self.complete(ABORT)
-                return
-            self._decisions[label] = block.result
-            self._pending -= 1
-            if self._pending == 0:
-                self._assemble()
-
-        return callback
-
-    # -- per-bit mode -----------------------------------------------------------------
-    def _start_per_bit(self, ctx: BlockContext) -> None:
-        """One binary consensus instance per bit of each user bid (§4.1, faithful mode).
-
-        Provider asks still go through per-label consensus: the paper's bit-stream
-        construction targets the (user) bidders, whose bids are the adversarial
-        input, while the ask of a provider is that provider's own protocol input.
-        """
-        self._bit_results: Dict[str, List[Optional[int]]] = {}
-        # Set the pending counter *before* spawning: a child block can complete
-        # synchronously during activation (its peers' traffic may already be
-        # buffered), and its callback decrements the counter.
-        self._pending = len(self.expected_users) * BID_BIT_LENGTH + len(self.expected_providers)
-        for uid in self.expected_users:
-            received = self.received_user_bids.get(uid)
-            bid = coerce_user_bid(uid, received)
-            bits = bid_to_bits(bid.unit_value, bid.demand)
-            self._bit_results[uid] = [None] * BID_BIT_LENGTH
-            for position, bit in enumerate(bits):
-                if self.done:
-                    return
-                block_name = f"{_USER_PREFIX}{uid}/bit{position:03d}"
-                ctx.spawn(
-                    block_name,
-                    BinaryConsensusBlock(block_name, bit),
-                    self._make_bit_callback(uid, position),
-                )
-        for pid in self.expected_providers:
-            if self.done:
-                return
-            label = f"{_ASK_PREFIX}{pid}"
-            ctx.spawn(
-                label,
-                RationalConsensusBlock(label, self.received_provider_asks.get(pid)),
-                self._make_label_callback(label),
-            )
-
-    def _make_bit_callback(self, uid: str, position: int):
-        def callback(block: ProtocolBlock) -> None:
-            if self.done:
-                return
-            if is_abort(block.result):
-                self.complete(ABORT)
-                return
-            self._bit_results[uid][position] = block.result
-            self._pending -= 1
-            if all(b is not None for b in self._bit_results[uid]):
-                unit_value, demand = bits_to_bid(self._bit_results[uid])
-                self._decisions[f"{_USER_PREFIX}{uid}"] = UserBid(uid, unit_value, demand)
-            if self._pending == 0:
-                self._assemble()
-
-        return callback
 
     # -- assembly ---------------------------------------------------------------------
     def _assemble(self) -> None:
@@ -256,7 +249,7 @@ class BidAgreementBlock(ProtocolBlock):
         it is built once per decided *object*: honest providers of a batched
         round hold the same :class:`~repro.net.serialization.FrozenMap` and
         complete with the same vector.  Any other view — a majority decision,
-        a deviant's own container, the per-label modes' plain dict — is
+        a deviant's own container, the faithful modes' merged dict — is
         another object and builds its own.
         """
         if self.done:

@@ -36,12 +36,11 @@ class FrameworkConfig:
             guarantee.
         round_timeout: virtual-time budget per agreement round (``None``, the
             default, waits forever — the paper's reliable-substrate assumption).
-            When set, the batched bid agreement closes each round with the
-            batches/echoes received so far instead of hanging on a silent peer;
-            a round closed early marks the run *degraded* (see
-            :class:`~repro.core.outcome.Outcome`).  Honoured by the default
-            ``"batched"`` agreement mode; the faithful ``per_label``/``per_bit``
-            modes ignore it.
+            When set, every consensus block of the bid agreement, in each
+            agreement mode, closes each round with the batches/echoes received
+            so far instead of hanging on a silent peer, and so do the
+            allocator's blocks; a round closed early marks the run *degraded*
+            (see :class:`~repro.core.outcome.Outcome`).
     """
 
     k: int = 1

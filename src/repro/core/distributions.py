@@ -12,15 +12,11 @@ be part of a protocol payload.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 __all__ = [
     "Distribution",
     "UniformDistribution",
-    "ExponentialDistribution",
-    "DiscreteDistribution",
     "SeedDistribution",
 ]
 
@@ -48,51 +44,6 @@ class UniformDistribution(Distribution):
     def transform(self, uniform: float) -> float:
         uniform = self._check(uniform)
         return self.low + (self.high - self.low) * uniform
-
-
-@dataclass(frozen=True)
-class ExponentialDistribution(Distribution):
-    """Exponential with the given rate (inverse scale)."""
-
-    rate: float = 1.0
-
-    def transform(self, uniform: float) -> float:
-        uniform = self._check(uniform)
-        # Guard the log: uniform == 0 maps to 0, the infimum of the support.
-        return 0.0 if uniform == 0.0 else -math.log1p(-uniform) / self.rate
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution(Distribution):
-    """A finite discrete distribution over arbitrary values.
-
-    Attributes:
-        values: the support.
-        weights: non-negative weights (normalised internally); defaults to uniform.
-    """
-
-    values: Tuple = ()
-    weights: Tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("DiscreteDistribution needs a non-empty support")
-        if self.weights and len(self.weights) != len(self.values):
-            raise ValueError("weights must match values in length")
-        if self.weights and (min(self.weights) < 0 or sum(self.weights) <= 0):
-            raise ValueError("weights must be non-negative and not all zero")
-
-    def transform(self, uniform: float) -> object:
-        uniform = self._check(uniform)
-        weights: Sequence[float] = self.weights or tuple(1.0 for _ in self.values)
-        total = float(sum(weights))
-        threshold = uniform * total
-        cumulative = 0.0
-        for value, weight in zip(self.values, weights):
-            cumulative += weight
-            if threshold < cumulative:
-                return value
-        return self.values[-1]
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,6 @@ class InputValidationBlock(ProtocolBlock):
     Args:
         name: block name.
         my_input: this provider's input (any canonically-encodable value).
-        full_broadcast: if True, send the full input instead of its digest.  The
-            digest mode is the default because it is what a deployment would do; the
-            full mode is useful in tests that want to inspect traffic.
         round_timeout: virtual-time budget for the announce round (``None``
             waits forever).  On timeout the cross-check clears with the
             announcements received — a partial check, flagged via
@@ -56,18 +53,16 @@ class InputValidationBlock(ProtocolBlock):
         self,
         name: str,
         my_input: Any,
-        full_broadcast: bool = False,
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
         self.my_input = my_input
-        self.full_broadcast = full_broadcast
         self.round_timeout = round_timeout
         self._received: Dict[str, Any] = {}
 
     # -- helpers ------------------------------------------------------------------
     def _fingerprint(self, value: Any) -> Any:
-        """The announcement: ``value`` itself, or its digest.
+        """The announcement: the digest of ``value``.
 
         The digest depends on the contents alone, so a deep-immutable value
         keeps it (:func:`~repro.net.serialization.deep_immutable`, the gate of
@@ -75,8 +70,6 @@ class InputValidationBlock(ProtocolBlock):
         rounds of one instance — hold one agreed vector and digest it once.
         Any other object, a forged or copied view included, digests its own.
         """
-        if self.full_broadcast:
-            return value
         kept = deep_immutable(value)
         digest = getattr(value, _DIGEST_ATTR, None) if kept else None
         shared = digest is not None

@@ -70,6 +70,7 @@ __all__ = [
     "StoreBackend",
     "JsonlStoreBackend",
     "DEFAULT_STORE_FORMAT",
+    "STORE_FORMATS",
     "sniff_format",
     "store_backends",
     "make_backend",
@@ -84,6 +85,10 @@ RawRow = Tuple[int, int, Dict[str, Any]]
 
 #: The interchange format; what a fresh path gets when no format is requested.
 DEFAULT_STORE_FORMAT = "jsonl"
+
+#: Every journal format, sorted: the keys of :func:`store_backends`, named
+#: without importing the columnar module (and NumPy) to list them.
+STORE_FORMATS = ("columnar", "jsonl")
 
 #: First bytes of a columnar journal (defined here so sniffing needs no import
 #: of the columnar module; :mod:`repro.scenarios.columnar` re-uses it).
@@ -462,14 +467,16 @@ def sniff_format(path: Union[str, os.PathLike]) -> Optional[str]:
 
 
 def store_backends() -> Dict[str, type]:
-    """The journal formats: each backend class under its own ``kind``, sorted.
+    """The journal formats: each backend class under its own ``kind``, in
+    :data:`STORE_FORMATS` order.
 
     A function because :mod:`repro.scenarios.columnar` imports this module
     for the contract it implements; nothing is registered on import.
     """
     from repro.scenarios.columnar import ColumnarStoreBackend
 
-    return {cls.kind: cls for cls in (ColumnarStoreBackend, JsonlStoreBackend)}
+    backends = {cls.kind: cls for cls in (ColumnarStoreBackend, JsonlStoreBackend)}
+    return {kind: backends[kind] for kind in STORE_FORMATS}
 
 
 def _backend_class(kind: str, path: str) -> type:

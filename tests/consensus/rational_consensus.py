@@ -1,78 +1,29 @@
-"""Rational consensus (full-information broadcast/echo with equivocation detection).
+"""Single-instance rational consensus: the oracle for the batched block.
 
-The framework's bid agreement builds on the rational consensus abstraction of Afek et
-al. (PODC 2014): a protocol among ``m`` providers with the guarantees
-
-1. if all providers follow the protocol, then they all eventually output the same
-   value, and that value was the *input of some provider*; and
-2. the protocol is a k-resilient equilibrium under *solution preference* (providers
-   prefer any agreed valid outcome over ⊥) and ``m > 2k``.
-
-We implement the full-information variant:
+The full-information broadcast/echo protocol of Afek et al. (PODC 2014) for one
+value, written independently of
+:class:`~repro.consensus.multi_consensus.BatchedConsensusBlock`, which runs the
+same protocol over a labelled batch and is the only implementation the package
+ships.  ``tests/consensus/test_batched_consensus.py`` checks that a batch
+decides, label by label, what one instance of this block per label decides.
 
 * **value round** — every provider broadcasts its input to all participants;
 * **echo round** — once a provider has collected a value from every participant it
   broadcasts the collected vector;
 * **decision** — when all echo vectors have been received the provider checks that
   every peer reported the *same* value vector (any mismatch means some provider
-  equivocated, and the correct response under solution preference is to output ⊥);
-  if consistent, the decision is the *majority* input, with ties broken towards the
-  value of the lexicographically smallest provider id holding a majority value.
-
-The decision rule makes the output the input of some provider (condition 1) and is a
-symmetric function of the agreed vector, so all correct providers decide identically.
-Deviations that are observable (equivocation, malformed values) lead to ⊥; deviations
-that are not observable (lying about one's own input) cannot increase the deviator's
-utility because the allocator's input-validation step forces all providers to input
-the same agreed vector (see Theorem 1 in the paper and DESIGN.md).
+  equivocated, and the output is ⊥); if consistent, the decision is the majority
+  input, with ties broken towards the value of the lexicographically smallest
+  provider id holding a majority value.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.common import ABORT
+from repro.consensus.multi_consensus import majority_decision
 from repro.net.protocol import BlockContext, ProtocolBlock
-
-__all__ = ["RationalConsensusBlock", "BinaryConsensusBlock", "majority_decision"]
-
-
-def majority_decision(values: Dict[str, Any]) -> Any:
-    """Deterministic symmetric decision rule over a provider->value mapping.
-
-    Returns the most frequent value; ties are broken in favour of the value proposed
-    by the smallest provider id among the tied values.  Unhashable values are
-    compared by repr for counting purposes (protocol payloads are plain data, so this
-    is only a defensive fallback).
-    """
-    if not values:
-        raise ValueError("cannot decide over an empty value set")
-    # Unanimity on one shared object (what every provider holds after relaying
-    # a bidder's message) needs no counting.  Identity only: values that are
-    # merely equal are counted below, where unhashable ones are handled.
-    candidates = iter(values.values())
-    first = next(candidates)
-    for value in candidates:
-        if value is not first:
-            break
-    else:
-        return first
-
-    def key_of(value: Any) -> Hashable:
-        try:
-            hash(value)
-            return value
-        except TypeError:
-            return repr(value)
-
-    counts: Counter = Counter(key_of(v) for v in values.values())
-    best_count = max(counts.values())
-    tied_keys = {key for key, count in counts.items() if count == best_count}
-    for provider_id in sorted(values):
-        if key_of(values[provider_id]) in tied_keys:
-            return values[provider_id]
-    raise AssertionError("unreachable: some provider must hold a tied value")
 
 
 class RationalConsensusBlock(ProtocolBlock):
@@ -172,10 +123,3 @@ class RationalConsensusBlock(ProtocolBlock):
                     self.complete(ABORT)
                     return
         self.complete(majority_decision(reference))
-
-
-class BinaryConsensusBlock(RationalConsensusBlock):
-    """The paper's binary building block: inputs restricted to {0, 1}."""
-
-    def __init__(self, name: str, my_input: int) -> None:
-        super().__init__(name, my_input, validator=lambda value: value in (0, 1))

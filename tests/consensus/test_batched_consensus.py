@@ -5,12 +5,12 @@ from unittest import mock
 import pytest
 
 from tests.conftest import run_block_network
+from tests.consensus.rational_consensus import RationalConsensusBlock
 
 from repro.auctions.base import UserBid
 from repro.common import ABORT
 from repro.consensus import multi_consensus
-from repro.consensus.multi_consensus import BatchedConsensusBlock
-from repro.consensus.rational_consensus import RationalConsensusBlock, majority_decision
+from repro.consensus.multi_consensus import BatchedConsensusBlock, majority_decision
 from repro.net import serialization
 from repro.net.scheduler import RandomScheduler
 from repro.net.serialization import FrozenMap, estimate_size
@@ -111,6 +111,37 @@ class TestConsistencyWithPerInstanceConsensus:
         assert batched["p0"] == per_label
         assert batched["p1"] == per_label
         assert batched["p2"] == per_label
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            pytest.param({"p0": 1, "p1": 1, "p2": 1}, id="unanimous-bit"),
+            pytest.param({"p0": 0, "p1": 1, "p2": 1, "p3": 1, "p4": 0}, id="majority-bit"),
+            pytest.param({"p0": 0, "p1": 1, "p2": 0, "p3": 1}, id="tied-bits"),
+            pytest.param({"p0": "alpha", "p1": "alpha", "p2": "beta"}, id="any-domain"),
+            pytest.param({"p0": [1], "p1": [2], "p2": [2]}, id="unhashable"),
+            pytest.param({"p0": None, "p1": UserBid("u0", 1.0, 0.5), "p2": None}, id="missing"),
+        ],
+    )
+    def test_a_single_label_block_decides_what_one_instance_decides(self, inputs):
+        """The faithful agreement modes run one single-label batched block per
+        instance: it must decide what the single-instance oracle decides."""
+        providers = list(inputs)
+        for seed in range(3):
+            oracle = run_block_network(
+                providers,
+                lambda nid: RationalConsensusBlock("c", inputs[nid]),
+                scheduler=RandomScheduler(),
+                seed=seed,
+            )
+            single = run_block_network(
+                providers,
+                lambda nid: BatchedConsensusBlock("c", {"c": inputs[nid]}),
+                scheduler=RandomScheduler(),
+                seed=seed,
+            )
+            assert len(set(map(repr, oracle.values()))) == 1
+            assert all(single[nid] == {"c": oracle[nid]} for nid in providers)
 
 
 # -- shared immutable batches ----------------------------------------------------------

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.consensus.bit_encoding import (
-    BID_BIT_LENGTH,
-    bid_to_bits,
-    bits_to_bid,
-    bits_to_value,
-    value_to_bits,
-)
+from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bid
 
 
 class TestFixedWidthBidEncoding:
@@ -28,20 +22,8 @@ class TestFixedWidthBidEncoding:
         with pytest.raises(ValueError):
             bits_to_bid([0, 1, 0])
 
-
-class TestGenericEncoding:
-    def test_round_trip_at_byte_level(self):
-        value = {"x": [1, 2, 3], "y": "abc"}
-        bits = value_to_bits(value)
-        assert bits_to_value(bits) == bits_to_value(value_to_bits(value))
-
-    def test_length_multiple_of_eight(self):
-        assert len(value_to_bits("hello")) % 8 == 0
-
     def test_invalid_bit_rejected(self):
+        bits = bid_to_bits(1.0, 0.5)
+        bits[3] = 2
         with pytest.raises(ValueError):
-            bits_to_value([0, 1, 2, 0, 0, 0, 0, 0])
-
-    def test_non_multiple_of_eight_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_value([0, 1, 0])
+            bits_to_bid(bits)

@@ -1,16 +1,24 @@
-"""Tests for the rational consensus building block."""
+"""Tests for the decision rule and for the single-instance consensus oracle.
+
+``majority_decision`` is the shipped rule (``repro.consensus.multi_consensus``);
+``RationalConsensusBlock`` is the test-side oracle the batched block is checked
+against, so it is held to the protocol's guarantees here, on binary inputs (the
+paper's building block) and on values from any finite domain.
+"""
 
 import pytest
 
 from tests.conftest import run_block_network
+from tests.consensus.rational_consensus import RationalConsensusBlock
 
 from repro.common import ABORT
-from repro.consensus.rational_consensus import (
-    BinaryConsensusBlock,
-    RationalConsensusBlock,
-    majority_decision,
-)
+from repro.consensus.multi_consensus import majority_decision
 from repro.net.scheduler import AdversarialScheduler, RandomScheduler
+
+
+def BinaryConsensusBlock(name, my_input):
+    """The paper's binary building block: inputs restricted to {0, 1}."""
+    return RationalConsensusBlock(name, my_input, validator=lambda value: value in (0, 1))
 
 
 class TestMajorityDecision:

@@ -5,10 +5,16 @@ import pytest
 from tests.conftest import run_block_network
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
+from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.validation import neutral_provider_ask, neutral_user_bid
-from repro.common import is_abort
-from repro.core.bid_agreement import BidAgreementBlock
+from repro.common import ABORT, is_abort
+from repro.community.workload import DoubleAuctionWorkload
+from repro.consensus.bit_encoding import BID_BIT_LENGTH
+from repro.core.bid_agreement import BidAgreementBlock, agreement_messages
+from repro.core.config import FrameworkConfig
+from repro.core.framework import DistributedAuctioneer
 from repro.net.scheduler import RandomScheduler
+from repro.net.serialization import FrozenMap
 
 PROVIDERS = ["p0", "p1", "p2"]
 USERS = ["u0", "u1"]
@@ -123,3 +129,64 @@ class TestConfiguration:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             make_block("p0", mode="telepathy")
+
+
+def double_round(mode, round_timeout=None):
+    """An honest double-auction round of ``PROVIDERS`` under agreement ``mode``."""
+    bids = DoubleAuctionWorkload(seed=1).generate(2, len(PROVIDERS), provider_ids=PROVIDERS)
+    return DistributedAuctioneer(
+        DoubleAuction(),
+        providers=PROVIDERS,
+        config=FrameworkConfig(k=1, agreement_mode=mode, round_timeout=round_timeout),
+    ).run_from_bids(bids)
+
+
+class TestOneConsensusBlock:
+    """Every mode runs the batched consensus block; a mode only splits the labels."""
+
+    LABELS = ["ask:p0", "ask:p1", "ask:p2", "user:u0000", "user:u0001"]
+    BLOCKS = {
+        "batched": ["batch"],
+        "per_label": LABELS,
+        "per_bit": [
+            f"user:{uid}/bit{position:03d}"
+            for uid in ("u0000", "u0001")
+            for position in range(BID_BIT_LENGTH)
+        ]
+        + LABELS[:3],
+    }
+
+    @pytest.mark.parametrize("mode", sorted(BLOCKS))
+    def test_every_block_sends_one_value_and_one_echo_round(self, mode):
+        report = double_round(mode)
+        assert not report.aborted
+        blocks = {
+            path[len("framework/ba/") :]: count
+            for path, count in report.stats.messages_by_tag.items()
+            if path.startswith("framework/ba/")
+        }
+        assert sorted(blocks) == sorted(self.BLOCKS[mode])
+        assert set(blocks.values()) == {agreement_messages(len(PROVIDERS))}
+
+    @pytest.mark.parametrize("mode", ["per_label", "per_bit"])
+    def test_a_healthy_timeout_changes_no_faithful_round(self, mode):
+        timed = double_round(mode, round_timeout=0.5)
+        assert not timed.outcome.degraded
+        assert timed.outcome.result == double_round("batched").outcome.result
+
+    def test_a_bit_instance_rejects_a_value_that_is_not_a_bit(self):
+        class NonBitSender(BidAgreementBlock):
+            """Broadcasts 2 as the first bit of u0's bid, skipping its own check."""
+
+            def _instances(self):
+                instances = super()._instances()
+                name, _, labels, _ = instances[0]
+                return [(name, FrozenMap({name: 2}), labels, None)] + instances[1:]
+
+        def factory(nid):
+            build = NonBitSender if nid == "p0" else BidAgreementBlock
+            return build("ba", USERS, PROVIDERS, dict(BIDS), dict(ASKS), mode="per_bit")
+
+        outputs = run_block_network(PROVIDERS, factory)
+        assert outputs["p1"] == ABORT
+        assert outputs["p2"] == ABORT

@@ -32,12 +32,6 @@ class TestInputValidation:
         assert is_abort(outputs["p0"])
         assert is_abort(outputs["p1"])
 
-    def test_full_broadcast_mode(self):
-        outputs = run_block_network(
-            ["p0", "p1"], lambda nid: InputValidationBlock("iv", (1, 2, 3), full_broadcast=True)
-        )
-        assert all(v == (1, 2, 3) for v in outputs.values())
-
     def test_works_with_two_providers_only(self):
         outputs = run_block_network(
             ["p0", "p1"], lambda nid: InputValidationBlock("iv", "same")

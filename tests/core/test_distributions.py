@@ -1,15 +1,8 @@
 """Tests for the common-coin target distributions."""
 
-import math
-
 import pytest
 
-from repro.core.distributions import (
-    DiscreteDistribution,
-    ExponentialDistribution,
-    SeedDistribution,
-    UniformDistribution,
-)
+from repro.core.distributions import SeedDistribution, UniformDistribution
 
 
 class TestUniform:
@@ -24,39 +17,6 @@ class TestUniform:
             UniformDistribution().transform(1.0)
         with pytest.raises(ValueError):
             UniformDistribution().transform(-0.1)
-
-
-class TestExponential:
-    def test_inverse_cdf(self):
-        dist = ExponentialDistribution(rate=2.0)
-        u = 0.5
-        assert dist.transform(u) == pytest.approx(-math.log1p(-u) / 2.0)
-        assert dist.transform(0.0) == 0.0
-
-    def test_monotone_in_u(self):
-        dist = ExponentialDistribution(rate=1.0)
-        assert dist.transform(0.9) > dist.transform(0.1)
-
-
-class TestDiscrete:
-    def test_uniform_support(self):
-        dist = DiscreteDistribution(values=("a", "b", "c"))
-        assert dist.transform(0.0) == "a"
-        assert dist.transform(0.34) == "b"
-        assert dist.transform(0.99) == "c"
-
-    def test_weighted_support(self):
-        dist = DiscreteDistribution(values=(0, 1), weights=(3.0, 1.0))
-        assert dist.transform(0.5) == 0
-        assert dist.transform(0.9) == 1
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution(values=())
-        with pytest.raises(ValueError):
-            DiscreteDistribution(values=(1, 2), weights=(1.0,))
-        with pytest.raises(ValueError):
-            DiscreteDistribution(values=(1, 2), weights=(-1.0, 0.0))
 
 
 class TestSeed:

@@ -42,12 +42,15 @@ def make_bids(users=8, seed=0):
     )
 
 
-def run_auction(round_timeout=None, plan=None, use_coin=True, seed=0):
+def run_auction(round_timeout=None, plan=None, use_coin=True, seed=0, agreement_mode="batched"):
     auctioneer = DistributedAuctioneer(
         StandardAuction(),
         providers=PROVIDERS,
         config=FrameworkConfig(
-            k=1, round_timeout=round_timeout, use_common_coin=use_coin
+            k=1,
+            round_timeout=round_timeout,
+            use_common_coin=use_coin,
+            agreement_mode=agreement_mode,
         ),
         latency_model=UniformLatencyModel(0.001, 0.01),
         seed=seed,
@@ -103,11 +106,18 @@ class TestDegradedRuns:
         assert report.outcome.aborted
         assert not report.outcome.degraded
 
-    def test_partition_with_timeout_terminates_degraded(self):
+    @pytest.mark.parametrize("agreement_mode", ["batched", "per_label", "per_bit"])
+    def test_partition_with_timeout_terminates_degraded(self, agreement_mode):
         # The coin cannot agree across the partition, so the outcome is still
         # ⊥ — but every provider terminates with an explicit output and the
         # run is flagged degraded instead of silently hanging to quiescence.
-        report = run_auction(round_timeout=0.05, plan=eternal_partition(PROVIDERS[2]))
+        # Every agreement mode runs the one consensus block, so the faithful
+        # modes honour the timeout as the batched mode does.
+        report = run_auction(
+            round_timeout=0.05,
+            plan=eternal_partition(PROVIDERS[2]),
+            agreement_mode=agreement_mode,
+        )
         assert report.outcome.degraded
         assert all(
             output is not None for output in report.outcome.provider_outputs.values()

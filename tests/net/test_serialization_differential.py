@@ -207,25 +207,31 @@ class TestAgainstRecursiveWalkers:
     @pytest.mark.parametrize(
         "value",
         [
-            -0.0,
-            2**80,
-            float("nan"),
-            True,
-            Colour.HUGE,
-            Money(-0.0),
-            "日本語",
-            bytearray(b"ab"),
-            {1: "int key", "1": "str key", b"1": "bytes key", 1.5: None},
-            {float("nan"): 1, Money("nan"): 2},
-            {frozenset({1, 2}), (1, 2), "x"},
-            TaggedDict(tag="ignored"),
-            Pair(1, [2]),
-            Frozen,  # the class itself is not plain data
-            Frozen(zeta=(Slotted(1, "é"),), a={"k": Mutable([1], {2})}),
-            FrozenChild(1, 2),
-            [Opaque(), 1],
+            pytest.param(-0.0, id="negative-zero"),
+            pytest.param(2**80, id="int-beyond-64-bits"),
+            pytest.param(float("nan"), id="nan"),
+            pytest.param(True, id="bool"),
+            pytest.param(Colour.HUGE, id="enum"),
+            pytest.param(Money(-0.0), id="float-subclass"),
+            pytest.param("日本語", id="non-ascii-str"),
+            pytest.param(bytearray(b"ab"), id="bytearray"),
+            pytest.param(
+                {1: "int key", "1": "str key", b"1": "bytes key", 1.5: None},
+                id="dict-mixed-keys",
+            ),
+            pytest.param({float("nan"): 1, Money("nan"): 2}, id="dict-nan-keys"),
+            # Explicit ids throughout: a set's repr follows PYTHONHASHSEED.
+            pytest.param({frozenset({1, 2}), (1, 2), "x"}, id="set-mixed"),
+            pytest.param(TaggedDict(tag="ignored"), id="dict-subclass"),
+            pytest.param(Pair(1, [2]), id="namedtuple"),
+            pytest.param(Frozen, id="dataclass-type"),  # the class itself is not plain data
+            pytest.param(
+                Frozen(zeta=(Slotted(1, "é"),), a={"k": Mutable([1], {2})}),
+                id="frozen-dataclass-nested",
+            ),
+            pytest.param(FrozenChild(1, 2), id="frozen-dataclass-subclass"),
+            pytest.param([Opaque(), 1], id="opaque-object"),
         ],
-        ids=repr,
     )
     def test_named_cases(self, value):
         assert_matches_reference(value)

@@ -3,9 +3,10 @@
 Only four things import NumPy: a vectorized standard-auction solve
 (``auctions.engine.kernel``), a results summary and a metric histogram
 (``scenarios.aggregate``), and a columnar journal (``scenarios.columnar``).
-Importing the package, and a double-auction round through any runner,
-sweep or chaos audit that does none of those four, never does — it would
-add ~90 modules and ~12 MiB to every such process.  Each case runs in a fresh
+Importing the package or the CLI, and a double-auction round through any
+runner, sweep, chaos audit or ``repro-auction run`` that does none of those
+four, never does — it would add ~90 modules and ~12 MiB to every such
+process.  Each case runs in a fresh
 interpreter, since this test process has long since imported NumPy.  The
 controls assert that NumPy is absent *before* their step and present after
 it, so the lock cannot pass by never seeing NumPy at all.
@@ -67,6 +68,12 @@ def _numpy_loaded(tmp_path, setup: str, step: str):
     "step",
     [
         pytest.param("import repro, repro.net, repro.obs", id="import"),
+        pytest.param("import repro.cli; repro.cli.build_parser()", id="cli-parser"),
+        pytest.param(
+            "import repro.cli; repro.cli.main(['run', '--set', 'users=12',"
+            " '--set', 'providers=5', '--set', 'measure_compute=false'])",
+            id="cli-double-run",
+        ),
         pytest.param(f"run_scenario({_double()})", id="double-distributed"),
         pytest.param(f"run_scenario({_double('centralized')})", id="double-centralized"),
         pytest.param(f"run_scenario({_double('auction_run')})", id="double-auction_run"),
