@@ -380,15 +380,17 @@ class AllocationAlgorithm(abc.ABC):
     with the same agreed seed computes the same result (this is how the common coin
     is consumed — see :mod:`repro.core.allocator`).  A mechanism whose ``run``
     never draws from ``rng`` declares ``randomized = False``: it is then a function
-    of ``bids`` alone, and rounds holding one agreed vector read one execution of
-    it whatever coin each drew.
+    of ``bids`` alone, so its rounds run no common coin (its allocator executes it
+    on the fixed seed 0), and rounds holding one agreed vector read one execution
+    of it.
     """
 
     #: Human-readable mechanism name.
     name: str = "abstract"
     #: True for double auctions where providers submit asks (costs).
     requires_provider_bids: bool = False
-    #: False if ``run`` never draws from ``rng`` (its result ignores the seed).
+    #: False if ``run`` never draws from ``rng`` (its result ignores the seed, and
+    #: its rounds skip the common coin).
     randomized: bool = True
     #: True if users must be served entirely by one provider or not at all.
     single_provider_allocation: bool = False

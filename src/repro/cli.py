@@ -97,6 +97,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 from repro.scenarios.chaos import ChaosSpec, run_chaos
 from repro.scenarios.grid import GridResult
 from repro.scenarios.io import load_any, load_spec
+from repro.scenarios.render import render_records, render_series, render_summary
 from repro.scenarios.resilience import ResilienceSpec, run_resilience
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import (
@@ -404,10 +405,6 @@ def _report_store(result: GridResult, args: argparse.Namespace) -> None:
 
 
 def _print_sweep(result: GridResult, args: argparse.Namespace) -> None:
-    # Imported here: the aggregation layer loads NumPy, which a double-auction
-    # run or audit never needs.
-    from repro.scenarios.aggregate import render_records, render_series
-
     if args.series:
         print(render_series(result.records))
     else:
@@ -479,7 +476,6 @@ def _print_resilience(result: GridResult, args: argparse.Namespace) -> None:
 def _command_results(args: argparse.Namespace) -> int:
     # Imported here, not at module top: the results plane (and its numpy
     # dependency surface) should not tax the simulation subcommands' startup.
-    from repro.scenarios.aggregate import render_summary
     from repro.scenarios.store import ResultsStore, convert_journal
 
     if args.results_command == "summarize":

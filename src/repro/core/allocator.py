@@ -3,10 +3,10 @@
 Two implementations are provided, matching the two regimes the paper evaluates:
 
 * :class:`SequentialAllocatorBlock` — input validation, one common-coin invocation to
-  agree on the random seed, then every provider runs ``A`` locally on the agreed
-  input.  This is the right choice when ``A`` is cheap (the double auction of
-  §5.2.1): the framework's overhead is pure coordination, which is exactly what
-  Figure 4 measures.
+  agree on the random seed (skipped when ``A`` is deterministic), then every
+  provider runs ``A`` locally on the agreed input.  This is the right choice when
+  ``A`` is cheap (the double auction of §5.2.1): the framework's overhead is pure
+  coordination, which is exactly what Figure 4 measures.
 
 * :class:`ParallelAllocatorBlock` — the parallel allocator framework of §4.2
   (Figure 3): after input validation and the common coin, the execution of ``A`` is
@@ -79,8 +79,10 @@ class SeededAllocatorBlock(ProtocolBlock):
         name: block name.
         bids: the agreed bid vector (output of the bid agreement).
         use_common_coin: if True (default), agree on the seed through the common
-            coin; if False, use a fixed seed of 0 (only sensible for deterministic
-            algorithms — still correct, but skips one round of messages).
+            coin; if False, use a fixed seed of 0.  ``FrameworkBlock`` passes
+            False for an algorithm that declares ``randomized = False`` whatever
+            the configuration says: no provider reads its seed, so the coin
+            would only cost ``2·m·(m−1)`` messages and two hops.
         round_timeout: per-round virtual-time budget forwarded to the child
             blocks (validation clears on a partial view, the coin outputs ⊥);
             ``None`` waits forever.

@@ -29,8 +29,10 @@ class FrameworkConfig:
         agreement_mode: ``"batched"`` (default), ``"per_label"`` or ``"per_bit"``;
             see :class:`~repro.core.bid_agreement.BidAgreementBlock`.
         use_common_coin: whether the allocator runs the common coin to agree on the
-            random seed of the allocation algorithm (True keeps the full block chain
-            of the paper; False saves one round for deterministic algorithms).
+            random seed of a randomized allocation algorithm (True keeps the full
+            block chain of the paper; False runs it on the fixed seed 0).  Moot
+            when the algorithm declares ``randomized = False``: its round never
+            runs the coin, since no provider reads the seed.
         require_quorum: if True, constructing a simulation with ``m <= 2k`` raises
             immediately instead of producing a protocol without its equilibrium
             guarantee.

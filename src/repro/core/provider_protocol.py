@@ -97,6 +97,8 @@ class FrameworkBlock(ProtocolBlock):
             return
         bids: BidVector = block.result
         assert self._ctx is not None
+        # The coin only agrees on A's seed, so a deterministic A skips it.
+        use_common_coin = self.config.use_common_coin and self.algorithm.randomized
         if self.config.runs_task_graph(self.algorithm):
             graph = task_graph_for(
                 self.algorithm,
@@ -109,7 +111,7 @@ class FrameworkBlock(ProtocolBlock):
                 "alloc",
                 bids,
                 graph,
-                use_common_coin=self.config.use_common_coin,
+                use_common_coin=use_common_coin,
                 round_timeout=self.config.round_timeout,
             )
         else:
@@ -117,7 +119,7 @@ class FrameworkBlock(ProtocolBlock):
                 "alloc",
                 bids,
                 self.algorithm,
-                use_common_coin=self.config.use_common_coin,
+                use_common_coin=use_common_coin,
                 round_timeout=self.config.round_timeout,
             )
         self._ctx.spawn("alloc", allocator, self._on_allocator_done)

@@ -60,6 +60,7 @@ from repro.scenarios.spec import (
     spec_to_dict,
     spec_with_overrides,
 )
+from repro.scenarios.render import render_records, render_series, render_summary
 from repro.scenarios.store import (
     JsonlStoreBackend,
     ResultsStore,
@@ -78,9 +79,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "MetricAccumulator": "repro.scenarios.aggregate",
         "StreamingSummary": "repro.scenarios.aggregate",
-        "render_records": "repro.scenarios.aggregate",
-        "render_series": "repro.scenarios.aggregate",
-        "render_summary": "repro.scenarios.aggregate",
         "ColumnarStoreBackend": "repro.scenarios.columnar",
     },
 )

@@ -196,7 +196,11 @@ class LabelledComponentSpec:
 
 @dataclass(frozen=True)
 class ConfigSpec:
-    """Pure-data mirror of :class:`~repro.core.config.FrameworkConfig`."""
+    """Pure-data mirror of :class:`~repro.core.config.FrameworkConfig`.
+
+    ``use_common_coin`` matters only for a randomized mechanism: a round of a
+    mechanism that reads no seed (the double auction) runs no coin either way.
+    """
 
     k: int = 1
     parallel: bool = False

@@ -1,11 +1,13 @@
 """A mechanism's ``randomized`` declaration is checked, not trusted.
 
-``SequentialAllocatorBlock`` leaves the coin seed out of its memo key for a
-mechanism that declares ``randomized = False``, so rounds that drew different
-coins read one execution of it.  That is only sound if ``run`` really never
-draws: every registered mechanism (and the vectorized engine) is run here on
-small generated vectors — ties, zero bids, bids at and past the validation
-bounds, single-provider markets — under generators that count or refuse draws.
+A round of a mechanism that declares ``randomized = False`` runs no common
+coin (its allocator executes it on the fixed seed 0), and
+``SequentialAllocatorBlock`` leaves the seed out of its memo key for it, so
+executions on different seeds read one result.  Both are only sound if ``run``
+really never draws: every registered mechanism (and the vectorized engine) is
+run here on small generated vectors — ties, zero bids, bids at and past the
+validation bounds, single-provider markets — under generators that count or
+refuse draws.
 """
 
 import random

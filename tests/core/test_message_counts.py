@@ -1,9 +1,10 @@
 """Each building block's message count in closed form, against the network's tally.
 
 An honest, fault-free round of ``m`` executors runs one batched bid agreement
-(value + echo), one input validation (one digest each) and one common coin
-(commit + reveal), whatever ``k``.  ``NetworkStats.messages_by_tag`` counts the
-deliveries per block path, so every formula is checked exactly, block by block.
+(value + echo), one input validation (one digest each) and, when ``A`` reads
+its seed, one common coin (commit + reveal), whatever ``k``.
+``NetworkStats.messages_by_tag`` counts the deliveries per block path, so every
+formula is checked exactly, block by block.
 """
 
 import functools
@@ -18,6 +19,7 @@ from repro.core.common_coin import coin_messages
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
 from repro.core.input_validation import validation_messages
+from repro.scenarios import ScenarioSpec, figure4_sweep, run_scenario, run_sweep
 
 #: Every (m, k) with m = 3..9 and m > 2k.
 GRID = [(m, k) for m in range(3, 10) for k in range(1, m) if m > 2 * k]
@@ -38,20 +40,47 @@ def block_messages(stats, prefix):
 
 
 def test_the_fig4_sweep_rows():
-    # The benchmark's net.msgs_* read 84 / 42 / 84 at m = 7, 112 / 56 / 112 at
-    # m = 8 and 40 / 20 / 40 at m = 5.
+    # The per-block formulas at the benchmark's m = 5, 7 and 8.  Only
+    # fig5_sweep's standard rounds (m = 8) read the coin column; the double
+    # rounds read net.msgs_common_coin 0 (see the next test).
     rows = {m: (agreement_messages(m), validation_messages(m), coin_messages(m)) for m in (5, 7, 8)}
     assert rows == {5: (40, 20, 40), 7: (84, 42, 84), 8: (112, 56, 112)}
+
+
+def test_the_benchmark_double_rounds_run_no_coin():
+    # Counted, never timed.  A fig4_sweep op's distributed points run k = 1, 2, 3
+    # on m = 2k+1 executors: bid agreement, input validation and no coin, since
+    # the double auction never reads a seed.
+    sweep = figure4_sweep(n_values=(300,), seed=1).with_base_overrides({"measure_compute": False})
+    records = run_sweep(sweep).records
+    rounds = {r.executors: r.messages for r in records if r.runner != "centralized"}
+    assert rounds == {m: 3 * m * (m - 1) for m in (3, 5, 7)} == {3: 18, 5: 60, 7: 126}
+    # A chatty_bidders op: n = 40 bidders submit to and hear back from m = 8
+    # providers (2nm), the providers swap asks (m(m-1)), then agree and validate.
+    n, m = 40, 8
+    chatty = ScenarioSpec(
+        name="chatty_bidders",
+        mechanism="double",
+        users=n,
+        providers=m,
+        runner="auction_run",
+        config={"k": 2},
+        latency="wan",
+        seed=1,
+        measure_compute=False,
+    )
+    assert run_scenario(chatty).messages == 2 * n * m + 4 * m * (m - 1) == 864
 
 
 @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
 @pytest.mark.parametrize("m, k", GRID, ids=[f"m{m}-k{k}" for m, k in GRID])
 def test_an_honest_round_sends_what_the_formulas_say(m, k, mechanism):
     factory, workload, config = MECHANISMS[mechanism]
+    algorithm = factory()
     providers = [f"p{i}" for i in range(m)]
     bids = workload(seed=m * 10 + k).generate(6, m, provider_ids=providers)
     report = DistributedAuctioneer(
-        factory(), providers=providers, config=FrameworkConfig(k=k, **config), seed=k
+        algorithm, providers=providers, config=FrameworkConfig(k=k, **config), seed=k
     ).run_from_bids(bids)
     assert not report.aborted and not report.outcome.degraded
     assert report.stats.faults_injected == 0
@@ -59,4 +88,5 @@ def test_an_honest_round_sends_what_the_formulas_say(m, k, mechanism):
         block_messages(report.stats, prefix)
         for prefix in ("framework/ba", "framework/alloc/iv", "framework/alloc/coin")
     ]
-    assert observed == [agreement_messages(m), validation_messages(m), coin_messages(m)]
+    coin = coin_messages(m) if algorithm.randomized else 0
+    assert observed == [agreement_messages(m), validation_messages(m), coin]

@@ -813,11 +813,11 @@ class TestInputLinkZero:
         with unshared():
             separate, separate_counts, _seeds = self._rounds_of_one_vector(mechanism_factory)
         assert shared == separate
-        assert len(seeds) == 2
         # A seeded A runs once per coin seed the two rounds drew, on the one
-        # agreed vector; a seed-free A once for both coins.
-        runs = len(seeds) if mechanism_factory.randomized else 1
-        assert counts == {"batches": 1, "vectors": 1, "digests": 1, "runs": runs}
+        # agreed vector; a seed-free A runs no coin, so both rounds read the
+        # fixed seed and A runs once for both.
+        assert len(seeds) == (2 if mechanism_factory.randomized else 1)
+        assert counts == {"batches": 1, "vectors": 1, "digests": 1, "runs": len(seeds)}
         assert separate_counts == {"batches": 8, "vectors": 8, "digests": 8, "runs": 8}
 
     def test_every_provider_holds_the_same_frozen_maps(self):

@@ -36,15 +36,29 @@ from repro.scenarios.spec import (
 PROVIDERS = default_provider_ids(3)
 
 
-def make_bids(users=8, seed=0):
-    return StandardAuctionWorkload(seed=seed).generate(
+#: mechanism name -> (algorithm, bid workload).
+MECHANISMS = {
+    "standard": (StandardAuction, StandardAuctionWorkload),
+    "double": (DoubleAuction, DoubleAuctionWorkload),
+}
+
+
+def make_bids(users=8, seed=0, mechanism="standard"):
+    return MECHANISMS[mechanism][1](seed=seed).generate(
         users, len(PROVIDERS), provider_ids=PROVIDERS
     )
 
 
-def run_auction(round_timeout=None, plan=None, use_coin=True, seed=0, agreement_mode="batched"):
+def run_auction(
+    round_timeout=None,
+    plan=None,
+    use_coin=True,
+    seed=0,
+    agreement_mode="batched",
+    mechanism="standard",
+):
     auctioneer = DistributedAuctioneer(
-        StandardAuction(),
+        MECHANISMS[mechanism][0](),
         providers=PROVIDERS,
         config=FrameworkConfig(
             k=1,
@@ -56,7 +70,7 @@ def run_auction(round_timeout=None, plan=None, use_coin=True, seed=0, agreement_
         seed=seed,
         fault_plan=plan,
     )
-    return auctioneer.run_from_bids(make_bids(seed=seed))
+    return auctioneer.run_from_bids(make_bids(seed=seed, mechanism=mechanism))
 
 
 def eternal_partition(node, seed=0):
@@ -123,14 +137,20 @@ class TestDegradedRuns:
             output is not None for output in report.outcome.provider_outputs.values()
         )
 
-    def test_deterministic_algorithm_degrades_to_the_baseline_result(self):
-        # Without the coin the degraded majority side — and the partitioned
-        # minority, which holds the same consistent inputs — all compute the
-        # baseline allocation: graceful degradation with a usable outcome.
-        baseline = run_auction(use_coin=False)
+    @pytest.mark.parametrize("agreement_mode", ["batched", "per_label", "per_bit"])
+    def test_deterministic_algorithm_degrades_to_the_baseline_result(self, agreement_mode):
+        # The double auction reads no seed, so its round runs no coin: the
+        # degraded majority side — and the partitioned minority, which holds the
+        # same consistent inputs — all compute the baseline allocation, a usable
+        # outcome rather than ⊥.  The default config, no knob.
+        baseline = run_auction(mechanism="double", agreement_mode=agreement_mode)
         degraded = run_auction(
-            round_timeout=0.05, plan=eternal_partition(PROVIDERS[2]), use_coin=False
+            round_timeout=0.05,
+            plan=eternal_partition(PROVIDERS[2]),
+            agreement_mode=agreement_mode,
+            mechanism="double",
         )
+        assert not baseline.outcome.aborted
         assert not baseline.outcome.degraded
         assert degraded.outcome.degraded
         assert not degraded.outcome.aborted
@@ -170,13 +190,17 @@ class TestDegradedRuns:
 
 
 class TestRunnersReportDegraded:
+    @pytest.mark.parametrize("mechanism", ["double", "standard"])
     @pytest.mark.parametrize("runner", ["distributed", "auction_run"])
-    def test_a_wan_round_under_a_tight_timeout_is_degraded(self, runner):
+    def test_a_wan_round_under_a_tight_timeout_is_degraded(self, runner, mechanism):
         # 4 ms is about one WAN hop (3 ms base, jitter, transfer): rounds close
-        # on a partial view and the round aborts.  Both runners flag it.
+        # on a partial view.  The standard auction's coin then outputs ⊥ and the
+        # round aborts; the double auction runs no coin and still clears.  Both
+        # runners flag the round degraded either way.
         spec = spec_from_dict(
             {
                 "runner": runner,
+                "mechanism": mechanism,
                 "users": 10,
                 "providers": 5,
                 "latency": "wan",
@@ -186,7 +210,7 @@ class TestRunnersReportDegraded:
             }
         )
         record = run_scenario(spec)
-        assert record.aborted
+        assert record.aborted == (mechanism == "standard")
         assert record.degraded
 
 
@@ -194,10 +218,11 @@ class TestDeviantProvidersReportDegraded:
     """A provider's flag is its root block's: no subclass can drop it."""
 
     def wan_round(self, deviant=None):
-        """The degraded WAN round of ``TestRunnersReportDegraded``, with ``p00``
-        built by ``deviant`` (honest when ``None``); returns ``p00`` and the report."""
+        """The degraded standard-auction WAN round of ``TestRunnersReportDegraded``,
+        with ``p00`` built by ``deviant`` (honest when ``None``); returns ``p00``
+        and the report.  Its coin round times out at ``p00`` as well."""
         providers = default_provider_ids(5)
-        bids = DoubleAuctionWorkload(seed=1).generate(10, 5, provider_ids=providers)
+        bids = StandardAuctionWorkload(seed=1).generate(10, 5, provider_ids=providers)
         nodes = {}
 
         def factory(provider_input, *args):
@@ -208,7 +233,7 @@ class TestDeviantProvidersReportDegraded:
             return node
 
         auctioneer = DistributedAuctioneer(
-            DoubleAuction(),
+            StandardAuction(),
             providers,
             FrameworkConfig(k=1, round_timeout=0.004),
             latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),

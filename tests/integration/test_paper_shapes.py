@@ -146,10 +146,13 @@ class TestBlockAblation:
         large = double_round(800).outcome.bytes_transferred
         assert large > 4 * small
 
-    def test_skipping_the_coin_sends_fewer_messages(self):
-        without_coin = double_round(100, use_common_coin=False)
-        assert not without_coin.aborted
-        assert without_coin.outcome.messages < double_round(100).outcome.messages
+    @pytest.mark.parametrize("use_common_coin", (True, False))
+    def test_a_double_round_sends_no_coin_traffic(self, use_common_coin):
+        # The double auction reads no seed, so the knob is moot: no coin runs.
+        report = double_round(100, use_common_coin=use_common_coin)
+        assert not report.aborted
+        assert messages_by_block(report)["coin"] == 0
+        assert report.outcome.messages == double_round(100).outcome.messages
 
     def test_skipping_the_coin_keeps_the_result(self):
         # The double auction is deterministic, so the coin's seed cannot matter.

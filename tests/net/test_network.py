@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from repro.auctions.double_auction import DoubleAuction
+from repro.auctions.standard_auction import StandardAuction
 from repro.common import stable_hash
-from repro.community.workload import DoubleAuctionWorkload
+from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.net.faults import (
     CrashFault,
@@ -245,7 +246,14 @@ class TestInFlightIntrospection:
         assert net.in_flight == []
 
 
-def auction_round(monkeypatch, users=40, providers=8, seed=1):
+def auction_round(
+    monkeypatch,
+    users=40,
+    providers=8,
+    seed=1,
+    mechanism=DoubleAuction,
+    workload=DoubleAuctionWorkload,
+):
     """One full ``AuctionRun`` round (bidder nodes + providers, k=2, jittered WAN
     latency); returns ``(network, result, bids)`` — the run's own network."""
     networks = []
@@ -256,10 +264,10 @@ def auction_round(monkeypatch, users=40, providers=8, seed=1):
             networks.append(self)
 
     monkeypatch.setattr("repro.runtime.auction_run.SimNetwork", Captured)
-    bids = DoubleAuctionWorkload(seed=seed).generate(users, providers)
+    bids = workload(seed=seed).generate(users, providers)
     result = AuctionRun(
         bids,
-        DoubleAuction(),
+        mechanism(),
         config=FrameworkConfig(k=2),
         latency_model=BandwidthLatencyModel(
             base=0.003, bandwidth_bytes_per_s=12.5e6, jitter=0.001
@@ -492,9 +500,19 @@ class TestLazyNodeGenerators:
         assert drawer.draws == reference_stream(9, "a", len(drawer.draws))
 
     def test_round_builds_a_generator_only_for_the_nodes_that_draw(self, monkeypatch):
-        network, _result, bids = auction_round(monkeypatch)
-        assert len(network.node_ids) == 48
+        # The providers draw their coin shares; the bidders never draw.
+        network, _result, bids = auction_round(
+            monkeypatch, users=10, mechanism=StandardAuction, workload=StandardAuctionWorkload
+        )
+        assert len(network.node_ids) == 18
         assert sorted(network._node_rngs) == sorted(bids.provider_ids)
+
+    def test_a_round_without_a_coin_builds_no_generator(self, monkeypatch):
+        # The double auction reads no seed, so its round runs no coin and no
+        # node ever draws.
+        network, _result, _bids = auction_round(monkeypatch)
+        assert len(network.node_ids) == 48
+        assert network._node_rngs == {}
 
 
 class Burst(Node):

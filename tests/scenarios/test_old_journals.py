@@ -127,7 +127,16 @@ def test_a_journal_holding_a_quarantine_line_still_reads_and_resumes(tmp_path):
     result = run_sweep(sweep, store=str(journal), resume=True)
     assert result.executed == 1
     assert result.resumed == 3
-    timeless = [dict(r.to_dict(), elapsed_seconds=None) for r in result.records]
-    assert timeless == [
-        dict(r.to_dict(), elapsed_seconds=None) for _cell, r in sorted(expected.items())
-    ]
+    # The resumed cells are the journal's lines; the re-executed cell is what
+    # today's build computes for it, as a run without a journal does (its
+    # measured time aside).
+    fresh = run_sweep(sweep).records
+    cells = sorted(expected)
+    assert len(result.records) == len(cells) == len(fresh)
+    for cell, record, fresh_record in zip(cells, result.records, fresh):
+        if cell == (1, 0):
+            assert dict(record.to_dict(), elapsed_seconds=None) == dict(
+                fresh_record.to_dict(), elapsed_seconds=None
+            )
+        else:
+            assert record == expected[cell]

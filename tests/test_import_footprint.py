@@ -4,9 +4,9 @@ Only four things import NumPy: a vectorized standard-auction solve
 (``auctions.engine.kernel``), a results summary and a metric histogram
 (``scenarios.aggregate``), and a columnar journal (``scenarios.columnar``).
 Importing the package or the CLI, and a double-auction round through any
-runner, sweep, chaos audit or ``repro-auction run`` that does none of those
-four, never does — it would add ~90 modules and ~12 MiB to every such
-process.  Each case runs in a fresh
+runner, sweep, chaos audit, ``repro-auction run`` or text-mode
+``repro-auction sweep`` that does none of those four, never does — it would
+add ~90 modules and ~12 MiB to every such process.  Each case runs in a fresh
 interpreter, since this test process has long since imported NumPy.  The
 controls assert that NumPy is absent *before* their step and present after
 it, so the lock cannot pass by never seeing NumPy at all.
@@ -22,6 +22,12 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+#: ``repro-auction sweep`` printing its text table, journal into ``fig4.jsonl``.
+CLI_SWEEP_TEXT = (
+    "import repro.cli; repro.cli.main(['sweep', '--spec',"
+    f" {str(SRC.parent / 'examples' / 'specs' / 'fig4_quick.json')!r},"
+    " '--output', 'fig4.jsonl'])"
+)
 
 
 def _double(runner: str = "distributed") -> str:
@@ -74,6 +80,7 @@ def _numpy_loaded(tmp_path, setup: str, step: str):
             " '--set', 'providers=5', '--set', 'measure_compute=false'])",
             id="cli-double-run",
         ),
+        pytest.param(CLI_SWEEP_TEXT, id="cli-sweep-text"),
         pytest.param(f"run_scenario({_double()})", id="double-distributed"),
         pytest.param(f"run_scenario({_double('centralized')})", id="double-centralized"),
         pytest.param(f"run_scenario({_double('auction_run')})", id="double-auction_run"),
@@ -105,6 +112,11 @@ def test_double_auction_work_never_imports_numpy(tmp_path, step):
             f"run_sweep(SweepSpec(base={_double()}), store='r.jsonl')",
             "ResultsStore('r.jsonl').summary()",
             id="summary",
+        ),
+        pytest.param(
+            CLI_SWEEP_TEXT,
+            "ResultsStore('fig4.jsonl').summary()",
+            id="cli-sweep-text-then-summary",
         ),
         pytest.param(
             "",
