@@ -14,11 +14,20 @@ two broadcast rounds:
 
 * **value round** — every provider broadcasts its batch (label -> input);
 * **echo round** — once a provider holds a batch from every participant it
-  broadcasts the collected batches;
+  broadcasts what it collected: one :class:`~repro.net.serialization.Digest`
+  per batch (:func:`digest_echo`), or the batches themselves under a
+  ``round_timeout``;
 * **decision** — when all echoes have arrived the provider checks that every peer
   reported the *same* batches (any mismatch means some provider equivocated, and
   the correct response under solution preference is ⊥); if consistent, each label
   decides its :func:`majority_decision` input.
+
+The decision only needs to know that every provider holds the same ``m``
+batches, and a digest of each tells it that: the strict echo costs ``m``
+digests of 32 bytes where it cost ``m`` batches, so its size does not grow
+with the number of labels.  A batch no larger than its digest is echoed as it
+is.  The timeout mode's merged decision takes a batch it never received from a
+peer's echo, which a digest cannot stand in for, so that mode echoes batches.
 
 The decision rule makes each output the input of some provider and is a symmetric
 function of the agreed batches, so all correct providers decide identically.  The
@@ -30,12 +39,13 @@ single-value implementation the suite compares this block against.
 
 Batches are :class:`~repro.net.serialization.FrozenMap` values shared by reference: a
 provider freezes its inputs once, every receiver keeps that same object, and an echo
-is a frozen map of those objects.  Comparing two honest echoes is then ``m`` identity
-hits and sizing one ``m`` memo reads, where copying each batch on receipt and on echo
-made both a walk over ``m·n`` entries.  Honest providers of a round also share
-the :class:`LabelSet` their batch is checked against, and a relayed batch that *is*
-the receiver's own input — validated when the block started — is accepted by
-identity; any other object, however equal, gets the full label and validator check.
+is a frozen map of those objects or of digests holding them.  Comparing two honest
+echoes is then ``m`` identity hits and sizing one ``m`` memo reads or constants, where
+copying each batch on receipt and on echo made both a walk over ``m·n`` entries.
+Honest providers of a round also share the :class:`LabelSet` their batch is
+checked against, and a relayed batch that *is* the receiver's own input —
+validated when the block started — is accepted by identity; any other object,
+however equal, gets the full label and validator check.
 """
 
 from __future__ import annotations
@@ -57,9 +67,15 @@ from typing import (
 
 from repro.common import ABORT
 from repro.net.protocol import BlockContext, ProtocolBlock
-from repro.net.serialization import FrozenMap
+from repro.net.serialization import DIGEST_SIZE, Digest, FrozenMap, estimate_size
 
-__all__ = ["BatchedConsensusBlock", "LabelSet", "label_set", "majority_decision"]
+__all__ = [
+    "BatchedConsensusBlock",
+    "LabelSet",
+    "digest_echo",
+    "label_set",
+    "majority_decision",
+]
 
 
 class LabelSet(NamedTuple):
@@ -121,6 +137,19 @@ def _frozen(mapping: Mapping[Any, Any]) -> FrozenMap:
     return mapping if type(mapping) is FrozenMap else FrozenMap(mapping)
 
 
+def digest_echo(batches: Mapping[str, Any]) -> FrozenMap:
+    """The strict echo of ``batches`` (provider -> batch): one digest per batch.
+
+    A batch whose wire size is at most a digest's is carried as it is, so an
+    echo never costs more than the batches it stands for (a one-bit batch of
+    the ``per_bit`` mode is smaller than a digest).
+    """
+    return FrozenMap(
+        (provider, batch if estimate_size(batch) <= DIGEST_SIZE else Digest(batch))
+        for provider, batch in batches.items()
+    )
+
+
 class BatchedConsensusBlock(ProtocolBlock):
     """Agree on one value per label, using two batched rounds.
 
@@ -137,7 +166,8 @@ class BatchedConsensusBlock(ProtocolBlock):
             so far — the block *terminates* instead of hanging on a crashed or
             partitioned peer, and sets :attr:`degraded` so the caller can
             surface the partial view.  Degraded decisions merge the received
-            echoes label by label; a genuine conflict between views still
+            echoes label by label, so in this mode an echo carries batches
+            rather than digests; a genuine conflict between views still
             outputs ⊥.
     """
 
@@ -223,7 +253,10 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not force and set(self._batches) != set(ctx.participants):
             return
         self._echo_sent = True
-        snapshot = FrozenMap(self._batches)
+        if self.round_timeout is None:
+            snapshot = digest_echo(self._batches)
+        else:
+            snapshot = FrozenMap(self._batches)
         ctx.broadcast(snapshot, subtag=self.ECHO)
         self._echoes[ctx.node_id] = snapshot
         if self.round_timeout is not None:
@@ -269,15 +302,16 @@ class BatchedConsensusBlock(ProtocolBlock):
             return
         reference = self._echoes[ctx.node_id]
         for echo in self._echoes.values():
-            # Honest echoes hold the very objects ``reference`` holds, so this
-            # is an identity hit per provider; contents are compared only
-            # where the objects differ.
+            # Honest echoes hold digests of the very objects ``reference``'s
+            # digests hold, so this is an identity hit per provider; contents
+            # are compared only where the objects differ.
             if echo != reference:
                 # Two providers hold different views of the first round: someone
                 # equivocated, so the correct output is ⊥.
                 self.complete(ABORT)
                 return
-        self._decide(reference)
+        # Every echo agrees with ours, which digests the batches we hold.
+        self._decide(self._batches)
 
     def _decide_merged(self, ctx: BlockContext) -> None:
         """Decide from the union of the received echo views (timeout mode only)."""

@@ -44,12 +44,17 @@ from repro.auctions.validation import (
 )
 from repro.common import ABORT, is_abort, memoise
 from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bid
-from repro.consensus.multi_consensus import BatchedConsensusBlock, LabelSet, label_set
+from repro.consensus.multi_consensus import (
+    BatchedConsensusBlock,
+    LabelSet,
+    digest_echo,
+    label_set,
+)
 from repro.net.protocol import BlockContext, ProtocolBlock
-from repro.net.serialization import DERIVED_ATTR, FrozenMap
+from repro.net.serialization import DERIVED_ATTR, FrozenMap, estimate_size
 from repro.obs.context import current_observation
 
-__all__ = ["BidAgreementBlock", "AGREEMENT_MODES", "agreement_messages"]
+__all__ = ["BidAgreementBlock", "AGREEMENT_MODES", "agreement_bytes", "agreement_messages"]
 
 AGREEMENT_MODES = ("batched", "per_label", "per_bit")
 
@@ -75,6 +80,19 @@ def _is_bit(value: Any) -> bool:
 def agreement_messages(m: int) -> int:
     """Messages of an honest batched agreement of ``m`` providers (§4.1): value + echo."""
     return 2 * m * (m - 1)
+
+
+def agreement_bytes(batch: Mapping[str, Any], providers: Sequence[str]) -> int:
+    """Payload bytes of an honest batched agreement of ``providers`` on ``batch`` (§4.1).
+
+    Each of the ``m`` providers sends ``batch``, then an echo of ``m`` digests,
+    to its ``m − 1`` peers: ``m·(m−1)·(|batch| + |echo|)``.  The value term
+    grows with the batch, the echo term only with ``m``.  Every message adds
+    its tag to these bytes.
+    """
+    m = len(providers)
+    echo = digest_echo(dict.fromkeys(providers, batch))
+    return m * (m - 1) * (estimate_size(batch) + estimate_size(echo))
 
 
 class BidAgreementBlock(ProtocolBlock):

@@ -501,6 +501,7 @@ class SimNetwork:
         metrics.counter("net.runs").inc()
         metrics.counter("net.messages_sent").inc(stats.messages_sent)
         metrics.counter("net.messages_delivered").inc(stats.messages_delivered)
+        metrics.counter("net.bytes_delivered").inc(stats.bytes_delivered)
         metrics.counter("net.messages_dropped").inc(stats.messages_dropped)
         metrics.counter("net.messages_lost").inc(stats.messages_lost)
         metrics.counter("net.retransmissions").inc(stats.retransmissions)

@@ -21,16 +21,20 @@ encoded field keys in canonical order, frozen flag).  A round ships hundreds
 of thousands of values of a dozen classes, so per-value work is one dict lookup
 instead of an ``isinstance`` chain plus ``dataclasses.fields``.
 
-:class:`~repro.common.FrozenMap` (re-exported here) is the one payload type of
-the codec's own: a mapping that cannot change after construction, so that
-protocol blocks can keep, forward and echo a received batch *by reference*
-instead of copying it, and so that its wire size is measured once however many
-messages carry it.
+:class:`~repro.common.FrozenMap` (re-exported here) and :class:`Digest` are the
+payload types of the codec's own.  A ``FrozenMap`` is a mapping that cannot
+change after construction, so that protocol blocks can keep and forward a
+received batch *by reference* instead of copying it, and so that its wire size
+is measured once however many messages carry it.  A ``Digest`` stands on the
+wire for the SHA-256 of a value: it is sized and encoded as those 32 bytes,
+while the simulator keeps the value by reference and compares digests by
+comparing their values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import struct
 from operator import itemgetter
 from typing import Any, Callable, Tuple
@@ -39,6 +43,8 @@ from repro.common import DERIVED_ATTR, WIRE_SIZE_ATTR, FrozenMap, memoise
 
 __all__ = [
     "DERIVED_ATTR",
+    "DIGEST_SIZE",
+    "Digest",
     "FrozenMap",
     "UnsupportedPayloadError",
     "canonical_encode",
@@ -57,6 +63,29 @@ _first = itemgetter(0)
 
 class UnsupportedPayloadError(TypeError):
     """Raised when a payload contains a type that cannot be canonically encoded."""
+
+
+class Digest(tuple):
+    """The SHA-256 digest of ``value``, as a payload: 32 bytes on the wire.
+
+    The simulator keeps ``value`` by reference instead of hashing it, so a
+    digest costs nothing to build and two digests compare as their values do
+    (``tuple`` equality, in C, with the identity check first).  Only the codec
+    reads the hash: :func:`estimate_size` is :data:`DIGEST_SIZE` and
+    :func:`canonical_encode` the SHA-256 of ``value``'s canonical bytes.
+    Protocol code compares digests and never opens one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: Any) -> "Digest":
+        return tuple.__new__(cls, (value,))
+
+    def __getnewargs__(self) -> Tuple[Any]:
+        return (self[0],)
+
+    def __repr__(self) -> str:
+        return f"Digest({self[0]!r})"
 
 
 class _Plan:
@@ -161,6 +190,19 @@ def _measure_bytes(value: bytes) -> Tuple[int, bool]:
 
 def _measure_bytearray(value: bytearray) -> Tuple[int, bool]:
     return len(value) + 4, False
+
+
+#: Wire size of a :class:`Digest`: 32 raw bytes and their length prefix.
+DIGEST_SIZE = _measure_bytes(bytes(32))[0]
+
+
+def _encode_digest(value: Digest) -> bytes:
+    return _encode_bytes(hashlib.sha256(canonical_encode(value[0])).digest())
+
+
+def _measure_digest(value: Digest) -> Tuple[int, bool]:
+    # Immutable when what it stands for is: its encoding derives from it.
+    return DIGEST_SIZE, deep_immutable(value[0])
 
 
 # -- containers ----------------------------------------------------------------
@@ -334,6 +376,7 @@ _UNSUPPORTED_PLAN = _Plan(_encode_unsupported, _measure_unsupported)
 # The exact class only: a subclass may hand the mutators back, so it compiles
 # to the plain dict plan like any other dict subclass.
 _PLANS[FrozenMap] = _Plan(_encode_dict, _measure_frozen_map)
+_PLANS[Digest] = _Plan(_encode_digest, _measure_digest)
 
 
 def _compile(cls: type) -> _Plan:

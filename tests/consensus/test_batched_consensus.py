@@ -10,10 +10,14 @@ from tests.consensus.rational_consensus import RationalConsensusBlock
 from repro.auctions.base import UserBid
 from repro.common import ABORT
 from repro.consensus import multi_consensus
-from repro.consensus.multi_consensus import BatchedConsensusBlock, majority_decision
+from repro.consensus.multi_consensus import (
+    BatchedConsensusBlock,
+    digest_echo,
+    majority_decision,
+)
 from repro.net import serialization
 from repro.net.scheduler import RandomScheduler
-from repro.net.serialization import FrozenMap, estimate_size
+from repro.net.serialization import DIGEST_SIZE, Digest, FrozenMap, estimate_size
 
 
 class TestBatchedAgreement:
@@ -149,8 +153,8 @@ class _DeviantContext:
     """A block context whose broadcasts of one subtag pass through ``corrupt``.
 
     ``corrupt(recipient, payload)`` returns what that recipient is sent, in the
-    style of ``EquivocatingProviderNode``'s callback; everything else is the
-    honest context.
+    style of ``EquivocatingProviderNode``'s callback, or :data:`DROP` to send
+    it nothing; everything else is the honest context.
     """
 
     def __init__(self, ctx, subtag, corrupt):
@@ -167,7 +171,13 @@ class _DeviantContext:
             return
         for recipient in self._ctx.participants:
             if recipient != self._ctx.node_id:
-                self._ctx.send(recipient, self._corrupt(recipient, payload), subtag=subtag)
+                sent = self._corrupt(recipient, payload)
+                if sent is not DROP:
+                    self._ctx.send(recipient, sent, subtag=subtag)
+
+
+#: What a deviant's ``corrupt`` returns for a recipient it sends nothing.
+DROP = object()
 
 
 class DeviantBatchedBlock(BatchedConsensusBlock):
@@ -188,16 +198,26 @@ PROVIDERS = ["p0", "p1", "p2"]
 TIMEOUTS = pytest.mark.parametrize("round_timeout", [None, 5.0], ids=["strict", "timeout"])
 
 
-def run_with_deviant(subtag, corrupt, round_timeout):
-    """Three providers with the same inputs; ``p0`` corrupts what it ships under ``subtag``."""
+def run_with_deviant(subtag, corrupt, round_timeout, inputs=None):
+    """Three providers with the same inputs; ``p0`` corrupts what it ships under ``subtag``.
+
+    ``inputs`` maps a provider to its batch over ``x`` and ``y``; the default
+    ``{"x": 1, "y": 2}`` each is smaller than a digest, so a strict echo
+    carries it as it is.
+    """
+    inputs = inputs or {nid: {"x": 1, "y": 2} for nid in PROVIDERS}
 
     def factory(nid):
         kwargs = dict(labels=["x", "y"], round_timeout=round_timeout)
         if nid == "p0":
-            return DeviantBatchedBlock("b", {"x": 1, "y": 2}, subtag=subtag, corrupt=corrupt, **kwargs)
-        return BatchedConsensusBlock("b", {"x": 1, "y": 2}, **kwargs)
+            return DeviantBatchedBlock("b", inputs[nid], subtag=subtag, corrupt=corrupt, **kwargs)
+        return BatchedConsensusBlock("b", inputs[nid], **kwargs)
 
     return run_block_network(PROVIDERS, factory)
+
+
+#: Batches larger than a digest, so that a strict echo carries their digests.
+LARGE = {nid: {"x": 1, "y": "a value longer than a digest"} for nid in PROVIDERS}
 
 
 class TestByzantineProvider:
@@ -251,10 +271,78 @@ class TestByzantineProvider:
             assert all(output == {"x": 1, "y": 2} for output in outputs.values())
 
 
+class TestDigestEcho:
+    """The strict echo carries one digest per batch; the timeout echo carries batches."""
+
+    def test_a_strict_echo_digests_every_batch_larger_than_a_digest(self):
+        small, large = FrozenMap({"x": 1, "y": 2}), FrozenMap(LARGE["p0"])
+        assert estimate_size(small) <= DIGEST_SIZE < estimate_size(large)
+        echo = digest_echo({"p0": small, "p1": large})
+        assert type(echo) is FrozenMap
+        assert echo["p0"] is small
+        assert type(echo["p1"]) is Digest and echo["p1"] == Digest(large)
+        assert estimate_size(echo) < estimate_size({"p0": small, "p1": large})
+
+    def test_an_echo_of_full_batches_is_a_deviation(self):
+        def old_form(recipient, echo):
+            return {nid: entry[0] for nid, entry in echo.items()}
+
+        outputs = run_with_deviant("echo", old_form, None, LARGE)
+        assert outputs["p1"] == ABORT
+        assert outputs["p2"] == ABORT
+        assert outputs["p0"] == LARGE["p0"]
+
+    def test_a_digest_of_a_batch_with_one_value_changed_is_a_deviation(self):
+        def forged(recipient, echo):
+            return {**echo, "p2": Digest({**LARGE["p2"], "x": 99})}
+
+        outputs = run_with_deviant("echo", forged, None, LARGE)
+        assert outputs["p1"] == ABORT
+        assert outputs["p2"] == ABORT
+
+    def test_a_digest_of_a_rebuilt_equal_batch_is_not_a_deviation(self):
+        def rebuilt(recipient, echo):
+            return {nid: Digest(dict(entry[0])) for nid, entry in echo.items()}
+
+        outputs = run_with_deviant("echo", rebuilt, None, LARGE)
+        assert all(output == LARGE["p0"] for output in outputs.values())
+
+    def test_timeout_mode_decides_with_a_batch_taken_from_an_echo(self):
+        """Why the timeout echo keeps batches: a digest could not stand in here.
+
+        ``p1`` never receives ``p0``'s value.  Its value round times out, and
+        it merges ``p0``'s batch from the echoes of ``p0`` and ``p2``.  Without
+        that batch ``x`` would tie 2 against 1 and ``p1`` would decide 2.
+        """
+        inputs = {nid: {**LARGE[nid], "x": 2 if nid == "p1" else 1} for nid in PROVIDERS}
+        blocks = {}
+
+        def factory(nid):
+            kwargs = dict(labels=["x", "y"], round_timeout=5.0)
+            if nid == "p0":
+                block = DeviantBatchedBlock(
+                    "b",
+                    inputs[nid],
+                    subtag="value",
+                    corrupt=lambda recipient, batch: DROP if recipient == "p1" else batch,
+                    **kwargs,
+                )
+            else:
+                block = BatchedConsensusBlock("b", inputs[nid], **kwargs)
+            blocks[nid] = block
+            return block
+
+        outputs = run_block_network(PROVIDERS, factory)
+        assert "p0" not in blocks["p1"]._batches
+        assert blocks["p1"].degraded
+        assert all(output == LARGE["p0"] for output in outputs.values())
+
+
 class TestSharedImmutableBatches:
     @TIMEOUTS
     def test_mutating_the_input_after_start_changes_nothing(self, round_timeout):
-        sources = {nid: {"x": 1, "y": [nid]} for nid in PROVIDERS}
+        # Long enough that a strict echo carries the batch's digest.
+        sources = {nid: {"x": 1, "y": [nid, "a value longer than a digest"]} for nid in PROVIDERS}
         blocks = {}
 
         class Meddler(BatchedConsensusBlock):
@@ -268,10 +356,12 @@ class TestSharedImmutableBatches:
             blocks[nid] = cls("b", sources[nid], labels=["x", "y"], round_timeout=round_timeout)
             return blocks[nid]
 
+        batch = {"x": 1, "y": ["p0", "a value longer than a digest"]}
+        echoed = Digest(batch) if round_timeout is None else batch
         outputs = run_block_network(PROVIDERS, factory)
-        assert all(output == {"x": 1, "y": ["p0"]} for output in outputs.values())
+        assert all(output == batch for output in outputs.values())
         for nid in PROVIDERS:
-            assert all(echo["p0"] == {"x": 1, "y": ["p0"]} for echo in blocks[nid]._echoes.values())
+            assert all(echo["p0"] == echoed for echo in blocks[nid]._echoes.values())
             with pytest.raises(TypeError):
                 outputs[nid]["x"] = 2
 

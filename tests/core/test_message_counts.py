@@ -4,7 +4,8 @@ An honest, fault-free round of ``m`` executors runs one batched bid agreement
 (value + echo), one input validation (one digest each) and, when ``A`` reads
 its seed, one common coin (commit + reveal), whatever ``k``.
 ``NetworkStats.messages_by_tag`` counts the deliveries per block path, so every
-formula is checked exactly, block by block.
+formula is checked exactly, block by block.  A double round's bytes are
+checked exactly too, against ``NetworkStats.bytes_delivered``.
 """
 
 import functools
@@ -14,11 +15,14 @@ import pytest
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
-from repro.core.bid_agreement import agreement_messages
+from repro.consensus.multi_consensus import BatchedConsensusBlock
+from repro.core.bid_agreement import agreement_bytes, agreement_messages
 from repro.core.common_coin import coin_messages
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
-from repro.core.input_validation import validation_messages
+from repro.core.input_validation import InputValidationBlock, validation_messages
+from repro.net.protocol import TAG_SEPARATOR
+from repro.net.serialization import FrozenMap, estimate_size
 from repro.scenarios import ScenarioSpec, figure4_sweep, run_scenario, run_sweep
 
 #: Every (m, k) with m = 3..9 and m > 2k.
@@ -70,6 +74,53 @@ def test_the_benchmark_double_rounds_run_no_coin():
         measure_compute=False,
     )
     assert run_scenario(chatty).messages == 2 * n * m + 4 * m * (m - 1) == 864
+
+
+def envelope(path, subtag):
+    """What a message's tag adds to its payload's bytes: it travels as ``(tag, payload)``."""
+    return estimate_size((f"{path}{TAG_SEPARATOR}{subtag}",))
+
+
+def double_round_bytes(n, m):
+    """Bytes of a ``fig4_sweep``-shaped double round, less its value round and validation.
+
+    What is left is the echo term of the bid agreement.  Asserts on the way
+    that the whole round's bytes are what ``agreement_bytes`` and the
+    validation row say: ``m·(m−1)`` announcements of a 64-hex digest.
+    """
+    providers = [f"p{i}" for i in range(m)]
+    bids = DoubleAuctionWorkload(seed=1).generate(n, m, provider_ids=providers)
+    report = DistributedAuctioneer(
+        DoubleAuction(),
+        providers=providers,
+        config=FrameworkConfig(k=(m - 1) // 2),
+        seed=1,
+        measure_compute=False,
+    ).run_from_bids(bids)
+    assert not report.aborted
+    batch = FrozenMap(
+        [(f"user:{bid.user_id}", bid) for bid in bids.users]
+        + [(f"ask:{ask.provider_id}", ask) for ask in bids.providers]
+    )
+    pairs = m * (m - 1)
+    ba, iv = "framework/ba/batch", "framework/alloc/iv"
+    envelopes = pairs * (
+        envelope(ba, BatchedConsensusBlock.VALUE) + envelope(ba, BatchedConsensusBlock.ECHO)
+    )
+    validation = pairs * (envelope(iv, InputValidationBlock.ANNOUNCE) + estimate_size("0" * 64))
+    agreement = agreement_bytes(batch, providers) + envelopes
+    assert report.stats.bytes_delivered == agreement + validation
+    value_round = pairs * (envelope(ba, BatchedConsensusBlock.VALUE) + estimate_size(batch))
+    return report.stats.bytes_delivered - value_round - validation
+
+
+@pytest.mark.parametrize("m", (3, 5, 7))
+def test_the_fig4_sweep_rounds_send_what_the_byte_formula_says(m):
+    # Counted, never timed.  The fig4_sweep op's distributed points at n = 300;
+    # the echo carries one digest per provider, so its bytes are the same at
+    # a tenth of the users.
+    echo_terms = {n: double_round_bytes(n, m) for n in (30, 300)}
+    assert echo_terms[30] == echo_terms[300]
 
 
 @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))

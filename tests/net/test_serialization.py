@@ -1,9 +1,21 @@
 """Tests for canonical encoding and size estimation."""
 
+import copy
+import hashlib
+import pickle
+
 import pytest
 
 from repro.auctions.base import ProviderAsk, UserBid
-from repro.net.serialization import UnsupportedPayloadError, canonical_encode, estimate_size
+from repro.net.serialization import (
+    DIGEST_SIZE,
+    Digest,
+    FrozenMap,
+    UnsupportedPayloadError,
+    canonical_encode,
+    deep_immutable,
+    estimate_size,
+)
 
 
 class TestCanonicalEncode:
@@ -72,3 +84,54 @@ class TestEstimateSize:
 
     def test_unsupported_types_do_not_raise(self):
         assert estimate_size(object()) > 0
+
+
+BATCH = FrozenMap({f"user:u{i}": UserBid(f"u{i}", 1.0 + i, 0.5) for i in range(20)})
+
+
+class TestDigest:
+    @pytest.mark.parametrize(
+        "value",
+        [None, 7, "x" * 1000, [1, 2], {"a": [1]}, BATCH],
+        ids=["none", "int", "long-str", "list", "dict", "batch"],
+    )
+    def test_sized_as_32_raw_bytes_whatever_it_stands_for(self, value):
+        assert DIGEST_SIZE == estimate_size(bytes(32)) == 36
+        assert estimate_size(Digest(value)) == DIGEST_SIZE
+
+    def test_encoded_as_the_sha256_of_the_value(self):
+        encoded = canonical_encode(Digest(BATCH))
+        assert encoded == canonical_encode(hashlib.sha256(canonical_encode(BATCH)).digest())
+        assert encoded == canonical_encode(Digest(dict(BATCH)))
+        assert encoded != canonical_encode(Digest({**BATCH, "user:u0": None}))
+        assert len(encoded) == DIGEST_SIZE + 1  # one tag byte
+
+    def test_immutable_exactly_when_its_value_is(self):
+        assert deep_immutable(Digest(BATCH))
+        assert not deep_immutable(Digest({"a": 1}))
+
+    def test_digests_compare_as_their_values_do(self):
+        assert Digest(BATCH) == Digest(BATCH)
+        assert Digest(BATCH) == Digest(dict(BATCH))  # an equal rebuilt batch
+        assert Digest(BATCH) != Digest({**BATCH, "user:u0": None})
+        assert Digest(BATCH) != BATCH
+        assert FrozenMap({"p0": Digest(BATCH)}) == {"p0": Digest(dict(BATCH))}
+        assert FrozenMap({"p0": Digest(BATCH)}) != {"p0": BATCH}
+
+    def test_holds_its_value_by_reference(self):
+        assert Digest(BATCH)[0] is BATCH
+        assert len(Digest(BATCH)) == 1
+        assert repr(Digest(1)) == "Digest(1)"
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_to_an_equal_digest(self, round_trip):
+        digest = Digest({"x": [1, 2]})
+        again = round_trip(digest)
+        assert type(again) is Digest
+        assert again == digest
+        assert again[0] == {"x": [1, 2]}
+        assert canonical_encode(again) == canonical_encode(digest)

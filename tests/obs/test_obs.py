@@ -332,6 +332,7 @@ class TestScenarioHooks:
         assert instruments["rounds"]["value"] == 1
         assert instruments["net.messages_sent"]["value"] == record.messages
         assert instruments["net.messages_delivered"]["value"] > 0
+        assert instruments["net.bytes_delivered"]["value"] == record.bytes_transferred > 0
         assert instruments["net.delivery_latency"]["count"] > 0
 
     def test_standard_mechanism_emits_engine_spans(self):
