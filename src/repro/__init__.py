@@ -20,8 +20,8 @@ The package is organised in layers, bottom-up:
 
 ``repro.core``
     The paper's contribution: the distributed auctioneer framework — bid agreement,
-    input validation, common coin, data transfer, task graphs and the (parallel)
-    allocator, chained by :class:`repro.core.framework.DistributedAuctioneer`.
+    input validation, common coin, data transfer and the sequential and parallel
+    allocators, chained by :class:`repro.core.framework.DistributedAuctioneer`.
 
 ``repro.runtime``
     Provider / bidder roles and end-to-end auction round orchestration.

@@ -7,9 +7,9 @@ The framework chains two building blocks at every provider (Figure 1 of the pape
 2. an allocator — either :class:`~repro.core.allocator.SequentialAllocatorBlock`
    (every provider runs the allocation algorithm locally after validating that all
    inputs match; used for cheap algorithms such as the double auction) or
-   :class:`~repro.core.allocator.ParallelAllocatorBlock` (the task-graph execution of
-   Figure 3, with input validation, data transfer and common coin sub-blocks; used
-   for expensive algorithms such as the standard auction).
+   :class:`~repro.core.allocator.ParallelAllocatorBlock` (Algorithm 1 run over
+   provider groups, Figure 3, with input validation, data transfer and common coin
+   sub-blocks; used for expensive algorithms such as the standard auction).
 
 :class:`~repro.core.framework.DistributedAuctioneer` packages the whole thing behind
 one call: give it the bids each provider received and it simulates the protocol on a
@@ -27,7 +27,6 @@ from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer, S
 from repro.core.input_validation import InputValidationBlock
 from repro.core.outcome import ABORT, Outcome
 from repro.core.provider_protocol import FrameworkBlock, ProviderInput
-from repro.core.task_graph import Task, TaskGraph, build_standard_auction_graph
 
 __all__ = [
     "ABORT",
@@ -46,8 +45,5 @@ __all__ = [
     "SeedDistribution",
     "SequentialAllocatorBlock",
     "SimulationReport",
-    "Task",
-    "TaskGraph",
     "UniformDistribution",
-    "build_standard_auction_graph",
 ]

@@ -9,12 +9,12 @@ Two implementations are provided, matching the two regimes the paper evaluates:
   coordination, which is exactly what Figure 4 measures.
 
 * :class:`ParallelAllocatorBlock` — the parallel allocator framework of §4.2
-  (Figure 3): after input validation and the common coin, the execution of ``A`` is
-  decomposed into a :class:`~repro.core.task_graph.TaskGraph`; each task runs on a
-  group of at least ``k + 1`` providers, results move between groups through
-  :class:`~repro.core.data_transfer.DataTransferBlock` instances, and a final task
-  executed by every provider assembles the output pair (x, p).  This is what makes
-  the expensive standard auction of §5.2.2 scale (Figure 5).
+  (Figure 3) running Algorithm 1: after input validation and the common coin, every
+  provider computes the allocation, each group of at least ``k + 1`` providers
+  computes the payments of its share of the users, the payments move between groups
+  through :class:`~repro.core.data_transfer.DataTransferBlock` instances, and every
+  provider assembles the output pair (x, p).  This is what makes the expensive
+  standard auction of §5.2.2 scale (Figure 5).
 
 Both blocks share :class:`SeededAllocatorBlock`'s validate-then-seed prefix and
 output either an :class:`~repro.auctions.base.AuctionResult` or ⊥.
@@ -24,52 +24,87 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.auctions.base import AllocationAlgorithm, BidVector
+from repro.auctions.base import Allocation, AllocationAlgorithm, BidVector
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.common import ABORT, is_abort, memoise
 from repro.core.common_coin import CommonCoinBlock
 from repro.core.data_transfer import DataTransferBlock
 from repro.core.distributions import SeedDistribution
 from repro.core.input_validation import InputValidationBlock
-from repro.core.task_graph import TaskGraph, build_standard_auction_graph
 from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.obs.context import current_observation
 
-__all__ = ["SequentialAllocatorBlock", "ParallelAllocatorBlock", "task_graph_for"]
+__all__ = [
+    "SequentialAllocatorBlock",
+    "ParallelAllocatorBlock",
+    "assign_provider_groups",
+    "partition_users",
+    "transfer_messages",
+]
 
 #: Where a bid vector keeps the results of the mechanisms run on it by
 #: :class:`SequentialAllocatorBlock`: ``(mechanism, seed) -> result``, the seed
 #: ``None`` for a mechanism that never draws from its RNG.
 _RESULTS_ATTR = "_repro_results"
-#: Where a bid vector keeps the task graphs built on it:
-#: ``(mechanism, providers, k, num_groups) -> graph``.
-_GRAPHS_ATTR = "_repro_graphs"
 
 
-def task_graph_for(
-    mechanism: DecomposableMechanism,
-    bids: BidVector,
-    providers: Sequence[str],
-    k: int,
-    num_groups: Optional[int],
-) -> TaskGraph:
-    """Algorithm 1's graph for ``bids``, built by the first provider to ask.
+# -- provider grouping and user partitioning -------------------------------------------
+def assign_provider_groups(
+    providers: Sequence[str], k: int, num_groups: Optional[int] = None
+) -> List[List[str]]:
+    """Partition providers into ``c`` groups of at least ``k + 1`` members each.
 
-    :class:`ParallelAllocatorBlock` only reads a graph, so the holders of one agreed
-    vector share it: bookkeeping, not ``A``'s work, which every executor still runs.
+    The maximum level of parallelism is ``p = ⌊m / (k + 1)⌋`` (Section 6); fewer
+    groups may be requested.  Providers are assigned contiguously in sorted-id order,
+    with any remainder spread over the first groups.
     """
-    graphs = getattr(bids, _GRAPHS_ATTR, None)
-    if graphs is None:
-        graphs = memoise(bids, _GRAPHS_ATTR, {})
-    key = (mechanism, tuple(sorted(providers)), k, num_groups)
-    graph = graphs.get(key)
-    if graph is None:
-        graph = graphs.setdefault(
-            key, build_standard_auction_graph(mechanism, bids, providers, k, num_groups)
-        )
-    return graph
+    ordered = sorted(providers)
+    m = len(ordered)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    max_groups = m // (k + 1)
+    if max_groups < 1:
+        raise ValueError(f"need at least k+1={k + 1} providers, have {m}")
+    c = max_groups if num_groups is None else num_groups
+    if c < 1 or c > max_groups:
+        raise ValueError(f"num_groups must be in [1, {max_groups}], got {c}")
+    base, extra = divmod(m, c)
+    groups: List[List[str]] = []
+    cursor = 0
+    for index in range(c):
+        size = base + (1 if index < extra else 0)
+        groups.append(ordered[cursor : cursor + size])
+        cursor += size
+    return groups
+
+
+def partition_users(user_ids: Sequence[str], num_groups: int) -> List[List[str]]:
+    """Split users into ``num_groups`` balanced chunks (some possibly empty).
+
+    Users are dealt round-robin by sorted id, so the chunks differ by at most one
+    *user*.  They do not balance *winners*, although a payment task's cost is one
+    re-solve per winner: on Figure 5's n = 125 point, p = 4's chunks hold 5, 12, 9
+    and 6 of the 32 winners (ROADMAP item 15).
+    """
+    ordered = sorted(user_ids)
+    if num_groups < 1:
+        raise ValueError("num_groups must be at least 1")
+    chunks: List[List[str]] = [[] for _ in range(num_groups)]
+    for index, user_id in enumerate(ordered):
+        chunks[index % num_groups].append(user_id)
+    return chunks
+
+
+def transfer_messages(groups: Sequence[Sequence[str]]) -> int:
+    """Messages of an honest parallel allocator's data transfers (§4.2, Property 5).
+
+    Each group ``G_g`` sends its payments to the ``m − |G_g|`` providers outside
+    it: ``Σ_g |G_g|·(m − |G_g|)``, none when one group holds everyone.
+    """
+    m = sum(len(group) for group in groups)
+    return sum(len(group) * (m - len(group)) for group in groups)
 
 
 class SeededAllocatorBlock(ProtocolBlock):
@@ -193,126 +228,106 @@ class SequentialAllocatorBlock(SeededAllocatorBlock):
 
 
 class ParallelAllocatorBlock(SeededAllocatorBlock):
-    """Execute ``A`` as a task graph distributed over provider groups (Figure 3).
+    """Run Algorithm 1 over provider groups (§4.2, Figure 3).
+
+    Every provider solves the allocation.  Group ``g`` computes the payments of
+    the ``g``-th chunk of users (:func:`partition_users`) and ships them through a
+    ``dt:pay/<g>`` :class:`~repro.core.data_transfer.DataTransferBlock` to every
+    provider outside it.  Every provider then merges the ``p`` payment maps in
+    group order and assembles the output pair (x, p).
 
     Args:
         name: block name.
         bids: the agreed bid vector.
-        graph: the task decomposition of ``A`` (see
-            :func:`repro.core.task_graph.build_standard_auction_graph`).
+        mechanism: the allocation / payments / assemble split of ``A``.
+        groups: the provider groups (:func:`assign_provider_groups`): at least
+            ``k + 1`` providers each, every provider in exactly one.
         use_common_coin / round_timeout: see :class:`SeededAllocatorBlock`; every
-            task derives its randomness from the one agreed seed.
+            step derives its randomness from the one agreed seed.
     """
 
     def __init__(
         self,
         name: str,
         bids: BidVector,
-        graph: TaskGraph,
+        mechanism: DecomposableMechanism,
+        groups: Sequence[Sequence[str]],
         use_common_coin: bool = True,
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name, bids, use_common_coin, round_timeout)
-        self.graph = graph
+        self.mechanism = mechanism
+        self.groups = [list(group) for group in groups]
+        self._everyone = sorted(p for group in self.groups for p in group)
         self._seed: int = 0
-        self._values: Dict[str, Any] = {}
-        self._computed: Set[str] = set()
-        self._dt_spawned: Set[str] = set()
-        # The graph is fixed once execution begins; both are taken once, there.
-        self._order: List[str] = []
-        self._receivers: Dict[str, List[str]] = {}
+        self._mine: int = 0
+        self._allocation: Optional[Tuple[Allocation, float]] = None
+        self._payments: Dict[int, Dict[str, float]] = {}
 
-    # -- graph helpers ----------------------------------------------------------------
-    def _receivers_of(self, task_name: str) -> List[str]:
-        """Providers that need the result of ``task_name`` but do not compute it."""
-        executors = set(self.graph.task(task_name).executors)
-        needed_by: Set[str] = set()
-        for successor in self.graph.successors(task_name):
-            needed_by.update(successor.executors)
-        return sorted(needed_by - executors)
-
-    def _i_execute(self, task_name: str, node_id: str) -> bool:
-        return node_id in self.graph.task(task_name).executors
-
-    # -- task-graph execution -------------------------------------------------------------
     def _execute(self, seed: int) -> None:
         assert self._ctx is not None
         # Derive the task seed the same way AllocationAlgorithm.run derives its
         # internal seed from an RNG seeded with the coin value, so the sequential and
         # parallel allocators produce bit-identical results for the same coin.
         self._seed = random.Random(seed).getrandbits(63)
-        self._order = self.graph.topological_order()
-        self._receivers = {name: self._receivers_of(name) for name in self._order}
         me = self._ctx.node_id
-        # Register (as a receiver) for the transfers of every task whose result this
-        # provider needs but does not compute.  Activating early is safe: traffic that
-        # arrives before the senders are ready is buffered by the block host.
-        for task_name in self._order:
+        self._mine = next(g for g, group in enumerate(self.groups) if me in group)
+        # Receive every other group's payments.  Activating early is safe: traffic
+        # that arrives before the senders are ready is buffered by the block host.
+        for g in range(len(self.groups)):
             if self.done:
                 return
-            if me in self._receivers[task_name]:
-                self._spawn_data_transfer(task_name, as_sender=False)
-        self._run_ready_tasks()
+            if g != self._mine:
+                self._spawn_transfer(g)
+        self._progress()
 
-    def _spawn_data_transfer(self, task_name: str, as_sender: bool) -> None:
+    def _spawn_transfer(self, g: int, **my_value: Any) -> None:
         assert self._ctx is not None
-        if task_name in self._dt_spawned or self.done:
-            return
-        receivers = self._receivers[task_name]
-        if not receivers:
-            return
-        senders = list(self.graph.task(task_name).executors)
-        self._dt_spawned.add(task_name)
-        block_name = f"dt:{task_name}"
-        kwargs: Dict[str, Any] = {}
-        if as_sender:
-            kwargs["my_value"] = self._values[task_name]
-        self._ctx.spawn(
-            block_name,
-            DataTransferBlock(
-                block_name, senders, receivers, round_timeout=self.round_timeout, **kwargs
-            ),
-            self._make_dt_callback(task_name),
-            participants=sorted(set(senders) | set(receivers)),
-        )
+        senders = self.groups[g]
+        receivers = [p for p in self._everyone if p not in senders]
+        name = f"dt:pay/{g}"
 
-    def _make_dt_callback(self, task_name: str):
-        def callback(block: ProtocolBlock) -> None:
+        def on_done(block: ProtocolBlock) -> None:
             if self.done:
                 return
             if is_abort(block.result):
                 self.complete(ABORT)
                 return
-            if task_name not in self._values:
-                self._values[task_name] = block.result
-            self._run_ready_tasks()
+            self._payments.setdefault(g, block.result)
+            self._progress()
 
-        return callback
+        self._ctx.spawn(
+            name,
+            DataTransferBlock(
+                name, senders, receivers, round_timeout=self.round_timeout, **my_value
+            ),
+            on_done,
+            participants=self._everyone,
+        )
 
-    def _run_ready_tasks(self) -> None:
-        """Execute every local task whose dependencies are satisfied; repeat to fixpoint."""
-        assert self._ctx is not None
-        me = self._ctx.node_id
-        progressed = True
-        while progressed and not self.done:
-            progressed = False
-            for task_name in self._order:
-                if task_name in self._computed or not self._i_execute(task_name, me):
-                    continue
-                task = self.graph.task(task_name)
-                if any(dep not in self._values for dep in task.depends_on):
-                    continue
-                inputs = {dep: self._values[dep] for dep in task.depends_on}
-                self._values[task_name] = task.fn(inputs, self.bids, self._seed)
-                self._computed.add(task_name)
-                progressed = True
-                # Ship the result to the groups that need it.
-                self._spawn_data_transfer(task_name, as_sender=True)
-        self._maybe_finish()
+    def _progress(self) -> None:
+        """Take Algorithm 1 as far as the payments in hand allow.
 
-    def _maybe_finish(self) -> None:
+        Re-entrant: a transfer spawned here can complete inside ``spawn`` (the
+        host replays buffered traffic on activation) and call back in.
+        """
         if self.done:
             return
-        final = self.graph.final_task
-        if final is not None and final in self._values and final in self._computed:
-            self.complete(self._values[final])
+        if self._allocation is None:
+            self._allocation = self.mechanism.solve_allocation(self.bids, self._seed)
+        allocation, welfare = self._allocation
+        if self._mine not in self._payments:
+            users = partition_users(self.bids.user_ids, len(self.groups))[self._mine]
+            own = self.mechanism.payments_for_users(
+                self.bids, users, allocation, welfare, self._seed
+            )
+            # Stored before the send, so a re-entrant call sees it.
+            self._payments[self._mine] = own
+            if len(self.groups[self._mine]) < len(self._everyone):
+                self._spawn_transfer(self._mine, my_value=own)
+        if self.done or len(self._payments) < len(self.groups):
+            return
+        merged: Dict[str, float] = {}
+        for g in range(len(self.groups)):
+            merged.update(self._payments[g])
+        self.complete(self.mechanism.assemble(self.bids, allocation, merged))

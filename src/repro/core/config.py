@@ -21,8 +21,10 @@ class FrameworkConfig:
             consensus underlying the bid agreement requires ``m > 2k`` providers, and
             the parallel allocator assigns every task to at least ``k + 1`` providers.
         parallel: if True and the mechanism is decomposable, use the parallel
-            allocator (task graph); otherwise every provider runs the allocation
-            algorithm locally after input validation.
+            allocator (Algorithm 1 over provider groups); otherwise every provider
+            runs the allocation algorithm locally after input validation.  A
+            scenario spec refuses ``parallel`` with a mechanism that does not
+            decompose; this class ignores it there.
         num_groups: number of provider groups for the parallel allocator.  ``None``
             means the maximum level of parallelism ``p = ⌊m / (k+1)⌋`` (the value the
             paper's evaluation uses).
@@ -75,13 +77,13 @@ class FrameworkConfig:
                 f"got m={num_providers} executing providers, k={self.k}"
             )
 
-    def runs_task_graph(self, algorithm: object) -> bool:
-        """True when providers run ``algorithm`` as a task graph (parallel allocator)."""
+    def runs_parallel_allocator(self, algorithm: object) -> bool:
+        """True when providers run ``algorithm`` on the parallel allocator (Algorithm 1)."""
         return self.parallel and isinstance(algorithm, DecomposableMechanism)
 
     def check_groups(self, num_providers: int, algorithm: object) -> None:
         """Raise if the parallel allocator would read a ``num_groups`` it cannot form."""
-        if self.num_groups is None or not self.runs_task_graph(algorithm):
+        if self.num_groups is None or not self.runs_parallel_allocator(algorithm):
             return
         most = num_providers // (self.k + 1)
         if self.num_groups > most:

@@ -17,7 +17,11 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.common import ABORT, is_abort
-from repro.core.allocator import ParallelAllocatorBlock, SequentialAllocatorBlock, task_graph_for
+from repro.core.allocator import (
+    ParallelAllocatorBlock,
+    SequentialAllocatorBlock,
+    assign_provider_groups,
+)
 from repro.core.bid_agreement import BidAgreementBlock
 from repro.core.config import FrameworkConfig
 from repro.net.protocol import BlockContext, ProtocolBlock, ProtocolNode
@@ -99,18 +103,12 @@ class FrameworkBlock(ProtocolBlock):
         assert self._ctx is not None
         # The coin only agrees on A's seed, so a deterministic A skips it.
         use_common_coin = self.config.use_common_coin and self.algorithm.randomized
-        if self.config.runs_task_graph(self.algorithm):
-            graph = task_graph_for(
-                self.algorithm,
-                bids,
-                self.providers,
-                self.config.k,
-                self.config.num_groups,
-            )
+        if self.config.runs_parallel_allocator(self.algorithm):
             allocator: ProtocolBlock = ParallelAllocatorBlock(
                 "alloc",
                 bids,
-                graph,
+                self.algorithm,
+                assign_provider_groups(self.providers, self.config.k, self.config.num_groups),
                 use_common_coin=use_common_coin,
                 round_timeout=self.config.round_timeout,
             )

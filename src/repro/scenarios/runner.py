@@ -17,6 +17,7 @@ from dataclasses import MISSING, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
+from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.engine import DEFAULT_ENGINE, engine_name, resolve_engine
 from repro.auctions.engine.pivot import shared_solve_cache
 from repro.community.workload import default_provider_ids
@@ -46,6 +47,11 @@ __all__ = [
     "resolve_round_inputs",
     "run_scenario",
 ]
+
+#: The built-in mechanism kinds whose algorithm is a
+#: :class:`~repro.auctions.decomposable.DecomposableMechanism`, named when a
+#: spec asks the parallel allocator to run another one.
+_DECOMPOSABLE_KINDS = ("standard", "vcg")
 
 
 class FlatRecord:
@@ -262,8 +268,9 @@ def check_round(spec: ScenarioSpec, mechanism, prefix: str = "") -> None:
     """The checks of a round that need only its spec and its mechanism.
 
     ``users <= mechanism.max_users`` and — for a runner that hosts the
-    protocol — :func:`_framework_config`'s, with ``m`` = ``executors`` or
-    ``providers`` (the gateway count, see :func:`resolve_provider_ids`).
+    protocol — that ``config.parallel`` names a mechanism that decomposes
+    (Algorithm 1) and :func:`_framework_config`'s, with ``m`` = ``executors``
+    or ``providers`` (the gateway count, see :func:`resolve_provider_ids`).
     ``prefix`` is ``base.`` inside an audit spec.
     """
     limit = mechanism.max_users
@@ -277,6 +284,13 @@ def check_round(spec: ScenarioSpec, mechanism, prefix: str = "") -> None:
         executors = spec.providers  # every provider hosts a node
     else:
         return
+    if spec.config.parallel and not isinstance(mechanism, DecomposableMechanism):
+        raise SpecError(
+            f"{prefix}config.parallel",
+            f"{mechanism.name!r} does not decompose into Algorithm 1's allocation and "
+            f"payments; the parallel allocator runs only the mechanism kinds that do: "
+            f"{', '.join(_DECOMPOSABLE_KINDS)}",
+        )
     _framework_config(spec, executors, mechanism, f"{prefix}config")
 
 

@@ -1,19 +1,26 @@
 """Tests for the sequential and parallel allocator blocks (Property 2)."""
 
-import random
-from unittest import mock
+import functools
 
 import pytest
 
 from tests.conftest import run_block_network
 
+from repro.adversary.coalition import Coalition
+from repro.adversary.provider_behaviors import MessageDroppingProviderNode
 from repro.auctions.base import AuctionResult
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.common import is_abort
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
-from repro.core.allocator import ParallelAllocatorBlock, SequentialAllocatorBlock
-from repro.core.task_graph import TaskGraph, build_standard_auction_graph
+from repro.core.allocator import (
+    ParallelAllocatorBlock,
+    SequentialAllocatorBlock,
+    assign_provider_groups,
+    partition_users,
+)
+from repro.core.config import FrameworkConfig
+from repro.core.framework import DistributedAuctioneer
 from repro.net.scheduler import RandomScheduler
 
 PROVIDERS = ["p0", "p1", "p2", "p3"]
@@ -78,19 +85,13 @@ class TestSequentialAllocator:
 
 
 class TestParallelAllocator:
-    def _graph(self, bids, k=1, num_groups=None, mechanism=None):
-        mechanism = mechanism if mechanism is not None else StandardAuction(epsilon=0.5)
-        return mechanism, build_standard_auction_graph(
-            mechanism, bids, PROVIDERS, k=k, num_groups=num_groups
-        )
-
     def test_parallel_execution_matches_sequential(self):
         bids = standard_bids()
         mechanism = StandardAuction(epsilon=0.5)
-        graph = build_standard_auction_graph(mechanism, bids, PROVIDERS, k=1)
+        groups = assign_provider_groups(PROVIDERS, k=1)
         parallel = run_block_network(
             PROVIDERS,
-            lambda nid: ParallelAllocatorBlock("alloc", bids, graph),
+            lambda nid: ParallelAllocatorBlock("alloc", bids, mechanism, groups),
             seed=3,
         )
         sequential = run_block_network(
@@ -105,13 +106,13 @@ class TestParallelAllocator:
         bids = standard_bids()
         mechanism = StandardAuction(epsilon=0.5)
         results = []
-        for groups in (1, 2, 4):
-            graph = build_standard_auction_graph(
-                mechanism, bids, PROVIDERS, k=0, num_groups=groups
-            )
+        for num_groups in (1, 2, 4):
+            groups = assign_provider_groups(PROVIDERS, k=0, num_groups=num_groups)
             outputs = run_block_network(
                 PROVIDERS,
-                lambda nid, graph=graph: ParallelAllocatorBlock("alloc", bids, graph),
+                lambda nid, groups=groups: ParallelAllocatorBlock(
+                    "alloc", bids, mechanism, groups
+                ),
                 seed=9,
             )
             assert all(v == outputs["p0"] for v in outputs.values())
@@ -121,9 +122,9 @@ class TestParallelAllocator:
     def test_result_is_feasible_and_well_formed(self):
         bids = standard_bids(num_users=10)
         mechanism = StandardAuction(epsilon=0.5)
-        graph = build_standard_auction_graph(mechanism, bids, PROVIDERS, k=1)
+        groups = assign_provider_groups(PROVIDERS, k=1)
         outputs = run_block_network(
-            PROVIDERS, lambda nid: ParallelAllocatorBlock("alloc", bids, graph)
+            PROVIDERS, lambda nid: ParallelAllocatorBlock("alloc", bids, mechanism, groups)
         )
         result = outputs["p0"]
         assert isinstance(result, AuctionResult)
@@ -133,45 +134,96 @@ class TestParallelAllocator:
     def test_agreement_under_random_schedule(self):
         bids = standard_bids()
         mechanism = StandardAuction(epsilon=0.5)
-        graph = build_standard_auction_graph(mechanism, bids, PROVIDERS, k=1)
+        groups = assign_provider_groups(PROVIDERS, k=1)
         for seed in range(3):
             outputs = run_block_network(
                 PROVIDERS,
-                lambda nid: ParallelAllocatorBlock("alloc", bids, graph),
+                lambda nid: ParallelAllocatorBlock("alloc", bids, mechanism, groups),
                 scheduler=RandomScheduler(),
                 seed=seed,
             )
             assert all(v == outputs["p0"] for v in outputs.values())
             assert not is_abort(outputs["p0"])
 
-    def test_task_order_and_receivers_are_taken_once_per_block(self):
-        """The graph is fixed once execution begins: no re-sort per fix-point pass."""
-        bids = standard_bids()
-        _mechanism, graph = self._graph(bids)
-        with mock.patch.object(
-            TaskGraph, "topological_order", autospec=True, side_effect=TaskGraph.topological_order
-        ) as order, mock.patch.object(
-            ParallelAllocatorBlock,
-            "_receivers_of",
-            autospec=True,
-            side_effect=ParallelAllocatorBlock._receivers_of,
-        ) as receivers:
-            outputs = run_block_network(
-                PROVIDERS, lambda nid: ParallelAllocatorBlock("alloc", bids, graph)
-            )
-        assert not is_abort(outputs["p0"])
-        assert order.call_count == len(PROVIDERS)
-        assert receivers.call_count == len(PROVIDERS) * len(graph.tasks)
-
     def test_differing_inputs_abort(self):
         good = standard_bids()
         forged = good.replace_user(good.users[0].with_unit_value(50.0))
         mechanism = StandardAuction(epsilon=0.5)
-        graph = build_standard_auction_graph(mechanism, good, PROVIDERS, k=1)
+        groups = assign_provider_groups(PROVIDERS, k=1)
 
         def factory(nid):
             bids = forged if nid == "p0" else good
-            return ParallelAllocatorBlock("alloc", bids, graph)
+            return ParallelAllocatorBlock("alloc", bids, mechanism, groups)
 
         outputs = run_block_network(PROVIDERS, factory)
         assert is_abort(outputs["p1"])
+
+    def test_a_silent_sender_degrades_its_transfer_onto_its_peer(self):
+        """Under ``round_timeout`` a transfer closes on the senders it heard from.
+
+        ``p1`` drops every data-transfer message it sends, so the six providers
+        outside group 0 = {p0, p1} hear ``pay/0`` from ``p0`` alone and accept it
+        when their transfer timer fires: the round is degraded, not aborted, and
+        every provider outputs the honest pair.
+        """
+        providers = [f"p{i}" for i in range(8)]
+        bids = StandardAuctionWorkload(seed=5).generate(12, 8, provider_ids=providers)
+        auctioneer = DistributedAuctioneer(
+            StandardAuction(epsilon=0.5),
+            providers=providers,
+            config=FrameworkConfig(k=1, parallel=True, round_timeout=0.5),
+            seed=2,
+        )
+        honest = auctioneer.run_from_bids(bids)
+        assert not honest.aborted and not honest.outcome.degraded
+        silent = Coalition.of(
+            ["p1"], functools.partial(MessageDroppingProviderNode, tag_substring="dt:pay")
+        )
+        report = auctioneer.run(
+            auctioneer.consistent_inputs(bids),
+            expected_users=bids.user_ids,
+            node_factory=silent.factory(),
+        )
+        outputs = report.outcome.provider_outputs
+        assert sorted(outputs) == providers
+        assert all(output == honest.outcome.result for output in outputs.values())
+        assert report.outcome.degraded and not report.aborted
+        by_tag = report.stats.messages_by_tag
+        assert by_tag["framework/alloc/dt:pay/0"] == 6
+        assert by_tag["__timer__/framework/alloc/dt:pay/0"] == 6
+
+
+class TestGrouping:
+    def test_max_parallelism_grouping(self):
+        groups = assign_provider_groups([f"p{i}" for i in range(8)], k=1)
+        assert len(groups) == 4
+        assert all(len(g) == 2 for g in groups)
+
+    def test_remainder_spread(self):
+        groups = assign_provider_groups([f"p{i}" for i in range(8)], k=2)
+        assert len(groups) == 2
+        assert sorted(len(g) for g in groups) == [4, 4]
+        groups = assign_provider_groups([f"p{i}" for i in range(7)], k=1)
+        assert len(groups) == 3
+        assert sorted(len(g) for g in groups) == [2, 2, 3]
+
+    def test_explicit_group_count(self):
+        groups = assign_provider_groups([f"p{i}" for i in range(8)], k=1, num_groups=2)
+        assert len(groups) == 2
+        with pytest.raises(ValueError):
+            assign_provider_groups([f"p{i}" for i in range(8)], k=1, num_groups=5)
+
+    def test_too_few_providers(self):
+        with pytest.raises(ValueError):
+            assign_provider_groups(["p0"], k=1)
+
+    def test_partition_users(self):
+        chunks = partition_users([f"u{i}" for i in range(10)], 4)
+        assert len(chunks) == 4
+        assert sorted(len(c) for c in chunks) == [2, 2, 3, 3]
+        assert sorted(sum(chunks, [])) == sorted(f"u{i}" for i in range(10))
+
+    def test_partition_users_more_groups_than_users(self):
+        chunks = partition_users(["u0"], 3)
+        assert len(chunks) == 3
+        assert sum(len(c) for c in chunks) == 1

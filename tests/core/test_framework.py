@@ -137,7 +137,7 @@ class TestInputHandling:
             )
         with pytest.raises(ValueError, match=r"num_groups must be at most"):
             AuctionRun(standard_bids(seed=1), StandardAuction(epsilon=0.5), config=too_many)
-        # Where no task graph reads it, the value is ignored as before.
+        # Where no parallel allocator reads it, the value is ignored as before.
         DistributedAuctioneer(DoubleAuction(), providers=PROVIDERS, config=too_many)
 
     def test_sequential_allocator_ignores_num_groups(self):

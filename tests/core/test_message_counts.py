@@ -2,9 +2,11 @@
 
 An honest, fault-free round of ``m`` executors runs one batched bid agreement
 (value + echo), one input validation (one digest each) and, when ``A`` reads
-its seed, one common coin (commit + reveal), whatever ``k``.
-``NetworkStats.messages_by_tag`` counts the deliveries per block path, so every
-formula is checked exactly, block by block.  A double round's bytes are
+its seed, one common coin (commit + reveal), whatever ``k``.  On the parallel
+allocator each provider group also sends its payments to every provider
+outside it.  ``NetworkStats.messages_by_tag`` counts the deliveries per block
+path, so every formula is checked exactly, block by block, and the rows add up
+to the round's ``messages_delivered``.  A double round's bytes are
 checked exactly too, against ``NetworkStats.bytes_delivered``.
 """
 
@@ -16,6 +18,7 @@ from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.consensus.multi_consensus import BatchedConsensusBlock
+from repro.core.allocator import assign_provider_groups, transfer_messages
 from repro.core.bid_agreement import agreement_bytes, agreement_messages
 from repro.core.common_coin import coin_messages
 from repro.core.config import FrameworkConfig
@@ -49,6 +52,23 @@ def test_the_fig4_sweep_rows():
     # rounds read net.msgs_common_coin 0 (see the next test).
     rows = {m: (agreement_messages(m), validation_messages(m), coin_messages(m)) for m in (5, 7, 8)}
     assert rows == {5: (40, 20, 40), 7: (84, 42, 84), 8: (112, 56, 112)}
+
+
+def test_the_fig5_sweep_rows():
+    # A fig5_sweep op's distributed points run the parallel standard auction on
+    # m = 8 executors: p = 2 groups of 4 (k = 3) and p = 4 groups of 2 (k = 1).
+    # Their mean is the benchmark's msgs_per_round, 320.
+    m = 8
+    providers = [f"p{i}" for i in range(m)]
+    rows = {
+        len(groups): agreement_messages(m)
+        + validation_messages(m)
+        + coin_messages(m)
+        + transfer_messages(groups)
+        for groups in (assign_provider_groups(providers, k) for k in (3, 1))
+    }
+    assert rows == {2: 312, 4: 328}
+    assert sum(rows.values()) / len(rows) == 320
 
 
 def test_the_benchmark_double_rounds_run_no_coin():
@@ -141,3 +161,14 @@ def test_an_honest_round_sends_what_the_formulas_say(m, k, mechanism):
     ]
     coin = coin_messages(m) if algorithm.randomized else 0
     assert observed == [agreement_messages(m), validation_messages(m), coin]
+    transfers = 0
+    if config.get("parallel"):
+        groups = assign_provider_groups(providers, k)
+        for g, group in enumerate(groups):
+            path = f"framework/alloc/dt:pay/{g}"
+            if len(group) == m:
+                assert path not in report.stats.messages_by_tag
+            else:
+                assert report.stats.messages_by_tag[path] == len(group) * (m - len(group))
+        transfers = transfer_messages(groups)
+    assert report.stats.messages_delivered == sum(observed) + transfers

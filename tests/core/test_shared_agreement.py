@@ -1045,63 +1045,6 @@ def _bid_vectors(draw):
     )
 
 
-@contextmanager
-def recorded_graphs():
-    """The task graph every ``ParallelAllocatorBlock`` was handed."""
-    graphs = []
-    original = allocator.ParallelAllocatorBlock.__init__
-
-    def spy(block, name, bids, graph, *args, **kwargs):
-        graphs.append(graph)
-        original(block, name, bids, graph, *args, **kwargs)
-
-    with mock.patch.object(allocator.ParallelAllocatorBlock, "__init__", spy):
-        yield graphs
-
-
-class TestOneTaskGraph:
-    """The providers of a parallel-allocator round read one graph per agreed vector."""
-
-    PROVIDERS = providers_named(5)
-
-    def _rounds(self, ks):
-        bids = StandardAuctionWorkload(seed=8).generate(
-            30, len(self.PROVIDERS), provider_ids=self.PROVIDERS
-        )
-        mechanism = StandardAuction(epsilon=0.5)
-        with recorded_graphs() as graphs:
-            reports = [
-                DistributedAuctioneer(
-                    mechanism,
-                    providers=self.PROVIDERS,
-                    config=FrameworkConfig(k=k, parallel=True),
-                    seed=4,
-                ).run_from_bids(bids)
-                for k in ks
-            ]
-        assert not any(report.aborted for report in reports)
-        return [Round(report, [], mechanism).observable() for report in reports], graphs
-
-    def test_one_round_builds_one_graph(self):
-        shared, shared_graphs = self._rounds([1])
-        with unshared():
-            separate, separate_graphs = self._rounds([1])
-        assert shared == separate
-        assert len(shared_graphs) == len(separate_graphs) == len(self.PROVIDERS)
-        assert len(distinct(shared_graphs)) == 1
-        assert len(distinct(separate_graphs)) == len(self.PROVIDERS)
-
-    def test_rounds_of_one_vector_at_another_k_build_another_graph(self):
-        shared, graphs = self._rounds([1, 2, 1])
-        with unshared():
-            separate, _graphs = self._rounds([1, 2, 1])
-        assert shared == separate
-        m = len(self.PROVIDERS)
-        first, second, third = graphs[:m], graphs[m : 2 * m], graphs[2 * m :]
-        assert len(distinct(graphs)) == 2
-        assert distinct(first) == distinct(third) != distinct(second)
-
-
 class TestReplicatedPathStaysAudited:
     """Definition 1 is still *checked* once one computation serves m providers."""
 

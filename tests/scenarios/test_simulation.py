@@ -4,8 +4,10 @@ import dataclasses
 
 import pytest
 
+from repro.auctions.decomposable import DecomposableMechanism
 from repro.scenarios import (
     LATENCIES,
+    MECHANISMS,
     WORKLOADS,
     ComponentSpec,
     RunRecord,
@@ -16,6 +18,7 @@ from repro.scenarios import (
     run_sweep,
     spec_from_dict,
 )
+from repro.scenarios import runner
 from repro.scenarios.io import dump_spec, load_spec
 from repro.scenarios.spec import SweepSpec
 
@@ -137,6 +140,39 @@ class TestRunners:
         spec = _deterministic({"mechanism": {"kind": "standard", "epsilon": -1.0}})
         with pytest.raises(SpecError, match=r"mechanism: invalid parameters"):
             run_scenario(spec)
+
+    @pytest.mark.parametrize("runner_kind", ["distributed", "auction_run"])
+    @pytest.mark.parametrize(
+        "mechanism, name",
+        [("double", "double-auction-waterfill"), ("greedy", "greedy-pay-your-bid")],
+    )
+    def test_parallel_needs_a_mechanism_that_decomposes(self, mechanism, name, runner_kind):
+        spec = _deterministic(
+            {
+                "mechanism": mechanism,
+                "users": 10,
+                "providers": 4,
+                "runner": runner_kind,
+                "config": {"parallel": True, "num_groups": 2},
+            }
+        )
+        with pytest.raises(SpecError) as error:
+            run_scenario(spec)
+        assert error.value.path == "config.parallel"
+        assert error.value.message == (
+            f"{name!r} does not decompose into Algorithm 1's allocation and payments; "
+            "the parallel allocator runs only the mechanism kinds that do: standard, vcg"
+        )
+
+    def test_the_kinds_named_are_the_kinds_that_decompose(self):
+        decompose = [
+            kind
+            for kind in MECHANISMS.available()
+            if isinstance(
+                runner.build_mechanism(_deterministic({"mechanism": kind})), DecomposableMechanism
+            )
+        ]
+        assert decompose == list(runner._DECOMPOSABLE_KINDS)
 
     def test_overlapping_bidder_entries_rejected(self):
         spec = _deterministic(

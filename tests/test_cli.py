@@ -239,9 +239,19 @@ class TestSpecDrivenCommands:
 
     def test_unread_num_groups_keeps_running(self, capsys):
         argv = ["run", "--set", "users=6", "--set", "providers=3"]
-        argv += ["--set", "config.parallel=true", "--set", "config.num_groups=50"]
-        assert main(argv) == 0  # the double auction never forms task groups
+        argv += ["--set", "config.parallel=false", "--set", "config.num_groups=50"]
+        assert main(argv) == 0  # the sequential allocator never forms provider groups
         assert "winning users" in capsys.readouterr().out
+
+    def test_parallel_double_auction_is_a_spec_error(self, capsys):
+        argv = ["run", "--set", "users=10", "--set", "providers=4"]
+        argv += ["--set", "config.parallel=true", "--set", "config.num_groups=2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: config.parallel: 'double-auction-waterfill' does not decompose into "
+            "Algorithm 1's allocation and payments; the parallel allocator runs only the "
+            "mechanism kinds that do: standard, vcg\n"
+        )
 
     @pytest.mark.parametrize("runner", ["distributed", "auction_run", "centralized"])
     def test_more_users_than_the_mechanism_takes_is_a_spec_error(self, runner, capsys):
@@ -456,6 +466,21 @@ class TestSpecErrorsLeaveNoJournal:
         dump_spec(sweep, path)
         return path
 
+    @staticmethod
+    def _parallel_double(tmp_path):
+        base = spec_from_dict(
+            {"mechanism": "double", "users": 10, "providers": 4, "latency": "constant",
+             "measure_compute": False}
+        )
+        sweep = SweepSpec(
+            base=base,
+            name="parallel-double",
+            points=({}, {"config.parallel": True, "config.num_groups": 2}),
+        )
+        path = tmp_path / "sweep.json"
+        dump_spec(sweep, path)
+        return path
+
     @pytest.mark.parametrize(
         "argv, error",
         [
@@ -470,17 +495,28 @@ class TestSpecErrorsLeaveNoJournal:
                 "error: users: at most max_users=16 for 'exact-vcg', got 20\n",
             ),
             (
-                None,
+                "_k3_on_five_providers",
                 "error: config.k: the rational-consensus building block requires m > 2k; "
                 "got m=5 executing providers, k=3\n",
             ),
+            (
+                "_parallel_double",
+                "error: config.parallel: 'double-auction-waterfill' does not decompose into "
+                "Algorithm 1's allocation and payments; the parallel allocator runs only the "
+                "mechanism kinds that do: standard, vcg\n",
+            ),
         ],
-        ids=["resilience-coalition", "sweep-max-users", "sweep-second-point-k"],
+        ids=[
+            "resilience-coalition",
+            "sweep-max-users",
+            "sweep-second-point-k",
+            "sweep-second-point-parallel-double",
+        ],
     )
     def test_exits_2_without_a_journal(self, argv, error, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        if argv is None:
-            argv = ["sweep", "--spec", str(self._k3_on_five_providers(tmp_path))]
+        if isinstance(argv, str):
+            argv = ["sweep", "--spec", str(getattr(self, argv)(tmp_path))]
         journal = tmp_path / "journal.jsonl"
         assert main(argv + ["--output", str(journal)]) == 2
         assert capsys.readouterr().err == error

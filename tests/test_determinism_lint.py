@@ -401,8 +401,7 @@ def test_outside_the_deterministic_packages_only_rpa003_reads(path):
 #: Real files of each kind: nested packages inherit, and ``obs`` traces sim time only.
 READ = ["auctions/base.py", "auctions/engine/kernel.py", "net/scheduler.py", "net/network.py",
         "consensus/commitment.py", "gametheory/resilience.py", "scenarios/sweep.py", "obs/trace.py",
-        "core/framework.py", "core/allocator.py", "core/common_coin.py", "core/task_graph.py",
-        *PROTOCOL_PATHS]
+        "core/framework.py", "core/allocator.py", "core/common_coin.py", *PROTOCOL_PATHS]
 NOT_READ = [*EXEMPT_FILES, NON_DET, "common.py", "__init__.py"]
 
 
