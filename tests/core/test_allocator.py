@@ -7,7 +7,10 @@ import pytest
 from tests.conftest import run_block_network
 
 from repro.adversary.coalition import Coalition
-from repro.adversary.provider_behaviors import MessageDroppingProviderNode
+from repro.adversary.provider_behaviors import (
+    EquivocatingProviderNode,
+    MessageDroppingProviderNode,
+)
 from repro.auctions.base import AuctionResult
 from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
@@ -34,6 +37,38 @@ def standard_bids(num_users=8):
     return StandardAuctionWorkload(seed=7).generate(
         num_users, len(PROVIDERS), provider_ids=PROVIDERS
     )
+
+
+class RecordingMechanism:
+    """Delegates to a decomposable mechanism and records each step it is asked for."""
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+
+    def solve_allocation(self, bids, seed):
+        self.calls.append(("allocation",))
+        return self.inner.solve_allocation(bids, seed)
+
+    def payments_for_users(self, bids, user_ids, allocation, welfare, seed):
+        self.calls.append(("payments", tuple(user_ids)))
+        return self.inner.payments_for_users(bids, user_ids, allocation, welfare, seed)
+
+    def assemble(self, bids, allocation, payments):
+        self.calls.append(("assemble", tuple(sorted(payments))))
+        return self.inner.assemble(bids, allocation, payments)
+
+
+class SpawnOrderBlock(ParallelAllocatorBlock):
+    """Records the group index of every ``dt:pay/<g>`` transfer the block spawns."""
+
+    def __init__(self, *args, spawned, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.spawned = spawned
+
+    def _spawn_transfer(self, g, **my_value):
+        self.spawned.append(g)
+        super()._spawn_transfer(g, **my_value)
 
 
 class TestSequentialAllocator:
@@ -157,6 +192,90 @@ class TestParallelAllocator:
 
         outputs = run_block_network(PROVIDERS, factory)
         assert is_abort(outputs["p1"])
+
+    @pytest.mark.parametrize(
+        "k, num_groups",
+        [(1, None), (0, 4), (0, 3), (3, None)],
+        ids=["two-pairs", "four-singletons", "uneven-three", "one-group-of-everyone"],
+    )
+    def test_every_provider_runs_each_step_of_algorithm_1_once(self, k, num_groups):
+        """Allocation once, its own group's share of the payments once, assembly once.
+
+        ``_progress`` is re-entered by every transfer that completes, so this also
+        checks that a re-entry repeats no step.
+        """
+        bids = standard_bids(num_users=10)
+        mechanism = StandardAuction(epsilon=0.5)
+        groups = assign_provider_groups(PROVIDERS, k, num_groups)
+        shares = partition_users(bids.user_ids, len(groups))
+        calls = {nid: [] for nid in PROVIDERS}
+        outputs = run_block_network(
+            PROVIDERS,
+            lambda nid: ParallelAllocatorBlock(
+                "alloc", bids, RecordingMechanism(mechanism, calls[nid]), groups
+            ),
+        )
+        assert not is_abort(outputs["p0"])
+        assert all(v == outputs["p0"] for v in outputs.values())
+        everyone = tuple(sorted(bids.user_ids))
+        for g, group in enumerate(groups):
+            for nid in group:
+                assert calls[nid] == [
+                    ("allocation",),
+                    ("payments", tuple(shares[g])),
+                    ("assemble", everyone),
+                ]
+
+    def test_receiving_transfers_are_spawned_in_group_order(self):
+        """Every other group's transfer in group-index order, then the provider's own.
+
+        With twelve singleton groups the order is by index (``pay/2`` before
+        ``pay/10``), not by the text of the transfer's name.
+        """
+        providers = [f"p{i}" for i in range(12)]
+        bids = StandardAuctionWorkload(seed=7).generate(8, 12, provider_ids=providers)
+        groups = assign_provider_groups(providers, k=0)
+        assert len(groups) == 12
+        spawned = {nid: [] for nid in providers}
+        outputs = run_block_network(
+            providers,
+            lambda nid: SpawnOrderBlock(
+                "alloc", bids, StandardAuction(epsilon=0.5), groups, spawned=spawned[nid]
+            ),
+        )
+        assert not is_abort(outputs["p0"])
+        assert all(v == outputs["p0"] for v in outputs.values())
+        for g, group in enumerate(groups):
+            (nid,) = group
+            assert spawned[nid] == [h for h in range(12) if h != g] + [g]
+
+    def test_an_equivocating_sender_aborts_its_receivers(self):
+        """Without ``round_timeout`` a transfer whose senders disagree outputs ⊥.
+
+        ``p1`` sends a corrupted ``pay/0`` to the first half of its peers, so the
+        receivers among them (``p2``, ``p3``) hear two different payment maps for
+        group 0 = {p0, p1}: their allocator aborts and so does the round.
+        """
+        providers = [f"p{i}" for i in range(8)]
+        bids = StandardAuctionWorkload(seed=5).generate(12, 8, provider_ids=providers)
+        auctioneer = DistributedAuctioneer(
+            StandardAuction(epsilon=0.5),
+            providers=providers,
+            config=FrameworkConfig(k=1, parallel=True),
+            seed=2,
+        )
+        assert not auctioneer.run_from_bids(bids).aborted
+        equivocator = Coalition.of(
+            ["p1"], functools.partial(EquivocatingProviderNode, tag_substring="dt:pay")
+        )
+        report = auctioneer.run(
+            auctioneer.consistent_inputs(bids),
+            expected_users=bids.user_ids,
+            node_factory=equivocator.factory(),
+        )
+        assert report.aborted
+        outputs = report.outcome.provider_outputs
+        assert is_abort(outputs["p2"]) and is_abort(outputs["p3"])
 
     def test_a_silent_sender_degrades_its_transfer_onto_its_peer(self):
         """Under ``round_timeout`` a transfer closes on the senders it heard from.
