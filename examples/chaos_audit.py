@@ -30,7 +30,6 @@ def main() -> None:
         config={"k": 1},
         latency="constant",  # real delivery delays, so the crash window is live
         seed=7,
-        measure_compute=False,
     )
     audit = ChaosSpec(
         base=spec,

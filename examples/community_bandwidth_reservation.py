@@ -57,7 +57,6 @@ def main() -> None:
         config=FrameworkConfig(k=2),
         bidder_strategies=strategies,
         latency_model=network.latency_model(),
-        measure_compute=True,
     )
     result = run.execute()
 

@@ -4,8 +4,7 @@ The evaluation of the paper is a *grid* of auction runs (users × k ×
 parallelism).  This example runs such a grid three ways over the same
 declarative ``SweepSpec``:
 
-1. sequentially (the baseline every other mode must match bit-for-bit on
-   deterministic fields);
+1. sequentially (the baseline every other mode must match bit-for-bit);
 2. in a 2-process worker pool with a JSONL results journal (``store=``) —
    every record is appended as it completes, so an interrupted sweep loses
    nothing;
@@ -29,7 +28,6 @@ base = spec_from_dict(
         "users": 24,
         "providers": 4,
         "latency": "constant",
-        "measure_compute": False,  # deterministic virtual clock: exact equality below
         "rounds": 2,
         "config": {"k": 1},
     }

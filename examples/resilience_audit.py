@@ -28,7 +28,6 @@ def main() -> None:
         providers=5,
         config={"k": 2},
         seed=9,
-        measure_compute=False,
     )
     audit = ResilienceSpec(
         base=spec,

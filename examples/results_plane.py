@@ -42,7 +42,6 @@ base = spec_from_dict(
         "users": 24,
         "providers": 4,
         "latency": "constant",
-        "measure_compute": False,  # deterministic virtual clock: exact equality below
         "rounds": 2,
         "config": {"k": 1},
     }

@@ -10,18 +10,17 @@ per-provider outputs into the outcome of Definition 1, and reports timing and tr
 statistics.
 
 :class:`CentralizedAuctioneer` is the baseline of the paper's evaluation: a single
-trusted entity that simply runs the algorithm, timed by a stopwatch.
+trusted entity that simply runs the algorithm, in no modelled time (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.auctions.base import AllocationAlgorithm, AuctionResult, BidVector
-from repro.common import FrozenMap, stable_hash
+from repro.common import stable_hash
 from repro.core.config import FrameworkConfig
 from repro.core.outcome import Outcome
 from repro.core.provider_protocol import FrameworkProviderNode, ProviderInput
@@ -62,8 +61,8 @@ class DistributedAuctioneer:
         latency_model: network latency model for the simulation (default: zero).
         scheduler: message scheduler (default: earliest-arrival-first).
         seed: seed of the simulated network (latency jitter, per-node RNGs).
-        measure_compute: charge measured handler wall-time to the providers' virtual
-            clocks — enable for benchmarking, disable for deterministic tests.
+        measure_compute: retired; only ``False`` (what every round now does:
+            compute is modelled, never measured) is accepted.
         fault_plan: optional :class:`~repro.net.faults.FaultPlan` armed on the
             simulated network — the chaos audit injects message loss, crashes
             and partitions through it.  ``None`` (the default) is the paper's
@@ -81,6 +80,11 @@ class DistributedAuctioneer:
         measure_compute: bool = False,
         fault_plan=None,
     ) -> None:
+        if measure_compute is not False:
+            raise ValueError(
+                "measure_compute: retired after commit e3eec74: compute is modelled "
+                "(ROADMAP item 1); only False is accepted"
+            )
         if not providers:
             raise ValueError("need at least one provider")
         self.algorithm = algorithm
@@ -91,7 +95,6 @@ class DistributedAuctioneer:
         self.latency_model = latency_model
         self.scheduler = scheduler
         self.seed = seed
-        self.measure_compute = measure_compute
         self.fault_plan = fault_plan
 
     # -- input construction -------------------------------------------------------
@@ -148,7 +151,6 @@ class DistributedAuctioneer:
             latency_model=self.latency_model,
             scheduler=self.scheduler,
             seed=self.seed,
-            measure_compute=self.measure_compute,
             fault_plan=self.fault_plan,
         )
         factory = node_factory if node_factory is not None else self._default_node
@@ -175,18 +177,14 @@ class DistributedAuctioneer:
         Every provider received the same bids, so all of them hold the same
         two :class:`~repro.common.FrozenMap` objects — and so build one
         agreement batch between them (see
-        :meth:`~repro.core.bid_agreement.BidAgreementBlock._my_inputs`).  Under
-        modelled time the maps are the vector's own index
+        :meth:`~repro.core.bid_agreement.BidAgreementBlock._my_inputs`).  The
+        maps are the vector's own index
         (:meth:`~repro.auctions.base.BidVector.by_id`), so every round run from
         the same vector *object* shares the batch, the agreed vector, its
-        digest and ``A``'s results as well.  Under ``measure_compute`` a memo
-        read would be charged where a build was, so each round gets maps of
-        its own and pays for its own.  The outcome is that of
+        digest and ``A``'s results as well.  The outcome is that of
         ``run(consistent_inputs(bids))``.
         """
         user_bids, ask_map = bids.by_id()
-        if self.measure_compute:
-            user_bids, ask_map = FrozenMap(user_bids), FrozenMap(ask_map)
         inputs = {
             provider_id: ProviderInput(provider_id, user_bids, ask_map)
             for provider_id in self.providers
@@ -199,7 +197,10 @@ class DistributedAuctioneer:
 
 
 class CentralizedAuctioneer:
-    """The trusted-auctioneer baseline: run ``A`` directly and time it.
+    """The trusted-auctioneer baseline: run ``A`` directly.
+
+    Its ``elapsed_time`` is 0.0: compute is modelled, and no mechanism
+    declares its work yet (ROADMAP item 1).
 
     Args:
         algorithm: the allocation algorithm.
@@ -211,18 +212,12 @@ class CentralizedAuctioneer:
         self.seed = seed
 
     def run(self, bids: BidVector) -> SimulationReport:
-        """Execute the auction centrally, reporting measured compute time."""
-        rng = random.Random(stable_hash(self.seed, "centralized"))
-        # The centralised counterpart of measure_compute: a real stopwatch until
-        # modelled compute replaces both (ROADMAP item 1).  Both reads are
-        # allowlisted in tests/test_determinism_lint.py.
-        start = time.perf_counter()
-        result = self.algorithm.run(bids, rng)
-        elapsed = time.perf_counter() - start
+        """Execute the auction centrally."""
+        result = self.algorithm.run(bids, random.Random(stable_hash(self.seed, "centralized")))
         outcome = Outcome(
             result=result,
             provider_outputs={"auctioneer": result},
-            elapsed_time=elapsed,
+            elapsed_time=0.0,
             messages=0,
             bytes_transferred=0,
         )

@@ -47,7 +47,7 @@ class Outcome:
         provider_outputs: what each provider individually output (useful to diagnose
             which provider aborted or diverged).
         elapsed_time: critical-path elapsed time of the simulated execution, in
-            seconds (0.0 for centralised executions measured directly).
+            seconds (0.0 for a centralised execution: compute is modelled).
         messages: total number of messages delivered during the round.
         bytes_transferred: total payload bytes delivered during the round.
         degraded: True when some provider closed an agreement round on a

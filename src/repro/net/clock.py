@@ -5,9 +5,9 @@ in two ways:
 
 * when the node processes a message, the clock first jumps forward to the message's
   arrival time (it cannot process what has not arrived yet);
-* the node is *charged* compute time for the handler it runs — either the measured
-  wall-clock time of the handler (default) or an explicit amount passed by the
-  protocol code.
+* the node is *charged* compute time for the handler it runs — an explicit,
+  modelled amount passed by the protocol code (``ctx.charge``), never the host's
+  wall clock.
 
 The maximum clock value across nodes at the end of a run is the critical-path elapsed
 time of the distributed execution: computation that happens in parallel on different

@@ -3,8 +3,8 @@
 :class:`SimNetwork` executes a set of :class:`~repro.net.node.Node` state machines
 under the execution model of the paper: reliable channels, fair (but otherwise
 arbitrary) schedules, and per-node virtual clocks.  The simulator is deterministic
-given (nodes, seed, scheduler, latency model, and — if enabled — measured compute
-time), which makes protocol behaviour reproducible in tests.
+given (nodes, seed, scheduler, latency model), which makes protocol behaviour
+reproducible in tests.
 
 The event-queue core
 --------------------
@@ -30,7 +30,7 @@ A round's lifetime
 
 The owner of a round calls :meth:`SimNetwork.close` once it has read what it
 needs (``DistributedAuctioneer.run`` and ``AuctionRun`` do, in a ``finally``).
-The cached contexts lose their network, the handler tables are cleared and
+The cached contexts lose their network, the handler table is cleared and
 every node's :meth:`~repro.net.node.Node.close` hook runs, so nothing in the
 round's object graph points back into it: reference counting frees the whole
 round, and the cyclic collector finds nothing.  ``stats``, the nodes, the
@@ -42,17 +42,16 @@ Time accounting
 Each node owns a :class:`~repro.net.clock.VirtualClock`.  Sending stamps the message
 with the sender's current time; the latency model assigns an arrival time; processing
 a message advances the recipient's clock to at least the arrival time and then charges
-compute time.  Compute time can be *measured* (wall-clock of the handler, used by the
-benchmark harness) or purely *modelled* (only explicit ``ctx.charge`` calls count,
-used by deterministic tests).  The run's ``elapsed_time`` is the maximum clock value —
-the critical path of the distributed execution.
+compute time.  Compute time is *modelled*: only explicit ``ctx.charge`` calls count,
+never the host's wall clock, so a round's time is a function of the round alone.
+The run's ``elapsed_time`` is the maximum clock value — the critical path of the
+distributed execution.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -103,24 +102,6 @@ class NetworkStats:
     node_busy: Dict[str, float] = field(default_factory=dict)
     node_finish_time: Dict[str, float] = field(default_factory=dict)
     messages_by_tag: Dict[str, int] = field(default_factory=dict)
-
-
-def _charged(clock: VirtualClock, handler: Callable[..., None]) -> Callable[..., None]:
-    """``handler``, with the wall-clock duration of every call charged to ``clock``.
-
-    Opt-in wall-clock timing field: measure_compute deliberately charges
-    *real* handler time to the model clock, so elapsed results are
-    nondeterministic by construction when it is on.
-    """
-
-    def timed(*args) -> None:
-        # The measure_compute timing field: two wall-clock reads, allowlisted
-        # in tests/test_determinism_lint.py.
-        start = time.perf_counter()
-        handler(*args)
-        clock.charge(time.perf_counter() - start)
-
-    return timed
 
 
 class _SimContext(NodeContext):
@@ -195,10 +176,6 @@ class SimNetwork:
             is a ``TypeError`` here, not a failure mid-run.
         seed: seed for the network-level RNG (latency jitter, random scheduler) and
             for deriving per-node RNGs.
-        measure_compute: if True, the wall-clock duration of every handler invocation
-            is charged to the node's virtual clock in addition to explicit
-            ``ctx.charge`` calls.  Leave False for deterministic tests.  Read when a
-            node is added: that is where its handlers get wrapped, or not.
         fault_plan: optional :class:`~repro.net.faults.FaultPlan` injecting
             seeded failures on the enqueue/pop path (and driving the bounded
             retransmission recovery).  ``None`` — or a plan with no
@@ -211,7 +188,6 @@ class SimNetwork:
         latency_model: Optional[LatencyModel] = None,
         scheduler: Optional[Scheduler] = None,
         seed: int = 0,
-        measure_compute: bool = False,
         fault_plan: Optional["FaultPlan"] = None,
     ) -> None:
         self.latency_model = latency_model if latency_model is not None else ZeroLatencyModel()
@@ -224,17 +200,14 @@ class SimNetwork:
                 "repro.net.scheduler.Scheduler"
             )
         self.scheduler = scheduler
-        self.measure_compute = measure_compute
         self._rng = random.Random(seed)
         self._seed = seed
         self._nodes: Dict[str, Node] = {}
         self._clocks: Dict[str, VirtualClock] = {}
         self._node_rngs: Dict[str, random.Random] = {}
         self._contexts: Dict[str, _SimContext] = {}
-        # Each node's two entry points as the network calls them: the bound
-        # methods themselves, or their timed wrappers under measure_compute —
-        # decided once per node, so a delivery is a plain call.
-        self._on_start: Dict[str, Callable[..., None]] = {}
+        # Each node's bound ``on_message``, looked up once per node, so a
+        # delivery is a plain call.
         self._on_message: Dict[str, Callable[..., None]] = {}
         # Recovery records per (sender, recipient) link; armed runs only.
         self._channels: Dict[Tuple[str, str], ReliableChannel] = {}
@@ -280,13 +253,9 @@ class SimNetwork:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         node_id = node.node_id
         self._nodes[node_id] = node
-        self._clocks[node_id] = clock = VirtualClock()
+        self._clocks[node_id] = VirtualClock()
         self._contexts[node_id] = _SimContext(self, node_id)
-        on_start, on_message = node.on_start, node.on_message
-        if self.measure_compute:
-            on_start, on_message = _charged(clock, on_start), _charged(clock, on_message)
-        self._on_start[node_id] = on_start
-        self._on_message[node_id] = on_message
+        self._on_message[node_id] = node.on_message
 
     def add_nodes(self, nodes: Sequence[Node]) -> None:
         for node in nodes:
@@ -458,7 +427,7 @@ class SimNetwork:
         forgotten — exactly the semantics the ``crash`` fault models.
         """
         node_id = node.node_id
-        self._on_start[node_id](self._contexts[node_id])
+        node.on_start(self._contexts[node_id])
         if node.finished:
             self._note_finished(node_id)
 
@@ -636,7 +605,7 @@ class SimNetwork:
     def close(self) -> None:
         """End the round: drop every reference that points back into the network.
 
-        The cached contexts lose their network, the handler tables are
+        The cached contexts lose their network, the handler table is
         cleared and every node runs its :meth:`~repro.net.node.Node.close`
         hook, so the round's object graph holds no cycle and reference
         counting frees it when its owner lets go.  The results stay readable:
@@ -647,7 +616,6 @@ class SimNetwork:
         for context in self._contexts.values():
             context._network = None
         self._contexts.clear()
-        self._on_start.clear()
         self._on_message.clear()
         for node in self._nodes.values():
             node.close()

@@ -57,7 +57,7 @@ class AuctionRun:
             seed-for-seed bit-identical, so the choice only affects speed).
             A mechanism this run created by re-targeting is closed at the
             end of :meth:`execute`; pre-resolved mechanisms stay untouched.
-        latency_model / scheduler / seed / measure_compute: simulation parameters,
+        latency_model / scheduler / seed: simulation parameters,
             passed through to :class:`~repro.net.network.SimNetwork`.
     """
 
@@ -72,7 +72,6 @@ class AuctionRun:
         latency_model: Optional[LatencyModel] = None,
         scheduler: Optional[Scheduler] = None,
         seed: int = 0,
-        measure_compute: bool = False,
     ) -> None:
         self.bids = bids
         self.engine = engine
@@ -88,7 +87,6 @@ class AuctionRun:
         self.latency_model = latency_model
         self.scheduler = scheduler
         self.seed = seed
-        self.measure_compute = measure_compute
 
     def execute(self, max_steps: int = 2_000_000) -> AuctionRunResult:
         """Run the round and return the combined outcome plus per-bidder observations."""
@@ -109,7 +107,6 @@ class AuctionRun:
             latency_model=self.latency_model,
             scheduler=self.scheduler,
             seed=self.seed,
-            measure_compute=self.measure_compute,
         )
         try:
             for ask in self.bids.providers:

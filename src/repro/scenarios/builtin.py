@@ -35,7 +35,6 @@ def figure4_sweep(
         providers=num_providers,
         latency=ComponentSpec("wan"),
         seed=seed,
-        measure_compute=True,
     )
     points: List[Dict[str, object]] = []
     for n in n_values:
@@ -80,7 +79,6 @@ def figure5_sweep(
         providers=num_providers,
         latency=ComponentSpec("wan"),
         seed=seed,
-        measure_compute=True,
     )
     points: List[Dict[str, object]] = []
     for n in n_values:

@@ -36,8 +36,8 @@ verdict field       what it checks
                     set (vacuously true for network-level faults)
 ==================  ===========================================================
 
-A cell is ``ok`` exactly when all four hold.  Everything in a record except
-wall-clock-measured elapsed time is a pure function of ``(spec, seed)``: the
+A cell is ``ok`` exactly when all four hold.  Everything in a record, the
+modelled elapsed time included, is a pure function of ``(spec, seed)``: the
 fault schedule is drawn from the plan's own seeded RNG and journaled, and
 :meth:`~repro.net.faults.FaultPlan.digest` is what the determinism lock
 compares across ``PYTHONHASHSEED`` values.
@@ -150,9 +150,9 @@ class ChaosRecord(FlatRecord):
     """The uniform result of one chaos cell: one fault model x one seed.
 
     All fields are JSON scalars; the :meth:`to_dict` / :meth:`from_dict` round
-    trip (:class:`~repro.scenarios.runner.FlatRecord`) is lossless.  With ``measure_compute=false`` every field — the
-    counters, the verdicts and the virtual ``elapsed_seconds`` — is a pure
-    function of ``(spec, seed)``; ``fault_digest`` additionally pins the
+    trip (:class:`~repro.scenarios.runner.FlatRecord`) is lossless.  Every
+    field — the counters, the verdicts and the modelled ``elapsed_seconds`` —
+    is a pure function of ``(spec, seed)``; ``fault_digest`` additionally pins the
     injected schedule itself (the determinism lock compares it across
     processes and ``PYTHONHASHSEED`` values).
     """
@@ -261,13 +261,13 @@ class ChaosContext(SeededContext):
         }
 
     @staticmethod
-    def _replay_payload(run: Dict[str, Any], measure_compute: bool) -> Tuple[Any, ...]:
+    def _replay_payload(run: Dict[str, Any]) -> Tuple[Any, ...]:
         """Everything the replay invariant compares between the two runs."""
         if not run["terminated"]:
             return ("hung", run["digest"])
         report = run["report"]
         stats = report.stats
-        payload: Tuple[Any, ...] = (
+        return (
             run["digest"],
             report.outcome.aborted,
             report.outcome.degraded,
@@ -278,11 +278,8 @@ class ChaosContext(SeededContext):
             stats.faults_injected,
             stats.retransmissions,
             stats.duplicates_suppressed,
+            report.outcome.elapsed_time,
         )
-        if not measure_compute:
-            # Virtual clocks are deterministic; measured handler CPU is not.
-            payload += (report.outcome.elapsed_time,)
-        return payload
 
     # -- cells ---------------------------------------------------------------------
     def run_cell(self, point: int, instance: int) -> ChaosRecord:
@@ -294,9 +291,7 @@ class ChaosContext(SeededContext):
 
         first = self._run_once(point, instance)
         second = self._run_once(point, instance)
-        replay_ok = self._replay_payload(
-            first, scenario.measure_compute
-        ) == self._replay_payload(second, scenario.measure_compute)
+        replay_ok = self._replay_payload(first) == self._replay_payload(second)
 
         terminated = first["terminated"] and second["terminated"]
         if first["terminated"]:

@@ -250,9 +250,8 @@ class ResilienceRecord(FlatRecord):
 
     All fields are JSON scalars or string-keyed mappings of scalars; the
     :meth:`to_dict` / :meth:`from_dict` round trip is lossless (``json``
-    round-trips floats exactly).  Every field except the two ``*_elapsed``
-    readings is deterministic in ``(spec, schedule, seed)``; with
-    ``measure_compute=false`` the virtual clocks make those deterministic too.
+    round-trips floats exactly).  Every field, the two modelled ``*_elapsed``
+    readings included, is deterministic in ``(spec, schedule, seed)``.
     """
 
     name: str

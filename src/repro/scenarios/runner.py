@@ -314,7 +314,6 @@ def build_auctioneer(
         config=_framework_config(spec, len(executor_ids), mechanism, path),
         latency_model=latency_model,
         seed=spec.seed,
-        measure_compute=spec.measure_compute,
         **extra,
     )
 
@@ -400,10 +399,6 @@ def run_scenario(
         if spec.runner == "centralized":
             report = CentralizedAuctioneer(mechanism, seed=spec.seed).run(bids)
             outcome = report.outcome
-            if not spec.measure_compute:
-                # The centralised baseline always times with a real stopwatch;
-                # honour the spec's determinism contract by dropping the reading.
-                outcome = dataclasses.replace(outcome, elapsed_time=0.0)
             # The trusted auctioneer sees every provider's ask — executor
             # subsetting does not apply, so the record must not claim it did.
             executor_ids = provider_ids
@@ -425,7 +420,6 @@ def run_scenario(
                 deadline=spec.deadline,
                 latency_model=latency_model,
                 seed=spec.seed,
-                measure_compute=spec.measure_compute,
             )
             outcome = run.execute().outcome
         record = record_from_outcome(spec, instance, outcome, mechanism, len(executor_ids))

@@ -349,11 +349,10 @@ class ScenarioSpec:
         rounds: workload instances run per sweep point (a scenario's batch).
         seed: master seed (workload, network jitter, mechanism randomness).
         deadline: bid-collection deadline for ``auction_run``.
-        measure_compute: charge measured handler CPU time to the providers'
-            virtual clocks (True matches the benchmark figures; False keeps
-            elapsed time fully deterministic).
         series: optional label for grouping sweep results; a descriptive
             default is derived from the runner and configuration.
+        measure_compute: retired (:attr:`RETIRED`): a keyword that accepts only
+            ``False``.  Time is modelled, never measured.
     """
 
     name: str = "scenario"
@@ -371,12 +370,17 @@ class ScenarioSpec:
     rounds: int = 1
     seed: int = 0
     deadline: float = 1.0
-    measure_compute: bool = True
     series: Optional[str] = None
+    measure_compute: dataclasses.InitVar[bool] = False
 
     NOUN = "scenario"
+    #: Retired paths (see :func:`_retired`): path -> (the one value still
+    #: accepted, i.e. what the program now always does; the last commit that
+    #: read the path; why it went).
+    RETIRED = {"measure_compute": (False, "e3eec74", "compute is modelled (ROADMAP item 1)")}
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, measure_compute: bool) -> None:
+        _retired(type(self), "measure_compute", measure_compute, "measure_compute")
         check_fields(self)
         if self.users < 1:
             raise SpecError("users", "need at least one user")
@@ -548,18 +552,34 @@ def check_fields(spec: Any) -> None:
         object.__setattr__(spec, name, read(getattr(spec, name), name))
 
 
+def _retired(kind: type, key: str, value: Any, path: str) -> bool:
+    """Whether ``key`` is in ``kind.RETIRED`` holding its retired value (the
+    caller drops it); any other value there is a :class:`SpecError` at ``path``."""
+    table = getattr(kind, "RETIRED", {})
+    if key not in table:
+        return False
+    accepted, commit, why = table[key]
+    if type(value) is not type(accepted) or value != accepted:
+        got = json.dumps(value, default=repr)
+        message = f"only {json.dumps(accepted)} is accepted, got {got}"
+        raise SpecError(path, f"retired after commit {commit}: {why}; {message}")
+    return True
+
+
 def spec_from_dict(data: Any, kind: type = ScenarioSpec, path: str = "") -> Any:
     """Parse a spec of class ``kind`` from a plain (JSON/TOML-shaped) mapping.
 
     Raises :class:`SpecError` with the dotted path to the offending key on any
     unknown key, wrong type, or invalid value, at any nesting depth; ``path``
     is where ``data`` sits inside an enclosing spec (empty at the top level).
+    A retired key is dropped or refused (:func:`_retired`).
     """
     if isinstance(data, kind):
         return data
     if not isinstance(data, Mapping):
         where = "" if path else " at the top level"
         raise SpecError(path, f"expected a table{where}, got {_got(data)}")
+    data = {k: v for k, v in data.items() if not _retired(kind, k, v, _join(path, k))}
     codecs = _codecs(kind)
     unknown = set(data) - set(codecs)
     if unknown:
@@ -699,6 +719,13 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        # A point names base-spec paths: a retired one is dropped or refused here.
+        base = type(self.base)
+        points = tuple(
+            {k: v for k, v in point.items() if not _retired(base, k, v, f"points[{i}].{k}")}
+            for i, point in enumerate(self.points)
+        )
+        object.__setattr__(self, "points", points)
         if self.points and self.axes:
             raise SpecError("points", "a sweep may define 'points' or 'axes', not both")
 

@@ -60,7 +60,7 @@ import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.scenarios.runner import RunRecord
-from repro.scenarios.spec import SpecError, spec_fingerprint
+from repro.scenarios.spec import ScenarioSpec, SpecError, spec_fingerprint
 
 if TYPE_CHECKING:
     from repro.scenarios.aggregate import StreamingSummary
@@ -235,10 +235,13 @@ class StoreBackend:
                 f"(this build writes version {self.VERSION})",
             )
         if expected_fingerprint is not None and manifest.get("fingerprint") != expected_fingerprint:
+            rows = ScenarioSpec.RETIRED.items()
+            retired = ", ".join(f"{path} after commit {row[1]}" for path, row in rows)
             raise SpecError(
                 self.path,
                 "journal manifest does not match this sweep (its name, base spec "
-                "or grid changed since the journal was written); choose a new "
+                "or grid changed since the journal was written, or it was written "
+                f"before a spec path was retired: {retired}); choose a new "
                 "output path for the changed sweep",
             )
         return manifest

@@ -21,7 +21,7 @@ from repro.scenarios.runner import build_mechanism, build_topology, resolve_roun
 
 def community_spec(**fields):
     """A case-study scenario: the generated topology's gateways are the providers."""
-    data = {"topology": "community", "latency": "community", "measure_compute": False}
+    data = {"topology": "community", "latency": "community"}
     data.update(fields)
     return spec_from_dict(data)
 

@@ -75,7 +75,7 @@ def test_the_benchmark_double_rounds_run_no_coin():
     # Counted, never timed.  A fig4_sweep op's distributed points run k = 1, 2, 3
     # on m = 2k+1 executors: bid agreement, input validation and no coin, since
     # the double auction never reads a seed.
-    sweep = figure4_sweep(n_values=(300,), seed=1).with_base_overrides({"measure_compute": False})
+    sweep = figure4_sweep(n_values=(300,), seed=1)
     records = run_sweep(sweep).records
     rounds = {r.executors: r.messages for r in records if r.runner != "centralized"}
     assert rounds == {m: 3 * m * (m - 1) for m in (3, 5, 7)} == {3: 18, 5: 60, 7: 126}
@@ -91,7 +91,6 @@ def test_the_benchmark_double_rounds_run_no_coin():
         config={"k": 2},
         latency="wan",
         seed=1,
-        measure_compute=False,
     )
     assert run_scenario(chatty).messages == 2 * n * m + 4 * m * (m - 1) == 864
 
@@ -115,7 +114,6 @@ def double_round_bytes(n, m):
         providers=providers,
         config=FrameworkConfig(k=(m - 1) // 2),
         seed=1,
-        measure_compute=False,
     ).run_from_bids(bids)
     assert not report.aborted
     batch = FrozenMap(

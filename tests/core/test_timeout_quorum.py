@@ -205,7 +205,6 @@ class TestRunnersReportDegraded:
                 "providers": 5,
                 "latency": "wan",
                 "config": {"k": 1, "round_timeout": 0.004},
-                "measure_compute": False,
                 "seed": 1,
             }
         )

@@ -9,9 +9,8 @@ Two locks, in the style of ``tests/net/test_event_queue_differential.py``:
   equality, not approx — the audit must not change a single bit of the
   science it promotes);
 * **parallel vs sequential** — ``run_resilience(workers=2)`` returns records
-  bit-identical to the sequential path, in the same grid order, with
-  ``measure_compute=false`` meaning *full* record equality (the virtual clock
-  is deterministic).  Chunking (including baseline-group splits) never changes
+  bit-identical to the sequential path, in the same grid order: *full*
+  record equality (the virtual clock is modelled).  Chunking (including baseline-group splits) never changes
   a verdict.
 
 Coverage: 2 mechanisms x 2 schedulers x 3 seeds, all in one audit grid per
@@ -68,7 +67,6 @@ def _base_spec(mechanism: str) -> ScenarioSpec:
         config={"k": 1},
         latency="constant",
         seed=SEEDS[0],
-        measure_compute=False,
     )
 
 
@@ -96,7 +94,6 @@ def _reference_report(mechanism: str, schedule: str, seed: int):
         latency_model=build_latency_model(scenario),
         scheduler=SCHEDULERS.create(ComponentSpec(schedule), "schedules"),
         seed=seed,
-        measure_compute=False,
     )
     coalitions = [
         (f"{provider}:{label}", Coalition.of([provider], factory))
@@ -141,7 +138,7 @@ class TestAuditMatchesCheckKResilience:
         spec = _audit_spec(mechanism)
         sequential = run_resilience(spec)
         parallel = run_resilience(spec, workers=2)
-        # measure_compute=false: full record equality, elapsed fields included.
+        # Full record equality, elapsed fields included.
         assert parallel.records == sequential.records
         assert parallel.executed == sequential.executed
         assert [r.to_dict() for r in parallel.records] == [

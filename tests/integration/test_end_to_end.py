@@ -85,7 +85,6 @@ class TestCommunityScenarioIntegration:
                 "providers": 5,
                 "config": {"k": 2},
                 "seed": 4,
-                "measure_compute": True,
             }
         )
         provider_ids, executor_ids, bids, latency = resolve_round_inputs(spec)

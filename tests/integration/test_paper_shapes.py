@@ -1,9 +1,9 @@
 """The shapes of the paper's evaluation (§6.2, §6.3), asserted on modelled time.
 
 Figures 4 and 5 plot running time; what the paper claims about them is an
-ordering.  Under ``measure_compute=False`` a round's modelled time, messages and
-bytes are pure functions of the seed, so each ordering here is exact — no host
-reading enters a verdict.  Speed is measured by ``perf/`` (``BENCHMARK.json``),
+ordering.  A round's modelled time, messages and bytes are pure functions of
+the seed, so each ordering here is exact — no host reading enters a verdict.
+Speed is measured by ``perf/`` (``BENCHMARK.json``),
 never here.
 
 Two ablations sit beside the figures: where one round's messages go (bid
@@ -22,7 +22,6 @@ from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
 from repro.scenarios import LATENCIES, ComponentSpec, figure4_sweep, figure5_sweep, run_scenario
 
-MODELLED = {"measure_compute": False}
 PROVIDERS = [f"p{i:02d}" for i in range(8)]
 
 FIG4_USERS = (100, 250, 500, 1000)
@@ -30,9 +29,7 @@ FIG4_K = (1, 2, 3)
 #: ``(users, k)`` -> the Figure-4 point; ``k = 0`` is the centralised auctioneer.
 _FIG4 = {
     (spec.users, spec.config.k if spec.runner == "distributed" else 0): spec
-    for spec in figure4_sweep(n_values=FIG4_USERS, k_values=FIG4_K, seed=42)
-    .with_base_overrides(MODELLED)
-    .scenarios()
+    for spec in figure4_sweep(n_values=FIG4_USERS, k_values=FIG4_K, seed=42).scenarios()
 }
 
 FIG5_USERS = (25, 50, 75, 100, 125)
@@ -42,9 +39,7 @@ _FIG5 = {
     (spec.users, spec.config.num_groups or 1): spec
     for spec in figure5_sweep(
         n_values=FIG5_USERS, p_values=FIG5_P, epsilon=0.25, engine="vectorized", seed=42
-    )
-    .with_base_overrides(MODELLED)
-    .scenarios()
+    ).scenarios()
 }
 
 
@@ -116,7 +111,6 @@ def double_round(users, agreement_mode="batched", use_common_coin=True):
         ),
         latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
         seed=1,
-        measure_compute=False,
     ).run_from_bids(bids)
 
 
@@ -134,7 +128,6 @@ def standard_round(users):
         config=FrameworkConfig(k=1),
         latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
         seed=1,
-        measure_compute=False,
     ).run_from_bids(bids)
 
 
@@ -212,7 +205,6 @@ def parallel_round(num_groups, k):
         ),
         latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
         seed=3,
-        measure_compute=False,
     ).run_from_bids(bids)
 
 

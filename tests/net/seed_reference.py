@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import abc
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
@@ -215,11 +214,9 @@ class SeedSimNetwork:
         latency_model: Optional[LatencyModel] = None,
         scheduler=None,
         seed: int = 0,
-        measure_compute: bool = False,
     ) -> None:
         self.latency_model = latency_model if latency_model is not None else ZeroLatencyModel()
         self.scheduler = scheduler if scheduler is not None else SeedFairScheduler()
-        self.measure_compute = measure_compute
         self._rng = random.Random(seed)
         self._seed = seed
         self._nodes: Dict[str, Node] = {}
@@ -309,15 +306,6 @@ class SeedSimNetwork:
         self._channel(node_id, node_id).push(message)
         self._in_flight.append(message)
 
-    def _dispatch(self, node: Node, handler, *args) -> None:
-        clock = self._clocks[node.node_id]
-        if self.measure_compute:
-            start = time.perf_counter()
-            handler(*args)
-            clock.charge(time.perf_counter() - start)
-        else:
-            handler(*args)
-
     def _deliver(self, message: Message) -> None:
         self._in_flight.remove(message)
         self._channel(message.sender, message.recipient).pop(message.msg_id)
@@ -328,7 +316,7 @@ class SeedSimNetwork:
         clock = self._clocks[message.recipient]
         clock.advance_to(message.arrival_time)
         ctx = _SeedContext(self, message.recipient)
-        self._dispatch(node, node.on_message, ctx, message)
+        node.on_message(ctx, message)
         stats = self.stats
         stats.messages_delivered += 1
         stats.bytes_delivered += message.size_bytes
@@ -345,7 +333,7 @@ class SeedSimNetwork:
         self.scheduler.reset()
         for node_id, node in self._nodes.items():
             ctx = _SeedContext(self, node_id)
-            self._dispatch(node, node.on_start, ctx)
+            node.on_start(ctx)
             if node.finished:
                 self.stats.node_finish_time[node_id] = self._clocks[node_id].now
 

@@ -66,11 +66,6 @@ class TestEveryRoundEndsAcyclic:
         algorithm = resolve_engine(StandardAuction(epsilon=0.5), "vectorized")
         assert unreachable_after(lambda: auctioneer(algorithm).run_from_bids(bids)) == 0
 
-    def test_measured_compute_round(self):
-        bids = double_bids()
-        run = auctioneer(measure_compute=True).run_from_bids
-        assert unreachable_after(lambda: run(bids)) == 0
-
     def test_auction_run_round(self):
         bids = double_bids(users=6)
         round_fn = lambda: AuctionRun(bids, DoubleAuction(), FrameworkConfig(k=1)).execute()
@@ -107,7 +102,6 @@ class TestEveryRoundEndsAcyclic:
                     "providers": 3,
                     "config": {"k": 1},
                     "latency": "constant",
-                    "measure_compute": False,
                 },
                 "faults": [fault],
                 "seeds": [0],

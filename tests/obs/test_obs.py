@@ -49,7 +49,6 @@ def _spec(**overrides):
         config={"k": 1},
         latency="constant",
         seed=3,
-        measure_compute=False,
     )
     data.update(overrides)
     return ScenarioSpec(**data)

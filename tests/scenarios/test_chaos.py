@@ -72,7 +72,6 @@ def _base_table(**overrides):
         "providers": 3,
         "config": {"k": 1},
         "latency": "constant",
-        "measure_compute": False,
     }
     data.update(overrides)
     return data
@@ -353,7 +352,6 @@ class TestDifferentialLock:
                 config=spec.config.to_config(),
                 latency_model=build_latency_model(spec, None),
                 seed=spec.seed,
-                measure_compute=False,
                 fault_plan=plan,
             )
             report = auctioneer.run_from_bids(bids)
@@ -466,7 +464,7 @@ spec = spec_from_dict({
     "name": "lock",
     "base": {
         "mechanism": "double", "users": 6, "providers": 3,
-        "config": {"k": 1}, "latency": "constant", "measure_compute": False,
+        "config": {"k": 1}, "latency": "constant",
     },
     "faults": [
         "loss", "duplicate", "reorder",

@@ -198,7 +198,6 @@ def _sweep(workload):
             {
                 "mechanism": "double",
                 "latency": "constant",
-                "measure_compute": False,
                 "users": 4,
                 "providers": 3,
                 "workload": workload,
@@ -335,7 +334,6 @@ def poison_kinds(fragile_workload):
 _AUDIT_BASE = {
     "mechanism": "double",
     "latency": "constant",
-    "measure_compute": False,
     "users": 5,
     "providers": 4,
     "config": {"k": 1},

@@ -3,12 +3,10 @@
 1. The paper's two figures are sweep specs: the shipped
    ``examples/specs/fig4.json`` / ``fig5.toml`` equal the builders' defaults,
    the builders' points carry the paper's quorum arithmetic, and the grids
-   run every series.  Comparisons of ``elapsed_seconds`` pin
-   ``measure_compute=false``: the figure specs charge measured handler CPU
-   time to the clocks, so their elapsed time is a host reading.
+   run every series.
 2. Spec round-trips: build → dump → load → run yields identical ``RunRecord``s
    seed-for-seed, through both JSON and TOML, including ``elapsed_seconds``
-   (with ``measure_compute=false`` the virtual clock is fully deterministic).
+   (the virtual clock is modelled, so fully deterministic).
 """
 
 import dataclasses
@@ -74,9 +72,7 @@ class TestFigureSweeps:
     def test_fig4_distributed_is_slower_than_centralised(self):
         # Communication overhead, so it holds on modelled time alone.
         sweep = figure4_sweep(n_values=(50,), k_values=(1,))
-        central, distributed = run_sweep(
-            sweep.with_base_overrides({"measure_compute": False})
-        ).records
+        central, distributed = run_sweep(sweep).records
         assert distributed.elapsed_seconds > central.elapsed_seconds
 
 
@@ -85,21 +81,19 @@ class TestDefaultEngineDifferential:
 
     Running a built-in figure grid with no engine at all (the library default,
     vectorized) must produce records bit-identical to ``engine="reference"``
-    on every protocol field — winners, payments, messages, bytes, abort flags.
-    Only the resolved-engine labels (``mechanism``, ``engine``) and, for
-    ``measure_compute=true`` grids, wall-clock timing may differ.
+    on every other field — winners, payments, messages, bytes, abort flags and
+    modelled time.  Only the resolved-engine labels (``mechanism``, ``engine``)
+    may differ.
     """
 
     ENGINE_LABELS = ("mechanism", "engine")
 
-    def _protocol_fields(self, result, drop_timing):
+    def _protocol_fields(self, result):
         rows = []
         for record in result.records:
             payload = record.to_dict()
             for label in self.ENGINE_LABELS:
                 payload.pop(label)
-            if drop_timing:
-                payload.pop("elapsed_seconds")
             rows.append(payload)
         return rows
 
@@ -113,9 +107,7 @@ class TestDefaultEngineDifferential:
         )
         via_default = run_sweep(default)
         via_reference = run_sweep(reference)
-        # fig5 measures handler compute, so elapsed is wall-clock-dependent.
-        assert self._protocol_fields(via_default, drop_timing=True) == \
-            self._protocol_fields(via_reference, drop_timing=True)
+        assert self._protocol_fields(via_default) == self._protocol_fields(via_reference)
         assert {r.engine for r in via_default.records} == {"vectorized"}
         assert {r.engine for r in via_reference.records} == {"reference"}
 
@@ -128,8 +120,8 @@ class TestDefaultEngineDifferential:
         )
         # The double auction has no vectorized engine: the default passes the
         # mechanism through untouched, so even the labels agree.
-        assert self._protocol_fields(run_sweep(default), drop_timing=True) == \
-            self._protocol_fields(run_sweep(reference), drop_timing=True)
+        assert self._protocol_fields(run_sweep(default)) == \
+            self._protocol_fields(run_sweep(reference))
 
     def test_unflagged_fig5_cli_runs_vectorized(self, tmp_path, capsys):
         # Acceptance criterion: the Figure 5 sweep with no engine override
@@ -160,7 +152,6 @@ class TestSpecRoundTripRuns:
                 "config": {"k": 1, "parallel": True, "num_groups": 2},
                 "latency": {"kind": "constant", "seconds": 0.001},
                 "seed": 13,
-                "measure_compute": False,
             }
         )
         path = tmp_path / f"spec.{extension}"
@@ -173,7 +164,7 @@ class TestSpecRoundTripRuns:
     def test_round_trip_survives_two_generations(self, tmp_path):
         spec = spec_from_dict(
             {"mechanism": "double", "users": 8, "providers": 4,
-             "latency": "constant", "measure_compute": False, "seed": 5}
+             "latency": "constant", "seed": 5}
         )
         first = tmp_path / "gen1.toml"
         second = tmp_path / "gen2.json"
@@ -188,7 +179,7 @@ class TestCliSpecPaths:
         dump_spec(
             spec_from_dict(
                 {"mechanism": "double", "users": 8, "providers": 4,
-                 "latency": "constant", "measure_compute": False, "seed": 5}
+                 "latency": "constant", "seed": 5}
             ),
             path,
         )
@@ -205,7 +196,7 @@ class TestCliSpecPaths:
         dump_spec(
             spec_from_dict(
                 {"mechanism": "double", "users": 8, "providers": 4,
-                 "latency": "constant", "measure_compute": False}
+                 "latency": "constant"}
             ),
             path,
         )
@@ -238,7 +229,7 @@ class TestCliSpecPaths:
         dump_spec(
             spec_from_dict(
                 {"mechanism": "double", "users": 6, "providers": 3,
-                 "latency": "constant", "measure_compute": False}
+                 "latency": "constant"}
             ),
             path,
         )

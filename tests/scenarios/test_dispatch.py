@@ -48,7 +48,7 @@ def _sweep():
     return SweepSpec(
         base=spec_from_dict(
             {"mechanism": "double", "users": 5, "providers": 3,
-             "latency": "constant", "measure_compute": False}
+             "latency": "constant"}
         ),
         axes=(("users", (4, 5)), ("seed", (0, 1))),
     )
@@ -59,7 +59,7 @@ def _audit():
         name="dispatch-audit",
         base=ScenarioSpec(
             mechanism="double", users=6, providers=3, config={"k": 1},
-            latency="constant", measure_compute=False,
+            latency="constant",
         ),
         k=1,
         adversaries=("equivocate",),
@@ -77,7 +77,7 @@ def _chaos():
 
 
 #: The three grid declarations, each with its public entry point and a spec
-#: whose records are fully deterministic (``measure_compute=False``).
+#: whose records are fully deterministic (compute time is modelled).
 GRIDS = {
     "sweep": (SWEEP_GRID, run_sweep, _sweep),
     "resilience": (RESILIENCE_GRID, run_resilience, _audit),

@@ -25,7 +25,6 @@ def _rich_spec():
             "latency": {"kind": "uniform", "low": 0.001, "high": 0.002},
             "bidders": [{"kind": "scaling", "indices": [0], "factor": 2.0}],
             "seed": 4,
-            "measure_compute": False,
         }
     )
 

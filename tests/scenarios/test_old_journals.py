@@ -1,20 +1,23 @@
-"""Journals written before the spec walker existed must keep resuming.
+"""What a journal's manifest pins, and what an older journal still does.
 
 A journal's manifest pins the canonical fingerprint of the spec that wrote
 it, so any drift in what ``spec_to_dict`` emits (a renamed key, a default
 that starts or stops being written) would strand every existing artifact.
-Two locks, both computed at the commit *before* the walker replaced the four
-hand-written ``*_to_dict`` functions:
+The one sanctioned drift is retiring a spec path (``ScenarioSpec.RETIRED``):
+every canonical form lost ``measure_compute`` when compute became modelled
+only, so the fingerprints pinned here are those of the forms without it.
+Three locks:
 
 * the fingerprints of the built-in figure sweeps and of every shipped spec
   file, as literals;
-* ``data/fig4_quick_parent.jsonl`` — the journal that commit's
+* ``data/fig4_quick_parent.jsonl`` — the journal that
   ``repro-auction sweep --spec examples/specs/fig4_quick.json --output …``
-  wrote — which must resume with nothing left to execute.
-
-A third lock covers the line kinds a journal may hold: one that ends in a
-``quarantine`` line (what a crash-tolerant executor, since removed, wrote for
-a cell it gave up on) must still read, and resume that cell.
+  wrote before the spec walker existed, under measured compute — still
+  reads, but does not resume: its records were made under a rule that no
+  longer exists, and the refusal names the retired path and its commit;
+* a journal that ends in a ``quarantine`` line (what a crash-tolerant
+  executor, since removed, wrote for a cell it gave up on) still reads, and
+  resumes that cell.
 """
 
 import json
@@ -28,6 +31,7 @@ from repro.scenarios import (
     ResilienceSpec,
     ResultsStore,
     RunRecord,
+    SpecError,
     SweepSpec,
     figure4_sweep,
     figure5_sweep,
@@ -43,17 +47,17 @@ JOURNAL = pathlib.Path(__file__).parent / "data" / "fig4_quick_parent.jsonl"
 
 #: (spec file, class to load it as — ``None`` sniffs scenario vs sweep, fingerprint).
 SHIPPED = [
-    ("chaos.toml", ChaosSpec, "7ab09f34b4fe78b0516734964e5d050f889615631814809ea1fd2f98baf3b9c7"),
-    ("fig4.json", None, "5dd556e8e5988d56b8f0a819ef9a3946d74afbd279f4bccfb56889c5c41796bb"),
-    ("fig4_quick.json", None, "b7793f1596bd7068e335c476f628aae833f3c62645bd7b1a8011de88ef13c26d"),
-    ("fig5.toml", None, "9b60aa4b109695e2eb2c931e9b17e67d4da16b23b1c98660160866db594b41b2"),
+    ("chaos.toml", ChaosSpec, "8aab9dd9daa39ae5370bf5fa07a79475b94e8fbf464e74f4c3baef1db469d96a"),
+    ("fig4.json", None, "a7b9e9fe1095882493bcd307505c6df6524038ac21a997b3d78eb769a62cf868"),
+    ("fig4_quick.json", None, "0bcc675a4e87d3b2869f9ba0a44a7e615dec28885b2ffc1e74addc92c31e841a"),
+    ("fig5.toml", None, "4de692d36098f846e86beda731cebf6a608a0d256e1e10afbf474ec9b2fceaa3"),
     (
         "resilience.json",
         ResilienceSpec,
-        "198fb46200cc50a3c685620ac20f537aaa4ad71a30fd88425dccf6d09921cc3d",
+        "c361a04ad3b54aa3efb96fc987601c425f5269bdca68d6654ffd5b4465c35a4a",
     ),
-    ("vr_sessions.toml", None, "dbfb278b719ea785360daea836de7a5f8d7452ff89c8ac36a08ffc5c6b0db0ac"),
-    ("vr_sweep.toml", None, "da518b6e5584d1fc76e8b2fa05e01ff9741c5a964e9aeac352d6ad1c187178e1"),
+    ("vr_sessions.toml", None, "735992f06effe738be6e5f07a9764990070fcac18b418cf853c0d770000b6ec6"),
+    ("vr_sweep.toml", None, "9f1a33878957bd2607da13210dbfee8b59980ca61ca7d7055b34c0ebf7e9f70b"),
 ]
 
 
@@ -62,35 +66,46 @@ def test_every_shipped_spec_file_is_pinned():
 
 
 @pytest.mark.parametrize("name, kind, fingerprint", SHIPPED)
-def test_shipped_spec_fingerprints_are_the_parent_commits(name, kind, fingerprint):
+def test_shipped_spec_fingerprints_are_pinned(name, kind, fingerprint):
     path = SPECS / name
     spec = load_any(path) if kind is None else load_spec(path, kind)
     assert spec_fingerprint(spec) == fingerprint
 
 
-def test_builtin_figure_sweep_fingerprints_are_the_parent_commits():
+def test_builtin_figure_sweep_fingerprints_are_pinned():
+    # The built-ins are the shipped figure files, field for field.
     assert (
         spec_fingerprint(figure4_sweep())
-        == "5dd556e8e5988d56b8f0a819ef9a3946d74afbd279f4bccfb56889c5c41796bb"
+        == "a7b9e9fe1095882493bcd307505c6df6524038ac21a997b3d78eb769a62cf868"
     )
     assert (
         spec_fingerprint(figure5_sweep())
-        == "9b60aa4b109695e2eb2c931e9b17e67d4da16b23b1c98660160866db594b41b2"
+        == "4de692d36098f846e86beda731cebf6a608a0d256e1e10afbf474ec9b2fceaa3"
     )
 
 
-def test_a_journal_written_by_the_parent_commit_resumes(tmp_path):
+def test_a_journal_written_under_measured_compute_reads_but_does_not_resume(tmp_path):
     journal = tmp_path / "fig4_quick.jsonl"
     shutil.copy(JOURNAL, journal)
     lines = [json.loads(line) for line in JOURNAL.read_text().splitlines()]
-    journaled = [RunRecord.from_dict(line["record"]) for line in lines[1:]]
+    journaled = {
+        (line["point"], line["instance"]): RunRecord.from_dict(line["record"])
+        for line in lines[1:]
+    }
     assert len(journaled) == 4
 
+    manifest, records = ResultsStore(str(journal)).read()
+    assert manifest == lines[0]
+    assert records == journaled
+    summary = ResultsStore(str(journal)).summary()
+    assert (summary["sweep"], summary["records"]) == ("fig4", 4)
+
     sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
-    result = run_sweep(sweep, store=str(journal), resume=True)
-    assert result.executed == 0
-    assert result.resumed == 4
-    assert result.records == journaled
+    with pytest.raises(SpecError) as refused:
+        run_sweep(sweep, store=str(journal), resume=True)
+    assert refused.value.path == str(journal)
+    assert "does not match this sweep" in refused.value.message
+    assert "measure_compute after commit e3eec74" in refused.value.message
     assert journal.read_bytes() == JOURNAL.read_bytes()  # nothing appended
 
 
@@ -99,7 +114,10 @@ def test_a_journal_holding_a_quarantine_line_still_reads_and_resumes(tmp_path):
     # line: that cell's record is absent and the line below, written exactly
     # as those builds wrote it, follows the records.  Readers skip the line
     # kind, so the journal reads, and a resume runs exactly that cell.
-    lines = JOURNAL.read_text().splitlines()
+    sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
+    written = tmp_path / "written.jsonl"
+    run_sweep(sweep, store=str(written))
+    lines = written.read_text().splitlines()
     quarantined = json.loads(lines[2])
     assert (quarantined["point"], quarantined["instance"]) == (1, 0)
     quarantine_line = json.dumps(
@@ -123,20 +141,15 @@ def test_a_journal_holding_a_quarantine_line_still_reads_and_resumes(tmp_path):
     _manifest, journaled = ResultsStore(str(journal)).read()
     assert journaled == {cell: r for cell, r in expected.items() if cell != (1, 0)}
 
-    sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
     result = run_sweep(sweep, store=str(journal), resume=True)
     assert result.executed == 1
     assert result.resumed == 3
     # The resumed cells are the journal's lines; the re-executed cell is what
-    # today's build computes for it, as a run without a journal does (its
-    # measured time aside).
+    # this build computes for it, as a run without a journal does.
     fresh = run_sweep(sweep).records
     cells = sorted(expected)
     assert len(result.records) == len(cells) == len(fresh)
     for cell, record, fresh_record in zip(cells, result.records, fresh):
+        assert record == expected[cell]
         if cell == (1, 0):
-            assert dict(record.to_dict(), elapsed_seconds=None) == dict(
-                fresh_record.to_dict(), elapsed_seconds=None
-            )
-        else:
-            assert record == expected[cell]
+            assert record == fresh_record

@@ -33,7 +33,6 @@ def _spec(**overrides):
             "providers": 4,
             "config": {"k": 1},
             "latency": "constant",
-            "measure_compute": False,
         },
         "k": 1,
         "adversaries": ["equivocate", {"kind": "tamper_output", "bonus": 5.0}],
@@ -122,7 +121,7 @@ class TestSpecParsing:
             _spec(
                 k=None,
                 base={"mechanism": "double", "users": 8, "providers": 4,
-                      "config": {"k": 0}, "measure_compute": False},
+                      "config": {"k": 0}},
             )
         assert excinfo.value.path == "k"
         assert "empty" in excinfo.value.message
@@ -143,7 +142,7 @@ class TestSpecParsing:
 
     def test_generated_coalitions_sizes_first_and_capped(self):
         spec = _spec(k=2, base={"mechanism": "double", "users": 8, "providers": 5,
-                                "config": {"k": 2}, "measure_compute": False})
+                                "config": {"k": 2}})
         selectors = spec.coalition_selectors()
         assert len(selectors) == 5 + 10  # sizes 1 then 2 over 5 executors
         assert selectors[0] == (0,) and selectors[5] == (0, 1)

@@ -23,7 +23,6 @@ def _spec_file(tmp_path, **overrides):
             "providers": 4,
             "config": {"k": 1},
             "latency": "constant",
-            "measure_compute": False,
         },
         "k": 1,
         "adversaries": ["equivocate"],

@@ -18,7 +18,6 @@ def _sweep_file(tmp_path):
         {
             "mechanism": "double",
             "latency": "constant",
-            "measure_compute": False,
             "users": 5,
             "providers": 3,
             "rounds": 1,

@@ -1,9 +1,8 @@
 """Seed-stability regression: scenario-layer records are pure functions of seeds.
 
 Extends the PR-4 pattern (``tests/net/test_scheduler.py``'s PYTHONHASHSEED
-regression) to the scenario layer: with ``measure_compute=false`` the
-deterministic fields of :class:`RunRecord` and :class:`ResilienceRecord` —
-which with virtual clocks is *every* field — must be byte-identical
+regression) to the scenario layer: every field of :class:`RunRecord` and
+:class:`ResilienceRecord` — modelled time included — must be byte-identical
 
 * across two in-process runs (no hidden state leaks between runs), and
 * across interpreter invocations with different ``PYTHONHASHSEED`` values
@@ -30,7 +29,7 @@ from repro.scenarios.resilience import ResilienceSpec, run_resilience
 
 spec = ScenarioSpec(
     name="stability", mechanism="double", users=8, providers=4,
-    config={"k": 1}, latency="constant", seed=3, measure_compute=False,
+    config={"k": 1}, latency="constant", seed=3,
 )
 run_payload = run_scenario(spec).to_dict()
 
@@ -55,7 +54,7 @@ from repro.scenarios import ScenarioSpec, run_scenario
 
 spec = ScenarioSpec(
     name="obs-stability", mechanism="double", users=8, providers=4,
-    config={"k": 1}, latency="constant", seed=3, measure_compute=False,
+    config={"k": 1}, latency="constant", seed=3,
 )
 trace_path = sys.argv[2]
 with observe(trace=trace_path, name="obs-stability") as observation:
@@ -98,7 +97,6 @@ class TestSeedStability:
             config={"k": 1},
             latency="constant",
             seed=3,
-            measure_compute=False,
         )
 
         def run_once():
@@ -136,12 +134,9 @@ class TestSeedStability:
 class TestTraceStability:
     """The observability plane is on the same bit-identity surface.
 
-    With ``measure_compute=False`` a trace journal, a metrics snapshot and
-    the Chrome export are pure functions of the spec: byte-identical across
-    in-process reruns and across interpreters with different
-    ``PYTHONHASHSEED`` values.  (Specs that opt into wall-clock timing via
-    ``measure_compute=True`` faithfully record that nondeterminism — the
-    elapsed-derived histograms then vary, by design.)
+    A trace journal, a metrics snapshot and the Chrome export are pure
+    functions of the spec: byte-identical across in-process reruns and across
+    interpreters with different ``PYTHONHASHSEED`` values.
     """
 
     def _observed_run(self, trace_path):
@@ -158,7 +153,6 @@ class TestTraceStability:
             config={"k": 1},
             latency="constant",
             seed=3,
-            measure_compute=False,
         )
         with observe(trace=str(trace_path), name="obs-stability") as observation:
             run_scenario(spec)

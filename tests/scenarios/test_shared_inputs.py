@@ -6,8 +6,8 @@ distributed round run from it builds no agreement batch, agreed vector or
 input-validation digest of its own: the first round builds one of each, the
 rest read them.  The double auction never draws from the coin, so the rounds
 also read one execution of it whatever seed each drew.  The chaos audit's
-fault cells share a seed's vector the same way.  Under ``measure_compute`` every round builds its own, so that no round's
-measured clock is charged a memo read where another round's is charged the work.  Counted, never timed: a counting workload, spies on the builders, and
+fault cells share a seed's vector the same way.  Counted, never timed: a
+counting workload, spies on the builders, and
 records that must equal those of a per-cell ``run_scenario`` loop or of the
 same grid with the instance memos forgotten.
 """
@@ -112,9 +112,9 @@ def counted_builds(forget=False):
         yield counts
 
 
-def _fig4(n_values, rounds, measure_compute=False):
+def _fig4(n_values, rounds):
     return figure4_sweep(n_values=n_values, seed=5).with_base_overrides(
-        {"workload": "counting", "measure_compute": measure_compute, "rounds": rounds}
+        {"workload": "counting", "rounds": rounds}
     )
 
 
@@ -199,15 +199,6 @@ class TestFigure4OpCounts:
             "executions": 3 + 5 + 7,
         }
 
-    def test_measured_rounds_pay_for_their_own(self, generated):
-        """Under the measured clock k = 1, 2, 3 are each charged one build of each."""
-        with counted_builds() as built:
-            records = run_sweep(_fig4((20,), rounds=1, measure_compute=True)).records
-        assert len(records) == 4
-        assert len(generated) == 1
-        _same_outcome(records)
-        assert built == {"batches": 3, "vectors": 3, "digests": 3, "executions": 3}
-
 
 class TestChaosOpCounts:
     """One ``chaos_grid``-shaped op: six fault cells of one seed, each run twice."""
@@ -230,7 +221,6 @@ class TestChaosOpCounts:
             "runner": "distributed",
             "latency": "constant",
             "seed": 3,
-            "measure_compute": False,
             "config": {"k": 2},
         }
         table = {"name": "chaos-op", "base": base, "faults": list(self.FAULTS), "seeds": [3]}

@@ -23,13 +23,9 @@ from repro.scenarios.io import dump_spec, load_spec
 from repro.scenarios.spec import SweepSpec
 
 
-def _strip_elapsed(record):
-    return dataclasses.replace(record, elapsed_seconds=0.0)
-
-
 def _deterministic(data):
-    """A spec dict with measure_compute off: records are fully deterministic."""
-    base = {"measure_compute": False, "latency": "constant"}
+    """A spec dict on constant latency (every record is deterministic)."""
+    base = {"latency": "constant"}
     base.update(data)
     return spec_from_dict(base)
 
@@ -209,13 +205,15 @@ class TestDeterminism:
         )
         assert run_scenario(spec) == run_scenario(spec)
 
-    def test_centralized_honours_measure_compute_off(self):
+    @pytest.mark.parametrize("mechanism", ["double", "standard"])
+    def test_a_centralised_round_reads_zero_seconds(self, mechanism):
+        # Compute is modelled and no mechanism declares its work yet: the
+        # trusted auctioneer's round takes no modelled time at all.
         spec = _deterministic(
-            {"mechanism": "double", "users": 8, "providers": 4, "runner": "centralized"}
+            {"mechanism": mechanism, "users": 8, "providers": 4, "runner": "centralized"}
         )
         first = run_scenario(spec)
-        second = run_scenario(spec)
-        assert first == second  # including elapsed_seconds
+        assert first == run_scenario(spec)
         assert first.elapsed_seconds == 0.0
 
     def test_engines_bit_identical_through_specs(self):

@@ -158,7 +158,6 @@ class TestRoundTrip:
                 "rounds": 3,
                 "seed": 11,
                 "deadline": 2.0,
-                "measure_compute": False,
                 "series": "custom",
             }
         )

@@ -113,7 +113,6 @@ def scenarios(draw, runners=("distributed", "centralized", "auction_run")):
         rounds=draw(st.integers(min_value=0, max_value=5)),
         seed=draw(_ints),
         deadline=draw(st.floats(min_value=0.01, max_value=100.0)),
-        measure_compute=draw(st.booleans()),
         series=draw(_optional(_names)),
     )
 
@@ -418,15 +417,22 @@ def _walked_specs():
 def _contract_breaches(cls):
     """How ``cls`` is not pure data: a frozen dataclass whose public,
     non-constant class attributes are all fields (an untyped assignment is
-    silently not a field, so it never reaches a file, a fingerprint or a journal)."""
+    silently not a field, so it never reaches a file, a fingerprint or a journal).
+    The one other kind allowed is an init-only keyword of a retired path (its
+    ``RETIRED`` row), whose default is what ``dataclasses.replace`` reads."""
     breaches = []
     if not dataclasses.is_dataclass(cls) or not cls.__dataclass_params__.frozen:
         breaches.append("not a frozen dataclass")
     fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    hints = typing.get_type_hints(cls) if dataclasses.is_dataclass(cls) else {}
+    retired = {
+        name for name in getattr(cls, "RETIRED", {})
+        if isinstance(hints.get(name), dataclasses.InitVar)
+    }
     breaches.extend(
         f"class attribute {name!r} is not a field"
         for name, value in vars(cls).items()
-        if not (name.startswith("_") or name.isupper() or name in fields
+        if not (name.startswith("_") or name.isupper() or name in fields or name in retired
                 or callable(value) or isinstance(value, (classmethod, property)))
     )
     return breaches
@@ -455,8 +461,15 @@ def test_the_contract_rejects_a_mutable_or_an_untyped_spec():
     class PlainSpec:
         shards = 1
 
+    @dataclasses.dataclass(frozen=True)
+    class InitOnlySpec:
+        RETIRED = {"legacy": (False, "0000000", "gone")}
+        legacy: dataclasses.InitVar[bool] = False
+        hidden: dataclasses.InitVar[bool] = False
+
     assert _contract_breaches(MutableSpec) == ["not a frozen dataclass"]
     assert _contract_breaches(UntypedSpec) == ["class attribute 'replicas' is not a field"]
+    assert _contract_breaches(InitOnlySpec) == ["class attribute 'hidden' is not a field"]
     assert _contract_breaches(PlainSpec) == [
         "not a frozen dataclass", "class attribute 'shards' is not a field",
     ]

@@ -25,7 +25,7 @@ def _many_cpus(monkeypatch):
 
 
 def _spec(data):
-    base = {"mechanism": "double", "latency": "constant", "measure_compute": False}
+    base = {"mechanism": "double", "latency": "constant"}
     base.update(data)
     return spec_from_dict(base)
 

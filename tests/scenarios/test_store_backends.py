@@ -45,7 +45,7 @@ def _many_cpus(monkeypatch):
 
 
 def _spec(data):
-    base = {"mechanism": "double", "latency": "constant", "measure_compute": False}
+    base = {"mechanism": "double", "latency": "constant"}
     base.update(data)
     return spec_from_dict(base)
 
@@ -489,7 +489,7 @@ sys.path.insert(0, sys.argv[1])
 from repro.scenarios import SweepSpec, run_sweep, spec_from_dict
 
 spec = spec_from_dict({
-    "mechanism": "double", "latency": "constant", "measure_compute": False,
+    "mechanism": "double", "latency": "constant",
     "users": 5, "providers": 3, "rounds": 2,
 })
 sweep = SweepSpec(base=spec, name="hash-stability", axes=(("seed", (0, 1)),))

@@ -3,9 +3,8 @@
 The contract under test (DESIGN.md, "The grid engine"):
 
 * ``run_sweep(workers=N)`` is bit-identical to sequential ``run_sweep`` on
-  every deterministic :class:`RunRecord` field, in the same grid order —
-  with ``measure_compute=false`` that means *full* record equality,
-  ``elapsed_seconds`` included (the virtual clock is deterministic);
+  every :class:`RunRecord` field, in the same grid order —
+  ``elapsed_seconds`` included (the virtual clock is modelled);
 * chunking preserves the per-configuration state amortisation (all rounds of
   a grid point share one worker and one component cache);
 * component caches — including the latency-model cache and the canonical
@@ -14,7 +13,6 @@ The contract under test (DESIGN.md, "The grid engine"):
   grid point raises — for every grid declaration, not only the sweep's.
 """
 
-import dataclasses
 import pickle
 
 import pytest
@@ -52,19 +50,15 @@ def _many_cpus(monkeypatch):
 
 
 def _spec(data):
-    base = {"mechanism": "double", "latency": "constant", "measure_compute": False}
+    base = {"mechanism": "double", "latency": "constant"}
     base.update(data)
     return spec_from_dict(base)
 
 
-def _strip_elapsed(record):
-    return dataclasses.replace(record, elapsed_seconds=0.0)
-
-
 class TestParallelDifferential:
     def test_parallel_bit_identical_to_sequential(self):
-        # measure_compute=false: the virtual clock is deterministic, so the
-        # lock is FULL record equality — elapsed_seconds included.
+        # The virtual clock is modelled, so the lock is FULL record
+        # equality — elapsed_seconds included.
         sweep = SweepSpec(
             base=_spec({"users": 6, "providers": 3, "rounds": 2}),
             axes=(("users", (5, 6)), ("seed", (0, 1))),
@@ -75,9 +69,8 @@ class TestParallelDifferential:
         assert len(parallel.records) == 8
         assert parallel.executed == 8
 
-    def test_parallel_matches_on_deterministic_fields_with_measured_compute(self):
-        # measure_compute=true: wall-clock CPU time is charged to the virtual
-        # clocks, so elapsed differs run to run; everything else must match.
+    def test_parallel_bit_identical_on_wan_latency(self):
+        # Jittered WAN delays: still full record equality, elapsed included.
         sweep = SweepSpec(
             base=spec_from_dict(
                 {"mechanism": "double", "users": 8, "providers": 4, "latency": "wan"}
@@ -86,9 +79,7 @@ class TestParallelDifferential:
         )
         sequential = run_sweep(sweep)
         parallel = run_sweep(sweep, workers=2)
-        assert [_strip_elapsed(r) for r in parallel.records] == [
-            _strip_elapsed(r) for r in sequential.records
-        ]
+        assert parallel.records == sequential.records
 
     def test_parallel_vectorized_engine(self):
         sweep = SweepSpec(

@@ -118,7 +118,6 @@ class TestSpecDrivenCommands:
             "users": 8,
             "providers": 4,
             "latency": "constant",
-            "measure_compute": False,
             "seed": 5,
         }
 
@@ -256,7 +255,7 @@ class TestSpecDrivenCommands:
     @pytest.mark.parametrize("runner", ["distributed", "auction_run", "centralized"])
     def test_more_users_than_the_mechanism_takes_is_a_spec_error(self, runner, capsys):
         argv = ["run", "--set", "mechanism=vcg", "--set", "users=17", "--set", f"runner={runner}"]
-        assert main(argv + ["--set", "measure_compute=false"]) == 2
+        assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: users: at most max_users=16 for 'exact-vcg', got 17\n"
         )
@@ -265,7 +264,7 @@ class TestSpecDrivenCommands:
         "overrides", [["users=16"], ["users=17", "mechanism.max_users=40"]], ids=["16", "raised"]
     )
     def test_users_within_the_mechanism_bound_run(self, overrides, capsys):
-        argv = ["run", "--set", "mechanism=vcg", "--set", "measure_compute=false"]
+        argv = ["run", "--set", "mechanism=vcg"]
         for override in overrides:
             argv += ["--set", override]
         assert main(argv) == 0
@@ -335,7 +334,7 @@ class TestSpecDrivenCommands:
     ):
         if argv[0] == "run":
             argv = ["run", "--set", "mechanism=standard"] + argv[1:]
-        argv = argv + ["--set", f"engine={engine}", "--set", "measure_compute=false"]
+        argv = argv + ["--set", f"engine={engine}"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(
             f"error: mechanism: invalid parameters for mechanism 'standard': {named} must be "
@@ -362,7 +361,6 @@ _GRID_BASE = {
     "providers": 3,
     "config": {"k": 1},
     "latency": "constant",
-    "measure_compute": False,
 }
 _GRID_CASES = {
     "sweep": ({"base": _GRID_BASE, "axes": {"users": [4, 6]}}, "rounds", None),
@@ -458,8 +456,7 @@ class TestSpecErrorsLeaveNoJournal:
     @staticmethod
     def _k3_on_five_providers(tmp_path):
         base = spec_from_dict(
-            {"mechanism": "double", "users": 6, "providers": 5, "latency": "constant",
-             "measure_compute": False}
+            {"mechanism": "double", "users": 6, "providers": 5, "latency": "constant"}
         )
         sweep = SweepSpec(base=base, name="k3", points=({}, {"config.k": 3}))
         path = tmp_path / "sweep.json"
@@ -469,8 +466,7 @@ class TestSpecErrorsLeaveNoJournal:
     @staticmethod
     def _parallel_double(tmp_path):
         base = spec_from_dict(
-            {"mechanism": "double", "users": 10, "providers": 4, "latency": "constant",
-             "measure_compute": False}
+            {"mechanism": "double", "users": 10, "providers": 4, "latency": "constant"}
         )
         sweep = SweepSpec(
             base=base,
@@ -599,7 +595,7 @@ class TestObservabilityCommands:
     def test_trace_of_a_results_journal_is_a_spec_error(self, tmp_path, capsys):
         journal = tmp_path / "results.jsonl"
         argv = ["sweep", "--spec", str(REPO_ROOT / "examples" / "specs" / "fig4_quick.json")]
-        argv += ["--set", "measure_compute=false", "--output", str(journal)]
+        argv += ["--output", str(journal)]
         assert main(argv) == 0
         capsys.readouterr()
         assert main(["trace", str(journal)]) == 2

@@ -33,8 +33,7 @@ CLI_SWEEP_TEXT = (
 def _double(runner: str = "distributed") -> str:
     """A small double-auction spec, as source text."""
     return (
-        f"ScenarioSpec(users=12, providers=5, config={{'k': 1}}, runner={runner!r},"
-        " measure_compute=False)"
+        f"ScenarioSpec(users=12, providers=5, config={{'k': 1}}, runner={runner!r})"
     )
 
 
@@ -77,7 +76,7 @@ def _numpy_loaded(tmp_path, setup: str, step: str):
         pytest.param("import repro.cli; repro.cli.build_parser()", id="cli-parser"),
         pytest.param(
             "import repro.cli; repro.cli.main(['run', '--set', 'users=12',"
-            " '--set', 'providers=5', '--set', 'measure_compute=false'])",
+            " '--set', 'providers=5'])",
             id="cli-double-run",
         ),
         pytest.param(CLI_SWEEP_TEXT, id="cli-sweep-text"),
@@ -104,8 +103,7 @@ def test_double_auction_work_never_imports_numpy(tmp_path, step):
     [
         pytest.param(
             "",
-            "run_scenario(ScenarioSpec(mechanism='standard', users=8, providers=4,"
-            " measure_compute=False))",
+            "run_scenario(ScenarioSpec(mechanism='standard', users=8, providers=4))",
             id="standard-vectorized",
         ),
         pytest.param(
