@@ -67,7 +67,7 @@ from typing import (
 
 from repro.common import ABORT
 from repro.net.protocol import BlockContext, ProtocolBlock
-from repro.net.serialization import DIGEST_SIZE, Digest, FrozenMap, estimate_size
+from repro.net.serialization import FrozenMap, digest_or_self
 
 __all__ = [
     "BatchedConsensusBlock",
@@ -140,14 +140,11 @@ def _frozen(mapping: Mapping[Any, Any]) -> FrozenMap:
 def digest_echo(batches: Mapping[str, Any]) -> FrozenMap:
     """The strict echo of ``batches`` (provider -> batch): one digest per batch.
 
-    A batch whose wire size is at most a digest's is carried as it is, so an
-    echo never costs more than the batches it stands for (a one-bit batch of
-    the ``per_bit`` mode is smaller than a digest).
+    A batch whose wire size is at most a digest's is carried as it is
+    (:func:`~repro.net.serialization.digest_or_self`), so an echo never costs
+    more than the batches it stands for.
     """
-    return FrozenMap(
-        (provider, batch if estimate_size(batch) <= DIGEST_SIZE else Digest(batch))
-        for provider, batch in batches.items()
-    )
+    return FrozenMap((provider, digest_or_self(batch)) for provider, batch in batches.items())
 
 
 class BatchedConsensusBlock(ProtocolBlock):

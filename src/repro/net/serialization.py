@@ -49,6 +49,7 @@ __all__ = [
     "UnsupportedPayloadError",
     "canonical_encode",
     "deep_immutable",
+    "digest_or_self",
     "estimate_size",
 ]
 
@@ -416,6 +417,16 @@ def estimate_size(value: Any) -> int:
     simulator's wall time.
     """
     return _PLANS[type(value)].measure(value)[0]
+
+
+def digest_or_self(value: Any) -> Any:
+    """``Digest(value)``, or ``value`` itself when it is no larger on the wire.
+
+    What stands for a value in a message: an agreement echo's batch, or a
+    result announcement after the first.  A value of at most
+    :data:`DIGEST_SIZE` bytes (⊥, a one-bit batch) costs less than its digest.
+    """
+    return value if estimate_size(value) <= DIGEST_SIZE else Digest(value)
 
 
 def deep_immutable(value: Any) -> bool:

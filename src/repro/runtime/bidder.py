@@ -8,22 +8,27 @@ in :mod:`repro.adversary.bidder_behaviors` and implement the same interface.
 After submitting, a bidder waits for the result announcements of the providers and
 finishes with the outcome it can observe: the (x, p) pair if all providers announced
 the same pair, and ⊥ otherwise — mirroring Definition 1 from the bidder's viewpoint.
+Announcements are digest replies (PBFT's read optimisation, Castro & Liskov 1999,
+§5.1): the lowest-id provider sends the pair and every other provider its
+:class:`~repro.net.serialization.Digest`, so the pair crosses the wire ``n`` times
+rather than ``m·n`` (:func:`observed_result` reads them).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.auctions.base import UserBid
-from repro.common import ABORT, is_abort
-from repro.core.outcome import combine_outputs
+from repro.auctions.base import AuctionResult, UserBid
+from repro.common import ABORT, AbortType
 from repro.net.message import Message
 from repro.net.node import Node, NodeContext
+from repro.net.serialization import Digest, estimate_size
 
 __all__ = [
     "BidderStrategy", "TruthfulBidder", "BidderNode",
-    "BID_TAG", "RESULT_TAG", "bid_messages", "result_messages",
+    "BID_TAG", "RESULT_TAG", "bid_bytes", "bid_messages", "observed_result",
+    "result_bytes", "result_messages",
 ]
 
 #: Tag used for bid submissions from bidders to providers.
@@ -37,9 +42,50 @@ def bid_messages(n: int, m: int) -> int:
     return n * m
 
 
+def bid_bytes(bids: Sequence[UserBid], m: int) -> int:
+    """Bytes of :func:`bid_messages`: each bid, with its tag, to all ``m`` providers."""
+    return m * sum(estimate_size((BID_TAG, bid)) for bid in bids)
+
+
 def result_messages(n: int, m: int) -> int:
     """Announcements of an honest round (Definition 1): each provider to every bidder."""
     return m * n
+
+
+def result_bytes(result: AuctionResult, n: int, m: int) -> int:
+    """Bytes of :func:`result_messages`: ``n·|(tag, result)| + (m−1)·n·|(tag, digest)|``.
+
+    One provider announces ``result`` and the other ``m − 1`` its digest; a
+    digest announcement is 59 bytes, whatever ``result``.
+    """
+    value, digest = (estimate_size((RESULT_TAG, v)) for v in (result, Digest(result)))
+    return n * (value + (m - 1) * digest)
+
+
+def observed_result(announcements: Iterable[Any]) -> Union[AuctionResult, AbortType]:
+    """What a bidder observes from every provider's announcement (Definition 1).
+
+    The pair ``v`` if every announcement that is not a :class:`Digest` is
+    ``v``, every ``Digest`` is ``Digest(v)`` and at least one is not a
+    ``Digest``; ⊥ otherwise.  A digest is compared, never opened: one pass,
+    and one ``Digest`` built.
+    """
+    value = digest = None
+    for announced in announcements:
+        if type(announced) is Digest:
+            if digest is None:
+                digest = announced
+            elif announced != digest:
+                return ABORT
+        elif not isinstance(announced, AuctionResult):
+            return ABORT
+        elif value is None:
+            value = announced
+        elif announced != value:
+            return ABORT
+    if value is None or (digest is not None and digest != Digest(value)):
+        return ABORT
+    return value
 
 
 class BidderStrategy(abc.ABC):
@@ -104,4 +150,4 @@ class BidderNode(Node):
         # Announcements are only stored from providers, so equal counts mean
         # equal sets (as in the providers' _maybe_start_early).
         if len(self._announcements) == len(self._provider_set):
-            self.finish(combine_outputs(self._announcements))
+            self.finish(observed_result(self._announcements.values()))

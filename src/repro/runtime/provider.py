@@ -11,7 +11,10 @@ special value ⊥, which the bid agreement later turns into a neutral bid.  The
 2. collect user bids and provider asks until either everything expected arrived or
    the deadline fires;
 3. run the framework block (bid agreement + allocator);
-4. announce the output to all bidders and finish.
+4. announce the output to all bidders and finish.  The lowest-id provider
+   announces the output itself and every other provider its
+   :class:`~repro.net.serialization.Digest` (digest replies): a bidder needs
+   the pair once, and from everyone else only the evidence that they agree.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from repro.core.provider_protocol import FrameworkBlock, ProviderInput
 from repro.net.message import Message
 from repro.net.node import NodeContext
 from repro.net.protocol import ProtocolBlock, ProtocolNode
+from repro.net.serialization import digest_or_self, estimate_size
 from repro.runtime.bidder import BID_TAG, RESULT_TAG
 
-__all__ = ["CollectingProviderNode", "ASK_TAG", "ask_messages"]
+__all__ = ["CollectingProviderNode", "ASK_TAG", "ask_bytes", "ask_messages"]
 
 #: Tag used by providers to distribute their own asks to their peers.
 ASK_TAG = "announce_ask"
@@ -35,6 +39,11 @@ ASK_TAG = "announce_ask"
 def ask_messages(m: int) -> int:
     """Asks of an honest round (§3.1): each of ``m`` providers to its peers."""
     return m * (m - 1)
+
+
+def ask_bytes(asks: Sequence[ProviderAsk]) -> int:
+    """Bytes of :func:`ask_messages`: each ask, with its tag, to the other providers."""
+    return (len(asks) - 1) * sum(estimate_size((ASK_TAG, ask)) for ask in asks)
 
 
 class CollectingProviderNode(ProtocolNode):
@@ -143,7 +152,13 @@ class CollectingProviderNode(ProtocolNode):
 
     def _on_root_done(self, block: ProtocolBlock) -> None:
         assert self._current_ctx is not None
+        # Digest replies: the lowest-id provider announces the result, every
+        # other provider its digest (⊥, smaller than a digest, as itself).  The
+        # sender is fixed so that each provider still makes one broadcast.
         # One broadcast (rather than a send loop) so the simulator measures
-        # the result payload's wire size once for all users.
-        self._current_ctx.broadcast(self.expected_users, block.result, tag=RESULT_TAG)
+        # the announcement's wire size once for all users.
+        announcement = block.result
+        if self.node_id != self.providers[0]:
+            announcement = digest_or_self(announcement)
+        self._current_ctx.broadcast(self.expected_users, announcement, tag=RESULT_TAG)
         super()._on_root_done(block)

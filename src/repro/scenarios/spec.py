@@ -726,6 +726,13 @@ class SweepSpec:
             for i, point in enumerate(self.points)
         )
         object.__setattr__(self, "points", points)
+        # So does an axis; one holding only the retired value is dropped whole.
+        axes = tuple(
+            (key, values)
+            for key, values in self.axes
+            if not all(_retired(base, key, v, f"axes.{key}") for v in values)
+        )
+        object.__setattr__(self, "axes", axes)
         if self.points and self.axes:
             raise SpecError("points", "a sweep may define 'points' or 'axes', not both")
 
@@ -740,8 +747,19 @@ class SweepSpec:
         return [{}]
 
     def scenarios(self) -> List[ScenarioSpec]:
-        """One fully-validated :class:`ScenarioSpec` per grid point, in order."""
-        return [spec_with_overrides(self.base, overrides) for overrides in self.expand()]
+        """One fully-validated :class:`ScenarioSpec` per grid point, in order.
+
+        A point's error names where the point sits: ``points[i].<path>``, or
+        ``axes.<path>`` for a grid of axes.
+        """
+        specs = []
+        for i, overrides in enumerate(self.expand()):
+            try:
+                specs.append(spec_with_overrides(self.base, overrides))
+            except SpecError as exc:
+                where = f"points[{i}]" if self.points else "axes"
+                raise SpecError(_join(where, exc.path), exc.message) from exc
+        return specs
 
     def with_base_overrides(self, overrides: Mapping[str, Any]) -> "SweepSpec":
         """This sweep with dotted-path overrides applied to its base spec."""

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.auctions.base import ProviderAsk, UserBid
+from repro.common import ABORT
 from repro.net.serialization import (
     DIGEST_SIZE,
     Digest,
@@ -14,6 +15,7 @@ from repro.net.serialization import (
     UnsupportedPayloadError,
     canonical_encode,
     deep_immutable,
+    digest_or_self,
     estimate_size,
 )
 
@@ -117,6 +119,13 @@ class TestDigest:
         assert Digest(BATCH) != BATCH
         assert FrozenMap({"p0": Digest(BATCH)}) == {"p0": Digest(dict(BATCH))}
         assert FrozenMap({"p0": Digest(BATCH)}) != {"p0": BATCH}
+
+    def test_a_value_no_larger_than_a_digest_stands_for_itself(self):
+        assert digest_or_self(BATCH) == Digest(BATCH) and type(digest_or_self(BATCH)) is Digest
+        small = "x" * (DIGEST_SIZE - 4)  # a string's length prefix is 4 bytes
+        assert estimate_size(small) == DIGEST_SIZE
+        assert digest_or_self(small) is small
+        assert digest_or_self(ABORT) is ABORT
 
     def test_holds_its_value_by_reference(self):
         assert Digest(BATCH)[0] is BATCH

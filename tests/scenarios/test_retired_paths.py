@@ -80,6 +80,13 @@ def test_a_sweep_point_is_refused_at_its_index(tmp_path):
         load_any(path)
 
 
+@pytest.mark.parametrize("values", [[True], [False, True]], ids=["true", "false-and-true"])
+def test_a_sweep_axis_is_refused_at_load_at_its_path(tmp_path, values):
+    path = _write(tmp_path, {"base": SCENARIO, "axes": {"measure_compute": values, "users": [4]}})
+    with pytest.raises(SpecError, match=rf"^{path}: axes\.measure_compute: retired after"):
+        load_any(path)
+
+
 def test_a_set_override_is_refused_at_the_path():
     overrides = parse_assignments(["measure_compute=true"])
     with pytest.raises(SpecError, match=r"^measure_compute: retired after commit e3eec74"):
@@ -120,6 +127,19 @@ def test_false_is_accepted_everywhere_and_never_written(tmp_path):
         sweep
     )
     assert "measure_compute" not in json.dumps(spec_to_dict(sweep))
+
+
+def test_an_axis_of_false_is_dropped_from_the_sweep(tmp_path):
+    plain = spec_from_dict({"base": SCENARIO, "axes": {"users": [4, 5]}}, SweepSpec)
+    axis = {"base": SCENARIO, "axes": {"measure_compute": [False], "users": [4, 5]}}
+    for sweep in (spec_from_dict(axis, SweepSpec), load_any(_write(tmp_path, axis))):
+        assert sweep == plain
+        assert spec_to_dict(sweep)["axes"] == {"users": [4, 5]}
+        assert spec_fingerprint(sweep) == spec_fingerprint(plain)
+        assert sweep.expand() == [{"users": 4}, {"users": 5}]
+    only = {"base": SCENARIO, "axes": {"measure_compute": [False, False]}}
+    only = spec_from_dict(only, SweepSpec)
+    assert only.axes == () and only.scenarios() == [spec_from_dict(SCENARIO)]
 
 
 # ---------------------------------------------------------------------- CLI --

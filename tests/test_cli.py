@@ -477,6 +477,26 @@ class TestSpecErrorsLeaveNoJournal:
         dump_spec(sweep, path)
         return path
 
+    @staticmethod
+    def _second_point_users_x(tmp_path):
+        base = spec_from_dict(
+            {"mechanism": "double", "users": 6, "providers": 3, "latency": "constant"}
+        )
+        sweep = SweepSpec(base=base, name="users-x", points=({"users": 5}, {"users": "x"}))
+        path = tmp_path / "sweep.json"
+        dump_spec(sweep, path)
+        return path
+
+    @staticmethod
+    def _axis_users_x(tmp_path):
+        base = spec_from_dict(
+            {"mechanism": "double", "users": 6, "providers": 3, "latency": "constant"}
+        )
+        sweep = SweepSpec(base=base, name="users-x", axes=(("users", (5, "x")),))
+        path = tmp_path / "sweep.json"
+        dump_spec(sweep, path)
+        return path
+
     @pytest.mark.parametrize(
         "argv, error",
         [
@@ -501,12 +521,16 @@ class TestSpecErrorsLeaveNoJournal:
                 "Algorithm 1's allocation and payments; the parallel allocator runs only the "
                 "mechanism kinds that do: standard, vcg\n",
             ),
+            ("_second_point_users_x", "error: points[1].users: expected an integer, got str\n"),
+            ("_axis_users_x", "error: axes.users: expected an integer, got str\n"),
         ],
         ids=[
             "resilience-coalition",
             "sweep-max-users",
             "sweep-second-point-k",
             "sweep-second-point-parallel-double",
+            "sweep-second-point-type",
+            "sweep-axis-type",
         ],
     )
     def test_exits_2_without_a_journal(self, argv, error, tmp_path, capsys, monkeypatch):
