@@ -17,11 +17,10 @@ paper evaluates plus baselines:
   instances.
 * :class:`~repro.auctions.greedy.GreedyStandardAuction` — fast non-truthful baseline.
 
-The standard auction additionally exists in two engines with bit-identical results:
-the readable reference above and the NumPy-backed
+The standard auction runs as the NumPy-backed
 :class:`~repro.auctions.engine.VectorizedStandardAuction` (see
-:mod:`repro.auctions.engine` and DESIGN.md); call sites switch between them with
-:func:`~repro.auctions.engine.resolve_engine`.
+:mod:`repro.auctions.engine` and DESIGN.md); the readable reference above is its
+bit-identical test oracle.
 """
 
 from repro.auctions.base import (
@@ -34,13 +33,7 @@ from repro.auctions.base import (
     UserBid,
 )
 from repro.auctions.double_auction import DoubleAuction
-from repro.auctions.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    VectorizedStandardAuction,
-    make_standard_auction,
-    resolve_engine,
-)
+from repro.auctions.engine import VectorizedStandardAuction
 from repro.auctions.greedy import GreedyStandardAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.validation import (
@@ -63,9 +56,7 @@ __all__ = [
     "AllocationAlgorithm",
     "AuctionResult",
     "BidVector",
-    "DEFAULT_ENGINE",
     "DoubleAuction",
-    "ENGINES",
     "ExactVCGAuction",
     "GreedyStandardAuction",
     "InvalidBidError",
@@ -74,8 +65,6 @@ __all__ = [
     "StandardAuction",
     "UserBid",
     "VectorizedStandardAuction",
-    "make_standard_auction",
-    "resolve_engine",
     "budget_surplus",
     "is_valid_provider_ask",
     "is_valid_user_bid",

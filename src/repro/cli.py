@@ -9,7 +9,7 @@ Seven sub-commands cover the common workflows::
     repro-auction sweep --spec sweep.json --workers 4 --output results.jsonl --resume
     repro-auction sweep --spec sweep.json --output results.rcol --store-format columnar
     repro-auction sweep --spec examples/specs/fig4.json --series
-    repro-auction sweep --spec examples/specs/fig5.toml --set engine=reference
+    repro-auction sweep --spec examples/specs/fig5.toml --series
     repro-auction sweep --spec scenario.toml --set rounds=20
     repro-auction resilience --spec resilience.json --workers 4 --output audit.jsonl
     repro-auction chaos --spec chaos.json --workers 4 --output chaos.jsonl

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
-from repro.auctions.engine import DEFAULT_ENGINE, resolve_engine
 from repro.core.config import FrameworkConfig
 from repro.core.outcome import Outcome
 from repro.net.latency import LatencyModel
@@ -48,15 +47,7 @@ class AuctionRun:
         config: framework configuration.
         bidder_strategies: optional per-user strategy overrides (defaults: truthful).
         deadline: bid-collection deadline at the providers, in virtual seconds.
-        engine: the execution engine for standard auctions — defaults to the
-            library default (:data:`~repro.auctions.engine.DEFAULT_ENGINE`,
-            the vectorized engine).  Pass ``"reference"`` to force the
-            reference implementation, or ``None`` to run ``algorithm``
-            exactly as given (see
-            :func:`repro.auctions.engine.resolve_engine`; both engines are
-            seed-for-seed bit-identical, so the choice only affects speed).
-            A mechanism this run created by re-targeting is closed at the
-            end of :meth:`execute`; pre-resolved mechanisms stay untouched.
+        engine: retired; only ``None``.  ``algorithm`` runs exactly as given.
         latency_model / scheduler / seed: simulation parameters,
             passed through to :class:`~repro.net.network.SimNetwork`.
     """
@@ -68,17 +59,18 @@ class AuctionRun:
         config: Optional[FrameworkConfig] = None,
         bidder_strategies: Optional[Mapping[str, BidderStrategy]] = None,
         deadline: float = 1.0,
-        engine: Optional[str] = DEFAULT_ENGINE,
+        engine: None = None,
         latency_model: Optional[LatencyModel] = None,
         scheduler: Optional[Scheduler] = None,
         seed: int = 0,
     ) -> None:
+        if engine is not None:
+            raise ValueError(
+                "engine: retired after commit 1b436d7: one engine; the reference class "
+                f"is the test oracle; only None is accepted, got {engine!r}"
+            )
         self.bids = bids
-        self.engine = engine
-        self.algorithm = resolve_engine(algorithm, engine) if engine is not None else algorithm
-        # If resolving created a fresh mechanism, this run owns whatever resources
-        # it holds and releases them after execute().
-        self._owns_algorithm = self.algorithm is not algorithm
+        self.algorithm = algorithm
         self.config = config if config is not None else FrameworkConfig()
         self.config.check_quorum(len(bids.providers))
         self.config.check_groups(len(bids.providers), self.algorithm)
@@ -90,17 +82,6 @@ class AuctionRun:
 
     def execute(self, max_steps: int = 2_000_000) -> AuctionRunResult:
         """Run the round and return the combined outcome plus per-bidder observations."""
-        try:
-            return self._execute(max_steps)
-        finally:
-            # Duck-typed: no stock engine owns resources today.  Pre-resolved
-            # mechanisms stay open — their creator closes them.
-            if self._owns_algorithm:
-                close = getattr(self.algorithm, "close", None)
-                if close is not None:
-                    close()
-
-    def _execute(self, max_steps: int) -> AuctionRunResult:
         provider_ids = self.bids.provider_ids
         user_ids = self.bids.user_ids
         network = SimNetwork(

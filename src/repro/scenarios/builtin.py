@@ -10,9 +10,8 @@ sweep.  Their defaults are shipped as ``examples/specs/fig4.json`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.auctions.engine import DEFAULT_ENGINE
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError, SweepSpec
 
 __all__ = ["figure4_sweep", "figure5_sweep"]
@@ -62,20 +61,16 @@ def figure5_sweep(
     p_values: Sequence[int] = (1, 2, 4),
     n_values: Sequence[int] = (25, 50, 75, 100, 125),
     epsilon: float = 0.25,
-    engine: Optional[str] = DEFAULT_ENGINE,
     seed: int = 0,
 ) -> SweepSpec:
     """Figure 5 (§6.3): standard-auction running time for parallelism p ∈ {1,2,4}.
 
     ``p = 1`` is the centralised baseline; ``p > 1`` runs the parallel
-    allocator over all providers with ``k = ⌊m/p⌋ - 1``.  ``engine`` defaults
-    to the library default (the vectorized engine); pass ``"reference"`` to
-    time the reference implementation — results are bit-identical either way.
+    allocator over all providers with ``k = ⌊m/p⌋ - 1``.
     """
     base = ScenarioSpec(
         name="fig5",
         mechanism=ComponentSpec("standard", {"epsilon": epsilon}),
-        engine=engine,
         providers=num_providers,
         latency=ComponentSpec("wan"),
         seed=seed,

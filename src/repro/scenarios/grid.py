@@ -21,7 +21,7 @@ cell runs:
   take them (cells that share setup back to back);
 * ``group_key(point, instance)`` — what a worker can amortise across cells;
 * ``run_cell(point, instance) -> record``;
-* ``close()`` — release engine resources (idempotent);
+* ``close()`` — release what the context holds (idempotent);
 * ``observe(walk)`` — the kind's own observability, called once on the
   parent with ``(cell, record, executed now?)`` per record in grid order.
 
@@ -282,8 +282,8 @@ def run_chunk(
 ) -> List[Tuple[int, int, Any]]:
     """Worker body: run one chunk of cells through a fresh context.
 
-    The context is closed in a ``finally`` so worker-side mechanism resources
-    are released even when a cell raises mid-chunk.  A failure partway through
+    The context is closed in a ``finally`` so what it holds is released even
+    when a cell raises mid-chunk.  A failure partway through
     raises :class:`~repro.scenarios.dispatch.ChunkExecutionError` carrying
     the cells completed so far (the parent journals them before re-raising),
     the worker traceback as a string (traceback objects do not pickle) and

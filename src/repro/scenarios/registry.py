@@ -153,8 +153,8 @@ def _register_builtins() -> None:
         SilentBidder,
     )
     from repro.auctions.double_auction import DoubleAuction
+    from repro.auctions.engine import VectorizedStandardAuction
     from repro.auctions.greedy import GreedyStandardAuction
-    from repro.auctions.standard_auction import StandardAuction
     from repro.auctions.vcg import ExactVCGAuction
     from repro.community.topology import generate_community_network
     from repro.community.workload import (
@@ -193,7 +193,7 @@ def _register_builtins() -> None:
     )
 
     MECHANISMS.register("double", DoubleAuction)
-    MECHANISMS.register("standard", StandardAuction)
+    MECHANISMS.register("standard", VectorizedStandardAuction)
     MECHANISMS.register("vcg", ExactVCGAuction)
     MECHANISMS.register("greedy", GreedyStandardAuction)
 

@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
 from repro.auctions.decomposable import DecomposableMechanism
-from repro.auctions.engine import DEFAULT_ENGINE, engine_name, resolve_engine
 from repro.auctions.engine.pivot import shared_solve_cache
 from repro.community.workload import default_provider_ids
 from repro.core.config import FrameworkConfig
@@ -133,17 +132,8 @@ class RunRecord(FlatRecord):
 
 # ------------------------------------------------------------------- components --
 def build_mechanism(spec: ScenarioSpec) -> AllocationAlgorithm:
-    """The spec's allocation algorithm, re-targeted at the requested engine.
-
-    ``spec.engine=None`` means "the library default"
-    (:data:`~repro.auctions.engine.DEFAULT_ENGINE`, currently
-    ``"vectorized"``), not "whatever the registry built": a plain
-    ``mechanism="standard"`` spec runs the fast engine.  ``engine="reference"``
-    is the escape hatch; non-standard mechanisms pass through either way.
-    Results are engine-independent by the equivalence contract.
-    """
-    mechanism = MECHANISMS.create(spec.mechanism, "mechanism")
-    return resolve_engine(mechanism, spec.engine or DEFAULT_ENGINE)
+    """The spec's allocation algorithm."""
+    return MECHANISMS.create(spec.mechanism, "mechanism")
 
 
 def build_workload(spec: ScenarioSpec):
@@ -271,7 +261,8 @@ def check_round(spec: ScenarioSpec, mechanism, prefix: str = "") -> None:
     protocol — that ``config.parallel`` names a mechanism that decomposes
     (Algorithm 1) and :func:`_framework_config`'s, with ``m`` = ``executors``
     or ``providers`` (the gateway count, see :func:`resolve_provider_ids`).
-    ``prefix`` is ``base.`` inside an audit spec.
+    ``prefix`` is ``base.`` inside an audit spec, and ``points[i].`` /
+    ``axes.`` for a sweep point (:meth:`~repro.scenarios.spec.SweepSpec.point_path`).
     """
     limit = mechanism.max_users
     if limit is not None and spec.users > limit:
@@ -476,10 +467,8 @@ def record_from_outcome(
 ) -> RunRecord:
     """Normalise an :class:`~repro.core.outcome.Outcome` into a :class:`RunRecord`.
 
-    ``engine`` records the engine that actually ran (derived from the live
-    mechanism), not the spec's requested override — a spec with
-    ``engine=None`` runs the library default, and the artifact must say so
-    rather than report ``null``.
+    ``engine`` is the live mechanism's ``engine`` attribute (``"vectorized"``
+    for the ``standard`` kind), ``"reference"`` for a mechanism without one.
     """
     aborted = outcome.aborted
     winners = 0
@@ -495,7 +484,7 @@ def record_from_outcome(
         series=spec.default_series(),
         runner=spec.runner,
         mechanism=mechanism.name,
-        engine=engine_name(mechanism),
+        engine=getattr(mechanism, "engine", "reference"),
         users=spec.users,
         providers=spec.providers,
         executors=executors,

@@ -1,10 +1,10 @@
 """The declarative scenario specification tree.
 
 A :class:`ScenarioSpec` is a frozen, pure-data description of one auction
-scenario: which mechanism and execution engine to run, which workload draws the
-bids, how many users/providers participate, the framework configuration, the
-latency model (or a generated community topology), optional adversarial bidder
-strategies, and the seeds.  Component choices are expressed as *string kinds*
+scenario: which mechanism to run, which workload draws the bids, how many
+users/providers participate, the framework configuration, the latency model
+(or a generated community topology), optional adversarial bidder strategies,
+and the seeds.  Component choices are expressed as *string kinds*
 resolved against the registries in :mod:`repro.scenarios.registry`, so a spec
 can be written to (and read from) a JSON or TOML file without losing anything.
 
@@ -325,11 +325,6 @@ class ScenarioSpec:
     Attributes:
         name: free-form label, echoed into every :class:`RunRecord`.
         mechanism: registry reference for the allocation algorithm.
-        engine: optional execution-engine override (``"reference"`` /
-            ``"vectorized"``); ``None`` (the spec default) runs the library
-            default engine (:data:`~repro.auctions.engine.DEFAULT_ENGINE`,
-            the vectorized engine) — set ``"reference"`` to opt out.  Results
-            are bit-identical whichever engine runs.
         workload: registry reference for the bid generator; defaults to the
             canonical workload of the mechanism kind.
         users / providers: scenario size.  ``providers`` is the number of
@@ -353,11 +348,14 @@ class ScenarioSpec:
             default is derived from the runner and configuration.
         measure_compute: retired (:attr:`RETIRED`): a keyword that accepts only
             ``False``.  Time is modelled, never measured.
+
+    ``engine`` is retired too, as a file / override path only: a
+    ``"vectorized"`` there is dropped, since the ``standard`` kind always
+    builds the vectorized engine.
     """
 
     name: str = "scenario"
     mechanism: ComponentSpec = field(default_factory=lambda: ComponentSpec("double"))
-    engine: Optional[str] = None
     workload: Optional[ComponentSpec] = None
     users: int = 50
     providers: int = 8
@@ -377,7 +375,10 @@ class ScenarioSpec:
     #: Retired paths (see :func:`_retired`): path -> (the one value still
     #: accepted, i.e. what the program now always does; the last commit that
     #: read the path; why it went).
-    RETIRED = {"measure_compute": (False, "e3eec74", "compute is modelled (ROADMAP item 1)")}
+    RETIRED = {
+        "measure_compute": (False, "e3eec74", "compute is modelled (ROADMAP item 1)"),
+        "engine": ("vectorized", "1b436d7", "one engine; the reference class is the test oracle"),
+    }
 
     def __post_init__(self, measure_compute: bool) -> None:
         _retired(type(self), "measure_compute", measure_compute, "measure_compute")
@@ -399,14 +400,6 @@ class ScenarioSpec:
             raise SpecError("rounds", "rounds must be non-negative")
         if self.deadline <= 0:
             raise SpecError("deadline", "deadline must be positive")
-        if self.engine is not None:
-            from repro.auctions.engine import ENGINES
-
-            if self.engine not in ENGINES:
-                raise SpecError(
-                    "engine",
-                    f"unknown engine {self.engine!r}; expected one of {', '.join(ENGINES)}",
-                )
         if self.bidders and self.runner != "auction_run":
             raise SpecError(
                 "bidders",
@@ -757,9 +750,14 @@ class SweepSpec:
             try:
                 specs.append(spec_with_overrides(self.base, overrides))
             except SpecError as exc:
-                where = f"points[{i}]" if self.points else "axes"
-                raise SpecError(_join(where, exc.path), exc.message) from exc
+                raise SpecError(_join(self.point_path(i), exc.path), exc.message) from exc
         return specs
+
+    def point_path(self, i: int) -> str:
+        """Where grid point ``i`` sits: ``points[i]``, ``axes``, or ``""`` (the base alone)."""
+        if self.points:
+            return f"points[{i}]"
+        return "axes" if self.axes else ""
 
     def with_base_overrides(self, overrides: Mapping[str, Any]) -> "SweepSpec":
         """This sweep with dotted-path overrides applied to its base spec."""

@@ -4,10 +4,8 @@ Mechanisms, workloads, topologies and latency models are resolved once per
 distinct configuration (:class:`ComponentCache`) and shared across grid
 points, so a mechanism (and the solve memo it fills) survives the
 whole sweep — the same amortisation the hand-written figure experiments
-performed, now applied to every sweep automatically.  Components the sweep
-itself created are closed when the sweep finishes, even when a grid point
-raises.  The audits' :class:`SeededContext` resolves its mechanism and bids
-through the same cache.
+performed, now applied to every sweep automatically.  The audits'
+:class:`SeededContext` resolves its mechanism and bids through the same cache.
 
 :func:`run_sweep` is the sweep's declaration (:data:`SWEEP_GRID`) run through
 the grid engine (:mod:`repro.scenarios.grid`), which supplies **parallel
@@ -69,9 +67,8 @@ class ComponentCache:
     same instance — the centralised baseline and k = 1, 2, 3 of one Figure 4
     point — share one vector, until the caller says a read is the last.
 
-    :meth:`close` shuts down every mechanism the cache created (idempotent);
-    always call it — or use the cache as a context manager — so a mechanism
-    that owns resources does not outlive the sweep, even when a grid point raises.
+    :meth:`close` drops what the cache holds (idempotent); no component owns
+    resources beyond memory, so there is nothing else to release.
     """
 
     def __init__(self) -> None:
@@ -126,13 +123,11 @@ class ComponentCache:
         return bids
 
     def close(self) -> None:
-        """Release engine resources held by cached mechanisms (idempotent)."""
-        mechanisms = list(self._mechanisms.values())
-        self._mechanisms.clear()
-        for mechanism in mechanisms:
-            close = getattr(mechanism, "close", None)
-            if close is not None:
-                close()
+        """Drop every cached component and bid vector (idempotent)."""
+        for cache in (
+            self._mechanisms, self._workloads, self._topologies, self._latencies, self._bids
+        ):
+            cache.clear()
 
     def __enter__(self) -> "ComponentCache":
         return self
@@ -151,7 +146,8 @@ class SweepContext:
     reads its bids from the cache, so points that differ only in how they
     run an instance (runner, ``k``, executors) share its vector.  Every point
     passes :func:`~repro.scenarios.runner.check_round` here, before a journal
-    opens.  :meth:`close` closes the cache (idempotent).
+    opens, and a failure names the point (``points[i].`` / ``axes.``).
+    :meth:`close` closes the cache (idempotent).
     """
 
     def __init__(self, sweep: SweepSpec) -> None:
@@ -159,8 +155,9 @@ class SweepContext:
         self.scenarios = sweep.scenarios()
         self.cache = ComponentCache()
         try:
-            for spec in self.scenarios:
-                check_round(spec, self.cache.mechanism(spec))
+            for point, spec in enumerate(self.scenarios):
+                where = sweep.point_path(point)
+                check_round(spec, self.cache.mechanism(spec), f"{where}." if where else "")
         except BaseException:
             self.cache.close()
             raise
@@ -271,7 +268,7 @@ class SeededContext:
     share with a sortable ``group_key(point, instance)``.  The constructor
     runs the subclass's :meth:`_check_spec`, then
     :func:`~repro.scenarios.runner.check_round` on the base scenario, so a
-    journal opens only after both.  :meth:`close` releases engine resources
+    journal opens only after both.  :meth:`close` drops the cache
     (idempotent); always call it — or use the context as a context manager.
     """
 
@@ -340,7 +337,7 @@ class SeededContext:
         return sorted(cells, key=lambda cell: (self.group_key(*cell), cell[0]))
 
     def close(self) -> None:
-        """Release engine resources the context created (idempotent)."""
+        """Drop the context's cache (idempotent)."""
         self.cache.close()
 
     def observe(self, walk) -> None:
@@ -426,7 +423,7 @@ def _component_key(component) -> Tuple[Any, ...]:
 
 
 def _mechanism_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
-    return (_component_key(spec.mechanism), spec.engine)
+    return _component_key(spec.mechanism)
 
 
 def _workload_key(spec: ScenarioSpec) -> Tuple[Any, ...]:

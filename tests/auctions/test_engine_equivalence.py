@@ -1,7 +1,7 @@
 """Differential tests: the vectorized engine must equal the reference bit for bit.
 
-This suite is the gate for flipping any default from "reference" to "vectorized":
-for a grid of seeds × scenario sizes the two engines must return *identical*
+The reference :class:`StandardAuction` is the oracle of the one engine every front
+door runs: for a grid of seeds × scenario sizes the two must return *identical*
 assignments, welfare and clamped payments — not approximately equal, identical.
 The distributed framework depends on this: provider groups independently recompute
 pieces of the mechanism and the data-transfer block aborts on any disagreement, so
@@ -17,15 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
-from repro.auctions.engine import (
-    DEFAULT_ENGINE,
-    VectorizedStandardAuction,
-    clear_solve_cache,
-    engine_name,
-    kernel,
-    make_standard_auction,
-    resolve_engine,
-)
+from repro.auctions.engine import VectorizedStandardAuction, clear_solve_cache, kernel
 from repro.auctions.engine.pivot import shared_solve_cache
 from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.validation import eligible_user_bids
@@ -554,105 +546,40 @@ class TestPivotBatching:
         assert counted_run() == (won, eligible, restarts, cold, warm)
 
 
-class TestEngineSwitch:
-    def test_make_standard_auction(self):
-        assert isinstance(make_standard_auction("reference"), StandardAuction)
-        assert isinstance(make_standard_auction("vectorized"), VectorizedStandardAuction)
-        with pytest.raises(ValueError):
-            make_standard_auction("quantum")
+class TestOneEngine:
+    """The ``standard`` kind builds the vectorized engine, and nothing swaps it.
 
-    def test_resolve_engine_round_trip_preserves_parameters(self):
-        source = StandardAuction(epsilon=0.1, perturbation=0.07, local_search_rounds=2)
-        vectorized = resolve_engine(source, "vectorized")
-        assert isinstance(vectorized, VectorizedStandardAuction)
-        assert vectorized.restarts == source.restarts
-        assert vectorized.perturbation == source.perturbation
-        assert vectorized.local_search_rounds == source.local_search_rounds
-        back = resolve_engine(vectorized, "reference")
-        assert type(back) is StandardAuction
-        assert back.restarts == source.restarts
-
-    def test_resolve_engine_is_identity_when_already_matching(self):
-        mech = VectorizedStandardAuction()
-        assert resolve_engine(mech, "vectorized") is mech
-        ref = StandardAuction()
-        assert resolve_engine(ref, "reference") is ref
-
-    def test_non_standard_mechanisms_pass_through(self):
-        from repro.auctions.double_auction import DoubleAuction
-
-        double = DoubleAuction()
-        assert resolve_engine(double, "vectorized") is double
-
-
-class TestDefaultEngineFlip:
-    """The default-flip locks: vectorized is the library default everywhere.
-
-    This suite proves both sides of the flip — the default *is* vectorized,
-    and nothing a user customised gets silently swapped out by it.
+    The reference class is reached only by constructing it, as the
+    differential tests above do.
     """
 
-    def test_library_default_is_vectorized(self):
-        assert DEFAULT_ENGINE == "vectorized"
-
-    def test_build_mechanism_resolves_spec_default_to_vectorized(self):
+    def test_standard_kind_builds_the_vectorized_engine(self):
         from repro.scenarios import ScenarioSpec
         from repro.scenarios.runner import build_mechanism
 
-        spec = ScenarioSpec(mechanism="standard", users=6)
-        assert spec.engine is None  # the spec default stays unset...
-        mechanism = build_mechanism(spec)
-        # ...and resolves to the vectorized engine at build time.
-        assert isinstance(mechanism, VectorizedStandardAuction)
-        assert engine_name(mechanism) == "vectorized"
+        mechanism = build_mechanism(ScenarioSpec(mechanism="standard", users=6))
+        assert type(mechanism) is VectorizedStandardAuction
 
-    def test_spec_reference_escape_hatch_still_works(self):
-        from repro.scenarios import ScenarioSpec
-        from repro.scenarios.runner import build_mechanism
-
-        spec = ScenarioSpec(mechanism="standard", users=6, engine="reference")
-        mechanism = build_mechanism(spec)
-        assert type(mechanism) is StandardAuction
-        assert engine_name(mechanism) == "reference"
-
-    def test_auction_run_default_is_vectorized(self):
+    def test_auction_run_runs_the_algorithm_as_given(self):
         from repro.runtime.auction_run import AuctionRun
 
         bids = StandardAuctionWorkload(seed=0).generate(6, 3)
-        run = AuctionRun(bids, StandardAuction())
-        assert isinstance(run.algorithm, VectorizedStandardAuction)
+        reference = StandardAuction()
+        assert AuctionRun(bids, reference).algorithm is reference
 
-    def test_standard_subclasses_are_never_swapped(self):
-        # A user-registered subclass carries overridden behavior the stock
-        # vectorized engine does not have; the default must run it as given.
-        class TweakedAuction(StandardAuction):
-            pass
-
-        tweaked = TweakedAuction()
-        assert resolve_engine(tweaked, DEFAULT_ENGINE) is tweaked
-        assert resolve_engine(tweaked, "reference") is tweaked
-
-    def test_greedy_and_exact_mechanisms_pass_through_the_default(self):
-        from repro.auctions.greedy import GreedyStandardAuction
-        from repro.auctions.vcg import ExactVCGAuction
-
-        for mechanism in (GreedyStandardAuction(), ExactVCGAuction()):
-            assert resolve_engine(mechanism, DEFAULT_ENGINE) is mechanism
-
-    def test_engine_name_reports_reference_for_unmarked_algorithms(self):
+    def test_records_name_the_engine_that_ran(self):
         from repro.auctions.double_auction import DoubleAuction
-
-        assert engine_name(StandardAuction()) == "reference"
-        assert engine_name(VectorizedStandardAuction()) == "vectorized"
-        assert engine_name(DoubleAuction()) == "reference"
-
-    def test_default_flip_records_resolved_engine(self):
         from repro.scenarios import ScenarioSpec, run_scenario
+        from repro.scenarios.runner import record_from_outcome
 
-        record = run_scenario(ScenarioSpec(mechanism="standard", users=6))
+        spec = ScenarioSpec(mechanism="standard", users=6)
+        record = run_scenario(spec)
         assert record.engine == "vectorized"
-        record = run_scenario(ScenarioSpec(mechanism="standard", users=6, engine="reference"))
-        assert record.engine == "reference"
+        outcome = DistributedAuctioneer(
+            StandardAuction(), providers=["p00", "p01", "p02"], config=FrameworkConfig(k=1)
+        ).run_from_bids(StandardAuctionWorkload(seed=0).generate(6, 3)).outcome
+        for mechanism in (StandardAuction(), DoubleAuction()):
+            assert record_from_outcome(spec, 0, outcome, mechanism, 3).engine == "reference"
 
 
 class TestDistributedEquivalence:
@@ -661,10 +588,13 @@ class TestDistributedEquivalence:
         bids = StandardAuctionWorkload(seed=5).generate(12, 4)
         providers = [f"p{j:02d}" for j in range(4)]
         results = {}
-        for engine in ("reference", "vectorized"):
+        for engine, make in (
+            ("reference", StandardAuction),
+            ("vectorized", VectorizedStandardAuction),
+        ):
             clear_solve_cache()
             auctioneer = DistributedAuctioneer(
-                resolve_engine(StandardAuction(epsilon=0.5), engine),
+                make(epsilon=0.5),
                 providers=providers,
                 config=FrameworkConfig(k=1, parallel=True, num_groups=2),
                 seed=17,

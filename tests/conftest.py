@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from typing import Callable, Dict, Optional, Sequence
 
@@ -57,6 +58,31 @@ def _fresh_oversubscription_warnings():
     reset_oversubscription_warnings()
     yield
     reset_oversubscription_warnings()
+
+
+@pytest.fixture
+def reference_standard():
+    """``with reference_standard():`` — the ``standard`` kind builds the oracle.
+
+    Inside the block the registry builds the reference
+    :class:`~repro.auctions.standard_auction.StandardAuction` instead of the
+    vectorized engine, so a spec-level run can be compared with its oracle.
+    """
+    from repro.auctions.engine import VectorizedStandardAuction
+    from repro.auctions.standard_auction import StandardAuction
+    from repro.scenarios.registry import MECHANISMS
+
+    @contextlib.contextmanager
+    def swap():
+        MECHANISMS.unregister("standard")
+        MECHANISMS.register("standard", StandardAuction)
+        try:
+            yield
+        finally:
+            MECHANISMS.unregister("standard")
+            MECHANISMS.register("standard", VectorizedStandardAuction)
+
+    return swap
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ FIG5_P = (1, 2, 4)
 _FIG5 = {
     (spec.users, spec.config.num_groups or 1): spec
     for spec in figure5_sweep(
-        n_values=FIG5_USERS, p_values=FIG5_P, epsilon=0.25, engine="vectorized", seed=42
+        n_values=FIG5_USERS, p_values=FIG5_P, epsilon=0.25, seed=42
     ).scenarios()
 }
 

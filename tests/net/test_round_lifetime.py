@@ -12,8 +12,7 @@ import gc
 import pytest
 
 from repro.auctions.double_auction import DoubleAuction
-from repro.auctions.engine import resolve_engine
-from repro.auctions.standard_auction import StandardAuction
+from repro.auctions.engine import VectorizedStandardAuction
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
@@ -63,7 +62,7 @@ class TestEveryRoundEndsAcyclic:
 
     def test_honest_vectorized_standard_round(self):
         bids = StandardAuctionWorkload(seed=3).generate(8, 4, provider_ids=PROVIDERS)
-        algorithm = resolve_engine(StandardAuction(epsilon=0.5), "vectorized")
+        algorithm = VectorizedStandardAuction(epsilon=0.5)
         assert unreachable_after(lambda: auctioneer(algorithm).run_from_bids(bids)) == 0
 
     def test_auction_run_round(self):

@@ -23,7 +23,7 @@ from repro.auctions.base import (
     UserBid,
 )
 from repro.auctions.double_auction import DoubleAuction
-from repro.auctions.engine import ENGINES, make_standard_auction
+from repro.auctions.engine import VectorizedStandardAuction
 from repro.auctions.greedy import GreedyStandardAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.auctions.welfare import budget_surplus, provider_utility, social_welfare, user_utility
@@ -293,9 +293,11 @@ class TestStandardAuctionInvariants:
         )
 
 
-@pytest.fixture(params=ENGINES)
+@pytest.fixture(
+    params=[StandardAuction, VectorizedStandardAuction], ids=["reference", "vectorized"]
+)
 def engine(request):
-    """Both execution engines of the standard auction (see DESIGN.md)."""
+    """The standard auction's engine and its reference oracle (see DESIGN.md)."""
     return request.param
 
 
@@ -310,7 +312,7 @@ class TestStandardAuctionEngineInvariants:
 
     @staticmethod
     def _mechanism(engine):
-        return make_standard_auction(engine, epsilon=0.6)
+        return engine(epsilon=0.6)
 
     @given(bids=bid_vectors, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -9,7 +9,6 @@
    (the virtual clock is modelled, so fully deterministic).
 """
 
-import dataclasses
 import json
 from collections import Counter
 
@@ -77,13 +76,13 @@ class TestFigureSweeps:
 
 
 class TestDefaultEngineDifferential:
-    """The default-flip lock: vectorized-by-default changes labels, not science.
+    """One engine, one oracle: the vectorized engine changes labels, not science.
 
-    Running a built-in figure grid with no engine at all (the library default,
-    vectorized) must produce records bit-identical to ``engine="reference"``
-    on every other field — winners, payments, messages, bytes, abort flags and
-    modelled time.  Only the resolved-engine labels (``mechanism``, ``engine``)
-    may differ.
+    Running a built-in figure grid as shipped (the ``standard`` kind builds the
+    vectorized engine) must produce records bit-identical to the same grid with
+    the kind built by the reference class, on every other field — winners,
+    payments, messages, bytes, abort flags and modelled time.  Only the
+    engine labels (``mechanism``, ``engine``) may differ.
     """
 
     ENGINE_LABELS = ("mechanism", "engine")
@@ -97,35 +96,17 @@ class TestDefaultEngineDifferential:
             rows.append(payload)
         return rows
 
-    def test_fig5_default_flip_is_bit_identical_to_reference(self):
-        from repro.scenarios import spec_with_overrides
-
+    def test_fig5_default_flip_is_bit_identical_to_reference(self, reference_standard):
         default = figure5_sweep(n_values=(8,), p_values=(1, 2), epsilon=0.5, seed=3)
-        assert default.base.engine == "vectorized"  # the flipped built-in
-        reference = dataclasses.replace(
-            default, base=spec_with_overrides(default.base, {"engine": "reference"})
-        )
         via_default = run_sweep(default)
-        via_reference = run_sweep(reference)
+        with reference_standard():
+            via_reference = run_sweep(default)
         assert self._protocol_fields(via_default) == self._protocol_fields(via_reference)
         assert {r.engine for r in via_default.records} == {"vectorized"}
         assert {r.engine for r in via_reference.records} == {"reference"}
 
-    def test_fig4_records_are_engine_invariant(self):
-        from repro.scenarios import spec_with_overrides
-
-        default = figure4_sweep(n_values=(10,), k_values=(1,), seed=3)
-        reference = dataclasses.replace(
-            default, base=spec_with_overrides(default.base, {"engine": "reference"})
-        )
-        # The double auction has no vectorized engine: the default passes the
-        # mechanism through untouched, so even the labels agree.
-        assert self._protocol_fields(run_sweep(default)) == \
-            self._protocol_fields(run_sweep(reference))
-
     def test_unflagged_fig5_cli_runs_vectorized(self, tmp_path, capsys):
-        # Acceptance criterion: the Figure 5 sweep with no engine override
-        # runs the vectorized engine (and says so in the record).
+        # The Figure 5 sweep runs the vectorized engine (and says so in the record).
         spec_path = tmp_path / "fig5.toml"
         dump_spec(
             figure5_sweep(n_values=(8,), p_values=(1,), epsilon=0.5, seed=3), spec_path

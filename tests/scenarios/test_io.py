@@ -16,7 +16,6 @@ def _rich_spec():
         {
             "name": "rich",
             "mechanism": {"kind": "standard", "epsilon": 0.5},
-            "engine": "reference",
             "workload": {"kind": "vr_sessions", "session_fraction": 0.25},
             "users": 18,
             "providers": 5,

@@ -5,8 +5,9 @@ it, so any drift in what ``spec_to_dict`` emits (a renamed key, a default
 that starts or stops being written) would strand every existing artifact.
 The one sanctioned drift is retiring a spec path (``ScenarioSpec.RETIRED``):
 every canonical form lost ``measure_compute`` when compute became modelled
-only, so the fingerprints pinned here are those of the forms without it.
-Three locks:
+only, and the Figure 5 forms lost ``engine = "vectorized"`` when the engine
+choice went, so the fingerprints pinned here are those of the forms without
+them.  Four locks:
 
 * the fingerprints of the built-in figure sweeps and of every shipped spec
   file, as literals;
@@ -15,6 +16,9 @@ Three locks:
   wrote before the spec walker existed, under measured compute — still
   reads, but does not resume: its records were made under a rule that no
   longer exists, and the refusal names the retired path and its commit;
+* ``data/fig5_parent.jsonl`` — what ``sweep --spec examples/specs/fig5.toml
+  --output …`` wrote while the spec still named its engine — likewise
+  reads, and its resume is refused naming ``engine``;
 * a journal that ends in a ``quarantine`` line (what a crash-tolerant
   executor, since removed, wrote for a cell it gave up on) still reads, and
   resumes that cell.
@@ -44,13 +48,14 @@ from repro.scenarios import (
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SPECS = REPO_ROOT / "examples" / "specs"
 JOURNAL = pathlib.Path(__file__).parent / "data" / "fig4_quick_parent.jsonl"
+FIG5_JOURNAL = pathlib.Path(__file__).parent / "data" / "fig5_parent.jsonl"
 
 #: (spec file, class to load it as — ``None`` sniffs scenario vs sweep, fingerprint).
 SHIPPED = [
     ("chaos.toml", ChaosSpec, "8aab9dd9daa39ae5370bf5fa07a79475b94e8fbf464e74f4c3baef1db469d96a"),
     ("fig4.json", None, "a7b9e9fe1095882493bcd307505c6df6524038ac21a997b3d78eb769a62cf868"),
     ("fig4_quick.json", None, "0bcc675a4e87d3b2869f9ba0a44a7e615dec28885b2ffc1e74addc92c31e841a"),
-    ("fig5.toml", None, "4de692d36098f846e86beda731cebf6a608a0d256e1e10afbf474ec9b2fceaa3"),
+    ("fig5.toml", None, "ea109bf5dd90a226c0585c190ba5f7c9982b2070d777ca0853db4811a8e2aca9"),
     (
         "resilience.json",
         ResilienceSpec,
@@ -80,7 +85,7 @@ def test_builtin_figure_sweep_fingerprints_are_pinned():
     )
     assert (
         spec_fingerprint(figure5_sweep())
-        == "4de692d36098f846e86beda731cebf6a608a0d256e1e10afbf474ec9b2fceaa3"
+        == "ea109bf5dd90a226c0585c190ba5f7c9982b2070d777ca0853db4811a8e2aca9"
     )
 
 
@@ -107,6 +112,31 @@ def test_a_journal_written_under_measured_compute_reads_but_does_not_resume(tmp_
     assert "does not match this sweep" in refused.value.message
     assert "measure_compute after commit e3eec74" in refused.value.message
     assert journal.read_bytes() == JOURNAL.read_bytes()  # nothing appended
+
+
+def test_a_figure5_journal_written_with_an_engine_reads_but_does_not_resume(tmp_path):
+    journal = tmp_path / "fig5.jsonl"
+    shutil.copy(FIG5_JOURNAL, journal)
+    lines = [json.loads(line) for line in FIG5_JOURNAL.read_text().splitlines()]
+    journaled = {
+        (line["point"], line["instance"]): RunRecord.from_dict(line["record"])
+        for line in lines[1:]
+    }
+    assert len(journaled) == 15
+
+    manifest, records = ResultsStore(str(journal)).read()
+    assert manifest == lines[0]
+    assert records == journaled
+    # The journal's records are what this build computes for the same sweep.
+    sweep = load_spec(SPECS / "fig5.toml", SweepSpec)
+    assert [records[cell] for cell in sorted(records)] == run_sweep(sweep).records
+
+    with pytest.raises(SpecError) as refused:
+        run_sweep(sweep, store=str(journal), resume=True)
+    assert refused.value.path == str(journal)
+    assert "does not match this sweep" in refused.value.message
+    assert "engine after commit 1b436d7" in refused.value.message
+    assert journal.read_bytes() == FIG5_JOURNAL.read_bytes()  # nothing appended
 
 
 def test_a_journal_holding_a_quarantine_line_still_reads_and_resumes(tmp_path):

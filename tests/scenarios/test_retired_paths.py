@@ -1,12 +1,18 @@
 """A retired spec path: its retired value is accepted and dropped, any other refused.
 
 ``ScenarioSpec.RETIRED`` is the one table of paths a past commit read and
-this one does not.  ``measure_compute`` is its row: compute is modelled,
-never measured, so ``false`` — what every round now does — is accepted
-wherever a spec is read and never reaches a canonical form, a fingerprint or
-a journal; any other value is a :class:`SpecError` at its path that names
-the last commit which read it.  The two Python keywords kept for callers
-that still pass ``measure_compute=False`` accept nothing else.
+this one does not.  Two rows:
+
+* ``measure_compute``: compute is modelled, never measured, so ``false`` —
+  what every round now does — is accepted;
+* ``engine``: the ``standard`` kind always builds the vectorized engine (the
+  reference class is only the test oracle), so ``"vectorized"`` is accepted.
+
+A retired path's accepted value is taken wherever a spec is read and never
+reaches a canonical form, a fingerprint or a journal; any other value is a
+:class:`SpecError` at its path that names the last commit which read it.
+The Python keywords kept for callers that still pass the accepted value
+(``measure_compute=False``, ``AuctionRun(engine=None)``) accept nothing else.
 """
 
 import json
@@ -16,7 +22,9 @@ import pytest
 
 from repro.auctions.double_auction import DoubleAuction
 from repro.cli import main
+from repro.community.workload import DoubleAuctionWorkload
 from repro.core.framework import DistributedAuctioneer
+from repro.runtime.auction_run import AuctionRun
 from repro.scenarios import (
     ChaosSpec,
     ResilienceSpec,
@@ -36,10 +44,45 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 RETIRED = "retired after commit e3eec74: compute is modelled (ROADMAP item 1)"
 SCENARIO = {"mechanism": "double", "users": 6, "providers": 3, "latency": "constant"}
 
+#: Retired path -> (its accepted value, a refused value, the refusal after ``path: ``).
+ROWS = {
+    "measure_compute": (False, True, f"{RETIRED}; only false is accepted"),
+    "engine": (
+        "vectorized",
+        "reference",
+        "retired after commit 1b436d7: one engine; the reference class is the test oracle; "
+        'only "vectorized" is accepted',
+    ),
+}
+KEYS = list(ROWS)
 
-def test_the_table_has_one_row_naming_the_commit():
+
+def _accepted(key):
+    return ROWS[key][0]
+
+
+def _refused(key):
+    return ROWS[key][1]
+
+
+def _refusal(key):
+    """The message a refused value at ``key`` starts with."""
+    return f"{key}: {ROWS[key][2]}"
+
+
+def _spelled(value):
+    """``value`` as ``--set`` spells it."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _set(key, value):
+    return f"{key}={_spelled(value)}"
+
+
+def test_the_table_has_one_row_per_retired_path_naming_the_commit():
     assert ScenarioSpec.RETIRED == {
         "measure_compute": (False, "e3eec74", "compute is modelled (ROADMAP item 1)"),
+        "engine": ("vectorized", "1b436d7", "one engine; the reference class is the test oracle"),
     }
 
 
@@ -50,53 +93,68 @@ def _write(tmp_path, data, name="spec.json"):
 
 
 # ------------------------------------------------------------------ refused --
-@pytest.mark.parametrize("value", [True, 0, "false", None], ids=["true", "zero", "string", "null"])
-def test_a_scenario_file_naming_another_value_is_refused_at_the_path(tmp_path, value):
-    path = _write(tmp_path, {**SCENARIO, "measure_compute": value})
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("measure_compute", True),
+        ("measure_compute", 0),
+        ("measure_compute", "false"),
+        ("measure_compute", None),
+        ("engine", "reference"),
+        ("engine", "Vectorized"),
+        ("engine", None),
+    ],
+    ids=["true", "zero", "string", "null", "engine-reference", "engine-case", "engine-null"],
+)
+def test_a_scenario_file_naming_another_value_is_refused_at_the_path(tmp_path, key, value):
+    path = _write(tmp_path, {**SCENARIO, key: value})
     with pytest.raises(SpecError) as refused:
         load_any(path)
     assert refused.value.path == str(path)
-    assert refused.value.message.startswith(f"measure_compute: {RETIRED}; only false is accepted")
+    assert refused.value.message.startswith(_refusal(key))
 
 
-def test_a_sweep_base_and_an_audit_base_are_refused_at_base(tmp_path):
-    sweep = _write(tmp_path, {"base": {**SCENARIO, "measure_compute": True}}, "sweep.json")
-    chaos = _write(
-        tmp_path,
-        {"base": {**SCENARIO, "measure_compute": True}, "faults": ["loss"]},
-        "chaos.json",
-    )
-    for path, kind in ((sweep, SweepSpec), (chaos, ChaosSpec)):
-        with pytest.raises(SpecError, match=rf"^{path}: base\.measure_compute: retired after"):
+@pytest.mark.parametrize("key", KEYS)
+def test_a_sweep_base_and_an_audit_base_are_refused_at_base(tmp_path, key):
+    base = {**SCENARIO, key: _refused(key)}
+    sweep = _write(tmp_path, {"base": base}, "sweep.json")
+    chaos = _write(tmp_path, {"base": base, "faults": ["loss"]}, "chaos.json")
+    resilience = _write(tmp_path, {"base": base}, "resilience.json")
+    for path, kind in ((sweep, SweepSpec), (chaos, ChaosSpec), (resilience, ResilienceSpec)):
+        with pytest.raises(SpecError, match=rf"^{path}: base\.{key}: retired after"):
             load_spec(path, kind)
 
 
-def test_a_sweep_point_is_refused_at_its_index(tmp_path):
+@pytest.mark.parametrize("key", KEYS)
+def test_a_sweep_point_is_refused_at_its_index(tmp_path, key):
     path = _write(
         tmp_path,
-        {"base": SCENARIO, "points": [{"users": 5}, {"users": 6, "measure_compute": True}]},
+        {"base": SCENARIO, "points": [{"users": 5}, {"users": 6, key: _refused(key)}]},
     )
-    with pytest.raises(SpecError, match=rf"^{path}: points\[1\]\.measure_compute: retired"):
+    with pytest.raises(SpecError, match=rf"^{path}: points\[1\]\.{key}: retired"):
         load_any(path)
 
 
-@pytest.mark.parametrize("values", [[True], [False, True]], ids=["true", "false-and-true"])
-def test_a_sweep_axis_is_refused_at_load_at_its_path(tmp_path, values):
-    path = _write(tmp_path, {"base": SCENARIO, "axes": {"measure_compute": values, "users": [4]}})
-    with pytest.raises(SpecError, match=rf"^{path}: axes\.measure_compute: retired after"):
+@pytest.mark.parametrize("both", [False, True], ids=["refused", "accepted-and-refused"])
+@pytest.mark.parametrize("key", KEYS)
+def test_a_sweep_axis_is_refused_at_load_at_its_path(tmp_path, key, both):
+    values = [_accepted(key), _refused(key)] if both else [_refused(key)]
+    path = _write(tmp_path, {"base": SCENARIO, "axes": {key: values, "users": [4]}})
+    with pytest.raises(SpecError, match=rf"^{path}: axes\.{key}: retired after"):
         load_any(path)
 
 
-def test_a_set_override_is_refused_at_the_path():
-    overrides = parse_assignments(["measure_compute=true"])
-    with pytest.raises(SpecError, match=r"^measure_compute: retired after commit e3eec74"):
+@pytest.mark.parametrize("key", KEYS)
+def test_a_set_override_is_refused_at_the_path(key):
+    overrides = parse_assignments([_set(key, _refused(key))])
+    with pytest.raises(SpecError, match=rf"^{key}: retired after commit"):
         spec_with_overrides(spec_from_dict(SCENARIO), overrides)
     sweep = SweepSpec(base=spec_from_dict(SCENARIO))
-    with pytest.raises(SpecError, match=r"^measure_compute: retired after commit e3eec74"):
+    with pytest.raises(SpecError, match=rf"^{key}: retired after commit"):
         sweep.with_base_overrides(overrides)
     audit = ResilienceSpec(base=spec_from_dict(SCENARIO))
-    with pytest.raises(SpecError, match=r"^base\.measure_compute: retired after commit e3eec74"):
-        spec_with_overrides(audit, parse_assignments(["base.measure_compute=true"]))
+    with pytest.raises(SpecError, match=rf"^base\.{key}: retired after commit"):
+        spec_with_overrides(audit, parse_assignments([_set(f"base.{key}", _refused(key))]))
 
 
 def test_the_python_keywords_accept_only_false():
@@ -110,34 +168,48 @@ def test_the_python_keywords_accept_only_false():
     DistributedAuctioneer(DoubleAuction(), ["p0", "p1", "p2"], measure_compute=False)
 
 
+def test_the_auction_run_keyword_accepts_only_none():
+    bids = DoubleAuctionWorkload(seed=0).generate(6, 3)
+    for engine in ("reference", "vectorized", False):
+        with pytest.raises(ValueError, match=r"^engine: retired after commit 1b436d7"):
+            AuctionRun(bids, DoubleAuction(), engine=engine)
+    algorithm = DoubleAuction()
+    assert AuctionRun(bids, algorithm, engine=None).algorithm is algorithm
+    with pytest.raises(TypeError):
+        ScenarioSpec(engine="vectorized")  # a file / override path, not a field
+
+
 # ----------------------------------------------------------------- accepted --
-def test_false_is_accepted_everywhere_and_never_written(tmp_path):
+@pytest.mark.parametrize("key", KEYS)
+def test_the_accepted_value_is_taken_everywhere_and_never_written(tmp_path, key):
     plain = spec_from_dict(SCENARIO)
-    via_file = load_any(_write(tmp_path, {**SCENARIO, "measure_compute": False}))
-    via_set = spec_with_overrides(plain, parse_assignments(["measure_compute=false"]))
-    via_keyword = ScenarioSpec(**{**SCENARIO, "measure_compute": False})
-    for spec in (via_file, via_set, via_keyword):
+    via_file = load_any(_write(tmp_path, {**SCENARIO, key: _accepted(key)}))
+    via_set = spec_with_overrides(plain, parse_assignments([_set(key, _accepted(key))]))
+    via_dict = spec_from_dict({**SCENARIO, key: _accepted(key)})
+    for spec in (via_file, via_set, via_dict):
         assert spec == plain
-        assert "measure_compute" not in spec_to_dict(spec)
+        assert key not in spec_to_dict(spec)
         assert spec_fingerprint(spec) == spec_fingerprint(plain)
 
-    sweep = SweepSpec(base=plain, points=({"users": 5, "measure_compute": False},))
+    sweep = SweepSpec(base=plain, points=({"users": 5, key: _accepted(key)},))
     assert sweep.points == ({"users": 5},)
-    assert spec_to_dict(sweep.with_base_overrides({"measure_compute": False})) == spec_to_dict(
-        sweep
-    )
-    assert "measure_compute" not in json.dumps(spec_to_dict(sweep))
+    assert spec_to_dict(sweep.with_base_overrides({key: _accepted(key)})) == spec_to_dict(sweep)
+    assert key not in json.dumps(spec_to_dict(sweep))
+    audit = spec_from_dict({"base": {**SCENARIO, key: _accepted(key)}}, ResilienceSpec)
+    assert audit == ResilienceSpec(base=plain)
+    assert spec_fingerprint(audit) == spec_fingerprint(ResilienceSpec(base=plain))
 
 
-def test_an_axis_of_false_is_dropped_from_the_sweep(tmp_path):
+@pytest.mark.parametrize("key", KEYS)
+def test_an_axis_of_the_accepted_value_is_dropped_from_the_sweep(tmp_path, key):
     plain = spec_from_dict({"base": SCENARIO, "axes": {"users": [4, 5]}}, SweepSpec)
-    axis = {"base": SCENARIO, "axes": {"measure_compute": [False], "users": [4, 5]}}
+    axis = {"base": SCENARIO, "axes": {key: [_accepted(key)], "users": [4, 5]}}
     for sweep in (spec_from_dict(axis, SweepSpec), load_any(_write(tmp_path, axis))):
         assert sweep == plain
         assert spec_to_dict(sweep)["axes"] == {"users": [4, 5]}
         assert spec_fingerprint(sweep) == spec_fingerprint(plain)
         assert sweep.expand() == [{"users": 4}, {"users": 5}]
-    only = {"base": SCENARIO, "axes": {"measure_compute": [False, False]}}
+    only = {"base": SCENARIO, "axes": {key: [_accepted(key), _accepted(key)]}}
     only = spec_from_dict(only, SweepSpec)
     assert only.axes == () and only.scenarios() == [spec_from_dict(SCENARIO)]
 
@@ -146,26 +218,39 @@ def test_an_axis_of_false_is_dropped_from_the_sweep(tmp_path):
 @pytest.mark.parametrize(
     "argv, path",
     [
-        (["sweep", "--spec", "examples/specs/fig4_quick.json", "--set", "measure_compute=true",
-          "--output", "{out}"], "measure_compute"),
-        (["run", "--set", "measure_compute=true", "--trace", "{out}", "--metrics", "{out}.json"],
-         "measure_compute"),
+        (["sweep", "--spec", "examples/specs/fig4_quick.json", "--set", "{key}={refused}",
+          "--output", "{out}"], "{key}"),
+        (["run", "--set", "{key}={refused}", "--trace", "{out}", "--metrics", "{out}.json"],
+         "{key}"),
         (["sweep", "--spec", "{points}", "--output", "{out}"],
-         "{points}: points[1].measure_compute"),
-        (["chaos", "--spec", "examples/specs/chaos.toml", "--set", "base.measure_compute=true",
-          "--output", "{out}"], "base.measure_compute"),
+         "{points}: points[1].{key}"),
+        (["chaos", "--spec", "examples/specs/chaos.toml", "--set", "base.{key}={refused}",
+          "--output", "{out}"], "base.{key}"),
+        (["resilience", "--spec", "examples/specs/resilience.json",
+          "--set", "base.{key}={refused}", "--output", "{out}"], "base.{key}"),
     ],
-    ids=["sweep-set", "run-set", "sweep-point", "chaos-set"],
+    ids=["sweep-set", "run-set", "sweep-point", "chaos-set", "resilience-set"],
 )
-def test_the_cli_exits_2_and_writes_nothing(argv, path, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("key", KEYS)
+def test_the_cli_exits_2_and_writes_nothing(key, argv, path, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     points = _write(
-        tmp_path, {"base": SCENARIO, "points": [{}, {"measure_compute": True}]}, "points.json"
+        tmp_path, {"base": SCENARIO, "points": [{}, {key: _refused(key)}]}, "points.json"
     )
     out = tmp_path / "out.jsonl"
-    names = {"out": out, "points": points}
+    names = {"out": out, "points": points, "key": key, "refused": _spelled(_refused(key))}
     assert main([arg.format(**names) for arg in argv]) == 2
     assert capsys.readouterr().err == (
-        f"error: {path.format(**names)}: {RETIRED}; only false is accepted, got true\n"
+        f"error: {path.format(**names)}: {ROWS[key][2]}, got {json.dumps(_refused(key))}\n"
     )
     assert sorted(tmp_path.iterdir()) == [points]
+
+
+def test_the_figure5_spec_refuses_the_reference_engine(tmp_path, capsys, monkeypatch):
+    # The surface the Figure 5 engine comparison used to run.
+    monkeypatch.chdir(REPO_ROOT)
+    out = tmp_path / "x.jsonl"
+    argv = ["sweep", "--spec", "examples/specs/fig5.toml", "--set", "engine=reference"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: engine: retired after commit 1b436d7")
+    assert not out.exists()

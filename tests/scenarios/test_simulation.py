@@ -216,15 +216,18 @@ class TestDeterminism:
         assert first == run_scenario(spec)
         assert first.elapsed_seconds == 0.0
 
-    def test_engines_bit_identical_through_specs(self):
-        base = {
-            "mechanism": {"kind": "standard", "epsilon": 0.5},
-            "users": 10,
-            "providers": 4,
-            "seed": 6,
-        }
-        reference = run_scenario(_deterministic({**base, "engine": "reference"}))
-        vectorized = run_scenario(_deterministic({**base, "engine": "vectorized"}))
+    def test_engines_bit_identical_through_specs(self, reference_standard):
+        spec = _deterministic(
+            {
+                "mechanism": {"kind": "standard", "epsilon": 0.5},
+                "users": 10,
+                "providers": 4,
+                "seed": 6,
+            }
+        )
+        with reference_standard():
+            reference = run_scenario(spec)
+        vectorized = run_scenario(spec)
         assert (reference.winners, reference.total_paid, reference.total_received) == (
             vectorized.winners,
             vectorized.total_paid,

@@ -87,10 +87,6 @@ class TestScenarioSpecValidation:
         with pytest.raises(SpecError, match=r"runner: unknown runner 'quantum'"):
             spec_from_dict({"runner": "quantum"})
 
-    def test_unknown_engine(self):
-        with pytest.raises(SpecError, match=r"engine: unknown engine 'warp'"):
-            spec_from_dict({"engine": "warp"})
-
     def test_executors_bounds(self):
         with pytest.raises(SpecError, match=r"executors"):
             spec_from_dict({"providers": 4, "executors": 5})
@@ -147,7 +143,6 @@ class TestRoundTrip:
             {
                 "name": "rich",
                 "mechanism": {"kind": "standard", "epsilon": 0.5},
-                "engine": "vectorized",
                 "workload": {"kind": "vr_sessions", "session_fraction": 0.4},
                 "users": 24,
                 "providers": 6,

@@ -100,7 +100,6 @@ def scenarios(draw, runners=("distributed", "centralized", "auction_run")):
     return ScenarioSpec(
         name=draw(_names),
         mechanism=draw(_components),
-        engine=draw(_optional(st.sampled_from(["reference", "vectorized"]))),
         workload=draw(_optional(_components)),
         users=draw(st.integers(min_value=1, max_value=500)),
         providers=providers,

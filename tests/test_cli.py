@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import pathlib
@@ -281,7 +282,7 @@ class TestSpecDrivenCommands:
         dump_spec(sweep, path)
         assert main(["sweep", "--spec", str(path)]) == 2
         assert capsys.readouterr().err.endswith(
-            "error: users: at most max_users=16 for 'exact-vcg', got 17\n"
+            "error: axes.users: at most max_users=16 for 'exact-vcg', got 17\n"
         )
 
     def test_an_audit_checks_its_base_users(self, capsys):
@@ -302,11 +303,14 @@ class TestSpecDrivenCommands:
         ids=["zero-restarts", "min-above-max", "negative-rounds"],
     )
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_standard_auction_effort_out_of_range_is_a_spec_error(self, params, engine, capsys):
-        argv = ["run", "--set", "mechanism=standard", "--set", f"engine={engine}"]
+    def test_standard_auction_effort_out_of_range_is_a_spec_error(
+        self, params, engine, capsys, reference_standard
+    ):
+        argv = ["run", "--set", "mechanism=standard"]
         for key, value in params.items():
             argv += ["--set", f"mechanism.{key}={value}"]
-        assert main(argv) == 2
+        with reference_standard() if engine == "reference" else contextlib.nullcontext():
+            assert main(argv) == 2
         assert capsys.readouterr().err.startswith(
             "error: mechanism: invalid parameters for mechanism 'standard': "
         )
@@ -330,12 +334,12 @@ class TestSpecDrivenCommands:
     )
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_standard_auction_effort_of_the_wrong_type_is_a_spec_error(
-        self, argv, named, engine, capsys
+        self, argv, named, engine, capsys, reference_standard
     ):
         if argv[0] == "run":
             argv = ["run", "--set", "mechanism=standard"] + argv[1:]
-        argv = argv + ["--set", f"engine={engine}"]
-        assert main(argv) == 2
+        with reference_standard() if engine == "reference" else contextlib.nullcontext():
+            assert main(argv) == 2
         assert capsys.readouterr().err.startswith(
             f"error: mechanism: invalid parameters for mechanism 'standard': {named} must be "
         )
@@ -508,18 +512,18 @@ class TestSpecErrorsLeaveNoJournal:
             ),
             (
                 ["sweep", "--spec", "examples/specs/fig4_quick.json", "--set", "mechanism=vcg"],
-                "error: users: at most max_users=16 for 'exact-vcg', got 20\n",
+                "error: points[0].users: at most max_users=16 for 'exact-vcg', got 20\n",
             ),
             (
                 "_k3_on_five_providers",
-                "error: config.k: the rational-consensus building block requires m > 2k; "
-                "got m=5 executing providers, k=3\n",
+                "error: points[1].config.k: the rational-consensus building block requires "
+                "m > 2k; got m=5 executing providers, k=3\n",
             ),
             (
                 "_parallel_double",
-                "error: config.parallel: 'double-auction-waterfill' does not decompose into "
-                "Algorithm 1's allocation and payments; the parallel allocator runs only the "
-                "mechanism kinds that do: standard, vcg\n",
+                "error: points[1].config.parallel: 'double-auction-waterfill' does not "
+                "decompose into Algorithm 1's allocation and payments; the parallel allocator "
+                "runs only the mechanism kinds that do: standard, vcg\n",
             ),
             ("_second_point_users_x", "error: points[1].users: expected an integer, got str\n"),
             ("_axis_users_x", "error: axes.users: expected an integer, got str\n"),
