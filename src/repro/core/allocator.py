@@ -110,14 +110,16 @@ def transfer_messages(groups: Sequence[Sequence[str]]) -> int:
 class SeededAllocatorBlock(ProtocolBlock):
     """Validate the agreed vector, agree on a seed, then run :meth:`_execute` on it.
 
+    The seed is agreed through the common coin exactly when ``algorithm``
+    declares ``randomized = True``; an algorithm that reads no seed runs on
+    the fixed seed 0, since the coin would only cost ``2·m·(m−1)`` messages
+    and two hops.
+
     Args:
         name: block name.
         bids: the agreed bid vector (output of the bid agreement).
-        use_common_coin: if True (default), agree on the seed through the common
-            coin; if False, use a fixed seed of 0.  ``FrameworkBlock`` passes
-            False for an algorithm that declares ``randomized = False`` whatever
-            the configuration says: no provider reads its seed, so the coin
-            would only cost ``2·m·(m−1)`` messages and two hops.
+        algorithm: the allocation algorithm ``A`` (for the parallel allocator,
+            its allocation / payments / assemble split).
         round_timeout: per-round virtual-time budget forwarded to the child
             blocks (validation clears on a partial view, the coin outputs ⊥);
             ``None`` waits forever.
@@ -127,12 +129,12 @@ class SeededAllocatorBlock(ProtocolBlock):
         self,
         name: str,
         bids: BidVector,
-        use_common_coin: bool = True,
+        algorithm: AllocationAlgorithm,
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
         self.bids = bids
-        self.use_common_coin = use_common_coin
+        self.algorithm = algorithm
         self.round_timeout = round_timeout
         self._ctx: Optional[BlockContext] = None
 
@@ -156,7 +158,7 @@ class SeededAllocatorBlock(ProtocolBlock):
         if is_abort(block.result):
             self.complete(ABORT)
             return
-        if self.use_common_coin:
+        if self.algorithm.randomized:
             assert self._ctx is not None
             self._ctx.spawn(
                 "coin",
@@ -178,23 +180,8 @@ class SeededAllocatorBlock(ProtocolBlock):
 class SequentialAllocatorBlock(SeededAllocatorBlock):
     """Validate inputs, agree on a seed, then run ``A`` locally at every provider.
 
-    Args:
-        name: block name.
-        bids: the agreed bid vector (output of the bid agreement).
-        algorithm: the allocation algorithm ``A``.
-        use_common_coin / round_timeout: see :class:`SeededAllocatorBlock`.
+    Args: see :class:`SeededAllocatorBlock`.
     """
-
-    def __init__(
-        self,
-        name: str,
-        bids: BidVector,
-        algorithm: AllocationAlgorithm,
-        use_common_coin: bool = True,
-        round_timeout: Optional[float] = None,
-    ) -> None:
-        super().__init__(name, bids, use_common_coin, round_timeout)
-        self.algorithm = algorithm
 
     def _execute(self, seed: int) -> None:
         """Complete with ``A(bids, seed)``, computed by the first provider to ask.
@@ -239,24 +226,22 @@ class ParallelAllocatorBlock(SeededAllocatorBlock):
     Args:
         name: block name.
         bids: the agreed bid vector.
-        mechanism: the allocation / payments / assemble split of ``A``.
+        algorithm: the allocation / payments / assemble split of ``A``.
         groups: the provider groups (:func:`assign_provider_groups`): at least
             ``k + 1`` providers each, every provider in exactly one.
-        use_common_coin / round_timeout: see :class:`SeededAllocatorBlock`; every
-            step derives its randomness from the one agreed seed.
+        round_timeout: see :class:`SeededAllocatorBlock`; every step derives
+            its randomness from the one agreed seed.
     """
 
     def __init__(
         self,
         name: str,
         bids: BidVector,
-        mechanism: DecomposableMechanism,
+        algorithm: DecomposableMechanism,
         groups: Sequence[Sequence[str]],
-        use_common_coin: bool = True,
         round_timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(name, bids, use_common_coin, round_timeout)
-        self.mechanism = mechanism
+        super().__init__(name, bids, algorithm, round_timeout)
         self.groups = [list(group) for group in groups]
         self._everyone = sorted(p for group in self.groups for p in group)
         self._seed: int = 0
@@ -314,11 +299,11 @@ class ParallelAllocatorBlock(SeededAllocatorBlock):
         if self.done:
             return
         if self._allocation is None:
-            self._allocation = self.mechanism.solve_allocation(self.bids, self._seed)
+            self._allocation = self.algorithm.solve_allocation(self.bids, self._seed)
         allocation, welfare = self._allocation
         if self._mine not in self._payments:
             users = partition_users(self.bids.user_ids, len(self.groups))[self._mine]
-            own = self.mechanism.payments_for_users(
+            own = self.algorithm.payments_for_users(
                 self.bids, users, allocation, welfare, self._seed
             )
             # Stored before the send, so a re-entrant call sees it.
@@ -330,4 +315,4 @@ class ParallelAllocatorBlock(SeededAllocatorBlock):
         merged: Dict[str, float] = {}
         for g in range(len(self.groups)):
             merged.update(self._payments[g])
-        self.complete(self.mechanism.assemble(self.bids, allocation, merged))
+        self.complete(self.algorithm.assemble(self.bids, allocation, merged))

@@ -6,38 +6,52 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.auctions.base import AllocationAlgorithm
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.core.bid_agreement import AGREEMENT_MODES
 
-__all__ = ["FrameworkConfig"]
+__all__ = ["ConfigError", "FrameworkConfig"]
+
+#: The built-in mechanism kinds whose algorithm is a
+#: :class:`~repro.auctions.decomposable.DecomposableMechanism`, named when a
+#: configuration asks the parallel allocator to run another one.
+_DECOMPOSABLE_KINDS = ("standard", "vcg")
+
+
+class ConfigError(ValueError):
+    """A configuration that ``m`` executing providers cannot run; ``field`` names
+    the setting at fault (a scenario spec reports it at ``config.<field>``)."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(field, message)
+        self.field = field
+
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 @dataclass(frozen=True)
 class FrameworkConfig:
     """Tunable parameters of a distributed simulation of the auctioneer.
 
+    Two rules of the paper are not settings: the rational consensus needs
+    ``m > 2k`` executing providers, and the common coin runs exactly when the
+    algorithm is randomized (it only agrees on ``A``'s seed).  :meth:`check`
+    is the one place a configuration is judged against ``m`` and ``A``.
+
     Attributes:
         k: maximum coalition size the simulation must tolerate.  The rational
             consensus underlying the bid agreement requires ``m > 2k`` providers, and
             the parallel allocator assigns every task to at least ``k + 1`` providers.
-        parallel: if True and the mechanism is decomposable, use the parallel
-            allocator (Algorithm 1 over provider groups); otherwise every provider
-            runs the allocation algorithm locally after input validation.  A
-            scenario spec refuses ``parallel`` with a mechanism that does not
-            decompose; this class ignores it there.
+        parallel: if True, use the parallel allocator (Algorithm 1 over provider
+            groups); otherwise every provider runs the allocation algorithm
+            locally after input validation.  Only a decomposable mechanism runs
+            in parallel (:meth:`check`).
         num_groups: number of provider groups for the parallel allocator.  ``None``
             means the maximum level of parallelism ``p = ⌊m / (k+1)⌋`` (the value the
             paper's evaluation uses).
         agreement_mode: ``"batched"`` (default), ``"per_label"`` or ``"per_bit"``;
             see :class:`~repro.core.bid_agreement.BidAgreementBlock`.
-        use_common_coin: whether the allocator runs the common coin to agree on the
-            random seed of a randomized allocation algorithm (True keeps the full
-            block chain of the paper; False runs it on the fixed seed 0).  Moot
-            when the algorithm declares ``randomized = False``: its round never
-            runs the coin, since no provider reads the seed.
-        require_quorum: if True, constructing a simulation with ``m <= 2k`` raises
-            immediately instead of producing a protocol without its equilibrium
-            guarantee.
         round_timeout: virtual-time budget per agreement round (``None``, the
             default, waits forever — the paper's reliable-substrate assumption).
             When set, every consensus block of the bid agreement, in each
@@ -51,8 +65,6 @@ class FrameworkConfig:
     parallel: bool = False
     num_groups: Optional[int] = None
     agreement_mode: str = "batched"
-    use_common_coin: bool = True
-    require_quorum: bool = True
     round_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -67,29 +79,34 @@ class FrameworkConfig:
         if self.round_timeout is not None and not 0 < self.round_timeout < math.inf:
             raise ValueError("round_timeout must be a finite positive number when given")
 
-    def check_quorum(self, num_providers: int) -> None:
-        """Raise if the provider count is too small for the configured ``k``."""
-        if not self.require_quorum:
-            return
-        if num_providers <= 2 * self.k:
-            raise ValueError(
-                f"the rational-consensus building block requires m > 2k; "
-                f"got m={num_providers} executing providers, k={self.k}"
+    def check(self, num_providers: int, algorithm: AllocationAlgorithm) -> None:
+        """Raise a :class:`ConfigError` unless ``num_providers`` executing
+        providers can run ``algorithm`` under this configuration.
+
+        ``parallel`` needs a :class:`DecomposableMechanism` (Algorithm 1's
+        split), ``k`` needs ``m > 2k`` (the rational consensus's equilibrium)
+        and ``num_groups`` at most ``⌊m/(k+1)⌋`` groups of ``k + 1`` when the
+        parallel allocator reads it; checked in that order.
+        """
+        if self.parallel and not isinstance(algorithm, DecomposableMechanism):
+            raise ConfigError(
+                "parallel",
+                f"{algorithm.name!r} does not decompose into Algorithm 1's allocation and "
+                f"payments; the parallel allocator runs only the mechanism kinds that do: "
+                f"{', '.join(_DECOMPOSABLE_KINDS)}",
             )
-
-    def runs_parallel_allocator(self, algorithm: object) -> bool:
-        """True when providers run ``algorithm`` on the parallel allocator (Algorithm 1)."""
-        return self.parallel and isinstance(algorithm, DecomposableMechanism)
-
-    def check_groups(self, num_providers: int, algorithm: object) -> None:
-        """Raise if the parallel allocator would read a ``num_groups`` it cannot form."""
-        if self.num_groups is None or not self.runs_parallel_allocator(algorithm):
-            return
-        most = num_providers // (self.k + 1)
-        if self.num_groups > most:
-            raise ValueError(
+        if num_providers <= 2 * self.k:
+            raise ConfigError(
+                "k",
+                f"the rational-consensus building block requires m > 2k; "
+                f"got m={num_providers} executing providers, k={self.k}",
+            )
+        most = self.max_parallelism(num_providers)
+        if self.parallel and self.num_groups is not None and self.num_groups > most:
+            raise ConfigError(
+                "num_groups",
                 f"num_groups must be at most ⌊m/(k+1)⌋ = {most}; got "
-                f"{self.num_groups} with m={num_providers} executing providers, k={self.k}"
+                f"{self.num_groups} with m={num_providers} executing providers, k={self.k}",
             )
 
     def max_parallelism(self, num_providers: int) -> int:

@@ -90,8 +90,7 @@ class DistributedAuctioneer:
         self.algorithm = algorithm
         self.providers = sorted(providers)
         self.config = config if config is not None else FrameworkConfig()
-        self.config.check_quorum(len(self.providers))
-        self.config.check_groups(len(self.providers), algorithm)
+        self.config.check(len(self.providers), algorithm)
         self.latency_model = latency_model
         self.scheduler = scheduler
         self.seed = seed

@@ -101,24 +101,17 @@ class FrameworkBlock(ProtocolBlock):
             return
         bids: BidVector = block.result
         assert self._ctx is not None
-        # The coin only agrees on A's seed, so a deterministic A skips it.
-        use_common_coin = self.config.use_common_coin and self.algorithm.randomized
-        if self.config.runs_parallel_allocator(self.algorithm):
+        if self.config.parallel:
             allocator: ProtocolBlock = ParallelAllocatorBlock(
                 "alloc",
                 bids,
                 self.algorithm,
                 assign_provider_groups(self.providers, self.config.k, self.config.num_groups),
-                use_common_coin=use_common_coin,
                 round_timeout=self.config.round_timeout,
             )
         else:
             allocator = SequentialAllocatorBlock(
-                "alloc",
-                bids,
-                self.algorithm,
-                use_common_coin=use_common_coin,
-                round_timeout=self.config.round_timeout,
+                "alloc", bids, self.algorithm, round_timeout=self.config.round_timeout
             )
         self._ctx.spawn("alloc", allocator, self._on_allocator_done)
 

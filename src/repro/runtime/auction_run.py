@@ -72,8 +72,7 @@ class AuctionRun:
         self.bids = bids
         self.algorithm = algorithm
         self.config = config if config is not None else FrameworkConfig()
-        self.config.check_quorum(len(bids.providers))
-        self.config.check_groups(len(bids.providers), self.algorithm)
+        self.config.check(len(bids.providers), algorithm)
         self.bidder_strategies = dict(bidder_strategies or {})
         self.deadline = deadline
         self.latency_model = latency_model

@@ -17,10 +17,9 @@ from dataclasses import MISSING, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.auctions.base import AllocationAlgorithm, BidVector
-from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.engine.pivot import shared_solve_cache
 from repro.community.workload import default_provider_ids
-from repro.core.config import FrameworkConfig
+from repro.core.config import ConfigError
 from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer
 from repro.core.outcome import Outcome
 from repro.net.latency import LatencyModel
@@ -46,12 +45,6 @@ __all__ = [
     "resolve_round_inputs",
     "run_scenario",
 ]
-
-#: The built-in mechanism kinds whose algorithm is a
-#: :class:`~repro.auctions.decomposable.DecomposableMechanism`, named when a
-#: spec asks the parallel allocator to run another one.
-_DECOMPOSABLE_KINDS = ("standard", "vcg")
-
 
 class FlatRecord:
     """``to_dict`` / ``from_dict`` for a flat frozen-dataclass record.
@@ -131,9 +124,10 @@ class RunRecord(FlatRecord):
 
 
 # ------------------------------------------------------------------- components --
-def build_mechanism(spec: ScenarioSpec) -> AllocationAlgorithm:
-    """The spec's allocation algorithm."""
-    return MECHANISMS.create(spec.mechanism, "mechanism")
+def build_mechanism(spec: ScenarioSpec, path: str = "mechanism") -> AllocationAlgorithm:
+    """The spec's allocation algorithm; a build error is reported at ``path``
+    (``base.mechanism`` inside an audit spec, ``points[i].mechanism`` for a sweep point)."""
+    return MECHANISMS.create(spec.mechanism, path)
 
 
 def build_workload(spec: ScenarioSpec):
@@ -231,38 +225,18 @@ def resolve_round_inputs(
     return provider_ids, executor_ids, bids, latency_model
 
 
-def _framework_config(
-    spec: ScenarioSpec, executors: int, mechanism, path: str = "config"
-) -> FrameworkConfig:
-    """The spec's framework configuration, if ``executors`` providers can run it.
-
-    ``FrameworkConfig.check_quorum``'s ``m > 2k`` and ``check_groups``'
-    ``num_groups <= ⌊m/(k+1)⌋`` as :class:`SpecError`\\ s at ``path.k`` and
-    ``path.num_groups`` (``path`` is ``base.config`` inside an audit spec):
-    the executor count is known only once the round's inputs are resolved, so
-    a spec that loads cleanly can still ask for a protocol it cannot run.
-    """
-    config = spec.config.to_config()
-    try:
-        config.check_quorum(executors)
-    except ValueError as exc:
-        raise SpecError(f"{path}.k", str(exc)) from exc
-    try:
-        config.check_groups(executors, mechanism)
-    except ValueError as exc:
-        raise SpecError(f"{path}.num_groups", str(exc)) from exc
-    return config
-
-
 def check_round(spec: ScenarioSpec, mechanism, prefix: str = "") -> None:
     """The checks of a round that need only its spec and its mechanism.
 
     ``users <= mechanism.max_users`` and — for a runner that hosts the
-    protocol — that ``config.parallel`` names a mechanism that decomposes
-    (Algorithm 1) and :func:`_framework_config`'s, with ``m`` = ``executors``
-    or ``providers`` (the gateway count, see :func:`resolve_provider_ids`).
-    ``prefix`` is ``base.`` inside an audit spec, and ``points[i].`` /
-    ``axes.`` for a sweep point (:meth:`~repro.scenarios.spec.SweepSpec.point_path`).
+    protocol — :meth:`FrameworkConfig.check <repro.core.config.FrameworkConfig.check>`
+    with ``m`` = ``executors`` or ``providers`` (the gateway count, see
+    :func:`resolve_provider_ids`), its refusal a :class:`SpecError` at
+    ``config.<field>``: the executor count is known only once the round's
+    inputs are resolved, so a spec that loads cleanly can still ask for a
+    protocol it cannot run.  ``prefix`` is ``base.`` inside an audit spec, and
+    ``points[i].`` / ``axes.`` for a sweep point
+    (:meth:`~repro.scenarios.spec.SweepSpec.point_path`).
     """
     limit = mechanism.max_users
     if limit is not None and spec.users > limit:
@@ -275,14 +249,10 @@ def check_round(spec: ScenarioSpec, mechanism, prefix: str = "") -> None:
         executors = spec.providers  # every provider hosts a node
     else:
         return
-    if spec.config.parallel and not isinstance(mechanism, DecomposableMechanism):
-        raise SpecError(
-            f"{prefix}config.parallel",
-            f"{mechanism.name!r} does not decompose into Algorithm 1's allocation and "
-            f"payments; the parallel allocator runs only the mechanism kinds that do: "
-            f"{', '.join(_DECOMPOSABLE_KINDS)}",
-        )
-    _framework_config(spec, executors, mechanism, f"{prefix}config")
+    try:
+        spec.config.to_config().check(executors, mechanism)
+    except ConfigError as exc:
+        raise SpecError(f"{prefix}config.{exc.field}", str(exc)) from exc
 
 
 def build_auctioneer(
@@ -290,19 +260,14 @@ def build_auctioneer(
     mechanism,
     executor_ids,
     latency_model,
-    *,
-    path: str = "config",
     **extra: Any,
 ) -> DistributedAuctioneer:
-    """The spec's distributed auctioneer over already-resolved round inputs.
-
-    ``path`` is the spec path of the framework configuration, where too few
-    executors for ``k`` or ``num_groups`` is reported.
-    """
+    """The spec's distributed auctioneer over already-resolved round inputs
+    (whose configuration :func:`check_round` has judged)."""
     return DistributedAuctioneer(
         mechanism,
         providers=executor_ids,
-        config=_framework_config(spec, len(executor_ids), mechanism, path),
+        config=spec.config.to_config(),
         latency_model=latency_model,
         seed=spec.seed,
         **extra,
@@ -406,7 +371,7 @@ def run_scenario(
             run = AuctionRun(
                 bids,
                 mechanism,
-                config=_framework_config(spec, len(provider_ids), mechanism),
+                config=spec.config.to_config(),
                 bidder_strategies=_bidder_strategies(spec, list(bids.user_ids)),
                 deadline=spec.deadline,
                 latency_model=latency_model,

@@ -53,6 +53,7 @@ __all__ = [
     "parse_assignments",
     "apply_overrides",
     "canonical_fingerprint",
+    "retired_rows",
 ]
 
 #: The runner kinds a scenario may dispatch to.
@@ -198,19 +199,25 @@ class LabelledComponentSpec:
 class ConfigSpec:
     """Pure-data mirror of :class:`~repro.core.config.FrameworkConfig`.
 
-    ``use_common_coin`` matters only for a randomized mechanism: a round of a
-    mechanism that reads no seed (the double auction) runs no coin either way.
+    Whether ``executors`` providers can run it is
+    :meth:`FrameworkConfig.check <repro.core.config.FrameworkConfig.check>`'s
+    call, made by :func:`~repro.scenarios.runner.check_round`.  The coin and
+    the quorum are rules, not settings: their old switches are retired paths
+    (:attr:`RETIRED`).
     """
 
     k: int = 1
     parallel: bool = False
     num_groups: Optional[int] = None
     agreement_mode: str = "batched"
-    use_common_coin: bool = True
-    require_quorum: bool = True
     round_timeout: Optional[float] = None
 
     NOUN = "configuration"
+    #: Retired paths, as :attr:`ScenarioSpec.RETIRED`.
+    RETIRED = {
+        "use_common_coin": (True, "fc23d76", "the common coin runs exactly when A is randomized"),
+        "require_quorum": (True, "fc23d76", "m > 2k is a rule of the rational consensus"),
+    }
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -224,8 +231,6 @@ class ConfigSpec:
                 parallel=self.parallel,
                 num_groups=self.num_groups,
                 agreement_mode=self.agreement_mode,
-                use_common_coin=self.use_common_coin,
-                require_quorum=self.require_quorum,
                 round_timeout=self.round_timeout,
             )
         except ValueError as exc:
@@ -559,6 +564,37 @@ def _retired(kind: type, key: str, value: Any, path: str) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def _nested_specs(kind: type) -> Dict[str, type]:
+    """The fields of ``kind`` that hold a nested spec table: name -> its class."""
+    return {
+        name: hint
+        for name, hint in typing.get_type_hints(kind).items()
+        if isinstance(hint, type) and dataclasses.is_dataclass(hint)
+    }
+
+
+def retired_rows(kind: type = ScenarioSpec, path: str = "") -> Dict[str, Tuple[Any, str, str]]:
+    """Every ``RETIRED`` row of ``kind`` and of the spec classes nested in it,
+    keyed by its dotted path (``config.use_common_coin``)."""
+    rows = {_join(path, key): row for key, row in getattr(kind, "RETIRED", {}).items()}
+    for name, nested in _nested_specs(kind).items():
+        rows.update(retired_rows(nested, _join(path, name)))
+    return rows
+
+
+def _retired_at(kind: type, key: str, value: Any, path: str) -> bool:
+    """:func:`_retired` for a dotted ``key`` of a ``kind`` spec (what a sweep
+    point or axis names), asked of the nested spec class that owns its last part."""
+    *owners, last = key.split(".")
+    for name in owners:
+        owner = _nested_specs(kind).get(name)
+        if owner is None:
+            return False
+        kind = owner
+    return _retired(kind, last, value, path)
+
+
 def spec_from_dict(data: Any, kind: type = ScenarioSpec, path: str = "") -> Any:
     """Parse a spec of class ``kind`` from a plain (JSON/TOML-shaped) mapping.
 
@@ -712,10 +748,11 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        # A point names base-spec paths: a retired one is dropped or refused here.
+        # A point names (dotted) base-spec paths: a retired one is dropped or
+        # refused here, so it never reaches the sweep's canonical form.
         base = type(self.base)
         points = tuple(
-            {k: v for k, v in point.items() if not _retired(base, k, v, f"points[{i}].{k}")}
+            {k: v for k, v in point.items() if not _retired_at(base, k, v, f"points[{i}].{k}")}
             for i, point in enumerate(self.points)
         )
         object.__setattr__(self, "points", points)
@@ -723,7 +760,7 @@ class SweepSpec:
         axes = tuple(
             (key, values)
             for key, values in self.axes
-            if not all(_retired(base, key, v, f"axes.{key}") for v in values)
+            if not all(_retired_at(base, key, v, f"axes.{key}") for v in values)
         )
         object.__setattr__(self, "axes", axes)
         if self.points and self.axes:

@@ -60,7 +60,7 @@ import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.scenarios.runner import RunRecord
-from repro.scenarios.spec import ScenarioSpec, SpecError, spec_fingerprint
+from repro.scenarios.spec import SpecError, retired_rows, spec_fingerprint
 
 if TYPE_CHECKING:
     from repro.scenarios.aggregate import StreamingSummary
@@ -235,7 +235,7 @@ class StoreBackend:
                 f"(this build writes version {self.VERSION})",
             )
         if expected_fingerprint is not None and manifest.get("fingerprint") != expected_fingerprint:
-            rows = ScenarioSpec.RETIRED.items()
+            rows = retired_rows().items()
             retired = ", ".join(f"{path} after commit {row[1]}" for path, row in rows)
             raise SpecError(
                 self.path,

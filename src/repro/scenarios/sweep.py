@@ -78,8 +78,9 @@ class ComponentCache:
         self._latencies: Dict[Tuple[Any, ...], Any] = {}
         self._bids: Dict[Tuple[Any, ...], BidVector] = {}
 
-    def mechanism(self, spec: ScenarioSpec):
-        return _cached(self._mechanisms, _mechanism_key(spec), build_mechanism, spec)
+    def mechanism(self, spec: ScenarioSpec, path: str = "mechanism"):
+        """The spec's mechanism; a build error is reported at ``path``."""
+        return _cached(self._mechanisms, _mechanism_key(spec), build_mechanism, spec, path)
 
     def workload(self, spec: ScenarioSpec):
         return _cached(self._workloads, _workload_key(spec), build_workload, spec)
@@ -157,7 +158,8 @@ class SweepContext:
         try:
             for point, spec in enumerate(self.scenarios):
                 where = sweep.point_path(point)
-                check_round(spec, self.cache.mechanism(spec), f"{where}." if where else "")
+                prefix = f"{where}." if where else ""
+                check_round(spec, self.cache.mechanism(spec, f"{prefix}mechanism"), prefix)
         except BaseException:
             self.cache.close()
             raise
@@ -278,7 +280,7 @@ class SeededContext:
         self._per_seed: Dict[int, Dict[str, Any]] = {}
         try:
             self._check_spec()
-            check_round(spec.base, self.mechanism, "base.")
+            check_round(spec.base, self.cache.mechanism(spec.base, "base.mechanism"), "base.")
         except BaseException:
             self.cache.close()
             raise
@@ -326,7 +328,6 @@ class SeededContext:
             self.mechanism,
             state["executor_ids"],
             state["latency"],
-            path="base.config",
             **extra,
         )
 
@@ -380,9 +381,9 @@ def run_sweep(sweep: SweepSpec, **engine: Any) -> GridResult:
 
 
 # ----------------------------------------------------------------- cache keys --
-def _cached(cache: Dict, key, builder, spec: ScenarioSpec):
+def _cached(cache: Dict, key, builder, spec: ScenarioSpec, *args: Any):
     if key not in cache:
-        cache[key] = builder(spec)
+        cache[key] = builder(spec, *args)
     return cache[key]
 
 

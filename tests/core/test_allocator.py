@@ -45,6 +45,7 @@ class RecordingMechanism:
     def __init__(self, inner, calls):
         self.inner = inner
         self.calls = calls
+        self.randomized = inner.randomized
 
     def solve_allocation(self, bids, seed):
         self.calls.append(("allocation",))
@@ -99,9 +100,7 @@ class TestSequentialAllocator:
         bids = double_bids()
         outputs = run_block_network(
             PROVIDERS,
-            lambda nid: SequentialAllocatorBlock(
-                "alloc", bids, DoubleAuction(), use_common_coin=False
-            ),
+            lambda nid: SequentialAllocatorBlock("alloc", bids, DoubleAuction()),
         )
         results = list(outputs.values())
         assert all(r == results[0] for r in results)

@@ -137,8 +137,9 @@ class TestInputHandling:
             )
         with pytest.raises(ValueError, match=r"num_groups must be at most"):
             AuctionRun(standard_bids(seed=1), StandardAuction(epsilon=0.5), config=too_many)
-        # Where no parallel allocator reads it, the value is ignored as before.
-        DistributedAuctioneer(DoubleAuction(), providers=PROVIDERS, config=too_many)
+        # A mechanism that does not decompose cannot run the parallel allocator.
+        with pytest.raises(ValueError, match=r"'double-auction-waterfill' does not decompose"):
+            DistributedAuctioneer(DoubleAuction(), providers=PROVIDERS, config=too_many)
 
     def test_sequential_allocator_ignores_num_groups(self):
         unread = FrameworkConfig(k=1, parallel=False, num_groups=len(PROVIDERS) // 2 + 1)

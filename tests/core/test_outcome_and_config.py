@@ -3,8 +3,10 @@
 import pytest
 
 from repro.auctions.base import Allocation, AuctionResult, Payments
+from repro.auctions.double_auction import DoubleAuction
+from repro.auctions.vcg import ExactVCGAuction
 from repro.common import ABORT, AbortType, is_abort, stable_hash
-from repro.core.config import FrameworkConfig
+from repro.core.config import ConfigError, FrameworkConfig
 from repro.core.outcome import Outcome, combine_outputs
 
 
@@ -82,11 +84,31 @@ class TestFrameworkConfig:
             FrameworkConfig(num_groups=0)
 
     def test_quorum_check(self):
-        FrameworkConfig(k=1).check_quorum(3)
+        FrameworkConfig(k=1).check(3, DoubleAuction())
         with pytest.raises(ValueError):
-            FrameworkConfig(k=1).check_quorum(2)
-        # The check can be disabled explicitly (for experiments).
-        FrameworkConfig(k=1, require_quorum=False).check_quorum(2)
+            FrameworkConfig(k=1).check(2, DoubleAuction())
+
+    @pytest.mark.parametrize(
+        "config, m, algorithm, field",
+        [
+            (FrameworkConfig(k=2), 4, DoubleAuction(), "k"),
+            (FrameworkConfig(k=1, parallel=True, num_groups=3), 5, ExactVCGAuction(), "num_groups"),
+            (FrameworkConfig(k=1, parallel=True), 5, DoubleAuction(), "parallel"),
+            # Decomposability is judged first, then m > 2k, then the group bound.
+            (FrameworkConfig(k=3, parallel=True, num_groups=9), 4, DoubleAuction(), "parallel"),
+            (FrameworkConfig(k=3, parallel=True, num_groups=9), 4, ExactVCGAuction(), "k"),
+        ],
+    )
+    def test_one_check_names_the_field_at_fault(self, config, m, algorithm, field):
+        with pytest.raises(ConfigError) as refused:
+            config.check(m, algorithm)
+        assert refused.value.field == field
+        assert isinstance(refused.value, ValueError)
+        assert str(refused.value) == refused.value.args[1]
+
+    def test_the_group_bound_binds_only_the_parallel_allocator(self):
+        FrameworkConfig(k=1, num_groups=9).check(3, ExactVCGAuction())
+        FrameworkConfig(k=1, parallel=True, num_groups=2).check(5, ExactVCGAuction())
 
     def test_max_parallelism(self):
         assert FrameworkConfig(k=1).max_parallelism(8) == 4

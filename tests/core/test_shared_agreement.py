@@ -414,7 +414,7 @@ class TestViewsThatDoNotShare:
             return run_round(
                 bids=double_bids(8, providers, seed=5),
                 providers=providers,
-                config=FrameworkConfig(k=1, round_timeout=0.05, use_common_coin=False),
+                config=FrameworkConfig(k=1, round_timeout=0.05),
                 latency_model=UniformLatencyModel(0.001, 0.01),
                 fault_plan=partitioned(),
             )

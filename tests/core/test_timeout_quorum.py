@@ -52,7 +52,6 @@ def make_bids(users=8, seed=0, mechanism="standard"):
 def run_auction(
     round_timeout=None,
     plan=None,
-    use_coin=True,
     seed=0,
     agreement_mode="batched",
     mechanism="standard",
@@ -63,7 +62,6 @@ def run_auction(
         config=FrameworkConfig(
             k=1,
             round_timeout=round_timeout,
-            use_common_coin=use_coin,
             agreement_mode=agreement_mode,
         ),
         latency_model=UniformLatencyModel(0.001, 0.01),
@@ -167,7 +165,7 @@ class TestDegradedRuns:
             report = run_auction(
                 round_timeout=0.05,
                 plan=eternal_partition(PROVIDERS[2]),
-                use_coin=False,
+                mechanism="double",
             )
             return (
                 report.outcome.aborted,
@@ -180,7 +178,7 @@ class TestDegradedRuns:
 
     def test_conservation_holds_on_degraded_runs(self):
         report = run_auction(
-            round_timeout=0.05, plan=eternal_partition(PROVIDERS[2]), use_coin=False
+            round_timeout=0.05, plan=eternal_partition(PROVIDERS[2]), mechanism="double"
         )
         stats = report.stats
         assert (

@@ -100,15 +100,13 @@ class TestFigure5:
 
 
 @functools.lru_cache(maxsize=None)
-def double_round(users, agreement_mode="batched", use_common_coin=True):
+def double_round(users, agreement_mode="batched"):
     """One k=1 double-auction round on 2k+1 of the eight providers."""
     bids = DoubleAuctionWorkload(seed=7).generate(users, len(PROVIDERS), provider_ids=PROVIDERS)
     return DistributedAuctioneer(
         DoubleAuction(),
         providers=PROVIDERS[:3],
-        config=FrameworkConfig(
-            k=1, agreement_mode=agreement_mode, use_common_coin=use_common_coin
-        ),
+        config=FrameworkConfig(k=1, agreement_mode=agreement_mode),
         latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
         seed=1,
     ).run_from_bids(bids)
@@ -160,17 +158,11 @@ class TestBlockAblation:
         large = double_round(800).outcome.bytes_transferred
         assert large > 4 * small
 
-    @pytest.mark.parametrize("use_common_coin", (True, False))
-    def test_a_double_round_sends_no_coin_traffic(self, use_common_coin):
-        # The double auction reads no seed, so the knob is moot: no coin runs.
-        report = double_round(100, use_common_coin=use_common_coin)
+    def test_a_double_round_sends_no_coin_traffic(self):
+        # The double auction reads no seed, so no coin runs.
+        report = double_round(100)
         assert not report.aborted
         assert messages_by_block(report)["coin"] == 0
-        assert report.outcome.messages == double_round(100).outcome.messages
-
-    def test_skipping_the_coin_keeps_the_result(self):
-        # The double auction is deterministic, so the coin's seed cannot matter.
-        assert double_round(100, use_common_coin=False).result == double_round(100).result
 
     @pytest.mark.parametrize("mode", ("batched", "per_label"))
     def test_agreement_mode_clears(self, mode):
@@ -185,10 +177,9 @@ class TestBlockAblation:
         assert batched * 5 < per_label
 
 
-#: ``(groups, k)`` over m = 8: p = ⌊m/(k+1)⌋ for the last three; (1, 7) is the
-#: replicated corner without parallelism, where m > 2k fails and the quorum
-#: guard is off.
-GROUPINGS = ((1, 7), (2, 3), (4, 1), (8, 0))
+#: ``(groups, k)`` over m = 8: p = ⌊m/(k+1)⌋ for the last three; (1, 1) is the
+#: replicated corner without parallelism: one group of all eight providers.
+GROUPINGS = ((1, 1), (2, 3), (4, 1), (8, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,12 +188,7 @@ def parallel_round(num_groups, k):
     return DistributedAuctioneer(
         StandardAuction(epsilon=0.25),
         providers=PROVIDERS,
-        config=FrameworkConfig(
-            k=k,
-            parallel=True,
-            num_groups=num_groups,
-            require_quorum=len(PROVIDERS) > 2 * k,
-        ),
+        config=FrameworkConfig(k=k, parallel=True, num_groups=num_groups),
         latency_model=LATENCIES.create(ComponentSpec("wan"), "latency"),
         seed=3,
     ).run_from_bids(bids)

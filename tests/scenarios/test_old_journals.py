@@ -3,11 +3,12 @@
 A journal's manifest pins the canonical fingerprint of the spec that wrote
 it, so any drift in what ``spec_to_dict`` emits (a renamed key, a default
 that starts or stops being written) would strand every existing artifact.
-The one sanctioned drift is retiring a spec path (``ScenarioSpec.RETIRED``):
-every canonical form lost ``measure_compute`` when compute became modelled
-only, and the Figure 5 forms lost ``engine = "vectorized"`` when the engine
-choice went, so the fingerprints pinned here are those of the forms without
-them.  Four locks:
+The one sanctioned drift is retiring a spec path (a spec class's ``RETIRED``
+table): every canonical form lost ``measure_compute`` when compute became
+modelled only, the Figure 5 forms lost ``engine = "vectorized"`` when the
+engine choice went, and every ``config`` table lost ``use_common_coin`` and
+``require_quorum`` when the coin and the quorum became rules, so the
+fingerprints pinned here are those of the forms without them.  Five locks:
 
 * the fingerprints of the built-in figure sweeps and of every shipped spec
   file, as literals;
@@ -19,6 +20,10 @@ them.  Four locks:
 * ``data/fig5_parent.jsonl`` — what ``sweep --spec examples/specs/fig5.toml
   --output …`` wrote while the spec still named its engine — likewise
   reads, and its resume is refused naming ``engine``;
+* ``data/fig4_quick_config_parent.jsonl`` — what ``sweep --spec
+  examples/specs/fig4_quick.json --output …`` wrote while ``config`` still
+  held the two switches — reads, its records are what this build computes,
+  and its resume is refused naming both retired ``config`` paths;
 * a journal that ends in a ``quarantine`` line (what a crash-tolerant
   executor, since removed, wrote for a cell it gave up on) still reads, and
   resumes that cell.
@@ -49,20 +54,21 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SPECS = REPO_ROOT / "examples" / "specs"
 JOURNAL = pathlib.Path(__file__).parent / "data" / "fig4_quick_parent.jsonl"
 FIG5_JOURNAL = pathlib.Path(__file__).parent / "data" / "fig5_parent.jsonl"
+CONFIG_JOURNAL = pathlib.Path(__file__).parent / "data" / "fig4_quick_config_parent.jsonl"
 
 #: (spec file, class to load it as — ``None`` sniffs scenario vs sweep, fingerprint).
 SHIPPED = [
-    ("chaos.toml", ChaosSpec, "8aab9dd9daa39ae5370bf5fa07a79475b94e8fbf464e74f4c3baef1db469d96a"),
-    ("fig4.json", None, "a7b9e9fe1095882493bcd307505c6df6524038ac21a997b3d78eb769a62cf868"),
-    ("fig4_quick.json", None, "0bcc675a4e87d3b2869f9ba0a44a7e615dec28885b2ffc1e74addc92c31e841a"),
-    ("fig5.toml", None, "ea109bf5dd90a226c0585c190ba5f7c9982b2070d777ca0853db4811a8e2aca9"),
+    ("chaos.toml", ChaosSpec, "17a86ebe67fc3df2c20b7180a130983f48da8f1b404d68142357f6af33daded1"),
+    ("fig4.json", None, "0d62ecde9f4e3050af54b2015403b4306c23166d39a3a88b21228bdec4b23edc"),
+    ("fig4_quick.json", None, "d66ab8a577c25af7d740f0f2a76155c4e1570f2fea1d08bfc94891aca38e5a4e"),
+    ("fig5.toml", None, "e725e19f6780ddfc7292bb0dcce99638789de35006179e5d601cbf2dc9907ddf"),
     (
         "resilience.json",
         ResilienceSpec,
-        "c361a04ad3b54aa3efb96fc987601c425f5269bdca68d6654ffd5b4465c35a4a",
+        "88747d71f115a60df0256213b78be7db70774594e9f9f71aa2a726f32ab1f5e7",
     ),
-    ("vr_sessions.toml", None, "735992f06effe738be6e5f07a9764990070fcac18b418cf853c0d770000b6ec6"),
-    ("vr_sweep.toml", None, "9f1a33878957bd2607da13210dbfee8b59980ca61ca7d7055b34c0ebf7e9f70b"),
+    ("vr_sessions.toml", None, "9351f285335555010751def027e2ae7d1ad30a48dfcaece6000f7ed3ac9356e5"),
+    ("vr_sweep.toml", None, "a9898194e151b627df3aeb9ff770c84792925de6f072e1e6472708da6f545a8d"),
 ]
 
 
@@ -81,11 +87,11 @@ def test_builtin_figure_sweep_fingerprints_are_pinned():
     # The built-ins are the shipped figure files, field for field.
     assert (
         spec_fingerprint(figure4_sweep())
-        == "a7b9e9fe1095882493bcd307505c6df6524038ac21a997b3d78eb769a62cf868"
+        == "0d62ecde9f4e3050af54b2015403b4306c23166d39a3a88b21228bdec4b23edc"
     )
     assert (
         spec_fingerprint(figure5_sweep())
-        == "ea109bf5dd90a226c0585c190ba5f7c9982b2070d777ca0853db4811a8e2aca9"
+        == "e725e19f6780ddfc7292bb0dcce99638789de35006179e5d601cbf2dc9907ddf"
     )
 
 
@@ -137,6 +143,32 @@ def test_a_figure5_journal_written_with_an_engine_reads_but_does_not_resume(tmp_
     assert "does not match this sweep" in refused.value.message
     assert "engine after commit 1b436d7" in refused.value.message
     assert journal.read_bytes() == FIG5_JOURNAL.read_bytes()  # nothing appended
+
+
+def test_a_journal_written_with_the_config_switches_reads_but_does_not_resume(tmp_path):
+    journal = tmp_path / "fig4_quick.jsonl"
+    shutil.copy(CONFIG_JOURNAL, journal)
+    lines = [json.loads(line) for line in CONFIG_JOURNAL.read_text().splitlines()]
+    journaled = {
+        (line["point"], line["instance"]): RunRecord.from_dict(line["record"])
+        for line in lines[1:]
+    }
+    assert len(journaled) == 4
+
+    manifest, records = ResultsStore(str(journal)).read()
+    assert manifest == lines[0]
+    assert records == journaled
+    # Retiring the switches moved the fingerprint, not a record.
+    sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
+    assert [records[cell] for cell in sorted(records)] == run_sweep(sweep).records
+
+    with pytest.raises(SpecError) as refused:
+        run_sweep(sweep, store=str(journal), resume=True)
+    assert refused.value.path == str(journal)
+    assert "does not match this sweep" in refused.value.message
+    assert "config.use_common_coin after commit fc23d76" in refused.value.message
+    assert "config.require_quorum after commit fc23d76" in refused.value.message
+    assert journal.read_bytes() == CONFIG_JOURNAL.read_bytes()  # nothing appended
 
 
 def test_a_journal_holding_a_quarantine_line_still_reads_and_resumes(tmp_path):

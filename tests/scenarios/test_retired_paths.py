@@ -1,12 +1,16 @@
 """A retired spec path: its retired value is accepted and dropped, any other refused.
 
-``ScenarioSpec.RETIRED`` is the one table of paths a past commit read and
-this one does not.  Two rows:
+A spec class's ``RETIRED`` table holds the paths a past commit read and this
+one does not (``spec.retired_rows()`` lists them all, dotted).  Four rows:
 
 * ``measure_compute``: compute is modelled, never measured, so ``false`` —
   what every round now does — is accepted;
 * ``engine``: the ``standard`` kind always builds the vectorized engine (the
-  reference class is only the test oracle), so ``"vectorized"`` is accepted.
+  reference class is only the test oracle), so ``"vectorized"`` is accepted;
+* ``config.use_common_coin`` and ``config.require_quorum`` (``ConfigSpec``'s
+  rows): the coin runs exactly when ``A`` is randomized and ``m > 2k`` is a
+  rule, so ``true`` is accepted for each.  A sweep point or axis names them
+  by their dotted path.
 
 A retired path's accepted value is taken wherever a spec is read and never
 reaches a canonical form, a fingerprint or a journal; any other value is a
@@ -17,6 +21,7 @@ The Python keywords kept for callers that still pass the accepted value
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.core.framework import DistributedAuctioneer
 from repro.runtime.auction_run import AuctionRun
 from repro.scenarios import (
     ChaosSpec,
+    ConfigSpec,
     ResilienceSpec,
     ScenarioSpec,
     SpecError,
@@ -39,6 +45,7 @@ from repro.scenarios import (
     spec_to_dict,
     spec_with_overrides,
 )
+from repro.scenarios.spec import retired_rows
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 RETIRED = "retired after commit e3eec74: compute is modelled (ROADMAP item 1)"
@@ -52,6 +59,18 @@ ROWS = {
         "reference",
         "retired after commit 1b436d7: one engine; the reference class is the test oracle; "
         'only "vectorized" is accepted',
+    ),
+    "config.use_common_coin": (
+        True,
+        False,
+        "retired after commit fc23d76: the common coin runs exactly when A is randomized; "
+        "only true is accepted",
+    ),
+    "config.require_quorum": (
+        True,
+        False,
+        "retired after commit fc23d76: m > 2k is a rule of the rational consensus; "
+        "only true is accepted",
     ),
 }
 KEYS = list(ROWS)
@@ -79,11 +98,30 @@ def _set(key, value):
     return f"{key}={_spelled(value)}"
 
 
+def _nested(key, value):
+    """``key = value`` as a spec file writes it: ``config.k`` inside a ``config`` table."""
+    *tables, leaf = key.split(".")
+    data = {leaf: value}
+    for table in reversed(tables):
+        data = {table: data}
+    return data
+
+
+def _at(path):
+    """A regex matching ``path`` literally."""
+    return re.escape(path)
+
+
 def test_the_table_has_one_row_per_retired_path_naming_the_commit():
     assert ScenarioSpec.RETIRED == {
         "measure_compute": (False, "e3eec74", "compute is modelled (ROADMAP item 1)"),
         "engine": ("vectorized", "1b436d7", "one engine; the reference class is the test oracle"),
     }
+    assert ConfigSpec.RETIRED == {
+        "use_common_coin": (True, "fc23d76", "the common coin runs exactly when A is randomized"),
+        "require_quorum": (True, "fc23d76", "m > 2k is a rule of the rational consensus"),
+    }
+    assert list(retired_rows()) == KEYS
 
 
 def _write(tmp_path, data, name="spec.json"):
@@ -103,11 +141,18 @@ def _write(tmp_path, data, name="spec.json"):
         ("engine", "reference"),
         ("engine", "Vectorized"),
         ("engine", None),
+        ("config.use_common_coin", False),
+        ("config.use_common_coin", 1),
+        ("config.require_quorum", False),
+        ("config.require_quorum", "true"),
     ],
-    ids=["true", "zero", "string", "null", "engine-reference", "engine-case", "engine-null"],
+    ids=[
+        "true", "zero", "string", "null", "engine-reference", "engine-case", "engine-null",
+        "coin-false", "coin-one", "quorum-false", "quorum-string",
+    ],
 )
 def test_a_scenario_file_naming_another_value_is_refused_at_the_path(tmp_path, key, value):
-    path = _write(tmp_path, {**SCENARIO, key: value})
+    path = _write(tmp_path, {**SCENARIO, **_nested(key, value)})
     with pytest.raises(SpecError) as refused:
         load_any(path)
     assert refused.value.path == str(path)
@@ -116,12 +161,12 @@ def test_a_scenario_file_naming_another_value_is_refused_at_the_path(tmp_path, k
 
 @pytest.mark.parametrize("key", KEYS)
 def test_a_sweep_base_and_an_audit_base_are_refused_at_base(tmp_path, key):
-    base = {**SCENARIO, key: _refused(key)}
+    base = {**SCENARIO, **_nested(key, _refused(key))}
     sweep = _write(tmp_path, {"base": base}, "sweep.json")
     chaos = _write(tmp_path, {"base": base, "faults": ["loss"]}, "chaos.json")
     resilience = _write(tmp_path, {"base": base}, "resilience.json")
     for path, kind in ((sweep, SweepSpec), (chaos, ChaosSpec), (resilience, ResilienceSpec)):
-        with pytest.raises(SpecError, match=rf"^{path}: base\.{key}: retired after"):
+        with pytest.raises(SpecError, match=rf"^{path}: {_at(f'base.{key}')}: retired after"):
             load_spec(path, kind)
 
 
@@ -131,7 +176,7 @@ def test_a_sweep_point_is_refused_at_its_index(tmp_path, key):
         tmp_path,
         {"base": SCENARIO, "points": [{"users": 5}, {"users": 6, key: _refused(key)}]},
     )
-    with pytest.raises(SpecError, match=rf"^{path}: points\[1\]\.{key}: retired"):
+    with pytest.raises(SpecError, match=rf"^{path}: {_at(f'points[1].{key}')}: retired"):
         load_any(path)
 
 
@@ -140,20 +185,20 @@ def test_a_sweep_point_is_refused_at_its_index(tmp_path, key):
 def test_a_sweep_axis_is_refused_at_load_at_its_path(tmp_path, key, both):
     values = [_accepted(key), _refused(key)] if both else [_refused(key)]
     path = _write(tmp_path, {"base": SCENARIO, "axes": {key: values, "users": [4]}})
-    with pytest.raises(SpecError, match=rf"^{path}: axes\.{key}: retired after"):
+    with pytest.raises(SpecError, match=rf"^{path}: {_at(f'axes.{key}')}: retired after"):
         load_any(path)
 
 
 @pytest.mark.parametrize("key", KEYS)
 def test_a_set_override_is_refused_at_the_path(key):
     overrides = parse_assignments([_set(key, _refused(key))])
-    with pytest.raises(SpecError, match=rf"^{key}: retired after commit"):
+    with pytest.raises(SpecError, match=rf"^{_at(key)}: retired after commit"):
         spec_with_overrides(spec_from_dict(SCENARIO), overrides)
     sweep = SweepSpec(base=spec_from_dict(SCENARIO))
-    with pytest.raises(SpecError, match=rf"^{key}: retired after commit"):
+    with pytest.raises(SpecError, match=rf"^{_at(key)}: retired after commit"):
         sweep.with_base_overrides(overrides)
     audit = ResilienceSpec(base=spec_from_dict(SCENARIO))
-    with pytest.raises(SpecError, match=rf"^base\.{key}: retired after commit"):
+    with pytest.raises(SpecError, match=rf"^{_at(f'base.{key}')}: retired after commit"):
         spec_with_overrides(audit, parse_assignments([_set(f"base.{key}", _refused(key))]))
 
 
@@ -182,20 +227,21 @@ def test_the_auction_run_keyword_accepts_only_none():
 # ----------------------------------------------------------------- accepted --
 @pytest.mark.parametrize("key", KEYS)
 def test_the_accepted_value_is_taken_everywhere_and_never_written(tmp_path, key):
+    leaf = key.rsplit(".", 1)[-1]
     plain = spec_from_dict(SCENARIO)
-    via_file = load_any(_write(tmp_path, {**SCENARIO, key: _accepted(key)}))
+    via_file = load_any(_write(tmp_path, {**SCENARIO, **_nested(key, _accepted(key))}))
     via_set = spec_with_overrides(plain, parse_assignments([_set(key, _accepted(key))]))
-    via_dict = spec_from_dict({**SCENARIO, key: _accepted(key)})
+    via_dict = spec_from_dict({**SCENARIO, **_nested(key, _accepted(key))})
     for spec in (via_file, via_set, via_dict):
         assert spec == plain
-        assert key not in spec_to_dict(spec)
+        assert leaf not in json.dumps(spec_to_dict(spec))
         assert spec_fingerprint(spec) == spec_fingerprint(plain)
 
     sweep = SweepSpec(base=plain, points=({"users": 5, key: _accepted(key)},))
     assert sweep.points == ({"users": 5},)
     assert spec_to_dict(sweep.with_base_overrides({key: _accepted(key)})) == spec_to_dict(sweep)
-    assert key not in json.dumps(spec_to_dict(sweep))
-    audit = spec_from_dict({"base": {**SCENARIO, key: _accepted(key)}}, ResilienceSpec)
+    assert leaf not in json.dumps(spec_to_dict(sweep))
+    audit = spec_from_dict({"base": {**SCENARIO, **_nested(key, _accepted(key))}}, ResilienceSpec)
     assert audit == ResilienceSpec(base=plain)
     assert spec_fingerprint(audit) == spec_fingerprint(ResilienceSpec(base=plain))
 

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.auctions.decomposable import DecomposableMechanism
+from repro.core import config
 from repro.scenarios import (
     LATENCIES,
     MECHANISMS,
@@ -168,7 +169,7 @@ class TestRunners:
                 runner.build_mechanism(_deterministic({"mechanism": kind})), DecomposableMechanism
             )
         ]
-        assert decompose == list(runner._DECOMPOSABLE_KINDS)
+        assert decompose == list(config._DECOMPOSABLE_KINDS)
 
     def test_overlapping_bidder_entries_rejected(self):
         spec = _deterministic(

@@ -87,8 +87,6 @@ _configs = st.builds(
     parallel=st.booleans(),
     num_groups=_optional(st.integers(min_value=1, max_value=4)),
     agreement_mode=st.sampled_from(["batched", "per_label", "per_bit"]),
-    use_common_coin=st.booleans(),
-    require_quorum=st.booleans(),
     round_timeout=_optional(st.floats(min_value=0.001, max_value=10.0)),
 )
 
@@ -319,7 +317,6 @@ class TestConfigIsTypedLikeEveryOtherTable:
             ("config.parallel=no", "config.parallel: expected a boolean, got str"),
             ("config.k=true", "config.k: expected an integer, got a boolean"),
             ("config.num_groups=2.5", "config.num_groups: expected an integer, got float"),
-            ("config.use_common_coin=0", "config.use_common_coin: expected a boolean, got int"),
             ("config.round_timeout=NaN", "config.round_timeout: expected a finite number, got nan"),
             ("deadline=NaN", "deadline: expected a finite number, got nan"),
             ("deadline=-Infinity", "deadline: expected a finite number, got -inf"),

@@ -316,17 +316,23 @@ class TestSpecDrivenCommands:
         )
 
     @pytest.mark.parametrize(
-        "argv, named",
+        "argv, path, named",
         [
-            (["run", "--set", "mechanism.local_search_rounds=1.5"], "local_search_rounds"),
+            (
+                ["run", "--set", "mechanism.local_search_rounds=1.5"],
+                "mechanism",
+                "local_search_rounds",
+            ),
             (
                 ["run", "--set", "mechanism.epsilon=1", "--set", "mechanism.min_restarts=2.5"],
+                "mechanism",
                 "min_restarts",
             ),
-            (["run", "--set", "mechanism.epsilon=true"], "epsilon"),
+            (["run", "--set", "mechanism.epsilon=true"], "mechanism", "epsilon"),
             (
                 ["sweep", "--spec", "examples/specs/fig5.toml"]
                 + ["--set", "mechanism.local_search_rounds=1.5"],
+                "points[0].mechanism",  # the first sweep point to build it
                 "local_search_rounds",
             ),
         ],
@@ -334,14 +340,14 @@ class TestSpecDrivenCommands:
     )
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_standard_auction_effort_of_the_wrong_type_is_a_spec_error(
-        self, argv, named, engine, capsys, reference_standard
+        self, argv, path, named, engine, capsys, reference_standard
     ):
         if argv[0] == "run":
             argv = ["run", "--set", "mechanism=standard"] + argv[1:]
         with reference_standard() if engine == "reference" else contextlib.nullcontext():
             assert main(argv) == 2
         assert capsys.readouterr().err.startswith(
-            f"error: mechanism: invalid parameters for mechanism 'standard': {named} must be "
+            f"error: {path}: invalid parameters for mechanism 'standard': {named} must be "
         )
 
     @pytest.mark.parametrize("epsilon", [float("nan"), "0.5"], ids=["nan", "string"])
@@ -492,6 +498,16 @@ class TestSpecErrorsLeaveNoJournal:
         return path
 
     @staticmethod
+    def _second_point_mechanism_zzz(tmp_path):
+        base = spec_from_dict(
+            {"mechanism": "double", "users": 6, "providers": 3, "latency": "constant"}
+        )
+        sweep = SweepSpec(base=base, name="zzz", points=({"users": 5}, {"mechanism": "zzz"}))
+        path = tmp_path / "sweep.json"
+        dump_spec(sweep, path)
+        return path
+
+    @staticmethod
     def _axis_users_x(tmp_path):
         base = spec_from_dict(
             {"mechanism": "double", "users": 6, "providers": 3, "latency": "constant"}
@@ -527,6 +543,29 @@ class TestSpecErrorsLeaveNoJournal:
             ),
             ("_second_point_users_x", "error: points[1].users: expected an integer, got str\n"),
             ("_axis_users_x", "error: axes.users: expected an integer, got str\n"),
+            (
+                "_second_point_mechanism_zzz",
+                "error: points[1].mechanism: unknown mechanism kind 'zzz'; "
+                "available: double, greedy, standard, vcg\n",
+            ),
+            (
+                ["sweep", "--spec", "examples/specs/fig5.toml",
+                 "--set", "mechanism.local_search_rounds=1.5"],
+                "error: points[0].mechanism: invalid parameters for mechanism 'standard': "
+                "local_search_rounds must be a finite integral number, got 1.5\n",
+            ),
+            (
+                ["resilience", "--spec", "examples/specs/resilience.json",
+                 "--set", "base.mechanism=standard",
+                 "--set", "base.mechanism.local_search_rounds=1.5"],
+                "error: base.mechanism: invalid parameters for mechanism 'standard': "
+                "local_search_rounds must be a finite integral number, got 1.5\n",
+            ),
+            (
+                ["chaos", "--spec", "examples/specs/chaos.toml", "--set", "base.mechanism=zzz"],
+                "error: base.mechanism: unknown mechanism kind 'zzz'; "
+                "available: double, greedy, standard, vcg\n",
+            ),
         ],
         ids=[
             "resilience-coalition",
@@ -535,6 +574,10 @@ class TestSpecErrorsLeaveNoJournal:
             "sweep-second-point-parallel-double",
             "sweep-second-point-type",
             "sweep-axis-type",
+            "sweep-second-point-mechanism",
+            "sweep-base-mechanism-parameters",
+            "resilience-base-mechanism-parameters",
+            "chaos-base-mechanism-kind",
         ],
     )
     def test_exits_2_without_a_journal(self, argv, error, tmp_path, capsys, monkeypatch):
