@@ -112,10 +112,12 @@ class FrozenMap(dict):
 
     On the wire it *is* the dict it was built from — same canonical bytes, same
     size, ``==`` to it both ways — so swapping one for the other moves no
-    commitment and no traffic statistic.  What it adds is that holders need no
-    defensive copy, and that the codec may memoise its size on the instance
-    (only when every key and value is deep-immutable; a frozen map holding a
-    list is re-measured like any dict).  Holders sharing one may likewise keep
+    commitment and no traffic statistic.  (The codec's subclass
+    :class:`~repro.net.serialization.LabelBatch`, an agreement batch, keeps the
+    bytes and ``==`` but is sized by position over its labels.)  What it adds
+    is that holders need no defensive copy, and that the codec may memoise its
+    size on the instance (only when every key and value is deep-immutable; a
+    frozen map holding a list is re-measured like any dict).  Holders sharing one may likewise keep
     what they derive from its contents in the ``DERIVED_ATTR`` slot (the bid
     agreement keeps the assembled vector there); neither slot is compared,
     encoded or pickled.  Like ``frozen=True`` on a dataclass it guards against

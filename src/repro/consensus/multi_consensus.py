@@ -67,7 +67,7 @@ from typing import (
 
 from repro.common import ABORT
 from repro.net.protocol import BlockContext, ProtocolBlock
-from repro.net.serialization import FrozenMap, digest_or_self
+from repro.net.serialization import FROZEN_MAPS, FrozenMap, digest_or_self
 
 __all__ = [
     "BatchedConsensusBlock",
@@ -130,11 +130,11 @@ def majority_decision(values: Dict[str, Any]) -> Any:
 def _frozen(mapping: Mapping[Any, Any]) -> FrozenMap:
     """``mapping`` itself if nobody can change it, else a frozen copy.
 
-    Exact type only: what a deviant sends — a plain dict, or a subclass that
-    hands the mutators back — is copied, so a sender cannot change what a
-    receiver holds.
+    Exact types only (:data:`~repro.net.serialization.FROZEN_MAPS`): what a
+    deviant sends — a plain dict, or a subclass that hands the mutators back
+    — is copied, so a sender cannot change what a receiver holds.
     """
-    return mapping if type(mapping) is FrozenMap else FrozenMap(mapping)
+    return mapping if type(mapping) in FROZEN_MAPS else FrozenMap(mapping)
 
 
 def digest_echo(batches: Mapping[str, Any]) -> FrozenMap:
@@ -142,9 +142,19 @@ def digest_echo(batches: Mapping[str, Any]) -> FrozenMap:
 
     A batch whose wire size is at most a digest's is carried as it is
     (:func:`~repro.net.serialization.digest_or_self`), so an echo never costs
-    more than the batches it stands for.
+    more than the batches it stands for.  Providers holding one batch *object*
+    share one stand-in: honest providers of a ``run_from_bids`` round hold one
+    batch, so a round builds ``m`` digests, not ``m²``.  Not remembered on the
+    batch, where the digest holding it would make a reference cycle.
     """
-    return FrozenMap((provider, digest_or_self(batch)) for provider, batch in batches.items())
+    stand_ins: Dict[int, Any] = {}  # ``batches`` keeps every batch alive for the call
+    echo = {}
+    for provider, batch in batches.items():
+        stand_in = stand_ins.get(id(batch))
+        if stand_in is None:
+            stand_in = stand_ins[id(batch)] = digest_or_self(batch)
+        echo[provider] = stand_in
+    return FrozenMap(echo)
 
 
 class BatchedConsensusBlock(ProtocolBlock):

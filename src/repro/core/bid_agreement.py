@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.auctions.base import BidVector, UserBid
+from repro.auctions.base import BidVector, ProviderAsk, UserBid
 from repro.auctions.validation import (
     coerce_user_bid,
     is_valid_provider_ask,
@@ -51,25 +51,39 @@ from repro.consensus.multi_consensus import (
     label_set,
 )
 from repro.net.protocol import BlockContext, ProtocolBlock
-from repro.net.serialization import DERIVED_ATTR, FrozenMap, estimate_size
+from repro.net.serialization import (
+    DERIVED_ATTR,
+    FROZEN_MAPS,
+    FrozenMap,
+    LabelBatch,
+    estimate_size,
+)
 from repro.obs.context import current_observation
 
-__all__ = ["BidAgreementBlock", "AGREEMENT_MODES", "agreement_bytes", "agreement_messages"]
+__all__ = [
+    "BidAgreementBlock",
+    "AGREEMENT_MODES",
+    "agreement_batch",
+    "agreement_bytes",
+    "agreement_messages",
+]
 
 AGREEMENT_MODES = ("batched", "per_label", "per_bit")
 
 _USER_PREFIX = "user:"
 _ASK_PREFIX = "ask:"
+#: What a well-formed batch entry is, in the order its wire marker names them.
+_RECORDS = (UserBid, ProviderAsk)
 
 
 def _kept_or_copied(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
     """``mapping`` itself if nobody can change it, else a copy of one's own.
 
-    Exact type only, as for the batched block's received batches: the honest
+    Exact types only, as for the batched block's received batches: the honest
     maps of ``DistributedAuctioneer.run_from_bids`` are shared by reference,
     anything else — a caller's dict, a deviant's forged view — is copied.
     """
-    return mapping if type(mapping) is FrozenMap else dict(mapping)
+    return mapping if type(mapping) in FROZEN_MAPS else dict(mapping)
 
 
 def _is_bit(value: Any) -> bool:
@@ -82,13 +96,34 @@ def agreement_messages(m: int) -> int:
     return 2 * m * (m - 1)
 
 
+def agreement_batch(
+    user_bids: Mapping[str, Any],
+    provider_asks: Mapping[str, Any],
+    users: Sequence[str],
+    providers: Sequence[str],
+) -> LabelBatch:
+    """The batch a provider puts to the agreement: its received bid per user, ask per provider.
+
+    A :class:`~repro.net.serialization.LabelBatch` over the ``user:<id>`` and
+    ``ask:<id>`` labels, so a bid or ask received intact travels as its two
+    floats: ``36 + 4 + 17·(n + a)`` bytes for ``n`` users and ``a`` asks.
+    """
+    batch: Dict[str, Any] = {}
+    for uid in users:
+        batch[f"{_USER_PREFIX}{uid}"] = user_bids.get(uid)
+    for pid in providers:
+        batch[f"{_ASK_PREFIX}{pid}"] = provider_asks.get(pid)
+    return LabelBatch(batch, _RECORDS)
+
+
 def agreement_bytes(batch: Mapping[str, Any], providers: Sequence[str]) -> int:
     """Payload bytes of an honest batched agreement of ``providers`` on ``batch`` (§4.1).
 
     Each of the ``m`` providers sends ``batch``, then an echo of ``m`` digests,
     to its ``m − 1`` peers: ``m·(m−1)·(|batch| + |echo|)``.  The value term
-    grows with the batch, the echo term only with ``m``.  Every message adds
-    its tag to these bytes.
+    grows with the batch (17 bytes a well-formed entry of an
+    :func:`agreement_batch`), the echo term only with ``m``.  Every message
+    adds its tag to these bytes.
     """
     m = len(providers)
     echo = digest_echo(dict.fromkeys(providers, batch))
@@ -139,11 +174,11 @@ class BidAgreementBlock(ProtocolBlock):
             f"{_ASK_PREFIX}{pid}" for pid in self.expected_providers
         ]
 
-    def _my_inputs(self) -> FrozenMap:
+    def _my_inputs(self) -> LabelBatch:
         """This provider's label-keyed batch: its input to the consensus."""
         return self._shared_input()[0]
 
-    def _shared_input(self) -> Tuple[FrozenMap, LabelSet]:
+    def _shared_input(self) -> Tuple[LabelBatch, LabelSet]:
         """The batch and the label set it is checked against.
 
         Both are pure functions of the two received maps and the expected ids,
@@ -162,13 +197,13 @@ class BidAgreementBlock(ProtocolBlock):
             memo = memoise(bids, DERIVED_ATTR, (asks, ids, built))
         return memo[2]
 
-    def _build_batch(self) -> FrozenMap:
-        batch: Dict[str, Any] = {}
-        for uid in self.expected_users:
-            batch[f"{_USER_PREFIX}{uid}"] = self.received_user_bids.get(uid)
-        for pid in self.expected_providers:
-            batch[f"{_ASK_PREFIX}{pid}"] = self.received_provider_asks.get(pid)
-        return FrozenMap(batch)
+    def _build_batch(self) -> LabelBatch:
+        return agreement_batch(
+            self.received_user_bids,
+            self.received_provider_asks,
+            self.expected_users,
+            self.expected_providers,
+        )
 
     # -- protocol -------------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:
@@ -208,7 +243,9 @@ class BidAgreementBlock(ProtocolBlock):
         user bid (labels ``user:<id>/bitNNN``, values checked to be bits, §4.1)
         and one per ask — the bit-stream construction targets the (user)
         bidders, whose bids are the adversarial input, while the ask of a
-        provider is that provider's own protocol input.
+        provider is that provider's own protocol input.  A faithful block's
+        input is a keyed one-entry ``FrozenMap``: for one label, the positional
+        form's 40-byte header costs more than the key it saves.
         """
         batch, labels = self._shared_input()
         if self.mode == "batched":

@@ -21,22 +21,26 @@ encoded field keys in canonical order, frozen flag).  A round ships hundreds
 of thousands of values of a dozen classes, so per-value work is one dict lookup
 instead of an ``isinstance`` chain plus ``dataclasses.fields``.
 
-:class:`~repro.common.FrozenMap` (re-exported here) and :class:`Digest` are the
-payload types of the codec's own.  A ``FrozenMap`` is a mapping that cannot
-change after construction, so that protocol blocks can keep and forward a
-received batch *by reference* instead of copying it, and so that its wire size
-is measured once however many messages carry it.  A ``Digest`` stands on the
-wire for the SHA-256 of a value: it is sized and encoded as those 32 bytes,
-while the simulator keeps the value by reference and compares digests by
-comparing their values.
+:class:`~repro.common.FrozenMap` (re-exported here), :class:`LabelBatch` and
+:class:`Digest` are the payload types of the codec's own.  A ``FrozenMap`` is
+a mapping that cannot change after construction, so that protocol blocks can
+keep and forward a received batch *by reference* instead of copying it, and so
+that its wire size is measured once however many messages carry it.  A
+``LabelBatch`` is the frozen map an agreement batch is: it encodes as its dict
+but travels by position over labels every receiver already holds, so a bid
+costs its 128 bits instead of its key and its tagged fields.  A ``Digest``
+stands on the wire for the SHA-256 of a value: it is sized and encoded as
+those 32 bytes, while the simulator keeps the value by reference and compares
+digests by comparing their values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import struct
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Tuple
 
 from repro.common import DERIVED_ATTR, WIRE_SIZE_ATTR, FrozenMap, memoise
@@ -45,7 +49,10 @@ __all__ = [
     "DERIVED_ATTR",
     "DIGEST_SIZE",
     "Digest",
+    "FROZEN_MAPS",
     "FrozenMap",
+    "LABEL_BATCH_HEADER",
+    "LabelBatch",
     "UnsupportedPayloadError",
     "canonical_encode",
     "deep_immutable",
@@ -87,6 +94,52 @@ class Digest(tuple):
 
     def __repr__(self) -> str:
         return f"Digest({self[0]!r})"
+
+
+class LabelBatch(FrozenMap):
+    """An agreement batch (label -> value) that travels by position over its labels.
+
+    Every receiver knows the labels a batch must cover before it arrives (the
+    bid agreement's sorted expected ids), so the wire does not repeat them.  A
+    batch is sent as a digest of its sorted labels (:data:`DIGEST_SIZE` bytes:
+    a batch built over another label set fails on it), a 4-byte count, and one
+    entry per label in that order.  An entry that is a *record* for its label
+    — an instance of one of ``records`` whose first field is the ``str`` after
+    the label's first ``:`` and whose other two fields are exactly ``float``
+    — is a 1-byte marker naming its class and two float64s: a bid is the 128
+    bits §4.1 agrees on.  Anything else (``None``, garbage, a bid naming
+    another user, ``int`` fields) is a 0 marker and its canonical bytes, which
+    a receiver decodes without knowing their type.
+
+    ``records`` (at most 255 frozen dataclasses of three fields: an id and
+    two numbers) is protocol knowledge like the labels: only
+    :func:`estimate_size` reads it.  The batch encodes and compares as the
+    dict it holds, so a commitment or a digest does not depend on the form a
+    batch took, and a deviant's plain dict is the same batch sized as a keyed
+    dict.  Keys must be strings.
+    """
+
+    __slots__ = ("records",)
+
+    def __new__(cls, items: Any, records: Tuple[type, ...]) -> "LabelBatch":
+        self = FrozenMap.__new__(cls, items)
+        records = tuple(records)
+        if len(records) > 255:
+            raise TypeError("a LabelBatch names at most 255 record classes")
+        for record in records:
+            _record_fields(record)  # checks the class once
+        if not {str}.issuperset(map(type, self)):
+            raise TypeError("a LabelBatch is keyed by strings")
+        self.records = records
+        return self
+
+    def __reduce__(self):
+        return (LabelBatch, (dict(self), self.records))
+
+
+#: The mappings protocol blocks keep by reference: exact types only, since a
+#: subclass may hand the mutators back.
+FROZEN_MAPS = (FrozenMap, LabelBatch)
 
 
 class _Plan:
@@ -288,6 +341,65 @@ def _measure_frozen_map(value: FrozenMap) -> Tuple[int, bool]:
     return size, immutable
 
 
+#: Wire bytes of a :class:`LabelBatch` before its entries: the label-order
+#: digest and the entry count.
+LABEL_BATCH_HEADER = DIGEST_SIZE + 4
+
+
+@functools.lru_cache(maxsize=None)
+def _record_fields(record: type) -> Callable[[Any], Tuple[Any, ...]]:
+    """A record class's three field values, in field order, as one call."""
+    if not (
+        dataclasses.is_dataclass(record)
+        and record.__dataclass_params__.frozen
+        and len(dataclasses.fields(record)) == 3
+    ):
+        raise TypeError(f"a record must be a frozen dataclass of three fields, got {record!r}")
+    return attrgetter(*(f.name for f in dataclasses.fields(record)))
+
+
+def _measure_label_batch(value: LabelBatch) -> Tuple[int, bool]:
+    """The positional wire size, remembered as a ``FrozenMap``'s is.
+
+    Per label: a record for it is its marker and 16 bytes; anything else its
+    marker and its canonical bytes (an unencodable value, which no wire
+    carries, its estimate).  A record for its label is deep-immutable (a
+    frozen class holding a ``str`` and two floats); anything else passes the
+    immutability gate through its own plan.  The record test is unrolled for
+    the three fields: it runs on every entry of every batch a round builds.
+    """
+    cached = getattr(value, WIRE_SIZE_ATTR, None)
+    if cached is not None:
+        return cached, True
+    plans = _PLANS
+    fields_of = {record: _record_fields(record) for record in value.records}
+    size = LABEL_BATCH_HEADER + len(value)
+    immutable = True
+    for label, entry in value.items():
+        fields = fields_of.get(type(entry))
+        if fields is not None:
+            ident, first, second = fields(entry)
+            if (
+                type(first) is float is type(second)
+                and type(ident) is str
+                and ident == label.partition(":")[2]
+            ):
+                size += 16
+                continue
+        plan = plans[type(entry)]
+        entry_size, entry_immutable = plan.measure(entry)
+        try:
+            entry_size = len(plan.encode(entry))
+        except UnsupportedPayloadError:
+            pass
+        size += entry_size
+        if not entry_immutable:
+            immutable = False
+    if immutable:
+        memoise(value, WIRE_SIZE_ATTR, size)
+    return size, immutable
+
+
 # -- dataclasses ---------------------------------------------------------------
 def _dataclass_plan(cls: type) -> _Plan:
     """Compile the plan of a dataclass: a tagged dict of its fields.
@@ -377,6 +489,7 @@ _UNSUPPORTED_PLAN = _Plan(_encode_unsupported, _measure_unsupported)
 # The exact class only: a subclass may hand the mutators back, so it compiles
 # to the plain dict plan like any other dict subclass.
 _PLANS[FrozenMap] = _Plan(_encode_dict, _measure_frozen_map)
+_PLANS[LabelBatch] = _Plan(_encode_dict, _measure_label_batch)
 _PLANS[Digest] = _Plan(_encode_digest, _measure_digest)
 
 

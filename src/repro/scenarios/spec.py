@@ -566,12 +566,45 @@ def _retired(kind: type, key: str, value: Any, path: str) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _nested_specs(kind: type) -> Dict[str, type]:
-    """The fields of ``kind`` that hold a nested spec table: name -> its class."""
-    return {
-        name: hint
-        for name, hint in typing.get_type_hints(kind).items()
-        if isinstance(hint, type) and dataclasses.is_dataclass(hint)
-    }
+    """The fields of ``kind`` that hold a nested spec table, optional or not
+    (``config``, an audit's ``base`` / ``recovery``): name -> its class.  A
+    component (a class with ``from_value``: ``mechanism``, ``latency``, ...)
+    is a value, not a table of its own."""
+    nested: Dict[str, type] = {}
+    for name, hint in typing.get_type_hints(kind).items():
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is Union and len(args) == 2 and type(None) in args:
+            hint = args[0] if args[1] is type(None) else args[1]
+        if dataclasses.is_dataclass(hint) and not hasattr(hint, "from_value"):
+            nested[name] = hint
+    return nested
+
+
+def _table(kind: type, key: str) -> Optional[type]:
+    """The nested spec class a dotted ``key`` of a ``kind`` spec names, if any."""
+    for name in key.split("."):
+        nested = _nested_specs(kind).get(name)
+        if nested is None:
+            return None
+        kind = nested
+    return kind
+
+
+def _flatten(kind: type, overrides: Mapping[str, Any], prefix: str = "") -> List[Tuple[str, Any]]:
+    """``overrides`` on a ``kind`` spec as ``(dotted path, value)`` pairs.
+
+    A table value for a nested spec table is one path per entry, so it merges
+    into the table it names (``{"config": {"k": 1}}`` is ``config.k = 1``);
+    anything else, a component table included, is one value.
+    """
+    pairs: List[Tuple[str, Any]] = []
+    for key, value in overrides.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict) and _table(kind, path) is not None:
+            pairs.extend(_flatten(kind, value, f"{path}."))
+        else:
+            pairs.append((path, value))
+    return pairs
 
 
 def retired_rows(kind: type = ScenarioSpec, path: str = "") -> Dict[str, Tuple[Any, str, str]]:
@@ -586,13 +619,9 @@ def retired_rows(kind: type = ScenarioSpec, path: str = "") -> Dict[str, Tuple[A
 def _retired_at(kind: type, key: str, value: Any, path: str) -> bool:
     """:func:`_retired` for a dotted ``key`` of a ``kind`` spec (what a sweep
     point or axis names), asked of the nested spec class that owns its last part."""
-    *owners, last = key.split(".")
-    for name in owners:
-        owner = _nested_specs(kind).get(name)
-        if owner is None:
-            return False
-        kind = owner
-    return _retired(kind, last, value, path)
+    owners, _, last = key.rpartition(".")
+    owner = _table(kind, owners) if owners else kind
+    return owner is not None and _retired(owner, last, value, path)
 
 
 def spec_from_dict(data: Any, kind: type = ScenarioSpec, path: str = "") -> Any:
@@ -668,16 +697,24 @@ def parse_assignments(assignments: Iterable[str]) -> Dict[str, Any]:
     return overrides
 
 
-def apply_overrides(data: Dict[str, Any], overrides: Mapping[str, Any]) -> Dict[str, Any]:
-    """Apply dotted-path overrides to a spec mapping, returning a new mapping.
+def apply_overrides(
+    data: Dict[str, Any], overrides: Mapping[str, Any], kind: type = ScenarioSpec
+) -> Dict[str, Any]:
+    """Apply dotted-path overrides to a ``kind`` spec mapping, returning a new mapping.
 
     ``{"config.k": 2}`` sets ``data["config"]["k"] = 2``, creating intermediate
     tables as needed.  A path that traverses a non-table value is an error.
     Component shorthands are normalised first, so ``mechanism.epsilon=0.5``
     works even when the spec says just ``mechanism = "standard"``.
+
+    A table value merges into a nested spec table: ``{"config": {"k": 1}}``
+    is ``config.k = 1`` and keeps the other ``config`` keys (:func:`_flatten`).
+    A component table (``mechanism``, ``workload``, ``latency``,
+    ``topology``) replaces the one it names, since a new ``kind`` takes new
+    parameters.
     """
     result = json.loads(json.dumps(data)) if data else {}
-    for path, value in overrides.items():
+    for path, value in _flatten(kind, overrides):
         parts = path.split(".")
         cursor = result
         for i, part in enumerate(parts[:-1]):
@@ -704,7 +741,7 @@ def spec_with_overrides(spec: Any, overrides: Mapping[str, Any]) -> Any:
     """
     if not overrides:
         return spec
-    return spec_from_dict(apply_overrides(spec_to_dict(spec), overrides), type(spec))
+    return spec_from_dict(apply_overrides(spec_to_dict(spec), overrides, type(spec)), type(spec))
 
 
 # ------------------------------------------------------------------------- sweeps --
@@ -748,17 +785,33 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        # A point names (dotted) base-spec paths: a retired one is dropped or
-        # refused here, so it never reaches the sweep's canonical form.
+        # A point names (dotted) base-spec paths, a nested spec table's as
+        # one path per entry: a retired one is dropped or refused here, so it
+        # never reaches the sweep's canonical form.
         base = type(self.base)
         points = tuple(
-            {k: v for k, v in point.items() if not _retired_at(base, k, v, f"points[{i}].{k}")}
+            {
+                k: v
+                for k, v in _flatten(base, point)
+                if not _retired_at(base, k, v, f"points[{i}].{k}")
+            }
             for i, point in enumerate(self.points)
         )
         object.__setattr__(self, "points", points)
-        # So does an axis; one holding only the retired value is dropped whole.
+        # So does an axis; one holding only the retired value is dropped
+        # whole, and a table value loses its retired entries.
+        def settled(key: str, value: Any) -> Any:
+            table = _table(base, key) if isinstance(value, dict) else None
+            if table is None:
+                return value
+            return {
+                k: v
+                for k, v in _flatten(table, value)
+                if not _retired_at(table, k, v, f"axes.{key}.{k}")
+            }
+
         axes = tuple(
-            (key, values)
+            (key, tuple(settled(key, value) for value in values))
             for key, values in self.axes
             if not all(_retired_at(base, key, v, f"axes.{key}") for v in values)
         )

@@ -8,6 +8,8 @@ from tests.conftest import run_block_network
 from tests.consensus.rational_consensus import RationalConsensusBlock
 
 from repro.auctions.base import UserBid
+from repro.auctions.double_auction import DoubleAuction
+from repro.community.workload import DoubleAuctionWorkload
 from repro.common import ABORT
 from repro.consensus import multi_consensus
 from repro.consensus.multi_consensus import (
@@ -15,6 +17,8 @@ from repro.consensus.multi_consensus import (
     digest_echo,
     majority_decision,
 )
+from repro.core.config import FrameworkConfig
+from repro.core.framework import DistributedAuctioneer
 from repro.net import serialization
 from repro.net.scheduler import RandomScheduler
 from repro.net.serialization import DIGEST_SIZE, Digest, FrozenMap, estimate_size
@@ -282,6 +286,27 @@ class TestDigestEcho:
         assert echo["p0"] is small
         assert type(echo["p1"]) is Digest and echo["p1"] == Digest(large)
         assert estimate_size(echo) < estimate_size({"p0": small, "p1": large})
+
+    @pytest.mark.parametrize("m", (3, 5, 8))
+    def test_an_honest_round_builds_one_digest_per_echo(self, m):
+        # Counted: every provider holds the one batch ``run_from_bids`` shares,
+        # so each of the m echoes digests it once — m digests, not m².
+        providers = [f"p{i}" for i in range(m)]
+        bids = DoubleAuctionWorkload(seed=m).generate(30, m, provider_ids=providers)
+        built = []
+
+        def counted(value):
+            built.append(value)
+            return Digest(value)
+
+        auctioneer = DistributedAuctioneer(
+            DoubleAuction(), providers=providers, config=FrameworkConfig(k=(m - 1) // 2), seed=1
+        )
+        with mock.patch.object(serialization, "Digest", counted):
+            report = auctioneer.run_from_bids(bids)
+        assert not report.aborted
+        assert len(built) == m
+        assert all(batch is built[0] for batch in built)
 
     def test_an_echo_of_full_batches_is_a_deviation(self):
         def old_form(recipient, echo):

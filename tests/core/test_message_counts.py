@@ -19,13 +19,18 @@ from repro.auctions.standard_auction import StandardAuction
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.consensus.multi_consensus import BatchedConsensusBlock
 from repro.core.allocator import assign_provider_groups, transfer_messages
-from repro.core.bid_agreement import agreement_bytes, agreement_messages
+from repro.core.bid_agreement import (
+    BidAgreementBlock,
+    agreement_batch,
+    agreement_bytes,
+    agreement_messages,
+)
 from repro.core.common_coin import coin_messages
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
 from repro.core.input_validation import InputValidationBlock, validation_messages
 from repro.net.protocol import TAG_SEPARATOR
-from repro.net.serialization import FrozenMap, estimate_size
+from repro.net.serialization import estimate_size
 from repro.scenarios import ScenarioSpec, figure4_sweep, run_scenario, run_sweep
 
 #: Every (m, k) with m = 3..9 and m > 2k.
@@ -116,10 +121,7 @@ def double_round_bytes(n, m):
         seed=1,
     ).run_from_bids(bids)
     assert not report.aborted
-    batch = FrozenMap(
-        [(f"user:{bid.user_id}", bid) for bid in bids.users]
-        + [(f"ask:{ask.provider_id}", ask) for ask in bids.providers]
-    )
+    batch = agreement_batch(*bids.by_id(), bids.user_ids, bids.provider_ids)
     pairs = m * (m - 1)
     ba, iv = "framework/ba/batch", "framework/alloc/iv"
     envelopes = pairs * (
@@ -130,6 +132,16 @@ def double_round_bytes(n, m):
     assert report.stats.bytes_delivered == agreement + validation
     value_round = pairs * (envelope(ba, BatchedConsensusBlock.VALUE) + estimate_size(batch))
     return report.stats.bytes_delivered - value_round - validation
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (30, 5), (300, 8)])
+@pytest.mark.parametrize("mechanism", ["double", "standard"])
+def test_an_honest_batch_is_17_bytes_a_bid_and_an_ask(mechanism, n, m):
+    # §4.1's 128 bits a bid: the batch is a 36-byte digest of the label order,
+    # a 4-byte count, then a 1-byte marker and two float64s per bid and ask.
+    bids = MECHANISMS[mechanism][1](seed=n).generate(n, m)
+    block = BidAgreementBlock("ba", bids.user_ids, bids.provider_ids, *bids.by_id())
+    assert estimate_size(block._my_inputs()) == 36 + 4 + 17 * (n + m)
 
 
 @pytest.mark.parametrize("m", (3, 5, 7))

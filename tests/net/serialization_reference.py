@@ -10,17 +10,23 @@ byte-identical encodings and equal sizes against them.
 Two deliberate deviations: ``UnsupportedPayloadError`` is the production class,
 so both sides raise the same exception type; and the size memo sits under its
 own attribute name, so neither side ever answers from the other's memo.
+
+``encode_label_batch`` / ``decode_label_batch`` write and read the positional
+wire form of an agreement batch (``repro.net.serialization.LabelBatch``) as
+real bytes, so that a batch's ``estimate_size`` can be held to the length of
+an encoding a receiver can actually read back.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import struct
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.net.serialization import UnsupportedPayloadError
 
-__all__ = ["canonical_encode", "estimate_size"]
+__all__ = ["canonical_encode", "decode_label_batch", "encode_label_batch", "estimate_size"]
 
 #: Per-type cache of (field names, frozen?) — ``dataclasses.fields`` is expensive
 #: and payload types are few, while payload *instances* number in the hundreds of
@@ -181,3 +187,120 @@ def _estimate(value: Any) -> Tuple[int, bool]:
                 pass  # __slots__ without room for the memo
         return size, immutable
     return len(repr(value)), False
+
+
+# -- the positional wire form of an agreement batch ----------------------------------
+def _label_order(labels: Iterable[str]) -> bytes:
+    """The header: a length-prefixed SHA-256 of the sorted labels, then their count."""
+    ordered = sorted(labels)
+    digest = hashlib.sha256(canonical_encode(tuple(ordered))).digest()
+    return len(digest).to_bytes(4, "big") + digest + len(ordered).to_bytes(4, "big")
+
+
+def _label_id(label: str) -> str:
+    return label.split(":", 1)[1] if ":" in label else ""
+
+
+def _record_floats(value: Any, label: str, records: Sequence[type]):
+    """The floats ``value`` travels as, if it is a record for ``label``; else ``None``."""
+    if type(value) not in records:
+        return None
+    names = [f.name for f in dataclasses.fields(value)]
+    ident, rest = getattr(value, names[0]), [getattr(value, name) for name in names[1:]]
+    if type(ident) is not str or ident != _label_id(label):
+        return None
+    if not all(type(item) is float for item in rest):
+        return None
+    return rest
+
+
+def encode_label_batch(batch: Mapping[str, Any], records: Sequence[type]) -> bytes:
+    """The bytes a batch over its own labels travels as.
+
+    The label-order header, then per label in sorted order: a record for the
+    label as ``1 + records.index(class)`` and its floats (big-endian
+    float64s), anything else as ``0`` and its canonical bytes.
+    """
+    records = list(records)
+    parts = [_label_order(batch)]
+    for label in sorted(batch):
+        value = batch[label]
+        floats = _record_floats(value, label, records)
+        if floats is None:
+            parts.append(b"\x00" + canonical_encode(value))
+        else:
+            marker = 1 + records.index(type(value))
+            parts.append(bytes([marker]) + struct.pack(f">{len(floats)}d", *floats))
+    return b"".join(parts)
+
+
+def decode_label_batch(
+    data: bytes,
+    labels: Iterable[str],
+    records: Sequence[type],
+    classes: Iterable[type] = (),
+) -> Dict[str, Any]:
+    """Read a batch the way a receiver holding ``labels`` does.
+
+    A canonical entry that holds a dataclass is rebuilt from ``records`` and
+    ``classes`` by class name.  Raises ``ValueError`` when the header names
+    another label set, or the bytes do not end where the last entry does.
+    """
+    labels = sorted(labels)
+    header = _label_order(labels)
+    if data[: len(header)] != header:
+        raise ValueError("the batch was built over another label set")
+    by_name = {cls.__name__: cls for cls in (*records, *classes)}
+    batch: Dict[str, Any] = {}
+    pos = len(header)
+    for label in labels:
+        marker = data[pos]
+        pos += 1
+        if marker:
+            record = records[marker - 1]
+            count = len(dataclasses.fields(record)) - 1
+            floats = struct.unpack_from(f">{count}d", data, pos)
+            pos += 8 * count
+            batch[label] = record(_label_id(label), *floats)
+        else:
+            batch[label], pos = _decode(data, pos, by_name)
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} bytes after the last entry")
+    return batch
+
+
+def _decode(data: bytes, pos: int, classes: Mapping[str, type]) -> Tuple[Any, int]:
+    """One value of :func:`canonical_encode`'s form, and where it ends.
+
+    The encoding is a normal form: lists and tuples both read as tuples,
+    numbers as what they encoded to, so re-encoding gives the same bytes.
+    """
+    tag = data[pos : pos + 1]
+    pos += 1
+    if tag == b"n":
+        return None, pos
+    if tag == b"f":
+        return struct.unpack_from(">d", data, pos)[0], pos + 8
+    if tag == b"c":
+        name, pos = _decode(data, pos, classes)
+        fields, pos = _decode(data, pos, classes)
+        return classes[name](**fields), pos
+    count = int.from_bytes(data[pos : pos + 4], "big")
+    pos += 4
+    if tag in (b"i", b"s", b"y"):
+        raw = data[pos : pos + count]
+        pos += count
+        if tag == b"i":
+            return int(raw.decode("ascii")), pos
+        return (raw.decode("utf-8") if tag == b"s" else raw), pos
+    if tag not in (b"l", b"e", b"d"):
+        raise ValueError(f"unknown tag {tag!r}")
+    items = []
+    for _ in range(count * (2 if tag == b"d" else 1)):
+        item, pos = _decode(data, pos, classes)
+        items.append(item)
+    if tag == b"l":
+        return tuple(items), pos
+    if tag == b"e":
+        return frozenset(items), pos
+    return dict(zip(items[::2], items[1::2])), pos

@@ -21,7 +21,9 @@ from tests.net import serialization_reference as reference
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
 from repro.net.serialization import (
+    LABEL_BATCH_HEADER,
     FrozenMap,
+    LabelBatch,
     UnsupportedPayloadError,
     canonical_encode,
     deep_immutable,
@@ -462,3 +464,161 @@ class TestFrozenMap:
         assert estimate_size(clone) == estimate_size(frozen)
         with pytest.raises(TypeError):
             clone["x"] = 1
+
+
+# -- the agreement batch's positional wire form ---------------------------------------
+RECORDS = (UserBid, ProviderAsk)
+#: What a canonical (marker 0) entry may hold besides a record class.
+CLASSES = (Frozen, FrozenChild, Mutable, Slotted)
+ids = st.text(alphabet="abz019:/é", min_size=1, max_size=4)
+garbage = st.recursive(
+    hashable_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.frozensets(hashables, max_size=3),
+        st.dictionaries(text, children, max_size=3),
+        st.dictionaries(hashables, children, max_size=2),
+        st.builds(Frozen, children, children),
+        st.builds(Mutable, children, children),
+    ),
+    max_leaves=8,
+)
+
+
+def entries(ident):
+    """What a batch may hold for the label of ``ident``: well-formed or not."""
+    others = ids.filter(lambda other: other != ident)
+    return st.one_of(
+        st.builds(UserBid, st.just(ident), floats, floats),
+        st.builds(ProviderAsk, st.just(ident), floats, floats),
+        st.builds(UserBid, others, floats, floats),  # a bid naming another user
+        st.builds(UserBid, st.just(ident), integers, floats),  # an int field
+        st.builds(ProviderAsk, st.just(ident), floats, st.booleans()),
+        st.builds(UserBid, st.just(ident), floats, st.none()),
+        st.none(),
+        st.sampled_from([0, 1]),  # a per-bit value
+        garbage,
+    )
+
+
+@st.composite
+def label_batches(draw):
+    batch = {}
+    for prefix in ("user:", "ask:"):
+        for ident in draw(st.lists(ids, unique=True, max_size=5)):
+            batch[prefix + ident] = draw(entries(ident))
+    return LabelBatch(batch, RECORDS)
+
+
+def assert_round_trips(batch):
+    """The oracle's bytes are as long as the codec says, and read back to the batch."""
+    wire = reference.encode_label_batch(batch, RECORDS)
+    for _ in range(2):  # the second answer may come from the memo
+        assert estimate_size(batch) == len(wire)
+    decoded = reference.decode_label_batch(wire, batch, RECORDS, CLASSES)
+    assert list(decoded) == sorted(batch)
+    # Bytes, not ``==``: a NaN is not equal to itself.
+    assert canonical_encode(decoded) == canonical_encode(batch)
+
+
+class TestLabelBatch:
+    """A batch travels by position over labels every receiver already holds."""
+
+    @given(label_batches())
+    @settings(max_examples=300)
+    def test_the_wire_form_is_as_long_as_its_size_and_reads_back(self, batch):
+        assert_round_trips(batch)
+
+    @pytest.mark.parametrize(
+        "entry, cost",
+        [
+            (UserBid("u1", 1.5, 2.0), 17),
+            (UserBid("u1", float("nan"), float("-inf")), 17),
+            (UserBid("u1", -0.0, 2.0), 17),
+            (ProviderAsk("u1", 0.5, 3.0), 17),  # a record of the other class, for this id
+            (UserBid("u2", 1.5, 2.0), None),  # names another user
+            (UserBid("u1", 1, 2.0), None),  # an int field
+            (UserBid("u1", 1.5, True), None),
+            (UserBid(Label("u1"), 1.5, 2.0), None),  # an id that is not exactly a str
+            (None, 2),
+            (0, None),
+            ("garbage", None),
+            ({"user:u1": UserBid("u1", 1.5, 2.0)}, None),
+        ],
+        ids=repr,
+    )
+    def test_each_entry_costs_its_marker_and_its_floats_or_its_bytes(self, entry, cost):
+        batch = LabelBatch({"user:u1": entry, "ask:p0": ProviderAsk("p0", 0.5, 3.0)}, RECORDS)
+        if cost is None:
+            cost = 1 + len(canonical_encode(entry))
+        assert estimate_size(batch) == LABEL_BATCH_HEADER + cost + 17
+        assert_round_trips(batch)
+
+    def test_an_honest_batch_is_17_bytes_a_bid_and_an_ask(self):
+        n, a = 300, 8
+        batch = LabelBatch(
+            [(f"user:u{i:04d}", UserBid(f"u{i:04d}", 1.0 + i, 2.0)) for i in range(n)]
+            + [(f"ask:p{j}", ProviderAsk(f"p{j}", 0.5, 10.0)) for j in range(a)],
+            RECORDS,
+        )
+        assert estimate_size(batch) == 36 + 4 + 17 * (n + a)
+        assert estimate_size(FrozenMap(batch)) == reference.estimate_size(dict(batch))
+        assert estimate_size(batch) < estimate_size(FrozenMap(batch)) / 2
+
+    def test_a_batch_over_another_label_set_fails_on_the_header(self):
+        batch = LabelBatch({"user:u1": UserBid("u1", 1.0, 2.0), "ask:p0": None}, RECORDS)
+        wire = reference.encode_label_batch(batch, RECORDS)
+        for labels in (["user:u1"], ["user:u1", "ask:p1"], ["user:u1", "ask:p0", "ask:p1"]):
+            with pytest.raises(ValueError, match="another label set"):
+                reference.decode_label_batch(wire, labels, RECORDS)
+
+    def test_it_encodes_and_compares_as_the_dict_it_holds(self):
+        contents = {"user:u1": UserBid("u1", 1.0, 2.0), "ask:p0": None}
+        batch = LabelBatch(contents, RECORDS)
+        assert batch == contents and contents == batch and batch == FrozenMap(contents)
+        assert canonical_encode(batch) == reference.canonical_encode(contents)
+        # A deviant's plain dict of the same entries is sized as a keyed dict.
+        assert estimate_size(dict(batch)) == reference.estimate_size(contents)
+        with pytest.raises(TypeError, match="FrozenMap"):
+            batch["user:u1"] = None
+
+    def test_a_subclass_is_measured_as_a_plain_dict(self):
+        class Thawed(LabelBatch):
+            __slots__ = ()
+
+        thawed = Thawed({"user:u1": UserBid("u1", 1.0, 2.0)}, RECORDS)
+        assert estimate_size(thawed) == reference.estimate_size(dict(thawed))
+
+    def test_a_batch_holding_a_list_is_measured_again(self):
+        grows = [1]
+        batch = LabelBatch({"user:u1": grows}, RECORDS)
+        size = estimate_size(batch)
+        grows.append(2)
+        assert estimate_size(batch) > size
+        assert not hasattr(batch, SIZE_MEMO)
+        assert_round_trips(batch)
+
+    @pytest.mark.parametrize(
+        "contents, records",
+        [
+            ({1: None}, RECORDS),
+            ({"user:u1": None}, (Mutable,)),  # not frozen
+            ({"user:u1": None}, (dict,)),
+            ({"user:u1": None}, (Slotted,)),  # two fields, not an id and two numbers
+        ],
+        ids=["int-key", "mutable-record", "not-a-dataclass", "two-fields"],
+    )
+    def test_keys_are_strings_and_records_frozen_dataclasses(self, contents, records):
+        with pytest.raises(TypeError):
+            LabelBatch(contents, records)
+
+    @pytest.mark.parametrize(
+        "roundtrip", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+    )
+    def test_copies_and_pickles_keep_the_wire_form(self, roundtrip):
+        batch = LabelBatch({"user:u1": UserBid("u1", 1.0, 2.0)}, RECORDS)
+        size = estimate_size(batch)
+        clone = roundtrip(batch)
+        assert type(clone) is LabelBatch and clone.records == RECORDS
+        assert clone == batch and estimate_size(clone) == size

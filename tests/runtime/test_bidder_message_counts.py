@@ -18,13 +18,13 @@ import pytest
 from repro.auctions.double_auction import DoubleAuction
 from repro.community.workload import DoubleAuctionWorkload
 from repro.consensus.multi_consensus import BatchedConsensusBlock
-from repro.core.bid_agreement import agreement_bytes
+from repro.core.bid_agreement import agreement_batch, agreement_bytes
 from repro.core.config import FrameworkConfig
 from repro.core.input_validation import InputValidationBlock, validation_messages
 from repro.net.latency import BandwidthLatencyModel
 from repro.net.protocol import TAG_SEPARATOR
 from repro.net.scheduler import FairScheduler
-from repro.net.serialization import Digest, FrozenMap, estimate_size
+from repro.net.serialization import Digest, estimate_size
 from repro.runtime.auction_run import AuctionRun
 from repro.runtime.bidder import (
     BID_TAG,
@@ -115,10 +115,7 @@ def test_an_honest_round_sends_the_bytes_the_formulas_say(n, m, k):
     assert {tag: sent[tag] for tag in rows} == rows
     # The whole round: the three rows, the batched agreement (value + echo)
     # and one 64-hex announcement per ordered pair in input validation.
-    batch = FrozenMap(
-        [(f"user:{bid.user_id}", bid) for bid in bids.users]
-        + [(f"ask:{ask.provider_id}", ask) for ask in bids.providers]
-    )
+    batch = agreement_batch(*bids.by_id(), bids.user_ids, bids.provider_ids)
     ba, iv = "framework/ba/batch", "framework/alloc/iv"
     agreement = agreement_bytes(batch, bids.provider_ids) + m * (m - 1) * (
         envelope(ba, BatchedConsensusBlock.VALUE) + envelope(ba, BatchedConsensusBlock.ECHO)

@@ -22,8 +22,10 @@ fingerprints pinned here are those of the forms without them.  Five locks:
   reads, and its resume is refused naming ``engine``;
 * ``data/fig4_quick_config_parent.jsonl`` — what ``sweep --spec
   examples/specs/fig4_quick.json --output …`` wrote while ``config`` still
-  held the two switches — reads, its records are what this build computes,
-  and its resume is refused naming both retired ``config`` paths;
+  held the two switches — reads, its records are what this build computes
+  but for ``bytes`` and ``elapsed_seconds`` (a distributed round's fell when
+  a batch began to travel by position), and its resume is refused naming
+  both retired ``config`` paths;
 * a journal that ends in a ``quarantine`` line (what a crash-tolerant
   executor, since removed, wrote for a cell it gave up on) still reads, and
   resumes that cell.
@@ -70,6 +72,28 @@ SHIPPED = [
     ("vr_sessions.toml", None, "9351f285335555010751def027e2ae7d1ad30a48dfcaece6000f7ed3ac9356e5"),
     ("vr_sweep.toml", None, "a9898194e151b627df3aeb9ff770c84792925de6f072e1e6472708da6f545a8d"),
 ]
+
+
+def assert_same_outcome_on_fewer_bytes(journaled, sweep):
+    """``journaled`` is what this build computes for ``sweep``, but for bytes and time.
+
+    The agreement batch's positional wire form (a bid is its two float64s)
+    cut the bytes of every distributed round, and so the modelled time of a
+    bandwidth-latency one; nothing else of a record moved, and no record's
+    bytes rose.
+    """
+    computed = run_sweep(sweep).records
+
+    def outcome(record):
+        data = record.to_dict()
+        del data["bytes"], data["elapsed_seconds"]
+        return data
+
+    assert [outcome(r) for r in journaled] == [outcome(r) for r in computed]
+    for old, new in zip(journaled, computed):
+        assert new.bytes_transferred <= old.bytes_transferred
+        if old.runner == "distributed":
+            assert new.bytes_transferred < old.bytes_transferred
 
 
 def test_every_shipped_spec_file_is_pinned():
@@ -133,9 +157,10 @@ def test_a_figure5_journal_written_with_an_engine_reads_but_does_not_resume(tmp_
     manifest, records = ResultsStore(str(journal)).read()
     assert manifest == lines[0]
     assert records == journaled
-    # The journal's records are what this build computes for the same sweep.
+    # The journal's records are what this build computes for the same sweep,
+    # on fewer bytes.
     sweep = load_spec(SPECS / "fig5.toml", SweepSpec)
-    assert [records[cell] for cell in sorted(records)] == run_sweep(sweep).records
+    assert_same_outcome_on_fewer_bytes([records[cell] for cell in sorted(records)], sweep)
 
     with pytest.raises(SpecError) as refused:
         run_sweep(sweep, store=str(journal), resume=True)
@@ -158,9 +183,9 @@ def test_a_journal_written_with_the_config_switches_reads_but_does_not_resume(tm
     manifest, records = ResultsStore(str(journal)).read()
     assert manifest == lines[0]
     assert records == journaled
-    # Retiring the switches moved the fingerprint, not a record.
+    # Retiring the switches moved the fingerprint, not a record's outcome.
     sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
-    assert [records[cell] for cell in sorted(records)] == run_sweep(sweep).records
+    assert_same_outcome_on_fewer_bytes([records[cell] for cell in sorted(records)], sweep)
 
     with pytest.raises(SpecError) as refused:
         run_sweep(sweep, store=str(journal), resume=True)

@@ -260,6 +260,27 @@ def test_an_axis_of_the_accepted_value_is_dropped_from_the_sweep(tmp_path, key):
     assert only.axes == () and only.scenarios() == [spec_from_dict(SCENARIO)]
 
 
+@pytest.mark.parametrize("key", [key for key in KEYS if key.startswith("config.")])
+def test_a_retired_path_inside_a_table_value_is_seen(key):
+    # ``{"config": {...}}`` in a point, an axis or an override is the dotted
+    # paths it holds: the retired one is dropped, or refused at its own path.
+    leaf = key.rsplit(".", 1)[-1]
+    plain = spec_from_dict(SCENARIO)
+    accepted, refused = ({"k": 1, leaf: value} for value in (_accepted(key), _refused(key)))
+    sweep = SweepSpec(base=plain, points=({"users": 5, "config": accepted},))
+    assert sweep.points == ({"users": 5, "config.k": 1},)
+    assert leaf not in json.dumps(spec_to_dict(sweep))
+    axis = SweepSpec(base=plain, axes=(("config", (accepted, {"k": 1})),))
+    assert axis.axes == (("config", ({"k": 1}, {"k": 1})),)
+    assert spec_with_overrides(plain, {"config": accepted}) == plain
+    with pytest.raises(SpecError, match=rf"^{_at(f'points[0].{key}')}: retired after"):
+        SweepSpec(base=plain, points=({"config": refused},))
+    with pytest.raises(SpecError, match=rf"^{_at(f'axes.{key}')}: retired after"):
+        SweepSpec(base=plain, axes=(("config", (refused,)),))
+    with pytest.raises(SpecError, match=rf"^{_at(key)}: retired after"):
+        spec_with_overrides(plain, {"config": refused})
+
+
 # ---------------------------------------------------------------------- CLI --
 @pytest.mark.parametrize(
     "argv, path",

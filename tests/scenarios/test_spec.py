@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.net.faults import RecoveryPolicy
+from repro.scenarios import ChaosSpec
 from repro.scenarios.spec import (
     BidderSpec,
     ComponentSpec,
@@ -218,6 +220,38 @@ class TestOverrides:
     def test_apply_overrides_refuses_scalar_traversal(self):
         with pytest.raises(SpecError, match=r"users"):
             apply_overrides({"users": 5}, {"users.deep": 1})
+
+    def test_a_table_value_merges_into_a_nested_spec_table(self):
+        data = {"config": {"k": 2, "parallel": True, "num_groups": 1}, "users": 9}
+        merged = apply_overrides(data, {"config": {"k": 1}})
+        assert merged["config"] == {"k": 1, "parallel": True, "num_groups": 1}
+        assert apply_overrides({}, {"config": {"k": 1}}) == {"config": {"k": 1}}
+        base = spec_from_dict({"mechanism": "standard", "providers": 8, "config": data["config"]})
+        point = SweepSpec(base=base, points=({"config": {"k": 1}},))
+        assert point.points == ({"config.k": 1},)
+        assert point.scenarios()[0].config == ConfigSpec(k=1, parallel=True, num_groups=1)
+        axis = SweepSpec(base=base, axes=(("config", ({"k": 1}, {"k": 3})),))
+        assert [s.config for s in axis.scenarios()] == [
+            ConfigSpec(k=1, parallel=True, num_groups=1),
+            ConfigSpec(k=3, parallel=True, num_groups=1),
+        ]
+
+    def test_an_audit_table_value_merges_too(self):
+        recovery = RecoveryPolicy(max_retries=5, base_backoff=0.1)
+        audit = ChaosSpec(faults=("loss",), recovery=recovery)
+        merged = spec_with_overrides(audit, {"recovery": {"max_retries": 2}, "base": {"users": 7}})
+        assert merged.recovery == RecoveryPolicy(max_retries=2, base_backoff=0.1)
+        assert merged.base == spec_with_overrides(audit.base, {"users": 7})
+
+    def test_a_component_table_value_replaces_the_component(self):
+        # A new kind takes new parameters: nothing of the old table is kept.
+        data = {"mechanism": {"kind": "standard", "epsilon": 0.5}}
+        replaced = apply_overrides(data, {"mechanism": {"kind": "greedy"}})
+        assert replaced["mechanism"] == {"kind": "greedy"}
+        spec = spec_from_dict({"latency": {"kind": "constant", "delay": 0.5}})
+        assert spec_with_overrides(spec, {"latency": {"kind": "zero"}}).latency == ComponentSpec(
+            "zero"
+        )
 
     def test_spec_with_overrides_revalidates(self):
         spec = ScenarioSpec()
