@@ -9,8 +9,11 @@ running time.  Welfare maximisation under the single-provider constraint is the
 multiple-knapsack problem, which is NP-hard; the original algorithm is a randomised
 (1−ε)-approximation with complexity ≈ O(m·n⁹·(1/ε)²).
 
-This module implements a *substitute with the same computational and game-theoretic
-shape* (see DESIGN.md):
+This module implements a *substitute with the same computational shape* (see
+DESIGN.md) — but, unlike the original, it is **not truthful**: Clarke pivots over an
+allocation that is not maximal-in-range admit profitable misreports, which
+``gametheory.check_truthfulness`` finds on small instances (DESIGN.md, "The mechanism
+being implemented"; ROADMAP item 21):
 
 * the allocation rule is a randomised smoothed greedy over value-density orders with
   ``restarts ≈ (1/ε)²`` independent perturbations followed by a pairwise local-search
@@ -168,8 +171,10 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         find a *better* solution than the one actually chosen, which would make the raw
         Clarke payment exceed the winner's declared value.  Payments are therefore
         clamped to the declared value of the allocated bundle, which restores
-        individual rationality (a standard fix for approximate-VCG mechanisms) at a
-        negligible cost in truthfulness.
+        individual rationality (a standard fix for approximate-VCG mechanisms).  It
+        does not restore truthfulness, which the approximate allocation already
+        lost: DESIGN.md, "The mechanism being implemented", lists the measured
+        profitable misreports (ROADMAP item 21).
 
         The re-solves themselves go through :meth:`_pivot_welfares`, the hook the
         vectorized engine overrides: its memo misses are one ``solve_batch`` call.

@@ -31,10 +31,9 @@ peer's echo, which a digest cannot stand in for, so that mode echoes batches.
 
 The decision rule makes each output the input of some provider and is a symmetric
 function of the agreed batches, so all correct providers decide identically.  The
-bid agreement chooses how many instances share one block: all labels (its
-``batched`` mode, one message per peer per round), one label per block
-(``per_label``) or one bid bit per block (``per_bit``, the paper's binary
-instances); ``tests/consensus/rational_consensus.py`` keeps an independent
+bid agreement runs every instance in one block, whose batch carries each bid as
+the 128 bits the paper's binary instances agree on (one message per peer per
+round); ``tests/consensus/rational_consensus.py`` keeps an independent
 single-value implementation the suite compares this block against.
 
 Batches are :class:`~repro.net.serialization.FrozenMap` values shared by reference: a
@@ -45,7 +44,7 @@ copying each batch on receipt and on echo made both a walk over ``m·n`` entries
 Honest providers of a round also share the :class:`LabelSet` their batch is
 checked against, and a relayed batch that *is* the receiver's own input —
 validated when the block started — is accepted by identity; any other object,
-however equal, gets the full label and validator check.
+however equal, gets the full label check.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from collections import Counter
 from operator import is_
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -166,7 +164,6 @@ class BatchedConsensusBlock(ProtocolBlock):
         labels: the full set of labels every provider must cover, or a prebuilt
             :class:`LabelSet` shared with other blocks; a received batch with a
             different label set is an observable deviation (⊥).
-        validator: optional per-value predicate applied to every received value.
         round_timeout: virtual-time budget per round (``None`` waits forever,
             the reliable-substrate default).  With a timeout, a round that does
             not fill its quorum in time closes with the batches/echoes received
@@ -188,7 +185,6 @@ class BatchedConsensusBlock(ProtocolBlock):
         name: str,
         my_inputs: Dict[str, Any],
         labels: Optional[Iterable[str]] = None,
-        validator: Optional[Callable[[Any], bool]] = None,
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
@@ -196,14 +192,13 @@ class BatchedConsensusBlock(ProtocolBlock):
         if not isinstance(labels, LabelSet):
             labels = label_set(my_inputs.keys() if labels is None else labels)
         self.labels, self._label_set = labels
-        self.validator = validator
         self.round_timeout = round_timeout
         self._batches: Dict[str, FrozenMap] = {}
         self._echoes: Dict[str, Mapping[str, Any]] = {}
         self._echo_sent = False
 
     # -- helpers -----------------------------------------------------------------
-    def _covers_labels(self, batch: Any) -> bool:
+    def _valid_batch(self, batch: Any) -> bool:
         """True if ``batch`` is a mapping over exactly the label set.
 
         Compared as sets, never sorted: the keys of a deviant's batch need not
@@ -214,13 +209,6 @@ class BatchedConsensusBlock(ProtocolBlock):
             and len(batch) == len(self.labels)
             and batch.keys() == self._label_set
         )
-
-    def _valid_batch(self, batch: Any) -> bool:
-        if not self._covers_labels(batch):
-            return False
-        if self.validator is not None:
-            return all(self.validator(value) for value in batch.values())
-        return True
 
     # -- protocol -----------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:
@@ -327,7 +315,7 @@ class BatchedConsensusBlock(ProtocolBlock):
             for provider, batch in echo.items():
                 known = merged.get(provider)
                 if known is None:
-                    if not self._covers_labels(batch):
+                    if not self._valid_batch(batch):
                         self.complete(ABORT)  # malformed view: observable deviation
                         return
                     merged[provider] = _frozen(batch)

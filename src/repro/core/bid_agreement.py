@@ -10,19 +10,11 @@ providers must therefore agree on a single vector of bids such that
   bid in the agreed vector.
 
 The paper implements this on top of the rational consensus of Afek et al., one binary
-consensus instance per bit of a per-bidder bit stream.  Every mode runs the one
-consensus block, :class:`~repro.consensus.multi_consensus.BatchedConsensusBlock`; a
-mode only decides how the label batch is split into blocks:
-
-* ``batched`` (the default) — one block over every label, so all instances share two
-  broadcast/echo rounds: the message pattern a real deployment uses, and the one the
-  benchmark harness exercises;
-* ``per_label`` — one single-label block per bidder (and per ask);
-* ``per_bit`` — the paper's faithful mode: one single-label block per bit of each
-  user bid, its values checked to be bits, plus one per ask.
-
-All three modes produce identical outputs when they terminate, and all three honour
-``round_timeout``.
+consensus instance per bit of a fixed 128-bit stream per bidder.  The agreement runs
+every instance in one :class:`~repro.consensus.multi_consensus.BatchedConsensusBlock`
+named ``batch``: its input is a :class:`~repro.net.serialization.LabelBatch` that
+carries each well-formed bid as exactly those 128 bits (its two float64s), and all the
+instances share one broadcast/echo pair.  The block honours ``round_timeout``.
 
 Whatever a bidder's misbehaviour, the agreed value for it is post-processed by the
 validity rule of §4.1: an invalid or missing bid is replaced by a pre-determined
@@ -34,7 +26,7 @@ travel through the same agreement under ``ask:`` labels.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.auctions.base import BidVector, ProviderAsk, UserBid
 from repro.auctions.validation import (
@@ -43,7 +35,6 @@ from repro.auctions.validation import (
     neutral_provider_ask,
 )
 from repro.common import ABORT, is_abort, memoise
-from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bid
 from repro.consensus.multi_consensus import (
     BatchedConsensusBlock,
     LabelSet,
@@ -54,7 +45,6 @@ from repro.net.protocol import BlockContext, ProtocolBlock
 from repro.net.serialization import (
     DERIVED_ATTR,
     FROZEN_MAPS,
-    FrozenMap,
     LabelBatch,
     estimate_size,
 )
@@ -62,13 +52,10 @@ from repro.obs.context import current_observation
 
 __all__ = [
     "BidAgreementBlock",
-    "AGREEMENT_MODES",
     "agreement_batch",
     "agreement_bytes",
     "agreement_messages",
 ]
-
-AGREEMENT_MODES = ("batched", "per_label", "per_bit")
 
 _USER_PREFIX = "user:"
 _ASK_PREFIX = "ask:"
@@ -84,11 +71,6 @@ def _kept_or_copied(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
     anything else — a caller's dict, a deviant's forged view — is copied.
     """
     return mapping if type(mapping) in FROZEN_MAPS else dict(mapping)
-
-
-def _is_bit(value: Any) -> bool:
-    """The per-bit mode's validator: a decided value is a bit (§4.1)."""
-    return value in (0, 1)
 
 
 def agreement_messages(m: int) -> int:
@@ -141,8 +123,7 @@ class BidAgreementBlock(ProtocolBlock):
             that user (or ``None`` / anything invalid if nothing usable arrived).
         received_provider_asks: mapping provider id -> the ask this provider received
             (its own ask included).
-        mode: ``"batched"`` (default), ``"per_label"`` or ``"per_bit"``.
-        round_timeout: per-round virtual-time budget of every consensus block
+        round_timeout: per-round virtual-time budget of the consensus block
             (see :class:`~repro.consensus.multi_consensus.BatchedConsensusBlock`).
     """
 
@@ -153,20 +134,15 @@ class BidAgreementBlock(ProtocolBlock):
         expected_providers: Sequence[str],
         received_user_bids: Mapping[str, Any],
         received_provider_asks: Mapping[str, Any],
-        mode: str = "batched",
         round_timeout: Optional[float] = None,
     ) -> None:
         super().__init__(name)
-        if mode not in AGREEMENT_MODES:
-            raise ValueError(f"unknown agreement mode {mode!r}; choose from {AGREEMENT_MODES}")
-        self.mode = mode
         self.round_timeout = round_timeout
         self.expected_users = sorted(expected_users)
         self.expected_providers = sorted(expected_providers)
         self.received_user_bids = _kept_or_copied(received_user_bids)
         self.received_provider_asks = _kept_or_copied(received_provider_asks)
-        self._decisions: Dict[str, Any] = {}
-        self._pending = 0
+        self._decisions: Mapping[str, Any] = {}
 
     # -- label helpers -------------------------------------------------------------
     def _labels(self) -> List[str]:
@@ -207,93 +183,30 @@ class BidAgreementBlock(ProtocolBlock):
 
     # -- protocol -------------------------------------------------------------------
     def on_start(self, ctx: BlockContext) -> None:
-        instances = self._instances()
-        # Set the pending counter *before* spawning: a child block can complete
-        # synchronously during activation (its peers' traffic may already be
-        # buffered), and its callback decrements the counter.
-        self._pending = len(instances)
-        for name, inputs, labels, validator in instances:
-            if self.done:
-                return
-            ctx.spawn(
-                name,
-                BatchedConsensusBlock(
-                    name,
-                    inputs,
-                    labels=labels,
-                    validator=validator,
-                    round_timeout=self.round_timeout,
-                ),
-                self._on_decided,
-            )
+        batch, labels = self._shared_input()
+        ctx.spawn(
+            "batch",
+            BatchedConsensusBlock("batch", batch, labels=labels, round_timeout=self.round_timeout),
+            self._on_decided,
+        )
 
     def on_message(self, ctx: BlockContext, sender: str, subtag: str, payload: Any) -> None:
-        # All traffic flows through child blocks; nothing is addressed to this block
-        # directly.
+        # All traffic flows through the child block; nothing is addressed to this
+        # block directly.
         return None
 
-    def _instances(
-        self,
-    ) -> List[Tuple[str, FrozenMap, Optional[LabelSet], Optional[Callable[[Any], bool]]]]:
-        """The consensus blocks of this mode: ``(name, inputs, labels, validator)``.
-
-        ``batched`` is one block named ``batch`` over the shared batch and label
-        set.  The faithful modes run one single-label block per instance, named
-        by its label: ``per_label`` one per label, ``per_bit`` one per bit of each
-        user bid (labels ``user:<id>/bitNNN``, values checked to be bits, §4.1)
-        and one per ask — the bit-stream construction targets the (user)
-        bidders, whose bids are the adversarial input, while the ask of a
-        provider is that provider's own protocol input.  A faithful block's
-        input is a keyed one-entry ``FrozenMap``: for one label, the positional
-        form's 40-byte header costs more than the key it saves.
-        """
-        batch, labels = self._shared_input()
-        if self.mode == "batched":
-            return [("batch", batch, labels, None)]
-        if self.mode == "per_label":
-            return [
-                (label, FrozenMap({label: value}), None, None)
-                for label, value in sorted(batch.items())
-            ]
-        instances = []
-        for uid in self.expected_users:
-            bid = coerce_user_bid(uid, self.received_user_bids.get(uid))
-            for position, bit in enumerate(bid_to_bits(bid.unit_value, bid.demand)):
-                label = f"{_USER_PREFIX}{uid}/bit{position:03d}"
-                instances.append((label, FrozenMap({label: bit}), None, _is_bit))
-        for pid in self.expected_providers:
-            label = f"{_ASK_PREFIX}{pid}"
-            instances.append((label, FrozenMap({label: batch[label]}), None, None))
-        return instances
-
     def _on_decided(self, block: ProtocolBlock) -> None:
-        """One consensus block decided; the last one assembles the vector.
+        """The consensus block decided: adopt its decision as it is and assemble.
 
-        The batched block's decision is adopted as it is — honest providers
-        decide one object and share what ``_assemble`` derives from it.  The
-        faithful modes merge their single-label decisions into a ``dict`` of
-        their own, and ``per_bit`` decodes each user's decided bits into a bid.
+        Honest providers decide one object and share what ``_assemble``
+        derives from it.
         """
         if self.done:
             return
         if is_abort(block.result):
             self.complete(ABORT)
             return
-        if self.mode == "batched":
-            self._decisions = block.result
-        else:
-            self._decisions.update(block.result)
-        self._pending -= 1
-        if self._pending:
-            return
-        if self.mode == "per_bit":
-            for uid in self.expected_users:
-                label = f"{_USER_PREFIX}{uid}"
-                bits = [
-                    self._decisions.pop(f"{label}/bit{position:03d}")
-                    for position in range(BID_BIT_LENGTH)
-                ]
-                self._decisions[label] = UserBid(uid, *bits_to_bid(bits))
+        self._decisions = block.result
         self._assemble()
 
     # -- assembly ---------------------------------------------------------------------
@@ -304,8 +217,7 @@ class BidAgreementBlock(ProtocolBlock):
         it is built once per decided *object*: honest providers of a batched
         round hold the same :class:`~repro.net.serialization.FrozenMap` and
         complete with the same vector.  Any other view — a majority decision,
-        a deviant's own container, the faithful modes' merged dict — is
-        another object and builds its own.
+        a deviant's own container — is another object and builds its own.
         """
         if self.done:
             return

@@ -8,7 +8,6 @@ from typing import Optional
 
 from repro.auctions.base import AllocationAlgorithm
 from repro.auctions.decomposable import DecomposableMechanism
-from repro.core.bid_agreement import AGREEMENT_MODES
 
 __all__ = ["ConfigError", "FrameworkConfig"]
 
@@ -19,8 +18,9 @@ _DECOMPOSABLE_KINDS = ("standard", "vcg")
 
 
 class ConfigError(ValueError):
-    """A configuration that ``m`` executing providers cannot run; ``field`` names
-    the setting at fault (a scenario spec reports it at ``config.<field>``)."""
+    """An invalid setting, or a configuration that ``m`` executing providers
+    cannot run; ``field`` names the setting at fault (a scenario spec reports it
+    at ``config.<field>``)."""
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(field, message)
@@ -50,34 +50,29 @@ class FrameworkConfig:
         num_groups: number of provider groups for the parallel allocator.  ``None``
             means the maximum level of parallelism ``p = ⌊m / (k+1)⌋`` (the value the
             paper's evaluation uses).
-        agreement_mode: ``"batched"`` (default), ``"per_label"`` or ``"per_bit"``;
-            see :class:`~repro.core.bid_agreement.BidAgreementBlock`.
         round_timeout: virtual-time budget per agreement round (``None``, the
             default, waits forever — the paper's reliable-substrate assumption).
-            When set, every consensus block of the bid agreement, in each
-            agreement mode, closes each round with the batches/echoes received
-            so far instead of hanging on a silent peer, and so do the
-            allocator's blocks; a round closed early marks the run *degraded*
-            (see :class:`~repro.core.outcome.Outcome`).
+            When set, the bid agreement's consensus block closes each round
+            with the batches/echoes received so far instead of hanging on a
+            silent peer, and so do the allocator's blocks; a round closed
+            early marks the run *degraded* (see
+            :class:`~repro.core.outcome.Outcome`).
     """
 
     k: int = 1
     parallel: bool = False
     num_groups: Optional[int] = None
-    agreement_mode: str = "batched"
     round_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.k < 0:
-            raise ValueError("k must be non-negative")
-        if self.agreement_mode not in AGREEMENT_MODES:
-            raise ValueError(
-                f"agreement_mode must be one of {AGREEMENT_MODES}, got {self.agreement_mode!r}"
-            )
+            raise ConfigError("k", "k must be non-negative")
         if self.num_groups is not None and self.num_groups < 1:
-            raise ValueError("num_groups must be positive when given")
+            raise ConfigError("num_groups", "num_groups must be positive when given")
         if self.round_timeout is not None and not 0 < self.round_timeout < math.inf:
-            raise ValueError("round_timeout must be a finite positive number when given")
+            raise ConfigError(
+                "round_timeout", "round_timeout must be a finite positive number when given"
+            )
 
     def check(self, num_providers: int, algorithm: AllocationAlgorithm) -> None:
         """Raise a :class:`ConfigError` unless ``num_providers`` executing

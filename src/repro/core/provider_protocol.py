@@ -85,7 +85,6 @@ class FrameworkBlock(ProtocolBlock):
                 expected_providers=sellers,
                 received_user_bids=self.provider_input.received_user_bids,
                 received_provider_asks=self.provider_input.received_provider_asks,
-                mode=self.config.agreement_mode,
                 round_timeout=self.config.round_timeout,
             ),
             self._on_agreement_done,

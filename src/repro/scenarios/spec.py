@@ -33,7 +33,7 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.core.config import FrameworkConfig
+from repro.core.config import ConfigError, FrameworkConfig
 
 __all__ = [
     "SpecError",
@@ -202,14 +202,13 @@ class ConfigSpec:
     Whether ``executors`` providers can run it is
     :meth:`FrameworkConfig.check <repro.core.config.FrameworkConfig.check>`'s
     call, made by :func:`~repro.scenarios.runner.check_round`.  The coin and
-    the quorum are rules, not settings: their old switches are retired paths
-    (:attr:`RETIRED`).
+    the quorum are rules, not settings, and the bid agreement has one form:
+    their old switches are retired paths (:attr:`RETIRED`).
     """
 
     k: int = 1
     parallel: bool = False
     num_groups: Optional[int] = None
-    agreement_mode: str = "batched"
     round_timeout: Optional[float] = None
 
     NOUN = "configuration"
@@ -217,6 +216,11 @@ class ConfigSpec:
     RETIRED = {
         "use_common_coin": (True, "fc23d76", "the common coin runs exactly when A is randomized"),
         "require_quorum": (True, "fc23d76", "m > 2k is a rule of the rational consensus"),
+        "agreement_mode": (
+            "batched",
+            "da19b2d",
+            "one agreement: the batch carries each bid's 128 bits",
+        ),
     }
 
     def __post_init__(self) -> None:
@@ -224,17 +228,17 @@ class ConfigSpec:
         self.to_config()  # validate eagerly: a frozen spec is always runnable
 
     def to_config(self) -> FrameworkConfig:
-        """Build the runtime configuration (re-validating the parameters)."""
+        """Build the runtime configuration (re-validating the parameters); a bad
+        value is a :class:`SpecError` at its field."""
         try:
             return FrameworkConfig(
                 k=self.k,
                 parallel=self.parallel,
                 num_groups=self.num_groups,
-                agreement_mode=self.agreement_mode,
                 round_timeout=self.round_timeout,
             )
-        except ValueError as exc:
-            raise SpecError("", str(exc)) from exc
+        except ConfigError as exc:
+            raise SpecError(exc.field, str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -75,18 +75,6 @@ class TestBatchedAgreement:
         assert outputs["p1"] == ABORT
         assert outputs["p2"] == ABORT
 
-    def test_validator_rejects_invalid_remote_values(self):
-        def factory(nid):
-            my = {"x": -1 if nid == "p1" else 1}
-            # Only the correct providers validate; the deviant broadcasts its
-            # invalid value and is caught.
-            validator = None if nid == "p1" else (lambda v: v > 0)
-            return BatchedConsensusBlock("b", my, labels=["x"], validator=validator)
-
-        outputs = run_block_network(["p0", "p1", "p2"], factory)
-        assert outputs["p0"] == ABORT
-        assert outputs["p2"] == ABORT
-
 
 class TestConsistencyWithPerInstanceConsensus:
     def test_batched_matches_per_label_decisions(self):
@@ -132,8 +120,8 @@ class TestConsistencyWithPerInstanceConsensus:
         ],
     )
     def test_a_single_label_block_decides_what_one_instance_decides(self, inputs):
-        """The faithful agreement modes run one single-label batched block per
-        instance: it must decide what the single-instance oracle decides."""
+        """A batch of one label is one consensus instance: it must decide what
+        the single-instance oracle decides."""
         providers = list(inputs)
         for seed in range(3):
             oracle = run_block_network(
@@ -240,6 +228,24 @@ class TestByzantineProvider:
             return {**echo, "p0": {1: 1, "x": 2}}
 
         outputs = run_with_deviant("echo", corrupt, round_timeout)
+        assert outputs["p1"] == ABORT
+        assert outputs["p2"] == ABORT
+
+    @TIMEOUTS
+    def test_value_batch_with_a_label_outside_the_set(self, round_timeout):
+        def extra(recipient, batch):
+            return {**batch, "z": 3}
+
+        outputs = run_with_deviant("value", extra, round_timeout)
+        assert outputs["p1"] == ABORT
+        assert outputs["p2"] == ABORT
+
+    @TIMEOUTS
+    def test_value_batch_missing_a_label(self, round_timeout):
+        def short(recipient, batch):
+            return {"x": batch["x"]}
+
+        outputs = run_with_deviant("value", short, round_timeout)
         assert outputs["p1"] == ABORT
         assert outputs["p2"] == ABORT
 
@@ -361,6 +367,41 @@ class TestDigestEcho:
         assert "p0" not in blocks["p1"]._batches
         assert blocks["p1"].degraded
         assert all(output == LARGE["p0"] for output in outputs.values())
+
+    def test_a_merged_batch_over_another_label_set_is_a_deviation(self):
+        """The merged decision label-checks a batch it only holds from an echo.
+
+        ``p0`` sends its value to nobody, so ``p1`` and ``p2`` time out and
+        know ``p0``'s batch only from ``p0``'s echo, which adds a label to it.
+        The label check is all that stands between that batch and the decision.
+        """
+
+        class Withholder(DeviantBatchedBlock):
+            def on_start(self, ctx):
+                super().on_start(_DeviantContext(ctx, "value", lambda recipient, batch: DROP))
+
+            def on_message(self, ctx, sender, subtag, payload):
+                withheld = _DeviantContext(ctx, "value", lambda recipient, batch: DROP)
+                super().on_message(withheld, sender, subtag, payload)
+
+        def extra_label(recipient, echo):
+            return {**echo, "p0": {**echo["p0"], "z": 3}}
+
+        blocks = {}
+
+        def factory(nid):
+            kwargs = dict(labels=["x", "y"], round_timeout=5.0)
+            if nid == "p0":
+                block = Withholder("b", LARGE[nid], subtag="echo", corrupt=extra_label, **kwargs)
+            else:
+                block = BatchedConsensusBlock("b", LARGE[nid], **kwargs)
+            blocks[nid] = block
+            return block
+
+        outputs = run_block_network(PROVIDERS, factory)
+        assert "p0" not in blocks["p1"]._batches and "p0" not in blocks["p2"]._batches
+        assert outputs["p1"] == ABORT
+        assert outputs["p2"] == ABORT
 
 
 class TestSharedImmutableBatches:

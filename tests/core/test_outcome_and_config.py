@@ -73,13 +73,10 @@ class TestFrameworkConfig:
     def test_defaults_are_valid(self):
         config = FrameworkConfig()
         assert config.k == 1
-        assert config.agreement_mode == "batched"
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             FrameworkConfig(k=-1)
-        with pytest.raises(ValueError):
-            FrameworkConfig(agreement_mode="nope")
         with pytest.raises(ValueError):
             FrameworkConfig(num_groups=0)
 

@@ -388,17 +388,6 @@ class TestViewsThatDoNotShare:
         # passes and the lowest provider's batch still decides.
         assert len(distinct(shared.vectors)) == 1 == shared.runs
 
-    @pytest.mark.parametrize("mode, users", [("per_label", 8), ("per_bit", 3)])
-    def test_faithful_modes_decide_into_a_dict_of_their_own(self, mode, users):
-        providers = providers_named(3)
-        shared = both_ways(
-            bids=double_bids(users, providers, seed=4),
-            providers=providers,
-            config=FrameworkConfig(k=1, agreement_mode=mode),
-        )
-        assert not shared.report.aborted
-        assert len(distinct(shared.vectors)) == 3 == shared.runs
-
     def test_degraded_round_with_different_batch_sets(self):
         providers = providers_named(3)
 

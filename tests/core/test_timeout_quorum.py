@@ -53,17 +53,12 @@ def run_auction(
     round_timeout=None,
     plan=None,
     seed=0,
-    agreement_mode="batched",
     mechanism="standard",
 ):
     auctioneer = DistributedAuctioneer(
         MECHANISMS[mechanism][0](),
         providers=PROVIDERS,
-        config=FrameworkConfig(
-            k=1,
-            round_timeout=round_timeout,
-            agreement_mode=agreement_mode,
-        ),
+        config=FrameworkConfig(k=1, round_timeout=round_timeout),
         latency_model=UniformLatencyModel(0.001, 0.01),
         seed=seed,
         fault_plan=plan,
@@ -118,35 +113,24 @@ class TestDegradedRuns:
         assert report.outcome.aborted
         assert not report.outcome.degraded
 
-    @pytest.mark.parametrize("agreement_mode", ["batched", "per_label", "per_bit"])
-    def test_partition_with_timeout_terminates_degraded(self, agreement_mode):
+    def test_partition_with_timeout_terminates_degraded(self):
         # The coin cannot agree across the partition, so the outcome is still
         # ⊥ — but every provider terminates with an explicit output and the
         # run is flagged degraded instead of silently hanging to quiescence.
-        # Every agreement mode runs the one consensus block, so the faithful
-        # modes honour the timeout as the batched mode does.
-        report = run_auction(
-            round_timeout=0.05,
-            plan=eternal_partition(PROVIDERS[2]),
-            agreement_mode=agreement_mode,
-        )
+        report = run_auction(round_timeout=0.05, plan=eternal_partition(PROVIDERS[2]))
         assert report.outcome.degraded
         assert all(
             output is not None for output in report.outcome.provider_outputs.values()
         )
 
-    @pytest.mark.parametrize("agreement_mode", ["batched", "per_label", "per_bit"])
-    def test_deterministic_algorithm_degrades_to_the_baseline_result(self, agreement_mode):
+    def test_deterministic_algorithm_degrades_to_the_baseline_result(self):
         # The double auction reads no seed, so its round runs no coin: the
         # degraded majority side — and the partitioned minority, which holds the
         # same consistent inputs — all compute the baseline allocation, a usable
         # outcome rather than ⊥.  The default config, no knob.
-        baseline = run_auction(mechanism="double", agreement_mode=agreement_mode)
+        baseline = run_auction(mechanism="double")
         degraded = run_auction(
-            round_timeout=0.05,
-            plan=eternal_partition(PROVIDERS[2]),
-            agreement_mode=agreement_mode,
-            mechanism="double",
+            round_timeout=0.05, plan=eternal_partition(PROVIDERS[2]), mechanism="double"
         )
         assert not baseline.outcome.aborted
         assert not baseline.outcome.degraded

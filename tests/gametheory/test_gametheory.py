@@ -11,10 +11,15 @@ from repro.adversary.provider_behaviors import (
 )
 from repro.auctions.base import Allocation, AuctionResult, BidVector, Payments, ProviderAsk, UserBid
 from repro.auctions.double_auction import DoubleAuction
+from repro.auctions.engine import VectorizedStandardAuction
 from repro.auctions.greedy import GreedyStandardAuction
 from repro.auctions.vcg import ExactVCGAuction
 from repro.common import ABORT
-from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
+from repro.community.workload import (
+    DoubleAuctionWorkload,
+    StandardAuctionWorkload,
+    default_provider_ids,
+)
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
 from repro.core.outcome import Outcome
@@ -67,6 +72,29 @@ class TestTruthfulness:
             report = check_truthfulness(GreedyStandardAuction(), bids, seed=seed)
             violations_found += len(report.violations)
         assert violations_found > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="Clarke pivots over an approximate allocation that is not maximal-in-range "
+        "are not truthful, and local search breaks monotonicity (ROADMAP item 21)",
+    )
+    def test_the_standard_auction_is_truthful(self):
+        # The verdict this locks: known profitable misreports on all three
+        # instances.  Exact VCG and the double auction, above and below, are
+        # the controls that the check finds none where there are none.
+        violating = []
+        for users, providers, seed in ((6, 2, 0), (20, 4, 0), (20, 4, 1)):
+            bids = StandardAuctionWorkload(seed=seed).generate(
+                users, providers, provider_ids=default_provider_ids(providers)
+            )
+            report = check_truthfulness(VectorizedStandardAuction(epsilon=0.25), bids, seed=seed)
+            if not report.is_truthful():
+                violating.append(
+                    f"n={users}, m={providers}, seed={seed}: {len(report.violations)} of "
+                    f"{report.checked} misreports profit (max gain {report.max_gain:.3f})"
+                )
+        assert not violating, "profitable misreports at " + "; ".join(violating)
 
     def test_double_auction_user_truthfulness(self):
         for seed in range(6):

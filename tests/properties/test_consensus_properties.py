@@ -1,49 +1,29 @@
 """Property tests for the consensus layer (previously example-based only).
 
-Two families, Hypothesis-driven with >=100 generated cases each:
+Two families, Hypothesis-driven:
 
-* **bit-encoding round trips** (§4.1: "a stream of bits uniquely determined
-  from the bid") — the fixed-width ``bid_to_bits``/``bits_to_bid`` pair is
-  lossless for every finite float (IEEE-754 doubles, signed zero and
-  subnormals included);
-* **majority decision against plain counting** — ``majority_decision`` answers
-  unanimity on one shared object without counting; it must return the very
-  object the ``Counter`` rule returns on every provider->value map.
+* **majority decision against plain counting** — ``majority_decision``
+  answers unanimity on one shared object without counting; it must return
+  the very object the ``Counter`` rule returns on every provider->value map;
+* **the bid agreement decides a received bid** — whatever bids a bidder
+  spreads over the providers, every provider agrees on one that some
+  provider received, and a bid a strict majority received wins.
+
+(That a bid's 128 bits travel bit-exactly in an agreement batch is
+``tests/properties/test_property_serialization.py`` and
+``tests/net/test_serialization_differential.py``'s ``TestLabelBatch``.)
 """
 
-import math
-import struct
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.consensus.bit_encoding import BID_BIT_LENGTH, bid_to_bits, bits_to_bid
+from tests.conftest import run_block_network
+
+from repro.auctions.base import ProviderAsk, UserBid
 from repro.consensus.multi_consensus import majority_decision
-
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-class TestBitEncodingRoundTrip:
-    @settings(max_examples=150)
-    @given(unit_value=_finite, demand=_finite)
-    def test_fixed_width_bid_round_trip_is_lossless(self, unit_value, demand):
-        bits = bid_to_bits(unit_value, demand)
-        assert len(bits) == BID_BIT_LENGTH
-        decoded_value, decoded_demand = bits_to_bid(bits)
-        # Bit-exact IEEE-754 round trip: signed zero preserved too.
-        assert decoded_value == unit_value and decoded_demand == demand
-        assert math.copysign(1.0, decoded_value) == math.copysign(1.0, unit_value)
-        assert math.copysign(1.0, decoded_demand) == math.copysign(1.0, demand)
-
-    @settings(max_examples=150)
-    @given(first=st.tuples(_finite, _finite), second=st.tuples(_finite, _finite))
-    def test_streams_differ_exactly_where_the_doubles_do(self, first, second):
-        # The per-bit agreement decides a bid bit by bit, so two bids must share
-        # a stream only if they are the same two IEEE-754 doubles (0.0 and -0.0
-        # are equal floats but different bids on the wire).
-        same_doubles = struct.pack(">dd", *first) == struct.pack(">dd", *second)
-        assert (bid_to_bits(*first) == bid_to_bits(*second)) == same_doubles
+from repro.core.bid_agreement import BidAgreementBlock
 
 
 def _counted_majority(values):
@@ -111,3 +91,41 @@ class TestMajorityDecisionAgainstCounting:
         proposal = [1, 2]
         assert majority_decision({"p0": proposal}) is proposal
         assert majority_decision({"p1": proposal, "p0": proposal}) is proposal
+
+
+#: A bidder's candidate bids: valid, and no two the same bid.
+_bids = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=0.01, max_value=10.0)
+    ),
+    min_size=1,
+    max_size=4,
+    unique=True,
+).map(lambda pairs: [UserBid("u0", value, demand) for value, demand in pairs])
+
+
+class TestBidAgreementDecidesAReceivedBid:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bids=_bids, m=st.integers(min_value=3, max_value=5))
+    def test_the_agreed_bid_is_one_some_provider_received(self, data, bids, m):
+        providers = [f"p{i}" for i in range(m)]
+        received = {
+            pid: data.draw(st.sampled_from(bids), label=f"bid received by {pid}")
+            for pid in providers
+        }
+        honest = UserBid("u1", 1.0, 0.5)
+        asks = {pid: ProviderAsk(pid, 0.1, 1.0) for pid in providers}
+        outputs = run_block_network(
+            providers,
+            lambda nid: BidAgreementBlock(
+                "ba", ["u0", "u1"], providers, {"u0": received[nid], "u1": honest}, asks
+            ),
+        )
+        agreed = {outputs[pid].user("u0") for pid in providers}
+        assert len(agreed) == 1
+        (bid,) = agreed
+        assert bid in received.values()
+        for candidate in bids:
+            if 2 * list(received.values()).count(candidate) > m:
+                assert bid == candidate
+        assert all(outputs[pid].user("u1") == honest for pid in providers)

@@ -1,10 +1,15 @@
-"""Property-based tests for canonical encoding and bit encoding."""
+"""Property-based tests for canonical encoding and a bid's bits in the agreement batch."""
+
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.consensus.bit_encoding import bid_to_bits, bits_to_bid
-from repro.net.serialization import canonical_encode, estimate_size
+from tests.net import serialization_reference as reference
+
+from repro.auctions.base import ProviderAsk, UserBid
+from repro.core.bid_agreement import agreement_batch
+from repro.net.serialization import LABEL_BATCH_HEADER, canonical_encode, estimate_size
 
 # Strategy for payloads the canonical encoder must support.
 scalars = st.one_of(
@@ -50,21 +55,27 @@ class TestCanonicalEncodeProperties:
         assert estimate_size(value) >= 1
 
 
-class TestBitEncodingProperties:
-    @given(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-        st.floats(min_value=1e-9, max_value=1e6, allow_nan=False),
-    )
-    @settings(max_examples=200)
-    def test_bid_round_trip(self, unit_value, demand):
-        assert bits_to_bid(bid_to_bits(unit_value, demand)) == (unit_value, demand)
+def one_bid_batch(unit_value, demand):
+    return agreement_batch({"u0": UserBid("u0", unit_value, demand)}, {}, ["u0"], [])
 
-    @given(
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-    )
-    @settings(max_examples=100)
-    def test_bit_stream_is_fixed_width_binary(self, unit_value, demand):
-        bits = bid_to_bits(unit_value, demand)
-        assert len(bits) == 128
-        assert set(bits) <= {0, 1}
+
+class TestBidBitsInTheAgreementBatch:
+    """§4.1 agrees on each bid as a fixed 128-bit stream: the batch carries exactly that."""
+
+    @given(st.floats(), st.floats())
+    @settings(max_examples=200)
+    def test_a_bid_is_a_marker_and_128_bits_whatever_its_doubles(self, unit_value, demand):
+        assert estimate_size(one_bid_batch(unit_value, demand)) == LABEL_BATCH_HEADER + 1 + 16
+
+    @given(st.floats(), st.floats())
+    @settings(max_examples=200)
+    def test_a_receiver_reads_back_the_very_doubles(self, unit_value, demand):
+        # Compared as bits: signed zeros and NaN payloads are different bids.
+        batch = one_bid_batch(unit_value, demand)
+        records = (UserBid, ProviderAsk)
+        wire = reference.encode_label_batch(batch, records)
+        decoded = reference.decode_label_batch(wire, batch, records)["user:u0"]
+        assert type(decoded) is UserBid and decoded.user_id == "u0"
+        assert struct.pack(">dd", decoded.unit_value, decoded.demand) == struct.pack(
+            ">dd", unit_value, demand
+        )

@@ -6,9 +6,10 @@ that starts or stops being written) would strand every existing artifact.
 The one sanctioned drift is retiring a spec path (a spec class's ``RETIRED``
 table): every canonical form lost ``measure_compute`` when compute became
 modelled only, the Figure 5 forms lost ``engine = "vectorized"`` when the
-engine choice went, and every ``config`` table lost ``use_common_coin`` and
-``require_quorum`` when the coin and the quorum became rules, so the
-fingerprints pinned here are those of the forms without them.  Five locks:
+engine choice went, every ``config`` table lost ``use_common_coin`` and
+``require_quorum`` when the coin and the quorum became rules, and
+``agreement_mode`` when the bid agreement kept one form, so the fingerprints
+pinned here are those of the forms without them.  Six locks:
 
 * the fingerprints of the built-in figure sweeps and of every shipped spec
   file, as literals;
@@ -26,6 +27,10 @@ fingerprints pinned here are those of the forms without them.  Five locks:
   but for ``bytes`` and ``elapsed_seconds`` (a distributed round's fell when
   a batch began to travel by position), and its resume is refused naming
   both retired ``config`` paths;
+* ``data/fig4_quick_agreement_parent.jsonl`` — what the same command wrote
+  while ``config`` still held ``agreement_mode`` — reads, its records are
+  exactly what this build computes, and its resume is refused naming
+  ``config.agreement_mode``;
 * a journal that ends in a ``quarantine`` line (what a crash-tolerant
   executor, since removed, wrote for a cell it gave up on) still reads, and
   resumes that cell.
@@ -57,20 +62,21 @@ SPECS = REPO_ROOT / "examples" / "specs"
 JOURNAL = pathlib.Path(__file__).parent / "data" / "fig4_quick_parent.jsonl"
 FIG5_JOURNAL = pathlib.Path(__file__).parent / "data" / "fig5_parent.jsonl"
 CONFIG_JOURNAL = pathlib.Path(__file__).parent / "data" / "fig4_quick_config_parent.jsonl"
+AGREEMENT_JOURNAL = pathlib.Path(__file__).parent / "data" / "fig4_quick_agreement_parent.jsonl"
 
 #: (spec file, class to load it as — ``None`` sniffs scenario vs sweep, fingerprint).
 SHIPPED = [
-    ("chaos.toml", ChaosSpec, "17a86ebe67fc3df2c20b7180a130983f48da8f1b404d68142357f6af33daded1"),
-    ("fig4.json", None, "0d62ecde9f4e3050af54b2015403b4306c23166d39a3a88b21228bdec4b23edc"),
-    ("fig4_quick.json", None, "d66ab8a577c25af7d740f0f2a76155c4e1570f2fea1d08bfc94891aca38e5a4e"),
-    ("fig5.toml", None, "e725e19f6780ddfc7292bb0dcce99638789de35006179e5d601cbf2dc9907ddf"),
+    ("chaos.toml", ChaosSpec, "9151679fa064c871f2fcb0a5f175cc290cb5cc515b85527e276117e95f35fa4a"),
+    ("fig4.json", None, "26790a5e2d365f298722d7b1da407afe52cd91e6752299c6241b506377b3283e"),
+    ("fig4_quick.json", None, "a785ca65dfa2a4eeb8d3c589888126292842e8f5efa53b9659793a43b2c23abc"),
+    ("fig5.toml", None, "9ba37c00db83d114364d624780b8ea25cb365e841810accc6fa269045c02755a"),
     (
         "resilience.json",
         ResilienceSpec,
-        "88747d71f115a60df0256213b78be7db70774594e9f9f71aa2a726f32ab1f5e7",
+        "3ff56fa09c71e71f11786d98d1a8c9bcb12a55315221599de837e7538a1f1d3f",
     ),
-    ("vr_sessions.toml", None, "9351f285335555010751def027e2ae7d1ad30a48dfcaece6000f7ed3ac9356e5"),
-    ("vr_sweep.toml", None, "a9898194e151b627df3aeb9ff770c84792925de6f072e1e6472708da6f545a8d"),
+    ("vr_sessions.toml", None, "9b8865bdb22b610d15edb3c6a3db74f9ad05503386c52058eeec6864b49a42ac"),
+    ("vr_sweep.toml", None, "bbef6373e788ad45c3a2d18f85806033ca81d7394f83b4db8fbee4a8bafcfbcf"),
 ]
 
 
@@ -111,11 +117,11 @@ def test_builtin_figure_sweep_fingerprints_are_pinned():
     # The built-ins are the shipped figure files, field for field.
     assert (
         spec_fingerprint(figure4_sweep())
-        == "0d62ecde9f4e3050af54b2015403b4306c23166d39a3a88b21228bdec4b23edc"
+        == "26790a5e2d365f298722d7b1da407afe52cd91e6752299c6241b506377b3283e"
     )
     assert (
         spec_fingerprint(figure5_sweep())
-        == "e725e19f6780ddfc7292bb0dcce99638789de35006179e5d601cbf2dc9907ddf"
+        == "9ba37c00db83d114364d624780b8ea25cb365e841810accc6fa269045c02755a"
     )
 
 
@@ -194,6 +200,32 @@ def test_a_journal_written_with_the_config_switches_reads_but_does_not_resume(tm
     assert "config.use_common_coin after commit fc23d76" in refused.value.message
     assert "config.require_quorum after commit fc23d76" in refused.value.message
     assert journal.read_bytes() == CONFIG_JOURNAL.read_bytes()  # nothing appended
+
+
+def test_a_journal_written_with_an_agreement_mode_reads_but_does_not_resume(tmp_path):
+    journal = tmp_path / "fig4_quick.jsonl"
+    shutil.copy(AGREEMENT_JOURNAL, journal)
+    lines = [json.loads(line) for line in AGREEMENT_JOURNAL.read_text().splitlines()]
+    journaled = {
+        (line["point"], line["instance"]): RunRecord.from_dict(line["record"])
+        for line in lines[1:]
+    }
+    assert len(journaled) == 4
+
+    manifest, records = ResultsStore(str(journal)).read()
+    assert manifest == lines[0]
+    assert records == journaled
+    # Retiring the mode moved the fingerprint and nothing else: the batched
+    # agreement it selected is the one agreement, bytes and time included.
+    sweep = load_spec(SPECS / "fig4_quick.json", SweepSpec)
+    assert [records[cell] for cell in sorted(records)] == run_sweep(sweep).records
+
+    with pytest.raises(SpecError) as refused:
+        run_sweep(sweep, store=str(journal), resume=True)
+    assert refused.value.path == str(journal)
+    assert "does not match this sweep" in refused.value.message
+    assert "config.agreement_mode after commit da19b2d" in refused.value.message
+    assert journal.read_bytes() == AGREEMENT_JOURNAL.read_bytes()  # nothing appended
 
 
 def test_a_journal_holding_a_quarantine_line_still_reads_and_resumes(tmp_path):

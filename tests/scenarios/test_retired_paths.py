@@ -1,7 +1,7 @@
 """A retired spec path: its retired value is accepted and dropped, any other refused.
 
 A spec class's ``RETIRED`` table holds the paths a past commit read and this
-one does not (``spec.retired_rows()`` lists them all, dotted).  Four rows:
+one does not (``spec.retired_rows()`` lists them all, dotted).  Five rows:
 
 * ``measure_compute``: compute is modelled, never measured, so ``false`` —
   what every round now does — is accepted;
@@ -9,8 +9,11 @@ one does not (``spec.retired_rows()`` lists them all, dotted).  Four rows:
   reference class is only the test oracle), so ``"vectorized"`` is accepted;
 * ``config.use_common_coin`` and ``config.require_quorum`` (``ConfigSpec``'s
   rows): the coin runs exactly when ``A`` is randomized and ``m > 2k`` is a
-  rule, so ``true`` is accepted for each.  A sweep point or axis names them
-  by their dotted path.
+  rule, so ``true`` is accepted for each;
+* ``config.agreement_mode``: the bid agreement has one form, whose batch
+  carries each bid's 128 bits, so ``"batched"`` is accepted.
+
+A sweep point or axis names the ``config`` rows by their dotted path.
 
 A retired path's accepted value is taken wherever a spec is read and never
 reaches a canonical form, a fingerprint or a journal; any other value is a
@@ -72,6 +75,12 @@ ROWS = {
         "retired after commit fc23d76: m > 2k is a rule of the rational consensus; "
         "only true is accepted",
     ),
+    "config.agreement_mode": (
+        "batched",
+        "per_bit",
+        "retired after commit da19b2d: one agreement: the batch carries each bid's 128 bits; "
+        'only "batched" is accepted',
+    ),
 }
 KEYS = list(ROWS)
 
@@ -120,6 +129,11 @@ def test_the_table_has_one_row_per_retired_path_naming_the_commit():
     assert ConfigSpec.RETIRED == {
         "use_common_coin": (True, "fc23d76", "the common coin runs exactly when A is randomized"),
         "require_quorum": (True, "fc23d76", "m > 2k is a rule of the rational consensus"),
+        "agreement_mode": (
+            "batched",
+            "da19b2d",
+            "one agreement: the batch carries each bid's 128 bits",
+        ),
     }
     assert list(retired_rows()) == KEYS
 
@@ -145,10 +159,15 @@ def _write(tmp_path, data, name="spec.json"):
         ("config.use_common_coin", 1),
         ("config.require_quorum", False),
         ("config.require_quorum", "true"),
+        ("config.agreement_mode", "per_bit"),
+        ("config.agreement_mode", "per_label"),
+        ("config.agreement_mode", "Batched"),
+        ("config.agreement_mode", None),
     ],
     ids=[
         "true", "zero", "string", "null", "engine-reference", "engine-case", "engine-null",
         "coin-false", "coin-one", "quorum-false", "quorum-string",
+        "agreement-per-bit", "agreement-per-label", "agreement-case", "agreement-null",
     ],
 )
 def test_a_scenario_file_naming_another_value_is_refused_at_the_path(tmp_path, key, value):

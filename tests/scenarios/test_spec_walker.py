@@ -86,7 +86,6 @@ _configs = st.builds(
     k=st.integers(min_value=1, max_value=3),
     parallel=st.booleans(),
     num_groups=_optional(st.integers(min_value=1, max_value=4)),
-    agreement_mode=st.sampled_from(["batched", "per_label", "per_bit"]),
     round_timeout=_optional(st.floats(min_value=0.001, max_value=10.0)),
 )
 
@@ -351,7 +350,7 @@ class TestPathPrefixes:
                 },
                 SweepSpec,
             )
-        with pytest.raises(SpecError, match=r"^base\.config: k must be non-negative"):
+        with pytest.raises(SpecError, match=r"^base\.config\.k: k must be non-negative"):
             spec_from_dict({"base": {"config": {"k": -1}}, "faults": ["loss"]}, ChaosSpec)
 
     def test_a_scenarios_own_errors_and_base_overrides_stay_unprefixed(self):

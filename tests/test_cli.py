@@ -221,6 +221,37 @@ class TestSpecDrivenCommands:
             f"got m={m} executing providers, k={k}\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k", -1, "k must be non-negative"),
+            ("num_groups", 0, "num_groups must be positive when given"),
+            ("round_timeout", 0, "round_timeout must be a finite positive number when given"),
+        ],
+        ids=["k", "num_groups", "round_timeout"],
+    )
+    @pytest.mark.parametrize("route", ["file", "set", "point"])
+    def test_a_bad_config_value_names_its_field(
+        self, field, value, message, route, tmp_path, capsys
+    ):
+        base = {"users": 6, "providers": 3}
+        out = tmp_path / "out.jsonl"
+        if route == "file":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({**base, "config": {field: value}}))
+            argv, where = ["run", "--spec", str(spec)], f"{spec}: config.{field}"
+        elif route == "set":
+            argv, where = ["run", "--set", f"config.{field}={value}"], f"config.{field}"
+        else:
+            spec = tmp_path / "sweep.json"
+            points = [{f"config.{field}": value}, {"users": 4}]
+            spec.write_text(json.dumps({"base": base, "points": points}))
+            argv = ["sweep", "--spec", str(spec), "--output", str(out)]
+            where = f"points[0].config.{field}"  # a point is checked when it expands
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("num_groups", [5, 50])
     def test_too_many_groups_is_a_spec_error(self, num_groups, capsys):
         argv = ["run", "--set", "mechanism=standard", "--set", "workload=standard"]
