@@ -20,13 +20,9 @@ from typing import Any
 
 from repro.net.serialization import canonical_encode
 
-__all__ = ["Commitment", "CommitmentScheme", "CommitmentError"]
+__all__ = ["Commitment", "CommitmentScheme"]
 
 _NONCE_BYTES = 16
-
-
-class CommitmentError(ValueError):
-    """Raised when an opening does not match its commitment."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ class Commitment:
 
 
 class CommitmentScheme:
-    """Factory for commitments and their openings."""
+    """Factory for commitments."""
 
     @staticmethod
     def digest_of(value: Any, nonce: bytes) -> str:
@@ -59,10 +55,3 @@ class CommitmentScheme:
         """Commit to ``value``; returns the commitment and the nonce to keep secret."""
         nonce = rng.getrandbits(_NONCE_BYTES * 8).to_bytes(_NONCE_BYTES, "big")
         return Commitment(CommitmentScheme.digest_of(value, nonce)), nonce
-
-    @staticmethod
-    def open(commitment: Commitment, value: Any, nonce: bytes) -> Any:
-        """Verify an opening, returning the value or raising :class:`CommitmentError`."""
-        if not commitment.verify(value, nonce):
-            raise CommitmentError("opening does not match commitment")
-        return value

@@ -8,8 +8,11 @@ The framework chains two building blocks at every provider (Figure 1 of the pape
    (every provider runs the allocation algorithm locally after validating that all
    inputs match; used for cheap algorithms such as the double auction) or
    :class:`~repro.core.allocator.ParallelAllocatorBlock` (Algorithm 1 run over
-   provider groups, Figure 3, with input validation, data transfer and common coin
-   sub-blocks; used for expensive algorithms such as the standard auction).
+   provider groups, Figure 3, with data transfer sub-blocks; used for expensive
+   algorithms such as the standard auction).  Both validate their input with a
+   :class:`~repro.core.data_transfer.DataTransferBlock` of the vector's digest from
+   every provider to every provider, and agree on a seed through the
+   :class:`~repro.core.common_coin.CommonCoinBlock` when the algorithm reads one.
 
 :class:`~repro.core.framework.DistributedAuctioneer` packages the whole thing behind
 one call: give it the bids each provider received and it simulates the protocol on a
@@ -22,9 +25,7 @@ from repro.core.bid_agreement import BidAgreementBlock
 from repro.core.common_coin import CommonCoinBlock
 from repro.core.config import FrameworkConfig
 from repro.core.data_transfer import DataTransferBlock
-from repro.core.distributions import Distribution, SeedDistribution, UniformDistribution
 from repro.core.framework import CentralizedAuctioneer, DistributedAuctioneer, SimulationReport
-from repro.core.input_validation import InputValidationBlock
 from repro.core.outcome import ABORT, Outcome
 from repro.core.provider_protocol import FrameworkBlock, ProviderInput
 
@@ -35,15 +36,11 @@ __all__ = [
     "CommonCoinBlock",
     "DataTransferBlock",
     "DistributedAuctioneer",
-    "Distribution",
     "FrameworkBlock",
     "FrameworkConfig",
-    "InputValidationBlock",
     "Outcome",
     "ParallelAllocatorBlock",
     "ProviderInput",
-    "SeedDistribution",
     "SequentialAllocatorBlock",
     "SimulationReport",
-    "UniformDistribution",
 ]

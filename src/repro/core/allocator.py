@@ -2,7 +2,9 @@
 
 Two implementations are provided, matching the two regimes the paper evaluates:
 
-* :class:`SequentialAllocatorBlock` — input validation, one common-coin invocation to
+* :class:`SequentialAllocatorBlock` — input validation (a
+  :class:`~repro.core.data_transfer.DataTransferBlock` of the vector's digest
+  from every provider to every provider), one common-coin invocation to
   agree on the random seed (skipped when ``A`` is deterministic), then every
   provider runs ``A`` locally on the agreed input.  This is the right choice when
   ``A`` is cheap (the double auction of §5.2.1): the framework's overhead is pure
@@ -31,9 +33,8 @@ from repro.auctions.decomposable import DecomposableMechanism
 from repro.common import ABORT, is_abort, memoise
 from repro.core.common_coin import CommonCoinBlock
 from repro.core.data_transfer import DataTransferBlock
-from repro.core.distributions import SeedDistribution
-from repro.core.input_validation import InputValidationBlock
-from repro.net.protocol import BlockContext, ProtocolBlock
+from repro.net.protocol import TAG_SEPARATOR, BlockContext, ProtocolBlock
+from repro.net.serialization import Digest, estimate_size
 from repro.obs.context import current_observation
 
 __all__ = [
@@ -42,6 +43,8 @@ __all__ = [
     "assign_provider_groups",
     "partition_users",
     "transfer_messages",
+    "validation_bytes",
+    "validation_messages",
 ]
 
 #: Where a bid vector keeps the results of the mechanisms run on it by
@@ -107,6 +110,21 @@ def transfer_messages(groups: Sequence[Sequence[str]]) -> int:
     return sum(len(group) * (m - len(group)) for group in groups)
 
 
+def validation_messages(m: int) -> int:
+    """Messages of an honest input validation of ``m`` providers (Property 3): one digest each."""
+    return m * (m - 1)
+
+
+def validation_bytes(m: int) -> int:
+    """Bytes of an honest input validation of ``m`` providers, tags included.
+
+    Each message is the vector's :class:`~repro.net.serialization.Digest`
+    under the framework's ``framework/alloc/iv`` transfer tag: 68 bytes.
+    """
+    tag = f"framework/alloc/iv{TAG_SEPARATOR}{DataTransferBlock.VALUE}"
+    return validation_messages(m) * estimate_size((tag, Digest(None)))
+
+
 class SeededAllocatorBlock(ProtocolBlock):
     """Validate the agreed vector, agree on a seed, then run :meth:`_execute` on it.
 
@@ -121,8 +139,8 @@ class SeededAllocatorBlock(ProtocolBlock):
         algorithm: the allocation algorithm ``A`` (for the parallel allocator,
             its allocation / payments / assemble split).
         round_timeout: per-round virtual-time budget forwarded to the child
-            blocks (validation clears on a partial view, the coin outputs ⊥);
-            ``None`` waits forever.
+            blocks (validation clears on a partial, consistent view, the coin
+            outputs ⊥); ``None`` waits forever.
     """
 
     def __init__(
@@ -144,9 +162,18 @@ class SeededAllocatorBlock(ProtocolBlock):
 
     def on_start(self, ctx: BlockContext) -> None:
         self._ctx = ctx
+        # Input validation (Property 3) is a data transfer of the vector's
+        # digest from every provider to every provider: two differ, ⊥.
+        everyone = ctx.participants
         ctx.spawn(
             "iv",
-            InputValidationBlock("iv", self.bids, round_timeout=self.round_timeout),
+            DataTransferBlock(
+                "iv",
+                everyone,
+                everyone,
+                my_value=Digest(self.bids),
+                round_timeout=self.round_timeout,
+            ),
             self._on_iv_done,
         )
 
@@ -162,9 +189,7 @@ class SeededAllocatorBlock(ProtocolBlock):
             assert self._ctx is not None
             self._ctx.spawn(
                 "coin",
-                CommonCoinBlock(
-                    "coin", SeedDistribution(), round_timeout=self.round_timeout
-                ),
+                CommonCoinBlock("coin", round_timeout=self.round_timeout),
                 self._on_coin_done,
             )
         else:
@@ -174,7 +199,7 @@ class SeededAllocatorBlock(ProtocolBlock):
         if is_abort(block.result):
             self.complete(ABORT)
             return
-        self._execute(seed=int(block.result))
+        self._execute(seed=block.result)
 
 
 class SequentialAllocatorBlock(SeededAllocatorBlock):

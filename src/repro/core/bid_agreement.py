@@ -150,10 +150,6 @@ class BidAgreementBlock(ProtocolBlock):
             f"{_ASK_PREFIX}{pid}" for pid in self.expected_providers
         ]
 
-    def _my_inputs(self) -> LabelBatch:
-        """This provider's label-keyed batch: its input to the consensus."""
-        return self._shared_input()[0]
-
     def _shared_input(self) -> Tuple[LabelBatch, LabelSet]:
         """The batch and the label set it is checked against.
 

@@ -1,15 +1,17 @@
 """Common coin block (Property 4 of the paper).
 
-Whenever the allocation algorithm needs a random number distributed according to some
-distribution Π, the providers invoke the common coin with input Π.  The implementation
-follows the scheme of Abraham, Dolev and Halpern the paper points to:
+The allocation algorithm reads its randomness from one agreed seed: the providers
+invoke the common coin once, and a deterministic pseudo-random generator seeded
+with its output covers any number of internal draws (the paper's distribution Π is
+the uniform one over 63-bit seeds).  The implementation follows the scheme of
+Abraham, Dolev and Halpern the paper points to:
 
 1. every provider j draws a random number ``r_j ∈ [0, 1)`` and broadcasts a hash
    *commitment* to it — before learning anyone else's number;
 2. once a provider holds commitments from everyone, it *reveals* ``r_j`` (value and
    nonce);
-3. the combined uniform sample is ``sum_j r_j mod 1``; each provider applies Π's
-   inverse-CDF transform to it and outputs the result.
+3. the combined uniform sample is ``u = sum_j r_j mod 1``; each provider outputs
+   the seed ``min(int(u·2⁶³), 2⁶³−1)``, an ``int`` in ``[0, 2⁶³)``.
 
 If any provider reveals a value outside [0, 1), a value inconsistent with its
 commitment, or equivocates, the block outputs ⊥.  As long as at least one participant
@@ -24,10 +26,12 @@ from typing import Any, Dict
 
 from repro.common import ABORT
 from repro.consensus.commitment import Commitment, CommitmentScheme
-from repro.core.distributions import Distribution, UniformDistribution
 from repro.net.protocol import BlockContext, ProtocolBlock
 
 __all__ = ["CommonCoinBlock", "coin_messages"]
+
+#: How many seeds the coin draws from: it outputs an ``int`` in ``[0, _SEEDS)``.
+_SEEDS = 1 << 63
 
 
 def coin_messages(m: int) -> int:
@@ -36,7 +40,7 @@ def coin_messages(m: int) -> int:
 
 
 class CommonCoinBlock(ProtocolBlock):
-    """Commit–reveal shared randomness transformed to a target distribution Π.
+    """Commit–reveal shared randomness: a 63-bit seed agreed by every provider.
 
     ``round_timeout`` bounds each round in virtual time.  A coin round that
     times out completes with ⊥ rather than a partial sum: two sides of a
@@ -54,11 +58,9 @@ class CommonCoinBlock(ProtocolBlock):
     def __init__(
         self,
         name: str,
-        distribution: Distribution | None = None,
         round_timeout: float | None = None,
     ) -> None:
         super().__init__(name)
-        self.distribution = distribution if distribution is not None else UniformDistribution()
         self.round_timeout = round_timeout
         self._my_value: float = 0.0
         self._my_nonce: bytes = b""
@@ -160,4 +162,4 @@ class CommonCoinBlock(ProtocolBlock):
         # Guard against floating-point summation landing exactly on 1.0.
         if combined >= 1.0:
             combined = 0.0
-        self.complete(self.distribution.transform(combined))
+        self.complete(min(int(combined * _SEEDS), _SEEDS - 1))

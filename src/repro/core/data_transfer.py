@@ -6,6 +6,10 @@ result is needed by a different set ``O``, the providers of ``S`` broadcast thei
 sees two different values outputs ⊥.  With ``|S| > k`` no coalition of up to ``k``
 providers can make a correct receiver accept a wrong value — at best it can force ⊥,
 which solution preference makes unattractive.
+
+Input validation (Property 3) is the same block with ``S = O =`` every provider:
+each broadcasts (a digest of) its input and outputs ⊥ as soon as it holds two
+different ones.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ class DataTransferBlock(ProtocolBlock):
             ``|S|`` confirmations) — or outputs ⊥ if it received nothing or
             saw a conflict.
 
-    Output: at receivers, the transferred value (or ⊥ on any inconsistency); at
+    Output: at receivers, the transferred value, or ⊥ as soon as they hold two
+    different values (their own included, when they are senders too); at
     senders that are not receivers, their own value (they already hold it).
     """
 
@@ -85,15 +90,8 @@ class DataTransferBlock(ProtocolBlock):
         if self.done or subtag != self.TIMER_TRANSFER:
             return
         self.degraded = True
-        values = list(self._received.values())
-        if not values:
-            self.complete(ABORT)  # nothing arrived: no value to degrade onto
-            return
-        first = values[0]
-        if any(value != first for value in values[1:]):
-            self.complete(ABORT)
-            return
-        self.complete(first)
+        # Every value held agrees (a conflict completes with ⊥ on arrival).
+        self.complete(next(iter(self._received.values()), ABORT))
 
     def on_message(self, ctx: BlockContext, sender: str, subtag: str, payload: Any) -> None:
         if self.done or subtag != self.VALUE:
@@ -103,21 +101,14 @@ class DataTransferBlock(ProtocolBlock):
         if sender not in self.senders:
             # Traffic from outside S cannot influence the transfer.
             return
-        if sender in self._received:
-            if self._received[sender] != payload:
-                self.complete(ABORT)
+        if self._received and payload != next(iter(self._received.values())):
+            # Two different values: ⊥ now, without waiting for the rest of S —
+            # a silent sender cannot hold the receiver up once it is ⊥ anyway.
+            self.complete(ABORT)
             return
         self._received[sender] = payload
         self._maybe_finish(ctx)
 
     def _maybe_finish(self, ctx: BlockContext) -> None:
-        if self.done:
-            return
-        if set(self._received) != set(self.senders):
-            return
-        values = list(self._received.values())
-        first = values[0]
-        if any(value != first for value in values[1:]):
-            self.complete(ABORT)
-            return
-        self.complete(first)
+        if not self.done and len(self._received) == len(self.senders):
+            self.complete(next(iter(self._received.values())))

@@ -57,7 +57,7 @@ class DistributedAuctioneer:
     Args:
         algorithm: the allocation algorithm ``A`` to simulate.
         providers: ids of the providers that execute the protocol.
-        config: framework configuration (k, parallelism, agreement mode, ...).
+        config: framework configuration (k, parallelism, round timeout, ...).
         latency_model: network latency model for the simulation (default: zero).
         scheduler: message scheduler (default: earliest-arrival-first).
         seed: seed of the simulated network (latency jitter, per-node RNGs).
@@ -175,12 +175,10 @@ class DistributedAuctioneer:
 
         Every provider received the same bids, so all of them hold the same
         two :class:`~repro.common.FrozenMap` objects — and so build one
-        agreement batch between them (see
-        :meth:`~repro.core.bid_agreement.BidAgreementBlock._my_inputs`).  The
-        maps are the vector's own index
+        agreement batch between them.  The maps are the vector's own index
         (:meth:`~repro.auctions.base.BidVector.by_id`), so every round run from
-        the same vector *object* shares the batch, the agreed vector, its
-        digest and ``A``'s results as well.  The outcome is that of
+        the same vector *object* shares the batch, the agreed vector and
+        ``A``'s results as well.  The outcome is that of
         ``run(consistent_inputs(bids))``.
         """
         user_bids, ask_map = bids.by_id()

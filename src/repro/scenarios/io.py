@@ -91,8 +91,16 @@ def load_any(path: Union[str, os.PathLike]) -> Union[ScenarioSpec, SweepSpec]:
 
 
 def _parse(data: Dict[str, Any], kind: type, path: Union[str, os.PathLike]) -> Any:
+    """``data`` as a ``kind``; an error names the file, a sweep point's included.
+
+    A sweep's points are typed against its base here (they are otherwise
+    typed when the sweep expands, after the file is out of sight).
+    """
     try:
-        return spec_from_dict(data, kind)
+        spec = spec_from_dict(data, kind)
+        if isinstance(spec, SweepSpec):
+            spec.scenarios()
+        return spec
     except SpecError as exc:
         raise SpecError(str(path), exc.args[0]) from exc
 

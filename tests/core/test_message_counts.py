@@ -1,7 +1,8 @@
 """Each building block's message count in closed form, against the network's tally.
 
 An honest, fault-free round of ``m`` executors runs one batched bid agreement
-(value + echo), one input validation (one digest each) and, when ``A`` reads
+(value + echo), one input validation (one digest each, a data transfer from
+every provider to every provider) and, when ``A`` reads
 its seed, one common coin (commit + reveal), whatever ``k``.  On the parallel
 allocator each provider group also sends its payments to every provider
 outside it.  ``NetworkStats.messages_by_tag`` counts the deliveries per block
@@ -18,7 +19,12 @@ from repro.auctions.double_auction import DoubleAuction
 from repro.auctions.standard_auction import StandardAuction
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
 from repro.consensus.multi_consensus import BatchedConsensusBlock
-from repro.core.allocator import assign_provider_groups, transfer_messages
+from repro.core.allocator import (
+    assign_provider_groups,
+    transfer_messages,
+    validation_bytes,
+    validation_messages,
+)
 from repro.core.bid_agreement import (
     BidAgreementBlock,
     agreement_batch,
@@ -28,8 +34,8 @@ from repro.core.bid_agreement import (
 from repro.core.common_coin import coin_messages
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
-from repro.core.input_validation import InputValidationBlock, validation_messages
 from repro.net.protocol import TAG_SEPARATOR
+from repro.net.scheduler import FairScheduler
 from repro.net.serialization import estimate_size
 from repro.scenarios import ScenarioSpec, figure4_sweep, run_scenario, run_sweep
 
@@ -123,11 +129,11 @@ def double_round_bytes(n, m):
     assert not report.aborted
     batch = agreement_batch(*bids.by_id(), bids.user_ids, bids.provider_ids)
     pairs = m * (m - 1)
-    ba, iv = "framework/ba/batch", "framework/alloc/iv"
+    ba = "framework/ba/batch"
     envelopes = pairs * (
         envelope(ba, BatchedConsensusBlock.VALUE) + envelope(ba, BatchedConsensusBlock.ECHO)
     )
-    validation = pairs * (envelope(iv, InputValidationBlock.ANNOUNCE) + estimate_size("0" * 64))
+    validation = validation_bytes(m)
     agreement = agreement_bytes(batch, providers) + envelopes
     assert report.stats.bytes_delivered == agreement + validation
     value_round = pairs * (envelope(ba, BatchedConsensusBlock.VALUE) + estimate_size(batch))
@@ -141,7 +147,36 @@ def test_an_honest_batch_is_17_bytes_a_bid_and_an_ask(mechanism, n, m):
     # a 4-byte count, then a 1-byte marker and two float64s per bid and ask.
     bids = MECHANISMS[mechanism][1](seed=n).generate(n, m)
     block = BidAgreementBlock("ba", bids.user_ids, bids.provider_ids, *bids.by_id())
-    assert estimate_size(block._my_inputs()) == 36 + 4 + 17 * (n + m)
+    assert estimate_size(block._shared_input()[0]) == 36 + 4 + 17 * (n + m)
+
+
+class ValidationTally(FairScheduler):
+    """The fair scheduler, also keeping the size of every validation message."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def push(self, message):
+        if message.tag.startswith(f"framework/alloc/iv{TAG_SEPARATOR}"):
+            self.sizes.append(message.size_bytes)
+        super().push(message)
+
+
+@pytest.mark.parametrize("m", (3, 5, 8))
+def test_an_honest_validation_is_one_68_byte_digest_per_ordered_pair(m):
+    # Counted, never timed.  Each message is the agreed vector's 36-byte Digest
+    # under its 32-byte tag, whatever the vector's size.
+    providers = [f"p{i}" for i in range(m)]
+    bids = DoubleAuctionWorkload(seed=m).generate(30, m, provider_ids=providers)
+    tally = ValidationTally()
+    report = DistributedAuctioneer(
+        DoubleAuction(), providers=providers, config=FrameworkConfig(k=1), scheduler=tally
+    ).run_from_bids(bids)
+    assert not report.aborted
+    assert tally.sizes == [68] * (m * (m - 1))
+    assert report.stats.messages_by_tag["framework/alloc/iv"] == validation_messages(m)
+    assert validation_bytes(m) == 68 * m * (m - 1)
 
 
 @pytest.mark.parametrize("m", (3, 5, 7))

@@ -3,7 +3,7 @@
 Since the bid agreement decides one ``FrozenMap`` object per view, the providers
 holding it assemble one ``BidVector`` and read one execution of ``A`` off it
 (``BidAgreementBlock._assemble``, ``SequentialAllocatorBlock._execute``).  These
-tests count builds, validations and executions and compare identities — never a
+tests count builds and executions and compare identities — never a
 clock — and hold every path on which providers hold *different* objects to the
 outcome of the same round with the instance memo switched off in the test.
 """
@@ -34,9 +34,8 @@ from repro.auctions.engine.pivot import bid_vector_fingerprint
 from repro.auctions.standard_auction import StandardAuction
 from repro.common import is_abort
 from repro.community.workload import DoubleAuctionWorkload, StandardAuctionWorkload
-from repro.consensus.commitment import CommitmentScheme
 from repro.consensus import multi_consensus
-from repro.core import allocator, bid_agreement, input_validation
+from repro.core import allocator, bid_agreement
 from repro.core.allocator import SequentialAllocatorBlock
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
@@ -46,7 +45,6 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.serialization import (
     DERIVED_ATTR,
     FrozenMap,
-    UnsupportedPayloadError,
     canonical_encode,
     estimate_size,
 )
@@ -55,9 +53,8 @@ from repro.scenarios.registry import SCHEDULERS
 from repro.scenarios.spec import ComponentSpec
 
 #: Every module that keeps a memo of the agreement path on an instance.
-MEMO_USERS = (bid_agreement, input_validation, allocator, pivot, auction_base)
+MEMO_USERS = (bid_agreement, allocator, pivot, auction_base)
 RESULTS_ATTR = allocator._RESULTS_ATTR
-DIGEST_ATTR = input_validation._DIGEST_ATTR
 
 
 @contextmanager
@@ -102,31 +99,6 @@ def recorded_executions():
 
     with mock.patch.object(SequentialAllocatorBlock, "_execute", spy):
         yield calls
-
-
-@contextmanager
-def recorded_digests():
-    """The value of every input-validation digest computed (a memo read is not)."""
-    digested = []
-    original = CommitmentScheme.digest_of
-
-    def spy(value, nonce):
-        if nonce == input_validation.InputValidationBlock._FIXED_NONCE:
-            digested.append(value)
-        return original(value, nonce)
-
-    with mock.patch.object(CommitmentScheme, "digest_of", staticmethod(spy)):
-        yield digested
-
-
-@dataclasses.dataclass
-class _Mutable:
-    ids: tuple
-
-
-@dataclasses.dataclass(frozen=True)
-class _Frozen:
-    ids: tuple
 
 
 def distinct(objects):
@@ -207,13 +179,12 @@ class TestHonestRoundShares:
         bids = double_bids(300, providers)
         with mock.patch.object(
             bid_agreement, "coerce_user_bid", wraps=bid_agreement.coerce_user_bid
-        ) as validity_rule, recorded_digests() as digested:
+        ) as validity_rule:
             shared = run_round(bids=bids, providers=providers, config=FrameworkConfig(k=3))
         assert not shared.report.aborted
         assert len(shared.vectors) == 7
         assert len(distinct(shared.vectors)) == 1
         assert validity_rule.call_count == 300
-        assert digested == [shared.vectors[0]]
         assert shared.runs == 1
         outputs = list(shared.report.outcome.provider_outputs.values())
         assert len(distinct(outputs)) == 1
@@ -229,11 +200,10 @@ class TestHonestRoundShares:
         bids = double_bids(300, providers)
         with unshared(), mock.patch.object(
             bid_agreement, "coerce_user_bid", wraps=bid_agreement.coerce_user_bid
-        ) as validity_rule, recorded_digests() as digested:
+        ) as validity_rule:
             separate = run_round(bids=bids, providers=providers, config=FrameworkConfig(k=3))
         assert len(distinct(separate.vectors)) == 7
         assert validity_rule.call_count == 7 * 300
-        assert len(distinct(digested)) == 7
         assert separate.runs == 7
 
     def test_the_fingerprint_is_hashed_once_per_vector(self):
@@ -278,31 +248,6 @@ class TestHonestRoundShares:
         assert seed_free.runs == 1
         assert execute(other, 8) is not result
         assert (seed_free.runs, other.runs) == (1, 1)
-
-    def test_an_equal_vector_digests_its_own(self, small_double_bids):
-        copied = BidVector(small_double_bids.users, small_double_bids.providers)
-        with recorded_digests() as digested:
-            first = _digest(small_double_bids)
-            assert _digest(small_double_bids) == first
-            assert _digest(copied) == first
-        assert distinct(digested) == [small_double_bids, copied]
-
-    @pytest.mark.parametrize(
-        "value",
-        [_Mutable(("u0",)), _Frozen(("u0", ["u1"])), FrozenMap({"u0": ["u1"]})],
-        ids=["non-frozen", "frozen-holding-a-list", "frozen-map-holding-a-list"],
-    )
-    def test_only_a_deep_immutable_value_keeps_its_digest(self, value):
-        with recorded_digests() as digested:
-            first = _digest(value)
-            assert _digest(value) == first
-        assert len(digested) == 2
-        assert getattr(value, DIGEST_ATTR, None) is None
-
-    def test_a_proxy_cannot_pose_as_a_kept_digest(self):
-        """A ``Mock`` answers any attribute; the gate is asked before the memo."""
-        with pytest.raises(UnsupportedPayloadError):
-            _digest(mock.Mock())
 
     def test_a_direct_run_always_computes(self, small_double_bids):
         mechanism = CountingDoubleAuction()
@@ -495,7 +440,10 @@ class TestDoctoredResults:
 # -- (d) hygiene: what a copy carries ---------------------------------------------------
 def _cleared_vector():
     """An agreed vector that has been assembled, validated, sized, fingerprinted,
-    indexed (the maps a next round run from it is handed) and cleared."""
+    indexed (the maps a next round run from it is handed) and cleared.
+
+    Nothing of its validation stays on it: the validation sends a
+    ``Digest`` of the vector, which holds the vector by reference."""
     providers = providers_named(3)
     shared = run_round(
         bids=double_bids(10, providers, seed=9), providers=providers, config=FrameworkConfig(k=1)
@@ -505,12 +453,7 @@ def _cleared_vector():
     bid_vector_fingerprint(vector)
     vector.user(vector.users[0].user_id)
     assert getattr(vector, RESULTS_ATTR)
-    assert len(getattr(vector, DIGEST_ATTR)) == 64
     return vector
-
-
-def _digest(vector):
-    return input_validation.InputValidationBlock("iv", vector)._fingerprint(vector)
 
 
 COPIES = {
@@ -528,7 +471,6 @@ class TestMemoHygiene:
         memos = set(vars(vector)) - {"users", "providers"}
         assert memos == {
             RESULTS_ATTR,
-            DIGEST_ATTR,
             "_repro_wire_size",
             "_repro_fingerprint",
             "_repro_by_id",
@@ -542,7 +484,6 @@ class TestMemoHygiene:
         fresh = BidVector(clone.users, clone.providers)
         assert estimate_size(clone) == estimate_size(fresh)
         assert bid_vector_fingerprint(clone) == bid_vector_fingerprint(fresh)
-        assert _digest(clone) == _digest(fresh) == getattr(vector, DIGEST_ATTR)
         received, kept = clone.by_id(), vector.by_id()
         assert received == fresh.by_id() == kept
         assert all(mine is not theirs for mine, theirs in zip(received, kept))
@@ -681,18 +622,6 @@ class TestRacingThreads:
         assert len(distinct(results)) == 1
         assert results[0] == DoubleAuction().run(bids, random.Random(7))
 
-    def test_validations_keep_one_digest(self):
-        bids = double_bids(40, providers_named(5), seed=12)
-        digests = []
-
-        def validate():
-            digests.append(_digest(bids))
-
-        race([validate] * self.THREADS, CommitmentScheme, "digest_of")
-        assert len(digests) == self.THREADS  # every thread computed before any published
-        assert set(digests) == {getattr(bids, DIGEST_ATTR)}
-        assert getattr(bids, DIGEST_ATTR) == _digest(BidVector(bids.users, bids.providers))
-
 
 # -- (e) input link 0: one frozen input batch per honest round ---------------------------
 @contextmanager
@@ -776,7 +705,6 @@ class TestInputLinkZero:
         with ExitStack() as stack:
             built = stack.enter_context(recorded_batches())
             executions = stack.enter_context(recorded_executions())
-            digested = stack.enter_context(recorded_digests())
             for k, providers in ((1, self.PROVIDERS[:3]), (2, self.PROVIDERS)):
                 auctioneer = DistributedAuctioneer(
                     mechanism, providers=providers, config=FrameworkConfig(k=k), seed=4
@@ -787,7 +715,6 @@ class TestInputLinkZero:
         counts = {
             "batches": len(built),
             "vectors": len(distinct(vector for vector, _seed in executions)),
-            "digests": len(digested),
             "runs": mechanism.runs,
         }
         return observables, counts, {seed for _vector, seed in executions}
@@ -806,8 +733,8 @@ class TestInputLinkZero:
         # agreed vector; a seed-free A runs no coin, so both rounds read the
         # fixed seed and A runs once for both.
         assert len(seeds) == (2 if mechanism_factory.randomized else 1)
-        assert counts == {"batches": 1, "vectors": 1, "digests": 1, "runs": len(seeds)}
-        assert separate_counts == {"batches": 8, "vectors": 8, "digests": 8, "runs": 8}
+        assert counts == {"batches": 1, "vectors": 1, "runs": len(seeds)}
+        assert separate_counts == {"batches": 8, "vectors": 8, "runs": 8}
 
     def test_every_provider_holds_the_same_frozen_maps(self):
         bids = double_bids(12, self.PROVIDERS)
@@ -829,7 +756,7 @@ class TestInputLinkZero:
         assert block.received_user_bids == user_bids
         assert block.received_provider_asks is asks
         user_bids["u0"] = None
-        assert block._my_inputs()["user:u0"] == UserBid("u0", 1.0, 0.5)
+        assert block._shared_input()[0]["user:u0"] == UserBid("u0", 1.0, 0.5)
 
     def test_another_asks_map_builds_another_batch(self):
         user_bids = FrozenMap({"u0": UserBid("u0", 1.0, 0.5)})
@@ -837,7 +764,7 @@ class TestInputLinkZero:
         def batch(asks):
             return bid_agreement.BidAgreementBlock(
                 "ba", ["u0"], ["p0"], user_bids, asks
-            )._my_inputs()
+            )._shared_input()[0]
 
         asks = FrozenMap({"p0": ProviderAsk("p0", 0.1, 1.0)})
         first = batch(asks)
@@ -1109,8 +1036,6 @@ class TestSharingIsCounted:
             "assemblies_shared": 4,
             "executions": 5,
             "executions_shared": 4,
-            "validations": 5,
-            "validations_shared": 4,
         }
 
     def test_an_equivocating_bidder_shows_as_m_times_the_work(self):
@@ -1129,8 +1054,6 @@ class TestSharingIsCounted:
             "assemblies_shared": 0,
             "executions": 5,
             "executions_shared": 0,
-            "validations": 5,
-            "validations_shared": 0,
         }
 
     def test_nothing_is_counted_without_an_observation(self):

@@ -18,9 +18,9 @@ import pytest
 from repro.auctions.double_auction import DoubleAuction
 from repro.community.workload import DoubleAuctionWorkload
 from repro.consensus.multi_consensus import BatchedConsensusBlock
+from repro.core.allocator import validation_bytes
 from repro.core.bid_agreement import agreement_batch, agreement_bytes
 from repro.core.config import FrameworkConfig
-from repro.core.input_validation import InputValidationBlock, validation_messages
 from repro.net.latency import BandwidthLatencyModel
 from repro.net.protocol import TAG_SEPARATOR
 from repro.net.scheduler import FairScheduler
@@ -114,13 +114,11 @@ def test_an_honest_round_sends_the_bytes_the_formulas_say(n, m, k):
     }
     assert {tag: sent[tag] for tag in rows} == rows
     # The whole round: the three rows, the batched agreement (value + echo)
-    # and one 64-hex announcement per ordered pair in input validation.
+    # and one digest per ordered pair in input validation.
     batch = agreement_batch(*bids.by_id(), bids.user_ids, bids.provider_ids)
-    ba, iv = "framework/ba/batch", "framework/alloc/iv"
+    ba = "framework/ba/batch"
     agreement = agreement_bytes(batch, bids.provider_ids) + m * (m - 1) * (
         envelope(ba, BatchedConsensusBlock.VALUE) + envelope(ba, BatchedConsensusBlock.ECHO)
     )
-    validation = validation_messages(m) * (
-        envelope(iv, InputValidationBlock.ANNOUNCE) + estimate_size("0" * 64)
-    )
-    assert result.stats.bytes_delivered == sum(rows.values()) + agreement + validation
+    assert sent["framework/alloc/iv"] == validation_bytes(m)
+    assert result.stats.bytes_delivered == sum(rows.values()) + agreement + validation_bytes(m)

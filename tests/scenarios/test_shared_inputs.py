@@ -2,14 +2,13 @@
 
 The centralised baseline and k = 1, 2, 3 of one Figure 4 point run the same
 workload instance; the sweep's component cache hands them one vector, and every
-distributed round run from it builds no agreement batch, agreed vector or
-input-validation digest of its own: the first round builds one of each, the
-rest read them.  The double auction never draws from the coin, so the rounds
-also read one execution of it whatever seed each drew.  The chaos audit's
-fault cells share a seed's vector the same way.  Counted, never timed: a
-counting workload, spies on the builders, and
-records that must equal those of a per-cell ``run_scenario`` loop or of the
-same grid with the instance memos forgotten.
+distributed round run from it builds no agreement batch or agreed vector of
+its own: the first round builds one of each, the rest read them.  The double
+auction never draws from the coin, so the rounds also read one execution of it
+whatever seed each drew.  The chaos audit's fault cells share a seed's vector
+the same way.  Counted, never timed: a counting workload, spies on the
+builders, and records that must equal those of a per-cell ``run_scenario``
+loop or of the same grid with the instance memos forgotten.
 """
 
 from collections import Counter
@@ -20,9 +19,8 @@ import pytest
 
 from repro.auctions.double_auction import DoubleAuction
 from repro.community.workload import DoubleAuctionWorkload
-from repro.consensus.commitment import CommitmentScheme
 from repro.auctions import base as auction_base
-from repro.core import allocator, bid_agreement, input_validation
+from repro.core import allocator, bid_agreement
 from repro.scenarios import (
     WORKLOADS,
     ChaosSpec,
@@ -53,19 +51,18 @@ def generated():
 
 
 #: Every module that keeps a memo of a round's path on an instance.
-_MEMO_USERS = (auction_base, bid_agreement, input_validation, allocator)
+_MEMO_USERS = (auction_base, bid_agreement, allocator)
 
 
 @contextmanager
 def counted_builds(forget=False):
-    """Counts batch builds, vector assemblies and validation digests computed,
-    and the executions of ``A`` inside a ``SequentialAllocatorBlock``.
+    """Counts batch builds, vector assemblies and the executions of ``A``
+    inside a ``SequentialAllocatorBlock``.
 
     ``forget`` switches every instance memo of the round's path off.
     """
     counts = Counter()
     agreement = bid_agreement.BidAgreementBlock
-    digest_of = CommitmentScheme.digest_of
     execute, clear = allocator.SequentialAllocatorBlock._execute, DoubleAuction.run
     executing = []
 
@@ -87,19 +84,11 @@ def counted_builds(forget=False):
 
         return spy
 
-    def digest_spy(value, nonce):
-        if nonce == input_validation.InputValidationBlock._FIXED_NONCE:  # not a coin commitment
-            counts["digests"] += 1
-        return digest_of(value, nonce)
-
     with ExitStack() as stack:
         for name, method in (("batches", "_build_batch"), ("vectors", "_build_vector")):
             stack.enter_context(
                 mock.patch.object(agreement, method, counting(name, getattr(agreement, method)))
             )
-        stack.enter_context(
-            mock.patch.object(CommitmentScheme, "digest_of", staticmethod(digest_spy))
-        )
         stack.enter_context(
             mock.patch.object(allocator.SequentialAllocatorBlock, "_execute", execute_spy)
         )
@@ -183,7 +172,7 @@ class TestFigure4OpCounts:
         _same_outcome(records)
         # One of each for the instance: k = 2 and k = 3 read what k = 1 built,
         # and the double auction ignores the coin, so one clearing serves all three.
-        assert built == {"batches": 1, "vectors": 1, "digests": 1, "executions": 1}
+        assert built == {"batches": 1, "vectors": 1, "executions": 1}
 
     def test_unshared(self, generated):
         with counted_builds(forget=True) as built:
@@ -195,7 +184,6 @@ class TestFigure4OpCounts:
         assert built == {
             "batches": 3 + 5 + 7,
             "vectors": 3 + 5 + 7,
-            "digests": 3 + 5 + 7,
             "executions": 3 + 5 + 7,
         }
 
@@ -233,13 +221,12 @@ class TestChaosOpCounts:
             separate = run_chaos(self._spec())
         assert shared.is_clean()
         assert shared.records == separate.records
-        assert built == {"batches": 1, "vectors": 1, "digests": 1, "executions": 1}
+        assert built == {"batches": 1, "vectors": 1, "executions": 1}
         # One of each per provider per run, and the crashed provider builds its
         # batch again when it restarts, once in each of the crash cell's two runs.
         builds = 5 * 2 * len(self.FAULTS)
         assert separate_built == {
             "batches": builds + 2,
             "vectors": builds,
-            "digests": builds,
             "executions": builds,
         }

@@ -247,7 +247,7 @@ class TestSpecDrivenCommands:
             points = [{f"config.{field}": value}, {"users": 4}]
             spec.write_text(json.dumps({"base": base, "points": points}))
             argv = ["sweep", "--spec", str(spec), "--output", str(out)]
-            where = f"points[0].config.{field}"  # a point is checked when it expands
+            where = f"{spec}: points[0].config.{field}"  # typed as the file loads
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
         assert not out.exists()
@@ -572,8 +572,12 @@ class TestSpecErrorsLeaveNoJournal:
                 "decompose into Algorithm 1's allocation and payments; the parallel allocator "
                 "runs only the mechanism kinds that do: standard, vcg\n",
             ),
-            ("_second_point_users_x", "error: points[1].users: expected an integer, got str\n"),
-            ("_axis_users_x", "error: axes.users: expected an integer, got str\n"),
+            # A point or an axis value is typed as the file loads, so its error names the file.
+            (
+                "_second_point_users_x",
+                "error: {spec}: points[1].users: expected an integer, got str\n",
+            ),
+            ("_axis_users_x", "error: {spec}: axes.users: expected an integer, got str\n"),
             (
                 "_second_point_mechanism_zzz",
                 "error: points[1].mechanism: unknown mechanism kind 'zzz'; "
@@ -614,7 +618,8 @@ class TestSpecErrorsLeaveNoJournal:
     def test_exits_2_without_a_journal(self, argv, error, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         if isinstance(argv, str):
-            argv = ["sweep", "--spec", str(getattr(self, argv)(tmp_path))]
+            spec = str(getattr(self, argv)(tmp_path))
+            argv, error = ["sweep", "--spec", spec], error.replace("{spec}", spec)
         journal = tmp_path / "journal.jsonl"
         assert main(argv + ["--output", str(journal)]) == 2
         assert capsys.readouterr().err == error
