@@ -26,8 +26,8 @@ being implemented"; ROADMAP item 21):
   provider groups recomputing any piece of the mechanism obtain identical results
   (a requirement of the data-transfer block's consistency checks).
 
-The class implements :class:`~repro.auctions.decomposable.DecomposableMechanism`, so
-the parallel allocator can split the payment phase across provider groups.
+The class is a :class:`~repro.auctions.decomposable.DecomposableMechanism`, so the
+parallel allocator can split the payment phase across provider groups.
 """
 
 from __future__ import annotations
@@ -35,17 +35,10 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common import stable_hash
-from repro.auctions.base import (
-    Allocation,
-    AllocationAlgorithm,
-    AuctionResult,
-    BidVector,
-    Payments,
-    UserBid,
-)
+from repro.auctions.base import Allocation, BidVector, UserBid
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.payments import clarke_pivot_payments
 from repro.auctions.validation import eligible_provider_asks, eligible_user_bids
@@ -55,7 +48,7 @@ __all__ = ["StandardAuction"]
 _EPS = 1e-12
 
 
-class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
+class StandardAuction(DecomposableMechanism):
     """Truthful-in-expectation, approximately welfare-maximising standard auction.
 
     Args:
@@ -106,16 +99,6 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         # A tiny epsilon squares to 0.0 or divides to inf: it asks for every restart.
         wanted = 1.0 / epsilon**2 if epsilon**2 else math.inf
         self.restarts = max(min_restarts, int(round(min(max_restarts, wanted))))
-
-    # ------------------------------------------------------------------ run --
-    def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:
-        rng = rng if rng is not None else random.Random(0)
-        seed = rng.getrandbits(63)
-        allocation, welfare = self.solve_allocation(bids, seed)
-        payments = self.payments_for_users(
-            bids, bids.user_ids, allocation, welfare, seed
-        )
-        return self.assemble(bids, allocation, payments)
 
     # ------------------------------------------- DecomposableMechanism API --
     @staticmethod
@@ -180,19 +163,13 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
         vectorized engine overrides: its memo misses are one ``solve_batch`` call.
         """
         winners = set(allocation.winners())
+        # clarke_pivot_payments asks only about the winners among user_ids.
         pivot_welfares = self._pivot_welfares(
             bids, [uid for uid in user_ids if uid in winners], seed
         )
-
-        def welfare_without(user_id: str) -> float:
-            # Total over all users, like the pre-batching closure: the prefetch
-            # above covers every user clarke_pivot_payments asks about today,
-            # but a miss falls back to a single re-solve instead of a KeyError.
-            if user_id in pivot_welfares:
-                return pivot_welfares[user_id]
-            return self._pivot_welfares(bids, [user_id], seed)[user_id]
-
-        payments = clarke_pivot_payments(bids, allocation, user_ids, welfare_without)
+        payments = clarke_pivot_payments(
+            bids, allocation, user_ids, pivot_welfares.__getitem__
+        )
         # Ids without an entry total 0, an empty ``sum``, as ``user_total`` gives.
         allocated = allocation.user_totals()
         return {
@@ -210,21 +187,6 @@ class StandardAuction(AllocationAlgorithm, DecomposableMechanism):
             _, pivot_welfare = self.solve_allocation(reduced, self._pivot_seed(seed, user_id))
             welfares[user_id] = pivot_welfare
         return welfares
-
-    def assemble(
-        self,
-        bids: BidVector,
-        allocation: Allocation,
-        user_payments: Dict[str, float],
-    ) -> AuctionResult:
-        """Step 3: attach payments; provider revenues are the payments of their users."""
-        provider_revenues: Dict[str, float] = {}
-        for user_id, provider_id, _amount in allocation.entries:
-            payment = user_payments.get(user_id, 0.0)
-            provider_revenues[provider_id] = provider_revenues.get(provider_id, 0.0) + payment
-        return AuctionResult(
-            allocation, Payments.from_dicts(user_payments, provider_revenues)
-        )
 
     # ---------------------------------------------------------------- pieces --
     @staticmethod

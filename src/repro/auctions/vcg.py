@@ -12,17 +12,9 @@ nowhere), so keep instances small (n ≲ 12).
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.auctions.base import (
-    Allocation,
-    AllocationAlgorithm,
-    AuctionResult,
-    BidVector,
-    Payments,
-    UserBid,
-)
+from repro.auctions.base import Allocation, BidVector
 from repro.auctions.decomposable import DecomposableMechanism
 from repro.auctions.payments import clarke_pivot_payments
 from repro.auctions.validation import eligible_provider_asks, eligible_user_bids
@@ -32,7 +24,7 @@ __all__ = ["ExactVCGAuction"]
 _EPS = 1e-12
 
 
-class ExactVCGAuction(AllocationAlgorithm, DecomposableMechanism):
+class ExactVCGAuction(DecomposableMechanism):
     """Exact multiple-knapsack welfare maximisation with Clarke-pivot payments."""
 
     name = "exact-vcg"
@@ -42,13 +34,6 @@ class ExactVCGAuction(AllocationAlgorithm, DecomposableMechanism):
 
     def __init__(self, max_users: int = 16) -> None:
         self.max_users = max_users
-
-    # ------------------------------------------------------------------ run --
-    def run(self, bids: BidVector, rng: Optional[random.Random] = None) -> AuctionResult:
-        seed = 0
-        allocation, welfare = self.solve_allocation(bids, seed)
-        payments = self.payments_for_users(bids, bids.user_ids, allocation, welfare, seed)
-        return self.assemble(bids, allocation, payments)
 
     # ------------------------------------------- DecomposableMechanism API --
     def solve_allocation(self, bids: BidVector, seed: int) -> Tuple[Allocation, float]:
@@ -124,17 +109,3 @@ class ExactVCGAuction(AllocationAlgorithm, DecomposableMechanism):
             return pivot_welfare
 
         return clarke_pivot_payments(bids, allocation, user_ids, welfare_without)
-
-    def assemble(
-        self,
-        bids: BidVector,
-        allocation: Allocation,
-        user_payments: Dict[str, float],
-    ) -> AuctionResult:
-        provider_revenues: Dict[str, float] = {}
-        for user_id, provider_id, _amount in allocation.entries:
-            payment = user_payments.get(user_id, 0.0)
-            provider_revenues[provider_id] = provider_revenues.get(provider_id, 0.0) + payment
-        return AuctionResult(
-            allocation, Payments.from_dicts(user_payments, provider_revenues)
-        )

@@ -384,7 +384,14 @@ def _command_grid(args: argparse.Namespace) -> int:
         "store_format": args.store_format,
         "resume": args.resume,
     }
-    result = _observed(args, spec.name, lambda: kind.run(spec, **options))
+    try:
+        result = _observed(args, spec.name, lambda: kind.run(spec, **options))
+    except SpecError as exc:
+        # A sweep point sits in the spec file, so its error names the file
+        # whichever check refused it, as a point's type error does on load.
+        if exc.path.startswith(("points[", "axes")):
+            raise SpecError(f"{args.spec}: {exc.path}", exc.message) from exc
+        raise
     _report_store(result, args)
     if args.json:
         print(result.to_json())

@@ -13,10 +13,10 @@ Two implementations are provided, matching the two regimes the paper evaluates:
 * :class:`ParallelAllocatorBlock` — the parallel allocator framework of §4.2
   (Figure 3) running Algorithm 1: after input validation and the common coin, every
   provider computes the allocation, each group of at least ``k + 1`` providers
-  computes the payments of its share of the users, the payments move between groups
-  through :class:`~repro.core.data_transfer.DataTransferBlock` instances, and every
-  provider assembles the output pair (x, p).  This is what makes the expensive
-  standard auction of §5.2.2 scale (Figure 5).
+  computes the payments of its share of the winners, the payments move between
+  groups through :class:`~repro.core.data_transfer.DataTransferBlock` instances,
+  and every provider assembles the output pair (x, p), in which a loser pays 0.0.
+  This is what makes the expensive standard auction of §5.2.2 scale (Figure 5).
 
 Both blocks share :class:`SeededAllocatorBlock`'s validate-then-seed prefix and
 output either an :class:`~repro.auctions.base.AuctionResult` or ⊥.
@@ -41,7 +41,6 @@ __all__ = [
     "SequentialAllocatorBlock",
     "ParallelAllocatorBlock",
     "assign_provider_groups",
-    "partition_users",
     "transfer_messages",
     "validation_bytes",
     "validation_messages",
@@ -53,7 +52,7 @@ __all__ = [
 _RESULTS_ATTR = "_repro_results"
 
 
-# -- provider grouping and user partitioning -------------------------------------------
+# -- provider grouping ------------------------------------------------------------------
 def assign_provider_groups(
     providers: Sequence[str], k: int, num_groups: Optional[int] = None
 ) -> List[List[str]]:
@@ -81,23 +80,6 @@ def assign_provider_groups(
         groups.append(ordered[cursor : cursor + size])
         cursor += size
     return groups
-
-
-def partition_users(user_ids: Sequence[str], num_groups: int) -> List[List[str]]:
-    """Split users into ``num_groups`` balanced chunks (some possibly empty).
-
-    Users are dealt round-robin by sorted id, so the chunks differ by at most one
-    *user*.  They do not balance *winners*, although a payment task's cost is one
-    re-solve per winner: on Figure 5's n = 125 point, p = 4's chunks hold 5, 12, 9
-    and 6 of the 32 winners (ROADMAP item 15).
-    """
-    ordered = sorted(user_ids)
-    if num_groups < 1:
-        raise ValueError("num_groups must be at least 1")
-    chunks: List[List[str]] = [[] for _ in range(num_groups)]
-    for index, user_id in enumerate(ordered):
-        chunks[index % num_groups].append(user_id)
-    return chunks
 
 
 def transfer_messages(groups: Sequence[Sequence[str]]) -> int:
@@ -242,11 +224,13 @@ class SequentialAllocatorBlock(SeededAllocatorBlock):
 class ParallelAllocatorBlock(SeededAllocatorBlock):
     """Run Algorithm 1 over provider groups (§4.2, Figure 3).
 
-    Every provider solves the allocation.  Group ``g`` computes the payments of
-    the ``g``-th chunk of users (:func:`partition_users`) and ships them through a
-    ``dt:pay/<g>`` :class:`~repro.core.data_transfer.DataTransferBlock` to every
-    provider outside it.  Every provider then merges the ``p`` payment maps in
-    group order and assembles the output pair (x, p).
+    Every provider solves the allocation.  Group ``g`` of ``p`` computes the
+    payments of the winners ``winners[g::p]`` (sorted ids, so no group holds more
+    than ⌈W/p⌉ of the W re-solves) and ships them through a ``dt:pay/<g>``
+    :class:`~repro.core.data_transfer.DataTransferBlock` to every provider
+    outside it.  Every provider then merges the ``p`` payment maps in group
+    order and assembles the output pair (x, p), whose ``assemble`` gives every
+    loser 0.0.
 
     Args:
         name: block name.
@@ -276,7 +260,7 @@ class ParallelAllocatorBlock(SeededAllocatorBlock):
 
     def _execute(self, seed: int) -> None:
         assert self._ctx is not None
-        # Derive the task seed the same way AllocationAlgorithm.run derives its
+        # Derive the task seed the same way DecomposableMechanism.run derives its
         # internal seed from an RNG seeded with the coin value, so the sequential and
         # parallel allocators produce bit-identical results for the same coin.
         self._seed = random.Random(seed).getrandbits(63)
@@ -327,7 +311,7 @@ class ParallelAllocatorBlock(SeededAllocatorBlock):
             self._allocation = self.algorithm.solve_allocation(self.bids, self._seed)
         allocation, welfare = self._allocation
         if self._mine not in self._payments:
-            users = partition_users(self.bids.user_ids, len(self.groups))[self._mine]
+            users = allocation.winners()[self._mine :: len(self.groups)]
             own = self.algorithm.payments_for_users(
                 self.bids, users, allocation, welfare, self._seed
             )

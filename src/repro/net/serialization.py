@@ -55,7 +55,6 @@ __all__ = [
     "LabelBatch",
     "UnsupportedPayloadError",
     "canonical_encode",
-    "deep_immutable",
     "digest_or_self",
     "estimate_size",
 ]
@@ -256,7 +255,7 @@ def _encode_digest(value: Digest) -> bytes:
 
 def _measure_digest(value: Digest) -> Tuple[int, bool]:
     # Immutable when what it stands for is: its encoding derives from it.
-    return DIGEST_SIZE, deep_immutable(value[0])
+    return DIGEST_SIZE, _deep_immutable(value[0])
 
 
 # -- containers ----------------------------------------------------------------
@@ -542,7 +541,7 @@ def digest_or_self(value: Any) -> Any:
     return value if estimate_size(value) <= DIGEST_SIZE else Digest(value)
 
 
-def deep_immutable(value: Any) -> bool:
+def _deep_immutable(value: Any) -> bool:
     """True if no part of ``value`` can change: the gate of the codec's size memo.
 
     What is derived from such a value's contents may be remembered on it; a

@@ -1,8 +1,12 @@
 """Tests for the sequential and parallel allocator blocks (Property 2)."""
 
 import functools
+import math
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import run_block_network
 
@@ -20,13 +24,14 @@ from repro.core.allocator import (
     ParallelAllocatorBlock,
     SequentialAllocatorBlock,
     assign_provider_groups,
-    partition_users,
 )
 from repro.core.config import FrameworkConfig
 from repro.core.framework import DistributedAuctioneer
 from repro.net.scheduler import RandomScheduler
+from repro.scenarios import SweepSpec, load_spec, run_scenario
 
 PROVIDERS = ["p0", "p1", "p2", "p3"]
+FIG5 = pathlib.Path(__file__).resolve().parents[2] / "examples" / "specs" / "fig5.toml"
 
 
 def double_bids():
@@ -198,15 +203,15 @@ class TestParallelAllocator:
         ids=["two-pairs", "four-singletons", "uneven-three", "one-group-of-everyone"],
     )
     def test_every_provider_runs_each_step_of_algorithm_1_once(self, k, num_groups):
-        """Allocation once, its own group's share of the payments once, assembly once.
+        """Allocation once, its own group's share of the winners once, assembly once.
 
         ``_progress`` is re-entered by every transfer that completes, so this also
-        checks that a re-entry repeats no step.
+        checks that a re-entry repeats no step.  The assembled map holds the
+        winners alone: ``assemble`` fills in the losers.
         """
         bids = standard_bids(num_users=10)
         mechanism = StandardAuction(epsilon=0.5)
         groups = assign_provider_groups(PROVIDERS, k, num_groups)
-        shares = partition_users(bids.user_ids, len(groups))
         calls = {nid: [] for nid in PROVIDERS}
         outputs = run_block_network(
             PROVIDERS,
@@ -216,14 +221,18 @@ class TestParallelAllocator:
         )
         assert not is_abort(outputs["p0"])
         assert all(v == outputs["p0"] for v in outputs.values())
-        everyone = tuple(sorted(bids.user_ids))
+        winners = outputs["p0"].allocation.winners()
+        assert winners and len(winners) < len(bids.user_ids)
         for g, group in enumerate(groups):
             for nid in group:
                 assert calls[nid] == [
                     ("allocation",),
-                    ("payments", tuple(shares[g])),
-                    ("assemble", everyone),
+                    ("payments", tuple(winners[g :: len(groups)])),
+                    ("assemble", tuple(winners)),
                 ]
+        payments = dict(outputs["p0"].payments.user_payments)
+        assert sorted(payments) == sorted(bids.user_ids)
+        assert all(payments[uid] == 0.0 for uid in bids.user_ids if uid not in winners)
 
     def test_receiving_transfers_are_spawned_in_group_order(self):
         """Every other group's transfer in group-index order, then the provider's own.
@@ -335,13 +344,83 @@ class TestGrouping:
         with pytest.raises(ValueError):
             assign_provider_groups(["p0"], k=1)
 
-    def test_partition_users(self):
-        chunks = partition_users([f"u{i}" for i in range(10)], 4)
-        assert len(chunks) == 4
-        assert sorted(len(c) for c in chunks) == [2, 2, 3, 3]
-        assert sorted(sum(chunks, [])) == sorted(f"u{i}" for i in range(10))
 
-    def test_partition_users_more_groups_than_users(self):
-        chunks = partition_users(["u0"], 3)
-        assert len(chunks) == 3
-        assert sum(len(c) for c in chunks) == 1
+class DealRecordingBlock(ParallelAllocatorBlock):
+    """A parallel allocator that records, per block, what its mechanism is asked.
+
+    ``blocks`` collects every instance (a test resets it before a round), so
+    the test reads each provider's group, its calls and its output after it.
+    """
+
+    blocks = []
+
+    def on_start(self, ctx):
+        self.calls = []
+        self.algorithm = RecordingMechanism(self.algorithm, self.calls)
+        DealRecordingBlock.blocks.append(self)
+        super().on_start(ctx)
+
+
+def assert_task_2_deals_the_winners(blocks):
+    """One round's blocks: the groups partition the winners, at most ⌈W/p⌉ each."""
+    results = [block.result for block in blocks]
+    assert all(isinstance(r, AuctionResult) and r == results[0] for r in results)
+    winners = results[0].allocation.winners()
+    groups = blocks[0].groups
+    asked = {}
+    for block in blocks:
+        (payments,) = [call[1] for call in block.calls if call[0] == "payments"]
+        # Every member of a group is asked for the same winners.
+        assert asked.setdefault(block._mine, payments) == payments
+    assert sorted(asked) == list(range(len(groups)))
+    dealt = [uid for g in sorted(asked) for uid in asked[g]]
+    assert sorted(dealt) == winners  # a partition: each winner once, no loser
+    bound = math.ceil(len(winners) / len(groups))
+    assert max(len(share) for share in asked.values()) <= bound
+    return winners
+
+
+class TestTask2DealsWinners:
+    """Task 2 is one re-solve per winner, so its groups split the winners
+    (ROADMAP item 15): each winner is paid for by exactly one group, no loser
+    by any, and no group holds more than ⌈W/p⌉ of the W winners."""
+
+    def test_every_distributed_figure_5_point(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.core.provider_protocol.ParallelAllocatorBlock", DealRecordingBlock
+        )
+        sweep = load_spec(FIG5, SweepSpec)
+        points = [spec for spec in sweep.scenarios() if spec.config.parallel]
+        assert {(spec.users, spec.config.k) for spec in points} == {
+            (n, k) for n in (25, 50, 75, 100, 125) for k in (1, 3)
+        }
+        for spec in points:
+            DealRecordingBlock.blocks = []
+            record = run_scenario(spec)
+            assert len(DealRecordingBlock.blocks) == spec.providers
+            winners = assert_task_2_deals_the_winners(DealRecordingBlock.blocks)
+            assert record.winners == len(winners)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        m=st.integers(1, 6),
+        k=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_a_grid_of_users_providers_and_groups(self, n, m, k, data):
+        if m < k + 1:
+            k = m - 1
+        p = data.draw(st.integers(1, m // (k + 1)), label="p")
+        providers = [f"p{i}" for i in range(m)]
+        bids = StandardAuctionWorkload(seed=n * 7 + m).generate(n, m, provider_ids=providers)
+        groups = assign_provider_groups(providers, k, p)
+        DealRecordingBlock.blocks = []
+        outputs = run_block_network(
+            providers,
+            lambda nid: DealRecordingBlock("alloc", bids, StandardAuction(epsilon=0.5), groups),
+            seed=n + m,
+        )
+        assert all(not is_abort(v) for v in outputs.values())
+        assert len(DealRecordingBlock.blocks) == m
+        assert_task_2_deals_the_winners(DealRecordingBlock.blocks)

@@ -8,7 +8,8 @@ allocator each provider group also sends its payments to every provider
 outside it.  ``NetworkStats.messages_by_tag`` counts the deliveries per block
 path, so every formula is checked exactly, block by block, and the rows add up
 to the round's ``messages_delivered``.  A double round's bytes are
-checked exactly too, against ``NetworkStats.bytes_delivered``.
+checked exactly too, against ``NetworkStats.bytes_delivered``, and so are a
+parallel round's payment transfers, which carry the winners' payments alone.
 """
 
 import functools
@@ -33,6 +34,7 @@ from repro.core.bid_agreement import (
 )
 from repro.core.common_coin import coin_messages
 from repro.core.config import FrameworkConfig
+from repro.core.data_transfer import DataTransferBlock
 from repro.core.framework import DistributedAuctioneer
 from repro.net.protocol import TAG_SEPARATOR
 from repro.net.scheduler import FairScheduler
@@ -161,6 +163,52 @@ class ValidationTally(FairScheduler):
         if message.tag.startswith(f"framework/alloc/iv{TAG_SEPARATOR}"):
             self.sizes.append(message.size_bytes)
         super().push(message)
+
+
+class PaymentTally(FairScheduler):
+    """The fair scheduler, also keeping the size of every payment-transfer message."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def push(self, message):
+        if message.tag.startswith("framework/alloc/dt:pay/"):
+            self.sizes.append(message.size_bytes)
+        super().push(message)
+
+
+@pytest.mark.parametrize(
+    "n, m, k",
+    [(50, 8, 3), (50, 8, 1), (20, 4, 1), (20, 6, 2), (30, 7, 1)],
+    ids=["fig5-p2", "fig5-p4", "m4-p2", "m6-p2", "m7-p3"],
+)
+def test_a_payment_transfer_carries_its_groups_winners_alone(n, m, k):
+    # Counted, never timed.  Group g of p sends the payments of winners[g::p]
+    # to the m - |G_g| providers outside it; a loser's 0.0 never travels.
+    providers = [f"p{i}" for i in range(m)]
+    bids = StandardAuctionWorkload(seed=n + m).generate(n, m, provider_ids=providers)
+    tally = PaymentTally()
+    report = DistributedAuctioneer(
+        StandardAuction(epsilon=0.5),
+        providers=providers,
+        config=FrameworkConfig(k=k, parallel=True),
+        scheduler=tally,
+        seed=k,
+    ).run_from_bids(bids)
+    assert not report.aborted
+    result = report.outcome.result
+    winners = result.allocation.winners()
+    assert 0 < len(winners) < n
+    groups = assign_provider_groups(providers, k)
+    assert len(groups) > 1
+    expected = 0
+    for g, group in enumerate(groups):
+        tag = f"framework/alloc/dt:pay/{g}{TAG_SEPARATOR}{DataTransferBlock.VALUE}"
+        payments = {uid: result.payments.user_payment(uid) for uid in winners[g :: len(groups)]}
+        expected += len(group) * (m - len(group)) * estimate_size((tag, payments))
+    assert len(tally.sizes) == transfer_messages(groups)
+    assert sum(tally.sizes) == expected
 
 
 @pytest.mark.parametrize("m", (3, 5, 8))

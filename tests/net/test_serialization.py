@@ -13,8 +13,8 @@ from repro.net.serialization import (
     Digest,
     FrozenMap,
     UnsupportedPayloadError,
+    _deep_immutable,
     canonical_encode,
-    deep_immutable,
     digest_or_self,
     estimate_size,
 )
@@ -109,8 +109,8 @@ class TestDigest:
         assert len(encoded) == DIGEST_SIZE + 1  # one tag byte
 
     def test_immutable_exactly_when_its_value_is(self):
-        assert deep_immutable(Digest(BATCH))
-        assert not deep_immutable(Digest({"a": 1}))
+        assert _deep_immutable(Digest(BATCH))
+        assert not _deep_immutable(Digest({"a": 1}))
 
     def test_digests_compare_as_their_values_do(self):
         assert Digest(BATCH) == Digest(BATCH)

@@ -25,8 +25,8 @@ from repro.net.serialization import (
     FrozenMap,
     LabelBatch,
     UnsupportedPayloadError,
+    _deep_immutable,
     canonical_encode,
-    deep_immutable,
     estimate_size,
 )
 
@@ -197,7 +197,7 @@ class TestAgainstRecursiveWalkers:
     def test_deep_immutable_is_the_walkers_gate(self, value):
         # Twice: the second answer may come from a size memo the first one kept.
         for _ in range(2):
-            assert deep_immutable(value) is reference._estimate(value)[1]
+            assert _deep_immutable(value) is reference._estimate(value)[1]
 
     @given(payloads)
     @settings(max_examples=100)

@@ -313,7 +313,7 @@ class TestSpecDrivenCommands:
         dump_spec(sweep, path)
         assert main(["sweep", "--spec", str(path)]) == 2
         assert capsys.readouterr().err.endswith(
-            "error: axes.users: at most max_users=16 for 'exact-vcg', got 17\n"
+            f"error: {path}: axes.users: at most max_users=16 for 'exact-vcg', got 17\n"
         )
 
     def test_an_audit_checks_its_base_users(self, capsys):
@@ -363,7 +363,8 @@ class TestSpecDrivenCommands:
             (
                 ["sweep", "--spec", "examples/specs/fig5.toml"]
                 + ["--set", "mechanism.local_search_rounds=1.5"],
-                "points[0].mechanism",  # the first sweep point to build it
+                # The first sweep point to build it, in the file it sits in.
+                "examples/specs/fig5.toml: points[0].mechanism",
                 "local_search_rounds",
             ),
         ],
@@ -557,22 +558,24 @@ class TestSpecErrorsLeaveNoJournal:
                 "error: coalitions[0][0]: unknown provider id 'p09'; "
                 "executing providers: p00, p01, p02, p03, p04\n",
             ),
+            # A sweep point sits in the spec file, so every error of one names the
+            # file: a type error as the file loads, a refused check before a run.
             (
                 ["sweep", "--spec", "examples/specs/fig4_quick.json", "--set", "mechanism=vcg"],
-                "error: points[0].users: at most max_users=16 for 'exact-vcg', got 20\n",
+                "error: examples/specs/fig4_quick.json: points[0].users: "
+                "at most max_users=16 for 'exact-vcg', got 20\n",
             ),
             (
                 "_k3_on_five_providers",
-                "error: points[1].config.k: the rational-consensus building block requires "
+                "error: {spec}: points[1].config.k: the rational-consensus building block requires "
                 "m > 2k; got m=5 executing providers, k=3\n",
             ),
             (
                 "_parallel_double",
-                "error: points[1].config.parallel: 'double-auction-waterfill' does not "
+                "error: {spec}: points[1].config.parallel: 'double-auction-waterfill' does not "
                 "decompose into Algorithm 1's allocation and payments; the parallel allocator "
                 "runs only the mechanism kinds that do: standard, vcg\n",
             ),
-            # A point or an axis value is typed as the file loads, so its error names the file.
             (
                 "_second_point_users_x",
                 "error: {spec}: points[1].users: expected an integer, got str\n",
@@ -580,14 +583,15 @@ class TestSpecErrorsLeaveNoJournal:
             ("_axis_users_x", "error: {spec}: axes.users: expected an integer, got str\n"),
             (
                 "_second_point_mechanism_zzz",
-                "error: points[1].mechanism: unknown mechanism kind 'zzz'; "
+                "error: {spec}: points[1].mechanism: unknown mechanism kind 'zzz'; "
                 "available: double, greedy, standard, vcg\n",
             ),
             (
                 ["sweep", "--spec", "examples/specs/fig5.toml",
                  "--set", "mechanism.local_search_rounds=1.5"],
-                "error: points[0].mechanism: invalid parameters for mechanism 'standard': "
-                "local_search_rounds must be a finite integral number, got 1.5\n",
+                "error: examples/specs/fig5.toml: points[0].mechanism: invalid parameters for "
+                "mechanism 'standard': local_search_rounds must be a finite integral number, "
+                "got 1.5\n",
             ),
             (
                 ["resilience", "--spec", "examples/specs/resilience.json",
